@@ -247,7 +247,8 @@ def cmd_verify(args) -> int:
                          f"{sorted(SUITES) + ['all', 'none']}")
     results = []
     for suite in picked:
-        results.extend(suite(args.tolerance, args.seed))
+        # Suites may yield numpy booleans, which json cannot encode.
+        results.extend((n, bool(f)) for n, f in suite(args.tolerance, args.seed))
     ok = all(flag for _, flag in results)
     report = {"schema": SCHEMA, "command": "verify", "suite": name,
               "checks": [{"name": n, "ok": f} for n, f in results], "ok": ok}

@@ -22,6 +22,8 @@ class FiniteGroup:
     mul: np.ndarray
     name: str = "group"
     inv: np.ndarray = field(init=False, repr=False)
+    _generators: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mul = np.asarray(self.mul, dtype=np.intp)
@@ -105,6 +107,21 @@ class FiniteGroup:
                         nxt.append(b)
             frontier = nxt
         return sorted(seen)
+
+    def generators(self) -> tuple[int, ...]:
+        """A generating set, built greedily in element order and cached.
+
+        A homomorphism invariant on these elements is invariant on all.
+        """
+        if self._generators is None:
+            gens: list[int] = []
+            span = {0}
+            for a in self.elements():
+                if a not in span:
+                    gens.append(a)
+                    span = set(self.generated_subgroup(gens))
+            object.__setattr__(self, "_generators", tuple(gens))
+        return self._generators
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .groups import FiniteGroup
 from .linalg import (
     DEFAULT_TOL,
     flatten,
-    nullspace_rows,
+    intertwiner_rows,
     orthonormal_rows,
     residual_to_span,
     span_contains,
@@ -264,34 +264,32 @@ class CompactOperators:
     transform: np.ndarray       # S
     transform_inv: np.ndarray   # S^-1
 
-    def to_raw(self, mat: np.ndarray) -> np.ndarray:
-        return self.transform_inv @ mat @ self.transform
-
-    def from_raw(self, mat: np.ndarray) -> np.ndarray:
-        return self.transform @ mat @ self.transform_inv
-
     def contains_raw(self, mats, tol: float = 1e-8) -> bool:
         return span_contains(self.raw_rows, flatten(np.asarray(mats, dtype=complex)), tol)
+
+
+def _rank_one_maps(e: FDHilbertModule) -> np.ndarray:
+    """All |e_i><e_j| as one (m, m, m, m) array indexed [i, j, row, col].
+
+    Column l of |e_i><e_j| is e_i . <e_j|e_l>; with <e_j|e_l> expanded in
+    B's basis, one einsum with the action tensor builds every map.
+    """
+    m = e.carrier_dim
+    n = e.algebra.ambient_dim
+    coeffs = e.inner.reshape(m, m, n * n) @ e.algebra.basis_rows().conj().T
+    return np.einsum("kpi,jlk->ijpl", e.action, coeffs)
 
 
 def compact_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> CompactOperators:
     """Span of the rank-one module maps, closed as a matrix *-algebra."""
     m = e.carrier_dim
     s, s_inv = e.gram_sqrt()
-    raws = []
-    for i in range(m):
-        for j in range(m):
-            eta = np.zeros(m, dtype=complex)
-            xi = np.zeros(m, dtype=complex)
-            eta[i] = 1.0
-            xi[j] = 1.0
-            raws.append(rank_one(e, eta, xi))
-    if not raws:
+    if m == 0:
         alg = MatrixStarAlgebra(0, np.zeros((0, 0, 0), dtype=complex))
         return CompactOperators(e, alg, np.zeros((0, 0), dtype=complex), s, s_inv)
-    raws = np.stack(raws)
-    raw_rows = orthonormal_rows(flatten(raws), tol)
-    dressed = np.einsum("ij,kjl,lm->kim", s, raws, s_inv)
+    raw_rows = orthonormal_rows(_rank_one_maps(e).reshape(m * m, m * m), tol)
+    # S is invertible, so dressing a basis of the raw span spans the image.
+    dressed = s @ unflatten(raw_rows, m) @ s_inv
     alg = algebra_from_span(dressed, ambient_dim=m, tol=tol)
     return CompactOperators(e, alg, raw_rows, s, s_inv)
 
@@ -302,12 +300,7 @@ def adjointable_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> np.nd
     In finite dimension every B-linear map is adjointable, so this is the
     commutant of the right-action matrices.
     """
-    m = e.carrier_dim
-    eye = np.eye(m)
-    blocks = [np.kron(r, eye) - np.kron(eye, r.T) for r in e.action]
-    if not blocks:
-        return np.eye(m * m, dtype=complex)
-    return nullspace_rows(np.vstack(blocks), tol)
+    return intertwiner_rows(e.action, e.action, tol)
 
 
 def fullness_ideal(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
@@ -529,11 +522,8 @@ def invariant_compacts_rows(eq: EquivariantModule,
                             tol: float = DEFAULT_TOL) -> np.ndarray:
     """Raw-coordinate span of K_B(E)^W = {k : gamma_w k = k gamma_w}."""
     compacts = compacts or compact_operators(eq.base, tol)
-    m = eq.base.carrier_dim
-    eye = np.eye(m)
-    blocks = [np.kron(eq.gamma[w], eye) - np.kron(eye, eq.gamma[w].T)
-              for w in eq.group.elements()]
-    comm_rows = nullspace_rows(np.vstack(blocks), tol)
+    gamma = eq.gamma[list(eq.group.generators())]
+    comm_rows = intertwiner_rows(gamma, gamma, tol)
     return span_intersection(compacts.raw_rows, comm_rows, tol)
 
 
@@ -587,14 +577,7 @@ def dual_module(e: FDHilbertModule,
     # Right action of a compact a (in Gram coords): bra_xi . a = bra_{a# xi},
     # and in conj coordinates delta -> conj(a#) delta with a# = S^-1 a* S.
     action = np.stack([np.conj(s_inv @ a.conj().T @ s) for a in k_alg.basis])
-    inner = np.zeros((m, m, m, m), dtype=complex)
-    for p in range(m):
-        for q in range(m):
-            ep = np.zeros(m, dtype=complex)
-            eq_ = np.zeros(m, dtype=complex)
-            ep[p] = 1.0
-            eq_[q] = 1.0
-            inner[p, q] = compacts.from_raw(rank_one(e, ep, eq_))
+    inner = s @ _rank_one_maps(e) @ s_inv   # <<e_p|e_q>> = |e_p><e_q|
     dual = FDHilbertModule(k_alg, action, inner, name=(e.name or "module") + "-dual")
     # Left action of B: b . bra_xi = bra_{xi b*}; conj coords: conj(R_{b*}).
     left = np.zeros((e.algebra.dim, m, m), dtype=complex)

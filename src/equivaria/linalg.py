@@ -44,8 +44,11 @@ def nullspace_rows(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     if matrix.shape[0] == 0:
         return np.eye(matrix.shape[1], dtype=complex)
     m, n = matrix.shape
-    # Full V is needed to read the kernel; U never is.  For tall matrices the
-    # economy SVD already returns all n right singular vectors.
+    # Full V is needed to read the kernel; U never is.  A tall matrix has the
+    # singular values and right singular vectors of its n x n R factor, so
+    # reduce it first and never form its m x n U.
+    if m > n:
+        matrix = np.linalg.qr(matrix, mode="r")
     u, s, vh = np.linalg.svd(matrix, full_matrices=(m < n))
     # Floor the scale so an all-roundoff matrix reads as rank zero.
     scale = max(s[0], 1.0) if s.size else 1.0
@@ -53,9 +56,16 @@ def nullspace_rows(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return vh[rank:].conj()
 
 
-def project_coefficients(basis_rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Coefficients of `vec` against orthonormal rows."""
-    return basis_rows.conj() @ vec
+def intertwiner_rows(left, right, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal rows spanning {s : left[i] s = s right[i] for every i}.
+
+    `left` stacks p x p and `right` q x q matrices; each row is a p x q
+    matrix s flattened row-major, for which vec(a s - s b) =
+    (a (x) 1 - 1 (x) b^T) vec(s).  An empty stack constrains nothing.
+    """
+    p, q = np.shape(left)[-1], np.shape(right)[-1]
+    ops = [np.kron(a, np.eye(q)) - np.kron(np.eye(p), b.T) for a, b in zip(left, right)]
+    return nullspace_rows(np.vstack(ops) if ops else np.zeros((0, p * q)), tol)
 
 
 def residual_to_span(basis_rows: np.ndarray, vec: np.ndarray) -> float:
@@ -111,10 +121,3 @@ def cluster_values(values: np.ndarray, gap: float) -> list[np.ndarray]:
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (m + m.conj().T) / 2.0
-
-
-def frobenius_close(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    scale = max(np.linalg.norm(a), np.linalg.norm(b), 1.0)
-    return float(np.linalg.norm(a - b)) <= tol * scale

@@ -3,6 +3,9 @@
 This is the brute-force oracle layer: generation by closure, commutants by
 nullspace, block (Wedderburn) structure by randomized central splitting,
 GNS, ideals, and the finite-dimensional separating-subalgebra checker.
+The center and the unit are solved in A's own coordinates, from the
+structure constants <b_l, b_i b_j>: k unknowns instead of the commutant's
+N^2.
 
 An algebra is stored as an orthonormal basis under the trace inner product
 trace(a* b); with row-major flattening that is the standard inner product
@@ -18,12 +21,11 @@ from .linalg import (
     DEFAULT_TOL,
     cluster_values,
     flatten,
+    intertwiner_rows,
     nullspace_rows,
     orthonormal_rows,
-    random_hermitian,
     residual_to_span,
     span_contains,
-    spans_equal,
     unflatten,
 )
 
@@ -53,6 +55,8 @@ class MatrixStarAlgebra:
 
     ambient_dim: int
     basis: np.ndarray
+    _unit: np.ndarray | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=complex)
@@ -114,26 +118,25 @@ class MatrixStarAlgebra:
         """The algebra's own unit (sum of minimal central projections).
 
         Solved as the element e with e b = b e = b for every basis element;
-        for a *-closed matrix algebra this always exists (possibly 0).
+        for a *-closed matrix algebra this always exists (possibly 0).  The
+        instance is frozen, so the first result is kept and returned again.
         """
-        n = self.ambient_dim
-        if self.dim == 0:
-            return np.zeros((n, n), dtype=complex)
-        # Unknown e in the span: coefficients c with sum_k c_k (b_k b_j) = b_j.
-        cols = []
-        rhs = []
-        for b in self.basis:
-            left = np.einsum("kij,jl->kil", self.basis, b)   # b_k b
-            right = np.einsum("ij,kjl->kil", b, self.basis)  # b b_k
-            cols.append(np.concatenate([flatten(left), flatten(right)], axis=1))
-            rhs.append(np.concatenate([flatten(b), flatten(b)]))
-        a_mat = np.concatenate(cols, axis=1).T  # rows: equations, cols: c_k
-        b_vec = np.concatenate(rhs)
-        coeffs, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-        e = self.element(coeffs)
+        if self._unit is not None:
+            return self._unit
+        k = self.dim
+        e = np.zeros((self.ambient_dim,) * 2, dtype=complex)
+        if k:
+            # Coefficients of e with e b_j = b_j = b_j e, read off against b_l.
+            left, right = _product_constants(self)
+            eye = np.eye(k).reshape(-1)
+            coeffs, *_ = np.linalg.lstsq(
+                np.vstack([left.reshape(k * k, k), right.reshape(k * k, k)]),
+                np.concatenate([eye, eye]), rcond=None)
+            e = self.element(coeffs)
         for b in self.basis:
             if np.linalg.norm(e @ b - b) > 1e-6 * max(1.0, np.linalg.norm(b)):
                 raise AlgebraError("algebra has no unit in its span")
+        object.__setattr__(self, "_unit", e)
         return e
 
     def is_unital(self, tol: float = DEFAULT_TOL) -> bool:
@@ -203,11 +206,7 @@ def generate(gens, ambient_dim: int | None = None,
 def commutant(alg: MatrixStarAlgebra, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
     """{t : tb = bt for every b in the algebra}, inside the full ambient M_N."""
     n = alg.ambient_dim
-    if alg.dim == 0:
-        return full_matrix_algebra(n)
-    eye = np.eye(n)
-    blocks = [np.kron(b, eye) - np.kron(eye, b.T) for b in alg.basis]
-    rows = nullspace_rows(np.vstack(blocks), tol)
+    rows = intertwiner_rows(alg.basis, alg.basis, tol)
     return MatrixStarAlgebra(n, unflatten(rows, n))
 
 
@@ -216,14 +215,43 @@ def full_matrix_algebra(n: int) -> MatrixStarAlgebra:
     return MatrixStarAlgebra(n, basis)
 
 
+# Complex entries of basis products held at once by _product_constants.
+_PRODUCT_SLAB = 1 << 20
+
+
+def _product_constants(alg: MatrixStarAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """<b_l, b_i b_j> and <b_l, b_j b_i>, each a (k, k, k) array indexed [j, l, i].
+
+    Products are formed a slab of j at a time, so memory stays
+    O(k N^2 + k^3) and never holds all k^2 products.
+    """
+    n, k = alg.ambient_dim, alg.dim
+    basis = alg.basis
+    proj = alg.basis_rows().conj().T
+    step = max(1, _PRODUCT_SLAB // (k * n * n))
+    left = np.empty((k, k, k), dtype=complex)
+    right = np.empty((k, k, k), dtype=complex)
+    for j0 in range(0, k, step):
+        chunk = basis[j0:j0 + step, None]
+        for out, prods in ((left, basis[None] @ chunk), (right, chunk @ basis[None])):
+            out[j0:j0 + step] = (prods.reshape(-1, n * n) @ proj).reshape(
+                -1, k, k).transpose(0, 2, 1)
+    return left, right
+
+
 def center(alg: MatrixStarAlgebra, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
-    """A intersect A'."""
-    comm = commutant(alg, tol)
-    rows_a = alg.basis_rows()
-    rows_c = comm.basis_rows()
-    from .linalg import span_intersection
-    inter = span_intersection(rows_a, rows_c, tol)
-    return MatrixStarAlgebra(alg.ambient_dim, unflatten(inter, alg.ambient_dim))
+    """A intersect A', solved for the k coefficients of a central element.
+
+    Row (j, l) is c -> <b_l, [sum_i c_i b_i, b_j]>.  A is closed and its
+    basis orthonormal, so these rows have the singular values of the
+    Kronecker commutant operator restricted to A.
+    """
+    n, k = alg.ambient_dim, alg.dim
+    if k == 0:
+        return alg
+    left, right = _product_constants(alg)
+    coeffs = nullspace_rows((left - right).reshape(k * k, k), tol)
+    return MatrixStarAlgebra(n, unflatten(coeffs @ alg.basis_rows(), n))
 
 
 @dataclass(frozen=True)
@@ -251,18 +279,6 @@ def _compress(p: np.ndarray, mats: np.ndarray, tol: float) -> tuple[np.ndarray, 
     return q, comp
 
 
-def _minimal_projection_rank(basis: np.ndarray, rng: np.random.Generator,
-                             tol: float) -> int:
-    """Rank of a minimal projection in a factor given by its (compressed) basis.
-
-    For a factor M_n (x) 1_m the commutant is 1_n (x) M_m; a random Hermitian
-    commutant element has n-fold degenerate eigenvalues, so the smallest
-    eigenspace of the factor's own random Hermitian element has dimension m
-    and n = dim_of_range / m.  We instead read n directly: dim(span) = n^2.
-    """
-    return int(round(np.sqrt(basis.shape[0])))
-
-
 def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
                     tol: float = DEFAULT_TOL, max_attempts: int = 8) -> BlockStructure:
     """Minimal central projections and per-block (size, multiplicity).
@@ -275,6 +291,7 @@ def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
     rng = np.random.default_rng(seed)
     cen = center(alg, tol)
     k = cen.dim
+    e = alg.unit()
     gap = 1e-7
     for attempt in range(max_attempts):
         z = cen.random_element(rng, hermitian=True)
@@ -283,7 +300,6 @@ def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
         clusters = cluster_values(evals, gap)
         # Central projections: spectral projections of z for each cluster,
         # dropping the one corresponding to the kernel of the algebra's unit.
-        e = alg.unit()
         blocks = []
         ok = True
         for idx in clusters:
@@ -417,11 +433,6 @@ def gns(alg: MatrixStarAlgebra, phi: State, tol: float = 1e-9) -> GNSRepresentat
     return GNSRepresentation(alg, phi, d, vectors, mats, cyclic)
 
 
-def gns_commutant_dim(rep: GNSRepresentation, tol: float = DEFAULT_TOL) -> int:
-    span = generate(rep.matrices, ambient_dim=rep.dim, tol=tol)
-    return commutant(span, tol).dim
-
-
 # -- ideals ------------------------------------------------------------------
 
 
@@ -525,10 +536,7 @@ def is_separating(sub: MatrixStarAlgebra, alg: MatrixStarAlgebra,
 
 def _nonzero_intertwiner(mats1: np.ndarray, mats2: np.ndarray, tol: float) -> bool:
     """Is there a nonzero s with s m1 = m2 s for all basis pairs?"""
-    d1, d2 = mats1.shape[1], mats2.shape[1]
-    blocks = [np.kron(np.eye(d2), m1.T) - np.kron(m2, np.eye(d1))
-              for m1, m2 in zip(mats1, mats2)]
-    return nullspace_rows(np.vstack(blocks), tol).shape[0] > 0
+    return intertwiner_rows(mats2, mats1, tol).shape[0] > 0
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Subgroup, semidirect_decomposition
+from .groups import semidirect_decomposition
 from .hilbmod import (
-    CompactOperators,
     EquivariantModule,
     FDHilbertModule,
     MoritaWitness,
@@ -272,18 +271,18 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     conditions = scalar.normalisation_ok and scalar.completeness_ok
     witness = None
     fpa_blocks = c_blocks = None
+    fpa = fixed_point_algebra(sys)
+    module = gj
     if conditions and spans_match:
-        fpa = fixed_point_algebra(sys)
-        e_j = rebase_module(gj, cid.algebra)
-        witness = verify_morita(fpa, e_j, fpa.basis, tol,
+        module = rebase_module(gj, cid.algebra)
+        witness = verify_morita(fpa, module, fpa.basis, tol,
                                 rng=np.random.default_rng(seed))
         fpa_blocks = len(block_decompose(fpa, seed=seed).blocks)
         c_blocks = len(block_decompose(cid.algebra, seed=seed).blocks)
-    module = rebase_module(gj, cid.algebra) if conditions and spans_match else gj
     return MoritaTheoremVerdict(scalar, conditions, j_alg.dim, cid.dim,
                                 spans_match, strict, j_in_c, witness,
                                 fpa_blocks, c_blocks, cid, module,
-                                np.asarray(fixed_point_algebra(sys).basis))
+                                fpa.basis)
 
 
 # -- semidirect reduction ------------------------------------------------------
@@ -312,9 +311,10 @@ def quotient_equivariant_module(sys: EquivariantSystem, wprime, r,
     v_sub = g.subgroup(sorted(set(int(e) for e in r)))
     eqm = equivariant_function_module(sys)
     m = eqm.base.carrier_dim
+    # gamma is a homomorphism, so invariance under generators of W' suffices.
     blocks = [eqm.gamma[u_sub.to_parent(u)] - np.eye(m)
-              for u in range(u_sub.group.order)]
-    u_rows = nullspace_rows(np.vstack(blocks), tol)   # (k, |X| d)
+              for u in u_sub.group.generators()]
+    u_rows = nullspace_rows(np.vstack(blocks) if blocks else np.zeros((0, m)), tol)
     k = u_rows.shape[0]
     # The orbit-function algebra C(X/W').
     quot = quotient_algebra(EquivariantSystem(

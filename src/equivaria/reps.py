@@ -8,7 +8,7 @@ list (sorted by dimension, then by character vector) as fixed labels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +16,7 @@ from .groups import FiniteGroup
 from .linalg import (
     DEFAULT_TOL,
     cluster_values,
-    flatten,
-    nullspace_rows,
+    intertwiner_rows,
     random_hermitian,
 )
 
@@ -121,15 +120,11 @@ def intertwiner_space(rho: UnitaryRep, pi: UnitaryRep, tol: float = DEFAULT_TOL)
     """Orthonormal basis of {s: H_rho -> H_pi | s rho(w) = pi(w) s}.
 
     Rows of the result flatten (dim pi) x (dim rho) matrices; orthonormality
-    is with respect to the Hilbert-Schmidt inner product trace(r* s).
+    is with respect to the Hilbert-Schmidt inner product trace(r* s).  Both
+    representations are homomorphisms, so w runs over generators only.
     """
-    dp, dr = pi.dim, rho.dim
-    eye_p, eye_r = np.eye(dp), np.eye(dr)
-    blocks = []
-    for w in rho.group.elements():
-        # vec(s rho(w)) - vec(pi(w) s) with row-major vec: vec(ASB)=(A x B^T)vec(S)
-        blocks.append(np.kron(eye_p, rho.matrices[w].T) - np.kron(pi.matrices[w], eye_r))
-    return nullspace_rows(np.vstack(blocks), tol)
+    gens = list(rho.group.generators())
+    return intertwiner_rows(pi.matrices[gens], rho.matrices[gens], tol)
 
 
 def commutant_dimension(rep: UnitaryRep, tol: float = DEFAULT_TOL) -> int:
@@ -245,15 +240,3 @@ def mu_isometry(pi: UnitaryRep, rho: UnitaryRep, tol: float = DEFAULT_TOL) -> np
         for j in range(k):
             cols[:, i * k + j] = np.sqrt(rho.dim) * basis[j][:, i]
     return cols
-
-
-def rep_on_subgroup(rep: UnitaryRep, sub) -> UnitaryRep:
-    """Restrict a representation to a Subgroup (reindexed)."""
-    mats = rep.matrices[list(sub.embedding)]
-    return UnitaryRep(sub.group, mats, label=rep.label + "|sub")
-
-
-def conjugated_rep(rep: UnitaryRep, mapping) -> UnitaryRep:
-    """The representation v -> rep(mapping(v)) for a group isomorphism mapping."""
-    mats = np.stack([rep.matrices[mapping(v)] for v in rep.group.elements()])
-    return UnitaryRep(rep.group, mats, label=rep.label + "-conj")

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupError, semidirect_decomposition
+from .groups import FiniteGroup, semidirect_decomposition
 from .linalg import (
     DEFAULT_TOL,
     flatten,
     nullspace_rows,
     orthonormal_rows,
     spans_equal,
-    unflatten,
 )
 from .matalg import MatrixStarAlgebra, algebra_from_span
 from .reps import regular_rep
@@ -327,15 +326,14 @@ def function_algebra(sys: EquivariantSystem) -> MatrixStarAlgebra:
 
 
 def invariant_functions(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of {k : alpha_w(k) = k for all w}, as (dim, |X|, d, d)."""
+    """Orthonormal basis of {k : alpha_w(k) = k for all w}, as (dim, |X|, d, d).
+
+    alpha is a group action, so invariance under the generators suffices.
+    """
     d = sys.fiber_dim
     size = sys.n_points * d * d
-    eye = np.eye(size)
-    stacked = [alpha_matrix(sys, w) - eye for w in sys.group.elements() if w != 0]
-    if not stacked:
-        rows = np.eye(size, dtype=complex)
-    else:
-        rows = nullspace_rows(np.vstack(stacked), tol)
+    stacked = [alpha_matrix(sys, w) - np.eye(size) for w in sys.group.generators()]
+    rows = nullspace_rows(np.vstack(stacked) if stacked else np.zeros((0, size)), tol)
     return rows.reshape(-1, sys.n_points, d, d)
 
 

@@ -117,6 +117,13 @@ def test_cli_verify_suites(capsys):
     assert report["ok"] and len(report["checks"]) == 2
 
 
+def test_cli_verify_all_json(capsys):
+    assert main(["verify", "all", "--format", "json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True
+    assert all(check["ok"] is True for check in report["checks"])
+
+
 def test_cli_input_errors(tmp_path, capsys):
     assert main(["irreps", "--input", "no-such-thing"]) == EXIT_INPUT
     assert main(["irreps"]) == EXIT_INPUT
