@@ -8,6 +8,12 @@ to the faithful scalar form tau(<xi|eta>), tau the normalized trace on B;
 conjugating by the square root of the Gram matrix turns the module adjoint
 into the ordinary conjugate transpose, so K_B(E) becomes an honest matrix
 *-algebra.
+
+Inner values are worked with in B's coordinates: <e_p|e_q> expanded in B's
+orthonormal basis is an (m, m, dim B) array.  The rank-one maps, the
+fullness ideal and the averaged (Green-Julg) module over B >| W are built
+from it with a few matrix products, never with per-pair loops.  The dense
+SVD of the m^2 rank-one maps in `compact_operators` is the costliest step.
 """
 from __future__ import annotations
 
@@ -22,6 +28,7 @@ from .linalg import (
     intertwiner_rows,
     orthonormal_rows,
     residual_to_span,
+    row_residuals,
     span_contains,
     span_intersection,
     spans_equal,
@@ -32,6 +39,7 @@ from .systems import (
     AlgebraAction,
     CrossedProduct,
     EquivariantSystem,
+    crossed_basis,
     crossed_embed,
     crossed_product,
 )
@@ -268,16 +276,20 @@ class CompactOperators:
         return span_contains(self.raw_rows, flatten(np.asarray(mats, dtype=complex)), tol)
 
 
+def _inner_coefficients(e: FDHilbertModule) -> np.ndarray:
+    """<e_p|e_q> expanded in B's orthonormal basis: an (m, m, dim B) array."""
+    m = e.carrier_dim
+    n = e.algebra.ambient_dim
+    return e.inner.reshape(m, m, n * n) @ e.algebra.basis_rows().conj().T
+
+
 def _rank_one_maps(e: FDHilbertModule) -> np.ndarray:
     """All |e_i><e_j| as one (m, m, m, m) array indexed [i, j, row, col].
 
     Column l of |e_i><e_j| is e_i . <e_j|e_l>; with <e_j|e_l> expanded in
     B's basis, one einsum with the action tensor builds every map.
     """
-    m = e.carrier_dim
-    n = e.algebra.ambient_dim
-    coeffs = e.inner.reshape(m, m, n * n) @ e.algebra.basis_rows().conj().T
-    return np.einsum("kpi,jlk->ijpl", e.action, coeffs)
+    return np.einsum("kpi,jlk->ijpl", e.action, _inner_coefficients(e))
 
 
 def compact_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> CompactOperators:
@@ -303,14 +315,33 @@ def adjointable_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> np.nd
     return intertwiner_rows(e.action, e.action, tol)
 
 
+# Complex entries of inner values held at once by the fullness residual check.
+_VALUE_SLAB = 1 << 20
+
+
 def fullness_ideal(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
-    """span{<xi|eta>} inside B; an ideal of B, all of B iff E is full."""
+    """span{<xi|eta>} inside B; an ideal of B, all of B iff E is full.
+
+    The span is taken on the (m^2, dim B) coefficients of the values in B's
+    orthonormal basis, which have the singular values of the raw values, so
+    the rank rule is unchanged.  A value outside B raises ModuleError; it is
+    never projected into B silently.
+    """
     m = e.carrier_dim
     n = e.algebra.ambient_dim
     if m == 0:
         return MatrixStarAlgebra(n, np.zeros((0, n, n), dtype=complex))
-    vals = e.inner.reshape(m * m, n, n)
-    rows = orthonormal_rows(flatten(vals), tol)
+    b_rows = e.algebra.basis_rows()
+    vals = e.inner.reshape(m * m, n * n)
+    coeffs = vals @ b_rows.conj().T
+    step = max(1, _VALUE_SLAB // max(n * n, 1))
+    bound = max(tol, 1e-8)
+    for s in range(0, m * m, step):
+        chunk = vals[s:s + step]
+        resid = row_residuals(b_rows, chunk, coeffs[s:s + step])
+        if np.any(resid > bound * np.maximum(1.0, np.linalg.norm(chunk, axis=1))):
+            raise ModuleError("inner products leave the coefficient algebra")
+    rows = orthonormal_rows(coeffs, tol) @ b_rows
     return MatrixStarAlgebra(n, unflatten(rows, n))
 
 
@@ -393,22 +424,9 @@ def trivial_equivariant_module(e: FDHilbertModule,
 # -- crossed-product and averaged modules --------------------------------------
 
 
-def _crossed_coefficient_map(cp: CrossedProduct) -> np.ndarray:
-    """Pseudo-inverse taking an embedded matrix to crossed coefficients.
-
-    Returns P with P @ flatten(mat) = coefficients (|W| * dim B,) laid out
-    row-major by (w, basis index).
-    """
-    g = cp.group
-    k = cp.action.algebra.dim
-    cols = []
-    for w in range(g.order):
-        for i in range(k):
-            f = np.zeros((g.order, k), dtype=complex)
-            f[w, i] = 1.0
-            cols.append(flatten(crossed_embed(cp.action, f)))
-    emb = np.stack(cols, axis=1)
-    return np.linalg.pinv(emb)
+def _crossed_embedding(cp: CrossedProduct) -> np.ndarray:
+    """The (amb^2, |W| dim B) matrix whose column (w, i) is b_i w embedded."""
+    return flatten(crossed_basis(cp.action)).T
 
 
 def green_julg_module(eq: EquivariantModule,
@@ -416,34 +434,25 @@ def green_julg_module(eq: EquivariantModule,
                       tol: float = DEFAULT_TOL) -> tuple[FDHilbertModule, CrossedProduct]:
     """E as a module over B >| W: xi . bw = gamma_{w^-1}(xi b), averaged inner.
 
-    The inner product is <<xi|eta>> = sum_w <xi|gamma_w eta> w.
+    The inner product is <<xi|eta>> = sum_w <xi|gamma_w eta> w.  Both tensors
+    are built from crossed coefficients, (w, i) for b_i w: <e_p|gamma_w e_q>
+    has coefficients sum_j gamma_w[j, q] <e_p|e_j>, and one product with the
+    embedding matrix places all m^2 of them in the crossed ambient.
     """
     g = eq.group
     base = eq.base
-    b_alg = base.algebra
     cp = cp or crossed_product(eq.beta, tol)
-    coeff_map = _crossed_coefficient_map(cp)
     m = base.carrier_dim
-    k = b_alg.dim
-    # Right action of each crossed-algebra basis element.
-    action = np.zeros((cp.algebra.dim, m, m), dtype=complex)
-    for idx in range(cp.algebra.dim):
-        f = (coeff_map @ flatten(cp.algebra.basis[idx])).reshape(g.order, k)
-        for w in range(g.order):
-            for i in range(k):
-                if abs(f[w, i]) < 1e-14:
-                    continue
-                action[idx] += f[w, i] * (eq.gamma[g.inv[w]] @ base.action[i])
-    # Inner products <<e_p | e_q>>, embedded in the crossed ambient.
     amb = cp.algebra.ambient_dim
-    inner = np.zeros((m, m, amb, amb), dtype=complex)
-    for p in range(m):
-        for q in range(m):
-            f = np.zeros((g.order, k), dtype=complex)
-            for w in range(g.order):
-                ip = base.inner_product(np.eye(m)[p], eq.gamma[w] @ np.eye(m)[q])
-                f[w] = b_alg.coefficients(ip)
-            inner[p, q] = crossed_embed(cp.action, f)
+    emb = _crossed_embedding(cp)
+    # Right action: the crossed coefficients of each basis element against
+    # the |W| dim B carrier maps gamma_{w^-1} R_{b_i}.
+    coeffs = np.linalg.pinv(emb) @ cp.algebra.basis_rows().T
+    maps = eq.gamma[g.inv][:, None] @ base.action[None]
+    action = (coeffs.T @ maps.reshape(-1, m * m)).reshape(-1, m, m)
+    # Inner products <<e_p | e_q>>, embedded in the crossed ambient.
+    averaged = np.einsum("pjl,wjq->pqwl", _inner_coefficients(base), eq.gamma)
+    inner = (averaged.reshape(m * m, -1) @ emb.T).reshape(m, m, amb, amb)
     return FDHilbertModule(cp.algebra, action, inner,
                            name=(base.name or "module") + "-averaged"), cp
 
@@ -456,7 +465,7 @@ def module_crossed_product(eq: EquivariantModule,
     base = eq.base
     b_alg = base.algebra
     cp = cp or crossed_product(eq.beta, tol)
-    coeff_map = _crossed_coefficient_map(cp)
+    coeff_map = np.linalg.pinv(_crossed_embedding(cp))
     m = base.carrier_dim
     k = b_alg.dim
     big = m * g.order  # coordinate (w, i) -> w * m + i

@@ -70,10 +70,20 @@ def intertwiner_rows(left, right, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def residual_to_span(basis_rows: np.ndarray, vec: np.ndarray) -> float:
     """Distance from `vec` to the span of the orthonormal rows."""
-    if basis_rows.shape[0] == 0:
-        return float(np.linalg.norm(vec))
-    coeffs = basis_rows.conj() @ vec
-    return float(np.linalg.norm(vec - basis_rows.T @ coeffs))
+    return float(row_residuals(basis_rows, np.asarray(vec)[None])[0])
+
+
+def row_residuals(basis_rows: np.ndarray, vecs: np.ndarray,
+                  coeffs: np.ndarray | None = None) -> np.ndarray:
+    """Distance from each row of `vecs` to the span of the orthonormal rows.
+
+    `coeffs`, when given, must be vecs @ basis_rows^H (already computed).
+    """
+    if coeffs is None:
+        coeffs = vecs @ basis_rows.conj().T
+    diff = coeffs @ basis_rows
+    diff -= vecs
+    return np.linalg.norm(diff, axis=1)
 
 
 def span_contains(basis_rows: np.ndarray, vecs: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -24,7 +24,7 @@ from .linalg import (
     intertwiner_rows,
     nullspace_rows,
     orthonormal_rows,
-    residual_to_span,
+    row_residuals,
     span_contains,
     unflatten,
 )
@@ -438,18 +438,26 @@ def gns(alg: MatrixStarAlgebra, phi: State, tol: float = 1e-9) -> GNSRepresentat
 
 def is_ideal(ideal: MatrixStarAlgebra, alg: MatrixStarAlgebra,
              tol: float = DEFAULT_TOL) -> bool:
-    """Two-sided *-closed ideal test: a i and i a stay in the span."""
+    """Two-sided *-closed ideal test: a i, i a and i* stay in the span.
+
+    Each product m may leave the span by at most tol * max(1, |m|).  The
+    products are tested one basis element a at a time against the whole
+    ideal basis, so memory stays O(dim I * N^2) whatever dim A is.
+    """
     if ideal.dim == 0:
         return True
     if not alg.contains(ideal.basis, max(tol, 1e-8)):
         return False
     rows = ideal.basis_rows()
-    for a in alg.basis:
-        for i in ideal.basis:
-            for m in (a @ i, i @ a, i.conj().T):
-                if residual_to_span(rows, flatten(m)) > tol * max(1.0, np.linalg.norm(m)):
-                    return False
-    return True
+
+    def inside(mats: np.ndarray) -> bool:
+        vecs = flatten(mats)
+        bound = tol * np.maximum(1.0, np.linalg.norm(vecs, axis=1))
+        return bool(np.all(row_residuals(rows, vecs) <= bound))
+
+    if not inside(np.conj(np.transpose(ideal.basis, (0, 2, 1)))):
+        return False
+    return all(inside(a @ ideal.basis) and inside(ideal.basis @ a) for a in alg.basis)
 
 
 def ideal_sum(i: MatrixStarAlgebra, j: MatrixStarAlgebra,

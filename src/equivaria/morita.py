@@ -132,12 +132,16 @@ def scalar_subgroups(sys: EquivariantSystem, tol: float = 1e-8) -> ScalarStructu
                     f"w W'_x w^-1 != W'_(wx) at x={x}, w={w}")
     normalisation_ok = all(scalars[x] == wprime[x] for x in range(sys.n_points))
     # Completeness: every irrep of W_x trivial on W'_x occurs in w -> I_{w,x}.
+    # Points with the same stabilizer share its irreps.
     by_point = []
+    irreps_of: dict[tuple[int, ...], list] = {}
     for x in range(sys.n_points):
         sub, i_rep = stabilizer_rep(sys, x)
+        if stabs[x] not in irreps_of:
+            irreps_of[stabs[x]] = enumerate_irreps(sub.group)
         wp_local = [sub.from_parent(w) for w in wprime[x]]
         ok = True
-        for rho in enumerate_irreps(sub.group):
+        for rho in irreps_of[stabs[x]]:
             trivial_on_wp = all(
                 np.linalg.norm(rho.matrices[u] - np.eye(rho.dim)) < 1e-8
                 for u in wp_local)
@@ -251,14 +255,17 @@ class MoritaTheoremVerdict:
 
 
 def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
-                          tol: float = 1e-8) -> MoritaTheoremVerdict:
+                          tol: float = 1e-8,
+                          scalar: ScalarStructure | None = None) -> MoritaTheoremVerdict:
     """Check C(X, M_d)^W ~ C(X, W, I) through the averaged function module.
 
     J = span{<<e_p|e_q>>} is compared with C(X, W, I); under both cocycle
     conditions the spans must agree and a Morita witness is produced.  When
     completeness fails the strictness of J in C is reported instead.
+    `scalar`, when given, must be scalar_subgroups(sys, tol).
     """
-    scalar = scalar_subgroups(sys, tol)
+    scalar = scalar or scalar_subgroups(sys, tol)
+    fpa = fixed_point_algebra(sys)
     eq = equivariant_function_module(sys)
     gj, cp = green_julg_module(eq)
     cid = c_ideal(sys, scalar, cp)
@@ -271,7 +278,6 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     conditions = scalar.normalisation_ok and scalar.completeness_ok
     witness = None
     fpa_blocks = c_blocks = None
-    fpa = fixed_point_algebra(sys)
     module = gj
     if conditions and spans_match:
         module = rebase_module(gj, cid.algebra)
@@ -392,25 +398,35 @@ def semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int = 0,
     (3) fpa(sys|W') ~ C(X,W',I); (4) the R-averaged quotient module gives
     fpa(sys) ~ C(X/W') >| R directly.  Block counts of the two ends compared.
     """
+    return _semidirect_reduction(sys, wprime, r, seed, tol)[0]
+
+
+def _semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int,
+                          tol: float):
+    """The reduction report, with the link-4 witness data it was built from:
+    (report, R-averaged quotient module, fpa(sys), fpa's left action)."""
     g = sys.group
     semidirect_decomposition(g, wprime, r)   # raises when not a splitting
     scalar = scalar_subgroups(sys, tol)
     _check_splitting(sys, scalar, wprime)
 
-    thm = verify_morita_theorem(sys, seed=seed, tol=tol)
+    thm = verify_morita_theorem(sys, seed=seed, tol=tol, scalar=scalar)
 
-    # Link 2: transport C(X, W', I) >| R through phi((a u) v) = a (uv).
+    # Link 3: the theorem for the restricted system.
+    sys_p, u_sub = restrict_system(sys, wprime)
+    thm_p = verify_morita_theorem(sys_p, seed=seed, tol=tol)
+
+    # Link 2: transport C(X, W', I) = thm_p's ideal through
+    # phi((a u) v) = a (uv) into C(X) >| R.
     action = thm.ideal.cp.action
     iso = iterated_crossed_iso(action, wprime, r, tol)
-    sys_p, u_sub = restrict_system(sys, wprime)
     v_sub = g.subgroup(sorted(set(int(e) for e in r)))
-    cid_p = c_ideal(sys_p, tol=tol)
     x_n = sys.n_points
     u_n, v_n = u_sub.group.order, v_sub.group.order
     imgs = []
     for v in range(v_n):
         vp = v_sub.to_parent(v)
-        for h in cid_p.coeff_rows:
+        for h in thm_p.ideal.coeff_rows:
             hm = h.reshape(u_n, x_n)
             out = np.zeros((g.order, x_n), dtype=complex)
             for u in range(u_n):
@@ -420,9 +436,6 @@ def semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int = 0,
         np.zeros((0, g.order * x_n), dtype=complex)
     ideal_transport_ok = spans_equal(img_rows, thm.ideal.coeff_rows, tol)
 
-    # Link 3: the theorem for the restricted system.
-    thm_p = verify_morita_theorem(sys_p, seed=seed, tol=tol)
-
     # Link 4: the direct equivalence fpa(sys) ~ C(X/W') >| R.
     eq_q, u_rows, fpa, left = quotient_equivariant_module(sys, wprime, r, tol)
     eq_q.validate(max(tol, 1e-8))
@@ -431,10 +444,11 @@ def semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int = 0,
                                   rng=np.random.default_rng(seed))
     fpa_blocks = len(block_decompose(fpa, seed=seed).blocks)
     final_blocks = len(block_decompose(cp_q.algebra, seed=seed).blocks)
-    return ReductionReport(sys.name, True, thm, iso.bijective,
-                           iso.multiplicative_residual, iso.star_residual,
-                           ideal_transport_ok, thm_p, final_witness,
-                           fpa_blocks, final_blocks, cp_q.algebra.dim)
+    report = ReductionReport(sys.name, True, thm, iso.bijective,
+                             iso.multiplicative_residual, iso.star_residual,
+                             ideal_transport_ok, thm_p, final_witness,
+                             fpa_blocks, final_blocks, cp_q.algebra.dim)
+    return report, gj_q, fpa, left
 
 
 @dataclass(frozen=True)
@@ -455,17 +469,17 @@ class ToyDualReport:
 def assemble_toy_dual(components, seed: int = 0, tol: float = 1e-8) -> ToyDualReport:
     """components: iterable of (system, wprime elements, r elements).
 
-    Runs the semidirect reduction per component, then assembles one
-    block-diagonal module witnessing (+) fpa_i ~ (+) C(X_i/W'_i) >| R_i.
+    Runs the semidirect reduction per component, then assembles its
+    R-averaged quotient modules into one block-diagonal module witnessing
+    (+) fpa_i ~ (+) C(X_i/W'_i) >| R_i.
     """
     reports = []
     module = None
     a_sum = None
     left_sum = None
     for sys, wprime, r in components:
-        reports.append(semidirect_reduction(sys, wprime, r, seed=seed, tol=tol))
-        eq_q, u_rows, fpa, left = quotient_equivariant_module(sys, wprime, r, tol)
-        gj_q, _ = green_julg_module(eq_q)
+        report, gj_q, fpa, left = _semidirect_reduction(sys, wprime, r, seed, tol)
+        reports.append(report)
         if module is None:
             module, a_sum, left_sum = gj_q, fpa, left
         else:

@@ -131,8 +131,10 @@ def commutant_dimension(rep: UnitaryRep, tol: float = DEFAULT_TOL) -> int:
     return intertwiner_space(rep, rep, tol).shape[0]
 
 
-def is_irreducible(rep: UnitaryRep, tol: float = DEFAULT_TOL) -> bool:
-    return commutant_dimension(rep, tol) == 1
+def is_irreducible(rep: UnitaryRep) -> bool:
+    """<chi, chi> = dim End_W(V) by Schur orthogonality; irreducible iff 1."""
+    chi = rep.character()
+    return round(character_inner(chi, chi).real) == 1
 
 
 def _character_key(char: np.ndarray, decimals: int = 8):
@@ -146,7 +148,7 @@ def _split_rep(rep: UnitaryRep, rng: np.random.Generator, tol: float,
     """Split a unitary rep into irreducible pieces (with multiplicity)."""
     if rep.dim == 0:
         return []
-    if is_irreducible(rep, tol):
+    if is_irreducible(rep):
         return [rep]
     gap = 1e-7
     for attempt in range(max_attempts):

@@ -495,6 +495,24 @@ def crossed_embed(action: AlgebraAction, f: np.ndarray) -> np.ndarray:
     return out
 
 
+def crossed_basis(action: AlgebraAction) -> np.ndarray:
+    """Every b_i w embedded at once: a (|W| dim B, |W| N, |W| N) array, row (w, i).
+
+    Row (w, i) equals crossed_embed of the coefficient array with a single 1
+    at [w, i]; the block at (wv, v) is beta_{(wv)^-1}(b_i), so each of the
+    |W| twisted bases is built once.
+    """
+    g = action.group
+    alg = action.algebra
+    n, k, w_n = alg.ambient_dim, alg.dim, g.order
+    twisted = np.einsum("uli,lrc->uirc", action.maps[g.inv], alg.basis)
+    out = np.zeros((w_n, k, w_n, n, w_n, n), dtype=complex)
+    for w in range(w_n):
+        for v in range(w_n):
+            out[w, :, g.mul[w, v], :, v, :] = twisted[g.mul[w, v]]
+    return out.reshape(w_n * k, w_n * n, w_n * n)
+
+
 def crossed_multiply(action: AlgebraAction, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """(a w)(b v) = a beta_w(b) (w v), coefficient-level."""
     grp = action.group
@@ -529,16 +547,10 @@ def crossed_product(action: AlgebraAction, tol: float = DEFAULT_TOL) -> CrossedP
     action.validate()
     g = action.group
     k = action.algebra.dim
-    mats = []
-    for w in range(g.order):
-        for i in range(k):
-            f = np.zeros((g.order, k), dtype=complex)
-            f[w, i] = 1.0
-            mats.append(crossed_embed(action, f))
     n = g.order * action.algebra.ambient_dim
-    if not mats:
+    if k == 0:
         return CrossedProduct(action, MatrixStarAlgebra(n, np.zeros((0, n, n), dtype=complex)))
-    alg = algebra_from_span(np.stack(mats), tol=tol)
+    alg = algebra_from_span(crossed_basis(action), tol=tol)
     if alg.dim != g.order * k:
         raise SystemError(
             f"regular embedding is not injective: dim {alg.dim} != {g.order * k}")

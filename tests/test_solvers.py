@@ -1,25 +1,48 @@
 """The structured solvers against the dense constructions they replace.
 
 `center` solves in the algebra's coefficient space, `intertwiner_space`
-stacks only the group's generators, and `compact_operators` builds every
-rank-one map in one contraction.  The dense paths survive here as oracles.
+stacks only the group's generators, `compact_operators` and
+`green_julg_module` build their tensors in a few contractions,
+`fullness_ideal` works in B's coordinates, `is_ideal` tests whole stacks of
+products and `is_irreducible` reads the character norm.  The dense paths
+and per-pair loops survive here as oracles.
 """
 import numpy as np
 import pytest
 
 from equivaria.datasets import bundled
-from equivaria.groups import BUILTIN_GROUPS, builtin_group
-from equivaria.hilbmod import compact_operators, function_module, rank_one
+from equivaria.groups import BUILTIN_GROUPS, builtin_group, cyclic, dihedral, symmetric
+from equivaria.hilbmod import (
+    FDHilbertModule,
+    ModuleError,
+    compact_operators,
+    equivariant_function_module,
+    fullness_ideal,
+    function_module,
+    green_julg_module,
+    is_full,
+    rank_one,
+)
 from equivaria.linalg import (
     flatten,
     intertwiner_rows,
     orthonormal_rows,
+    residual_to_span,
     span_intersection,
     spans_equal,
 )
-from equivaria.matalg import algebra_from_span, center, commutant
-from equivaria.reps import enumerate_irreps, intertwiner_space, regular_rep
+from equivaria.matalg import algebra_from_span, center, commutant, generate, is_ideal
+from equivaria.morita import c_ideal, quotient_equivariant_module, scalar_translation_action
+from equivaria.reps import (
+    commutant_dimension,
+    enumerate_irreps,
+    intertwiner_space,
+    is_irreducible,
+    regular_rep,
+)
 from equivaria.systems import (
+    EquivariantSystem,
+    crossed_embed,
     crossed_product,
     fixed_point_algebra,
     function_algebra_action,
@@ -101,3 +124,145 @@ def test_compacts_match_stacked_rank_one_maps():
 def test_unit_is_computed_once():
     alg = fixed_point_algebra(bundled("z2-line"))
     assert alg.unit() is alg.unit()
+
+
+def test_irreducible_by_character_norm_matches_commutant():
+    groups = [builtin_group(name) for name in sorted(BUILTIN_GROUPS)]
+    for g in groups + [dihedral(12), symmetric(4)]:
+        irreps = enumerate_irreps(g)
+        reps = irreps + [regular_rep(g), irreps[0].direct_sum(irreps[-1])]
+        for r in reps:
+            assert is_irreducible(r) == (commutant_dimension(r) == 1)
+        assert all(is_irreducible(r) for r in irreps)
+        assert not is_irreducible(reps[-1])
+
+
+# -- the Morita pipeline against its per-pair loops ---------------------------
+
+
+def green_julg_loops(eq, cp):
+    """(action, inner) of the averaged module, one pair at a time."""
+    g, base = eq.group, eq.base
+    b_alg = base.algebra
+    m, k = base.carrier_dim, b_alg.dim
+    cols = []
+    for w in range(g.order):
+        for i in range(k):
+            f = np.zeros((g.order, k), dtype=complex)
+            f[w, i] = 1.0
+            cols.append(flatten(crossed_embed(cp.action, f)))
+    coeff_map = np.linalg.pinv(np.stack(cols, axis=1))
+    action = np.zeros((cp.algebra.dim, m, m), dtype=complex)
+    for idx in range(cp.algebra.dim):
+        f = (coeff_map @ flatten(cp.algebra.basis[idx])).reshape(g.order, k)
+        for w in range(g.order):
+            for i in range(k):
+                action[idx] += f[w, i] * (eq.gamma[g.inv[w]] @ base.action[i])
+    amb = cp.algebra.ambient_dim
+    inner = np.zeros((m, m, amb, amb), dtype=complex)
+    eye = np.eye(m)
+    for p in range(m):
+        for q in range(m):
+            f = np.stack([b_alg.coefficients(base.inner_product(eye[p], eq.gamma[w] @ eye[q]))
+                          for w in range(g.order)])
+            inner[p, q] = crossed_embed(cp.action, f)
+    return action, inner
+
+
+PIPELINE = ["z2-line", "anticomplete-point", "z2xz2-line-1", "z2xz2-line-2",
+            "z2xz2-line-1-quotient", "z2xz2-line-2-quotient", "z4-rotation"]
+
+
+def z4_rotation_system():
+    """Z/4 rotating four points and fixing a fifth, where I_w = i^w.
+
+    Unlike the bundled systems, its group has elements that are not their
+    own inverses, so w and w^-1 cannot be confused unnoticed."""
+    g = cyclic(4)
+    action = np.array([[(x + w) % 4 for x in range(4)] + [4] for w in range(4)])
+    coc = np.ones((4, 5, 1, 1), dtype=complex)
+    coc[:, 4, 0, 0] = [1j ** w for w in range(4)]
+    return EquivariantSystem(g, (0, 1, 2, 3, "c"), action, 1, coc, name="z4-rotation")
+
+
+def pipeline_module(label):
+    """The equivariant function module of a bundled Morita input or of the
+    Z/4 rotation, or the R-equivariant quotient module of a two-component
+    system."""
+    if label in ("z2-line", "anticomplete-point"):
+        return equivariant_function_module(bundled(label))
+    if label == "z4-rotation":
+        return equivariant_function_module(z4_rotation_system())
+    n = int(label.split("-")[2])
+    sys, wprime, r = bundled("two-component")[n - 1]
+    assert sys.name == f"z2xz2-line-{n}"
+    if label.endswith("quotient"):
+        return quotient_equivariant_module(sys, wprime, r)[0]
+    return equivariant_function_module(sys)
+
+
+@pytest.mark.parametrize("label", PIPELINE)
+def test_green_julg_module_matches_pair_loops(label):
+    eq = pipeline_module(label)
+    gj, cp = green_julg_module(eq)
+    action, inner = green_julg_loops(eq, cp)
+    assert np.abs(gj.action - action).max() < 1e-10
+    assert np.abs(gj.inner - inner).max() < 1e-10
+
+
+@pytest.mark.parametrize("label", PIPELINE)
+def test_fullness_ideal_matches_raw_values(label):
+    eq = pipeline_module(label)
+    for e in (eq.base, green_julg_module(eq)[0]):
+        m, n = e.carrier_dim, e.algebra.ambient_dim
+        raw = orthonormal_rows(e.inner.reshape(m * m, n * n))
+        ideal = fullness_ideal(e)
+        assert spans_equal(ideal.basis_rows(), raw, 1e-8)
+        assert is_full(e) == (raw.shape[0] == e.algebra.dim)
+
+
+def test_fullness_ideal_rejects_values_outside_the_algebra():
+    e = function_module(bundled("z2-line"))
+    inner = e.inner.copy()
+    inner[0, 1, 0, 1] = 0.5     # off the diagonal algebra C(X)
+    moved = FDHilbertModule(e.algebra, e.action, inner)
+    with pytest.raises(ModuleError):
+        fullness_ideal(moved)
+    with pytest.raises(ModuleError):
+        is_full(moved)
+
+
+def is_ideal_loops(ideal, alg, tol=1e-9) -> bool:
+    if not alg.contains(ideal.basis, max(tol, 1e-8)):
+        return False
+    rows = ideal.basis_rows()
+    for a in alg.basis:
+        for i in ideal.basis:
+            for m in (a @ i, i @ a, i.conj().T):
+                if residual_to_span(rows, flatten(m)) > tol * max(1.0, np.linalg.norm(m)):
+                    return False
+    return True
+
+
+def test_is_ideal_matches_product_loop():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    pad_a = np.zeros((5, 5), dtype=complex)
+    pad_a[:2, :2] = a
+    pad_b = np.zeros((5, 5), dtype=complex)
+    pad_b[2:, 2:] = b
+    blocks = generate([pad_a, pad_b], ambient_dim=5)
+    first = generate([pad_a], ambient_dim=5)
+    sys = bundled("z2-line")
+    cid = c_ideal(sys)
+    # C(X) sits in C(X) >| W as the identity-coefficient part: a *-subalgebra,
+    # not an ideal, since w . f leaves it.
+    cp = crossed_product(scalar_translation_action(sys))
+    k = sys.n_points
+    diag = algebra_from_span(np.stack([cp.embed(np.eye(cp.group.order * k)[i].reshape(-1, k))
+                                       for i in range(k)]))
+    cases = [(first, blocks, True), (cid.algebra, cid.cp.algebra, True),
+             (diag, cp.algebra, False)]
+    for ideal, alg, expected in cases:
+        assert is_ideal(ideal, alg) == is_ideal_loops(ideal, alg) == expected
