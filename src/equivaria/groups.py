@@ -139,10 +139,6 @@ class Subgroup:
         return self.embedding.index(int(a))
 
 
-def group_from_table(table, name: str = "group") -> FiniteGroup:
-    return FiniteGroup(np.asarray(table), name=name)
-
-
 def _table_from_elements(elements, compose, identity) -> np.ndarray:
     elems = list(elements)
     if elems[0] != identity:

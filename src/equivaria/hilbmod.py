@@ -10,9 +10,12 @@ into the ordinary conjugate transpose, so K_B(E) becomes an honest matrix
 *-algebra.
 
 Inner values are worked with in B's coordinates: <e_p|e_q> expanded in B's
-orthonormal basis is an (m, m, dim B) array.  The rank-one maps, the
-fullness ideal and the averaged (Green-Julg) module over B >| W are built
-from it with a few matrix products, never with per-pair loops.  The dense
+orthonormal basis is an (m, m, dim B) array.  The rank-one maps (one or all
+m^2 of them), the fullness ideal, and the averaged (Green-Julg) and crossed
+modules over B >| W are built from it with a few matrix products, never
+with per-pair loops.  Crossed-product elements are embedded and read back
+only through the CrossedProduct, which holds its embedded basis; whether
+values lie in a span is decided by `linalg.span_contains` alone.  The dense
 SVD of the m^2 rank-one maps in `compact_operators` is the costliest step.
 """
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .linalg import (
     flatten,
     intertwiner_rows,
     orthonormal_rows,
-    residual_to_span,
     row_residuals,
     span_contains,
     span_intersection,
@@ -39,8 +41,6 @@ from .systems import (
     AlgebraAction,
     CrossedProduct,
     EquivariantSystem,
-    crossed_basis,
-    crossed_embed,
     crossed_product,
 )
 
@@ -138,15 +138,12 @@ class FDHilbertModule:
         """
         rng = rng or np.random.default_rng(0)
         b_alg = self.algebra
-        rows = b_alg.basis_rows()
         m = self.carrier_dim
         res = {k: 0.0 for k in ("values_in_algebra", "bimodule", "compatibility",
                                 "symmetry", "positivity", "definiteness")}
-        for i in range(m):
-            for j in range(m):
-                res["values_in_algebra"] = max(
-                    res["values_in_algebra"],
-                    residual_to_span(rows, flatten(self.inner[i, j])))
+        vals = self.inner.reshape(m * m, b_alg.ambient_dim ** 2)
+        res["values_in_algebra"] = float(
+            row_residuals(b_alg.basis_rows(), vals).max(initial=0.0))
         for _ in range(n_samples):
             xi = self.random_vector(rng)
             eta = self.random_vector(rng)
@@ -248,14 +245,12 @@ def free_module(n: int) -> FDHilbertModule:
 
 
 def rank_one(e: FDHilbertModule, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """|eta><xi| : zeta -> eta <xi|zeta>, as a raw carrier matrix."""
-    m = e.carrier_dim
-    # zeta -> <xi|zeta> is linear: column j gives <xi|e_j> in B.
-    cols = np.empty((m, m), dtype=complex)
-    ip = np.einsum("i,ijab->jab", np.conj(xi), e.inner)  # <xi|e_j> per j
-    for j in range(m):
-        cols[:, j] = e.act(eta, ip[j])
-    return cols
+    """|eta><xi| : zeta -> eta <xi|zeta>, as a raw carrier matrix.
+
+    Column l is eta . <xi|e_l>, with <xi|e_l> expanded in B's basis.
+    """
+    return np.einsum("i,ilk,kpj,j->pl", np.conj(xi), _inner_coefficients(e),
+                     e.action, eta)
 
 
 @dataclass(frozen=True)
@@ -315,10 +310,6 @@ def adjointable_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> np.nd
     return intertwiner_rows(e.action, e.action, tol)
 
 
-# Complex entries of inner values held at once by the fullness residual check.
-_VALUE_SLAB = 1 << 20
-
-
 def fullness_ideal(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
     """span{<xi|eta>} inside B; an ideal of B, all of B iff E is full.
 
@@ -333,20 +324,14 @@ def fullness_ideal(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> MatrixStarAl
         return MatrixStarAlgebra(n, np.zeros((0, n, n), dtype=complex))
     b_rows = e.algebra.basis_rows()
     vals = e.inner.reshape(m * m, n * n)
-    coeffs = vals @ b_rows.conj().T
-    step = max(1, _VALUE_SLAB // max(n * n, 1))
-    bound = max(tol, 1e-8)
-    for s in range(0, m * m, step):
-        chunk = vals[s:s + step]
-        resid = row_residuals(b_rows, chunk, coeffs[s:s + step])
-        if np.any(resid > bound * np.maximum(1.0, np.linalg.norm(chunk, axis=1))):
-            raise ModuleError("inner products leave the coefficient algebra")
-    rows = orthonormal_rows(coeffs, tol) @ b_rows
+    if not span_contains(b_rows, vals, max(tol, 1e-8)):
+        raise ModuleError("inner products leave the coefficient algebra")
+    rows = orthonormal_rows(vals @ b_rows.conj().T, tol) @ b_rows
     return MatrixStarAlgebra(n, unflatten(rows, n))
 
 
 def is_full(e: FDHilbertModule, tol: float = 1e-8) -> bool:
-    return fullness_ideal(e).dim == e.algebra.dim
+    return fullness_ideal(e, tol).dim == e.algebra.dim
 
 
 # -- equivariant modules -------------------------------------------------------
@@ -424,11 +409,6 @@ def trivial_equivariant_module(e: FDHilbertModule,
 # -- crossed-product and averaged modules --------------------------------------
 
 
-def _crossed_embedding(cp: CrossedProduct) -> np.ndarray:
-    """The (amb^2, |W| dim B) matrix whose column (w, i) is b_i w embedded."""
-    return flatten(crossed_basis(cp.action)).T
-
-
 def green_julg_module(eq: EquivariantModule,
                       cp: CrossedProduct | None = None,
                       tol: float = DEFAULT_TOL) -> tuple[FDHilbertModule, CrossedProduct]:
@@ -436,62 +416,55 @@ def green_julg_module(eq: EquivariantModule,
 
     The inner product is <<xi|eta>> = sum_w <xi|gamma_w eta> w.  Both tensors
     are built from crossed coefficients, (w, i) for b_i w: <e_p|gamma_w e_q>
-    has coefficients sum_j gamma_w[j, q] <e_p|e_j>, and one product with the
-    embedding matrix places all m^2 of them in the crossed ambient.
+    has coefficients sum_j gamma_w[j, q] <e_p|e_j>, and cp.embed places all
+    m^2 of them in the crossed ambient.
     """
     g = eq.group
     base = eq.base
     cp = cp or crossed_product(eq.beta, tol)
     m = base.carrier_dim
-    amb = cp.algebra.ambient_dim
-    emb = _crossed_embedding(cp)
     # Right action: the crossed coefficients of each basis element against
     # the |W| dim B carrier maps gamma_{w^-1} R_{b_i}.
-    coeffs = np.linalg.pinv(emb) @ cp.algebra.basis_rows().T
     maps = eq.gamma[g.inv][:, None] @ base.action[None]
-    action = (coeffs.T @ maps.reshape(-1, m * m)).reshape(-1, m, m)
+    action = _crossed_maps(cp, maps)
     # Inner products <<e_p | e_q>>, embedded in the crossed ambient.
-    averaged = np.einsum("pjl,wjq->pqwl", _inner_coefficients(base), eq.gamma)
-    inner = (averaged.reshape(m * m, -1) @ emb.T).reshape(m, m, amb, amb)
+    inner = cp.embed(np.einsum("pjl,wjq->pqwl", _inner_coefficients(base), eq.gamma))
     return FDHilbertModule(cp.algebra, action, inner,
                            name=(base.name or "module") + "-averaged"), cp
+
+
+def _crossed_maps(cp: CrossedProduct, maps: np.ndarray) -> np.ndarray:
+    """Right-action tensor of a module over B >| W whose element b_i w acts
+    by maps[w, i]: each basis element acts by its crossed coefficients."""
+    c = cp.basis_coefficients()
+    dim, size = c.shape[0], maps.shape[-1]
+    return (c.reshape(dim, -1) @ maps.reshape(-1, size * size)).reshape(dim, size, size)
 
 
 def module_crossed_product(eq: EquivariantModule,
                            cp: CrossedProduct | None = None,
                            tol: float = DEFAULT_TOL) -> tuple[FDHilbertModule, CrossedProduct]:
-    """E >| W over B >| W: carrier C^{m |W|}, (xi w1)(b w2) = xi beta_w1(b) w1w2."""
+    """E >| W over B >| W: carrier C^{m |W|}, (xi w1)(b w2) = xi beta_w1(b) w1w2.
+
+    Built like green_julg_module.  Carrier coordinate (w, p) is w * m + p;
+    b_i v maps the block of w to the block of wv by R_{beta_w(b_i)}, and
+    <<e_p w1 | e_q w2>> = beta_{w1^-1}(<e_p|e_q>) (w1^-1 w2).
+    """
     g = eq.group
     base = eq.base
-    b_alg = base.algebra
     cp = cp or crossed_product(eq.beta, tol)
-    coeff_map = np.linalg.pinv(_crossed_embedding(cp))
-    m = base.carrier_dim
-    k = b_alg.dim
-    big = m * g.order  # coordinate (w, i) -> w * m + i
-    action = np.zeros((cp.algebra.dim, big, big), dtype=complex)
-    for idx in range(cp.algebra.dim):
-        f = (coeff_map @ flatten(cp.algebra.basis[idx])).reshape(g.order, k)
-        for v in range(g.order):       # group part of the algebra element
-            for i in range(k):
-                if abs(f[v, i]) < 1e-14:
-                    continue
-                for w in range(g.order):   # group part of the module element
-                    # (xi (x) delta_w) . (b_i v) = (xi . beta_w(b_i)) (x) delta_{wv}
-                    bmat = np.einsum("l,lij->ij", eq.beta.maps[w][:, i], base.action)
-                    wv = g.mul[w, v]
-                    action[idx, wv * m:(wv + 1) * m, w * m:(w + 1) * m] += f[v, i] * bmat
-    amb = cp.algebra.ambient_dim
-    inner = np.zeros((big, big, amb, amb), dtype=complex)
-    for w1 in range(g.order):
-        for w2 in range(g.order):
-            slot = g.mul[g.inv[w1], w2]
-            for p in range(m):
-                for q in range(m):
-                    f = np.zeros((g.order, k), dtype=complex)
-                    f[slot] = eq.beta.maps[g.inv[w1]] @ b_alg.coefficients(
-                        base.inner[p, q])
-                    inner[w1 * m + p, w2 * m + q] = crossed_embed(cp.action, f)
+    m, k, w_n = base.carrier_dim, base.algebra.dim, g.order
+    big = m * w_n
+    twisted = np.einsum("wli,lpq->wipq", eq.beta.maps, base.action)  # R_{beta_w(b_i)}
+    maps = np.zeros((w_n, k, w_n, m, w_n, m), dtype=complex)
+    ips = np.einsum("wil,pql->wpqi", eq.beta.maps[g.inv], _inner_coefficients(base))
+    coeffs = np.zeros((w_n, m, w_n, m, w_n, k), dtype=complex)
+    for w in range(w_n):
+        for v in range(w_n):
+            maps[v, :, g.mul[w, v], :, w, :] = twisted[w]
+            coeffs[w, :, v, :, g.mul[g.inv[w], v]] = ips[w]
+    action = _crossed_maps(cp, maps.reshape(w_n, k, big, big))
+    inner = cp.embed(coeffs.reshape(big, big, w_n, k))
     return FDHilbertModule(cp.algebra, action, inner,
                            name=(base.name or "module") + "-crossed"), cp
 
@@ -551,10 +524,8 @@ def verify_green_julg(eq: EquivariantModule, tol: float = 1e-8) -> GreenJulgVerd
     inv_rows = invariant_compacts_rows(eq)
     lhs = gj_compacts.raw_rows
     ok = spans_equal(lhs, inv_rows, tol)
-    resid = 0.0
-    for rows_a, rows_b in ((lhs, inv_rows), (inv_rows, lhs)):
-        for v in rows_a:
-            resid = max(resid, residual_to_span(rows_b, v))
+    resid = float(max(row_residuals(inv_rows, lhs).max(initial=0.0),
+                      row_residuals(lhs, inv_rows).max(initial=0.0)))
     return GreenJulgVerdict(ok, lhs.shape[0], inv_rows.shape[0], resid)
 
 

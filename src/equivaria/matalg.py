@@ -24,7 +24,6 @@ from .linalg import (
     intertwiner_rows,
     nullspace_rows,
     orthonormal_rows,
-    row_residuals,
     span_contains,
     unflatten,
 )
@@ -114,7 +113,7 @@ class MatrixStarAlgebra:
 
     # -- structural elements -------------------------------------------------
 
-    def unit(self, tol: float = DEFAULT_TOL) -> np.ndarray:
+    def unit(self) -> np.ndarray:
         """The algebra's own unit (sum of minimal central projections).
 
         Solved as the element e with e b = b e = b for every basis element;
@@ -142,17 +141,6 @@ class MatrixStarAlgebra:
     def is_unital(self, tol: float = DEFAULT_TOL) -> bool:
         """True when the ambient identity lies in the span."""
         return self.contains(np.eye(self.ambient_dim), tol)
-
-    # -- trace functional ----------------------------------------------------
-
-    def normalized_trace(self) -> "State":
-        """The state a -> trace(e a)/trace(e) with e the algebra's unit."""
-        e = self.unit()
-        tr = np.real(np.trace(e))
-        if tr <= 0:
-            raise AlgebraError("degenerate trace: zero algebra has no state")
-        vec = np.array([np.trace(e @ b) / tr for b in self.basis])
-        return State(self, vec)
 
 
 def algebra_from_span(mats, ambient_dim: int | None = None,
@@ -279,8 +267,12 @@ def _compress(p: np.ndarray, mats: np.ndarray, tol: float) -> tuple[np.ndarray, 
     return q, comp
 
 
+# Central splittings tried by block_decompose, each with a doubled gap.
+_SPLIT_ATTEMPTS = 8
+
+
 def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
-                    tol: float = DEFAULT_TOL, max_attempts: int = 8) -> BlockStructure:
+                    tol: float = DEFAULT_TOL) -> BlockStructure:
     """Minimal central projections and per-block (size, multiplicity).
 
     The center is split by eigenvalue clustering of a seeded random Hermitian
@@ -293,7 +285,7 @@ def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
     k = cen.dim
     e = alg.unit()
     gap = 1e-7
-    for attempt in range(max_attempts):
+    for attempt in range(_SPLIT_ATTEMPTS):
         z = cen.random_element(rng, hermitian=True)
         evals, evecs = np.linalg.eigh(z)
         # Cluster the distinct eigenvalues of z restricted to the support.
@@ -449,15 +441,10 @@ def is_ideal(ideal: MatrixStarAlgebra, alg: MatrixStarAlgebra,
     if not alg.contains(ideal.basis, max(tol, 1e-8)):
         return False
     rows = ideal.basis_rows()
-
-    def inside(mats: np.ndarray) -> bool:
-        vecs = flatten(mats)
-        bound = tol * np.maximum(1.0, np.linalg.norm(vecs, axis=1))
-        return bool(np.all(row_residuals(rows, vecs) <= bound))
-
-    if not inside(np.conj(np.transpose(ideal.basis, (0, 2, 1)))):
+    if not span_contains(rows, flatten(np.conj(np.transpose(ideal.basis, (0, 2, 1)))), tol):
         return False
-    return all(inside(a @ ideal.basis) and inside(ideal.basis @ a) for a in alg.basis)
+    return all(span_contains(rows, flatten(a @ ideal.basis), tol)
+               and span_contains(rows, flatten(ideal.basis @ a), tol) for a in alg.basis)
 
 
 def ideal_sum(i: MatrixStarAlgebra, j: MatrixStarAlgebra,

@@ -37,7 +37,7 @@ from .linalg import (
     flatten,
     nullspace_rows,
     orthonormal_rows,
-    residual_to_span,
+    row_residuals,
     span_contains,
     spans_equal,
     unflatten,
@@ -210,11 +210,8 @@ def c_ideal(sys: EquivariantSystem, scalar: ScalarStructure | None = None,
         rows = nullspace_rows(np.vstack(constraints), tol)
     else:
         rows = np.eye(n_coeff, dtype=complex)
-    mats = np.stack([cp.embed(r.reshape(g.order, x_n)) for r in rows]) if \
-        rows.shape[0] else np.zeros((0,) + cp.algebra.basis.shape[1:], dtype=complex)
     amb = cp.algebra.ambient_dim
-    alg_rows = orthonormal_rows(flatten(mats), tol) if rows.shape[0] else \
-        np.zeros((0, amb * amb), dtype=complex)
+    alg_rows = orthonormal_rows(flatten(cp.embed(rows.reshape(-1, g.order, x_n))), tol)
     alg = MatrixStarAlgebra(amb, unflatten(alg_rows, amb))
     if not is_ideal(alg, cp.algebra, max(tol, 1e-8)):
         raise MoritaError("C(X, W, I) is not an ideal of the crossed product")
@@ -272,7 +269,7 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     j_alg = fullness_ideal(gj)
     j_rows = j_alg.basis_rows()
     c_rows = cid.algebra.basis_rows()
-    j_in_c = max([residual_to_span(c_rows, v) for v in j_rows], default=0.0)
+    j_in_c = float(row_residuals(c_rows, j_rows).max(initial=0.0))
     spans_match = spans_equal(j_rows, c_rows, tol)
     strict = (j_alg.dim < cid.dim) and span_contains(c_rows, j_rows, tol)
     conditions = scalar.normalisation_ok and scalar.completeness_ok

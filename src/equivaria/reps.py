@@ -99,16 +99,6 @@ def regular_rep(group: FiniteGroup) -> UnitaryRep:
     return UnitaryRep(group, mats, label="regular")
 
 
-def permutation_rep(group: FiniteGroup, perms: np.ndarray, label: str = "perm") -> UnitaryRep:
-    """Representation by permutation matrices; perms[g] maps point indices."""
-    perms = np.asarray(perms, dtype=np.intp)
-    n = perms.shape[1]
-    mats = np.zeros((group.order, n, n), dtype=complex)
-    for g in group.elements():
-        mats[g, perms[g], np.arange(n)] = 1.0
-    return UnitaryRep(group, mats, label=label)
-
-
 def commutant_project(rep: UnitaryRep, h: np.ndarray) -> np.ndarray:
     """Average h into the commutant of the representation."""
     out = np.einsum("gij,jk,gkl->il", rep.matrices, h,
@@ -143,15 +133,18 @@ def _character_key(char: np.ndarray, decimals: int = 8):
     return tuple((float(c.real), float(c.imag)) for c in rounded)
 
 
-def _split_rep(rep: UnitaryRep, rng: np.random.Generator, tol: float,
-               max_attempts: int = 8) -> list[UnitaryRep]:
+# Commutant splittings tried by _split_rep, each with a doubled gap.
+_SPLIT_ATTEMPTS = 8
+
+
+def _split_rep(rep: UnitaryRep, rng: np.random.Generator, tol: float) -> list[UnitaryRep]:
     """Split a unitary rep into irreducible pieces (with multiplicity)."""
     if rep.dim == 0:
         return []
     if is_irreducible(rep):
         return [rep]
     gap = 1e-7
-    for attempt in range(max_attempts):
+    for attempt in range(_SPLIT_ATTEMPTS):
         t = commutant_project(rep, random_hermitian(rep.dim, rng))
         t = (t + t.conj().T) / 2.0
         evals, evecs = np.linalg.eigh(t)
@@ -167,7 +160,7 @@ def _split_rep(rep: UnitaryRep, rng: np.random.Generator, tol: float,
             if sub.homomorphism_residual() > tol * max(sub.dim, 1) * 10:
                 ok = False
                 break
-            pieces.extend(_split_rep(sub, rng, tol, max_attempts))
+            pieces.extend(_split_rep(sub, rng, tol))
         if ok:
             return pieces
         gap *= 2.0
@@ -211,8 +204,7 @@ def multiplicity(pi: UnitaryRep, rho: UnitaryRep) -> int:
     return int(round(m.real))
 
 
-def isotypic_projection(pi: UnitaryRep, rho: UnitaryRep,
-                        tol: float = DEFAULT_TOL) -> np.ndarray:
+def isotypic_projection(pi: UnitaryRep, rho: UnitaryRep) -> np.ndarray:
     """The projection pi(e_rho) = (dim rho / |W|) sum_w conj(tr rho(w)) pi(w)."""
     if pi.group.order != rho.group.order or not np.array_equal(pi.group.mul, rho.group.mul):
         raise RepError("representations belong to different groups")

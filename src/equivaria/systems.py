@@ -8,10 +8,14 @@ functions is alpha_w(k)(x) = I_{w, w^-1 x} k(w^-1 x) I_{w^-1, x}.
 The module also realizes crossed products B >| W by the regular embedding
 on l^2(W) (x) C^N and verifies the two structural isomorphisms
 C(X) >| W ~ C(X, K(l^2 W))^W and (B >| U) >| V ~ B >| W for W = U >| V.
+A CrossedProduct builds its |W| dim B embedded basis elements once and
+holds them: embedding coefficient arrays is one matrix product against
+them, and reading coefficients back is one pseudo-inverse, taken on first
+use.  No other module embeds or coordinatizes crossed-product elements.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -305,12 +309,6 @@ def embed_function(sys: EquivariantSystem, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def extract_function(sys: EquivariantSystem, mat: np.ndarray) -> np.ndarray:
-    d = sys.fiber_dim
-    return np.stack([mat[x * d:(x + 1) * d, x * d:(x + 1) * d]
-                     for x in range(sys.n_points)])
-
-
 def function_algebra(sys: EquivariantSystem) -> MatrixStarAlgebra:
     """All of C(X, M_d), embedded block-diagonally; dim |X| d^2."""
     d = sys.fiber_dim
@@ -441,11 +439,6 @@ class AlgebraAction:
                         raise SystemError("action is not multiplicative")
 
 
-def trivial_algebra_action(group: FiniteGroup, alg: MatrixStarAlgebra) -> AlgebraAction:
-    maps = np.tile(np.eye(alg.dim, dtype=complex), (group.order, 1, 1))
-    return AlgebraAction(group, alg, maps)
-
-
 def function_algebra_action(sys: EquivariantSystem) -> AlgebraAction:
     """alpha as an AlgebraAction on the full function algebra of the system."""
     alg = function_algebra(sys)
@@ -458,17 +451,36 @@ class CrossedProduct:
     """B >| W realized faithfully on l^2(W) (x) C^N by the regular embedding.
 
     Coefficient elements are (|W|, dim B) arrays f meaning sum_w b(f_w) w.
+    `embedding[w * dim B + i]` is b_i w embedded, as built by crossed_basis.
     """
 
     action: AlgebraAction
     algebra: MatrixStarAlgebra  # span of the embedded elements
+    embedding: np.ndarray       # (|W| dim B, |W| N, |W| N)
+    _coefficients: np.ndarray | None = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     @property
     def group(self) -> FiniteGroup:
         return self.action.group
 
     def embed(self, f: np.ndarray) -> np.ndarray:
-        return crossed_embed(self.action, f)
+        """Embedded matrices of coefficient arrays f of shape (..., |W|, dim B)."""
+        f = np.asarray(f, dtype=complex)
+        *lead, w_n, k = f.shape
+        out = f.reshape(int(np.prod(lead)), w_n * k) @ flatten(self.embedding)
+        return out.reshape(*lead, *self.embedding.shape[1:])
+
+    def basis_coefficients(self) -> np.ndarray:
+        """The algebra's basis in crossed coefficients, a (dim, |W|, dim B) array.
+
+        Kept on the frozen instance after the first call.
+        """
+        if self._coefficients is None:
+            coeffs = np.linalg.pinv(flatten(self.embedding).T) @ self.algebra.basis_rows().T
+            object.__setattr__(self, "_coefficients", coeffs.T.reshape(
+                self.algebra.dim, self.group.order, self.action.algebra.dim))
+        return self._coefficients
 
     def multiply(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         return crossed_multiply(self.action, f, g)
@@ -477,30 +489,12 @@ class CrossedProduct:
         return crossed_star(self.action, f)
 
 
-def crossed_embed(action: AlgebraAction, f: np.ndarray) -> np.ndarray:
-    """Regular embedding: (b w)(delta_v (x) a) = delta_{wv} (x) beta_{(wv)^-1}(b) a."""
-    g = action.group
-    alg = action.algebra
-    n = alg.ambient_dim
-    w_n = g.order
-    f = np.asarray(f, dtype=complex)
-    out = np.zeros((w_n * n, w_n * n), dtype=complex)
-    for w in range(w_n):
-        if not f[w].any():
-            continue
-        for v in range(w_n):
-            vp = g.mul[w, v]
-            b = alg.element(action.maps[g.inv[vp]] @ f[w])
-            out[vp * n:(vp + 1) * n, v * n:(v + 1) * n] += b
-    return out
-
-
 def crossed_basis(action: AlgebraAction) -> np.ndarray:
     """Every b_i w embedded at once: a (|W| dim B, |W| N, |W| N) array, row (w, i).
 
-    Row (w, i) equals crossed_embed of the coefficient array with a single 1
-    at [w, i]; the block at (wv, v) is beta_{(wv)^-1}(b_i), so each of the
-    |W| twisted bases is built once.
+    The regular embedding is (b w)(delta_v (x) a) = delta_{wv} (x)
+    beta_{(wv)^-1}(b) a, so row (w, i) has the block beta_{(wv)^-1}(b_i) at
+    (wv, v) and each of the |W| twisted bases is built once.
     """
     g = action.group
     alg = action.algebra
@@ -549,12 +543,14 @@ def crossed_product(action: AlgebraAction, tol: float = DEFAULT_TOL) -> CrossedP
     k = action.algebra.dim
     n = g.order * action.algebra.ambient_dim
     if k == 0:
-        return CrossedProduct(action, MatrixStarAlgebra(n, np.zeros((0, n, n), dtype=complex)))
-    alg = algebra_from_span(crossed_basis(action), tol=tol)
+        empty = np.zeros((0, n, n), dtype=complex)
+        return CrossedProduct(action, MatrixStarAlgebra(n, empty), empty)
+    embedding = crossed_basis(action)
+    alg = algebra_from_span(embedding, tol=tol)
     if alg.dim != g.order * k:
         raise SystemError(
             f"regular embedding is not injective: dim {alg.dim} != {g.order * k}")
-    return CrossedProduct(action, alg)
+    return CrossedProduct(action, alg, embedding)
 
 
 # -- structural isomorphisms -------------------------------------------------

@@ -22,6 +22,7 @@ from equivaria.hilbmod import (
     is_full,
     module_crossed_product,
     rank_one,
+    scalar_algebra,
     standard_module,
     tensor_left_action,
     trivial_equivariant_module,
@@ -267,3 +268,16 @@ def test_one_point_s3_green_julg():
     assert verdict.ok
     # Both sides equal the commutant of the regular representation: dim 6.
     assert verdict.averaged_compacts_dim == 6
+
+
+def test_is_full_honours_its_tolerance():
+    # B = C (+) C with <e1|e1> = delta_1 and <e2|e2> = 1e-7 delta_2: full, but
+    # the second value is below a 1e-6 rank cut.
+    b = scalar_algebra(2)
+    action = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+    inner = np.zeros((2, 2, 2, 2), dtype=complex)
+    inner[0, 0] = np.diag([1.0, 0.0])
+    inner[1, 1] = np.diag([0.0, 1e-7])
+    e = FDHilbertModule(b, action, inner)
+    assert is_full(e, 1e-12)
+    assert not is_full(e, 1e-6)

@@ -4,8 +4,11 @@
 stacks only the group's generators, `compact_operators` and
 `green_julg_module` build their tensors in a few contractions,
 `fullness_ideal` works in B's coordinates, `is_ideal` tests whole stacks of
-products and `is_irreducible` reads the character norm.  The dense paths
-and per-pair loops survive here as oracles.
+products and `is_irreducible` reads the character norm.  A CrossedProduct
+embeds coefficient arrays with one product against its stored basis,
+`module_crossed_product` uses the contractions of `green_julg_module`, and
+`span_contains` tests stacks a slab at a time.  The dense paths and per-pair
+loops survive here as oracles.
 """
 import numpy as np
 import pytest
@@ -21,13 +24,15 @@ from equivaria.hilbmod import (
     function_module,
     green_julg_module,
     is_full,
+    module_crossed_product,
     rank_one,
 )
 from equivaria.linalg import (
     flatten,
     intertwiner_rows,
     orthonormal_rows,
-    residual_to_span,
+    row_residuals,
+    span_contains,
     span_intersection,
     spans_equal,
 )
@@ -42,7 +47,6 @@ from equivaria.reps import (
 )
 from equivaria.systems import (
     EquivariantSystem,
-    crossed_embed,
     crossed_product,
     fixed_point_algebra,
     function_algebra_action,
@@ -116,6 +120,10 @@ def test_compacts_match_stacked_rank_one_maps():
     raws = np.stack([rank_one(e, eye[i], eye[j]) for i in range(m) for j in range(m)])
     compacts = compact_operators(e)
     assert spans_equal(compacts.raw_rows, orthonormal_rows(flatten(raws)), 1e-8)
+    rng = np.random.default_rng(2)
+    eta, xi = e.random_vector(rng), e.random_vector(rng)
+    cols = np.stack([e.act(eta, e.inner_product(xi, eye[l])) for l in range(m)], axis=1)
+    assert np.abs(rank_one(e, eta, xi) - cols).max() < 1e-12
     s, s_inv = compacts.transform, compacts.transform_inv
     dressed = orthonormal_rows(flatten(s @ raws @ s_inv))
     assert spans_equal(compacts.algebra.basis_rows(), dressed, 1e-8)
@@ -140,18 +148,42 @@ def test_irreducible_by_character_norm_matches_commutant():
 # -- the Morita pipeline against its per-pair loops ---------------------------
 
 
-def green_julg_loops(eq, cp):
-    """(action, inner) of the averaged module, one pair at a time."""
-    g, base = eq.group, eq.base
-    b_alg = base.algebra
-    m, k = base.carrier_dim, b_alg.dim
+def crossed_embed(action, f):
+    """Regular embedding: (b w)(delta_v (x) a) = delta_{wv} (x) beta_{(wv)^-1}(b) a."""
+    g = action.group
+    alg = action.algebra
+    n = alg.ambient_dim
+    w_n = g.order
+    f = np.asarray(f, dtype=complex)
+    out = np.zeros((w_n * n, w_n * n), dtype=complex)
+    for w in range(w_n):
+        if not f[w].any():
+            continue
+        for v in range(w_n):
+            vp = g.mul[w, v]
+            b = alg.element(action.maps[g.inv[vp]] @ f[w])
+            out[vp * n:(vp + 1) * n, v * n:(v + 1) * n] += b
+    return out
+
+
+def crossed_coefficient_map(cp):
+    """The pseudo-inverse of the embedding, one crossed_embed column at a time."""
+    g, k = cp.group, cp.action.algebra.dim
     cols = []
     for w in range(g.order):
         for i in range(k):
             f = np.zeros((g.order, k), dtype=complex)
             f[w, i] = 1.0
             cols.append(flatten(crossed_embed(cp.action, f)))
-    coeff_map = np.linalg.pinv(np.stack(cols, axis=1))
+    return np.linalg.pinv(np.stack(cols, axis=1))
+
+
+def green_julg_loops(eq, cp):
+    """(action, inner) of the averaged module, one pair at a time."""
+    g, base = eq.group, eq.base
+    b_alg = base.algebra
+    m, k = base.carrier_dim, b_alg.dim
+    coeff_map = crossed_coefficient_map(cp)
     action = np.zeros((cp.algebra.dim, m, m), dtype=complex)
     for idx in range(cp.algebra.dim):
         f = (coeff_map @ flatten(cp.algebra.basis[idx])).reshape(g.order, k)
@@ -210,6 +242,88 @@ def test_green_julg_module_matches_pair_loops(label):
     assert np.abs(gj.inner - inner).max() < 1e-10
 
 
+def module_crossed_product_loops(eq, cp):
+    """(action, inner) of E >| W, one block at a time."""
+    g, base = eq.group, eq.base
+    b_alg = base.algebra
+    coeff_map = crossed_coefficient_map(cp)
+    m = base.carrier_dim
+    k = b_alg.dim
+    big = m * g.order  # coordinate (w, i) -> w * m + i
+    action = np.zeros((cp.algebra.dim, big, big), dtype=complex)
+    for idx in range(cp.algebra.dim):
+        f = (coeff_map @ flatten(cp.algebra.basis[idx])).reshape(g.order, k)
+        for v in range(g.order):       # group part of the algebra element
+            for i in range(k):
+                for w in range(g.order):   # group part of the module element
+                    # (xi (x) delta_w) . (b_i v) = (xi . beta_w(b_i)) (x) delta_{wv}
+                    bmat = np.einsum("l,lij->ij", eq.beta.maps[w][:, i], base.action)
+                    wv = g.mul[w, v]
+                    action[idx, wv * m:(wv + 1) * m, w * m:(w + 1) * m] += f[v, i] * bmat
+    amb = cp.algebra.ambient_dim
+    inner = np.zeros((big, big, amb, amb), dtype=complex)
+    for w1 in range(g.order):
+        for w2 in range(g.order):
+            slot = g.mul[g.inv[w1], w2]
+            for p in range(m):
+                for q in range(m):
+                    f = np.zeros((g.order, k), dtype=complex)
+                    f[slot] = eq.beta.maps[g.inv[w1]] @ b_alg.coefficients(
+                        base.inner[p, q])
+                    inner[w1 * m + p, w2 * m + q] = crossed_embed(cp.action, f)
+    return action, inner
+
+
+def crossed_case(label):
+    """A small system whose group is Z/2 (z2-line-1) or Z/4 (z4-rotation)."""
+    return z2_line_system(1) if label == "z2-line-1" else z4_rotation_system()
+
+
+@pytest.mark.parametrize("label", ["z2-line-1", "z4-rotation"])
+def test_module_crossed_product_matches_block_loops(label):
+    eq = equivariant_function_module(crossed_case(label))
+    ecp, cp = module_crossed_product(eq)
+    action, inner = module_crossed_product_loops(eq, cp)
+    assert np.abs(ecp.action - action).max() < 1e-10
+    assert np.abs(ecp.inner - inner).max() < 1e-10
+
+
+@pytest.mark.parametrize("label", ["z2-line-1", "z4-rotation"])
+def test_embed_of_a_stack_matches_per_array_oracle(label):
+    cp = crossed_product(scalar_translation_action(crossed_case(label)))
+    w_n, k = cp.group.order, cp.action.algebra.dim
+    rng = np.random.default_rng(6)
+    stack = rng.standard_normal((3, 2, w_n, k)) + 1j * rng.standard_normal((3, 2, w_n, k))
+    embedded = cp.embed(stack)
+    assert embedded.shape == (3, 2) + cp.algebra.basis.shape[1:]
+    for idx in np.ndindex(3, 2):
+        oracle = crossed_embed(cp.action, stack[idx])
+        assert np.abs(embedded[idx] - oracle).max() < 1e-12
+        assert np.abs(cp.embed(stack[idx]) - oracle).max() < 1e-12
+    # Coefficients read back through the pseudo-inverse embed to the basis.
+    assert np.abs(cp.embed(cp.basis_coefficients()) - cp.algebra.basis).max() < 1e-10
+    assert cp.basis_coefficients() is cp.basis_coefficients()
+
+
+def span_contains_loop(basis, vecs, tol=1e-9) -> bool:
+    return all(row_residuals(basis, v[None])[0] <= tol * max(1.0, np.linalg.norm(v))
+               for v in vecs)
+
+
+def test_span_contains_checks_every_slab():
+    rng = np.random.default_rng(8)
+    width = 512
+    basis = np.linalg.qr(rng.standard_normal((width, 6)))[0].T.astype(complex)
+    # More rows than one slab of 2^20 entries holds, all inside the span.
+    vecs = rng.standard_normal(((1 << 20) // width + 40, 6)) @ basis
+    assert span_contains(basis, vecs) and span_contains_loop(basis, vecs)
+    # Only the last row, in the last slab, leaves the span.
+    outside = np.linalg.qr(np.vstack([basis.real, rng.standard_normal((1, width))]).T)[0][:, -1]
+    vecs[-1] += 1e-6 * outside
+    assert not span_contains(basis, vecs) and not span_contains_loop(basis, vecs)
+    assert span_contains(basis, vecs[:-1])
+
+
 @pytest.mark.parametrize("label", PIPELINE)
 def test_fullness_ideal_matches_raw_values(label):
     eq = pipeline_module(label)
@@ -239,7 +353,7 @@ def is_ideal_loops(ideal, alg, tol=1e-9) -> bool:
     for a in alg.basis:
         for i in ideal.basis:
             for m in (a @ i, i @ a, i.conj().T):
-                if residual_to_span(rows, flatten(m)) > tol * max(1.0, np.linalg.norm(m)):
+                if row_residuals(rows, flatten(m)[None])[0] > tol * max(1.0, np.linalg.norm(m)):
                     return False
     return True
 
