@@ -1,6 +1,7 @@
 """Command-line interface: irreps, spectrum, morita, verify, examples.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 out of
+memory.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .systems import EquivariantSystem
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
+EXIT_RESOURCE = 3
 
 
 class InputError(ValueError):
@@ -271,7 +273,9 @@ def cmd_examples(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equivaria",
-        description="finite equivariant operator algebra toolkit")
+        description="finite equivariant operator algebra toolkit",
+        epilog="exit codes: 0 success, 1 verification failure, 2 input error, "
+               "3 out of memory")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -313,6 +317,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"verification error: {exc}", file=_sys.stderr)
         return EXIT_VERIFICATION
+    except MemoryError:
+        print(f"resource error: {args.command} ran out of memory", file=_sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

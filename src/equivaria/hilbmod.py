@@ -14,9 +14,10 @@ orthonormal basis is an (m, m, dim B) array.  The rank-one maps (one or all
 m^2 of them), the fullness ideal, and the averaged (Green-Julg) and crossed
 modules over B >| W are built from it with a few matrix products, never
 with per-pair loops.  Crossed-product elements are embedded and read back
-only through the CrossedProduct, which holds its embedded basis; whether
-values lie in a span is decided by `linalg.span_contains` alone.  The dense
-SVD of the m^2 rank-one maps in `compact_operators` is the costliest step.
+only through the CrossedProduct, which builds its embedded basis when a
+module over B >| W first needs it; whether values lie in a span is decided
+by `linalg.span_contains` alone.  The dense SVD of the m^2 rank-one maps
+in `compact_operators` is the costliest step.
 """
 from __future__ import annotations
 
@@ -415,9 +416,10 @@ def green_julg_module(eq: EquivariantModule,
     """E as a module over B >| W: xi . bw = gamma_{w^-1}(xi b), averaged inner.
 
     The inner product is <<xi|eta>> = sum_w <xi|gamma_w eta> w.  Both tensors
-    are built from crossed coefficients, (w, i) for b_i w: <e_p|gamma_w e_q>
-    has coefficients sum_j gamma_w[j, q] <e_p|e_j>, and cp.embed places all
-    m^2 of them in the crossed ambient.
+    are built from crossed coefficients, (w, i) for b_i w: cp.embed places
+    all m^2 averaged_inner_coefficients in the crossed ambient.  This builds
+    the embedded crossed product; spans of inner values can be compared in
+    cp's whitened coefficients without it.
     """
     g = eq.group
     base = eq.base
@@ -428,9 +430,18 @@ def green_julg_module(eq: EquivariantModule,
     maps = eq.gamma[g.inv][:, None] @ base.action[None]
     action = _crossed_maps(cp, maps)
     # Inner products <<e_p | e_q>>, embedded in the crossed ambient.
-    inner = cp.embed(np.einsum("pjl,wjq->pqwl", _inner_coefficients(base), eq.gamma))
+    inner = cp.embed(averaged_inner_coefficients(eq))
     return FDHilbertModule(cp.algebra, action, inner,
                            name=(base.name or "module") + "-averaged"), cp
+
+
+def averaged_inner_coefficients(eq: EquivariantModule) -> np.ndarray:
+    """<<e_p|e_q>> = sum_w <e_p|gamma_w e_q> w in crossed coefficients.
+
+    An (m, m, |W|, dim B) array: <e_p|gamma_w e_q> has B-coefficients
+    sum_j gamma_w[j, q] <e_p|e_j>.
+    """
+    return np.einsum("pjl,wjq->pqwl", _inner_coefficients(eq.base), eq.gamma)
 
 
 def _crossed_maps(cp: CrossedProduct, maps: np.ndarray) -> np.ndarray:

@@ -12,10 +12,16 @@ with the equivalence implemented by the averaged function module.  The
 semidirect reduction then rewrites the ideal as C(X, W', I) >| R for a
 splitting W = W' >| R and lands on C(X/W') >| R — the finite shape of the
 reduced dual.
+
+The ideal test and the comparison of J with C run in the crossed product's
+whitened coefficients, where rank cuts, norms and residuals are those of the
+embedded matrices.  The embedded crossed product, the Green-Julg module over
+it and C's embedded span are built only for a Morita witness.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,11 +30,11 @@ from .hilbmod import (
     EquivariantModule,
     FDHilbertModule,
     MoritaWitness,
+    averaged_inner_coefficients,
     compact_operators,
     direct_sum_left_action,
     direct_sum_module,
     equivariant_function_module,
-    fullness_ideal,
     green_julg_module,
     verify_morita,
 )
@@ -42,7 +48,7 @@ from .linalg import (
     spans_equal,
     unflatten,
 )
-from .matalg import MatrixStarAlgebra, block_decompose, is_ideal
+from .matalg import MatrixStarAlgebra, block_decompose
 from .reps import enumerate_irreps, multiplicity
 from .spectrum import stabilizer_rep
 from .systems import (
@@ -171,16 +177,29 @@ def scalar_translation_action(sys: EquivariantSystem) -> AlgebraAction:
 
 @dataclass(frozen=True)
 class CIdeal:
-    """C(X, W, I) inside C(X) >| W, in coefficients and embedded matrices."""
+    """C(X, W, I) inside C(X) >| W, in coefficients; embedded on demand.
+
+    `metric_rows` spans the ideal in cp's whitened coordinates, where norms
+    and inner products are those of the embedded matrices.  `algebra`, the
+    embedded span, is built on first access.
+    """
 
     system: EquivariantSystem
     cp: CrossedProduct
     coeff_rows: np.ndarray     # (dim, |W| * |X|), orthonormal
-    algebra: MatrixStarAlgebra
+    metric_rows: np.ndarray    # (dim, |W| * |X|), orthonormal after whitening
+    tol: float = DEFAULT_TOL
 
     @property
     def dim(self) -> int:
         return self.coeff_rows.shape[0]
+
+    @cached_property
+    def algebra(self) -> MatrixStarAlgebra:
+        amb = self.cp.algebra.ambient_dim
+        f = self.coeff_rows.reshape(-1, self.cp.group.order, self.system.n_points)
+        rows = orthonormal_rows(flatten(self.cp.embed(f)), self.tol)
+        return MatrixStarAlgebra(amb, unflatten(rows, amb))
 
 
 def c_ideal(sys: EquivariantSystem, scalar: ScalarStructure | None = None,
@@ -188,7 +207,8 @@ def c_ideal(sys: EquivariantSystem, scalar: ScalarStructure | None = None,
             tol: float = DEFAULT_TOL) -> CIdeal:
     """Solve f_{w'w}(x) = f_w(x) for w' in W'_x inside the crossed product.
 
-    The result is verified to be a two-sided *-closed ideal of C(X) >| W.
+    The result is verified to be a two-sided *-closed ideal of C(X) >| W,
+    in cp's whitened coefficients (CrossedProduct.is_ideal).
     """
     scalar = scalar or scalar_subgroups(sys, max(tol, 1e-8))
     cp = cp or crossed_product(scalar_translation_action(sys), tol)
@@ -210,12 +230,10 @@ def c_ideal(sys: EquivariantSystem, scalar: ScalarStructure | None = None,
         rows = nullspace_rows(np.vstack(constraints), tol)
     else:
         rows = np.eye(n_coeff, dtype=complex)
-    amb = cp.algebra.ambient_dim
-    alg_rows = orthonormal_rows(flatten(cp.embed(rows.reshape(-1, g.order, x_n))), tol)
-    alg = MatrixStarAlgebra(amb, unflatten(alg_rows, amb))
-    if not is_ideal(alg, cp.algebra, max(tol, 1e-8)):
+    metric_rows = orthonormal_rows(cp.whiten(rows.reshape(-1, g.order, x_n)), tol)
+    if not cp.is_ideal(metric_rows, max(tol, 1e-8)):
         raise MoritaError("C(X, W, I) is not an ideal of the crossed product")
-    return CIdeal(sys, cp, rows, alg)
+    return CIdeal(sys, cp, rows, metric_rows, tol)
 
 
 # -- the Morita theorem --------------------------------------------------------
@@ -241,7 +259,7 @@ class MoritaTheoremVerdict:
     fpa_blocks: int | None
     c_blocks: int | None
     ideal: CIdeal
-    module: FDHilbertModule
+    module: FDHilbertModule | None   # the rebased witness module, when built
     left_action: np.ndarray
 
     @property
@@ -260,29 +278,36 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     conditions the spans must agree and a Morita witness is produced.  When
     completeness fails the strictness of J in C is reported instead.
     `scalar`, when given, must be scalar_subgroups(sys, tol).
+
+    J and C are compared in the crossed product's whitened coefficients,
+    whose singular values, norms and residuals are those of the embedded
+    matrices, so the rank and span rules are the embedded ones.  The
+    embedded Green-Julg module, rebased onto C, is built only for the
+    witness; `module` is None when no witness is built.
     """
     scalar = scalar or scalar_subgroups(sys, tol)
     fpa = fixed_point_algebra(sys)
     eq = equivariant_function_module(sys)
-    gj, cp = green_julg_module(eq)
+    cp = crossed_product(eq.beta)
     cid = c_ideal(sys, scalar, cp)
-    j_alg = fullness_ideal(gj)
-    j_rows = j_alg.basis_rows()
-    c_rows = cid.algebra.basis_rows()
+    m = eq.base.carrier_dim
+    j_rows = orthonormal_rows(
+        cp.whiten(averaged_inner_coefficients(eq)).reshape(m * m, cp.metric.shape[0]))
+    c_rows = cid.metric_rows
     j_in_c = float(row_residuals(c_rows, j_rows).max(initial=0.0))
     spans_match = spans_equal(j_rows, c_rows, tol)
-    strict = (j_alg.dim < cid.dim) and span_contains(c_rows, j_rows, tol)
+    strict = (j_rows.shape[0] < cid.dim) and span_contains(c_rows, j_rows, tol)
     conditions = scalar.normalisation_ok and scalar.completeness_ok
     witness = None
     fpa_blocks = c_blocks = None
-    module = gj
+    module = None
     if conditions and spans_match:
-        module = rebase_module(gj, cid.algebra)
+        module = rebase_module(green_julg_module(eq, cp)[0], cid.algebra)
         witness = verify_morita(fpa, module, fpa.basis, tol,
                                 rng=np.random.default_rng(seed))
         fpa_blocks = len(block_decompose(fpa, seed=seed).blocks)
         c_blocks = len(block_decompose(cid.algebra, seed=seed).blocks)
-    return MoritaTheoremVerdict(scalar, conditions, j_alg.dim, cid.dim,
+    return MoritaTheoremVerdict(scalar, conditions, j_rows.shape[0], cid.dim,
                                 spans_match, strict, j_in_c, witness,
                                 fpa_blocks, c_blocks, cid, module,
                                 fpa.basis)

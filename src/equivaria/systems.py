@@ -8,14 +8,18 @@ functions is alpha_w(k)(x) = I_{w, w^-1 x} k(w^-1 x) I_{w^-1, x}.
 The module also realizes crossed products B >| W by the regular embedding
 on l^2(W) (x) C^N and verifies the two structural isomorphisms
 C(X) >| W ~ C(X, K(l^2 W))^W and (B >| U) >| V ~ B >| W for W = U >| V.
-A CrossedProduct builds its |W| dim B embedded basis elements once and
-holds them: embedding coefficient arrays is one matrix product against
-them, and reading coefficients back is one pseudo-inverse, taken on first
-use.  No other module embeds or coordinatizes crossed-product elements.
+A CrossedProduct works in crossed coefficients: its structure tensor and
+the trace metric of its embedded basis carry products, adjoints and the
+ideal test, so building one costs O(|W| dim B^3).  The |W| dim B embedded
+basis elements are built on first use only, for the modules over B >| W
+that Morita witnesses need; embedding coefficient arrays is then one matrix
+product against them, and reading coefficients back is one pseudo-inverse.
+No other module embeds or coordinatizes crossed-product elements.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,9 +29,15 @@ from .linalg import (
     flatten,
     nullspace_rows,
     orthonormal_rows,
+    span_contains,
     spans_equal,
 )
-from .matalg import MatrixStarAlgebra, algebra_from_span
+from .matalg import (
+    MatrixStarAlgebra,
+    _product_constants,
+    _star_constants,
+    algebra_from_span,
+)
 from .reps import regular_rep
 
 
@@ -414,29 +424,36 @@ class AlgebraAction:
         return self.algebra.element(self.maps[w] @ self.algebra.coefficients(a))
 
     def validate(self, tol: float = 1e-8) -> None:
+        """Check that the maps are a homomorphism into the *-automorphisms of B.
+
+        Multiplicativity and *-preservation are read in B's coordinates, as
+        contractions of the maps with B's structure constants <b_l, b_i b_j>
+        and star coefficients <b_l, b_i*>.  B is *-closed and its basis
+        orthonormal, so each coefficient residual is the norm of the matrix
+        difference it stands for.
+        """
         alg = self.algebra
         k = alg.dim
-        if self.maps.shape != (self.group.order, k, k):
+        maps = self.maps
+        if maps.shape != (self.group.order, k, k):
             raise SystemError("action maps have wrong shape")
-        if np.linalg.norm(self.maps[0] - np.eye(k)) > tol * max(k, 1):
+        if np.linalg.norm(maps[0] - np.eye(k)) > tol * max(k, 1):
             raise SystemError("identity does not act as identity")
-        mul = self.group.mul
-        for w1 in self.group.elements():
-            for w2 in self.group.elements():
-                if np.linalg.norm(self.maps[mul[w1, w2]] - self.maps[w1] @ self.maps[w2]) > tol * max(k, 1):
-                    raise SystemError("maps are not a group homomorphism")
-        for w in self.group.elements():
-            for i in range(k):
-                bi = alg.basis[i]
-                img_star = self.apply(w, bi.conj().T)
-                if np.linalg.norm(img_star - self.apply(w, bi).conj().T) > tol:
-                    raise SystemError("action does not preserve the involution")
-                for j in range(k):
-                    bj = alg.basis[j]
-                    lhs = self.apply(w, bi @ bj)
-                    rhs = self.apply(w, bi) @ self.apply(w, bj)
-                    if np.linalg.norm(lhs - rhs) > tol:
-                        raise SystemError("action is not multiplicative")
+        hom = maps[self.group.mul] - maps[:, None] @ maps[None]
+        if np.linalg.norm(hom, axis=(-2, -1)).max() > tol * max(k, 1):
+            raise SystemError("maps are not a group homomorphism")
+        if k == 0:
+            return
+        star = _star_constants(alg)
+        # Column i: beta_w(b_i*) - beta_w(b_i)*.
+        if np.linalg.norm(maps @ star - star @ maps.conj(), axis=1).max() > tol:
+            raise SystemError("action does not preserve the involution")
+        prod = _product_constants(alg)[0]   # [j, l, i]: <b_l, b_i b_j>
+        # [w, i, j]: beta_w(b_i b_j) - beta_w(b_i) beta_w(b_j), in B's coordinates.
+        lhs = np.einsum("wml,jli->wijm", maps, prod, optimize=True)
+        rhs = np.einsum("wpi,wqj,qmp->wijm", maps, maps, prod, optimize=True)
+        if np.linalg.norm(lhs - rhs, axis=-1).max() > tol:
+            raise SystemError("action is not multiplicative")
 
 
 def function_algebra_action(sys: EquivariantSystem) -> AlgebraAction:
@@ -448,21 +465,49 @@ def function_algebra_action(sys: EquivariantSystem) -> AlgebraAction:
 
 @dataclass(frozen=True)
 class CrossedProduct:
-    """B >| W realized faithfully on l^2(W) (x) C^N by the regular embedding.
+    """B >| W in crossed coefficients, with its regular embedding on demand.
 
-    Coefficient elements are (|W|, dim B) arrays f meaning sum_w b(f_w) w.
-    `embedding[w * dim B + i]` is b_i w embedded, as built by crossed_basis.
+    Coefficient elements are (..., |W|, dim B) arrays f meaning
+    sum_w b(f_w) w.  Two small arrays carry the algebra: `structure`, with
+    (b_i w)(b_j v) = sum_l structure[w, i, j, l] b_l (wv), and `metric`, the
+    Gram matrix flatten(E) flatten(E)* of the embedded basis E.  The metric
+    is I_W (x) sum_u beta_u^T conj(beta_u), which is |W| times the identity
+    when every beta_u is unitary.  Products, adjoints and span tests run on
+    these; `whiten` maps coefficients to rows whose standard inner products
+    are the trace inner products of the embedded matrices.  `embedding`
+    (row w * dim B + i is b_i w embedded, as built by crossed_basis) and
+    `algebra` (its span, checked by algebra_from_span) are built on first
+    access only.
     """
 
     action: AlgebraAction
-    algebra: MatrixStarAlgebra  # span of the embedded elements
-    embedding: np.ndarray       # (|W| dim B, |W| N, |W| N)
+    structure: np.ndarray       # (|W|, dim B, dim B, dim B)
+    metric: np.ndarray          # (|W| dim B, |W| dim B)
+    tol: float = DEFAULT_TOL    # rank tolerance of the embedded span
     _coefficients: np.ndarray | None = field(default=None, init=False, repr=False,
                                              compare=False)
 
     @property
     def group(self) -> FiniteGroup:
         return self.action.group
+
+    @cached_property
+    def embedding(self) -> np.ndarray:
+        """(|W| dim B, |W| N, |W| N): every b_i w embedded."""
+        return crossed_basis(self.action)
+
+    @cached_property
+    def algebra(self) -> MatrixStarAlgebra:
+        """The span of the embedding; its dimension must be |W| dim B."""
+        w_n, k = self.group.order, self.action.algebra.dim
+        n = w_n * self.action.algebra.ambient_dim
+        if k == 0:
+            return MatrixStarAlgebra(n, np.zeros((0, n, n), dtype=complex))
+        alg = algebra_from_span(self.embedding, tol=self.tol)
+        if alg.dim != w_n * k:
+            raise SystemError(
+                f"regular embedding is not injective: dim {alg.dim} != {w_n * k}")
+        return alg
 
     def embed(self, f: np.ndarray) -> np.ndarray:
         """Embedded matrices of coefficient arrays f of shape (..., |W|, dim B)."""
@@ -482,11 +527,79 @@ class CrossedProduct:
                 self.algebra.dim, self.group.order, self.action.algebra.dim))
         return self._coefficients
 
+    @cached_property
+    def _root(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R, R^-1) for the Hermitian square root R of one diagonal block of
+        the metric.  The block is at least beta_e^T conj(beta_e) = 1."""
+        k = self.action.algebra.dim
+        evals, evecs = np.linalg.eigh(self.metric[:k, :k])
+        root = np.sqrt(evals)
+        return (evecs * root) @ evecs.conj().T, (evecs / root) @ evecs.conj().T
+
+    def whiten(self, f: np.ndarray) -> np.ndarray:
+        """Rows (..., |W| dim B) of coefficient arrays f (..., |W|, dim B),
+        with the norms and inner products of the embedded matrices."""
+        f = np.asarray(f, dtype=complex)
+        return (f @ self._root[0]).reshape(*f.shape[:-2], -1)
+
+    def unwhiten(self, rows: np.ndarray) -> np.ndarray:
+        """The coefficient arrays (..., |W|, dim B) of whitened rows."""
+        rows = np.asarray(rows, dtype=complex)
+        k = self.action.algebra.dim
+        return rows.reshape(*rows.shape[:-1], -1, k) @ self._root[1]
+
     def multiply(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return crossed_multiply(self.action, f, g)
+        """(a w)(b v) = a beta_w(b) (wv), for coefficient stacks that broadcast."""
+        grp = self.group
+        f = np.asarray(f, dtype=complex)
+        g = np.asarray(g, dtype=complex)
+        # [..., w, v, l]: the b_l part of f_w w times g_v v, which sits at wv.
+        x = np.einsum("...wi,wijl->...wjl", f, self.structure)
+        prods = g[..., None, :, :] @ x
+        # Component u collects the pairs (w, w^-1 u).
+        w_idx = np.arange(grp.order)[:, None]
+        return prods[..., w_idx, grp.mul[grp.inv], :].sum(axis=-3)
+
+    @cached_property
+    def _adjoints(self) -> np.ndarray:
+        """[w, l, i]: the b_l coefficient of beta_{w^-1}(b_i*)."""
+        return self.action.maps[self.group.inv] @ _star_constants(self.action.algebra)
 
     def star(self, f: np.ndarray) -> np.ndarray:
-        return crossed_star(self.action, f)
+        """(a w)* = beta_{w^-1}(a*) w^-1, for a coefficient stack."""
+        f = np.asarray(f, dtype=complex)
+        out = np.einsum("...wi,wli->...wl", f.conj(), self._adjoints)
+        return out[..., self.group.inv, :]
+
+    def is_ideal(self, rows: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+        """Is the span of orthonormal whitened rows a two-sided *-ideal?
+
+        The test of matalg.is_ideal in coefficients: the adjoint of each
+        basis element i, then i a for each a = sum_m R^-1[j, m] b_m w, the
+        basis of B >| W that is orthonormal in the metric.  A is *-closed,
+        so a I needs no test once I* = I holds.  Every vector v may leave the
+        span by tol * max(1, |v|), in whitened coordinates, where norms and
+        residuals are those of the embedded matrices.  Containment in A
+        holds for every coefficient array.  Right multiplication by w only
+        moves the group slot v to vw, so the products with one w are formed
+        once and tested against each w in turn.
+        """
+        if rows.shape[0] == 0:
+            return True
+        grp = self.group
+        ideal = self.unwhiten(rows)
+        if not span_contains(rows, self.whiten(self.star(ideal)), tol):
+            return False
+        root, root_inv = self._root
+        # [r, j, v, l]: i_r a_(e, j), whitened, in group slot v.
+        prods = np.einsum("rvi,vims,jm,sl->rjvl", ideal, self.structure,
+                          root_inv, root, optimize=True)
+        moved = np.empty_like(prods)
+        for w in range(grp.order):
+            moved[:, :, grp.mul[:, w]] = prods
+            if not span_contains(rows, moved.reshape(-1, rows.shape[1]), tol):
+                return False
+        return True
 
 
 def crossed_basis(action: AlgebraAction) -> np.ndarray:
@@ -507,50 +620,21 @@ def crossed_basis(action: AlgebraAction) -> np.ndarray:
     return out.reshape(w_n * k, w_n * n, w_n * n)
 
 
-def crossed_multiply(action: AlgebraAction, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(a w)(b v) = a beta_w(b) (w v), coefficient-level."""
-    grp = action.group
-    alg = action.algebra
-    out = np.zeros_like(np.asarray(f, dtype=complex))
-    for w in range(grp.order):
-        if not f[w].any():
-            continue
-        a = alg.element(f[w])
-        for v in range(grp.order):
-            if not g[v].any():
-                continue
-            prod = a @ alg.element(action.maps[w] @ g[v])
-            out[grp.mul[w, v]] += alg.coefficients(prod)
-    return out
-
-
-def crossed_star(action: AlgebraAction, f: np.ndarray) -> np.ndarray:
-    """(a w)* = beta_{w^-1}(a*) w^-1."""
-    grp = action.group
-    alg = action.algebra
-    f = np.asarray(f, dtype=complex)
-    out = np.zeros_like(f)
-    for w in range(grp.order):
-        star_coeffs = alg.coefficients(alg.element(f[w]).conj().T)
-        out[grp.inv[w]] += action.maps[grp.inv[w]] @ star_coeffs
-    return out
-
-
 def crossed_product(action: AlgebraAction, tol: float = DEFAULT_TOL) -> CrossedProduct:
-    """The crossed product algebra; dim = |W| dim B, embedding injective."""
+    """B >| W from a validated action: its structure tensor and metric.
+
+    (b_i w)(b_j v) = b_i beta_w(b_j) (wv) expands through B's structure
+    constants.  The embedding and its span wait for first use.
+    """
     action.validate()
-    g = action.group
-    k = action.algebra.dim
-    n = g.order * action.algebra.ambient_dim
-    if k == 0:
-        empty = np.zeros((0, n, n), dtype=complex)
-        return CrossedProduct(action, MatrixStarAlgebra(n, empty), empty)
-    embedding = crossed_basis(action)
-    alg = algebra_from_span(embedding, tol=tol)
-    if alg.dim != g.order * k:
-        raise SystemError(
-            f"regular embedding is not injective: dim {alg.dim} != {g.order * k}")
-    return CrossedProduct(action, alg, embedding)
+    maps = action.maps
+    w_n, k = action.group.order, action.algebra.dim
+    structure = np.zeros((w_n, k, k, k), dtype=complex)
+    if k:
+        prod = _product_constants(action.algebra)[0]   # [m, l, i]: <b_l, b_i b_m>
+        structure = np.einsum("wmj,mli->wijl", maps, prod, optimize=True)
+    block = np.einsum("uli,ulj->ij", maps, maps.conj())
+    return CrossedProduct(action, structure, np.kron(np.eye(w_n), block), tol)
 
 
 # -- structural isomorphisms -------------------------------------------------
@@ -647,13 +731,8 @@ def iterated_crossed_iso(action: AlgebraAction, normal, complement,
 
     # Inner layer A = B >| U with the restricted action.
     inner_maps = np.stack([action.maps[u_sub.to_parent(u)] for u in range(u_n)])
-    inner_action = AlgebraAction(u_sub.group, alg, inner_maps)
-
-    def inner_mult(f, h):
-        return crossed_multiply(inner_action, f, h)
-
-    def inner_star(f):
-        return crossed_star(inner_action, f)
+    inner = crossed_product(AlgebraAction(u_sub.group, alg, inner_maps), tol)
+    whole = crossed_product(action, tol)
 
     # The action of V on A-coefficients: alpha_v(a u) = beta_v(a) (v u v^-1).
     def outer_apply(v, f):
@@ -673,7 +752,7 @@ def iterated_crossed_iso(action: AlgebraAction, normal, complement,
             for v2 in range(v_n):
                 if not fb[v2].any():
                     continue
-                prod = inner_mult(fa[v1], outer_apply(v1, fb[v2]))
+                prod = inner.multiply(fa[v1], outer_apply(v1, fb[v2]))
                 out[v_sub.group.mul[v1, v2]] += prod
         return out
 
@@ -681,7 +760,7 @@ def iterated_crossed_iso(action: AlgebraAction, normal, complement,
         out = np.zeros_like(fa)
         for v in range(v_n):
             vi = v_sub.group.inv[v]
-            out[vi] += outer_apply(vi, inner_star(fa[v]))
+            out[vi] += outer_apply(vi, inner.star(fa[v]))
         return out
 
     # phi: (v_n, u_n, k) -> (|W|, k) via (u, v) -> uv.
@@ -699,11 +778,11 @@ def iterated_crossed_iso(action: AlgebraAction, normal, complement,
         fa = rng.standard_normal((v_n, u_n, k)) + 1j * rng.standard_normal((v_n, u_n, k))
         fb = rng.standard_normal((v_n, u_n, k)) + 1j * rng.standard_normal((v_n, u_n, k))
         lhs = phi(outer_mult(fa, fb))
-        rhs = crossed_multiply(action, phi(fa), phi(fb))
+        rhs = whole.multiply(phi(fa), phi(fb))
         mult_res = max(mult_res, float(np.abs(lhs - rhs).max())
                        / max(1.0, float(np.abs(rhs).max())))
         lhs_s = phi(outer_star(fa))
-        rhs_s = crossed_star(action, phi(fa))
+        rhs_s = whole.star(phi(fa))
         star_res = max(star_res, float(np.abs(lhs_s - rhs_s).max())
                        / max(1.0, float(np.abs(rhs_s).max())))
     # phi is bijective iff (u, v) -> uv covers W once: guaranteed by the

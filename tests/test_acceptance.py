@@ -4,7 +4,13 @@ Run with `pytest -v tests/test_acceptance.py` to get one PASS/FAIL line per
 criterion.  Each test states its tolerance and (where relevant) its runtime
 budget explicitly.
 """
+import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,3 +255,28 @@ def test_criterion_9_module_axioms_and_norm_bounds():
     gj_t, cp_t = green_julg_module(triv)
     n1, n2, order = green_julg_norms(triv, triv.base.random_vector(rng), gj_t, cp_t)
     assert order == 1 and abs(n1 - n2) < 1e-12
+
+
+def test_criterion_10_dihedral_plane_morita_under_a_memory_cap():
+    """`equivaria morita` on dihedral-plane (|W| = 8, |X| = 17, so B >| W has
+    dimension 136 in M_136) ends with a verdict under a 2 GiB address-space
+    cap, in < 60 s.  BLAS runs one thread, so its per-thread buffers do not
+    count against the cap on machines with many cores."""
+    cap = 2 << 30
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    out = subprocess.run(
+        [sys.executable, "-m", "equivaria.cli", "morita", "--input", "dihedral-plane",
+         "--format", "json"],
+        env=env, preexec_fn=limit, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["ok"] and not report["conditions_hold"]
+    assert (report["j_dim"], report["c_dim"]) == (132, 136)
+    assert report["strict_inclusion"]

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from equivaria.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFICATION, main
+from equivaria import cli
+from equivaria.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFICATION, main
 from equivaria.datasets import bundled, dataset_names
 from equivaria.groups import builtin_group
 from equivaria.serialize import (
@@ -150,3 +151,13 @@ def test_cli_roundtrip_file_input(tmp_path, capsys):
     assert main(["spectrum", "--input", str(path), "--format", "text"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_cli_out_of_memory_has_its_own_exit_code(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_morita_theorem", exhausted)
+    assert main(["morita", "--input", "z2-line"]) == EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["resource error: morita ran out of memory"]

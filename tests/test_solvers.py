@@ -7,8 +7,10 @@ stacks only the group's generators, `compact_operators` and
 products and `is_irreducible` reads the character norm.  A CrossedProduct
 embeds coefficient arrays with one product against its stored basis,
 `module_crossed_product` uses the contractions of `green_julg_module`, and
-`span_contains` tests stacks a slab at a time.  The dense paths and per-pair
-loops survive here as oracles.
+`span_contains` tests stacks a slab at a time.  Crossed products multiply,
+take adjoints and test ideals in coefficients, and the Morita theorem
+compares J with C there; the embedded matrices are their oracle.  The dense
+paths and per-pair loops survive here as oracles.
 """
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from equivaria.groups import BUILTIN_GROUPS, builtin_group, cyclic, dihedral, sy
 from equivaria.hilbmod import (
     FDHilbertModule,
     ModuleError,
+    averaged_inner_coefficients,
     compact_operators,
     equivariant_function_module,
     fullness_ideal,
@@ -35,9 +38,22 @@ from equivaria.linalg import (
     span_contains,
     span_intersection,
     spans_equal,
+    unflatten,
 )
-from equivaria.matalg import algebra_from_span, center, commutant, generate, is_ideal
-from equivaria.morita import c_ideal, quotient_equivariant_module, scalar_translation_action
+from equivaria.matalg import (
+    MatrixStarAlgebra,
+    algebra_from_span,
+    center,
+    commutant,
+    generate,
+    is_ideal,
+)
+from equivaria.morita import (
+    c_ideal,
+    quotient_equivariant_module,
+    scalar_translation_action,
+    verify_morita_theorem,
+)
 from equivaria.reps import (
     commutant_dimension,
     enumerate_irreps,
@@ -47,10 +63,12 @@ from equivaria.reps import (
 )
 from equivaria.systems import (
     EquivariantSystem,
+    anticomplete_point_system,
     crossed_product,
     fixed_point_algebra,
     function_algebra_action,
     z2_line_system,
+    z2xz2_line_system,
 )
 
 
@@ -274,14 +292,20 @@ def module_crossed_product_loops(eq, cp):
     return action, inner
 
 
-def crossed_case(label):
-    """A small system whose group is Z/2 (z2-line-1) or Z/4 (z4-rotation)."""
-    return z2_line_system(1) if label == "z2-line-1" else z4_rotation_system()
+def crossed_system(label):
+    """z2-line-n, anticomplete-point, z2xz2-line-1 or the Z/4 rotation."""
+    if label == "anticomplete-point":
+        return anticomplete_point_system()
+    if label == "z2xz2-line-1":
+        return z2xz2_line_system(1)
+    if label == "z4-rotation":
+        return z4_rotation_system()
+    return z2_line_system(int(label[-1]))
 
 
 @pytest.mark.parametrize("label", ["z2-line-1", "z4-rotation"])
 def test_module_crossed_product_matches_block_loops(label):
-    eq = equivariant_function_module(crossed_case(label))
+    eq = equivariant_function_module(crossed_system(label))
     ecp, cp = module_crossed_product(eq)
     action, inner = module_crossed_product_loops(eq, cp)
     assert np.abs(ecp.action - action).max() < 1e-10
@@ -290,7 +314,7 @@ def test_module_crossed_product_matches_block_loops(label):
 
 @pytest.mark.parametrize("label", ["z2-line-1", "z4-rotation"])
 def test_embed_of_a_stack_matches_per_array_oracle(label):
-    cp = crossed_product(scalar_translation_action(crossed_case(label)))
+    cp = crossed_product(scalar_translation_action(crossed_system(label)))
     w_n, k = cp.group.order, cp.action.algebra.dim
     rng = np.random.default_rng(6)
     stack = rng.standard_normal((3, 2, w_n, k)) + 1j * rng.standard_normal((3, 2, w_n, k))
@@ -380,3 +404,84 @@ def test_is_ideal_matches_product_loop():
              (diag, cp.algebra, False)]
     for ideal, alg, expected in cases:
         assert is_ideal(ideal, alg) == is_ideal_loops(ideal, alg) == expected
+    # The same two crossed-product cases, in whitened coefficients.
+    assert cid.cp.is_ideal(cid.metric_rows)
+    slot_e = np.eye(cp.group.order * k)[:k].reshape(k, cp.group.order, k)
+    assert not cp.is_ideal(orthonormal_rows(cp.whiten(slot_e)))
+
+
+def test_one_sided_ideals_are_not_ideals():
+    """In C(X) >| Z/2 = M_2, for Z/2 swapping two points, p A is closed
+    under right products but not under the adjoint, and A p the reverse;
+    the coefficient and dense tests both reject them."""
+    swap = EquivariantSystem(cyclic(2), (0, 1), np.array([[0, 1], [1, 0]]), 1,
+                             np.ones((2, 2, 1, 1), dtype=complex), name="swap")
+    cp = crossed_product(scalar_translation_action(swap))
+    p = np.zeros((2, 2), dtype=complex)
+    p[0, 0] = 1.0                     # the indicator of point 0, at slot e
+    units = np.eye(4).reshape(4, 2, 2)
+    for prods in (cp.multiply(p, units), cp.multiply(units, p)):
+        rows = orthonormal_rows(cp.whiten(prods))
+        assert rows.shape[0] == 2
+        assert not cp.is_ideal(rows)
+        n = cp.algebra.ambient_dim
+        ideal = MatrixStarAlgebra(n, unflatten(orthonormal_rows(flatten(cp.embed(prods))), n))
+        assert not is_ideal(ideal, cp.algebra) and not is_ideal_loops(ideal, cp.algebra)
+
+
+CROSSED = ["z2-line-1", "z2-line-2", "anticomplete-point", "z2xz2-line-1", "z4-rotation"]
+
+
+def close(a, b, tol=1e-10) -> bool:
+    return float(np.abs(a - b).max(initial=0.0)) < tol * max(1.0, float(np.abs(b).max()))
+
+
+@pytest.mark.parametrize("label", CROSSED)
+@pytest.mark.parametrize("make_action", [scalar_translation_action, function_algebra_action])
+def test_crossed_coefficients_match_the_embedding(label, make_action):
+    cp = crossed_product(make_action(crossed_system(label)))
+    emb = flatten(cp.embedding)
+    assert close(cp.metric, emb @ emb.conj().T)
+    rng = np.random.default_rng(9)
+    shape = (3,) + cp.structure.shape[:2]
+    f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ef, eh = cp.embed(f), cp.embed(h)
+    assert close(cp.embed(cp.multiply(f, h)), ef @ eh)
+    assert close(cp.embed(cp.multiply(f[:, None], h[None])), ef[:, None] @ eh[None])
+    assert close(cp.embed(cp.star(f)), np.conj(np.transpose(ef, (0, 2, 1))))
+    # Whitened rows carry the trace inner products of the embedded matrices.
+    y = cp.whiten(f)
+    assert close(y @ y.conj().T, flatten(ef) @ flatten(ef).conj().T)
+    assert close(cp.unwhiten(y), f)
+    # The dense closure check still guards the embedded span when it is built.
+    assert cp.algebra.dim == emb.shape[0]
+    assert cp.algebra.closure_residual() < 1e-9
+
+
+@pytest.mark.parametrize("label", CROSSED)
+def test_morita_spans_in_coefficients_match_the_embedded_ideals(label):
+    sys = crossed_system(label)
+    verdict = verify_morita_theorem(sys)
+    cid = verdict.ideal
+    cp = cid.cp
+    # C: the whitened rows embed to an orthonormal basis of c_ideal's algebra.
+    c_emb = flatten(cp.embed(cp.unwhiten(cid.metric_rows)))
+    assert close(c_emb @ c_emb.conj().T, np.eye(cid.dim))
+    c_rows = cid.algebra.basis_rows()
+    assert spans_equal(c_emb, c_rows, 1e-8)
+    assert is_ideal(cid.algebra, cp.algebra)
+    # J: the span of the averaged inner coefficients is the fullness ideal.
+    eq = equivariant_function_module(sys)
+    m = eq.base.carrier_dim
+    j_rows = orthonormal_rows(cp.whiten(averaged_inner_coefficients(eq)).reshape(m * m, -1))
+    j_alg = fullness_ideal(green_julg_module(eq, cp)[0])
+    assert j_rows.shape[0] == j_alg.dim == verdict.j_dim
+    assert spans_equal(flatten(cp.embed(cp.unwhiten(j_rows))), j_alg.basis_rows(), 1e-8)
+    # The verdict's fields, recomputed on the embedded spans.
+    j_emb = j_alg.basis_rows()
+    assert verdict.spans_match == spans_equal(j_emb, c_rows, 1e-8)
+    assert verdict.strict_inclusion == (
+        j_alg.dim < cid.dim and span_contains(c_rows, j_emb, 1e-8))
+    assert abs(verdict.j_in_c_residual - row_residuals(c_rows, j_emb).max()) < 1e-12
+    assert (verdict.module is None) == (verdict.witness is None)

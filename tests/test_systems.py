@@ -179,3 +179,49 @@ def test_dihedral_plane_validates():
     sys = dihedral_plane_system()
     assert sys.n_points == 17
     assert len(orbits_and_stabilizers(sys)) == 4
+
+
+def scalar_action(group, maps):
+    """An action with the given maps on C(X), X the points of the maps."""
+    alg = function_algebra(trivial_system(np.shape(maps)[1]))
+    return AlgebraAction(group, alg, np.asarray(maps, dtype=complex))
+
+
+def conjugation_maps(g):
+    """Ad(g) on M_2 in the matrix-unit basis: column (i, j) is g E_ij g^-1."""
+    units = np.eye(4).reshape(4, 2, 2)
+    return np.stack([(g @ e @ np.linalg.inv(g)).reshape(-1) for e in units], axis=1)
+
+
+def test_action_validation_accepts_actions_by_automorphisms():
+    for sys in (z2_line_system(1), dihedral_plane_system()):
+        function_algebra_action(sys).validate()
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    scalar_action(cyclic(2), [np.eye(2), swap]).validate()
+    # Conjugation by a unitary is a *-automorphism of M_2.
+    flip = np.array([[0.0, 1j], [-1j, 0.0]])
+    AlgebraAction(cyclic(2), full_matrix_algebra(2),
+                  np.stack([np.eye(4), conjugation_maps(flip)])).validate()
+
+
+def test_action_validation_rejects_each_broken_axiom():
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    cycle = np.roll(np.eye(3), 1, axis=0)
+    # A reflection of C^2: an involutive, *-preserving linear map of C(X)
+    # that is not multiplicative.
+    reflection = np.array([[0.6, 0.8], [0.8, -0.6]])
+    # Conjugation by an invertible, non-unitary g with g^2 = 1: an algebra
+    # automorphism of M_2 that does not commute with the involution.
+    skew = np.array([[1.0, 1.0], [0.0, -1.0]])
+    mutants = [
+        (scalar_action(cyclic(2), [swap, np.eye(2)]), "identity"),
+        (scalar_action(cyclic(2), [np.eye(3), cycle]), "homomorphism"),
+        (scalar_action(cyclic(2), [np.eye(2), reflection]), "multiplicative"),
+        (AlgebraAction(cyclic(2), full_matrix_algebra(2),
+                       np.stack([np.eye(4), conjugation_maps(skew)])), "involution"),
+    ]
+    for action, message in mutants:
+        with pytest.raises(SystemError, match=message):
+            action.validate()
+        with pytest.raises(SystemError, match=message):
+            crossed_product(action)
