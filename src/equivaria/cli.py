@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys as _sys
 from pathlib import Path
 
@@ -50,11 +51,17 @@ def _load_input(value: str):
 
 
 def _emit(report: dict, fmt: str, text_lines) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+    # A reader gone away (`| head`) is not an error; pointing stdout at the
+    # null device keeps the flush at exit from failing again.
+    try:
+        if fmt == "json":
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            for line in text_lines:
+                print(line)
+        _sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
 
 
 def cmd_irreps(args) -> int:

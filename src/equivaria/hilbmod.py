@@ -195,17 +195,11 @@ class FDHilbertModule:
 
 
 def standard_module(b_alg: MatrixStarAlgebra) -> FDHilbertModule:
-    """B as a module over itself with <b1|b2> = b1* b2."""
-    k = b_alg.dim
-    action = np.zeros((k, k, k), dtype=complex)
-    for j in range(k):
-        for i in range(k):
-            action[j, :, i] = b_alg.coefficients(b_alg.basis[i] @ b_alg.basis[j])
-    inner = np.zeros((k, k, b_alg.ambient_dim, b_alg.ambient_dim), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            inner[i, j] = b_alg.basis[i].conj().T @ b_alg.basis[j]
-    return FDHilbertModule(b_alg, action, inner, name="standard")
+    """B as a module over itself with <b1|b2> = b1* b2; B's structure table
+    is the action tensor."""
+    stars = np.conj(np.transpose(b_alg.basis, (0, 2, 1)))
+    inner = stars[:, None] @ b_alg.basis[None]
+    return FDHilbertModule(b_alg, b_alg.structure, inner, name="standard")
 
 
 def scalar_algebra(n_points: int) -> MatrixStarAlgebra:
@@ -382,6 +376,17 @@ class EquivariantModule:
                     raise ModuleError(f"inner product is not equivariant at w={w}")
 
 
+def scalar_translation_action(sys: EquivariantSystem) -> AlgebraAction:
+    """C(X) (diagonal in M_{|X|}) with the translation action of W:
+    beta_w(f)(x) = f(w^-1 x)."""
+    g = sys.group
+    x_n = sys.n_points
+    maps = np.zeros((g.order, x_n, x_n), dtype=complex)
+    for w in g.elements():
+        maps[w, np.arange(x_n), sys.action[g.inverse(w)]] = 1.0
+    return AlgebraAction(g, scalar_algebra(x_n), maps)
+
+
 def equivariant_function_module(sys: EquivariantSystem) -> EquivariantModule:
     """C(X, C^d) with gamma_w xi(x) = I_{w, w^-1 x} xi(w^-1 x)."""
     base = function_module(sys)
@@ -389,15 +394,12 @@ def equivariant_function_module(sys: EquivariantSystem) -> EquivariantModule:
     x_n, d = sys.n_points, sys.fiber_dim
     m = x_n * d
     gamma = np.zeros((g.order, m, m), dtype=complex)
-    beta_maps = np.zeros((g.order, x_n, x_n), dtype=complex)
     for w in g.elements():
         w_inv = g.inverse(w)
         for x in range(x_n):
             pre = sys.action[w_inv, x]
             gamma[w, x * d:(x + 1) * d, pre * d:(pre + 1) * d] = sys.cocycle[w, pre]
-            beta_maps[w, x, pre] = 1.0  # beta_w(f)(x) = f(w^-1 x)
-    beta = AlgebraAction(g, base.algebra, beta_maps)
-    return EquivariantModule(base, beta, gamma)
+    return EquivariantModule(base, scalar_translation_action(sys), gamma)
 
 
 def trivial_equivariant_module(e: FDHilbertModule,
@@ -637,15 +639,20 @@ def verify_morita(a_alg: MatrixStarAlgebra, e: FDHilbertModule,
                          mult_res, star_res, injective, blocks)
 
 
-def direct_sum_module(e1: FDHilbertModule, e2: FDHilbertModule) -> FDHilbertModule:
-    """E1 (+) E2 over B1 (+) B2 (block-diagonal ambient)."""
-    b1, b2 = e1.algebra, e2.algebra
-    n1, n2 = b1.ambient_dim, b2.ambient_dim
-    n = n1 + n2
+def _block_sum(b1: MatrixStarAlgebra, b2: MatrixStarAlgebra) -> MatrixStarAlgebra:
+    """B1 (+) B2, block-diagonal in M_{N1 + N2}."""
+    n1, n = b1.ambient_dim, b1.ambient_dim + b2.ambient_dim
     basis = np.zeros((b1.dim + b2.dim, n, n), dtype=complex)
     basis[:b1.dim, :n1, :n1] = b1.basis
     basis[b1.dim:, n1:, n1:] = b2.basis
-    b_sum = MatrixStarAlgebra(n, basis)
+    return MatrixStarAlgebra(n, basis)
+
+
+def direct_sum_module(e1: FDHilbertModule, e2: FDHilbertModule) -> FDHilbertModule:
+    """E1 (+) E2 over B1 (+) B2 (block-diagonal ambient)."""
+    b1, b2 = e1.algebra, e2.algebra
+    b_sum = _block_sum(b1, b2)
+    n1, n = b1.ambient_dim, b_sum.ambient_dim
     m1, m2 = e1.carrier_dim, e2.carrier_dim
     m = m1 + m2
     action = np.zeros((b_sum.dim, m, m), dtype=complex)
@@ -661,12 +668,7 @@ def direct_sum_left_action(a1: MatrixStarAlgebra, l1: np.ndarray,
                            a2: MatrixStarAlgebra, l2: np.ndarray,
                            m1: int, m2: int) -> tuple[MatrixStarAlgebra, np.ndarray]:
     """Block-diagonal assembly of two algebras with left actions."""
-    n1, n2 = a1.ambient_dim, a2.ambient_dim
-    n = n1 + n2
-    basis = np.zeros((a1.dim + a2.dim, n, n), dtype=complex)
-    basis[:a1.dim, :n1, :n1] = a1.basis
-    basis[a1.dim:, n1:, n1:] = a2.basis
-    a_sum = MatrixStarAlgebra(n, basis)
+    a_sum = _block_sum(a1, a2)
     m = m1 + m2
     left = np.zeros((a_sum.dim, m, m), dtype=complex)
     left[:a1.dim, :m1, :m1] = l1

@@ -3,9 +3,10 @@
 This is the brute-force oracle layer: generation by closure, commutants by
 nullspace, block (Wedderburn) structure by randomized central splitting,
 GNS, ideals, and the finite-dimensional separating-subalgebra checker.
-The center and the unit are solved in A's own coordinates, from the
-structure constants <b_l, b_i b_j>: k unknowns instead of the commutant's
-N^2.
+Each algebra has one product table <b_l, b_i b_j>, built by one slabbed
+pass that also measures the closure residual in O(k N^2 + k^3) memory.
+The center and the unit are solved from it for k coefficients instead of
+the commutant's N^2.
 
 An algebra is stored as an orthonormal basis under the trace inner product
 trace(a* b); with row-major flattening that is the standard inner product
@@ -14,6 +15,7 @@ on C^(N*N), so all span arithmetic reduces to plain linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .linalg import (
     intertwiner_rows,
     nullspace_rows,
     orthonormal_rows,
+    row_residuals,
     span_contains,
     unflatten,
 )
@@ -35,6 +38,10 @@ class AlgebraError(ValueError):
 
 class SplitError(RuntimeError):
     """Randomized central splitting failed after bounded retries."""
+
+
+# Complex entries of basis products held at once by the product pass.
+_PRODUCT_SLAB = 1 << 20
 
 
 def operator_norm(a: np.ndarray) -> float:
@@ -90,18 +97,37 @@ class MatrixStarAlgebra:
             a = (a + a.conj().T) / 2.0
         return a
 
+    @cached_property
+    def _products(self) -> tuple[np.ndarray, float]:
+        """(structure, largest distance of a product from the span), with
+        the products formed a slab of right factors b_j at a time."""
+        n, k = self.ambient_dim, self.dim
+        rows = self.basis_rows()
+        proj = rows.conj().T
+        step = max(1, _PRODUCT_SLAB // max(k * n * n, 1))
+        table = np.empty((k, k, k), dtype=complex)
+        worst = 0.0
+        for j0 in range(0, k, step):
+            prods = (self.basis[None] @ self.basis[j0:j0 + step, None]).reshape(-1, n * n)
+            coeffs = prods @ proj
+            table[j0:j0 + step] = coeffs.reshape(-1, k, k).transpose(0, 2, 1)
+            prods -= coeffs @ rows
+            worst = max(worst, float(np.linalg.norm(prods, axis=1).max()))
+        return table, worst
+
+    @property
+    def structure(self) -> np.ndarray:
+        """<b_l, b_i b_j> indexed [j, l, i]: slice j is right multiplication
+        by b_j in basis coordinates.  Built once and kept on the instance."""
+        return self._products[0]
+
     def closure_residual(self) -> float:
         """How far products and adjoints stray from the span (0 for an algebra)."""
         if self.dim == 0:
             return 0.0
-        rows = self.basis_rows()
-        prods = (self.basis[:, None] @ self.basis[None]).reshape(
-            -1, self.ambient_dim, self.ambient_dim)
         stars = np.conj(np.transpose(self.basis, (0, 2, 1)))
-        vecs = np.vstack([flatten(prods), flatten(stars)])
-        coeffs = vecs @ rows.conj().T
-        resid = vecs - coeffs @ rows
-        return float(np.sqrt(np.abs(resid * resid.conj()).sum(axis=1)).max())
+        return max(self._products[1],
+                   float(row_residuals(self.basis_rows(), flatten(stars)).max()))
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         rows = self.basis_rows()
@@ -126,10 +152,11 @@ class MatrixStarAlgebra:
         e = np.zeros((self.ambient_dim,) * 2, dtype=complex)
         if k:
             # Coefficients of e with e b_j = b_j = b_j e, read off against b_l.
-            left, right = _product_constants(self)
+            table = self.structure
             eye = np.eye(k).reshape(-1)
             coeffs, *_ = np.linalg.lstsq(
-                np.vstack([left.reshape(k * k, k), right.reshape(k * k, k)]),
+                np.vstack([table.reshape(k * k, k),
+                           table.transpose(2, 1, 0).reshape(k * k, k)]),
                 np.concatenate([eye, eye]), rcond=None)
             e = self.element(coeffs)
         for b in self.basis:
@@ -203,30 +230,6 @@ def full_matrix_algebra(n: int) -> MatrixStarAlgebra:
     return MatrixStarAlgebra(n, basis)
 
 
-# Complex entries of basis products held at once by _product_constants.
-_PRODUCT_SLAB = 1 << 20
-
-
-def _product_constants(alg: MatrixStarAlgebra) -> tuple[np.ndarray, np.ndarray]:
-    """<b_l, b_i b_j> and <b_l, b_j b_i>, each a (k, k, k) array indexed [j, l, i].
-
-    Products are formed a slab of j at a time, so memory stays
-    O(k N^2 + k^3) and never holds all k^2 products.
-    """
-    n, k = alg.ambient_dim, alg.dim
-    basis = alg.basis
-    proj = alg.basis_rows().conj().T
-    step = max(1, _PRODUCT_SLAB // (k * n * n))
-    left = np.empty((k, k, k), dtype=complex)
-    right = np.empty((k, k, k), dtype=complex)
-    for j0 in range(0, k, step):
-        chunk = basis[j0:j0 + step, None]
-        for out, prods in ((left, basis[None] @ chunk), (right, chunk @ basis[None])):
-            out[j0:j0 + step] = (prods.reshape(-1, n * n) @ proj).reshape(
-                -1, k, k).transpose(0, 2, 1)
-    return left, right
-
-
 def _star_constants(alg: MatrixStarAlgebra) -> np.ndarray:
     """<b_l, b_i*> as a (k, k) array indexed [l, i], so b_i* = sum_l S[l, i] b_l."""
     stars = np.conj(np.transpose(alg.basis, (0, 2, 1)))
@@ -243,8 +246,8 @@ def center(alg: MatrixStarAlgebra, tol: float = DEFAULT_TOL) -> MatrixStarAlgebr
     n, k = alg.ambient_dim, alg.dim
     if k == 0:
         return alg
-    left, right = _product_constants(alg)
-    coeffs = nullspace_rows((left - right).reshape(k * k, k), tol)
+    table = alg.structure
+    coeffs = nullspace_rows((table - table.transpose(2, 1, 0)).reshape(k * k, k), tol)
     return MatrixStarAlgebra(n, unflatten(coeffs @ alg.basis_rows(), n))
 
 
@@ -264,13 +267,15 @@ class BlockStructure:
         return sorted(b.size for b in self.blocks)
 
 
-def _compress(p: np.ndarray, mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis q of range(p) and the compressed matrices q* m q."""
+def _range(p: np.ndarray) -> np.ndarray:
+    """Orthonormal basis, as columns, of the range of a projection p."""
     evals, evecs = np.linalg.eigh((p + p.conj().T) / 2.0)
-    keep = evals > 0.5
-    q = evecs[:, keep]
-    comp = np.einsum("ij,kjl,lm->kim", q.conj().T, mats, q)
-    return q, comp
+    return evecs[:, evals > 0.5]
+
+
+def _compress(q: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """The compressed matrices q* m q for orthonormal columns q."""
+    return q.conj().T @ mats @ q
 
 
 # Central splittings tried by block_decompose, each with a doubled gap.
@@ -316,8 +321,7 @@ def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
         if ok and len(blocks) == k:
             out = []
             for p in blocks:
-                q, comp = _compress(p, alg.basis, tol)
-                rows = orthonormal_rows(flatten(comp), tol)
+                rows = orthonormal_rows(flatten(_compress(_range(p), alg.basis)), tol)
                 n_k = int(round(np.sqrt(rows.shape[0])))
                 if n_k * n_k != rows.shape[0]:
                     ok = False
@@ -378,12 +382,9 @@ def vector_state(alg: MatrixStarAlgebra, xi: np.ndarray) -> State:
 
 
 def _state_gram(alg: MatrixStarAlgebra, phi: State) -> np.ndarray:
-    k = alg.dim
-    gram = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            gram[i, j] = phi(alg.basis[i].conj().T @ alg.basis[j])
-    return gram
+    """[i, j] = phi(b_i* b_j), with b_i* b_j = sum_m,l S[m, i] T[j, l, m] b_l."""
+    return np.einsum("mi,jlm,l->ij", _star_constants(alg), alg.structure, phi.vector,
+                     optimize=True)
 
 
 @dataclass(frozen=True)
@@ -421,12 +422,8 @@ def gns(alg: MatrixStarAlgebra, phi: State, tol: float = 1e-9) -> GNSRepresentat
     to_coords = np.diag(np.sqrt(evals[keep])) @ v.conj().T       # (d, alg.dim)
     from_coords = v @ np.diag(1.0 / np.sqrt(evals[keep]))        # (alg.dim, d)
     vectors = to_coords.T                                        # class of b_i = row i
-    # Left multiplication: b_i * b_j expanded back in the basis.
-    mats = np.zeros((alg.dim, d, d), dtype=complex)
-    for i in range(alg.dim):
-        prod_coeffs = np.stack([alg.coefficients(alg.basis[i] @ alg.basis[j])
-                                for j in range(alg.dim)], axis=1)  # (alg.dim, alg.dim)
-        mats[i] = to_coords @ prod_coeffs @ from_coords
+    # Left multiplication by b_i, in basis coordinates, is structure[:, :, i].T.
+    mats = to_coords @ alg.structure.transpose(2, 1, 0) @ from_coords
     cyclic = to_coords @ alg.coefficients(alg.unit())
     return GNSRepresentation(alg, phi, d, vectors, mats, cyclic)
 
@@ -495,7 +492,8 @@ def _block_restriction(structure: BlockStructure, sub: MatrixStarAlgebra,
     of the compressed subalgebra of A.
     """
     p = structure.blocks[index].projection
-    q, comp_a = _compress(p, structure.algebra.basis, tol)
+    q = _range(p)
+    comp_a = _compress(q, structure.algebra.basis)
     # Inside range(p), A acts as M_n (x) 1_m; its commutant is 1_n (x) M_m.
     alg_p = algebra_from_span(comp_a, tol=tol)
     comm_p = commutant(alg_p, tol)
@@ -505,8 +503,7 @@ def _block_restriction(structure: BlockStructure, sub: MatrixStarAlgebra,
     evals, evecs = np.linalg.eigh(h)
     clusters = cluster_values(evals, 1e-7)
     r = evecs[:, clusters[0]]  # one eigenspace = range of a minimal projection
-    comp_sub = np.einsum("ij,kjl,lm->kim", (q @ r).conj().T, sub.basis, q @ r)
-    return comp_sub
+    return _compress(q @ r, sub.basis)
 
 
 def is_separating(sub: MatrixStarAlgebra, alg: MatrixStarAlgebra,

@@ -36,6 +36,7 @@ from .hilbmod import (
     direct_sum_module,
     equivariant_function_module,
     green_julg_module,
+    scalar_translation_action,
     verify_morita,
 )
 from .linalg import (
@@ -160,19 +161,6 @@ def scalar_subgroups(sys: EquivariantSystem, tol: float = 1e-8) -> ScalarStructu
 
 
 # -- the ideal C(X, W, I) ------------------------------------------------------
-
-
-def scalar_translation_action(sys: EquivariantSystem) -> AlgebraAction:
-    """C(X) (diagonal in M_{|X|}) with the translation action of W."""
-    from .hilbmod import scalar_algebra
-    g = sys.group
-    x_n = sys.n_points
-    maps = np.zeros((g.order, x_n, x_n), dtype=complex)
-    for w in g.elements():
-        w_inv = g.inverse(w)
-        for x in range(x_n):
-            maps[w, x, sys.action[w_inv, x]] = 1.0
-    return AlgebraAction(g, scalar_algebra(x_n), maps)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .groups import Subgroup
 from .linalg import DEFAULT_TOL
-from .matalg import MatrixStarAlgebra, block_decompose, commutant, generate
+from .matalg import block_decompose, commutant, generate
 from .reps import UnitaryRep, enumerate_irreps, equivariant_maps, isotypic_projection
 from .systems import (
     ClosedFormFamily,

@@ -32,12 +32,7 @@ from .linalg import (
     span_contains,
     spans_equal,
 )
-from .matalg import (
-    MatrixStarAlgebra,
-    _product_constants,
-    _star_constants,
-    algebra_from_span,
-)
+from .matalg import MatrixStarAlgebra, _star_constants, algebra_from_span
 from .reps import regular_rep
 
 
@@ -448,7 +443,7 @@ class AlgebraAction:
         # Column i: beta_w(b_i*) - beta_w(b_i)*.
         if np.linalg.norm(maps @ star - star @ maps.conj(), axis=1).max() > tol:
             raise SystemError("action does not preserve the involution")
-        prod = _product_constants(alg)[0]   # [j, l, i]: <b_l, b_i b_j>
+        prod = alg.structure   # [j, l, i]: <b_l, b_i b_j>
         # [w, i, j]: beta_w(b_i b_j) - beta_w(b_i) beta_w(b_j), in B's coordinates.
         lhs = np.einsum("wml,jli->wijm", maps, prod, optimize=True)
         rhs = np.einsum("wpi,wqj,qmp->wijm", maps, maps, prod, optimize=True)
@@ -582,9 +577,10 @@ class CrossedProduct:
         residuals are those of the embedded matrices.  Containment in A
         holds for every coefficient array.  Right multiplication by w only
         moves the group slot v to vw, so the products with one w are formed
-        once and tested against each w in turn.
+        once and tested against each w in turn.  As many rows as the metric
+        has span the whole crossed product, an ideal without a test.
         """
-        if rows.shape[0] == 0:
+        if rows.shape[0] in (0, self.metric.shape[0]):
             return True
         grp = self.group
         ideal = self.unwhiten(rows)
@@ -624,15 +620,14 @@ def crossed_product(action: AlgebraAction, tol: float = DEFAULT_TOL) -> CrossedP
     """B >| W from a validated action: its structure tensor and metric.
 
     (b_i w)(b_j v) = b_i beta_w(b_j) (wv) expands through B's structure
-    constants.  The embedding and its span wait for first use.
+    constants, the table that validating the action has already read.  The
+    embedding and its span wait for first use.
     """
     action.validate()
     maps = action.maps
     w_n, k = action.group.order, action.algebra.dim
-    structure = np.zeros((w_n, k, k, k), dtype=complex)
-    if k:
-        prod = _product_constants(action.algebra)[0]   # [m, l, i]: <b_l, b_i b_m>
-        structure = np.einsum("wmj,mli->wijl", maps, prod, optimize=True)
+    # [m, l, i] of B's structure is <b_l, b_i b_m>.
+    structure = np.einsum("wmj,mli->wijl", maps, action.algebra.structure, optimize=True)
     block = np.einsum("uli,ulj->ij", maps, maps.conj())
     return CrossedProduct(action, structure, np.kron(np.eye(w_n), block), tol)
 

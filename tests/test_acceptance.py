@@ -13,7 +13,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from equivaria.groups import BUILTIN_GROUPS, builtin_group, symmetric
 from equivaria.hilbmod import (

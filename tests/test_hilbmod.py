@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from equivaria.groups import builtin_group, cyclic
+from equivaria.groups import builtin_group
 from equivaria.hilbmod import (
     FDHilbertModule,
     ModuleError,
@@ -21,7 +21,6 @@ from equivaria.hilbmod import (
     invariant_compacts_rows,
     is_full,
     module_crossed_product,
-    rank_one,
     scalar_algebra,
     standard_module,
     tensor_left_action,
@@ -40,7 +39,6 @@ from equivaria.matalg import (
 from equivaria.reps import regular_rep
 from equivaria.systems import (
     one_point_system,
-    trivial_system,
     z2_line_system,
 )
 

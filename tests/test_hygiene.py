@@ -1,10 +1,11 @@
-"""Dead-code guard: every name defined in the package is used somewhere.
+"""Dead-code guard: every name defined or imported is used somewhere.
 
 Each non-dunder function, method and class defined in `src/equivaria` must
 occur at least twice, as a whole word, across the Python files of `src/`
 and `tests/`: once where it is defined and once where it is called,
 subclassed or tested.  A name that occurs only at its definition has no
-caller and should be deleted.
+caller and should be deleted.  Likewise each name a module of `src/` or
+`tests/` imports must be referenced in that module.
 """
 import ast
 import re
@@ -13,6 +14,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "equivaria"
+
+# (module, name) pairs imported without a reference.  The benchmark's tracer
+# self-test (bench/tests/test_bench.py::test_install_rebinds_every_namespace)
+# reads `morita.compact_operators` to check that a wrapped function is
+# rebound in every namespace that imported it.
+IMPORT_EXEMPT = {("morita", "compact_operators")}
 
 
 def defined_names() -> set[str]:
@@ -37,3 +44,22 @@ def test_every_defined_name_is_used():
     counts = word_counts()
     unused = sorted(name for name in defined_names() if counts[name] < 2)
     assert unused == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported - used
+                  if (path.stem, name) not in IMPORT_EXEMPT)
+
+
+def test_every_imported_name_is_used():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = {path.name: names for path in paths if (names := unused_imports(path))}
+    assert unused == {}

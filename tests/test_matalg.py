@@ -1,11 +1,9 @@
 """Matrix *-algebras: closure, commutants, blocks, GNS, ideals, separation."""
 import numpy as np
-import pytest
 
 from equivaria.groups import builtin_group
 from equivaria.matalg import (
     MatrixStarAlgebra,
-    algebra_from_span,
     block_decompose,
     check_stone_weierstrass,
     commutant,

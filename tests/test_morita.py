@@ -4,7 +4,6 @@ import pytest
 
 from equivaria.groups import cyclic
 from equivaria.morita import (
-    MoritaError,
     SplittingError,
     assemble_toy_dual,
     c_ideal,

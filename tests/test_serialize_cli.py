@@ -1,11 +1,15 @@
 """Serialization round-trips and CLI behaviour (exit codes, formats)."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from equivaria import cli
-from equivaria.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFICATION, main
+from equivaria.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
 from equivaria.datasets import bundled, dataset_names
 from equivaria.groups import builtin_group
 from equivaria.serialize import (
@@ -161,3 +165,21 @@ def test_cli_out_of_memory_has_its_own_exit_code(monkeypatch, capsys):
     assert main(["morita", "--input", "z2-line"]) == EXIT_RESOURCE
     err = capsys.readouterr().err
     assert err.splitlines() == ["resource error: morita ran out of memory"]
+
+
+def test_cli_output_to_a_closed_pipe_ends_quietly():
+    """A reader that has gone away (`| head`) is not an error: the command
+    exits with its verdict's code and writes nothing to stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "equivaria.cli", "irreps", "--input", "S3", "--format", "json"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert out.returncode == EXIT_OK
+    assert out.stderr == ""

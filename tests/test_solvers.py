@@ -1,6 +1,8 @@
 """The structured solvers against the dense constructions they replace.
 
-`center` solves in the algebra's coefficient space, `intertwiner_space`
+Each algebra's structure table and closure residual come from one slabbed
+pass over its basis products, which the standard module, GNS and states
+read; `center` solves in the algebra's coefficient space, `intertwiner_space`
 stacks only the group's generators, `compact_operators` and
 `green_julg_module` build their tensors in a few contractions,
 `fullness_ideal` works in B's coordinates, `is_ideal` tests whole stacks of
@@ -15,6 +17,7 @@ paths and per-pair loops survive here as oracles.
 import numpy as np
 import pytest
 
+from equivaria import matalg
 from equivaria.datasets import bundled
 from equivaria.groups import BUILTIN_GROUPS, builtin_group, cyclic, dihedral, symmetric
 from equivaria.hilbmod import (
@@ -29,6 +32,7 @@ from equivaria.hilbmod import (
     is_full,
     module_crossed_product,
     rank_one,
+    standard_module,
 )
 from equivaria.linalg import (
     flatten,
@@ -41,12 +45,15 @@ from equivaria.linalg import (
     unflatten,
 )
 from equivaria.matalg import (
+    AlgebraError,
     MatrixStarAlgebra,
     algebra_from_span,
     center,
     commutant,
     generate,
+    gns,
     is_ideal,
+    vector_state,
 )
 from equivaria.morita import (
     c_ideal,
@@ -90,15 +97,17 @@ def test_center_matches_oracle_on_crossed_product():
     assert center_dim_checked(cp.algebra) > 0
 
 
-def test_center_of_conjugated_block_sum_counts_summands():
-    # A = U (M_1 (x) 1_2 + M_2 (x) 1_1 + M_2 (x) 1_2) U* for a random unitary U.
-    shapes = [(1, 2), (2, 1), (2, 2)]
-    n = sum(a * b for a, b in shapes)
+BLOCK_SHAPES = [(1, 2), (2, 1), (2, 2)]
+
+
+def conjugated_block_sum():
+    """A = U (M_1 (x) 1_2 + M_2 (x) 1_1 + M_2 (x) 1_2) U* for a random unitary U."""
+    n = sum(a * b for a, b in BLOCK_SHAPES)
     rng = np.random.default_rng(5)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     mats = []
     offset = 0
-    for size, mult in shapes:
+    for size, mult in BLOCK_SHAPES:
         for i in range(size):
             for j in range(size):
                 m = np.zeros((n, n), dtype=complex)
@@ -108,9 +117,13 @@ def test_center_of_conjugated_block_sum_counts_summands():
                     np.kron(unit, np.eye(mult))
                 mats.append(u @ m @ u.conj().T)
         offset += size * mult
-    alg = algebra_from_span(np.stack(mats))
-    assert alg.dim == sum(a * a for a, _ in shapes)
-    assert center_dim_checked(alg) == len(shapes)
+    return algebra_from_span(np.stack(mats))
+
+
+def test_center_of_conjugated_block_sum_counts_summands():
+    alg = conjugated_block_sum()
+    assert alg.dim == sum(a * a for a, _ in BLOCK_SHAPES)
+    assert center_dim_checked(alg) == len(BLOCK_SHAPES)
 
 
 def test_generators_generate_and_are_cached():
@@ -150,6 +163,126 @@ def test_compacts_match_stacked_rank_one_maps():
 def test_unit_is_computed_once():
     alg = fixed_point_algebra(bundled("z2-line"))
     assert alg.unit() is alg.unit()
+    assert alg.structure is alg.structure
+
+
+# -- the product pass against the dense closure check and per-pair loops ------
+
+
+def closure_residual_dense(alg) -> float:
+    """All k^2 products and the k adjoints at once, against the span."""
+    if alg.dim == 0:
+        return 0.0
+    rows = alg.basis_rows()
+    prods = (alg.basis[:, None] @ alg.basis[None]).reshape(
+        -1, alg.ambient_dim, alg.ambient_dim)
+    stars = np.conj(np.transpose(alg.basis, (0, 2, 1)))
+    vecs = np.vstack([flatten(prods), flatten(stars)])
+    coeffs = vecs @ rows.conj().T
+    resid = vecs - coeffs @ rows
+    return float(np.sqrt(np.abs(resid * resid.conj()).sum(axis=1)).max())
+
+
+def product_tables_loop(alg):
+    """<b_l, b_i b_j> and <b_l, b_j b_i>, one pair at a time, indexed [j, l, i]."""
+    k = alg.dim
+    left = np.zeros((k, k, k), dtype=complex)
+    right = np.zeros((k, k, k), dtype=complex)
+    for j in range(k):
+        for i in range(k):
+            left[j, :, i] = alg.coefficients(alg.basis[i] @ alg.basis[j])
+            right[j, :, i] = alg.coefficients(alg.basis[j] @ alg.basis[i])
+    return left, right
+
+
+def product_pass_algebra(label):
+    if label in ("z2-line", "dihedral-plane"):
+        return fixed_point_algebra(bundled(label))
+    if label == "crossed-product":
+        return crossed_product(function_algebra_action(z2_line_system(1))).algebra
+    return conjugated_block_sum()
+
+
+PRODUCT_PASS = ["z2-line", "dihedral-plane", "crossed-product", "block-sum"]
+
+
+@pytest.mark.parametrize("label", PRODUCT_PASS)
+def test_product_pass_matches_dense_closure_and_pair_loop(label):
+    alg = product_pass_algebra(label)
+    left, right = product_tables_loop(alg)
+    assert close(alg.structure, left)
+    assert close(alg.structure.transpose(2, 1, 0), right)
+    assert abs(alg.closure_residual() - closure_residual_dense(alg)) < 1e-12
+    assert alg.closure_residual() < 1e-9
+
+
+def standard_module_loops(b_alg):
+    """(action, inner) of B over itself, one pair at a time."""
+    k, n = b_alg.dim, b_alg.ambient_dim
+    action = np.zeros((k, k, k), dtype=complex)
+    inner = np.zeros((k, k, n, n), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            action[j, :, i] = b_alg.coefficients(b_alg.basis[i] @ b_alg.basis[j])
+            inner[i, j] = b_alg.basis[i].conj().T @ b_alg.basis[j]
+    return action, inner
+
+
+def gns_loops(rep):
+    """The state's Gram matrix phi(b_i* b_j) and the left multiplications in
+    rep's coordinates, one pair at a time."""
+    alg, phi = rep.algebra, rep.state
+    k = alg.dim
+    gram = np.array([[phi(alg.basis[i].conj().T @ alg.basis[j]) for j in range(k)]
+                     for i in range(k)])
+    to_coords = rep.vectors.T
+    from_coords = np.linalg.pinv(to_coords)
+    mats = np.stack([to_coords @ np.stack([alg.coefficients(alg.basis[i] @ alg.basis[j])
+                                           for j in range(k)], axis=1) @ from_coords
+                     for i in range(k)])
+    return gram, mats
+
+
+@pytest.mark.parametrize("label", ["z2-line", "block-sum"])
+def test_standard_module_and_gns_match_pair_loops(label):
+    alg = product_pass_algebra(label)
+    e = standard_module(alg)
+    action, inner = standard_module_loops(alg)
+    assert close(e.action, action) and close(e.inner, inner)
+    rng = np.random.default_rng(11)
+    xi = rng.standard_normal(alg.ambient_dim) + 1j * rng.standard_normal(alg.ambient_dim)
+    rep = gns(alg, vector_state(alg, xi))
+    gram, mats = gns_loops(rep)
+    assert close(rep.vectors.conj() @ rep.vectors.T, gram, 1e-9)
+    assert close(rep.matrices, mats)
+
+
+def test_closure_check_catches_a_bad_product_or_adjoint():
+    e12 = np.array([[0, 1], [0, 0]], dtype=complex)
+    # span{(E12 + E21)/sqrt 2} is *-closed, but its square is (E11 + E22)/2;
+    # span{E12} holds E12 E12 = 0, but not the adjoint E21.
+    for basis in ((e12 + e12.T) / np.sqrt(2), e12):
+        with pytest.raises(AlgebraError, match="span is not closed"):
+            MatrixStarAlgebra(2, basis[None]).validate()
+        with pytest.raises(AlgebraError, match="span is not closed"):
+            algebra_from_span(basis)
+
+
+def test_product_pass_checks_every_slab(monkeypatch):
+    """One right factor per slab; the only bad product, Y Y for the
+    Hermitian Y spanning the second summand, is in the last slab."""
+    monkeypatch.setattr(matalg, "_PRODUCT_SLAB", 1)
+    units = np.eye(4).reshape(4, 2, 2)
+    y = np.array([[0, 1], [1, 0]]) / np.sqrt(2)
+    basis = np.zeros((5, 4, 4), dtype=complex)
+    basis[:4, :2, :2] = units
+    basis[4, 2:, 2:] = y
+    with pytest.raises(AlgebraError, match="span is not closed"):
+        MatrixStarAlgebra(4, basis).validate()
+    assert closure_residual_dense(MatrixStarAlgebra(4, basis)) > 0.5
+    closed = MatrixStarAlgebra(4, basis[:4])
+    closed.validate()
+    assert close(closed.structure, product_tables_loop(closed)[0])
 
 
 def test_irreducible_by_character_norm_matches_commutant():
@@ -400,12 +533,17 @@ def test_is_ideal_matches_product_loop():
     k = sys.n_points
     diag = algebra_from_span(np.stack([cp.embed(np.eye(cp.group.order * k)[i].reshape(-1, k))
                                        for i in range(k)]))
+    # On z2-line, C(X, W, I) is the whole crossed product; on z2xz2-line-1 it
+    # is a proper ideal, which the coefficient test accepts by its products.
+    proper = c_ideal(z2xz2_line_system(1))
+    assert proper.dim < proper.cp.metric.shape[0]
     cases = [(first, blocks, True), (cid.algebra, cid.cp.algebra, True),
-             (diag, cp.algebra, False)]
+             (proper.algebra, proper.cp.algebra, True), (diag, cp.algebra, False)]
     for ideal, alg, expected in cases:
         assert is_ideal(ideal, alg) == is_ideal_loops(ideal, alg) == expected
-    # The same two crossed-product cases, in whitened coefficients.
-    assert cid.cp.is_ideal(cid.metric_rows)
+    # The crossed-product cases, in whitened coefficients.
+    assert cid.dim == cid.cp.metric.shape[0] and cid.cp.is_ideal(cid.metric_rows)
+    assert proper.cp.is_ideal(proper.metric_rows)
     slot_e = np.eye(cp.group.order * k)[:k].reshape(k, cp.group.order, k)
     assert not cp.is_ideal(orthonormal_rows(cp.whiten(slot_e)))
 
@@ -420,13 +558,15 @@ def test_one_sided_ideals_are_not_ideals():
     p = np.zeros((2, 2), dtype=complex)
     p[0, 0] = 1.0                     # the indicator of point 0, at slot e
     units = np.eye(4).reshape(4, 2, 2)
-    for prods in (cp.multiply(p, units), cp.multiply(units, p)):
+    # The last input, the whole crossed product, is an ideal.
+    for prods, expected in ((cp.multiply(p, units), False), (cp.multiply(units, p), False),
+                            (units, True)):
         rows = orthonormal_rows(cp.whiten(prods))
-        assert rows.shape[0] == 2
-        assert not cp.is_ideal(rows)
+        assert rows.shape[0] == (4 if expected else 2)
+        assert cp.is_ideal(rows) == expected
         n = cp.algebra.ambient_dim
         ideal = MatrixStarAlgebra(n, unflatten(orthonormal_rows(flatten(cp.embed(prods))), n))
-        assert not is_ideal(ideal, cp.algebra) and not is_ideal_loops(ideal, cp.algebra)
+        assert is_ideal(ideal, cp.algebra) == is_ideal_loops(ideal, cp.algebra) == expected
 
 
 CROSSED = ["z2-line-1", "z2-line-2", "anticomplete-point", "z2xz2-line-1", "z4-rotation"]

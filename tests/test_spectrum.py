@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from equivaria.groups import symmetric
-from equivaria.matalg import commutant, generate
+from equivaria.matalg import generate
 from equivaria.reps import regular_rep
 from equivaria.spectrum import (
     SpectrumError,

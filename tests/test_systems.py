@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from equivaria.groups import builtin_group, cyclic, symmetric
-from equivaria.matalg import block_decompose, full_matrix_algebra, generate
+from equivaria.matalg import block_decompose, full_matrix_algebra
 from equivaria.linalg import spans_equal
 from equivaria.reps import enumerate_irreps, regular_rep
 from equivaria.systems import (
