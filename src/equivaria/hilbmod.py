@@ -16,18 +16,21 @@ modules over B >| W are built from it with a few matrix products, never
 with per-pair loops.  Crossed-product elements are embedded and read back
 only through the CrossedProduct, which builds its embedded basis when a
 module over B >| W first needs it; whether values lie in a span is decided
-by `linalg.span_contains` alone.  The dense SVD of the m^2 rank-one maps
-in `compact_operators` is the costliest step.
+by `linalg.span_contains` alone.  `compact_operators` cuts the rank of
+the m^2 rank-one maps with `linalg.certified_rows`: a sketch whose exact
+residual proves that the dense SVD would keep the same rank, so the
+m^2 x m^2 SVD runs only when the proof fails; the margin of the cut is kept.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .groups import FiniteGroup
 from .linalg import (
     DEFAULT_TOL,
+    certified_rows,
     flatten,
     intertwiner_rows,
     orthonormal_rows,
@@ -62,6 +65,8 @@ class FDHilbertModule:
     action: np.ndarray  # (dim B, m, m)
     inner: np.ndarray   # (m, m, N, N)
     name: str = ""
+    _gram: np.ndarray | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         action = np.asarray(self.action, dtype=complex)
@@ -103,10 +108,15 @@ class FDHilbertModule:
         return e.conj().T / np.real(np.trace(e))
 
     def gram(self) -> np.ndarray:
-        """G[i, j] = tau(<e_i | e_j>): the faithful scalar inner product."""
-        tau = self.trace_functional()
-        g = np.einsum("ba,ijab->ij", tau.conj().T, self.inner)
-        return (g + g.conj().T) / 2.0
+        """G[i, j] = tau(<e_i | e_j>): the faithful scalar inner product.
+
+        The instance is frozen, so the first result is kept and returned again.
+        """
+        if self._gram is None:
+            tau = self.trace_functional()
+            g = np.einsum("ba,ijab->ij", tau.conj().T, self.inner)
+            object.__setattr__(self, "_gram", (g + g.conj().T) / 2.0)
+        return self._gram
 
     def gram_sqrt(self, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
         """(S, S^-1) with S = G^(1/2); requires a definite inner product."""
@@ -254,6 +264,8 @@ class CompactOperators:
 
     `algebra` is a genuine matrix *-algebra: matrices S k S^-1 for raw
     compacts k, with S the Gram square root, so * is the conjugate transpose.
+    `rank_margin` is the margin of the rank cut on the rank-one maps, as
+    `linalg.certified_rows` returns it.
     """
 
     module: FDHilbertModule
@@ -261,6 +273,7 @@ class CompactOperators:
     raw_rows: np.ndarray        # orthonormal rows spanning raw compacts
     transform: np.ndarray       # S
     transform_inv: np.ndarray   # S^-1
+    rank_margin: float
 
     def contains_raw(self, mats, tol: float = 1e-8) -> bool:
         return span_contains(self.raw_rows, flatten(np.asarray(mats, dtype=complex)), tol)
@@ -277,9 +290,14 @@ def _rank_one_maps(e: FDHilbertModule) -> np.ndarray:
     """All |e_i><e_j| as one (m, m, m, m) array indexed [i, j, row, col].
 
     Column l of |e_i><e_j| is e_i . <e_j|e_l>; with <e_j|e_l> expanded in
-    B's basis, one einsum with the action tensor builds every map.
+    B's basis, |e_i><e_j| is the (m, k) x (k, m) product of [p, k] =
+    action[k, p, i] with [k, l] = coeffs[j, l, k].  One batched matmul over
+    (i, j) writes every map in place, so no transposed copy of the m^4
+    entries is made.
     """
-    return np.einsum("kpi,jlk->ijpl", e.action, _inner_coefficients(e))
+    left = np.ascontiguousarray(e.action.transpose(2, 1, 0))              # [i, p, k]
+    right = np.ascontiguousarray(_inner_coefficients(e).transpose(0, 2, 1))  # [j, k, l]
+    return left[:, None] @ right[None]
 
 
 def compact_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> CompactOperators:
@@ -288,12 +306,13 @@ def compact_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> CompactOp
     s, s_inv = e.gram_sqrt()
     if m == 0:
         alg = MatrixStarAlgebra(0, np.zeros((0, 0, 0), dtype=complex))
-        return CompactOperators(e, alg, np.zeros((0, 0), dtype=complex), s, s_inv)
-    raw_rows = orthonormal_rows(_rank_one_maps(e).reshape(m * m, m * m), tol)
+        return CompactOperators(e, alg, np.zeros((0, 0), dtype=complex), s, s_inv,
+                                np.inf)
+    raw_rows, margin = certified_rows(_rank_one_maps(e).reshape(m * m, m * m), tol)
     # S is invertible, so dressing a basis of the raw span spans the image.
     dressed = s @ unflatten(raw_rows, m) @ s_inv
     alg = algebra_from_span(dressed, ambient_dim=m, tol=tol)
-    return CompactOperators(e, alg, raw_rows, s, s_inv)
+    return CompactOperators(e, alg, raw_rows, s, s_inv, margin)
 
 
 def adjointable_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -533,8 +552,8 @@ class GreenJulgVerdict:
 def verify_green_julg(eq: EquivariantModule, tol: float = 1e-8) -> GreenJulgVerdict:
     """K_{B >| W}(E) = K_B(E)^W, compared as raw spans on the carrier."""
     gj, cp = green_julg_module(eq)
-    gj_compacts = compact_operators(gj)
-    inv_rows = invariant_compacts_rows(eq)
+    gj_compacts = compact_operators(gj, tol)
+    inv_rows = invariant_compacts_rows(eq, tol=tol)
     lhs = gj_compacts.raw_rows
     ok = spans_equal(lhs, inv_rows, tol)
     resid = float(max(row_residuals(inv_rows, lhs).max(initial=0.0),
@@ -610,8 +629,8 @@ def verify_morita(a_alg: MatrixStarAlgebra, e: FDHilbertModule,
     rng = rng or np.random.default_rng(0)
     left_action = np.asarray(left_action, dtype=complex)
     full = is_full(e, tol)
-    compacts = compact_operators(e)
-    img_rows = orthonormal_rows(flatten(left_action))
+    compacts = compact_operators(e, tol)
+    img_rows = orthonormal_rows(flatten(left_action), tol)
     injective = img_rows.shape[0] == a_alg.dim
     span_match = (img_rows.shape[0] == compacts.raw_rows.shape[0]
                   and spans_equal(img_rows, compacts.raw_rows, tol))

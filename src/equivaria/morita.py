@@ -169,7 +169,8 @@ class CIdeal:
 
     `metric_rows` spans the ideal in cp's whitened coordinates, where norms
     and inner products are those of the embedded matrices.  `algebra`, the
-    embedded span, is built on first access.
+    embedded span, is built on first access; an ideal of full dimension is
+    the whole crossed product, and its algebra is cp.algebra.
     """
 
     system: EquivariantSystem
@@ -184,6 +185,8 @@ class CIdeal:
 
     @cached_property
     def algebra(self) -> MatrixStarAlgebra:
+        if self.dim == self.cp.metric.shape[0]:
+            return self.cp.algebra
         amb = self.cp.algebra.ambient_dim
         f = self.coeff_rows.reshape(-1, self.cp.group.order, self.system.n_points)
         rows = orthonormal_rows(flatten(self.cp.embed(f)), self.tol)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from equivaria.datasets import bundled
 from equivaria.groups import builtin_group
 from equivaria.hilbmod import (
     FDHilbertModule,
@@ -91,6 +92,24 @@ def test_compacts_are_ideal_in_adjointables():
                              + 1j * rng.standard_normal(c.raw_rows.shape[0]))).reshape(m, m)
         assert c.contains_raw([t @ k / max(1.0, np.abs(t @ k).max()),
                                k @ t / max(1.0, np.abs(k @ t).max())])
+
+
+COMPACTS_SYSTEMS = {
+    "z2-line-3": lambda: z2_line_system(3),
+    "anticomplete-point": lambda: bundled("anticomplete-point"),
+    "z2xz2-line-1": lambda: bundled("two-component")[0][0],
+}
+
+
+@pytest.mark.parametrize("name", COMPACTS_SYSTEMS)
+def test_compacts_equal_adjointables(name):
+    # E is finitely generated over a unital B, so K_B(E) = L_B(E); the
+    # adjointables are a Kronecker nullspace, independent of the rank cut.
+    eq = equivariant_function_module(COMPACTS_SYSTEMS[name]())
+    for e in (eq.base, green_julg_module(eq)[0], dual_module(eq.base)[0]):
+        c = compact_operators(e)
+        assert spans_equal(c.raw_rows, adjointable_operators(e))
+        assert c.rank_margin > 1e6
 
 
 def test_cauchy_schwarz_holds():
@@ -279,3 +298,20 @@ def test_is_full_honours_its_tolerance():
     e = FDHilbertModule(b, action, inner)
     assert is_full(e, 1e-12)
     assert not is_full(e, 1e-6)
+
+
+def test_witness_checks_honour_their_tolerance():
+    # The same module: <e2|e2> = 1e-7 delta_2 makes |e2><e2| a compact of
+    # norm 1e-7, kept by a 1e-12 rank cut and dropped by a 1e-6 one.
+    b = scalar_algebra(2)
+    action = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+    inner = np.zeros((2, 2, 2, 2), dtype=complex)
+    inner[0, 0] = np.diag([1.0, 0.0])
+    inner[1, 1] = np.diag([0.0, 1e-7])
+    e = FDHilbertModule(b, action, inner)
+    assert verify_morita(b, e, action, 1e-12).ok
+    assert not verify_morita(b, e, action, 1e-6).span_match
+    eq = trivial_equivariant_module(e, builtin_group("trivial"))
+    fine, coarse = verify_green_julg(eq, 1e-12), verify_green_julg(eq, 1e-6)
+    assert fine.averaged_compacts_dim == fine.invariant_compacts_dim == 2
+    assert coarse.averaged_compacts_dim == coarse.invariant_compacts_dim == 1

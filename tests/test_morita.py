@@ -67,6 +67,8 @@ def test_c_ideal_no_constraints_is_whole():
     # product of dimension |W| |X|.
     assert cid.dim == 2 * sys.n_points
     assert cid.algebra.dim == cid.cp.algebra.dim
+    # The whole crossed product's span is built once, not again for C.
+    assert cid.algebra is cid.cp.algebra
 
 
 def test_c_ideal_anticomplete_dimension():
@@ -79,6 +81,7 @@ def test_c_ideal_fixed_point_constraint():
     # dim C = |W| |X| - 1.
     cid = c_ideal(flip_system(3))
     assert cid.dim == 2 * 3 - 1
+    assert cid.algebra.dim == cid.dim
 
 
 def test_morita_theorem_z2_line():

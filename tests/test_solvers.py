@@ -9,7 +9,9 @@ stacks only the group's generators, `compact_operators` and
 products and `is_irreducible` reads the character norm.  A CrossedProduct
 embeds coefficient arrays with one product against its stored basis,
 `module_crossed_product` uses the contractions of `green_julg_module`, and
-`span_contains` tests stacks a slab at a time.  Crossed products multiply,
+`span_contains` tests stacks a slab at a time.  `certified_rows` cuts a
+rank from a sketch only when its residual proves the dense SVD's cut, and
+the dense SVD is its oracle on prescribed spectra.  Crossed products multiply,
 take adjoints and test ideals in coefficients, and the Morita theorem
 compares J with C there; the embedded matrices are their oracle.  The dense
 paths and per-pair loops survive here as oracles.
@@ -17,7 +19,7 @@ paths and per-pair loops survive here as oracles.
 import numpy as np
 import pytest
 
-from equivaria import matalg
+from equivaria import linalg, matalg
 from equivaria.datasets import bundled
 from equivaria.groups import BUILTIN_GROUPS, builtin_group, cyclic, dihedral, symmetric
 from equivaria.hilbmod import (
@@ -35,6 +37,7 @@ from equivaria.hilbmod import (
     standard_module,
 )
 from equivaria.linalg import (
+    certified_rows,
     flatten,
     intertwiner_rows,
     orthonormal_rows,
@@ -164,6 +167,8 @@ def test_unit_is_computed_once():
     alg = fixed_point_algebra(bundled("z2-line"))
     assert alg.unit() is alg.unit()
     assert alg.structure is alg.structure
+    e = function_module(bundled("z2-line"))
+    assert e.gram() is e.gram()
 
 
 # -- the product pass against the dense closure check and per-pair loops ------
@@ -479,6 +484,86 @@ def test_span_contains_checks_every_slab():
     vecs[-1] += 1e-6 * outside
     assert not span_contains(basis, vecs) and not span_contains_loop(basis, vecs)
     assert span_contains(basis, vecs[:-1])
+
+
+# -- the sketched rank cut against the dense SVD ------------------------------
+
+
+def prescribed_matrix(values, size, seed=0, rows_aligned=False):
+    """A size x size matrix U diag(values) V* for random unitary U and V
+    (U = 1 with rows_aligned, so row i is values[i] v_i*)."""
+    rng = np.random.default_rng(seed)
+
+    def unitary():
+        return np.linalg.qr(rng.standard_normal((size, size))
+                            + 1j * rng.standard_normal((size, size)))[0]
+
+    padded = np.zeros(size)
+    padded[:len(values)] = values
+    vh = unitary().conj().T
+    mat = padded[:, None] * vh
+    return mat if rows_aligned else unitary() @ mat
+
+
+def sketch_tail(tol):
+    """Five values near 1, one at 1.2 tol, then 394 at 0.5 tol: the dense
+    rule keeps six, but the first sketch, of 30 columns, sees the sixth
+    mixed into the tail below tol, and only the residual shows it exists."""
+    return np.concatenate([[1.0, 0.9, 0.8, 0.7, 0.6, 1.2 * tol], np.full(394, 0.5 * tol)])
+
+
+# name: (singular values, size, tol, whether the dense SVD runs)
+SPECTRA = {
+    "low-rank": (np.linspace(3.0, 1.0, 8), 300, 1e-9, False),
+    "full-rank": (np.linspace(2.0, 1.0, 120), 120, 1e-9, True),
+    "just-above": ([1.0, 0.9, 0.8, 0.7, 0.6, 1.5e-4], 300, 1e-4, False),
+    "just-below": ([1.0, 0.9, 0.8, 0.7, 0.6, 0.7e-4], 300, 1e-4, False),
+    "hidden-above": (sketch_tail(1e-4), 400, 1e-4, True),
+}
+
+
+def spy_full_svds(monkeypatch, shape) -> list:
+    """Record each np.linalg.svd call on an array of `shape`."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        if np.shape(a) == shape:
+            calls.append(shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", SPECTRA)
+def test_certified_rows_match_the_dense_cut(name, monkeypatch):
+    values, size, tol, dense_runs = SPECTRA[name]
+    mat = prescribed_matrix(values, size)
+    dense = orthonormal_rows(mat, tol)
+    full_svds = spy_full_svds(monkeypatch, mat.shape)
+    rows, margin = certified_rows(mat, tol)
+    assert bool(full_svds) == dense_runs
+    assert rows.shape[0] == dense.shape[0]
+    assert spans_equal(rows, dense)
+    assert np.abs(rows @ rows.conj().T - np.eye(rows.shape[0])).max() < 1e-12
+    assert margin > 1.0
+
+
+def test_certified_rows_residual_counts_every_slab(monkeypatch):
+    # Five zero rows fill the first slab of five rows, so its residual is 0
+    # and everything the sketch misses lies in later slabs.
+    values = sketch_tail(1e-4)
+    mat = np.vstack([np.zeros((5, 400)), prescribed_matrix(values, 400, rows_aligned=True)])
+    monkeypatch.setattr(linalg, "_SPAN_SLAB", 5 * 400)
+    rows, _ = certified_rows(mat, 1e-4)
+    assert rows.shape[0] == orthonormal_rows(mat, 1e-4).shape[0] == 6
+
+
+def test_certified_rows_of_nothing():
+    assert certified_rows(np.zeros((0, 4)))[0].shape == (0, 4)
+    rows, margin = certified_rows(np.zeros((40, 40)))
+    assert rows.shape == (0, 40) and margin == np.inf
 
 
 @pytest.mark.parametrize("label", PIPELINE)
