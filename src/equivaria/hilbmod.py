@@ -16,7 +16,10 @@ modules over B >| W are built from it with a few matrix products, never
 with per-pair loops.  Crossed-product elements are embedded and read back
 only through the CrossedProduct, which builds its embedded basis when a
 module over B >| W first needs it; whether values lie in a span is decided
-by `linalg.span_contains` alone.  `compact_operators` cuts the rank of
+by `linalg.span_contains` alone.  The Green-Julg check builds neither: a
+rank-one map is the same operator in any basis of B >| W, so the averaged
+compacts come from the crossed coefficients b_i w, and K_B(E)^W is solved
+in the coordinates of K_B(E).  `compact_operators` cuts the rank of
 the m^2 rank-one maps with `linalg.certified_rows`: a sketch whose exact
 residual proves that the dense SVD would keep the same rank, so the
 m^2 x m^2 SVD runs only when the proof fails; the margin of the cut is kept.
@@ -33,10 +36,10 @@ from .linalg import (
     certified_rows,
     flatten,
     intertwiner_rows,
+    nullspace_rows,
     orthonormal_rows,
     row_residuals,
     span_contains,
-    span_intersection,
     spans_equal,
     unflatten,
 )
@@ -286,17 +289,20 @@ def _inner_coefficients(e: FDHilbertModule) -> np.ndarray:
     return e.inner.reshape(m, m, n * n) @ e.algebra.basis_rows().conj().T
 
 
-def _rank_one_maps(e: FDHilbertModule) -> np.ndarray:
+def _rank_one_maps(action: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """All |e_i><e_j| as one (m, m, m, m) array indexed [i, j, row, col].
 
-    Column l of |e_i><e_j| is e_i . <e_j|e_l>; with <e_j|e_l> expanded in
-    B's basis, |e_i><e_j| is the (m, k) x (k, m) product of [p, k] =
-    action[k, p, i] with [k, l] = coeffs[j, l, k].  One batched matmul over
-    (i, j) writes every map in place, so no transposed copy of the m^4
-    entries is made.
+    `action[k]` is the carrier map of the k-th algebra element and
+    `coefficients[j, l, k]` the k-th coefficient of <e_j|e_l> against the
+    same elements; they need not be a basis, since a rank-one map is the
+    same operator however its inner values are expanded.  Column l of
+    |e_i><e_j| is e_i . <e_j|e_l>, so |e_i><e_j| is the (m, k) x (k, m)
+    product of [p, k] = action[k, p, i] with [k, l] = coefficients[j, l, k].
+    One batched matmul over (i, j) writes every map in place, so no
+    transposed copy of the m^4 entries is made.
     """
-    left = np.ascontiguousarray(e.action.transpose(2, 1, 0))              # [i, p, k]
-    right = np.ascontiguousarray(_inner_coefficients(e).transpose(0, 2, 1))  # [j, k, l]
+    left = np.ascontiguousarray(action.transpose(2, 1, 0))           # [i, p, k]
+    right = np.ascontiguousarray(coefficients.transpose(0, 2, 1))    # [j, k, l]
     return left[:, None] @ right[None]
 
 
@@ -308,7 +314,8 @@ def compact_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> CompactOp
         alg = MatrixStarAlgebra(0, np.zeros((0, 0, 0), dtype=complex))
         return CompactOperators(e, alg, np.zeros((0, 0), dtype=complex), s, s_inv,
                                 np.inf)
-    raw_rows, margin = certified_rows(_rank_one_maps(e).reshape(m * m, m * m), tol)
+    maps = _rank_one_maps(e.action, _inner_coefficients(e))
+    raw_rows, margin = certified_rows(maps.reshape(m * m, m * m), tol)
     # S is invertible, so dressing a basis of the raw span spans the image.
     dressed = s @ unflatten(raw_rows, m) @ s_inv
     alg = algebra_from_span(dressed, ambient_dim=m, tol=tol)
@@ -442,18 +449,21 @@ def green_julg_module(eq: EquivariantModule,
     the embedded crossed product; spans of inner values can be compared in
     cp's whitened coefficients without it.
     """
-    g = eq.group
     base = eq.base
     cp = cp or crossed_product(eq.beta, tol)
-    m = base.carrier_dim
     # Right action: the crossed coefficients of each basis element against
     # the |W| dim B carrier maps gamma_{w^-1} R_{b_i}.
-    maps = eq.gamma[g.inv][:, None] @ base.action[None]
-    action = _crossed_maps(cp, maps)
+    action = _crossed_maps(cp, _averaged_maps(eq))
     # Inner products <<e_p | e_q>>, embedded in the crossed ambient.
     inner = cp.embed(averaged_inner_coefficients(eq))
     return FDHilbertModule(cp.algebra, action, inner,
                            name=(base.name or "module") + "-averaged"), cp
+
+
+def _averaged_maps(eq: EquivariantModule) -> np.ndarray:
+    """(|W|, dim B, m, m): the carrier map gamma_{w^-1} R_{b_i} by which
+    b_i w acts on the averaged module."""
+    return eq.gamma[eq.group.inv][:, None] @ eq.base.action[None]
 
 
 def averaged_inner_coefficients(eq: EquivariantModule) -> np.ndarray:
@@ -510,12 +520,16 @@ class CrossedCompactsVerdict:
 
 def verify_module_crossed_compacts(eq: EquivariantModule,
                                    tol: float = 1e-8) -> CrossedCompactsVerdict:
-    """K_{B >| W}(E >| W) = K_B(E) >| W, via phi(k w): xi v -> k(gamma_w xi) wv."""
+    """K_{B >| W}(E >| W) = K_B(E) >| W, via phi(k w): xi v -> k(gamma_w xi) wv.
+
+    Every rank cut, the crossed product's embedded span included, is taken
+    at `tol`.
+    """
     g = eq.group
     m = eq.base.carrier_dim
-    ecp, _ = module_crossed_product(eq)
-    big = compact_operators(ecp)
-    base_c = compact_operators(eq.base)
+    ecp, _ = module_crossed_product(eq, tol=tol)
+    big = compact_operators(ecp, tol)
+    base_c = compact_operators(eq.base, tol)
     imgs = []
     for w in g.elements():
         for row in base_c.raw_rows:
@@ -525,7 +539,7 @@ def verify_module_crossed_compacts(eq: EquivariantModule,
                 wv = g.mul[w, v]
                 phi[wv * m:(wv + 1) * m, v * m:(v + 1) * m] = k @ eq.gamma[w]
             imgs.append(phi)
-    img_rows = orthonormal_rows(flatten(np.stack(imgs))) if imgs else \
+    img_rows = orthonormal_rows(flatten(np.stack(imgs)), tol) if imgs else \
         np.zeros((0, (g.order * m) ** 2), dtype=complex)
     ok = spans_equal(img_rows, big.raw_rows, tol)
     return CrossedCompactsVerdict(ok, img_rows.shape[0], big.raw_rows.shape[0])
@@ -534,11 +548,22 @@ def verify_module_crossed_compacts(eq: EquivariantModule,
 def invariant_compacts_rows(eq: EquivariantModule,
                             compacts: CompactOperators | None = None,
                             tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Raw-coordinate span of K_B(E)^W = {k : gamma_w k = k gamma_w}."""
+    """Raw-coordinate span of K_B(E)^W = {k : gamma_w k = k gamma_w}.
+
+    Solved in the coordinates of K_B(E): with R the r orthonormal raw rows
+    of the compacts, read as matrices K_i, the invariant compacts are c R
+    for the c in C^r with sum_i c_i (gamma_g K_i - K_i gamma_g) = 0 at every
+    generator g, one kernel of a (|gens| m^2, r) matrix.  c and R have
+    orthonormal rows, so c R does too.
+    """
     compacts = compacts or compact_operators(eq.base, tol)
-    gamma = eq.gamma[list(eq.group.generators())]
-    comm_rows = intertwiner_rows(gamma, gamma, tol)
-    return span_intersection(compacts.raw_rows, comm_rows, tol)
+    rows = compacts.raw_rows
+    m, r = eq.base.carrier_dim, rows.shape[0]
+    mats = unflatten(rows, m)
+    gamma = eq.gamma[list(eq.group.generators())][:, None]
+    comm = gamma @ mats - mats @ gamma                      # [g, i, p, q]
+    columns = comm.transpose(0, 2, 3, 1).reshape(gamma.shape[0] * m * m, r)
+    return nullspace_rows(columns, tol) @ rows
 
 
 @dataclass(frozen=True)
@@ -549,12 +574,33 @@ class GreenJulgVerdict:
     residual: float
 
 
+def _averaged_compacts_rows(eq: EquivariantModule, tol: float) -> np.ndarray:
+    """Raw-coordinate span of K_{B >| W}(E), from crossed coefficients.
+
+    |e_p><e_q| is the same operator whatever basis of B >| W its inner
+    values are expanded in, so the averaged module's rank-one maps are built
+    from the |W| dim B maps gamma_{w^-1} R_{b_i} and the inner values in the
+    crossed coefficients b_i w.
+    """
+    eq.beta.validate()
+    maps = _averaged_maps(eq)
+    w_n, k, m = maps.shape[:3]
+    stack = _rank_one_maps(maps.reshape(w_n * k, m, m),
+                           averaged_inner_coefficients(eq).reshape(m, m, w_n * k))
+    return certified_rows(stack.reshape(m * m, m * m), tol)[0]
+
+
 def verify_green_julg(eq: EquivariantModule, tol: float = 1e-8) -> GreenJulgVerdict:
-    """K_{B >| W}(E) = K_B(E)^W, compared as raw spans on the carrier."""
-    gj, cp = green_julg_module(eq)
-    gj_compacts = compact_operators(gj, tol)
+    """K_{B >| W}(E) = K_B(E)^W, compared as raw spans on the carrier.
+
+    Both sides are found in coefficient space at `tol`: the averaged
+    compacts from the rank-one maps in crossed coefficients, with a
+    certified rank cut, and the invariant compacts as a kernel in the
+    coordinates of K_B(E).  Neither the embedded crossed product, the
+    averaged module nor the Kronecker commutant of gamma is built.
+    """
+    lhs = _averaged_compacts_rows(eq, tol)
     inv_rows = invariant_compacts_rows(eq, tol=tol)
-    lhs = gj_compacts.raw_rows
     ok = spans_equal(lhs, inv_rows, tol)
     resid = float(max(row_residuals(inv_rows, lhs).max(initial=0.0),
                       row_residuals(lhs, inv_rows).max(initial=0.0)))
@@ -589,7 +635,8 @@ def dual_module(e: FDHilbertModule,
     # Right action of a compact a (in Gram coords): bra_xi . a = bra_{a# xi},
     # and in conj coordinates delta -> conj(a#) delta with a# = S^-1 a* S.
     action = np.stack([np.conj(s_inv @ a.conj().T @ s) for a in k_alg.basis])
-    inner = s @ _rank_one_maps(e) @ s_inv   # <<e_p|e_q>> = |e_p><e_q|
+    # <<e_p|e_q>> = |e_p><e_q|
+    inner = s @ _rank_one_maps(e.action, _inner_coefficients(e)) @ s_inv
     dual = FDHilbertModule(k_alg, action, inner, name=(e.name or "module") + "-dual")
     # Left action of B: b . bra_xi = bra_{xi b*}; conj coords: conj(R_{b*}).
     left = np.zeros((e.algebra.dim, m, m), dtype=complex)

@@ -10,10 +10,12 @@ import resource
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
+from equivaria.datasets import dataset_names
 from equivaria.groups import BUILTIN_GROUPS, builtin_group, symmetric
 from equivaria.hilbmod import (
     equivariant_function_module,
@@ -256,26 +258,59 @@ def test_criterion_9_module_axioms_and_norm_bounds():
     assert order == 1 and abs(n1 - n2) < 1e-12
 
 
-def test_criterion_10_dihedral_plane_morita_under_a_memory_cap():
-    """`equivaria morita` on dihedral-plane (|W| = 8, |X| = 17, so B >| W has
-    dimension 136 in M_136) ends with a verdict under a 2 GiB address-space
-    cap, in < 60 s.  BLAS runs one thread, so its per-thread buffers do not
-    count against the cap on machines with many cores."""
-    cap = 2 << 30
+# Each capped CLI run is a child process whose address space is capped at
+# 2 GiB and whose wall time is capped at 60 s.  BLAS runs one thread, so its
+# per-thread buffers do not count against the cap on machines with many cores.
+CLI_CAP_BYTES = 2 << 30
+CLI_TIMEOUT_S = 60
+
+
+def run_capped_cli(*args) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        resource.setrlimit(resource.RLIMIT_AS, (CLI_CAP_BYTES, CLI_CAP_BYTES))
 
-    out = subprocess.run(
-        [sys.executable, "-m", "equivaria.cli", "morita", "--input", "dihedral-plane",
-         "--format", "json"],
-        env=env, preexec_fn=limit, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "equivaria.cli", *args],
+                          env=env, preexec_fn=limit, capture_output=True, text=True,
+                          timeout=CLI_TIMEOUT_S)
+
+
+def test_criterion_10_dihedral_plane_morita_under_a_memory_cap():
+    """`equivaria morita` on dihedral-plane (|W| = 8, |X| = 17, so B >| W has
+    dimension 136 in M_136) ends with a verdict under the 2 GiB cap, in < 60 s."""
+    out = run_capped_cli("morita", "--input", "dihedral-plane", "--format", "json")
     assert out.returncode == 0, out.stderr
     report = json.loads(out.stdout)
     assert report["ok"] and not report["conditions_hold"]
     assert (report["j_dim"], report["c_dim"]) == (132, 136)
     assert report["strict_inclusion"]
+
+
+# Every capped CLI run and its documented exit code.  irreps takes a group
+# and spectrum one system, so the others are input errors (exit 2).
+CLI_RUNS = [
+    *[(("irreps", "--input", name), 2) for name in dataset_names()],
+    *[(("spectrum", "--input", name), 2 if name == "two-component" else 0)
+      for name in dataset_names()],
+    *[(("morita", "--input", name), 0) for name in dataset_names()],
+    (("verify", "all"), 0),
+    (("examples",), 0),
+]
+
+
+def test_criterion_11_every_dataset_through_every_command():
+    """irreps, spectrum and morita on every bundled dataset, plus `verify all`
+    and `examples`: each ends under the 2 GiB cap, in < 60 s, with its
+    documented exit code and no traceback.  Two children run at a time."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        outs = list(pool.map(lambda run: run_capped_cli(*run[0], "--format", "json"),
+                             CLI_RUNS))
+    for (args, code), out in zip(CLI_RUNS, outs):
+        assert out.returncode == code, (args, out.stderr)
+        assert "Traceback" not in out.stderr, args
+        if code == 0:
+            json.loads(out.stdout)

@@ -39,6 +39,7 @@ from equivaria.matalg import (
 )
 from equivaria.reps import regular_rep
 from equivaria.systems import (
+    fixed_point_algebra,
     one_point_system,
     z2_line_system,
 )
@@ -315,3 +316,31 @@ def test_witness_checks_honour_their_tolerance():
     fine, coarse = verify_green_julg(eq, 1e-12), verify_green_julg(eq, 1e-6)
     assert fine.averaged_compacts_dim == fine.invariant_compacts_dim == 2
     assert coarse.averaged_compacts_dim == coarse.invariant_compacts_dim == 1
+
+
+def test_module_crossed_compacts_honour_their_tolerance():
+    # The 1e-7 module under the trivial group: E >| W is E, and every rank
+    # cut of the check keeps |e2><e2| at 1e-12 and drops it at 1e-6.
+    b = scalar_algebra(2)
+    action = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+    inner = np.zeros((2, 2, 2, 2), dtype=complex)
+    inner[0, 0] = np.diag([1.0, 0.0])
+    inner[1, 1] = np.diag([0.0, 1e-7])
+    eq = trivial_equivariant_module(FDHilbertModule(b, action, inner),
+                                    builtin_group("trivial"))
+    fine = verify_module_crossed_compacts(eq, 1e-12)
+    coarse = verify_module_crossed_compacts(eq, 1e-6)
+    assert fine.ok and fine.image_dim == fine.compacts_dim == 2
+    assert coarse.ok and coarse.image_dim == coarse.compacts_dim == 1
+
+
+def test_green_julg_on_dihedral_plane():
+    # m = 34 under the square's group, whose two generators both constrain:
+    # the first alone leaves 18 invariant compacts.  The invariant compacts
+    # of the function module are the fixed-point algebra on the carrier.
+    sys = bundled("dihedral-plane")
+    eq = equivariant_function_module(sys)
+    verdict = verify_green_julg(eq)
+    assert verdict.ok and verdict.residual < 1e-8
+    assert verdict.averaged_compacts_dim == verdict.invariant_compacts_dim == 9
+    assert spans_equal(invariant_compacts_rows(eq), fixed_point_algebra(sys).basis_rows())

@@ -4,7 +4,8 @@ Each algebra's structure table and closure residual come from one slabbed
 pass over its basis products, which the standard module, GNS and states
 read; `center` solves in the algebra's coefficient space, `intertwiner_space`
 stacks only the group's generators, `compact_operators` and
-`green_julg_module` build their tensors in a few contractions,
+`green_julg_module` build their tensors in a few contractions, the
+Green-Julg check finds both of its spans in coefficient space,
 `fullness_ideal` works in B's coordinates, `is_ideal` tests whole stacks of
 products and `is_irreducible` reads the character norm.  A CrossedProduct
 embeds coefficient arrays with one product against its stored basis,
@@ -19,7 +20,7 @@ paths and per-pair loops survive here as oracles.
 import numpy as np
 import pytest
 
-from equivaria import linalg, matalg
+from equivaria import hilbmod, linalg, matalg
 from equivaria.datasets import bundled
 from equivaria.groups import BUILTIN_GROUPS, builtin_group, cyclic, dihedral, symmetric
 from equivaria.hilbmod import (
@@ -28,13 +29,16 @@ from equivaria.hilbmod import (
     averaged_inner_coefficients,
     compact_operators,
     equivariant_function_module,
+    free_module,
     fullness_ideal,
     function_module,
     green_julg_module,
+    invariant_compacts_rows,
     is_full,
     module_crossed_product,
     rank_one,
     standard_module,
+    trivial_equivariant_module,
 )
 from equivaria.linalg import (
     certified_rows,
@@ -77,6 +81,7 @@ from equivaria.systems import (
     crossed_product,
     fixed_point_algebra,
     function_algebra_action,
+    one_point_system,
     z2_line_system,
     z2xz2_line_system,
 )
@@ -710,3 +715,52 @@ def test_morita_spans_in_coefficients_match_the_embedded_ideals(label):
         j_alg.dim < cid.dim and span_contains(c_rows, j_emb, 1e-8))
     assert abs(verdict.j_in_c_residual - row_residuals(c_rows, j_emb).max()) < 1e-12
     assert (verdict.module is None) == (verdict.witness is None)
+
+
+# -- the Green-Julg check in coefficient space against the embedded spans ------
+
+
+def invariant_compacts_kronecker(eq, tol=1e-8):
+    """K_B(E) intersected with the Kronecker commutant of the generators."""
+    gamma = eq.gamma[list(eq.group.generators())]
+    return span_intersection(compact_operators(eq.base, tol).raw_rows,
+                             intertwiner_rows(gamma, gamma, tol), tol)
+
+
+GREEN_JULG_SYSTEMS = {
+    **{f"z2-line-{n}": lambda n=n: z2_line_system(n) for n in (1, 2, 3)},
+    **{f"z2xz2-line-{n}": lambda n=n: z2xz2_line_system(n) for n in (1, 2)},
+    "anticomplete-point": anticomplete_point_system,
+    "s3-point": lambda: one_point_system(symmetric(3), regular_rep(symmetric(3)).matrices),
+    "z4-rotation": z4_rotation_system,
+}
+GREEN_JULG_CASES = [*GREEN_JULG_SYSTEMS, "trivial-free"]
+
+
+def green_julg_case(label):
+    """The equivariant function module of a system above, or C^3 under the
+    trivial group."""
+    if label == "trivial-free":
+        return trivial_equivariant_module(free_module(3), builtin_group("trivial"))
+    return equivariant_function_module(GREEN_JULG_SYSTEMS[label]())
+
+
+@pytest.mark.parametrize("label", GREEN_JULG_CASES)
+def test_invariant_compacts_match_the_kronecker_commutant(label):
+    eq = green_julg_case(label)
+    rows = invariant_compacts_rows(eq, tol=1e-8)
+    oracle = invariant_compacts_kronecker(eq)
+    assert rows.shape[0] == oracle.shape[0] > 0
+    assert spans_equal(rows, oracle, 1e-8)
+    assert np.abs(rows @ rows.conj().T - np.eye(rows.shape[0])).max() < 1e-12
+
+
+@pytest.mark.parametrize("label", GREEN_JULG_CASES)
+def test_averaged_compacts_match_the_embedded_module(label):
+    # The rank-one maps over the embedded B >| W, as the averaged module
+    # expands them in its orthonormal basis.
+    eq = green_julg_case(label)
+    oracle = compact_operators(green_julg_module(eq)[0], 1e-8).raw_rows
+    rows = hilbmod._averaged_compacts_rows(eq, 1e-8)
+    assert rows.shape[0] == oracle.shape[0] > 0
+    assert spans_equal(rows, oracle, 1e-8)
