@@ -132,7 +132,7 @@ def _theorem_json(v) -> dict:
 def cmd_morita(args) -> int:
     obj = _load_input(args.input)
     if isinstance(obj, list):
-        toy = assemble_toy_dual(obj, seed=args.seed, tol=max(args.tolerance, 1e-8))
+        toy = assemble_toy_dual(obj, seed=args.seed, tol=args.tolerance)
         report = {"schema": SCHEMA, "command": "morita", "mode": "toy-dual",
                   "components": [{"system": r.system_name, "ok": r.ok,
                                   "fpa_blocks": r.fpa_block_count,
@@ -153,7 +153,7 @@ def cmd_morita(args) -> int:
         raise InputError("morita expects a system or components input")
     if "wprime" in extras and "r" in extras:
         rep = semidirect_reduction(obj, extras["wprime"], extras["r"],
-                                   seed=args.seed, tol=max(args.tolerance, 1e-8))
+                                   seed=args.seed, tol=args.tolerance)
         report = {"schema": SCHEMA, "command": "morita", "mode": "reduction",
                   "system": obj.name, "ok": rep.ok,
                   "theorem": _theorem_json(rep.theorem),
@@ -173,8 +173,7 @@ def cmd_morita(args) -> int:
                  f"  block counts: {rep.fpa_block_count} vs {rep.final_block_count}"]
         _emit(report, args.format, lines)
         return EXIT_OK if rep.ok else EXIT_VERIFICATION
-    verdict = verify_morita_theorem(obj, seed=args.seed,
-                                    tol=max(args.tolerance, 1e-8))
+    verdict = verify_morita_theorem(obj, seed=args.seed, tol=args.tolerance)
     report = {"schema": SCHEMA, "command": "morita", "mode": "theorem",
               "system": obj.name, **_theorem_json(verdict)}
     if verdict.conditions_hold:
@@ -291,12 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "text"), default="text")
 
-    for name, fn, needs_input in (("irreps", cmd_irreps, True),
-                                  ("spectrum", cmd_spectrum, True),
-                                  ("morita", cmd_morita, True)):
+    # The Morita checks cut ranks of embedded spans, at 1e-8 unless asked.
+    for name, fn, tolerance in (("irreps", cmd_irreps, 1e-9),
+                                ("spectrum", cmd_spectrum, 1e-9),
+                                ("morita", cmd_morita, 1e-8)):
         p = sub.add_parser(name)
         common(p)
-        p.set_defaults(fn=fn, needs_input=needs_input)
+        p.set_defaults(fn=fn, needs_input=True, tolerance=tolerance)
     p = sub.add_parser("verify")
     common(p)
     p.add_argument("suite", nargs="?", default="all")

@@ -9,24 +9,30 @@ conjugating by the square root of the Gram matrix turns the module adjoint
 into the ordinary conjugate transpose, so K_B(E) becomes an honest matrix
 *-algebra.
 
-Inner values are worked with in B's coordinates: <e_p|e_q> expanded in B's
-orthonormal basis is an (m, m, dim B) array.  The rank-one maps (one or all
-m^2 of them), the fullness ideal, and the averaged (Green-Julg) and crossed
+Inner values live in one coordinate system, B's orthonormal basis: a
+module stores <e_p|e_q> as an (m, m, dim B) coefficient array, so its values
+lie in B by construction.  The rank-one maps (one or all m^2 of them), the
+Gram matrix, the fullness ideal, and the averaged (Green-Julg) and crossed
 modules over B >| W are built from it with a few matrix products, never
-with per-pair loops.  Crossed-product elements are embedded and read back
-only through the CrossedProduct, which builds its embedded basis when a
-module over B >| W first needs it; whether values lie in a span is decided
-by `linalg.span_contains` alone.  The Green-Julg check builds neither: a
-rank-one map is the same operator in any basis of B >| W, so the averaged
-compacts come from the crossed coefficients b_i w, and K_B(E)^W is solved
-in the coordinates of K_B(E).  `compact_operators` cuts the rank of
-the m^2 rank-one maps with `linalg.certified_rows`: a sketch whose exact
-residual proves that the dense SVD would keep the same rank, so the
-m^2 x m^2 SVD runs only when the proof fails; the margin of the cut is kept.
+with per-pair loops.  Over B >| W the coordinates are the crossed
+product's whitened coefficients, which index the basis of its algebra, so
+no inner value is embedded.  Values that arrive as matrices (the dual
+module's rank-one maps, the quotient module's functions, a module rebased
+onto a subalgebra) pass through one checked conversion, which raises
+ModuleError when a value leaves the span.  The Green-Julg check needs no
+module over B >| W at all: a rank-one map is the same operator in any
+basis of B >| W, so the averaged compacts come from the crossed
+coefficients b_i w, and K_B(E)^W is solved in the coordinates of K_B(E).
+`compact_operators` cuts the rank of the m^2 rank-one maps with
+`linalg.certified_rows`: a sketch whose exact residual proves that the
+dense SVD would keep the same rank, so the m^2 x m^2 SVD runs only when the
+proof fails; the margin of the cut is kept.  The compacts' own *-algebra
+is built, with its closure check, only when it is read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +49,7 @@ from .linalg import (
     spans_equal,
     unflatten,
 )
-from .matalg import MatrixStarAlgebra, algebra_from_span, operator_norm
+from .matalg import MatrixStarAlgebra, _star_constants, algebra_from_span, operator_norm
 from .systems import (
     AlgebraAction,
     CrossedProduct,
@@ -56,17 +62,34 @@ class ModuleError(ValueError):
     pass
 
 
+def _checked_coefficients(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Coefficients (..., k) of vectors values (..., D) against orthonormal
+    rows (k, D), for values that must lie in their span: each may leave it
+    by 1e-8 max(1, |v|) at most, or ModuleError is raised."""
+    flat = values.reshape(-1, rows.shape[1])
+    if not span_contains(rows, flat, 1e-8):
+        raise ModuleError("inner products leave the coefficient algebra")
+    return (flat @ rows.conj().T).reshape(*values.shape[:-1], rows.shape[0])
+
+
+def _trace_vector(alg: MatrixStarAlgebra) -> np.ndarray:
+    """tau(b_k) for the normalized trace tau(b) = trace(e b) / trace(e), e the
+    algebra's unit."""
+    e = alg.unit()
+    return np.einsum("ab,kba->k", e, alg.basis) / np.real(np.trace(e))
+
+
 @dataclass(frozen=True)
 class FDHilbertModule:
-    """A Hilbert module over a matrix *-algebra, given by dense tensors.
+    """A Hilbert module over a matrix *-algebra, given by two tensors.
 
     `action[k]` is the carrier matrix of the right action of basis element k;
-    `inner[i, j]` is <e_i | e_j> as an element of B's ambient matrix space.
+    `inner[i, j]` is <e_i | e_j> expanded in B's orthonormal basis.
     """
 
     algebra: MatrixStarAlgebra
     action: np.ndarray  # (dim B, m, m)
-    inner: np.ndarray   # (m, m, N, N)
+    inner: np.ndarray   # (m, m, dim B)
     name: str = ""
     _gram: np.ndarray | None = field(default=None, init=False, repr=False,
                                      compare=False)
@@ -75,10 +98,9 @@ class FDHilbertModule:
         action = np.asarray(self.action, dtype=complex)
         inner = np.asarray(self.inner, dtype=complex)
         m = action.shape[1] if action.ndim == 3 else inner.shape[0]
-        n = self.algebra.ambient_dim
         if action.shape != (self.algebra.dim, m, m):
             raise ModuleError("action tensor has wrong shape")
-        if inner.shape != (m, m, n, n):
+        if inner.shape != (m, m, self.algebra.dim):
             raise ModuleError("inner tensor has wrong shape")
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "inner", inner)
@@ -92,23 +114,14 @@ class FDHilbertModule:
         coeffs = self.algebra.coefficients(b)
         return np.einsum("k,kij,j->i", coeffs, self.action, xi)
 
-    def action_matrix(self, b: np.ndarray) -> np.ndarray:
-        coeffs = self.algebra.coefficients(b)
-        return np.einsum("k,kij->ij", coeffs, self.action)
-
     def inner_product(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
         """<xi | eta> in B, conjugate-linear in xi."""
-        return np.einsum("i,j,ijab->ab", np.conj(xi), eta, self.inner)
+        return self.algebra.element(np.einsum("i,j,ijk->k", np.conj(xi), eta, self.inner))
 
     def norm(self, xi: np.ndarray) -> float:
         return float(np.sqrt(max(operator_norm(self.inner_product(xi, xi)), 0.0)))
 
     # -- the scalar form and the Gram transform ------------------------------
-
-    def trace_functional(self) -> np.ndarray:
-        """tau as a matrix functional: tau(b) = trace(e b) / trace(e)."""
-        e = self.algebra.unit()
-        return e.conj().T / np.real(np.trace(e))
 
     def gram(self) -> np.ndarray:
         """G[i, j] = tau(<e_i | e_j>): the faithful scalar inner product.
@@ -116,8 +129,7 @@ class FDHilbertModule:
         The instance is frozen, so the first result is kept and returned again.
         """
         if self._gram is None:
-            tau = self.trace_functional()
-            g = np.einsum("ba,ijab->ij", tau.conj().T, self.inner)
+            g = self.inner @ _trace_vector(self.algebra)
             object.__setattr__(self, "_gram", (g + g.conj().T) / 2.0)
         return self._gram
 
@@ -146,18 +158,15 @@ class FDHilbertModule:
                         n_samples: int = 20) -> dict:
         """Numeric residuals of the Hilbert-module axioms.
 
-        Keys: values_in_algebra, bimodule, compatibility, symmetry,
-        positivity, definiteness.  Completeness holds automatically at
-        finite dimension and is not measured.
+        Keys: bimodule, compatibility, symmetry, positivity, definiteness.
+        The values lie in B by construction, and completeness holds
+        automatically at finite dimension; neither is measured.
         """
         rng = rng or np.random.default_rng(0)
         b_alg = self.algebra
         m = self.carrier_dim
-        res = {k: 0.0 for k in ("values_in_algebra", "bimodule", "compatibility",
-                                "symmetry", "positivity", "definiteness")}
-        vals = self.inner.reshape(m * m, b_alg.ambient_dim ** 2)
-        res["values_in_algebra"] = float(
-            row_residuals(b_alg.basis_rows(), vals).max(initial=0.0))
+        res = {k: 0.0 for k in ("bimodule", "compatibility", "symmetry",
+                                "positivity", "definiteness")}
         for _ in range(n_samples):
             xi = self.random_vector(rng)
             eta = self.random_vector(rng)
@@ -209,9 +218,10 @@ class FDHilbertModule:
 
 def standard_module(b_alg: MatrixStarAlgebra) -> FDHilbertModule:
     """B as a module over itself with <b1|b2> = b1* b2; B's structure table
-    is the action tensor."""
-    stars = np.conj(np.transpose(b_alg.basis, (0, 2, 1)))
-    inner = stars[:, None] @ b_alg.basis[None]
+    is the action tensor, and b_i* b_j = sum_m,l S[m, i] T[j, l, m] b_l
+    with S the star constants."""
+    inner = np.einsum("mi,jlm->ijl", _star_constants(b_alg), b_alg.structure,
+                      optimize=True)
     return FDHilbertModule(b_alg, b_alg.structure, inner, name="standard")
 
 
@@ -229,13 +239,11 @@ def function_module(sys: EquivariantSystem) -> FDHilbertModule:
     b_alg = scalar_algebra(x_n)
     m = x_n * d
     action = np.zeros((x_n, m, m), dtype=complex)
-    inner = np.zeros((m, m, x_n, x_n), dtype=complex)
-    for x in range(x_n):
-        for i in range(d):
-            action[x, x * d + i, x * d + i] = 1.0
-            for j in range(d):
-                if i == j:
-                    inner[x * d + i, x * d + j, x, x] = 1.0
+    inner = np.zeros((m, m, x_n), dtype=complex)
+    p = np.arange(m)
+    # e_p lives at point p // d: <e_p|e_p> is that point's basis element.
+    action[p // d, p, p] = 1.0
+    inner[p, p, p // d] = 1.0
     return FDHilbertModule(b_alg, action, inner, name="function")
 
 
@@ -243,10 +251,7 @@ def free_module(n: int) -> FDHilbertModule:
     """C^n over C (the scalars realized as M_1)."""
     b_alg = MatrixStarAlgebra(1, np.ones((1, 1, 1), dtype=complex))
     action = np.eye(n, dtype=complex)[None]
-    inner = np.zeros((n, n, 1, 1), dtype=complex)
-    for i in range(n):
-        inner[i, i, 0, 0] = 1.0
-    return FDHilbertModule(b_alg, action, inner, name="free")
+    return FDHilbertModule(b_alg, action, np.eye(n, dtype=complex)[..., None], name="free")
 
 
 # -- compact operators ---------------------------------------------------------
@@ -257,36 +262,36 @@ def rank_one(e: FDHilbertModule, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
     Column l is eta . <xi|e_l>, with <xi|e_l> expanded in B's basis.
     """
-    return np.einsum("i,ilk,kpj,j->pl", np.conj(xi), _inner_coefficients(e),
-                     e.action, eta)
+    return np.einsum("i,ilk,kpj,j->pl", np.conj(xi), e.inner, e.action, eta)
 
 
 @dataclass(frozen=True)
 class CompactOperators:
-    """K_B(E) in Gram coordinates, with the raw-coordinate span alongside.
+    """K_B(E) in raw coordinates, with the Gram transform alongside.
 
     `algebra` is a genuine matrix *-algebra: matrices S k S^-1 for raw
     compacts k, with S the Gram square root, so * is the conjugate transpose.
+    It is built, and its closure checked at `_tol`, on first access only.
     `rank_margin` is the margin of the rank cut on the rank-one maps, as
     `linalg.certified_rows` returns it.
     """
 
     module: FDHilbertModule
-    algebra: MatrixStarAlgebra
     raw_rows: np.ndarray        # orthonormal rows spanning raw compacts
     transform: np.ndarray       # S
     transform_inv: np.ndarray   # S^-1
     rank_margin: float
+    _tol: float = field(default=DEFAULT_TOL, repr=False)
+
+    @cached_property
+    def algebra(self) -> MatrixStarAlgebra:
+        m = self.module.carrier_dim
+        # S is invertible, so dressing a basis of the raw span spans the image.
+        dressed = self.transform @ unflatten(self.raw_rows, m) @ self.transform_inv
+        return algebra_from_span(dressed, ambient_dim=m, tol=self._tol)
 
     def contains_raw(self, mats, tol: float = 1e-8) -> bool:
         return span_contains(self.raw_rows, flatten(np.asarray(mats, dtype=complex)), tol)
-
-
-def _inner_coefficients(e: FDHilbertModule) -> np.ndarray:
-    """<e_p|e_q> expanded in B's orthonormal basis: an (m, m, dim B) array."""
-    m = e.carrier_dim
-    n = e.algebra.ambient_dim
-    return e.inner.reshape(m, m, n * n) @ e.algebra.basis_rows().conj().T
 
 
 def _rank_one_maps(action: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -310,16 +315,9 @@ def compact_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> CompactOp
     """Span of the rank-one module maps, closed as a matrix *-algebra."""
     m = e.carrier_dim
     s, s_inv = e.gram_sqrt()
-    if m == 0:
-        alg = MatrixStarAlgebra(0, np.zeros((0, 0, 0), dtype=complex))
-        return CompactOperators(e, alg, np.zeros((0, 0), dtype=complex), s, s_inv,
-                                np.inf)
-    maps = _rank_one_maps(e.action, _inner_coefficients(e))
+    maps = _rank_one_maps(e.action, e.inner)
     raw_rows, margin = certified_rows(maps.reshape(m * m, m * m), tol)
-    # S is invertible, so dressing a basis of the raw span spans the image.
-    dressed = s @ unflatten(raw_rows, m) @ s_inv
-    alg = algebra_from_span(dressed, ambient_dim=m, tol=tol)
-    return CompactOperators(e, alg, raw_rows, s, s_inv, margin)
+    return CompactOperators(e, raw_rows, s, s_inv, margin, tol)
 
 
 def adjointable_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -334,21 +332,15 @@ def adjointable_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> np.nd
 def fullness_ideal(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
     """span{<xi|eta>} inside B; an ideal of B, all of B iff E is full.
 
-    The span is taken on the (m^2, dim B) coefficients of the values in B's
-    orthonormal basis, which have the singular values of the raw values, so
-    the rank rule is unchanged.  A value outside B raises ModuleError; it is
-    never projected into B silently.
+    The span is taken on the (m^2, dim B) inner coefficients, which have the
+    singular values of the embedded values, since B's basis is orthonormal.
     """
     m = e.carrier_dim
     n = e.algebra.ambient_dim
     if m == 0:
         return MatrixStarAlgebra(n, np.zeros((0, n, n), dtype=complex))
-    b_rows = e.algebra.basis_rows()
-    vals = e.inner.reshape(m * m, n * n)
-    if not span_contains(b_rows, vals, max(tol, 1e-8)):
-        raise ModuleError("inner products leave the coefficient algebra")
-    rows = orthonormal_rows(vals @ b_rows.conj().T, tol) @ b_rows
-    return MatrixStarAlgebra(n, unflatten(rows, n))
+    rows = orthonormal_rows(e.inner.reshape(m * m, e.algebra.dim), tol)
+    return MatrixStarAlgebra(n, unflatten(rows @ e.algebra.basis_rows(), n))
 
 
 def is_full(e: FDHilbertModule, tol: float = 1e-8) -> bool:
@@ -379,11 +371,9 @@ class EquivariantModule:
             raise ModuleError("gamma has wrong shape")
         if np.linalg.norm(self.gamma[0] - np.eye(m)) > tol * max(m, 1):
             raise ModuleError("gamma at the identity is not the identity")
-        for w1 in g.elements():
-            for w2 in g.elements():
-                diff = self.gamma[g.mul[w1, w2]] - self.gamma[w1] @ self.gamma[w2]
-                if np.linalg.norm(diff) > tol * max(m, 1):
-                    raise ModuleError("gamma is not a group homomorphism")
+        hom = self.gamma[g.mul] - self.gamma[:, None] @ self.gamma[None]
+        if np.linalg.norm(hom, axis=(-2, -1)).max() > tol * max(m, 1):
+            raise ModuleError("gamma is not a group homomorphism")
         rng = rng or np.random.default_rng(1)
         for w in g.elements():
             for _ in range(4):
@@ -444,18 +434,17 @@ def green_julg_module(eq: EquivariantModule,
     """E as a module over B >| W: xi . bw = gamma_{w^-1}(xi b), averaged inner.
 
     The inner product is <<xi|eta>> = sum_w <xi|gamma_w eta> w.  Both tensors
-    are built from crossed coefficients, (w, i) for b_i w: cp.embed places
-    all m^2 averaged_inner_coefficients in the crossed ambient.  This builds
-    the embedded crossed product; spans of inner values can be compared in
-    cp's whitened coefficients without it.
+    are built from crossed coefficients, (w, i) for b_i w; the inner values
+    are whitened, which makes them coordinates in cp.algebra.  This builds
+    the embedded crossed product as the module's algebra; spans of inner
+    values can be compared in cp's whitened coefficients without it.
     """
     base = eq.base
     cp = cp or crossed_product(eq.beta, tol)
     # Right action: the crossed coefficients of each basis element against
     # the |W| dim B carrier maps gamma_{w^-1} R_{b_i}.
     action = _crossed_maps(cp, _averaged_maps(eq))
-    # Inner products <<e_p | e_q>>, embedded in the crossed ambient.
-    inner = cp.embed(averaged_inner_coefficients(eq))
+    inner = cp.whiten(averaged_inner_coefficients(eq))
     return FDHilbertModule(cp.algebra, action, inner,
                            name=(base.name or "module") + "-averaged"), cp
 
@@ -472,15 +461,15 @@ def averaged_inner_coefficients(eq: EquivariantModule) -> np.ndarray:
     An (m, m, |W|, dim B) array: <e_p|gamma_w e_q> has B-coefficients
     sum_j gamma_w[j, q] <e_p|e_j>.
     """
-    return np.einsum("pjl,wjq->pqwl", _inner_coefficients(eq.base), eq.gamma)
+    return np.einsum("pjl,wjq->pqwl", eq.base.inner, eq.gamma)
 
 
 def _crossed_maps(cp: CrossedProduct, maps: np.ndarray) -> np.ndarray:
     """Right-action tensor of a module over B >| W whose element b_i w acts
-    by maps[w, i]: each basis element acts by its crossed coefficients."""
-    c = cp.basis_coefficients()
-    dim, size = c.shape[0], maps.shape[-1]
-    return (c.reshape(dim, -1) @ maps.reshape(-1, size * size)).reshape(dim, size, size)
+    by maps[w, i]: cp.algebra's basis element (w, j) is
+    sum_m R^-1[j, m] b_m w, the coefficients cp.unwhiten gives it."""
+    w_n, k = maps.shape[:2]
+    return np.tensordot(cp.unwhiten(np.eye(w_n * k)), maps, axes=2)
 
 
 def module_crossed_product(eq: EquivariantModule,
@@ -499,14 +488,14 @@ def module_crossed_product(eq: EquivariantModule,
     big = m * w_n
     twisted = np.einsum("wli,lpq->wipq", eq.beta.maps, base.action)  # R_{beta_w(b_i)}
     maps = np.zeros((w_n, k, w_n, m, w_n, m), dtype=complex)
-    ips = np.einsum("wil,pql->wpqi", eq.beta.maps[g.inv], _inner_coefficients(base))
+    ips = np.einsum("wil,pql->wpqi", eq.beta.maps[g.inv], base.inner)
     coeffs = np.zeros((w_n, m, w_n, m, w_n, k), dtype=complex)
     for w in range(w_n):
         for v in range(w_n):
             maps[v, :, g.mul[w, v], :, w, :] = twisted[w]
             coeffs[w, :, v, :, g.mul[g.inv[w], v]] = ips[w]
     action = _crossed_maps(cp, maps.reshape(w_n, k, big, big))
-    inner = cp.embed(coeffs.reshape(big, big, w_n, k))
+    inner = cp.whiten(coeffs.reshape(big, big, w_n, k))
     return FDHilbertModule(cp.algebra, action, inner,
                            name=(base.name or "module") + "-crossed"), cp
 
@@ -629,20 +618,18 @@ def dual_module(e: FDHilbertModule,
     the dual (b . <xi| = <xi b*|) as matrices, one per B basis element.
     """
     compacts = compacts or compact_operators(e, tol)
-    m = e.carrier_dim
     s, s_inv = compacts.transform, compacts.transform_inv
     k_alg = compacts.algebra
     # Right action of a compact a (in Gram coords): bra_xi . a = bra_{a# xi},
     # and in conj coordinates delta -> conj(a#) delta with a# = S^-1 a* S.
-    action = np.stack([np.conj(s_inv @ a.conj().T @ s) for a in k_alg.basis])
-    # <<e_p|e_q>> = |e_p><e_q|
-    inner = s @ _rank_one_maps(e.action, _inner_coefficients(e)) @ s_inv
+    action = np.conj(s_inv @ np.conj(np.transpose(k_alg.basis, (0, 2, 1))) @ s)
+    # <<e_p|e_q>> = |e_p><e_q|, dressed into K's Gram coordinates.
+    inner = _checked_coefficients(
+        k_alg.basis_rows(), flatten(s @ _rank_one_maps(e.action, e.inner) @ s_inv))
     dual = FDHilbertModule(k_alg, action, inner, name=(e.name or "module") + "-dual")
-    # Left action of B: b . bra_xi = bra_{xi b*}; conj coords: conj(R_{b*}).
-    left = np.zeros((e.algebra.dim, m, m), dtype=complex)
-    for i in range(e.algebra.dim):
-        bstar = e.algebra.basis[i].conj().T
-        left[i] = np.conj(e.action_matrix(bstar))
+    # Left action of B: b . bra_xi = bra_{xi b*}; conj coords: conj(R_{b*}),
+    # with b_i* = sum_l S[l, i] b_l for the star constants S.
+    left = np.conj(np.tensordot(_star_constants(e.algebra), e.action, axes=(0, 0)))
     return dual, left
 
 
@@ -718,15 +705,14 @@ def direct_sum_module(e1: FDHilbertModule, e2: FDHilbertModule) -> FDHilbertModu
     """E1 (+) E2 over B1 (+) B2 (block-diagonal ambient)."""
     b1, b2 = e1.algebra, e2.algebra
     b_sum = _block_sum(b1, b2)
-    n1, n = b1.ambient_dim, b_sum.ambient_dim
     m1, m2 = e1.carrier_dim, e2.carrier_dim
     m = m1 + m2
     action = np.zeros((b_sum.dim, m, m), dtype=complex)
     action[:b1.dim, :m1, :m1] = e1.action
     action[b1.dim:, m1:, m1:] = e2.action
-    inner = np.zeros((m, m, n, n), dtype=complex)
-    inner[:m1, :m1, :n1, :n1] = e1.inner
-    inner[m1:, m1:, n1:, n1:] = e2.inner
+    inner = np.zeros((m, m, b_sum.dim), dtype=complex)
+    inner[:m1, :m1, :b1.dim] = e1.inner
+    inner[m1:, m1:, b1.dim:] = e2.inner
     return FDHilbertModule(b_sum, action, inner, name="direct-sum")
 
 
@@ -751,37 +737,23 @@ def interior_tensor_product(e1: FDHilbertModule, e2: FDHilbertModule,
     of this semi-inner product is quotiented out.  Returns the module and
     the quotient map Q (quotient coords = Q @ tensor coords).
     """
-    b_alg = e1.algebra
     c_alg = e2.algebra
     m1, m2 = e1.carrier_dim, e2.carrier_dim
     big = m1 * m2
-    # Semi-inner product on the full tensor space, valued in C's ambient.
-    # left_b_on_e2[k] is the action of B basis element k on E2's carrier.
-    inner_big = np.zeros((big, big, c_alg.ambient_dim, c_alg.ambient_dim), dtype=complex)
-    for p1 in range(m1):
-        for q1 in range(m1):
-            coeffs = b_alg.coefficients(e1.inner[p1, q1])
-            bmat = np.einsum("k,kij->ij", coeffs, left_b_on_e2)
-            # <e_{p2} | bmat e_{q2}>_C
-            vals = np.einsum("pjab,jq->pqab", e2.inner, bmat)
-            for p2 in range(m2):
-                for q2 in range(m2):
-                    inner_big[p1 * m2 + p2, q1 * m2 + q2] = vals[p2, q2]
+    # Semi-inner product on the full tensor space, in C's coordinates:
+    # <e_p2 | b e_q2>_C for b = <e_p1|e_q1> = sum_k c_k b_k acting on E2 by
+    # left_b_on_e2[k], at tensor coordinates (p1 m2 + p2, q1 m2 + q2).
+    inner_big = np.einsum("PQk,kjq,pjc->PpQqc", e1.inner, left_b_on_e2, e2.inner,
+                          optimize=True).reshape(big, big, c_alg.dim)
     # Scalar Gram and null space.
-    e_unit = c_alg.unit()
-    tau = e_unit.conj().T / np.real(np.trace(e_unit))
-    gram = np.einsum("ba,pqab->pq", tau.conj().T, inner_big)
+    gram = inner_big @ _trace_vector(c_alg)
     gram = (gram + gram.conj().T) / 2.0
     evals, evecs = np.linalg.eigh(gram)
     keep = evals > max(tol, 1e-10) * max(evals.max(), 1.0)
     u = evecs[:, keep]          # orthonormal complement of the null space
     q_map = u.conj().T          # tensor coords -> quotient coords
-    m = u.shape[1]
-    inner = np.einsum("pi,pqab,qj->ijab", u.conj(), inner_big, u)
-    action = np.zeros((c_alg.dim, m, m), dtype=complex)
-    eye1 = np.eye(m1)
-    for k in range(c_alg.dim):
-        action[k] = q_map @ np.kron(eye1, e2.action[k]) @ u
+    inner = np.einsum("pi,pqc,qj->ijc", u.conj(), inner_big, u, optimize=True)
+    action = q_map @ np.kron(np.eye(m1), e2.action) @ u
     return FDHilbertModule(c_alg, action, inner, name="interior-tensor"), q_map
 
 

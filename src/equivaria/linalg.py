@@ -36,12 +36,24 @@ def orthonormal_rows(vectors: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarra
     vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
     if vectors.size == 0:
         return np.zeros((0, vectors.shape[-1]), dtype=complex)
-    scale = np.abs(vectors).max()
-    if scale == 0.0:
-        return np.zeros((0, vectors.shape[-1]), dtype=complex)
-    u, s, vh = np.linalg.svd(vectors, full_matrices=False)
-    rank = int(np.sum(s > tol * max(s[0], 1.0)))
+    vh, rank = _right_singular(vectors, tol, full=False)
     return vh[:rank]
+
+
+def _right_singular(matrix: np.ndarray, tol: float, full: bool) -> tuple[np.ndarray, int]:
+    """(Vh, rank) of the SVD of a nonempty matrix, keeping s > tol max(s_0, 1).
+
+    The floor on the scale makes an all-roundoff matrix read as rank zero.
+    A tall matrix has the singular values and right singular vectors of its
+    n x n R factor, so it is reduced first and its m x n U is never formed.
+    `full` asks for all n right singular vectors, which a kernel needs.
+    """
+    m, n = matrix.shape
+    if m > n:
+        matrix = np.linalg.qr(matrix, mode="r")
+    _, s, vh = np.linalg.svd(matrix, full_matrices=full and m < n)
+    scale = max(s[0], 1.0) if s.size else 1.0
+    return vh, int(np.sum(s > tol * scale))
 
 
 def certified_rows(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:
@@ -119,16 +131,7 @@ def nullspace_rows(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
     if matrix.shape[0] == 0:
         return np.eye(matrix.shape[1], dtype=complex)
-    m, n = matrix.shape
-    # Full V is needed to read the kernel; U never is.  A tall matrix has the
-    # singular values and right singular vectors of its n x n R factor, so
-    # reduce it first and never form its m x n U.
-    if m > n:
-        matrix = np.linalg.qr(matrix, mode="r")
-    u, s, vh = np.linalg.svd(matrix, full_matrices=(m < n))
-    # Floor the scale so an all-roundoff matrix reads as rank zero.
-    scale = max(s[0], 1.0) if s.size else 1.0
-    rank = int(np.sum(s > tol * scale))
+    vh, rank = _right_singular(matrix, tol, full=True)
     return vh[rank:].conj()
 
 

@@ -15,8 +15,11 @@ reduced dual.
 
 The ideal test and the comparison of J with C run in the crossed product's
 whitened coefficients, where rank cuts, norms and residuals are those of the
-embedded matrices.  The embedded crossed product, the Green-Julg module over
-it and C's embedded span are built only for a Morita witness.
+embedded matrices.  Those coefficients are also the coordinates of the
+embedded crossed product's algebra, so C's algebra is its whitened rows
+times that basis, and the Green-Julg module is rebased onto C by projecting
+its inner coefficients onto those rows.  The embedded crossed product is
+built only for a Morita witness.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ from .hilbmod import (
     EquivariantModule,
     FDHilbertModule,
     MoritaWitness,
+    _checked_coefficients,
     averaged_inner_coefficients,
     compact_operators,
     direct_sum_left_action,
@@ -41,7 +45,6 @@ from .hilbmod import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    flatten,
     nullspace_rows,
     orthonormal_rows,
     row_residuals,
@@ -168,16 +171,17 @@ class CIdeal:
     """C(X, W, I) inside C(X) >| W, in coefficients; embedded on demand.
 
     `metric_rows` spans the ideal in cp's whitened coordinates, where norms
-    and inner products are those of the embedded matrices.  `algebra`, the
-    embedded span, is built on first access; an ideal of full dimension is
-    the whole crossed product, and its algebra is cp.algebra.
+    and inner products are those of the embedded matrices; they are also
+    coordinates against cp.algebra's basis.  `algebra`, the embedded span
+    with basis metric_rows @ cp.algebra's basis, is built on first access;
+    an ideal of full dimension is the whole crossed product, and its
+    algebra is cp.algebra.
     """
 
     system: EquivariantSystem
     cp: CrossedProduct
     coeff_rows: np.ndarray     # (dim, |W| * |X|), orthonormal
     metric_rows: np.ndarray    # (dim, |W| * |X|), orthonormal after whitening
-    tol: float = DEFAULT_TOL
 
     @property
     def dim(self) -> int:
@@ -188,8 +192,7 @@ class CIdeal:
         if self.dim == self.cp.metric.shape[0]:
             return self.cp.algebra
         amb = self.cp.algebra.ambient_dim
-        f = self.coeff_rows.reshape(-1, self.cp.group.order, self.system.n_points)
-        rows = orthonormal_rows(flatten(self.cp.embed(f)), self.tol)
+        rows = self.metric_rows @ self.cp.algebra.basis_rows()
         return MatrixStarAlgebra(amb, unflatten(rows, amb))
 
 
@@ -224,17 +227,28 @@ def c_ideal(sys: EquivariantSystem, scalar: ScalarStructure | None = None,
     metric_rows = orthonormal_rows(cp.whiten(rows.reshape(-1, g.order, x_n)), tol)
     if not cp.is_ideal(metric_rows, max(tol, 1e-8)):
         raise MoritaError("C(X, W, I) is not an ideal of the crossed product")
-    return CIdeal(sys, cp, rows, metric_rows, tol)
+    return CIdeal(sys, cp, rows, metric_rows)
 
 
 # -- the Morita theorem --------------------------------------------------------
 
 
-def rebase_module(e: FDHilbertModule, sub: MatrixStarAlgebra) -> FDHilbertModule:
-    """View a module over a subalgebra containing all its inner products."""
-    action = np.stack([e.action_matrix(b) for b in sub.basis]) if sub.dim else \
-        np.zeros((0, e.carrier_dim, e.carrier_dim), dtype=complex)
-    return FDHilbertModule(sub, action, e.inner, name=e.name + "-rebased")
+def rebase_module(e: FDHilbertModule, rows: np.ndarray) -> FDHilbertModule:
+    """View a module over the subalgebra spanned by orthonormal rows of B's
+    coordinates, which must contain all its inner products.
+
+    Basis element s of the subalgebra is sum_k rows[s, k] b_k.  Each inner
+    value is projected onto the rows; one that leaves them raises
+    ModuleError.  Rows spanning all of B leave the module as it is.
+    """
+    b_alg = e.algebra
+    if rows.shape[0] == b_alg.dim:
+        return e
+    n, m = b_alg.ambient_dim, e.carrier_dim
+    sub = MatrixStarAlgebra(n, unflatten(rows @ b_alg.basis_rows(), n))
+    action = (rows @ e.action.reshape(b_alg.dim, m * m)).reshape(-1, m, m)
+    return FDHilbertModule(sub, action, _checked_coefficients(rows, e.inner),
+                           name=e.name + "-rebased")
 
 
 @dataclass(frozen=True)
@@ -273,8 +287,8 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     J and C are compared in the crossed product's whitened coefficients,
     whose singular values, norms and residuals are those of the embedded
     matrices, so the rank and span rules are the embedded ones.  The
-    embedded Green-Julg module, rebased onto C, is built only for the
-    witness; `module` is None when no witness is built.
+    Green-Julg module, rebased onto C's whitened rows, is built only for
+    the witness; `module` is None when no witness is built.
     """
     scalar = scalar or scalar_subgroups(sys, tol)
     fpa = fixed_point_algebra(sys)
@@ -293,11 +307,11 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     fpa_blocks = c_blocks = None
     module = None
     if conditions and spans_match:
-        module = rebase_module(green_julg_module(eq, cp)[0], cid.algebra)
+        module = rebase_module(green_julg_module(eq, cp)[0], c_rows)
         witness = verify_morita(fpa, module, fpa.basis, tol,
                                 rng=np.random.default_rng(seed))
         fpa_blocks = len(block_decompose(fpa, seed=seed).blocks)
-        c_blocks = len(block_decompose(cid.algebra, seed=seed).blocks)
+        c_blocks = len(block_decompose(module.algebra, seed=seed).blocks)
     return MoritaTheoremVerdict(scalar, conditions, j_rows.shape[0], cid.dim,
                                 spans_match, strict, j_in_c, witness,
                                 fpa_blocks, c_blocks, cid, module,
@@ -345,7 +359,6 @@ def quotient_equivariant_module(sys: EquivariantSystem, wprime, r,
     x_n = sys.n_points
     # Pointwise multiplication by (normalized) orbit indicators.
     action = np.zeros((q_alg.dim, k, k), dtype=complex)
-    inner = np.zeros((k, k, x_n, x_n), dtype=complex)
     for o, orb in enumerate(quot.orbits):
         diag = np.zeros(x_n * d)
         for x in orb:
@@ -353,8 +366,9 @@ def quotient_equivariant_module(sys: EquivariantSystem, wprime, r,
         action[o] = u_rows.conj() @ (diag[:, None] * u_rows.T)
     vecs = u_rows.reshape(k, x_n, d)
     ips = np.einsum("pxa,qxa->pqx", vecs.conj(), vecs)   # <u_p(x)|u_q(x)>
-    for x in range(x_n):
-        inner[:, :, x, x] = ips[:, :, x]
+    # The values are functions on X, diagonal like C(X/W')'s basis, whose
+    # diagonals are the orbit indicators: they must be constant on orbits.
+    inner = _checked_coefficients(quot.orbit_basis, ips)
     base = FDHilbertModule(q_alg, action, inner, name="quotient-invariant")
     # R acts by the restricted gamma; on C(X/W') it permutes orbits.
     v_n = v_sub.group.order
@@ -502,7 +516,7 @@ def assemble_toy_dual(components, seed: int = 0, tol: float = 1e-8) -> ToyDualRe
     if module is None:
         zero = MatrixStarAlgebra(0, np.zeros((0, 0, 0), dtype=complex))
         module = FDHilbertModule(zero, np.zeros((0, 0, 0), dtype=complex),
-                                 np.zeros((0, 0, 0, 0), dtype=complex))
+                                 np.zeros((0, 0, 0), dtype=complex))
         a_sum = zero
         left_sum = np.zeros((0, 0, 0), dtype=complex)
     witness = verify_morita(a_sum, module, left_sum, tol, check_blocks=True,

@@ -10,15 +10,17 @@ on l^2(W) (x) C^N and verifies the two structural isomorphisms
 C(X) >| W ~ C(X, K(l^2 W))^W and (B >| U) >| V ~ B >| W for W = U >| V.
 A CrossedProduct works in crossed coefficients: its structure tensor and
 the trace metric of its embedded basis carry products, adjoints and the
-ideal test, so building one costs O(|W| dim B^3).  The |W| dim B embedded
-basis elements are built on first use only, for the modules over B >| W
-that Morita witnesses need; embedding coefficient arrays is then one matrix
-product against them, and reading coefficients back is one pseudo-inverse.
-No other module embeds or coordinatizes crossed-product elements.
+ideal test, so building one costs O(|W| dim B^3).  Its whitened
+coefficients are the coordinates of its one matrix algebra: the embedded
+basis orthonormalized by the metric's square root, so a module over
+B >| W keeps its inner values as whitened rows and never embeds them.  The
+|W| dim B embedded basis elements are built on first use only, when a
+Morita witness needs that algebra.  No other module embeds or
+coordinatizes crossed-product elements.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,7 +34,7 @@ from .linalg import (
     span_contains,
     spans_equal,
 )
-from .matalg import MatrixStarAlgebra, _star_constants, algebra_from_span
+from .matalg import MatrixStarAlgebra, _star_constants
 from .reps import regular_rep
 
 
@@ -469,18 +471,16 @@ class CrossedProduct:
     is I_W (x) sum_u beta_u^T conj(beta_u), which is |W| times the identity
     when every beta_u is unitary.  Products, adjoints and span tests run on
     these; `whiten` maps coefficients to rows whose standard inner products
-    are the trace inner products of the embedded matrices.  `embedding`
-    (row w * dim B + i is b_i w embedded, as built by crossed_basis) and
-    `algebra` (its span, checked by algebra_from_span) are built on first
-    access only.
+    are the trace inner products of the embedded matrices, which are the
+    coordinates in `algebra`'s basis.  `embedding` (row w * dim B + i is
+    b_i w embedded, as built by crossed_basis) and `algebra` are built on
+    first access only.
     """
 
     action: AlgebraAction
     structure: np.ndarray       # (|W|, dim B, dim B, dim B)
     metric: np.ndarray          # (|W| dim B, |W| dim B)
-    tol: float = DEFAULT_TOL    # rank tolerance of the embedded span
-    _coefficients: np.ndarray | None = field(default=None, init=False, repr=False,
-                                             compare=False)
+    tol: float = DEFAULT_TOL    # closure tolerance of the embedded algebra
 
     @property
     def group(self) -> FiniteGroup:
@@ -493,15 +493,19 @@ class CrossedProduct:
 
     @cached_property
     def algebra(self) -> MatrixStarAlgebra:
-        """The span of the embedding; its dimension must be |W| dim B."""
+        """The embedded crossed product in the basis embed(unwhiten(I)).
+
+        Basis element (w, j) is sum_m R^-1[j, m] b_m w, orthonormal exactly
+        when `metric` is the embedding's Gram matrix, so `whiten` gives
+        coordinates against it.  `validate` checks orthonormality and
+        closure, as algebra_from_span does for a span.
+        """
         w_n, k = self.group.order, self.action.algebra.dim
         n = w_n * self.action.algebra.ambient_dim
         if k == 0:
             return MatrixStarAlgebra(n, np.zeros((0, n, n), dtype=complex))
-        alg = algebra_from_span(self.embedding, tol=self.tol)
-        if alg.dim != w_n * k:
-            raise SystemError(
-                f"regular embedding is not injective: dim {alg.dim} != {w_n * k}")
+        alg = MatrixStarAlgebra(n, self.embed(self.unwhiten(np.eye(w_n * k))))
+        alg.validate(max(self.tol, 1e-8))
         return alg
 
     def embed(self, f: np.ndarray) -> np.ndarray:
@@ -510,17 +514,6 @@ class CrossedProduct:
         *lead, w_n, k = f.shape
         out = f.reshape(int(np.prod(lead)), w_n * k) @ flatten(self.embedding)
         return out.reshape(*lead, *self.embedding.shape[1:])
-
-    def basis_coefficients(self) -> np.ndarray:
-        """The algebra's basis in crossed coefficients, a (dim, |W|, dim B) array.
-
-        Kept on the frozen instance after the first call.
-        """
-        if self._coefficients is None:
-            coeffs = np.linalg.pinv(flatten(self.embedding).T) @ self.algebra.basis_rows().T
-            object.__setattr__(self, "_coefficients", coeffs.T.reshape(
-                self.algebra.dim, self.group.order, self.action.algebra.dim))
-        return self._coefficients
 
     @cached_property
     def _root(self) -> tuple[np.ndarray, np.ndarray]:
@@ -533,7 +526,8 @@ class CrossedProduct:
 
     def whiten(self, f: np.ndarray) -> np.ndarray:
         """Rows (..., |W| dim B) of coefficient arrays f (..., |W|, dim B),
-        with the norms and inner products of the embedded matrices."""
+        with the norms and inner products of the embedded matrices: the
+        coordinates of f against `algebra`'s basis."""
         f = np.asarray(f, dtype=complex)
         return (f @ self._root[0]).reshape(*f.shape[:-2], -1)
 

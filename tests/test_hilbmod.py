@@ -124,8 +124,8 @@ def test_cauchy_schwarz_holds():
 def test_degenerate_inner_product_rejected():
     b = MatrixStarAlgebra(1, np.ones((1, 1, 1), dtype=complex))
     action = np.eye(2, dtype=complex)[None]
-    inner = np.zeros((2, 2, 1, 1), dtype=complex)
-    inner[0, 0, 0, 0] = 1.0   # second basis vector has zero length
+    inner = np.zeros((2, 2, 1), dtype=complex)
+    inner[0, 0, 0] = 1.0   # second basis vector has zero length
     e = FDHilbertModule(b, action, inner)
     with pytest.raises(ModuleError):
         e.gram_sqrt()
@@ -142,12 +142,12 @@ def test_fullness_ideal_picks_one_block():
                 k += 1
     b = MatrixStarAlgebra(4, basis)
     action = np.zeros((8, 2, 2), dtype=complex)
-    inner = np.zeros((2, 2, 4, 4), dtype=complex)
+    inner = np.zeros((2, 2, 8), dtype=complex)
     for k in range(4):   # first-block basis elements act on C^2, rest act as 0
         action[k] = basis[k, :2, :2].T
     for i in range(2):
         for j in range(2):
-            inner[i, j, i, j] = 1.0
+            inner[i, j, 2 * i + j] = 1.0   # <e_i|e_j> = E_ij, basis element 2i + j
     e = FDHilbertModule(b, action, inner)
     e.validate()
     ideal = fullness_ideal(e)
@@ -293,9 +293,9 @@ def test_is_full_honours_its_tolerance():
     # the second value is below a 1e-6 rank cut.
     b = scalar_algebra(2)
     action = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
-    inner = np.zeros((2, 2, 2, 2), dtype=complex)
-    inner[0, 0] = np.diag([1.0, 0.0])
-    inner[1, 1] = np.diag([0.0, 1e-7])
+    inner = np.zeros((2, 2, 2), dtype=complex)
+    inner[0, 0] = [1.0, 0.0]
+    inner[1, 1] = [0.0, 1e-7]
     e = FDHilbertModule(b, action, inner)
     assert is_full(e, 1e-12)
     assert not is_full(e, 1e-6)
@@ -306,9 +306,9 @@ def test_witness_checks_honour_their_tolerance():
     # norm 1e-7, kept by a 1e-12 rank cut and dropped by a 1e-6 one.
     b = scalar_algebra(2)
     action = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
-    inner = np.zeros((2, 2, 2, 2), dtype=complex)
-    inner[0, 0] = np.diag([1.0, 0.0])
-    inner[1, 1] = np.diag([0.0, 1e-7])
+    inner = np.zeros((2, 2, 2), dtype=complex)
+    inner[0, 0] = [1.0, 0.0]
+    inner[1, 1] = [0.0, 1e-7]
     e = FDHilbertModule(b, action, inner)
     assert verify_morita(b, e, action, 1e-12).ok
     assert not verify_morita(b, e, action, 1e-6).span_match
@@ -323,9 +323,9 @@ def test_module_crossed_compacts_honour_their_tolerance():
     # cut of the check keeps |e2><e2| at 1e-12 and drops it at 1e-6.
     b = scalar_algebra(2)
     action = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
-    inner = np.zeros((2, 2, 2, 2), dtype=complex)
-    inner[0, 0] = np.diag([1.0, 0.0])
-    inner[1, 1] = np.diag([0.0, 1e-7])
+    inner = np.zeros((2, 2, 2), dtype=complex)
+    inner[0, 0] = [1.0, 0.0]
+    inner[1, 1] = [0.0, 1e-7]
     eq = trivial_equivariant_module(FDHilbertModule(b, action, inner),
                                     builtin_group("trivial"))
     fine = verify_module_crossed_compacts(eq, 1e-12)

@@ -114,6 +114,36 @@ def test_cli_morita_modes(capsys):
     assert report["mode"] == "toy-dual" and report["ok"]
 
 
+def test_cli_morita_passes_the_tolerance_through(monkeypatch, capsys):
+    seen = []
+    theorem = cli.verify_morita_theorem
+
+    def spy(*args, tol, **kwargs):
+        seen.append(tol)
+        return theorem(*args, tol=tol, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_morita_theorem", spy)
+    assert main(["morita", "--input", "z2-line", "--tolerance", "1e-12"]) == EXIT_OK
+    assert main(["morita", "--input", "z2-line"]) == EXIT_OK
+    assert seen == [1e-12, 1e-8]
+
+
+def test_cli_morita_default_json_on_z2_line(capsys):
+    assert main(["morita", "--input", "z2-line", "--format", "json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert main(["morita", "--input", "z2-line", "--tolerance", "1e-8",
+                 "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == report
+    witness = report.pop("witness")
+    assert report == {"schema": "equivaria/1", "command": "morita", "mode": "theorem",
+                      "system": "z2-line-4", "ok": True, "conditions_hold": True,
+                      "j_dim": 18, "c_dim": 18, "spans_match": True,
+                      "strict_inclusion": False, "normalisation_ok": True,
+                      "completeness_ok": True, "fpa_blocks": 6, "c_blocks": 6}
+    assert witness["ok"] and witness["full"] and witness["span_match"]
+    assert max(witness["multiplicative_residual"], witness["star_residual"]) < 1e-10
+
+
 def test_cli_verify_suites(capsys):
     assert main(["verify", "none"]) == EXIT_OK
     capsys.readouterr()

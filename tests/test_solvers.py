@@ -5,17 +5,19 @@ pass over its basis products, which the standard module, GNS and states
 read; `center` solves in the algebra's coefficient space, `intertwiner_space`
 stacks only the group's generators, `compact_operators` and
 `green_julg_module` build their tensors in a few contractions, the
-Green-Julg check finds both of its spans in coefficient space,
-`fullness_ideal` works in B's coordinates, `is_ideal` tests whole stacks of
-products and `is_irreducible` reads the character norm.  A CrossedProduct
-embeds coefficient arrays with one product against its stored basis,
-`module_crossed_product` uses the contractions of `green_julg_module`, and
-`span_contains` tests stacks a slab at a time.  `certified_rows` cuts a
-rank from a sketch only when its residual proves the dense SVD's cut, and
-the dense SVD is its oracle on prescribed spectra.  Crossed products multiply,
-take adjoints and test ideals in coefficients, and the Morita theorem
-compares J with C there; the embedded matrices are their oracle.  The dense
-paths and per-pair loops survive here as oracles.
+Green-Julg check finds both of its spans in coefficient space, every
+module keeps its inner values as coefficients in B's basis (checked against
+the dense values its builder used to form), `is_ideal` tests whole stacks
+of products and `is_irreducible` reads the character norm.  A
+CrossedProduct embeds coefficient arrays with one product against its
+stored basis, its algebra's basis is the whitened one, whose coordinates
+`whiten` gives, `module_crossed_product` uses the contractions of
+`green_julg_module`, and `span_contains` tests stacks a slab at a time.
+`certified_rows` cuts a rank from a sketch only when its residual proves
+the dense SVD's cut, and the dense SVD is its oracle on prescribed spectra.
+Crossed products multiply, take adjoints and test ideals in coefficients,
+and the Morita theorem compares J with C there; the embedded matrices are
+their oracle.  The dense paths and per-pair loops survive here as oracles.
 """
 import numpy as np
 import pytest
@@ -24,15 +26,17 @@ from equivaria import hilbmod, linalg, matalg
 from equivaria.datasets import bundled
 from equivaria.groups import BUILTIN_GROUPS, builtin_group, cyclic, dihedral, symmetric
 from equivaria.hilbmod import (
-    FDHilbertModule,
     ModuleError,
     averaged_inner_coefficients,
     compact_operators,
+    direct_sum_module,
+    dual_module,
     equivariant_function_module,
     free_module,
     fullness_ideal,
     function_module,
     green_julg_module,
+    interior_tensor_product,
     invariant_compacts_rows,
     is_full,
     module_crossed_product,
@@ -65,6 +69,7 @@ from equivaria.matalg import (
 from equivaria.morita import (
     c_ideal,
     quotient_equivariant_module,
+    rebase_module,
     scalar_translation_action,
     verify_morita_theorem,
 )
@@ -176,6 +181,25 @@ def test_unit_is_computed_once():
     assert e.gram() is e.gram()
 
 
+def test_compacts_algebra_is_built_when_read(monkeypatch):
+    # The Green-Julg and Morita checks read only the compacts' raw rows.
+    calls = []
+    build = hilbmod.algebra_from_span
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(hilbmod, "algebra_from_span", spy)
+    eq = equivariant_function_module(bundled("z2-line"))
+    assert hilbmod.verify_green_julg(eq).ok
+    assert verify_morita_theorem(bundled("z2-line")).ok
+    assert calls == []
+    compacts = compact_operators(eq.base)
+    assert compacts.algebra is compacts.algebra and calls == [1]
+    assert compacts.algebra.dim == compacts.raw_rows.shape[0]
+
+
 # -- the product pass against the dense closure check and per-pair loops ------
 
 
@@ -258,7 +282,7 @@ def test_standard_module_and_gns_match_pair_loops(label):
     alg = product_pass_algebra(label)
     e = standard_module(alg)
     action, inner = standard_module_loops(alg)
-    assert close(e.action, action) and close(e.inner, inner)
+    assert close(e.action, action) and close(dense_inner(e), inner)
     rng = np.random.default_rng(11)
     xi = rng.standard_normal(alg.ambient_dim) + 1j * rng.standard_normal(alg.ambient_dim)
     rep = gns(alg, vector_state(alg, xi))
@@ -307,6 +331,108 @@ def test_irreducible_by_character_norm_matches_commutant():
 
 
 # -- the Morita pipeline against its per-pair loops ---------------------------
+
+
+def dense_inner(e):
+    """A module's inner values as matrices: coefficients times B's basis."""
+    return np.tensordot(e.inner, e.algebra.basis, axes=1)
+
+
+def function_module_dense(sys):
+    """<e_p|e_p> = E_xx for the point x of e_p, as the builder once wrote it."""
+    x_n, d = sys.n_points, sys.fiber_dim
+    inner = np.zeros((x_n * d, x_n * d, x_n, x_n), dtype=complex)
+    for x in range(x_n):
+        for i in range(d):
+            inner[x * d + i, x * d + i, x, x] = 1.0
+    return inner
+
+
+def dense_values(e):
+    """<e_p|e_q> as matrices, one pair at a time through inner_product."""
+    eye = np.eye(e.carrier_dim)
+    return np.array([[e.inner_product(eye[p], eye[q]) for q in range(e.carrier_dim)]
+                     for p in range(e.carrier_dim)])
+
+
+def interior_tensor_loops(e1, e2, left, q_map):
+    """The interior tensor product's values, pair by pair in the tensor
+    space, then compressed to the quotient coordinates q_map."""
+    b_alg = e1.algebra
+    m1, m2 = e1.carrier_dim, e2.carrier_dim
+    v1, v2 = dense_values(e1), dense_values(e2)
+    n = e2.algebra.ambient_dim
+    big = np.zeros((m1 * m2, m1 * m2, n, n), dtype=complex)
+    for p1 in range(m1):
+        for q1 in range(m1):
+            bmat = np.einsum("k,kij->ij", b_alg.coefficients(v1[p1, q1]), left)
+            vals = np.einsum("pjab,jq->pqab", v2, bmat)
+            for p2 in range(m2):
+                for q2 in range(m2):
+                    big[p1 * m2 + p2, q1 * m2 + q2] = vals[p2, q2]
+    u = q_map.conj().T
+    return np.einsum("pi,pqab,qj->ijab", u.conj(), big, u)
+
+
+def dense_inner_case(kind):
+    """(module, its inner values as matrices from the dense construction)."""
+    if kind == "standard":
+        alg = conjugated_block_sum()
+        return standard_module(alg), standard_module_loops(alg)[1]
+    if kind == "function":
+        sys = z2_line_system(2)
+        return function_module(sys), function_module_dense(sys)
+    if kind == "free":
+        return free_module(3), np.eye(3, dtype=complex)[:, :, None, None]
+    if kind == "direct-sum":
+        sys = z2_line_system(1)
+        e1, e2 = function_module(sys), standard_module(conjugated_block_sum())
+        v1, v2 = function_module_dense(sys), standard_module_loops(e2.algebra)[1]
+        (m1, n1), (m2, n2) = v1.shape[1:3], v2.shape[1:3]
+        inner = np.zeros((m1 + m2, m1 + m2, n1 + n2, n1 + n2), dtype=complex)
+        inner[:m1, :m1, :n1, :n1] = v1
+        inner[m1:, m1:, n1:, n1:] = v2
+        return direct_sum_module(e1, e2), inner
+    if kind == "dual":
+        # <<e_p|e_q>> = S |e_p><e_q| S^-1, whose column l is e_p . <e_q|e_l>.
+        e = function_module(z2_line_system(1))
+        c = compact_operators(e)
+        eye = np.eye(e.carrier_dim)
+        maps = np.array([[np.stack([e.act(eye[p], e.inner_product(eye[q], eye[l]))
+                                    for l in range(e.carrier_dim)], axis=1)
+                          for q in range(e.carrier_dim)] for p in range(e.carrier_dim)])
+        return dual_module(e, c)[0], c.transform @ maps @ c.transform_inv
+    if kind == "interior-tensor-m2":
+        # M2 (x)_{M2} C^2 = C^2 over the scalars.
+        b = generate(np.array([[[0, 1], [0, 0]]], dtype=complex), ambient_dim=2)
+        e1, e2, left = standard_module(b), free_module(2), b.basis.copy()
+    elif kind == "interior-tensor-function":
+        # C^2 (x)_C C(X, C^2) = two copies of the function module over C(X).
+        e1, e2 = free_module(2), function_module(z2_line_system(1))
+        left = np.eye(e2.carrier_dim, dtype=complex)[None]
+    else:
+        # The W'-invariant vectors u_p of the function module: the values
+        # <u_p|u_q> are functions on X, diagonal in C(X/W')'s ambient.
+        sys, wprime, r = bundled("two-component")[1]
+        eq, u_rows, _, _ = quotient_equivariant_module(sys, wprime, r)
+        k, x_n = u_rows.shape[0], sys.n_points
+        vecs = u_rows.reshape(k, x_n, sys.fiber_dim)
+        ips = np.einsum("pxa,qxa->pqx", vecs.conj(), vecs)
+        inner = np.zeros((k, k, x_n, x_n), dtype=complex)
+        for x in range(x_n):
+            inner[:, :, x, x] = ips[:, :, x]
+        return eq.base, inner
+    t, q_map = interior_tensor_product(e1, e2, left)
+    return t, interior_tensor_loops(e1, e2, left, q_map)
+
+
+@pytest.mark.parametrize("kind", ["standard", "function", "free", "direct-sum", "dual",
+                                  "interior-tensor-m2", "interior-tensor-function",
+                                  "quotient"])
+def test_inner_coefficients_match_the_dense_values(kind):
+    e, inner = dense_inner_case(kind)
+    assert e.inner.shape == (e.carrier_dim, e.carrier_dim, e.algebra.dim)
+    assert e.carrier_dim > 0 and close(dense_inner(e), inner)
 
 
 def crossed_embed(action, f):
@@ -400,7 +526,7 @@ def test_green_julg_module_matches_pair_loops(label):
     gj, cp = green_julg_module(eq)
     action, inner = green_julg_loops(eq, cp)
     assert np.abs(gj.action - action).max() < 1e-10
-    assert np.abs(gj.inner - inner).max() < 1e-10
+    assert np.abs(dense_inner(gj) - inner).max() < 1e-10
 
 
 def module_crossed_product_loops(eq, cp):
@@ -423,6 +549,7 @@ def module_crossed_product_loops(eq, cp):
                     action[idx, wv * m:(wv + 1) * m, w * m:(w + 1) * m] += f[v, i] * bmat
     amb = cp.algebra.ambient_dim
     inner = np.zeros((big, big, amb, amb), dtype=complex)
+    eye = np.eye(m)
     for w1 in range(g.order):
         for w2 in range(g.order):
             slot = g.mul[g.inv[w1], w2]
@@ -430,7 +557,7 @@ def module_crossed_product_loops(eq, cp):
                 for q in range(m):
                     f = np.zeros((g.order, k), dtype=complex)
                     f[slot] = eq.beta.maps[g.inv[w1]] @ b_alg.coefficients(
-                        base.inner[p, q])
+                        base.inner_product(eye[p], eye[q]))
                     inner[w1 * m + p, w2 * m + q] = crossed_embed(cp.action, f)
     return action, inner
 
@@ -452,7 +579,7 @@ def test_module_crossed_product_matches_block_loops(label):
     ecp, cp = module_crossed_product(eq)
     action, inner = module_crossed_product_loops(eq, cp)
     assert np.abs(ecp.action - action).max() < 1e-10
-    assert np.abs(ecp.inner - inner).max() < 1e-10
+    assert np.abs(dense_inner(ecp) - inner).max() < 1e-10
 
 
 @pytest.mark.parametrize("label", ["z2-line-1", "z4-rotation"])
@@ -467,9 +594,11 @@ def test_embed_of_a_stack_matches_per_array_oracle(label):
         oracle = crossed_embed(cp.action, stack[idx])
         assert np.abs(embedded[idx] - oracle).max() < 1e-12
         assert np.abs(cp.embed(stack[idx]) - oracle).max() < 1e-12
-    # Coefficients read back through the pseudo-inverse embed to the basis.
-    assert np.abs(cp.embed(cp.basis_coefficients()) - cp.algebra.basis).max() < 1e-10
-    assert cp.basis_coefficients() is cp.basis_coefficients()
+    # The algebra's basis is embed(unwhiten(I)), and orthonormal.
+    dim = w_n * k
+    assert np.abs(cp.embed(cp.unwhiten(np.eye(dim))) - cp.algebra.basis).max() < 1e-12
+    rows = cp.algebra.basis_rows()
+    assert np.abs(rows @ rows.conj().T - np.eye(dim)).max() < 1e-12
 
 
 def span_contains_loop(basis, vecs, tol=1e-9) -> bool:
@@ -575,22 +704,37 @@ def test_certified_rows_of_nothing():
 def test_fullness_ideal_matches_raw_values(label):
     eq = pipeline_module(label)
     for e in (eq.base, green_julg_module(eq)[0]):
-        m, n = e.carrier_dim, e.algebra.ambient_dim
-        raw = orthonormal_rows(e.inner.reshape(m * m, n * n))
+        m = e.carrier_dim
+        raw = orthonormal_rows(flatten(dense_inner(e)).reshape(m * m, -1))
         ideal = fullness_ideal(e)
         assert spans_equal(ideal.basis_rows(), raw, 1e-8)
         assert is_full(e) == (raw.shape[0] == e.algebra.dim)
 
 
-def test_fullness_ideal_rejects_values_outside_the_algebra():
+def test_checked_conversion_rejects_values_outside_the_algebra():
     e = function_module(bundled("z2-line"))
-    inner = e.inner.copy()
+    rows = e.algebra.basis_rows()
+    inner = dense_inner(e)
+    assert close(hilbmod._checked_coefficients(rows, flatten(inner)), e.inner)
     inner[0, 1, 0, 1] = 0.5     # off the diagonal algebra C(X)
-    moved = FDHilbertModule(e.algebra, e.action, inner)
-    with pytest.raises(ModuleError):
-        fullness_ideal(moved)
-    with pytest.raises(ModuleError):
-        is_full(moved)
+    with pytest.raises(ModuleError, match="leave the coefficient algebra"):
+        hilbmod._checked_coefficients(rows, flatten(inner))
+
+
+def test_rebase_module_rejects_a_subalgebra_that_misses_a_value():
+    # C^2 (+) 0 over C (+) C: every value lies in the first summand.
+    e = direct_sum_module(free_module(2), free_module(0))
+    first = rebase_module(e, np.eye(2, dtype=complex)[:1])
+    first.validate()
+    assert first.algebra.dim == 1 and close(dense_inner(first), dense_inner(e))
+    assert is_full(first) and not is_full(e)
+    with pytest.raises(ModuleError, match="leave the coefficient algebra"):
+        rebase_module(e, np.eye(2, dtype=complex)[1:])
+    # The function module's values span C(X): C of all points but the last
+    # misses <e_p|e_p> at that point.
+    e = function_module(bundled("z2-line"))
+    with pytest.raises(ModuleError, match="leave the coefficient algebra"):
+        rebase_module(e, np.eye(e.algebra.dim, dtype=complex)[:-1])
 
 
 def is_ideal_loops(ideal, alg, tol=1e-9) -> bool:
@@ -684,6 +828,8 @@ def test_crossed_coefficients_match_the_embedding(label, make_action):
     y = cp.whiten(f)
     assert close(y @ y.conj().T, flatten(ef) @ flatten(ef).conj().T)
     assert close(cp.unwhiten(y), f)
+    # ... and are the coordinates against the algebra's basis.
+    assert close(y, np.stack([cp.algebra.coefficients(a) for a in ef]))
     # The dense closure check still guards the embedded span when it is built.
     assert cp.algebra.dim == emb.shape[0]
     assert cp.algebra.closure_residual() < 1e-9
