@@ -22,7 +22,7 @@ from .morita import (
 )
 from .reps import enumerate_irreps
 from .serialize import SCHEMA, ParseError, complex_to_json, parse_document
-from .spectrum import classify_irreps, wedderburn_crosscheck
+from .spectrum import wedderburn_crosscheck
 from .systems import EquivariantSystem
 
 EXIT_OK = 0
@@ -90,11 +90,10 @@ def cmd_spectrum(args) -> int:
         obj = obj[0]
     if not isinstance(obj, EquivariantSystem):
         raise InputError("spectrum expects a system input")
-    desc = classify_irreps(obj, seed=args.seed, tol=args.tolerance)
     verdict = wedderburn_crosscheck(obj, seed=args.seed, tol=args.tolerance)
     entries = [{"label": e.label, "orbit": list(e.orbit), "dim": e.dim,
                 "stabilizer_order": e.stabilizer.group.order}
-               for e in desc.entries]
+               for e in verdict.spectrum.entries]
     report = {"schema": SCHEMA, "command": "spectrum", "system": obj.name,
               "entries": entries,
               "wedderburn": {"ok": verdict.ok,
@@ -204,8 +203,7 @@ def _suite_groups(tol: float, seed: int) -> list[tuple[str, bool]]:
 def _suite_spectrum(tol: float, seed: int) -> list[tuple[str, bool]]:
     sys = bundled("z2-line")
     v = wedderburn_crosscheck(sys, seed=seed)
-    desc = classify_irreps(sys, seed=seed)
-    dims = sorted(e.dim for e in desc.entries)
+    dims = v.spectrum.dims()
     return [("spectrum/z2-line-crosscheck", v.ok),
             ("spectrum/z2-line-entries", dims == [1, 1] + [2] * 4)]
 

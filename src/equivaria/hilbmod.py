@@ -41,6 +41,7 @@ from .linalg import (
     DEFAULT_TOL,
     certified_rows,
     flatten,
+    homomorphism_defect,
     intertwiner_rows,
     nullspace_rows,
     orthonormal_rows,
@@ -371,7 +372,7 @@ class EquivariantModule:
             raise ModuleError("gamma has wrong shape")
         if np.linalg.norm(self.gamma[0] - np.eye(m)) > tol * max(m, 1):
             raise ModuleError("gamma at the identity is not the identity")
-        hom = self.gamma[g.mul] - self.gamma[:, None] @ self.gamma[None]
+        hom = homomorphism_defect(self.gamma, g.mul)
         if np.linalg.norm(hom, axis=(-2, -1)).max() > tol * max(m, 1):
             raise ModuleError("gamma is not a group homomorphism")
         rng = rng or np.random.default_rng(1)

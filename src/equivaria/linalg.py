@@ -188,6 +188,12 @@ def span_intersection(a_rows: np.ndarray, b_rows: np.ndarray, tol: float = DEFAU
     return nullspace_rows(stacked, tol)
 
 
+def homomorphism_defect(mats: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """[g, h] = mats[gh] - mats[g] mats[h] for a group's multiplication
+    table `mul`: zero exactly when the matrices are a homomorphism."""
+    return mats[mul] - mats[:, None] @ mats[None]
+
+
 def cluster_values(values: np.ndarray, gap: float) -> list[np.ndarray]:
     """Group sorted real values into clusters separated by more than `gap`.
 

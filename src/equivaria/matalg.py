@@ -5,8 +5,8 @@ nullspace, block (Wedderburn) structure by randomized central splitting,
 GNS, ideals, and the finite-dimensional separating-subalgebra checker.
 Each algebra has one product table <b_l, b_i b_j>, built by one slabbed
 pass that also measures the closure residual in O(k N^2 + k^3) memory.
-The center and the unit are solved from it for k coefficients instead of
-the commutant's N^2.
+The center, the unit and the block structure are solved from it in the
+algebra's k coordinates, never on the commutant's N^2 or on M_N.
 
 An algebra is stored as an orthonormal basis under the trace inner product
 trace(a* b); with row-major flattening that is the standard inner product
@@ -14,6 +14,7 @@ on C^(N*N), so all span arithmetic reduces to plain linear algebra.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -286,51 +287,42 @@ def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
                     tol: float = DEFAULT_TOL) -> BlockStructure:
     """Minimal central projections and per-block (size, multiplicity).
 
-    The center is split by eigenvalue clustering of a seeded random Hermitian
-    central element; the number of clusters must match the center dimension.
+    A seeded random Hermitian central element z acts on A by left
+    multiplication, in the orthonormal basis the Hermitian k x k matrix
+    L_z = sum_i z_i structure[:, :, i].T.  Its eigenvalue clusters must
+    number dim Z(A); each spans a block ideal A p of dimension n^2, and p
+    is the projection of the unit's coefficients onto it, which must be
+    idempotent.  The multiplicity is trace(p) / n.
     """
     if alg.dim == 0:
         return BlockStructure(alg, ())
     rng = np.random.default_rng(seed)
     cen = center(alg, tol)
-    k = cen.dim
-    e = alg.unit()
+    table = alg.structure
+    unit = alg.coefficients(alg.unit())
+    traces = np.einsum("kii->k", alg.basis)
+    cut = max(tol, 1e-7)
     gap = 1e-7
-    for attempt in range(_SPLIT_ATTEMPTS):
-        z = cen.random_element(rng, hermitian=True)
-        evals, evecs = np.linalg.eigh(z)
-        # Cluster the distinct eigenvalues of z restricted to the support.
+    for _ in range(_SPLIT_ATTEMPTS):
+        z = alg.coefficients(cen.random_element(rng, hermitian=True))
+        lz = (table @ z).T
+        evals, evecs = np.linalg.eigh((lz + lz.conj().T) / 2.0)
         clusters = cluster_values(evals, gap)
-        # Central projections: spectral projections of z for each cluster,
-        # dropping the one corresponding to the kernel of the algebra's unit.
-        blocks = []
-        ok = True
-        for idx in clusters:
-            q = evecs[:, idx]
-            p = q @ q.conj().T
-            if np.linalg.norm(p @ e - p) > 1e-6:
-                # This cluster lives (at least partly) outside the support.
-                if np.linalg.norm(p @ e) > 1e-6:
-                    ok = False
+        if len(clusters) == cen.dim:
+            blocks = []
+            for idx in clusters:
+                n = math.isqrt(idx.size)
+                q = evecs[:, idx]
+                p = q @ (q.conj().T @ unit)
+                square = p @ (table @ p)
+                if n * n != idx.size or \
+                        np.linalg.norm(square - p) > cut * max(1.0, np.linalg.norm(p)):
                     break
-                continue
-            if not alg.contains(p, max(tol, 1e-7)):
-                ok = False
-                break
-            blocks.append(p)
-        if ok and len(blocks) == k:
-            out = []
-            for p in blocks:
-                rows = orthonormal_rows(flatten(_compress(_range(p), alg.basis)), tol)
-                n_k = int(round(np.sqrt(rows.shape[0])))
-                if n_k * n_k != rows.shape[0]:
-                    ok = False
-                    break
-                m_k = int(round(np.real(np.trace(p)) / n_k))
-                out.append(Block(size=n_k, multiplicity=m_k, projection=p))
-            if ok:
-                out.sort(key=lambda b: (b.size, -np.real(np.trace(b.projection))))
-                return BlockStructure(alg, tuple(out))
+                m = int(round((traces @ p).real / n))
+                blocks.append(Block(size=n, multiplicity=m, projection=alg.element(p)))
+            else:
+                blocks.sort(key=lambda b: (b.size, -b.multiplicity))
+                return BlockStructure(alg, tuple(blocks))
         gap *= 2.0
     raise SplitError("central splitting failed; reseed or loosen tolerance")
 

@@ -265,7 +265,7 @@ class MoritaTheoremVerdict:
     c_blocks: int | None
     ideal: CIdeal
     module: FDHilbertModule | None   # the rebased witness module, when built
-    left_action: np.ndarray
+    fpa: MatrixStarAlgebra
 
     @property
     def ok(self) -> bool:
@@ -314,8 +314,7 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
         c_blocks = len(block_decompose(module.algebra, seed=seed).blocks)
     return MoritaTheoremVerdict(scalar, conditions, j_rows.shape[0], cid.dim,
                                 spans_match, strict, j_in_c, witness,
-                                fpa_blocks, c_blocks, cid, module,
-                                fpa.basis)
+                                fpa_blocks, c_blocks, cid, module, fpa)
 
 
 # -- semidirect reduction ------------------------------------------------------
@@ -335,9 +334,9 @@ def _check_splitting(sys: EquivariantSystem, scalar: ScalarStructure,
 def quotient_equivariant_module(sys: EquivariantSystem, wprime, r,
                                 tol: float = DEFAULT_TOL):
     """The W'-invariant vectors of C(X, C^d) as an R-equivariant module
-    over C(X/W'), together with the compression of the fixed-point algebra.
+    over C(X/W').
 
-    Returns (equivariant module, invariant row basis, compressed fpa action).
+    Returns (equivariant module, invariant row basis).
     """
     g = sys.group
     sys_p, u_sub = restrict_system(sys, wprime)
@@ -384,9 +383,7 @@ def quotient_equivariant_module(sys: EquivariantSystem, wprime, r,
         for o, orb in enumerate(quot.orbits):
             maps[v, orbit_of[int(sys.action[vp, orb[0]])], o] = 1.0
     eq_q = EquivariantModule(base, AlgebraAction(v_sub.group, q_alg, maps), gamma)
-    fpa = fixed_point_algebra(sys)
-    left = np.stack([u_rows.conj() @ b @ u_rows.T for b in fpa.basis])
-    return eq_q, u_rows, fpa, left
+    return eq_q, u_rows
 
 
 @dataclass(frozen=True)
@@ -431,7 +428,7 @@ def semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int = 0,
 def _semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int,
                           tol: float):
     """The reduction report, with the link-4 witness data it was built from:
-    (report, R-averaged quotient module, fpa(sys), fpa's left action)."""
+    (report, R-averaged quotient module, left action of report.theorem.fpa)."""
     g = sys.group
     semidirect_decomposition(g, wprime, r)   # raises when not a splitting
     scalar = scalar_subgroups(sys, tol)
@@ -463,19 +460,24 @@ def _semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int,
         np.zeros((0, g.order * x_n), dtype=complex)
     ideal_transport_ok = spans_equal(img_rows, thm.ideal.coeff_rows, tol)
 
-    # Link 4: the direct equivalence fpa(sys) ~ C(X/W') >| R.
-    eq_q, u_rows, fpa, left = quotient_equivariant_module(sys, wprime, r, tol)
+    # Link 4: the direct equivalence fpa(sys) ~ C(X/W') >| R, where fpa acts
+    # on the W'-invariant vectors by compression.
+    eq_q, u_rows = quotient_equivariant_module(sys, wprime, r, tol)
     eq_q.validate(max(tol, 1e-8))
     gj_q, cp_q = green_julg_module(eq_q)
+    fpa = thm.fpa
+    left = u_rows.conj() @ fpa.basis @ u_rows.T
     final_witness = verify_morita(fpa, gj_q, left, tol,
                                   rng=np.random.default_rng(seed))
-    fpa_blocks = len(block_decompose(fpa, seed=seed).blocks)
+    fpa_blocks = thm.fpa_blocks
+    if fpa_blocks is None:
+        fpa_blocks = len(block_decompose(fpa, seed=seed).blocks)
     final_blocks = len(block_decompose(cp_q.algebra, seed=seed).blocks)
     report = ReductionReport(sys.name, True, thm, iso.bijective,
                              iso.multiplicative_residual, iso.star_residual,
                              ideal_transport_ok, thm_p, final_witness,
                              fpa_blocks, final_blocks, cp_q.algebra.dim)
-    return report, gj_q, fpa, left
+    return report, gj_q, left
 
 
 @dataclass(frozen=True)
@@ -505,8 +507,9 @@ def assemble_toy_dual(components, seed: int = 0, tol: float = 1e-8) -> ToyDualRe
     a_sum = None
     left_sum = None
     for sys, wprime, r in components:
-        report, gj_q, fpa, left = _semidirect_reduction(sys, wprime, r, seed, tol)
+        report, gj_q, left = _semidirect_reduction(sys, wprime, r, seed, tol)
         reports.append(report)
+        fpa = report.theorem.fpa
         if module is None:
             module, a_sum, left_sum = gj_q, fpa, left
         else:
@@ -522,5 +525,5 @@ def assemble_toy_dual(components, seed: int = 0, tol: float = 1e-8) -> ToyDualRe
     witness = verify_morita(a_sum, module, left_sum, tol, check_blocks=True,
                             rng=np.random.default_rng(seed))
     return ToyDualReport(tuple(reports), witness,
-                         tuple(r.theorem.left_action.shape[0] for r in reports),
+                         tuple(r.theorem.fpa.dim for r in reports),
                          tuple(r.final_dim for r in reports))

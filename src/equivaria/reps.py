@@ -16,6 +16,7 @@ from .groups import FiniteGroup
 from .linalg import (
     DEFAULT_TOL,
     cluster_values,
+    homomorphism_defect,
     intertwiner_rows,
     random_hermitian,
 )
@@ -59,16 +60,14 @@ class UnitaryRep:
         for g in self.group.elements():
             if np.linalg.norm(mats[g].conj().T @ mats[g] - eye) > tol * d:
                 raise RepError(f"matrix for element {g} is not unitary")
-        for g in self.group.elements():
-            for h in self.group.elements():
-                gh = self.group.mul[g, h]
-                if np.linalg.norm(mats[gh] - mats[g] @ mats[h]) > tol * d:
-                    raise RepError(f"homomorphism fails at ({g}, {h})")
+        defect = np.linalg.norm(homomorphism_defect(mats, self.group.mul), axis=(-2, -1))
+        failing = np.argwhere(defect > tol * d)
+        if failing.size:
+            g, h = failing[0]
+            raise RepError(f"homomorphism fails at ({g}, {h})")
 
     def homomorphism_residual(self) -> float:
-        mul = self.group.mul
-        prod = np.einsum("gij,hjk->ghik", self.matrices, self.matrices)
-        return float(np.max(np.abs(prod - self.matrices[mul])))
+        return float(np.max(np.abs(homomorphism_defect(self.matrices, self.group.mul))))
 
     def restrict_to_subspace(self, basis_cols: np.ndarray, label: str = "") -> "UnitaryRep":
         """Compress onto an invariant subspace spanned by orthonormal columns."""

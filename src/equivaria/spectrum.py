@@ -66,12 +66,18 @@ def stabilizer_rep(sys: EquivariantSystem, x: int) -> tuple[Subgroup, UnitaryRep
 
 def classify_irreps(sys: EquivariantSystem, seed: int = 0,
                     tol: float = DEFAULT_TOL) -> SpectrumDescription:
-    """One entry per (orbit, stabilizer irrep occurring in the cocycle)."""
+    """One entry per (orbit, stabilizer irrep occurring in the cocycle).
+
+    Orbits with the same stabilizer share its irreps."""
     entries = []
-    for orbit, _ in orbits_and_stabilizers(sys):
+    irreps_of: dict[tuple[int, ...], list[UnitaryRep]] = {}
+    for orbit, stab in orbits_and_stabilizers(sys):
         x = orbit[0]
         sub, i_rep = stabilizer_rep(sys, x)
-        for rho in enumerate_irreps(sub.group, seed=seed, tol=tol):
+        key = tuple(stab)
+        if key not in irreps_of:
+            irreps_of[key] = enumerate_irreps(sub.group, seed=seed, tol=tol)
+        for rho in irreps_of[key]:
             maps = equivariant_maps(rho, i_rep, tol)
             if maps.shape[0] > 0:
                 entries.append(SpectrumEntry(tuple(orbit), x, sub, rho,
@@ -106,6 +112,7 @@ class WedderburnVerdict:
     block_sizes: tuple[int, ...]
     algebra_dim: int
     sum_of_squares: int
+    spectrum: SpectrumDescription   # the classification the check compared
 
     def diff(self) -> str:
         return (f"spectrum dims {list(self.spectrum_dims)} vs "
@@ -115,7 +122,8 @@ class WedderburnVerdict:
 
 def wedderburn_crosscheck(sys: EquivariantSystem, seed: int = 0,
                           tol: float = DEFAULT_TOL) -> WedderburnVerdict:
-    """The classification must reproduce the block structure exactly."""
+    """The classification must reproduce the block structure exactly; the
+    verdict carries the classification it compared."""
     desc = classify_irreps(sys, seed=seed, tol=tol)
     fpa = fixed_point_algebra(sys, tol)
     blocks = block_decompose(fpa, seed=seed, tol=tol)
@@ -123,7 +131,7 @@ def wedderburn_crosscheck(sys: EquivariantSystem, seed: int = 0,
     sizes = tuple(blocks.sizes())
     total = sum(d * d for d in dims)
     ok = dims == sizes and total == fpa.dim
-    return WedderburnVerdict(ok, dims, sizes, fpa.dim, total)
+    return WedderburnVerdict(ok, dims, sizes, fpa.dim, total, desc)
 
 
 # -- Fell-limit certificates -------------------------------------------------

@@ -29,6 +29,7 @@ from .groups import FiniteGroup, semidirect_decomposition
 from .linalg import (
     DEFAULT_TOL,
     flatten,
+    homomorphism_defect,
     nullspace_rows,
     orthonormal_rows,
     span_contains,
@@ -212,10 +213,8 @@ def _dihedral8_standard_matrices() -> np.ndarray:
     for k in range(4):
         mats[k] = np.linalg.matrix_power(rot, k)
         mats[4 + k] = np.linalg.matrix_power(rot, k) @ flip
-    for a in range(8):
-        for b in range(8):
-            if np.abs(mats[g.mul[a, b]] - mats[a] @ mats[b]).max() > 1e-12:
-                raise SystemError("dihedral matrices do not match the group table")
+    if np.abs(homomorphism_defect(mats, g.mul)).max() > 1e-12:
+        raise SystemError("dihedral matrices do not match the group table")
     return mats
 
 
@@ -282,15 +281,6 @@ def left_translation_system(sys: EquivariantSystem) -> EquivariantSystem:
 
 
 # -- the induced action on functions ----------------------------------------
-
-
-def alpha(sys: EquivariantSystem, w: int, k: np.ndarray) -> np.ndarray:
-    """alpha_w(k)(x) = I_{w, w^-1 x} k(w^-1 x) I_{w^-1, x}."""
-    k = np.asarray(k, dtype=complex)
-    w_inv = sys.group.inverse(w)
-    pre = sys.action[w_inv]  # x -> w^-1 x
-    return np.einsum("xij,xjk,xkl->xil",
-                     sys.cocycle[w, pre], k[pre], sys.cocycle[w_inv])
 
 
 def alpha_matrix(sys: EquivariantSystem, w: int) -> np.ndarray:
@@ -436,7 +426,7 @@ class AlgebraAction:
             raise SystemError("action maps have wrong shape")
         if np.linalg.norm(maps[0] - np.eye(k)) > tol * max(k, 1):
             raise SystemError("identity does not act as identity")
-        hom = maps[self.group.mul] - maps[:, None] @ maps[None]
+        hom = homomorphism_defect(maps, self.group.mul)
         if np.linalg.norm(hom, axis=(-2, -1)).max() > tol * max(k, 1):
             raise SystemError("maps are not a group homomorphism")
         if k == 0:

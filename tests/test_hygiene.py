@@ -1,14 +1,14 @@
 """Dead-code guard: every name defined or imported is used somewhere.
 
 Each non-dunder function, method and class defined in `src/equivaria` must
-occur at least twice, as a whole word, across the Python files of `src/`
-and `tests/`: once where it is defined and once where it is called,
-subclassed or tested.  A name that occurs only at its definition has no
-caller and should be deleted.  Likewise each name a module of `src/` or
-`tests/` imports must be referenced in that module.
+be referenced somewhere in the code of `src/` or `tests/`: called,
+subclassed, read as an attribute or tested.  A reference is a `Name` or
+`Attribute` node of the syntax tree, so a word in a docstring or comment
+does not count.  A name with no reference has no caller and should be
+deleted.  Likewise each name a module of `src/` or `tests/` imports must be
+referenced in that module.
 """
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -32,17 +32,21 @@ def defined_names() -> set[str]:
     return names
 
 
-def word_counts() -> Counter:
+def reference_counts() -> Counter:
     counts = Counter()
     for folder in ("src", "tests"):
         for path in sorted((ROOT / folder).rglob("*.py")):
-            counts.update(re.findall(r"\w+", path.read_text()))
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    counts[node.id] += 1
+                elif isinstance(node, ast.Attribute):
+                    counts[node.attr] += 1
     return counts
 
 
 def test_every_defined_name_is_used():
-    counts = word_counts()
-    unused = sorted(name for name in defined_names() if counts[name] < 2)
+    counts = reference_counts()
+    unused = sorted(name for name in defined_names() if counts[name] == 0)
     assert unused == []
 
 

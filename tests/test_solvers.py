@@ -2,7 +2,8 @@
 
 Each algebra's structure table and closure residual come from one slabbed
 pass over its basis products, which the standard module, GNS and states
-read; `center` solves in the algebra's coefficient space, `intertwiner_space`
+read; `center` and `block_decompose` solve in the algebra's coefficient
+space (the N x N central split is the latter's oracle), `intertwiner_space`
 stacks only the group's generators, `compact_operators` and
 `green_julg_module` build their tensors in a few contractions, the
 Green-Julg check finds both of its spans in coefficient space, every
@@ -17,12 +18,14 @@ stored basis, its algebra's basis is the whitened one, whose coordinates
 the dense SVD's cut, and the dense SVD is its oracle on prescribed spectra.
 Crossed products multiply, take adjoints and test ideals in coefficients,
 and the Morita theorem compares J with C there; the embedded matrices are
-their oracle.  The dense paths and per-pair loops survive here as oracles.
+their oracle.  The dense paths and per-pair loops survive here as oracles,
+and spies check that a run classifies the spectrum and builds each
+fixed-point algebra once.
 """
 import numpy as np
 import pytest
 
-from equivaria import hilbmod, linalg, matalg
+from equivaria import cli, hilbmod, linalg, matalg, morita, spectrum, systems
 from equivaria.datasets import bundled
 from equivaria.groups import BUILTIN_GROUPS, builtin_group, cyclic, dihedral, symmetric
 from equivaria.hilbmod import (
@@ -74,6 +77,8 @@ from equivaria.morita import (
     verify_morita_theorem,
 )
 from equivaria.reps import (
+    RepError,
+    UnitaryRep,
     commutant_dimension,
     enumerate_irreps,
     intertwiner_space,
@@ -414,7 +419,7 @@ def dense_inner_case(kind):
         # The W'-invariant vectors u_p of the function module: the values
         # <u_p|u_q> are functions on X, diagonal in C(X/W')'s ambient.
         sys, wprime, r = bundled("two-component")[1]
-        eq, u_rows, _, _ = quotient_equivariant_module(sys, wprime, r)
+        eq, u_rows = quotient_equivariant_module(sys, wprime, r)
         k, x_n = u_rows.shape[0], sys.n_points
         vecs = u_rows.reshape(k, x_n, sys.fiber_dim)
         ips = np.einsum("pxa,qxa->pqx", vecs.conj(), vecs)
@@ -910,3 +915,162 @@ def test_averaged_compacts_match_the_embedded_module(label):
     rows = hilbmod._averaged_compacts_rows(eq, 1e-8)
     assert rows.shape[0] == oracle.shape[0] > 0
     assert spans_equal(rows, oracle, 1e-8)
+
+
+# -- block structure in the algebra's coordinates against the dense split ------
+
+
+def block_decompose_dense(alg, seed=0, tol=1e-9):
+    """The N x N split: eigenspaces of a random central z, kept when inside
+    the support and the algebra, block sizes from the compressed span."""
+    if alg.dim == 0:
+        return matalg.BlockStructure(alg, ())
+    rng = np.random.default_rng(seed)
+    cen = center(alg, tol)
+    e = alg.unit()
+    gap = 1e-7
+    for _ in range(8):
+        z = cen.random_element(rng, hermitian=True)
+        evals, evecs = np.linalg.eigh(z)
+        projections = []
+        ok = True
+        for idx in linalg.cluster_values(evals, gap):
+            p = evecs[:, idx] @ evecs[:, idx].conj().T
+            if np.linalg.norm(p @ e - p) > 1e-6:
+                # Outside the support: fine when wholly outside.
+                ok = np.linalg.norm(p @ e) <= 1e-6
+            elif not alg.contains(p, max(tol, 1e-7)):
+                ok = False
+            else:
+                projections.append(p)
+            if not ok:
+                break
+        if ok and len(projections) == cen.dim:
+            blocks = []
+            for p in projections:
+                comp = matalg._compress(matalg._range(p), alg.basis)
+                rank = orthonormal_rows(flatten(comp), tol).shape[0]
+                n = int(round(np.sqrt(rank)))
+                if n * n != rank:
+                    break
+                blocks.append(matalg.Block(n, int(round(np.trace(p).real / n)), p))
+            else:
+                blocks.sort(key=lambda b: (b.size, -np.trace(b.projection).real))
+                return matalg.BlockStructure(alg, tuple(blocks))
+        gap *= 2.0
+    raise matalg.SplitError("dense split failed")
+
+
+def corner_block_sum():
+    """conjugated_block_sum in a corner of M_10: its unit has rank 8."""
+    alg = conjugated_block_sum()
+    mats = np.zeros((alg.dim, 10, 10), dtype=complex)
+    mats[:, :8, :8] = alg.basis
+    rng = np.random.default_rng(6)
+    u, _ = np.linalg.qr(rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10)))
+    return algebra_from_span(u @ mats @ u.conj().T)
+
+
+def group_algebra(name):
+    g = builtin_group(name)
+    return generate(regular_rep(g).matrices, ambient_dim=g.order)
+
+
+BLOCK_ALGEBRAS = {
+    **{f"fpa-{name}": lambda name=name: fixed_point_algebra(bundled(name))
+       for name in ("z2-line", "dihedral-plane", "anticomplete-point")},
+    **{f"fpa-z2xz2-line-{n}": lambda n=n: fixed_point_algebra(z2xz2_line_system(n))
+       for n in (1, 2)},
+    **{f"cp-z2-line-{n}": lambda n=n: crossed_product(
+        function_algebra_action(z2_line_system(n))).algebra for n in (1, 2)},
+    **{f"compacts-z2-line-{n}": lambda n=n: compact_operators(
+        function_module(z2_line_system(n))).algebra for n in (1, 2, 3)},
+    **{f"group-{name}": lambda name=name: group_algebra(name)
+       for name in ("Z2", "Z2xZ2", "S3", "D8")},
+    "conjugated-block-sum": conjugated_block_sum,
+    "corner-block-sum": corner_block_sum,
+}
+
+
+@pytest.mark.parametrize("label", sorted(BLOCK_ALGEBRAS))
+def test_block_decompose_matches_the_dense_split(label):
+    alg = BLOCK_ALGEBRAS[label]()
+    if label == "corner-block-sum":
+        assert not alg.is_unital()
+    for seed in range(3):
+        got = matalg.block_decompose(alg, seed=seed).blocks
+        want = block_decompose_dense(alg, seed=seed).blocks
+        assert [(b.size, b.multiplicity) for b in got] == \
+            [(b.size, b.multiplicity) for b in want]
+        # Equal blocks may come in either order: match projections as sets.
+        for key in {(b.size, b.multiplicity) for b in got}:
+            mine = [b.projection for b in got if (b.size, b.multiplicity) == key]
+            theirs = [b.projection for b in want if (b.size, b.multiplicity) == key]
+            nearest = [min((np.abs(p - q).max(), i) for i, q in enumerate(theirs))
+                       for p in mine]
+            assert all(dist < 1e-8 for dist, _ in nearest)
+            assert len({i for _, i in nearest}) == len(mine)
+
+
+# -- each object once per run ---------------------------------------------------
+
+
+def counting_spy(monkeypatch, modules, name) -> list:
+    """Rebind `name` in each module to one wrapper that records its first
+    argument per call; returns the record."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, name, spy, raising=False)
+    return calls
+
+
+def test_spectrum_command_classifies_once(monkeypatch, capsys):
+    # z2-line has five orbits and two distinct stabilizers: {e} and Z/2.
+    # The spy is bound in cli too, so a direct call from there is counted.
+    classified = counting_spy(monkeypatch, [spectrum, cli], "classify_irreps")
+    enumerated = counting_spy(monkeypatch, [spectrum], "enumerate_irreps")
+    assert cli.main(["spectrum", "--input", "z2-line", "--format", "json"]) == 0
+    assert len(classified) == 1 and len(enumerated) == 2
+    assert '"spectrum_dims"' in capsys.readouterr().out
+
+
+def test_reduction_builds_each_fixed_point_algebra_once(monkeypatch):
+    built = counting_spy(monkeypatch, [systems, morita, spectrum], "fixed_point_algebra")
+    components = bundled("two-component")
+    assert morita.assemble_toy_dual(components).ok
+    for sys, _, _ in components:
+        assert sum(s is sys for s in built) == 1
+
+
+def validate_loop(rep, tol=1e-9):
+    """The first failing pair (g, h) of the homomorphism test, in loop order."""
+    mats = rep.matrices
+    for g in rep.group.elements():
+        for h in rep.group.elements():
+            if np.linalg.norm(mats[rep.group.mul[g, h]] - mats[g] @ mats[h]) > tol * rep.dim:
+                return g, h
+    return None
+
+
+def test_homomorphism_defect_names_the_first_failing_pair():
+    g = builtin_group("S3")
+    good = regular_rep(g)
+    assert np.abs(linalg.homomorphism_defect(good.matrices, g.mul)).max() < 1e-15
+    assert validate_loop(good) is None
+    good.validate()
+    mats = good.matrices.copy()
+    mats[4] = mats[4] @ np.diag(np.exp(1j * np.arange(g.order)))   # unitary, not a hom
+    bad = UnitaryRep(g, mats)
+    first = validate_loop(bad)
+    assert first is not None
+    with pytest.raises(RepError, match=rf"homomorphism fails at \({first[0]}, {first[1]}\)"):
+        bad.validate()
+    loop_max = max(np.abs(mats[g.mul[a, b]] - mats[a] @ mats[b]).max()
+                   for a in g.elements() for b in g.elements())
+    assert abs(bad.homomorphism_residual() - loop_max) < 1e-14
