@@ -50,7 +50,14 @@ from .linalg import (
     spans_equal,
     unflatten,
 )
-from .matalg import MatrixStarAlgebra, _star_constants, algebra_from_span, operator_norm
+from .matalg import (
+    MatrixStarAlgebra,
+    StructuredAlgebra,
+    _star_constants,
+    algebra_from_span,
+    operator_norm,
+    product_table,
+)
 from .systems import (
     AlgebraAction,
     CrossedProduct,
@@ -77,7 +84,7 @@ def _trace_vector(alg: MatrixStarAlgebra) -> np.ndarray:
     """tau(b_k) for the normalized trace tau(b) = trace(e b) / trace(e), e the
     algebra's unit."""
     e = alg.unit()
-    return np.einsum("ab,kba->k", e, alg.basis) / np.real(np.trace(e))
+    return flatten(alg.basis) @ e.T.reshape(-1) / np.real(np.trace(e))
 
 
 @dataclass(frozen=True)
@@ -113,11 +120,11 @@ class FDHilbertModule:
     def act(self, xi: np.ndarray, b: np.ndarray) -> np.ndarray:
         """xi . b for an algebra element b (given as an ambient matrix)."""
         coeffs = self.algebra.coefficients(b)
-        return np.einsum("k,kij,j->i", coeffs, self.action, xi)
+        return np.tensordot(coeffs, self.action, axes=1) @ xi
 
     def inner_product(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
         """<xi | eta> in B, conjugate-linear in xi."""
-        return self.algebra.element(np.einsum("i,j,ijk->k", np.conj(xi), eta, self.inner))
+        return self.algebra.element(eta @ np.tensordot(np.conj(xi), self.inner, axes=1))
 
     def norm(self, xi: np.ndarray) -> float:
         return float(np.sqrt(max(operator_norm(self.inner_product(xi, xi)), 0.0)))
@@ -161,38 +168,57 @@ class FDHilbertModule:
 
         Keys: bimodule, compatibility, symmetry, positivity, definiteness.
         The values lie in B by construction, and completeness holds
-        automatically at finite dimension; neither is measured.
+        automatically at finite dimension; neither is measured.  Each sample
+        draws xi, eta, b1 and b2 in turn, real parts before imaginary ones,
+        and every residual is divided by that sample's
+        max(1, |xi| |eta|, |b1| |b2|); all samples are evaluated at once.
         """
         rng = rng or np.random.default_rng(0)
         b_alg = self.algebra
-        m = self.carrier_dim
-        res = {k: 0.0 for k in ("bimodule", "compatibility", "symmetry",
-                                "positivity", "definiteness")}
-        for _ in range(n_samples):
-            xi = self.random_vector(rng)
-            eta = self.random_vector(rng)
-            b1 = b_alg.random_element(rng)
-            b2 = b_alg.random_element(rng)
-            scale = max(1.0, np.linalg.norm(xi) * np.linalg.norm(eta),
-                        operator_norm(b1) * operator_norm(b2))
-            # (xi b1) b2 = xi (b1 b2)
-            lhs = self.act(self.act(xi, b1), b2)
-            rhs = self.act(xi, b1 @ b2)
-            res["bimodule"] = max(res["bimodule"],
-                                  float(np.linalg.norm(lhs - rhs)) / scale)
-            # <xi b1 | eta b2> = b1* <xi|eta> b2
-            lhs2 = self.inner_product(self.act(xi, b1), self.act(eta, b2))
-            rhs2 = b1.conj().T @ self.inner_product(xi, eta) @ b2
-            res["compatibility"] = max(res["compatibility"],
-                                       float(np.linalg.norm(lhs2 - rhs2)) / scale)
-            # <eta|xi> = <xi|eta>*
-            diff = self.inner_product(eta, xi) - self.inner_product(xi, eta).conj().T
-            res["symmetry"] = max(res["symmetry"], float(np.linalg.norm(diff)) / scale)
-            # <xi|xi> >= 0
-            q = self.inner_product(xi, xi)
-            herm = float(np.linalg.norm(q - q.conj().T))
-            neg = max(0.0, -float(np.linalg.eigvalsh((q + q.conj().T) / 2.0).min()))
-            res["positivity"] = max(res["positivity"], (herm + neg) / scale)
+        m, k, n = self.carrier_dim, b_alg.dim, b_alg.ambient_dim
+        draws = rng.standard_normal((n_samples, 4 * m + 4 * k))
+        parts = np.split(draws, np.cumsum([m, m, m, m, k, k, k]), axis=1)
+        xi, eta, c1, c2 = (re + 1j * im for re, im in zip(parts[::2], parts[1::2]))
+        rows = b_alg.basis_rows()
+
+        def element(c):
+            return (c @ rows).reshape(-1, n, n)
+
+        def act(x, c):
+            return (np.tensordot(c, self.action, axes=1) @ x[:, :, None])[:, :, 0]
+
+        def inner(x, y):
+            return element((y[:, None] @ (x.conj() @ self.inner.reshape(m, -1)).reshape(
+                -1, m, k))[:, 0])
+
+        def norms(a):
+            return np.linalg.norm(a.reshape(n_samples, -1), axis=1)
+
+        def star(a):
+            return a.conj().swapaxes(-2, -1)
+
+        def operator_norms(a):
+            return np.linalg.svd(a, compute_uv=False)[:, 0]
+
+        b1, b2 = element(c1), element(c2)
+        scale = np.maximum(1.0, np.maximum(norms(xi) * norms(eta),
+                                           operator_norms(b1) * operator_norms(b2)))
+        # (xi b1) b2 = xi (b1 b2)
+        c12 = flatten(b1 @ b2) @ rows.conj().T
+        bimodule = norms(act(act(xi, c1), c2) - act(xi, c12))
+        # <xi b1 | eta b2> = b1* <xi|eta> b2
+        compatibility = norms(inner(act(xi, c1), act(eta, c2))
+                              - star(b1) @ inner(xi, eta) @ b2)
+        # <eta|xi> = <xi|eta>*
+        symmetry = norms(inner(eta, xi) - star(inner(xi, eta)))
+        # <xi|xi> >= 0
+        q = inner(xi, xi)
+        low = np.linalg.eigvalsh((q + star(q)) / 2.0)[:, 0]
+        positivity = norms(q - star(q)) + np.maximum(0.0, -low)
+        res = {key: float(np.max(value / scale, initial=0.0)) for key, value in (
+            ("bimodule", bimodule), ("compatibility", compatibility),
+            ("symmetry", symmetry), ("positivity", positivity))}
+        res["definiteness"] = 0.0
         if m:
             evals = np.linalg.eigvalsh(self.gram())
             res["definiteness"] = max(0.0, -float(evals.min())) + \
@@ -227,11 +253,11 @@ def standard_module(b_alg: MatrixStarAlgebra) -> FDHilbertModule:
 
 
 def scalar_algebra(n_points: int) -> MatrixStarAlgebra:
-    """C(X) for |X| = n_points, as the diagonal algebra in M_{|X|}."""
-    basis = np.zeros((n_points, n_points, n_points), dtype=complex)
-    for x in range(n_points):
-        basis[x, x, x] = 1.0
-    return MatrixStarAlgebra(n_points, basis)
+    """C(X) for |X| = n_points, as the diagonal algebra in M_{|X|}: its
+    table comes from the 1 x 1 diagonal blocks of its basis."""
+    eye = np.eye(n_points, dtype=complex)
+    basis = eye[:, :, None] * eye[:, None, :]       # [x, x, x] = 1
+    return StructuredAlgebra(n_points, basis, *product_table(eye[:, :, None, None]))
 
 
 def function_module(sys: EquivariantSystem) -> FDHilbertModule:
@@ -263,7 +289,7 @@ def rank_one(e: FDHilbertModule, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
     Column l is eta . <xi|e_l>, with <xi|e_l> expanded in B's basis.
     """
-    return np.einsum("i,ilk,kpj,j->pl", np.conj(xi), e.inner, e.action, eta)
+    return (np.tensordot(np.conj(xi), e.inner, axes=1) @ (e.action @ eta)).T
 
 
 @dataclass(frozen=True)
@@ -462,7 +488,7 @@ def averaged_inner_coefficients(eq: EquivariantModule) -> np.ndarray:
     An (m, m, |W|, dim B) array: <e_p|gamma_w e_q> has B-coefficients
     sum_j gamma_w[j, q] <e_p|e_j>.
     """
-    return np.einsum("pjl,wjq->pqwl", eq.base.inner, eq.gamma)
+    return np.tensordot(eq.base.inner, eq.gamma, axes=([1], [1])).transpose(0, 3, 2, 1)
 
 
 def _crossed_maps(cp: CrossedProduct, maps: np.ndarray) -> np.ndarray:
@@ -487,9 +513,9 @@ def module_crossed_product(eq: EquivariantModule,
     cp = cp or crossed_product(eq.beta, tol)
     m, k, w_n = base.carrier_dim, base.algebra.dim, g.order
     big = m * w_n
-    twisted = np.einsum("wli,lpq->wipq", eq.beta.maps, base.action)  # R_{beta_w(b_i)}
+    twisted = np.tensordot(eq.beta.maps, base.action, axes=(1, 0))  # R_{beta_w(b_i)}
     maps = np.zeros((w_n, k, w_n, m, w_n, m), dtype=complex)
-    ips = np.einsum("wil,pql->wpqi", eq.beta.maps[g.inv], base.inner)
+    ips = np.tensordot(eq.beta.maps[g.inv], base.inner, axes=(2, 2)).transpose(0, 2, 3, 1)
     coeffs = np.zeros((w_n, m, w_n, m, w_n, k), dtype=complex)
     for w in range(w_n):
         for v in range(w_n):
@@ -676,12 +702,12 @@ def verify_morita(a_alg: MatrixStarAlgebra, e: FDHilbertModule,
         c2 = rng.standard_normal(a_alg.dim) + 1j * rng.standard_normal(a_alg.dim)
         a1 = a_alg.element(c1)
         a2 = a_alg.element(c2)
-        l1 = np.einsum("k,kij->ij", c1, left_action)
-        l2 = np.einsum("k,kij->ij", c2, left_action)
-        l12 = np.einsum("k,kij->ij", a_alg.coefficients(a1 @ a2), left_action)
+        l1 = np.tensordot(c1, left_action, axes=1)
+        l2 = np.tensordot(c2, left_action, axes=1)
+        l12 = np.tensordot(a_alg.coefficients(a1 @ a2), left_action, axes=1)
         scale = max(1.0, float(np.abs(l1).max() * np.abs(l2).max()))
         mult_res = max(mult_res, float(np.abs(l1 @ l2 - l12).max()) / scale)
-        lstar = np.einsum("k,kij->ij", a_alg.coefficients(a1.conj().T), left_action)
+        lstar = np.tensordot(a_alg.coefficients(a1.conj().T), left_action, axes=1)
         star_res = max(star_res,
                        float(np.abs(lstar - e.module_adjoint(l1)).max()) / scale)
     blocks = None

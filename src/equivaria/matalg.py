@@ -6,7 +6,13 @@ GNS, ideals, and the finite-dimensional separating-subalgebra checker.
 Each algebra has one product table <b_l, b_i b_j>, built by one slabbed
 pass that also measures the closure residual in O(k N^2 + k^3) memory.
 The center, the unit and the block structure are solved from it in the
-algebra's k coordinates, never on the commutant's N^2 or on M_N.
+algebra's k coordinates, never on the commutant's N^2 or on M_N.  The dense
+pass multiplies the k N x N basis matrices pairwise; it stays for spans
+with no known structure, such as algebra_from_span's and the compacts'.  A
+StructuredAlgebra is given its table and closure residual by its builder:
+the fixed-point algebra and C(X) run the same pass on the d x d diagonal
+blocks of their block-diagonal bases, and a crossed product reads its table
+off its structure tensor and checks the relations of its embedding.
 
 An algebra is stored as an orthonormal basis under the trace inner product
 trace(a* b); with row-major flattening that is the standard inner product
@@ -89,7 +95,8 @@ class MatrixStarAlgebra:
         return self.basis_rows().conj() @ flatten(a)
 
     def element(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.einsum("k,kij->ij", np.asarray(coeffs, dtype=complex), self.basis)
+        n = self.ambient_dim
+        return (np.asarray(coeffs, dtype=complex) @ self.basis_rows()).reshape(n, n)
 
     def random_element(self, rng: np.random.Generator, hermitian: bool = False) -> np.ndarray:
         c = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
@@ -100,21 +107,12 @@ class MatrixStarAlgebra:
 
     @cached_property
     def _products(self) -> tuple[np.ndarray, float]:
-        """(structure, largest distance of a product from the span), with
-        the products formed a slab of right factors b_j at a time."""
-        n, k = self.ambient_dim, self.dim
-        rows = self.basis_rows()
-        proj = rows.conj().T
-        step = max(1, _PRODUCT_SLAB // max(k * n * n, 1))
-        table = np.empty((k, k, k), dtype=complex)
-        worst = 0.0
-        for j0 in range(0, k, step):
-            prods = (self.basis[None] @ self.basis[j0:j0 + step, None]).reshape(-1, n * n)
-            coeffs = prods @ proj
-            table[j0:j0 + step] = coeffs.reshape(-1, k, k).transpose(0, 2, 1)
-            prods -= coeffs @ rows
-            worst = max(worst, float(np.linalg.norm(prods, axis=1).max()))
-        return table, worst
+        """(structure, product residual), from the algebra's product pass."""
+        return self._product_pass()
+
+    def _product_pass(self) -> tuple[np.ndarray, float]:
+        """The dense pass: every product of two basis matrices."""
+        return product_table(self.basis)
 
     @property
     def structure(self) -> np.ndarray:
@@ -143,22 +141,20 @@ class MatrixStarAlgebra:
     def unit(self) -> np.ndarray:
         """The algebra's own unit (sum of minimal central projections).
 
-        Solved as the element e with e b = b e = b for every basis element;
-        for a *-closed matrix algebra this always exists (possibly 0).  The
-        instance is frozen, so the first result is kept and returned again.
+        Solved as the element e with e b = b for every basis element; for a
+        *-closed matrix algebra this always exists (possibly 0), and it is
+        also a right unit: b* = e b* gives b = b e*, and then e = e e* = e*.
+        The instance is frozen, so the first result is kept and returned
+        again.
         """
         if self._unit is not None:
             return self._unit
         k = self.dim
         e = np.zeros((self.ambient_dim,) * 2, dtype=complex)
         if k:
-            # Coefficients of e with e b_j = b_j = b_j e, read off against b_l.
-            table = self.structure
-            eye = np.eye(k).reshape(-1)
-            coeffs, *_ = np.linalg.lstsq(
-                np.vstack([table.reshape(k * k, k),
-                           table.transpose(2, 1, 0).reshape(k * k, k)]),
-                np.concatenate([eye, eye]), rcond=None)
+            # Coefficients of e with e b_j = b_j, read off against b_l.
+            coeffs, *_ = np.linalg.lstsq(self.structure.reshape(k * k, k),
+                                         np.eye(k).reshape(-1), rcond=None)
             e = self.element(coeffs)
         for b in self.basis:
             if np.linalg.norm(e @ b - b) > 1e-6 * max(1.0, np.linalg.norm(b)):
@@ -169,6 +165,58 @@ class MatrixStarAlgebra:
     def is_unital(self, tol: float = DEFAULT_TOL) -> bool:
         """True when the ambient identity lies in the span."""
         return self.contains(np.eye(self.ambient_dim), tol)
+
+
+@dataclass(frozen=True)
+class StructuredAlgebra(MatrixStarAlgebra):
+    """A matrix *-algebra whose builder derived its product table from the
+    algebra's structure, with a residual that bounds how far products leave
+    the span, so the dense pass never runs.  `validate` checks that
+    residual, the adjoints and orthonormality as for any algebra."""
+
+    table: np.ndarray = field(repr=False)
+    product_residual: float
+
+    def _product_pass(self) -> tuple[np.ndarray, float]:
+        return self.table, self.product_residual
+
+
+def product_table(elems: np.ndarray) -> tuple[np.ndarray, float]:
+    """(structure, largest distance of a product from the span) of k
+    elements (k, ..., d, d) whose flattenings are orthonormal and whose
+    middle axes index F diagonal blocks of size d: none for a dense basis
+    (k, N, N), |X| for the fibers (k, |X|, d, d) of block-diagonal matrices.
+
+    Embedding blocks on the diagonal of M_(F d) is an isometry, so the
+    table and residual of the blocks are the embedded ones, at O(k^2 F d^3)
+    cost in place of O(k^2 N^3).  Each block's products for all pairs are
+    one (k d, d) x (d, k d) matmul.  They are formed a slab of right factors
+    b_j at a time, each slab's products holding at most about _PRODUCT_SLAB
+    entries.
+    """
+    k, d = elems.shape[0], elems.shape[-1]
+    if k == 0:
+        return np.zeros((0, 0, 0), dtype=complex), 0.0
+    blocks = elems.reshape(k, -1, d, d)
+    f = blocks.shape[1]
+    rows = elems.reshape(k, -1)
+    size = rows.shape[1]
+    proj = rows.conj().T
+    left = blocks.transpose(1, 0, 2, 3).reshape(f, k * d, d)       # [x, (i, a), b]
+    step = max(1, _PRODUCT_SLAB // (k * size))
+    table = np.empty((k, k, k), dtype=complex)
+    worst = 0.0
+    for j0 in range(0, k, step):
+        right = blocks[j0:j0 + step]
+        s = right.shape[0]
+        # [x, (i, a), (j, c)]: block x of b_i b_j, rearranged to [(j, i), (x, a, c)].
+        prods = left @ right.transpose(1, 2, 0, 3).reshape(f, d, s * d)
+        prods = prods.reshape(f, k, d, s, d).transpose(3, 1, 0, 2, 4).reshape(s * k, size)
+        coeffs = prods @ proj
+        table[j0:j0 + step] = coeffs.reshape(-1, k, k).transpose(0, 2, 1)
+        prods -= coeffs @ rows
+        worst = max(worst, float(np.linalg.norm(prods, axis=1).max()))
+    return table, worst
 
 
 def algebra_from_span(mats, ambient_dim: int | None = None,
@@ -211,7 +259,7 @@ def generate(gens, ambient_dim: int | None = None,
     while True:
         mats = unflatten(rows, n)
         stars = np.conj(np.transpose(mats, (0, 2, 1)))
-        prods = np.einsum("aij,bjk->abik", mats, mats).reshape(-1, n, n)
+        prods = (mats[:, None] @ mats[None]).reshape(-1, n, n)
         new_rows = orthonormal_rows(
             np.vstack([rows, flatten(stars), flatten(prods)]), tol)
         if new_rows.shape[0] == rows.shape[0]:
@@ -396,7 +444,7 @@ class GNSRepresentation:
 
     def represent(self, a: np.ndarray) -> np.ndarray:
         coeffs = self.algebra.coefficients(a)
-        return np.einsum("k,kij->ij", coeffs, self.matrices)
+        return np.tensordot(coeffs, self.matrices, axes=1)
 
 
 def gns(alg: MatrixStarAlgebra, phi: State, tol: float = 1e-9) -> GNSRepresentation:

@@ -19,7 +19,8 @@ embedded matrices.  Those coefficients are also the coordinates of the
 embedded crossed product's algebra, so C's algebra is its whitened rows
 times that basis, and the Green-Julg module is rebased onto C by projecting
 its inner coefficients onto those rows.  The embedded crossed product is
-built only for a Morita witness.
+built only when both cocycle conditions hold, as the algebra of the
+averaged module that a Morita witness needs.
 """
 from __future__ import annotations
 
@@ -286,28 +287,33 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
 
     J and C are compared in the crossed product's whitened coefficients,
     whose singular values, norms and residuals are those of the embedded
-    matrices, so the rank and span rules are the embedded ones.  The
-    Green-Julg module, rebased onto C's whitened rows, is built only for
-    the witness; `module` is None when no witness is built.
+    matrices, so the rank and span rules are the embedded ones.  The inner
+    values are averaged once: under both conditions the Green-Julg module
+    is built first and J read off its inner values, and the witness rebases
+    that module onto C's whitened rows; otherwise J comes from the averaged
+    coefficients alone.  `module` is None when no witness is built.
     """
     scalar = scalar or scalar_subgroups(sys, tol)
     fpa = fixed_point_algebra(sys)
     eq = equivariant_function_module(sys)
     cp = crossed_product(eq.beta)
     cid = c_ideal(sys, scalar, cp)
+    conditions = scalar.normalisation_ok and scalar.completeness_ok
+    # A witness needs the averaged module, whose inner values span J.
+    averaged = green_julg_module(eq, cp)[0] if conditions else None
+    inner = averaged.inner if averaged is not None else \
+        cp.whiten(averaged_inner_coefficients(eq))
     m = eq.base.carrier_dim
-    j_rows = orthonormal_rows(
-        cp.whiten(averaged_inner_coefficients(eq)).reshape(m * m, cp.metric.shape[0]))
+    j_rows = orthonormal_rows(inner.reshape(m * m, cp.metric.shape[0]))
     c_rows = cid.metric_rows
     j_in_c = float(row_residuals(c_rows, j_rows).max(initial=0.0))
     spans_match = spans_equal(j_rows, c_rows, tol)
     strict = (j_rows.shape[0] < cid.dim) and span_contains(c_rows, j_rows, tol)
-    conditions = scalar.normalisation_ok and scalar.completeness_ok
     witness = None
     fpa_blocks = c_blocks = None
     module = None
-    if conditions and spans_match:
-        module = rebase_module(green_julg_module(eq, cp)[0], c_rows)
+    if averaged is not None and spans_match:
+        module = rebase_module(averaged, c_rows)
         witness = verify_morita(fpa, module, fpa.basis, tol,
                                 rng=np.random.default_rng(seed))
         fpa_blocks = len(block_decompose(fpa, seed=seed).blocks)
@@ -364,7 +370,8 @@ def quotient_equivariant_module(sys: EquivariantSystem, wprime, r,
             diag[x * d:(x + 1) * d] = 1.0 / np.sqrt(len(orb))
         action[o] = u_rows.conj() @ (diag[:, None] * u_rows.T)
     vecs = u_rows.reshape(k, x_n, d)
-    ips = np.einsum("pxa,qxa->pqx", vecs.conj(), vecs)   # <u_p(x)|u_q(x)>
+    # [p, q, x]: <u_p(x)|u_q(x)>.
+    ips = (vecs.conj().transpose(1, 0, 2) @ vecs.transpose(1, 2, 0)).transpose(1, 2, 0)
     # The values are functions on X, diagonal like C(X/W')'s basis, whose
     # diagonals are the orbit indicators: they must be constant on orbits.
     inner = _checked_coefficients(quot.orbit_basis, ips)

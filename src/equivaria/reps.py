@@ -208,7 +208,7 @@ def isotypic_projection(pi: UnitaryRep, rho: UnitaryRep) -> np.ndarray:
     if pi.group.order != rho.group.order or not np.array_equal(pi.group.mul, rho.group.mul):
         raise RepError("representations belong to different groups")
     weights = rho.dim * rho.character().conj() / pi.group.order
-    return np.einsum("g,gij->ij", weights, pi.matrices)
+    return np.tensordot(weights, pi.matrices, axes=1)
 
 
 def equivariant_maps(rho: UnitaryRep, pi: UnitaryRep,

@@ -96,8 +96,9 @@ def realize_irrep(sys: EquivariantSystem, entry: SpectrumEntry,
     funcs = invariant_functions(sys, tol)
     x = entry.point
     s = entry.basis  # (m, d, r)
-    mats = np.einsum("mar,kab,nbr->kmn", s.conj(), funcs[:, x], s)
-    return mats
+    # [k, n, a, r]: k(x) s_n; then contracted with conj(s_m) over (a, r).
+    moved = funcs[:, x][:, None] @ s[None]
+    return np.tensordot(moved, s.conj(), axes=([2, 3], [1, 2])).transpose(0, 2, 1)
 
 
 def realized_commutant_dim(mats: np.ndarray, tol: float = DEFAULT_TOL) -> int:

@@ -16,7 +16,12 @@ basis orthonormalized by the metric's square root, so a module over
 B >| W keeps its inner values as whitened rows and never embeds them.  The
 |W| dim B embedded basis elements are built on first use only, when a
 Morita witness needs that algebra.  No other module embeds or
-coordinatizes crossed-product elements.
+coordinatizes crossed-product elements.  That algebra's product table is
+read off the structure tensor, and its span is checked by the relations of
+the covariant pair the embedding integrates, never by forming the
+(|W| dim B)^2 products of embedded matrices.  Likewise the fixed-point
+algebra's table and closure residual come from the pointwise products of
+its invariant functions, not from its block-diagonal N x N matrices.
 """
 from __future__ import annotations
 
@@ -35,7 +40,7 @@ from .linalg import (
     span_contains,
     spans_equal,
 )
-from .matalg import MatrixStarAlgebra, _star_constants
+from .matalg import MatrixStarAlgebra, StructuredAlgebra, _star_constants, product_table
 from .reps import regular_rep
 
 
@@ -70,28 +75,26 @@ class EquivariantSystem:
             raise SystemError("cocycle tensor has wrong shape")
         if not np.array_equal(action[0], np.arange(x_n)):
             raise SystemError("identity does not act trivially on points")
-        for w in range(w_n):
-            if sorted(action[w]) != list(range(x_n)):
-                raise SystemError(f"element {w} does not permute the points")
+        # Each check runs on every index at once and names the first failure
+        # in C order, the order of the nested loops over (w1, w2, x).
+        bad = (np.sort(action, axis=1) != np.arange(x_n)).any(axis=1)
+        if bad.any():
+            raise SystemError(f"element {bad.argmax()} does not permute the points")
         mul = self.group.mul
-        for w1 in range(w_n):
-            for w2 in range(w_n):
-                if not np.array_equal(action[mul[w1, w2]], action[w1][action[w2]]):
-                    raise SystemError("action is not a group action")
-        eye = np.eye(d)
-        for w in range(w_n):
-            for x in range(x_n):
-                u = coc[w, x]
-                if np.linalg.norm(u.conj().T @ u - eye) > 1e-9 * d:
-                    raise SystemError(f"cocycle I_({w},{x}) is not unitary")
-        for w1 in range(w_n):
-            for w2 in range(w_n):
-                for x in range(x_n):
-                    lhs = coc[w1, action[w2, x]] @ coc[w2, x]
-                    rhs = coc[mul[w1, w2], x]
-                    if np.linalg.norm(lhs - rhs) > 1e-9 * d:
-                        raise SystemError(
-                            f"cocycle identity fails at (w1={w1}, w2={w2}, x={x})")
+        # [w1, w2, x]: (w1 w2).x against w1.(w2.x).
+        if not np.array_equal(action[mul], action[np.arange(w_n)[:, None, None], action]):
+            raise SystemError("action is not a group action")
+        unitary = coc.conj().swapaxes(-2, -1) @ coc - np.eye(d)
+        bad = np.linalg.norm(unitary, axis=(-2, -1)) > 1e-9 * d
+        if bad.any():
+            w, x = np.unravel_index(bad.argmax(), bad.shape)
+            raise SystemError(f"cocycle I_({w},{x}) is not unitary")
+        # [w1, w2, x]: I_{w1, w2 x} I_{w2, x} - I_{w1 w2, x}.
+        defect = coc[:, action] @ coc - coc[mul]
+        bad = np.linalg.norm(defect, axis=(-2, -1)) > 1e-9 * d
+        if bad.any():
+            w1, w2, x = np.unravel_index(bad.argmax(), bad.shape)
+            raise SystemError(f"cocycle identity fails at (w1={w1}, w2={w2}, x={x})")
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "cocycle", coc)
         object.__setattr__(self, "points", tuple(self.points))
@@ -297,13 +300,15 @@ def alpha_matrix(sys: EquivariantSystem, w: int) -> np.ndarray:
 
 
 def embed_function(sys: EquivariantSystem, k: np.ndarray) -> np.ndarray:
-    """Block-diagonal matrix of a function in M_{|X| d}, blocks by point index."""
+    """Block-diagonal matrices in M_{|X| d} of functions (..., |X|, d, d),
+    blocks by point index."""
     k = np.asarray(k, dtype=complex)
-    d = sys.fiber_dim
-    out = np.zeros((sys.total_dim, sys.total_dim), dtype=complex)
-    for x in range(sys.n_points):
-        out[x * d:(x + 1) * d, x * d:(x + 1) * d] = k[x]
-    return out
+    x_n, d = sys.n_points, sys.fiber_dim
+    lead = k.shape[:-3]
+    out = np.zeros(lead + (x_n, d, x_n, d), dtype=complex)
+    x = np.arange(x_n)
+    out[..., x, :, x, :] = np.moveaxis(k, -3, 0)
+    return out.reshape(lead + (sys.total_dim, sys.total_dim))
 
 
 def function_algebra(sys: EquivariantSystem) -> MatrixStarAlgebra:
@@ -333,11 +338,16 @@ def invariant_functions(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> np.
 
 
 def fixed_point_algebra(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
-    """C(X, M_d)^W as a matrix *-algebra in M_{|X| d}."""
+    """C(X, M_d)^W as a matrix *-algebra in M_{|X| d}.
+
+    The basis is the orthonormal invariant functions, embedded
+    block-diagonally.  That embedding is an isometry, so the product table
+    and the closure residual are those of the pointwise products of the
+    (k, |X|, d, d) functions, from matalg.product_table, and are checked
+    against the same threshold as a dense pass would be.
+    """
     funcs = invariant_functions(sys, tol)
-    basis = np.stack([embed_function(sys, k) for k in funcs]) if funcs.shape[0] \
-        else np.zeros((0, sys.total_dim, sys.total_dim), dtype=complex)
-    alg = MatrixStarAlgebra(sys.total_dim, basis)
+    alg = StructuredAlgebra(sys.total_dim, embed_function(sys, funcs), *product_table(funcs))
     alg.validate(max(tol, 1e-8))
     return alg
 
@@ -485,18 +495,84 @@ class CrossedProduct:
     def algebra(self) -> MatrixStarAlgebra:
         """The embedded crossed product in the basis embed(unwhiten(I)).
 
-        Basis element (w, j) is sum_m R^-1[j, m] b_m w, orthonormal exactly
-        when `metric` is the embedding's Gram matrix, so `whiten` gives
-        coordinates against it.  `validate` checks orthonormality and
-        closure, as algebra_from_span does for a span.
+        Basis element (w, j) is a_(w, j) = sum_m R^-1[j, m] b_m w,
+        orthonormal exactly when `metric` is the embedding's Gram matrix, so
+        `whiten` gives coordinates against it.  Its product table is
+        whiten(multiply(unwhiten(I), unwhiten(I))), read off `structure`;
+        no two embedded matrices are multiplied for it.
+
+        That table is the embedded one because the embedding is the
+        integrated form of a covariant pair (pi, U) (Williams, Crossed
+        Products of C*-Algebras, 2007, 2.3).  Here pi(b) acts on
+        delta_v (x) C^N by beta_(v^-1)(b) and U_w = lambda_w (x) 1_N.  When
+          (1) b_i w embeds as pi(b_i) U_w,
+          (2) pi(b_i) pi(b_j) = pi(b_i b_j),
+          (3) U_w pi(b_i) U_w* = pi(beta_w(b_i)) and
+          (4) U_w U_v = U_wv,
+        then (pi(a) U_w)(pi(b) U_v) = pi(a) (U_w pi(b) U_w*) U_w U_v =
+        pi(a beta_w(b)) U_wv, the product that `structure` expands.  U_w
+        enters only as a unitary of the ambient space, never as an element
+        of the span, so the argument also holds when B's unit e is not I_N:
+        then U_w lies outside the span and the unit of the crossed product
+        is pi(e).  `validate` compares the largest residual of (1)-(4) with
+        the closure threshold, and checks adjoints and orthonormality as for
+        any algebra.  The check costs about 3 |W| dim B + |W|^2 products of
+        embedded matrices, with (2) read in B's coordinates, in place of the
+        (|W| dim B)^2 products of a dense pass.
         """
         w_n, k = self.group.order, self.action.algebra.dim
         n = w_n * self.action.algebra.ambient_dim
         if k == 0:
             return MatrixStarAlgebra(n, np.zeros((0, n, n), dtype=complex))
-        alg = MatrixStarAlgebra(n, self.embed(self.unwhiten(np.eye(w_n * k))))
+        alg = StructuredAlgebra(n, self.embed(self.unwhiten(np.eye(w_n * k))),
+                                self._table(), self._relation_residual())
         alg.validate(max(self.tol, 1e-8))
         return alg
+
+    def _table(self) -> np.ndarray:
+        """<a_(u, l), a_(w, i) a_(v, j)> indexed [(v, j), (u, l), (w, i)]:
+        zero unless u = wv, and there the same for every v."""
+        g = self.group
+        w_n, k = g.order, self.action.algebra.dim
+        root, root_inv = self._root
+        # [i, w, j, l]: R^-1 on both factors' coefficients, R on the product's.
+        prods = np.tensordot(root_inv, root_inv @ (self.structure @ root), axes=(1, 1))
+        table = np.zeros((w_n, k, w_n, k, w_n, k), dtype=complex)
+        for w in range(w_n):
+            for v in range(w_n):
+                table[v, :, g.mul[w, v], :, w] = prods[:, w].transpose(1, 2, 0)
+        return table.reshape(w_n * k, w_n * k, w_n * k)
+
+    def _relation_residual(self) -> float:
+        """The largest norm by which the embedding breaks relations (1)-(4)
+        of `algebra`."""
+        g, b_alg, maps = self.group, self.action.algebra, self.action.maps
+        k, n, w_n = b_alg.dim, b_alg.ambient_dim, g.order
+        emb = self.embedding.reshape(w_n, k, w_n * n, w_n * n)
+        pi = emb[g.identity]
+        u = np.kron(regular_rep(g).matrices, np.eye(n))
+        u_star = u.conj().transpose(0, 2, 1)
+        pair = emb - pi @ u[:, None]                                                     # (1)
+        covariance = u[:, None] @ pi @ u_star[:, None] - np.tensordot(maps, pi, axes=(1, 0))  # (3)
+        # (2) in B's coordinates: pi(b_i) must be block-diagonal with block v
+        # equal to sum_m c[v, i, m] b_m, and each c[v] must multiply as B does,
+        # c[v](b_i) c[v](b_j) = c[v](b_i b_j), read off B's table [j, l, i].
+        v = np.arange(w_n)
+        rows = b_alg.basis_rows()
+        blocks = pi.reshape(k, w_n, n, w_n, n)
+        c = flatten(blocks[:, v, :, v]) @ rows.conj().T              # [v, i, m]
+        outside = blocks.copy()
+        outside[:, v, :, v] -= (c @ rows).reshape(w_n, k, n, n)
+        table = b_alg.structure.transpose(2, 0, 1)                     # [m, n, l]
+        # [v, i, j, l]: the b_l part of block v of pi(b_i) pi(b_j) - pi(b_i b_j).
+        left = c[:, None] @ (c @ table.reshape(k, k * k)).reshape(w_n, k, k, k)
+        right = (table.reshape(k * k, k) @ c).reshape(w_n, k, k, k)
+        return float(max(
+            np.linalg.norm(pair, axis=(-2, -1)).max(),
+            np.linalg.norm(covariance, axis=(-2, -1)).max(),
+            np.linalg.norm(homomorphism_defect(u, g.mul), axis=(-2, -1)).max(),   # (4)
+            np.linalg.norm(outside.reshape(k, -1), axis=1).max(),
+            np.linalg.norm(left - right, axis=(0, 3)).max()))
 
     def embed(self, f: np.ndarray) -> np.ndarray:
         """Embedded matrices of coefficient arrays f of shape (..., |W|, dim B)."""
@@ -533,7 +609,9 @@ class CrossedProduct:
         f = np.asarray(f, dtype=complex)
         g = np.asarray(g, dtype=complex)
         # [..., w, v, l]: the b_l part of f_w w times g_v v, which sits at wv.
-        x = np.einsum("...wi,wijl->...wjl", f, self.structure)
+        w_n, k = self.structure.shape[:2]
+        x = (f[..., None, :] @ self.structure.reshape(w_n, k, k * k)).reshape(
+            *f.shape[:-1], k, k)
         prods = g[..., None, :, :] @ x
         # Component u collects the pairs (w, w^-1 u).
         w_idx = np.arange(grp.order)[:, None]
@@ -547,7 +625,7 @@ class CrossedProduct:
     def star(self, f: np.ndarray) -> np.ndarray:
         """(a w)* = beta_{w^-1}(a*) w^-1, for a coefficient stack."""
         f = np.asarray(f, dtype=complex)
-        out = np.einsum("...wi,wli->...wl", f.conj(), self._adjoints)
+        out = (self._adjoints @ f.conj()[..., None])[..., 0]
         return out[..., self.group.inv, :]
 
     def is_ideal(self, rows: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -592,7 +670,7 @@ def crossed_basis(action: AlgebraAction) -> np.ndarray:
     g = action.group
     alg = action.algebra
     n, k, w_n = alg.ambient_dim, alg.dim, g.order
-    twisted = np.einsum("uli,lrc->uirc", action.maps[g.inv], alg.basis)
+    twisted = np.tensordot(action.maps[g.inv], alg.basis, axes=(1, 0))   # [u, i, r, c]
     out = np.zeros((w_n, k, w_n, n, w_n, n), dtype=complex)
     for w in range(w_n):
         for v in range(w_n):
@@ -612,7 +690,7 @@ def crossed_product(action: AlgebraAction, tol: float = DEFAULT_TOL) -> CrossedP
     w_n, k = action.group.order, action.algebra.dim
     # [m, l, i] of B's structure is <b_l, b_i b_m>.
     structure = np.einsum("wmj,mli->wijl", maps, action.algebra.structure, optimize=True)
-    block = np.einsum("uli,ulj->ij", maps, maps.conj())
+    block = np.tensordot(maps, maps.conj(), axes=([0, 1], [0, 1]))
     return CrossedProduct(action, structure, np.kron(np.eye(w_n), block), tol)
 
 

@@ -18,9 +18,14 @@ stored basis, its algebra's basis is the whitened one, whose coordinates
 the dense SVD's cut, and the dense SVD is its oracle on prescribed spectra.
 Crossed products multiply, take adjoints and test ideals in coefficients,
 and the Morita theorem compares J with C there; the embedded matrices are
-their oracle.  The dense paths and per-pair loops survive here as oracles,
-and spies check that a run classifies the spectrum and builds each
-fixed-point algebra once.
+their oracle.  The fixed-point algebra's table comes from the products of
+its fibers and the crossed product's from its structure tensor, with the
+dense pass as their oracle; mutants of the embedding and of its whitening
+fail.  Module axioms are checked on all samples at once, against the
+per-sample loop.  The dense paths and per-pair loops survive here as
+oracles, and spies check that a run classifies the spectrum, builds each
+fixed-point algebra once and averages the inner products once, and that
+neither structured algebra runs the dense pass.
 """
 import numpy as np
 import pytest
@@ -86,6 +91,7 @@ from equivaria.reps import (
     regular_rep,
 )
 from equivaria.systems import (
+    AlgebraAction,
     EquivariantSystem,
     anticomplete_point_system,
     crossed_product,
@@ -324,6 +330,43 @@ def test_product_pass_checks_every_slab(monkeypatch):
     assert close(closed.structure, product_tables_loop(closed)[0])
 
 
+FIBERWISE = [f"z2-line-{n}" for n in range(1, 9)] + [
+    "dihedral-plane", "anticomplete-point", "z2xz2-line-2"]
+
+
+def fiberwise_system(label):
+    if label in ("dihedral-plane", "anticomplete-point"):
+        return bundled(label)
+    if label.startswith("z2xz2"):
+        return z2xz2_line_system(int(label[-1]))
+    return z2_line_system(int(label.split("-")[-1]))
+
+
+@pytest.mark.parametrize("label", FIBERWISE)
+def test_fiberwise_table_matches_the_dense_pass(label):
+    fpa = fixed_point_algebra(fiberwise_system(label))
+    # The same basis as a plain algebra runs the dense pass.
+    table, residual = MatrixStarAlgebra(fpa.ambient_dim, fpa.basis)._products
+    assert close(fpa.structure, table)
+    assert close(fpa.structure, product_tables_loop(fpa)[0])
+    assert abs(fpa._products[1] - residual) < 1e-12
+    assert abs(fpa.closure_residual() - closure_residual_dense(fpa)) < 1e-12
+
+
+def test_fiberwise_pass_rejects_functions_that_do_not_close(monkeypatch):
+    """Orthonormal functions on z2-line-1 that span no algebra: Y Y, for the
+    Hermitian Y at point 1, leaves the span, and sits in the last slab."""
+    monkeypatch.setattr(matalg, "_PRODUCT_SLAB", 1)
+    funcs = np.zeros((3, 3, 2, 2), dtype=complex)
+    funcs[0, 0, 0, 0] = funcs[1, 0, 1, 1] = 1.0
+    funcs[2, 1] = np.array([[0, 1], [1, 0]]) / np.sqrt(2)
+    monkeypatch.setattr(systems, "invariant_functions", lambda sys, tol: funcs)
+    with pytest.raises(AlgebraError, match="span is not closed"):
+        fixed_point_algebra(z2_line_system(1))
+    funcs = funcs[:2]
+    assert fixed_point_algebra(z2_line_system(1)).dim == 2
+
+
 def test_irreducible_by_character_norm_matches_commutant():
     groups = [builtin_group(name) for name in sorted(BUILTIN_GROUPS)]
     for g in groups + [dihedral(12), symmetric(4)]:
@@ -438,6 +481,59 @@ def test_inner_coefficients_match_the_dense_values(kind):
     e, inner = dense_inner_case(kind)
     assert e.inner.shape == (e.carrier_dim, e.carrier_dim, e.algebra.dim)
     assert e.carrier_dim > 0 and close(dense_inner(e), inner)
+
+
+def axiom_residuals_loop(e, rng, n_samples=20):
+    """The module axioms' residuals, one sample at a time."""
+    b_alg = e.algebra
+    res = {k: 0.0 for k in ("bimodule", "compatibility", "symmetry", "positivity",
+                            "definiteness")}
+    for _ in range(n_samples):
+        xi, eta = e.random_vector(rng), e.random_vector(rng)
+        b1, b2 = b_alg.random_element(rng), b_alg.random_element(rng)
+        scale = max(1.0, np.linalg.norm(xi) * np.linalg.norm(eta),
+                    matalg.operator_norm(b1) * matalg.operator_norm(b2))
+        lhs, rhs = e.act(e.act(xi, b1), b2), e.act(xi, b1 @ b2)
+        res["bimodule"] = max(res["bimodule"], np.linalg.norm(lhs - rhs) / scale)
+        lhs = e.inner_product(e.act(xi, b1), e.act(eta, b2))
+        rhs = b1.conj().T @ e.inner_product(xi, eta) @ b2
+        res["compatibility"] = max(res["compatibility"], np.linalg.norm(lhs - rhs) / scale)
+        diff = e.inner_product(eta, xi) - e.inner_product(xi, eta).conj().T
+        res["symmetry"] = max(res["symmetry"], np.linalg.norm(diff) / scale)
+        q = e.inner_product(xi, xi)
+        herm = np.linalg.norm(q - q.conj().T)
+        neg = max(0.0, -np.linalg.eigvalsh((q + q.conj().T) / 2.0).min())
+        res["positivity"] = max(res["positivity"], (herm + neg) / scale)
+    if e.carrier_dim:
+        evals = np.linalg.eigvalsh(e.gram())
+        res["definiteness"] = max(0.0, -float(evals.min())) + \
+            (1.0 if evals.min() < 1e-10 * max(evals.max(), 1.0) else 0.0)
+    return res
+
+
+def axiom_case(label):
+    """The function module of z2-line, its averaged module over the crossed
+    product, or the function module with its tensors perturbed, which
+    breaks every axiom by a residual of order one."""
+    e = function_module(bundled("z2-line"))
+    if label == "averaged":
+        return green_julg_module(equivariant_function_module(bundled("z2-line")))[0]
+    if label == "perturbed":
+        rng = np.random.default_rng(12)
+        return hilbmod.FDHilbertModule(e.algebra, e.action + 0.3 * rng.standard_normal(
+            e.action.shape), e.inner + 0.3j * rng.standard_normal(e.inner.shape))
+    return e
+
+
+@pytest.mark.parametrize("label", ["function", "averaged", "perturbed"])
+def test_axiom_residuals_match_the_sample_loop(label):
+    e = axiom_case(label)
+    batched = e.axiom_residuals(np.random.default_rng(3))
+    loop = axiom_residuals_loop(e, np.random.default_rng(3))
+    assert batched.keys() == loop.keys()
+    assert all(abs(batched[k] - loop[k]) < 1e-12 for k in loop)
+    if label == "perturbed":
+        assert min(batched.values()) > 1e-3
 
 
 def crossed_embed(action, f):
@@ -835,9 +931,82 @@ def test_crossed_coefficients_match_the_embedding(label, make_action):
     assert close(cp.unwhiten(y), f)
     # ... and are the coordinates against the algebra's basis.
     assert close(y, np.stack([cp.algebra.coefficients(a) for a in ef]))
-    # The dense closure check still guards the embedded span when it is built.
+    # The relation check guards the embedded span when it is built.
     assert cp.algebra.dim == emb.shape[0]
     assert cp.algebra.closure_residual() < 1e-9
+
+
+def corner_action():
+    """Z/2 swapping E11 and E22 in M_3: B's unit E11 + E22 is not I_3."""
+    basis = np.zeros((2, 3, 3), dtype=complex)
+    basis[0, 0, 0] = basis[1, 1, 1] = 1.0
+    maps = np.array([np.eye(2), [[0, 1], [1, 0]]], dtype=complex)
+    return AlgebraAction(cyclic(2), MatrixStarAlgebra(3, basis), maps)
+
+
+def crossed_case(label):
+    if label == "corner":
+        return corner_action()
+    make_action, system = label.split(":")
+    actions = {"scalar": scalar_translation_action, "function": function_algebra_action}
+    return actions[make_action](crossed_system(system))
+
+
+CROSSED_TABLES = [f"{a}:{s}" for a in ("scalar", "function") for s in CROSSED] + ["corner"]
+
+
+@pytest.mark.parametrize("label", CROSSED_TABLES)
+def test_crossed_table_is_read_off_the_structure(label):
+    cp = crossed_product(crossed_case(label))
+    alg = cp.algebra
+    basis = cp.unwhiten(np.eye(alg.dim))
+    # [i, j, l]: a_i a_j against a_l, for the whitened basis a.
+    products = cp.whiten(cp.multiply(basis[:, None], basis[None]))
+    assert close(alg.structure, products.transpose(1, 2, 0))
+    table, residual = MatrixStarAlgebra(alg.ambient_dim, alg.basis)._products
+    assert close(alg.structure, table) and residual < 1e-12
+    assert alg._products[1] < 1e-12 and alg.closure_residual() < 1e-12
+    # The unit of B >| W is pi(e) for B's unit e, also when e is not I_N.
+    unit = np.zeros(basis.shape[1:], dtype=complex)
+    unit[cp.group.identity] = cp.action.algebra.coefficients(cp.action.algebra.unit())
+    assert close(alg.unit(), cp.embed(unit))
+
+
+def crossed_basis_mutant(kind):
+    """crossed_basis with the twist beta_(wv) in place of beta_((wv)^-1), or
+    with block (v, wv) in place of (wv, v)."""
+    def mutant(action):
+        g, alg = action.group, action.algebra
+        n, k, w_n = alg.ambient_dim, alg.dim, g.order
+        maps = action.maps if kind == "twist" else action.maps[g.inv]
+        twisted = np.tensordot(maps, alg.basis, axes=(1, 0))
+        out = np.zeros((w_n, k, w_n, n, w_n, n), dtype=complex)
+        for w in range(w_n):
+            for v in range(w_n):
+                wv = g.mul[w, v]
+                if kind == "slot":
+                    out[w, :, v, :, wv, :] = twisted[wv]
+                else:
+                    out[w, :, wv, :, v, :] = twisted[wv]
+        return out.reshape(w_n * k, w_n * n, w_n * n)
+    return mutant
+
+
+@pytest.mark.parametrize("kind", ["twist", "slot"])
+def test_relation_check_rejects_a_wrong_embedding(kind, monkeypatch):
+    action = scalar_translation_action(z4_rotation_system())
+    assert crossed_product(action).algebra.closure_residual() < 1e-12
+    monkeypatch.setattr(systems, "crossed_basis", crossed_basis_mutant(kind))
+    with pytest.raises(AlgebraError, match="span is not closed"):
+        crossed_product(action).algebra
+
+
+def test_whitened_basis_rejects_a_wrong_inverse_root(monkeypatch):
+    root = systems.CrossedProduct._root.func
+    monkeypatch.setattr(systems.CrossedProduct, "_root",
+                        property(lambda cp: (root(cp)[0], root(cp)[0])))
+    with pytest.raises(AlgebraError, match="not orthonormal"):
+        crossed_product(scalar_translation_action(z4_rotation_system())).algebra
 
 
 @pytest.mark.parametrize("label", CROSSED)
@@ -1046,6 +1215,29 @@ def test_reduction_builds_each_fixed_point_algebra_once(monkeypatch):
     assert morita.assemble_toy_dual(components).ok
     for sys, _, _ in components:
         assert sum(s is sys for s in built) == 1
+
+
+def test_morita_theorem_averages_once_and_runs_no_dense_pass(monkeypatch):
+    averaged = counting_spy(monkeypatch, [hilbmod, morita], "averaged_inner_coefficients")
+    dense = []
+    dense_pass = MatrixStarAlgebra._product_pass
+
+    def spy(alg):
+        dense.append(alg)
+        return dense_pass(alg)
+
+    monkeypatch.setattr(MatrixStarAlgebra, "_product_pass", spy)
+    verdict = verify_morita_theorem(bundled("z2-line"))
+    assert verdict.ok and verdict.witness is not None
+    assert len(averaged) == 1
+    # C is the whole crossed product here, so the witness module is over
+    # cp.algebra, whose blocks the verdict counted.
+    cp_algebra = verdict.ideal.cp.algebra
+    assert verdict.module.algebra is cp_algebra and verdict.c_blocks is not None
+    assert not any(alg is verdict.fpa or alg is cp_algebra for alg in dense)
+    # The dense pass itself still runs on an algebra without structure.
+    plain = MatrixStarAlgebra(cp_algebra.ambient_dim, cp_algebra.basis)
+    assert close(plain.structure, cp_algebra.structure) and dense[-1] is plain
 
 
 def validate_loop(rep, tol=1e-9):

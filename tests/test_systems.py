@@ -49,6 +49,48 @@ def test_cocycle_identity_enforced():
         EquivariantSystem(g, ("pt",), np.zeros((2, 1), dtype=np.intp), 1, bad)
 
 
+def z3_points_system(action=None, cocycle=None):
+    """Z/3 on three points, scalar fibers; by default trivial action and cocycle."""
+    action = np.zeros((3, 3), dtype=np.intp) + np.arange(3) if action is None else action
+    cocycle = np.ones((3, 3, 1, 1), dtype=complex) if cocycle is None else cocycle
+    return EquivariantSystem(cyclic(3), (0, 1, 2), action, 1, cocycle)
+
+
+def test_validation_names_the_first_element_that_does_not_permute():
+    action = np.array([[0, 1, 2], [0, 0, 1], [1, 1, 2]])
+    with pytest.raises(SystemError, match=r"^element 1 does not permute the points$"):
+        z3_points_system(action=action)
+
+
+def test_validation_rejects_permutations_that_are_not_an_action():
+    # Two transpositions: (w1, w2) = (1, 1) and (2, 2), among others, fail.
+    action = np.array([[0, 1, 2], [1, 0, 2], [0, 2, 1]])
+    with pytest.raises(SystemError, match=r"^action is not a group action$"):
+        z3_points_system(action=action)
+
+
+def test_validation_names_the_first_cocycle_that_is_not_unitary():
+    coc = np.ones((3, 3, 1, 1), dtype=complex)
+    coc[1, 0] = 2.0
+    coc[0, 2] = 3.0
+    with pytest.raises(SystemError, match=r"^cocycle I_\(0,2\) is not unitary$"):
+        z3_points_system(cocycle=coc)
+
+
+def test_validation_names_the_first_triple_where_the_cocycle_identity_fails():
+    coc = np.ones((3, 3, 1, 1), dtype=complex)
+    coc[1, 0], coc[2, 0] = 1j, -1.0
+    coc[1, 2] = 1j
+    mul = cyclic(3).mul
+    failing = [(w1, w2, x) for w1 in range(3) for w2 in range(3) for x in range(3)
+               if abs(coc[w1, x, 0, 0] * coc[w2, x, 0, 0] - coc[mul[w1, w2], x, 0, 0]) > 1e-9]
+    # Loop order puts (1, 1, 2) first; point order would put (1, 2, 0) first.
+    assert failing[0] == (1, 1, 2) and (1, 2, 0) in failing
+    with pytest.raises(SystemError,
+                       match=r"^cocycle identity fails at \(w1=1, w2=1, x=2\)$"):
+        z3_points_system(cocycle=coc)
+
+
 def test_orbits_and_stabilizers():
     sys = flip_system(5)
     orbits = orbits_and_stabilizers(sys)
