@@ -125,6 +125,7 @@ def _theorem_json(v) -> dict:
             "normalisation_ok": v.scalar.normalisation_ok,
             "completeness_ok": v.scalar.completeness_ok,
             "fpa_blocks": v.fpa_blocks, "c_blocks": v.c_blocks,
+            "gaps": [{"point": x, "j_dim": j, "c_dim": c} for x, j, c in v.gaps],
             "witness": _witness_json(v.witness)}
 
 
@@ -182,6 +183,9 @@ def cmd_morita(args) -> int:
                   f"{'<' if verdict.strict_inclusion else '='} C dim {verdict.c_dim}")
     lines = [f"morita theorem on {obj.name}: {'PASS' if verdict.ok else 'FAIL'}",
              f"  {status}"]
+    if not verdict.conditions_hold:
+        lines += [f"  dim J_x {j} < dim C_x {c} at point {x} = {obj.points[x]!r}"
+                  for x, j, c in verdict.gaps]
     _emit(report, args.format, lines)
     return EXIT_OK if verdict.ok else EXIT_VERIFICATION
 

@@ -148,23 +148,28 @@ def intertwiner_rows(left, right, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def row_residuals(basis_rows: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Distance from each row of `vecs` to the span of the orthonormal rows."""
-    diff = (vecs @ basis_rows.conj().T) @ basis_rows
+    """Distance from each row of `vecs` to the span of the orthonormal rows.
+
+    Stacks (..., k, D) of bases and (..., r, D) of rows pair up along their
+    leading axes; zero rows in a basis add nothing to its span.
+    """
+    diff = (vecs @ basis_rows.conj().swapaxes(-1, -2)) @ basis_rows
     diff -= vecs
-    return np.linalg.norm(diff, axis=1)
+    return np.linalg.norm(diff, axis=-1)
 
 
 def span_contains(basis_rows: np.ndarray, vecs: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Does each row v of `vecs` lie within tol * max(1, |v|) of the span?
 
-    The rows are tested a slab at a time, so the transient residuals hold at
-    most about 2^20 entries however many rows there are.
+    Stacks pair up as in row_residuals.  The rows are tested a slab at a
+    time, so the transient residuals hold at most about 2^20 entries however
+    many rows there are.
     """
     vecs = np.atleast_2d(np.asarray(vecs, dtype=complex))
-    step = max(1, _SPAN_SLAB // max(vecs.shape[1], 1))
-    for s in range(0, vecs.shape[0], step):
-        chunk = vecs[s:s + step]
-        bound = tol * np.maximum(1.0, np.linalg.norm(chunk, axis=1))
+    step = max(1, _SPAN_SLAB // max(math.prod(vecs.shape[:-2]) * vecs.shape[-1], 1))
+    for s in range(0, vecs.shape[-2], step):
+        chunk = vecs[..., s:s + step, :]
+        bound = tol * np.maximum(1.0, np.linalg.norm(chunk, axis=-1))
         if np.any(row_residuals(basis_rows, chunk) > bound):
             return False
     return True

@@ -219,6 +219,30 @@ def product_table(elems: np.ndarray) -> tuple[np.ndarray, float]:
     return table, worst
 
 
+def restricted_algebra(alg: MatrixStarAlgebra, rows: np.ndarray) -> StructuredAlgebra:
+    """The span of s_r = sum_k rows[r, k] b_k, for orthonormal rows of
+    alg's coordinates, with alg's table restricted to it: no two matrices
+    are multiplied.
+
+    s_i s_j is sum_(k, k') rows[i, k] rows[j, k'] b_k b_k'.  alg's table
+    gives the projection v of that product onto alg's span, in alg's
+    coordinates; its coordinates against the rows are v rows* and its
+    distance from their span |v - v rows* rows|.  What each b_k b_k' leaves
+    outside alg's span is at most alg's product residual rho, so s_i s_j
+    leaves the rows' span by at most that distance plus
+    |rows[i]|_1 |rows[j]|_1 rho, the residual kept.
+    """
+    # [j, i, l]: the b_l coordinate of s_i s_j, from alg's table [k', l, k].
+    v = (np.tensordot(rows, alg.structure, axes=(1, 0)) @ rows.T).transpose(0, 2, 1)
+    coeffs = v @ rows.conj().T
+    v -= coeffs @ rows
+    l1 = np.abs(rows).sum(axis=1).max(initial=0.0)
+    residual = float(np.linalg.norm(v, axis=-1).max(initial=0.0)) + l1 ** 2 * alg._products[1]
+    n = alg.ambient_dim
+    return StructuredAlgebra(n, unflatten(rows @ alg.basis_rows(), n),
+                             coeffs.transpose(0, 2, 1), residual)
+
+
 def algebra_from_span(mats, ambient_dim: int | None = None,
                       tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
     """Wrap an already-*-closed span (orthonormalizes; validates closure)."""

@@ -15,12 +15,17 @@ reduced dual.
 
 The ideal test and the comparison of J with C run in the crossed product's
 whitened coefficients, where rank cuts, norms and residuals are those of the
-embedded matrices.  Those coefficients are also the coordinates of the
-embedded crossed product's algebra, so C's algebra is its whitened rows
-times that basis, and the Green-Julg module is rebased onto C by projecting
-its inner coefficients onto those rows.  The embedded crossed product is
-built only when both cocycle conditions hold, as the algebra of the
-averaged module that a Morita witness needs.
+embedded matrices.  Both J and C split over the points of X: the point
+indicators delta_x cut every coefficient array into |X| column blocks of
+C^|W|, so C is spanned by coset indicators point by point and J's rank is
+one batched cut over the points (verify_morita_theorem gives the argument),
+which also names the points where J falls short of C.  Whitened
+coefficients are the coordinates of the embedded crossed product's
+algebra, so C's algebra is its whitened rows times that basis, with that
+algebra's product table restricted to them, and the Green-Julg module is
+rebased onto C by projecting its inner coefficients onto those rows.  The
+embedded crossed product is built only when both cocycle conditions hold,
+as the algebra of the averaged module that a Morita witness needs.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import semidirect_decomposition
+from .groups import FiniteGroup, semidirect_decomposition
 from .hilbmod import (
     EquivariantModule,
     FDHilbertModule,
@@ -51,11 +56,9 @@ from .linalg import (
     row_residuals,
     span_contains,
     spans_equal,
-    unflatten,
 )
-from .matalg import MatrixStarAlgebra, block_decompose
-from .reps import enumerate_irreps, multiplicity
-from .spectrum import stabilizer_rep
+from .matalg import MatrixStarAlgebra, block_decompose, restricted_algebra
+from .reps import enumerate_irreps
 from .systems import (
     AlgebraAction,
     CrossedProduct,
@@ -109,59 +112,77 @@ def scalar_subgroups(sys: EquivariantSystem, tol: float = 1e-8) -> ScalarStructu
     A cocycle unitary counts as scalar when its distance to (trace/d) id is
     below tolerance.  Verified invariants: each W'_x is a normal subgroup of
     the stabilizer W_x, and w W'_x w^-1 = W'_{wx}.
+
+    The stabilizers and the scalar tests are read off the action table and
+    the cocycle in one pass over all (w, x), the invariants are one
+    comparison of masks through the multiplication table, and completeness
+    is read off characters: the multiplicity of an irrep rho of W_x in
+    w -> I_{w,x} is (1/|W_x|) sum_w conj(chi_rho(w)) tr I_{w,x}.  Each
+    distinct stabilizer's subgroup and irreps are built once.
     """
     g = sys.group
     d = sys.fiber_dim
-    eye = np.eye(d)
-    stabs, scalars, values, wprime = [], [], [], []
-    for x in range(sys.n_points):
-        stab = [w for w in g.elements() if sys.action[w, x] == x]
-        sc, vals, wp = [], [], []
-        for w in stab:
-            mat = sys.cocycle[w, x]
-            lam = complex(np.trace(mat)) / d
-            if np.linalg.norm(mat - lam * eye) < tol * max(1.0, abs(lam)) * d:
-                sc.append(w)
-                vals.append(lam)
-                if abs(lam - 1.0) < tol:
-                    wp.append(w)
-        stabs.append(tuple(stab))
-        scalars.append(tuple(sc))
-        values.append(tuple(vals))
-        wprime.append(tuple(wp))
-    # Invariants.
-    for x in range(sys.n_points):
-        stab_sub = g.subgroup(list(stabs[x]))
-        if not stab_sub.group.is_normal(
-                [stab_sub.from_parent(w) for w in wprime[x]]):
-            raise MoritaError(f"W'_x is not normal in the stabilizer at x={x}")
-        for w in g.elements():
-            wx = int(sys.action[w, x])
-            conj = sorted(g.conjugate(w, u) for u in wprime[x])
-            if conj != sorted(wprime[wx]):
-                raise MoritaError(
-                    f"w W'_x w^-1 != W'_(wx) at x={x}, w={w}")
-    normalisation_ok = all(scalars[x] == wprime[x] for x in range(sys.n_points))
+    x_n = sys.n_points
+    stab = sys.action == np.arange(x_n)                               # [w, x]
+    traces = np.trace(sys.cocycle, axis1=-2, axis2=-1)                # [w, x]
+    lam = traces / d
+    dev = np.linalg.norm(sys.cocycle - lam[..., None, None] * np.eye(d), axis=(-2, -1))
+    scalar = stab & (dev < tol * np.maximum(1.0, np.abs(lam)) * d)
+    wp = scalar & (np.abs(lam - 1.0) < tol)
+    _check_scalar_invariants(g, sys.action, stab, wp)
+
+    def per_point(mask):
+        return tuple(tuple(int(w) for w in np.flatnonzero(mask[:, x])) for x in range(x_n))
+
+    stabs, scalars, wprime = per_point(stab), per_point(scalar), per_point(wp)
+    values = tuple(tuple(complex(lam[w, x]) for w in scalars[x]) for x in range(x_n))
+    normalisation_ok = bool(np.array_equal(scalar, wp))
     # Completeness: every irrep of W_x trivial on W'_x occurs in w -> I_{w,x}.
-    # Points with the same stabilizer share its irreps.
-    by_point = []
-    irreps_of: dict[tuple[int, ...], list] = {}
-    for x in range(sys.n_points):
-        sub, i_rep = stabilizer_rep(sys, x)
-        if stabs[x] not in irreps_of:
-            irreps_of[stabs[x]] = enumerate_irreps(sub.group)
-        wp_local = [sub.from_parent(w) for w in wprime[x]]
-        ok = True
-        for rho in irreps_of[stabs[x]]:
-            trivial_on_wp = all(
-                np.linalg.norm(rho.matrices[u] - np.eye(rho.dim)) < 1e-8
-                for u in wp_local)
-            if trivial_on_wp and multiplicity(i_rep, rho) == 0:
-                ok = False
-        by_point.append(ok)
-    return ScalarStructure(sys, tuple(stabs), tuple(scalars), tuple(values),
-                           tuple(wprime), normalisation_ok, all(by_point),
-                           tuple(by_point))
+    by_point = np.ones(x_n, dtype=bool)
+    points_of: dict[tuple[int, ...], list[int]] = {}
+    for x in range(x_n):
+        points_of.setdefault(stabs[x], []).append(x)
+    for elems, xs in points_of.items():
+        irreps = enumerate_irreps(g.subgroup(elems).group)
+        chars = np.stack([rho.character() for rho in irreps])        # [rho, u]
+        mult = np.rint((chars.conj() @ traces[np.ix_(elems, xs)]).real / len(elems))
+        # [rho, u]: rho(u) = 1, for u in the stabilizer's own indexing.
+        fixes = np.stack([np.linalg.norm(rho.matrices - np.eye(rho.dim), axis=(-2, -1)) < 1e-8
+                          for rho in irreps])
+        local_wp = wp[np.ix_(elems, xs)]                              # [u, x]
+        trivial = ~(~fixes[:, :, None] & local_wp[None]).any(axis=1)  # [rho, x]
+        by_point[xs] = ~(trivial & (mult == 0)).any(axis=0)
+    return ScalarStructure(sys, stabs, scalars, values, wprime, normalisation_ok,
+                           bool(by_point.all()), tuple(bool(b) for b in by_point))
+
+
+def _check_scalar_invariants(g: FiniteGroup, action: np.ndarray, stab: np.ndarray,
+                             wp: np.ndarray) -> None:
+    """Raise MoritaError at the first point x, and there the first w, at
+    which W'_x is not a normal subgroup of W_x or w W'_x w^-1 != W'_(wx).
+    `stab` and `wp` are [w, x] masks of W_x and W'_x.
+
+    v lies in w W'_x w^-1 exactly when w^-1 v w lies in W'_x, so the two
+    sets agree when row x of wp read through w^-1 v w equals row wx.  W'_x is
+    normal in W_x when it is a subgroup and the sets agree for every w in
+    W_x.  Normality is tested first at each point, so a point that fails at
+    some w fixing it is reported as not normal.
+    """
+    mul, n = g.mul, g.order
+    at = wp.T                                                         # [x, u]
+    # [x, u, v]: u, v in W'_x but uv not.
+    unclosed = at[:, :, None] & at[:, None, :] & ~at[:, mul]
+    not_subgroup = ~at[:, 0] | unclosed.any(axis=(1, 2))
+    conj_inv = mul[mul[g.inv], np.arange(n)[:, None]]                 # [w, v]: w^-1 v w
+    bad = (at[:, conj_inv] != at[action.T]).any(axis=2)               # [x, w]
+    not_normal = not_subgroup | (bad & stab.T).any(axis=1)
+    failing = not_normal | bad.any(axis=1)
+    if not failing.any():
+        return
+    x = int(np.argmax(failing))
+    if not_normal[x]:
+        raise MoritaError(f"W'_x is not normal in the stabilizer at x={x}")
+    raise MoritaError(f"w W'_x w^-1 != W'_(wx) at x={x}, w={int(np.argmax(bad[x]))}")
 
 
 # -- the ideal C(X, W, I) ------------------------------------------------------
@@ -173,16 +194,19 @@ class CIdeal:
 
     `metric_rows` spans the ideal in cp's whitened coordinates, where norms
     and inner products are those of the embedded matrices; they are also
-    coordinates against cp.algebra's basis.  `algebra`, the embedded span
-    with basis metric_rows @ cp.algebra's basis, is built on first access;
-    an ideal of full dimension is the whole crossed product, and its
-    algebra is cp.algebra.
+    coordinates against cp.algebra's basis.  Every row lies in one point's
+    column block (., x), x = `points[row]`, in increasing order of x.
+    `algebra`, the embedded span with basis metric_rows @ cp.algebra's
+    basis and cp.algebra's table restricted to it, is built on first
+    access; an ideal of full dimension is the whole crossed product, and
+    its algebra is cp.algebra.
     """
 
     system: EquivariantSystem
     cp: CrossedProduct
     coeff_rows: np.ndarray     # (dim, |W| * |X|), orthonormal
     metric_rows: np.ndarray    # (dim, |W| * |X|), orthonormal after whitening
+    points: np.ndarray         # (dim,): the point whose block holds each row
 
     @property
     def dim(self) -> int:
@@ -192,9 +216,18 @@ class CIdeal:
     def algebra(self) -> MatrixStarAlgebra:
         if self.dim == self.cp.metric.shape[0]:
             return self.cp.algebra
-        amb = self.cp.algebra.ambient_dim
-        rows = self.metric_rows @ self.cp.algebra.basis_rows()
-        return MatrixStarAlgebra(amb, unflatten(rows, amb))
+        return restricted_algebra(self.cp.algebra, self.metric_rows)
+
+
+def _point_root(cp: CrossedProduct) -> np.ndarray:
+    """The diagonal of the metric root R of C(X) >| W, which must not mix
+    points (MoritaError otherwise): whitening scales each point's column
+    block (., x) by R[x, x]."""
+    root = cp._root[0]
+    diag = np.diag(root)
+    if np.count_nonzero(root - np.diag(diag)):
+        raise MoritaError("the metric root of the crossed product mixes points")
+    return diag
 
 
 def c_ideal(sys: EquivariantSystem, scalar: ScalarStructure | None = None,
@@ -202,33 +235,36 @@ def c_ideal(sys: EquivariantSystem, scalar: ScalarStructure | None = None,
             tol: float = DEFAULT_TOL) -> CIdeal:
     """Solve f_{w'w}(x) = f_w(x) for w' in W'_x inside the crossed product.
 
+    The constraints at x involve only the coefficients f_w(x), column block
+    (., x), so C is the direct sum over points of C_x, the functions on W
+    constant on each right coset W'_x w.  The normalised indicators of those
+    cosets are an orthonormal basis of C_x; no kernel is solved.  W'_x is a
+    subgroup, as scalar_subgroups checks, so the cosets partition W.  The
+    metric root R does not mix points (checked), so whitening scales block x
+    by R's diagonal entry and the normalised whitened rows are orthonormal.
     The result is verified to be a two-sided *-closed ideal of C(X) >| W,
     in cp's whitened coefficients (CrossedProduct.is_ideal).
     """
     scalar = scalar or scalar_subgroups(sys, max(tol, 1e-8))
     cp = cp or crossed_product(scalar_translation_action(sys), tol)
+    _point_root(cp)
     g = sys.group
-    x_n = sys.n_points
-    n_coeff = g.order * x_n
-    constraints = []
-    for x in range(x_n):
-        for wp in scalar.wprime[x]:
-            if wp == 0:
-                continue
-            for w in g.elements():
-                row = np.zeros(n_coeff)
-                row[int(g.mul[wp, w]) * x_n + x] += 1.0
-                row[w * x_n + x] -= 1.0
-                if row.any():
-                    constraints.append(row)
-    if constraints:
-        rows = nullspace_rows(np.vstack(constraints), tol)
-    else:
-        rows = np.eye(n_coeff, dtype=complex)
-    metric_rows = orthonormal_rows(cp.whiten(rows.reshape(-1, g.order, x_n)), tol)
+    w_n, x_n = g.order, sys.n_points
+    wp = np.zeros((x_n, w_n), dtype=bool)
+    for x, elems in enumerate(scalar.wprime):
+        wp[x, list(elems)] = True
+    # [x, w]: the least element of the coset W'_x w, which names it.
+    least = np.where(wp[:, :, None], g.mul[None], w_n).min(axis=1)
+    points, first = np.divmod(np.unique(least + w_n * np.arange(x_n)[:, None]), w_n)
+    members = least[points] == first[:, None]                        # [row, w]
+    dim = points.size
+    coeffs = np.zeros((dim, w_n, x_n), dtype=complex)
+    coeffs[np.arange(dim), :, points] = members / np.sqrt(members.sum(axis=1, keepdims=True))
+    metric_rows = cp.whiten(coeffs)
+    metric_rows /= np.linalg.norm(metric_rows, axis=1, keepdims=True)
     if not cp.is_ideal(metric_rows, max(tol, 1e-8)):
         raise MoritaError("C(X, W, I) is not an ideal of the crossed product")
-    return CIdeal(sys, cp, rows, metric_rows)
+    return CIdeal(sys, cp, coeffs.reshape(dim, -1), metric_rows, points)
 
 
 # -- the Morita theorem --------------------------------------------------------
@@ -238,18 +274,57 @@ def rebase_module(e: FDHilbertModule, rows: np.ndarray) -> FDHilbertModule:
     """View a module over the subalgebra spanned by orthonormal rows of B's
     coordinates, which must contain all its inner products.
 
-    Basis element s of the subalgebra is sum_k rows[s, k] b_k.  Each inner
-    value is projected onto the rows; one that leaves them raises
+    Basis element s of the subalgebra is sum_k rows[s, k] b_k, and its
+    product table is B's restricted to the rows (restricted_algebra).  Each
+    inner value is projected onto the rows; one that leaves them raises
     ModuleError.  Rows spanning all of B leave the module as it is.
     """
     b_alg = e.algebra
     if rows.shape[0] == b_alg.dim:
         return e
-    n, m = b_alg.ambient_dim, e.carrier_dim
-    sub = MatrixStarAlgebra(n, unflatten(rows @ b_alg.basis_rows(), n))
+    m = e.carrier_dim
     action = (rows @ e.action.reshape(b_alg.dim, m * m)).reshape(-1, m, m)
-    return FDHilbertModule(sub, action, _checked_coefficients(rows, e.inner),
+    return FDHilbertModule(restricted_algebra(b_alg, rows), action,
+                           _checked_coefficients(rows, e.inner),
                            name=e.name + "-rebased")
+
+
+def _point_blocks(inner: np.ndarray, x_n: int, d: int) -> np.ndarray:
+    """(|X|, d m, |W|): block x holds the inner values <<e_p|e_q>>, (m, m,
+    |W| |X|) or (m, m, |W|, |X|) crossed coefficients, whitened or not,
+    whose left vector e_p lies at x (p = x d + a), in the columns (., x).
+
+    Raises MoritaError unless every other entry of those rows is exactly
+    zero: the nonzero entries of the whole tensor must all lie in the
+    blocks."""
+    m = inner.shape[0]
+    values = inner.reshape(x_n, d, m, -1, x_n)
+    x = np.arange(x_n)
+    blocks = values[x, :, :, :, x]                                    # [x, a, q, w]
+    if np.count_nonzero(values) != np.count_nonzero(blocks):
+        raise MoritaError("an inner value leaves the block of its left vector's point")
+    return blocks.reshape(x_n, d * m, -1)
+
+
+def _point_spans(blocks: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, ranks): orthonormal rows (|X|, r, |W|) of each block's row
+    span, dropped rows set to zero, from one batched SVD.  The cut is the
+    dense rule's, s > tol max(s_0, 1), with s_0 the largest singular value
+    over all blocks: the whole matrix's."""
+    _, s, vh = np.linalg.svd(blocks, full_matrices=False)
+    keep = s > tol * max(s.max(initial=0.0), 1.0)
+    return vh * keep[..., None], keep.sum(axis=1)
+
+
+def _by_point(rows: np.ndarray, points: np.ndarray, x_n: int) -> np.ndarray:
+    """(|X|, |W|, |W|): each row's block (., points[row]) in the next free
+    slot of its point, for rows sorted by point; free slots are zero."""
+    dim = rows.shape[0]
+    w_n = rows.shape[1] // x_n
+    slot = np.arange(dim) - np.searchsorted(points, points)
+    out = np.zeros((x_n, w_n, w_n), dtype=complex)
+    out[points, slot] = rows.reshape(dim, w_n, x_n)[np.arange(dim), :, points]
+    return out
 
 
 @dataclass(frozen=True)
@@ -267,6 +342,7 @@ class MoritaTheoremVerdict:
     ideal: CIdeal
     module: FDHilbertModule | None   # the rebased witness module, when built
     fpa: MatrixStarAlgebra
+    gaps: tuple[tuple[int, int, int], ...]   # (x, dim J_x, dim C_x) where J_x < C_x
 
     @property
     def ok(self) -> bool:
@@ -282,16 +358,35 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
 
     J = span{<<e_p|e_q>>} is compared with C(X, W, I); under both cocycle
     conditions the spans must agree and a Morita witness is produced.  When
-    completeness fails the strictness of J in C is reported instead.
-    `scalar`, when given, must be scalar_subgroups(sys, tol).
+    completeness fails the strictness of J in C is reported instead, and
+    `gaps` names the points x where dim J_x < dim C_x.  `scalar`, when
+    given, must be scalar_subgroups(sys, tol).
 
     J and C are compared in the crossed product's whitened coefficients,
     whose singular values, norms and residuals are those of the embedded
-    matrices, so the rank and span rules are the embedded ones.  The inner
-    values are averaged once: under both conditions the Green-Julg module
-    is built first and J read off its inner values, and the witness rebases
-    that module onto C's whitened rows; otherwise J comes from the averaged
-    coefficients alone.  `module` is None when no witness is built.
+    matrices, so the rank and span rules are the embedded ones.  Both are
+    cut point by point, and that is exact:
+      - delta_x in C(X) multiplies f = sum f_w(y) delta_y w to the column
+        block (., x) of its coefficients.  The metric root R does not mix
+        points (checked on R), so on whitened coordinates too delta_x is the
+        projection onto block (., x), and both J and C, left ideals, are
+        the direct sums of their blocks J_x and C_x in C^|W|.
+      - <<e_p|e_q>> = sum_w <e_p|gamma_w e_q> w has B-coefficients only at
+        the point x of e_p, so each generating row lies in one block
+        (checked: every other entry is exactly zero).  The rows of
+        different blocks are orthogonal, so the singular values of the
+        whole (m^2, |W| |X|) matrix are the union of the blocks', and one
+        batched SVD of the |X| blocks (d m, |W|) with the whole matrix's
+        scale tol max(max_x s_0(x), 1) keeps the same values.
+      - A vector of block x is as far from J (or C) as from J_x (or C_x),
+        so the residuals and containments, taken on the stacks of blocks,
+        are those of the whole spans.
+    C_x is spanned by the normalised indicators of the right cosets
+    W'_x w (c_ideal).  The inner values are averaged once: under both
+    conditions the Green-Julg module is built first and J read off its
+    inner values, and the witness rebases that module onto C's whitened
+    rows; otherwise J comes from the averaged coefficients alone.  `module`
+    is None when no witness is built.
     """
     scalar = scalar or scalar_subgroups(sys, tol)
     fpa = fixed_point_algebra(sys)
@@ -299,28 +394,37 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     cp = crossed_product(eq.beta)
     cid = c_ideal(sys, scalar, cp)
     conditions = scalar.normalisation_ok and scalar.completeness_ok
+    x_n, d = sys.n_points, sys.fiber_dim
     # A witness needs the averaged module, whose inner values span J.
+    # Otherwise only J's blocks are whitened, each by its point's R[x, x].
     averaged = green_julg_module(eq, cp)[0] if conditions else None
-    inner = averaged.inner if averaged is not None else \
-        cp.whiten(averaged_inner_coefficients(eq))
-    m = eq.base.carrier_dim
-    j_rows = orthonormal_rows(inner.reshape(m * m, cp.metric.shape[0]))
-    c_rows = cid.metric_rows
+    if averaged is not None:
+        blocks = _point_blocks(averaged.inner, x_n, d)
+    else:
+        blocks = _point_blocks(averaged_inner_coefficients(eq), x_n, d) \
+            * _point_root(cp)[:, None, None]
+    j_rows, j_ranks = _point_spans(blocks)
+    c_rows = _by_point(cid.metric_rows, cid.points, x_n)
+    c_ranks = np.bincount(cid.points, minlength=x_n)
+    j_dim = int(j_ranks.sum())
     j_in_c = float(row_residuals(c_rows, j_rows).max(initial=0.0))
-    spans_match = spans_equal(j_rows, c_rows, tol)
-    strict = (j_rows.shape[0] < cid.dim) and span_contains(c_rows, j_rows, tol)
+    spans_match = j_dim == cid.dim and span_contains(c_rows, j_rows, tol) \
+        and span_contains(j_rows, c_rows, tol)
+    strict = j_dim < cid.dim and span_contains(c_rows, j_rows, tol)
+    gaps = tuple((int(x), int(j_ranks[x]), int(c_ranks[x]))
+                 for x in np.flatnonzero(j_ranks < c_ranks))
     witness = None
     fpa_blocks = c_blocks = None
     module = None
     if averaged is not None and spans_match:
-        module = rebase_module(averaged, c_rows)
+        module = rebase_module(averaged, cid.metric_rows)
         witness = verify_morita(fpa, module, fpa.basis, tol,
                                 rng=np.random.default_rng(seed))
         fpa_blocks = len(block_decompose(fpa, seed=seed).blocks)
         c_blocks = len(block_decompose(module.algebra, seed=seed).blocks)
-    return MoritaTheoremVerdict(scalar, conditions, j_rows.shape[0], cid.dim,
+    return MoritaTheoremVerdict(scalar, conditions, j_dim, cid.dim,
                                 spans_match, strict, j_in_c, witness,
-                                fpa_blocks, c_blocks, cid, module, fpa)
+                                fpa_blocks, c_blocks, cid, module, fpa, gaps)
 
 
 # -- semidirect reduction ------------------------------------------------------

@@ -33,14 +33,33 @@ def complex_array_to_json(arr: np.ndarray):
 
 
 def complex_array_from_json(data) -> np.ndarray:
-    def build(node):
-        if (isinstance(node, list) and len(node) == 2
-                and all(isinstance(c, (int, float)) for c in node)):
-            return complex(node[0], node[1])
-        if isinstance(node, list):
-            return [build(sub) for sub in node]
-        raise ParseError(f"malformed complex array node: {node!r}")
-    return np.asarray(build(data), dtype=complex)
+    """The complex array of nested [re, im] pairs, converted at once.
+
+    ParseError for ragged nesting, for a pair without exactly two entries
+    and for a leaf that is not a JSON number (true and false are not).
+    """
+    try:
+        leaves = np.array(data, dtype=object)
+    except ValueError as exc:
+        raise ParseError(f"ragged complex array: {exc}") from exc
+    if leaves.size == 0:
+        return np.zeros(leaves.shape, dtype=complex)
+    kinds = set(np.ravel(_leaf_type(leaves)))
+    if list in kinds:
+        raise ParseError("ragged complex array")
+    if leaves.shape[-1:] != (2,):
+        raise ParseError(f"complex array of shape {leaves.shape} is not made of [re, im] pairs")
+    if not kinds <= {int, float}:
+        odd = sorted(k.__name__ for k in kinds - {int, float})
+        raise ParseError(f"complex array leaves must be numbers, not {', '.join(odd)}")
+    try:
+        parts = leaves.astype(float)
+    except OverflowError as exc:
+        raise ParseError(f"complex array leaf out of range: {exc}") from exc
+    return parts[..., 0] + 1j * parts[..., 1]
+
+
+_leaf_type = np.frompyfunc(type, 1, 1)
 
 
 def canonical_dumps(obj) -> str:

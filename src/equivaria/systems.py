@@ -25,6 +25,7 @@ its invariant functions, not from its block-diagonal N x N matrices.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -391,11 +392,12 @@ def quotient_algebra(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> Quotie
     orbs = [tuple(o) for o, _ in orbits_and_stabilizers(sys)]
     n = sys.n_points
     indicators = np.zeros((len(orbs), n), dtype=complex)
-    basis = np.zeros((len(orbs), n, n), dtype=complex)
     for i, orb in enumerate(orbs):
         indicators[i, list(orb)] = 1.0 / np.sqrt(len(orb))
-        basis[i][list(orb), list(orb)] = 1.0 / np.sqrt(len(orb))
-    q = QuotientAlgebra(MatrixStarAlgebra(n, basis), tuple(orbs), indicators)
+    # Diagonal, like C(X): the table comes from the 1 x 1 diagonal blocks.
+    basis = indicators[:, :, None] * np.eye(n)
+    alg = StructuredAlgebra(n, basis, *product_table(indicators[:, :, None, None]))
+    q = QuotientAlgebra(alg, tuple(orbs), indicators)
     # Cross-check against the invariant-function solver.
     fpa = fixed_point_algebra(sys, tol)
     if not spans_equal(fpa.basis_rows(), q.algebra.basis_rows(), max(tol, 1e-8)):
@@ -595,13 +597,18 @@ class CrossedProduct:
         with the norms and inner products of the embedded matrices: the
         coordinates of f against `algebra`'s basis."""
         f = np.asarray(f, dtype=complex)
-        return (f @ self._root[0]).reshape(*f.shape[:-2], -1)
+        *lead, w_n, k = f.shape
+        # One GEMM over all rows: a broadcast matmul would run one per row.
+        out = f.reshape(math.prod(lead) * w_n, k) @ self._root[0]
+        return out.reshape(*lead, w_n * k)
 
     def unwhiten(self, rows: np.ndarray) -> np.ndarray:
         """The coefficient arrays (..., |W|, dim B) of whitened rows."""
         rows = np.asarray(rows, dtype=complex)
-        k = self.action.algebra.dim
-        return rows.reshape(*rows.shape[:-1], -1, k) @ self._root[1]
+        lead = rows.shape[:-1]
+        w_n, k = self.group.order, self.action.algebra.dim
+        out = rows.reshape(math.prod(lead) * w_n, k) @ self._root[1]
+        return out.reshape(*lead, w_n, k)
 
     def multiply(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """(a w)(b v) = a beta_w(b) (wv), for coefficient stacks that broadcast."""

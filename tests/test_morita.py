@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
-from equivaria.groups import cyclic
+from equivaria import morita
+from equivaria.datasets import bundled
+from equivaria.groups import FiniteGroup, cyclic
 from equivaria.morita import (
     SplittingError,
     assemble_toy_dual,
@@ -149,3 +151,34 @@ def test_toy_dual_two_components():
     assert report.witness.block_counts is not None
     # The assembled witness covers the direct sum of both components.
     assert len(report.fpa_dims) == 2
+
+
+def test_gaps_name_the_points_where_j_falls_short():
+    sys = bundled("dihedral-plane")
+    verdict = verify_morita_theorem(sys)
+    # The origin alone: J_0 = 4 < C_0 = 8 carries the whole 4-dim gap.
+    origin = sys.points.index((0.0, 0.0))
+    assert verdict.gaps == ((origin, 4, 8),)
+    assert verdict.c_dim - verdict.j_dim == 4 and verdict.strict_inclusion
+    assert verify_morita_theorem(anticomplete_point_system()).gaps == ((0, 1, 2),)
+    # Where J = C there is no gap.
+    assert verify_morita_theorem(z2_line_system(2)).gaps == ()
+
+
+def test_scalar_subgroups_build_each_stabilizer_once(monkeypatch):
+    sys = bundled("dihedral-plane")
+    built, enumerated = [], []
+    subgroup = FiniteGroup.subgroup
+
+    def spy(g, elems, *args, **kwargs):
+        built.append(tuple(elems))
+        return subgroup(g, elems, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "subgroup", spy)
+    irreps = morita.enumerate_irreps
+    monkeypatch.setattr(morita, "enumerate_irreps",
+                        lambda g: enumerated.append(g) or irreps(g))
+    scalar = scalar_subgroups(sys)
+    distinct = set(scalar.stabilizers)
+    assert len(distinct) == 6
+    assert sorted(built) == sorted(distinct) and len(enumerated) == 6

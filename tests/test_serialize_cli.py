@@ -51,6 +51,24 @@ def test_system_roundtrip_byte_identical():
         assert dumps_document(sys2) == text
 
 
+def test_complex_codec_rejects_malformed_arrays():
+    assert complex_array_from_json([1, 2.5]) == 1 + 2.5j
+    assert complex_array_from_json([[[0, 1]], [[2, 3]]]).shape == (2, 1)
+    with pytest.raises(ParseError, match="ragged"):
+        complex_array_from_json([[[1, 0], [0, 0]], [[0, 0]]])
+    with pytest.raises(ParseError, match="ragged"):
+        complex_array_from_json([[1, 0], [[0, 0], [1, 1]]])
+    with pytest.raises(ParseError, match=r"\[re, im\] pairs"):
+        complex_array_from_json([[1, 0, 0], [1, 0, 0]])
+    with pytest.raises(ParseError, match=r"\[re, im\] pairs"):
+        complex_array_from_json(1.0)
+    for leaf in ("1", None, True, False, {"re": 1}):
+        with pytest.raises(ParseError, match="must be numbers"):
+            complex_array_from_json([[1, 0], [leaf, 0]])
+    with pytest.raises(ParseError, match="out of range"):
+        complex_array_from_json([[10 ** 400, 0]])
+
+
 def test_parse_reports_location():
     with pytest.raises(ParseError, match=r"line 3, column 1"):
         parse_document('{"kind": "system",\n  "oops"\n}')
@@ -139,7 +157,8 @@ def test_cli_morita_default_json_on_z2_line(capsys):
                       "system": "z2-line-4", "ok": True, "conditions_hold": True,
                       "j_dim": 18, "c_dim": 18, "spans_match": True,
                       "strict_inclusion": False, "normalisation_ok": True,
-                      "completeness_ok": True, "fpa_blocks": 6, "c_blocks": 6}
+                      "completeness_ok": True, "fpa_blocks": 6, "c_blocks": 6,
+                      "gaps": []}
     assert witness["ok"] and witness["full"] and witness["span_match"]
     assert max(witness["multiplicative_residual"], witness["star_residual"]) < 1e-10
 
@@ -177,6 +196,32 @@ def test_cli_rejects_corrupted_cocycle(tmp_path, capsys):
     path.write_text(canonical_dumps(doc))
     assert main(["spectrum", "--input", str(path)]) == EXIT_INPUT
     capsys.readouterr()
+
+
+def test_cli_rejects_a_ragged_cocycle(tmp_path, capsys):
+    doc = document_to_json(z2_line_system(1))
+    doc["cocycle"][1][0][0].append([0.0, 0.0])   # a row of three entries
+    path = tmp_path / "ragged.json"
+    path.write_text(canonical_dumps(doc))
+    assert main(["spectrum", "--input", str(path)]) == EXIT_INPUT
+    assert "ragged complex array" in capsys.readouterr().err
+    doc["cocycle"][1][0][0] = [[1.0, 0.0], [True, False]]
+    path.write_text(canonical_dumps(doc))
+    assert main(["morita", "--input", str(path)]) == EXIT_INPUT
+    assert "must be numbers, not bool" in capsys.readouterr().err
+
+
+def test_cli_morita_reports_the_gap_points(capsys):
+    assert main(["morita", "--input", "dihedral-plane", "--format", "json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["gaps"] == [{"point": 0, "j_dim": 4, "c_dim": 8}]
+    assert main(["morita", "--input", "dihedral-plane"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["  conditions fail; J dim 132 < C dim 136",
+                         "  dim J_x 4 < dim C_x 8 at point 0 = (0.0, 0.0)"]
+    assert main(["morita", "--input", "anticomplete-point", "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["gaps"] == [
+        {"point": 0, "j_dim": 1, "c_dim": 2}]
 
 
 def test_cli_roundtrip_file_input(tmp_path, capsys):

@@ -22,10 +22,15 @@ their oracle.  The fixed-point algebra's table comes from the products of
 its fibers and the crossed product's from its structure tensor, with the
 dense pass as their oracle; mutants of the embedding and of its whitening
 fail.  Module axioms are checked on all samples at once, against the
-per-sample loop.  The dense paths and per-pair loops survive here as
-oracles, and spies check that a run classifies the spectrum, builds each
-fixed-point algebra once and averages the inner products once, and that
-neither structured algebra runs the dense pass.
+per-sample loop.  The Morita theorem cuts J and C point by point, with the
+whole-ambient SVD of J and the kernel of C's constraints as oracles, and
+`scalar_subgroups` is checked against its loop over points and elements,
+down to the first failure its invariant checks name.  A proper C's algebra
+and the orbit algebra C(X/W') take tables that match the dense pass.  The
+dense paths and per-pair loops survive here as oracles, and spies check
+that a run classifies the spectrum, builds each fixed-point algebra once
+and averages the inner products once, and that neither the structured
+algebras nor the reduction chain runs the dense pass.
 """
 import numpy as np
 import pytest
@@ -88,6 +93,7 @@ from equivaria.reps import (
     enumerate_irreps,
     intertwiner_space,
     is_irreducible,
+    multiplicity,
     regular_rep,
 )
 from equivaria.systems import (
@@ -1266,3 +1272,318 @@ def test_homomorphism_defect_names_the_first_failing_pair():
     loop_max = max(np.abs(mats[g.mul[a, b]] - mats[a] @ mats[b]).max()
                    for a in g.elements() for b in g.elements())
     assert abs(bad.homomorphism_residual() - loop_max) < 1e-14
+
+
+# -- the Morita theorem's J and C point by point, against the whole ambient ----
+
+
+def flip_system(n_points):
+    """Z/2 reflecting n_points points on a line, scalar trivial cocycle."""
+    action = np.stack([np.arange(n_points), np.arange(n_points)[::-1]])
+    return EquivariantSystem(cyclic(2), tuple(float(x) for x in range(n_points)), action,
+                             1, np.ones((2, n_points, 1, 1), dtype=complex), name="flip")
+
+
+def dihedral_grid(r):
+    pts = [(float(a), float(b)) for a in range(-r, r + 1) for b in range(-r, r + 1)]
+    return systems.dihedral_plane_family().system(pts)
+
+
+def morita_system(label):
+    kind, _, n = label.rpartition("-")
+    if label in ("anticomplete-point", "dihedral-plane"):
+        return bundled(label)
+    return {"z2-line": z2_line_system, "z2xz2-line": z2xz2_line_system,
+            "flip": flip_system, "dihedral-grid": dihedral_grid}[kind](int(n))
+
+
+MORITA = ([f"z2-line-{n}" for n in range(1, 9)]
+          + ["z2xz2-line-1", "z2xz2-line-2", "flip-3", "flip-4", "flip-5",
+             "anticomplete-point", "dihedral-plane", "dihedral-grid-2"])
+
+
+def j_rows_dense(sys, cp):
+    """J's whole-ambient cut: the SVD of all m^2 whitened inner values."""
+    eq = equivariant_function_module(sys)
+    m = eq.base.carrier_dim
+    return orthonormal_rows(cp.whiten(averaged_inner_coefficients(eq)).reshape(m * m, -1))
+
+
+def c_rows_dense(sys, scalar, cp, tol=1e-9):
+    """C's whole-ambient kernel: one constraint row per (x, w' in W'_x, w)."""
+    g, x_n = sys.group, sys.n_points
+    n_coeff = g.order * x_n
+    constraints = []
+    for x in range(x_n):
+        for wp in scalar.wprime[x]:
+            if wp == 0:
+                continue
+            for w in g.elements():
+                row = np.zeros(n_coeff)
+                row[int(g.mul[wp, w]) * x_n + x] += 1.0
+                row[w * x_n + x] -= 1.0
+                if row.any():
+                    constraints.append(row)
+    rows = linalg.nullspace_rows(np.vstack(constraints), tol) if constraints \
+        else np.eye(n_coeff, dtype=complex)
+    return orthonormal_rows(cp.whiten(rows.reshape(-1, g.order, x_n)), tol)
+
+
+def j_rows_by_point(sys, cp):
+    """J's rows as the point-local cut finds them, in the whole ambient."""
+    eq = equivariant_function_module(sys)
+    blocks = morita._point_blocks(averaged_inner_coefficients(eq), sys.n_points,
+                                  sys.fiber_dim) * morita._point_root(cp)[:, None, None]
+    rows, ranks = morita._point_spans(blocks)
+    x_n, w_n = rows.shape[0], rows.shape[2]
+    out = np.zeros((int(ranks.sum()), w_n, x_n), dtype=complex)
+    points = np.repeat(np.arange(x_n), ranks)
+    out[np.arange(points.size), :, points] = np.concatenate(
+        [rows[x, :ranks[x]] for x in range(x_n)])
+    return out.reshape(points.size, -1)
+
+
+@pytest.mark.parametrize("label", MORITA)
+def test_point_local_spans_match_the_whole_ambient_cut(label):
+    sys = morita_system(label)
+    verdict = verify_morita_theorem(sys)
+    cid = verdict.ideal
+    cp = cid.cp
+    j_dense = j_rows_dense(sys, cp)
+    c_dense = c_rows_dense(sys, verdict.scalar, cp)
+    j_points = j_rows_by_point(sys, cp)
+    assert verdict.j_dim == j_points.shape[0] == j_dense.shape[0]
+    assert verdict.c_dim == cid.dim == c_dense.shape[0]
+    assert spans_equal(j_points, j_dense, 1e-10)
+    assert spans_equal(cid.metric_rows, c_dense, 1e-10)
+    assert close(cid.metric_rows @ cid.metric_rows.conj().T, np.eye(cid.dim))
+    unwhitened = orthonormal_rows(cp.unwhiten(c_dense).reshape(cid.dim, -1))
+    assert spans_equal(cid.coeff_rows, unwhitened, 1e-10)
+    # The verdict's fields, recomputed on the whole spans.
+    assert abs(verdict.j_in_c_residual - row_residuals(c_dense, j_dense).max()) < 1e-12
+    assert verdict.spans_match == spans_equal(j_dense, c_dense, 1e-8)
+    assert verdict.strict_inclusion == (
+        j_dense.shape[0] < c_dense.shape[0] and span_contains(c_dense, j_dense, 1e-8))
+    # The gaps: the points where J's columns (., x) span less than C's.
+    w_n, x_n = sys.group.order, sys.n_points
+
+    def block_dims(rows):
+        return [orthonormal_rows(rows.reshape(-1, w_n, x_n)[:, :, x]).shape[0]
+                for x in range(x_n)]
+
+    j_x, c_x = block_dims(j_dense), block_dims(c_dense)
+    assert verdict.gaps == tuple((x, j_x[x], c_x[x]) for x in range(x_n) if j_x[x] < c_x[x])
+
+
+def test_point_cut_takes_the_whole_matrix_scale():
+    # Three 6 x 4 blocks with prescribed singular values, each the
+    # transposed first rows of diag(values) V*.  The largest is 1e6, so the
+    # dense rule cuts at 1e-9 * 1e6 = 1e-3: block 1 loses its 1e-4 and 1e-5,
+    # which its own scale, max(1e-2, 1) = 1, would keep, and block 2 keeps
+    # nothing.
+    values = [[1e6, 2.0, 1e-2, 0.0], [1e-2, 1e-4, 1e-5, 0.0], [1e-4, 1e-6, 0.0, 0.0]]
+    blocks = np.stack([prescribed_matrix(v, 6, seed=x, rows_aligned=True)[:4].T
+                       for x, v in enumerate(values)])
+    rows, ranks = morita._point_spans(blocks)
+    assert list(ranks) == [3, 1, 0]
+    # The dense cut of the same rows, each block in its own columns.
+    whole = np.zeros((3, 6, 4, 3), dtype=complex)
+    for x in range(3):
+        whole[x, :, :, x] = blocks[x]
+    dense = orthonormal_rows(whole.reshape(18, 12))
+    assert dense.shape[0] == ranks.sum()
+    kept = np.zeros((3, 4, 4, 3), dtype=complex)
+    for x in range(3):
+        kept[x, :, :, x] = rows[x]
+    assert spans_equal(orthonormal_rows(kept.reshape(12, 12)), dense, 1e-10)
+
+
+# -- scalar subgroups in one pass, against the per-point loop ------------------
+
+
+def scalar_invariants_loop(sys, stabs, wprime):
+    """The per-point invariant checks of scalar_subgroups, as they were."""
+    g = sys.group
+    for x in range(sys.n_points):
+        stab_sub = g.subgroup(list(stabs[x]))
+        if not stab_sub.group.is_normal(
+                [stab_sub.from_parent(w) for w in wprime[x]]):
+            raise morita.MoritaError(f"W'_x is not normal in the stabilizer at x={x}")
+        for w in g.elements():
+            wx = int(sys.action[w, x])
+            conj = sorted(g.conjugate(w, u) for u in wprime[x])
+            if conj != sorted(wprime[wx]):
+                raise morita.MoritaError(
+                    f"w W'_x w^-1 != W'_(wx) at x={x}, w={w}")
+
+
+def scalar_subgroups_loop(sys, tol=1e-8):
+    """scalar_subgroups point by point and element by element, as it was:
+    two subgroups per point and one multiplicity per irrep."""
+    g = sys.group
+    d = sys.fiber_dim
+    eye = np.eye(d)
+    stabs, scalars, values, wprime = [], [], [], []
+    for x in range(sys.n_points):
+        stab = [w for w in g.elements() if sys.action[w, x] == x]
+        sc, vals, wp = [], [], []
+        for w in stab:
+            mat = sys.cocycle[w, x]
+            lam = complex(np.trace(mat)) / d
+            if np.linalg.norm(mat - lam * eye) < tol * max(1.0, abs(lam)) * d:
+                sc.append(w)
+                vals.append(lam)
+                if abs(lam - 1.0) < tol:
+                    wp.append(w)
+        stabs.append(tuple(stab))
+        scalars.append(tuple(sc))
+        values.append(tuple(vals))
+        wprime.append(tuple(wp))
+    scalar_invariants_loop(sys, stabs, wprime)
+    normalisation_ok = all(scalars[x] == wprime[x] for x in range(sys.n_points))
+    by_point = []
+    irreps_of = {}
+    for x in range(sys.n_points):
+        sub, i_rep = spectrum.stabilizer_rep(sys, x)
+        if stabs[x] not in irreps_of:
+            irreps_of[stabs[x]] = enumerate_irreps(sub.group)
+        wp_local = [sub.from_parent(w) for w in wprime[x]]
+        ok = True
+        for rho in irreps_of[stabs[x]]:
+            trivial_on_wp = all(
+                np.linalg.norm(rho.matrices[u] - np.eye(rho.dim)) < 1e-8
+                for u in wp_local)
+            if trivial_on_wp and multiplicity(i_rep, rho) == 0:
+                ok = False
+        by_point.append(ok)
+    return morita.ScalarStructure(sys, tuple(stabs), tuple(scalars), tuple(values),
+                                  tuple(wprime), normalisation_ok, all(by_point),
+                                  tuple(by_point))
+
+
+def one_point(group_name, which):
+    """One fixed point whose cocycle is an irrep of a builtin group, or the
+    direct sum of all its irreps ("all")."""
+    g = builtin_group(group_name)
+    irreps = enumerate_irreps(g)
+    picked = irreps if which == "all" else [irreps[which]]
+    d = sum(rho.dim for rho in picked)
+    mats = np.zeros((g.order, d, d), dtype=complex)
+    at = 0
+    for rho in picked:
+        mats[:, at:at + rho.dim, at:at + rho.dim] = rho.matrices
+        at += rho.dim
+    return one_point_system(g, mats, name=f"{group_name}-{which}")
+
+
+SCALAR = MORITA + ["z4-rotation", "Q8-all", "Q8-4", "D8-4", "S3-2", "Z4-1", "Z2xZ2-3"]
+
+
+def scalar_system(label):
+    if label == "z4-rotation":
+        return z4_rotation_system()
+    name, _, which = label.rpartition("-")
+    if name in BUILTIN_GROUPS:
+        return one_point(name, "all" if which == "all" else int(which))
+    return morita_system(label)
+
+
+@pytest.mark.parametrize("label", SCALAR)
+def test_scalar_subgroups_match_the_point_loop(label):
+    sys = scalar_system(label)
+    for tol in (1e-8, 1e-3):
+        fast, loop = morita.scalar_subgroups(sys, tol), scalar_subgroups_loop(sys, tol)
+        for name in ("stabilizers", "scalar_elements", "wprime", "normalisation_ok",
+                     "completeness_ok", "completeness_by_point"):
+            assert getattr(fast, name) == getattr(loop, name), name
+        assert all(len(a) == len(b) and close(np.array(a), np.array(b), 1e-14)
+                   for a, b in zip(fast.scalar_values, loop.scalar_values))
+
+
+@pytest.mark.parametrize("label", ["dihedral-plane", "z4-rotation", "z2xz2-line-2", "Q8-all"])
+def test_scalar_invariants_name_the_first_failure_of_the_loop(label):
+    sys = scalar_system(label)
+    scalar = morita.scalar_subgroups(sys)
+    stab = sys.action == np.arange(sys.n_points)
+    rng = np.random.default_rng(0)
+    messages = set()
+    for trial in range(60):
+        # Toggle a few stabilizer elements in or out of some W'_x.
+        wp = np.zeros_like(stab)
+        for x, elems in enumerate(scalar.wprime):
+            wp[list(elems), x] = True
+        flips = rng.random(stab.shape) < (0.02 if trial % 2 else 0.2)
+        wp ^= flips & stab
+        wprime = [tuple(int(w) for w in np.flatnonzero(wp[:, x])) for x in range(sys.n_points)]
+        stabs = [tuple(int(w) for w in np.flatnonzero(stab[:, x])) for x in range(sys.n_points)]
+        try:
+            scalar_invariants_loop(sys, stabs, wprime)
+            expected = None
+        except morita.MoritaError as exc:
+            expected = str(exc)
+        try:
+            morita._check_scalar_invariants(sys.group, sys.action, stab, wp)
+            found = None
+        except morita.MoritaError as exc:
+            found = str(exc)
+        assert found == expected
+        messages.add(expected.split(" at ")[0] if expected else None)
+    # Both messages and a pass occur among the trials; with one point every
+    # failure is at a w that fixes it, so Q8's is always "not normal".
+    assert len(messages) == (2 if label == "Q8-all" else 3)
+
+
+def test_reduction_runs_no_dense_product_pass(monkeypatch):
+    # Rebased onto a proper C, the witness modules are over cp.algebra's
+    # table restricted to C's rows, and C(X/W') is diagonal: no algebra of
+    # the chain multiplies its basis pairwise.
+    dense = []
+    dense_pass = MatrixStarAlgebra._product_pass
+
+    def spy(alg):
+        dense.append((alg.dim, alg.ambient_dim))
+        return dense_pass(alg)
+
+    monkeypatch.setattr(MatrixStarAlgebra, "_product_pass", spy)
+    report = morita.semidirect_reduction(z2xz2_line_system(2), [0, 2], [0, 1])
+    assert dense == []
+    assert report.ok and report.splitting_ok and report.iso_bijective
+    assert report.ideal_transport_ok
+    assert (report.fpa_block_count, report.final_block_count, report.final_dim) == (4, 4, 10)
+    for thm, dims in ((report.theorem, (10, 10, 4, 10)), (report.wprime_theorem, (5, 5, 5, 20))):
+        assert thm.ok and thm.conditions_hold and thm.spans_match and not thm.strict_inclusion
+        assert (thm.j_dim, thm.c_dim, thm.c_blocks, thm.fpa.dim) == dims
+        assert thm.c_dim < thm.ideal.cp.metric.shape[0] == thm.module.algebra.ambient_dim
+        assert thm.witness.ok and thm.j_in_c_residual < 1e-14
+
+
+@pytest.mark.parametrize("label", ["z2xz2-line-1", "z2xz2-line-2", "flip-3", "flip-5"])
+def test_restricted_table_matches_the_dense_pass(label):
+    cid = c_ideal(morita_system(label))
+    assert cid.dim < cid.cp.metric.shape[0]
+    alg = cid.algebra
+    assert isinstance(alg, matalg.StructuredAlgebra)
+    plain = MatrixStarAlgebra(alg.ambient_dim, alg.basis)
+    assert close(alg.structure, plain.structure)
+    assert alg.closure_residual() < 1e-13 and closure_residual_dense(alg) < 1e-13
+    alg.validate()
+    assert close(alg.unit(), plain.unit())
+    # Rows that are not a subalgebra: the residual is the dense one.
+    parent = cid.cp.algebra
+    rows = orthonormal_rows(cid.metric_rows[:1] + parent.coefficients(
+        np.eye(parent.ambient_dim))[None] * 0.5)
+    bad = matalg.restricted_algebra(parent, rows)
+    table, residual = matalg.product_table(bad.basis)
+    assert close(bad.structure, table)
+    assert abs(bad.product_residual - residual) < 1e-12 and residual > 1e-3
+
+
+def test_quotient_algebra_table_matches_the_dense_pass():
+    for sys in (flip_system(5), systems.restrict_system(z2xz2_line_system(2), [0, 2])[0]):
+        pts = EquivariantSystem(sys.group, sys.points, sys.action, 1,
+                                np.ones((sys.group.order, sys.n_points, 1, 1), dtype=complex))
+        q = systems.quotient_algebra(pts).algebra
+        assert isinstance(q, matalg.StructuredAlgebra)
+        plain = MatrixStarAlgebra(q.ambient_dim, q.basis)
+        assert close(q.structure, plain.structure)
+        assert q.closure_residual() < 1e-15
