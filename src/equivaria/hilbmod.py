@@ -23,11 +23,16 @@ ModuleError when a value leaves the span.  The Green-Julg check needs no
 module over B >| W at all: a rank-one map is the same operator in any
 basis of B >| W, so the averaged compacts come from the crossed
 coefficients b_i w, and K_B(E)^W is solved in the coordinates of K_B(E).
-`compact_operators` cuts the rank of the m^2 rank-one maps with
-`linalg.certified_rows`: a sketch whose exact residual proves that the
-dense SVD would keep the same rank, so the m^2 x m^2 SVD runs only when the
-proof fails; the margin of the cut is kept.  The compacts' own *-algebra
-is built, with its closure check, only when it is read.
+`compact_operators` cuts the rank of the m^2 rank-one maps one carrier
+component at a time (`carrier_components`; the points or orbits of the
+function modules): the stack of all the maps is block diagonal, one block
+per component, so its singular values are the blocks' together, and dense
+SVDs of the blocks cut at the whole stack's scale are the dense rule
+exactly; the m^4 stack is never formed.  A module of one component is cut
+with `linalg.certified_rows`, a sketch whose exact residual proves that the
+dense SVD would keep the same rank.  Either way the margin of the cut is
+kept.  The compacts' own *-algebra is built, with its closure check, only
+when it is read.
 """
 from __future__ import annotations
 
@@ -43,8 +48,10 @@ from .linalg import (
     flatten,
     homomorphism_defect,
     intertwiner_rows,
+    matrix_rank,
     nullspace_rows,
     orthonormal_rows,
+    rank_threshold,
     row_residuals,
     span_contains,
     spans_equal,
@@ -299,8 +306,11 @@ class CompactOperators:
     `algebra` is a genuine matrix *-algebra: matrices S k S^-1 for raw
     compacts k, with S the Gram square root, so * is the conjugate transpose.
     It is built, and its closure checked at `_tol`, on first access only.
-    `rank_margin` is the margin of the rank cut on the rank-one maps, as
-    `linalg.certified_rows` returns it.
+    `rank_margin` is the margin of the rank cut on the rank-one maps:
+    sigma_r / sigma_(r+1) over all blocks, or as `linalg.certified_rows`
+    returns it for a module of one carrier component.  `support` lists the
+    flat raw coordinates p m + l, (p, l) in S x S for the carrier components
+    S, outside which every compact vanishes; it is None for one component.
     """
 
     module: FDHilbertModule
@@ -308,6 +318,7 @@ class CompactOperators:
     transform: np.ndarray       # S
     transform_inv: np.ndarray   # S^-1
     rank_margin: float
+    support: np.ndarray | None = None
     _tol: float = field(default=DEFAULT_TOL, repr=False)
 
     @cached_property
@@ -322,7 +333,8 @@ class CompactOperators:
 
 
 def _rank_one_maps(action: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """All |e_i><e_j| as one (m, m, m, m) array indexed [i, j, row, col].
+    """All |e_i><e_j| as one (m, m, m, m) array indexed [i, j, row, col],
+    for each of any leading axes the two arrays share.
 
     `action[k]` is the carrier map of the k-th algebra element and
     `coefficients[j, l, k]` the k-th coefficient of <e_j|e_l> against the
@@ -333,18 +345,96 @@ def _rank_one_maps(action: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     One batched matmul over (i, j) writes every map in place, so no
     transposed copy of the m^4 entries is made.
     """
-    left = np.ascontiguousarray(action.transpose(2, 1, 0))           # [i, p, k]
-    right = np.ascontiguousarray(coefficients.transpose(0, 2, 1))    # [j, k, l]
-    return left[:, None] @ right[None]
+    left = np.ascontiguousarray(np.swapaxes(action, -3, -1))          # [i, p, k]
+    right = np.ascontiguousarray(np.swapaxes(coefficients, -2, -1))   # [j, k, l]
+    return left[..., :, None, :, :] @ right[..., None, :, :, :]
+
+
+def carrier_components(action: np.ndarray, coefficients: np.ndarray) -> list[np.ndarray]:
+    """The connected components of the carrier indices, each as sorted
+    indices, in order of their least index.
+
+    For `action` and `coefficients` as _rank_one_maps takes them, i and p
+    are linked when some action[k, p, i] != 0, j and l when some
+    coefficients[j, l, k] != 0, and i and j when one k has a nonzero
+    action[k, :, i] and a nonzero coefficients[j, :, k].  Entry (p, l) of
+    |e_i><e_j| is sum_k action[k, p, i] coefficients[j, l, k], so it is
+    nonzero only when i, j, p and l lie in one component.  A roundoff-sized
+    entry only merges two components, which still split the maps.
+    """
+    nz_action = action != 0                                           # [k, p, i]
+    nz_coeff = coefficients != 0                                      # [j, l, k]
+    shared = nz_coeff.any(axis=1).astype(float) @ nz_action.any(axis=1).astype(float)
+    link = nz_action.any(axis=0) | nz_coeff.any(axis=2) | (shared > 0)
+    link |= link.T
+    # Each index takes the least label among itself and its neighbours, then
+    # the label of that label, until nothing changes: the least index of its
+    # component.
+    m = link.shape[0]
+    labels = np.arange(m)
+    while True:
+        low = np.minimum(np.where(link, labels, m).min(axis=1, initial=m), labels)
+        new = low[low]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    return [np.flatnonzero(labels == c) for c in np.unique(labels)]
+
+
+def _compact_rows(action: np.ndarray, coefficients: np.ndarray,
+                  tol: float) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """(rows, margin, support): orthonormal rows (r, m^2) spanning the
+    rank-one maps, the margin of their rank cut, and the flat coordinates
+    of the blocks S x S of the carrier components, None for one component.
+
+    With several components (see compact_operators) the margin is
+    sigma_r / sigma_(r+1) over all blocks.
+    """
+    m = action.shape[-1]
+    parts = carrier_components(action, coefficients)
+    if len(parts) <= 1:
+        maps = _rank_one_maps(action, coefficients)
+        return (*certified_rows(maps.reshape(m * m, m * m), tol), None)
+    blocks = []      # (values, right singular vectors, their coordinates)
+    for size in sorted({part.size for part in parts}):
+        idx = np.stack([part for part in parts if part.size == size])   # [g, a]
+        pairs = idx[:, :, None], idx[:, None, :]
+        maps = _rank_one_maps(action[:, pairs[0], pairs[1]].swapaxes(0, 1),
+                              coefficients[pairs])
+        _, s, vh = np.linalg.svd(maps.reshape(len(idx), size ** 2, size ** 2),
+                                 full_matrices=False)
+        flat = (pairs[0] * m + pairs[1]).reshape(len(idx), size ** 2)
+        blocks.append((s.ravel(), vh.reshape(-1, size ** 2),
+                       np.repeat(flat, size ** 2, axis=0)))
+    values = np.concatenate([s for s, _, _ in blocks])
+    threshold = rank_threshold(values, tol)
+    kept = [(vh[s > threshold], flat[s > threshold]) for s, vh, flat in blocks]
+    rows = np.zeros((int(np.sum(values > threshold)), m * m), dtype=complex)
+    offset = 0
+    for vh, flat in kept:
+        rows[offset + np.arange(len(vh))[:, None], flat] = vh
+        offset += len(vh)
+    dropped = values[values <= threshold].max(initial=0.0)
+    margin = np.inf if rows.shape[0] == 0 or dropped == 0.0 \
+        else float(values[values > threshold].min() / dropped)
+    support = np.sort(np.concatenate([(part[:, None] * m + part).ravel() for part in parts]))
+    return rows, margin, support
 
 
 def compact_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> CompactOperators:
-    """Span of the rank-one module maps, closed as a matrix *-algebra."""
-    m = e.carrier_dim
+    """Span of the rank-one module maps, closed as a matrix *-algebra.
+
+    |e_i><e_j| is nonzero only at (p, l) with i, j, p, l in one carrier
+    component S, so the m^2 maps form one (s^2, s^2) block per component,
+    and zero rows for pairs from two components.  Each block is cut by a
+    dense SVD (batched by size) at the whole stack's scale
+    tol max(max_S s_0(S), 1), which keeps exactly what the dense SVD of all
+    m^2 maps keeps.  A module of one component goes through
+    linalg.certified_rows.
+    """
     s, s_inv = e.gram_sqrt()
-    maps = _rank_one_maps(e.action, e.inner)
-    raw_rows, margin = certified_rows(maps.reshape(m * m, m * m), tol)
-    return CompactOperators(e, raw_rows, s, s_inv, margin, tol)
+    raw_rows, margin, support = _compact_rows(e.action, e.inner, tol)
+    return CompactOperators(e, raw_rows, s, s_inv, margin, support, tol)
 
 
 def adjointable_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -371,7 +461,10 @@ def fullness_ideal(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> MatrixStarAl
 
 
 def is_full(e: FDHilbertModule, tol: float = 1e-8) -> bool:
-    return fullness_ideal(e, tol).dim == e.algebra.dim
+    """Is fullness_ideal(e, tol) all of B?  Only the rank of the (m^2, dim B)
+    inner coefficients is taken, at `tol`; the ideal is not embedded."""
+    m = e.carrier_dim
+    return matrix_rank(e.inner.reshape(m * m, e.algebra.dim), tol) == e.algebra.dim
 
 
 # -- equivariant modules -------------------------------------------------------
@@ -596,14 +689,14 @@ def _averaged_compacts_rows(eq: EquivariantModule, tol: float) -> np.ndarray:
     |e_p><e_q| is the same operator whatever basis of B >| W its inner
     values are expanded in, so the averaged module's rank-one maps are built
     from the |W| dim B maps gamma_{w^-1} R_{b_i} and the inner values in the
-    crossed coefficients b_i w.
+    crossed coefficients b_i w.  Their rank is cut one carrier component
+    at a time, as in compact_operators; the components are the orbits.
     """
     eq.beta.validate()
     maps = _averaged_maps(eq)
     w_n, k, m = maps.shape[:3]
-    stack = _rank_one_maps(maps.reshape(w_n * k, m, m),
-                           averaged_inner_coefficients(eq).reshape(m, m, w_n * k))
-    return certified_rows(stack.reshape(m * m, m * m), tol)[0]
+    return _compact_rows(maps.reshape(w_n * k, m, m),
+                         averaged_inner_coefficients(eq).reshape(m, m, w_n * k), tol)[0]
 
 
 def verify_green_julg(eq: EquivariantModule, tol: float = 1e-8) -> GreenJulgVerdict:
@@ -686,15 +779,27 @@ def verify_morita(a_alg: MatrixStarAlgebra, e: FDHilbertModule,
 
     `left_action[k]` is the raw carrier matrix by which A's basis element k
     acts on E.  The map must be a *-isomorphism onto the compacts.
+
+    When the compacts live on the blocks S x S of several carrier
+    components and every entry of the left action outside them is exactly
+    zero (checked), the image and the compacts are compared on those
+    coordinates alone: dropping coordinates where both are zero changes no
+    norm or inner product, so the rank cut and spans_equal decide as on
+    the whole carrier.
     """
     rng = rng or np.random.default_rng(0)
     left_action = np.asarray(left_action, dtype=complex)
     full = is_full(e, tol)
     compacts = compact_operators(e, tol)
-    img_rows = orthonormal_rows(flatten(left_action), tol)
+    image, raw_rows = flatten(left_action), compacts.raw_rows
+    support = compacts.support
+    if support is not None and \
+            np.count_nonzero(image[:, support]) == np.count_nonzero(image):
+        image, raw_rows = image[:, support], raw_rows[:, support]
+    img_rows = orthonormal_rows(image, tol)
     injective = img_rows.shape[0] == a_alg.dim
-    span_match = (img_rows.shape[0] == compacts.raw_rows.shape[0]
-                  and spans_equal(img_rows, compacts.raw_rows, tol))
+    span_match = (img_rows.shape[0] == raw_rows.shape[0]
+                  and spans_equal(img_rows, raw_rows, tol))
     mult_res = 0.0
     star_res = 0.0
     for _ in range(8):

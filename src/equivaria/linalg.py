@@ -52,8 +52,24 @@ def _right_singular(matrix: np.ndarray, tol: float, full: bool) -> tuple[np.ndar
     if m > n:
         matrix = np.linalg.qr(matrix, mode="r")
     _, s, vh = np.linalg.svd(matrix, full_matrices=full and m < n)
-    scale = max(s[0], 1.0) if s.size else 1.0
-    return vh, int(np.sum(s > tol * scale))
+    return vh, int(np.sum(s > rank_threshold(s, tol)))
+
+
+def rank_threshold(values: np.ndarray, tol: float) -> float:
+    """tol max(s_0, 1) for the singular values `values` of one matrix, s_0
+    the largest: the dense rule keeps the values above it."""
+    return tol * max(float(np.max(values, initial=0.0)), 1.0)
+
+
+def matrix_rank(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    """The rank orthonormal_rows keeps, from the singular values alone."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
+    if matrix.size == 0:
+        return 0
+    if matrix.shape[0] > matrix.shape[1]:
+        matrix = np.linalg.qr(matrix, mode="r")
+    s = np.linalg.svd(matrix, compute_uv=False)
+    return int(np.sum(s > rank_threshold(s, tol)))
 
 
 def certified_rows(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:
@@ -73,6 +89,12 @@ def certified_rows(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.nda
     Returns (rows, margin) with margin = sigma_r / (sigma_(r+1) + rho): how
     far the values the cut keeps stand from the ones it drops, infinite
     when nothing is dropped or nothing is kept.
+
+    The compacts of a module reach this only when its carrier indices form
+    one component (hilbmod.carrier_components).  With several components
+    the stack of rank-one maps is block diagonal, its singular values are
+    the union of the blocks', and hilbmod cuts the small blocks with dense
+    SVDs at the whole stack's scale, which is the dense rule itself.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
     if matrix.size == 0:

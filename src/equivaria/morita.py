@@ -53,6 +53,7 @@ from .linalg import (
     DEFAULT_TOL,
     nullspace_rows,
     orthonormal_rows,
+    rank_threshold,
     row_residuals,
     span_contains,
     spans_equal,
@@ -312,7 +313,7 @@ def _point_spans(blocks: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarr
     dense rule's, s > tol max(s_0, 1), with s_0 the largest singular value
     over all blocks: the whole matrix's."""
     _, s, vh = np.linalg.svd(blocks, full_matrices=False)
-    keep = s > tol * max(s.max(initial=0.0), 1.0)
+    keep = s > rank_threshold(s, tol)
     return vh * keep[..., None], keep.sum(axis=1)
 
 
@@ -360,7 +361,8 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     conditions the spans must agree and a Morita witness is produced.  When
     completeness fails the strictness of J in C is reported instead, and
     `gaps` names the points x where dim J_x < dim C_x.  `scalar`, when
-    given, must be scalar_subgroups(sys, tol).
+    given, must be scalar_subgroups(sys, tol).  J's rank, C's ideal check,
+    the span tests and the witness all take `tol`.
 
     J and C are compared in the crossed product's whitened coefficients,
     whose singular values, norms and residuals are those of the embedded
@@ -392,7 +394,7 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     fpa = fixed_point_algebra(sys)
     eq = equivariant_function_module(sys)
     cp = crossed_product(eq.beta)
-    cid = c_ideal(sys, scalar, cp)
+    cid = c_ideal(sys, scalar, cp, tol)
     conditions = scalar.normalisation_ok and scalar.completeness_ok
     x_n, d = sys.n_points, sys.fiber_dim
     # A witness needs the averaged module, whose inner values span J.
@@ -403,7 +405,7 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     else:
         blocks = _point_blocks(averaged_inner_coefficients(eq), x_n, d) \
             * _point_root(cp)[:, None, None]
-    j_rows, j_ranks = _point_spans(blocks)
+    j_rows, j_ranks = _point_spans(blocks, tol)
     c_rows = _by_point(cid.metric_rows, cid.points, x_n)
     c_ranks = np.bincount(cid.points, minlength=x_n)
     j_dim = int(j_ranks.sum())

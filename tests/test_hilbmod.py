@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from equivaria import hilbmod
 from equivaria.datasets import bundled
 from equivaria.groups import builtin_group
 from equivaria.hilbmod import (
@@ -299,6 +300,28 @@ def test_is_full_honours_its_tolerance():
     e = FDHilbertModule(b, action, inner)
     assert is_full(e, 1e-12)
     assert not is_full(e, 1e-6)
+
+
+def test_is_full_embeds_no_ideal(monkeypatch):
+    # C^2 (+) 0 over C (+) C misses the second summand; the values of the
+    # first module below lie under a 1e-6 cut on one summand.
+    b = scalar_algebra(2)
+    inner = np.zeros((2, 2, 2), dtype=complex)
+    inner[0, 0] = [1.0, 0.0]
+    inner[1, 1] = [0.0, 1e-7]
+    small = FDHilbertModule(b, np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), inner)
+    cases = [(small, 1e-12), (small, 1e-6),
+             (direct_sum_module(free_module(2), free_module(0)), 1e-8),
+             (function_module(z2_line_system(2)), 1e-8)]
+    expected = [fullness_ideal(e, tol).dim == e.algebra.dim for e, tol in cases]
+    assert expected == [True, False, False, True]
+
+    def embedded(*args, **kwargs):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(hilbmod, "fullness_ideal", embedded)
+    monkeypatch.setattr(hilbmod, "MatrixStarAlgebra", embedded)
+    assert [is_full(e, tol) for e, tol in cases] == expected
 
 
 def test_witness_checks_honour_their_tolerance():

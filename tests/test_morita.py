@@ -1,4 +1,6 @@
 """Scalar subgroups, the relation ideal, the Morita theorem, and reductions."""
+import inspect
+
 import numpy as np
 import pytest
 
@@ -182,3 +184,22 @@ def test_scalar_subgroups_build_each_stabilizer_once(monkeypatch):
     distinct = set(scalar.stabilizers)
     assert len(distinct) == 6
     assert sorted(built) == sorted(distinct) and len(enumerated) == 6
+
+
+def test_morita_tolerance_reaches_the_cuts_of_j_and_c(monkeypatch):
+    seen = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            bound = inspect.signature(fn).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append((fn.__name__, bound.arguments["tol"]))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("_point_spans", "c_ideal"):
+        monkeypatch.setattr(morita, name, spy(getattr(morita, name)))
+    for tol in (1e-6, 1e-10):
+        seen.clear()
+        assert verify_morita_theorem(z2_line_system(2), tol=tol).ok
+        assert sorted(seen) == [("_point_spans", tol), ("c_ideal", tol)]

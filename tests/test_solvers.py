@@ -16,6 +16,9 @@ stored basis, its algebra's basis is the whitened one, whose coordinates
 `green_julg_module`, and `span_contains` tests stacks a slab at a time.
 `certified_rows` cuts a rank from a sketch only when its residual proves
 the dense SVD's cut, and the dense SVD is its oracle on prescribed spectra.
+The compacts are cut one carrier component at a time, with the dense SVD
+of the whole stack of rank-one maps as their oracle, and a size spy finds
+no m^4 array in the Morita theorem.
 Crossed products multiply, take adjoints and test ideals in coefficients,
 and the Morita theorem compares J with C there; the embedded matrices are
 their oracle.  The fixed-point algebra's table comes from the products of
@@ -56,6 +59,7 @@ from equivaria.hilbmod import (
     rank_one,
     standard_module,
     trivial_equivariant_module,
+    verify_morita,
 )
 from equivaria.linalg import (
     certified_rows,
@@ -1587,3 +1591,150 @@ def test_quotient_algebra_table_matches_the_dense_pass():
         plain = MatrixStarAlgebra(q.ambient_dim, q.basis)
         assert close(q.structure, plain.structure)
         assert q.closure_residual() < 1e-15
+
+
+# -- the compacts cut one carrier component at a time against the whole stack --
+
+
+def compacts_dense(action, coefficients, tol=1e-8):
+    """(rows, margin) of the dense SVD of the whole (m^2, m^2) stack of
+    rank-one maps, margin sigma_r / sigma_(r+1) as the component cut
+    reports it."""
+    m = action.shape[-1]
+    _, s, vh = np.linalg.svd(hilbmod._rank_one_maps(action, coefficients).reshape(m * m, m * m))
+    rank = int(np.sum(s > tol * max(s[0], 1.0)))
+    dropped = s[rank] if rank < s.size else 0.0
+    return vh[:rank], np.inf if rank == 0 or dropped == 0.0 else s[rank - 1] / dropped
+
+
+def averaged_pair(eq):
+    """The averaged module's (action, coefficients), as the Green-Julg
+    check passes them to the cut."""
+    maps = hilbmod._averaged_maps(eq)
+    w_n, k, m = maps.shape[:3]
+    return (maps.reshape(w_n * k, m, m),
+            averaged_inner_coefficients(eq).reshape(m, m, w_n * k))
+
+
+def component_case(label):
+    """(action, coefficients, number of carrier components) of a module."""
+    kind, _, name = label.partition(":")
+    if kind == "function":
+        sys = bundled(name) if name in ("z2-line", "dihedral-plane", "anticomplete-point") \
+            else bundled("two-component")[int(name[-1]) - 1][0]
+        e = function_module(sys)
+        return e.action, e.inner, sys.n_points
+    if kind == "averaged":
+        sys = z2_line_system(int(name))
+        # The orbits of Z/2 on {-n..n}: n pairs {x, -x} and the origin.
+        return (*averaged_pair(equivariant_function_module(sys)), int(name) + 1)
+    if kind == "witness":
+        e = verify_morita_theorem(z2_line_system(int(name))).module
+        return e.action, e.inner, int(name) + 1
+    if kind == "pattern":
+        # Three maps, each with one nonzero entry that only one kind of link
+        # puts in a component: |e_0><e_0| at (1, 0) by the action's 0-1,
+        # |e_2><e_2| at (2, 3) by the coefficients' 2-3, and |e_2><e_4| at
+        # (2, 4) by the element k = 1 shared by carriers 2 and 4.
+        action = np.zeros((2, 5, 5), dtype=complex)
+        coefficients = np.zeros((5, 5, 2), dtype=complex)
+        action[0, 1, 0] = action[1, 2, 2] = 1.0
+        coefficients[0, 0, 0] = coefficients[2, 3, 1] = coefficients[4, 4, 1] = 1.0
+        return action, coefficients, 2
+    if kind == "standard":
+        # M_2 over itself: one component, whose whole stack is sketched.
+        e = standard_module(algebra_from_span(np.eye(4, dtype=complex).reshape(4, 2, 2)))
+        return e.action, e.inner, 1
+    first, second = free_module(2), free_module(3)
+    if kind == "scaled-sum":
+        # Values of size 1e6 and 1e-3: the whole stack's scale, 1e-8 * 1e6,
+        # drops every map of the second summand, which its own would keep.
+        first, second = (hilbmod.FDHilbertModule(e.algebra, e.action, c * e.inner)
+                         for e, c in ((first, 1e6), (second, 1e-3)))
+    e = direct_sum_module(first, second)
+    return e.action, e.inner, 2
+
+
+COMPONENT_CASES = ([f"function:{name}" for name in
+                    ("z2-line", "dihedral-plane", "anticomplete-point", "two-1", "two-2")]
+                   + [f"averaged:{n}" for n in range(1, 5)]
+                   + ["witness:3", "direct-sum", "scaled-sum", "pattern", "standard"])
+
+
+@pytest.mark.parametrize("label", COMPONENT_CASES)
+def test_component_cut_matches_the_whole_stack(label, monkeypatch):
+    action, coefficients, n_parts = component_case(label)
+    m = action.shape[-1]
+    parts = hilbmod.carrier_components(action, coefficients)
+    assert len(parts) == n_parts
+    assert sorted(np.concatenate(parts)) == list(range(m))
+    sketches = counting_spy(monkeypatch, [hilbmod], "certified_rows")
+    rows, margin, support = hilbmod._compact_rows(action, coefficients, 1e-8)
+    dense, dense_margin = compacts_dense(action, coefficients)
+    # One component (the one-point system, M_2) is sketched whole.
+    assert len(sketches) == (n_parts == 1) and (support is None) == (n_parts == 1)
+    assert rows.shape[0] == dense.shape[0] > 0
+    assert spans_equal(rows, dense, 1e-8)
+    assert margin >= dense_margin
+    assert np.abs(rows @ rows.conj().T - np.eye(rows.shape[0])).max() < 1e-12
+    # Every compact vanishes off the blocks S x S.
+    off = np.ones(m * m, dtype=bool)
+    off[np.arange(m * m) if support is None else support] = False
+    assert not rows[:, off].any()
+    assert support is None or support.size == sum(p.size ** 2 for p in parts)
+
+
+def test_pairs_from_two_components_give_zero_maps():
+    e = direct_sum_module(free_module(2), free_module(3))
+    maps = hilbmod._rank_one_maps(e.action, e.inner)
+    # |e_i><e_j| with i in the first summand and j in the second is zero.
+    assert not maps[:2, 2:].any() and not maps[2:, :2].any()
+    assert maps[:2, :2].any() and maps[2:, 2:].any()
+    assert [list(p) for p in hilbmod.carrier_components(e.action, e.inner)] == \
+        [[0, 1], [2, 3, 4]]
+
+
+def test_morita_theorem_forms_no_m4_array(monkeypatch):
+    sys = z2_line_system(8)
+    m = sys.n_points * sys.fiber_dim
+    sizes = []
+    maps, svd = hilbmod._rank_one_maps, np.linalg.svd
+
+    def maps_spy(*args):
+        out = maps(*args)
+        sizes.append(("maps", out.size))
+        return out
+
+    def svd_spy(a, *args, **kwargs):
+        sizes.append(("svd", np.size(a)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(hilbmod, "_rank_one_maps", maps_spy)
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    assert verify_morita_theorem(sys).ok
+    assert {kind for kind, _ in sizes} == {"maps", "svd"}
+    assert max(size for _, size in sizes) < m ** 4
+
+
+def test_witness_compares_on_the_blocks_when_the_rest_is_zero(monkeypatch):
+    verdict = verify_morita_theorem(z2_line_system(3))
+    e, fpa = verdict.module, verdict.fpa
+    support = compact_operators(e).support
+    widths = []
+    rows = hilbmod.orthonormal_rows
+
+    def spy(vectors, *args):
+        widths.append(np.shape(vectors)[-1])
+        return rows(vectors, *args)
+
+    monkeypatch.setattr(hilbmod, "orthonormal_rows", spy)
+    assert verify_morita(fpa, e, fpa.basis).span_match
+    assert widths == [support.size] and support.size < e.carrier_dim ** 2
+    # An entry off the blocks: the image is compared on the whole carrier,
+    # and it leaves the compacts.
+    left = fpa.basis.copy()
+    off = np.setdiff1d(np.arange(e.carrier_dim ** 2), support)[0]
+    left[0].reshape(-1)[off] = 1.0
+    widths.clear()
+    assert not verify_morita(fpa, e, left).span_match
+    assert widths == [e.carrier_dim ** 2]
