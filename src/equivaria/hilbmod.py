@@ -28,11 +28,12 @@ component at a time (`carrier_components`; the points or orbits of the
 function modules): the stack of all the maps is block diagonal, one block
 per component, so its singular values are the blocks' together, and dense
 SVDs of the blocks cut at the whole stack's scale are the dense rule
-exactly; the m^4 stack is never formed.  A module of one component is cut
-with `linalg.certified_rows`, a sketch whose exact residual proves that the
-dense SVD would keep the same rank.  Either way the margin of the cut is
-kept.  The compacts' own *-algebra is built, with its closure check, only
-when it is read.
+exactly; the m^4 stack is never formed.  A module of one component, or of
+components so large that their blocks' SVDs cost more than a sketch of the
+whole stack, is cut with `linalg.certified_rows`, a sketch whose exact
+residual proves that the dense SVD would keep the same rank.  Either way
+the margin of the cut is kept.  The compacts' own *-algebra is built, with
+its closure check, only when it is read.
 """
 from __future__ import annotations
 
@@ -48,7 +49,6 @@ from .linalg import (
     flatten,
     homomorphism_defect,
     intertwiner_rows,
-    matrix_rank,
     nullspace_rows,
     orthonormal_rows,
     rank_threshold,
@@ -307,10 +307,8 @@ class CompactOperators:
     compacts k, with S the Gram square root, so * is the conjugate transpose.
     It is built, and its closure checked at `_tol`, on first access only.
     `rank_margin` is the margin of the rank cut on the rank-one maps:
-    sigma_r / sigma_(r+1) over all blocks, or as `linalg.certified_rows`
-    returns it for a module of one carrier component.  `support` lists the
-    flat raw coordinates p m + l, (p, l) in S x S for the carrier components
-    S, outside which every compact vanishes; it is None for one component.
+    sigma_r / sigma_(r+1) over all blocks when they are cut one carrier
+    component at a time, else as `linalg.certified_rows` returns it.
     """
 
     module: FDHilbertModule
@@ -318,7 +316,6 @@ class CompactOperators:
     transform: np.ndarray       # S
     transform_inv: np.ndarray   # S^-1
     rank_margin: float
-    support: np.ndarray | None = None
     _tol: float = field(default=DEFAULT_TOL, repr=False)
 
     @cached_property
@@ -382,19 +379,20 @@ def carrier_components(action: np.ndarray, coefficients: np.ndarray) -> list[np.
 
 
 def _compact_rows(action: np.ndarray, coefficients: np.ndarray,
-                  tol: float) -> tuple[np.ndarray, float, np.ndarray | None]:
-    """(rows, margin, support): orthonormal rows (r, m^2) spanning the
-    rank-one maps, the margin of their rank cut, and the flat coordinates
-    of the blocks S x S of the carrier components, None for one component.
+                  tol: float) -> tuple[np.ndarray, float]:
+    """(rows, margin): orthonormal rows (r, m^2) spanning the rank-one
+    maps and the margin of their rank cut, as compact_operators describes.
 
-    With several components (see compact_operators) the margin is
-    sigma_r / sigma_(r+1) over all blocks.
+    Cut by components, the margin is sigma_r / sigma_(r+1) over all blocks.
     """
     m = action.shape[-1]
     parts = carrier_components(action, coefficients)
-    if len(parts) <= 1:
+    # The dense SVDs of the blocks cost about sum_S s^6 and hold three
+    # arrays of s^4 entries per block; one sketch pass over the whole stack
+    # costs about m^4 (m + 10).
+    if len(parts) == 1 or sum(part.size ** 6 for part in parts) > m ** 4 * (m + 10):
         maps = _rank_one_maps(action, coefficients)
-        return (*certified_rows(maps.reshape(m * m, m * m), tol), None)
+        return certified_rows(maps.reshape(m * m, m * m), tol)
     blocks = []      # (values, right singular vectors, their coordinates)
     for size in sorted({part.size for part in parts}):
         idx = np.stack([part for part in parts if part.size == size])   # [g, a]
@@ -417,8 +415,7 @@ def _compact_rows(action: np.ndarray, coefficients: np.ndarray,
     dropped = values[values <= threshold].max(initial=0.0)
     margin = np.inf if rows.shape[0] == 0 or dropped == 0.0 \
         else float(values[values > threshold].min() / dropped)
-    support = np.sort(np.concatenate([(part[:, None] * m + part).ravel() for part in parts]))
-    return rows, margin, support
+    return rows, margin
 
 
 def compact_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> CompactOperators:
@@ -429,12 +426,14 @@ def compact_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> CompactOp
     and zero rows for pairs from two components.  Each block is cut by a
     dense SVD (batched by size) at the whole stack's scale
     tol max(max_S s_0(S), 1), which keeps exactly what the dense SVD of all
-    m^2 maps keeps.  A module of one component goes through
+    m^2 maps keeps.  A module of one component, or one whose components are
+    large enough that the blocks' SVDs would cost more than sketching the
+    whole stack (sum_S s^6 > m^4 (m + 10)), goes through
     linalg.certified_rows.
     """
     s, s_inv = e.gram_sqrt()
-    raw_rows, margin, support = _compact_rows(e.action, e.inner, tol)
-    return CompactOperators(e, raw_rows, s, s_inv, margin, support, tol)
+    raw_rows, margin = _compact_rows(e.action, e.inner, tol)
+    return CompactOperators(e, raw_rows, s, s_inv, margin, tol)
 
 
 def adjointable_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -464,7 +463,8 @@ def is_full(e: FDHilbertModule, tol: float = 1e-8) -> bool:
     """Is fullness_ideal(e, tol) all of B?  Only the rank of the (m^2, dim B)
     inner coefficients is taken, at `tol`; the ideal is not embedded."""
     m = e.carrier_dim
-    return matrix_rank(e.inner.reshape(m * m, e.algebra.dim), tol) == e.algebra.dim
+    return orthonormal_rows(e.inner.reshape(m * m, e.algebra.dim), tol).shape[0] \
+        == e.algebra.dim
 
 
 # -- equivariant modules -------------------------------------------------------
@@ -779,27 +779,15 @@ def verify_morita(a_alg: MatrixStarAlgebra, e: FDHilbertModule,
 
     `left_action[k]` is the raw carrier matrix by which A's basis element k
     acts on E.  The map must be a *-isomorphism onto the compacts.
-
-    When the compacts live on the blocks S x S of several carrier
-    components and every entry of the left action outside them is exactly
-    zero (checked), the image and the compacts are compared on those
-    coordinates alone: dropping coordinates where both are zero changes no
-    norm or inner product, so the rank cut and spans_equal decide as on
-    the whole carrier.
     """
     rng = rng or np.random.default_rng(0)
     left_action = np.asarray(left_action, dtype=complex)
     full = is_full(e, tol)
     compacts = compact_operators(e, tol)
-    image, raw_rows = flatten(left_action), compacts.raw_rows
-    support = compacts.support
-    if support is not None and \
-            np.count_nonzero(image[:, support]) == np.count_nonzero(image):
-        image, raw_rows = image[:, support], raw_rows[:, support]
-    img_rows = orthonormal_rows(image, tol)
+    img_rows = orthonormal_rows(flatten(left_action), tol)
     injective = img_rows.shape[0] == a_alg.dim
-    span_match = (img_rows.shape[0] == raw_rows.shape[0]
-                  and spans_equal(img_rows, raw_rows, tol))
+    span_match = (img_rows.shape[0] == compacts.raw_rows.shape[0]
+                  and spans_equal(img_rows, compacts.raw_rows, tol))
     mult_res = 0.0
     star_res = 0.0
     for _ in range(8):

@@ -61,17 +61,6 @@ def rank_threshold(values: np.ndarray, tol: float) -> float:
     return tol * max(float(np.max(values, initial=0.0)), 1.0)
 
 
-def matrix_rank(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """The rank orthonormal_rows keeps, from the singular values alone."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    if matrix.size == 0:
-        return 0
-    if matrix.shape[0] > matrix.shape[1]:
-        matrix = np.linalg.qr(matrix, mode="r")
-    s = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.sum(s > rank_threshold(s, tol)))
-
-
 def certified_rows(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:
     """orthonormal_rows' span and rank, found from a sketch; and the margin.
 
@@ -90,11 +79,12 @@ def certified_rows(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.nda
     far the values the cut keeps stand from the ones it drops, infinite
     when nothing is dropped or nothing is kept.
 
-    The compacts of a module reach this only when its carrier indices form
-    one component (hilbmod.carrier_components).  With several components
-    the stack of rank-one maps is block diagonal, its singular values are
-    the union of the blocks', and hilbmod cuts the small blocks with dense
-    SVDs at the whole stack's scale, which is the dense rule itself.
+    The compacts of a module reach this when its carrier indices form one
+    component (hilbmod.carrier_components), or components too large for
+    their blocks' SVDs to be cheaper.  Otherwise the stack of rank-one maps
+    is block diagonal, its singular values are the union of the blocks',
+    and hilbmod cuts the small blocks with dense SVDs at the whole stack's
+    scale, which is the dense rule itself.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
     if matrix.size == 0:
@@ -141,7 +131,7 @@ def _certified_cut(s: np.ndarray, resid: float, tol: float) -> tuple[int, float 
     bounds leave the rank open."""
     rank = int(np.sum(s > tol * max(s[0] + resid, 1.0)))
     dropped = (s[rank] if rank < s.size else 0.0) + resid
-    if dropped > tol * max(s[0], 1.0):
+    if dropped > rank_threshold(s, tol):
         return rank, None
     if rank == 0 or dropped == 0.0:
         return rank, np.inf
