@@ -195,7 +195,7 @@ def _suite_groups(tol: float, seed: int) -> list[tuple[str, bool]]:
     results = []
     for name in sorted(BUILTIN_GROUPS):
         g = builtin_group(name)
-        irreps = enumerate_irreps(g, seed=seed)
+        irreps = enumerate_irreps(g, seed=seed, tol=tol)
         ok = sum(r.dim ** 2 for r in irreps) == g.order
         reg = regular_rep(g)
         total = sum(isotypic_projection(reg, rho) for rho in irreps)
@@ -206,15 +206,15 @@ def _suite_groups(tol: float, seed: int) -> list[tuple[str, bool]]:
 
 def _suite_spectrum(tol: float, seed: int) -> list[tuple[str, bool]]:
     sys = bundled("z2-line")
-    v = wedderburn_crosscheck(sys, seed=seed)
+    v = wedderburn_crosscheck(sys, seed=seed, tol=tol)
     dims = v.spectrum.dims()
     return [("spectrum/z2-line-crosscheck", v.ok),
             ("spectrum/z2-line-entries", dims == [1, 1] + [2] * 4)]
 
 
 def _suite_morita(tol: float, seed: int) -> list[tuple[str, bool]]:
-    v1 = verify_morita_theorem(bundled("z2-line"), seed=seed)
-    v2 = verify_morita_theorem(bundled("anticomplete-point"), seed=seed)
+    v1 = verify_morita_theorem(bundled("z2-line"), seed=seed, tol=tol)
+    v2 = verify_morita_theorem(bundled("anticomplete-point"), seed=seed, tol=tol)
     return [("morita/z2-line", v1.ok and v1.conditions_hold),
             ("morita/anticomplete-strict", v2.strict_inclusion
              and v2.j_dim == 1 and v2.c_dim == 2)]
@@ -225,14 +225,14 @@ def _suite_modules(tol: float, seed: int) -> list[tuple[str, bool]]:
                           green_julg_module, verify_green_julg)
     eq = equivariant_function_module(bundled("z2-line"))
     res = eq.base.axiom_residuals(np.random.default_rng(seed))
-    gj, cp = green_julg_module(eq)
+    gj, cp = green_julg_module(eq, tol=tol)
     rng = np.random.default_rng(seed)
     bounds = True
     for _ in range(10):
         n1, n2, order = green_julg_norms(eq, eq.base.random_vector(rng), gj, cp)
         bounds &= n1 <= n2 + 1e-9 <= order * n1 + 1e-8
     return [("modules/axioms", max(res.values()) < 1e-8),
-            ("modules/green-julg", verify_green_julg(eq).ok),
+            ("modules/green-julg", verify_green_julg(eq, tol).ok),
             ("modules/norm-bounds", bounds)]
 
 

@@ -77,6 +77,17 @@ class ModuleError(ValueError):
     pass
 
 
+def _act(action: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """x . b for stacks of carrier vectors x (..., m) and B-coefficients c (..., k)."""
+    return (np.tensordot(c, action, axes=1) @ x[..., None])[..., 0]
+
+
+def _inner_values(inner: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x|y> in B's coordinates for stacks of carrier vectors (..., m)."""
+    m, _, k = inner.shape
+    return (y[..., None, :] @ (x.conj() @ inner.reshape(m, -1)).reshape(*x.shape, k))[..., 0, :]
+
+
 def _checked_coefficients(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Coefficients (..., k) of vectors values (..., D) against orthonormal
     rows (k, D), for values that must lie in their span: each may leave it
@@ -192,11 +203,10 @@ class FDHilbertModule:
             return (c @ rows).reshape(-1, n, n)
 
         def act(x, c):
-            return (np.tensordot(c, self.action, axes=1) @ x[:, :, None])[:, :, 0]
+            return _act(self.action, x, c)
 
         def inner(x, y):
-            return element((y[:, None] @ (x.conj() @ self.inner.reshape(m, -1)).reshape(
-                -1, m, k))[:, 0])
+            return element(_inner_values(self.inner, x, y))
 
         def norms(a):
             return np.linalg.norm(a.reshape(n_samples, -1), axis=1)
@@ -483,6 +493,10 @@ class EquivariantModule:
         return self.beta.group
 
     def validate(self, tol: float = 1e-8, rng=None) -> None:
+        """Check the base module, beta and gamma, then gamma_w(xi b) =
+        gamma_w(xi) beta_w(b) and <gamma_w xi|gamma_w eta> = beta_w(<xi|eta>)
+        on four samples per w at once; the first failure in the order
+        (w, sample, check) raises."""
         self.base.validate(tol, rng)
         self.beta.validate(tol)
         g = self.group
@@ -495,21 +509,29 @@ class EquivariantModule:
         if np.linalg.norm(hom, axis=(-2, -1)).max() > tol * max(m, 1):
             raise ModuleError("gamma is not a group homomorphism")
         rng = rng or np.random.default_rng(1)
-        for w in g.elements():
-            for _ in range(4):
-                xi = self.base.random_vector(rng)
-                eta = self.base.random_vector(rng)
-                b = self.base.algebra.random_element(rng)
-                scale = max(1.0, np.linalg.norm(xi) * max(1.0, operator_norm(b)))
-                lhs = self.gamma[w] @ self.base.act(xi, b)
-                rhs = self.base.act(self.gamma[w] @ xi, self.beta.apply(w, b))
-                if np.linalg.norm(lhs - rhs) > tol * scale:
-                    raise ModuleError(f"gamma_w(xi b) != gamma_w(xi) beta_w(b) at w={w}")
-                lhs2 = self.base.inner_product(self.gamma[w] @ xi, self.gamma[w] @ eta)
-                rhs2 = self.beta.apply(w, self.base.inner_product(xi, eta))
-                scale2 = max(1.0, np.linalg.norm(xi) * np.linalg.norm(eta))
-                if np.linalg.norm(lhs2 - rhs2) > tol * scale2:
-                    raise ModuleError(f"inner product is not equivariant at w={w}")
+        b_alg, action, inner = self.base.algebra, self.base.action, self.base.inner
+        k = b_alg.dim
+        # Each sample draws xi, eta, then b's coefficients, real parts first.
+        parts = np.split(rng.standard_normal((g.order, 4, 4 * m + 2 * k)),
+                         np.cumsum([m, m, m, m, k]), axis=-1)
+        xi, eta, c = (re + 1j * im for re, im in zip(parts[::2], parts[1::2]))
+        # Transposed, gamma_w and beta_w act on the rows of the samples.
+        gamma, beta = self.gamma.swapaxes(1, 2), self.beta.maps.swapaxes(1, 2)
+        gx, size = xi @ gamma, np.linalg.norm(xi, axis=-1)
+        op = np.linalg.svd(unflatten(c @ b_alg.basis_rows(), b_alg.ambient_dim),
+                           compute_uv=False).max(axis=-1, initial=0.0)          # |b|_op
+        # [w, sample, check]; inner values in B's coordinates, whose norm is
+        # the trace norm.
+        bad = np.stack([
+            np.linalg.norm(_act(action, xi, c) @ gamma - _act(action, gx, c @ beta), axis=-1)
+            > tol * np.maximum(1.0, size * np.maximum(1.0, op)),
+            np.linalg.norm(_inner_values(inner, gx, eta @ gamma)
+                           - _inner_values(inner, xi, eta) @ beta, axis=-1)
+            > tol * np.maximum(1.0, size * np.linalg.norm(eta, axis=-1))], axis=-1)
+        if bad.any():
+            w, _, check = np.unravel_index(bad.argmax(), bad.shape)
+            raise ModuleError((f"gamma_w(xi b) != gamma_w(xi) beta_w(b) at w={w}",
+                               f"inner product is not equivariant at w={w}")[check])
 
 
 def scalar_translation_action(sys: EquivariantSystem) -> AlgebraAction:
@@ -518,8 +540,7 @@ def scalar_translation_action(sys: EquivariantSystem) -> AlgebraAction:
     g = sys.group
     x_n = sys.n_points
     maps = np.zeros((g.order, x_n, x_n), dtype=complex)
-    for w in g.elements():
-        maps[w, np.arange(x_n), sys.action[g.inverse(w)]] = 1.0
+    maps[np.arange(g.order)[:, None], np.arange(x_n), sys.action[g.inv]] = 1.0
     return AlgebraAction(g, scalar_algebra(x_n), maps)
 
 
@@ -528,14 +549,11 @@ def equivariant_function_module(sys: EquivariantSystem) -> EquivariantModule:
     base = function_module(sys)
     g = sys.group
     x_n, d = sys.n_points, sys.fiber_dim
-    m = x_n * d
-    gamma = np.zeros((g.order, m, m), dtype=complex)
-    for w in g.elements():
-        w_inv = g.inverse(w)
-        for x in range(x_n):
-            pre = sys.action[w_inv, x]
-            gamma[w, x * d:(x + 1) * d, pre * d:(pre + 1) * d] = sys.cocycle[w, pre]
-    return EquivariantModule(base, scalar_translation_action(sys), gamma)
+    gamma = np.zeros((g.order, x_n, d, x_n, d), dtype=complex)
+    w, pre = np.arange(g.order)[:, None], sys.action[g.inv]               # [w, x]: w^-1 x
+    gamma[w, np.arange(x_n), :, pre, :] = sys.cocycle[w, pre]
+    return EquivariantModule(base, scalar_translation_action(sys),
+                             gamma.reshape(g.order, x_n * d, x_n * d))
 
 
 def trivial_equivariant_module(e: FDHilbertModule,
@@ -579,9 +597,12 @@ def averaged_inner_coefficients(eq: EquivariantModule) -> np.ndarray:
     """<<e_p|e_q>> = sum_w <e_p|gamma_w e_q> w in crossed coefficients.
 
     An (m, m, |W|, dim B) array: <e_p|gamma_w e_q> has B-coefficients
-    sum_j gamma_w[j, q] <e_p|e_j>.
+    sum_j gamma_w[j, q] <e_p|e_j>.  One product per p writes it in this
+    layout, so reshaping or whitening it copies nothing.
     """
-    return np.tensordot(eq.base.inner, eq.gamma, axes=([1], [1])).transpose(0, 3, 2, 1)
+    m, w_n = eq.base.carrier_dim, eq.group.order
+    by_column = eq.gamma.transpose(2, 0, 1).reshape(m * w_n, m)         # [(q, w), j]
+    return (by_column @ eq.base.inner).reshape(m, m, w_n, eq.base.algebra.dim)
 
 
 def _crossed_maps(cp: CrossedProduct, maps: np.ndarray) -> np.ndarray:
@@ -610,10 +631,9 @@ def module_crossed_product(eq: EquivariantModule,
     maps = np.zeros((w_n, k, w_n, m, w_n, m), dtype=complex)
     ips = np.tensordot(eq.beta.maps[g.inv], base.inner, axes=(2, 2)).transpose(0, 2, 3, 1)
     coeffs = np.zeros((w_n, m, w_n, m, w_n, k), dtype=complex)
-    for w in range(w_n):
-        for v in range(w_n):
-            maps[v, :, g.mul[w, v], :, w, :] = twisted[w]
-            coeffs[w, :, v, :, g.mul[g.inv[w], v]] = ips[w]
+    w, v = np.arange(w_n)[:, None], np.arange(w_n)
+    maps[v, :, g.mul[w, v], :, w, :] = twisted[:, None]
+    coeffs[w, :, v, :, g.mul[g.inv[w], v]] = ips[:, None]
     action = _crossed_maps(cp, maps.reshape(w_n, k, big, big))
     inner = cp.whiten(coeffs.reshape(big, big, w_n, k))
     return FDHilbertModule(cp.algebra, action, inner,
@@ -639,17 +659,12 @@ def verify_module_crossed_compacts(eq: EquivariantModule,
     ecp, _ = module_crossed_product(eq, tol=tol)
     big = compact_operators(ecp, tol)
     base_c = compact_operators(eq.base, tol)
-    imgs = []
-    for w in g.elements():
-        for row in base_c.raw_rows:
-            k = row.reshape(m, m)
-            phi = np.zeros((g.order * m, g.order * m), dtype=complex)
-            for v in g.elements():
-                wv = g.mul[w, v]
-                phi[wv * m:(wv + 1) * m, v * m:(v + 1) * m] = k @ eq.gamma[w]
-            imgs.append(phi)
-    img_rows = orthonormal_rows(flatten(np.stack(imgs)), tol) if imgs else \
-        np.zeros((0, (g.order * m) ** 2), dtype=complex)
+    # [w, r]: K_r gamma_w, the block (wv, v) of phi(K_r w) for every v.
+    blocks = unflatten(base_c.raw_rows, m)[None] @ eq.gamma[:, None]
+    imgs = np.zeros((g.order, len(base_c.raw_rows), g.order, m, g.order, m), dtype=complex)
+    w, v = np.arange(g.order)[:, None], np.arange(g.order)
+    imgs[w, :, g.mul[w, v], :, v, :] = blocks[:, None]
+    img_rows = orthonormal_rows(imgs.reshape(-1, (g.order * m) ** 2), tol)
     ok = spans_equal(img_rows, big.raw_rows, tol)
     return CrossedCompactsVerdict(ok, img_rows.shape[0], big.raw_rows.shape[0])
 

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import FiniteGroup, semidirect_decomposition
+from .groups import FiniteGroup, Subgroup, semidirect_decomposition
 from .hilbmod import (
     EquivariantModule,
     FDHilbertModule,
@@ -65,8 +65,10 @@ from .systems import (
     CrossedProduct,
     EquivariantSystem,
     crossed_product,
+    _iterated_crossed_iso,
+    _outer_crossed_product,
+    _OuterCrossedProduct,
     fixed_point_algebra,
-    iterated_crossed_iso,
     quotient_algebra,
     restrict_system,
 )
@@ -450,53 +452,45 @@ def quotient_equivariant_module(sys: EquivariantSystem, wprime, r,
 
     Returns (equivariant module, invariant row basis).
     """
-    g = sys.group
     sys_p, u_sub = restrict_system(sys, wprime)
-    v_sub = g.subgroup(sorted(set(int(e) for e in r)))
+    return _quotient_equivariant_module(sys, sys_p, np.array(u_sub.embedding),
+                                        sys.group.subgroup(r), tol)
+
+
+def _quotient_equivariant_module(sys: EquivariantSystem, sys_p: EquivariantSystem,
+                                 u_emb: np.ndarray, v_sub: Subgroup, tol: float):
+    """quotient_equivariant_module for the restricted system sys_p, whose
+    group W' has the elements u_emb of W, and R = v_sub."""
     eqm = equivariant_function_module(sys)
     m = eqm.base.carrier_dim
     # gamma is a homomorphism, so invariance under generators of W' suffices.
-    blocks = [eqm.gamma[u_sub.to_parent(u)] - np.eye(m)
-              for u in u_sub.group.generators()]
-    u_rows = nullspace_rows(np.vstack(blocks) if blocks else np.zeros((0, m)), tol)
-    k = u_rows.shape[0]
+    gens = u_emb[np.array(sys_p.group.generators(), dtype=np.intp)]
+    u_rows = nullspace_rows((eqm.gamma[gens] - np.eye(m)).reshape(-1, m), tol)
     # The orbit-function algebra C(X/W').
     quot = quotient_algebra(EquivariantSystem(
         sys_p.group, sys_p.points, sys_p.action, 1,
         np.ones((sys_p.group.order, sys_p.n_points, 1, 1), dtype=complex),
         name=sys_p.name + "-pts"))
     q_alg = quot.algebra
-    d = sys.fiber_dim
-    x_n = sys.n_points
-    # Pointwise multiplication by (normalized) orbit indicators.
-    action = np.zeros((q_alg.dim, k, k), dtype=complex)
-    for o, orb in enumerate(quot.orbits):
-        diag = np.zeros(x_n * d)
-        for x in orb:
-            diag[x * d:(x + 1) * d] = 1.0 / np.sqrt(len(orb))
-        action[o] = u_rows.conj() @ (diag[:, None] * u_rows.T)
-    vecs = u_rows.reshape(k, x_n, d)
+    # Pointwise multiplication by the normalized orbit indicators, [o, p].
+    diag = np.repeat(quot.orbit_basis.real, sys.fiber_dim, axis=1)
+    action = u_rows.conj() @ (diag[:, :, None] * u_rows.T)
+    vecs = u_rows.reshape(-1, sys.n_points, sys.fiber_dim)
     # [p, q, x]: <u_p(x)|u_q(x)>.
     ips = (vecs.conj().transpose(1, 0, 2) @ vecs.transpose(1, 2, 0)).transpose(1, 2, 0)
     # The values are functions on X, diagonal like C(X/W')'s basis, whose
     # diagonals are the orbit indicators: they must be constant on orbits.
-    inner = _checked_coefficients(quot.orbit_basis, ips)
-    base = FDHilbertModule(q_alg, action, inner, name="quotient-invariant")
+    base = FDHilbertModule(q_alg, action, _checked_coefficients(quot.orbit_basis, ips),
+                           name="quotient-invariant")
     # R acts by the restricted gamma; on C(X/W') it permutes orbits.
-    v_n = v_sub.group.order
-    gamma = np.zeros((v_n, k, k), dtype=complex)
-    maps = np.zeros((v_n, q_alg.dim, q_alg.dim), dtype=complex)
-    orbit_of = {}
-    for o, orb in enumerate(quot.orbits):
-        for x in orb:
-            orbit_of[x] = o
-    for v in range(v_n):
-        vp = v_sub.to_parent(v)
-        gamma[v] = u_rows.conj() @ eqm.gamma[vp] @ u_rows.T
-        for o, orb in enumerate(quot.orbits):
-            maps[v, orbit_of[int(sys.action[vp, orb[0]])], o] = 1.0
-    eq_q = EquivariantModule(base, AlgebraAction(v_sub.group, q_alg, maps), gamma)
-    return eq_q, u_rows
+    v_emb = np.array(v_sub.embedding)
+    gamma = u_rows.conj() @ eqm.gamma[v_emb] @ u_rows.T
+    on_orbit = quot.orbit_basis != 0                                          # [o, x]
+    # [v, o]: the orbit of v.x for the least point x of orbit o.
+    image = on_orbit.argmax(axis=0)[sys.action[v_emb][:, on_orbit.argmax(axis=1)]]
+    maps = np.zeros((len(v_emb), q_alg.dim, q_alg.dim), dtype=complex)
+    maps[np.arange(len(v_emb))[:, None], image, np.arange(q_alg.dim)] = 1.0
+    return EquivariantModule(base, AlgebraAction(v_sub.group, q_alg, maps), gamma), u_rows
 
 
 @dataclass(frozen=True)
@@ -553,29 +547,17 @@ def _semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int,
     sys_p, u_sub = restrict_system(sys, wprime)
     thm_p = verify_morita_theorem(sys_p, seed=seed, tol=tol)
 
-    # Link 2: transport C(X, W', I) = thm_p's ideal through
-    # phi((a u) v) = a (uv) into C(X) >| R.
-    action = thm.ideal.cp.action
-    iso = iterated_crossed_iso(action, wprime, r, tol)
-    v_sub = g.subgroup(sorted(set(int(e) for e in r)))
-    x_n = sys.n_points
-    u_n, v_n = u_sub.group.order, v_sub.group.order
-    imgs = []
-    for v in range(v_n):
-        vp = v_sub.to_parent(v)
-        for h in thm_p.ideal.coeff_rows:
-            hm = h.reshape(u_n, x_n)
-            out = np.zeros((g.order, x_n), dtype=complex)
-            for u in range(u_n):
-                out[g.mul[u_sub.to_parent(u), vp]] += hm[u]
-            imgs.append(out.reshape(-1))
-    img_rows = orthonormal_rows(np.stack(imgs), tol) if imgs else \
-        np.zeros((0, g.order * x_n), dtype=complex)
+    # Link 2: (C(X) >| W') >| R ~ C(X) >| W on the crossed products the two
+    # theorems built; C(X, W', I), thm_p's ideal, transports onto thm's.
+    u_emb, v_sub = np.array(u_sub.embedding), g.subgroup(r)
+    outer = _outer_crossed_product(thm.ideal.cp, thm_p.ideal.cp, u_emb, v_sub)
+    iso = _iterated_crossed_iso(thm.ideal.cp, outer, np.random.default_rng(0))
+    img_rows = orthonormal_rows(_transported_rows(outer, thm_p.ideal.coeff_rows), tol)
     ideal_transport_ok = spans_equal(img_rows, thm.ideal.coeff_rows, tol)
 
     # Link 4: the direct equivalence fpa(sys) ~ C(X/W') >| R, where fpa acts
     # on the W'-invariant vectors by compression.
-    eq_q, u_rows = quotient_equivariant_module(sys, wprime, r, tol)
+    eq_q, u_rows = _quotient_equivariant_module(sys, sys_p, u_emb, v_sub, tol)
     eq_q.validate(max(tol, 1e-8))
     gj_q, cp_q = green_julg_module(eq_q)
     fpa = thm.fpa
@@ -591,6 +573,17 @@ def _semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int,
                              ideal_transport_ok, thm_p, final_witness,
                              fpa_blocks, final_blocks, cp_q.algebra.dim)
     return report, gj_q, left
+
+
+def _transported_rows(outer: _OuterCrossedProduct, rows: np.ndarray) -> np.ndarray:
+    """phi(h v) for every coefficient row h of B >| U and every v, rows
+    (|V| len(rows), |W| dim B) in the order (v, h)."""
+    v_n, u_n = outer.w_of.shape
+    h = rows.reshape(len(rows), u_n, rows.shape[1] // u_n)
+    placed = np.zeros((v_n, len(rows), v_n) + h.shape[1:], dtype=complex)
+    v = np.arange(v_n)
+    placed[v, :, v] = h
+    return outer.phi(placed).reshape(v_n * len(rows), -1)
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .groups import FiniteGroup, semidirect_decomposition
+from .groups import FiniteGroup, Subgroup, semidirect_decomposition
 from .linalg import (
     DEFAULT_TOL,
     flatten,
@@ -240,17 +240,10 @@ def z2xz2_line_system(n: int) -> EquivariantSystem:
     identity cocycle, the second factor is the Z/2 line family."""
     from .groups import cyclic, direct_product
     g = direct_product(cyclic(2), cyclic(2))   # (a, b) -> 2a + b
-    fam = z2_line_family()
-    pts = [float(j) for j in range(-n, n + 1)]
-    index = {p: i for i, p in enumerate(pts)}
-    action = np.zeros((4, len(pts)), dtype=np.intp)
-    coc = np.zeros((4, len(pts), 2, 2), dtype=complex)
-    for w in range(4):
-        b = w % 2
-        for i, p in enumerate(pts):
-            action[w, i] = index[float(fam.point_map(b, p))]
-            coc[w, i] = fam.cocycle_at(b, p)
-    return EquivariantSystem(g, tuple(pts), action, 2, coc, name=f"z2xz2-line-{n}")
+    line = z2_line_system(n)
+    b = np.arange(4) % 2
+    return EquivariantSystem(g, line.points, line.action[b], 2, line.cocycle[b],
+                             name=f"z2xz2-line-{n}")
 
 
 def restrict_system(sys: EquivariantSystem, elems):
@@ -258,12 +251,10 @@ def restrict_system(sys: EquivariantSystem, elems):
 
     Returns (system, subgroup); the subgroup carries the reindexing maps.
     """
-    sub = sys.group.subgroup(sorted(set(int(e) for e in elems)))
-    parents = [sub.to_parent(v) for v in range(sub.group.order)]
-    action = sys.action[parents]
-    coc = sys.cocycle[parents]
-    return EquivariantSystem(sub.group, sys.points, action, sys.fiber_dim, coc,
-                             name=f"{sys.name}|sub"), sub
+    sub = sys.group.subgroup(elems)
+    parents = np.array(sub.embedding)
+    return EquivariantSystem(sub.group, sys.points, sys.action[parents], sys.fiber_dim,
+                             sys.cocycle[parents], name=f"{sys.name}|sub"), sub
 
 
 def anticomplete_point_system() -> EquivariantSystem:
@@ -315,15 +306,8 @@ def embed_function(sys: EquivariantSystem, k: np.ndarray) -> np.ndarray:
 def function_algebra(sys: EquivariantSystem) -> MatrixStarAlgebra:
     """All of C(X, M_d), embedded block-diagonally; dim |X| d^2."""
     d = sys.fiber_dim
-    x_n = sys.n_points
-    basis = np.zeros((x_n * d * d, sys.total_dim, sys.total_dim), dtype=complex)
-    idx = 0
-    for x in range(x_n):
-        for i in range(d):
-            for j in range(d):
-                basis[idx, x * d + i, x * d + j] = 1.0
-                idx += 1
-    return MatrixStarAlgebra(sys.total_dim, basis)
+    return MatrixStarAlgebra(sys.total_dim, embed_function(
+        sys, np.eye(sys.n_points * d * d).reshape(-1, sys.n_points, d, d)))
 
 
 def invariant_functions(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -358,16 +342,9 @@ def fixed_point_algebra(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> Mat
 
 def orbits_and_stabilizers(sys: EquivariantSystem) -> list[tuple[list[int], list[int]]]:
     """Partition of X into orbits (lowest index first) with stabilizer elements."""
-    seen = set()
-    out = []
-    for x in range(sys.n_points):
-        if x in seen:
-            continue
-        orbit = sorted(set(int(sys.action[w, x]) for w in sys.group.elements()))
-        seen.update(orbit)
-        stab = [w for w in sys.group.elements() if sys.action[w, x] == x]
-        out.append((orbit, stab))
-    return out
+    act = sys.action
+    return [(sorted(set(act[:, x].tolist())), np.flatnonzero(act[:, x] == x).tolist())
+            for x in np.unique(act.min(axis=0))]
 
 
 @dataclass(frozen=True)
@@ -418,9 +395,6 @@ class AlgebraAction:
     group: FiniteGroup
     algebra: MatrixStarAlgebra
     maps: np.ndarray  # (|W|, dim, dim)
-
-    def apply(self, w: int, a: np.ndarray) -> np.ndarray:
-        return self.algebra.element(self.maps[w] @ self.algebra.coefficients(a))
 
     def validate(self, tol: float = 1e-8) -> None:
         """Check that the maps are a homomorphism into the *-automorphisms of B.
@@ -540,9 +514,8 @@ class CrossedProduct:
         # [i, w, j, l]: R^-1 on both factors' coefficients, R on the product's.
         prods = np.tensordot(root_inv, root_inv @ (self.structure @ root), axes=(1, 1))
         table = np.zeros((w_n, k, w_n, k, w_n, k), dtype=complex)
-        for w in range(w_n):
-            for v in range(w_n):
-                table[v, :, g.mul[w, v], :, w] = prods[:, w].transpose(1, 2, 0)
+        w, v = np.arange(w_n)[:, None], np.arange(w_n)
+        table[v, :, g.mul[w, v], :, w] = prods.transpose(1, 2, 3, 0)[:, None]
         return table.reshape(w_n * k, w_n * k, w_n * k)
 
     def _relation_residual(self) -> float:
@@ -620,9 +593,7 @@ class CrossedProduct:
         x = (f[..., None, :] @ self.structure.reshape(w_n, k, k * k)).reshape(
             *f.shape[:-1], k, k)
         prods = g[..., None, :, :] @ x
-        # Component u collects the pairs (w, w^-1 u).
-        w_idx = np.arange(grp.order)[:, None]
-        return prods[..., w_idx, grp.mul[grp.inv], :].sum(axis=-3)
+        return _slot_sum(grp, prods)
 
     @cached_property
     def _adjoints(self) -> np.ndarray:
@@ -667,6 +638,13 @@ class CrossedProduct:
         return True
 
 
+def _slot_sum(grp: FiniteGroup, prods: np.ndarray) -> np.ndarray:
+    """[..., u, l]: the products [..., w, v, l] of group slots w and v
+    collected at u = wv, the pairs (w, w^-1 u) summed over w."""
+    w_idx = np.arange(grp.order)[:, None]
+    return prods[..., w_idx, grp.mul[grp.inv], :].sum(axis=-3)
+
+
 def crossed_basis(action: AlgebraAction) -> np.ndarray:
     """Every b_i w embedded at once: a (|W| dim B, |W| N, |W| N) array, row (w, i).
 
@@ -679,9 +657,8 @@ def crossed_basis(action: AlgebraAction) -> np.ndarray:
     n, k, w_n = alg.ambient_dim, alg.dim, g.order
     twisted = np.tensordot(action.maps[g.inv], alg.basis, axes=(1, 0))   # [u, i, r, c]
     out = np.zeros((w_n, k, w_n, n, w_n, n), dtype=complex)
-    for w in range(w_n):
-        for v in range(w_n):
-            out[w, :, g.mul[w, v], :, v, :] = twisted[g.mul[w, v]]
+    w, v = np.arange(w_n)[:, None], np.arange(w_n)
+    out[w, :, g.mul[w, v], :, v, :] = twisted[g.mul[w, v]]
     return out.reshape(w_n * k, w_n * n, w_n * n)
 
 
@@ -724,8 +701,9 @@ def phi_iso(sys: EquivariantSystem, tol: float = DEFAULT_TOL,
             rng: np.random.Generator | None = None):
     """The isomorphism C(X) >| W ~ C(X, K(l^2 W))^W for scalar-fiber systems.
 
-    phi(f w)(x): delta_v -> f(w v^-1 x) delta_{v w^-1}.  Returns the witness
-    together with the image map on crossed-product coefficients.
+    phi(f w)(x): delta_v -> f(w v^-1 x) delta_{v w^-1}, a relabelling, as
+    w -> v w^-1 is one-to-one for each v.  Returns the witness together with
+    the image map on crossed-product coefficient stacks (..., |W|, |X|).
     """
     if sys.fiber_dim != 1:
         raise SystemError("phi_iso requires scalar fibers")
@@ -734,46 +712,36 @@ def phi_iso(sys: EquivariantSystem, tol: float = DEFAULT_TOL,
     w_n = g.order
     rng = rng or np.random.default_rng(0)
 
-    action = function_algebra_action(sys)   # C(X) with the translation action
-    cp = crossed_product(action, tol)
+    cp = crossed_product(function_algebra_action(sys), tol)   # C(X) >| W by translation
     target_sys = left_translation_system(sys)
     target = fixed_point_algebra(target_sys, tol)
+    # [w, v, x]: phi(f w)(x) has f(w v^-1 x) at row v w^-1, column v.
+    w_idx = np.arange(w_n)[:, None, None]
+    v_idx = np.arange(w_n)[None, :, None]
+    index = (g.mul[v_idx, g.inv[w_idx]], v_idx, w_idx,
+             sys.action[g.mul[w_idx, g.inv[v_idx]], np.arange(x_n)])
+    phi = partial(_translation_image, target_sys, index)
 
-    def phi(f):
-        """f: (|W|, |X|) coefficients -> block-diagonal matrix in the target."""
-        func = np.zeros((x_n, w_n, w_n), dtype=complex)
-        for w in range(w_n):
-            for v in range(w_n):
-                vp = g.mul[v, g.inv[w]]  # row index v w^-1
-                for x in range(x_n):
-                    # f(w v^-1 x)
-                    src = sys.action[g.mul[w, g.inv[v]], x]
-                    func[x, vp, v] += f[w, src]
-        return embed_function(target_sys, func)
-
-    basis_imgs = []
-    for w in range(w_n):
-        for x in range(x_n):
-            f = np.zeros((w_n, x_n), dtype=complex)
-            f[w, x] = 1.0
-            basis_imgs.append(phi(f))
-    img_rows = orthonormal_rows(flatten(np.stack(basis_imgs)), tol)
+    img_rows = orthonormal_rows(flatten(phi(np.eye(w_n * x_n).reshape(-1, w_n, x_n))), tol)
     bijective = (img_rows.shape[0] == w_n * x_n
                  and spans_equal(img_rows, target.basis_rows(), max(tol, 1e-8)))
-
-    mult_res = 0.0
-    star_res = 0.0
-    for _ in range(8):
-        f = rng.standard_normal((w_n, x_n)) + 1j * rng.standard_normal((w_n, x_n))
-        h = rng.standard_normal((w_n, x_n)) + 1j * rng.standard_normal((w_n, x_n))
-        lhs = phi(cp.multiply(f, h))
-        rhs = phi(f) @ phi(h)
-        mult_res = max(mult_res, float(np.abs(lhs - rhs).max())
-                       / max(1.0, float(np.abs(rhs).max())))
-        star_res = max(star_res, float(np.abs(phi(cp.star(f)) - phi(f).conj().T).max())
-                       / max(1.0, float(np.abs(phi(f)).max())))
-    witness = IsoWitness(w_n * x_n, target.dim, bijective, mult_res, star_res)
+    f, h = _iso_samples(rng, (w_n, x_n))
+    pf = phi(f)
+    witness = IsoWitness(w_n * x_n, target.dim, bijective,
+                         _iso_residual(phi(cp.multiply(f, h)), pf @ phi(h)),
+                         _iso_residual(phi(cp.star(f)), pf.conj().swapaxes(-2, -1)))
     return witness, cp, target, phi
+
+
+def _translation_image(target_sys: EquivariantSystem, index, f: np.ndarray) -> np.ndarray:
+    """phi_iso's map into target_sys: `index` = (rows, columns, w, sources)
+    puts f_w(sources[w, v, x]) at entry (rows[w, v], columns[v]) of point x."""
+    rows, cols, w_idx, src = index
+    f = np.asarray(f, dtype=complex)
+    w_n = target_sys.fiber_dim
+    func = np.zeros(f.shape[:-2] + (target_sys.n_points, w_n, w_n), dtype=complex)
+    func[..., np.arange(target_sys.n_points), rows, cols] = f[..., w_idx, src]
+    return embed_function(target_sys, func)
 
 
 def iterated_crossed_iso(action: AlgebraAction, normal, complement,
@@ -785,71 +753,91 @@ def iterated_crossed_iso(action: AlgebraAction, normal, complement,
     *-isomorphism at coefficient level; returns the witness.
     """
     g = action.group
-    factor = semidirect_decomposition(g, normal, complement)
-    u_sub = g.subgroup(sorted(set(int(e) for e in normal)))
-    v_sub = g.subgroup(sorted(set(int(e) for e in complement)))
-    rng = rng or np.random.default_rng(0)
-    alg = action.algebra
-    k = alg.dim
-    u_n, v_n = u_sub.group.order, v_sub.group.order
-
-    # Inner layer A = B >| U with the restricted action.
-    inner_maps = np.stack([action.maps[u_sub.to_parent(u)] for u in range(u_n)])
-    inner = crossed_product(AlgebraAction(u_sub.group, alg, inner_maps), tol)
+    semidirect_decomposition(g, normal, complement)   # raises unless W = U >| V
+    u_sub = g.subgroup(normal)
+    u_emb = np.array(u_sub.embedding)
+    inner = crossed_product(AlgebraAction(u_sub.group, action.algebra, action.maps[u_emb]), tol)
     whole = crossed_product(action, tol)
+    outer = _outer_crossed_product(whole, inner, u_emb, g.subgroup(complement))
+    return _iterated_crossed_iso(whole, outer, rng or np.random.default_rng(0))
 
-    # The action of V on A-coefficients: alpha_v(a u) = beta_v(a) (v u v^-1).
-    def outer_apply(v, f):
-        vp = v_sub.to_parent(v)
-        out = np.zeros_like(f)
-        for u in range(u_n):
-            conj = u_sub.from_parent(g.conjugate(vp, u_sub.to_parent(u)))
-            out[conj] += action.maps[vp] @ f[u]
+
+@dataclass(frozen=True)
+class _OuterCrossedProduct:
+    """(B >| U) >| V for W = U >| V, on coefficient stacks (..., |V|, |U|,
+    dim B) of sum b u v.  V acts on B >| U by alpha_v(a u) = beta_v(a)
+    (v u v^-1), so (a v1)(b v2) = a alpha_v1(b) (v1 v2) and
+    (a v)* = alpha_v^-1(a*) v^-1."""
+
+    inner: CrossedProduct   # B >| U
+    group: FiniteGroup      # V
+    maps: np.ndarray        # [v, j, i]: beta_v transposed
+    conj: np.ndarray        # [v, u]: the index of v u v^-1 in U
+    w_of: np.ndarray        # [v, u]: the index of u v in W
+
+    def alpha(self, f: np.ndarray) -> np.ndarray:
+        """alpha_v on row v of a stack."""
+        moved = f @ self.maps
+        out = np.empty_like(moved)
+        out[..., np.arange(self.group.order)[:, None], self.conj, :] = moved
         return out
 
-    # Elements of (B >| U) >| V: arrays (v_n, u_n, k).
-    def outer_mult(fa, fb):
-        out = np.zeros_like(fa)
-        for v1 in range(v_n):
-            if not fa[v1].any():
-                continue
-            for v2 in range(v_n):
-                if not fb[v2].any():
-                    continue
-                prod = inner.multiply(fa[v1], outer_apply(v1, fb[v2]))
-                out[v_sub.group.mul[v1, v2]] += prod
+    def multiply(self, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+        # [..., v1, v2, u, l]: a_v1 alpha_v1(b_v2), collected at v1 v2.
+        prods = self.inner.multiply(fa[..., :, None, :, :],
+                                    self.alpha(fb[..., :, None, :, :]).swapaxes(-3, -4))
+        return _slot_sum(self.group, prods.reshape(*prods.shape[:-2], -1)).reshape(
+            prods.shape[:-4] + prods.shape[-3:])
+
+    def star(self, fa: np.ndarray) -> np.ndarray:
+        return self.alpha(self.inner.star(fa)[..., self.group.inv, :, :])
+
+    def phi(self, f: np.ndarray) -> np.ndarray:
+        """phi((a u) v) = a (u v): slot (v, u) to slot w_of[v, u] of a stack
+        (..., |W|, dim B)."""
+        out = np.zeros(f.shape[:-3] + (self.w_of.size, f.shape[-1]), dtype=complex)
+        out[..., self.w_of, :] = f
         return out
 
-    def outer_star(fa):
-        out = np.zeros_like(fa)
-        for v in range(v_n):
-            vi = v_sub.group.inv[v]
-            out[vi] += outer_apply(vi, inner.star(fa[v]))
-        return out
 
-    # phi: (v_n, u_n, k) -> (|W|, k) via (u, v) -> uv.
-    def phi(fa):
-        out = np.zeros((g.order, k), dtype=complex)
-        for v in range(v_n):
-            for u in range(u_n):
-                w = g.product(u_sub.to_parent(u), v_sub.to_parent(v))
-                out[w] += fa[v, u]
-        return out
+def _outer_crossed_product(whole: CrossedProduct, inner: CrossedProduct, u_emb: np.ndarray,
+                           v_sub: Subgroup) -> _OuterCrossedProduct:
+    """(B >| U) >| V from `whole` = B >| W and `inner` = B >| U, with U's
+    elements u_emb in W and V's in v_sub."""
+    g = whole.group
+    v_emb = np.array(v_sub.embedding)
+    in_u = np.zeros(g.order, dtype=np.intp)
+    in_u[u_emb] = np.arange(len(u_emb))
+    conj = in_u[g.mul[g.mul[v_emb[:, None], u_emb], g.inv[v_emb][:, None]]]
+    return _OuterCrossedProduct(inner, v_sub.group, whole.action.maps[v_emb].swapaxes(-2, -1),
+                                conj, g.mul[u_emb, v_emb[:, None]])
 
-    mult_res = 0.0
-    star_res = 0.0
-    for _ in range(8):
-        fa = rng.standard_normal((v_n, u_n, k)) + 1j * rng.standard_normal((v_n, u_n, k))
-        fb = rng.standard_normal((v_n, u_n, k)) + 1j * rng.standard_normal((v_n, u_n, k))
-        lhs = phi(outer_mult(fa, fb))
-        rhs = whole.multiply(phi(fa), phi(fb))
-        mult_res = max(mult_res, float(np.abs(lhs - rhs).max())
-                       / max(1.0, float(np.abs(rhs).max())))
-        lhs_s = phi(outer_star(fa))
-        rhs_s = whole.star(phi(fa))
-        star_res = max(star_res, float(np.abs(lhs_s - rhs_s).max())
-                       / max(1.0, float(np.abs(rhs_s).max())))
-    # phi is bijective iff (u, v) -> uv covers W once: guaranteed by the
-    # verified semidirect decomposition.
-    bijective = len(factor) == g.order
-    return IsoWitness(v_n * u_n * k, g.order * k, bijective, mult_res, star_res)
+
+def _iterated_crossed_iso(whole: CrossedProduct, outer: _OuterCrossedProduct,
+                          rng: np.random.Generator) -> IsoWitness:
+    """The witness that outer.phi is a *-isomorphism onto `whole`, from
+    eight samples at once."""
+    v_n, u_n = outer.w_of.shape
+    k = whole.action.algebra.dim
+    fa, fb = _iso_samples(rng, (v_n, u_n, k))
+    pa = outer.phi(fa)
+    bijective = bool(np.array_equal(np.sort(outer.w_of, axis=None), np.arange(whole.group.order)))
+    return IsoWitness(v_n * u_n * k, whole.group.order * k, bijective,
+                      _iso_residual(outer.phi(outer.multiply(fa, fb)),
+                                    whole.multiply(pa, outer.phi(fb))),
+                      _iso_residual(outer.phi(outer.star(fa)), whole.star(pa)))
+
+
+def _iso_samples(rng: np.random.Generator, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Eight pairs (f, h) of complex arrays of `shape`, stacked; each sample
+    draws f, then h, real part before imaginary."""
+    draws = rng.standard_normal((8, 2, 2) + shape)
+    f, h = np.moveaxis(draws[:, :, 0] + 1j * draws[:, :, 1], 1, 0)
+    return f, h
+
+
+def _iso_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """The largest over the samples of max|lhs - rhs| / max(1, max|rhs|)."""
+    axes = tuple(range(1, lhs.ndim))
+    return float((np.abs(lhs - rhs).max(axis=axes)
+                  / np.maximum(1.0, np.abs(rhs).max(axis=axes))).max())

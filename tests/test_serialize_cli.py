@@ -1,4 +1,5 @@
 """Serialization round-trips and CLI behaviour (exit codes, formats)."""
+import inspect
 import json
 import os
 import subprocess
@@ -176,6 +177,33 @@ def test_cli_verify_all_json(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is True
     assert all(check["ok"] is True for check in report["checks"])
+
+
+@pytest.mark.parametrize("tolerance", ["1e-12", "1e-9", "1e-8", "1e-6"])
+def test_cli_verify_suites_honour_the_tolerance(monkeypatch, capsys, tolerance):
+    # Every library call of the suites that takes a tolerance is given
+    # --tolerance, and every suite's verdict holds at each of these.
+    from equivaria import hilbmod
+    seen = {}
+
+    def spying(module, name):
+        original = getattr(module, name)
+        signature = inspect.signature(original)
+
+        def spy(*args, **kwargs):
+            seen.setdefault(name, []).append(signature.bind(*args, **kwargs).arguments["tol"])
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+
+    for module, name in ((cli, "enumerate_irreps"), (cli, "wedderburn_crosscheck"),
+                         (cli, "verify_morita_theorem"), (hilbmod, "green_julg_module"),
+                         (hilbmod, "verify_green_julg")):
+        spying(module, name)
+    assert main(["verify", "all", "--tolerance", tolerance, "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert sorted(seen) == ["enumerate_irreps", "green_julg_module", "verify_green_julg",
+                            "verify_morita_theorem", "wedderburn_crosscheck"]
+    assert {tol for calls in seen.values() for tol in calls} == {float(tolerance)}
 
 
 def test_cli_input_errors(tmp_path, capsys):

@@ -33,12 +33,19 @@ and the orbit algebra C(X/W') take tables that match the dense pass.  The
 dense paths and per-pair loops survive here as oracles, and spies check
 that a run classifies the spectrum, builds each fixed-point algebra once
 and averages the inner products once, and that neither the structured
-algebras nor the reduction chain runs the dense pass.
+algebras nor the reduction chain runs the dense pass.  The crossed-product
+isomorphisms and the reduction's links are index maps and batched products,
+with their per-slot loops as oracles; a spy counts the crossed products,
+decompositions and restricted systems one reduction builds, and the
+batched `EquivariantModule.validate` names the first failure its sample
+loop names, on mutants too.
 """
+import itertools
+
 import numpy as np
 import pytest
 
-from equivaria import cli, hilbmod, linalg, matalg, morita, spectrum, systems
+from equivaria import cli, groups, hilbmod, linalg, matalg, morita, spectrum, systems
 from equivaria.datasets import bundled
 from equivaria.groups import BUILTIN_GROUPS, builtin_group, cyclic, dihedral, symmetric
 from equivaria.hilbmod import (
@@ -1727,3 +1734,362 @@ def test_morita_theorem_forms_no_m4_array(monkeypatch):
     assert verify_morita_theorem(sys).ok
     assert {kind for kind, _ in sizes} == {"maps", "svd"}
     assert max(size for _, size in sizes) < m ** 4
+
+
+# -- the reduction chain as index maps, against the loops it replaced ----------
+
+
+def s3_translation():
+    """S3 acting on itself by left translation: free, scalar trivial cocycle."""
+    g = symmetric(3)
+    return EquivariantSystem(g, tuple(float(x) for x in range(6)),
+                             np.asarray(g.mul, dtype=np.intp), 1,
+                             np.ones((6, 6, 1, 1), dtype=complex), name="s3-translation")
+
+
+def s3_splitting():
+    g = symmetric(3)
+    rotations = [w for w in g.elements() if g.product(w, w, w) == 0]
+    return rotations, [0, min(set(g.elements()) - set(rotations))]
+
+
+def s4_points():
+    """S4 permuting four points, with the splitting V4 >| S3, S3 the
+    permutations that fix the last point: R has elements of order 3."""
+    g = symmetric(4)
+    perms = sorted(itertools.permutations(range(4)))   # symmetric's element order
+    sys = EquivariantSystem(g, (0.0, 1.0, 2.0, 3.0), np.array(perms, dtype=np.intp), 1,
+                            np.ones((24, 4, 1, 1), dtype=complex), name="s4-points")
+    klein = [i for i, p in enumerate(perms) if all(p[p[x]] == x != p[x] for x in range(4))]
+    return sys, [0] + klein, [i for i, p in enumerate(perms) if p[3] == 3]
+
+
+def splitting_case(label):
+    """(system, W', R) for a splitting W = W' >| R of the system's group."""
+    if label == "s3-translation":
+        return (s3_translation(), *s3_splitting())
+    if label == "s4-points":
+        return s4_points()
+    kind, _, n = label.rpartition("-")
+    if kind == "z2xz2-line":
+        return z2xz2_line_system(int(n)), [0, 2], [0, 1]
+    if kind == "flip-free":
+        return flip_system(int(n)), [0], [0, 1]
+    return flip_system(int(n)), [0, 1], [0]
+
+
+SPLITTINGS = ["z2xz2-line-1", "z2xz2-line-2", "z2xz2-line-3", "s3-translation",
+              "flip-3", "flip-4", "flip-5", "flip-free-4", "s4-points"]
+REDUCTIONS = [label for label in SPLITTINGS if label not in ("flip-free-4", "s4-points")]
+
+
+def phi_iso_loop(sys, f):
+    """phi_iso's map, f (|W|, |X|), as the loop over (w, v, x)."""
+    g = sys.group
+    w_n, x_n = g.order, sys.n_points
+    func = np.zeros((x_n, w_n, w_n), dtype=complex)
+    for w in range(w_n):
+        for v in range(w_n):
+            vp = g.mul[v, g.inv[w]]  # row index v w^-1
+            for x in range(x_n):
+                # f(w v^-1 x)
+                src = sys.action[g.mul[w, g.inv[v]], x]
+                func[x, vp, v] += f[w, src]
+    return systems.embed_function(systems.left_translation_system(sys), func)
+
+
+def outer_loops(action, normal, complement):
+    """(multiply, star, phi) of (B >| U) >| V on single arrays (|V|, |U|,
+    dim B), as the per-slot loops of the iterated crossed product."""
+    g = action.group
+    u_sub = g.subgroup(sorted(set(int(e) for e in normal)))
+    v_sub = g.subgroup(sorted(set(int(e) for e in complement)))
+    k = action.algebra.dim
+    u_n, v_n = u_sub.group.order, v_sub.group.order
+    inner_maps = np.stack([action.maps[u_sub.to_parent(u)] for u in range(u_n)])
+    inner = crossed_product(AlgebraAction(u_sub.group, action.algebra, inner_maps))
+
+    def outer_apply(v, f):
+        vp = v_sub.to_parent(v)
+        out = np.zeros_like(f)
+        for u in range(u_n):
+            conj = u_sub.from_parent(g.conjugate(vp, u_sub.to_parent(u)))
+            out[conj] += action.maps[vp] @ f[u]
+        return out
+
+    def outer_mult(fa, fb):
+        out = np.zeros_like(fa)
+        for v1 in range(v_n):
+            for v2 in range(v_n):
+                prod = inner.multiply(fa[v1], outer_apply(v1, fb[v2]))
+                out[v_sub.group.mul[v1, v2]] += prod
+        return out
+
+    def outer_star(fa):
+        out = np.zeros_like(fa)
+        for v in range(v_n):
+            vi = v_sub.group.inv[v]
+            out[vi] += outer_apply(vi, inner.star(fa[v]))
+        return out
+
+    def phi(fa):
+        out = np.zeros((g.order, k), dtype=complex)
+        for v in range(v_n):
+            for u in range(u_n):
+                out[g.product(u_sub.to_parent(u), v_sub.to_parent(v))] += fa[v, u]
+        return out
+
+    return outer_mult, outer_star, phi
+
+
+def outer_product_of(action, normal, complement):
+    g = action.group
+    u_sub, v_sub = g.subgroup(normal), g.subgroup(complement)
+    u_emb = np.array(u_sub.embedding)
+    inner = crossed_product(AlgebraAction(u_sub.group, action.algebra, action.maps[u_emb]))
+    return systems._outer_crossed_product(crossed_product(action), inner, u_emb, v_sub)
+
+
+def iso_residuals_loop(rng, shape, mult_pair, star_pair):
+    """The witnesses' eight-sample loop: (multiplicative, star) residuals."""
+    res = [0.0, 0.0]
+    for _ in range(8):
+        f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for i, (lhs, rhs) in enumerate((mult_pair(f, h), star_pair(f))):
+            res[i] = max(res[i], float(np.abs(lhs - rhs).max())
+                         / max(1.0, float(np.abs(rhs).max())))
+    return tuple(res)
+
+
+@pytest.mark.parametrize("label", ["flip-3", "flip-4", "flip-5", "s3-translation",
+                                   "z4-rotation"])
+def test_phi_iso_matches_the_point_loop(label):
+    sys = z4_rotation_system() if label == "z4-rotation" else splitting_case(label)[0]
+    witness, cp, target, phi = systems.phi_iso(sys)
+    w_n, x_n = sys.group.order, sys.n_points
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal((2, w_n, x_n)) + 1j * rng.standard_normal((2, w_n, x_n))
+    # One call maps a stack; each image is the loop's.
+    assert np.array_equal(phi(f), np.stack([phi_iso_loop(sys, fi) for fi in f]))
+    # The samples are drawn as the loop draws them: f, then h, real first.
+    draws = systems._iso_samples(np.random.default_rng(0), (w_n, x_n))
+    rng = np.random.default_rng(0)
+    loop = [[rng.standard_normal((w_n, x_n)) + 1j * rng.standard_normal((w_n, x_n))
+             for _ in range(2)] for _ in range(8)]
+    assert np.array_equal(np.stack(draws, axis=1), np.array(loop))
+    mult, star = iso_residuals_loop(
+        np.random.default_rng(0), (w_n, x_n),
+        lambda a, b: (phi_iso_loop(sys, cp.multiply(a, b)),
+                      phi_iso_loop(sys, a) @ phi_iso_loop(sys, b)),
+        lambda a: (phi_iso_loop(sys, cp.star(a)), phi_iso_loop(sys, a).conj().T))
+    assert witness.ok and witness.source_dim == w_n * x_n == target.dim
+    assert abs(witness.multiplicative_residual - mult) < 1e-14
+    assert abs(witness.star_residual - star) < 1e-14
+
+
+@pytest.mark.parametrize("label", SPLITTINGS)
+@pytest.mark.parametrize("which", ["functions", "scalars"])
+def test_outer_crossed_product_matches_the_slot_loops(label, which):
+    sys, normal, complement = splitting_case(label)
+    action = (function_algebra_action(sys) if which == "functions"
+              else scalar_translation_action(sys))
+    outer = outer_product_of(action, normal, complement)
+    mult, star, phi = outer_loops(action, normal, complement)
+    shape = outer.w_of.shape + (action.algebra.dim,)
+    rng = np.random.default_rng(7)
+    fa, fb = (rng.standard_normal((3,) + shape) + 1j * rng.standard_normal((3,) + shape)
+              for _ in range(2))
+    for new, old in ((outer.multiply(fa, fb), [mult(a, b) for a, b in zip(fa, fb)]),
+                     (outer.star(fa), [star(a) for a in fa]),
+                     (outer.phi(fa), [phi(a) for a in fa])):
+        assert np.abs(new - np.stack(old)).max() < 1e-13
+    whole = crossed_product(action)
+    witness = systems.iterated_crossed_iso(action, normal, complement)
+    res = iso_residuals_loop(np.random.default_rng(0), shape,
+                             lambda a, b: (phi(mult(a, b)), whole.multiply(phi(a), phi(b))),
+                             lambda a: (phi(star(a)), whole.star(phi(a))))
+    assert witness.ok and witness.bijective
+    assert (witness.source_dim, witness.target_dim) == (np.prod(shape), whole.metric.shape[0])
+    assert np.abs(np.array([witness.multiplicative_residual, witness.star_residual])
+                  - res).max() < 1e-14
+
+
+def transported_rows_loop(g, u_sub, v_sub, coeff_rows, x_n):
+    """Link 2's images phi(h v), one (v, h, u) at a time."""
+    u_n, v_n = u_sub.group.order, v_sub.group.order
+    imgs = []
+    for v in range(v_n):
+        vp = v_sub.to_parent(v)
+        for h in coeff_rows:
+            hm = h.reshape(u_n, x_n)
+            out = np.zeros((g.order, x_n), dtype=complex)
+            for u in range(u_n):
+                out[g.mul[u_sub.to_parent(u), vp]] += hm[u]
+            imgs.append(out.reshape(-1))
+    return np.stack(imgs)
+
+
+def quotient_module_loops(sys, wprime, r, u_rows):
+    """(action, gamma, maps) of the quotient module, per orbit and per r."""
+    g = sys.group
+    sys_p, _ = systems.restrict_system(sys, wprime)
+    v_sub = g.subgroup(sorted(set(int(e) for e in r)))
+    quot = systems.quotient_algebra(EquivariantSystem(
+        sys_p.group, sys_p.points, sys_p.action, 1,
+        np.ones((sys_p.group.order, sys_p.n_points, 1, 1), dtype=complex)))
+    eqm = equivariant_function_module(sys)
+    k, d, x_n = u_rows.shape[0], sys.fiber_dim, sys.n_points
+    action = np.zeros((quot.dim, k, k), dtype=complex)
+    for o, orb in enumerate(quot.orbits):
+        diag = np.zeros(x_n * d)
+        for x in orb:
+            diag[x * d:(x + 1) * d] = 1.0 / np.sqrt(len(orb))
+        action[o] = u_rows.conj() @ (diag[:, None] * u_rows.T)
+    v_n = v_sub.group.order
+    gamma = np.zeros((v_n, k, k), dtype=complex)
+    maps = np.zeros((v_n, quot.dim, quot.dim), dtype=complex)
+    orbit_of = {}
+    for o, orb in enumerate(quot.orbits):
+        for x in orb:
+            orbit_of[x] = o
+    for v in range(v_n):
+        vp = v_sub.to_parent(v)
+        gamma[v] = u_rows.conj() @ eqm.gamma[vp] @ u_rows.T
+        for o, orb in enumerate(quot.orbits):
+            maps[v, orbit_of[int(sys.action[vp, orb[0]])], o] = 1.0
+    return action, gamma, maps
+
+
+@pytest.mark.parametrize("label", REDUCTIONS)
+def test_reduction_links_match_the_loops(label):
+    sys, wprime, r = splitting_case(label)
+    g = sys.group
+    sys_p, u_sub = systems.restrict_system(sys, wprime)
+    v_sub = g.subgroup(r)
+    rows = c_ideal(sys_p).coeff_rows
+    outer = outer_product_of(scalar_translation_action(sys), wprime, r)
+    assert np.array_equal(morita._transported_rows(outer, rows),
+                          transported_rows_loop(g, u_sub, v_sub, rows, sys.n_points))
+    eq, u_rows = quotient_equivariant_module(sys, wprime, r)
+    action, gamma, maps = quotient_module_loops(sys, wprime, r, u_rows)
+    assert np.array_equal(eq.base.action, action) and np.array_equal(eq.gamma, gamma)
+    assert np.array_equal(eq.beta.maps, maps)
+    eq.validate()
+    assert morita.semidirect_reduction(sys, wprime, r).ok
+
+
+def test_reduction_builds_each_crossed_product_once(monkeypatch):
+    # The theorem's C(X) >| W is the whole of link 2, the restricted
+    # theorem's C(X) >| W' its inner factor, and link 4 builds C(X/W') >| R.
+    built = counting_spy(monkeypatch, [systems, morita, hilbmod], "crossed_product")
+    split = counting_spy(monkeypatch, [groups, systems, morita], "semidirect_decomposition")
+    restricted = counting_spy(monkeypatch, [systems, morita], "restrict_system")
+    report = morita.semidirect_reduction(z2xz2_line_system(2), [0, 2], [0, 1])
+    assert report.ok and report.iso_bijective and report.ideal_transport_ok
+    assert (len(built), len(split), len(restricted)) == (3, 1, 1)
+    assert [action.group.order for action in built] == [4, 2, 2]
+
+
+# -- EquivariantModule.validate on all samples at once, against its loop -------
+
+
+def equivariant_validate_loop(eq, tol=1e-8, rng=None):
+    """EquivariantModule.validate, one (w, sample) at a time."""
+    eq.base.validate(tol, rng)
+    eq.beta.validate(tol)
+    g = eq.group
+    m = eq.base.carrier_dim
+    if eq.gamma.shape != (g.order, m, m):
+        raise ModuleError("gamma has wrong shape")
+    if np.linalg.norm(eq.gamma[0] - np.eye(m)) > tol * max(m, 1):
+        raise ModuleError("gamma at the identity is not the identity")
+    hom = linalg.homomorphism_defect(eq.gamma, g.mul)
+    if np.linalg.norm(hom, axis=(-2, -1)).max() > tol * max(m, 1):
+        raise ModuleError("gamma is not a group homomorphism")
+    rng = rng or np.random.default_rng(1)
+    alg = eq.base.algebra
+
+    def beta(w, b):
+        return alg.element(eq.beta.maps[w] @ alg.coefficients(b))
+
+    for w in g.elements():
+        for _ in range(4):
+            xi = eq.base.random_vector(rng)
+            eta = eq.base.random_vector(rng)
+            b = alg.random_element(rng)
+            scale = max(1.0, np.linalg.norm(xi) * max(1.0, matalg.operator_norm(b)))
+            lhs = eq.gamma[w] @ eq.base.act(xi, b)
+            rhs = eq.base.act(eq.gamma[w] @ xi, beta(w, b))
+            if np.linalg.norm(lhs - rhs) > tol * scale:
+                raise ModuleError(f"gamma_w(xi b) != gamma_w(xi) beta_w(b) at w={w}")
+            lhs2 = eq.base.inner_product(eq.gamma[w] @ xi, eq.gamma[w] @ eta)
+            rhs2 = beta(w, eq.base.inner_product(xi, eta))
+            scale2 = max(1.0, np.linalg.norm(xi) * np.linalg.norm(eta))
+            if np.linalg.norm(lhs2 - rhs2) > tol * scale2:
+                raise ModuleError(f"inner product is not equivariant at w={w}")
+
+
+def validate_message(check, eq):
+    try:
+        check(eq)
+    except ModuleError as exc:
+        return str(exc)
+    return None
+
+
+def equivariant_case(label):
+    """A module of the reduction chain, or a mutant of the function module
+    of z2xz2-line-1 (points -1, 0, 1; w = 1 and w = 3 flip them)."""
+    if label in ("z2-line", "dihedral-plane", "anticomplete-point"):
+        return equivariant_function_module(bundled(label))
+    if label == "z4-rotation":
+        return equivariant_function_module(z4_rotation_system())
+    if label.endswith("quotient"):
+        sys, wprime, r = splitting_case(label.rpartition("-")[0])
+        return quotient_equivariant_module(sys, wprime, r)[0]
+    eq = equivariant_function_module(z2xz2_line_system(1))
+    kind, _, size = label.partition(":")
+    size = float(size)
+    m = eq.base.carrier_dim
+    base, gamma = eq.base, eq.gamma
+    if kind == "gamma-at-3":
+        # gamma_3 turned by a small rotation mixing the points -1 and 0:
+        # within the homomorphism test's tolerance, but not a module map.
+        turn = np.eye(m, dtype=complex)
+        turn[np.ix_([0, 2], [0, 2])] = [[np.cos(size), -np.sin(size)],
+                                        [np.sin(size), np.cos(size)]]
+        gamma = gamma.copy()
+        gamma[3] = gamma[3] @ turn
+    elif kind == "scaled-gamma":
+        # gamma conjugated by a pointwise scalar, larger at -1: still a
+        # homomorphism of module maps, but no longer isometric.
+        scale = np.diag(np.repeat([1.0 + size, 1.0, 1.0], 2))
+        gamma = scale @ gamma @ np.linalg.inv(scale)
+    else:
+        # The inner product scaled at the point -1: beta no longer carries it,
+        # while the action is unchanged.
+        inner = base.inner.copy()
+        inner[:, :, 0] *= 1.0 + size
+        base = hilbmod.FDHilbertModule(base.algebra, base.action, inner)
+    return hilbmod.EquivariantModule(base, eq.beta, gamma)
+
+
+EQUIVARIANT = (["z2-line", "dihedral-plane", "anticomplete-point", "z4-rotation"]
+               + [f"{label}-quotient" for label in REDUCTIONS]
+               + [f"gamma-at-3:{eps}" for eps in (1e-8, 1.2e-8, 1.5e-8, 2e-8, 3e-8, 1e-7)]
+               + [f"scaled-gamma:{eps}" for eps in (1e-8, 1.5e-8, 2e-8, 1e-6)]
+               + [f"scaled-inner:{eps}" for eps in (2e-8, 1e-2)])
+
+
+@pytest.mark.parametrize("label", EQUIVARIANT)
+def test_equivariant_validate_names_the_first_failure_of_the_loop(label):
+    eq = equivariant_case(label)
+    loop = validate_message(equivariant_validate_loop, eq)
+    assert validate_message(lambda e: e.validate(), eq) == loop
+    expected = {"gamma-at-3:3e-08": "gamma_w(xi b) != gamma_w(xi) beta_w(b) at w=3",
+                "gamma-at-3:1e-07": "gamma is not a group homomorphism",
+                "scaled-gamma:1e-06": "inner product is not equivariant at w=1",
+                "scaled-inner:0.01": "inner product is not equivariant at w=1"}
+    if label in expected or not label.startswith(("gamma", "scaled")):
+        assert loop == expected.get(label)
