@@ -6,6 +6,7 @@ memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys as _sys
@@ -278,7 +279,9 @@ def cmd_examples(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="equivaria",
         description="finite equivariant operator algebra toolkit",

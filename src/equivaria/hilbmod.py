@@ -170,9 +170,9 @@ class FDHilbertModule:
         return s, s_inv
 
     def module_adjoint(self, t: np.ndarray) -> np.ndarray:
-        """The adjoint of a carrier operator w.r.t. the scalar form."""
+        """The adjoint of a carrier operator (or a stack) w.r.t. the scalar form."""
         g = self.gram()
-        return np.linalg.solve(g, t.conj().T @ g)
+        return np.linalg.solve(g, t.conj().swapaxes(-1, -2) @ g)
 
     def random_vector(self, rng: np.random.Generator) -> np.ndarray:
         m = self.carrier_dim
@@ -193,20 +193,16 @@ class FDHilbertModule:
         """
         rng = rng or np.random.default_rng(0)
         b_alg = self.algebra
-        m, k, n = self.carrier_dim, b_alg.dim, b_alg.ambient_dim
+        m, k = self.carrier_dim, b_alg.dim
         draws = rng.standard_normal((n_samples, 4 * m + 4 * k))
         parts = np.split(draws, np.cumsum([m, m, m, m, k, k, k]), axis=1)
         xi, eta, c1, c2 = (re + 1j * im for re, im in zip(parts[::2], parts[1::2]))
-        rows = b_alg.basis_rows()
-
-        def element(c):
-            return (c @ rows).reshape(-1, n, n)
 
         def act(x, c):
             return _act(self.action, x, c)
 
         def inner(x, y):
-            return element(_inner_values(self.inner, x, y))
+            return b_alg.element(_inner_values(self.inner, x, y))
 
         def norms(a):
             return np.linalg.norm(a.reshape(n_samples, -1), axis=1)
@@ -217,11 +213,11 @@ class FDHilbertModule:
         def operator_norms(a):
             return np.linalg.svd(a, compute_uv=False)[:, 0]
 
-        b1, b2 = element(c1), element(c2)
+        b1, b2 = b_alg.element(c1), b_alg.element(c2)
         scale = np.maximum(1.0, np.maximum(norms(xi) * norms(eta),
                                            operator_norms(b1) * operator_norms(b2)))
         # (xi b1) b2 = xi (b1 b2)
-        c12 = flatten(b1 @ b2) @ rows.conj().T
+        c12 = b_alg.coefficients(b1 @ b2)
         bimodule = norms(act(act(xi, c1), c2) - act(xi, c12))
         # <xi b1 | eta b2> = b1* <xi|eta> b2
         compatibility = norms(inner(act(xi, c1), act(eta, c2))
@@ -396,6 +392,8 @@ def _compact_rows(action: np.ndarray, coefficients: np.ndarray,
     Cut by components, the margin is sigma_r / sigma_(r+1) over all blocks.
     """
     m = action.shape[-1]
+    if m == 0:
+        return np.zeros((0, 0), dtype=complex), np.inf
     parts = carrier_components(action, coefficients)
     # The dense SVDs of the blocks cost about sum_S s^6 and hold three
     # arrays of s^4 entries per block; one sketch pass over the whole stack
@@ -462,11 +460,8 @@ def fullness_ideal(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> MatrixStarAl
     singular values of the embedded values, since B's basis is orthonormal.
     """
     m = e.carrier_dim
-    n = e.algebra.ambient_dim
-    if m == 0:
-        return MatrixStarAlgebra(n, np.zeros((0, n, n), dtype=complex))
     rows = orthonormal_rows(e.inner.reshape(m * m, e.algebra.dim), tol)
-    return MatrixStarAlgebra(n, unflatten(rows @ e.algebra.basis_rows(), n))
+    return MatrixStarAlgebra(e.algebra.ambient_dim, e.algebra.element(rows))
 
 
 def is_full(e: FDHilbertModule, tol: float = 1e-8) -> bool:
@@ -518,8 +513,7 @@ class EquivariantModule:
         # Transposed, gamma_w and beta_w act on the rows of the samples.
         gamma, beta = self.gamma.swapaxes(1, 2), self.beta.maps.swapaxes(1, 2)
         gx, size = xi @ gamma, np.linalg.norm(xi, axis=-1)
-        op = np.linalg.svd(unflatten(c @ b_alg.basis_rows(), b_alg.ambient_dim),
-                           compute_uv=False).max(axis=-1, initial=0.0)          # |b|_op
+        op = np.linalg.svd(b_alg.element(c), compute_uv=False).max(axis=-1, initial=0.0)  # |b|_op
         # [w, sample, check]; inner values in B's coordinates, whose norm is
         # the trace norm.
         bad = np.stack([
@@ -803,21 +797,17 @@ def verify_morita(a_alg: MatrixStarAlgebra, e: FDHilbertModule,
     injective = img_rows.shape[0] == a_alg.dim
     span_match = (img_rows.shape[0] == compacts.raw_rows.shape[0]
                   and spans_equal(img_rows, compacts.raw_rows, tol))
-    mult_res = 0.0
-    star_res = 0.0
-    for _ in range(8):
-        c1 = rng.standard_normal(a_alg.dim) + 1j * rng.standard_normal(a_alg.dim)
-        c2 = rng.standard_normal(a_alg.dim) + 1j * rng.standard_normal(a_alg.dim)
-        a1 = a_alg.element(c1)
-        a2 = a_alg.element(c2)
-        l1 = np.tensordot(c1, left_action, axes=1)
-        l2 = np.tensordot(c2, left_action, axes=1)
-        l12 = np.tensordot(a_alg.coefficients(a1 @ a2), left_action, axes=1)
-        scale = max(1.0, float(np.abs(l1).max() * np.abs(l2).max()))
-        mult_res = max(mult_res, float(np.abs(l1 @ l2 - l12).max()) / scale)
-        lstar = np.tensordot(a_alg.coefficients(a1.conj().T), left_action, axes=1)
-        star_res = max(star_res,
-                       float(np.abs(lstar - e.module_adjoint(l1)).max()) / scale)
+    # Eight samples, each drawing c1 then c2, real parts before imaginary.
+    draws = rng.standard_normal((8, 4, a_alg.dim))
+    c1, c2 = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
+    a1 = a_alg.element(c1)
+    l1, l2, l12, lstar = (np.tensordot(c, left_action, axes=1) for c in (
+        c1, c2, a_alg.coefficients(a1 @ a_alg.element(c2)),
+        a_alg.coefficients(a1.conj().swapaxes(1, 2))))
+    top = [np.abs(x).max(axis=(1, 2), initial=0.0)
+           for x in (l1, l2, l1 @ l2 - l12, lstar - e.module_adjoint(l1))]
+    scale = np.maximum(1.0, top[0] * top[1])
+    mult_res, star_res = (float(np.max(t / scale, initial=0.0)) for t in top[2:])
     blocks = None
     if check_blocks:
         from .matalg import block_decompose

@@ -15,6 +15,8 @@ DEFAULT_TOL = 1e-9
 # Complex entries of rows that span_contains and the sketch residual of
 # certified_rows project at once.
 _SPAN_SLAB = 1 << 20
+# Entries from which a wide matrix is reduced by QR before its SVD.
+_WIDE_REDUCTION = 1500
 
 
 def flatten(mats: np.ndarray) -> np.ndarray:
@@ -47,10 +49,16 @@ def _right_singular(matrix: np.ndarray, tol: float, full: bool) -> tuple[np.ndar
     A tall matrix has the singular values and right singular vectors of its
     n x n R factor, so it is reduced first and its m x n U is never formed.
     `full` asks for all n right singular vectors, which a kernel needs.
+    Otherwise a wide M = R* Q* (M* = Q R) is cut through the m x m R*
+    (Chan's R-SVD) when twice as wide as tall and of _WIDE_REDUCTION entries.
     """
     m, n = matrix.shape
     if m > n:
         matrix = np.linalg.qr(matrix, mode="r")
+    elif not full and 2 * m <= n and m * n >= _WIDE_REDUCTION:
+        q, r = np.linalg.qr(matrix.conj().T)
+        vh, rank = _right_singular(r.conj().T, tol, full)
+        return vh @ q.conj().T, rank
     _, s, vh = np.linalg.svd(matrix, full_matrices=full and m < n)
     return vh, int(np.sum(s > rank_threshold(s, tol)))
 

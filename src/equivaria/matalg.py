@@ -5,8 +5,9 @@ nullspace, block (Wedderburn) structure by randomized central splitting,
 GNS, ideals, and the finite-dimensional separating-subalgebra checker.
 Each algebra has one product table <b_l, b_i b_j>, built by one slabbed
 pass that also measures the closure residual in O(k N^2 + k^3) memory.
-The center, the unit and the block structure are solved from it in the
-algebra's k coordinates, never on the commutant's N^2 or on M_N.  The dense
+The center and the block structure are solved from it in the algebra's k
+coordinates, never on the commutant's N^2 or on M_N; the unit is the
+projection of the identity onto the span.  The dense
 pass multiplies the k N x N basis matrices pairwise; it stays for spans
 with no known structure, such as algebra_from_span's and the compacts'.  A
 StructuredAlgebra is given its table and closure residual by its builder:
@@ -91,12 +92,12 @@ class MatrixStarAlgebra:
         return span_contains(self.basis_rows(), flatten(np.asarray(mats, dtype=complex)), tol)
 
     def coefficients(self, a: np.ndarray) -> np.ndarray:
-        """Expansion of a against the orthonormal basis."""
-        return self.basis_rows().conj() @ flatten(a)
+        """Expansion of a (or of each of a stack) against the orthonormal basis."""
+        return flatten(a) @ self.basis_rows().conj().T
 
     def element(self, coeffs: np.ndarray) -> np.ndarray:
-        n = self.ambient_dim
-        return (np.asarray(coeffs, dtype=complex) @ self.basis_rows()).reshape(n, n)
+        """sum_l coeffs[..., l] b_l, for one coefficient vector or a stack."""
+        return unflatten(np.asarray(coeffs, dtype=complex) @ self.basis_rows(), self.ambient_dim)
 
     def random_element(self, rng: np.random.Generator, hermitian: bool = False) -> np.ndarray:
         c = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
@@ -141,24 +142,18 @@ class MatrixStarAlgebra:
     def unit(self) -> np.ndarray:
         """The algebra's own unit (sum of minimal central projections).
 
-        Solved as the element e with e b = b for every basis element; for a
-        *-closed matrix algebra this always exists (possibly 0), and it is
-        also a right unit: b* = e b* gives b = b e*, and then e = e e* = e*.
-        The instance is frozen, so the first result is kept and returned
-        again.
+        The unit e of a *-closed span A is the trace-orthogonal projection
+        of 1 onto A: for a in A, <a, 1 - e> = tr(a*) - tr(a* e) = 0 as
+        a* e = a*.  So e has coefficients <b_l, 1> = conj(tr b_l).  A span
+        without a unit fails the check e b = b, which raises AlgebraError.
+        The instance is frozen, so the first result is kept and returned again.
         """
         if self._unit is not None:
             return self._unit
-        k = self.dim
-        e = np.zeros((self.ambient_dim,) * 2, dtype=complex)
-        if k:
-            # Coefficients of e with e b_j = b_j, read off against b_l.
-            coeffs, *_ = np.linalg.lstsq(self.structure.reshape(k * k, k),
-                                         np.eye(k).reshape(-1), rcond=None)
-            e = self.element(coeffs)
-        for b in self.basis:
-            if np.linalg.norm(e @ b - b) > 1e-6 * max(1.0, np.linalg.norm(b)):
-                raise AlgebraError("algebra has no unit in its span")
+        e = self.element(np.trace(self.basis, axis1=1, axis2=2).conj())
+        defect = np.linalg.norm(e @ self.basis - self.basis, axis=(1, 2))
+        if np.any(defect > 1e-6 * np.maximum(1.0, np.linalg.norm(self.basis, axis=(1, 2)))):
+            raise AlgebraError("algebra has no unit in its span")
         object.__setattr__(self, "_unit", e)
         return e
 
@@ -238,8 +233,7 @@ def restricted_algebra(alg: MatrixStarAlgebra, rows: np.ndarray) -> StructuredAl
     v -= coeffs @ rows
     l1 = np.abs(rows).sum(axis=1).max(initial=0.0)
     residual = float(np.linalg.norm(v, axis=-1).max(initial=0.0)) + l1 ** 2 * alg._products[1]
-    n = alg.ambient_dim
-    return StructuredAlgebra(n, unflatten(rows @ alg.basis_rows(), n),
+    return StructuredAlgebra(alg.ambient_dim, alg.element(rows),
                              coeffs.transpose(0, 2, 1), residual)
 
 
@@ -321,7 +315,7 @@ def center(alg: MatrixStarAlgebra, tol: float = DEFAULT_TOL) -> MatrixStarAlgebr
         return alg
     table = alg.structure
     coeffs = nullspace_rows((table - table.transpose(2, 1, 0)).reshape(k * k, k), tol)
-    return MatrixStarAlgebra(n, unflatten(coeffs @ alg.basis_rows(), n))
+    return MatrixStarAlgebra(n, alg.element(coeffs))
 
 
 @dataclass(frozen=True)

@@ -279,16 +279,16 @@ def left_translation_system(sys: EquivariantSystem) -> EquivariantSystem:
 
 
 def alpha_matrix(sys: EquivariantSystem, w: int) -> np.ndarray:
-    """alpha_w as a matrix on flattened function coordinates C^{|X| d^2}."""
-    d = sys.fiber_dim
-    x_n = sys.n_points
+    """alpha_w as a matrix on flattened function coordinates C^{|X| d^2}:
+    block (x, w^-1 x) is I_{w, w^-1 x} (x) I_{w^-1, x}^T, all formed at once."""
+    d, x_n = sys.fiber_dim, sys.n_points
     w_inv = sys.group.inverse(w)
-    out = np.zeros((x_n * d * d, x_n * d * d), dtype=complex)
-    for x in range(x_n):
-        pre = sys.action[w_inv, x]
-        block = np.kron(sys.cocycle[w, pre], sys.cocycle[w_inv, x].T)
-        out[x * d * d:(x + 1) * d * d, pre * d * d:(pre + 1) * d * d] = block
-    return out
+    pre = sys.action[w_inv]
+    left, right = sys.cocycle[w, pre], sys.cocycle[w_inv].swapaxes(1, 2)
+    out = np.zeros((x_n, d * d, x_n, d * d), dtype=complex)
+    out[np.arange(x_n), :, pre, :] = (left[:, :, None, :, None]
+                                      * right[:, None, :, None, :]).reshape(x_n, d * d, d * d)
+    return out.reshape(x_n * d * d, x_n * d * d)
 
 
 def embed_function(sys: EquivariantSystem, k: np.ndarray) -> np.ndarray:
@@ -533,11 +533,10 @@ class CrossedProduct:
         # equal to sum_m c[v, i, m] b_m, and each c[v] must multiply as B does,
         # c[v](b_i) c[v](b_j) = c[v](b_i b_j), read off B's table [j, l, i].
         v = np.arange(w_n)
-        rows = b_alg.basis_rows()
         blocks = pi.reshape(k, w_n, n, w_n, n)
-        c = flatten(blocks[:, v, :, v]) @ rows.conj().T              # [v, i, m]
+        c = b_alg.coefficients(blocks[:, v, :, v])                     # [v, i, m]
         outside = blocks.copy()
-        outside[:, v, :, v] -= (c @ rows).reshape(w_n, k, n, n)
+        outside[:, v, :, v] -= b_alg.element(c)
         table = b_alg.structure.transpose(2, 0, 1)                     # [m, n, l]
         # [v, i, j, l]: the b_l part of block v of pi(b_i) pi(b_j) - pi(b_i b_j).
         left = c[:, None] @ (c @ table.reshape(k, k * k)).reshape(w_n, k, k, k)

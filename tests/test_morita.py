@@ -155,6 +155,14 @@ def test_toy_dual_two_components():
     assert len(report.fpa_dims) == 2
 
 
+def test_toy_dual_of_no_components_is_the_zero_witness():
+    # The zero module over the zero algebra: full, with no compacts to match.
+    report = assemble_toy_dual([])
+    assert report.ok and report.reductions == ()
+    assert (report.witness.a_dim, report.witness.b_dim) == (0, 0)
+    assert report.witness.block_counts == (0, 0)
+
+
 def test_gaps_name_the_points_where_j_falls_short():
     sys = bundled("dihedral-plane")
     verdict = verify_morita_theorem(sys)

@@ -206,6 +206,26 @@ def test_cli_verify_suites_honour_the_tolerance(monkeypatch, capsys, tolerance):
     assert {tol for calls in seen.values() for tol in calls} == {float(tolerance)}
 
 
+def test_cli_morita_on_no_components(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(canonical_dumps({"schema": "equivaria/1", "kind": "components",
+                                     "components": []}))
+    assert main(["morita", "--input", str(path), "--format", "json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["mode"] == "toy-dual" and report["ok"] and report["components"] == []
+    assert report["witness"]["ok"]
+
+
+def test_cli_parser_is_built_once_and_keeps_its_defaults():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    assert parser.parse_args(["morita", "--input", "z2-line", "--tolerance", "1e-6",
+                              "--seed", "3"]).tolerance == 1e-6
+    args = parser.parse_args(["morita", "--input", "z2-line"])
+    assert (args.tolerance, args.seed) == (1e-8, 0)
+    assert parser.parse_args(["spectrum", "--input", "z2-line"]).tolerance == 1e-9
+
+
 def test_cli_input_errors(tmp_path, capsys):
     assert main(["irreps", "--input", "no-such-thing"]) == EXIT_INPUT
     assert main(["irreps"]) == EXIT_INPUT

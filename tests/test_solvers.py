@@ -38,9 +38,15 @@ isomorphisms and the reduction's links are index maps and batched products,
 with their per-slot loops as oracles; a spy counts the crossed products,
 decompositions and restricted systems one reduction builds, and the
 batched `EquivariantModule.validate` names the first failure its sample
-loop names, on mutants too.
+loop names, on mutants too.  The Morita witness draws its eight samples at
+once, as its loop drew them, and flags mutant left actions as the loop does;
+the unit, the projection of 1, is the least-squares unit of the table;
+alpha_w's one scatter is the per-point Kronecker loop exactly; and a wide
+cut reduced by QR keeps the rank and span of the direct SVD.
 """
+import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -2093,3 +2099,215 @@ def test_equivariant_validate_names_the_first_failure_of_the_loop(label):
                 "scaled-inner:0.01": "inner product is not equivariant at w=1"}
     if label in expected or not label.startswith(("gamma", "scaled")):
         assert loop == expected.get(label)
+
+
+# -- the witness's samples, the unit, alpha_w and wide cuts against their loops --
+
+
+def witness_calls(monkeypatch, run) -> list:
+    """(A, E, left action, tol, generator) of each verify_morita call made by
+    run(), the generator copied as it arrived."""
+    calls = []
+    original = hilbmod.verify_morita
+
+    def spy(a_alg, e, left_action, tol=1e-8, **kwargs):
+        calls.append((a_alg, e, np.asarray(left_action, dtype=complex), tol,
+                      copy.deepcopy(kwargs.get("rng") or np.random.default_rng(0))))
+        return original(a_alg, e, left_action, tol, **kwargs)
+
+    monkeypatch.setattr(morita, "verify_morita", spy)
+    run()
+    return calls
+
+
+def witness_residuals_loop(a_alg, e, left_action, rng):
+    """verify_morita's eight-sample loop: (multiplicative, star) residuals
+    and the samples (c1, c2) it drew."""
+    n, rows, g = a_alg.ambient_dim, a_alg.basis_rows(), e.gram()
+    mult_res = star_res = 0.0
+    samples = []
+    for _ in range(8):
+        c1 = rng.standard_normal(a_alg.dim) + 1j * rng.standard_normal(a_alg.dim)
+        c2 = rng.standard_normal(a_alg.dim) + 1j * rng.standard_normal(a_alg.dim)
+        samples.append((c1, c2))
+        a1, a2 = (c1 @ rows).reshape(n, n), (c2 @ rows).reshape(n, n)
+        l1 = np.tensordot(c1, left_action, axes=1)
+        l2 = np.tensordot(c2, left_action, axes=1)
+        l12 = np.tensordot(rows.conj() @ flatten(a1 @ a2), left_action, axes=1)
+        scale = max(1.0, float(np.abs(l1).max() * np.abs(l2).max()))
+        mult_res = max(mult_res, float(np.abs(l1 @ l2 - l12).max()) / scale)
+        lstar = np.tensordot(rows.conj() @ flatten(a1.conj().T), left_action, axes=1)
+        adjoint = np.linalg.solve(g, l1.conj().T @ g)
+        star_res = max(star_res, float(np.abs(lstar - adjoint).max()) / scale)
+    return mult_res, star_res, samples
+
+
+def witness_run(label):
+    if label == "toy-dual":
+        return lambda: morita.assemble_toy_dual(bundled("two-component"))
+    if label == "link-4":
+        return lambda: morita.semidirect_reduction(z2xz2_line_system(2), [0, 2], [0, 1])
+    sys = bundled(label) if label == "z2-line" else z2_line_system(int(label.rpartition("-")[2]))
+    return lambda: verify_morita_theorem(sys)
+
+
+@pytest.mark.parametrize("label", ["z2-line"] + [f"z2-line-{n}" for n in range(1, 6)]
+                         + ["link-4", "toy-dual"])
+def test_witness_samples_match_the_loop(label, monkeypatch):
+    calls = witness_calls(monkeypatch, witness_run(label))
+    assert calls
+    for a_alg, e, left, tol, rng in calls:
+        loop_rng, batch_rng = copy.deepcopy(rng), copy.deepcopy(rng)
+        mult, star, samples = witness_residuals_loop(a_alg, e, left, loop_rng)
+        witness = hilbmod.verify_morita(a_alg, e, left, tol, rng=batch_rng)
+        # The batch draws the loop's samples, in its order, and no more.
+        draws = copy.deepcopy(rng).standard_normal((8, 4, a_alg.dim))
+        assert np.array_equal(draws[:, 0::2] + 1j * draws[:, 1::2], np.array(samples))
+        assert loop_rng.bit_generator.state == batch_rng.bit_generator.state
+        assert abs(witness.multiplicative_residual - mult) < 1e-14
+        assert abs(witness.star_residual - star) < 1e-14
+        assert witness.ok
+
+
+@pytest.mark.parametrize("kind", ["not-multiplicative", "not-star"])
+def test_witness_flags_a_mutant_left_action_as_the_loop_does(kind, monkeypatch):
+    a_alg, e, left, tol, rng = witness_calls(monkeypatch, witness_run("z2-line-2"))[0]
+    m = e.carrier_dim
+    if kind == "not-multiplicative":
+        # l(a) l(b) = 4 l(ab), while l(a*) is still l(a)'s adjoint.
+        left, expected = 2.0 * left, (True, False)
+    else:
+        # Conjugated by a positive diagonal that is not unitary for the
+        # scalar form: still multiplicative, no longer *-preserving.
+        t = np.diag(1.0 + np.arange(m) / m)
+        left, expected = t @ left @ np.linalg.inv(t), (False, True)
+    mult, star, _ = witness_residuals_loop(a_alg, e, left, copy.deepcopy(rng))
+    witness = hilbmod.verify_morita(a_alg, e, left, tol, rng=copy.deepcopy(rng))
+    assert (mult > 1e-8, star > 1e-8) == expected
+    assert (witness.multiplicative_residual > 1e-8, witness.star_residual > 1e-8) == expected
+    assert not witness.ok
+    assert abs(witness.multiplicative_residual - mult) <= 1e-14 * max(1.0, mult)
+    assert abs(witness.star_residual - star) <= 1e-14 * max(1.0, star)
+
+
+def unit_lstsq(alg):
+    """MatrixStarAlgebra.unit as the least-squares solution of e b_j = b_j in
+    the table's coordinates, checked one basis element at a time."""
+    k, n = alg.dim, alg.ambient_dim
+    e = np.zeros((n, n), dtype=complex)
+    if k:
+        coeffs, *_ = np.linalg.lstsq(alg.structure.reshape(k * k, k),
+                                     np.eye(k).reshape(-1), rcond=None)
+        e = (coeffs @ alg.basis_rows()).reshape(n, n)
+    for b in alg.basis:
+        if np.linalg.norm(e @ b - b) > 1e-6 * max(1.0, np.linalg.norm(b)):
+            raise AlgebraError("algebra has no unit in its span")
+    return e
+
+
+def unit_case(label):
+    if label == "fpa":
+        return fixed_point_algebra(bundled("z2-line"))
+    if label == "cp":
+        return c_ideal(bundled("z2-line")).cp.algebra
+    if label == "restricted-c":
+        cid = c_ideal(z2xz2_line_system(1))
+        assert cid.dim < cid.cp.metric.shape[0]
+        return cid.algebra
+    if label == "compacts":
+        return compact_operators(equivariant_function_module(bundled("z2-line")).base).algebra
+    # The corner C e11 inside M_2, whose unit is not the identity.
+    e11 = np.zeros((1, 2, 2), dtype=complex)
+    e11[0, 0, 0] = 1.0
+    return MatrixStarAlgebra(2, e11)
+
+
+@pytest.mark.parametrize("label", ["fpa", "cp", "restricted-c", "compacts", "corner"])
+def test_unit_is_the_least_squares_unit(label):
+    alg = unit_case(label)
+    assert np.abs(alg.unit() - unit_lstsq(alg)).max() < 1e-10
+
+
+def test_a_nilpotent_span_has_no_unit():
+    e12 = np.zeros((1, 2, 2), dtype=complex)
+    e12[0, 0, 1] = 1.0
+    for unit in (lambda alg: alg.unit(), unit_lstsq):
+        with pytest.raises(AlgebraError, match="no unit"):
+            unit(MatrixStarAlgebra(2, e12))
+
+
+def alpha_matrix_loop(sys, w):
+    """alpha_w, one point's Kronecker block at a time."""
+    d, x_n = sys.fiber_dim, sys.n_points
+    w_inv = sys.group.inverse(w)
+    out = np.zeros((x_n * d * d, x_n * d * d), dtype=complex)
+    for x in range(x_n):
+        pre = sys.action[w_inv, x]
+        block = np.kron(sys.cocycle[w, pre], sys.cocycle[w_inv, x].T)
+        out[x * d * d:(x + 1) * d * d, pre * d * d:(pre + 1) * d * d] = block
+    return out
+
+
+@pytest.mark.parametrize("label", ["z2-line", "dihedral-plane", "anticomplete-point",
+                                   "z2xz2-line-2", "dihedral-grid-2"])
+def test_alpha_matrix_matches_the_kronecker_loop(label):
+    sys = bundled(label) if label == "z2-line" else morita_system(label)
+    for w in range(sys.group.order):
+        assert np.array_equal(systems.alpha_matrix(sys, w), alpha_matrix_loop(sys, w))
+
+
+def wide_matrix(rows, cols, values, seed=0):
+    """A rows x cols matrix U diag(values) V* with random orthonormal U, V."""
+    rng = np.random.default_rng(seed)
+
+    def orthonormal(n):
+        return np.linalg.qr(rng.standard_normal((n, rows))
+                            + 1j * rng.standard_normal((n, rows)))[0]
+
+    padded = np.zeros(rows)
+    padded[:len(values)] = values
+    return orthonormal(rows) @ (padded[:, None] * orthonormal(cols).conj().T)
+
+
+def wide_case(label):
+    """(matrix, tol, rank) for a matrix of at least linalg._WIDE_REDUCTION
+    entries and twice as wide as tall, so the cut takes the QR reduction."""
+    kind, _, arg = label.partition(":")
+    if kind == "aspect":
+        ratio = int(arg)
+        rows = 1 + math.isqrt(1500 // ratio)
+        rng = np.random.default_rng(ratio)
+        shape = (rows, ratio * rows)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 1e-9, rows
+    if kind == "deficient":
+        # Twelve values kept, one of them 10x the threshold tol max(s_0, 1),
+        # and one 10x below it; the scale is s_0 = 1 or 1e3.  Any backward
+        # stable SVD fixes the span of the kept values only to about
+        # 1e-16 s_0 / (their gap to the dropped ones), so tol is large
+        # enough for two of them to agree within 1e-12.
+        scale, tol = float(arg), 1e-4
+        cut = tol * max(scale, 1.0)
+        return wide_matrix(20, 400, [scale] * 11 + [10 * cut, cut / 10]), tol, 12
+    if kind == "zero":
+        return np.zeros((20, 400), dtype=complex), 1e-9, 0
+    return wide_matrix(1, 2000, [float(arg)]), 1e-9, int(float(arg) > 0)
+
+
+@pytest.mark.parametrize("label", ["aspect:2", "aspect:5", "aspect:10", "aspect:22",
+                                   "aspect:50", "deficient:1", "deficient:1e3", "zero",
+                                   "one-row:1", "one-row:0"])
+def test_reduced_wide_cut_matches_the_direct_svd(label, monkeypatch):
+    matrix, tol, rank = wide_case(label)
+    rows, cols = matrix.shape
+    assert 2 * rows <= cols and rows * cols >= linalg._WIDE_REDUCTION
+    _, s, vh = np.linalg.svd(matrix, full_matrices=False)
+    direct = vh[:int(np.sum(s > tol * max(s[0], 1.0)))]
+    reduced = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: reduced.append(a.shape)
+                        or qr(a, *args, **kw))
+    cut = orthonormal_rows(matrix, tol)
+    assert reduced == [(cols, rows)]
+    assert cut.shape[0] == direct.shape[0] == rank
+    assert spans_equal(cut, direct, 1e-12)
+    assert np.abs(cut @ cut.conj().T - np.eye(cut.shape[0])).max(initial=0.0) < 1e-12
