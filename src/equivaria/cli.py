@@ -16,12 +16,13 @@ import numpy as np
 
 from .datasets import DATASET_DESCRIPTIONS, bundled, dataset_names
 from .groups import BUILTIN_GROUPS, FiniteGroup, builtin_group
+from .matalg import SplitError
 from .morita import (
     assemble_toy_dual,
     semidirect_reduction,
     verify_morita_theorem,
 )
-from .reps import enumerate_irreps
+from .reps import DegenerateSplitError, enumerate_irreps
 from .serialize import SCHEMA, ParseError, complex_to_json, parse_document
 from .spectrum import wedderburn_crosscheck
 from .systems import EquivariantSystem
@@ -226,11 +227,11 @@ def _suite_modules(tol: float, seed: int) -> list[tuple[str, bool]]:
                           green_julg_module, verify_green_julg)
     eq = equivariant_function_module(bundled("z2-line"))
     res = eq.base.axiom_residuals(np.random.default_rng(seed))
-    gj, cp = green_julg_module(eq, tol=tol)
+    gj = green_julg_module(eq, tol=tol)[0]
     rng = np.random.default_rng(seed)
     bounds = True
     for _ in range(10):
-        n1, n2, order = green_julg_norms(eq, eq.base.random_vector(rng), gj, cp)
+        n1, n2, order = green_julg_norms(eq, eq.base.random_vector(rng), gj)
         bounds &= n1 <= n2 + 1e-9 <= order * n1 + 1e-8
     return [("modules/axioms", max(res.values()) < 1e-8),
             ("modules/green-julg", verify_green_julg(eq, tol).ok),
@@ -315,8 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tolerance <= 0:
-        print("error: tolerance must be positive", file=_sys.stderr)
+    if not 0 < args.tolerance < np.inf:
+        print("error: tolerance must be positive and finite", file=_sys.stderr)
+        return EXIT_INPUT
+    if args.seed < 0:
+        print("error: seed must not be negative", file=_sys.stderr)
         return EXIT_INPUT
     if args.needs_input and not args.input:
         print(f"error: {args.command} requires --input", file=_sys.stderr)
@@ -326,7 +330,7 @@ def main(argv=None) -> int:
     except (InputError, ParseError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
+    except (ValueError, SplitError, DegenerateSplitError) as exc:
         print(f"verification error: {exc}", file=_sys.stderr)
         return EXIT_VERIFICATION
     except MemoryError:

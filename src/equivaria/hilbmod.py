@@ -15,8 +15,9 @@ lie in B by construction.  The rank-one maps (one or all m^2 of them), the
 Gram matrix, the fullness ideal, and the averaged (Green-Julg) and crossed
 modules over B >| W are built from it with a few matrix products, never
 with per-pair loops.  Over B >| W the coordinates are the crossed
-product's whitened coefficients, which index the basis of its algebra, so
-no inner value is embedded.  Values that arrive as matrices (the dual
+product's whitened coefficients, its crossed coefficients times sqrt|W|,
+which index the orthonormal basis b_i w / sqrt|W| of its algebra, so no
+inner value is embedded.  Values that arrive as matrices (the dual
 module's rank-one maps, the quotient module's functions, a module rebased
 onto a subalgebra) pass through one checked conversion, which raises
 ModuleError when a value leaves the span.  The Green-Julg check needs no
@@ -569,13 +570,14 @@ def green_julg_module(eq: EquivariantModule,
     are built from crossed coefficients, (w, i) for b_i w; the inner values
     are whitened, which makes them coordinates in cp.algebra.  This builds
     the embedded crossed product as the module's algebra; spans of inner
-    values can be compared in cp's whitened coefficients without it.
+    values can be compared in cp's whitened coefficients without it.  The
+    basis element b_i w / sqrt|W| of cp.algebra acts by the carrier map
+    gamma_{w^-1} R_{b_i} / sqrt|W|.
     """
     base = eq.base
     cp = cp or crossed_product(eq.beta, tol)
-    # Right action: the crossed coefficients of each basis element against
-    # the |W| dim B carrier maps gamma_{w^-1} R_{b_i}.
-    action = _crossed_maps(cp, _averaged_maps(eq))
+    m = base.carrier_dim
+    action = _averaged_maps(eq).reshape(cp.dim, m, m) / np.sqrt(cp.group.order)
     inner = cp.whiten(averaged_inner_coefficients(eq))
     return FDHilbertModule(cp.algebra, action, inner,
                            name=(base.name or "module") + "-averaged"), cp
@@ -599,14 +601,6 @@ def averaged_inner_coefficients(eq: EquivariantModule) -> np.ndarray:
     return (by_column @ eq.base.inner).reshape(m, m, w_n, eq.base.algebra.dim)
 
 
-def _crossed_maps(cp: CrossedProduct, maps: np.ndarray) -> np.ndarray:
-    """Right-action tensor of a module over B >| W whose element b_i w acts
-    by maps[w, i]: cp.algebra's basis element (w, j) is
-    sum_m R^-1[j, m] b_m w, the coefficients cp.unwhiten gives it."""
-    w_n, k = maps.shape[:2]
-    return np.tensordot(cp.unwhiten(np.eye(w_n * k)), maps, axes=2)
-
-
 def module_crossed_product(eq: EquivariantModule,
                            cp: CrossedProduct | None = None,
                            tol: float = DEFAULT_TOL) -> tuple[FDHilbertModule, CrossedProduct]:
@@ -628,7 +622,7 @@ def module_crossed_product(eq: EquivariantModule,
     w, v = np.arange(w_n)[:, None], np.arange(w_n)
     maps[v, :, g.mul[w, v], :, w, :] = twisted[:, None]
     coeffs[w, :, v, :, g.mul[g.inv[w], v]] = ips[:, None]
-    action = _crossed_maps(cp, maps.reshape(w_n, k, big, big))
+    action = maps.reshape(w_n * k, big, big) / np.sqrt(w_n)
     inner = cp.whiten(coeffs.reshape(big, big, w_n, k))
     return FDHilbertModule(cp.algebra, action, inner,
                            name=(base.name or "module") + "-crossed"), cp
@@ -726,11 +720,10 @@ def verify_green_julg(eq: EquivariantModule, tol: float = 1e-8) -> GreenJulgVerd
 
 
 def green_julg_norms(eq: EquivariantModule, xi: np.ndarray,
-                     gj: FDHilbertModule | None = None,
-                     cp: CrossedProduct | None = None) -> tuple[float, float, int]:
+                     gj: FDHilbertModule | None = None) -> tuple[float, float, int]:
     """(||xi||^2 in E, ||xi||^2 in the averaged module, |W|)."""
     if gj is None:
-        gj, cp = green_julg_module(eq)
+        gj = green_julg_module(eq)[0]
     return (eq.base.norm(xi) ** 2, gj.norm(xi) ** 2, eq.group.order)
 
 

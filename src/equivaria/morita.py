@@ -14,18 +14,20 @@ splitting W = W' >| R and lands on C(X/W') >| R — the finite shape of the
 reduced dual.
 
 The ideal test and the comparison of J with C run in the crossed product's
-whitened coefficients, where rank cuts, norms and residuals are those of the
-embedded matrices.  Both J and C split over the points of X: the point
-indicators delta_x cut every coefficient array into |X| column blocks of
-C^|W|, so C is spanned by coset indicators point by point and J's rank is
-one batched cut over the points (verify_morita_theorem gives the argument),
-which also names the points where J falls short of C.  Whitened
-coefficients are the coordinates of the embedded crossed product's
-algebra, so C's algebra is its whitened rows times that basis, with that
-algebra's product table restricted to them, and the Green-Julg module is
-rebased onto C by projecting its inner coefficients onto those rows.  The
-embedded crossed product is built only when both cocycle conditions hold,
-as the algebra of the averaged module that a Morita witness needs.
+whitened coefficients, the crossed coefficients times sqrt|W|, where rank
+cuts, norms and residuals are those of the embedded matrices.  Both J and C
+split over the points of X: the point indicators delta_x cut every
+coefficient array into |X| column blocks of C^|W|, so C is spanned by
+coset indicators point by point and J's rank is one batched cut over the
+points (verify_morita_theorem gives the argument), which also names the
+points where J falls short of C.  C's orthonormal rows, whitened and
+normalised, are themselves, so they are coordinates against the embedded
+crossed product's algebra: C's algebra is those rows times that basis,
+with that algebra's product table restricted to them, and the Green-Julg
+module is rebased onto C by projecting its inner coefficients onto those
+rows.  The embedded crossed product is built only when both cocycle
+conditions hold, as the algebra of the averaged module that a Morita
+witness needs.
 """
 from __future__ import annotations
 
@@ -195,42 +197,31 @@ def _check_scalar_invariants(g: FiniteGroup, action: np.ndarray, stab: np.ndarra
 class CIdeal:
     """C(X, W, I) inside C(X) >| W, in coefficients; embedded on demand.
 
-    `metric_rows` spans the ideal in cp's whitened coordinates, where norms
-    and inner products are those of the embedded matrices; they are also
-    coordinates against cp.algebra's basis.  Every row lies in one point's
+    `rows` spans the ideal in cp's coefficients.  They are orthonormal, and
+    whitening only scales them by sqrt|W|, so they are also orthonormal
+    coordinates against cp.algebra's basis, where norms and inner products
+    are those of the embedded matrices.  Every row lies in one point's
     column block (., x), x = `points[row]`, in increasing order of x.
-    `algebra`, the embedded span with basis metric_rows @ cp.algebra's
-    basis and cp.algebra's table restricted to it, is built on first
-    access; an ideal of full dimension is the whole crossed product, and
-    its algebra is cp.algebra.
+    `algebra`, the embedded span with basis rows @ cp.algebra's basis and
+    cp.algebra's table restricted to it, is built on first access; an ideal
+    of full dimension is the whole crossed product, and its algebra is
+    cp.algebra.
     """
 
     system: EquivariantSystem
     cp: CrossedProduct
-    coeff_rows: np.ndarray     # (dim, |W| * |X|), orthonormal
-    metric_rows: np.ndarray    # (dim, |W| * |X|), orthonormal after whitening
+    rows: np.ndarray           # (dim, |W| * |X|), orthonormal
     points: np.ndarray         # (dim,): the point whose block holds each row
 
     @property
     def dim(self) -> int:
-        return self.coeff_rows.shape[0]
+        return self.rows.shape[0]
 
     @cached_property
     def algebra(self) -> MatrixStarAlgebra:
-        if self.dim == self.cp.metric.shape[0]:
+        if self.dim == self.cp.dim:
             return self.cp.algebra
-        return restricted_algebra(self.cp.algebra, self.metric_rows)
-
-
-def _point_root(cp: CrossedProduct) -> np.ndarray:
-    """The diagonal of the metric root R of C(X) >| W, which must not mix
-    points (MoritaError otherwise): whitening scales each point's column
-    block (., x) by R[x, x]."""
-    root = cp._root[0]
-    diag = np.diag(root)
-    if np.count_nonzero(root - np.diag(diag)):
-        raise MoritaError("the metric root of the crossed product mixes points")
-    return diag
+        return restricted_algebra(self.cp.algebra, self.rows)
 
 
 def c_ideal(sys: EquivariantSystem, scalar: ScalarStructure | None = None,
@@ -242,15 +233,13 @@ def c_ideal(sys: EquivariantSystem, scalar: ScalarStructure | None = None,
     (., x), so C is the direct sum over points of C_x, the functions on W
     constant on each right coset W'_x w.  The normalised indicators of those
     cosets are an orthonormal basis of C_x; no kernel is solved.  W'_x is a
-    subgroup, as scalar_subgroups checks, so the cosets partition W.  The
-    metric root R does not mix points (checked), so whitening scales block x
-    by R's diagonal entry and the normalised whitened rows are orthonormal.
-    The result is verified to be a two-sided *-closed ideal of C(X) >| W,
-    in cp's whitened coefficients (CrossedProduct.is_ideal).
+    subgroup, as scalar_subgroups checks, so the cosets partition W.
+    Whitening scales every row by sqrt|W|, so the rows are orthonormal in
+    cp's whitened coefficients too, where the result is verified to be a
+    two-sided *-closed ideal of C(X) >| W (CrossedProduct.is_ideal).
     """
     scalar = scalar or scalar_subgroups(sys, max(tol, 1e-8))
     cp = cp or crossed_product(scalar_translation_action(sys), tol)
-    _point_root(cp)
     g = sys.group
     w_n, x_n = g.order, sys.n_points
     wp = np.zeros((x_n, w_n), dtype=bool)
@@ -261,13 +250,12 @@ def c_ideal(sys: EquivariantSystem, scalar: ScalarStructure | None = None,
     points, first = np.divmod(np.unique(least + w_n * np.arange(x_n)[:, None]), w_n)
     members = least[points] == first[:, None]                        # [row, w]
     dim = points.size
-    coeffs = np.zeros((dim, w_n, x_n), dtype=complex)
-    coeffs[np.arange(dim), :, points] = members / np.sqrt(members.sum(axis=1, keepdims=True))
-    metric_rows = cp.whiten(coeffs)
-    metric_rows /= np.linalg.norm(metric_rows, axis=1, keepdims=True)
-    if not cp.is_ideal(metric_rows, max(tol, 1e-8)):
+    rows = np.zeros((dim, w_n, x_n), dtype=complex)
+    rows[np.arange(dim), :, points] = members / np.sqrt(members.sum(axis=1, keepdims=True))
+    rows = rows.reshape(dim, -1)
+    if not cp.is_ideal(rows, max(tol, 1e-8)):
         raise MoritaError("C(X, W, I) is not an ideal of the crossed product")
-    return CIdeal(sys, cp, coeffs.reshape(dim, -1), metric_rows, points)
+    return CIdeal(sys, cp, rows, points)
 
 
 # -- the Morita theorem --------------------------------------------------------
@@ -371,10 +359,10 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     matrices, so the rank and span rules are the embedded ones.  Both are
     cut point by point, and that is exact:
       - delta_x in C(X) multiplies f = sum f_w(y) delta_y w to the column
-        block (., x) of its coefficients.  The metric root R does not mix
-        points (checked on R), so on whitened coordinates too delta_x is the
-        projection onto block (., x), and both J and C, left ideals, are
-        the direct sums of their blocks J_x and C_x in C^|W|.
+        block (., x) of its coefficients.  Whitening is the scalar sqrt|W|,
+        so on whitened coordinates too delta_x is the projection onto block
+        (., x), and both J and C, left ideals, are the direct sums of their
+        blocks J_x and C_x in C^|W|.
       - <<e_p|e_q>> = sum_w <e_p|gamma_w e_q> w has B-coefficients only at
         the point x of e_p, so each generating row lies in one block
         (checked: every other entry is exactly zero).  The rows of
@@ -388,8 +376,8 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     C_x is spanned by the normalised indicators of the right cosets
     W'_x w (c_ideal).  The inner values are averaged once: under both
     conditions the Green-Julg module is built first and J read off its
-    inner values, and the witness rebases that module onto C's whitened
-    rows; otherwise J comes from the averaged coefficients alone.  `module`
+    inner values, and the witness rebases that module onto C's rows;
+    otherwise J comes from the averaged coefficients alone.  `module`
     is None when no witness is built.
     """
     scalar = scalar or scalar_subgroups(sys, tol)
@@ -400,15 +388,15 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     conditions = scalar.normalisation_ok and scalar.completeness_ok
     x_n, d = sys.n_points, sys.fiber_dim
     # A witness needs the averaged module, whose inner values span J.
-    # Otherwise only J's blocks are whitened, each by its point's R[x, x].
+    # Otherwise only J's blocks are whitened, by sqrt|W|.
     averaged = green_julg_module(eq, cp)[0] if conditions else None
     if averaged is not None:
         blocks = _point_blocks(averaged.inner, x_n, d)
     else:
         blocks = _point_blocks(averaged_inner_coefficients(eq), x_n, d) \
-            * _point_root(cp)[:, None, None]
+            * np.sqrt(sys.group.order)
     j_rows, j_ranks = _point_spans(blocks, tol)
-    c_rows = _by_point(cid.metric_rows, cid.points, x_n)
+    c_rows = _by_point(cid.rows, cid.points, x_n)
     c_ranks = np.bincount(cid.points, minlength=x_n)
     j_dim = int(j_ranks.sum())
     j_in_c = float(row_residuals(c_rows, j_rows).max(initial=0.0))
@@ -421,7 +409,7 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     fpa_blocks = c_blocks = None
     module = None
     if averaged is not None and spans_match:
-        module = rebase_module(averaged, cid.metric_rows)
+        module = rebase_module(averaged, cid.rows)
         witness = verify_morita(fpa, module, fpa.basis, tol,
                                 rng=np.random.default_rng(seed))
         fpa_blocks = len(block_decompose(fpa, seed=seed).blocks)
@@ -552,8 +540,8 @@ def _semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int,
     u_emb, v_sub = np.array(u_sub.embedding), g.subgroup(r)
     outer = _outer_crossed_product(thm.ideal.cp, thm_p.ideal.cp, u_emb, v_sub)
     iso = _iterated_crossed_iso(thm.ideal.cp, outer, np.random.default_rng(0))
-    img_rows = orthonormal_rows(_transported_rows(outer, thm_p.ideal.coeff_rows), tol)
-    ideal_transport_ok = spans_equal(img_rows, thm.ideal.coeff_rows, tol)
+    img_rows = orthonormal_rows(_transported_rows(outer, thm_p.ideal.rows), tol)
+    ideal_transport_ok = spans_equal(img_rows, thm.ideal.rows, tol)
 
     # Link 4: the direct equivalence fpa(sys) ~ C(X/W') >| R, where fpa acts
     # on the W'-invariant vectors by compression.

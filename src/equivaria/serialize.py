@@ -8,6 +8,7 @@ serialize(parse(text)) is byte-identical for canonical inputs.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -19,6 +20,19 @@ SCHEMA = "equivaria/1"
 
 class ParseError(ValueError):
     pass
+
+
+@contextmanager
+def _malformed(what: str):
+    """Raise ParseError for a field that `what` lacks or that does not convert."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except KeyError as exc:
+        raise ParseError(f"{what} missing field {exc}") from exc
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ParseError(f"malformed {what}: {exc}") from exc
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -84,8 +98,8 @@ def group_from_json(data: dict) -> FiniteGroup:
         return builtin_group(name)
     if "mul" not in data:
         raise ParseError("group document needs 'mul' or 'builtin'")
-    mul = np.asarray(data["mul"], dtype=np.intp)
-    return FiniteGroup(mul, name=data.get("name", ""))
+    with _malformed("group document"):
+        return FiniteGroup(np.asarray(data["mul"], dtype=np.intp), name=data.get("name", ""))
 
 
 def _point_to_json(p):
@@ -120,14 +134,12 @@ def system_to_json(sys: EquivariantSystem) -> dict:
 def system_from_json(data: dict) -> EquivariantSystem:
     if not isinstance(data, dict):
         raise ParseError("system document must be a JSON object")
-    try:
+    with _malformed("system document"):
         group = group_from_json(data["group"])
         points = tuple(_point_from_json(p) for p in data["points"])
         action = np.asarray(data["action"], dtype=np.intp)
         fiber_dim = int(data["fiber_dim"])
         cocycle = complex_array_from_json(data["cocycle"])
-    except KeyError as exc:
-        raise ParseError(f"system document missing field {exc}") from exc
     try:
         return EquivariantSystem(group, points, action, fiber_dim, cocycle,
                                  name=data.get("name", ""))
@@ -162,19 +174,25 @@ def parse_document(text: str):
         return group_from_json(data)
     if kind == "system":
         sys = system_from_json(data)
-        extras = {}
-        for key in ("wprime", "r"):
-            if key in data:
-                extras[key] = [int(e) for e in data[key]]
+        extras = {key: _elements(data, key, sys.group) for key in ("wprime", "r")
+                  if key in data}
         return (sys, extras) if extras else sys
     if kind == "components":
-        comps = []
-        for entry in data.get("components", []):
-            comps.append((system_from_json(entry["system"]),
-                          [int(e) for e in entry["wprime"]],
-                          [int(e) for e in entry["r"]]))
-        return comps
+        with _malformed("components document"):
+            return [(sys, _elements(entry, "wprime", sys.group), _elements(entry, "r", sys.group))
+                    for entry in data.get("components", [])
+                    for sys in [system_from_json(entry["system"])]]
     raise ParseError(f"unknown document kind {kind!r}")
+
+
+def _elements(data: dict, key: str, group: FiniteGroup) -> list[int]:
+    """The element indices listed at data[key]; ParseError unless each is
+    an integer below the group's order."""
+    with _malformed(f"{key!r} list"):
+        elems = [int(e) for e in data[key]]
+    if any(not 0 <= e < group.order for e in elems):
+        raise ParseError(f"{key!r} names an element outside a group of order {group.order}")
+    return elems
 
 
 def dumps_document(obj) -> str:

@@ -8,12 +8,13 @@ functions is alpha_w(k)(x) = I_{w, w^-1 x} k(w^-1 x) I_{w^-1, x}.
 The module also realizes crossed products B >| W by the regular embedding
 on l^2(W) (x) C^N and verifies the two structural isomorphisms
 C(X) >| W ~ C(X, K(l^2 W))^W and (B >| U) >| V ~ B >| W for W = U >| V.
-A CrossedProduct works in crossed coefficients: its structure tensor and
-the trace metric of its embedded basis carry products, adjoints and the
-ideal test, so building one costs O(|W| dim B^3).  Its whitened
-coefficients are the coordinates of its one matrix algebra: the embedded
-basis orthonormalized by the metric's square root, so a module over
-B >| W keeps its inner values as whitened rows and never embeds them.  The
+A CrossedProduct works in crossed coefficients: its structure tensor
+carries products, adjoints and the ideal test, so building one costs
+O(|W| dim B^3).  The action preserves the trace, so the embedded basis
+b_i w is orthogonal with squared norms |W|: crossed coefficients are
+orthonormal coordinates up to sqrt|W|, and scaled by it ("whitened") they
+are the coordinates of the one matrix algebra, so a module over B >| W
+keeps its inner values as whitened rows and never embeds them.  The
 |W| dim B embedded basis elements are built on first use only, when a
 Morita witness needs that algebra.  No other module embeds or
 coordinatizes crossed-product elements.  That algebra's product table is
@@ -441,26 +442,29 @@ class CrossedProduct:
     """B >| W in crossed coefficients, with its regular embedding on demand.
 
     Coefficient elements are (..., |W|, dim B) arrays f meaning
-    sum_w b(f_w) w.  Two small arrays carry the algebra: `structure`, with
-    (b_i w)(b_j v) = sum_l structure[w, i, j, l] b_l (wv), and `metric`, the
-    Gram matrix flatten(E) flatten(E)* of the embedded basis E.  The metric
-    is I_W (x) sum_u beta_u^T conj(beta_u), which is |W| times the identity
-    when every beta_u is unitary.  Products, adjoints and span tests run on
-    these; `whiten` maps coefficients to rows whose standard inner products
-    are the trace inner products of the embedded matrices, which are the
-    coordinates in `algebra`'s basis.  `embedding` (row w * dim B + i is
-    b_i w embedded, as built by crossed_basis) and `algebra` are built on
-    first access only.
+    sum_w b(f_w) w.  One small array carries the algebra: `structure`, with
+    (b_i w)(b_j v) = sum_l structure[w, i, j, l] b_l (wv).  Products,
+    adjoints and span tests run on it.  Every beta_w is unitary on B's
+    orthonormal basis (crossed_product checks it), so the embedded basis
+    b_i w is orthogonal with squared norms |W|, and `whiten`, the
+    coefficients times sqrt|W|, gives rows whose standard inner products are
+    the trace inner products of the embedded matrices: the coordinates in
+    `algebra`'s basis.  `embedding` (row w * dim B + i is b_i w embedded, as
+    built by crossed_basis) and `algebra` are built on first access only.
     """
 
     action: AlgebraAction
     structure: np.ndarray       # (|W|, dim B, dim B, dim B)
-    metric: np.ndarray          # (|W| dim B, |W| dim B)
     tol: float = DEFAULT_TOL    # closure tolerance of the embedded algebra
 
     @property
     def group(self) -> FiniteGroup:
         return self.action.group
+
+    @property
+    def dim(self) -> int:
+        """|W| dim B, the dimension of B >| W."""
+        return self.group.order * self.action.algebra.dim
 
     @cached_property
     def embedding(self) -> np.ndarray:
@@ -471,11 +475,10 @@ class CrossedProduct:
     def algebra(self) -> MatrixStarAlgebra:
         """The embedded crossed product in the basis embed(unwhiten(I)).
 
-        Basis element (w, j) is a_(w, j) = sum_m R^-1[j, m] b_m w,
-        orthonormal exactly when `metric` is the embedding's Gram matrix, so
-        `whiten` gives coordinates against it.  Its product table is
-        whiten(multiply(unwhiten(I), unwhiten(I))), read off `structure`;
-        no two embedded matrices are multiplied for it.
+        Basis element (w, j) is a_(w, j) = b_j w / sqrt|W|, orthonormal
+        because beta is unitary, so `whiten` gives coordinates against it.
+        Its product table is whiten(multiply(unwhiten(I), unwhiten(I))),
+        read off `structure`; no two embedded matrices are multiplied for it.
 
         That table is the embedded one because the embedding is the
         integrated form of a covariant pair (pi, U) (Williams, Crossed
@@ -510,12 +513,12 @@ class CrossedProduct:
         zero unless u = wv, and there the same for every v."""
         g = self.group
         w_n, k = g.order, self.action.algebra.dim
-        root, root_inv = self._root
-        # [i, w, j, l]: R^-1 on both factors' coefficients, R on the product's.
-        prods = np.tensordot(root_inv, root_inv @ (self.structure @ root), axes=(1, 1))
+        # [w, j, l, i]: a_(w, i) a_(v, j) = sum_l structure[w, i, j, l] b_l (wv) / |W|,
+        # which is that sum over l of a_(wv, l) / sqrt|W|.
+        prods = self.structure.transpose(0, 2, 3, 1) / math.sqrt(w_n)
         table = np.zeros((w_n, k, w_n, k, w_n, k), dtype=complex)
         w, v = np.arange(w_n)[:, None], np.arange(w_n)
-        table[v, :, g.mul[w, v], :, w] = prods.transpose(1, 2, 3, 0)[:, None]
+        table[v, :, g.mul[w, v], :, w] = prods[:, None]
         return table.reshape(w_n * k, w_n * k, w_n * k)
 
     def _relation_residual(self) -> float:
@@ -555,32 +558,18 @@ class CrossedProduct:
         out = f.reshape(int(np.prod(lead)), w_n * k) @ flatten(self.embedding)
         return out.reshape(*lead, *self.embedding.shape[1:])
 
-    @cached_property
-    def _root(self) -> tuple[np.ndarray, np.ndarray]:
-        """(R, R^-1) for the Hermitian square root R of one diagonal block of
-        the metric.  The block is at least beta_e^T conj(beta_e) = 1."""
-        k = self.action.algebra.dim
-        evals, evecs = np.linalg.eigh(self.metric[:k, :k])
-        root = np.sqrt(evals)
-        return (evecs * root) @ evecs.conj().T, (evecs / root) @ evecs.conj().T
-
     def whiten(self, f: np.ndarray) -> np.ndarray:
-        """Rows (..., |W| dim B) of coefficient arrays f (..., |W|, dim B),
-        with the norms and inner products of the embedded matrices: the
-        coordinates of f against `algebra`'s basis."""
+        """Rows (..., |W| dim B) of coefficient arrays f (..., |W|, dim B)
+        times sqrt|W|, with the norms and inner products of the embedded
+        matrices: the coordinates of f against `algebra`'s basis."""
         f = np.asarray(f, dtype=complex)
-        *lead, w_n, k = f.shape
-        # One GEMM over all rows: a broadcast matmul would run one per row.
-        out = f.reshape(math.prod(lead) * w_n, k) @ self._root[0]
-        return out.reshape(*lead, w_n * k)
+        return f.reshape(*f.shape[:-2], self.dim) * math.sqrt(self.group.order)
 
     def unwhiten(self, rows: np.ndarray) -> np.ndarray:
         """The coefficient arrays (..., |W|, dim B) of whitened rows."""
         rows = np.asarray(rows, dtype=complex)
-        lead = rows.shape[:-1]
-        w_n, k = self.group.order, self.action.algebra.dim
-        out = rows.reshape(math.prod(lead) * w_n, k) @ self._root[1]
-        return out.reshape(*lead, w_n, k)
+        w_n = self.group.order
+        return rows.reshape(*rows.shape[:-1], w_n, self.action.algebra.dim) / math.sqrt(w_n)
 
     def multiply(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """(a w)(b v) = a beta_w(b) (wv), for coefficient stacks that broadcast."""
@@ -609,26 +598,25 @@ class CrossedProduct:
         """Is the span of orthonormal whitened rows a two-sided *-ideal?
 
         The test of matalg.is_ideal in coefficients: the adjoint of each
-        basis element i, then i a for each a = sum_m R^-1[j, m] b_m w, the
-        basis of B >| W that is orthonormal in the metric.  A is *-closed,
+        basis element i, then i a for each a = b_j w / sqrt|W|, the
+        orthonormal basis of B >| W.  A is *-closed,
         so a I needs no test once I* = I holds.  Every vector v may leave the
         span by tol * max(1, |v|), in whitened coordinates, where norms and
         residuals are those of the embedded matrices.  Containment in A
         holds for every coefficient array.  Right multiplication by w only
         moves the group slot v to vw, so the products with one w are formed
-        once and tested against each w in turn.  As many rows as the metric
-        has span the whole crossed product, an ideal without a test.
+        once and tested against each w in turn.  As many rows as B >| W has
+        dimensions span the whole crossed product, an ideal without a test.
         """
-        if rows.shape[0] in (0, self.metric.shape[0]):
+        if rows.shape[0] in (0, self.dim):
             return True
         grp = self.group
         ideal = self.unwhiten(rows)
         if not span_contains(rows, self.whiten(self.star(ideal)), tol):
             return False
-        root, root_inv = self._root
-        # [r, j, v, l]: i_r a_(e, j), whitened, in group slot v.
-        prods = np.einsum("rvi,vims,jm,sl->rjvl", ideal, self.structure,
-                          root_inv, root, optimize=True)
+        # [r, j, v, l]: i_r a_(e, j), whitened, in group slot v; the 1 / sqrt|W|
+        # of a_(e, j) cancels the whitening.
+        prods = np.einsum("rvi,vijl->rjvl", ideal, self.structure, optimize=True)
         moved = np.empty_like(prods)
         for w in range(grp.order):
             moved[:, :, grp.mul[:, w]] = prods
@@ -662,19 +650,25 @@ def crossed_basis(action: AlgebraAction) -> np.ndarray:
 
 
 def crossed_product(action: AlgebraAction, tol: float = DEFAULT_TOL) -> CrossedProduct:
-    """B >| W from a validated action: its structure tensor and metric.
+    """B >| W from a validated action that preserves the trace: its
+    structure tensor.
 
+    SystemError unless every beta_w is unitary on B's orthonormal basis, to
+    the bound of the action's homomorphism check: only then is the embedded
+    basis orthogonal with squared norms |W|, as CrossedProduct assumes.
     (b_i w)(b_j v) = b_i beta_w(b_j) (wv) expands through B's structure
     constants, the table that validating the action has already read.  The
     embedding and its span wait for first use.
     """
     action.validate()
     maps = action.maps
-    w_n, k = action.group.order, action.algebra.dim
+    k = action.algebra.dim
+    defect = maps.conj().swapaxes(-2, -1) @ maps - np.eye(k)
+    if np.linalg.norm(defect, axis=(-2, -1)).max() > 1e-8 * max(k, 1):
+        raise SystemError("action does not preserve the trace inner product")
     # [m, l, i] of B's structure is <b_l, b_i b_m>.
     structure = np.einsum("wmj,mli->wijl", maps, action.algebra.structure, optimize=True)
-    block = np.tensordot(maps, maps.conj(), axes=([0, 1], [0, 1]))
-    return CrossedProduct(action, structure, np.kron(np.eye(w_n), block), tol)
+    return CrossedProduct(action, structure, tol)
 
 
 # -- structural isomorphisms -------------------------------------------------

@@ -246,15 +246,14 @@ def test_criterion_9_module_axioms_and_norm_bounds():
             xi, eta = e.random_vector(rng), e.random_vector(rng)
             assert e.cauchy_schwarz_residual(xi, eta) < 1e-8, e.name
     # Averaged-module norm bounds, with equality witnessed at |W| = 1.
-    gj, cp = green_julg_module(eq_line)
+    gj = green_julg_module(eq_line)[0]
     for _ in range(20):
-        n1, n2, order = green_julg_norms(eq_line, eq_line.base.random_vector(rng),
-                                         gj, cp)
+        n1, n2, order = green_julg_norms(eq_line, eq_line.base.random_vector(rng), gj)
         assert n1 <= n2 + 1e-9
         assert n2 <= order * n1 + 1e-8
     triv = trivial_equivariant_module(free_module(3), builtin_group("trivial"))
-    gj_t, cp_t = green_julg_module(triv)
-    n1, n2, order = green_julg_norms(triv, triv.base.random_vector(rng), gj_t, cp_t)
+    gj_t = green_julg_module(triv)[0]
+    n1, n2, order = green_julg_norms(triv, triv.base.random_vector(rng), gj_t)
     assert order == 1 and abs(n1 - n2) < 1e-12
 
 

@@ -208,11 +208,11 @@ def test_verify_morita_success_and_failure():
 def test_green_julg_trivial_group_is_identity():
     e = free_module(3)
     eq = trivial_equivariant_module(e, builtin_group("trivial"))
-    gj, cp = green_julg_module(eq)
+    gj = green_julg_module(eq)[0]
     assert gj.carrier_dim == e.carrier_dim
     assert verify_green_julg(eq).ok
     xi = np.array([1.0, 2.0, -1.0j])
-    n1, n2, order = green_julg_norms(eq, xi, gj, cp)
+    n1, n2, order = green_julg_norms(eq, xi, gj)
     assert order == 1 and abs(n1 - n2) < 1e-12
 
 
@@ -231,10 +231,10 @@ def test_green_julg_z2_line_matches_invariant_compacts():
 
 def test_green_julg_norm_bounds():
     eq = equivariant_function_module(z2_line_system(2))
-    gj, cp = green_julg_module(eq)
+    gj = green_julg_module(eq)[0]
     rng = np.random.default_rng(3)
     for _ in range(20):
-        n1, n2, order = green_julg_norms(eq, eq.base.random_vector(rng), gj, cp)
+        n1, n2, order = green_julg_norms(eq, eq.base.random_vector(rng), gj)
         assert n1 <= n2 + 1e-9
         assert n2 <= order * n1 + 1e-8
 

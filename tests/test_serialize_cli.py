@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from equivaria import cli
-from equivaria.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
+from equivaria.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFICATION, main
 from equivaria.datasets import bundled, dataset_names
 from equivaria.groups import builtin_group
 from equivaria.serialize import (
@@ -226,15 +226,54 @@ def test_cli_parser_is_built_once_and_keeps_its_defaults():
     assert parser.parse_args(["spectrum", "--input", "z2-line"]).tolerance == 1e-9
 
 
+def malformed_documents() -> list[dict]:
+    """Documents that parse as JSON but not as an equivaria input."""
+    def system(**fields):
+        return {**document_to_json(z2_line_system(1)), **fields}
+
+    def components(*entries):
+        return {"schema": "equivaria/1", "kind": "components", "components": list(entries)}
+
+    entry = {"system": system(), "wprime": [0], "r": [0, 1]}
+    return [
+        {"kind": "system"},
+        components({"wprime": [0], "r": [0, 1]}),                  # no "system"
+        components(5),
+        components(["not", "an", "object"]),
+        {**components(), "components": 5},
+        system(points=5),
+        system(wprime=5, r=[0, 1]),
+        system(wprime=[0, 7], r=[0, 1]),                           # |W| = 2
+        components({**entry, "wprime": ["a"]}),
+        system(fiber_dim="x"),
+        system(group={"kind": "group", "mul": [[0, 1], [1]]}),     # ragged
+        {"kind": "group", "mul": [[0, 1], [0, 1]]},                # not a group
+    ]
+
+
 def test_cli_input_errors(tmp_path, capsys):
     assert main(["irreps", "--input", "no-such-thing"]) == EXIT_INPUT
     assert main(["irreps"]) == EXIT_INPUT
-    assert main(["spectrum", "--input", "z2-line", "--tolerance", "-1"]) == EXIT_INPUT
+    for tolerance in ("-1", "0", "nan", "inf"):
+        assert main(["spectrum", "--input", "z2-line", "--tolerance", tolerance]) == EXIT_INPUT
+    assert main(["spectrum", "--input", "z2-line", "--seed", "-1"]) == EXIT_INPUT
     assert main(["spectrum", "--input", "S3"]) == EXIT_INPUT  # group, not system
     bad = tmp_path / "bad.json"
-    bad.write_text('{"kind": "system"}')
-    assert main(["spectrum", "--input", str(bad)]) == EXIT_INPUT
+    for doc in malformed_documents():
+        with pytest.raises(ParseError):
+            parse_document(json.dumps(doc))
+        bad.write_text(json.dumps(doc))
+        assert main(["morita", "--input", str(bad)]) == EXIT_INPUT, doc
+        assert capsys.readouterr().err.startswith("error: ")
     capsys.readouterr()
+
+
+def test_cli_failed_splitting_is_a_one_line_verification_error(capsys):
+    """At a tolerance that no split can meet, the central splitting gives
+    up with a message and exit 1, not a traceback."""
+    assert main(["spectrum", "--input", "z2-line", "--tolerance", "1e300"]) == EXIT_VERIFICATION
+    err = capsys.readouterr().err
+    assert err.startswith("verification error: ") and len(err.splitlines()) == 1
 
 
 def test_cli_rejects_corrupted_cocycle(tmp_path, capsys):

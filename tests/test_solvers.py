@@ -893,14 +893,14 @@ def test_is_ideal_matches_product_loop():
     # On z2-line, C(X, W, I) is the whole crossed product; on z2xz2-line-1 it
     # is a proper ideal, which the coefficient test accepts by its products.
     proper = c_ideal(z2xz2_line_system(1))
-    assert proper.dim < proper.cp.metric.shape[0]
+    assert proper.dim < proper.cp.dim
     cases = [(first, blocks, True), (cid.algebra, cid.cp.algebra, True),
              (proper.algebra, proper.cp.algebra, True), (diag, cp.algebra, False)]
     for ideal, alg, expected in cases:
         assert is_ideal(ideal, alg) == is_ideal_loops(ideal, alg) == expected
     # The crossed-product cases, in whitened coefficients.
-    assert cid.dim == cid.cp.metric.shape[0] and cid.cp.is_ideal(cid.metric_rows)
-    assert proper.cp.is_ideal(proper.metric_rows)
+    assert cid.dim == cid.cp.dim and cid.cp.is_ideal(cid.rows)
+    assert proper.cp.is_ideal(proper.rows)
     slot_e = np.eye(cp.group.order * k)[:k].reshape(k, cp.group.order, k)
     assert not cp.is_ideal(orthonormal_rows(cp.whiten(slot_e)))
 
@@ -936,9 +936,18 @@ def close(a, b, tol=1e-10) -> bool:
 @pytest.mark.parametrize("label", CROSSED)
 @pytest.mark.parametrize("make_action", [scalar_translation_action, function_algebra_action])
 def test_crossed_coefficients_match_the_embedding(label, make_action):
-    cp = crossed_product(make_action(crossed_system(label)))
+    check_crossed_coefficients(crossed_product(make_action(crossed_system(label))))
+
+
+def test_crossed_coefficients_match_the_embedding_of_a_corner():
+    check_crossed_coefficients(crossed_product(corner_action()))
+
+
+def check_crossed_coefficients(cp):
+    """The embedded basis is orthogonal with squared norms |W|, and products,
+    adjoints and whitened rows in coefficients match the embedded matrices."""
     emb = flatten(cp.embedding)
-    assert close(cp.metric, emb @ emb.conj().T)
+    assert close(emb @ emb.conj().T, cp.group.order * np.eye(cp.dim))
     rng = np.random.default_rng(9)
     shape = (3,) + cp.structure.shape[:2]
     f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -1024,9 +1033,9 @@ def test_relation_check_rejects_a_wrong_embedding(kind, monkeypatch):
 
 
 def test_whitened_basis_rejects_a_wrong_inverse_root(monkeypatch):
-    root = systems.CrossedProduct._root.func
-    monkeypatch.setattr(systems.CrossedProduct, "_root",
-                        property(lambda cp: (root(cp)[0], root(cp)[0])))
+    """unwhiten without its 1 / sqrt|W|: the basis b_i w is not orthonormal."""
+    monkeypatch.setattr(systems.CrossedProduct, "unwhiten", lambda cp, rows: np.asarray(
+        rows, dtype=complex).reshape(*rows.shape[:-1], cp.group.order, -1))
     with pytest.raises(AlgebraError, match="not orthonormal"):
         crossed_product(scalar_translation_action(z4_rotation_system())).algebra
 
@@ -1038,7 +1047,7 @@ def test_morita_spans_in_coefficients_match_the_embedded_ideals(label):
     cid = verdict.ideal
     cp = cid.cp
     # C: the whitened rows embed to an orthonormal basis of c_ideal's algebra.
-    c_emb = flatten(cp.embed(cp.unwhiten(cid.metric_rows)))
+    c_emb = flatten(cp.embed(cp.unwhiten(cid.rows)))
     assert close(c_emb @ c_emb.conj().T, np.eye(cid.dim))
     c_rows = cid.algebra.basis_rows()
     assert spans_equal(c_emb, c_rows, 1e-8)
@@ -1348,8 +1357,8 @@ def c_rows_dense(sys, scalar, cp, tol=1e-9):
 def j_rows_by_point(sys, cp):
     """J's rows as the point-local cut finds them, in the whole ambient."""
     eq = equivariant_function_module(sys)
-    blocks = morita._point_blocks(averaged_inner_coefficients(eq), sys.n_points,
-                                  sys.fiber_dim) * morita._point_root(cp)[:, None, None]
+    blocks = morita._point_blocks(cp.whiten(averaged_inner_coefficients(eq)), sys.n_points,
+                                  sys.fiber_dim)
     rows, ranks = morita._point_spans(blocks)
     x_n, w_n = rows.shape[0], rows.shape[2]
     out = np.zeros((int(ranks.sum()), w_n, x_n), dtype=complex)
@@ -1371,10 +1380,10 @@ def test_point_local_spans_match_the_whole_ambient_cut(label):
     assert verdict.j_dim == j_points.shape[0] == j_dense.shape[0]
     assert verdict.c_dim == cid.dim == c_dense.shape[0]
     assert spans_equal(j_points, j_dense, 1e-10)
-    assert spans_equal(cid.metric_rows, c_dense, 1e-10)
-    assert close(cid.metric_rows @ cid.metric_rows.conj().T, np.eye(cid.dim))
+    assert spans_equal(cid.rows, c_dense, 1e-10)
+    assert close(cid.rows @ cid.rows.conj().T, np.eye(cid.dim))
     unwhitened = orthonormal_rows(cp.unwhiten(c_dense).reshape(cid.dim, -1))
-    assert spans_equal(cid.coeff_rows, unwhitened, 1e-10)
+    assert spans_equal(cid.rows, unwhitened, 1e-10)
     # The verdict's fields, recomputed on the whole spans.
     assert abs(verdict.j_in_c_residual - row_residuals(c_dense, j_dense).max()) < 1e-12
     assert verdict.spans_match == spans_equal(j_dense, c_dense, 1e-8)
@@ -1569,14 +1578,14 @@ def test_reduction_runs_no_dense_product_pass(monkeypatch):
     for thm, dims in ((report.theorem, (10, 10, 4, 10)), (report.wprime_theorem, (5, 5, 5, 20))):
         assert thm.ok and thm.conditions_hold and thm.spans_match and not thm.strict_inclusion
         assert (thm.j_dim, thm.c_dim, thm.c_blocks, thm.fpa.dim) == dims
-        assert thm.c_dim < thm.ideal.cp.metric.shape[0] == thm.module.algebra.ambient_dim
+        assert thm.c_dim < thm.ideal.cp.dim == thm.module.algebra.ambient_dim
         assert thm.witness.ok and thm.j_in_c_residual < 1e-14
 
 
 @pytest.mark.parametrize("label", ["z2xz2-line-1", "z2xz2-line-2", "flip-3", "flip-5"])
 def test_restricted_table_matches_the_dense_pass(label):
     cid = c_ideal(morita_system(label))
-    assert cid.dim < cid.cp.metric.shape[0]
+    assert cid.dim < cid.cp.dim
     alg = cid.algebra
     assert isinstance(alg, matalg.StructuredAlgebra)
     plain = MatrixStarAlgebra(alg.ambient_dim, alg.basis)
@@ -1586,7 +1595,7 @@ def test_restricted_table_matches_the_dense_pass(label):
     assert close(alg.unit(), plain.unit())
     # Rows that are not a subalgebra: the residual is the dense one.
     parent = cid.cp.algebra
-    rows = orthonormal_rows(cid.metric_rows[:1] + parent.coefficients(
+    rows = orthonormal_rows(cid.rows[:1] + parent.coefficients(
         np.eye(parent.ambient_dim))[None] * 0.5)
     bad = matalg.restricted_algebra(parent, rows)
     table, residual = matalg.product_table(bad.basis)
@@ -1916,7 +1925,7 @@ def test_outer_crossed_product_matches_the_slot_loops(label, which):
                              lambda a, b: (phi(mult(a, b)), whole.multiply(phi(a), phi(b))),
                              lambda a: (phi(star(a)), whole.star(phi(a))))
     assert witness.ok and witness.bijective
-    assert (witness.source_dim, witness.target_dim) == (np.prod(shape), whole.metric.shape[0])
+    assert (witness.source_dim, witness.target_dim) == (np.prod(shape), whole.dim)
     assert np.abs(np.array([witness.multiplicative_residual, witness.star_residual])
                   - res).max() < 1e-14
 
@@ -1973,7 +1982,7 @@ def test_reduction_links_match_the_loops(label):
     g = sys.group
     sys_p, u_sub = systems.restrict_system(sys, wprime)
     v_sub = g.subgroup(r)
-    rows = c_ideal(sys_p).coeff_rows
+    rows = c_ideal(sys_p).rows
     outer = outer_product_of(scalar_translation_action(sys), wprime, r)
     assert np.array_equal(morita._transported_rows(outer, rows),
                           transported_rows_loop(g, u_sub, v_sub, rows, sys.n_points))
@@ -2212,7 +2221,7 @@ def unit_case(label):
         return c_ideal(bundled("z2-line")).cp.algebra
     if label == "restricted-c":
         cid = c_ideal(z2xz2_line_system(1))
-        assert cid.dim < cid.cp.metric.shape[0]
+        assert cid.dim < cid.cp.dim
         return cid.algebra
     if label == "compacts":
         return compact_operators(equivariant_function_module(bundled("z2-line")).base).algebra

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from equivaria.groups import builtin_group, cyclic, symmetric
-from equivaria.matalg import block_decompose, full_matrix_algebra
+from equivaria.matalg import MatrixStarAlgebra, block_decompose, full_matrix_algebra
 from equivaria.linalg import spans_equal
 from equivaria.reps import enumerate_irreps, regular_rep
 from equivaria.systems import (
@@ -267,3 +267,17 @@ def test_action_validation_rejects_each_broken_axiom():
             action.validate()
         with pytest.raises(SystemError, match=message):
             crossed_product(action)
+
+
+def test_crossed_product_rejects_an_action_that_does_not_preserve_the_trace():
+    """A = span{E11, (E22 + E33) / sqrt 2} in M_3 with the two summands
+    swapped: a *-automorphism, but the orthonormal basis goes to E22 + E33,
+    of norm sqrt 2, and E11 / sqrt 2, so the map is not unitary."""
+    basis = np.zeros((2, 3, 3), dtype=complex)
+    basis[0, 0, 0] = 1.0
+    basis[1, 1, 1] = basis[1, 2, 2] = 1.0 / np.sqrt(2.0)
+    swap = np.array([[0.0, 1.0 / np.sqrt(2.0)], [np.sqrt(2.0), 0.0]])
+    action = AlgebraAction(cyclic(2), MatrixStarAlgebra(3, basis), np.stack([np.eye(2), swap]))
+    action.validate()
+    with pytest.raises(SystemError, match="does not preserve the trace"):
+        crossed_product(action)
