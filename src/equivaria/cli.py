@@ -47,8 +47,8 @@ def _load_input(value: str):
     if not path.exists():
         raise InputError(f"no such file, bundled dataset, or builtin: {value!r}")
     try:
-        return parse_document(path.read_text())
-    except ParseError as exc:
+        return parse_document(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, ParseError) as exc:
         raise InputError(f"{value}: {exc}") from exc
 
 

@@ -4,10 +4,10 @@ A module is a carrier space C^m with a right action of a matrix *-algebra B
 and a B-valued inner product, conjugate-linear in the first argument.  The
 compact operators K_B(E) are the span of the rank-one maps
 |eta><xi| : zeta -> eta <xi|zeta>.  Module adjoints are taken with respect
-to the faithful scalar form tau(<xi|eta>), tau the normalized trace on B;
-conjugating by the square root of the Gram matrix turns the module adjoint
-into the ordinary conjugate transpose, so K_B(E) becomes an honest matrix
-*-algebra.
+to the faithful scalar form tau(<xi|eta>), tau the trace state of B, which
+is tau(b_k) = tr b_k / sum_l |tr b_l|^2 on B's basis; conjugating by the
+square root of the Gram matrix turns the module adjoint into the ordinary
+conjugate transpose, so K_B(E) becomes an honest matrix *-algebra.
 
 Inner values live in one coordinate system, B's orthonormal basis: a
 module stores <e_p|e_q> as an (m, m, dim B) coefficient array, so its values
@@ -61,7 +61,6 @@ from .linalg import (
 from .matalg import (
     MatrixStarAlgebra,
     StructuredAlgebra,
-    _star_constants,
     algebra_from_span,
     operator_norm,
     product_table,
@@ -76,6 +75,12 @@ from .systems import (
 
 class ModuleError(ValueError):
     pass
+
+
+# Samples drawn by FDHilbertModule.axiom_residuals.
+_AXIOM_SAMPLES = 20
+# Relative Gram eigenvalue below which a module's scalar form is degenerate.
+_DEGENERATE = 1e-10
 
 
 def _act(action: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -97,13 +102,6 @@ def _checked_coefficients(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     if not span_contains(rows, flat, 1e-8):
         raise ModuleError("inner products leave the coefficient algebra")
     return (flat @ rows.conj().T).reshape(*values.shape[:-1], rows.shape[0])
-
-
-def _trace_vector(alg: MatrixStarAlgebra) -> np.ndarray:
-    """tau(b_k) for the normalized trace tau(b) = trace(e b) / trace(e), e the
-    algebra's unit."""
-    e = alg.unit()
-    return flatten(alg.basis) @ e.T.reshape(-1) / np.real(np.trace(e))
 
 
 @dataclass(frozen=True)
@@ -153,18 +151,22 @@ class FDHilbertModule:
     def gram(self) -> np.ndarray:
         """G[i, j] = tau(<e_i | e_j>): the faithful scalar inner product.
 
+        As e b_k = b_k for B's unit e, tau(b_k) = tr b_k / tr e, where
+        tr e = sum_l |tr b_l|^2 comes from unit(), which raises AlgebraError
+        for a span without a unit.
         The instance is frozen, so the first result is kept and returned again.
         """
         if self._gram is None:
-            g = self.inner @ _trace_vector(self.algebra)
+            alg = self.algebra
+            g = self.inner @ alg.traces / np.trace(alg.unit()).real
             object.__setattr__(self, "_gram", (g + g.conj().T) / 2.0)
         return self._gram
 
-    def gram_sqrt(self, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    def gram_sqrt(self) -> tuple[np.ndarray, np.ndarray]:
         """(S, S^-1) with S = G^(1/2); requires a definite inner product."""
         g = self.gram()
         evals, evecs = np.linalg.eigh(g)
-        if self.carrier_dim and evals.min() < tol * max(evals.max(), 1.0):
+        if self.carrier_dim and evals.min() < _DEGENERATE * max(evals.max(), 1.0):
             raise ModuleError("inner product is degenerate on the carrier")
         s = evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T
         s_inv = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.conj().T
@@ -181,21 +183,20 @@ class FDHilbertModule:
 
     # -- axiom residuals ------------------------------------------------------
 
-    def axiom_residuals(self, rng: np.random.Generator | None = None,
-                        n_samples: int = 20) -> dict:
+    def axiom_residuals(self, rng: np.random.Generator | None = None) -> dict:
         """Numeric residuals of the Hilbert-module axioms.
 
         Keys: bimodule, compatibility, symmetry, positivity, definiteness.
         The values lie in B by construction, and completeness holds
-        automatically at finite dimension; neither is measured.  Each sample
-        draws xi, eta, b1 and b2 in turn, real parts before imaginary ones,
-        and every residual is divided by that sample's
-        max(1, |xi| |eta|, |b1| |b2|); all samples are evaluated at once.
+        automatically at finite dimension; neither is measured.  Each of the
+        _AXIOM_SAMPLES samples draws xi, eta, b1 and b2 in turn, real parts
+        before imaginary ones, and every residual is divided by that
+        sample's max(1, |xi| |eta|, |b1| |b2|); all are evaluated at once.
         """
         rng = rng or np.random.default_rng(0)
         b_alg = self.algebra
         m, k = self.carrier_dim, b_alg.dim
-        draws = rng.standard_normal((n_samples, 4 * m + 4 * k))
+        draws = rng.standard_normal((_AXIOM_SAMPLES, 4 * m + 4 * k))
         parts = np.split(draws, np.cumsum([m, m, m, m, k, k, k]), axis=1)
         xi, eta, c1, c2 = (re + 1j * im for re, im in zip(parts[::2], parts[1::2]))
 
@@ -206,7 +207,7 @@ class FDHilbertModule:
             return b_alg.element(_inner_values(self.inner, x, y))
 
         def norms(a):
-            return np.linalg.norm(a.reshape(n_samples, -1), axis=1)
+            return np.linalg.norm(a.reshape(_AXIOM_SAMPLES, -1), axis=1)
 
         def star(a):
             return a.conj().swapaxes(-2, -1)
@@ -236,7 +237,7 @@ class FDHilbertModule:
         if m:
             evals = np.linalg.eigvalsh(self.gram())
             res["definiteness"] = max(0.0, -float(evals.min())) + \
-                (1.0 if evals.min() < 1e-10 * max(evals.max(), 1.0) else 0.0)
+                (1.0 if evals.min() < _DEGENERATE * max(evals.max(), 1.0) else 0.0)
         return res
 
     def validate(self, tol: float = 1e-8, rng=None) -> None:
@@ -261,8 +262,7 @@ def standard_module(b_alg: MatrixStarAlgebra) -> FDHilbertModule:
     """B as a module over itself with <b1|b2> = b1* b2; B's structure table
     is the action tensor, and b_i* b_j = sum_m,l S[m, i] T[j, l, m] b_l
     with S the star constants."""
-    inner = np.einsum("mi,jlm->ijl", _star_constants(b_alg), b_alg.structure,
-                      optimize=True)
+    inner = np.einsum("mi,jlm->ijl", b_alg.star, b_alg.structure, optimize=True)
     return FDHilbertModule(b_alg, b_alg.structure, inner, name="standard")
 
 
@@ -751,7 +751,7 @@ def dual_module(e: FDHilbertModule,
     dual = FDHilbertModule(k_alg, action, inner, name=(e.name or "module") + "-dual")
     # Left action of B: b . bra_xi = bra_{xi b*}; conj coords: conj(R_{b*}),
     # with b_i* = sum_l S[l, i] b_l for the star constants S.
-    left = np.conj(np.tensordot(_star_constants(e.algebra), e.action, axes=(0, 0)))
+    left = np.conj(np.tensordot(e.algebra.star, e.action, axes=(0, 0)))
     return dual, left
 
 
@@ -764,7 +764,6 @@ class MoritaWitness:
     multiplicative_residual: float
     star_residual: float
     injective: bool
-    block_counts: tuple[int, int] | None = None
 
     @property
     def ok(self) -> bool:
@@ -775,7 +774,6 @@ class MoritaWitness:
 
 def verify_morita(a_alg: MatrixStarAlgebra, e: FDHilbertModule,
                   left_action: np.ndarray, tol: float = 1e-8,
-                  check_blocks: bool = False,
                   rng: np.random.Generator | None = None) -> MoritaWitness:
     """Witness that A ~ B via E: E full over B and A = K_B(E) through left_action.
 
@@ -801,13 +799,8 @@ def verify_morita(a_alg: MatrixStarAlgebra, e: FDHilbertModule,
            for x in (l1, l2, l1 @ l2 - l12, lstar - e.module_adjoint(l1))]
     scale = np.maximum(1.0, top[0] * top[1])
     mult_res, star_res = (float(np.max(t / scale, initial=0.0)) for t in top[2:])
-    blocks = None
-    if check_blocks:
-        from .matalg import block_decompose
-        blocks = (len(block_decompose(a_alg).blocks),
-                  len(block_decompose(e.algebra).blocks))
     return MoritaWitness(a_alg.dim, e.algebra.dim, full, span_match,
-                         mult_res, star_res, injective, blocks)
+                         mult_res, star_res, injective)
 
 
 def _block_sum(b1: MatrixStarAlgebra, b2: MatrixStarAlgebra) -> MatrixStarAlgebra:
@@ -864,7 +857,7 @@ def interior_tensor_product(e1: FDHilbertModule, e2: FDHilbertModule,
     inner_big = np.einsum("PQk,kjq,pjc->PpQqc", e1.inner, left_b_on_e2, e2.inner,
                           optimize=True).reshape(big, big, c_alg.dim)
     # Scalar Gram and null space.
-    gram = inner_big @ _trace_vector(c_alg)
+    gram = inner_big @ c_alg.traces / np.trace(c_alg.unit()).real
     gram = (gram + gram.conj().T) / 2.0
     evals, evecs = np.linalg.eigh(gram)
     keep = evals > max(tol, 1e-10) * max(evals.max(), 1.0)

@@ -3,13 +3,13 @@
 This is the brute-force oracle layer: generation by closure, commutants by
 nullspace, block (Wedderburn) structure by randomized central splitting,
 GNS, ideals, and the finite-dimensional separating-subalgebra checker.
-Each algebra has one product table <b_l, b_i b_j>, built by one slabbed
-pass that also measures the closure residual in O(k N^2 + k^3) memory.
-The center and the block structure are solved from it in the algebra's k
-coordinates, never on the commutant's N^2 or on M_N; the unit is the
-projection of the identity onto the span.  The dense
-pass multiplies the k N x N basis matrices pairwise; it stays for spans
-with no known structure, such as algebra_from_span's and the compacts'.  A
+Each algebra has one product table <b_l, b_i b_j>, from one slabbed pass
+that also measures the closure residual in O(k N^2 + k^3) memory, and its
+traces tr b_k and star table <b_l, b_i*>, each built once.  The center,
+the unit's coefficients conj(tr b_k) and the block structure are solved
+from them in the algebra's k coordinates, never on M_N.  The dense pass
+multiplies the k N x N basis matrices pairwise; it stays for spans with no
+known structure, such as algebra_from_span's and the compacts'.  A
 StructuredAlgebra is given its table and closure residual by its builder:
 the fixed-point algebra and C(X) run the same pass on the d x d diagonal
 blocks of their block-diagonal bases, and a crossed product reads its table
@@ -34,7 +34,6 @@ from .linalg import (
     intertwiner_rows,
     nullspace_rows,
     orthonormal_rows,
-    row_residuals,
     span_contains,
     unflatten,
 )
@@ -121,13 +120,24 @@ class MatrixStarAlgebra:
         by b_j in basis coordinates.  Built once and kept on the instance."""
         return self._products[0]
 
+    @cached_property
+    def traces(self) -> np.ndarray:
+        """tr b_k per basis element: conj(tr b_k) are the unit's coefficients
+        and tr b_k / sum_l |tr b_l|^2 the trace state tau(b_k)."""
+        return np.trace(self.basis, axis1=1, axis2=2)
+
+    @cached_property
+    def star(self) -> np.ndarray:
+        """<b_l, b_i*> = conj(tr(b_l b_i)) indexed [l, i], so
+        b_i* = sum_l star[l, i] b_l."""
+        return (self.basis_rows() @ flatten(self.basis.swapaxes(1, 2)).T).conj()
+
     def closure_residual(self) -> float:
         """How far products and adjoints stray from the span (0 for an algebra)."""
         if self.dim == 0:
             return 0.0
-        stars = np.conj(np.transpose(self.basis, (0, 2, 1)))
-        return max(self._products[1],
-                   float(row_residuals(self.basis_rows(), flatten(stars)).max()))
+        off = self.star.T @ self.basis_rows() - flatten(self.basis.conj().swapaxes(1, 2))
+        return max(self._products[1], float(np.linalg.norm(off, axis=1).max()))
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         rows = self.basis_rows()
@@ -150,7 +160,7 @@ class MatrixStarAlgebra:
         """
         if self._unit is not None:
             return self._unit
-        e = self.element(np.trace(self.basis, axis1=1, axis2=2).conj())
+        e = self.element(self.traces.conj())
         defect = np.linalg.norm(e @ self.basis - self.basis, axis=(1, 2))
         if np.any(defect > 1e-6 * np.maximum(1.0, np.linalg.norm(self.basis, axis=(1, 2)))):
             raise AlgebraError("algebra has no unit in its span")
@@ -297,10 +307,10 @@ def full_matrix_algebra(n: int) -> MatrixStarAlgebra:
     return MatrixStarAlgebra(n, basis)
 
 
-def _star_constants(alg: MatrixStarAlgebra) -> np.ndarray:
-    """<b_l, b_i*> as a (k, k) array indexed [l, i], so b_i* = sum_l S[l, i] b_l."""
-    stars = np.conj(np.transpose(alg.basis, (0, 2, 1)))
-    return alg.basis_rows().conj() @ flatten(stars).T
+def _center_rows(alg: MatrixStarAlgebra, tol: float) -> np.ndarray:
+    """Orthonormal rows of A's coordinates spanning A intersect A' (center)."""
+    table = alg.structure
+    return nullspace_rows((table - table.transpose(2, 1, 0)).reshape(alg.dim ** 2, -1), tol)
 
 
 def center(alg: MatrixStarAlgebra, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
@@ -310,12 +320,9 @@ def center(alg: MatrixStarAlgebra, tol: float = DEFAULT_TOL) -> MatrixStarAlgebr
     basis orthonormal, so these rows have the singular values of the
     Kronecker commutant operator restricted to A.
     """
-    n, k = alg.ambient_dim, alg.dim
-    if k == 0:
+    if alg.dim == 0:
         return alg
-    table = alg.structure
-    coeffs = nullspace_rows((table - table.transpose(2, 1, 0)).reshape(k * k, k), tol)
-    return MatrixStarAlgebra(n, alg.element(coeffs))
+    return MatrixStarAlgebra(alg.ambient_dim, alg.element(_center_rows(alg, tol)))
 
 
 @dataclass(frozen=True)
@@ -353,28 +360,28 @@ def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
                     tol: float = DEFAULT_TOL) -> BlockStructure:
     """Minimal central projections and per-block (size, multiplicity).
 
-    A seeded random Hermitian central element z acts on A by left
-    multiplication, in the orthonormal basis the Hermitian k x k matrix
-    L_z = sum_i z_i structure[:, :, i].T.  Its eigenvalue clusters must
-    number dim Z(A); each spans a block ideal A p of dimension n^2, and p
-    is the projection of the unit's coefficients onto it, which must be
+    Solved in A's coordinates but for the projections.  A seeded random
+    central element z, drawn on the center's rows as random_element draws,
+    acts on A by left multiplication as L_z = sum_i z_i structure[:, :, i].T,
+    and L_z* = L_(z*) in an orthonormal basis, so the Hermitian part of L_z
+    is L_h for h the Hermitian part of z.  Its eigenvalue clusters must
+    number dim Z(A); each spans a block ideal A p of dimension n^2, and p,
+    the projection of the unit's coefficients conj(tr b_k) onto it, must be
     idempotent.  The multiplicity is trace(p) / n.
     """
     if alg.dim == 0:
         return BlockStructure(alg, ())
     rng = np.random.default_rng(seed)
-    cen = center(alg, tol)
-    table = alg.structure
-    unit = alg.coefficients(alg.unit())
-    traces = np.einsum("kii->k", alg.basis)
+    rows = _center_rows(alg, tol)
+    table, unit = alg.structure, alg.traces.conj()
     cut = max(tol, 1e-7)
     gap = 1e-7
     for _ in range(_SPLIT_ATTEMPTS):
-        z = alg.coefficients(cen.random_element(rng, hermitian=True))
+        z = (rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))) @ rows
         lz = (table @ z).T
         evals, evecs = np.linalg.eigh((lz + lz.conj().T) / 2.0)
         clusters = cluster_values(evals, gap)
-        if len(clusters) == cen.dim:
+        if len(clusters) == len(rows):
             blocks = []
             for idx in clusters:
                 n = math.isqrt(idx.size)
@@ -384,7 +391,7 @@ def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
                 if n * n != idx.size or \
                         np.linalg.norm(square - p) > cut * max(1.0, np.linalg.norm(p)):
                     break
-                m = int(round((traces @ p).real / n))
+                m = int(round((alg.traces @ p).real / n))
                 blocks.append(Block(size=n, multiplicity=m, projection=alg.element(p)))
             else:
                 blocks.sort(key=lambda b: (b.size, -b.multiplicity))
@@ -441,8 +448,7 @@ def vector_state(alg: MatrixStarAlgebra, xi: np.ndarray) -> State:
 
 def _state_gram(alg: MatrixStarAlgebra, phi: State) -> np.ndarray:
     """[i, j] = phi(b_i* b_j), with b_i* b_j = sum_m,l S[m, i] T[j, l, m] b_l."""
-    return np.einsum("mi,jlm,l->ij", _star_constants(alg), alg.structure, phi.vector,
-                     optimize=True)
+    return np.einsum("mi,jlm,l->ij", alg.star, alg.structure, phi.vector, optimize=True)
 
 
 @dataclass(frozen=True)
@@ -482,7 +488,7 @@ def gns(alg: MatrixStarAlgebra, phi: State, tol: float = 1e-9) -> GNSRepresentat
     vectors = to_coords.T                                        # class of b_i = row i
     # Left multiplication by b_i, in basis coordinates, is structure[:, :, i].T.
     mats = to_coords @ alg.structure.transpose(2, 1, 0) @ from_coords
-    cyclic = to_coords @ alg.coefficients(alg.unit())
+    cyclic = to_coords @ alg.traces.conj()
     return GNSRepresentation(alg, phi, d, vectors, mats, cyclic)
 
 

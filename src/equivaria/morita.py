@@ -588,6 +588,12 @@ class ToyDualReport:
     def ok(self) -> bool:
         return self.witness.ok and all(rep.ok for rep in self.reductions)
 
+    @property
+    def block_counts(self) -> tuple[int, int]:
+        """Block counts of the two direct sums: sums of the summands' counts."""
+        return (sum(rep.fpa_block_count for rep in self.reductions),
+                sum(rep.final_block_count for rep in self.reductions))
+
 
 def assemble_toy_dual(components, seed: int = 0, tol: float = 1e-8) -> ToyDualReport:
     """components: iterable of (system, wprime elements, r elements).
@@ -616,8 +622,7 @@ def assemble_toy_dual(components, seed: int = 0, tol: float = 1e-8) -> ToyDualRe
                                  np.zeros((0, 0, 0), dtype=complex))
         a_sum = zero
         left_sum = np.zeros((0, 0, 0), dtype=complex)
-    witness = verify_morita(a_sum, module, left_sum, tol, check_blocks=True,
-                            rng=np.random.default_rng(seed))
+    witness = verify_morita(a_sum, module, left_sum, tol, rng=np.random.default_rng(seed))
     return ToyDualReport(tuple(reports), witness,
                          tuple(r.theorem.fpa.dim for r in reports),
                          tuple(r.final_dim for r in reports))

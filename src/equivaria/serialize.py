@@ -31,7 +31,7 @@ def _malformed(what: str):
         raise
     except KeyError as exc:
         raise ParseError(f"{what} missing field {exc}") from exc
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ParseError(f"malformed {what}: {exc}") from exc
 
 
@@ -76,6 +76,17 @@ def complex_array_from_json(data) -> np.ndarray:
 _leaf_type = np.frompyfunc(type, 1, 1)
 
 
+def _integers(data, ndim: int, what: str) -> np.ndarray:
+    """data as an integer array of ndim axes.  ParseError unless it is
+    nested lists of that depth whose leaves are JSON integers: true, 2.0
+    and "2" are not, and none is truncated or converted."""
+    leaves = np.array(data, dtype=object)
+    if leaves.ndim != ndim or not set(np.ravel(_leaf_type(leaves))) <= {int}:
+        shape = ("an integer", "a list of integers", "a matrix of integers")[ndim]
+        raise ParseError(f"{what} must be {shape}")
+    return leaves.astype(np.intp)
+
+
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -99,7 +110,7 @@ def group_from_json(data: dict) -> FiniteGroup:
     if "mul" not in data:
         raise ParseError("group document needs 'mul' or 'builtin'")
     with _malformed("group document"):
-        return FiniteGroup(np.asarray(data["mul"], dtype=np.intp), name=data.get("name", ""))
+        return FiniteGroup(_integers(data["mul"], 2, "'mul'"), name=data.get("name", ""))
 
 
 def _point_to_json(p):
@@ -137,8 +148,8 @@ def system_from_json(data: dict) -> EquivariantSystem:
     with _malformed("system document"):
         group = group_from_json(data["group"])
         points = tuple(_point_from_json(p) for p in data["points"])
-        action = np.asarray(data["action"], dtype=np.intp)
-        fiber_dim = int(data["fiber_dim"])
+        action = _integers(data["action"], 2, "'action'")
+        fiber_dim = int(_integers(data["fiber_dim"], 0, "'fiber_dim'"))
         cocycle = complex_array_from_json(data["cocycle"])
     try:
         return EquivariantSystem(group, points, action, fiber_dim, cocycle,
@@ -189,7 +200,7 @@ def _elements(data: dict, key: str, group: FiniteGroup) -> list[int]:
     """The element indices listed at data[key]; ParseError unless each is
     an integer below the group's order."""
     with _malformed(f"{key!r} list"):
-        elems = [int(e) for e in data[key]]
+        elems = _integers(data[key], 1, f"{key!r}").tolist()
     if any(not 0 <= e < group.order for e in elems):
         raise ParseError(f"{key!r} names an element outside a group of order {group.order}")
     return elems

@@ -42,7 +42,7 @@ from .linalg import (
     span_contains,
     spans_equal,
 )
-from .matalg import MatrixStarAlgebra, StructuredAlgebra, _star_constants, product_table
+from .matalg import MatrixStarAlgebra, StructuredAlgebra, product_table
 from .reps import regular_rep
 
 
@@ -418,7 +418,7 @@ class AlgebraAction:
             raise SystemError("maps are not a group homomorphism")
         if k == 0:
             return
-        star = _star_constants(alg)
+        star = alg.star
         # Column i: beta_w(b_i*) - beta_w(b_i)*.
         if np.linalg.norm(maps @ star - star @ maps.conj(), axis=1).max() > tol:
             raise SystemError("action does not preserve the involution")
@@ -586,7 +586,7 @@ class CrossedProduct:
     @cached_property
     def _adjoints(self) -> np.ndarray:
         """[w, l, i]: the b_l coefficient of beta_{w^-1}(b_i*)."""
-        return self.action.maps[self.group.inv] @ _star_constants(self.action.algebra)
+        return self.action.maps[self.group.inv] @ self.action.algebra.star
 
     def star(self, f: np.ndarray) -> np.ndarray:
         """(a w)* = beta_{w^-1}(a*) w^-1, for a coefficient stack."""

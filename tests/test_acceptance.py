@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from equivaria.cli import main as cli_main
 from equivaria.datasets import dataset_names
 from equivaria.groups import BUILTIN_GROUPS, builtin_group, symmetric
 from equivaria.hilbmod import (
@@ -27,7 +28,7 @@ from equivaria.hilbmod import (
     free_module,
     verify_green_julg,
 )
-from equivaria.matalg import check_stone_weierstrass, generate
+from equivaria.matalg import MatrixStarAlgebra, check_stone_weierstrass, generate
 from equivaria.morita import (
     assemble_toy_dual,
     semidirect_reduction,
@@ -186,8 +187,7 @@ def test_criterion_6_semidirect_reduction_and_assembly():
     assert toy.ok
     assert all(r.ok for r in toy.reductions)
     # The assembled witness is block-diagonal with matching block counts.
-    assert toy.witness.block_counts is not None
-    assert toy.witness.block_counts[0] == toy.witness.block_counts[1] == 3 + 4
+    assert toy.block_counts[0] == toy.block_counts[1] == 3 + 4
 
 
 def test_criterion_7_builtin_group_representation_theory():
@@ -313,3 +313,16 @@ def test_criterion_11_every_dataset_through_every_command():
         assert "Traceback" not in out.stderr, args
         if code == 0:
             json.loads(out.stdout)
+
+
+def test_no_cli_run_multiplies_a_basis_pairwise(monkeypatch, capsys):
+    """Every run of CLI_RUNS, in process, with the dense product pass of a
+    plain MatrixStarAlgebra made to fail: every algebra a command multiplies
+    in has its table from its builder, so each run ends as documented."""
+    def dense_pass(alg):
+        raise AssertionError(f"dense product pass on an algebra of dimension {alg.dim}")
+
+    monkeypatch.setattr(MatrixStarAlgebra, "_product_pass", dense_pass)
+    for args, code in CLI_RUNS:
+        assert cli_main([*args, "--format", "json"]) == code, args
+    capsys.readouterr()

@@ -1,7 +1,9 @@
 """Matrix *-algebras: closure, commutants, blocks, GNS, ideals, separation."""
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from equivaria.groups import builtin_group
+from equivaria.hilbmod import standard_module
 from equivaria.matalg import (
     MatrixStarAlgebra,
     block_decompose,
@@ -144,3 +146,53 @@ def test_separating_detects_reducible_restriction():
     report = is_separating(sub, full_matrix_algebra(2))
     assert not report.separating
     assert report.reducible_blocks == (0,)
+
+
+# Every run draws the same examples and writes no example database.
+settings.register_profile("derandomized", derandomize=True, database=None,
+                          deadline=None, max_examples=30)
+
+
+def planted_algebra(blocks, pad, seed):
+    """(algebra, unit): a seeded unitary conjugate of (+)_i M_(n_i) (x) 1_(m_i)
+    (+) 0_pad for blocks [(n_i, m_i)], in a seeded orthonormal basis of the span."""
+    big = sum(n * m for n, m in blocks) + pad
+    basis, offset = [], 0
+    for n, m in blocks:
+        span = slice(offset, offset + n * m)
+        for e_ab in np.eye(n * n).reshape(n * n, n, n):
+            mat = np.zeros((big, big), dtype=complex)
+            mat[span, span] = np.kron(e_ab, np.eye(m)) / np.sqrt(m)
+            basis.append(mat)
+        offset += n * m
+    rng = np.random.default_rng(seed)
+
+    def unitary(size):
+        return np.linalg.qr(rng.standard_normal((size, size))
+                            + 1j * rng.standard_normal((size, size)))[0]
+
+    u, v = unitary(big), unitary(len(basis))
+    planted = np.diag(np.arange(big) < offset).astype(complex)
+    basis = np.tensordot(v, u @ np.array(basis) @ u.conj().T, axes=1)
+    return MatrixStarAlgebra(big, basis), u @ planted @ u.conj().T
+
+
+@settings(settings.get_profile("derandomized"))
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)), min_size=1, max_size=3),
+       st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
+def test_traces_star_unit_and_blocks_of_a_planted_algebra(blocks, pad, seed):
+    alg, unit = planted_algebra(blocks, pad, seed)
+    basis = alg.basis
+    assert alg.traces is alg.traces and alg.star is alg.star
+    assert np.abs(alg.traces - np.einsum("kii->k", basis)).max() < 1e-12
+    # <b_l, b_i*> = sum_(a, b) conj(b_l[a, b]) conj(b_i[b, a]).
+    assert np.abs(alg.star - np.einsum("lab,iba->li", basis.conj(), basis.conj())).max() < 1e-12
+    assert np.abs(np.tensordot(alg.star.T, basis, axes=1)
+                  - basis.conj().swapaxes(1, 2)).max() < 1e-10
+    assert np.abs(alg.unit() - unit).max() < 1e-10
+    # The trace state on b_i* b_j is tr(b_i* b_j) / tr e = delta_ij / rank e.
+    rank = sum(n * m for n, m in blocks)
+    assert np.abs(standard_module(alg).gram() - np.eye(alg.dim) / rank).max() < 1e-12
+    structure = block_decompose(alg)
+    assert sorted((b.size, b.multiplicity) for b in structure.blocks) == sorted(blocks)
+    assert np.abs(sum(b.projection for b in structure.blocks) - unit).max() < 1e-8

@@ -150,7 +150,7 @@ def test_toy_dual_two_components():
         (z2_line_system(1), [0], [0, 1]),
     ])
     assert report.ok
-    assert report.witness.block_counts is not None
+    assert report.block_counts == (3 + 3, 3 + 3)
     # The assembled witness covers the direct sum of both components.
     assert len(report.fpa_dims) == 2
 
@@ -160,7 +160,7 @@ def test_toy_dual_of_no_components_is_the_zero_witness():
     report = assemble_toy_dual([])
     assert report.ok and report.reductions == ()
     assert (report.witness.a_dim, report.witness.b_dim) == (0, 0)
-    assert report.witness.block_counts == (0, 0)
+    assert report.block_counts == (0, 0)
 
 
 def test_gaps_name_the_points_where_j_falls_short():

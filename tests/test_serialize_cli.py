@@ -248,6 +248,13 @@ def malformed_documents() -> list[dict]:
         system(fiber_dim="x"),
         system(group={"kind": "group", "mul": [[0, 1], [1]]}),     # ragged
         {"kind": "group", "mul": [[0, 1], [0, 1]]},                # not a group
+        # Integer fields take JSON integers only, never truncated.
+        system(action=[[0, 1, 2], [2, 1, 0.4]]),
+        {"kind": "group", "mul": [[0, 1], [1, 1.7]]},
+        system(wprime=[0.9], r=[0, 1]),
+        components({**entry, "r": ["1", 0]}),
+        {**document_to_json(bundled("anticomplete-point")), "fiber_dim": True},   # d = 1
+        {"kind": "group", "mul": [[0, 1], [1, 10 ** 30]]},          # no machine integer
     ]
 
 
@@ -266,6 +273,15 @@ def test_cli_input_errors(tmp_path, capsys):
         assert main(["morita", "--input", str(bad)]) == EXIT_INPUT, doc
         assert capsys.readouterr().err.startswith("error: ")
     capsys.readouterr()
+
+
+def test_cli_unreadable_input_file_is_an_input_error(tmp_path, capsys):
+    assert main(["spectrum", "--input", str(tmp_path)]) == EXIT_INPUT   # a directory
+    latin = tmp_path / "latin.json"
+    latin.write_bytes('{"kind": "system", "name": "\u00e9"}'.encode("latin-1"))
+    assert main(["spectrum", "--input", str(latin)]) == EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
 
 
 def test_cli_failed_splitting_is_a_one_line_verification_error(capsys):
