@@ -3,7 +3,8 @@
 For a system (X, W, H, I) the stabilizer elements whose cocycle unitary is a
 scalar cut out subgroups W'_x; under a normalisation condition (the scalars
 are 1) and a completeness condition (the cocycle representation of W_x
-contains every irreducible trivial on W'_x), the fixed-point algebra
+contains every irreducible trivial on W'_x, which scalar_subgroups reads as
+the rank of a Gram matrix of traces), the fixed-point algebra
 C(X, M_d)^W is Morita equivalent to the ideal
 
     C(X, W, I) = {f in C(X) >| W : f_{w'w}(x) = f_w(x) for all w' in W'_x},
@@ -26,8 +27,8 @@ crossed product's algebra: C's algebra is those rows times that basis,
 with that algebra's product table restricted to them, and the Green-Julg
 module is rebased onto C by projecting its inner coefficients onto those
 rows.  The embedded crossed product is built only when both cocycle
-conditions hold, as the algebra of the averaged module that a Morita
-witness needs.
+conditions hold, as the algebra of the averaged module, and the fixed-point
+algebra only when J = C as well, for the Morita witness.
 """
 from __future__ import annotations
 
@@ -61,7 +62,6 @@ from .linalg import (
     spans_equal,
 )
 from .matalg import MatrixStarAlgebra, block_decompose, restricted_algebra
-from .reps import enumerate_irreps
 from .systems import (
     AlgebraAction,
     CrossedProduct,
@@ -98,7 +98,8 @@ class ScalarStructure:
     `scalar_elements[x]` lists stabilizer elements whose cocycle unitary is a
     scalar multiple of the identity; `wprime[x]` lists those whose scalar is
     1 (the normalised part, used for the ideal constraints).  The
-    normalisation condition holds when the two agree everywhere.
+    normalisation condition holds when the two agree everywhere; completeness
+    at x, when span{I_{w,x} : w in W_x} has dimension |W_x|/|W'_x|.
     """
 
     system: EquivariantSystem
@@ -119,11 +120,16 @@ def scalar_subgroups(sys: EquivariantSystem, tol: float = 1e-8) -> ScalarStructu
     the stabilizer W_x, and w W'_x w^-1 = W'_{wx}.
 
     The stabilizers and the scalar tests are read off the action table and
-    the cocycle in one pass over all (w, x), the invariants are one
-    comparison of masks through the multiplication table, and completeness
-    is read off characters: the multiplicity of an irrep rho of W_x in
-    w -> I_{w,x} is (1/|W_x|) sum_w conj(chi_rho(w)) tr I_{w,x}.  Each
-    distinct stabilizer's subgroup and irreps are built once.
+    the cocycle in one pass over all (w, x), and the invariants are one
+    comparison of masks through the multiplication table.  Completeness is
+    a rank: w -> I_{w,x} is trivial on W'_x, a representation of Q =
+    W_x/W'_x, and C[Q] is the sum of M_{d_rho} over Q's irreps (Serre,
+    Linear Representations of Finite Groups, 6.2), so every rho occurs
+    exactly when span{I_{w,x}} has dimension |Q|: the rank of the Gram
+    matrix G_x[u, v] = tr I_{u^-1 v, x}, u, v in W_x, one batched eigvalsh
+    per distinct stabilizer.  On each isotypic part of C[W_x], G_x is
+    |W_x| m_rho / d_rho, 0 or at least 1, so the eigenvalues above 1/2 are
+    counted whatever tol is.
     """
     g = sys.group
     d = sys.fiber_dim
@@ -142,21 +148,15 @@ def scalar_subgroups(sys: EquivariantSystem, tol: float = 1e-8) -> ScalarStructu
     stabs, scalars, wprime = per_point(stab), per_point(scalar), per_point(wp)
     values = tuple(tuple(complex(lam[w, x]) for w in scalars[x]) for x in range(x_n))
     normalisation_ok = bool(np.array_equal(scalar, wp))
-    # Completeness: every irrep of W_x trivial on W'_x occurs in w -> I_{w,x}.
     by_point = np.ones(x_n, dtype=bool)
     points_of: dict[tuple[int, ...], list[int]] = {}
     for x in range(x_n):
         points_of.setdefault(stabs[x], []).append(x)
     for elems, xs in points_of.items():
-        irreps = enumerate_irreps(g.subgroup(elems).group)
-        chars = np.stack([rho.character() for rho in irreps])        # [rho, u]
-        mult = np.rint((chars.conj() @ traces[np.ix_(elems, xs)]).real / len(elems))
-        # [rho, u]: rho(u) = 1, for u in the stabilizer's own indexing.
-        fixes = np.stack([np.linalg.norm(rho.matrices - np.eye(rho.dim), axis=(-2, -1)) < 1e-8
-                          for rho in irreps])
-        local_wp = wp[np.ix_(elems, xs)]                              # [u, x]
-        trivial = ~(~fixes[:, :, None] & local_wp[None]).any(axis=1)  # [rho, x]
-        by_point[xs] = ~(trivial & (mult == 0)).any(axis=0)
+        u = np.array(elems)
+        gram = traces[g.mul[g.inv[u][:, None], u]][..., xs].transpose(2, 0, 1)   # [x, u, v]
+        rank = (np.linalg.eigvalsh(gram) > 0.5).sum(axis=1)
+        by_point[xs] = rank * wp[:, xs].sum(axis=0) == len(elems)
     return ScalarStructure(sys, stabs, scalars, values, wprime, normalisation_ok,
                            bool(by_point.all()), tuple(bool(b) for b in by_point))
 
@@ -332,8 +332,13 @@ class MoritaTheoremVerdict:
     c_blocks: int | None
     ideal: CIdeal
     module: FDHilbertModule | None   # the rebased witness module, when built
-    fpa: MatrixStarAlgebra
+    witness_fpa: MatrixStarAlgebra | None    # the fixed-point algebra, when a witness built it
     gaps: tuple[tuple[int, int, int], ...]   # (x, dim J_x, dim C_x) where J_x < C_x
+
+    @cached_property
+    def fpa(self) -> MatrixStarAlgebra:
+        """C(X, M_d)^W: the witness's, or built on first access."""
+        return self.witness_fpa or fixed_point_algebra(self.scalar.system)
 
     @property
     def ok(self) -> bool:
@@ -378,10 +383,10 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     conditions the Green-Julg module is built first and J read off its
     inner values, and the witness rebases that module onto C's rows;
     otherwise J comes from the averaged coefficients alone.  `module`
-    is None when no witness is built.
+    and `witness_fpa` are None when no witness is built; `fpa` is then
+    built on first access.
     """
     scalar = scalar or scalar_subgroups(sys, tol)
-    fpa = fixed_point_algebra(sys)
     eq = equivariant_function_module(sys)
     cp = crossed_product(eq.beta)
     cid = c_ideal(sys, scalar, cp, tol)
@@ -405,10 +410,9 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     strict = j_dim < cid.dim and span_contains(c_rows, j_rows, tol)
     gaps = tuple((int(x), int(j_ranks[x]), int(c_ranks[x]))
                  for x in np.flatnonzero(j_ranks < c_ranks))
-    witness = None
-    fpa_blocks = c_blocks = None
-    module = None
+    witness = fpa = fpa_blocks = c_blocks = module = None
     if averaged is not None and spans_match:
+        fpa = fixed_point_algebra(sys)
         module = rebase_module(averaged, cid.rows)
         witness = verify_morita(fpa, module, fpa.basis, tol,
                                 rng=np.random.default_rng(seed))

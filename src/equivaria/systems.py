@@ -404,7 +404,8 @@ class AlgebraAction:
         contractions of the maps with B's structure constants <b_l, b_i b_j>
         and star coefficients <b_l, b_i*>.  B is *-closed and its basis
         orthonormal, so each coefficient residual is the norm of the matrix
-        difference it stands for.
+        difference it stands for.  The maps are a homomorphism (checked on
+        all pairs), so both are checked at the group's generators only.
         """
         alg = self.algebra
         k = alg.dim
@@ -419,14 +420,15 @@ class AlgebraAction:
         if k == 0:
             return
         star = alg.star
+        maps = maps[list(self.group.generators())]
         # Column i: beta_w(b_i*) - beta_w(b_i)*.
-        if np.linalg.norm(maps @ star - star @ maps.conj(), axis=1).max() > tol:
+        if np.linalg.norm(maps @ star - star @ maps.conj(), axis=1).max(initial=0.0) > tol:
             raise SystemError("action does not preserve the involution")
         prod = alg.structure   # [j, l, i]: <b_l, b_i b_j>
         # [w, i, j]: beta_w(b_i b_j) - beta_w(b_i) beta_w(b_j), in B's coordinates.
         lhs = np.einsum("wml,jli->wijm", maps, prod, optimize=True)
         rhs = np.einsum("wpi,wqj,qmp->wijm", maps, maps, prod, optimize=True)
-        if np.linalg.norm(lhs - rhs, axis=-1).max() > tol:
+        if np.linalg.norm(lhs - rhs, axis=-1).max(initial=0.0) > tol:
             raise SystemError("action is not multiplicative")
 
 
@@ -495,9 +497,10 @@ class CrossedProduct:
         then U_w lies outside the span and the unit of the crossed product
         is pi(e).  `validate` compares the largest residual of (1)-(4) with
         the closure threshold, and checks adjoints and orthonormality as for
-        any algebra.  The check costs about 3 |W| dim B + |W|^2 products of
-        embedded matrices, with (2) read in B's coordinates, in place of the
-        (|W| dim B)^2 products of a dense pass.
+        any algebra, with (3) read at W's generators, which with (4) and beta
+        a homomorphism covers all of W.  The check costs about (|W| + 2 |gens|)
+        dim B + |W|^2 products of embedded matrices, with (2) read in B's
+        coordinates, in place of the (|W| dim B)^2 products of a dense pass.
         """
         w_n, k = self.group.order, self.action.algebra.dim
         n = w_n * self.action.algebra.ambient_dim
@@ -531,7 +534,9 @@ class CrossedProduct:
         u = np.kron(regular_rep(g).matrices, np.eye(n))
         u_star = u.conj().transpose(0, 2, 1)
         pair = emb - pi @ u[:, None]                                                     # (1)
-        covariance = u[:, None] @ pi @ u_star[:, None] - np.tensordot(maps, pi, axes=(1, 0))  # (3)
+        gens = list(g.generators())
+        covariance = (u[gens, None] @ pi @ u_star[gens, None]
+                      - np.tensordot(maps[gens], pi, axes=(1, 0)))                       # (3)
         # (2) in B's coordinates: pi(b_i) must be block-diagonal with block v
         # equal to sum_m c[v, i, m] b_m, and each c[v] must multiply as B does,
         # c[v](b_i) c[v](b_j) = c[v](b_i b_j), read off B's table [j, l, i].
@@ -546,7 +551,7 @@ class CrossedProduct:
         right = (table.reshape(k * k, k) @ c).reshape(w_n, k, k, k)
         return float(max(
             np.linalg.norm(pair, axis=(-2, -1)).max(),
-            np.linalg.norm(covariance, axis=(-2, -1)).max(),
+            np.linalg.norm(covariance, axis=(-2, -1)).max(initial=0.0),
             np.linalg.norm(homomorphism_defect(u, g.mul), axis=(-2, -1)).max(),   # (4)
             np.linalg.norm(outside.reshape(k, -1), axis=1).max(),
             np.linalg.norm(left - right, axis=(0, 3)).max()))
@@ -656,18 +661,19 @@ def crossed_product(action: AlgebraAction, tol: float = DEFAULT_TOL) -> CrossedP
     SystemError unless every beta_w is unitary on B's orthonormal basis, to
     the bound of the action's homomorphism check: only then is the embedded
     basis orthogonal with squared norms |W|, as CrossedProduct assumes.
+    beta is a homomorphism, so unitarity is checked at the generators.
     (b_i w)(b_j v) = b_i beta_w(b_j) (wv) expands through B's structure
     constants, the table that validating the action has already read.  The
     embedding and its span wait for first use.
     """
     action.validate()
-    maps = action.maps
     k = action.algebra.dim
-    defect = maps.conj().swapaxes(-2, -1) @ maps - np.eye(k)
-    if np.linalg.norm(defect, axis=(-2, -1)).max() > 1e-8 * max(k, 1):
+    gens = action.maps[list(action.group.generators())]
+    defect = gens.conj().swapaxes(-2, -1) @ gens - np.eye(k)
+    if np.linalg.norm(defect, axis=(-2, -1)).max(initial=0.0) > 1e-8 * max(k, 1):
         raise SystemError("action does not preserve the trace inner product")
     # [m, l, i] of B's structure is <b_l, b_i b_m>.
-    structure = np.einsum("wmj,mli->wijl", maps, action.algebra.structure, optimize=True)
+    structure = np.einsum("wmj,mli->wijl", action.maps, action.algebra.structure, optimize=True)
     return CrossedProduct(action, structure, tol)
 
 

@@ -4,8 +4,10 @@ Run with `pytest -v tests/test_acceptance.py` to get one PASS/FAIL line per
 criterion.  Each test states its tolerance and (where relevant) its runtime
 budget explicitly.
 """
+import importlib
 import json
 import os
+import pkgutil
 import resource
 import subprocess
 import sys
@@ -15,8 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
+import equivaria
+from equivaria import morita
 from equivaria.cli import main as cli_main
-from equivaria.datasets import dataset_names
+from equivaria.datasets import bundled, dataset_names
 from equivaria.groups import BUILTIN_GROUPS, builtin_group, symmetric
 from equivaria.hilbmod import (
     equivariant_function_module,
@@ -325,4 +329,38 @@ def test_no_cli_run_multiplies_a_basis_pairwise(monkeypatch, capsys):
     monkeypatch.setattr(MatrixStarAlgebra, "_product_pass", dense_pass)
     for args, code in CLI_RUNS:
         assert cli_main([*args, "--format", "json"]) == code, args
+    capsys.readouterr()
+
+
+def test_morita_runs_enumerate_no_irreps(monkeypatch, capsys):
+    """verify_morita_theorem on every bundled system and z2xz2-line 1-2, a
+    semidirect reduction, and every `morita` run of CLI_RUNS, with
+    enumerate_irreps made to fail in every module that imports it:
+    completeness is a rank of traces, so no stabilizer's irreps are built.
+    Where no witness is built, on dihedral-plane and anticomplete-point,
+    the fixed-point algebra is not built either."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_irreps called on a Morita run")
+
+    modules = [importlib.import_module(info.name)
+               for info in pkgutil.iter_modules(equivaria.__path__, "equivaria.")]
+    holders = [m for m in modules if hasattr(m, "enumerate_irreps")]
+    assert {m.__name__ for m in holders} >= {"equivaria.reps", "equivaria.cli"}
+    for module in holders:
+        monkeypatch.setattr(module, "enumerate_irreps", refuse)
+    built = []
+    fpa = morita.fixed_point_algebra
+    monkeypatch.setattr(morita, "fixed_point_algebra",
+                        lambda sys, *args, **kwargs: built.append(sys) or fpa(sys, *args, **kwargs))
+    for name in ("dihedral-plane", "anticomplete-point"):
+        verdict = verify_morita_theorem(bundled(name))
+        assert verdict.ok and verdict.witness is None
+        assert cli_main(["morita", "--input", name, "--format", "json"]) == 0
+    assert built == []
+    for sys in (bundled("z2-line"), z2xz2_line_system(1), z2xz2_line_system(2)):
+        assert verify_morita_theorem(sys).ok
+    assert semidirect_reduction(z2xz2_line_system(2), [0, 2], [0, 1]).ok
+    for args, code in CLI_RUNS:
+        if args[0] == "morita":
+            assert cli_main([*args, "--format", "json"]) == code, args
     capsys.readouterr()

@@ -148,11 +148,6 @@ def test_separating_detects_reducible_restriction():
     assert report.reducible_blocks == (0,)
 
 
-# Every run draws the same examples and writes no example database.
-settings.register_profile("derandomized", derandomize=True, database=None,
-                          deadline=None, max_examples=30)
-
-
 def planted_algebra(blocks, pad, seed):
     """(algebra, unit): a seeded unitary conjugate of (+)_i M_(n_i) (x) 1_(m_i)
     (+) 0_pad for blocks [(n_i, m_i)], in a seeded orthonormal basis of the span."""

@@ -6,7 +6,7 @@ import pytest
 
 from equivaria import morita
 from equivaria.datasets import bundled
-from equivaria.groups import FiniteGroup, cyclic
+from equivaria.groups import cyclic
 from equivaria.morita import (
     SplittingError,
     assemble_toy_dual,
@@ -18,6 +18,7 @@ from equivaria.morita import (
 from equivaria.systems import (
     EquivariantSystem,
     anticomplete_point_system,
+    trivial_system,
     z2_line_system,
     z2xz2_line_system,
 )
@@ -98,6 +99,13 @@ def test_morita_theorem_z2_line():
     assert verdict.ok
 
 
+def test_morita_theorem_over_the_trivial_group():
+    # No generators: every check at the generators reads an empty stack.
+    verdict = verify_morita_theorem(trivial_system(3, 2))
+    assert verdict.conditions_hold and verdict.ok
+    assert verdict.j_dim == verdict.c_dim == 3 and verdict.fpa_blocks == verdict.c_blocks == 3
+
+
 def test_morita_theorem_anticomplete_strict():
     verdict = verify_morita_theorem(anticomplete_point_system())
     assert not verdict.conditions_hold
@@ -173,25 +181,6 @@ def test_gaps_name_the_points_where_j_falls_short():
     assert verify_morita_theorem(anticomplete_point_system()).gaps == ((0, 1, 2),)
     # Where J = C there is no gap.
     assert verify_morita_theorem(z2_line_system(2)).gaps == ()
-
-
-def test_scalar_subgroups_build_each_stabilizer_once(monkeypatch):
-    sys = bundled("dihedral-plane")
-    built, enumerated = [], []
-    subgroup = FiniteGroup.subgroup
-
-    def spy(g, elems, *args, **kwargs):
-        built.append(tuple(elems))
-        return subgroup(g, elems, *args, **kwargs)
-
-    monkeypatch.setattr(FiniteGroup, "subgroup", spy)
-    irreps = morita.enumerate_irreps
-    monkeypatch.setattr(morita, "enumerate_irreps",
-                        lambda g: enumerated.append(g) or irreps(g))
-    scalar = scalar_subgroups(sys)
-    distinct = set(scalar.stabilizers)
-    assert len(distinct) == 6
-    assert sorted(built) == sorted(distinct) and len(enumerated) == 6
 
 
 def test_morita_tolerance_reaches_the_cuts_of_j_and_c(monkeypatch):

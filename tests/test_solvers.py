@@ -27,8 +27,9 @@ dense pass as their oracle; mutants of the embedding and of its whitening
 fail.  Module axioms are checked on all samples at once, against the
 per-sample loop.  The Morita theorem cuts J and C point by point, with the
 whole-ambient SVD of J and the kernel of C's constraints as oracles, and
-`scalar_subgroups` is checked against its loop over points and elements,
-down to the first failure its invariant checks name.  A proper C's algebra
+`scalar_subgroups` is checked against its loop over points, elements and
+stabilizer irreps, on planted cocycles too, down to the first failure its
+invariant checks name.  A proper C's algebra
 and the orbit algebra C(X/W') take tables that match the dense pass.  The
 dense paths and per-pair loops survive here as oracles, and spies check
 that a run classifies the spectrum, builds each fixed-point algebra once
@@ -50,6 +51,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equivaria import cli, groups, hilbmod, linalg, matalg, morita, spectrum, systems
 from equivaria.datasets import bundled
@@ -1523,6 +1525,75 @@ def test_scalar_subgroups_match_the_point_loop(label):
             assert getattr(fast, name) == getattr(loop, name), name
         assert all(len(a) == len(b) and close(np.array(a), np.array(b), 1e-14)
                    for a, b in zip(fast.scalar_values, loop.scalar_values))
+
+
+def planted_cocycle_system(group_name, mults, twist, second, seed):
+    """(system, irreps at point 0): point 0 is fixed, with cocycle
+    chi U ((+)_rho rho^(m_rho)) U* for a seeded unitary U and, when twist > 0,
+    a nontrivial linear character chi.  second = "fixed" adds a fixed point
+    with the untwisted sum in another seeded basis, "free" a free orbit with
+    the trivial cocycle, anything else nothing."""
+    g = builtin_group(group_name)
+    irreps = enumerate_irreps(g)
+    mults = list(mults[:len(irreps)])
+    if not any(mults):
+        mults[0] = 1
+    d = sum(m * rho.dim for m, rho in zip(mults, irreps))
+    rng = np.random.default_rng(seed)
+
+    def planted():
+        mats, at = np.zeros((g.order, d, d), dtype=complex), 0
+        for m, rho in zip(mults, irreps):
+            for _ in range(m):
+                mats[:, at:at + rho.dim, at:at + rho.dim] = rho.matrices
+                at += rho.dim
+        u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        return u @ mats @ u.conj().T
+
+    linear = [rho.matrices[:, 0, 0] for rho in irreps
+              if rho.dim == 1 and np.abs(rho.matrices - 1.0).max() > 1e-8]
+    chi = linear[(twist - 1) % len(linear)] if twist and linear else np.ones(g.order)
+    points, action, cocycle = [0.0], [np.zeros(g.order, dtype=np.intp)], [
+        chi[:, None, None] * planted()]
+    if second == "fixed":
+        points.append(1.0)
+        action.append(np.ones(g.order, dtype=np.intp))
+        cocycle.append(planted())
+    elif second == "free":
+        points += [2.0 + v for v in range(g.order)]
+        action += [1 + g.mul[:, v] for v in range(g.order)]
+        cocycle += [np.broadcast_to(np.eye(d), (g.order, d, d))] * g.order
+    sys = EquivariantSystem(g, tuple(points), np.stack(action, axis=1), d,
+                            np.stack(cocycle, axis=1), name=f"{group_name}-planted")
+    return sys, [rho for m, rho in zip(mults, irreps) if m]
+
+
+# A hundred examples, a second in all, reach every builtin group.
+@settings(settings.get_profile("derandomized"), max_examples=100)
+@given(st.sampled_from(sorted(BUILTIN_GROUPS)), st.lists(st.integers(0, 2), min_size=8, max_size=8),
+       st.integers(0, 3), st.sampled_from(["none", "fixed", "free"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_scalar_subgroups_match_the_irreps_oracle_on_planted_cocycles(
+        group_name, mults, twist, second, seed):
+    """Completeness as the rank of the trace Gram matrix agrees with the
+    irreps-based loop, and every Gram eigenvalue is 0 or at least 1, so the
+    cut at 1/2 has a margin of 1/2 on either side."""
+    sys, occurring = planted_cocycle_system(group_name, mults, twist, second, seed)
+    for tol in (1e-8, 1e-3):
+        fast, loop = morita.scalar_subgroups(sys, tol), scalar_subgroups_loop(sys, tol)
+        for name in ("stabilizers", "scalar_elements", "wprime", "normalisation_ok",
+                     "completeness_ok", "completeness_by_point"):
+            assert getattr(fast, name) == getattr(loop, name), name
+        assert all(len(a) == len(b) and close(np.array(a), np.array(b), 1e-12)
+                   for a, b in zip(fast.scalar_values, loop.scalar_values))
+    for x, stab in enumerate(fast.stabilizers):
+        mats = sys.cocycle[list(stab), x]
+        gram = np.einsum("uab,vab->uv", mats.conj(), mats)            # tr(I_u* I_v)
+        eigs = np.linalg.eigvalsh(gram)
+        assert np.all((eigs < 1e-8) | (eigs >= 1 - 1e-9)), eigs
+        if x == 0:
+            # Twisting by chi permutes the irreps and keeps their dims.
+            assert (eigs > 0.5).sum() == sum(rho.dim ** 2 for rho in occurring)
 
 
 @pytest.mark.parametrize("label", ["dihedral-plane", "z4-rotation", "z2xz2-line-2", "Q8-all"])

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from equivaria.groups import builtin_group, cyclic, symmetric
-from equivaria.matalg import MatrixStarAlgebra, block_decompose, full_matrix_algebra
+from equivaria import systems
+from equivaria.matalg import AlgebraError, MatrixStarAlgebra, block_decompose, full_matrix_algebra
 from equivaria.linalg import spans_equal
 from equivaria.reps import enumerate_irreps, regular_rep
 from equivaria.systems import (
@@ -281,3 +282,61 @@ def test_crossed_product_rejects_an_action_that_does_not_preserve_the_trace():
     action.validate()
     with pytest.raises(SystemError, match="does not preserve the trace"):
         crossed_product(action)
+
+
+def powers(gen, order):
+    """[gen^0, ..., gen^(order - 1)]: a homomorphism from Z/order that sends
+    the generator 1 to `gen`, when gen^order = 1."""
+    return np.stack([np.linalg.matrix_power(gen, j) for j in range(order)])
+
+
+def test_generator_checks_reject_each_mutant_of_z4():
+    """Z/4 = <1>: multiplicativity, the star and unitarity are read at 1
+    only, after the homomorphism check on all pairs, so a generator map that
+    breaks one of them is rejected, and so are maps that are automorphisms
+    at the generator but not a homomorphism."""
+    assert cyclic(4).generators() == (1,)
+    shift = np.roll(np.eye(4), 1, axis=0)
+    # A quarter turn of span{delta_0, delta_1}: real, so *-preserving, and
+    # orthogonal of order 4, but not multiplicative.
+    quarter = np.eye(4)
+    quarter[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
+    # Conjugation by g = [[1, 1], [0, -1]], g^2 = 1: an automorphism of M_2
+    # that does not commute with the involution.
+    skew = conjugation_maps(np.array([[1.0, 1.0], [0.0, -1.0]]))
+    # Each map a permutation, but beta_2 = 1 != beta_1^2.
+    not_hom = powers(shift, 4)
+    not_hom[2] = np.eye(4)
+    mutants = [
+        (scalar_action(cyclic(4), powers(quarter, 4)), "multiplicative"),
+        (AlgebraAction(cyclic(4), full_matrix_algebra(2), powers(skew, 4)), "involution"),
+        (scalar_action(cyclic(4), not_hom), "homomorphism"),
+    ]
+    for action, message in mutants:
+        with pytest.raises(SystemError, match=message):
+            action.validate()
+    scalar_action(cyclic(4), powers(shift, 4)).validate()
+    # The summand swap of span{E11, (E22 + E33) / sqrt 2} at the generator:
+    # a *-automorphism whose matrix is not unitary.
+    basis = np.zeros((2, 3, 3), dtype=complex)
+    basis[0, 0, 0] = 1.0
+    basis[1, 1, 1] = basis[1, 2, 2] = 1.0 / np.sqrt(2.0)
+    swap = np.array([[0.0, 1.0 / np.sqrt(2.0)], [np.sqrt(2.0), 0.0]])
+    action = AlgebraAction(cyclic(4), MatrixStarAlgebra(3, basis), powers(swap, 4))
+    action.validate()
+    with pytest.raises(SystemError, match="does not preserve the trace"):
+        crossed_product(action)
+
+
+def test_relation_check_rejects_an_embedding_that_breaks_covariance(monkeypatch):
+    """C(4 points) >| Z/4 by the shift, embedded as if Z/4 shifted the other
+    way: relations (1), (2) and (4) hold, and covariance (3), checked at the
+    generator only, fails there."""
+    shift = np.roll(np.eye(4), 1, axis=0)
+    action = scalar_action(cyclic(4), powers(shift, 4))
+    assert crossed_product(action).algebra.closure_residual() < 1e-12
+    other = scalar_action(cyclic(4), powers(shift.T, 4))
+    crossed_basis = systems.crossed_basis
+    monkeypatch.setattr(systems, "crossed_basis", lambda _: crossed_basis(other))
+    with pytest.raises(AlgebraError, match="span is not closed"):
+        crossed_product(action).algebra
