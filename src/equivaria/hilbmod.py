@@ -15,15 +15,15 @@ lie in B by construction.  The rank-one maps (one or all m^2 of them), the
 Gram matrix, the fullness ideal, and the averaged (Green-Julg) and crossed
 modules over B >| W are built from it with a few matrix products, never
 with per-pair loops.  Over B >| W the coordinates are the crossed
-product's whitened coefficients, its crossed coefficients times sqrt|W|,
-which index the orthonormal basis b_i w / sqrt|W| of its algebra, so no
-inner value is embedded.  Values that arrive as matrices (the dual
-module's rank-one maps, the quotient module's functions, a module rebased
-onto a subalgebra) pass through one checked conversion, which raises
+product's coefficients, which index the orthonormal basis b_i w / sqrt|W|
+of its algebra, so no inner value is embedded.  Values that arrive as
+matrices (the dual module's rank-one maps, the quotient module's
+functions, a module rebased onto a subalgebra) pass through one checked conversion, which raises
 ModuleError when a value leaves the span.  The Green-Julg check needs no
 module over B >| W at all: a rank-one map is the same operator in any
 basis of B >| W, so the averaged compacts come from the crossed
-coefficients b_i w, and K_B(E)^W is solved in the coordinates of K_B(E).
+coefficients and the maps of the same basis, and K_B(E)^W is solved in the
+coordinates of K_B(E).
 `compact_operators` cuts the rank of the m^2 rank-one maps one carrier
 component at a time (`carrier_components`; the points or orbits of the
 function modules): the stack of all the maps is block diagonal, one block
@@ -567,37 +567,37 @@ def green_julg_module(eq: EquivariantModule,
     """E as a module over B >| W: xi . bw = gamma_{w^-1}(xi b), averaged inner.
 
     The inner product is <<xi|eta>> = sum_w <xi|gamma_w eta> w.  Both tensors
-    are built from crossed coefficients, (w, i) for b_i w; the inner values
-    are whitened, which makes them coordinates in cp.algebra.  This builds
-    the embedded crossed product as the module's algebra; spans of inner
-    values can be compared in cp's whitened coefficients without it.  The
-    basis element b_i w / sqrt|W| of cp.algebra acts by the carrier map
-    gamma_{w^-1} R_{b_i} / sqrt|W|.
+    are built in crossed coefficients, (w, i) for a_(w,i) = b_i w / sqrt|W|,
+    the coordinates in cp.algebra.  This builds the embedded crossed product
+    as the module's algebra; spans of inner values can be compared in
+    cp's coefficients without it.
     """
     base = eq.base
     cp = cp or crossed_product(eq.beta, tol)
     m = base.carrier_dim
-    action = _averaged_maps(eq).reshape(cp.dim, m, m) / np.sqrt(cp.group.order)
-    inner = cp.whiten(averaged_inner_coefficients(eq))
+    action = _averaged_maps(eq).reshape(cp.dim, m, m)
+    inner = averaged_inner_coefficients(eq).reshape(m, m, cp.dim)
     return FDHilbertModule(cp.algebra, action, inner,
                            name=(base.name or "module") + "-averaged"), cp
 
 
 def _averaged_maps(eq: EquivariantModule) -> np.ndarray:
-    """(|W|, dim B, m, m): the carrier map gamma_{w^-1} R_{b_i} by which
-    b_i w acts on the averaged module."""
-    return eq.gamma[eq.group.inv][:, None] @ eq.base.action[None]
+    """(|W|, dim B, m, m): the carrier map gamma_{w^-1} R_{b_i} / sqrt|W| by
+    which a_(w,i) = b_i w / sqrt|W| acts on the averaged module."""
+    gamma = eq.gamma[eq.group.inv] / np.sqrt(eq.group.order)
+    return gamma[:, None] @ eq.base.action[None]
 
 
 def averaged_inner_coefficients(eq: EquivariantModule) -> np.ndarray:
     """<<e_p|e_q>> = sum_w <e_p|gamma_w e_q> w in crossed coefficients.
 
-    An (m, m, |W|, dim B) array: <e_p|gamma_w e_q> has B-coefficients
-    sum_j gamma_w[j, q] <e_p|e_j>.  One product per p writes it in this
-    layout, so reshaping or whitening it copies nothing.
+    An (m, m, |W|, dim B) array: <e_p|gamma_w e_q> w has the coefficients
+    sqrt|W| sum_j gamma_w[j, q] <e_p|e_j> against the a_(w,i).  One product
+    per p, with gamma's columns scaled first, writes it in this layout, so
+    reshaping it copies nothing.
     """
     m, w_n = eq.base.carrier_dim, eq.group.order
-    by_column = eq.gamma.transpose(2, 0, 1).reshape(m * w_n, m)         # [(q, w), j]
+    by_column = eq.gamma.transpose(2, 0, 1).reshape(m * w_n, m) * np.sqrt(w_n)  # [(q, w), j]
     return (by_column @ eq.base.inner).reshape(m, m, w_n, eq.base.algebra.dim)
 
 
@@ -608,22 +608,26 @@ def module_crossed_product(eq: EquivariantModule,
 
     Built like green_julg_module.  Carrier coordinate (w, p) is w * m + p;
     b_i v maps the block of w to the block of wv by R_{beta_w(b_i)}, and
-    <<e_p w1 | e_q w2>> = beta_{w1^-1}(<e_p|e_q>) (w1^-1 w2).
+    <<e_p w1 | e_q w2>> = beta_{w1^-1}(<e_p|e_q>) (w1^-1 w2).  Against the
+    a_(v,i) = b_i v / sqrt|W| the maps take a 1 / sqrt|W| and the inner
+    coefficients a sqrt|W|.
     """
     g = eq.group
     base = eq.base
     cp = cp or crossed_product(eq.beta, tol)
     m, k, w_n = base.carrier_dim, base.algebra.dim, g.order
     big = m * w_n
-    twisted = np.tensordot(eq.beta.maps, base.action, axes=(1, 0))  # R_{beta_w(b_i)}
+    twisted = np.tensordot(eq.beta.maps / np.sqrt(w_n), base.action,
+                           axes=(1, 0))                         # R_{beta_w(b_i)} / sqrt|W|
     maps = np.zeros((w_n, k, w_n, m, w_n, m), dtype=complex)
-    ips = np.tensordot(eq.beta.maps[g.inv], base.inner, axes=(2, 2)).transpose(0, 2, 3, 1)
+    ips = np.tensordot(eq.beta.maps[g.inv] * np.sqrt(w_n), base.inner,
+                       axes=(2, 2)).transpose(0, 2, 3, 1)
     coeffs = np.zeros((w_n, m, w_n, m, w_n, k), dtype=complex)
     w, v = np.arange(w_n)[:, None], np.arange(w_n)
     maps[v, :, g.mul[w, v], :, w, :] = twisted[:, None]
     coeffs[w, :, v, :, g.mul[g.inv[w], v]] = ips[:, None]
-    action = maps.reshape(w_n * k, big, big) / np.sqrt(w_n)
-    inner = cp.whiten(coeffs.reshape(big, big, w_n, k))
+    action = maps.reshape(w_n * k, big, big)
+    inner = coeffs.reshape(big, big, w_n * k)
     return FDHilbertModule(cp.algebra, action, inner,
                            name=(base.name or "module") + "-crossed"), cp
 
@@ -691,9 +695,10 @@ def _averaged_compacts_rows(eq: EquivariantModule, tol: float) -> np.ndarray:
 
     |e_p><e_q| is the same operator whatever basis of B >| W its inner
     values are expanded in, so the averaged module's rank-one maps are built
-    from the |W| dim B maps gamma_{w^-1} R_{b_i} and the inner values in the
-    crossed coefficients b_i w.  Their rank is cut one carrier component
-    at a time, as in compact_operators; the components are the orbits.
+    from the |W| dim B maps of the a_(w,i) and the inner values in crossed
+    coefficients, without the module's algebra.  Their rank is cut one
+    carrier component at a time, as in compact_operators; the components
+    are the orbits.
     """
     eq.beta.validate()
     maps = _averaged_maps(eq)

@@ -15,20 +15,19 @@ splitting W = W' >| R and lands on C(X/W') >| R — the finite shape of the
 reduced dual.
 
 The ideal test and the comparison of J with C run in the crossed product's
-whitened coefficients, the crossed coefficients times sqrt|W|, where rank
-cuts, norms and residuals are those of the embedded matrices.  Both J and C
-split over the points of X: the point indicators delta_x cut every
-coefficient array into |X| column blocks of C^|W|, so C is spanned by
-coset indicators point by point and J's rank is one batched cut over the
-points (verify_morita_theorem gives the argument), which also names the
-points where J falls short of C.  C's orthonormal rows, whitened and
-normalised, are themselves, so they are coordinates against the embedded
-crossed product's algebra: C's algebra is those rows times that basis,
-with that algebra's product table restricted to them, and the Green-Julg
-module is rebased onto C by projecting its inner coefficients onto those
-rows.  The embedded crossed product is built only when both cocycle
-conditions hold, as the algebra of the averaged module, and the fixed-point
-algebra only when J = C as well, for the Morita witness.
+coefficients, which are orthonormal coordinates, so rank cuts, norms and
+residuals are those of the embedded matrices.  Both J and C split over the
+points of X: the point indicators delta_x cut every coefficient array into
+|X| column blocks of C^|W|, so C is spanned by coset indicators point by
+point and J's rank is one batched cut over the points
+(verify_morita_theorem gives the argument), which also names the points
+where J falls short of C.  C's orthonormal rows are coordinates against
+the embedded crossed product's algebra: C's algebra is those rows times
+that basis, with that algebra's product table restricted to them, and the
+Green-Julg module is rebased onto C by projecting its inner coefficients
+onto those rows.  The embedded crossed product is built only when both
+cocycle conditions hold, as the algebra of the averaged module, and the
+fixed-point algebra only when J = C as well, for the Morita witness.
 """
 from __future__ import annotations
 
@@ -197,8 +196,7 @@ def _check_scalar_invariants(g: FiniteGroup, action: np.ndarray, stab: np.ndarra
 class CIdeal:
     """C(X, W, I) inside C(X) >| W, in coefficients; embedded on demand.
 
-    `rows` spans the ideal in cp's coefficients.  They are orthonormal, and
-    whitening only scales them by sqrt|W|, so they are also orthonormal
+    `rows` spans the ideal in cp's coefficients.  They are orthonormal
     coordinates against cp.algebra's basis, where norms and inner products
     are those of the embedded matrices.  Every row lies in one point's
     column block (., x), x = `points[row]`, in increasing order of x.
@@ -233,10 +231,9 @@ def c_ideal(sys: EquivariantSystem, scalar: ScalarStructure | None = None,
     (., x), so C is the direct sum over points of C_x, the functions on W
     constant on each right coset W'_x w.  The normalised indicators of those
     cosets are an orthonormal basis of C_x; no kernel is solved.  W'_x is a
-    subgroup, as scalar_subgroups checks, so the cosets partition W.
-    Whitening scales every row by sqrt|W|, so the rows are orthonormal in
-    cp's whitened coefficients too, where the result is verified to be a
-    two-sided *-closed ideal of C(X) >| W (CrossedProduct.is_ideal).
+    subgroup, as scalar_subgroups checks, so the cosets partition W.  In
+    cp's orthonormal coefficients the result is verified to be a two-sided
+    *-closed ideal of C(X) >| W (CrossedProduct.is_ideal).
     """
     scalar = scalar or scalar_subgroups(sys, max(tol, 1e-8))
     cp = cp or crossed_product(scalar_translation_action(sys), tol)
@@ -282,8 +279,8 @@ def rebase_module(e: FDHilbertModule, rows: np.ndarray) -> FDHilbertModule:
 
 def _point_blocks(inner: np.ndarray, x_n: int, d: int) -> np.ndarray:
     """(|X|, d m, |W|): block x holds the inner values <<e_p|e_q>>, (m, m,
-    |W| |X|) or (m, m, |W|, |X|) crossed coefficients, whitened or not,
-    whose left vector e_p lies at x (p = x d + a), in the columns (., x).
+    |W| |X|) or (m, m, |W|, |X|) crossed coefficients, whose left vector
+    e_p lies at x (p = x d + a), in the columns (., x).
 
     Raises MoritaError unless every other entry of those rows is exactly
     zero: the nonzero entries of the whole tensor must all lie in the
@@ -334,11 +331,12 @@ class MoritaTheoremVerdict:
     module: FDHilbertModule | None   # the rebased witness module, when built
     witness_fpa: MatrixStarAlgebra | None    # the fixed-point algebra, when a witness built it
     gaps: tuple[tuple[int, int, int], ...]   # (x, dim J_x, dim C_x) where J_x < C_x
+    tol: float                               # the tolerance of every cut
 
     @cached_property
     def fpa(self) -> MatrixStarAlgebra:
-        """C(X, M_d)^W: the witness's, or built on first access."""
-        return self.witness_fpa or fixed_point_algebra(self.scalar.system)
+        """C(X, M_d)^W: the witness's, or built on first access at `tol`."""
+        return self.witness_fpa or fixed_point_algebra(self.scalar.system, self.tol)
 
     @property
     def ok(self) -> bool:
@@ -356,18 +354,18 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     conditions the spans must agree and a Morita witness is produced.  When
     completeness fails the strictness of J in C is reported instead, and
     `gaps` names the points x where dim J_x < dim C_x.  `scalar`, when
-    given, must be scalar_subgroups(sys, tol).  J's rank, C's ideal check,
-    the span tests and the witness all take `tol`.
+    given, must be scalar_subgroups(sys, tol).  The crossed product, J's
+    rank, C's ideal check, the span tests, the fixed-point algebra, both
+    block decompositions and the witness all take `tol`, which the verdict
+    records.
 
-    J and C are compared in the crossed product's whitened coefficients,
-    whose singular values, norms and residuals are those of the embedded
-    matrices, so the rank and span rules are the embedded ones.  Both are
-    cut point by point, and that is exact:
+    J and C are compared in the crossed product's coefficients, which are
+    orthonormal, so their singular values, norms and residuals are those of
+    the embedded matrices and the rank and span rules are the embedded ones.
+    Both are cut point by point, and that is exact:
       - delta_x in C(X) multiplies f = sum f_w(y) delta_y w to the column
-        block (., x) of its coefficients.  Whitening is the scalar sqrt|W|,
-        so on whitened coordinates too delta_x is the projection onto block
-        (., x), and both J and C, left ideals, are the direct sums of their
-        blocks J_x and C_x in C^|W|.
+        block (., x) of its coefficients, so both J and C, left ideals, are
+        the direct sums of their blocks J_x and C_x in C^|W|.
       - <<e_p|e_q>> = sum_w <e_p|gamma_w e_q> w has B-coefficients only at
         the point x of e_p, so each generating row lies in one block
         (checked: every other entry is exactly zero).  The rows of
@@ -388,19 +386,14 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     """
     scalar = scalar or scalar_subgroups(sys, tol)
     eq = equivariant_function_module(sys)
-    cp = crossed_product(eq.beta)
+    cp = crossed_product(eq.beta, tol)
     cid = c_ideal(sys, scalar, cp, tol)
     conditions = scalar.normalisation_ok and scalar.completeness_ok
     x_n, d = sys.n_points, sys.fiber_dim
     # A witness needs the averaged module, whose inner values span J.
-    # Otherwise only J's blocks are whitened, by sqrt|W|.
     averaged = green_julg_module(eq, cp)[0] if conditions else None
-    if averaged is not None:
-        blocks = _point_blocks(averaged.inner, x_n, d)
-    else:
-        blocks = _point_blocks(averaged_inner_coefficients(eq), x_n, d) \
-            * np.sqrt(sys.group.order)
-    j_rows, j_ranks = _point_spans(blocks, tol)
+    inner = averaged_inner_coefficients(eq) if averaged is None else averaged.inner
+    j_rows, j_ranks = _point_spans(_point_blocks(inner, x_n, d), tol)
     c_rows = _by_point(cid.rows, cid.points, x_n)
     c_ranks = np.bincount(cid.points, minlength=x_n)
     j_dim = int(j_ranks.sum())
@@ -412,15 +405,15 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
                  for x in np.flatnonzero(j_ranks < c_ranks))
     witness = fpa = fpa_blocks = c_blocks = module = None
     if averaged is not None and spans_match:
-        fpa = fixed_point_algebra(sys)
+        fpa = fixed_point_algebra(sys, tol)
         module = rebase_module(averaged, cid.rows)
         witness = verify_morita(fpa, module, fpa.basis, tol,
                                 rng=np.random.default_rng(seed))
-        fpa_blocks = len(block_decompose(fpa, seed=seed).blocks)
-        c_blocks = len(block_decompose(module.algebra, seed=seed).blocks)
+        fpa_blocks = len(block_decompose(fpa, seed=seed, tol=tol).blocks)
+        c_blocks = len(block_decompose(module.algebra, seed=seed, tol=tol).blocks)
     return MoritaTheoremVerdict(scalar, conditions, j_dim, cid.dim,
                                 spans_match, strict, j_in_c, witness,
-                                fpa_blocks, c_blocks, cid, module, fpa, gaps)
+                                fpa_blocks, c_blocks, cid, module, fpa, gaps, tol)
 
 
 # -- semidirect reduction ------------------------------------------------------
@@ -462,7 +455,7 @@ def _quotient_equivariant_module(sys: EquivariantSystem, sys_p: EquivariantSyste
     quot = quotient_algebra(EquivariantSystem(
         sys_p.group, sys_p.points, sys_p.action, 1,
         np.ones((sys_p.group.order, sys_p.n_points, 1, 1), dtype=complex),
-        name=sys_p.name + "-pts"))
+        name=sys_p.name + "-pts"), tol)
     q_alg = quot.algebra
     # Pointwise multiplication by the normalized orbit indicators, [o, p].
     diag = np.repeat(quot.orbit_basis.real, sys.fiber_dim, axis=1)
@@ -551,15 +544,15 @@ def _semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int,
     # on the W'-invariant vectors by compression.
     eq_q, u_rows = _quotient_equivariant_module(sys, sys_p, u_emb, v_sub, tol)
     eq_q.validate(max(tol, 1e-8))
-    gj_q, cp_q = green_julg_module(eq_q)
+    gj_q, cp_q = green_julg_module(eq_q, tol=tol)
     fpa = thm.fpa
     left = u_rows.conj() @ fpa.basis @ u_rows.T
     final_witness = verify_morita(fpa, gj_q, left, tol,
                                   rng=np.random.default_rng(seed))
     fpa_blocks = thm.fpa_blocks
     if fpa_blocks is None:
-        fpa_blocks = len(block_decompose(fpa, seed=seed).blocks)
-    final_blocks = len(block_decompose(cp_q.algebra, seed=seed).blocks)
+        fpa_blocks = len(block_decompose(fpa, seed=seed, tol=tol).blocks)
+    final_blocks = len(block_decompose(cp_q.algebra, seed=seed, tol=tol).blocks)
     report = ReductionReport(sys.name, True, thm, iso.bijective,
                              iso.multiplicative_residual, iso.star_residual,
                              ideal_transport_ok, thm_p, final_witness,

@@ -10,13 +10,12 @@ on l^2(W) (x) C^N and verifies the two structural isomorphisms
 C(X) >| W ~ C(X, K(l^2 W))^W and (B >| U) >| V ~ B >| W for W = U >| V.
 A CrossedProduct works in crossed coefficients: its structure tensor
 carries products, adjoints and the ideal test, so building one costs
-O(|W| dim B^3).  The action preserves the trace, so the embedded basis
-b_i w is orthogonal with squared norms |W|: crossed coefficients are
-orthonormal coordinates up to sqrt|W|, and scaled by it ("whitened") they
-are the coordinates of the one matrix algebra, so a module over B >| W
-keeps its inner values as whitened rows and never embeds them.  The
-|W| dim B embedded basis elements are built on first use only, when a
-Morita witness needs that algebra.  No other module embeds or
+O(|W| dim B^3).  The action preserves the trace, so the elements
+a_(w,i) = b_i w / sqrt|W| are orthonormal, and crossed coefficients are
+taken against them: they are the coordinates of the one matrix algebra,
+and a module over B >| W keeps its inner values as those rows and never
+embeds them.  The |W| dim B embedded basis elements are built on first use
+only, when a Morita witness needs that algebra.  No other module embeds or
 coordinatizes crossed-product elements.  That algebra's product table is
 read off the structure tensor, and its span is checked by the relations of
 the covariant pair the embedding integrates, never by forming the
@@ -444,15 +443,16 @@ class CrossedProduct:
     """B >| W in crossed coefficients, with its regular embedding on demand.
 
     Coefficient elements are (..., |W|, dim B) arrays f meaning
-    sum_w b(f_w) w.  One small array carries the algebra: `structure`, with
-    (b_i w)(b_j v) = sum_l structure[w, i, j, l] b_l (wv).  Products,
+    sum_(w,i) f[w, i] a_(w,i), for a_(w,i) = b_i w / sqrt|W|.  One small
+    array carries the algebra: `structure`, with
+    a_(w,i) a_(v,j) = sum_l structure[w, i, j, l] a_(wv,l).  Products,
     adjoints and span tests run on it.  Every beta_w is unitary on B's
-    orthonormal basis (crossed_product checks it), so the embedded basis
-    b_i w is orthogonal with squared norms |W|, and `whiten`, the
-    coefficients times sqrt|W|, gives rows whose standard inner products are
-    the trace inner products of the embedded matrices: the coordinates in
-    `algebra`'s basis.  `embedding` (row w * dim B + i is b_i w embedded, as
-    built by crossed_basis) and `algebra` are built on first access only.
+    orthonormal basis (crossed_product checks it), so the embedded a_(w,i)
+    are orthonormal: the coefficients are the coordinates in `algebra`'s
+    basis, and their standard inner products are the trace inner products
+    of the embedded matrices.  `embedding` (row w * dim B + i is a_(w,i)
+    embedded, as built by crossed_basis) and `algebra` are built on first
+    access only.
     """
 
     action: AlgebraAction
@@ -470,23 +470,23 @@ class CrossedProduct:
 
     @cached_property
     def embedding(self) -> np.ndarray:
-        """(|W| dim B, |W| N, |W| N): every b_i w embedded."""
+        """(|W| dim B, |W| N, |W| N): every a_(w,i) embedded."""
         return crossed_basis(self.action)
 
     @cached_property
     def algebra(self) -> MatrixStarAlgebra:
-        """The embedded crossed product in the basis embed(unwhiten(I)).
+        """The embedded crossed product, with `embedding` as its basis.
 
         Basis element (w, j) is a_(w, j) = b_j w / sqrt|W|, orthonormal
-        because beta is unitary, so `whiten` gives coordinates against it.
-        Its product table is whiten(multiply(unwhiten(I), unwhiten(I))),
-        read off `structure`; no two embedded matrices are multiplied for it.
+        because beta is unitary, so crossed coefficients are coordinates
+        against it.  Its product table is multiply(I, I), read off
+        `structure`; no two embedded matrices are multiplied for it.
 
         That table is the embedded one because the embedding is the
         integrated form of a covariant pair (pi, U) (Williams, Crossed
         Products of C*-Algebras, 2007, 2.3).  Here pi(b) acts on
         delta_v (x) C^N by beta_(v^-1)(b) and U_w = lambda_w (x) 1_N.  When
-          (1) b_i w embeds as pi(b_i) U_w,
+          (1) a_(w,i) embeds as pi(b_i) U_w / sqrt|W|,
           (2) pi(b_i) pi(b_j) = pi(b_i b_j),
           (3) U_w pi(b_i) U_w* = pi(beta_w(b_i)) and
           (4) U_w U_v = U_wv,
@@ -502,12 +502,10 @@ class CrossedProduct:
         dim B + |W|^2 products of embedded matrices, with (2) read in B's
         coordinates, in place of the (|W| dim B)^2 products of a dense pass.
         """
-        w_n, k = self.group.order, self.action.algebra.dim
-        n = w_n * self.action.algebra.ambient_dim
-        if k == 0:
+        n = self.group.order * self.action.algebra.ambient_dim
+        if self.dim == 0:
             return MatrixStarAlgebra(n, np.zeros((0, n, n), dtype=complex))
-        alg = StructuredAlgebra(n, self.embed(self.unwhiten(np.eye(w_n * k))),
-                                self._table(), self._relation_residual())
+        alg = StructuredAlgebra(n, self.embedding, self._table(), self._relation_residual())
         alg.validate(max(self.tol, 1e-8))
         return alg
 
@@ -516,9 +514,7 @@ class CrossedProduct:
         zero unless u = wv, and there the same for every v."""
         g = self.group
         w_n, k = g.order, self.action.algebra.dim
-        # [w, j, l, i]: a_(w, i) a_(v, j) = sum_l structure[w, i, j, l] b_l (wv) / |W|,
-        # which is that sum over l of a_(wv, l) / sqrt|W|.
-        prods = self.structure.transpose(0, 2, 3, 1) / math.sqrt(w_n)
+        prods = self.structure.transpose(0, 2, 3, 1)                   # [w, j, l, i]
         table = np.zeros((w_n, k, w_n, k, w_n, k), dtype=complex)
         w, v = np.arange(w_n)[:, None], np.arange(w_n)
         table[v, :, g.mul[w, v], :, w] = prods[:, None]
@@ -526,7 +522,8 @@ class CrossedProduct:
 
     def _relation_residual(self) -> float:
         """The largest norm by which the embedding breaks relations (1)-(4)
-        of `algebra`."""
+        of `algebra`.  Both sides of (1) and (3) carry the 1 / sqrt|W| of
+        `embedding`; (2) is quadratic, so its coefficients are scaled back."""
         g, b_alg, maps = self.group, self.action.algebra, self.action.maps
         k, n, w_n = b_alg.dim, b_alg.ambient_dim, g.order
         emb = self.embedding.reshape(w_n, k, w_n * n, w_n * n)
@@ -537,14 +534,15 @@ class CrossedProduct:
         gens = list(g.generators())
         covariance = (u[gens, None] @ pi @ u_star[gens, None]
                       - np.tensordot(maps[gens], pi, axes=(1, 0)))                       # (3)
-        # (2) in B's coordinates: pi(b_i) must be block-diagonal with block v
-        # equal to sum_m c[v, i, m] b_m, and each c[v] must multiply as B does,
-        # c[v](b_i) c[v](b_j) = c[v](b_i b_j), read off B's table [j, l, i].
+        # (2) in B's coordinates: pi(b_i) / sqrt|W| must be block-diagonal with
+        # block v equal to sum_m c[v, i, m] b_m, and each sqrt|W| c[v] must
+        # multiply as B does, read off B's table [j, l, i].
         v = np.arange(w_n)
         blocks = pi.reshape(k, w_n, n, w_n, n)
         c = b_alg.coefficients(blocks[:, v, :, v])                     # [v, i, m]
         outside = blocks.copy()
         outside[:, v, :, v] -= b_alg.element(c)
+        c = c * math.sqrt(w_n)
         table = b_alg.structure.transpose(2, 0, 1)                     # [m, n, l]
         # [v, i, j, l]: the b_l part of block v of pi(b_i) pi(b_j) - pi(b_i b_j).
         left = c[:, None] @ (c @ table.reshape(k, k * k)).reshape(w_n, k, k, k)
@@ -556,32 +554,12 @@ class CrossedProduct:
             np.linalg.norm(outside.reshape(k, -1), axis=1).max(),
             np.linalg.norm(left - right, axis=(0, 3)).max()))
 
-    def embed(self, f: np.ndarray) -> np.ndarray:
-        """Embedded matrices of coefficient arrays f of shape (..., |W|, dim B)."""
-        f = np.asarray(f, dtype=complex)
-        *lead, w_n, k = f.shape
-        out = f.reshape(int(np.prod(lead)), w_n * k) @ flatten(self.embedding)
-        return out.reshape(*lead, *self.embedding.shape[1:])
-
-    def whiten(self, f: np.ndarray) -> np.ndarray:
-        """Rows (..., |W| dim B) of coefficient arrays f (..., |W|, dim B)
-        times sqrt|W|, with the norms and inner products of the embedded
-        matrices: the coordinates of f against `algebra`'s basis."""
-        f = np.asarray(f, dtype=complex)
-        return f.reshape(*f.shape[:-2], self.dim) * math.sqrt(self.group.order)
-
-    def unwhiten(self, rows: np.ndarray) -> np.ndarray:
-        """The coefficient arrays (..., |W|, dim B) of whitened rows."""
-        rows = np.asarray(rows, dtype=complex)
-        w_n = self.group.order
-        return rows.reshape(*rows.shape[:-1], w_n, self.action.algebra.dim) / math.sqrt(w_n)
-
     def multiply(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """(a w)(b v) = a beta_w(b) (wv), for coefficient stacks that broadcast."""
         grp = self.group
         f = np.asarray(f, dtype=complex)
         g = np.asarray(g, dtype=complex)
-        # [..., w, v, l]: the b_l part of f_w w times g_v v, which sits at wv.
+        # [..., w, v, l]: the a_(wv,l) part of slot w of f times slot v of g.
         w_n, k = self.structure.shape[:2]
         x = (f[..., None, :] @ self.structure.reshape(w_n, k, k * k)).reshape(
             *f.shape[:-1], k, k)
@@ -600,14 +578,14 @@ class CrossedProduct:
         return out[..., self.group.inv, :]
 
     def is_ideal(self, rows: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        """Is the span of orthonormal whitened rows a two-sided *-ideal?
+        """Is the span of orthonormal coefficient rows (., |W| dim B) a
+        two-sided *-ideal?
 
         The test of matalg.is_ideal in coefficients: the adjoint of each
-        basis element i, then i a for each a = b_j w / sqrt|W|, the
-        orthonormal basis of B >| W.  A is *-closed,
-        so a I needs no test once I* = I holds.  Every vector v may leave the
-        span by tol * max(1, |v|), in whitened coordinates, where norms and
-        residuals are those of the embedded matrices.  Containment in A
+        basis element i, then i a for each a = a_(w,j), the orthonormal basis
+        of B >| W.  A is *-closed, so a I needs no test once I* = I holds.
+        Every vector v may leave the span by tol * max(1, |v|), where norms
+        and residuals are those of the embedded matrices.  Containment in A
         holds for every coefficient array.  Right multiplication by w only
         moves the group slot v to vw, so the products with one w are formed
         once and tested against each w in turn.  As many rows as B >| W has
@@ -616,11 +594,10 @@ class CrossedProduct:
         if rows.shape[0] in (0, self.dim):
             return True
         grp = self.group
-        ideal = self.unwhiten(rows)
-        if not span_contains(rows, self.whiten(self.star(ideal)), tol):
+        ideal = rows.reshape(-1, grp.order, self.action.algebra.dim)
+        if not span_contains(rows, self.star(ideal).reshape(rows.shape), tol):
             return False
-        # [r, j, v, l]: i_r a_(e, j), whitened, in group slot v; the 1 / sqrt|W|
-        # of a_(e, j) cancels the whitening.
+        # [r, j, v, l]: i_r a_(e, j) in group slot v.
         prods = np.einsum("rvi,vijl->rjvl", ideal, self.structure, optimize=True)
         moved = np.empty_like(prods)
         for w in range(grp.order):
@@ -638,16 +615,18 @@ def _slot_sum(grp: FiniteGroup, prods: np.ndarray) -> np.ndarray:
 
 
 def crossed_basis(action: AlgebraAction) -> np.ndarray:
-    """Every b_i w embedded at once: a (|W| dim B, |W| N, |W| N) array, row (w, i).
+    """Every a_(w,i) = b_i w / sqrt|W| embedded at once: a (|W| dim B, |W| N,
+    |W| N) array, row (w, i).
 
     The regular embedding is (b w)(delta_v (x) a) = delta_{wv} (x)
-    beta_{(wv)^-1}(b) a, so row (w, i) has the block beta_{(wv)^-1}(b_i) at
-    (wv, v) and each of the |W| twisted bases is built once.
+    beta_{(wv)^-1}(b) a, so row (w, i) has the block beta_{(wv)^-1}(b_i) /
+    sqrt|W| at (wv, v), and each of the |W| twisted bases is built once,
+    from the maps scaled by 1 / sqrt|W|.
     """
     g = action.group
     alg = action.algebra
     n, k, w_n = alg.ambient_dim, alg.dim, g.order
-    twisted = np.tensordot(action.maps[g.inv], alg.basis, axes=(1, 0))   # [u, i, r, c]
+    twisted = np.tensordot(action.maps[g.inv] / math.sqrt(w_n), alg.basis, axes=(1, 0))
     out = np.zeros((w_n, k, w_n, n, w_n, n), dtype=complex)
     w, v = np.arange(w_n)[:, None], np.arange(w_n)
     out[w, :, g.mul[w, v], :, v, :] = twisted[g.mul[w, v]]
@@ -659,12 +638,13 @@ def crossed_product(action: AlgebraAction, tol: float = DEFAULT_TOL) -> CrossedP
     structure tensor.
 
     SystemError unless every beta_w is unitary on B's orthonormal basis, to
-    the bound of the action's homomorphism check: only then is the embedded
-    basis orthogonal with squared norms |W|, as CrossedProduct assumes.
-    beta is a homomorphism, so unitarity is checked at the generators.
-    (b_i w)(b_j v) = b_i beta_w(b_j) (wv) expands through B's structure
-    constants, the table that validating the action has already read.  The
-    embedding and its span wait for first use.
+    the bound of the action's homomorphism check: only then are the
+    embedded a_(w,i) = b_i w / sqrt|W| orthonormal, as CrossedProduct
+    assumes.  beta is a homomorphism, so unitarity is checked at the
+    generators.  (b_i w)(b_j v) = b_i beta_w(b_j) (wv) expands through B's
+    structure constants, the table that validating the action has already
+    read; divided by sqrt|W|, it expands a_(w,i) a_(v,j) in the a_(wv,l).
+    The embedding and its span wait for first use.
     """
     action.validate()
     k = action.algebra.dim
@@ -673,7 +653,8 @@ def crossed_product(action: AlgebraAction, tol: float = DEFAULT_TOL) -> CrossedP
     if np.linalg.norm(defect, axis=(-2, -1)).max(initial=0.0) > 1e-8 * max(k, 1):
         raise SystemError("action does not preserve the trace inner product")
     # [m, l, i] of B's structure is <b_l, b_i b_m>.
-    structure = np.einsum("wmj,mli->wijl", action.maps, action.algebra.structure, optimize=True)
+    structure = np.einsum("wmj,mli->wijl", action.maps / math.sqrt(action.group.order),
+                          action.algebra.structure, optimize=True)
     return CrossedProduct(action, structure, tol)
 
 
@@ -701,8 +682,9 @@ def phi_iso(sys: EquivariantSystem, tol: float = DEFAULT_TOL,
     """The isomorphism C(X) >| W ~ C(X, K(l^2 W))^W for scalar-fiber systems.
 
     phi(f w)(x): delta_v -> f(w v^-1 x) delta_{v w^-1}, a relabelling, as
-    w -> v w^-1 is one-to-one for each v.  Returns the witness together with
-    the image map on crossed-product coefficient stacks (..., |W|, |X|).
+    w -> v w^-1 is one-to-one for each v; on a_(w,x) = delta_x w / sqrt|W|
+    it takes the 1 / sqrt|W| along.  Returns the witness together with the
+    image map on crossed-product coefficient stacks (..., |W|, |X|).
     """
     if sys.fiber_dim != 1:
         raise SystemError("phi_iso requires scalar fibers")
@@ -734,10 +716,11 @@ def phi_iso(sys: EquivariantSystem, tol: float = DEFAULT_TOL,
 
 def _translation_image(target_sys: EquivariantSystem, index, f: np.ndarray) -> np.ndarray:
     """phi_iso's map into target_sys: `index` = (rows, columns, w, sources)
-    puts f_w(sources[w, v, x]) at entry (rows[w, v], columns[v]) of point x."""
+    puts f_w(sources[w, v, x]) / sqrt|W| at entry (rows[w, v], columns[v])
+    of point x."""
     rows, cols, w_idx, src = index
-    f = np.asarray(f, dtype=complex)
     w_n = target_sys.fiber_dim
+    f = np.asarray(f, dtype=complex) / math.sqrt(w_n)
     func = np.zeros(f.shape[:-2] + (target_sys.n_points, w_n, w_n), dtype=complex)
     func[..., np.arange(target_sys.n_points), rows, cols] = f[..., w_idx, src]
     return embed_function(target_sys, func)
@@ -764,9 +747,10 @@ def iterated_crossed_iso(action: AlgebraAction, normal, complement,
 @dataclass(frozen=True)
 class _OuterCrossedProduct:
     """(B >| U) >| V for W = U >| V, on coefficient stacks (..., |V|, |U|,
-    dim B) of sum b u v.  V acts on B >| U by alpha_v(a u) = beta_v(a)
-    (v u v^-1), so (a v1)(b v2) = a alpha_v1(b) (v1 v2) and
-    (a v)* = alpha_v^-1(a*) v^-1."""
+    dim B) against the orthonormal a_(u,i) v / sqrt|V| = b_i u v / sqrt|W|.
+    V acts on B >| U by alpha_v(a u) = beta_v(a) (v u v^-1), so
+    (a v1)(b v2) = a alpha_v1(b) (v1 v2), whose coefficients take a
+    1 / sqrt|V|, and (a v)* = alpha_v^-1(a*) v^-1."""
 
     inner: CrossedProduct   # B >| U
     group: FiniteGroup      # V
@@ -783,7 +767,7 @@ class _OuterCrossedProduct:
 
     def multiply(self, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
         # [..., v1, v2, u, l]: a_v1 alpha_v1(b_v2), collected at v1 v2.
-        prods = self.inner.multiply(fa[..., :, None, :, :],
+        prods = self.inner.multiply(fa[..., :, None, :, :] / math.sqrt(self.group.order),
                                     self.alpha(fb[..., :, None, :, :]).swapaxes(-3, -4))
         return _slot_sum(self.group, prods.reshape(*prods.shape[:-2], -1)).reshape(
             prods.shape[:-4] + prods.shape[-3:])
@@ -792,8 +776,8 @@ class _OuterCrossedProduct:
         return self.alpha(self.inner.star(fa)[..., self.group.inv, :, :])
 
     def phi(self, f: np.ndarray) -> np.ndarray:
-        """phi((a u) v) = a (u v): slot (v, u) to slot w_of[v, u] of a stack
-        (..., |W|, dim B)."""
+        """phi((a u) v) = a (u v), so a_(u,i) v / sqrt|V| goes to a_(uv,i):
+        slot (v, u) to slot w_of[v, u] of a stack (..., |W|, dim B)."""
         out = np.zeros(f.shape[:-3] + (self.w_of.size, f.shape[-1]), dtype=complex)
         out[..., self.w_of, :] = f
         return out

@@ -200,3 +200,38 @@ def test_morita_tolerance_reaches_the_cuts_of_j_and_c(monkeypatch):
         seen.clear()
         assert verify_morita_theorem(z2_line_system(2), tol=tol).ok
         assert sorted(seen) == [("_point_spans", tol), ("c_ideal", tol)]
+
+
+def test_morita_tolerance_reaches_every_cut_of_the_cli(monkeypatch, capsys):
+    """`morita --tolerance` reaches the crossed products, the fixed-point
+    algebra and both block decompositions, in the theorem and in the
+    reduction, and a verdict's `fpa` built on access takes the same tol."""
+    from equivaria import cli, hilbmod
+
+    seen = []
+
+    def spy(label, fn):
+        def wrapped(*args, **kwargs):
+            bound = inspect.signature(fn).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append((label, bound.arguments["tol"]))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module, name in ((morita, "crossed_product"), (morita, "fixed_point_algebra"),
+                         (morita, "block_decompose"), (hilbmod, "crossed_product")):
+        label = f"{module.__name__.rpartition('.')[2]}.{name}"
+        monkeypatch.setattr(module, name, spy(label, getattr(module, name)))
+    for name in ("z2-line", "two-component"):
+        assert cli.main(["morita", "--input", name, "--tolerance", "1e-6"]) == 0
+    capsys.readouterr()
+    assert {label for label, _ in seen} == {
+        "morita.crossed_product", "morita.fixed_point_algebra", "morita.block_decompose",
+        "hilbmod.crossed_product"}
+    assert [tol for _, tol in seen] == [1e-6] * len(seen)
+    # dihedral-plane builds no witness, so its fixed-point algebra waits for `fpa`.
+    seen.clear()
+    thm = verify_morita_theorem(bundled("dihedral-plane"), tol=1e-6)
+    assert thm.witness_fpa is None and thm.fpa.dim > 0
+    assert seen == [("morita.crossed_product", 1e-6), ("morita.fixed_point_algebra", 1e-6)]
+    assert thm.tol == 1e-6

@@ -10,9 +10,8 @@ Green-Julg check finds both of its spans in coefficient space, every
 module keeps its inner values as coefficients in B's basis (checked against
 the dense values its builder used to form), `is_ideal` tests whole stacks
 of products and `is_irreducible` reads the character norm.  A
-CrossedProduct embeds coefficient arrays with one product against its
-stored basis, its algebra's basis is the whitened one, whose coordinates
-`whiten` gives, `module_crossed_product` uses the contractions of
+CrossedProduct's coefficients are orthonormal coordinates, its embedding
+is its algebra's basis, `module_crossed_product` uses the contractions of
 `green_julg_module`, and `span_contains` tests stacks a slab at a time.
 `certified_rows` cuts a rank from a sketch only when its residual proves
 the dense SVD's cut, and the dense SVD is its oracle on prescribed spectra.
@@ -23,10 +22,11 @@ Crossed products multiply, take adjoints and test ideals in coefficients,
 and the Morita theorem compares J with C there; the embedded matrices are
 their oracle.  The fixed-point algebra's table comes from the products of
 its fibers and the crossed product's from its structure tensor, with the
-dense pass as their oracle; mutants of the embedding and of its whitening
-fail.  Module axioms are checked on all samples at once, against the
-per-sample loop.  The Morita theorem cuts J and C point by point, with the
-whole-ambient SVD of J and the kernel of C's constraints as oracles, and
+dense pass as their oracle; mutants of the embedding and of its
+1 / sqrt|W| fail.  Module axioms are checked on all samples at once,
+against the per-sample loop.  The Morita theorem cuts J and C point by
+point, with the whole-ambient SVD of J and the kernel of C's constraints
+as oracles, and
 `scalar_subgroups` is checked against its loop over points, elements and
 stabilizer irreps, on planted cocycles too, down to the first failure its
 invariant checks name.  A proper C's algebra
@@ -709,19 +709,20 @@ def test_module_crossed_product_matches_block_loops(label):
 
 @pytest.mark.parametrize("label", ["z2-line-1", "z4-rotation"])
 def test_embed_of_a_stack_matches_per_array_oracle(label):
+    """Coefficients f embed as sum f[w, i] a_(w,i), a_(w,i) = b_i w / sqrt|W|."""
     cp = crossed_product(scalar_translation_action(crossed_system(label)))
     w_n, k = cp.group.order, cp.action.algebra.dim
+    dim = w_n * k
     rng = np.random.default_rng(6)
     stack = rng.standard_normal((3, 2, w_n, k)) + 1j * rng.standard_normal((3, 2, w_n, k))
-    embedded = cp.embed(stack)
+    embedded = cp.algebra.element(stack.reshape(3, 2, dim))
     assert embedded.shape == (3, 2) + cp.algebra.basis.shape[1:]
     for idx in np.ndindex(3, 2):
-        oracle = crossed_embed(cp.action, stack[idx])
+        oracle = crossed_embed(cp.action, stack[idx]) / np.sqrt(w_n)
         assert np.abs(embedded[idx] - oracle).max() < 1e-12
-        assert np.abs(cp.embed(stack[idx]) - oracle).max() < 1e-12
-    # The algebra's basis is embed(unwhiten(I)), and orthonormal.
-    dim = w_n * k
-    assert np.abs(cp.embed(cp.unwhiten(np.eye(dim))) - cp.algebra.basis).max() < 1e-12
+        assert np.abs(cp.algebra.element(stack[idx].reshape(dim)) - oracle).max() < 1e-12
+    # The algebra's basis is the embedding itself, and orthonormal.
+    assert cp.algebra.basis is cp.embedding
     rows = cp.algebra.basis_rows()
     assert np.abs(rows @ rows.conj().T - np.eye(dim)).max() < 1e-12
 
@@ -890,8 +891,7 @@ def test_is_ideal_matches_product_loop():
     # not an ideal, since w . f leaves it.
     cp = crossed_product(scalar_translation_action(sys))
     k = sys.n_points
-    diag = algebra_from_span(np.stack([cp.embed(np.eye(cp.group.order * k)[i].reshape(-1, k))
-                                       for i in range(k)]))
+    diag = algebra_from_span(cp.algebra.element(np.eye(cp.dim)[:k]))
     # On z2-line, C(X, W, I) is the whole crossed product; on z2xz2-line-1 it
     # is a proper ideal, which the coefficient test accepts by its products.
     proper = c_ideal(z2xz2_line_system(1))
@@ -900,11 +900,10 @@ def test_is_ideal_matches_product_loop():
              (proper.algebra, proper.cp.algebra, True), (diag, cp.algebra, False)]
     for ideal, alg, expected in cases:
         assert is_ideal(ideal, alg) == is_ideal_loops(ideal, alg) == expected
-    # The crossed-product cases, in whitened coefficients.
+    # The crossed-product cases, in coefficients.
     assert cid.dim == cid.cp.dim and cid.cp.is_ideal(cid.rows)
     assert proper.cp.is_ideal(proper.rows)
-    slot_e = np.eye(cp.group.order * k)[:k].reshape(k, cp.group.order, k)
-    assert not cp.is_ideal(orthonormal_rows(cp.whiten(slot_e)))
+    assert not cp.is_ideal(orthonormal_rows(np.eye(cp.dim)[:k]))
 
 
 def test_one_sided_ideals_are_not_ideals():
@@ -920,11 +919,12 @@ def test_one_sided_ideals_are_not_ideals():
     # The last input, the whole crossed product, is an ideal.
     for prods, expected in ((cp.multiply(p, units), False), (cp.multiply(units, p), False),
                             (units, True)):
-        rows = orthonormal_rows(cp.whiten(prods))
+        rows = orthonormal_rows(prods.reshape(4, 4))
         assert rows.shape[0] == (4 if expected else 2)
         assert cp.is_ideal(rows) == expected
         n = cp.algebra.ambient_dim
-        ideal = MatrixStarAlgebra(n, unflatten(orthonormal_rows(flatten(cp.embed(prods))), n))
+        embedded = flatten(cp.algebra.element(prods.reshape(4, 4)))
+        ideal = MatrixStarAlgebra(n, unflatten(orthonormal_rows(embedded), n))
         assert is_ideal(ideal, cp.algebra) == is_ideal_loops(ideal, cp.algebra) == expected
 
 
@@ -946,22 +946,26 @@ def test_crossed_coefficients_match_the_embedding_of_a_corner():
 
 
 def check_crossed_coefficients(cp):
-    """The embedded basis is orthogonal with squared norms |W|, and products,
-    adjoints and whitened rows in coefficients match the embedded matrices."""
+    """The embedded basis is orthonormal and is the algebra's basis, and
+    products, adjoints and coefficient rows match the embedded matrices."""
     emb = flatten(cp.embedding)
-    assert close(emb @ emb.conj().T, cp.group.order * np.eye(cp.dim))
+    assert close(emb @ emb.conj().T, np.eye(cp.dim), 1e-12)
+    assert cp.algebra.basis is cp.embedding
     rng = np.random.default_rng(9)
     shape = (3,) + cp.structure.shape[:2]
     f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    ef, eh = cp.embed(f), cp.embed(h)
-    assert close(cp.embed(cp.multiply(f, h)), ef @ eh)
-    assert close(cp.embed(cp.multiply(f[:, None], h[None])), ef[:, None] @ eh[None])
-    assert close(cp.embed(cp.star(f)), np.conj(np.transpose(ef, (0, 2, 1))))
-    # Whitened rows carry the trace inner products of the embedded matrices.
-    y = cp.whiten(f)
+
+    def embed(c):
+        return cp.algebra.element(c.reshape(*c.shape[:-2], cp.dim))
+
+    ef, eh = embed(f), embed(h)
+    assert close(embed(cp.multiply(f, h)), ef @ eh)
+    assert close(embed(cp.multiply(f[:, None], h[None])), ef[:, None] @ eh[None])
+    assert close(embed(cp.star(f)), np.conj(np.transpose(ef, (0, 2, 1))))
+    # Coefficient rows carry the trace inner products of the embedded matrices.
+    y = f.reshape(3, cp.dim)
     assert close(y @ y.conj().T, flatten(ef) @ flatten(ef).conj().T)
-    assert close(cp.unwhiten(y), f)
     # ... and are the coordinates against the algebra's basis.
     assert close(y, np.stack([cp.algebra.coefficients(a) for a in ef]))
     # The relation check guards the embedded span when it is built.
@@ -992,27 +996,27 @@ CROSSED_TABLES = [f"{a}:{s}" for a in ("scalar", "function") for s in CROSSED] +
 def test_crossed_table_is_read_off_the_structure(label):
     cp = crossed_product(crossed_case(label))
     alg = cp.algebra
-    basis = cp.unwhiten(np.eye(alg.dim))
-    # [i, j, l]: a_i a_j against a_l, for the whitened basis a.
-    products = cp.whiten(cp.multiply(basis[:, None], basis[None]))
+    basis = np.eye(alg.dim).reshape(alg.dim, *cp.structure.shape[:2])
+    # [i, j, l]: a_i a_j against a_l, for the orthonormal basis a.
+    products = cp.multiply(basis[:, None], basis[None]).reshape((alg.dim,) * 3)
     assert close(alg.structure, products.transpose(1, 2, 0))
     table, residual = MatrixStarAlgebra(alg.ambient_dim, alg.basis)._products
     assert close(alg.structure, table) and residual < 1e-12
     assert alg._products[1] < 1e-12 and alg.closure_residual() < 1e-12
-    # The unit of B >| W is pi(e) for B's unit e, also when e is not I_N.
+    # The unit of B >| W is pi(e) = e 1 for B's unit e, also when e is not I_N.
     unit = np.zeros(basis.shape[1:], dtype=complex)
     unit[cp.group.identity] = cp.action.algebra.coefficients(cp.action.algebra.unit())
-    assert close(alg.unit(), cp.embed(unit))
+    assert close(alg.unit(), crossed_embed(cp.action, unit))
 
 
 def crossed_basis_mutant(kind):
     """crossed_basis with the twist beta_(wv) in place of beta_((wv)^-1), or
-    with block (v, wv) in place of (wv, v)."""
+    with block (v, wv) in place of (wv, v), scaled by 1 / sqrt|W| as it is."""
     def mutant(action):
         g, alg = action.group, action.algebra
         n, k, w_n = alg.ambient_dim, alg.dim, g.order
         maps = action.maps if kind == "twist" else action.maps[g.inv]
-        twisted = np.tensordot(maps, alg.basis, axes=(1, 0))
+        twisted = np.tensordot(maps, alg.basis, axes=(1, 0)) / np.sqrt(w_n)
         out = np.zeros((w_n, k, w_n, n, w_n, n), dtype=complex)
         for w in range(w_n):
             for v in range(w_n):
@@ -1035,9 +1039,10 @@ def test_relation_check_rejects_a_wrong_embedding(kind, monkeypatch):
 
 
 def test_whitened_basis_rejects_a_wrong_inverse_root(monkeypatch):
-    """unwhiten without its 1 / sqrt|W|: the basis b_i w is not orthonormal."""
-    monkeypatch.setattr(systems.CrossedProduct, "unwhiten", lambda cp, rows: np.asarray(
-        rows, dtype=complex).reshape(*rows.shape[:-1], cp.group.order, -1))
+    """crossed_basis without its 1 / sqrt|W|: the basis b_i w is not orthonormal."""
+    crossed_basis = systems.crossed_basis
+    monkeypatch.setattr(systems, "crossed_basis",
+                        lambda action: crossed_basis(action) * np.sqrt(action.group.order))
     with pytest.raises(AlgebraError, match="not orthonormal"):
         crossed_product(scalar_translation_action(z4_rotation_system())).algebra
 
@@ -1048,8 +1053,8 @@ def test_morita_spans_in_coefficients_match_the_embedded_ideals(label):
     verdict = verify_morita_theorem(sys)
     cid = verdict.ideal
     cp = cid.cp
-    # C: the whitened rows embed to an orthonormal basis of c_ideal's algebra.
-    c_emb = flatten(cp.embed(cp.unwhiten(cid.rows)))
+    # C: the coefficient rows embed to an orthonormal basis of c_ideal's algebra.
+    c_emb = flatten(cp.algebra.element(cid.rows))
     assert close(c_emb @ c_emb.conj().T, np.eye(cid.dim))
     c_rows = cid.algebra.basis_rows()
     assert spans_equal(c_emb, c_rows, 1e-8)
@@ -1057,10 +1062,10 @@ def test_morita_spans_in_coefficients_match_the_embedded_ideals(label):
     # J: the span of the averaged inner coefficients is the fullness ideal.
     eq = equivariant_function_module(sys)
     m = eq.base.carrier_dim
-    j_rows = orthonormal_rows(cp.whiten(averaged_inner_coefficients(eq)).reshape(m * m, -1))
+    j_rows = orthonormal_rows(averaged_inner_coefficients(eq).reshape(m * m, -1))
     j_alg = fullness_ideal(green_julg_module(eq, cp)[0])
     assert j_rows.shape[0] == j_alg.dim == verdict.j_dim
-    assert spans_equal(flatten(cp.embed(cp.unwhiten(j_rows))), j_alg.basis_rows(), 1e-8)
+    assert spans_equal(flatten(cp.algebra.element(j_rows)), j_alg.basis_rows(), 1e-8)
     # The verdict's fields, recomputed on the embedded spans.
     j_emb = j_alg.basis_rows()
     assert verdict.spans_match == spans_equal(j_emb, c_rows, 1e-8)
@@ -1329,14 +1334,14 @@ MORITA = ([f"z2-line-{n}" for n in range(1, 9)]
              "anticomplete-point", "dihedral-plane", "dihedral-grid-2"])
 
 
-def j_rows_dense(sys, cp):
-    """J's whole-ambient cut: the SVD of all m^2 whitened inner values."""
+def j_rows_dense(sys):
+    """J's whole-ambient cut: the SVD of all m^2 inner values."""
     eq = equivariant_function_module(sys)
     m = eq.base.carrier_dim
-    return orthonormal_rows(cp.whiten(averaged_inner_coefficients(eq)).reshape(m * m, -1))
+    return orthonormal_rows(averaged_inner_coefficients(eq).reshape(m * m, -1))
 
 
-def c_rows_dense(sys, scalar, cp, tol=1e-9):
+def c_rows_dense(sys, scalar, tol=1e-9):
     """C's whole-ambient kernel: one constraint row per (x, w' in W'_x, w)."""
     g, x_n = sys.group, sys.n_points
     n_coeff = g.order * x_n
@@ -1351,15 +1356,14 @@ def c_rows_dense(sys, scalar, cp, tol=1e-9):
                 row[w * x_n + x] -= 1.0
                 if row.any():
                     constraints.append(row)
-    rows = linalg.nullspace_rows(np.vstack(constraints), tol) if constraints \
+    return linalg.nullspace_rows(np.vstack(constraints), tol) if constraints \
         else np.eye(n_coeff, dtype=complex)
-    return orthonormal_rows(cp.whiten(rows.reshape(-1, g.order, x_n)), tol)
 
 
-def j_rows_by_point(sys, cp):
+def j_rows_by_point(sys):
     """J's rows as the point-local cut finds them, in the whole ambient."""
     eq = equivariant_function_module(sys)
-    blocks = morita._point_blocks(cp.whiten(averaged_inner_coefficients(eq)), sys.n_points,
+    blocks = morita._point_blocks(averaged_inner_coefficients(eq), sys.n_points,
                                   sys.fiber_dim)
     rows, ranks = morita._point_spans(blocks)
     x_n, w_n = rows.shape[0], rows.shape[2]
@@ -1375,17 +1379,14 @@ def test_point_local_spans_match_the_whole_ambient_cut(label):
     sys = morita_system(label)
     verdict = verify_morita_theorem(sys)
     cid = verdict.ideal
-    cp = cid.cp
-    j_dense = j_rows_dense(sys, cp)
-    c_dense = c_rows_dense(sys, verdict.scalar, cp)
-    j_points = j_rows_by_point(sys, cp)
+    j_dense = j_rows_dense(sys)
+    c_dense = c_rows_dense(sys, verdict.scalar)
+    j_points = j_rows_by_point(sys)
     assert verdict.j_dim == j_points.shape[0] == j_dense.shape[0]
     assert verdict.c_dim == cid.dim == c_dense.shape[0]
     assert spans_equal(j_points, j_dense, 1e-10)
     assert spans_equal(cid.rows, c_dense, 1e-10)
     assert close(cid.rows @ cid.rows.conj().T, np.eye(cid.dim))
-    unwhitened = orthonormal_rows(cp.unwhiten(c_dense).reshape(cid.dim, -1))
-    assert spans_equal(cid.rows, unwhitened, 1e-10)
     # The verdict's fields, recomputed on the whole spans.
     assert abs(verdict.j_in_c_residual - row_residuals(c_dense, j_dense).max()) < 1e-12
     assert verdict.spans_match == spans_equal(j_dense, c_dense, 1e-8)
@@ -1700,12 +1701,20 @@ def compacts_dense(action, coefficients, tol=1e-8):
 
 
 def averaged_pair(eq):
-    """The averaged module's (action, coefficients), as the Green-Julg
-    check passes them to the cut."""
-    maps = hilbmod._averaged_maps(eq)
-    w_n, k, m = maps.shape[:3]
-    return (maps.reshape(w_n * k, m, m),
-            averaged_inner_coefficients(eq).reshape(m, m, w_n * k))
+    """The averaged module's (action, coefficients) against the b_i w: the
+    maps gamma_{w^-1} R_{b_i} and sum_j gamma_w[j, q] <e_p|e_j>, exact where
+    the data are.  The pair the Green-Julg check passes to the cut, against
+    b_i w / sqrt|W|, must give the same rank-one maps."""
+    w_n, m = eq.group.order, eq.base.carrier_dim
+    k = eq.base.algebra.dim
+    maps = (eq.gamma[eq.group.inv][:, None] @ eq.base.action[None]).reshape(w_n * k, m, m)
+    by_column = eq.gamma.transpose(2, 0, 1).reshape(m * w_n, m)         # [(q, w), j]
+    coefficients = (by_column @ eq.base.inner).reshape(m, m, w_n * k)
+    scaled = (hilbmod._averaged_maps(eq).reshape(w_n * k, m, m),
+              averaged_inner_coefficients(eq).reshape(m, m, w_n * k))
+    exact = hilbmod._rank_one_maps(maps, coefficients)
+    assert close(hilbmod._rank_one_maps(*scaled), exact, 1e-15)
+    return maps, coefficients
 
 
 def component_case(label):
@@ -1870,7 +1879,8 @@ REDUCTIONS = [label for label in SPLITTINGS if label not in ("flip-free-4", "s4-
 
 
 def phi_iso_loop(sys, f):
-    """phi_iso's map, f (|W|, |X|), as the loop over (w, v, x)."""
+    """phi_iso's map, f (|W|, |X|) against a_(w,x) = delta_x w / sqrt|W|, as
+    the loop over (w, v, x)."""
     g = sys.group
     w_n, x_n = g.order, sys.n_points
     func = np.zeros((x_n, w_n, w_n), dtype=complex)
@@ -1880,13 +1890,14 @@ def phi_iso_loop(sys, f):
             for x in range(x_n):
                 # f(w v^-1 x)
                 src = sys.action[g.mul[w, g.inv[v]], x]
-                func[x, vp, v] += f[w, src]
+                func[x, vp, v] += f[w, src] / np.sqrt(w_n)
     return systems.embed_function(systems.left_translation_system(sys), func)
 
 
 def outer_loops(action, normal, complement):
     """(multiply, star, phi) of (B >| U) >| V on single arrays (|V|, |U|,
-    dim B), as the per-slot loops of the iterated crossed product."""
+    dim B) against a_(u,i) v / sqrt|V|, as the per-slot loops of the
+    iterated crossed product."""
     g = action.group
     u_sub = g.subgroup(sorted(set(int(e) for e in normal)))
     v_sub = g.subgroup(sorted(set(int(e) for e in complement)))
@@ -1908,7 +1919,7 @@ def outer_loops(action, normal, complement):
         for v1 in range(v_n):
             for v2 in range(v_n):
                 prod = inner.multiply(fa[v1], outer_apply(v1, fb[v2]))
-                out[v_sub.group.mul[v1, v2]] += prod
+                out[v_sub.group.mul[v1, v2]] += prod / np.sqrt(v_n)
         return out
 
     def outer_star(fa):
