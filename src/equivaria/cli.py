@@ -316,8 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 0 < args.tolerance < np.inf:
-        print("error: tolerance must be positive and finite", file=_sys.stderr)
+    # At tol >= 1 the rule s > tol max(s_0, 1) keeps no singular value, so
+    # every rank cut would be empty and every span test would pass.
+    if not 0 < args.tolerance < 1:
+        print("error: tolerance must lie strictly between 0 and 1", file=_sys.stderr)
         return EXIT_INPUT
     if args.seed < 0:
         print("error: seed must not be negative", file=_sys.stderr)

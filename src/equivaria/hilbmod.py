@@ -29,12 +29,10 @@ component at a time (`carrier_components`; the points or orbits of the
 function modules): the stack of all the maps is block diagonal, one block
 per component, so its singular values are the blocks' together, and dense
 SVDs of the blocks cut at the whole stack's scale are the dense rule
-exactly; the m^4 stack is never formed.  A module of one component, or of
-components so large that their blocks' SVDs cost more than a sketch of the
-whole stack, is cut with `linalg.certified_rows`, a sketch whose exact
-residual proves that the dense SVD would keep the same rank.  Either way
-the margin of the cut is kept.  The compacts' own *-algebra is built, with
-its closure check, only when it is read.
+exactly.  A module of one component is one block, the only case in which
+the cut forms the m^4 stack.  The margin of the cut is kept.  The
+compacts' own *-algebra is built, with its closure check, only when it is
+read.
 """
 from __future__ import annotations
 
@@ -46,7 +44,6 @@ import numpy as np
 from .groups import FiniteGroup
 from .linalg import (
     DEFAULT_TOL,
-    certified_rows,
     flatten,
     homomorphism_defect,
     intertwiner_rows,
@@ -116,8 +113,6 @@ class FDHilbertModule:
     action: np.ndarray  # (dim B, m, m)
     inner: np.ndarray   # (m, m, dim B)
     name: str = ""
-    _gram: np.ndarray | None = field(default=None, init=False, repr=False,
-                                     compare=False)
 
     def __post_init__(self):
         action = np.asarray(self.action, dtype=complex)
@@ -153,14 +148,14 @@ class FDHilbertModule:
 
         As e b_k = b_k for B's unit e, tau(b_k) = tr b_k / tr e, where
         tr e = sum_l |tr b_l|^2 comes from unit(), which raises AlgebraError
-        for a span without a unit.
-        The instance is frozen, so the first result is kept and returned again.
+        for a span without a unit.  Built once and kept on the instance.
         """
-        if self._gram is None:
-            alg = self.algebra
-            g = self.inner @ alg.traces / np.trace(alg.unit()).real
-            object.__setattr__(self, "_gram", (g + g.conj().T) / 2.0)
         return self._gram
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        g = self.inner @ self.algebra.traces / np.trace(self.algebra.unit()).real
+        return (g + g.conj().T) / 2.0
 
     def gram_sqrt(self) -> tuple[np.ndarray, np.ndarray]:
         """(S, S^-1) with S = G^(1/2); requires a definite inner product."""
@@ -314,8 +309,8 @@ class CompactOperators:
     compacts k, with S the Gram square root, so * is the conjugate transpose.
     It is built, and its closure checked at `_tol`, on first access only.
     `rank_margin` is the margin of the rank cut on the rank-one maps:
-    sigma_r / sigma_(r+1) over all blocks when they are cut one carrier
-    component at a time, else as `linalg.certified_rows` returns it.
+    sigma_r / sigma_(r+1) over all blocks, infinite when nothing is kept or
+    nothing is dropped.
     """
 
     module: FDHilbertModule
@@ -388,21 +383,14 @@ def carrier_components(action: np.ndarray, coefficients: np.ndarray) -> list[np.
 def _compact_rows(action: np.ndarray, coefficients: np.ndarray,
                   tol: float) -> tuple[np.ndarray, float]:
     """(rows, margin): orthonormal rows (r, m^2) spanning the rank-one
-    maps and the margin of their rank cut, as compact_operators describes.
-
-    Cut by components, the margin is sigma_r / sigma_(r+1) over all blocks.
+    maps and the margin sigma_r / sigma_(r+1) of their rank cut over all
+    blocks (CompactOperators.rank_margin), as compact_operators describes.
     """
     m = action.shape[-1]
     if m == 0:
         return np.zeros((0, 0), dtype=complex), np.inf
     parts = carrier_components(action, coefficients)
-    # The dense SVDs of the blocks cost about sum_S s^6 and hold three
-    # arrays of s^4 entries per block; one sketch pass over the whole stack
-    # costs about m^4 (m + 10).
-    if len(parts) == 1 or sum(part.size ** 6 for part in parts) > m ** 4 * (m + 10):
-        maps = _rank_one_maps(action, coefficients)
-        return certified_rows(maps.reshape(m * m, m * m), tol)
-    blocks = []      # (values, right singular vectors, their coordinates)
+    blocks = []      # (values, right singular vectors, each block's coordinates)
     for size in sorted({part.size for part in parts}):
         idx = np.stack([part for part in parts if part.size == size])   # [g, a]
         pairs = idx[:, :, None], idx[:, None, :]
@@ -411,11 +399,12 @@ def _compact_rows(action: np.ndarray, coefficients: np.ndarray,
         _, s, vh = np.linalg.svd(maps.reshape(len(idx), size ** 2, size ** 2),
                                  full_matrices=False)
         flat = (pairs[0] * m + pairs[1]).reshape(len(idx), size ** 2)
-        blocks.append((s.ravel(), vh.reshape(-1, size ** 2),
-                       np.repeat(flat, size ** 2, axis=0)))
+        blocks.append((s.ravel(), vh.reshape(-1, size ** 2), flat))
     values = np.concatenate([s for s, _, _ in blocks])
     threshold = rank_threshold(values, tol)
-    kept = [(vh[s > threshold], flat[s > threshold]) for s, vh, flat in blocks]
+    # Value i of one size's blocks comes from block i // size^2.
+    kept = [(vh[s > threshold], flat[np.flatnonzero(s > threshold) // flat.shape[1]])
+            for s, vh, flat in blocks]
     rows = np.zeros((int(np.sum(values > threshold)), m * m), dtype=complex)
     offset = 0
     for vh, flat in kept:
@@ -435,10 +424,8 @@ def compact_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> CompactOp
     and zero rows for pairs from two components.  Each block is cut by a
     dense SVD (batched by size) at the whole stack's scale
     tol max(max_S s_0(S), 1), which keeps exactly what the dense SVD of all
-    m^2 maps keeps.  A module of one component, or one whose components are
-    large enough that the blocks' SVDs would cost more than sketching the
-    whole stack (sum_S s^6 > m^4 (m + 10)), goes through
-    linalg.certified_rows.
+    m^2 maps keeps.  The SVDs cost about sum_S s^6, so a module of one
+    component of s = m carriers pays m^6 for its one dense block.
     """
     s, s_inv = e.gram_sqrt()
     raw_rows, margin = _compact_rows(e.action, e.inner, tol)
@@ -711,9 +698,9 @@ def verify_green_julg(eq: EquivariantModule, tol: float = 1e-8) -> GreenJulgVerd
     """K_{B >| W}(E) = K_B(E)^W, compared as raw spans on the carrier.
 
     Both sides are found in coefficient space at `tol`: the averaged
-    compacts from the rank-one maps in crossed coefficients, with a
-    certified rank cut, and the invariant compacts as a kernel in the
-    coordinates of K_B(E).  Neither the embedded crossed product, the
+    compacts from the rank-one maps in crossed coefficients, cut one
+    carrier component at a time, and the invariant compacts as a kernel in
+    the coordinates of K_B(E).  Neither the embedded crossed product, the
     averaged module nor the Kronecker commutant of gamma is built.
     """
     lhs = _averaged_compacts_rows(eq, tol)
@@ -861,15 +848,14 @@ def interior_tensor_product(e1: FDHilbertModule, e2: FDHilbertModule,
     # left_b_on_e2[k], at tensor coordinates (p1 m2 + p2, q1 m2 + q2).
     inner_big = np.einsum("PQk,kjq,pjc->PpQqc", e1.inner, left_b_on_e2, e2.inner,
                           optimize=True).reshape(big, big, c_alg.dim)
-    # Scalar Gram and null space.
-    gram = inner_big @ c_alg.traces / np.trace(c_alg.unit()).real
-    gram = (gram + gram.conj().T) / 2.0
-    evals, evecs = np.linalg.eigh(gram)
+    # The unquotiented module, its scalar Gram and null space.
+    whole = FDHilbertModule(c_alg, np.kron(np.eye(m1), e2.action), inner_big)
+    evals, evecs = np.linalg.eigh(whole.gram())
     keep = evals > max(tol, 1e-10) * max(evals.max(), 1.0)
     u = evecs[:, keep]          # orthonormal complement of the null space
     q_map = u.conj().T          # tensor coords -> quotient coords
     inner = np.einsum("pi,pqc,qj->ijc", u.conj(), inner_big, u, optimize=True)
-    action = q_map @ np.kron(np.eye(m1), e2.action) @ u
+    action = q_map @ whole.action @ u
     return FDHilbertModule(c_alg, action, inner, name="interior-tensor"), q_map
 
 

@@ -12,8 +12,7 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
-# Complex entries of rows that span_contains and the sketch residual of
-# certified_rows project at once.
+# Complex entries of rows that span_contains projects at once.
 _SPAN_SLAB = 1 << 20
 # Entries from which a wide matrix is reduced by QR before its SVD.
 _WIDE_REDUCTION = 1500
@@ -67,83 +66,6 @@ def rank_threshold(values: np.ndarray, tol: float) -> float:
     """tol max(s_0, 1) for the singular values `values` of one matrix, s_0
     the largest: the dense rule keeps the values above it."""
     return tol * max(float(np.max(values, initial=0.0)), 1.0)
-
-
-def certified_rows(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:
-    """orthonormal_rows' span and rank, found from a sketch; and the margin.
-
-    Q is an orthonormal basis of M* Omega for a Gaussian Omega of s columns,
-    B = M Q, and rho = |M - B Q*|_F.  Every sigma_i(M) lies in
-    [sigma_i(B), sigma_i(B) + rho] (interlacing and Weyl), so r values are
-    kept only when sigma_r(B) > tol max(sigma_0(B) + rho, 1) and
-    sigma_(r+1)(B) + rho <= tol max(sigma_0(B), 1): then the dense rule
-    keep sigma > tol max(sigma_0, 1) keeps exactly r.  Otherwise s doubles;
-    once 2s reaches the smaller dimension the SVD is taken of M itself,
-    where Q = 1 and rho = 0.  The first s is about the square root of the
-    smaller dimension plus ten, the carrier dimension m plus ten for the
-    m^2 x m^2 stack of rank-one maps, whose rank is often a few m.
-
-    Returns (rows, margin) with margin = sigma_r / (sigma_(r+1) + rho): how
-    far the values the cut keeps stand from the ones it drops, infinite
-    when nothing is dropped or nothing is kept.
-
-    The compacts of a module reach this when its carrier indices form one
-    component (hilbmod.carrier_components), or components too large for
-    their blocks' SVDs to be cheaper.  Otherwise the stack of rank-one maps
-    is block diagonal, its singular values are the union of the blocks',
-    and hilbmod cuts the small blocks with dense SVDs at the whole stack's
-    scale, which is the dense rule itself.
-    """
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    if matrix.size == 0:
-        return np.zeros((0, matrix.shape[-1]), dtype=complex), np.inf
-    small = min(matrix.shape)
-    # A fixed seed: the same input gets the same sketch, span and margin.
-    rng = np.random.default_rng(0)
-    width = math.isqrt(small) + 10
-    while 2 * width < small:
-        omega = rng.standard_normal((matrix.shape[0], width)) \
-            + 1j * rng.standard_normal((matrix.shape[0], width))
-        # M^T Omega conjugated is M* conj(Omega), another Gaussian sketch,
-        # and M is never conjugated whole.
-        q = np.linalg.qr((matrix.T @ omega).conj())[0]
-        proj, resid = _projection_residual(matrix, q)
-        _, s, vh = np.linalg.svd(proj, full_matrices=False)
-        rank, margin = _certified_cut(s, resid, tol)
-        if margin is not None:
-            return vh[:rank] @ q.conj().T, margin
-        width *= 2
-    _, s, vh = np.linalg.svd(matrix, full_matrices=False)
-    rank, margin = _certified_cut(s, 0.0, tol)
-    return vh[:rank], margin
-
-
-def _projection_residual(matrix: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
-    """(M Q, |M - M Q Q*|_F) for orthonormal columns Q, formed a slab of
-    rows at a time so no second array of M's size is held."""
-    proj = np.empty((matrix.shape[0], q.shape[1]), dtype=complex)
-    step = max(1, _SPAN_SLAB // max(matrix.shape[1], 1))
-    total = 0.0
-    for r0 in range(0, matrix.shape[0], step):
-        rows = matrix[r0:r0 + step]
-        proj[r0:r0 + step] = rows @ q
-        diff = proj[r0:r0 + step] @ q.conj().T
-        diff -= rows
-        total += float(np.vdot(diff, diff).real)
-    return proj, math.sqrt(total)
-
-
-def _certified_cut(s: np.ndarray, resid: float, tol: float) -> tuple[int, float | None]:
-    """(rank, margin) of the dense rule for a matrix whose singular values
-    lie within resid above the descending values s; margin None when those
-    bounds leave the rank open."""
-    rank = int(np.sum(s > tol * max(s[0] + resid, 1.0)))
-    dropped = (s[rank] if rank < s.size else 0.0) + resid
-    if dropped > rank_threshold(s, tol):
-        return rank, None
-    if rank == 0 or dropped == 0.0:
-        return rank, np.inf
-    return rank, float(s[rank - 1] / dropped)
 
 
 def nullspace_rows(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -68,8 +68,6 @@ class MatrixStarAlgebra:
 
     ambient_dim: int
     basis: np.ndarray
-    _unit: np.ndarray | None = field(default=None, init=False, repr=False,
-                                     compare=False)
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=complex)
@@ -155,16 +153,17 @@ class MatrixStarAlgebra:
         The unit e of a *-closed span A is the trace-orthogonal projection
         of 1 onto A: for a in A, <a, 1 - e> = tr(a*) - tr(a* e) = 0 as
         a* e = a*.  So e has coefficients <b_l, 1> = conj(tr b_l).  A span
-        without a unit fails the check e b = b, which raises AlgebraError.
-        The instance is frozen, so the first result is kept and returned again.
+        without a unit fails the check e b = b, which raises AlgebraError
+        on every call.  Built once and kept on the instance.
         """
-        if self._unit is not None:
-            return self._unit
+        return self._unit
+
+    @cached_property
+    def _unit(self) -> np.ndarray:
         e = self.element(self.traces.conj())
         defect = np.linalg.norm(e @ self.basis - self.basis, axis=(1, 2))
         if np.any(defect > 1e-6 * np.maximum(1.0, np.linalg.norm(self.basis, axis=(1, 2)))):
             raise AlgebraError("algebra has no unit in its span")
-        object.__setattr__(self, "_unit", e)
         return e
 
     def is_unital(self, tol: float = DEFAULT_TOL) -> bool:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equivaria import cli
+from equivaria import cli, matalg
 from equivaria.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFICATION, main
 from equivaria.datasets import bundled, dataset_names
 from equivaria.groups import builtin_group
@@ -261,7 +261,7 @@ def malformed_documents() -> list[dict]:
 def test_cli_input_errors(tmp_path, capsys):
     assert main(["irreps", "--input", "no-such-thing"]) == EXIT_INPUT
     assert main(["irreps"]) == EXIT_INPUT
-    for tolerance in ("-1", "0", "nan", "inf"):
+    for tolerance in ("-1", "0", "nan", "inf", "1", "10", "1e300"):
         assert main(["spectrum", "--input", "z2-line", "--tolerance", tolerance]) == EXIT_INPUT
     assert main(["spectrum", "--input", "z2-line", "--seed", "-1"]) == EXIT_INPUT
     assert main(["spectrum", "--input", "S3"]) == EXIT_INPUT  # group, not system
@@ -284,10 +284,11 @@ def test_cli_unreadable_input_file_is_an_input_error(tmp_path, capsys):
     assert len(err) == 2 and all(line.startswith("error: ") for line in err)
 
 
-def test_cli_failed_splitting_is_a_one_line_verification_error(capsys):
-    """At a tolerance that no split can meet, the central splitting gives
-    up with a message and exit 1, not a traceback."""
-    assert main(["spectrum", "--input", "z2-line", "--tolerance", "1e300"]) == EXIT_VERIFICATION
+def test_cli_failed_splitting_is_a_one_line_verification_error(capsys, monkeypatch):
+    """When no split attempt succeeds, the central splitting gives up with
+    a message and exit 1, not a traceback."""
+    monkeypatch.setattr(matalg, "_SPLIT_ATTEMPTS", 0)
+    assert main(["spectrum", "--input", "z2-line"]) == EXIT_VERIFICATION
     err = capsys.readouterr().err
     assert err.startswith("verification error: ") and len(err.splitlines()) == 1
 

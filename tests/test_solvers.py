@@ -13,11 +13,10 @@ of products and `is_irreducible` reads the character norm.  A
 CrossedProduct's coefficients are orthonormal coordinates, its embedding
 is its algebra's basis, `module_crossed_product` uses the contractions of
 `green_julg_module`, and `span_contains` tests stacks a slab at a time.
-`certified_rows` cuts a rank from a sketch only when its residual proves
-the dense SVD's cut, and the dense SVD is its oracle on prescribed spectra.
-The compacts are cut one carrier component at a time, with the dense SVD
-of the whole stack of rank-one maps as their oracle, and a size spy finds
-no m^4 array in the Morita theorem.
+The compacts are cut one carrier component at a time, a module of one
+component as one block, with the dense SVD of the whole stack of rank-one
+maps as their oracle, and a size spy finds no m^4 array in the Morita
+theorem.
 Crossed products multiply, take adjoints and test ideals in coefficients,
 and the Morita theorem compares J with C there; the embedded matrices are
 their oracle.  The fixed-point algebra's table comes from the products of
@@ -76,7 +75,6 @@ from equivaria.hilbmod import (
     trivial_equivariant_module,
 )
 from equivaria.linalg import (
-    certified_rows,
     flatten,
     intertwiner_rows,
     orthonormal_rows,
@@ -746,86 +744,6 @@ def test_span_contains_checks_every_slab():
     assert span_contains(basis, vecs[:-1])
 
 
-# -- the sketched rank cut against the dense SVD ------------------------------
-
-
-def prescribed_matrix(values, size, seed=0, rows_aligned=False):
-    """A size x size matrix U diag(values) V* for random unitary U and V
-    (U = 1 with rows_aligned, so row i is values[i] v_i*)."""
-    rng = np.random.default_rng(seed)
-
-    def unitary():
-        return np.linalg.qr(rng.standard_normal((size, size))
-                            + 1j * rng.standard_normal((size, size)))[0]
-
-    padded = np.zeros(size)
-    padded[:len(values)] = values
-    vh = unitary().conj().T
-    mat = padded[:, None] * vh
-    return mat if rows_aligned else unitary() @ mat
-
-
-def sketch_tail(tol):
-    """Five values near 1, one at 1.2 tol, then 394 at 0.5 tol: the dense
-    rule keeps six, but the first sketch, of 30 columns, sees the sixth
-    mixed into the tail below tol, and only the residual shows it exists."""
-    return np.concatenate([[1.0, 0.9, 0.8, 0.7, 0.6, 1.2 * tol], np.full(394, 0.5 * tol)])
-
-
-# name: (singular values, size, tol, whether the dense SVD runs)
-SPECTRA = {
-    "low-rank": (np.linspace(3.0, 1.0, 8), 300, 1e-9, False),
-    "full-rank": (np.linspace(2.0, 1.0, 120), 120, 1e-9, True),
-    "just-above": ([1.0, 0.9, 0.8, 0.7, 0.6, 1.5e-4], 300, 1e-4, False),
-    "just-below": ([1.0, 0.9, 0.8, 0.7, 0.6, 0.7e-4], 300, 1e-4, False),
-    "hidden-above": (sketch_tail(1e-4), 400, 1e-4, True),
-}
-
-
-def spy_full_svds(monkeypatch, shape) -> list:
-    """Record each np.linalg.svd call on an array of `shape`."""
-    calls = []
-    svd = np.linalg.svd
-
-    def spy(a, *args, **kwargs):
-        if np.shape(a) == shape:
-            calls.append(shape)
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    return calls
-
-
-@pytest.mark.parametrize("name", SPECTRA)
-def test_certified_rows_match_the_dense_cut(name, monkeypatch):
-    values, size, tol, dense_runs = SPECTRA[name]
-    mat = prescribed_matrix(values, size)
-    dense = orthonormal_rows(mat, tol)
-    full_svds = spy_full_svds(monkeypatch, mat.shape)
-    rows, margin = certified_rows(mat, tol)
-    assert bool(full_svds) == dense_runs
-    assert rows.shape[0] == dense.shape[0]
-    assert spans_equal(rows, dense)
-    assert np.abs(rows @ rows.conj().T - np.eye(rows.shape[0])).max() < 1e-12
-    assert margin > 1.0
-
-
-def test_certified_rows_residual_counts_every_slab(monkeypatch):
-    # Five zero rows fill the first slab of five rows, so its residual is 0
-    # and everything the sketch misses lies in later slabs.
-    values = sketch_tail(1e-4)
-    mat = np.vstack([np.zeros((5, 400)), prescribed_matrix(values, 400, rows_aligned=True)])
-    monkeypatch.setattr(linalg, "_SPAN_SLAB", 5 * 400)
-    rows, _ = certified_rows(mat, 1e-4)
-    assert rows.shape[0] == orthonormal_rows(mat, 1e-4).shape[0] == 6
-
-
-def test_certified_rows_of_nothing():
-    assert certified_rows(np.zeros((0, 4)))[0].shape == (0, 4)
-    rows, margin = certified_rows(np.zeros((40, 40)))
-    assert rows.shape == (0, 40) and margin == np.inf
-
-
 @pytest.mark.parametrize("label", PIPELINE)
 def test_fullness_ideal_matches_raw_values(label):
     eq = pipeline_module(label)
@@ -1403,6 +1321,17 @@ def test_point_local_spans_match_the_whole_ambient_cut(label):
     assert verdict.gaps == tuple((x, j_x[x], c_x[x]) for x in range(x_n) if j_x[x] < c_x[x])
 
 
+def prescribed_matrix(values, size, seed=0):
+    """A size x size matrix diag(values) V* for a random unitary V, so row i
+    is values[i] v_i*."""
+    rng = np.random.default_rng(seed)
+    v = np.linalg.qr(rng.standard_normal((size, size))
+                     + 1j * rng.standard_normal((size, size)))[0]
+    padded = np.zeros(size)
+    padded[:len(values)] = values
+    return padded[:, None] * v.conj().T
+
+
 def test_point_cut_takes_the_whole_matrix_scale():
     # Three 6 x 4 blocks with prescribed singular values, each the
     # transposed first rows of diag(values) V*.  The largest is 1e6, so the
@@ -1410,7 +1339,7 @@ def test_point_cut_takes_the_whole_matrix_scale():
     # which its own scale, max(1e-2, 1) = 1, would keep, and block 2 keeps
     # nothing.
     values = [[1e6, 2.0, 1e-2, 0.0], [1e-2, 1e-4, 1e-5, 0.0], [1e-4, 1e-6, 0.0, 0.0]]
-    blocks = np.stack([prescribed_matrix(v, 6, seed=x, rows_aligned=True)[:4].T
+    blocks = np.stack([prescribed_matrix(v, 6, seed=x)[:4].T
                        for x, v in enumerate(values)])
     rows, ranks = morita._point_spans(blocks)
     assert list(ranks) == [3, 1, 0]
@@ -1690,14 +1619,14 @@ def test_quotient_algebra_table_matches_the_dense_pass():
 
 
 def compacts_dense(action, coefficients, tol=1e-8):
-    """(rows, margin) of the dense SVD of the whole (m^2, m^2) stack of
-    rank-one maps, margin sigma_r / sigma_(r+1) as the component cut
+    """(rows, margin, values) of the dense SVD of the whole (m^2, m^2) stack
+    of rank-one maps, margin sigma_r / sigma_(r+1) as the component cut
     reports it."""
     m = action.shape[-1]
     _, s, vh = np.linalg.svd(hilbmod._rank_one_maps(action, coefficients).reshape(m * m, m * m))
     rank = int(np.sum(s > tol * max(s[0], 1.0)))
     dropped = s[rank] if rank < s.size else 0.0
-    return vh[:rank], np.inf if rank == 0 or dropped == 0.0 else s[rank - 1] / dropped
+    return vh[:rank], np.inf if rank == 0 or dropped == 0.0 else s[rank - 1] / dropped, s
 
 
 def averaged_pair(eq):
@@ -1743,19 +1672,28 @@ def component_case(label):
         coefficients[0, 0, 0] = coefficients[2, 3, 1] = coefficients[4, 4, 1] = 1.0
         return action, coefficients, 2
     if kind == "standard":
-        # M_2 over itself: one component, whose whole stack is sketched.
+        # M_2 over itself: one component, cut as one block.
         e = standard_module(algebra_from_span(np.eye(4, dtype=complex).reshape(4, 2, 2)))
         return e.action, e.inner, 1
     if kind == "orbit":
         # A Z/8 orbit of 8 points and a fixed point, fiber 2: blocks of 16
-        # and 2 carriers, too large to beat the sketch of the whole stack.
+        # and 2 carriers.
         return (*averaged_pair(equivariant_function_module(z8_orbit_system(2))), 2)
+
+    def scaled(e, c):
+        return hilbmod.FDHilbertModule(e.algebra, e.action, c * e.inner)
+
+    if kind == "graded-sum":
+        # Values 1e6, 1 and 1e-3: the cut keeps 1e6 and 1, so the margin is
+        # the least kept value over the largest dropped one, 1 / 1e-3.
+        e = direct_sum_module(direct_sum_module(scaled(free_module(1), 1e6), free_module(1)),
+                              scaled(free_module(2), 1e-3))
+        return e.action, e.inner, 3
     first, second = free_module(2), free_module(3)
     if kind == "scaled-sum":
         # Values of size 1e6 and 1e-3: the whole stack's scale, 1e-8 * 1e6,
         # drops every map of the second summand, which its own would keep.
-        first, second = (hilbmod.FDHilbertModule(e.algebra, e.action, c * e.inner)
-                         for e, c in ((first, 1e6), (second, 1e-3)))
+        first, second = scaled(first, 1e6), scaled(second, 1e-3)
     e = direct_sum_module(first, second)
     return e.action, e.inner, 2
 
@@ -1770,33 +1708,37 @@ def z8_orbit_system(d):
 COMPONENT_CASES = ([f"function:{name}" for name in
                     ("z2-line", "dihedral-plane", "anticomplete-point", "two-1", "two-2")]
                    + [f"averaged:{n}" for n in range(1, 5)]
-                   + ["witness:3", "direct-sum", "scaled-sum", "pattern", "standard", "orbit"])
+                   + ["witness:3", "direct-sum", "scaled-sum", "graded-sum", "pattern", "standard",
+                      "orbit"])
 
 
 @pytest.mark.parametrize("label", COMPONENT_CASES)
-def test_component_cut_matches_the_whole_stack(label, monkeypatch):
+def test_component_cut_matches_the_whole_stack(label):
     action, coefficients, n_parts = component_case(label)
     m = action.shape[-1]
     parts = hilbmod.carrier_components(action, coefficients)
     assert len(parts) == n_parts
     assert sorted(np.concatenate(parts)) == list(range(m))
-    sketches = counting_spy(monkeypatch, [hilbmod], "certified_rows")
     rows, margin = hilbmod._compact_rows(action, coefficients, 1e-8)
-    dense, dense_margin = compacts_dense(action, coefficients)
-    # One component (the one-point system, M_2), or one large orbit, is
-    # sketched whole, and its margin is the sketch's certified bound.
-    sketched = label in ("function:anticomplete-point", "standard", "orbit")
-    assert len(sketches) == sketched
+    dense, dense_margin, values = compacts_dense(action, coefficients)
     assert rows.shape[0] == dense.shape[0] > 0
     assert spans_equal(rows, dense, 1e-8)
-    assert margin > 1 if sketched else margin >= dense_margin
+    # The margins are compared only where the first dropped value stands
+    # above rounding, which only the scaled sums' 1e-3 summands do; below it
+    # both margins are sigma_r over noise, and must both be large.
+    dropped = values[rows.shape[0]] if rows.shape[0] < values.size else 0.0
+    if dropped > 1e-12 * max(values[0], 1.0):
+        assert label in ("scaled-sum", "graded-sum")
+        assert margin == pytest.approx(dense_margin, rel=1e-10)
+    else:
+        assert label not in ("scaled-sum", "graded-sum")
+        assert margin > 1e12 and dense_margin > 1e12
     assert np.abs(rows @ rows.conj().T - np.eye(rows.shape[0])).max() < 1e-12
-    # Every compact vanishes off the blocks S x S; the sketch mixes in
-    # roundoff there.
+    # Every compact vanishes off the blocks S x S.
     on = np.zeros((m, m), dtype=bool)
     for part in parts:
         on[np.ix_(part, part)] = True
-    assert np.abs(rows[:, ~on.ravel()]).max(initial=0.0) <= (1e-12 if sketched else 0.0)
+    assert np.abs(rows[:, ~on.ravel()]).max(initial=0.0) == 0.0
 
 
 def test_pairs_from_two_components_give_zero_maps():
@@ -2322,9 +2264,11 @@ def test_unit_is_the_least_squares_unit(label):
 def test_a_nilpotent_span_has_no_unit():
     e12 = np.zeros((1, 2, 2), dtype=complex)
     e12[0, 0, 1] = 1.0
-    for unit in (lambda alg: alg.unit(), unit_lstsq):
+    alg = MatrixStarAlgebra(2, e12)
+    # A failure is not kept on the instance: the second call raises too.
+    for unit in (MatrixStarAlgebra.unit, MatrixStarAlgebra.unit, unit_lstsq):
         with pytest.raises(AlgebraError, match="no unit"):
-            unit(MatrixStarAlgebra(2, e12))
+            unit(alg)
 
 
 def alpha_matrix_loop(sys, w):
