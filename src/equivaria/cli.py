@@ -16,6 +16,7 @@ import numpy as np
 
 from .datasets import DATASET_DESCRIPTIONS, bundled, dataset_names
 from .groups import BUILTIN_GROUPS, FiniteGroup, builtin_group
+from .linalg import check_tol
 from .matalg import SplitError
 from .morita import (
     assemble_toy_dual,
@@ -316,10 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # At tol >= 1 the rule s > tol max(s_0, 1) keeps no singular value, so
-    # every rank cut would be empty and every span test would pass.
-    if not 0 < args.tolerance < 1:
-        print("error: tolerance must lie strictly between 0 and 1", file=_sys.stderr)
+    try:
+        check_tol(args.tolerance)
+    except ValueError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT
     if args.seed < 0:
         print("error: seed must not be negative", file=_sys.stderr)

@@ -12,18 +12,17 @@ conjugate transpose, so K_B(E) becomes an honest matrix *-algebra.
 Inner values live in one coordinate system, B's orthonormal basis: a
 module stores <e_p|e_q> as an (m, m, dim B) coefficient array, so its values
 lie in B by construction.  The rank-one maps (one or all m^2 of them), the
-Gram matrix, the fullness ideal, and the averaged (Green-Julg) and crossed
-modules over B >| W are built from it with a few matrix products, never
-with per-pair loops.  Over B >| W the coordinates are the crossed
-product's coefficients, which index the orthonormal basis b_i w / sqrt|W|
-of its algebra, so no inner value is embedded.  Values that arrive as
-matrices (the dual module's rank-one maps, the quotient module's
-functions, a module rebased onto a subalgebra) pass through one checked conversion, which raises
-ModuleError when a value leaves the span.  The Green-Julg check needs no
-module over B >| W at all: a rank-one map is the same operator in any
-basis of B >| W, so the averaged compacts come from the crossed
-coefficients and the maps of the same basis, and K_B(E)^W is solved in the
-coordinates of K_B(E).
+Gram matrix, the fullness ideal and the averaged (Green-Julg) module over
+B >| W are built from it with a few matrix products, never with per-pair
+loops.  Over B >| W the coordinates are the crossed product's
+coefficients, which index the orthonormal basis b_i w / sqrt|W| of its
+algebra, so no inner value is embedded.  Values that arrive as matrices
+(the quotient module's functions, a module rebased onto a subalgebra) pass
+through one checked conversion, which raises ModuleError when a value
+leaves the span.  The Green-Julg check needs no module over B >| W at all:
+a rank-one map is the same operator in any basis of B >| W, so the
+averaged compacts come from the crossed coefficients and the maps of the
+same basis, and K_B(E)^W is solved in the coordinates of K_B(E).
 `compact_operators` cuts the rank of the m^2 rank-one maps one carrier
 component at a time (`carrier_components`; the points or orbits of the
 function modules): the stack of all the maps is block diagonal, one block
@@ -44,9 +43,9 @@ import numpy as np
 from .groups import FiniteGroup
 from .linalg import (
     DEFAULT_TOL,
+    check_tol,
     flatten,
     homomorphism_defect,
-    intertwiner_rows,
     nullspace_rows,
     orthonormal_rows,
     rank_threshold,
@@ -327,9 +326,6 @@ class CompactOperators:
         dressed = self.transform @ unflatten(self.raw_rows, m) @ self.transform_inv
         return algebra_from_span(dressed, ambient_dim=m, tol=self._tol)
 
-    def contains_raw(self, mats, tol: float = 1e-8) -> bool:
-        return span_contains(self.raw_rows, flatten(np.asarray(mats, dtype=complex)), tol)
-
 
 def _rank_one_maps(action: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """All |e_i><e_j| as one (m, m, m, m) array indexed [i, j, row, col],
@@ -430,15 +426,6 @@ def compact_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> CompactOp
     s, s_inv = e.gram_sqrt()
     raw_rows, margin = _compact_rows(e.action, e.inner, tol)
     return CompactOperators(e, raw_rows, s, s_inv, margin, tol)
-
-
-def adjointable_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal rows spanning the B-linear carrier operators (raw coords).
-
-    In finite dimension every B-linear map is adjointable, so this is the
-    commutant of the right-action matrices.
-    """
-    return intertwiner_rows(e.action, e.action, tol)
 
 
 def fullness_ideal(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
@@ -588,66 +575,6 @@ def averaged_inner_coefficients(eq: EquivariantModule) -> np.ndarray:
     return (by_column @ eq.base.inner).reshape(m, m, w_n, eq.base.algebra.dim)
 
 
-def module_crossed_product(eq: EquivariantModule,
-                           cp: CrossedProduct | None = None,
-                           tol: float = DEFAULT_TOL) -> tuple[FDHilbertModule, CrossedProduct]:
-    """E >| W over B >| W: carrier C^{m |W|}, (xi w1)(b w2) = xi beta_w1(b) w1w2.
-
-    Built like green_julg_module.  Carrier coordinate (w, p) is w * m + p;
-    b_i v maps the block of w to the block of wv by R_{beta_w(b_i)}, and
-    <<e_p w1 | e_q w2>> = beta_{w1^-1}(<e_p|e_q>) (w1^-1 w2).  Against the
-    a_(v,i) = b_i v / sqrt|W| the maps take a 1 / sqrt|W| and the inner
-    coefficients a sqrt|W|.
-    """
-    g = eq.group
-    base = eq.base
-    cp = cp or crossed_product(eq.beta, tol)
-    m, k, w_n = base.carrier_dim, base.algebra.dim, g.order
-    big = m * w_n
-    twisted = np.tensordot(eq.beta.maps / np.sqrt(w_n), base.action,
-                           axes=(1, 0))                         # R_{beta_w(b_i)} / sqrt|W|
-    maps = np.zeros((w_n, k, w_n, m, w_n, m), dtype=complex)
-    ips = np.tensordot(eq.beta.maps[g.inv] * np.sqrt(w_n), base.inner,
-                       axes=(2, 2)).transpose(0, 2, 3, 1)
-    coeffs = np.zeros((w_n, m, w_n, m, w_n, k), dtype=complex)
-    w, v = np.arange(w_n)[:, None], np.arange(w_n)
-    maps[v, :, g.mul[w, v], :, w, :] = twisted[:, None]
-    coeffs[w, :, v, :, g.mul[g.inv[w], v]] = ips[:, None]
-    action = maps.reshape(w_n * k, big, big)
-    inner = coeffs.reshape(big, big, w_n * k)
-    return FDHilbertModule(cp.algebra, action, inner,
-                           name=(base.name or "module") + "-crossed"), cp
-
-
-@dataclass(frozen=True)
-class CrossedCompactsVerdict:
-    ok: bool
-    image_dim: int
-    compacts_dim: int
-
-
-def verify_module_crossed_compacts(eq: EquivariantModule,
-                                   tol: float = 1e-8) -> CrossedCompactsVerdict:
-    """K_{B >| W}(E >| W) = K_B(E) >| W, via phi(k w): xi v -> k(gamma_w xi) wv.
-
-    Every rank cut, the crossed product's embedded span included, is taken
-    at `tol`.
-    """
-    g = eq.group
-    m = eq.base.carrier_dim
-    ecp, _ = module_crossed_product(eq, tol=tol)
-    big = compact_operators(ecp, tol)
-    base_c = compact_operators(eq.base, tol)
-    # [w, r]: K_r gamma_w, the block (wv, v) of phi(K_r w) for every v.
-    blocks = unflatten(base_c.raw_rows, m)[None] @ eq.gamma[:, None]
-    imgs = np.zeros((g.order, len(base_c.raw_rows), g.order, m, g.order, m), dtype=complex)
-    w, v = np.arange(g.order)[:, None], np.arange(g.order)
-    imgs[w, :, g.mul[w, v], :, v, :] = blocks[:, None]
-    img_rows = orthonormal_rows(imgs.reshape(-1, (g.order * m) ** 2), tol)
-    ok = spans_equal(img_rows, big.raw_rows, tol)
-    return CrossedCompactsVerdict(ok, img_rows.shape[0], big.raw_rows.shape[0])
-
-
 def invariant_compacts_rows(eq: EquivariantModule,
                             compacts: CompactOperators | None = None,
                             tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -703,6 +630,7 @@ def verify_green_julg(eq: EquivariantModule, tol: float = 1e-8) -> GreenJulgVerd
     the coordinates of K_B(E).  Neither the embedded crossed product, the
     averaged module nor the Kronecker commutant of gamma is built.
     """
+    check_tol(tol)
     lhs = _averaged_compacts_rows(eq, tol)
     inv_rows = invariant_compacts_rows(eq, tol=tol)
     ok = spans_equal(lhs, inv_rows, tol)
@@ -719,32 +647,7 @@ def green_julg_norms(eq: EquivariantModule, xi: np.ndarray,
     return (eq.base.norm(xi) ** 2, gj.norm(xi) ** 2, eq.group.order)
 
 
-# -- duality and Morita equivalence -------------------------------------------
-
-
-def dual_module(e: FDHilbertModule,
-                compacts: CompactOperators | None = None,
-                tol: float = DEFAULT_TOL) -> tuple[FDHilbertModule, np.ndarray]:
-    """K_B(E, B) over K_B(E), with <<k | l>> = k* l.
-
-    Dual vectors are bras <xi|; the carrier coordinate of <xi| is conj(xi)
-    so that everything stays linear.  Also returns the left action of B on
-    the dual (b . <xi| = <xi b*|) as matrices, one per B basis element.
-    """
-    compacts = compacts or compact_operators(e, tol)
-    s, s_inv = compacts.transform, compacts.transform_inv
-    k_alg = compacts.algebra
-    # Right action of a compact a (in Gram coords): bra_xi . a = bra_{a# xi},
-    # and in conj coordinates delta -> conj(a#) delta with a# = S^-1 a* S.
-    action = np.conj(s_inv @ np.conj(np.transpose(k_alg.basis, (0, 2, 1))) @ s)
-    # <<e_p|e_q>> = |e_p><e_q|, dressed into K's Gram coordinates.
-    inner = _checked_coefficients(
-        k_alg.basis_rows(), flatten(s @ _rank_one_maps(e.action, e.inner) @ s_inv))
-    dual = FDHilbertModule(k_alg, action, inner, name=(e.name or "module") + "-dual")
-    # Left action of B: b . bra_xi = bra_{xi b*}; conj coords: conj(R_{b*}),
-    # with b_i* = sum_l S[l, i] b_l for the star constants S.
-    left = np.conj(np.tensordot(e.algebra.star, e.action, axes=(0, 0)))
-    return dual, left
+# -- Morita equivalence -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -829,39 +732,3 @@ def direct_sum_left_action(a1: MatrixStarAlgebra, l1: np.ndarray,
     left[:a1.dim, :m1, :m1] = l1
     left[a1.dim:, m1:, m1:] = l2
     return a_sum, left
-
-
-def interior_tensor_product(e1: FDHilbertModule, e2: FDHilbertModule,
-                            left_b_on_e2: np.ndarray,
-                            tol: float = DEFAULT_TOL) -> tuple[FDHilbertModule, np.ndarray]:
-    """E1 (x)_B E2 over C, for E1 over B and E2 over C with B acting on E2.
-
-    <xi1 (x) xi2 | eta1 (x) eta2> = <xi2 | <xi1|eta1> eta2>; the null space
-    of this semi-inner product is quotiented out.  Returns the module and
-    the quotient map Q (quotient coords = Q @ tensor coords).
-    """
-    c_alg = e2.algebra
-    m1, m2 = e1.carrier_dim, e2.carrier_dim
-    big = m1 * m2
-    # Semi-inner product on the full tensor space, in C's coordinates:
-    # <e_p2 | b e_q2>_C for b = <e_p1|e_q1> = sum_k c_k b_k acting on E2 by
-    # left_b_on_e2[k], at tensor coordinates (p1 m2 + p2, q1 m2 + q2).
-    inner_big = np.einsum("PQk,kjq,pjc->PpQqc", e1.inner, left_b_on_e2, e2.inner,
-                          optimize=True).reshape(big, big, c_alg.dim)
-    # The unquotiented module, its scalar Gram and null space.
-    whole = FDHilbertModule(c_alg, np.kron(np.eye(m1), e2.action), inner_big)
-    evals, evecs = np.linalg.eigh(whole.gram())
-    keep = evals > max(tol, 1e-10) * max(evals.max(), 1.0)
-    u = evecs[:, keep]          # orthonormal complement of the null space
-    q_map = u.conj().T          # tensor coords -> quotient coords
-    inner = np.einsum("pi,pqc,qj->ijc", u.conj(), inner_big, u, optimize=True)
-    action = q_map @ whole.action @ u
-    return FDHilbertModule(c_alg, action, inner, name="interior-tensor"), q_map
-
-
-def tensor_left_action(left_a_on_e1: np.ndarray, m2: int,
-                       q_map: np.ndarray) -> np.ndarray:
-    """Push a left action on E1 through to the quotiented tensor product."""
-    eye2 = np.eye(m2)
-    return np.stack([q_map @ np.kron(l, eye2) @ q_map.conj().T
-                     for l in left_a_on_e1])

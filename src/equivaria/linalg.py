@@ -62,6 +62,17 @@ def _right_singular(matrix: np.ndarray, tol: float, full: bool) -> tuple[np.ndar
     return vh, int(np.sum(s > rank_threshold(s, tol)))
 
 
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless 0 < tol < 1.
+
+    At tol >= 1 or NaN the rule s > tol max(s_0, 1) keeps no singular
+    value, so every rank would be 0 and every span test would pass; at
+    tol <= 0 it keeps rounding noise.
+    """
+    if not 0 < tol < 1:
+        raise ValueError("tolerance must lie strictly between 0 and 1")
+
+
 def rank_threshold(values: np.ndarray, tol: float) -> float:
     """tol max(s_0, 1) for the singular values `values` of one matrix, s_0
     the largest: the dense rule keeps the values above it."""

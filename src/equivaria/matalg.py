@@ -2,7 +2,7 @@
 
 This is the brute-force oracle layer: generation by closure, commutants by
 nullspace, block (Wedderburn) structure by randomized central splitting,
-GNS, ideals, and the finite-dimensional separating-subalgebra checker.
+the ideal test, and the finite-dimensional separating-subalgebra checker.
 Each algebra has one product table <b_l, b_i b_j>, from one slabbed pass
 that also measures the closure residual in O(k N^2 + k^3) memory, and its
 traces tr b_k and star table <b_l, b_i*>, each built once.  The center,
@@ -399,98 +399,6 @@ def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
     raise SplitError("central splitting failed; reseed or loosen tolerance")
 
 
-def is_positive(a: np.ndarray, within: MatrixStarAlgebra,
-                tol: float = DEFAULT_TOL) -> bool:
-    """Positivity of an algebra element: Hermitian with spectrum >= -tol."""
-    a = np.asarray(a, dtype=complex)
-    if not within.contains(a, max(tol, 1e-8)):
-        raise AlgebraError("element lies outside the algebra")
-    scale = max(operator_norm(a), 1.0)
-    if np.linalg.norm(a - a.conj().T) > tol * scale:
-        return False
-    evals = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-    return bool(evals.min() >= -tol * scale)
-
-
-# -- states and GNS ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class State:
-    """A positive normalized linear functional, stored against the basis."""
-
-    algebra: MatrixStarAlgebra
-    vector: np.ndarray  # functional values on basis elements
-
-    def __call__(self, a: np.ndarray) -> complex:
-        return complex(self.vector @ self.algebra.coefficients(a))
-
-    def validate(self, tol: float = 1e-8) -> None:
-        alg = self.algebra
-        gram = _state_gram(alg, self)
-        evals = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
-        if evals.min() < -tol * max(1.0, abs(evals).max()):
-            raise AlgebraError("functional is not positive")
-        if abs(self(alg.unit()) - 1.0) > tol:
-            raise AlgebraError("functional is not normalized on the unit")
-
-
-def vector_state(alg: MatrixStarAlgebra, xi: np.ndarray) -> State:
-    xi = np.asarray(xi, dtype=complex)
-    vec = np.array([np.vdot(xi, b @ xi) for b in alg.basis])
-    e = alg.unit()
-    norm = np.vdot(xi, e @ xi).real
-    if norm <= 0:
-        raise AlgebraError("vector is annihilated by the algebra's unit")
-    return State(alg, vec / norm)
-
-
-def _state_gram(alg: MatrixStarAlgebra, phi: State) -> np.ndarray:
-    """[i, j] = phi(b_i* b_j), with b_i* b_j = sum_m,l S[m, i] T[j, l, m] b_l."""
-    return np.einsum("mi,jlm,l->ij", alg.star, alg.structure, phi.vector, optimize=True)
-
-
-@dataclass(frozen=True)
-class GNSRepresentation:
-    """The cyclic representation of an algebra built from a state.
-
-    `vectors[i]` holds coordinates of basis element i's class in the quotient
-    Hilbert space; `matrices[i]` is left multiplication by basis element i.
-    """
-
-    algebra: MatrixStarAlgebra
-    state: State
-    dim: int
-    vectors: np.ndarray    # (alg.dim, dim): a -> class of a
-    matrices: np.ndarray   # (alg.dim, dim, dim)
-    cyclic_vector: np.ndarray
-
-    def represent(self, a: np.ndarray) -> np.ndarray:
-        coeffs = self.algebra.coefficients(a)
-        return np.tensordot(coeffs, self.matrices, axes=1)
-
-
-def gns(alg: MatrixStarAlgebra, phi: State, tol: float = 1e-9) -> GNSRepresentation:
-    """GNS construction: quotient by the null space of phi(a* b), left action."""
-    phi.validate()
-    gram = _state_gram(alg, phi)
-    gram = (gram + gram.conj().T) / 2.0
-    evals, evecs = np.linalg.eigh(gram)
-    scale = max(evals.max(), 1.0)
-    keep = evals > tol * scale * 10
-    d = int(keep.sum())
-    # Map a basis-coefficient vector c to Hilbert-space coordinates:
-    # coords = diag(sqrt(lambda)) V* c, so that <coords|coords'> = c* G c'.
-    v = evecs[:, keep]
-    to_coords = np.diag(np.sqrt(evals[keep])) @ v.conj().T       # (d, alg.dim)
-    from_coords = v @ np.diag(1.0 / np.sqrt(evals[keep]))        # (alg.dim, d)
-    vectors = to_coords.T                                        # class of b_i = row i
-    # Left multiplication by b_i, in basis coordinates, is structure[:, :, i].T.
-    mats = to_coords @ alg.structure.transpose(2, 1, 0) @ from_coords
-    cyclic = to_coords @ alg.traces.conj()
-    return GNSRepresentation(alg, phi, d, vectors, mats, cyclic)
-
-
 # -- ideals ------------------------------------------------------------------
 
 
@@ -512,26 +420,6 @@ def is_ideal(ideal: MatrixStarAlgebra, alg: MatrixStarAlgebra,
     if not span_contains(rows, flatten(np.conj(np.transpose(ideal.basis, (0, 2, 1)))), tol):
         return False
     return all(span_contains(rows, flatten(ideal.basis @ a), tol) for a in alg.basis)
-
-
-def ideal_sum(i: MatrixStarAlgebra, j: MatrixStarAlgebra,
-              tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
-    rows = orthonormal_rows(np.vstack([i.basis_rows(), j.basis_rows()]), tol)
-    return MatrixStarAlgebra(i.ambient_dim, unflatten(rows, i.ambient_dim))
-
-
-def ideal_intersection(i: MatrixStarAlgebra, j: MatrixStarAlgebra,
-                       tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
-    from .linalg import span_intersection
-    rows = span_intersection(i.basis_rows(), j.basis_rows(), tol)
-    return MatrixStarAlgebra(i.ambient_dim, unflatten(rows, i.ambient_dim))
-
-
-def ideal_is_whole(ideal: MatrixStarAlgebra, alg: MatrixStarAlgebra,
-                   seed: int = 0, tol: float = DEFAULT_TOL) -> bool:
-    """An ideal equals the algebra iff it contains every minimal central projection."""
-    structure = block_decompose(alg, seed=seed, tol=tol)
-    return all(ideal.contains(b.projection, max(tol, 1e-7)) for b in structure.blocks)
 
 
 # -- separating subalgebras / Stone-Weierstrass -----------------------------

@@ -53,6 +53,7 @@ from .hilbmod import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    check_tol,
     nullspace_rows,
     orthonormal_rows,
     rank_threshold,
@@ -384,6 +385,7 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     and `witness_fpa` are None when no witness is built; `fpa` is then
     built on first access.
     """
+    check_tol(tol)
     scalar = scalar or scalar_subgroups(sys, tol)
     eq = equivariant_function_module(sys)
     cp = crossed_product(eq.beta, tol)
@@ -514,6 +516,7 @@ def semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int = 0,
     (3) fpa(sys|W') ~ C(X,W',I); (4) the R-averaged quotient module gives
     fpa(sys) ~ C(X/W') >| R directly.  Block counts of the two ends compared.
     """
+    check_tol(tol)
     return _semidirect_reduction(sys, wprime, r, seed, tol)[0]
 
 
@@ -599,6 +602,7 @@ def assemble_toy_dual(components, seed: int = 0, tol: float = 1e-8) -> ToyDualRe
     R-averaged quotient modules into one block-diagonal module witnessing
     (+) fpa_i ~ (+) C(X_i/W'_i) >| R_i.
     """
+    check_tol(tol)
     reports = []
     module = None
     a_sum = None

@@ -15,6 +15,7 @@ import numpy as np
 from .groups import FiniteGroup
 from .linalg import (
     DEFAULT_TOL,
+    check_tol,
     cluster_values,
     homomorphism_defect,
     intertwiner_rows,
@@ -173,6 +174,7 @@ def enumerate_irreps(group: FiniteGroup, seed: int = 0,
 
     Deterministic for a fixed seed; sorted by (dimension, character vector).
     """
+    check_tol(tol)
     rng = np.random.default_rng(seed)
     pieces = _split_rep(regular_rep(group), rng, tol)
     by_char: dict = {}
@@ -216,20 +218,3 @@ def equivariant_maps(rho: UnitaryRep, pi: UnitaryRep,
     """Orthonormal basis of HS(rho, pi)^W, as (count, dim pi, dim rho)."""
     rows = intertwiner_space(rho, pi, tol)
     return rows.reshape(-1, pi.dim, rho.dim)
-
-
-def mu_isometry(pi: UnitaryRep, rho: UnitaryRep, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """The isometry H_rho (x) HS(rho,pi)^W -> H_pi onto the rho-isotypic part.
-
-    Column (i, j) (index i * count + j) is sqrt(dim rho) * s_j(e_i).  The map
-    satisfies mu* mu = id and mu mu* = isotypic projection.
-    """
-    basis = equivariant_maps(rho, pi, tol)
-    k = basis.shape[0]
-    if k == 0:
-        raise RepError("rho does not occur in pi")
-    cols = np.zeros((pi.dim, rho.dim * k), dtype=complex)
-    for i in range(rho.dim):
-        for j in range(k):
-            cols[:, i * k + j] = np.sqrt(rho.dim) * basis[j][:, i]
-    return cols

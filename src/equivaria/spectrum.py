@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import Subgroup
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, check_tol
 from .matalg import block_decompose, commutant, generate
 from .reps import UnitaryRep, enumerate_irreps, equivariant_maps, isotypic_projection
 from .systems import (
@@ -69,6 +69,7 @@ def classify_irreps(sys: EquivariantSystem, seed: int = 0,
     """One entry per (orbit, stabilizer irrep occurring in the cocycle).
 
     Orbits with the same stabilizer share its irreps."""
+    check_tol(tol)
     entries = []
     irreps_of: dict[tuple[int, ...], list[UnitaryRep]] = {}
     for orbit, stab in orbits_and_stabilizers(sys):
@@ -125,6 +126,7 @@ def wedderburn_crosscheck(sys: EquivariantSystem, seed: int = 0,
                           tol: float = DEFAULT_TOL) -> WedderburnVerdict:
     """The classification must reproduce the block structure exactly; the
     verdict carries the classification it compared."""
+    check_tol(tol)
     desc = classify_irreps(sys, seed=seed, tol=tol)
     fpa = fixed_point_algebra(sys, tol)
     blocks = block_decompose(fpa, seed=seed, tol=tol)

@@ -1,4 +1,4 @@
-"""Hilbert modules: axioms, compacts, duality, crossed and averaged modules."""
+"""Hilbert modules: axioms, compacts, fullness, averaged modules, Morita witnesses."""
 import numpy as np
 import pytest
 
@@ -8,30 +8,24 @@ from equivaria.groups import builtin_group
 from equivaria.hilbmod import (
     FDHilbertModule,
     ModuleError,
-    adjointable_operators,
     compact_operators,
     direct_sum_left_action,
     direct_sum_module,
-    dual_module,
     equivariant_function_module,
     free_module,
     fullness_ideal,
     function_module,
     green_julg_module,
     green_julg_norms,
-    interior_tensor_product,
     invariant_compacts_rows,
     is_full,
-    module_crossed_product,
     scalar_algebra,
     standard_module,
-    tensor_left_action,
     trivial_equivariant_module,
     verify_green_julg,
-    verify_module_crossed_compacts,
     verify_morita,
 )
-from equivaria.linalg import flatten, orthonormal_rows, span_contains, spans_equal
+from equivaria.linalg import flatten, intertwiner_rows, span_contains, spans_equal
 from equivaria.matalg import (
     MatrixStarAlgebra,
     block_decompose,
@@ -81,7 +75,9 @@ def test_function_module_compacts():
 def test_compacts_are_ideal_in_adjointables():
     e = function_module(z2_line_system(1))
     c = compact_operators(e)
-    adj_rows = adjointable_operators(e)
+    # In finite dimension every module map is adjointable: the commutant of
+    # the right action.
+    adj_rows = intertwiner_rows(e.action, e.action)
     # Compacts sit inside the adjointable (= module-map) operators ...
     assert span_contains(adj_rows, c.raw_rows)
     # ... and absorb them under multiplication on either side.
@@ -92,8 +88,9 @@ def test_compacts_are_ideal_in_adjointables():
                            + 1j * rng.standard_normal(adj_rows.shape[0]))).reshape(m, m)
         k = (c.raw_rows.T @ (rng.standard_normal(c.raw_rows.shape[0])
                              + 1j * rng.standard_normal(c.raw_rows.shape[0]))).reshape(m, m)
-        assert c.contains_raw([t @ k / max(1.0, np.abs(t @ k).max()),
-                               k @ t / max(1.0, np.abs(k @ t).max())])
+        assert span_contains(c.raw_rows, flatten(np.array([
+            t @ k / max(1.0, np.abs(t @ k).max()),
+            k @ t / max(1.0, np.abs(k @ t).max())])), 1e-8)
 
 
 COMPACTS_SYSTEMS = {
@@ -108,9 +105,9 @@ def test_compacts_equal_adjointables(name):
     # E is finitely generated over a unital B, so K_B(E) = L_B(E); the
     # adjointables are a Kronecker nullspace, independent of the rank cut.
     eq = equivariant_function_module(COMPACTS_SYSTEMS[name]())
-    for e in (eq.base, green_julg_module(eq)[0], dual_module(eq.base)[0]):
+    for e in (eq.base, green_julg_module(eq)[0]):
         c = compact_operators(e)
-        assert spans_equal(c.raw_rows, adjointable_operators(e))
+        assert spans_equal(c.raw_rows, intertwiner_rows(e.action, e.action))
         assert c.rank_margin > 1e6
 
 
@@ -154,33 +151,6 @@ def test_fullness_ideal_picks_one_block():
     ideal = fullness_ideal(e)
     assert ideal.dim == 4
     assert not is_full(e)
-
-
-def test_dual_of_free_module():
-    e = free_module(3)
-    c = compact_operators(e)
-    assert c.algebra.dim == 9
-    dual, left = dual_module(e, c)
-    dual.validate()
-    # Compacts of the dual are the scalars, spanned by the left action of C.
-    dc = compact_operators(dual)
-    assert dc.algebra.dim == 1
-    assert spans_equal(dc.raw_rows, orthonormal_rows(flatten(left)))
-    # Double dual recovers a module with the original compacts.
-    double, _ = dual_module(dual, dc)
-    double.validate()
-    assert double.carrier_dim == 3
-    assert compact_operators(double).algebra.dim == 9
-
-
-def test_dual_of_standard_module():
-    b = m2_algebra()
-    e = standard_module(b)
-    c = compact_operators(e)
-    dual, left = dual_module(e, c)
-    dual.validate()
-    assert spans_equal(compact_operators(dual).raw_rows,
-                       orthonormal_rows(flatten(left)))
 
 
 def test_verify_morita_success_and_failure():
@@ -237,33 +207,6 @@ def test_green_julg_norm_bounds():
         n1, n2, order = green_julg_norms(eq, eq.base.random_vector(rng), gj)
         assert n1 <= n2 + 1e-9
         assert n2 <= order * n1 + 1e-8
-
-
-def test_module_crossed_product():
-    eq = equivariant_function_module(z2_line_system(1))
-    ecp, cp = module_crossed_product(eq)
-    assert ecp.carrier_dim == eq.base.carrier_dim * eq.group.order
-    ecp.validate()
-    assert is_full(ecp)   # fullness is inherited from the base module
-    verdict = verify_module_crossed_compacts(eq)
-    assert verdict.ok
-    assert verdict.image_dim == verdict.compacts_dim
-
-
-def test_interior_tensor_product_composes():
-    # M2 (x)_{M2} C^2 = C^2 over the scalars.
-    b = m2_algebra()
-    e1 = standard_module(b)
-    e2 = free_module(2)
-    t, q = interior_tensor_product(e1, e2, b.basis.copy())
-    t.validate()
-    assert t.carrier_dim == 2
-    assert compact_operators(t).algebra.dim == 4
-    # Left multiplication of B on itself, in basis coordinates.
-    lmul = np.stack([np.stack([b.coefficients(a @ x) for x in b.basis], axis=1)
-                     for a in b.basis])
-    left = tensor_left_action(lmul, e2.carrier_dim, q)
-    assert verify_morita(b, t, left).ok
 
 
 def test_direct_sum_morita():
@@ -339,22 +282,6 @@ def test_witness_checks_honour_their_tolerance():
     fine, coarse = verify_green_julg(eq, 1e-12), verify_green_julg(eq, 1e-6)
     assert fine.averaged_compacts_dim == fine.invariant_compacts_dim == 2
     assert coarse.averaged_compacts_dim == coarse.invariant_compacts_dim == 1
-
-
-def test_module_crossed_compacts_honour_their_tolerance():
-    # The 1e-7 module under the trivial group: E >| W is E, and every rank
-    # cut of the check keeps |e2><e2| at 1e-12 and drops it at 1e-6.
-    b = scalar_algebra(2)
-    action = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
-    inner = np.zeros((2, 2, 2), dtype=complex)
-    inner[0, 0] = [1.0, 0.0]
-    inner[1, 1] = [0.0, 1e-7]
-    eq = trivial_equivariant_module(FDHilbertModule(b, action, inner),
-                                    builtin_group("trivial"))
-    fine = verify_module_crossed_compacts(eq, 1e-12)
-    coarse = verify_module_crossed_compacts(eq, 1e-6)
-    assert fine.ok and fine.image_dim == fine.compacts_dim == 2
-    assert coarse.ok and coarse.image_dim == coarse.compacts_dim == 1
 
 
 def test_green_julg_on_dihedral_plane():

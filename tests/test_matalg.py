@@ -1,4 +1,4 @@
-"""Matrix *-algebras: closure, commutants, blocks, GNS, ideals, separation."""
+"""Matrix *-algebras: closure, commutants, blocks, ideals, separation."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -12,15 +12,9 @@ from equivaria.matalg import (
     center,
     full_matrix_algebra,
     generate,
-    gns,
-    ideal_intersection,
-    ideal_is_whole,
-    ideal_sum,
     is_ideal,
-    is_positive,
     is_separating,
     operator_norm,
-    vector_state,
 )
 from equivaria.reps import enumerate_irreps, regular_rep
 
@@ -82,9 +76,6 @@ def test_cstar_identity_and_positivity():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert abs(operator_norm(a.conj().T @ a) - operator_norm(a) ** 2) < 1e-9
-    m4 = full_matrix_algebra(4)
-    assert is_positive(a.conj().T @ a, m4)
-    assert not is_positive(-np.eye(4), m4)
 
 
 def test_nonunital_subalgebra_unit():
@@ -96,19 +87,6 @@ def test_nonunital_subalgebra_unit():
     assert np.abs(alg.unit() - e11).max() < 1e-10
 
 
-def test_gns_reproduces_state():
-    alg = full_matrix_algebra(2)
-    xi = np.array([1.0, 1.0]) / np.sqrt(2)
-    phi = vector_state(alg, xi)
-    rep = gns(alg, phi)
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        a = alg.random_element(rng)
-        # The state is recovered as the cyclic matrix coefficient.
-        val = np.vdot(rep.cyclic_vector, rep.represent(a) @ rep.cyclic_vector)
-        assert abs(val - phi(a)) < 1e-8
-
-
 def test_ideals_in_block_algebra():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -117,10 +95,7 @@ def test_ideals_in_block_algebra():
                     block_diag(np.zeros((2, 2)), b)], ambient_dim=5)
     first = generate([block_diag(a, np.zeros((3, 3)))], ambient_dim=5)
     second = generate([block_diag(np.zeros((2, 2)), b)], ambient_dim=5)
-    assert is_ideal(first, alg)
-    assert not ideal_is_whole(first, alg)
-    assert ideal_is_whole(ideal_sum(first, second), alg)
-    assert ideal_intersection(first, second).dim == 0
+    assert is_ideal(first, alg) and is_ideal(second, alg)
 
 
 def test_separating_requires_whole_algebra():

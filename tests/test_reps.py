@@ -11,7 +11,6 @@ from equivaria.reps import (
     intertwiner_space,
     is_irreducible,
     isotypic_projection,
-    mu_isometry,
     multiplicity,
     regular_rep,
     trivial_rep,
@@ -67,21 +66,6 @@ def test_regular_rep_multiplicities():
         assert np.abs(p @ p - p).max() < 1e-10
         total += p
     assert np.abs(total - np.eye(g.order)).max() < 1e-10
-
-
-def test_mu_isometry_identities():
-    g = builtin_group("S3")
-    reg = regular_rep(g)
-    for rho in enumerate_irreps(g):
-        mu = mu_isometry(reg, rho)
-        k = mu.shape[1]
-        assert np.abs(mu.conj().T @ mu - np.eye(k)).max() < 1e-9
-        proj = isotypic_projection(reg, rho)
-        assert np.abs(mu @ mu.conj().T - proj).max() < 1e-9
-        for w in g.elements():
-            lhs = reg.matrices[w] @ mu
-            rhs = mu @ np.kron(rho.matrices[w], np.eye(k // rho.dim))
-            assert np.abs(lhs - rhs).max() < 1e-9
 
 
 def test_equivariant_maps_oracle():

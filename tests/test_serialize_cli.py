@@ -1,4 +1,5 @@
-"""Serialization round-trips and CLI behaviour (exit codes, formats)."""
+"""Serialization round-trips, CLI behaviour (exit codes, formats) and the
+tolerance rule that the CLI and the library share."""
 import inspect
 import json
 import os
@@ -9,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equivaria import cli, matalg
+from equivaria import cli, matalg, morita
 from equivaria.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFICATION, main
 from equivaria.datasets import bundled, dataset_names
 from equivaria.groups import builtin_group
+from equivaria.hilbmod import equivariant_function_module, verify_green_julg
+from equivaria.reps import enumerate_irreps
 from equivaria.serialize import (
     ParseError,
     canonical_dumps,
@@ -22,6 +25,7 @@ from equivaria.serialize import (
     dumps_document,
     parse_document,
 )
+from equivaria.spectrum import classify_irreps, wedderburn_crosscheck
 from equivaria.systems import z2_line_system
 
 
@@ -273,6 +277,31 @@ def test_cli_input_errors(tmp_path, capsys):
         assert main(["morita", "--input", str(bad)]) == EXIT_INPUT, doc
         assert capsys.readouterr().err.startswith("error: ")
     capsys.readouterr()
+
+
+# Every library entry point that takes a tolerance, called with one.
+TOLERANT = {
+    "verify_morita_theorem": lambda tol: morita.verify_morita_theorem(z2_line_system(4), tol=tol),
+    "semidirect_reduction":
+        lambda tol: morita.semidirect_reduction(*bundled("two-component")[0], tol=tol),
+    "assemble_toy_dual": lambda tol: morita.assemble_toy_dual(bundled("two-component"), tol=tol),
+    "verify_green_julg":
+        lambda tol: verify_green_julg(equivariant_function_module(z2_line_system(4)), tol),
+    "wedderburn_crosscheck": lambda tol: wedderburn_crosscheck(z2_line_system(4), tol=tol),
+    "classify_irreps": lambda tol: classify_irreps(z2_line_system(4), tol=tol),
+    "enumerate_irreps": lambda tol: enumerate_irreps(builtin_group("S3"), tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, 10.0, float("nan"), -1e-9])
+@pytest.mark.parametrize("entry", TOLERANT)
+def test_library_rejects_a_tolerance_outside_the_unit_interval(entry, tol):
+    """The CLI's rule, raised before any rank cut: at tol >= 1 every rank
+    would be 0 (verify_morita_theorem read ok with J = 0 against C = 17 on
+    z2-line n = 4 at tol 10), and other checks would fail first with errors
+    of their own."""
+    with pytest.raises(ValueError, match="^tolerance must lie strictly between 0 and 1$"):
+        TOLERANT[entry](tol)
 
 
 def test_cli_unreadable_input_file_is_an_input_error(tmp_path, capsys):

@@ -1,18 +1,16 @@
 """The structured solvers against the dense constructions they replace.
 
 Each algebra's structure table and closure residual come from one slabbed
-pass over its basis products, which the standard module, GNS and states
-read; `center` and `block_decompose` solve in the algebra's coefficient
-space (the N x N central split is the latter's oracle), `intertwiner_space`
-stacks only the group's generators, `compact_operators` and
-`green_julg_module` build their tensors in a few contractions, the
-Green-Julg check finds both of its spans in coefficient space, every
+pass over its basis products, which the standard module reads; `center`
+and `block_decompose` solve in the algebra's coefficient space (the N x N
+central split is the latter's oracle), `intertwiner_space` stacks only the
+group's generators, `compact_operators` and `green_julg_module` build
+their tensors in a few contractions, the Green-Julg check finds both of its spans in coefficient space, every
 module keeps its inner values as coefficients in B's basis (checked against
 the dense values its builder used to form), `is_ideal` tests whole stacks
 of products and `is_irreducible` reads the character norm.  A
 CrossedProduct's coefficients are orthonormal coordinates, its embedding
-is its algebra's basis, `module_crossed_product` uses the contractions of
-`green_julg_module`, and `span_contains` tests stacks a slab at a time.
+is its algebra's basis, and `span_contains` tests stacks a slab at a time.
 The compacts are cut one carrier component at a time, a module of one
 component as one block, with the dense SVD of the whole stack of rank-one
 maps as their oracle, and a size spy finds no m^4 array in the Morita
@@ -60,16 +58,13 @@ from equivaria.hilbmod import (
     averaged_inner_coefficients,
     compact_operators,
     direct_sum_module,
-    dual_module,
     equivariant_function_module,
     free_module,
     fullness_ideal,
     function_module,
     green_julg_module,
-    interior_tensor_product,
     invariant_compacts_rows,
     is_full,
-    module_crossed_product,
     rank_one,
     standard_module,
     trivial_equivariant_module,
@@ -91,9 +86,7 @@ from equivaria.matalg import (
     center,
     commutant,
     generate,
-    gns,
     is_ideal,
-    vector_state,
 )
 from equivaria.morita import (
     c_ideal,
@@ -295,33 +288,12 @@ def standard_module_loops(b_alg):
     return action, inner
 
 
-def gns_loops(rep):
-    """The state's Gram matrix phi(b_i* b_j) and the left multiplications in
-    rep's coordinates, one pair at a time."""
-    alg, phi = rep.algebra, rep.state
-    k = alg.dim
-    gram = np.array([[phi(alg.basis[i].conj().T @ alg.basis[j]) for j in range(k)]
-                     for i in range(k)])
-    to_coords = rep.vectors.T
-    from_coords = np.linalg.pinv(to_coords)
-    mats = np.stack([to_coords @ np.stack([alg.coefficients(alg.basis[i] @ alg.basis[j])
-                                           for j in range(k)], axis=1) @ from_coords
-                     for i in range(k)])
-    return gram, mats
-
-
 @pytest.mark.parametrize("label", ["z2-line", "block-sum"])
-def test_standard_module_and_gns_match_pair_loops(label):
+def test_standard_module_matches_pair_loops(label):
     alg = product_pass_algebra(label)
     e = standard_module(alg)
     action, inner = standard_module_loops(alg)
     assert close(e.action, action) and close(dense_inner(e), inner)
-    rng = np.random.default_rng(11)
-    xi = rng.standard_normal(alg.ambient_dim) + 1j * rng.standard_normal(alg.ambient_dim)
-    rep = gns(alg, vector_state(alg, xi))
-    gram, mats = gns_loops(rep)
-    assert close(rep.vectors.conj() @ rep.vectors.T, gram, 1e-9)
-    assert close(rep.matrices, mats)
 
 
 def test_closure_check_catches_a_bad_product_or_adjoint():
@@ -418,32 +390,6 @@ def function_module_dense(sys):
     return inner
 
 
-def dense_values(e):
-    """<e_p|e_q> as matrices, one pair at a time through inner_product."""
-    eye = np.eye(e.carrier_dim)
-    return np.array([[e.inner_product(eye[p], eye[q]) for q in range(e.carrier_dim)]
-                     for p in range(e.carrier_dim)])
-
-
-def interior_tensor_loops(e1, e2, left, q_map):
-    """The interior tensor product's values, pair by pair in the tensor
-    space, then compressed to the quotient coordinates q_map."""
-    b_alg = e1.algebra
-    m1, m2 = e1.carrier_dim, e2.carrier_dim
-    v1, v2 = dense_values(e1), dense_values(e2)
-    n = e2.algebra.ambient_dim
-    big = np.zeros((m1 * m2, m1 * m2, n, n), dtype=complex)
-    for p1 in range(m1):
-        for q1 in range(m1):
-            bmat = np.einsum("k,kij->ij", b_alg.coefficients(v1[p1, q1]), left)
-            vals = np.einsum("pjab,jq->pqab", v2, bmat)
-            for p2 in range(m2):
-                for q2 in range(m2):
-                    big[p1 * m2 + p2, q1 * m2 + q2] = vals[p2, q2]
-    u = q_map.conj().T
-    return np.einsum("pi,pqab,qj->ijab", u.conj(), big, u)
-
-
 def dense_inner_case(kind):
     """(module, its inner values as matrices from the dense construction)."""
     if kind == "standard":
@@ -463,42 +409,20 @@ def dense_inner_case(kind):
         inner[:m1, :m1, :n1, :n1] = v1
         inner[m1:, m1:, n1:, n1:] = v2
         return direct_sum_module(e1, e2), inner
-    if kind == "dual":
-        # <<e_p|e_q>> = S |e_p><e_q| S^-1, whose column l is e_p . <e_q|e_l>.
-        e = function_module(z2_line_system(1))
-        c = compact_operators(e)
-        eye = np.eye(e.carrier_dim)
-        maps = np.array([[np.stack([e.act(eye[p], e.inner_product(eye[q], eye[l]))
-                                    for l in range(e.carrier_dim)], axis=1)
-                          for q in range(e.carrier_dim)] for p in range(e.carrier_dim)])
-        return dual_module(e, c)[0], c.transform @ maps @ c.transform_inv
-    if kind == "interior-tensor-m2":
-        # M2 (x)_{M2} C^2 = C^2 over the scalars.
-        b = generate(np.array([[[0, 1], [0, 0]]], dtype=complex), ambient_dim=2)
-        e1, e2, left = standard_module(b), free_module(2), b.basis.copy()
-    elif kind == "interior-tensor-function":
-        # C^2 (x)_C C(X, C^2) = two copies of the function module over C(X).
-        e1, e2 = free_module(2), function_module(z2_line_system(1))
-        left = np.eye(e2.carrier_dim, dtype=complex)[None]
-    else:
-        # The W'-invariant vectors u_p of the function module: the values
-        # <u_p|u_q> are functions on X, diagonal in C(X/W')'s ambient.
-        sys, wprime, r = bundled("two-component")[1]
-        eq, u_rows = quotient_equivariant_module(sys, wprime, r)
-        k, x_n = u_rows.shape[0], sys.n_points
-        vecs = u_rows.reshape(k, x_n, sys.fiber_dim)
-        ips = np.einsum("pxa,qxa->pqx", vecs.conj(), vecs)
-        inner = np.zeros((k, k, x_n, x_n), dtype=complex)
-        for x in range(x_n):
-            inner[:, :, x, x] = ips[:, :, x]
-        return eq.base, inner
-    t, q_map = interior_tensor_product(e1, e2, left)
-    return t, interior_tensor_loops(e1, e2, left, q_map)
+    # The W'-invariant vectors u_p of the function module: the values
+    # <u_p|u_q> are functions on X, diagonal in C(X/W')'s ambient.
+    sys, wprime, r = bundled("two-component")[1]
+    eq, u_rows = quotient_equivariant_module(sys, wprime, r)
+    k, x_n = u_rows.shape[0], sys.n_points
+    vecs = u_rows.reshape(k, x_n, sys.fiber_dim)
+    ips = np.einsum("pxa,qxa->pqx", vecs.conj(), vecs)
+    inner = np.zeros((k, k, x_n, x_n), dtype=complex)
+    for x in range(x_n):
+        inner[:, :, x, x] = ips[:, :, x]
+    return eq.base, inner
 
 
-@pytest.mark.parametrize("kind", ["standard", "function", "free", "direct-sum", "dual",
-                                  "interior-tensor-m2", "interior-tensor-function",
-                                  "quotient"])
+@pytest.mark.parametrize("kind", ["standard", "function", "free", "direct-sum", "quotient"])
 def test_inner_coefficients_match_the_dense_values(kind):
     e, inner = dense_inner_case(kind)
     assert e.inner.shape == (e.carrier_dim, e.carrier_dim, e.algebra.dim)
@@ -652,39 +576,6 @@ def test_green_julg_module_matches_pair_loops(label):
     assert np.abs(dense_inner(gj) - inner).max() < 1e-10
 
 
-def module_crossed_product_loops(eq, cp):
-    """(action, inner) of E >| W, one block at a time."""
-    g, base = eq.group, eq.base
-    b_alg = base.algebra
-    coeff_map = crossed_coefficient_map(cp)
-    m = base.carrier_dim
-    k = b_alg.dim
-    big = m * g.order  # coordinate (w, i) -> w * m + i
-    action = np.zeros((cp.algebra.dim, big, big), dtype=complex)
-    for idx in range(cp.algebra.dim):
-        f = (coeff_map @ flatten(cp.algebra.basis[idx])).reshape(g.order, k)
-        for v in range(g.order):       # group part of the algebra element
-            for i in range(k):
-                for w in range(g.order):   # group part of the module element
-                    # (xi (x) delta_w) . (b_i v) = (xi . beta_w(b_i)) (x) delta_{wv}
-                    bmat = np.einsum("l,lij->ij", eq.beta.maps[w][:, i], base.action)
-                    wv = g.mul[w, v]
-                    action[idx, wv * m:(wv + 1) * m, w * m:(w + 1) * m] += f[v, i] * bmat
-    amb = cp.algebra.ambient_dim
-    inner = np.zeros((big, big, amb, amb), dtype=complex)
-    eye = np.eye(m)
-    for w1 in range(g.order):
-        for w2 in range(g.order):
-            slot = g.mul[g.inv[w1], w2]
-            for p in range(m):
-                for q in range(m):
-                    f = np.zeros((g.order, k), dtype=complex)
-                    f[slot] = eq.beta.maps[g.inv[w1]] @ b_alg.coefficients(
-                        base.inner_product(eye[p], eye[q]))
-                    inner[w1 * m + p, w2 * m + q] = crossed_embed(cp.action, f)
-    return action, inner
-
-
 def crossed_system(label):
     """z2-line-n, anticomplete-point, z2xz2-line-1 or the Z/4 rotation."""
     if label == "anticomplete-point":
@@ -694,15 +585,6 @@ def crossed_system(label):
     if label == "z4-rotation":
         return z4_rotation_system()
     return z2_line_system(int(label[-1]))
-
-
-@pytest.mark.parametrize("label", ["z2-line-1", "z4-rotation"])
-def test_module_crossed_product_matches_block_loops(label):
-    eq = equivariant_function_module(crossed_system(label))
-    ecp, cp = module_crossed_product(eq)
-    action, inner = module_crossed_product_loops(eq, cp)
-    assert np.abs(ecp.action - action).max() < 1e-10
-    assert np.abs(dense_inner(ecp) - inner).max() < 1e-10
 
 
 @pytest.mark.parametrize("label", ["z2-line-1", "z4-rotation"])
