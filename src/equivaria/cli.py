@@ -102,7 +102,8 @@ def cmd_spectrum(args) -> int:
               "wedderburn": {"ok": verdict.ok,
                              "spectrum_dims": list(verdict.spectrum_dims),
                              "block_sizes": list(verdict.block_sizes),
-                             "algebra_dim": verdict.algebra_dim}}
+                             "algebra_dim": verdict.algebra_dim,
+                             "integrality_distance": verdict.integrality_distance}}
     lines = [f"system {obj.name}: {len(entries)} irreducibles"]
     for e in entries:
         lines.append(f"  {e['label']}  dim {e['dim']}  orbit size {len(e['orbit'])}"

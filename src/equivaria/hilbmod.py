@@ -423,6 +423,7 @@ def compact_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> CompactOp
     m^2 maps keeps.  The SVDs cost about sum_S s^6, so a module of one
     component of s = m carriers pays m^6 for its one dense block.
     """
+    check_tol(tol)
     s, s_inv = e.gram_sqrt()
     raw_rows, margin = _compact_rows(e.action, e.inner, tol)
     return CompactOperators(e, raw_rows, s, s_inv, margin, tol)

@@ -29,6 +29,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    check_tol,
     cluster_values,
     flatten,
     intertwiner_rows,
@@ -368,6 +369,7 @@ def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
     the projection of the unit's coefficients conj(tr b_k) onto it, must be
     idempotent.  The multiplicity is trace(p) / n.
     """
+    check_tol(tol)
     if alg.dim == 0:
         return BlockStructure(alg, ())
     rng = np.random.default_rng(seed)

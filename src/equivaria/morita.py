@@ -21,13 +21,16 @@ points of X: the point indicators delta_x cut every coefficient array into
 |X| column blocks of C^|W|, so C is spanned by coset indicators point by
 point and J's rank is one batched cut over the points
 (verify_morita_theorem gives the argument), which also names the points
-where J falls short of C.  C's orthonormal rows are coordinates against
-the embedded crossed product's algebra: C's algebra is those rows times
-that basis, with that algebra's product table restricted to them, and the
-Green-Julg module is rebased onto C by projecting its inner coefficients
-onto those rows.  The embedded crossed product is built only when both
-cocycle conditions hold, as the algebra of the averaged module, and the
-fixed-point algebra only when J = C as well, for the Morita witness.
+where J falls short of C.  Without a witness J's blocks are read off the
+base module's inner values, which lie at their left vector's point, and
+the averaged tensor over all points is never formed.  C's orthonormal
+rows are coordinates against the embedded crossed product's algebra: C's
+algebra is those rows times that basis, with that algebra's product table
+restricted to them, and the Green-Julg module is rebased onto C by
+projecting its inner coefficients onto those rows.  The embedded crossed
+product is built only when both cocycle conditions hold, as the algebra of
+the averaged module, and the fixed-point algebra only when J = C as well,
+for the Morita witness.
 """
 from __future__ import annotations
 
@@ -42,7 +45,6 @@ from .hilbmod import (
     FDHilbertModule,
     MoritaWitness,
     _checked_coefficients,
-    averaged_inner_coefficients,
     compact_operators,
     direct_sum_left_action,
     direct_sum_module,
@@ -278,21 +280,39 @@ def rebase_module(e: FDHilbertModule, rows: np.ndarray) -> FDHilbertModule:
                            name=e.name + "-rebased")
 
 
+def _point_inner(inner: np.ndarray, d: int) -> np.ndarray:
+    """(m, m): row p holds the coefficients of <e_p|e_q> at the point x of
+    e_p (p = x d + a), from a module's inner values (m, m, |X|) over C(X).
+
+    Raises MoritaError unless every other entry is exactly zero: each inner
+    value must lie at its left vector's point, and then so does each
+    averaged value <<e_p|e_q>> = sum_w <e_p|gamma_w e_q> w."""
+    p = np.arange(inner.shape[0])
+    local = inner[p, :, p // d]
+    if np.count_nonzero(inner) != np.count_nonzero(local):
+        raise MoritaError("an inner value leaves the point of its left vector")
+    return local
+
+
 def _point_blocks(inner: np.ndarray, x_n: int, d: int) -> np.ndarray:
     """(|X|, d m, |W|): block x holds the inner values <<e_p|e_q>>, (m, m,
     |W| |X|) or (m, m, |W|, |X|) crossed coefficients, whose left vector
-    e_p lies at x (p = x d + a), in the columns (., x).
-
-    Raises MoritaError unless every other entry of those rows is exactly
-    zero: the nonzero entries of the whole tensor must all lie in the
-    blocks."""
+    e_p lies at x (p = x d + a), in the columns (., x).  Every other entry
+    must be zero, as _point_inner checks on the module the values average."""
     m = inner.shape[0]
-    values = inner.reshape(x_n, d, m, -1, x_n)
     x = np.arange(x_n)
-    blocks = values[x, :, :, :, x]                                    # [x, a, q, w]
-    if np.count_nonzero(values) != np.count_nonzero(blocks):
-        raise MoritaError("an inner value leaves the block of its left vector's point")
-    return blocks.reshape(x_n, d * m, -1)
+    return inner.reshape(x_n, d, m, -1, x_n)[x, :, :, :, x].reshape(x_n, d * m, -1)
+
+
+def _averaged_point_blocks(local: np.ndarray, gamma: np.ndarray, x_n: int) -> np.ndarray:
+    """_point_blocks of averaged_inner_coefficients, from the point-local
+    inner values `local` of _point_inner and gamma (|W|, m, m): the value
+    <<e_p|e_q>> has the coefficient sqrt|W| sum_j gamma_w[j, q] <e_p|e_j>
+    at (w, x), one (|X| d, m) x (m, m |W|) product, with no (m, m, |W|, |X|)
+    tensor formed."""
+    w_n, m = gamma.shape[:2]
+    by_row = gamma.transpose(1, 2, 0).reshape(m, m * w_n) * np.sqrt(w_n)     # [j, (q, w)]
+    return (local @ by_row).reshape(x_n, -1, w_n)
 
 
 def _point_spans(blocks: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -369,11 +389,12 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
         the direct sums of their blocks J_x and C_x in C^|W|.
       - <<e_p|e_q>> = sum_w <e_p|gamma_w e_q> w has B-coefficients only at
         the point x of e_p, so each generating row lies in one block
-        (checked: every other entry is exactly zero).  The rows of
-        different blocks are orthogonal, so the singular values of the
-        whole (m^2, |W| |X|) matrix are the union of the blocks', and one
-        batched SVD of the |X| blocks (d m, |W|) with the whole matrix's
-        scale tol max(max_x s_0(x), 1) keeps the same values.
+        (checked on the base module: every value <e_p|e_j> is exactly zero
+        off that point).  The rows of different blocks are orthogonal, so
+        the singular values of the whole (m^2, |W| |X|) matrix are the
+        union of the blocks', and one batched SVD of the |X| blocks
+        (d m, |W|) with the whole matrix's scale tol max(max_x s_0(x), 1)
+        keeps the same values.
       - A vector of block x is as far from J (or C) as from J_x (or C_x),
         so the residuals and containments, taken on the stacks of blocks,
         are those of the whole spans.
@@ -381,9 +402,10 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     W'_x w (c_ideal).  The inner values are averaged once: under both
     conditions the Green-Julg module is built first and J read off its
     inner values, and the witness rebases that module onto C's rows;
-    otherwise J comes from the averaged coefficients alone.  `module`
-    and `witness_fpa` are None when no witness is built; `fpa` is then
-    built on first access.
+    otherwise J's blocks come straight from the base module's point-local
+    values, one (|X| d, m) x (m, m |W|) product, and the (m, m, |W|, |X|)
+    averaged tensor is never formed.  `module` and `witness_fpa` are None
+    when no witness is built; `fpa` is then built on first access.
     """
     check_tol(tol)
     scalar = scalar or scalar_subgroups(sys, tol)
@@ -394,8 +416,10 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     x_n, d = sys.n_points, sys.fiber_dim
     # A witness needs the averaged module, whose inner values span J.
     averaged = green_julg_module(eq, cp)[0] if conditions else None
-    inner = averaged_inner_coefficients(eq) if averaged is None else averaged.inner
-    j_rows, j_ranks = _point_spans(_point_blocks(inner, x_n, d), tol)
+    local = _point_inner(eq.base.inner, d)
+    blocks = _averaged_point_blocks(local, eq.gamma, x_n) if averaged is None \
+        else _point_blocks(averaged.inner, x_n, d)
+    j_rows, j_ranks = _point_spans(blocks, tol)
     c_rows = _by_point(cid.rows, cid.points, x_n)
     c_ranks = np.bincount(cid.points, minlength=x_n)
     j_dim = int(j_ranks.sum())

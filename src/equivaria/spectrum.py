@@ -3,14 +3,19 @@
 For a system (X, W, H, I) the irreducibles of C(X, M_d)^W are labeled by
 pairs (orbit Wx, irrep rho of the stabilizer W_x occurring in I_x); the
 representation space is HS(rho, I_x)^{W_x} and the action is
-pi_{x,rho}(k): s -> k(x) s.  The module cross-checks the classification
-against the Wedderburn block structure and produces limit certificates for
-closed-form cocycle families (the finite stand-in for Fell-topology
-limit points, detected through matrix-coefficient convergence).
+pi_{x,rho}(k): s -> k(x) s.  The dimension of that space is the
+multiplicity of rho in I_x, read off the characters; the orbits that share
+a stabilizer share its irreps, and the equivariant maps themselves are
+solved only when an entry's basis is read.  The module cross-checks the
+classification against the Wedderburn block structure and produces limit
+certificates for closed-form cocycle families (the finite stand-in for
+Fell-topology limit points, detected through matrix-coefficient
+convergence).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,57 +38,92 @@ class SpectrumError(ValueError):
 
 @dataclass(frozen=True)
 class SpectrumEntry:
-    """One irreducible: orbit representative, stabilizer irrep, dimension."""
+    """One irreducible: orbit representative, stabilizer irrep, dimension.
+
+    `dim` is the multiplicity of rho in `cocycle`, the representation
+    w -> I_{w,x} of the stabilizer at `point`.  `basis` is solved at `tol`
+    on first access only.
+    """
 
     orbit: tuple[int, ...]
     point: int                 # canonical representative: lowest index
     stabilizer: Subgroup
     rho: UnitaryRep            # irrep of the (reindexed) stabilizer
     dim: int                   # dim HS(rho, I_x)^{W_x}
-    basis: np.ndarray          # (dim, d, dim rho) orthonormal equivariant maps
+    cocycle: UnitaryRep        # I_x on the stabilizer
+    tol: float = DEFAULT_TOL
 
     @property
     def label(self) -> str:
         return f"x{self.point}:{self.rho.label}"
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """(dim, d, dim rho) orthonormal equivariant maps; SpectrumError
+        unless there are `dim` of them."""
+        maps = equivariant_maps(self.rho, self.cocycle, self.tol)
+        if maps.shape[0] != self.dim:
+            raise SpectrumError(f"{self.label}: {maps.shape[0]} equivariant maps "
+                                f"for multiplicity {self.dim}")
+        return maps
 
 
 @dataclass(frozen=True)
 class SpectrumDescription:
     system: EquivariantSystem
     entries: tuple[SpectrumEntry, ...]
+    integrality_distance: float   # largest distance of a multiplicity from its integer
 
     def dims(self) -> list[int]:
         return sorted(e.dim for e in self.entries)
 
 
-def stabilizer_rep(sys: EquivariantSystem, x: int) -> tuple[Subgroup, UnitaryRep]:
-    """The representation w -> I_{w,x} of the stabilizer of point x."""
-    stab = [w for w in sys.group.elements() if sys.action[w, x] == x]
-    sub = sys.group.subgroup(stab)
-    mats = np.stack([sys.cocycle[sub.to_parent(v), x] for v in range(sub.group.order)])
-    return sub, UnitaryRep(sub.group, mats, label=f"I@x{x}")
+def stabilizer_rep(sys: EquivariantSystem, x: int,
+                   sub: Subgroup | None = None) -> tuple[Subgroup, UnitaryRep]:
+    """The representation w -> I_{w,x} of the stabilizer of point x;
+    `sub`, when given, must be that stabilizer."""
+    if sub is None:
+        sub = sys.group.subgroup(np.flatnonzero(sys.action[:, x] == x).tolist())
+    return sub, UnitaryRep(sub.group, sys.cocycle[list(sub.embedding), x], label=f"I@x{x}")
+
+
+# A multiplicity this far from an integer means I_x is no representation.
+_INTEGRALITY_LIMIT = 0.25
 
 
 def classify_irreps(sys: EquivariantSystem, seed: int = 0,
                     tol: float = DEFAULT_TOL) -> SpectrumDescription:
     """One entry per (orbit, stabilizer irrep occurring in the cocycle).
 
-    Orbits with the same stabilizer share its irreps."""
+    Orbits with the same stabilizer share its Subgroup and its irreps.  An
+    entry's dimension is the multiplicity of rho in I_x, the character
+    inner product Re <chi_I, chi_rho> / |W_x| (Serre, Linear
+    Representations of Finite Groups, 2.3), rounded; no intertwiner space
+    is solved.  The largest distance of a multiplicity from its integer is
+    kept, and SpectrumError is raised when it reaches 1/4.
+    """
     check_tol(tol)
     entries = []
-    irreps_of: dict[tuple[int, ...], list[UnitaryRep]] = {}
+    worst = 0.0
+    irreps_of: dict[tuple[int, ...], tuple[Subgroup, list[UnitaryRep], np.ndarray]] = {}
     for orbit, stab in orbits_and_stabilizers(sys):
-        x = orbit[0]
-        sub, i_rep = stabilizer_rep(sys, x)
         key = tuple(stab)
         if key not in irreps_of:
-            irreps_of[key] = enumerate_irreps(sub.group, seed=seed, tol=tol)
-        for rho in irreps_of[key]:
-            maps = equivariant_maps(rho, i_rep, tol)
-            if maps.shape[0] > 0:
-                entries.append(SpectrumEntry(tuple(orbit), x, sub, rho,
-                                             maps.shape[0], maps))
-    return SpectrumDescription(sys, tuple(entries))
+            sub = sys.group.subgroup(stab)
+            irreps = enumerate_irreps(sub.group, seed=seed, tol=tol)
+            irreps_of[key] = sub, irreps, np.stack([rho.character() for rho in irreps])
+        sub, irreps, chars = irreps_of[key]
+        x = orbit[0]
+        i_rep = stabilizer_rep(sys, x, sub)[1]
+        mults = (chars.conj() @ i_rep.character()).real / len(stab)
+        counts = np.rint(mults)
+        worst = max(worst, float(np.abs(mults - counts).max()))
+        entries += [SpectrumEntry(tuple(orbit), x, sub, rho, int(n), i_rep, tol)
+                    for rho, n in zip(irreps, counts) if n > 0]
+    if worst >= _INTEGRALITY_LIMIT:
+        raise SpectrumError(f"a stabilizer multiplicity lies {worst:.3g} from an integer: "
+                            "the cocycle is not a representation")
+    return SpectrumDescription(sys, tuple(entries), worst)
 
 
 def realize_irrep(sys: EquivariantSystem, entry: SpectrumEntry,
@@ -115,6 +155,10 @@ class WedderburnVerdict:
     algebra_dim: int
     sum_of_squares: int
     spectrum: SpectrumDescription   # the classification the check compared
+
+    @property
+    def integrality_distance(self) -> float:
+        return self.spectrum.integrality_distance
 
     def diff(self) -> str:
         return (f"spectrum dims {list(self.spectrum_dims)} vs "

@@ -21,7 +21,12 @@ read off the structure tensor, and its span is checked by the relations of
 the covariant pair the embedding integrates, never by forming the
 (|W| dim B)^2 products of embedded matrices.  Likewise the fixed-point
 algebra's table and closure residual come from the pointwise products of
-its invariant functions, not from its block-diagonal N x N matrices.
+its invariant functions, not from its block-diagonal N x N matrices.  The
+invariant functions are solved one orbit at a time: a commutant of the
+stabilizer's cocycle at the orbit's least point, transported along the
+orbit, so each function vanishes off one orbit and the table is zero
+outside the orbit blocks; no kernel is solved over the whole |X| d^2
+space of functions.
 """
 from __future__ import annotations
 
@@ -34,10 +39,11 @@ import numpy as np
 from .groups import FiniteGroup, Subgroup, semidirect_decomposition
 from .linalg import (
     DEFAULT_TOL,
+    check_tol,
     flatten,
     homomorphism_defect,
-    nullspace_rows,
     orthonormal_rows,
+    rank_threshold,
     span_contains,
     spans_equal,
 )
@@ -311,15 +317,52 @@ def function_algebra(sys: EquivariantSystem) -> MatrixStarAlgebra:
 
 
 def invariant_functions(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of {k : alpha_w(k) = k for all w}, as (dim, |X|, d, d).
+    """Orthonormal basis of {k : alpha_w(k) = k for all w}, as (dim, |X|, d, d),
+    orbit by orbit in the order of their least points.
 
-    alpha is a group action, so invariance under the generators suffices.
+    An invariant k is fixed by its value at its orbit's least point x:
+    k(wx) = I_{w,x} k(x) I_{w,x}*, the same for every w of the coset w W_x
+    because k(x) commutes with each I_{s,x}, s in W_x.  So an orthonormal
+    basis of that commutant, transported along the orbit O and divided by
+    sqrt|O|, is an orthonormal basis of the orbit's invariant functions;
+    they vanish exactly off O, so the functions of different orbits are
+    orthogonal and the fixed-point algebra's table has entries only inside
+    orbit blocks.  The commutant is the kernel of
+    T: f -> (I_{s,x} f I_{s,x}* - f)_{s in W_x}, one SVD batched over the
+    least points that share a stabilizer.  Each f -> I_s f I_s* is unitary,
+    and their average is the projection P onto the kernel, so
+    T*T = 2 |W_x| (1 - P): T's singular values are 0 and sqrt(2 |W_x|) up to
+    roundoff.  The cut keeps s <= tol max(s_0, 1) in the kernel, s_0 the
+    largest value of the batch, so every tol in (0, 1) separates the two.
     """
-    d = sys.fiber_dim
-    size = sys.n_points * d * d
-    stacked = [alpha_matrix(sys, w) - np.eye(size) for w in sys.group.generators()]
-    rows = nullspace_rows(np.vstack(stacked) if stacked else np.zeros((0, size)), tol)
-    return rows.reshape(-1, sys.n_points, d, d)
+    check_tol(tol)
+    d, x_n = sys.fiber_dim, sys.n_points
+    least = sys.action.min(axis=0)                                    # [y]: x of y's orbit
+    mover = (sys.action[:, least] == np.arange(x_n)).argmax(axis=0)   # [y]: a w with w x = y
+    transport = sys.cocycle[mover, least]
+    points_of: dict[tuple[int, ...], list[int]] = {}
+    for orbit, stab in orbits_and_stabilizers(sys):
+        points_of.setdefault(tuple(stab), []).append(orbit[0])
+    values, base = [np.zeros((0, d, d), dtype=complex)], [np.zeros(0, dtype=np.intp)]
+    for stab, xs in points_of.items():
+        i = sys.cocycle[np.ix_(stab, xs)]                             # [s, x]: I_{s,x}
+        # Row-major vec(I f I*) = (I (x) conj I) vec(f).
+        ad = (i[..., :, None, :, None] * i.conj()[..., None, :, None, :]).reshape(
+            len(stab), len(xs), d * d, d * d)
+        op = (ad - np.eye(d * d)).transpose(1, 0, 2, 3).reshape(len(xs), -1, d * d)
+        _, s, vh = np.linalg.svd(op, full_matrices=False)
+        at, j = np.nonzero(s <= rank_threshold(s, tol))
+        values.append(vh[at, j].conj().reshape(-1, d, d))
+        base.append(np.array(xs)[at])
+    base = np.concatenate(base)
+    order = np.argsort(base, kind="stable")
+    values, base = np.concatenate(values)[order], base[order]
+    k, y = np.nonzero(base[:, None] == least)                         # each function's points
+    u = transport[y]
+    funcs = np.zeros((len(base), x_n, d, d), dtype=complex)
+    funcs[k, y] = (u @ values[k] @ u.conj().swapaxes(-2, -1)
+                   / np.sqrt(np.bincount(least)[base[k]])[:, None, None])
+    return funcs
 
 
 def fixed_point_algebra(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
@@ -329,8 +372,10 @@ def fixed_point_algebra(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> Mat
     block-diagonally.  That embedding is an isometry, so the product table
     and the closure residual are those of the pointwise products of the
     (k, |X|, d, d) functions, from matalg.product_table, and are checked
-    against the same threshold as a dense pass would be.
+    against the same threshold as a dense pass would be.  The functions are
+    orbit-adapted, so the table is exactly zero outside the orbit blocks.
     """
+    check_tol(tol)
     funcs = invariant_functions(sys, tol)
     alg = StructuredAlgebra(sys.total_dim, embed_function(sys, funcs), *product_table(funcs))
     alg.validate(max(tol, 1e-8))
@@ -646,6 +691,7 @@ def crossed_product(action: AlgebraAction, tol: float = DEFAULT_TOL) -> CrossedP
     read; divided by sqrt|W|, it expands a_(w,i) a_(v,j) in the a_(wv,l).
     The embedding and its span wait for first use.
     """
+    check_tol(tol)
     action.validate()
     k = action.algebra.dim
     gens = action.maps[list(action.group.generators())]

@@ -10,11 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equivaria import cli, matalg, morita
+from equivaria import cli, matalg, morita, systems
 from equivaria.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFICATION, main
 from equivaria.datasets import bundled, dataset_names
 from equivaria.groups import builtin_group
-from equivaria.hilbmod import equivariant_function_module, verify_green_julg
+from equivaria.hilbmod import (
+    compact_operators,
+    equivariant_function_module,
+    function_module,
+    scalar_translation_action,
+    verify_green_julg,
+)
 from equivaria.reps import enumerate_irreps
 from equivaria.serialize import (
     ParseError,
@@ -290,6 +296,14 @@ TOLERANT = {
     "wedderburn_crosscheck": lambda tol: wedderburn_crosscheck(z2_line_system(4), tol=tol),
     "classify_irreps": lambda tol: classify_irreps(z2_line_system(4), tol=tol),
     "enumerate_irreps": lambda tol: enumerate_irreps(builtin_group("S3"), tol=tol),
+    "invariant_functions": lambda tol: systems.invariant_functions(z2_line_system(2), tol),
+    "fixed_point_algebra": lambda tol: systems.fixed_point_algebra(z2_line_system(2), tol),
+    "compact_operators":
+        lambda tol: compact_operators(function_module(z2_line_system(2)), tol),
+    "block_decompose":
+        lambda tol: matalg.block_decompose(systems.fixed_point_algebra(z2_line_system(2)), tol=tol),
+    "crossed_product":
+        lambda tol: systems.crossed_product(scalar_translation_action(z2_line_system(2)), tol),
 }
 
 
@@ -298,10 +312,22 @@ TOLERANT = {
 def test_library_rejects_a_tolerance_outside_the_unit_interval(entry, tol):
     """The CLI's rule, raised before any rank cut: at tol >= 1 every rank
     would be 0 (verify_morita_theorem read ok with J = 0 against C = 17 on
-    z2-line n = 4 at tol 10), and other checks would fail first with errors
-    of their own."""
+    z2-line n = 4 at tol 10; fixed_point_algebra(z2_line_system(2)) had
+    dimension 20 where the default gives 10, and compact_operators kept
+    rank 0), and other checks would fail first with errors of their own."""
     with pytest.raises(ValueError, match="^tolerance must lie strictly between 0 and 1$"):
         TOLERANT[entry](tol)
+
+
+def test_cli_spectrum_at_tolerance_one_half(capsys):
+    """The orbit cut keeps the default's 9 invariant functions at tol 0.5;
+    the whole-ambient kernel kept 24 and the central splitting failed."""
+    assert main(["spectrum", "--input", "dihedral-plane", "--tolerance", "0.5",
+                 "--format", "json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["entries"]) == 6 and report["wedderburn"]["ok"]
+    assert report["wedderburn"]["algebra_dim"] == 9
+    assert report["wedderburn"]["integrality_distance"] <= 1e-9
 
 
 def test_cli_unreadable_input_file_is_an_input_error(tmp_path, capsys):

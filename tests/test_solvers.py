@@ -100,6 +100,7 @@ from equivaria.reps import (
     UnitaryRep,
     commutant_dimension,
     enumerate_irreps,
+    equivariant_maps,
     intertwiner_space,
     is_irreducible,
     multiplicity,
@@ -359,6 +360,42 @@ def test_fiberwise_pass_rejects_functions_that_do_not_close(monkeypatch):
         fixed_point_algebra(z2_line_system(1))
     funcs = funcs[:2]
     assert fixed_point_algebra(z2_line_system(1)).dim == 2
+
+
+def invariant_functions_dense(sys, tol=1e-9):
+    """The whole-ambient oracle of invariant_functions: the kernel of
+    alpha_g - 1 stacked over W's generators, on all of C(X, M_d)."""
+    size = sys.n_points * sys.fiber_dim ** 2
+    stacked = [systems.alpha_matrix(sys, w) - np.eye(size) for w in sys.group.generators()]
+    return linalg.nullspace_rows(np.vstack(stacked) if stacked else np.zeros((0, size)), tol)
+
+
+def orbit_of_each(sys, funcs):
+    """The least point of the one orbit each function lives on; fails
+    unless a function is nonzero exactly on the points of one orbit."""
+    least = sys.action.min(axis=0)
+    support = np.abs(funcs).max(axis=(2, 3), initial=0.0) > 0           # [k, y]
+    orbit = least[support.argmax(axis=1)]
+    assert np.array_equal(support, orbit[:, None] == least)
+    return orbit
+
+
+def assert_orbit_blocked(sys, fpa, funcs):
+    """fpa's table [j, l, i] = <b_l, b_i b_j> is exactly zero unless the
+    three functions share an orbit."""
+    orbit = orbit_of_each(sys, funcs)
+    same = orbit[:, None] == orbit
+    assert not fpa.structure[~(same[:, :, None] & same[None])].any()
+
+
+@pytest.mark.parametrize("label", FIBERWISE)
+def test_invariant_functions_match_the_whole_ambient_kernel(label):
+    sys = fiberwise_system(label)
+    funcs = systems.invariant_functions(sys)
+    rows = funcs.reshape(len(funcs), -1)
+    assert close(rows @ rows.conj().T, np.eye(len(rows)))
+    assert spans_equal(rows, invariant_functions_dense(sys), 1e-10)
+    assert_orbit_blocked(sys, fixed_point_algebra(sys), funcs)
 
 
 def test_irreducible_by_character_norm_matches_commutant():
@@ -1406,6 +1443,49 @@ def test_scalar_subgroups_match_the_irreps_oracle_on_planted_cocycles(
         if x == 0:
             # Twisting by chi permutes the irreps and keeps their dims.
             assert (eigs > 0.5).sum() == sum(rho.dim ** 2 for rho in occurring)
+
+
+# Multiplicities of at most one keep the fiber at d <= 6, so the
+# whole-ambient kernel stays below 9 * 36 columns; a hundred examples take
+# about a second.
+@settings(settings.get_profile("derandomized"), max_examples=100)
+@given(st.sampled_from(sorted(BUILTIN_GROUPS)), st.lists(st.integers(0, 1), min_size=8, max_size=8),
+       st.integers(0, 3), st.sampled_from(["none", "fixed", "free"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_orbit_solvers_match_the_whole_ambient_oracles_on_planted_cocycles(
+        group_name, mults, twist, second, seed):
+    """The invariant functions span the whole-ambient kernel, orthonormally
+    and one orbit at a time, so the table is zero outside orbit blocks; each
+    spectrum entry's dimension, a character inner product, counts its
+    equivariant maps; and J's blocks from the base module are the cut of the
+    averaged tensor, exactly."""
+    sys, _ = planted_cocycle_system(group_name, mults, twist, second, seed)
+    funcs = systems.invariant_functions(sys)
+    rows = funcs.reshape(len(funcs), -1)
+    assert close(rows @ rows.conj().T, np.eye(len(rows)))
+    assert spans_equal(rows, invariant_functions_dense(sys), 1e-10)
+    assert_orbit_blocked(sys, fixed_point_algebra(sys), funcs)
+    desc = spectrum.classify_irreps(sys)
+    assert desc.integrality_distance < 1e-9
+    for orbit, _ in systems.orbits_and_stabilizers(sys):
+        sub, i_rep = spectrum.stabilizer_rep(sys, orbit[0])
+        dims = {e.rho.label: e.dim for e in desc.entries if e.point == orbit[0]}
+        for rho in enumerate_irreps(sub.group):
+            assert equivariant_maps(rho, i_rep).shape[0] == dims.get(rho.label, 0)
+    eq = equivariant_function_module(sys)
+    x_n, d = sys.n_points, sys.fiber_dim
+    local = morita._point_inner(eq.base.inner, d)
+    assert np.array_equal(morita._averaged_point_blocks(local, eq.gamma, x_n),
+                          morita._point_blocks(averaged_inner_coefficients(eq), x_n, d))
+
+
+def test_point_inner_rejects_a_value_off_its_point():
+    e = function_module(z2_line_system(1))
+    inner = e.inner.copy()
+    inner[0, 0, 2] = 1e-300     # e_0 lies at point 0
+    with pytest.raises(morita.MoritaError, match="leaves the point"):
+        morita._point_inner(inner, 2)
+    assert np.array_equal(morita._point_inner(e.inner, 2), np.eye(6))
 
 
 @pytest.mark.parametrize("label", ["dihedral-plane", "z4-rotation", "z2xz2-line-2", "Q8-all"])

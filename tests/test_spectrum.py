@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from equivaria import reps
+from equivaria.datasets import bundled, dataset_names
 from equivaria.groups import symmetric
 from equivaria.matalg import generate
 from equivaria.reps import regular_rep
@@ -52,6 +54,60 @@ def test_realized_irreps_are_irreducible():
         # *-homomorphism spot check against the algebra product.
         alg = generate(mats, ambient_dim=entry.dim)
         assert alg.closure_residual() < 1e-8
+
+
+def test_classification_solves_no_intertwiner_space(monkeypatch):
+    """Dimensions come from characters; the equivariant maps are solved
+    when an entry's basis is first read."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an intertwiner space was solved")
+
+    monkeypatch.setattr(reps, "intertwiner_space", refuse)
+    sys = dihedral_plane_system()
+    desc = classify_irreps(sys)
+    monkeypatch.undo()
+    for entry in desc.entries:
+        basis = entry.basis
+        assert basis.shape == (entry.dim, sys.fiber_dim, entry.rho.dim)
+        flat = basis.reshape(entry.dim, -1)
+        assert np.abs(flat @ flat.conj().T - np.eye(entry.dim)).max() < 1e-12
+
+
+def bundled_systems() -> dict:
+    """Every system of the bundled datasets, by dataset name (and index)."""
+    out = {}
+    for name in dataset_names():
+        obj = bundled(name)
+        if isinstance(obj, list):
+            out.update({f"{name}-{i}": c[0] for i, c in enumerate(obj)})
+        else:
+            out[name] = obj
+    return out
+
+
+@pytest.mark.parametrize("label", sorted(bundled_systems()))
+def test_multiplicities_are_integers_on_bundled_datasets(label):
+    verdict = wedderburn_crosscheck(bundled_systems()[label])
+    assert verdict.ok
+    assert verdict.integrality_distance <= 1e-9
+
+
+@pytest.mark.parametrize("angle, distance", [(0.5, (1 - np.cos(0.5)) / 2), (np.pi / 2, None)])
+def test_multiplicities_of_a_planted_non_representation(angle, distance):
+    """I_s = diag(1, e^(i angle)) at the origin of z2-line, with s^2 = e:
+    no representation unless the angle is 0 or pi.  The trivial irrep's
+    multiplicity is (3 + cos angle) / 2, which lies (1 - cos angle) / 2
+    from 2; at pi / 2 that is 1/2, and the classification refuses."""
+    sys = z2_line_system(2)
+    origin = sys.points.index(0.0)
+    cocycle = sys.cocycle.copy()
+    cocycle[1, origin] = np.diag([1.0, np.exp(1j * angle)])
+    object.__setattr__(sys, "cocycle", cocycle)     # past the cocycle check
+    if distance is None:
+        with pytest.raises(SpectrumError, match="from an integer"):
+            classify_irreps(sys)
+    else:
+        assert abs(classify_irreps(sys).integrality_distance - distance) < 1e-12
 
 
 def test_crosscheck_on_fixtures():

@@ -127,14 +127,21 @@ def test_alpha_is_star_automorphism():
             assert np.abs(star - falg.element(mat @ ca).conj().T).max() < 1e-9
 
 
-def test_invariant_functions_are_fixed():
-    sys = z2_line_system(2)
-    funcs = invariant_functions(sys)
+@pytest.mark.parametrize("tol", [1e-9, 0.1, 0.5, 0.9])
+@pytest.mark.parametrize("name", ["z2-line-2", "dihedral-plane", "z2xz2-line-2"])
+def test_invariant_functions_are_fixed(name, tol):
+    """The orbit cut's singular values are 0 and sqrt(2 |W_x|), so every
+    tolerance returns the same orthonormal invariant functions.  The kernel
+    over the whole ambient space, stacked over W's generators, returned 24
+    functions on dihedral-plane at tol 0.5, some moved by 2.0."""
+    sys = {"z2-line-2": z2_line_system(2), "dihedral-plane": dihedral_plane_system(),
+           "z2xz2-line-2": z2xz2_line_system(2)}[name]
+    funcs = invariant_functions(sys, tol)
+    rows = funcs.reshape(len(funcs), -1)
+    assert len(funcs) == len(invariant_functions(sys))
+    assert np.abs(rows @ rows.conj().T - np.eye(len(rows))).max() < 1e-12
     for w in sys.group.elements():
-        mat = alpha_matrix(sys, w)
-        for f in funcs:
-            moved = (mat @ f.reshape(-1)).reshape(f.shape)
-            assert np.abs(moved - f).max() < 1e-9
+        assert np.abs(alpha_matrix(sys, w) @ rows.T - rows.T).max() < 1e-9
 
 
 def test_quotient_algebra_orbit_count():
