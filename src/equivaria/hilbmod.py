@@ -29,13 +29,11 @@ function modules): the stack of all the maps is block diagonal, one block
 per component, so its singular values are the blocks' together, and dense
 SVDs of the blocks cut at the whole stack's scale are the dense rule
 exactly.  A module of one component is one block, the only case in which
-the cut forms the m^4 stack.  The margin of the cut is kept.  The
-compacts' own *-algebra is built, with its closure check, only when it is
-read.
+the cut forms the m^4 stack.  The margin of the cut is kept.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -57,7 +55,6 @@ from .linalg import (
 from .matalg import (
     MatrixStarAlgebra,
     StructuredAlgebra,
-    algebra_from_span,
     operator_norm,
     product_table,
 )
@@ -302,29 +299,13 @@ def rank_one(e: FDHilbertModule, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CompactOperators:
-    """K_B(E) in raw coordinates, with the Gram transform alongside.
-
-    `algebra` is a genuine matrix *-algebra: matrices S k S^-1 for raw
-    compacts k, with S the Gram square root, so * is the conjugate transpose.
-    It is built, and its closure checked at `_tol`, on first access only.
-    `rank_margin` is the margin of the rank cut on the rank-one maps:
-    sigma_r / sigma_(r+1) over all blocks, infinite when nothing is kept or
-    nothing is dropped.
-    """
+    """K_B(E) as raw carrier matrices, orthonormal rows spanning the rank-one
+    maps, with `rank_margin`, sigma_r / sigma_(r+1) of their rank cut over all
+    blocks, infinite when nothing is kept or nothing is dropped."""
 
     module: FDHilbertModule
     raw_rows: np.ndarray        # orthonormal rows spanning raw compacts
-    transform: np.ndarray       # S
-    transform_inv: np.ndarray   # S^-1
     rank_margin: float
-    _tol: float = field(default=DEFAULT_TOL, repr=False)
-
-    @cached_property
-    def algebra(self) -> MatrixStarAlgebra:
-        m = self.module.carrier_dim
-        # S is invertible, so dressing a basis of the raw span spans the image.
-        dressed = self.transform @ unflatten(self.raw_rows, m) @ self.transform_inv
-        return algebra_from_span(dressed, ambient_dim=m, tol=self._tol)
 
 
 def _rank_one_maps(action: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -422,11 +403,12 @@ def compact_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> CompactOp
     tol max(max_S s_0(S), 1), which keeps exactly what the dense SVD of all
     m^2 maps keeps.  The SVDs cost about sum_S s^6, so a module of one
     component of s = m carriers pays m^6 for its one dense block.
+    ModuleError unless the module's scalar form is definite (gram_sqrt).
     """
     check_tol(tol)
-    s, s_inv = e.gram_sqrt()
+    e.gram_sqrt()
     raw_rows, margin = _compact_rows(e.action, e.inner, tol)
-    return CompactOperators(e, raw_rows, s, s_inv, margin, tol)
+    return CompactOperators(e, raw_rows, margin)
 
 
 def fullness_ideal(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
@@ -506,23 +488,22 @@ class EquivariantModule:
 
 def scalar_translation_action(sys: EquivariantSystem) -> AlgebraAction:
     """C(X) (diagonal in M_{|X|}) with the translation action of W:
-    beta_w(f)(x) = f(w^-1 x)."""
-    g = sys.group
-    x_n = sys.n_points
-    maps = np.zeros((g.order, x_n, x_n), dtype=complex)
-    maps[np.arange(g.order)[:, None], np.arange(x_n), sys.action[g.inv]] = 1.0
-    return AlgebraAction(g, scalar_algebra(x_n), maps)
+    beta_w(f)(x) = f(w^-1 x), the beta of equivariant_function_module."""
+    return equivariant_function_module(sys).beta
 
 
 def equivariant_function_module(sys: EquivariantSystem) -> EquivariantModule:
-    """C(X, C^d) with gamma_w xi(x) = I_{w, w^-1 x} xi(w^-1 x)."""
+    """C(X, C^d) with gamma_w xi(x) = I_{w, w^-1 x} xi(w^-1 x), and beta
+    translating the base module's own C(X)."""
     base = function_module(sys)
     g = sys.group
     x_n, d = sys.n_points, sys.fiber_dim
     gamma = np.zeros((g.order, x_n, d, x_n, d), dtype=complex)
     w, pre = np.arange(g.order)[:, None], sys.action[g.inv]               # [w, x]: w^-1 x
     gamma[w, np.arange(x_n), :, pre, :] = sys.cocycle[w, pre]
-    return EquivariantModule(base, scalar_translation_action(sys),
+    maps = np.zeros((g.order, x_n, x_n), dtype=complex)
+    maps[w, np.arange(x_n), pre] = 1.0
+    return EquivariantModule(base, AlgebraAction(g, base.algebra, maps),
                              gamma.reshape(g.order, x_n * d, x_n * d))
 
 

@@ -9,7 +9,7 @@ traces tr b_k and star table <b_l, b_i*>, each built once.  The center,
 the unit's coefficients conj(tr b_k) and the block structure are solved
 from them in the algebra's k coordinates, never on M_N.  The dense pass
 multiplies the k N x N basis matrices pairwise; it stays for spans with no
-known structure, such as algebra_from_span's and the compacts'.  A
+known structure, such as algebra_from_span's.  A
 StructuredAlgebra is given its table and closure residual by its builder:
 the fixed-point algebra and C(X) run the same pass on the d x d diagonal
 blocks of their block-diagonal bases, and a crossed product reads its table

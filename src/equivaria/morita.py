@@ -21,13 +21,14 @@ points of X: the point indicators delta_x cut every coefficient array into
 |X| column blocks of C^|W|, so C is spanned by coset indicators point by
 point and J's rank is one batched cut over the points
 (verify_morita_theorem gives the argument), which also names the points
-where J falls short of C.  Without a witness J's blocks are read off the
-base module's inner values, which lie at their left vector's point, and
-the averaged tensor over all points is never formed.  C's orthonormal
-rows are coordinates against the embedded crossed product's algebra: C's
-algebra is those rows times that basis, with that algebra's product table
-restricted to them, and the Green-Julg module is rebased onto C by
-projecting its inner coefficients onto those rows.  The embedded crossed
+where J falls short of C.  J's blocks are read off the base module's
+inner values, which lie at their left vector's point, and the averaged
+tensor over all points is never formed.  C's orthonormal rows are
+coordinates against the embedded crossed product's algebra: C's algebra is
+those rows times that basis, with that algebra's product table restricted
+to them, and the Green-Julg module is rebased onto C by projecting its
+inner coefficients onto those rows.  Stabilizers and orbits are the
+systems' (EquivariantSystem.orbits).  The embedded crossed
 product is built only when both cocycle conditions hold, as the algebra of
 the averaged module, and the fixed-point algebra only when J = C as well,
 for the Morita witness.
@@ -121,8 +122,8 @@ def scalar_subgroups(sys: EquivariantSystem, tol: float = 1e-8) -> ScalarStructu
     below tolerance.  Verified invariants: each W'_x is a normal subgroup of
     the stabilizer W_x, and w W'_x w^-1 = W'_{wx}.
 
-    The stabilizers and the scalar tests are read off the action table and
-    the cocycle in one pass over all (w, x), and the invariants are one
+    The stabilizers are sys.orbits', the scalar tests are read off the
+    cocycle in one pass over all (w, x), and the invariants are one
     comparison of masks through the multiplication table.  Completeness is
     a rank: w -> I_{w,x} is trivial on W'_x, a representation of Q =
     W_x/W'_x, and C[Q] is the sum of M_{d_rho} over Q's irreps (Serre,
@@ -136,7 +137,7 @@ def scalar_subgroups(sys: EquivariantSystem, tol: float = 1e-8) -> ScalarStructu
     g = sys.group
     d = sys.fiber_dim
     x_n = sys.n_points
-    stab = sys.action == np.arange(x_n)                               # [w, x]
+    stab = sys.orbits.fixes                                           # [w, x]
     traces = np.trace(sys.cocycle, axis1=-2, axis2=-1)                # [w, x]
     lam = traces / d
     dev = np.linalg.norm(sys.cocycle - lam[..., None, None] * np.eye(d), axis=(-2, -1))
@@ -147,19 +148,16 @@ def scalar_subgroups(sys: EquivariantSystem, tol: float = 1e-8) -> ScalarStructu
     def per_point(mask):
         return tuple(tuple(int(w) for w in np.flatnonzero(mask[:, x])) for x in range(x_n))
 
-    stabs, scalars, wprime = per_point(stab), per_point(scalar), per_point(wp)
+    scalars, wprime = per_point(scalar), per_point(wp)
     values = tuple(tuple(complex(lam[w, x]) for w in scalars[x]) for x in range(x_n))
     normalisation_ok = bool(np.array_equal(scalar, wp))
     by_point = np.ones(x_n, dtype=bool)
-    points_of: dict[tuple[int, ...], list[int]] = {}
-    for x in range(x_n):
-        points_of.setdefault(stabs[x], []).append(x)
-    for elems, xs in points_of.items():
+    for elems, xs in sys.orbits.by_stabilizer:
         u = np.array(elems)
         gram = traces[g.mul[g.inv[u][:, None], u]][..., xs].transpose(2, 0, 1)   # [x, u, v]
         rank = (np.linalg.eigvalsh(gram) > 0.5).sum(axis=1)
         by_point[xs] = rank * wp[:, xs].sum(axis=0) == len(elems)
-    return ScalarStructure(sys, stabs, scalars, values, wprime, normalisation_ok,
+    return ScalarStructure(sys, sys.orbits.stabilizers, scalars, values, wprime, normalisation_ok,
                            bool(by_point.all()), tuple(bool(b) for b in by_point))
 
 
@@ -190,6 +188,15 @@ def _check_scalar_invariants(g: FiniteGroup, action: np.ndarray, stab: np.ndarra
     if not_normal[x]:
         raise MoritaError(f"W'_x is not normal in the stabilizer at x={x}")
     raise MoritaError(f"w W'_x w^-1 != W'_(wx) at x={x}, w={int(np.argmax(bad[x]))}")
+
+
+def _wprime_mask(wprime, w_n: int) -> np.ndarray:
+    """[x, w]: w lies in W'_x, from ScalarStructure.wprime."""
+    sizes = [len(elems) for elems in wprime]
+    mask = np.zeros((len(sizes), w_n), dtype=bool)
+    mask[np.repeat(np.arange(len(sizes)), sizes),
+         np.fromiter((w for elems in wprime for w in elems), np.intp, sum(sizes))] = True
+    return mask
 
 
 # -- the ideal C(X, W, I) ------------------------------------------------------
@@ -242,9 +249,7 @@ def c_ideal(sys: EquivariantSystem, scalar: ScalarStructure | None = None,
     cp = cp or crossed_product(scalar_translation_action(sys), tol)
     g = sys.group
     w_n, x_n = g.order, sys.n_points
-    wp = np.zeros((x_n, w_n), dtype=bool)
-    for x, elems in enumerate(scalar.wprime):
-        wp[x, list(elems)] = True
+    wp = _wprime_mask(scalar.wprime, w_n)
     # [x, w]: the least element of the coset W'_x w, which names it.
     least = np.where(wp[:, :, None], g.mul[None], w_n).min(axis=1)
     points, first = np.divmod(np.unique(least + w_n * np.arange(x_n)[:, None]), w_n)
@@ -294,22 +299,12 @@ def _point_inner(inner: np.ndarray, d: int) -> np.ndarray:
     return local
 
 
-def _point_blocks(inner: np.ndarray, x_n: int, d: int) -> np.ndarray:
-    """(|X|, d m, |W|): block x holds the inner values <<e_p|e_q>>, (m, m,
-    |W| |X|) or (m, m, |W|, |X|) crossed coefficients, whose left vector
-    e_p lies at x (p = x d + a), in the columns (., x).  Every other entry
-    must be zero, as _point_inner checks on the module the values average."""
-    m = inner.shape[0]
-    x = np.arange(x_n)
-    return inner.reshape(x_n, d, m, -1, x_n)[x, :, :, :, x].reshape(x_n, d * m, -1)
-
-
 def _averaged_point_blocks(local: np.ndarray, gamma: np.ndarray, x_n: int) -> np.ndarray:
-    """_point_blocks of averaged_inner_coefficients, from the point-local
-    inner values `local` of _point_inner and gamma (|W|, m, m): the value
-    <<e_p|e_q>> has the coefficient sqrt|W| sum_j gamma_w[j, q] <e_p|e_j>
-    at (w, x), one (|X| d, m) x (m, m |W|) product, with no (m, m, |W|, |X|)
-    tensor formed."""
+    """(|X|, d m, |W|): block x holds the crossed coefficients (., x) of the
+    averaged values <<e_p|e_q>> with e_p at x (p = x d + a), from `local` of
+    _point_inner and gamma (|W|, m, m): sqrt|W| sum_j gamma_w[j, q] <e_p|e_j>
+    at (w, x), one (|X| d, m) x (m, m |W|) product.  Every other coefficient
+    is zero, as _point_inner checks."""
     w_n, m = gamma.shape[:2]
     by_row = gamma.transpose(1, 2, 0).reshape(m, m * w_n) * np.sqrt(w_n)     # [j, (q, w)]
     return (local @ by_row).reshape(x_n, -1, w_n)
@@ -399,13 +394,11 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
         so the residuals and containments, taken on the stacks of blocks,
         are those of the whole spans.
     C_x is spanned by the normalised indicators of the right cosets
-    W'_x w (c_ideal).  The inner values are averaged once: under both
-    conditions the Green-Julg module is built first and J read off its
-    inner values, and the witness rebases that module onto C's rows;
-    otherwise J's blocks come straight from the base module's point-local
-    values, one (|X| d, m) x (m, m |W|) product, and the (m, m, |W|, |X|)
-    averaged tensor is never formed.  `module` and `witness_fpa` are None
-    when no witness is built; `fpa` is then built on first access.
+    W'_x w (c_ideal).  J's blocks come straight from the base module's
+    point-local values, one (|X| d, m) x (m, m |W|) product; under both
+    conditions the Green-Julg module is built for the witness, which
+    rebases it onto C's rows.  `module` and `witness_fpa` are None when no
+    witness is built; `fpa` is then built on first access.
     """
     check_tol(tol)
     scalar = scalar or scalar_subgroups(sys, tol)
@@ -414,11 +407,9 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     cid = c_ideal(sys, scalar, cp, tol)
     conditions = scalar.normalisation_ok and scalar.completeness_ok
     x_n, d = sys.n_points, sys.fiber_dim
-    # A witness needs the averaged module, whose inner values span J.
+    # A witness needs the averaged module.
     averaged = green_julg_module(eq, cp)[0] if conditions else None
-    local = _point_inner(eq.base.inner, d)
-    blocks = _averaged_point_blocks(local, eq.gamma, x_n) if averaged is None \
-        else _point_blocks(averaged.inner, x_n, d)
+    blocks = _averaged_point_blocks(_point_inner(eq.base.inner, d), eq.gamma, x_n)
     j_rows, j_ranks = _point_spans(blocks, tol)
     c_rows = _by_point(cid.rows, cid.points, x_n)
     c_ranks = np.bincount(cid.points, minlength=x_n)
@@ -447,13 +438,13 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
 
 def _check_splitting(sys: EquivariantSystem, scalar: ScalarStructure,
                      wprime) -> None:
-    wp_set = set(int(e) for e in wprime)
-    for x in range(sys.n_points):
-        expected = sorted(set(scalar.stabilizers[x]) & wp_set)
-        if sorted(scalar.wprime[x]) != expected:
-            raise SplittingError(
-                x, f"W'_x != W_x n W' at point index {x}: "
-                   f"{sorted(scalar.wprime[x])} vs {expected}")
+    """Raise SplittingError at the first point x with W'_x != W_x n W'."""
+    expected = sys.orbits.fixes.T & np.isin(np.arange(sys.group.order), wprime)   # [x, w]
+    bad = (_wprime_mask(scalar.wprime, sys.group.order) != expected).any(axis=1)
+    if bad.any():
+        x = int(bad.argmax())
+        raise SplittingError(x, f"W'_x != W_x n W' at point index {x}: {sorted(scalar.wprime[x])}"
+                                f" vs {np.flatnonzero(expected[x]).tolist()}")
 
 
 def quotient_equivariant_module(sys: EquivariantSystem, wprime, r,
@@ -477,11 +468,11 @@ def _quotient_equivariant_module(sys: EquivariantSystem, sys_p: EquivariantSyste
     # gamma is a homomorphism, so invariance under generators of W' suffices.
     gens = u_emb[np.array(sys_p.group.generators(), dtype=np.intp)]
     u_rows = nullspace_rows((eqm.gamma[gens] - np.eye(m)).reshape(-1, m), tol)
-    # The orbit-function algebra C(X/W').
-    quot = quotient_algebra(EquivariantSystem(
-        sys_p.group, sys_p.points, sys_p.action, 1,
-        np.ones((sys_p.group.order, sys_p.n_points, 1, 1), dtype=complex),
-        name=sys_p.name + "-pts"), tol)
+    # The orbit-function algebra C(X/W'), on the W'-orbits of the points.
+    pts = EquivariantSystem(sys_p.group, sys_p.points, sys_p.action, 1,
+                            np.ones((sys_p.group.order, sys_p.n_points, 1, 1), dtype=complex),
+                            name=sys_p.name + "-pts")
+    quot = quotient_algebra(pts, tol)
     q_alg = quot.algebra
     # Pointwise multiplication by the normalized orbit indicators, [o, p].
     diag = np.repeat(quot.orbit_basis.real, sys.fiber_dim, axis=1)
@@ -496,9 +487,10 @@ def _quotient_equivariant_module(sys: EquivariantSystem, sys_p: EquivariantSyste
     # R acts by the restricted gamma; on C(X/W') it permutes orbits.
     v_emb = np.array(v_sub.embedding)
     gamma = u_rows.conj() @ eqm.gamma[v_emb] @ u_rows.T
-    on_orbit = quot.orbit_basis != 0                                          # [o, x]
+    orbits = pts.orbits
+    orbit_of = np.searchsorted(orbits.representatives, orbits.least)         # [x]
     # [v, o]: the orbit of v.x for the least point x of orbit o.
-    image = on_orbit.argmax(axis=0)[sys.action[v_emb][:, on_orbit.argmax(axis=1)]]
+    image = orbit_of[sys.action[v_emb][:, list(orbits.representatives)]]
     maps = np.zeros((len(v_emb), q_alg.dim, q_alg.dim), dtype=complex)
     maps[np.arange(len(v_emb))[:, None], image, np.arange(q_alg.dim)] = 1.0
     return EquivariantModule(base, AlgebraAction(v_sub.group, q_alg, maps), gamma), u_rows

@@ -5,12 +5,12 @@ pairs (orbit Wx, irrep rho of the stabilizer W_x occurring in I_x); the
 representation space is HS(rho, I_x)^{W_x} and the action is
 pi_{x,rho}(k): s -> k(x) s.  The dimension of that space is the
 multiplicity of rho in I_x, read off the characters; the orbits that share
-a stabilizer share its irreps, and the equivariant maps themselves are
-solved only when an entry's basis is read.  The module cross-checks the
-classification against the Wedderburn block structure and produces limit
-certificates for closed-form cocycle families (the finite stand-in for
-Fell-topology limit points, detected through matrix-coefficient
-convergence).
+a stabilizer (EquivariantSystem.orbits) share its irreps, and the
+equivariant maps themselves are solved only when an entry's basis is read.
+The module cross-checks the classification against the Wedderburn block
+structure and produces limit certificates for closed-form cocycle families
+(the finite stand-in for Fell-topology limit points, detected through
+matrix-coefficient convergence).
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from .systems import (
     EquivariantSystem,
     fixed_point_algebra,
     invariant_functions,
-    orbits_and_stabilizers,
 )
 
 
@@ -83,7 +82,7 @@ def stabilizer_rep(sys: EquivariantSystem, x: int,
     """The representation w -> I_{w,x} of the stabilizer of point x;
     `sub`, when given, must be that stabilizer."""
     if sub is None:
-        sub = sys.group.subgroup(np.flatnonzero(sys.action[:, x] == x).tolist())
+        sub = sys.group.subgroup(sys.orbits.stabilizers[x])
     return sub, UnitaryRep(sub.group, sys.cocycle[list(sub.embedding), x], label=f"I@x{x}")
 
 
@@ -95,7 +94,7 @@ def classify_irreps(sys: EquivariantSystem, seed: int = 0,
                     tol: float = DEFAULT_TOL) -> SpectrumDescription:
     """One entry per (orbit, stabilizer irrep occurring in the cocycle).
 
-    Orbits with the same stabilizer share its Subgroup and its irreps.  An
+    Orbits of one stabilizer (sys.orbits.by_stabilizer) share its irreps.  An
     entry's dimension is the multiplicity of rho in I_x, the character
     inner product Re <chi_I, chi_rho> / |W_x| (Serre, Linear
     Representations of Finite Groups, 2.3), rounded; no intertwiner space
@@ -103,27 +102,27 @@ def classify_irreps(sys: EquivariantSystem, seed: int = 0,
     kept, and SpectrumError is raised when it reaches 1/4.
     """
     check_tol(tol)
-    entries = []
-    worst = 0.0
-    irreps_of: dict[tuple[int, ...], tuple[Subgroup, list[UnitaryRep], np.ndarray]] = {}
-    for orbit, stab in orbits_and_stabilizers(sys):
-        key = tuple(stab)
-        if key not in irreps_of:
-            sub = sys.group.subgroup(stab)
-            irreps = enumerate_irreps(sub.group, seed=seed, tol=tol)
-            irreps_of[key] = sub, irreps, np.stack([rho.character() for rho in irreps])
-        sub, irreps, chars = irreps_of[key]
-        x = orbit[0]
-        i_rep = stabilizer_rep(sys, x, sub)[1]
-        mults = (chars.conj() @ i_rep.character()).real / len(stab)
-        counts = np.rint(mults)
-        worst = max(worst, float(np.abs(mults - counts).max()))
-        entries += [SpectrumEntry(tuple(orbit), x, sub, rho, int(n), i_rep, tol)
-                    for rho, n in zip(irreps, counts) if n > 0]
+    orbits = sys.orbits
+    entries, worst = [], 0.0
+    for stab, points in orbits.by_stabilizer:
+        xs = points[orbits.least[points] == points]
+        if not xs.size:
+            continue
+        sub = sys.group.subgroup(stab)
+        irreps = enumerate_irreps(sub.group, seed=seed, tol=tol)
+        chars = np.stack([rho.character() for rho in irreps])
+        for x in xs.tolist():
+            i_rep = stabilizer_rep(sys, x, sub)[1]
+            mults = (chars.conj() @ i_rep.character()).real / len(stab)
+            counts = np.rint(mults)
+            worst = max(worst, float(np.abs(mults - counts).max()))
+            orbit = orbits.members[orbits.representatives.index(x)]
+            entries += [SpectrumEntry(orbit, x, sub, rho, int(n), i_rep, tol)
+                        for rho, n in zip(irreps, counts) if n > 0]
     if worst >= _INTEGRALITY_LIMIT:
         raise SpectrumError(f"a stabilizer multiplicity lies {worst:.3g} from an integer: "
                             "the cocycle is not a representation")
-    return SpectrumDescription(sys, tuple(entries), worst)
+    return SpectrumDescription(sys, tuple(sorted(entries, key=lambda e: e.point)), worst)
 
 
 def realize_irrep(sys: EquivariantSystem, entry: SpectrumEntry,

@@ -26,7 +26,8 @@ invariant functions are solved one orbit at a time: a commutant of the
 stabilizer's cocycle at the orbit's least point, transported along the
 orbit, so each function vanishes off one orbit and the table is zero
 outside the orbit blocks; no kernel is solved over the whole |X| d^2
-space of functions.
+space of functions.  The orbits and stabilizers are derived once per
+system, by EquivariantSystem.orbits, which every orbit-wise solver reads.
 """
 from __future__ import annotations
 
@@ -113,6 +114,49 @@ class EquivariantSystem:
     @property
     def total_dim(self) -> int:
         return self.n_points * self.fiber_dim
+
+    @cached_property
+    def orbits(self) -> Orbits:
+        """X's orbits and stabilizers, read off the action table on first
+        access: the one place that derives them."""
+        act, x = self.action, np.arange(self.n_points)
+        least, fixes = act.min(axis=0), act == x
+        sizes = np.bincount(least)
+        stabs = _cut(np.nonzero(fixes.T)[1].tolist(), fixes.sum(axis=0))
+        index = {stab: i for i, stab in enumerate(dict.fromkeys(stabs))}   # first appearance
+        label = np.fromiter(map(index.__getitem__, stabs), np.intp, len(stabs))
+        arrays = [least, (act[:, least] == x).argmax(axis=0), fixes,
+                  *(x[label == i] for i in range(len(index)))]
+        for a in arrays:
+            a.setflags(write=False)
+        return Orbits(*arrays[:2], tuple(np.flatnonzero(sizes).tolist()),
+                      _cut(np.argsort(least, kind="stable").tolist(), sizes[sizes > 0]),
+                      fixes, stabs, tuple(zip(index, arrays[3:])))
+
+
+def _cut(flat: list, sizes) -> tuple[tuple[int, ...], ...]:
+    """`flat` cut into consecutive tuples of the given sizes."""
+    ends = np.cumsum(sizes).tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
+
+
+@dataclass(frozen=True, eq=False)
+class Orbits:
+    """X's W-orbits and stabilizers; the arrays are read-only.
+
+    `least[y]` is the least point of y's orbit and `mover[y]` the first w
+    with w . least[y] = y.  `members[o]` lists the points of the orbit of
+    `representatives[o]`, the least points ascending.  `by_stabilizer` pairs
+    each stabilizer, in order of first appearance along X, with its points.
+    """
+
+    least: np.ndarray                      # (|X|,)
+    mover: np.ndarray                      # (|X|,)
+    representatives: tuple[int, ...]
+    members: tuple[tuple[int, ...], ...]   # each ascending
+    fixes: np.ndarray                      # [w, x]: w . x = x
+    stabilizers: tuple[tuple[int, ...], ...]   # [x]: W_x, ascending
+    by_stabilizer: tuple[tuple[tuple[int, ...], np.ndarray], ...]
 
 
 # -- system builders ---------------------------------------------------------
@@ -337,14 +381,13 @@ def invariant_functions(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> np.
     """
     check_tol(tol)
     d, x_n = sys.fiber_dim, sys.n_points
-    least = sys.action.min(axis=0)                                    # [y]: x of y's orbit
-    mover = (sys.action[:, least] == np.arange(x_n)).argmax(axis=0)   # [y]: a w with w x = y
-    transport = sys.cocycle[mover, least]
-    points_of: dict[tuple[int, ...], list[int]] = {}
-    for orbit, stab in orbits_and_stabilizers(sys):
-        points_of.setdefault(tuple(stab), []).append(orbit[0])
+    least = sys.orbits.least
+    transport = sys.cocycle[sys.orbits.mover, least]                  # [y]: I_{w,x}, w x = y
     values, base = [np.zeros((0, d, d), dtype=complex)], [np.zeros(0, dtype=np.intp)]
-    for stab, xs in points_of.items():
+    for stab, points in sys.orbits.by_stabilizer:
+        xs = points[least[points] == points]
+        if not xs.size:
+            continue
         i = sys.cocycle[np.ix_(stab, xs)]                             # [s, x]: I_{s,x}
         # Row-major vec(I f I*) = (I (x) conj I) vec(f).
         ad = (i[..., :, None, :, None] * i.conj()[..., None, :, None, :]).reshape(
@@ -353,7 +396,7 @@ def invariant_functions(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> np.
         _, s, vh = np.linalg.svd(op, full_matrices=False)
         at, j = np.nonzero(s <= rank_threshold(s, tol))
         values.append(vh[at, j].conj().reshape(-1, d, d))
-        base.append(np.array(xs)[at])
+        base.append(xs[at])
     base = np.concatenate(base)
     order = np.argsort(base, kind="stable")
     values, base = np.concatenate(values)[order], base[order]
@@ -382,14 +425,7 @@ def fixed_point_algebra(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> Mat
     return alg
 
 
-# -- orbits ------------------------------------------------------------------
-
-
-def orbits_and_stabilizers(sys: EquivariantSystem) -> list[tuple[list[int], list[int]]]:
-    """Partition of X into orbits (lowest index first) with stabilizer elements."""
-    act = sys.action
-    return [(sorted(set(act[:, x].tolist())), np.flatnonzero(act[:, x] == x).tolist())
-            for x in np.unique(act.min(axis=0))]
+# -- the orbit algebra --------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -406,25 +442,15 @@ class QuotientAlgebra:
 
 
 def quotient_algebra(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> QuotientAlgebra:
-    """For scalar fibers with trivial cocycle: C(X)^W ~ C(X/W)."""
+    """For scalar fibers with trivial cocycle: C(X)^W ~ C(X/W), the
+    fixed-point algebra, whose invariant functions are then exactly the
+    orbit indicators divided by sqrt|O|, in the order of sys.orbits."""
     if sys.fiber_dim != 1:
         raise SystemError("quotient algebra requires scalar fibers")
     if np.linalg.norm(sys.cocycle - 1.0) > 1e-9 * sys.cocycle.size:
         raise SystemError("quotient algebra requires the trivial cocycle")
-    orbs = [tuple(o) for o, _ in orbits_and_stabilizers(sys)]
-    n = sys.n_points
-    indicators = np.zeros((len(orbs), n), dtype=complex)
-    for i, orb in enumerate(orbs):
-        indicators[i, list(orb)] = 1.0 / np.sqrt(len(orb))
-    # Diagonal, like C(X): the table comes from the 1 x 1 diagonal blocks.
-    basis = indicators[:, :, None] * np.eye(n)
-    alg = StructuredAlgebra(n, basis, *product_table(indicators[:, :, None, None]))
-    q = QuotientAlgebra(alg, tuple(orbs), indicators)
-    # Cross-check against the invariant-function solver.
-    fpa = fixed_point_algebra(sys, tol)
-    if not spans_equal(fpa.basis_rows(), q.algebra.basis_rows(), max(tol, 1e-8)):
-        raise SystemError("orbit indicators disagree with the invariant solver")
-    return q
+    alg = fixed_point_algebra(sys, tol)
+    return QuotientAlgebra(alg, sys.orbits.members, alg.basis.diagonal(axis1=1, axis2=2))
 
 
 # -- actions on algebras and crossed products --------------------------------

@@ -17,7 +17,10 @@ a module of `src/` or `tests/` imports must be referenced in that module.
 And every `einsum` call in `src/` with two or more array operands passes
 `optimize=`: without it numpy contracts in its own loops, never in BLAS, so
 such a contraction is written with matmul or tensordot, or asks for an
-optimized path where it has no BLAS form.
+optimized path where it has no BLAS form.  Finally, X's orbits and
+stabilizers are derived in one place, `EquivariantSystem.orbits`: no other
+code of `src/` takes a minimum of an action table or compares one with
+`==` or `!=`, the forms that read orbit minima and stabilizer masks off it.
 """
 import ast
 from pathlib import Path
@@ -188,3 +191,70 @@ def test_multi_operand_einsums_name_their_path():
     found = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
              if (names := unoptimized_einsums(path))}
     assert found == {}
+
+
+# The one definition that reads orbits and stabilizers off an action table.
+ORBIT_SOURCE = ("systems", "EquivariantSystem", "orbits")
+
+
+def is_action(node, aliases) -> bool:
+    """Is the node a system's action table (`.action`, or a name bound to
+    one), an index of one or its transpose?"""
+    while isinstance(node, ast.Subscript) or isinstance(node, ast.Attribute) and node.attr == "T":
+        node = node.value
+    return (isinstance(node, ast.Attribute) and node.attr == "action"
+            or isinstance(node, ast.Name) and node.id in aliases)
+
+
+def assignments(func):
+    """(target, value) of each assignment in the function, unpacking
+    `a, b = c, d` pairwise."""
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    yield from zip(target.elts, node.value.elts)
+                else:
+                    yield target, node.value
+
+
+def orbit_reads(path: Path, exempt: bool = True) -> list[str]:
+    """function:line of each minimum of an action table (`.min`, `.argmin`,
+    `np.min`, `np.amin`) and each `==` or `!=` comparison with one, outside
+    ORBIT_SOURCE when `exempt`.  A name assigned an action table in the
+    same function counts as one."""
+    tree = parse(path)
+    skip = set()
+    for cls in tree.body:
+        if exempt and isinstance(cls, ast.ClassDef) and (path.stem, cls.name) == ORBIT_SOURCE[:2]:
+            skip |= {line for fn in cls.body if getattr(fn, "name", None) == ORBIT_SOURCE[2]
+                     for line in range(fn.lineno, fn.end_lineno + 1)}
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        aliases = {target.id for target, value in assignments(func)
+                   if isinstance(target, ast.Name) and is_action(value, set())}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                hit = (node.func.attr in ("min", "argmin") and is_action(node.func.value, aliases)
+                       or node.func.attr in ("min", "amin") and bool(node.args)
+                       and is_action(node.args[0], aliases))
+            elif isinstance(node, ast.Compare):
+                hit = any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) and any(
+                    is_action(side, aliases) for side in [node.left, *node.comparators])
+            else:
+                continue
+            if hit and node.lineno not in skip:
+                found.add(f"{func.name}:{node.lineno}")
+    return sorted(found)
+
+
+def test_only_the_system_derives_orbits_and_stabilizers():
+    found = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+             if (names := orbit_reads(path))}
+    assert found == {}
+    # The guard sees the forms: the one place that uses them is found
+    # once it is no longer exempt.
+    assert any(name.startswith("orbits:") for name in
+               orbit_reads(PACKAGE / "systems.py", exempt=False))

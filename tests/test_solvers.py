@@ -27,7 +27,11 @@ as oracles, and
 `scalar_subgroups` is checked against its loop over points, elements and
 stabilizer irreps, on planted cocycles too, down to the first failure its
 invariant checks name.  A proper C's algebra
-and the orbit algebra C(X/W') take tables that match the dense pass.  The
+and the orbit algebra C(X/W') take tables that match the dense pass, and
+C(X/W') is the orbit-indicator algebra bit for bit.  EquivariantSystem.orbits
+matches a point-by-point oracle, also after a random relabelling of X,
+which moves no dimension, block count, gap or verdict; J's point blocks
+read off the base module are the averaged module's, bit for bit.  The
 dense paths and per-pair loops survive here as oracles, and spies check
 that a run classifies the spectrum, builds each fixed-point algebra once
 and averages the inner products once, and that neither the structured
@@ -43,12 +47,15 @@ alpha_w's one scatter is the per-point Kronecker loop exactly; and a wide
 cut reduced by QR keeps the rank and span of the direct SVD.
 """
 import copy
+import dataclasses
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_hilbmod import compacts_algebra
 
 from equivaria import cli, groups, hilbmod, linalg, matalg, morita, spectrum, systems
 from equivaria.datasets import bundled
@@ -195,9 +202,9 @@ def test_compacts_match_stacked_rank_one_maps():
     eta, xi = e.random_vector(rng), e.random_vector(rng)
     cols = np.stack([e.act(eta, e.inner_product(xi, eye[l])) for l in range(m)], axis=1)
     assert np.abs(rank_one(e, eta, xi) - cols).max() < 1e-12
-    s, s_inv = compacts.transform, compacts.transform_inv
+    s, s_inv = e.gram_sqrt()
     dressed = orthonormal_rows(flatten(s @ raws @ s_inv))
-    assert spans_equal(compacts.algebra.basis_rows(), dressed, 1e-8)
+    assert spans_equal(compacts_algebra(compacts).basis_rows(), dressed, 1e-8)
 
 
 def test_unit_is_computed_once():
@@ -206,25 +213,6 @@ def test_unit_is_computed_once():
     assert alg.structure is alg.structure
     e = function_module(bundled("z2-line"))
     assert e.gram() is e.gram()
-
-
-def test_compacts_algebra_is_built_when_read(monkeypatch):
-    # The Green-Julg and Morita checks read only the compacts' raw rows.
-    calls = []
-    build = hilbmod.algebra_from_span
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(hilbmod, "algebra_from_span", spy)
-    eq = equivariant_function_module(bundled("z2-line"))
-    assert hilbmod.verify_green_julg(eq).ok
-    assert verify_morita_theorem(bundled("z2-line")).ok
-    assert calls == []
-    compacts = compact_operators(eq.base)
-    assert compacts.algebra is compacts.algebra and calls == [1]
-    assert compacts.algebra.dim == compacts.raw_rows.shape[0]
 
 
 # -- the product pass against the dense closure check and per-pair loops ------
@@ -368,6 +356,37 @@ def invariant_functions_dense(sys, tol=1e-9):
     size = sys.n_points * sys.fiber_dim ** 2
     stacked = [systems.alpha_matrix(sys, w) - np.eye(size) for w in sys.group.generators()]
     return linalg.nullspace_rows(np.vstack(stacked) if stacked else np.zeros((0, size)), tol)
+
+
+def orbits_brute_force(sys):
+    """EquivariantSystem.orbits' fields, point by point and element by
+    element, with by_stabilizer as lists."""
+    g, x_n = sys.group, sys.n_points
+    orbit = [sorted({int(sys.action[w, x]) for w in g.elements()}) for x in range(x_n)]
+    least = [o[0] for o in orbit]
+    stabs = [tuple(w for w in g.elements() if sys.action[w, x] == x) for x in range(x_n)]
+    groups = {}
+    for x in range(x_n):
+        groups.setdefault(stabs[x], []).append(x)
+    return {"least": least,
+            "mover": [next(w for w in g.elements() if sys.action[w, least[y]] == y)
+                      for y in range(x_n)],
+            "representatives": tuple(sorted(set(least))),
+            "members": tuple(tuple(orbit[x]) for x in sorted(set(least))),
+            "fixes": [[w in stabs[x] for x in range(x_n)] for w in g.elements()],
+            "stabilizers": tuple(stabs),
+            "by_stabilizer": list(groups.items())}
+
+
+def assert_orbits_match_the_brute_force(sys):
+    orbits, oracle = sys.orbits, orbits_brute_force(sys)
+    assert orbits.least.tolist() == oracle["least"]
+    assert orbits.mover.tolist() == oracle["mover"]
+    assert orbits.representatives == oracle["representatives"]
+    assert orbits.members == oracle["members"]
+    assert orbits.fixes.tolist() == oracle["fixes"]
+    assert orbits.stabilizers == oracle["stabilizers"]
+    assert [(stab, xs.tolist()) for stab, xs in orbits.by_stabilizer] == oracle["by_stabilizer"]
 
 
 def orbit_of_each(sys, funcs):
@@ -1027,8 +1046,8 @@ BLOCK_ALGEBRAS = {
        for n in (1, 2)},
     **{f"cp-z2-line-{n}": lambda n=n: crossed_product(
         function_algebra_action(z2_line_system(n))).algebra for n in (1, 2)},
-    **{f"compacts-z2-line-{n}": lambda n=n: compact_operators(
-        function_module(z2_line_system(n))).algebra for n in (1, 2, 3)},
+    **{f"compacts-z2-line-{n}": lambda n=n: compacts_algebra(compact_operators(
+        function_module(z2_line_system(n)))) for n in (1, 2, 3)},
     **{f"group-{name}": lambda name=name: group_algebra(name)
        for name in ("Z2", "Z2xZ2", "S3", "D8")},
     "conjugated-block-sum": conjugated_block_sum,
@@ -1197,11 +1216,20 @@ def c_rows_dense(sys, scalar, tol=1e-9):
         else np.eye(n_coeff, dtype=complex)
 
 
+def point_blocks(inner, x_n, d):
+    """(|X|, d m, |W|): block x holds the averaged inner values <<e_p|e_q>>,
+    (m, m, |W| |X|) or (m, m, |W|, |X|) crossed coefficients, whose left
+    vector e_p lies at x (p = x d + a), in the columns (., x): the oracle of
+    morita._averaged_point_blocks, cut out of the whole averaged tensor."""
+    m = inner.shape[0]
+    x = np.arange(x_n)
+    return inner.reshape(x_n, d, m, -1, x_n)[x, :, :, :, x].reshape(x_n, d * m, -1)
+
+
 def j_rows_by_point(sys):
     """J's rows as the point-local cut finds them, in the whole ambient."""
     eq = equivariant_function_module(sys)
-    blocks = morita._point_blocks(averaged_inner_coefficients(eq), sys.n_points,
-                                  sys.fiber_dim)
+    blocks = point_blocks(averaged_inner_coefficients(eq), sys.n_points, sys.fiber_dim)
     rows, ranks = morita._point_spans(blocks)
     x_n, w_n = rows.shape[0], rows.shape[2]
     out = np.zeros((int(ranks.sum()), w_n, x_n), dtype=complex)
@@ -1460,6 +1488,7 @@ def test_orbit_solvers_match_the_whole_ambient_oracles_on_planted_cocycles(
     equivariant maps; and J's blocks from the base module are the cut of the
     averaged tensor, exactly."""
     sys, _ = planted_cocycle_system(group_name, mults, twist, second, seed)
+    assert_orbits_match_the_brute_force(sys)
     funcs = systems.invariant_functions(sys)
     rows = funcs.reshape(len(funcs), -1)
     assert close(rows @ rows.conj().T, np.eye(len(rows)))
@@ -1467,16 +1496,70 @@ def test_orbit_solvers_match_the_whole_ambient_oracles_on_planted_cocycles(
     assert_orbit_blocked(sys, fixed_point_algebra(sys), funcs)
     desc = spectrum.classify_irreps(sys)
     assert desc.integrality_distance < 1e-9
-    for orbit, _ in systems.orbits_and_stabilizers(sys):
-        sub, i_rep = spectrum.stabilizer_rep(sys, orbit[0])
-        dims = {e.rho.label: e.dim for e in desc.entries if e.point == orbit[0]}
+    for x in sys.orbits.representatives:
+        sub, i_rep = spectrum.stabilizer_rep(sys, x)
+        dims = {e.rho.label: e.dim for e in desc.entries if e.point == x}
         for rho in enumerate_irreps(sub.group):
             assert equivariant_maps(rho, i_rep).shape[0] == dims.get(rho.label, 0)
     eq = equivariant_function_module(sys)
     x_n, d = sys.n_points, sys.fiber_dim
     local = morita._point_inner(eq.base.inner, d)
     assert np.array_equal(morita._averaged_point_blocks(local, eq.gamma, x_n),
-                          morita._point_blocks(averaged_inner_coefficients(eq), x_n, d))
+                          point_blocks(averaged_inner_coefficients(eq), x_n, d))
+
+
+@pytest.mark.parametrize("label", [f"z2-line-{n}" for n in range(1, 9)]
+                         + ["dihedral-plane", "anticomplete-point"]
+                         + [f"z2xz2-line-{n}" for n in (1, 2, 3)])
+def test_j_blocks_from_the_base_module_are_the_averaged_modules(label):
+    """The witness regime reads J's blocks off the base module too; they are
+    the averaged module's inner values cut by point, bit for bit."""
+    sys = morita_system(label)
+    eq = equivariant_function_module(sys)
+    averaged = green_julg_module(eq)[0]
+    blocks = morita._averaged_point_blocks(
+        morita._point_inner(eq.base.inner, sys.fiber_dim), eq.gamma, sys.n_points)
+    assert np.array_equal(blocks, point_blocks(averaged.inner, sys.n_points, sys.fiber_dim))
+
+
+def relabelled(sys, perm):
+    """sys with point x renamed perm[x]: action and cocycle read through the
+    permutation, the same system on other labels."""
+    inv = np.argsort(perm)
+    return EquivariantSystem(sys.group, tuple(sys.points[x] for x in inv),
+                             perm[sys.action[:, inv]], sys.fiber_dim, sys.cocycle[:, inv],
+                             name=sys.name)
+
+
+RELABELLED = (["z2-line", "dihedral-plane", "anticomplete-point", "z2xz2-line-1",
+               "z2xz2-line-2"] + [f"z2-line-{n}" for n in range(1, 7)]
+              + ["dihedral-grid-1", "dihedral-grid-2"])
+
+
+@functools.cache
+def labelled_verdicts(label):
+    """(system, wedderburn_crosscheck, verify_morita_theorem) on the
+    system's own labels."""
+    sys = bundled(label) if label == "z2-line" else morita_system(label)
+    return sys, spectrum.wedderburn_crosscheck(sys), verify_morita_theorem(sys)
+
+
+@settings(settings.get_profile("derandomized"))
+@given(st.sampled_from(RELABELLED), st.integers(0, 2 ** 32 - 1))
+def test_verdicts_do_not_depend_on_how_the_points_are_labelled(label, seed):
+    """A permutation of X moves the orbits, stabilizers and gaps with it
+    and changes no dimension, block count or verdict."""
+    sys, spec, thm = labelled_verdicts(label)
+    perm = np.random.default_rng(seed).permutation(sys.n_points)
+    moved = relabelled(sys, perm)
+    assert_orbits_match_the_brute_force(moved)
+    spec_moved = spectrum.wedderburn_crosscheck(moved)
+    assert (spec_moved.ok, spec_moved.spectrum_dims, spec_moved.block_sizes) == (
+        spec.ok, spec.spectrum_dims, spec.block_sizes)
+    thm_moved = verify_morita_theorem(moved)
+    assert (thm_moved.ok, thm_moved.j_dim, thm_moved.c_dim, thm_moved.fpa_blocks,
+            thm_moved.c_blocks) == (thm.ok, thm.j_dim, thm.c_dim, thm.fpa_blocks, thm.c_blocks)
+    assert thm_moved.gaps == tuple(sorted((int(perm[x]), j, c) for x, j, c in thm.gaps))
 
 
 def test_point_inner_rejects_a_value_off_its_point():
@@ -1519,6 +1602,46 @@ def test_scalar_invariants_name_the_first_failure_of_the_loop(label):
     # Both messages and a pass occur among the trials; with one point every
     # failure is at a w that fixes it, so Q8's is always "not normal".
     assert len(messages) == (2 if label == "Q8-all" else 3)
+
+
+def splitting_failures_loop(sys, scalar, wprime):
+    """(x, message) at each point where W'_x != W_x n W', in the per-point
+    loop that morita._check_splitting replaced."""
+    wp_set = set(int(e) for e in wprime)
+    out = []
+    for x in range(sys.n_points):
+        expected = sorted(set(scalar.stabilizers[x]) & wp_set)
+        if sorted(scalar.wprime[x]) != expected:
+            out.append((x, f"W'_x != W_x n W' at point index {x}: "
+                           f"{sorted(scalar.wprime[x])} vs {expected}"))
+    return out
+
+
+@pytest.mark.parametrize("label", ["dihedral-plane", "z4-rotation", "z2xz2-line-2"])
+def test_splitting_check_names_the_first_failure_of_the_loop(label):
+    sys = scalar_system(label)
+    scalar = morita.scalar_subgroups(sys)
+    g = sys.group
+    stab = sys.orbits.fixes
+    subgroups = sorted({tuple(g.generated_subgroup([a])) for a in g.elements()})
+    rng = np.random.default_rng(1)
+    several = 0
+    for wprime in subgroups:
+        for trial in range(6):
+            # Toggle a few stabilizer elements in or out of some W'_x.
+            wp = morita._wprime_mask(scalar.wprime, g.order).T ^ (
+                (rng.random(stab.shape) < 0.1 * trial) & stab)
+            moved = dataclasses.replace(scalar, wprime=tuple(
+                tuple(np.flatnonzero(wp[:, x]).tolist()) for x in range(sys.n_points)))
+            failures = splitting_failures_loop(sys, moved, wprime)
+            try:
+                morita._check_splitting(sys, moved, wprime)
+                found = None
+            except morita.SplittingError as exc:
+                found = (exc.point, str(exc))
+            assert found == (failures[0] if failures else None)
+            several += len(failures) > 1
+    assert several
 
 
 def test_reduction_runs_no_dense_product_pass(monkeypatch):
@@ -1564,6 +1687,46 @@ def test_restricted_table_matches_the_dense_pass(label):
     table, residual = matalg.product_table(bad.basis)
     assert close(bad.structure, table)
     assert abs(bad.product_residual - residual) < 1e-12 and residual > 1e-3
+
+
+def points_system(sys):
+    """The same points and action, scalar fibers, trivial cocycle."""
+    return EquivariantSystem(sys.group, sys.points, sys.action, 1,
+                             np.ones((sys.group.order, sys.n_points, 1, 1), dtype=complex),
+                             name=sys.name + "-pts")
+
+
+def quotient_indicators(sys):
+    """C(X/W) built from the orbit indicators, as quotient_algebra built it
+    before it read the fixed-point algebra: (algebra, orbits, indicators)."""
+    n = sys.n_points
+    orbits = orbits_brute_force(sys)["members"]
+    indicators = np.zeros((len(orbits), n), dtype=complex)
+    for i, orb in enumerate(orbits):
+        indicators[i, list(orb)] = 1.0 / np.sqrt(len(orb))
+    basis = indicators[:, :, None] * np.eye(n)
+    return (matalg.StructuredAlgebra(n, basis, *matalg.product_table(indicators[:, :, None, None])),
+            orbits, indicators)
+
+
+@pytest.mark.parametrize("label", ["z2xz2-line-1", "z2xz2-line-2", "z2xz2-line-3", "z2-line-4",
+                                   "dihedral-plane", "flip-5"])
+@pytest.mark.parametrize("restrict", [False, True])
+def test_quotient_algebra_is_the_indicator_algebra_bit_for_bit(label, restrict):
+    """On a trivial scalar cocycle the orbit-adapted invariant functions
+    are the normalised orbit indicators, so the fixed-point algebra is the
+    indicator algebra exactly, on the whole group and on a subgroup."""
+    sys = morita_system(label)
+    if restrict:
+        sys = systems.restrict_system(sys, {2: [0], 4: [0, 2], 8: [0, 1, 2, 3]}[
+            sys.group.order])[0]
+    pts = points_system(sys)
+    q = systems.quotient_algebra(pts)
+    alg, orbits, indicators = quotient_indicators(pts)
+    assert q.orbits == orbits and q.dim == len(orbits)
+    assert np.array_equal(q.orbit_basis, indicators)
+    assert np.array_equal(q.algebra.basis, alg.basis)
+    assert np.array_equal(q.algebra.structure, alg.structure)
 
 
 def test_quotient_algebra_table_matches_the_dense_pass():
@@ -2210,7 +2373,7 @@ def unit_case(label):
         assert cid.dim < cid.cp.dim
         return cid.algebra
     if label == "compacts":
-        return compact_operators(equivariant_function_module(bundled("z2-line")).base).algebra
+        return compacts_algebra(compact_operators(equivariant_function_module(bundled("z2-line")).base))
     # The corner C e11 inside M_2, whose unit is not the identity.
     e11 = np.zeros((1, 2, 2), dtype=complex)
     e11[0, 0, 0] = 1.0

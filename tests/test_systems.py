@@ -23,7 +23,6 @@ from equivaria.systems import (
     iterated_crossed_iso,
     left_translation_system,
     one_point_system,
-    orbits_and_stabilizers,
     phi_iso,
     quotient_algebra,
     restrict_system,
@@ -92,13 +91,20 @@ def test_validation_names_the_first_triple_where_the_cocycle_identity_fails():
         z3_points_system(cocycle=coc)
 
 
-def test_orbits_and_stabilizers():
+def test_orbits():
     sys = flip_system(5)
-    orbits = orbits_and_stabilizers(sys)
-    sizes = sorted(len(o) for o, _ in orbits)
-    assert sizes == [1, 2, 2]
-    fixed = next(stab for orb, stab in orbits if len(orb) == 1)
-    assert len(fixed) == 2
+    orbits = sys.orbits
+    assert orbits is sys.orbits
+    assert orbits.representatives == (0, 1, 2)
+    assert orbits.members == ((0, 4), (1, 3), (2,))
+    assert orbits.least.tolist() == [0, 1, 2, 1, 0]
+    assert orbits.mover.tolist() == [0, 0, 0, 1, 1]
+    assert orbits.stabilizers == ((0,), (0,), (0, 1), (0,), (0,))
+    assert [(stab, xs.tolist()) for stab, xs in orbits.by_stabilizer] == [
+        ((0,), [0, 1, 3, 4]), ((0, 1), [2])]
+    assert np.array_equal(orbits.fixes, sys.action == np.arange(5))
+    with pytest.raises(ValueError):
+        orbits.least[0] = 1
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -228,7 +234,7 @@ def test_anticomplete_fixed_points():
 def test_dihedral_plane_validates():
     sys = dihedral_plane_system()
     assert sys.n_points == 17
-    assert len(orbits_and_stabilizers(sys)) == 4
+    assert len(sys.orbits.members) == 4
 
 
 def scalar_action(group, maps):
