@@ -229,7 +229,7 @@ def _suite_modules(tol: float, seed: int) -> list[tuple[str, bool]]:
                           green_julg_module, verify_green_julg)
     eq = equivariant_function_module(bundled("z2-line"))
     res = eq.base.axiom_residuals(np.random.default_rng(seed))
-    gj = green_julg_module(eq, tol=tol)[0]
+    gj = green_julg_module(eq)[0]
     rng = np.random.default_rng(seed)
     bounds = True
     for _ in range(10):

@@ -17,7 +17,11 @@ class GroupError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group as an order x order multiplication table over indices."""
+    """A finite group as an order x order multiplication table over indices.
+
+    `mul` and `inv` are read-only copies, so a validated group cannot be
+    edited in place.
+    """
 
     mul: np.ndarray
     name: str = "group"
@@ -26,7 +30,7 @@ class FiniteGroup:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mul = np.asarray(self.mul, dtype=np.intp)
+        mul = np.array(self.mul, dtype=np.intp)   # a copy, made read-only below
         n = mul.shape[0]
         if mul.shape != (n, n) or n == 0:
             raise GroupError("multiplication table must be a nonempty square array")
@@ -43,6 +47,8 @@ class FiniteGroup:
             if hits.size != 1 or mul[hits[0], a] != 0:
                 raise GroupError(f"element {a} lacks a two-sided inverse")
             inv[a] = hits[0]
+        mul.setflags(write=False)
+        inv.setflags(write=False)
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "inv", inv)
 

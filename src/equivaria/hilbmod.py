@@ -1,7 +1,7 @@
 """Finite-dimensional Hilbert C*-modules and Morita-equivalence witnesses.
 
-A module is a carrier space C^m with a right action of a matrix *-algebra B
-and a B-valued inner product, conjugate-linear in the first argument.  The
+A module is a carrier space C^m with a right action of a *-algebra B and a
+B-valued inner product, conjugate-linear in the first argument.  The
 compact operators K_B(E) are the span of the rank-one maps
 |eta><xi| : zeta -> eta <xi|zeta>.  Module adjoints are taken with respect
 to the faithful scalar form tau(<xi|eta>), tau the trace state of B, which
@@ -11,25 +11,27 @@ conjugate transpose, so K_B(E) becomes an honest matrix *-algebra.
 
 Inner values live in one coordinate system, B's orthonormal basis: a
 module stores <e_p|e_q> as an (m, m, dim B) coefficient array, so its values
-lie in B by construction.  The rank-one maps (one or all m^2 of them), the
+lie in B by construction, and B is read through its tables only: the Gram
+matrix through its traces, norms through its left-regular matrices, and
+the axioms, Cauchy-Schwarz and the Morita witness's samples through its
+product and star tables.  The rank-one maps (one or all m^2 of them), the
 Gram matrix, the fullness ideal and the averaged (Green-Julg) module over
-B >| W are built from it with a few matrix products, never with per-pair
-loops.  Over B >| W the coordinates are the crossed product's
-coefficients, which index the orthonormal basis b_i w / sqrt|W| of its
-algebra, so no inner value is embedded.  Values that arrive as matrices
-(the quotient module's functions, a module rebased onto a subalgebra) pass
-through one checked conversion, which raises ModuleError when a value
-leaves the span.  The Green-Julg check needs no module over B >| W at all:
-a rank-one map is the same operator in any basis of B >| W, so the
-averaged compacts come from the crossed coefficients and the maps of the
-same basis, and K_B(E)^W is solved in the coordinates of K_B(E).
-`compact_operators` cuts the rank of the m^2 rank-one maps one carrier
-component at a time (`carrier_components`; the points or orbits of the
-function modules): the stack of all the maps is block diagonal, one block
-per component, so its singular values are the blocks' together, and dense
-SVDs of the blocks cut at the whole stack's scale are the dense rule
-exactly.  A module of one component is one block, the only case in which
-the cut forms the m^4 stack.  The margin of the cut is kept.
+B >| W are built from the coefficients with a few matrix products, never
+with per-pair loops.  Over B >| W the coordinates are the crossed
+product's coefficients, the coordinates of its algebra, so no inner value
+is embedded.  Values that arrive as matrices (the quotient module's
+functions) pass through one checked conversion, which raises ModuleError
+when a value leaves the span.  The Green-Julg check needs no module over
+B >| W at all: a rank-one map is the same operator in any basis of
+B >| W, so the averaged compacts come from the crossed coefficients and
+the maps of the same basis, and K_B(E)^W is solved in the coordinates of
+K_B(E).  `compact_operators` cuts the rank of the m^2 rank-one maps one
+carrier component at a time (`carrier_components`; the points or orbits
+of the function modules): the stack of all the maps is block diagonal,
+one block per component, so its singular values are the blocks'
+together, and dense SVDs of the blocks cut at the whole stack's scale are
+the dense rule exactly.  A module of one component is one block, the only
+case in which the cut forms the m^4 stack.  The margin of the cut is kept.
 """
 from __future__ import annotations
 
@@ -52,12 +54,7 @@ from .linalg import (
     spans_equal,
     unflatten,
 )
-from .matalg import (
-    MatrixStarAlgebra,
-    StructuredAlgebra,
-    operator_norm,
-    product_table,
-)
+from .matalg import MatrixStarAlgebra, product_table, restricted_algebra
 from .systems import (
     AlgebraAction,
     CrossedProduct,
@@ -125,17 +122,18 @@ class FDHilbertModule:
     def carrier_dim(self) -> int:
         return self.action.shape[1]
 
-    def act(self, xi: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """xi . b for an algebra element b (given as an ambient matrix)."""
-        coeffs = self.algebra.coefficients(b)
-        return np.tensordot(coeffs, self.action, axes=1) @ xi
+    def act(self, xi: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """xi . b for the algebra element b with coordinates c."""
+        return _act(self.action, xi, np.asarray(c, dtype=complex))
 
     def inner_product(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """<xi | eta> in B, conjugate-linear in xi."""
-        return self.algebra.element(eta @ np.tensordot(np.conj(xi), self.inner, axes=1))
+        """The coordinates of <xi | eta> in B, conjugate-linear in xi."""
+        return _inner_values(self.inner, np.asarray(xi, dtype=complex),
+                             np.asarray(eta, dtype=complex))
 
     def norm(self, xi: np.ndarray) -> float:
-        return float(np.sqrt(max(operator_norm(self.inner_product(xi, xi)), 0.0)))
+        """|<xi|xi>|^(1/2), the operator norm read off B's table."""
+        return float(np.sqrt(max(self.algebra.norm(self.inner_product(xi, xi)), 0.0)))
 
     # -- the scalar form and the Gram transform ------------------------------
 
@@ -143,14 +141,15 @@ class FDHilbertModule:
         """G[i, j] = tau(<e_i | e_j>): the faithful scalar inner product.
 
         As e b_k = b_k for B's unit e, tau(b_k) = tr b_k / tr e, where
-        tr e = sum_l |tr b_l|^2 comes from unit(), which raises AlgebraError
-        for a span without a unit.  Built once and kept on the instance.
+        tr e = sum_l |tr b_l|^2 is the squared norm of unit()'s coordinates;
+        unit() raises AlgebraError for a span without a unit.  Built once and
+        kept on the instance.
         """
         return self._gram
 
     @cached_property
     def _gram(self) -> np.ndarray:
-        g = self.inner @ self.algebra.traces / np.trace(self.algebra.unit()).real
+        g = self.inner @ self.algebra.traces / np.linalg.norm(self.algebra.unit()) ** 2
         return (g + g.conj().T) / 2.0
 
     def gram_sqrt(self) -> tuple[np.ndarray, np.ndarray]:
@@ -183,6 +182,10 @@ class FDHilbertModule:
         _AXIOM_SAMPLES samples draws xi, eta, b1 and b2 in turn, real parts
         before imaginary ones, and every residual is divided by that
         sample's max(1, |xi| |eta|, |b1| |b2|); all are evaluated at once.
+        Elements of B are read in its coordinates, where the norm of a
+        difference is its trace norm, the operator norm is that of the
+        left-regular matrix, and positivity is that of its Hermitian part,
+        the left-regular representation being a faithful one.
         """
         rng = rng or np.random.default_rng(0)
         b_alg = self.algebra
@@ -190,37 +193,23 @@ class FDHilbertModule:
         draws = rng.standard_normal((_AXIOM_SAMPLES, 4 * m + 4 * k))
         parts = np.split(draws, np.cumsum([m, m, m, m, k, k, k]), axis=1)
         xi, eta, c1, c2 = (re + 1j * im for re, im in zip(parts[::2], parts[1::2]))
-
-        def act(x, c):
-            return _act(self.action, x, c)
-
-        def inner(x, y):
-            return b_alg.element(_inner_values(self.inner, x, y))
+        act, inner, star = self.act, self.inner_product, b_alg.adjoint
 
         def norms(a):
-            return np.linalg.norm(a.reshape(_AXIOM_SAMPLES, -1), axis=1)
+            return np.linalg.norm(a, axis=1)
 
-        def star(a):
-            return a.conj().swapaxes(-2, -1)
-
-        def operator_norms(a):
-            return np.linalg.svd(a, compute_uv=False)[:, 0]
-
-        b1, b2 = b_alg.element(c1), b_alg.element(c2)
         scale = np.maximum(1.0, np.maximum(norms(xi) * norms(eta),
-                                           operator_norms(b1) * operator_norms(b2)))
+                                           b_alg.norm(c1) * b_alg.norm(c2)))
         # (xi b1) b2 = xi (b1 b2)
-        c12 = b_alg.coefficients(b1 @ b2)
-        bimodule = norms(act(act(xi, c1), c2) - act(xi, c12))
+        bimodule = norms(act(act(xi, c1), c2) - act(xi, b_alg.multiply(c1, c2)))
         # <xi b1 | eta b2> = b1* <xi|eta> b2
         compatibility = norms(inner(act(xi, c1), act(eta, c2))
-                              - star(b1) @ inner(xi, eta) @ b2)
+                              - b_alg.multiply(b_alg.multiply(star(c1), inner(xi, eta)), c2))
         # <eta|xi> = <xi|eta>*
         symmetry = norms(inner(eta, xi) - star(inner(xi, eta)))
         # <xi|xi> >= 0
         q = inner(xi, xi)
-        low = np.linalg.eigvalsh((q + star(q)) / 2.0)[:, 0]
-        positivity = norms(q - star(q)) + np.maximum(0.0, -low)
+        positivity = norms(q - star(q)) + np.maximum(0.0, -_lowest(b_alg, (q + star(q)) / 2.0))
         res = {key: float(np.max(value / scale, initial=0.0)) for key, value in (
             ("bimodule", bimodule), ("compatibility", compatibility),
             ("symmetry", symmetry), ("positivity", positivity))}
@@ -238,12 +227,21 @@ class FDHilbertModule:
             raise ModuleError(f"Hilbert-module axioms violated: {bad}")
 
     def cauchy_schwarz_residual(self, xi: np.ndarray, eta: np.ndarray) -> float:
-        """Violation of <eta|xi><xi|eta> <= ||xi||^2 <eta|eta> (0 if it holds)."""
-        lhs = self.inner_product(eta, xi) @ self.inner_product(xi, eta)
-        rhs = self.norm(xi) ** 2 * self.inner_product(eta, eta)
-        gap = rhs - lhs
-        evals = np.linalg.eigvalsh((gap + gap.conj().T) / 2.0)
-        return max(0.0, -float(evals.min()))
+        """Violation of <eta|xi><xi|eta> <= ||xi||^2 <eta|eta> (0 if it holds),
+        read in B's coordinates."""
+        b_alg = self.algebra
+        lhs = b_alg.multiply(self.inner_product(eta, xi), self.inner_product(xi, eta))
+        gap = self.norm(xi) ** 2 * self.inner_product(eta, eta) - lhs
+        return max(0.0, -float(_lowest(b_alg, (gap + b_alg.adjoint(gap)) / 2.0)))
+
+
+def _lowest(b_alg: MatrixStarAlgebra, h: np.ndarray) -> np.ndarray:
+    """The least eigenvalue of each Hermitian element of B (coordinates
+    (..., k)), from its left-regular matrix, whose spectrum is the
+    element's in B."""
+    if b_alg.dim == 0:
+        return np.zeros(h.shape[:-1])
+    return np.linalg.eigvalsh(b_alg.left_regular(h))[..., 0]
 
 
 # -- standard constructions ---------------------------------------------------
@@ -262,7 +260,7 @@ def scalar_algebra(n_points: int) -> MatrixStarAlgebra:
     table comes from the 1 x 1 diagonal blocks of its basis."""
     eye = np.eye(n_points, dtype=complex)
     basis = eye[:, :, None] * eye[:, None, :]       # [x, x, x] = 1
-    return StructuredAlgebra(n_points, basis, *product_table(eye[:, :, None, None]))
+    return MatrixStarAlgebra(n_points, basis, *product_table(eye[:, :, None, None]))
 
 
 def function_module(sys: EquivariantSystem) -> FDHilbertModule:
@@ -412,14 +410,16 @@ def compact_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> CompactOp
 
 
 def fullness_ideal(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
-    """span{<xi|eta>} inside B; an ideal of B, all of B iff E is full.
+    """span{<xi|eta>} inside B, in coordinates against orthonormal rows of
+    B's (restricted_algebra); an ideal of B, all of B iff E is full.
 
     The span is taken on the (m^2, dim B) inner coefficients, which have the
-    singular values of the embedded values, since B's basis is orthonormal.
+    singular values of the values themselves, since B's basis is
+    orthonormal.
     """
     m = e.carrier_dim
-    rows = orthonormal_rows(e.inner.reshape(m * m, e.algebra.dim), tol)
-    return MatrixStarAlgebra(e.algebra.ambient_dim, e.algebra.element(rows))
+    return restricted_algebra(e.algebra,
+                              orthonormal_rows(e.inner.reshape(m * m, e.algebra.dim), tol))
 
 
 def is_full(e: FDHilbertModule, tol: float = 1e-8) -> bool:
@@ -471,7 +471,7 @@ class EquivariantModule:
         # Transposed, gamma_w and beta_w act on the rows of the samples.
         gamma, beta = self.gamma.swapaxes(1, 2), self.beta.maps.swapaxes(1, 2)
         gx, size = xi @ gamma, np.linalg.norm(xi, axis=-1)
-        op = np.linalg.svd(b_alg.element(c), compute_uv=False).max(axis=-1, initial=0.0)  # |b|_op
+        op = b_alg.norm(c)                                                 # |b|_op
         # [w, sample, check]; inner values in B's coordinates, whose norm is
         # the trace norm.
         bad = np.stack([
@@ -518,18 +518,15 @@ def trivial_equivariant_module(e: FDHilbertModule,
 
 
 def green_julg_module(eq: EquivariantModule,
-                      cp: CrossedProduct | None = None,
-                      tol: float = DEFAULT_TOL) -> tuple[FDHilbertModule, CrossedProduct]:
+                      cp: CrossedProduct | None = None) -> tuple[FDHilbertModule, CrossedProduct]:
     """E as a module over B >| W: xi . bw = gamma_{w^-1}(xi b), averaged inner.
 
     The inner product is <<xi|eta>> = sum_w <xi|gamma_w eta> w.  Both tensors
     are built in crossed coefficients, (w, i) for a_(w,i) = b_i w / sqrt|W|,
-    the coordinates in cp.algebra.  This builds the embedded crossed product
-    as the module's algebra; spans of inner values can be compared in
-    cp's coefficients without it.
+    the coordinates of cp.algebra, which is the module's algebra.
     """
     base = eq.base
-    cp = cp or crossed_product(eq.beta, tol)
+    cp = cp or crossed_product(eq.beta)
     m = base.carrier_dim
     action = _averaged_maps(eq).reshape(cp.dim, m, m)
     inner = averaged_inner_coefficients(eq).reshape(m, m, cp.dim)
@@ -665,13 +662,12 @@ def verify_morita(a_alg: MatrixStarAlgebra, e: FDHilbertModule,
     injective = img_rows.shape[0] == a_alg.dim
     span_match = (img_rows.shape[0] == compacts.raw_rows.shape[0]
                   and spans_equal(img_rows, compacts.raw_rows, tol))
-    # Eight samples, each drawing c1 then c2, real parts before imaginary.
+    # Eight samples, each drawing c1 then c2, real parts before imaginary;
+    # their products and adjoints are read off A's tables.
     draws = rng.standard_normal((8, 4, a_alg.dim))
     c1, c2 = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
-    a1 = a_alg.element(c1)
     l1, l2, l12, lstar = (np.tensordot(c, left_action, axes=1) for c in (
-        c1, c2, a_alg.coefficients(a1 @ a_alg.element(c2)),
-        a_alg.coefficients(a1.conj().swapaxes(1, 2))))
+        c1, c2, a_alg.multiply(c1, c2), a_alg.adjoint(c1)))
     top = [np.abs(x).max(axis=(1, 2), initial=0.0)
            for x in (l1, l2, l1 @ l2 - l12, lstar - e.module_adjoint(l1))]
     scale = np.maximum(1.0, top[0] * top[1])
@@ -681,12 +677,19 @@ def verify_morita(a_alg: MatrixStarAlgebra, e: FDHilbertModule,
 
 
 def _block_sum(b1: MatrixStarAlgebra, b2: MatrixStarAlgebra) -> MatrixStarAlgebra:
-    """B1 (+) B2, block-diagonal in M_{N1 + N2}."""
-    n1, n = b1.ambient_dim, b1.ambient_dim + b2.ambient_dim
-    basis = np.zeros((b1.dim + b2.dim, n, n), dtype=complex)
-    basis[:b1.dim, :n1, :n1] = b1.basis
-    basis[b1.dim:, n1:, n1:] = b2.basis
-    return MatrixStarAlgebra(n, basis)
+    """B1 (+) B2 in coordinates, block-diagonal in M_{N1 + N2}: each table
+    is block-diagonal, the traces are concatenated, and the residual is the
+    larger of the two."""
+    k1, k = b1.dim, b1.dim + b2.dim
+    table = np.zeros((k, k, k), dtype=complex)
+    table[:k1, :k1, :k1] = b1.structure
+    table[k1:, k1:, k1:] = b2.structure
+    star = np.zeros((k, k), dtype=complex)
+    star[:k1, :k1] = b1.star
+    star[k1:, k1:] = b2.star
+    return MatrixStarAlgebra(b1.ambient_dim + b2.ambient_dim, None, table,
+                             max(b1.closure_residual(), b2.closure_residual()), star,
+                             np.concatenate([b1.traces, b2.traces]))
 
 
 def direct_sum_module(e1: FDHilbertModule, e2: FDHilbertModule) -> FDHilbertModule:

@@ -1,23 +1,29 @@
-"""Finite-dimensional *-algebras of complex matrices.
+"""Finite-dimensional *-algebras, read in orthonormal coordinates.
 
-This is the brute-force oracle layer: generation by closure, commutants by
-nullspace, block (Wedderburn) structure by randomized central splitting,
-the ideal test, and the finite-dimensional separating-subalgebra checker.
-Each algebra has one product table <b_l, b_i b_j>, from one slabbed pass
-that also measures the closure residual in O(k N^2 + k^3) memory, and its
-traces tr b_k and star table <b_l, b_i*>, each built once.  The center,
-the unit's coefficients conj(tr b_k) and the block structure are solved
-from them in the algebra's k coordinates, never on M_N.  The dense pass
-multiplies the k N x N basis matrices pairwise; it stays for spans with no
-known structure, such as algebra_from_span's.  A
-StructuredAlgebra is given its table and closure residual by its builder:
-the fixed-point algebra and C(X) run the same pass on the d x d diagonal
-blocks of their block-diagonal bases, and a crossed product reads its table
-off its structure tensor and checks the relations of its embedding.
+Every algebra is read through three tables over an orthonormal basis b_k:
+its product table <b_l, b_i b_j>, its star table <b_l, b_i*> and its
+traces tr b_k, each built once.  Products, adjoints, norms (of left-regular
+matrices), the unit's check, the center, the block structure and
+subalgebras spanned by coordinate rows are all solved from them in the
+algebra's k coordinates, never on M_N.
 
-An algebra is stored as an orthonormal basis under the trace inner product
-trace(a* b); with row-major flattening that is the standard inner product
-on C^(N*N), so all span arithmetic reduces to plain linear algebra.
+An algebra given as a span of N x N matrices keeps that basis,
+orthonormal under the trace inner product trace(a* b); with row-major
+flattening that is the standard inner product on C^(N*N), so its span
+arithmetic reduces to plain linear algebra, and its tables are read off
+the basis.  The dense pass, which multiplies the k basis matrices
+pairwise and also measures the closure residual in O(k N^2 + k^3) memory,
+stays for spans with no known structure, such as algebra_from_span's.  A
+builder that knows the structure passes the table and its residual
+instead: the fixed-point algebra and C(X) run the same pass on the d x d
+diagonal blocks of their block-diagonal bases.  An algebra without a basis
+is given all three tables: the crossed product reads them off its
+structure tensor, and a subalgebra spanned by coordinate rows
+(restricted_algebra) off its parent's tables.
+
+The dense layer stays as the oracle and for the algebras that are spans:
+generation by closure, commutants by nullspace and the finite-dimensional
+separating-subalgebra checker.
 """
 from __future__ import annotations
 
@@ -52,25 +58,37 @@ class SplitError(RuntimeError):
 _PRODUCT_SLAB = 1 << 20
 
 
-def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value."""
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
 @dataclass(frozen=True)
 class MatrixStarAlgebra:
-    """A *-closed linear span of N x N complex matrices.
+    """A finite-dimensional *-algebra in orthonormal coordinates b_k, read
+    through `structure` <b_l, b_i b_j>, `star` <b_l, b_i*> and `traces`
+    tr b_k.
 
-    `basis` has shape (dim, N, N) and is orthonormal under trace(a* b).
+    `basis`, for an algebra given as a span of N x N matrices, has shape
+    (dim, N, N) and is orthonormal under trace(a* b); the tables are read
+    off it.  `table` and `product_residual`, when given, are the product
+    table and a bound on how far products and adjoints leave the span, so
+    the dense pass never runs.  An algebra without a basis (None) is given
+    `star_table` and `trace_values` too, and `ambient_dim` is the size of
+    the matrices its builder represents it on.  Either way the left-regular
+    matrices L_c = (structure @ c).T represent the algebra faithfully, and
+    an injective *-homomorphism of C*-algebras is isometric (Murphy,
+    C*-Algebras and Operator Theory, 1990, 3.1.5), so the operator norm of
+    L_c is that of the element.
     """
 
     ambient_dim: int
-    basis: np.ndarray
+    basis: np.ndarray | None
+    table: np.ndarray | None = field(default=None, repr=False)
+    product_residual: float = 0.0
+    star_table: np.ndarray | None = field(default=None, repr=False)
+    trace_values: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.basis is None:
+            if self.table is None or self.star_table is None or self.trace_values is None:
+                raise AlgebraError("an algebra without a basis needs its three tables")
+            return
         basis = np.asarray(self.basis, dtype=complex)
         n = self.ambient_dim
         if basis.ndim != 3 or basis.shape[1:] != (n, n):
@@ -81,9 +99,11 @@ class MatrixStarAlgebra:
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return len(self.traces)
 
     def basis_rows(self) -> np.ndarray:
+        if self.basis is None:
+            raise AlgebraError("the algebra has no basis of matrices; read it in coordinates")
         return flatten(self.basis)
 
     def contains(self, mats, tol: float = DEFAULT_TOL) -> bool:
@@ -106,7 +126,9 @@ class MatrixStarAlgebra:
 
     @cached_property
     def _products(self) -> tuple[np.ndarray, float]:
-        """(structure, product residual), from the algebra's product pass."""
+        """(structure, product residual), from the builder or the dense pass."""
+        if self.table is not None:
+            return self.table, self.product_residual
         return self._product_pass()
 
     def _product_pass(self) -> tuple[np.ndarray, float]:
@@ -123,18 +145,24 @@ class MatrixStarAlgebra:
     def traces(self) -> np.ndarray:
         """tr b_k per basis element: conj(tr b_k) are the unit's coefficients
         and tr b_k / sum_l |tr b_l|^2 the trace state tau(b_k)."""
+        if self.basis is None:
+            return self.trace_values
         return np.trace(self.basis, axis1=1, axis2=2)
 
     @cached_property
     def star(self) -> np.ndarray:
         """<b_l, b_i*> = conj(tr(b_l b_i)) indexed [l, i], so
         b_i* = sum_l star[l, i] b_l."""
+        if self.basis is None:
+            return self.star_table
         return (self.basis_rows() @ flatten(self.basis.swapaxes(1, 2)).T).conj()
 
     def closure_residual(self) -> float:
         """How far products and adjoints stray from the span (0 for an algebra)."""
         if self.dim == 0:
             return 0.0
+        if self.basis is None:
+            return self._products[1]
         off = self.star.T @ self.basis_rows() - flatten(self.basis.conj().swapaxes(1, 2))
         return max(self._products[1], float(np.linalg.norm(off, axis=1).max()))
 
@@ -146,44 +174,55 @@ class MatrixStarAlgebra:
         if self.closure_residual() > tol * max(self.ambient_dim, 1):
             raise AlgebraError("span is not closed under product/adjoint")
 
+    # -- arithmetic in coordinates -------------------------------------------
+
+    def left_regular(self, c: np.ndarray) -> np.ndarray:
+        """L_c, the matrix of x -> c x on coordinates, for c (..., dim):
+        column j is the coordinates of c b_j."""
+        return np.swapaxes(np.tensordot(c, self.structure, axes=(-1, -1)), -2, -1)
+
+    def multiply(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+        """The coordinates of the products of coordinate stacks that broadcast."""
+        return (self.left_regular(c1) @ np.asarray(c2)[..., None])[..., 0]
+
+    def adjoint(self, c: np.ndarray) -> np.ndarray:
+        """The coordinates of the adjoints of a coordinate stack."""
+        return np.conj(c) @ self.star.T
+
+    def norm(self, c: np.ndarray) -> np.ndarray:
+        """The operator norm of each element of a coordinate stack: the
+        largest singular value of its left-regular matrix."""
+        c = np.asarray(c, dtype=complex)
+        if self.dim == 0:
+            return np.zeros(c.shape[:-1])
+        return np.linalg.svd(self.left_regular(c), compute_uv=False)[..., 0]
+
     # -- structural elements -------------------------------------------------
 
     def unit(self) -> np.ndarray:
-        """The algebra's own unit (sum of minimal central projections).
+        """The coordinates of the algebra's own unit (the sum of its minimal
+        central projections).
 
         The unit e of a *-closed span A is the trace-orthogonal projection
         of 1 onto A: for a in A, <a, 1 - e> = tr(a*) - tr(a* e) = 0 as
-        a* e = a*.  So e has coefficients <b_l, 1> = conj(tr b_l).  A span
-        without a unit fails the check e b = b, which raises AlgebraError
-        on every call.  Built once and kept on the instance.
+        a* e = a*.  So e has coefficients <b_l, 1> = conj(tr b_l), and
+        tr e = |e|^2 = sum_l |tr b_l|^2.  A span without a unit fails the
+        check e b_j = b_j, read off the table as L_e = 1, which raises
+        AlgebraError on every call.  Built once and kept on the instance.
         """
         return self._unit
 
     @cached_property
     def _unit(self) -> np.ndarray:
-        e = self.element(self.traces.conj())
-        defect = np.linalg.norm(e @ self.basis - self.basis, axis=(1, 2))
-        if np.any(defect > 1e-6 * np.maximum(1.0, np.linalg.norm(self.basis, axis=(1, 2)))):
+        e = self.traces.conj()
+        defect = np.linalg.norm(self.left_regular(e) - np.eye(self.dim), axis=0)
+        if np.any(defect > 1e-6):
             raise AlgebraError("algebra has no unit in its span")
         return e
 
     def is_unital(self, tol: float = DEFAULT_TOL) -> bool:
         """True when the ambient identity lies in the span."""
         return self.contains(np.eye(self.ambient_dim), tol)
-
-
-@dataclass(frozen=True)
-class StructuredAlgebra(MatrixStarAlgebra):
-    """A matrix *-algebra whose builder derived its product table from the
-    algebra's structure, with a residual that bounds how far products leave
-    the span, so the dense pass never runs.  `validate` checks that
-    residual, the adjoints and orthonormality as for any algebra."""
-
-    table: np.ndarray = field(repr=False)
-    product_residual: float
-
-    def _product_pass(self) -> tuple[np.ndarray, float]:
-        return self.table, self.product_residual
 
 
 def product_table(elems: np.ndarray) -> tuple[np.ndarray, float]:
@@ -224,10 +263,10 @@ def product_table(elems: np.ndarray) -> tuple[np.ndarray, float]:
     return table, worst
 
 
-def restricted_algebra(alg: MatrixStarAlgebra, rows: np.ndarray) -> StructuredAlgebra:
+def restricted_algebra(alg: MatrixStarAlgebra, rows: np.ndarray) -> MatrixStarAlgebra:
     """The span of s_r = sum_k rows[r, k] b_k, for orthonormal rows of
-    alg's coordinates, with alg's table restricted to it: no two matrices
-    are multiplied.
+    alg's coordinates, in coordinates against the rows: no two matrices are
+    multiplied and no basis is formed.
 
     s_i s_j is sum_(k, k') rows[i, k] rows[j, k'] b_k b_k'.  alg's table
     gives the projection v of that product onto alg's span, in alg's
@@ -235,16 +274,23 @@ def restricted_algebra(alg: MatrixStarAlgebra, rows: np.ndarray) -> StructuredAl
     distance from their span |v - v rows* rows|.  What each b_k b_k' leaves
     outside alg's span is at most alg's product residual rho, so s_i s_j
     leaves the rows' span by at most that distance plus
-    |rows[i]|_1 |rows[j]|_1 rho, the residual kept.
+    |rows[i]|_1 |rows[j]|_1 rho.  The adjoints s_i* are read off alg's star
+    table the same way, and the residual kept is the larger distance.  The
+    traces are tr s_r = sum_k rows[r, k] tr b_k.
     """
     # [j, i, l]: the b_l coordinate of s_i s_j, from alg's table [k', l, k].
     v = (np.tensordot(rows, alg.structure, axes=(1, 0)) @ rows.T).transpose(0, 2, 1)
     coeffs = v @ rows.conj().T
     v -= coeffs @ rows
+    stars = alg.adjoint(rows)                                       # [i, l]
+    star_coeffs = stars @ rows.conj().T
+    stars -= star_coeffs @ rows
     l1 = np.abs(rows).sum(axis=1).max(initial=0.0)
-    residual = float(np.linalg.norm(v, axis=-1).max(initial=0.0)) + l1 ** 2 * alg._products[1]
-    return StructuredAlgebra(alg.ambient_dim, alg.element(rows),
-                             coeffs.transpose(0, 2, 1), residual)
+    residual = max(float(np.linalg.norm(v, axis=-1).max(initial=0.0))
+                   + l1 ** 2 * alg._products[1],
+                   float(np.linalg.norm(stars, axis=-1).max(initial=0.0)))
+    return MatrixStarAlgebra(alg.ambient_dim, None, coeffs.transpose(0, 2, 1), residual,
+                             star_coeffs.T, rows @ alg.traces)
 
 
 def algebra_from_span(mats, ambient_dim: int | None = None,
@@ -329,7 +375,7 @@ def center(alg: MatrixStarAlgebra, tol: float = DEFAULT_TOL) -> MatrixStarAlgebr
 class Block:
     size: int
     multiplicity: int
-    projection: np.ndarray  # minimal central projection, ambient N x N
+    projection: np.ndarray  # the minimal central projection's coordinates
 
 
 @dataclass(frozen=True)
@@ -393,35 +439,12 @@ def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
                         np.linalg.norm(square - p) > cut * max(1.0, np.linalg.norm(p)):
                     break
                 m = int(round((alg.traces @ p).real / n))
-                blocks.append(Block(size=n, multiplicity=m, projection=alg.element(p)))
+                blocks.append(Block(size=n, multiplicity=m, projection=p))
             else:
                 blocks.sort(key=lambda b: (b.size, -b.multiplicity))
                 return BlockStructure(alg, tuple(blocks))
         gap *= 2.0
     raise SplitError("central splitting failed; reseed or loosen tolerance")
-
-
-# -- ideals ------------------------------------------------------------------
-
-
-def is_ideal(ideal: MatrixStarAlgebra, alg: MatrixStarAlgebra,
-             tol: float = DEFAULT_TOL) -> bool:
-    """Two-sided *-closed ideal test: i* and i a stay in the span.
-
-    Each product m may leave the span by at most tol * max(1, |m|).  The
-    products are tested one basis element a at a time against the whole
-    ideal basis, so memory stays O(dim I * N^2) whatever dim A is.  A is
-    *-closed, so once I* = I holds, a i = (i* a*)* lies in I because i* a*
-    does: the left products need no test of their own.
-    """
-    if ideal.dim == 0:
-        return True
-    if not alg.contains(ideal.basis, max(tol, 1e-8)):
-        return False
-    rows = ideal.basis_rows()
-    if not span_contains(rows, flatten(np.conj(np.transpose(ideal.basis, (0, 2, 1)))), tol):
-        return False
-    return all(span_contains(rows, flatten(ideal.basis @ a), tol) for a in alg.basis)
 
 
 # -- separating subalgebras / Stone-Weierstrass -----------------------------
@@ -444,7 +467,7 @@ def _block_restriction(structure: BlockStructure, sub: MatrixStarAlgebra,
     range(p) and then slicing a single irreducible summand via the commutant
     of the compressed subalgebra of A.
     """
-    p = structure.blocks[index].projection
+    p = structure.algebra.element(structure.blocks[index].projection)
     q = _range(p)
     comp_a = _compress(q, structure.algebra.basis)
     # Inside range(p), A acts as M_n (x) 1_m; its commutant is 1_n (x) M_m.
@@ -469,7 +492,7 @@ def is_separating(sub: MatrixStarAlgebra, alg: MatrixStarAlgebra,
     if not alg.contains(sub.basis, max(tol, 1e-8)):
         raise AlgebraError("first argument is not a subalgebra of the second")
     structure = block_decompose(alg, seed=seed, tol=tol)
-    missing_unit = not sub.contains(alg.unit(), max(tol, 1e-7))
+    missing_unit = not sub.contains(alg.element(alg.unit()), max(tol, 1e-7))
     restrictions = [_block_restriction(structure, sub, i, tol)
                     for i in range(len(structure.blocks))]
     reducible = []

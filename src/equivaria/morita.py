@@ -16,22 +16,20 @@ reduced dual.
 
 The ideal test and the comparison of J with C run in the crossed product's
 coefficients, which are orthonormal coordinates, so rank cuts, norms and
-residuals are those of the embedded matrices.  Both J and C split over the
-points of X: the point indicators delta_x cut every coefficient array into
-|X| column blocks of C^|W|, so C is spanned by coset indicators point by
-point and J's rank is one batched cut over the points
+residuals are those of the trace inner product.  Both J and C split over
+the points of X: the point indicators delta_x cut every coefficient array
+into |X| column blocks of C^|W|, so C is spanned by coset indicators point
+by point and J's rank is one batched cut over the points
 (verify_morita_theorem gives the argument), which also names the points
 where J falls short of C.  J's blocks are read off the base module's
 inner values, which lie at their left vector's point, and the averaged
-tensor over all points is never formed.  C's orthonormal rows are
-coordinates against the embedded crossed product's algebra: C's algebra is
-those rows times that basis, with that algebra's product table restricted
-to them, and the Green-Julg module is rebased onto C by projecting its
-inner coefficients onto those rows.  Stabilizers and orbits are the
-systems' (EquivariantSystem.orbits).  The embedded crossed
-product is built only when both cocycle conditions hold, as the algebra of
-the averaged module, and the fixed-point algebra only when J = C as well,
-for the Morita witness.
+tensor over all points is never formed.  C's algebra is the crossed
+product's coordinate algebra restricted to C's orthonormal rows, and the
+Green-Julg module is rebased onto C by projecting its inner coefficients
+onto those rows; no crossed-product element is embedded as a matrix.
+Stabilizers and orbits are the systems' (EquivariantSystem.orbits).  The
+Green-Julg module is built only when both cocycle conditions hold, and the
+fixed-point algebra only when J = C as well, for the Morita witness.
 """
 from __future__ import annotations
 
@@ -204,16 +202,15 @@ def _wprime_mask(wprime, w_n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CIdeal:
-    """C(X, W, I) inside C(X) >| W, in coefficients; embedded on demand.
+    """C(X, W, I) inside C(X) >| W, in coefficients.
 
-    `rows` spans the ideal in cp's coefficients.  They are orthonormal
-    coordinates against cp.algebra's basis, where norms and inner products
-    are those of the embedded matrices.  Every row lies in one point's
-    column block (., x), x = `points[row]`, in increasing order of x.
-    `algebra`, the embedded span with basis rows @ cp.algebra's basis and
-    cp.algebra's table restricted to it, is built on first access; an ideal
-    of full dimension is the whole crossed product, and its algebra is
-    cp.algebra.
+    `rows` spans the ideal in cp's coefficients, which are orthonormal
+    coordinates of cp.algebra, so norms and inner products are those of the
+    trace.  Every row lies in one point's column block (., x),
+    x = `points[row]`, in increasing order of x.  `algebra`, the ideal in
+    coordinates against the rows with cp.algebra's tables restricted to
+    them (restricted_algebra), is built on first access; an ideal of full
+    dimension is the whole crossed product, and its algebra is cp.algebra.
     """
 
     system: EquivariantSystem
@@ -246,7 +243,7 @@ def c_ideal(sys: EquivariantSystem, scalar: ScalarStructure | None = None,
     *-closed ideal of C(X) >| W (CrossedProduct.is_ideal).
     """
     scalar = scalar or scalar_subgroups(sys, max(tol, 1e-8))
-    cp = cp or crossed_product(scalar_translation_action(sys), tol)
+    cp = cp or crossed_product(scalar_translation_action(sys))
     g = sys.group
     w_n, x_n = g.order, sys.n_points
     wp = _wprime_mask(scalar.wprime, w_n)
@@ -370,10 +367,9 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     conditions the spans must agree and a Morita witness is produced.  When
     completeness fails the strictness of J in C is reported instead, and
     `gaps` names the points x where dim J_x < dim C_x.  `scalar`, when
-    given, must be scalar_subgroups(sys, tol).  The crossed product, J's
-    rank, C's ideal check, the span tests, the fixed-point algebra, both
-    block decompositions and the witness all take `tol`, which the verdict
-    records.
+    given, must be scalar_subgroups(sys, tol).  J's rank, C's ideal check,
+    the span tests, the fixed-point algebra, both block decompositions and
+    the witness all take `tol`, which the verdict records.
 
     J and C are compared in the crossed product's coefficients, which are
     orthonormal, so their singular values, norms and residuals are those of
@@ -403,7 +399,7 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     check_tol(tol)
     scalar = scalar or scalar_subgroups(sys, tol)
     eq = equivariant_function_module(sys)
-    cp = crossed_product(eq.beta, tol)
+    cp = crossed_product(eq.beta)
     cid = c_ideal(sys, scalar, cp, tol)
     conditions = scalar.normalisation_ok and scalar.completeness_ok
     x_n, d = sys.n_points, sys.fiber_dim
@@ -563,7 +559,7 @@ def _semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int,
     # on the W'-invariant vectors by compression.
     eq_q, u_rows = _quotient_equivariant_module(sys, sys_p, u_emb, v_sub, tol)
     eq_q.validate(max(tol, 1e-8))
-    gj_q, cp_q = green_julg_module(eq_q, tol=tol)
+    gj_q, cp_q = green_julg_module(eq_q)
     fpa = thm.fpa
     left = u_rows.conj() @ fpa.basis @ u_rows.T
     final_witness = verify_morita(fpa, gj_q, left, tol,

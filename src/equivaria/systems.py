@@ -5,29 +5,26 @@ dimension d, and a unitary cocycle I_{w,x} satisfying
 I_{w1, w2 x} I_{w2, x} = I_{w1 w2, x}.  The induced action on matrix-valued
 functions is alpha_w(k)(x) = I_{w, w^-1 x} k(w^-1 x) I_{w^-1, x}.
 
-The module also realizes crossed products B >| W by the regular embedding
-on l^2(W) (x) C^N and verifies the two structural isomorphisms
-C(X) >| W ~ C(X, K(l^2 W))^W and (B >| U) >| V ~ B >| W for W = U >| V.
-A CrossedProduct works in crossed coefficients: its structure tensor
-carries products, adjoints and the ideal test, so building one costs
-O(|W| dim B^3).  The action preserves the trace, so the elements
-a_(w,i) = b_i w / sqrt|W| are orthonormal, and crossed coefficients are
-taken against them: they are the coordinates of the one matrix algebra,
-and a module over B >| W keeps its inner values as those rows and never
-embeds them.  The |W| dim B embedded basis elements are built on first use
-only, when a Morita witness needs that algebra.  No other module embeds or
-coordinatizes crossed-product elements.  That algebra's product table is
-read off the structure tensor, and its span is checked by the relations of
-the covariant pair the embedding integrates, never by forming the
-(|W| dim B)^2 products of embedded matrices.  Likewise the fixed-point
-algebra's table and closure residual come from the pointwise products of
-its invariant functions, not from its block-diagonal N x N matrices.  The
-invariant functions are solved one orbit at a time: a commutant of the
-stabilizer's cocycle at the orbit's least point, transported along the
-orbit, so each function vanishes off one orbit and the table is zero
-outside the orbit blocks; no kernel is solved over the whole |X| d^2
-space of functions.  The orbits and stabilizers are derived once per
-system, by EquivariantSystem.orbits, which every orbit-wise solver reads.
+The module also realizes crossed products B >| W and verifies the two
+structural isomorphisms C(X) >| W ~ C(X, K(l^2 W))^W and
+(B >| U) >| V ~ B >| W for W = U >| V.  A CrossedProduct works in crossed
+coefficients: its structure tensor carries products, adjoints and the
+ideal test, so building one costs O(|W| dim B^3).  The action preserves
+the trace, so the elements a_(w,i) = b_i w / sqrt|W| are orthonormal in the
+regular representation on l^2(W) (x) C^N, and crossed coefficients are
+taken against them: they are the coordinates of the crossed product's
+algebra, whose product table, star table and traces are read off the
+structure tensor, B's star table and B's traces.  No crossed-product
+element is ever embedded as a matrix, and a module over B >| W keeps its
+inner values as those rows.  The fixed-point algebra's table and closure
+residual come from the pointwise products of its invariant functions, not
+from its block-diagonal N x N matrices.  The invariant functions are
+solved one orbit at a time: a commutant of the stabilizer's cocycle at the
+orbit's least point, transported along the orbit, so each function
+vanishes off one orbit and the table is zero outside the orbit blocks; no
+kernel is solved over the whole |X| d^2 space of functions.  The orbits
+and stabilizers are derived once per system, by EquivariantSystem.orbits,
+which every orbit-wise solver reads.
 """
 from __future__ import annotations
 
@@ -48,7 +45,7 @@ from .linalg import (
     span_contains,
     spans_equal,
 )
-from .matalg import MatrixStarAlgebra, StructuredAlgebra, product_table
+from .matalg import MatrixStarAlgebra, product_table
 from .reps import regular_rep
 
 
@@ -61,7 +58,10 @@ class EquivariantSystem:
     """The datum (X, W, H, I): points, action, fiber dimension, cocycle.
 
     `action[w, x]` is the index of w.x; `cocycle[w, x]` is the d x d unitary
-    I_{w,x}.  Systems are validated eagerly; invalid ones never exist.
+    I_{w,x}.  Systems are validated eagerly; invalid ones never exist.  The
+    system keeps read-only copies of `action` and `cocycle`, so neither an
+    in-place write nor an edit of the arrays passed in can change it after
+    validation, nor leave `orbits` stale.
     """
 
     group: FiniteGroup
@@ -74,8 +74,8 @@ class EquivariantSystem:
     def __post_init__(self):
         w_n = self.group.order
         x_n = len(self.points)
-        action = np.asarray(self.action, dtype=np.intp)
-        coc = np.asarray(self.cocycle, dtype=complex)
+        action = np.array(self.action, dtype=np.intp)
+        coc = np.array(self.cocycle, dtype=complex)
         d = self.fiber_dim
         if action.shape != (w_n, x_n):
             raise SystemError("action table has wrong shape")
@@ -103,6 +103,8 @@ class EquivariantSystem:
         if bad.any():
             w1, w2, x = np.unravel_index(bad.argmax(), bad.shape)
             raise SystemError(f"cocycle identity fails at (w1={w1}, w2={w2}, x={x})")
+        action.setflags(write=False)
+        coc.setflags(write=False)
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "cocycle", coc)
         object.__setattr__(self, "points", tuple(self.points))
@@ -420,7 +422,7 @@ def fixed_point_algebra(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> Mat
     """
     check_tol(tol)
     funcs = invariant_functions(sys, tol)
-    alg = StructuredAlgebra(sys.total_dim, embed_function(sys, funcs), *product_table(funcs))
+    alg = MatrixStarAlgebra(sys.total_dim, embed_function(sys, funcs), *product_table(funcs))
     alg.validate(max(tol, 1e-8))
     return alg
 
@@ -495,9 +497,14 @@ class AlgebraAction:
         if np.linalg.norm(maps @ star - star @ maps.conj(), axis=1).max(initial=0.0) > tol:
             raise SystemError("action does not preserve the involution")
         prod = alg.structure   # [j, l, i]: <b_l, b_i b_j>
+        w_n = len(maps)
         # [w, i, j]: beta_w(b_i b_j) - beta_w(b_i) beta_w(b_j), in B's coordinates.
-        lhs = np.einsum("wml,jli->wijm", maps, prod, optimize=True)
-        rhs = np.einsum("wpi,wqj,qmp->wijm", maps, maps, prod, optimize=True)
+        lhs = (prod.transpose(2, 0, 1).reshape(k * k, k) @ maps.swapaxes(1, 2)).reshape(
+            w_n, k, k, k)
+        # [w, j, m, p]: the b_m coordinate of b_p beta_w(b_j); then b_p -> beta_w(b_i).
+        right = (maps.swapaxes(1, 2) @ prod.reshape(k, k * k)).reshape(w_n, k, k, k)
+        rhs = (maps.swapaxes(1, 2) @ right.transpose(0, 3, 1, 2).reshape(w_n, k, k * k)).reshape(
+            w_n, k, k, k)
         if np.linalg.norm(lhs - rhs, axis=-1).max(initial=0.0) > tol:
             raise SystemError("action is not multiplicative")
 
@@ -511,24 +518,21 @@ def function_algebra_action(sys: EquivariantSystem) -> AlgebraAction:
 
 @dataclass(frozen=True)
 class CrossedProduct:
-    """B >| W in crossed coefficients, with its regular embedding on demand.
+    """B >| W in crossed coefficients.
 
     Coefficient elements are (..., |W|, dim B) arrays f meaning
     sum_(w,i) f[w, i] a_(w,i), for a_(w,i) = b_i w / sqrt|W|.  One small
     array carries the algebra: `structure`, with
     a_(w,i) a_(v,j) = sum_l structure[w, i, j, l] a_(wv,l).  Products,
     adjoints and span tests run on it.  Every beta_w is unitary on B's
-    orthonormal basis (crossed_product checks it), so the embedded a_(w,i)
-    are orthonormal: the coefficients are the coordinates in `algebra`'s
-    basis, and their standard inner products are the trace inner products
-    of the embedded matrices.  `embedding` (row w * dim B + i is a_(w,i)
-    embedded, as built by crossed_basis) and `algebra` are built on first
-    access only.
+    orthonormal basis (crossed_product checks it), so the a_(w,i) are
+    orthonormal in the regular representation on l^2(W) (x) C^N: the
+    coefficients are the coordinates of `algebra`, and their standard inner
+    products are the trace inner products there.
     """
 
     action: AlgebraAction
     structure: np.ndarray       # (|W|, dim B, dim B, dim B)
-    tol: float = DEFAULT_TOL    # closure tolerance of the embedded algebra
 
     @property
     def group(self) -> FiniteGroup:
@@ -540,45 +544,30 @@ class CrossedProduct:
         return self.group.order * self.action.algebra.dim
 
     @cached_property
-    def embedding(self) -> np.ndarray:
-        """(|W| dim B, |W| N, |W| N): every a_(w,i) embedded."""
-        return crossed_basis(self.action)
-
-    @cached_property
     def algebra(self) -> MatrixStarAlgebra:
-        """The embedded crossed product, with `embedding` as its basis.
+        """B >| W as an algebra in its own coordinates, the crossed
+        coefficients, with no basis of matrices.
 
-        Basis element (w, j) is a_(w, j) = b_j w / sqrt|W|, orthonormal
-        because beta is unitary, so crossed coefficients are coordinates
-        against it.  Its product table is multiply(I, I), read off
-        `structure`; no two embedded matrices are multiplied for it.
-
-        That table is the embedded one because the embedding is the
-        integrated form of a covariant pair (pi, U) (Williams, Crossed
-        Products of C*-Algebras, 2007, 2.3).  Here pi(b) acts on
-        delta_v (x) C^N by beta_(v^-1)(b) and U_w = lambda_w (x) 1_N.  When
-          (1) a_(w,i) embeds as pi(b_i) U_w / sqrt|W|,
-          (2) pi(b_i) pi(b_j) = pi(b_i b_j),
-          (3) U_w pi(b_i) U_w* = pi(beta_w(b_i)) and
-          (4) U_w U_v = U_wv,
-        then (pi(a) U_w)(pi(b) U_v) = pi(a) (U_w pi(b) U_w*) U_w U_v =
-        pi(a beta_w(b)) U_wv, the product that `structure` expands.  U_w
-        enters only as a unitary of the ambient space, never as an element
-        of the span, so the argument also holds when B's unit e is not I_N:
-        then U_w lies outside the span and the unit of the crossed product
-        is pi(e).  `validate` compares the largest residual of (1)-(4) with
-        the closure threshold, and checks adjoints and orthonormality as for
-        any algebra, with (3) read at W's generators, which with (4) and beta
-        a homomorphism covers all of W.  The check costs about (|W| + 2 |gens|)
-        dim B + |W|^2 products of embedded matrices, with (2) read in B's
-        coordinates, in place of the (|W| dim B)^2 products of a dense pass.
+        Its three tables are read off the coefficients: the product table
+        from `structure` (_table), the star table from the adjoints, with
+        a_(w,i)* in slot w^-1, and the traces tr a_(w,i) =
+        delta_(w,e) sqrt|W| tr b_i.  The last hold in the regular
+        representation, in which a_(w,i) has the block
+        beta_((wv)^-1)(b_i) / sqrt|W| at (wv, v): only w = e has diagonal
+        blocks, and each beta_v preserves the trace, since it fixes B's
+        unit and is unitary.  The regular representation is the integrated
+        form of a covariant pair (Williams, Crossed Products of
+        C*-Algebras, 2007, 2.3), so these are the tables of the embedded
+        span; its ambient size |W| N is kept as `ambient_dim`.
         """
-        n = self.group.order * self.action.algebra.ambient_dim
-        if self.dim == 0:
-            return MatrixStarAlgebra(n, np.zeros((0, n, n), dtype=complex))
-        alg = StructuredAlgebra(n, self.embedding, self._table(), self._relation_residual())
-        alg.validate(max(self.tol, 1e-8))
-        return alg
+        g, b_alg = self.group, self.action.algebra
+        w_n, k = g.order, b_alg.dim
+        star = np.zeros((w_n, k, w_n, k), dtype=complex)
+        star[g.inv, :, np.arange(w_n)] = self._adjoints
+        traces = np.zeros((w_n, k), dtype=complex)
+        traces[g.identity] = math.sqrt(w_n) * b_alg.traces
+        return MatrixStarAlgebra(w_n * b_alg.ambient_dim, None, self._table(), 0.0,
+                                 star.reshape(self.dim, self.dim), traces.reshape(-1))
 
     def _table(self) -> np.ndarray:
         """<a_(u, l), a_(w, i) a_(v, j)> indexed [(v, j), (u, l), (w, i)]:
@@ -590,40 +579,6 @@ class CrossedProduct:
         w, v = np.arange(w_n)[:, None], np.arange(w_n)
         table[v, :, g.mul[w, v], :, w] = prods[:, None]
         return table.reshape(w_n * k, w_n * k, w_n * k)
-
-    def _relation_residual(self) -> float:
-        """The largest norm by which the embedding breaks relations (1)-(4)
-        of `algebra`.  Both sides of (1) and (3) carry the 1 / sqrt|W| of
-        `embedding`; (2) is quadratic, so its coefficients are scaled back."""
-        g, b_alg, maps = self.group, self.action.algebra, self.action.maps
-        k, n, w_n = b_alg.dim, b_alg.ambient_dim, g.order
-        emb = self.embedding.reshape(w_n, k, w_n * n, w_n * n)
-        pi = emb[g.identity]
-        u = np.kron(regular_rep(g).matrices, np.eye(n))
-        u_star = u.conj().transpose(0, 2, 1)
-        pair = emb - pi @ u[:, None]                                                     # (1)
-        gens = list(g.generators())
-        covariance = (u[gens, None] @ pi @ u_star[gens, None]
-                      - np.tensordot(maps[gens], pi, axes=(1, 0)))                       # (3)
-        # (2) in B's coordinates: pi(b_i) / sqrt|W| must be block-diagonal with
-        # block v equal to sum_m c[v, i, m] b_m, and each sqrt|W| c[v] must
-        # multiply as B does, read off B's table [j, l, i].
-        v = np.arange(w_n)
-        blocks = pi.reshape(k, w_n, n, w_n, n)
-        c = b_alg.coefficients(blocks[:, v, :, v])                     # [v, i, m]
-        outside = blocks.copy()
-        outside[:, v, :, v] -= b_alg.element(c)
-        c = c * math.sqrt(w_n)
-        table = b_alg.structure.transpose(2, 0, 1)                     # [m, n, l]
-        # [v, i, j, l]: the b_l part of block v of pi(b_i) pi(b_j) - pi(b_i b_j).
-        left = c[:, None] @ (c @ table.reshape(k, k * k)).reshape(w_n, k, k, k)
-        right = (table.reshape(k * k, k) @ c).reshape(w_n, k, k, k)
-        return float(max(
-            np.linalg.norm(pair, axis=(-2, -1)).max(),
-            np.linalg.norm(covariance, axis=(-2, -1)).max(initial=0.0),
-            np.linalg.norm(homomorphism_defect(u, g.mul), axis=(-2, -1)).max(),   # (4)
-            np.linalg.norm(outside.reshape(k, -1), axis=1).max(),
-            np.linalg.norm(left - right, axis=(0, 3)).max()))
 
     def multiply(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """(a w)(b v) = a beta_w(b) (wv), for coefficient stacks that broadcast."""
@@ -652,11 +607,11 @@ class CrossedProduct:
         """Is the span of orthonormal coefficient rows (., |W| dim B) a
         two-sided *-ideal?
 
-        The test of matalg.is_ideal in coefficients: the adjoint of each
-        basis element i, then i a for each a = a_(w,j), the orthonormal basis
-        of B >| W.  A is *-closed, so a I needs no test once I* = I holds.
-        Every vector v may leave the span by tol * max(1, |v|), where norms
-        and residuals are those of the embedded matrices.  Containment in A
+        The adjoint of each basis element i is tested, then i a for each
+        a = a_(w,j), the orthonormal basis of B >| W.  A is *-closed, so
+        a I needs no test once I* = I holds.  Every vector v may leave the
+        span by tol * max(1, |v|), where norms and residuals are those of the
+        trace inner product, the coefficients being orthonormal.  Containment in A
         holds for every coefficient array.  Right multiplication by w only
         moves the group slot v to vw, so the products with one w are formed
         once and tested against each w in turn.  As many rows as B >| W has
@@ -685,39 +640,18 @@ def _slot_sum(grp: FiniteGroup, prods: np.ndarray) -> np.ndarray:
     return prods[..., w_idx, grp.mul[grp.inv], :].sum(axis=-3)
 
 
-def crossed_basis(action: AlgebraAction) -> np.ndarray:
-    """Every a_(w,i) = b_i w / sqrt|W| embedded at once: a (|W| dim B, |W| N,
-    |W| N) array, row (w, i).
-
-    The regular embedding is (b w)(delta_v (x) a) = delta_{wv} (x)
-    beta_{(wv)^-1}(b) a, so row (w, i) has the block beta_{(wv)^-1}(b_i) /
-    sqrt|W| at (wv, v), and each of the |W| twisted bases is built once,
-    from the maps scaled by 1 / sqrt|W|.
-    """
-    g = action.group
-    alg = action.algebra
-    n, k, w_n = alg.ambient_dim, alg.dim, g.order
-    twisted = np.tensordot(action.maps[g.inv] / math.sqrt(w_n), alg.basis, axes=(1, 0))
-    out = np.zeros((w_n, k, w_n, n, w_n, n), dtype=complex)
-    w, v = np.arange(w_n)[:, None], np.arange(w_n)
-    out[w, :, g.mul[w, v], :, v, :] = twisted[g.mul[w, v]]
-    return out.reshape(w_n * k, w_n * n, w_n * n)
-
-
-def crossed_product(action: AlgebraAction, tol: float = DEFAULT_TOL) -> CrossedProduct:
+def crossed_product(action: AlgebraAction) -> CrossedProduct:
     """B >| W from a validated action that preserves the trace: its
     structure tensor.
 
     SystemError unless every beta_w is unitary on B's orthonormal basis, to
     the bound of the action's homomorphism check: only then are the
-    embedded a_(w,i) = b_i w / sqrt|W| orthonormal, as CrossedProduct
-    assumes.  beta is a homomorphism, so unitarity is checked at the
-    generators.  (b_i w)(b_j v) = b_i beta_w(b_j) (wv) expands through B's
-    structure constants, the table that validating the action has already
-    read; divided by sqrt|W|, it expands a_(w,i) a_(v,j) in the a_(wv,l).
-    The embedding and its span wait for first use.
+    a_(w,i) = b_i w / sqrt|W| orthonormal, as CrossedProduct assumes.  beta
+    is a homomorphism, so unitarity is checked at the generators.
+    (b_i w)(b_j v) = b_i beta_w(b_j) (wv) expands through B's structure
+    constants, the table that validating the action has already read;
+    divided by sqrt|W|, it expands a_(w,i) a_(v,j) in the a_(wv,l).
     """
-    check_tol(tol)
     action.validate()
     k = action.algebra.dim
     gens = action.maps[list(action.group.generators())]
@@ -727,7 +661,7 @@ def crossed_product(action: AlgebraAction, tol: float = DEFAULT_TOL) -> CrossedP
     # [m, l, i] of B's structure is <b_l, b_i b_m>.
     structure = np.einsum("wmj,mli->wijl", action.maps / math.sqrt(action.group.order),
                           action.algebra.structure, optimize=True)
-    return CrossedProduct(action, structure, tol)
+    return CrossedProduct(action, structure)
 
 
 # -- structural isomorphisms -------------------------------------------------
@@ -765,7 +699,7 @@ def phi_iso(sys: EquivariantSystem, tol: float = DEFAULT_TOL,
     w_n = g.order
     rng = rng or np.random.default_rng(0)
 
-    cp = crossed_product(function_algebra_action(sys), tol)   # C(X) >| W by translation
+    cp = crossed_product(function_algebra_action(sys))   # C(X) >| W by translation
     target_sys = left_translation_system(sys)
     target = fixed_point_algebra(target_sys, tol)
     # [w, v, x]: phi(f w)(x) has f(w v^-1 x) at row v w^-1, column v.
@@ -799,7 +733,6 @@ def _translation_image(target_sys: EquivariantSystem, index, f: np.ndarray) -> n
 
 
 def iterated_crossed_iso(action: AlgebraAction, normal, complement,
-                         tol: float = DEFAULT_TOL,
                          rng: np.random.Generator | None = None):
     """(B >| U) >| V ~ B >| W for W = U >| V, via phi((a u) v) = a (u v).
 
@@ -810,8 +743,8 @@ def iterated_crossed_iso(action: AlgebraAction, normal, complement,
     semidirect_decomposition(g, normal, complement)   # raises unless W = U >| V
     u_sub = g.subgroup(normal)
     u_emb = np.array(u_sub.embedding)
-    inner = crossed_product(AlgebraAction(u_sub.group, action.algebra, action.maps[u_emb]), tol)
-    whole = crossed_product(action, tol)
+    inner = crossed_product(AlgebraAction(u_sub.group, action.algebra, action.maps[u_emb]))
+    whole = crossed_product(action)
     outer = _outer_crossed_product(whole, inner, u_emb, g.subgroup(complement))
     return _iterated_crossed_iso(whole, outer, rng or np.random.default_rng(0))
 

@@ -305,10 +305,33 @@ CLI_RUNS = [
 ]
 
 
+# The JSON report of every exit-0 run of CLI_RUNS, keyed by its arguments.
+GOLDEN_CLI_RUNS = Path(__file__).with_name("golden_cli_runs.json")
+
+
+def assert_matches_golden(report, golden, where: str) -> None:
+    """Keys, strings, ints and booleans exactly; floats within 1e-12."""
+    if isinstance(golden, dict):
+        assert isinstance(report, dict) and report.keys() == golden.keys(), where
+        for key in golden:
+            assert_matches_golden(report[key], golden[key], f"{where}/{key}")
+    elif isinstance(golden, list):
+        assert isinstance(report, list) and len(report) == len(golden), where
+        for i, (r, g) in enumerate(zip(report, golden)):
+            assert_matches_golden(r, g, f"{where}[{i}]")
+    elif isinstance(golden, float):
+        assert isinstance(report, float) and abs(report - golden) <= 1e-12, (where, report, golden)
+    else:
+        assert type(report) is type(golden) and report == golden, (where, report, golden)
+
+
 def test_criterion_11_every_dataset_through_every_command():
     """irreps, spectrum and morita on every bundled dataset, plus `verify all`
     and `examples`: each ends under the 2 GiB cap, in < 60 s, with its
-    documented exit code and no traceback.  Two children run at a time."""
+    documented exit code and no traceback, and each exit-0 JSON report is
+    the golden one.  Two children run at a time."""
+    golden = json.loads(GOLDEN_CLI_RUNS.read_text())
+    assert sorted(golden) == sorted(" ".join(args) for args, code in CLI_RUNS if code == 0)
     with ThreadPoolExecutor(max_workers=2) as pool:
         outs = list(pool.map(lambda run: run_capped_cli(*run[0], "--format", "json"),
                              CLI_RUNS))
@@ -316,7 +339,8 @@ def test_criterion_11_every_dataset_through_every_command():
         assert out.returncode == code, (args, out.stderr)
         assert "Traceback" not in out.stderr, args
         if code == 0:
-            json.loads(out.stdout)
+            key = " ".join(args)
+            assert_matches_golden(json.loads(out.stdout), golden[key], key)
 
 
 def test_no_cli_run_multiplies_a_basis_pairwise(monkeypatch, capsys):

@@ -38,7 +38,6 @@ from equivaria.matalg import (
     algebra_from_span,
     block_decompose,
     generate,
-    operator_norm,
 )
 from equivaria.reps import regular_rep
 from equivaria.systems import (
@@ -46,6 +45,7 @@ from equivaria.systems import (
     one_point_system,
     z2_line_system,
 )
+from oracles import operator_norm
 
 
 def compacts_algebra(c, tol=DEFAULT_TOL):

@@ -203,10 +203,11 @@ def test_morita_tolerance_reaches_the_cuts_of_j_and_c(monkeypatch):
 
 
 def test_morita_tolerance_reaches_every_cut_of_the_cli(monkeypatch, capsys):
-    """`morita --tolerance` reaches the crossed products, the fixed-point
-    algebra and both block decompositions, in the theorem and in the
-    reduction, and a verdict's `fpa` built on access takes the same tol."""
-    from equivaria import cli, hilbmod
+    """`morita --tolerance` reaches C's ideal check, the fixed-point algebra
+    and both block decompositions, in the theorem and in the reduction, and
+    a verdict's `fpa` built on access takes the same tol.  A crossed
+    product makes no cut and takes no tolerance."""
+    from equivaria import cli
 
     seen = []
 
@@ -218,20 +219,19 @@ def test_morita_tolerance_reaches_every_cut_of_the_cli(monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapped
 
-    for module, name in ((morita, "crossed_product"), (morita, "fixed_point_algebra"),
-                         (morita, "block_decompose"), (hilbmod, "crossed_product")):
+    for module, name in ((morita, "c_ideal"), (morita, "fixed_point_algebra"),
+                         (morita, "block_decompose")):
         label = f"{module.__name__.rpartition('.')[2]}.{name}"
         monkeypatch.setattr(module, name, spy(label, getattr(module, name)))
     for name in ("z2-line", "two-component"):
         assert cli.main(["morita", "--input", name, "--tolerance", "1e-6"]) == 0
     capsys.readouterr()
     assert {label for label, _ in seen} == {
-        "morita.crossed_product", "morita.fixed_point_algebra", "morita.block_decompose",
-        "hilbmod.crossed_product"}
+        "morita.c_ideal", "morita.fixed_point_algebra", "morita.block_decompose"}
     assert [tol for _, tol in seen] == [1e-6] * len(seen)
     # dihedral-plane builds no witness, so its fixed-point algebra waits for `fpa`.
     seen.clear()
     thm = verify_morita_theorem(bundled("dihedral-plane"), tol=1e-6)
     assert thm.witness_fpa is None and thm.fpa.dim > 0
-    assert seen == [("morita.crossed_product", 1e-6), ("morita.fixed_point_algebra", 1e-6)]
+    assert seen == [("morita.c_ideal", 1e-6), ("morita.fixed_point_algebra", 1e-6)]
     assert thm.tol == 1e-6

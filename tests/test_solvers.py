@@ -9,8 +9,12 @@ their tensors in a few contractions, the Green-Julg check finds both of its span
 module keeps its inner values as coefficients in B's basis (checked against
 the dense values its builder used to form), `is_ideal` tests whole stacks
 of products and `is_irreducible` reads the character norm.  A
-CrossedProduct's coefficients are orthonormal coordinates, its embedding
-is its algebra's basis, and `span_contains` tests stacks a slab at a time.
+CrossedProduct's coefficients are orthonormal coordinates of its algebra,
+which has no basis: its product table, star table, traces, unit and norms
+equal those read off the regular embedding of tests/oracles.py, which
+keeps the covariant-pair relations, on every bundled system, z2-line 1-5
+and z2xz2-line 1-3 with and without W'.  `span_contains` tests stacks a
+slab at a time.
 The compacts are cut one carrier component at a time, a module of one
 component as one block, with the dense SVD of the whole stack of rank-one
 maps as their oracle, and a size spy finds no m^4 array in the Morita
@@ -20,7 +24,9 @@ and the Morita theorem compares J with C there; the embedded matrices are
 their oracle.  The fixed-point algebra's table comes from the products of
 its fibers and the crossed product's from its structure tensor, with the
 dense pass as their oracle; mutants of the embedding and of its
-1 / sqrt|W| fail.  Module axioms are checked on all samples at once,
+1 / sqrt|W| fail the oracle's relation and orthonormality checks.  The
+direct sums' tables are the dense block sum's, and a Block keeps its
+projection's coordinates.  Module axioms are checked on all samples at once,
 against the per-sample loop.  The Morita theorem cuts J and C point by
 point, with the whole-ambient SVD of J and the kernel of C's constraints
 as oracles, and
@@ -55,6 +61,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import oracles
+from oracles import crossed_basis, embedded_algebra, is_ideal, operator_norm
 from test_hilbmod import compacts_algebra
 
 from equivaria import cli, groups, hilbmod, linalg, matalg, morita, spectrum, systems
@@ -93,7 +101,6 @@ from equivaria.matalg import (
     center,
     commutant,
     generate,
-    is_ideal,
 )
 from equivaria.morita import (
     c_ideal,
@@ -141,7 +148,7 @@ def test_center_matches_oracle_on_fixed_point_algebras(name):
 
 def test_center_matches_oracle_on_crossed_product():
     cp = crossed_product(function_algebra_action(z2_line_system(1)))
-    assert center_dim_checked(cp.algebra) > 0
+    assert center_dim_checked(embedded_algebra(cp)) > 0
 
 
 BLOCK_SHAPES = [(1, 2), (2, 1), (2, 2)]
@@ -248,7 +255,7 @@ def product_pass_algebra(label):
     if label in ("z2-line", "dihedral-plane"):
         return fixed_point_algebra(bundled(label))
     if label == "crossed-product":
-        return crossed_product(function_algebra_action(z2_line_system(1))).algebra
+        return embedded_algebra(crossed_product(function_algebra_action(z2_line_system(1))))
     return conjugated_block_sum()
 
 
@@ -431,9 +438,10 @@ def test_irreducible_by_character_norm_matches_commutant():
 # -- the Morita pipeline against its per-pair loops ---------------------------
 
 
-def dense_inner(e):
-    """A module's inner values as matrices: coefficients times B's basis."""
-    return np.tensordot(e.inner, e.algebra.basis, axes=1)
+def dense_inner(e, alg=None):
+    """A module's inner values as matrices: coefficients times the basis of
+    `alg`, an algebra with B's coordinates and a basis, by default B."""
+    return np.tensordot(e.inner, (alg or e.algebra).basis, axes=1)
 
 
 def function_module_dense(sys):
@@ -464,7 +472,7 @@ def dense_inner_case(kind):
         inner = np.zeros((m1 + m2, m1 + m2, n1 + n2, n1 + n2), dtype=complex)
         inner[:m1, :m1, :n1, :n1] = v1
         inner[m1:, m1:, n1:, n1:] = v2
-        return direct_sum_module(e1, e2), inner
+        return direct_sum_module(e1, e2), inner, block_sum_dense(e1.algebra, e2.algebra)
     # The W'-invariant vectors u_p of the function module: the values
     # <u_p|u_q> are functions on X, diagonal in C(X/W')'s ambient.
     sys, wprime, r = bundled("two-component")[1]
@@ -478,31 +486,53 @@ def dense_inner_case(kind):
     return eq.base, inner
 
 
+def block_sum_dense(b1, b2):
+    """B1 (+) B2 with its block-diagonal basis, the oracle of the direct
+    sums' coordinate tables."""
+    n1, n = b1.ambient_dim, b1.ambient_dim + b2.ambient_dim
+    basis = np.zeros((b1.dim + b2.dim, n, n), dtype=complex)
+    basis[:b1.dim, :n1, :n1] = b1.basis
+    basis[b1.dim:, n1:, n1:] = b2.basis
+    return MatrixStarAlgebra(n, basis)
+
+
 @pytest.mark.parametrize("kind", ["standard", "function", "free", "direct-sum", "quotient"])
 def test_inner_coefficients_match_the_dense_values(kind):
-    e, inner = dense_inner_case(kind)
+    e, inner, *dense = dense_inner_case(kind)
     assert e.inner.shape == (e.carrier_dim, e.carrier_dim, e.algebra.dim)
-    assert e.carrier_dim > 0 and close(dense_inner(e), inner)
+    assert e.carrier_dim > 0 and close(dense_inner(e, *dense), inner)
+    if dense:
+        # The direct sum's tables are the dense block sum's.
+        alg, (oracle,) = e.algebra, dense
+        assert alg.basis is None
+        assert close(alg.structure, oracle.structure) and close(alg.star, oracle.star)
+        assert close(alg.traces, oracle.traces)
 
 
-def axiom_residuals_loop(e, rng, n_samples=20):
-    """The module axioms' residuals, one sample at a time."""
-    b_alg = e.algebra
+def axiom_residuals_loop(e, b_alg, rng, n_samples=20):
+    """The module axioms' residuals, one sample at a time, on the matrices
+    of b_alg, an algebra with B's coordinates and a basis."""
     res = {k: 0.0 for k in ("bimodule", "compatibility", "symmetry", "positivity",
                             "definiteness")}
+
+    def inner_product(x, y):
+        return b_alg.element(e.inner_product(x, y))
+
     for _ in range(n_samples):
         xi, eta = e.random_vector(rng), e.random_vector(rng)
-        b1, b2 = b_alg.random_element(rng), b_alg.random_element(rng)
+        c1, c2 = ((rng.standard_normal(b_alg.dim) + 1j * rng.standard_normal(b_alg.dim))
+                  for _ in range(2))
+        b1, b2 = b_alg.element(c1), b_alg.element(c2)
         scale = max(1.0, np.linalg.norm(xi) * np.linalg.norm(eta),
-                    matalg.operator_norm(b1) * matalg.operator_norm(b2))
-        lhs, rhs = e.act(e.act(xi, b1), b2), e.act(xi, b1 @ b2)
+                    operator_norm(b1) * operator_norm(b2))
+        lhs, rhs = e.act(e.act(xi, c1), c2), e.act(xi, b_alg.coefficients(b1 @ b2))
         res["bimodule"] = max(res["bimodule"], np.linalg.norm(lhs - rhs) / scale)
-        lhs = e.inner_product(e.act(xi, b1), e.act(eta, b2))
-        rhs = b1.conj().T @ e.inner_product(xi, eta) @ b2
+        lhs = inner_product(e.act(xi, c1), e.act(eta, c2))
+        rhs = b1.conj().T @ inner_product(xi, eta) @ b2
         res["compatibility"] = max(res["compatibility"], np.linalg.norm(lhs - rhs) / scale)
-        diff = e.inner_product(eta, xi) - e.inner_product(xi, eta).conj().T
+        diff = inner_product(eta, xi) - inner_product(xi, eta).conj().T
         res["symmetry"] = max(res["symmetry"], np.linalg.norm(diff) / scale)
-        q = e.inner_product(xi, xi)
+        q = inner_product(xi, xi)
         herm = np.linalg.norm(q - q.conj().T)
         neg = max(0.0, -np.linalg.eigvalsh((q + q.conj().T) / 2.0).min())
         res["positivity"] = max(res["positivity"], (herm + neg) / scale)
@@ -514,24 +544,26 @@ def axiom_residuals_loop(e, rng, n_samples=20):
 
 
 def axiom_case(label):
-    """The function module of z2-line, its averaged module over the crossed
-    product, or the function module with its tensors perturbed, which
+    """(module, its algebra with a basis): the function module of z2-line,
+    its averaged module over the crossed product, whose matrices are the
+    embedded ones, or the function module with its tensors perturbed, which
     breaks every axiom by a residual of order one."""
     e = function_module(bundled("z2-line"))
     if label == "averaged":
-        return green_julg_module(equivariant_function_module(bundled("z2-line")))[0]
+        averaged, cp = green_julg_module(equivariant_function_module(bundled("z2-line")))
+        return averaged, embedded_algebra(cp)
     if label == "perturbed":
         rng = np.random.default_rng(12)
-        return hilbmod.FDHilbertModule(e.algebra, e.action + 0.3 * rng.standard_normal(
+        e = hilbmod.FDHilbertModule(e.algebra, e.action + 0.3 * rng.standard_normal(
             e.action.shape), e.inner + 0.3j * rng.standard_normal(e.inner.shape))
-    return e
+    return e, e.algebra
 
 
 @pytest.mark.parametrize("label", ["function", "averaged", "perturbed"])
 def test_axiom_residuals_match_the_sample_loop(label):
-    e = axiom_case(label)
+    e, dense = axiom_case(label)
     batched = e.axiom_residuals(np.random.default_rng(3))
-    loop = axiom_residuals_loop(e, np.random.default_rng(3))
+    loop = axiom_residuals_loop(e, dense, np.random.default_rng(3))
     assert batched.keys() == loop.keys()
     assert all(abs(batched[k] - loop[k]) < 1e-12 for k in loop)
     if label == "perturbed":
@@ -574,18 +606,19 @@ def green_julg_loops(eq, cp):
     b_alg = base.algebra
     m, k = base.carrier_dim, b_alg.dim
     coeff_map = crossed_coefficient_map(cp)
-    action = np.zeros((cp.algebra.dim, m, m), dtype=complex)
-    for idx in range(cp.algebra.dim):
-        f = (coeff_map @ flatten(cp.algebra.basis[idx])).reshape(g.order, k)
+    dense = embedded_algebra(cp)
+    action = np.zeros((cp.dim, m, m), dtype=complex)
+    for idx in range(cp.dim):
+        f = (coeff_map @ flatten(dense.basis[idx])).reshape(g.order, k)
         for w in range(g.order):
             for i in range(k):
                 action[idx] += f[w, i] * (eq.gamma[g.inv[w]] @ base.action[i])
-    amb = cp.algebra.ambient_dim
+    amb = dense.ambient_dim
     inner = np.zeros((m, m, amb, amb), dtype=complex)
     eye = np.eye(m)
     for p in range(m):
         for q in range(m):
-            f = np.stack([b_alg.coefficients(base.inner_product(eye[p], eq.gamma[w] @ eye[q]))
+            f = np.stack([base.inner_product(eye[p], eq.gamma[w] @ eye[q])
                           for w in range(g.order)])
             inner[p, q] = crossed_embed(cp.action, f)
     return action, inner
@@ -628,8 +661,9 @@ def test_green_julg_module_matches_pair_loops(label):
     eq = pipeline_module(label)
     gj, cp = green_julg_module(eq)
     action, inner = green_julg_loops(eq, cp)
+    assert gj.algebra is cp.algebra and cp.algebra.basis is None
     assert np.abs(gj.action - action).max() < 1e-10
-    assert np.abs(dense_inner(gj) - inner).max() < 1e-10
+    assert np.abs(dense_inner(gj, embedded_algebra(cp)) - inner).max() < 1e-10
 
 
 def crossed_system(label):
@@ -651,15 +685,15 @@ def test_embed_of_a_stack_matches_per_array_oracle(label):
     dim = w_n * k
     rng = np.random.default_rng(6)
     stack = rng.standard_normal((3, 2, w_n, k)) + 1j * rng.standard_normal((3, 2, w_n, k))
-    embedded = cp.algebra.element(stack.reshape(3, 2, dim))
-    assert embedded.shape == (3, 2) + cp.algebra.basis.shape[1:]
+    dense = embedded_algebra(cp)
+    embedded = dense.element(stack.reshape(3, 2, dim))
+    assert embedded.shape == (3, 2) + dense.basis.shape[1:]
     for idx in np.ndindex(3, 2):
         oracle = crossed_embed(cp.action, stack[idx]) / np.sqrt(w_n)
         assert np.abs(embedded[idx] - oracle).max() < 1e-12
-        assert np.abs(cp.algebra.element(stack[idx].reshape(dim)) - oracle).max() < 1e-12
-    # The algebra's basis is the embedding itself, and orthonormal.
-    assert cp.algebra.basis is cp.embedding
-    rows = cp.algebra.basis_rows()
+        assert np.abs(dense.element(stack[idx].reshape(dim)) - oracle).max() < 1e-12
+    # The embedding is orthonormal.
+    rows = dense.basis_rows()
     assert np.abs(rows @ rows.conj().T - np.eye(dim)).max() < 1e-12
 
 
@@ -684,12 +718,18 @@ def test_span_contains_checks_every_slab():
 
 @pytest.mark.parametrize("label", PIPELINE)
 def test_fullness_ideal_matches_raw_values(label):
+    """The ideal in coordinates has the dimension, block sizes and unit
+    trace of the span of the values as matrices."""
     eq = pipeline_module(label)
-    for e in (eq.base, green_julg_module(eq)[0]):
-        m = e.carrier_dim
-        raw = orthonormal_rows(flatten(dense_inner(e)).reshape(m * m, -1))
+    averaged, cp = green_julg_module(eq)
+    for e, dense in ((eq.base, eq.base.algebra), (averaged, embedded_algebra(cp))):
+        m, n = e.carrier_dim, dense.ambient_dim
+        raw = orthonormal_rows(flatten(dense_inner(e, dense)).reshape(m * m, -1))
+        span = algebra_from_span(unflatten(raw, n))
         ideal = fullness_ideal(e)
-        assert spans_equal(ideal.basis_rows(), raw, 1e-8)
+        assert ideal.dim == raw.shape[0]
+        assert matalg.block_decompose(ideal).sizes() == matalg.block_decompose(span).sizes()
+        assert abs(np.linalg.norm(ideal.unit()) - np.linalg.norm(span.unit())) < 1e-10
         assert is_full(e) == (raw.shape[0] == e.algebra.dim)
 
 
@@ -708,7 +748,8 @@ def test_rebase_module_rejects_a_subalgebra_that_misses_a_value():
     e = direct_sum_module(free_module(2), free_module(0))
     first = rebase_module(e, np.eye(2, dtype=complex)[:1])
     first.validate()
-    assert first.algebra.dim == 1 and close(dense_inner(first), dense_inner(e))
+    assert first.algebra.dim == 1 and close(first.inner, e.inner[:, :, :1])
+    assert not e.inner[:, :, 1:].any()
     assert is_full(first) and not is_full(e)
     with pytest.raises(ModuleError, match="leave the coefficient algebra"):
         rebase_module(e, np.eye(2, dtype=complex)[1:])
@@ -731,6 +772,12 @@ def is_ideal_loops(ideal, alg, tol=1e-9) -> bool:
     return True
 
 
+def embedded_ideal(cid):
+    """(C's embedded span, the embedded crossed product)."""
+    dense = embedded_algebra(cid.cp)
+    return MatrixStarAlgebra(dense.ambient_dim, dense.element(cid.rows)), dense
+
+
 def test_is_ideal_matches_product_loop():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -747,13 +794,13 @@ def test_is_ideal_matches_product_loop():
     # not an ideal, since w . f leaves it.
     cp = crossed_product(scalar_translation_action(sys))
     k = sys.n_points
-    diag = algebra_from_span(cp.algebra.element(np.eye(cp.dim)[:k]))
+    diag = algebra_from_span(embedded_algebra(cp).element(np.eye(cp.dim)[:k]))
     # On z2-line, C(X, W, I) is the whole crossed product; on z2xz2-line-1 it
     # is a proper ideal, which the coefficient test accepts by its products.
     proper = c_ideal(z2xz2_line_system(1))
     assert proper.dim < proper.cp.dim
-    cases = [(first, blocks, True), (cid.algebra, cid.cp.algebra, True),
-             (proper.algebra, proper.cp.algebra, True), (diag, cp.algebra, False)]
+    cases = [(first, blocks, True), (*embedded_ideal(cid), True),
+             (*embedded_ideal(proper), True), (diag, embedded_algebra(cp), False)]
     for ideal, alg, expected in cases:
         assert is_ideal(ideal, alg) == is_ideal_loops(ideal, alg) == expected
     # The crossed-product cases, in coefficients.
@@ -778,10 +825,11 @@ def test_one_sided_ideals_are_not_ideals():
         rows = orthonormal_rows(prods.reshape(4, 4))
         assert rows.shape[0] == (4 if expected else 2)
         assert cp.is_ideal(rows) == expected
-        n = cp.algebra.ambient_dim
-        embedded = flatten(cp.algebra.element(prods.reshape(4, 4)))
+        dense = embedded_algebra(cp)
+        n = dense.ambient_dim
+        embedded = flatten(dense.element(prods.reshape(4, 4)))
         ideal = MatrixStarAlgebra(n, unflatten(orthonormal_rows(embedded), n))
-        assert is_ideal(ideal, cp.algebra) == is_ideal_loops(ideal, cp.algebra) == expected
+        assert is_ideal(ideal, dense) == is_ideal_loops(ideal, dense) == expected
 
 
 CROSSED = ["z2-line-1", "z2-line-2", "anticomplete-point", "z2xz2-line-1", "z4-rotation"]
@@ -802,18 +850,19 @@ def test_crossed_coefficients_match_the_embedding_of_a_corner():
 
 
 def check_crossed_coefficients(cp):
-    """The embedded basis is orthonormal and is the algebra's basis, and
+    """The embedded basis is orthonormal, the algebra keeps no basis, and
     products, adjoints and coefficient rows match the embedded matrices."""
-    emb = flatten(cp.embedding)
+    dense = embedded_algebra(cp)
+    emb = dense.basis_rows()
     assert close(emb @ emb.conj().T, np.eye(cp.dim), 1e-12)
-    assert cp.algebra.basis is cp.embedding
+    assert cp.algebra.basis is None
     rng = np.random.default_rng(9)
     shape = (3,) + cp.structure.shape[:2]
     f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     def embed(c):
-        return cp.algebra.element(c.reshape(*c.shape[:-2], cp.dim))
+        return dense.element(c.reshape(*c.shape[:-2], cp.dim))
 
     ef, eh = embed(f), embed(h)
     assert close(embed(cp.multiply(f, h)), ef @ eh)
@@ -823,8 +872,7 @@ def check_crossed_coefficients(cp):
     y = f.reshape(3, cp.dim)
     assert close(y @ y.conj().T, flatten(ef) @ flatten(ef).conj().T)
     # ... and are the coordinates against the algebra's basis.
-    assert close(y, np.stack([cp.algebra.coefficients(a) for a in ef]))
-    # The relation check guards the embedded span when it is built.
+    assert close(y, np.stack([dense.coefficients(a) for a in ef]))
     assert cp.algebra.dim == emb.shape[0]
     assert cp.algebra.closure_residual() < 1e-9
 
@@ -838,31 +886,61 @@ def corner_action():
 
 
 def crossed_case(label):
+    """B >| W's action: C(X, M_d) or C(X) under the translation action of a
+    system, `{kind}:{system}`, optionally restricted to W' = {0, 2} by a
+    `|wprime` suffix, or the corner action."""
     if label == "corner":
         return corner_action()
     make_action, system = label.split(":")
     actions = {"scalar": scalar_translation_action, "function": function_algebra_action}
-    return actions[make_action](crossed_system(system))
+    system, _, restricted = system.partition("|")
+    sys = (morita_system(system) if system.startswith(("z2xz2", "dihedral"))
+           else crossed_system(system))
+    if restricted:
+        sys = systems.restrict_system(sys, [0, 2])[0]
+    return actions[make_action](sys)
 
 
-CROSSED_TABLES = [f"{a}:{s}" for a in ("scalar", "function") for s in CROSSED] + ["corner"]
+# The bundled systems, z2-line 1-5 and z2xz2-line 1-3 with and without W'.
+CROSSED_TABLES = sorted({f"{a}:{s}" for a in ("scalar", "function") for s in CROSSED} | {
+    "corner", "scalar:dihedral-plane", "scalar:z2-line-3", "scalar:z2-line-4",
+    "scalar:z2-line-5", *(f"scalar:z2xz2-line-{n}{r}" for n in (1, 2, 3) for r in ("", "|wprime"))})
 
 
 @pytest.mark.parametrize("label", CROSSED_TABLES)
 def test_crossed_table_is_read_off_the_structure(label):
+    """The coordinate algebra of B >| W has the tables of the embedded span,
+    read off the embedding, and the embedding keeps the covariant-pair
+    relations (1)-(4) that make them so."""
     cp = crossed_product(crossed_case(label))
     alg = cp.algebra
+    assert alg.basis is None and alg.ambient_dim == cp.group.order * cp.action.algebra.ambient_dim
+    emb = crossed_basis(cp.action)
+    dense = MatrixStarAlgebra(alg.ambient_dim, emb)
+    assert close(flatten(emb) @ flatten(emb).conj().T, np.eye(alg.dim), 1e-12)
+    assert oracles.relation_residual(cp) <= 1e-12
+    assert np.abs(alg.traces - dense.traces).max() <= 1e-12
+    assert np.abs(alg.star - dense.star).max() <= 1e-12
+    # The unit of B >| W is pi(e) = 1 (x) e for B's unit e, also when e is not I_N.
+    b_alg = cp.action.algebra
+    unit = np.kron(np.eye(cp.group.order), b_alg.element(b_alg.unit()))
+    assert np.abs(alg.unit() - dense.coefficients(unit)).max() <= 1e-12
+    assert np.abs(dense.element(alg.unit()) - unit).max() <= 1e-12
+    # Products and norms of random elements against the embedded matrices.
+    rng = np.random.default_rng(10)
+    f, h = rng.standard_normal((2, 3, alg.dim)) + 1j * rng.standard_normal((2, 3, alg.dim))
+    ef, eh = dense.element(f), dense.element(h)
+    assert close(dense.element(alg.multiply(f, h)), ef @ eh, 1e-12)
+    assert close(dense.element(alg.adjoint(f)), ef.conj().swapaxes(1, 2), 1e-12)
+    assert close(alg.norm(f), np.array([operator_norm(a) for a in ef]), 1e-12)
     basis = np.eye(alg.dim).reshape(alg.dim, *cp.structure.shape[:2])
     # [i, j, l]: a_i a_j against a_l, for the orthonormal basis a.
     products = cp.multiply(basis[:, None], basis[None]).reshape((alg.dim,) * 3)
     assert close(alg.structure, products.transpose(1, 2, 0))
-    table, residual = MatrixStarAlgebra(alg.ambient_dim, alg.basis)._products
-    assert close(alg.structure, table) and residual < 1e-12
+    if alg.dim <= 64:
+        table, residual = dense._products
+        assert np.abs(alg.structure - table).max() <= 1e-12 and residual < 1e-12
     assert alg._products[1] < 1e-12 and alg.closure_residual() < 1e-12
-    # The unit of B >| W is pi(e) = e 1 for B's unit e, also when e is not I_N.
-    unit = np.zeros(basis.shape[1:], dtype=complex)
-    unit[cp.group.identity] = cp.action.algebra.coefficients(cp.action.algebra.unit())
-    assert close(alg.unit(), crossed_embed(cp.action, unit))
 
 
 def crossed_basis_mutant(kind):
@@ -887,20 +965,18 @@ def crossed_basis_mutant(kind):
 
 @pytest.mark.parametrize("kind", ["twist", "slot"])
 def test_relation_check_rejects_a_wrong_embedding(kind, monkeypatch):
-    action = scalar_translation_action(z4_rotation_system())
-    assert crossed_product(action).algebra.closure_residual() < 1e-12
-    monkeypatch.setattr(systems, "crossed_basis", crossed_basis_mutant(kind))
-    with pytest.raises(AlgebraError, match="span is not closed"):
-        crossed_product(action).algebra
+    cp = crossed_product(scalar_translation_action(z4_rotation_system()))
+    assert oracles.relation_residual(cp) < 1e-12
+    monkeypatch.setattr(oracles, "crossed_basis", crossed_basis_mutant(kind))
+    assert oracles.relation_residual(cp) > 1e-3
 
 
 def test_whitened_basis_rejects_a_wrong_inverse_root(monkeypatch):
     """crossed_basis without its 1 / sqrt|W|: the basis b_i w is not orthonormal."""
-    crossed_basis = systems.crossed_basis
-    monkeypatch.setattr(systems, "crossed_basis",
+    monkeypatch.setattr(oracles, "crossed_basis",
                         lambda action: crossed_basis(action) * np.sqrt(action.group.order))
     with pytest.raises(AlgebraError, match="not orthonormal"):
-        crossed_product(scalar_translation_action(z4_rotation_system())).algebra
+        embedded_algebra(crossed_product(scalar_translation_action(z4_rotation_system()))).validate()
 
 
 @pytest.mark.parametrize("label", CROSSED)
@@ -909,24 +985,23 @@ def test_morita_spans_in_coefficients_match_the_embedded_ideals(label):
     verdict = verify_morita_theorem(sys)
     cid = verdict.ideal
     cp = cid.cp
-    # C: the coefficient rows embed to an orthonormal basis of c_ideal's algebra.
-    c_emb = flatten(cp.algebra.element(cid.rows))
-    assert close(c_emb @ c_emb.conj().T, np.eye(cid.dim))
-    c_rows = cid.algebra.basis_rows()
-    assert spans_equal(c_emb, c_rows, 1e-8)
-    assert is_ideal(cid.algebra, cp.algebra)
-    # J: the span of the averaged inner coefficients is the fullness ideal.
+    # C: the coefficient rows embed to an orthonormal basis of an ideal.
+    c_alg, dense = embedded_ideal(cid)
+    c_rows = c_alg.basis_rows()
+    assert close(c_rows @ c_rows.conj().T, np.eye(cid.dim))
+    assert cid.algebra.dim == cid.dim and is_ideal(c_alg, dense)
+    # J: the span of the averaged inner values is the fullness ideal.
     eq = equivariant_function_module(sys)
     m = eq.base.carrier_dim
     j_rows = orthonormal_rows(averaged_inner_coefficients(eq).reshape(m * m, -1))
-    j_alg = fullness_ideal(green_julg_module(eq, cp)[0])
-    assert j_rows.shape[0] == j_alg.dim == verdict.j_dim
-    assert spans_equal(flatten(cp.algebra.element(j_rows)), j_alg.basis_rows(), 1e-8)
+    averaged = green_julg_module(eq, cp)[0]
+    j_emb = orthonormal_rows(flatten(dense_inner(averaged, dense)).reshape(m * m, -1))
+    assert j_rows.shape[0] == fullness_ideal(averaged).dim == verdict.j_dim == j_emb.shape[0]
+    assert spans_equal(flatten(dense.element(j_rows)), j_emb, 1e-8)
     # The verdict's fields, recomputed on the embedded spans.
-    j_emb = j_alg.basis_rows()
     assert verdict.spans_match == spans_equal(j_emb, c_rows, 1e-8)
     assert verdict.strict_inclusion == (
-        j_alg.dim < cid.dim and span_contains(c_rows, j_emb, 1e-8))
+        j_emb.shape[0] < cid.dim and span_contains(c_rows, j_emb, 1e-8))
     assert abs(verdict.j_in_c_residual - row_residuals(c_rows, j_emb).max()) < 1e-12
     assert (verdict.module is None) == (verdict.witness is None)
 
@@ -990,7 +1065,7 @@ def block_decompose_dense(alg, seed=0, tol=1e-9):
         return matalg.BlockStructure(alg, ())
     rng = np.random.default_rng(seed)
     cen = center(alg, tol)
-    e = alg.unit()
+    e = alg.element(alg.unit())
     gap = 1e-7
     for _ in range(8):
         z = cen.random_element(rng, hermitian=True)
@@ -1045,7 +1120,7 @@ BLOCK_ALGEBRAS = {
     **{f"fpa-z2xz2-line-{n}": lambda n=n: fixed_point_algebra(z2xz2_line_system(n))
        for n in (1, 2)},
     **{f"cp-z2-line-{n}": lambda n=n: crossed_product(
-        function_algebra_action(z2_line_system(n))).algebra for n in (1, 2)},
+        function_algebra_action(z2_line_system(n))) for n in (1, 2)},
     **{f"compacts-z2-line-{n}": lambda n=n: compacts_algebra(compact_operators(
         function_module(z2_line_system(n)))) for n in (1, 2, 3)},
     **{f"group-{name}": lambda name=name: group_algebra(name)
@@ -1057,12 +1132,17 @@ BLOCK_ALGEBRAS = {
 
 @pytest.mark.parametrize("label", sorted(BLOCK_ALGEBRAS))
 def test_block_decompose_matches_the_dense_split(label):
-    alg = BLOCK_ALGEBRAS[label]()
+    """The crossed products split in their coordinates, their embedded
+    spans densely; every Block keeps its projection's coordinates."""
+    alg = dense = BLOCK_ALGEBRAS[label]()
+    if label.startswith("cp-"):
+        alg, dense = alg.algebra, embedded_algebra(alg)
     if label == "corner-block-sum":
         assert not alg.is_unital()
     for seed in range(3):
-        got = matalg.block_decompose(alg, seed=seed).blocks
-        want = block_decompose_dense(alg, seed=seed).blocks
+        got = [dataclasses.replace(b, projection=dense.element(b.projection))
+               for b in matalg.block_decompose(alg, seed=seed).blocks]
+        want = block_decompose_dense(dense, seed=seed).blocks
         assert [(b.size, b.multiplicity) for b in got] == \
             [(b.size, b.multiplicity) for b in want]
         # Equal blocks may come in either order: match projections as sets.
@@ -1130,7 +1210,7 @@ def test_morita_theorem_averages_once_and_runs_no_dense_pass(monkeypatch):
     assert verdict.module.algebra is cp_algebra and verdict.c_blocks is not None
     assert not any(alg is verdict.fpa or alg is cp_algebra for alg in dense)
     # The dense pass itself still runs on an algebra without structure.
-    plain = MatrixStarAlgebra(cp_algebra.ambient_dim, cp_algebra.basis)
+    plain = MatrixStarAlgebra(cp_algebra.ambient_dim, crossed_basis(verdict.ideal.cp.action))
     assert close(plain.structure, cp_algebra.structure) and dense[-1] is plain
 
 
@@ -1673,18 +1753,18 @@ def test_restricted_table_matches_the_dense_pass(label):
     cid = c_ideal(morita_system(label))
     assert cid.dim < cid.cp.dim
     alg = cid.algebra
-    assert isinstance(alg, matalg.StructuredAlgebra)
-    plain = MatrixStarAlgebra(alg.ambient_dim, alg.basis)
+    assert alg.basis is None
+    plain, dense = embedded_ideal(cid)
     assert close(alg.structure, plain.structure)
-    assert alg.closure_residual() < 1e-13 and closure_residual_dense(alg) < 1e-13
-    alg.validate()
+    assert close(alg.star, plain.star) and close(alg.traces, plain.traces)
+    assert alg.closure_residual() < 1e-13 and closure_residual_dense(plain) < 1e-13
+    plain.validate()
     assert close(alg.unit(), plain.unit())
     # Rows that are not a subalgebra: the residual is the dense one.
-    parent = cid.cp.algebra
-    rows = orthonormal_rows(cid.rows[:1] + parent.coefficients(
-        np.eye(parent.ambient_dim))[None] * 0.5)
-    bad = matalg.restricted_algebra(parent, rows)
-    table, residual = matalg.product_table(bad.basis)
+    rows = orthonormal_rows(cid.rows[:1] + dense.coefficients(
+        np.eye(dense.ambient_dim))[None] * 0.5)
+    bad = matalg.restricted_algebra(cid.cp.algebra, rows)
+    table, residual = matalg.product_table(dense.element(rows))
     assert close(bad.structure, table)
     assert abs(bad.product_residual - residual) < 1e-12 and residual > 1e-3
 
@@ -1705,7 +1785,7 @@ def quotient_indicators(sys):
     for i, orb in enumerate(orbits):
         indicators[i, list(orb)] = 1.0 / np.sqrt(len(orb))
     basis = indicators[:, :, None] * np.eye(n)
-    return (matalg.StructuredAlgebra(n, basis, *matalg.product_table(indicators[:, :, None, None])),
+    return (MatrixStarAlgebra(n, basis, *matalg.product_table(indicators[:, :, None, None])),
             orbits, indicators)
 
 
@@ -1734,7 +1814,7 @@ def test_quotient_algebra_table_matches_the_dense_pass():
         pts = EquivariantSystem(sys.group, sys.points, sys.action, 1,
                                 np.ones((sys.group.order, sys.n_points, 1, 1), dtype=complex))
         q = systems.quotient_algebra(pts).algebra
-        assert isinstance(q, matalg.StructuredAlgebra)
+        assert q.table is not None
         plain = MatrixStarAlgebra(q.ambient_dim, q.basis)
         assert close(q.structure, plain.structure)
         assert q.closure_residual() < 1e-15
@@ -2177,18 +2257,21 @@ def equivariant_validate_loop(eq, tol=1e-8, rng=None):
     def beta(w, b):
         return alg.element(eq.beta.maps[w] @ alg.coefficients(b))
 
+    def inner_product(x, y):
+        return alg.element(eq.base.inner_product(x, y))
+
     for w in g.elements():
         for _ in range(4):
             xi = eq.base.random_vector(rng)
             eta = eq.base.random_vector(rng)
             b = alg.random_element(rng)
-            scale = max(1.0, np.linalg.norm(xi) * max(1.0, matalg.operator_norm(b)))
-            lhs = eq.gamma[w] @ eq.base.act(xi, b)
-            rhs = eq.base.act(eq.gamma[w] @ xi, beta(w, b))
+            scale = max(1.0, np.linalg.norm(xi) * max(1.0, operator_norm(b)))
+            lhs = eq.gamma[w] @ eq.base.act(xi, alg.coefficients(b))
+            rhs = eq.base.act(eq.gamma[w] @ xi, alg.coefficients(beta(w, b)))
             if np.linalg.norm(lhs - rhs) > tol * scale:
                 raise ModuleError(f"gamma_w(xi b) != gamma_w(xi) beta_w(b) at w={w}")
-            lhs2 = eq.base.inner_product(eq.gamma[w] @ xi, eq.gamma[w] @ eta)
-            rhs2 = beta(w, eq.base.inner_product(xi, eta))
+            lhs2 = inner_product(eq.gamma[w] @ xi, eq.gamma[w] @ eta)
+            rhs2 = beta(w, inner_product(xi, eta))
             scale2 = max(1.0, np.linalg.norm(xi) * np.linalg.norm(eta))
             if np.linalg.norm(lhs2 - rhs2) > tol * scale2:
                 raise ModuleError(f"inner product is not equivariant at w={w}")
@@ -2280,21 +2363,37 @@ def witness_calls(monkeypatch, run) -> list:
 
 def witness_residuals_loop(a_alg, e, left_action, rng):
     """verify_morita's eight-sample loop: (multiplicative, star) residuals
-    and the samples (c1, c2) it drew."""
-    n, rows, g = a_alg.ambient_dim, a_alg.basis_rows(), e.gram()
+    and the samples (c1, c2) it drew.  Products and adjoints are those of
+    A's matrices, or of its coordinates when A has no basis (the direct
+    sums, whose tables test_inner_coefficients_match_the_dense_values
+    checks against the dense block sum)."""
+    g = e.gram()
+    if a_alg.basis is None:
+        def product_of(c1, c2):
+            return a_alg.multiply(c1, c2)
+
+        def adjoint_of(c):
+            return a_alg.adjoint(c)
+    else:
+        n, rows = a_alg.ambient_dim, a_alg.basis_rows()
+
+        def product_of(c1, c2):
+            return rows.conj() @ flatten((c1 @ rows).reshape(n, n) @ (c2 @ rows).reshape(n, n))
+
+        def adjoint_of(c):
+            return rows.conj() @ flatten((c @ rows).reshape(n, n).conj().T)
     mult_res = star_res = 0.0
     samples = []
     for _ in range(8):
         c1 = rng.standard_normal(a_alg.dim) + 1j * rng.standard_normal(a_alg.dim)
         c2 = rng.standard_normal(a_alg.dim) + 1j * rng.standard_normal(a_alg.dim)
         samples.append((c1, c2))
-        a1, a2 = (c1 @ rows).reshape(n, n), (c2 @ rows).reshape(n, n)
         l1 = np.tensordot(c1, left_action, axes=1)
         l2 = np.tensordot(c2, left_action, axes=1)
-        l12 = np.tensordot(rows.conj() @ flatten(a1 @ a2), left_action, axes=1)
+        l12 = np.tensordot(product_of(c1, c2), left_action, axes=1)
         scale = max(1.0, float(np.abs(l1).max() * np.abs(l2).max()))
         mult_res = max(mult_res, float(np.abs(l1 @ l2 - l12).max()) / scale)
-        lstar = np.tensordot(rows.conj() @ flatten(a1.conj().T), left_action, axes=1)
+        lstar = np.tensordot(adjoint_of(c1), left_action, axes=1)
         adjoint = np.linalg.solve(g, l1.conj().T @ g)
         star_res = max(star_res, float(np.abs(lstar - adjoint).max()) / scale)
     return mult_res, star_res, samples
@@ -2364,26 +2463,33 @@ def unit_lstsq(alg):
 
 
 def unit_case(label):
+    """(algebra, a twin with its coordinates, its table and a basis)."""
     if label == "fpa":
-        return fixed_point_algebra(bundled("z2-line"))
+        alg = fixed_point_algebra(bundled("z2-line"))
+        return alg, alg
     if label == "cp":
-        return c_ideal(bundled("z2-line")).cp.algebra
+        cp = c_ideal(bundled("z2-line")).cp
+        return cp.algebra, embedded_algebra(cp)
     if label == "restricted-c":
         cid = c_ideal(z2xz2_line_system(1))
         assert cid.dim < cid.cp.dim
-        return cid.algebra
+        plain = embedded_ideal(cid)[0]
+        return cid.algebra, MatrixStarAlgebra(plain.ambient_dim, plain.basis,
+                                              cid.algebra.structure, 0.0)
     if label == "compacts":
-        return compacts_algebra(compact_operators(equivariant_function_module(bundled("z2-line")).base))
+        alg = compacts_algebra(compact_operators(equivariant_function_module(bundled("z2-line")).base))
+        return alg, alg
     # The corner C e11 inside M_2, whose unit is not the identity.
     e11 = np.zeros((1, 2, 2), dtype=complex)
     e11[0, 0, 0] = 1.0
-    return MatrixStarAlgebra(2, e11)
+    alg = MatrixStarAlgebra(2, e11)
+    return alg, alg
 
 
 @pytest.mark.parametrize("label", ["fpa", "cp", "restricted-c", "compacts", "corner"])
 def test_unit_is_the_least_squares_unit(label):
-    alg = unit_case(label)
-    assert np.abs(alg.unit() - unit_lstsq(alg)).max() < 1e-10
+    alg, dense = unit_case(label)
+    assert np.abs(dense.element(alg.unit()) - unit_lstsq(dense)).max() < 1e-10
 
 
 def test_a_nilpotent_span_has_no_unit():
