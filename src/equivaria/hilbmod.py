@@ -9,29 +9,31 @@ is tau(b_k) = tr b_k / sum_l |tr b_l|^2 on B's basis; conjugating by the
 square root of the Gram matrix turns the module adjoint into the ordinary
 conjugate transpose, so K_B(E) becomes an honest matrix *-algebra.
 
-Inner values live in one coordinate system, B's orthonormal basis: a
-module stores <e_p|e_q> as an (m, m, dim B) coefficient array, so its values
-lie in B by construction, and B is read through its tables only: the Gram
-matrix through its traces, norms through its left-regular matrices, and
-the axioms, Cauchy-Schwarz and the Morita witness's samples through its
-product and star tables.  The rank-one maps (one or all m^2 of them), the
+Inner values live in one coordinate system, B's orthonormal basis: a module
+stores <e_p|e_q> as an (m, m, dim B) coefficient array, so its values lie
+in B by construction, and B is read through its tables only: the Gram
+matrix through its traces, norms through its left-regular matrices, and the
+axioms, Cauchy-Schwarz and the Morita witness's samples through its product
+and star tables.  `act` takes and `inner_product` returns B's elements as
+coordinate vectors, never as N x N matrices, and both raise ModuleError on
+arrays of the wrong size.  The rank-one maps (one or all m^2 of them), the
 Gram matrix, the fullness ideal and the averaged (Green-Julg) module over
 B >| W are built from the coefficients with a few matrix products, never
-with per-pair loops.  Over B >| W the coordinates are the crossed
-product's coefficients, the coordinates of its algebra, so no inner value
-is embedded.  Values that arrive as matrices (the quotient module's
-functions) pass through one checked conversion, which raises ModuleError
-when a value leaves the span.  The Green-Julg check needs no module over
-B >| W at all: a rank-one map is the same operator in any basis of
-B >| W, so the averaged compacts come from the crossed coefficients and
-the maps of the same basis, and K_B(E)^W is solved in the coordinates of
-K_B(E).  `compact_operators` cuts the rank of the m^2 rank-one maps one
-carrier component at a time (`carrier_components`; the points or orbits
-of the function modules): the stack of all the maps is block diagonal,
-one block per component, so its singular values are the blocks'
-together, and dense SVDs of the blocks cut at the whole stack's scale are
-the dense rule exactly.  A module of one component is one block, the only
-case in which the cut forms the m^4 stack.  The margin of the cut is kept.
+with per-pair loops.  Over B >| W the coordinates are the crossed product's
+coefficients, the coordinates of its algebra, so no inner value is
+embedded.  Values that arrive as matrices (the quotient module's functions)
+pass through one checked conversion, which raises ModuleError when a value
+leaves the span.  The Green-Julg check needs no module over B >| W at all:
+a rank-one map is the same operator in any basis of B >| W, so the averaged
+compacts come from the crossed coefficients and the maps of the same basis,
+and K_B(E)^W is solved in the coordinates of K_B(E).  `compact_operators`
+cuts the rank of the m^2 rank-one maps one carrier component at a time
+(`carrier_components`; the points or orbits of the function modules): the
+stack of all the maps is block diagonal, one block per component, so its
+singular values are the blocks' together, and dense SVDs of the blocks cut
+at the whole stack's scale are the dense rule exactly.  A module of one
+component is one block, the only case in which the cut forms the m^4 stack.
+The margin of the cut is kept.
 """
 from __future__ import annotations
 
@@ -122,14 +124,26 @@ class FDHilbertModule:
     def carrier_dim(self) -> int:
         return self.action.shape[1]
 
+    def _carrier(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=complex)
+        if x.ndim == 0 or x.shape[-1] != self.carrier_dim:
+            raise ModuleError("carrier vectors must have the carrier's size on their last axis")
+        return x
+
     def act(self, xi: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """xi . b for the algebra element b with coordinates c."""
-        return _act(self.action, xi, np.asarray(c, dtype=complex))
+        """xi . b for the algebra element b with coordinates c (..., dim B),
+        a stack no deeper than xi's; not an N x N matrix."""
+        xi = self._carrier(xi)
+        c = np.asarray(c, dtype=complex)
+        if c.ndim == 0 or c.shape[-1] != self.algebra.dim or c.ndim > xi.ndim:
+            raise ModuleError("algebra elements are coordinate vectors of size dim B, "
+                              "stacked no deeper than the carrier vectors")
+        return _act(self.action, xi, c)
 
     def inner_product(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """The coordinates of <xi | eta> in B, conjugate-linear in xi."""
-        return _inner_values(self.inner, np.asarray(xi, dtype=complex),
-                             np.asarray(eta, dtype=complex))
+        """The coordinates (..., dim B) of <xi | eta> in B, conjugate-linear
+        in xi; not an N x N matrix."""
+        return _inner_values(self.inner, self._carrier(xi), self._carrier(eta))
 
     def norm(self, xi: np.ndarray) -> float:
         """|<xi|xi>|^(1/2), the operator norm read off B's table."""
@@ -678,8 +692,7 @@ def verify_morita(a_alg: MatrixStarAlgebra, e: FDHilbertModule,
 
 def _block_sum(b1: MatrixStarAlgebra, b2: MatrixStarAlgebra) -> MatrixStarAlgebra:
     """B1 (+) B2 in coordinates, block-diagonal in M_{N1 + N2}: each table
-    is block-diagonal, the traces are concatenated, and the residual is the
-    larger of the two."""
+    is block-diagonal and the traces are concatenated."""
     k1, k = b1.dim, b1.dim + b2.dim
     table = np.zeros((k, k, k), dtype=complex)
     table[:k1, :k1, :k1] = b1.structure
@@ -687,9 +700,8 @@ def _block_sum(b1: MatrixStarAlgebra, b2: MatrixStarAlgebra) -> MatrixStarAlgebr
     star = np.zeros((k, k), dtype=complex)
     star[:k1, :k1] = b1.star
     star[k1:, k1:] = b2.star
-    return MatrixStarAlgebra(b1.ambient_dim + b2.ambient_dim, None, table,
-                             max(b1.closure_residual(), b2.closure_residual()), star,
-                             np.concatenate([b1.traces, b2.traces]))
+    return MatrixStarAlgebra.from_tables(b1.ambient_dim + b2.ambient_dim, table, star,
+                                         np.concatenate([b1.traces, b2.traces]))
 
 
 def direct_sum_module(e1: FDHilbertModule, e2: FDHilbertModule) -> FDHilbertModule:

@@ -17,9 +17,11 @@ stays for spans with no known structure, such as algebra_from_span's.  A
 builder that knows the structure passes the table and its residual
 instead: the fixed-point algebra and C(X) run the same pass on the d x d
 diagonal blocks of their block-diagonal bases.  An algebra without a basis
-is given all three tables: the crossed product reads them off its
-structure tensor, and a subalgebra spanned by coordinate rows
-(restricted_algebra) off its parent's tables.
+is built from all three tables (MatrixStarAlgebra.from_tables): the
+crossed product reads them off its structure tensor, a direct sum places
+its summands' on the diagonal, and a subalgebra spanned by coordinate rows
+(restricted_algebra, which also gives the center of such an algebra) reads
+them off its parent's.
 
 The dense layer stays as the oracle and for the algebras that are spans:
 generation by closure, commutants by nullspace and the finite-dimensional
@@ -65,16 +67,18 @@ class MatrixStarAlgebra:
     tr b_k.
 
     `basis`, for an algebra given as a span of N x N matrices, has shape
-    (dim, N, N) and is orthonormal under trace(a* b); the tables are read
-    off it.  `table` and `product_residual`, when given, are the product
-    table and a bound on how far products and adjoints leave the span, so
-    the dense pass never runs.  An algebra without a basis (None) is given
-    `star_table` and `trace_values` too, and `ambient_dim` is the size of
-    the matrices its builder represents it on.  Either way the left-regular
-    matrices L_c = (structure @ c).T represent the algebra faithfully, and
-    an injective *-homomorphism of C*-algebras is isometric (Murphy,
-    C*-Algebras and Operator Theory, 1990, 3.1.5), so the operator norm of
-    L_c is that of the element.
+    (dim, N, N) and is orthonormal under trace(a* b); the star table and
+    traces are read off it.  `table` and `product_residual`, when given,
+    are the product table and a bound on how far products leave the span,
+    so the dense pass never runs.  An algebra without a basis is built by
+    from_tables, which also takes `star_table` and `trace_values`, and its
+    `ambient_dim` is the size of the matrices its builder represents it on;
+    only its coordinate interface works, and the span methods (contains,
+    coefficients, element, random_element, is_unital) raise AlgebraError.
+    Either way the left-regular matrices L_c = (structure @ c).T represent
+    the algebra faithfully, and an injective *-homomorphism of C*-algebras
+    is isometric (Murphy, C*-Algebras and Operator Theory, 1990, 3.1.5), so
+    the operator norm of L_c is that of the element.
     """
 
     ambient_dim: int
@@ -89,11 +93,20 @@ class MatrixStarAlgebra:
             if self.table is None or self.star_table is None or self.trace_values is None:
                 raise AlgebraError("an algebra without a basis needs its three tables")
             return
+        if self.star_table is not None or self.trace_values is not None:
+            raise AlgebraError("an algebra with a basis reads its star table and traces off it")
         basis = np.asarray(self.basis, dtype=complex)
         n = self.ambient_dim
         if basis.ndim != 3 or basis.shape[1:] != (n, n):
             raise AlgebraError("basis must be a (dim, N, N) array")
         object.__setattr__(self, "basis", basis)
+
+    @classmethod
+    def from_tables(cls, ambient_dim: int, table: np.ndarray, star: np.ndarray,
+                    traces: np.ndarray, product_residual: float = 0.0) -> MatrixStarAlgebra:
+        """The algebra in coordinates with the given product table, star
+        table and traces, and no basis of matrices."""
+        return cls(ambient_dim, None, table, product_residual, star, traces)
 
     # -- basic span machinery ------------------------------------------------
 
@@ -167,10 +180,13 @@ class MatrixStarAlgebra:
         return max(self._products[1], float(np.linalg.norm(off, axis=1).max()))
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
-        rows = self.basis_rows()
-        gram = rows.conj() @ rows.T
-        if not np.allclose(gram, np.eye(self.dim), atol=max(tol, 1e-9) * 10):
-            raise AlgebraError("basis is not orthonormal")
+        """A basis must be orthonormal, and products and adjoints may leave
+        the span by tol * max(N, 1) at most (closure_residual)."""
+        if self.basis is not None:
+            rows = self.basis_rows()
+            gram = rows.conj() @ rows.T
+            if not np.allclose(gram, np.eye(self.dim), atol=max(tol, 1e-9) * 10):
+                raise AlgebraError("basis is not orthonormal")
         if self.closure_residual() > tol * max(self.ambient_dim, 1):
             raise AlgebraError("span is not closed under product/adjoint")
 
@@ -274,23 +290,19 @@ def restricted_algebra(alg: MatrixStarAlgebra, rows: np.ndarray) -> MatrixStarAl
     distance from their span |v - v rows* rows|.  What each b_k b_k' leaves
     outside alg's span is at most alg's product residual rho, so s_i s_j
     leaves the rows' span by at most that distance plus
-    |rows[i]|_1 |rows[j]|_1 rho.  The adjoints s_i* are read off alg's star
-    table the same way, and the residual kept is the larger distance.  The
-    traces are tr s_r = sum_k rows[r, k] tr b_k.
+    |rows[i]|_1 |rows[j]|_1 rho, the residual kept.  The star table is
+    alg's read against the rows, and the traces are
+    tr s_r = sum_k rows[r, k] tr b_k.
     """
     # [j, i, l]: the b_l coordinate of s_i s_j, from alg's table [k', l, k].
     v = (np.tensordot(rows, alg.structure, axes=(1, 0)) @ rows.T).transpose(0, 2, 1)
     coeffs = v @ rows.conj().T
     v -= coeffs @ rows
-    stars = alg.adjoint(rows)                                       # [i, l]
-    star_coeffs = stars @ rows.conj().T
-    stars -= star_coeffs @ rows
     l1 = np.abs(rows).sum(axis=1).max(initial=0.0)
-    residual = max(float(np.linalg.norm(v, axis=-1).max(initial=0.0))
-                   + l1 ** 2 * alg._products[1],
-                   float(np.linalg.norm(stars, axis=-1).max(initial=0.0)))
-    return MatrixStarAlgebra(alg.ambient_dim, None, coeffs.transpose(0, 2, 1), residual,
-                             star_coeffs.T, rows @ alg.traces)
+    residual = float(np.linalg.norm(v, axis=-1).max(initial=0.0)) + l1 ** 2 * alg._products[1]
+    return MatrixStarAlgebra.from_tables(alg.ambient_dim, coeffs.transpose(0, 2, 1),
+                                         (alg.adjoint(rows) @ rows.conj().T).T,
+                                         rows @ alg.traces, residual)
 
 
 def algebra_from_span(mats, ambient_dim: int | None = None,
@@ -364,11 +376,16 @@ def center(alg: MatrixStarAlgebra, tol: float = DEFAULT_TOL) -> MatrixStarAlgebr
 
     Row (j, l) is c -> <b_l, [sum_i c_i b_i, b_j]>.  A is closed and its
     basis orthonormal, so these rows have the singular values of the
-    Kronecker commutant operator restricted to A.
+    Kronecker commutant operator restricted to A.  An algebra without a
+    basis gets its center in coordinates against those rows
+    (restricted_algebra).
     """
     if alg.dim == 0:
         return alg
-    return MatrixStarAlgebra(alg.ambient_dim, alg.element(_center_rows(alg, tol)))
+    rows = _center_rows(alg, tol)
+    if alg.basis is None:
+        return restricted_algebra(alg, rows)
+    return MatrixStarAlgebra(alg.ambient_dim, alg.element(rows))
 
 
 @dataclass(frozen=True)
@@ -408,8 +425,8 @@ def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
 
     Solved in A's coordinates but for the projections.  A seeded random
     central element z, drawn on the center's rows as random_element draws,
-    acts on A by left multiplication as L_z = sum_i z_i structure[:, :, i].T,
-    and L_z* = L_(z*) in an orthonormal basis, so the Hermitian part of L_z
+    acts on A by left multiplication as L_z (left_regular), and
+    L_z* = L_(z*) in an orthonormal basis, so the Hermitian part of L_z
     is L_h for h the Hermitian part of z.  Its eigenvalue clusters must
     number dim Z(A); each spans a block ideal A p of dimension n^2, and p,
     the projection of the unit's coefficients conj(tr b_k) onto it, must be
@@ -420,12 +437,12 @@ def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
         return BlockStructure(alg, ())
     rng = np.random.default_rng(seed)
     rows = _center_rows(alg, tol)
-    table, unit = alg.structure, alg.traces.conj()
+    unit = alg.traces.conj()
     cut = max(tol, 1e-7)
     gap = 1e-7
     for _ in range(_SPLIT_ATTEMPTS):
         z = (rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))) @ rows
-        lz = (table @ z).T
+        lz = alg.left_regular(z)
         evals, evecs = np.linalg.eigh((lz + lz.conj().T) / 2.0)
         clusters = cluster_values(evals, gap)
         if len(clusters) == len(rows):
@@ -434,7 +451,7 @@ def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
                 n = math.isqrt(idx.size)
                 q = evecs[:, idx]
                 p = q @ (q.conj().T @ unit)
-                square = p @ (table @ p)
+                square = alg.multiply(p, p)
                 if n * n != idx.size or \
                         np.linalg.norm(square - p) > cut * max(1.0, np.linalg.norm(p)):
                     break

@@ -566,8 +566,9 @@ class CrossedProduct:
         star[g.inv, :, np.arange(w_n)] = self._adjoints
         traces = np.zeros((w_n, k), dtype=complex)
         traces[g.identity] = math.sqrt(w_n) * b_alg.traces
-        return MatrixStarAlgebra(w_n * b_alg.ambient_dim, None, self._table(), 0.0,
-                                 star.reshape(self.dim, self.dim), traces.reshape(-1))
+        return MatrixStarAlgebra.from_tables(w_n * b_alg.ambient_dim, self._table(),
+                                             star.reshape(self.dim, self.dim),
+                                             traces.reshape(-1))
 
     def _table(self) -> np.ndarray:
         """<a_(u, l), a_(w, i) a_(v, j)> indexed [(v, j), (u, l), (w, i)]:

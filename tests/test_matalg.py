@@ -1,10 +1,12 @@
 """Matrix *-algebras: closure, commutants, blocks, ideals, separation."""
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from equivaria.groups import builtin_group
 from equivaria.hilbmod import standard_module
 from equivaria.matalg import (
+    AlgebraError,
     MatrixStarAlgebra,
     block_decompose,
     check_stone_weierstrass,
@@ -89,6 +91,25 @@ def test_nonunital_subalgebra_unit():
     alg = MatrixStarAlgebra(2, e11[None])
     assert not alg.is_unital()
     assert np.abs(alg.element(alg.unit()) - e11).max() < 1e-10
+
+
+def test_an_algebra_is_given_by_a_basis_or_by_its_tables():
+    """A basis fixes the star table and traces, so they are not also given;
+    an algebra without one is built from all three tables, and its span
+    methods raise."""
+    plain = generate([np.diag([1.0, 2.0]).astype(complex)], ambient_dim=2)
+    with pytest.raises(AlgebraError, match="reads its star table"):
+        MatrixStarAlgebra(2, plain.basis, plain.structure, 0.0, plain.star)
+    with pytest.raises(AlgebraError, match="reads its star table"):
+        MatrixStarAlgebra(2, plain.basis, trace_values=plain.traces)
+    with pytest.raises(AlgebraError, match="three tables"):
+        MatrixStarAlgebra(2, None, plain.structure)
+    tables = MatrixStarAlgebra.from_tables(2, plain.structure, plain.star, plain.traces)
+    assert tables.basis is None and tables.dim == plain.dim
+    assert np.abs(tables.unit() - plain.unit()).max() < 1e-12
+    tables.validate()
+    with pytest.raises(AlgebraError, match="no basis"):
+        tables.element(tables.unit())
 
 
 def test_ideals_in_block_algebra():

@@ -148,7 +148,13 @@ def test_center_matches_oracle_on_fixed_point_algebras(name):
 
 def test_center_matches_oracle_on_crossed_product():
     cp = crossed_product(function_algebra_action(z2_line_system(1)))
-    assert center_dim_checked(embedded_algebra(cp)) > 0
+    dense = embedded_algebra(cp)
+    assert center_dim_checked(dense) > 0
+    # The center in coordinates is the embedded center's span.
+    cen, rows = center(cp.algebra), matalg._center_rows(cp.algebra, 1e-9)
+    assert cen.basis is None and cen.dim == center(dense).dim == rows.shape[0]
+    assert spans_equal(flatten(dense.element(rows)), center(dense).basis_rows(), 1e-8)
+    assert_same_tables(cen, MatrixStarAlgebra(dense.ambient_dim, dense.element(rows)))
 
 
 BLOCK_SHAPES = [(1, 2), (2, 1), (2, 2)]
@@ -624,6 +630,24 @@ def green_julg_loops(eq, cp):
     return action, inner
 
 
+def test_module_takes_algebra_elements_in_coordinates():
+    """Over C(X), dim B = |X| = N: a matrix where coordinates belong would
+    broadcast, so it is refused, as are carrier vectors of the wrong size."""
+    e = function_module(z2_line_system(1))
+    n, m = e.algebra.dim, e.carrier_dim
+    assert n == e.algebra.ambient_dim
+    xi, c = np.ones(m), np.arange(n, dtype=complex)
+    assert close(e.act(xi, c), np.tensordot(c, e.action, axes=1) @ xi)
+    for bad in (np.eye(n), np.ones(n + 1), np.float64(1.0)):
+        with pytest.raises(ModuleError, match="coordinate vectors"):
+            e.act(xi, bad)
+    with pytest.raises(ModuleError, match="carrier's size"):
+        e.act(np.ones(m + 1), c)
+    with pytest.raises(ModuleError, match="carrier's size"):
+        e.inner_product(xi, np.ones((2, m + 1)))
+    assert e.inner_product(xi, xi).shape == (n,)
+
+
 PIPELINE = ["z2-line", "anticomplete-point", "z2xz2-line-1", "z2xz2-line-2",
             "z2xz2-line-1-quotient", "z2xz2-line-2-quotient", "z4-rotation"]
 
@@ -716,20 +740,41 @@ def test_span_contains_checks_every_slab():
     assert span_contains(basis, vecs[:-1])
 
 
+def restricted_rows_spy(monkeypatch, module) -> list:
+    """The coordinate rows of every restricted_algebra call made through
+    `module`, in order."""
+    calls = []
+
+    def spy(alg, rows):
+        calls.append(rows)
+        return matalg.restricted_algebra(alg, rows)
+
+    monkeypatch.setattr(module, "restricted_algebra", spy)
+    return calls
+
+
+def assert_same_tables(alg, plain):
+    """alg, in coordinates, has the product table, star table and traces
+    that the dense pass reads off plain's basis."""
+    assert close(alg.structure, plain.structure)
+    assert close(alg.star, plain.star) and close(alg.traces, plain.traces)
+
+
 @pytest.mark.parametrize("label", PIPELINE)
-def test_fullness_ideal_matches_raw_values(label):
-    """The ideal in coordinates has the dimension, block sizes and unit
-    trace of the span of the values as matrices."""
+def test_fullness_ideal_matches_raw_values(label, monkeypatch):
+    """The ideal's rows span the values as matrices, and its tables are
+    those of that span."""
     eq = pipeline_module(label)
     averaged, cp = green_julg_module(eq)
+    calls = restricted_rows_spy(monkeypatch, hilbmod)
     for e, dense in ((eq.base, eq.base.algebra), (averaged, embedded_algebra(cp))):
-        m, n = e.carrier_dim, dense.ambient_dim
+        m = e.carrier_dim
         raw = orthonormal_rows(flatten(dense_inner(e, dense)).reshape(m * m, -1))
-        span = algebra_from_span(unflatten(raw, n))
         ideal = fullness_ideal(e)
-        assert ideal.dim == raw.shape[0]
-        assert matalg.block_decompose(ideal).sizes() == matalg.block_decompose(span).sizes()
-        assert abs(np.linalg.norm(ideal.unit()) - np.linalg.norm(span.unit())) < 1e-10
+        rows = calls.pop()
+        assert not calls and ideal.dim == raw.shape[0]
+        assert spans_equal(flatten(dense.element(rows)), raw, 1e-8)
+        assert_same_tables(ideal, MatrixStarAlgebra(dense.ambient_dim, dense.element(rows)))
         assert is_full(e) == (raw.shape[0] == e.algebra.dim)
 
 
@@ -980,24 +1025,36 @@ def test_whitened_basis_rejects_a_wrong_inverse_root(monkeypatch):
 
 
 @pytest.mark.parametrize("label", CROSSED)
-def test_morita_spans_in_coefficients_match_the_embedded_ideals(label):
+def test_morita_spans_in_coefficients_match_the_embedded_ideals(label, monkeypatch):
     sys = crossed_system(label)
     verdict = verify_morita_theorem(sys)
     cid = verdict.ideal
     cp = cid.cp
-    # C: the coefficient rows embed to an orthonormal basis of an ideal.
+    # C: the coefficient rows embed to an orthonormal basis of an ideal,
+    # whose tables are c_ideal's algebra's; an ideal of full dimension is
+    # the crossed product, in its own coordinates.
     c_alg, dense = embedded_ideal(cid)
     c_rows = c_alg.basis_rows()
     assert close(c_rows @ c_rows.conj().T, np.eye(cid.dim))
     assert cid.algebra.dim == cid.dim and is_ideal(c_alg, dense)
+    if cid.dim < cp.dim:
+        assert_same_tables(cid.algebra, c_alg)
+    else:
+        assert cid.algebra is cp.algebra
+        assert_same_tables(cid.algebra, MatrixStarAlgebra(dense.ambient_dim, dense.basis))
     # J: the span of the averaged inner values is the fullness ideal.
     eq = equivariant_function_module(sys)
     m = eq.base.carrier_dim
     j_rows = orthonormal_rows(averaged_inner_coefficients(eq).reshape(m * m, -1))
     averaged = green_julg_module(eq, cp)[0]
     j_emb = orthonormal_rows(flatten(dense_inner(averaged, dense)).reshape(m * m, -1))
-    assert j_rows.shape[0] == fullness_ideal(averaged).dim == verdict.j_dim == j_emb.shape[0]
+    calls = restricted_rows_spy(monkeypatch, hilbmod)
+    j_alg = fullness_ideal(averaged)
+    ideal_rows = calls.pop()
+    assert j_rows.shape[0] == j_alg.dim == verdict.j_dim == j_emb.shape[0]
     assert spans_equal(flatten(dense.element(j_rows)), j_emb, 1e-8)
+    assert spans_equal(flatten(dense.element(ideal_rows)), j_emb, 1e-8)
+    assert_same_tables(j_alg, MatrixStarAlgebra(dense.ambient_dim, dense.element(ideal_rows)))
     # The verdict's fields, recomputed on the embedded spans.
     assert verdict.spans_match == spans_equal(j_emb, c_rows, 1e-8)
     assert verdict.strict_inclusion == (
@@ -1759,6 +1816,7 @@ def test_restricted_table_matches_the_dense_pass(label):
     assert close(alg.star, plain.star) and close(alg.traces, plain.traces)
     assert alg.closure_residual() < 1e-13 and closure_residual_dense(plain) < 1e-13
     plain.validate()
+    alg.validate()
     assert close(alg.unit(), plain.unit())
     # Rows that are not a subalgebra: the residual is the dense one.
     rows = orthonormal_rows(cid.rows[:1] + dense.coefficients(
@@ -1767,6 +1825,8 @@ def test_restricted_table_matches_the_dense_pass(label):
     table, residual = matalg.product_table(dense.element(rows))
     assert close(bad.structure, table)
     assert abs(bad.product_residual - residual) < 1e-12 and residual > 1e-3
+    with pytest.raises(AlgebraError, match="not closed"):
+        bad.validate()
 
 
 def points_system(sys):
