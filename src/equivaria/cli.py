@@ -155,7 +155,7 @@ def cmd_morita(args) -> int:
         obj, extras = obj
     if not isinstance(obj, EquivariantSystem):
         raise InputError("morita expects a system or components input")
-    if "wprime" in extras and "r" in extras:
+    if extras:
         rep = semidirect_reduction(obj, extras["wprime"], extras["r"],
                                    seed=args.seed, tol=args.tolerance)
         report = {"schema": SCHEMA, "command": "morita", "mode": "reduction",

@@ -31,9 +31,9 @@ cuts the rank of the m^2 rank-one maps one carrier component at a time
 (`carrier_components`; the points or orbits of the function modules): the
 stack of all the maps is block diagonal, one block per component, so its
 singular values are the blocks' together, and dense SVDs of the blocks cut
-at the whole stack's scale are the dense rule exactly.  A module of one
+at the whole stack's scale are the dense rule exactly; `is_full` and the
+Morita witness take their ranks on the same carrier pairs.  A module of one
 component is one block, the only case in which the cut forms the m^4 stack.
-The margin of the cut is kept.
 """
 from __future__ import annotations
 
@@ -46,6 +46,7 @@ from .groups import FiniteGroup
 from .linalg import (
     DEFAULT_TOL,
     check_tol,
+    component_labels,
     flatten,
     homomorphism_defect,
     nullspace_rows,
@@ -56,7 +57,7 @@ from .linalg import (
     spans_equal,
     unflatten,
 )
-from .matalg import MatrixStarAlgebra, product_table, restricted_algebra
+from .matalg import Blocks, MatrixStarAlgebra, restricted_algebra
 from .systems import (
     AlgebraAction,
     CrossedProduct,
@@ -162,6 +163,11 @@ class FDHilbertModule:
         return self._gram
 
     @cached_property
+    def components(self) -> list[np.ndarray]:
+        """The carrier components of the module's tensors (carrier_components)."""
+        return carrier_components(self.action, self.inner)
+
+    @cached_property
     def _gram(self) -> np.ndarray:
         g = self.inner @ self.algebra.traces / np.linalg.norm(self.algebra.unit()) ** 2
         return (g + g.conj().T) / 2.0
@@ -251,30 +257,30 @@ class FDHilbertModule:
 
 def _lowest(b_alg: MatrixStarAlgebra, h: np.ndarray) -> np.ndarray:
     """The least eigenvalue of each Hermitian element of B (coordinates
-    (..., k)), from its left-regular matrix, whose spectrum is the
-    element's in B."""
-    if b_alg.dim == 0:
-        return np.zeros(h.shape[:-1])
-    return np.linalg.eigvalsh(b_alg.left_regular(h))[..., 0]
+    (..., k)), from the blocks of its left-regular matrix, whose spectrum
+    is the element's in B."""
+    lows = [np.linalg.eigvalsh(lh)[..., 0].min(axis=-1) for lh in b_alg.left_regular(h)]
+    return np.min(lows, axis=0) if lows else np.zeros(h.shape[:-1])
 
 
 # -- standard constructions ---------------------------------------------------
 
 
 def standard_module(b_alg: MatrixStarAlgebra) -> FDHilbertModule:
-    """B as a module over itself with <b1|b2> = b1* b2; B's structure table
-    is the action tensor, and b_i* b_j = sum_m,l S[m, i] T[j, l, m] b_l
-    with S the star constants."""
-    inner = np.einsum("mi,jlm->ijl", b_alg.star, b_alg.structure, optimize=True)
-    return FDHilbertModule(b_alg, b_alg.structure, inner, name="standard")
+    """B as a module over itself with <b1|b2> = b1* b2: action[j] is right
+    multiplication by b_j, and the inner values are the products b_i* b_j."""
+    eye = np.eye(b_alg.dim)
+    action = b_alg.multiply(eye[:, None], eye).transpose(1, 2, 0)
+    inner = b_alg.multiply(b_alg.adjoint(eye)[:, None], eye)
+    return FDHilbertModule(b_alg, action, inner, name="standard")
 
 
 def scalar_algebra(n_points: int) -> MatrixStarAlgebra:
-    """C(X) for |X| = n_points, as the diagonal algebra in M_{|X|}: its
-    table comes from the 1 x 1 diagonal blocks of its basis."""
-    eye = np.eye(n_points, dtype=complex)
-    basis = eye[:, :, None] * eye[:, None, :]       # [x, x, x] = 1
-    return MatrixStarAlgebra(n_points, basis, *product_table(eye[:, :, None, None]))
+    """C(X) for |X| = n_points, the diagonal algebra in M_{|X|}: one block
+    C per point, in coordinates against the point indicators."""
+    ones = np.ones((n_points, 1, 1, 1), dtype=complex)
+    return MatrixStarAlgebra(n_points, (Blocks(np.arange(n_points)[:, None], ones,
+                                               ones[..., 0], ones[..., 0, 0]),))
 
 
 def function_module(sys: EquivariantSystem) -> FDHilbertModule:
@@ -293,7 +299,7 @@ def function_module(sys: EquivariantSystem) -> FDHilbertModule:
 
 def free_module(n: int) -> FDHilbertModule:
     """C^n over C (the scalars realized as M_1)."""
-    b_alg = MatrixStarAlgebra(1, np.ones((1, 1, 1), dtype=complex))
+    b_alg = scalar_algebra(1)
     action = np.eye(n, dtype=complex)[None]
     return FDHilbertModule(b_alg, action, np.eye(n, dtype=complex)[..., None], name="free")
 
@@ -354,31 +360,20 @@ def carrier_components(action: np.ndarray, coefficients: np.ndarray) -> list[np.
     nz_coeff = coefficients != 0                                      # [j, l, k]
     shared = nz_coeff.any(axis=1).astype(float) @ nz_action.any(axis=1).astype(float)
     link = nz_action.any(axis=0) | nz_coeff.any(axis=2) | (shared > 0)
-    link |= link.T
-    # Each index takes the least label among itself and its neighbours, then
-    # the label of that label, until nothing changes: the least index of its
-    # component.
-    m = link.shape[0]
-    labels = np.arange(m)
-    while True:
-        low = np.minimum(np.where(link, labels, m).min(axis=1, initial=m), labels)
-        new = low[low]
-        if np.array_equal(new, labels):
-            break
-        labels = new
+    labels = component_labels(link)
     return [np.flatnonzero(labels == c) for c in np.unique(labels)]
 
 
-def _compact_rows(action: np.ndarray, coefficients: np.ndarray,
-                  tol: float) -> tuple[np.ndarray, float]:
+def _compact_rows(action: np.ndarray, coefficients: np.ndarray, tol: float,
+                  parts: list[np.ndarray]) -> tuple[np.ndarray, float]:
     """(rows, margin): orthonormal rows (r, m^2) spanning the rank-one
     maps and the margin sigma_r / sigma_(r+1) of their rank cut over all
-    blocks (CompactOperators.rank_margin), as compact_operators describes.
+    blocks (CompactOperators.rank_margin), as compact_operators describes,
+    for the carrier components `parts` of the two arrays.
     """
     m = action.shape[-1]
     if m == 0:
         return np.zeros((0, 0), dtype=complex), np.inf
-    parts = carrier_components(action, coefficients)
     blocks = []      # (values, right singular vectors, each block's coordinates)
     for size in sorted({part.size for part in parts}):
         idx = np.stack([part for part in parts if part.size == size])   # [g, a]
@@ -419,7 +414,7 @@ def compact_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> CompactOp
     """
     check_tol(tol)
     e.gram_sqrt()
-    raw_rows, margin = _compact_rows(e.action, e.inner, tol)
+    raw_rows, margin = _compact_rows(e.action, e.inner, tol, e.components)
     return CompactOperators(e, raw_rows, margin)
 
 
@@ -436,12 +431,20 @@ def fullness_ideal(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> MatrixStarAl
                               orthonormal_rows(e.inner.reshape(m * m, e.algebra.dim), tol))
 
 
-def is_full(e: FDHilbertModule, tol: float = 1e-8) -> bool:
-    """Is fullness_ideal(e, tol) all of B?  Only the rank of the (m^2, dim B)
-    inner coefficients is taken, at `tol`; the ideal is not embedded."""
+def _in_component(e: FDHilbertModule) -> np.ndarray:
+    """The flat indices p m + l of the carrier pairs (p, l) that lie in one
+    carrier component (carrier_components): off them every rank-one map
+    and every inner value <e_p|e_l> is zero."""
     m = e.carrier_dim
-    return orthonormal_rows(e.inner.reshape(m * m, e.algebra.dim), tol).shape[0] \
-        == e.algebra.dim
+    return np.concatenate([(p[:, None] * m + p).ravel() for p in e.components] + [[]]).astype(int)
+
+
+def is_full(e: FDHilbertModule, tol: float = 1e-8) -> bool:
+    """Is fullness_ideal(e, tol) all of B?  Only the rank of the inner
+    coefficients <e_p|e_l> with p and l in one carrier component is taken,
+    at `tol`; the others are zero, and the ideal is not embedded."""
+    values = e.inner.reshape(e.carrier_dim ** 2, e.algebra.dim)[_in_component(e)]
+    return orthonormal_rows(values, tol).shape[0] == e.algebra.dim
 
 
 # -- equivariant modules -------------------------------------------------------
@@ -610,8 +613,8 @@ def _averaged_compacts_rows(eq: EquivariantModule, tol: float) -> np.ndarray:
     eq.beta.validate()
     maps = _averaged_maps(eq)
     w_n, k, m = maps.shape[:3]
-    return _compact_rows(maps.reshape(w_n * k, m, m),
-                         averaged_inner_coefficients(eq).reshape(m, m, w_n * k), tol)[0]
+    maps, values = maps.reshape(w_n * k, m, m), averaged_inner_coefficients(eq).reshape(m, m, -1)
+    return _compact_rows(maps, values, tol, carrier_components(maps, values))[0]
 
 
 def verify_green_julg(eq: EquivariantModule, tol: float = 1e-8) -> GreenJulgVerdict:
@@ -666,16 +669,24 @@ def verify_morita(a_alg: MatrixStarAlgebra, e: FDHilbertModule,
     """Witness that A ~ B via E: E full over B and A = K_B(E) through left_action.
 
     `left_action[k]` is the raw carrier matrix by which A's basis element k
-    acts on E.  The map must be a *-isomorphism onto the compacts.
+    acts on E.  The map must be a *-isomorphism onto the compacts.  Ranks
+    and spans are taken on the carrier pairs of one component
+    (_in_component), off which the compacts vanish, as compact_operators
+    cuts them; there each row v of the left action must vanish too, to
+    tol * max(1, |v|), for its image to lie in K_B(E).
     """
     rng = rng or np.random.default_rng(0)
     left_action = np.asarray(left_action, dtype=complex)
     full = is_full(e, tol)
     compacts = compact_operators(e, tol)
-    img_rows = orthonormal_rows(flatten(left_action), tol)
+    pairs = _in_component(e)
+    image = flatten(left_action)
+    off = np.delete(np.arange(image.shape[1]), pairs)
+    img_rows = orthonormal_rows(image[:, pairs], tol)
     injective = img_rows.shape[0] == a_alg.dim
     span_match = (img_rows.shape[0] == compacts.raw_rows.shape[0]
-                  and spans_equal(img_rows, compacts.raw_rows, tol))
+                  and span_contains(np.zeros((0, len(off))), image[:, off], tol)
+                  and spans_equal(img_rows, compacts.raw_rows[:, pairs], tol))
     # Eight samples, each drawing c1 then c2, real parts before imaginary;
     # their products and adjoints are read off A's tables.
     draws = rng.standard_normal((8, 4, a_alg.dim))
@@ -691,17 +702,11 @@ def verify_morita(a_alg: MatrixStarAlgebra, e: FDHilbertModule,
 
 
 def _block_sum(b1: MatrixStarAlgebra, b2: MatrixStarAlgebra) -> MatrixStarAlgebra:
-    """B1 (+) B2 in coordinates, block-diagonal in M_{N1 + N2}: each table
-    is block-diagonal and the traces are concatenated."""
-    k1, k = b1.dim, b1.dim + b2.dim
-    table = np.zeros((k, k, k), dtype=complex)
-    table[:k1, :k1, :k1] = b1.structure
-    table[k1:, k1:, k1:] = b2.structure
-    star = np.zeros((k, k), dtype=complex)
-    star[:k1, :k1] = b1.star
-    star[k1:, k1:] = b2.star
-    return MatrixStarAlgebra.from_tables(b1.ambient_dim + b2.ambient_dim, table, star,
-                                         np.concatenate([b1.traces, b2.traces]))
+    """B1 (+) B2, block-diagonal in M_{N1 + N2}: B1's blocks, then B2's at
+    the coordinates after B1's."""
+    moved = (Blocks(st.index + b1.dim, st.table, st.star, st.traces) for st in b2.blocks)
+    return MatrixStarAlgebra(b1.ambient_dim + b2.ambient_dim, b1.blocks + tuple(moved),
+                             max(b1.product_residual, b2.product_residual))
 
 
 def direct_sum_module(e1: FDHilbertModule, e2: FDHilbertModule) -> FDHilbertModule:

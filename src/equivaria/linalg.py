@@ -134,37 +134,35 @@ def spans_equal(a_rows: np.ndarray, b_rows: np.ndarray, tol: float = DEFAULT_TOL
     return span_contains(a_rows, b_rows, tol) and span_contains(b_rows, a_rows, tol)
 
 
-def span_intersection(a_rows: np.ndarray, b_rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the intersection of two row spans."""
-    d = a_rows.shape[1]
-    # Vectors orthogonal to both orthocomplements.
-    comp_a = nullspace_rows(a_rows.conj(), tol)
-    comp_b = nullspace_rows(b_rows.conj(), tol)
-    stacked = np.vstack([comp_a.conj(), comp_b.conj()])
-    if stacked.shape[0] == 0:
-        return np.eye(d, dtype=complex)
-    return nullspace_rows(stacked, tol)
-
-
 def homomorphism_defect(mats: np.ndarray, mul: np.ndarray) -> np.ndarray:
     """[g, h] = mats[gh] - mats[g] mats[h] for a group's multiplication
     table `mul`: zero exactly when the matrices are a homomorphism."""
     return mats[mul] - mats[:, None] @ mats[None]
 
 
-def cluster_values(values: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Group sorted real values into clusters separated by more than `gap`.
+def cluster_values(values: np.ndarray, gap: float) -> np.ndarray:
+    """Cluster labels of ascending real values (..., s), each row on its
+    own: a value more than `gap` above the one before starts a new cluster,
+    and clusters are numbered from 0."""
+    starts = np.diff(values, axis=-1) > gap
+    return np.concatenate([np.zeros(starts.shape[:-1] + (1,), dtype=np.intp),
+                           np.cumsum(starts, axis=-1)], axis=-1)
 
-    Returns a list of index arrays into the original `values`.
-    """
-    order = np.argsort(values)
-    clusters: list[list[int]] = []
-    for idx in order:
-        if clusters and values[idx] - values[clusters[-1][-1]] <= gap:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    return [np.array(c) for c in clusters]
+
+def component_labels(link: np.ndarray) -> np.ndarray:
+    """The connected components of the graph with adjacency `link` (n, n),
+    each node labeled with the least node of its component: each node takes
+    the least label among itself and its neighbours, then that label's
+    label, until nothing changes."""
+    link = link | link.T
+    n = link.shape[0]
+    labels = np.arange(n)
+    while True:
+        low = np.minimum(np.where(link, labels, n).min(axis=1, initial=n), labels)
+        new = low[low]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,36 +1,24 @@
-"""Finite-dimensional *-algebras, read in orthonormal coordinates.
+"""Finite-dimensional *-algebras, read block by block in orthonormal coordinates.
 
-Every algebra is read through three tables over an orthonormal basis b_k:
-its product table <b_l, b_i b_j>, its star table <b_l, b_i*> and its
-traces tr b_k, each built once.  Products, adjoints, norms (of left-regular
-matrices), the unit's check, the center, the block structure and
-subalgebras spanned by coordinate rows are all solved from them in the
-algebra's k coordinates, never on M_N.
+Every algebra is a direct sum of blocks, and each block holds its product
+table <b_l, b_i b_j>, its star table <b_l, b_i*> and its traces tr b_k over
+its own orthonormal coordinates b_k.  Elements of two blocks multiply to
+zero, so products, adjoints, norms, the unit, the center, the block
+structure and subalgebras spanned by coordinate rows are all solved block by
+block, never on M_N or on a table of the whole algebra; blocks of one size
+are stacked (Blocks) and each stack is one batched call.  Builders know their
+blocks: the fixed-point algebra has one per orbit, C(X) one per point, a
+crossed product one per W-orbit of its base's blocks, a direct sum its
+summands' and restricted_algebra those its rows lie in.
 
-An algebra given as a span of N x N matrices keeps that basis,
-orthonormal under the trace inner product trace(a* b); with row-major
-flattening that is the standard inner product on C^(N*N), so its span
-arithmetic reduces to plain linear algebra, and its tables are read off
-the basis.  The dense pass, which multiplies the k basis matrices
-pairwise and also measures the closure residual in O(k N^2 + k^3) memory,
-stays for spans with no known structure, such as algebra_from_span's.  A
-builder that knows the structure passes the table and its residual
-instead: the fixed-point algebra and C(X) run the same pass on the d x d
-diagonal blocks of their block-diagonal bases.  An algebra without a basis
-is built from all three tables (MatrixStarAlgebra.from_tables): the
-crossed product reads them off its structure tensor, a direct sum places
-its summands' on the diagonal, and a subalgebra spanned by coordinate rows
-(restricted_algebra, which also gives the center of such an algebra) reads
-them off its parent's.
-
-The dense layer stays as the oracle and for the algebras that are spans:
-generation by closure, commutants by nullspace and the finite-dimensional
-separating-subalgebra checker.
+A span of N x N matrices with no known structure (MatrixSpan) keeps its
+orthonormal matrices beside its one-block algebra, whose tables span_tables
+reads off their products: generation by closure, commutants by nullspace and
+the finite-dimensional separating-subalgebra checker work on those.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,10 +27,11 @@ from .linalg import (
     DEFAULT_TOL,
     check_tol,
     cluster_values,
+    component_labels,
     flatten,
     intertwiner_rows,
-    nullspace_rows,
     orthonormal_rows,
+    rank_threshold,
     span_contains,
     unflatten,
 )
@@ -56,162 +45,136 @@ class SplitError(RuntimeError):
     """Randomized central splitting failed after bounded retries."""
 
 
-# Complex entries of basis products held at once by the product pass.
+# Complex entries of products held at once by span_tables.
 _PRODUCT_SLAB = 1 << 20
 
 
 @dataclass(frozen=True)
-class MatrixStarAlgebra:
-    """A finite-dimensional *-algebra in orthonormal coordinates b_k, read
-    through `structure` <b_l, b_i b_j>, `star` <b_l, b_i*> and `traces`
-    tr b_k.
+class Blocks:
+    """g blocks of one size s, stacked: block b holds the algebra's
+    coordinates index[b], and over them its product table table[b]
+    [j, l, i] = <b_l, b_i b_j> (slice j is right multiplication by b_j), its
+    star table star[b] [l, i] = <b_l, b_i*> and its traces traces[b]."""
 
-    `basis`, for an algebra given as a span of N x N matrices, has shape
-    (dim, N, N) and is orthonormal under trace(a* b); the star table and
-    traces are read off it.  `table` and `product_residual`, when given,
-    are the product table and a bound on how far products leave the span,
-    so the dense pass never runs.  An algebra without a basis is built by
-    from_tables, which also takes `star_table` and `trace_values`, and its
-    `ambient_dim` is the size of the matrices its builder represents it on;
-    only its coordinate interface works, and the span methods (contains,
-    coefficients, element, random_element, is_unital) raise AlgebraError.
-    Either way the left-regular matrices L_c = (structure @ c).T represent
-    the algebra faithfully, and an injective *-homomorphism of C*-algebras
-    is isometric (Murphy, C*-Algebras and Operator Theory, 1990, 3.1.5), so
-    the operator norm of L_c is that of the element.
+    index: np.ndarray    # (g, s)
+    table: np.ndarray    # (g, s, s, s)
+    star: np.ndarray     # (g, s, s)
+    traces: np.ndarray   # (g, s)
+
+    def regular(self, parts: np.ndarray) -> np.ndarray:
+        """L_c on each block, for block coordinates parts (..., g, s):
+        column j is the coordinates of c b_j."""
+        g, s = self.index.shape
+        prods = (self.table.reshape(g, s * s, s) @ parts[..., None])[..., 0]
+        return np.swapaxes(prods.reshape(parts.shape + (s,)), -2, -1)
+
+
+def _grouped(keys) -> dict:
+    """The positions of equal keys, by key in order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
+@dataclass(frozen=True)
+class MatrixStarAlgebra:
+    """A finite-dimensional *-algebra in orthonormal coordinates b_k, the
+    direct sum of its blocks.
+
+    `blocks` holds one stack per block size, in increasing order of size
+    (the constructor merges stacks of one size); their indices partition the
+    coordinates.  `product_residual` bounds how far its builder saw products
+    and adjoints leave the span, and `ambient_dim` is the size of the
+    matrices its builder represents it on.  The left-regular matrix L_c is
+    block diagonal, and an injective *-homomorphism of C*-algebras is
+    isometric (Murphy, C*-Algebras and Operator Theory, 1990, 3.1.5), so the
+    largest operator norm of its blocks is that of the element.
     """
 
     ambient_dim: int
-    basis: np.ndarray | None
-    table: np.ndarray | None = field(default=None, repr=False)
+    blocks: tuple[Blocks, ...]
     product_residual: float = 0.0
-    star_table: np.ndarray | None = field(default=None, repr=False)
-    trace_values: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.basis is None:
-            if self.table is None or self.star_table is None or self.trace_values is None:
-                raise AlgebraError("an algebra without a basis needs its three tables")
-            return
-        if self.star_table is not None or self.trace_values is not None:
-            raise AlgebraError("an algebra with a basis reads its star table and traces off it")
-        basis = np.asarray(self.basis, dtype=complex)
-        n = self.ambient_dim
-        if basis.ndim != 3 or basis.shape[1:] != (n, n):
-            raise AlgebraError("basis must be a (dim, N, N) array")
-        object.__setattr__(self, "basis", basis)
-
-    @classmethod
-    def from_tables(cls, ambient_dim: int, table: np.ndarray, star: np.ndarray,
-                    traces: np.ndarray, product_residual: float = 0.0) -> MatrixStarAlgebra:
-        """The algebra in coordinates with the given product table, star
-        table and traces, and no basis of matrices."""
-        return cls(ambient_dim, None, table, product_residual, star, traces)
-
-    # -- basic span machinery ------------------------------------------------
+        given = [st for st in self.blocks if st.index.size]
+        groups = _grouped(st.index.shape[1] for st in given)
+        stacks = []
+        for size in sorted(groups):
+            parts = [given[i] for i in groups[size]]
+            stacks.append(parts[0] if len(parts) == 1 else Blocks(*map(np.concatenate, zip(
+                *((st.index, st.table, st.star, st.traces) for st in parts)))))
+        coords = np.sort(np.concatenate([st.index.ravel() for st in stacks] + [[]]))
+        if not np.array_equal(coords, np.arange(coords.size)):
+            raise AlgebraError("the blocks' coordinates must partition the algebra's")
+        object.__setattr__(self, "blocks", tuple(stacks))
 
     @property
     def dim(self) -> int:
-        return len(self.traces)
-
-    def basis_rows(self) -> np.ndarray:
-        if self.basis is None:
-            raise AlgebraError("the algebra has no basis of matrices; read it in coordinates")
-        return flatten(self.basis)
-
-    def contains(self, mats, tol: float = DEFAULT_TOL) -> bool:
-        return span_contains(self.basis_rows(), flatten(np.asarray(mats, dtype=complex)), tol)
-
-    def coefficients(self, a: np.ndarray) -> np.ndarray:
-        """Expansion of a (or of each of a stack) against the orthonormal basis."""
-        return flatten(a) @ self.basis_rows().conj().T
-
-    def element(self, coeffs: np.ndarray) -> np.ndarray:
-        """sum_l coeffs[..., l] b_l, for one coefficient vector or a stack."""
-        return unflatten(np.asarray(coeffs, dtype=complex) @ self.basis_rows(), self.ambient_dim)
-
-    def random_element(self, rng: np.random.Generator, hermitian: bool = False) -> np.ndarray:
-        c = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        a = self.element(c)
-        if hermitian:
-            a = (a + a.conj().T) / 2.0
-        return a
-
-    @cached_property
-    def _products(self) -> tuple[np.ndarray, float]:
-        """(structure, product residual), from the builder or the dense pass."""
-        if self.table is not None:
-            return self.table, self.product_residual
-        return self._product_pass()
-
-    def _product_pass(self) -> tuple[np.ndarray, float]:
-        """The dense pass: every product of two basis matrices."""
-        return product_table(self.basis)
-
-    @property
-    def structure(self) -> np.ndarray:
-        """<b_l, b_i b_j> indexed [j, l, i]: slice j is right multiplication
-        by b_j in basis coordinates.  Built once and kept on the instance."""
-        return self._products[0]
+        return sum(st.index.size for st in self.blocks)
 
     @cached_property
     def traces(self) -> np.ndarray:
-        """tr b_k per basis element: conj(tr b_k) are the unit's coefficients
+        """tr b_k per coordinate: conj(tr b_k) are the unit's coefficients
         and tr b_k / sum_l |tr b_l|^2 the trace state tau(b_k)."""
-        if self.basis is None:
-            return self.trace_values
-        return np.trace(self.basis, axis1=1, axis2=2)
+        return self._whole([st.traces for st in self.blocks], ())
 
-    @cached_property
-    def star(self) -> np.ndarray:
-        """<b_l, b_i*> = conj(tr(b_l b_i)) indexed [l, i], so
-        b_i* = sum_l star[l, i] b_l."""
-        if self.basis is None:
-            return self.star_table
-        return (self.basis_rows() @ flatten(self.basis.swapaxes(1, 2)).T).conj()
+    def components(self, rows: np.ndarray) -> np.ndarray:
+        """The component of each of `rows` (r, dim) in the graph on the
+        blocks in which a row links the blocks it has a nonzero coordinate
+        in, labeled by its least block (blocks numbered stack by stack)."""
+        ids, first = np.zeros(self.dim, dtype=int), 0
+        for st in self.blocks:
+            ids[st.index] = first + np.arange(len(st.index))[:, None]
+            first += len(st.index)
+        touch = (rows != 0) @ (ids[:, None] == np.arange(first))
+        return component_labels(touch.T @ touch)[touch.argmax(axis=1)]
+
+    def _whole(self, parts, lead: tuple) -> np.ndarray:
+        """Coordinates (*lead, dim) from their parts (*lead, g, s) per stack."""
+        out = np.zeros(lead + (self.dim,), dtype=complex)
+        for st, part in zip(self.blocks, parts):
+            out[..., st.index] = part
+        return out
 
     def closure_residual(self) -> float:
-        """How far products and adjoints stray from the span (0 for an algebra)."""
-        if self.dim == 0:
-            return 0.0
-        if self.basis is None:
-            return self._products[1]
-        off = self.star.T @ self.basis_rows() - flatten(self.basis.conj().swapaxes(1, 2))
-        return max(self._products[1], float(np.linalg.norm(off, axis=1).max()))
+        """How far products and adjoints stray from the span (0 for an
+        algebra), as its builder measured it."""
+        return self.product_residual
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
-        """A basis must be orthonormal, and products and adjoints may leave
-        the span by tol * max(N, 1) at most (closure_residual)."""
-        if self.basis is not None:
-            rows = self.basis_rows()
-            gram = rows.conj() @ rows.T
-            if not np.allclose(gram, np.eye(self.dim), atol=max(tol, 1e-9) * 10):
-                raise AlgebraError("basis is not orthonormal")
+        """Products and adjoints may leave the span by tol * max(N, 1) at
+        most (closure_residual)."""
         if self.closure_residual() > tol * max(self.ambient_dim, 1):
             raise AlgebraError("span is not closed under product/adjoint")
 
-    # -- arithmetic in coordinates -------------------------------------------
+    # -- arithmetic in coordinates, block by block ---------------------------
 
-    def left_regular(self, c: np.ndarray) -> np.ndarray:
-        """L_c, the matrix of x -> c x on coordinates, for c (..., dim):
-        column j is the coordinates of c b_j."""
-        return np.swapaxes(np.tensordot(c, self.structure, axes=(-1, -1)), -2, -1)
+    def left_regular(self, c: np.ndarray) -> list[np.ndarray]:
+        """The blocks of L_c, the matrix of x -> c x on coordinates, for c
+        (..., dim): one (..., g, s, s) array per stack."""
+        c = np.asarray(c)
+        return [st.regular(c[..., st.index]) for st in self.blocks]
 
     def multiply(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
         """The coordinates of the products of coordinate stacks that broadcast."""
-        return (self.left_regular(c1) @ np.asarray(c2)[..., None])[..., 0]
+        c1, c2 = np.asarray(c1), np.asarray(c2)
+        return self._whole([(lc @ c2[..., st.index, None])[..., 0]
+                            for st, lc in zip(self.blocks, self.left_regular(c1))],
+                           np.broadcast_shapes(c1.shape[:-1], c2.shape[:-1]))
 
     def adjoint(self, c: np.ndarray) -> np.ndarray:
         """The coordinates of the adjoints of a coordinate stack."""
-        return np.conj(c) @ self.star.T
+        c = np.conj(c)
+        return self._whole([(st.star @ c[..., st.index, None])[..., 0] for st in self.blocks],
+                           c.shape[:-1])
 
     def norm(self, c: np.ndarray) -> np.ndarray:
         """The operator norm of each element of a coordinate stack: the
-        largest singular value of its left-regular matrix."""
+        largest singular value of the blocks of its left-regular matrix."""
         c = np.asarray(c, dtype=complex)
-        if self.dim == 0:
-            return np.zeros(c.shape[:-1])
-        return np.linalg.svd(self.left_regular(c), compute_uv=False)[..., 0]
+        return np.max([np.zeros(c.shape[:-1])] + [np.linalg.svd(lc, compute_uv=False)[..., 0].max(
+            axis=-1) for lc in self.left_regular(c)], axis=0)
 
     # -- structural elements -------------------------------------------------
 
@@ -223,7 +186,7 @@ class MatrixStarAlgebra:
         of 1 onto A: for a in A, <a, 1 - e> = tr(a*) - tr(a* e) = 0 as
         a* e = a*.  So e has coefficients <b_l, 1> = conj(tr b_l), and
         tr e = |e|^2 = sum_l |tr b_l|^2.  A span without a unit fails the
-        check e b_j = b_j, read off the table as L_e = 1, which raises
+        check e b_j = b_j, read off each block as L_e = 1, which raises
         AlgebraError on every call.  Built once and kept on the instance.
         """
         return self._unit
@@ -231,52 +194,45 @@ class MatrixStarAlgebra:
     @cached_property
     def _unit(self) -> np.ndarray:
         e = self.traces.conj()
-        defect = np.linalg.norm(self.left_regular(e) - np.eye(self.dim), axis=0)
-        if np.any(defect > 1e-6):
-            raise AlgebraError("algebra has no unit in its span")
+        for st, le in zip(self.blocks, self.left_regular(e)):
+            if np.any(np.linalg.norm(le - np.eye(st.index.shape[1]), axis=-2) > 1e-6):
+                raise AlgebraError("algebra has no unit in its span")
         return e
 
-    def is_unital(self, tol: float = DEFAULT_TOL) -> bool:
-        """True when the ambient identity lies in the span."""
-        return self.contains(np.eye(self.ambient_dim), tol)
 
-
-def product_table(elems: np.ndarray) -> tuple[np.ndarray, float]:
-    """(structure, largest distance of a product from the span) of k
-    elements (k, ..., d, d) whose flattenings are orthonormal and whose
-    middle axes index F diagonal blocks of size d: none for a dense basis
-    (k, N, N), |X| for the fibers (k, |X|, d, d) of block-diagonal matrices.
-
-    Embedding blocks on the diagonal of M_(F d) is an isometry, so the
-    table and residual of the blocks are the embedded ones, at O(k^2 F d^3)
-    cost in place of O(k^2 N^3).  Each block's products for all pairs are
-    one (k d, d) x (d, k d) matmul.  They are formed a slab of right factors
-    b_j at a time, each slab's products holding at most about _PRODUCT_SLAB
-    entries.
+def span_tables(elems: np.ndarray, index: np.ndarray) -> tuple[Blocks, float]:
+    """(blocks, largest distance of a product or an adjoint from its
+    block's span) of stacks elems (g, s, F, d, d): block b is spanned by s
+    orthonormal elements with F diagonal blocks d x d, at the coordinates
+    index[b].  Embedding blocks on the diagonal of M_(F d) is an isometry,
+    so these are the embedded tables and distances, at O(g s^2 F d^3):
+    one batched matmul per slab of right factors, each slab's products
+    holding about _PRODUCT_SLAB entries.
     """
-    k, d = elems.shape[0], elems.shape[-1]
-    if k == 0:
-        return np.zeros((0, 0, 0), dtype=complex), 0.0
-    blocks = elems.reshape(k, -1, d, d)
-    f = blocks.shape[1]
-    rows = elems.reshape(k, -1)
-    size = rows.shape[1]
-    proj = rows.conj().T
-    left = blocks.transpose(1, 0, 2, 3).reshape(f, k * d, d)       # [x, (i, a), b]
-    step = max(1, _PRODUCT_SLAB // (k * size))
-    table = np.empty((k, k, k), dtype=complex)
+    g, s, f, d = elems.shape[:4]
+    size = f * d * d
+    rows = elems.reshape(g, s, size)
+    proj = rows.conj().swapaxes(1, 2)
+    left = elems.transpose(0, 2, 1, 3, 4).reshape(g, f, s * d, d)          # [b, x, (i, a), c]
+    step = max(1, _PRODUCT_SLAB // max(g * s * size, 1))
+    table = np.empty((g, s, s, s), dtype=complex)
     worst = 0.0
-    for j0 in range(0, k, step):
-        right = blocks[j0:j0 + step]
-        s = right.shape[0]
-        # [x, (i, a), (j, c)]: block x of b_i b_j, rearranged to [(j, i), (x, a, c)].
-        prods = left @ right.transpose(1, 2, 0, 3).reshape(f, d, s * d)
-        prods = prods.reshape(f, k, d, s, d).transpose(3, 1, 0, 2, 4).reshape(s * k, size)
+    for j0 in range(0, s, step):
+        right = elems[:, j0:j0 + step]
+        t = right.shape[1]
+        # [b, x, (i, a), (j, e)]: block x of b_i b_j, rearranged to [b, (j, i), (x, a, e)].
+        prods = left @ right.transpose(0, 2, 3, 1, 4).reshape(g, f, d, t * d)
+        prods = prods.reshape(g, f, s, d, t, d).transpose(0, 4, 2, 1, 3, 5).reshape(g, t * s, size)
         coeffs = prods @ proj
-        table[j0:j0 + step] = coeffs.reshape(-1, k, k).transpose(0, 2, 1)
+        table[:, j0:j0 + step] = coeffs.reshape(g, t, s, s).transpose(0, 1, 3, 2)
         prods -= coeffs @ rows
-        worst = max(worst, float(np.linalg.norm(prods, axis=1).max()))
-    return table, worst
+        worst = max(worst, float(np.linalg.norm(prods, axis=-1).max(initial=0.0)))
+    adjoints = elems.conj().swapaxes(-2, -1).reshape(g, s, size)
+    star = rows.conj() @ adjoints.swapaxes(1, 2)
+    off = star.swapaxes(1, 2) @ rows - adjoints
+    worst = max(worst, float(np.linalg.norm(off, axis=-1).max(initial=0.0)))
+    traces = np.trace(elems, axis1=-2, axis2=-1).sum(axis=-1)
+    return Blocks(index, table, star, traces), worst
 
 
 def restricted_algebra(alg: MatrixStarAlgebra, rows: np.ndarray) -> MatrixStarAlgebra:
@@ -284,108 +240,61 @@ def restricted_algebra(alg: MatrixStarAlgebra, rows: np.ndarray) -> MatrixStarAl
     alg's coordinates, in coordinates against the rows: no two matrices are
     multiplied and no basis is formed.
 
-    s_i s_j is sum_(k, k') rows[i, k] rows[j, k'] b_k b_k'.  alg's table
-    gives the projection v of that product onto alg's span, in alg's
-    coordinates; its coordinates against the rows are v rows* and its
-    distance from their span |v - v rows* rows|.  What each b_k b_k' leaves
-    outside alg's span is at most alg's product residual rho, so s_i s_j
-    leaves the rows' span by at most that distance plus
-    |rows[i]|_1 |rows[j]|_1 rho, the residual kept.  The star table is
-    alg's read against the rows, and the traces are
-    tr s_r = sum_k rows[r, k] tr b_k.
+    It keeps the blocks of alg that its rows lie in, and a row that touches
+    two blocks merges them, as an SVD basis may; blocks of as many rows are
+    one batched call.  The projection v of s_i s_j onto alg's span has
+    coordinates v rows* against the rows and distance |v - v rows* rows|
+    from their span; each b_k b_k' leaves alg's span by at most alg's
+    product residual rho, so the residual kept adds |rows[i]|_1 |rows[j]|_1
+    rho.  Star table and traces are alg's read against the rows.
     """
-    # [j, i, l]: the b_l coordinate of s_i s_j, from alg's table [k', l, k].
-    v = (np.tensordot(rows, alg.structure, axes=(1, 0)) @ rows.T).transpose(0, 2, 1)
-    coeffs = v @ rows.conj().T
-    v -= coeffs @ rows
+    if not len(rows):
+        return MatrixStarAlgebra(alg.ambient_dim, ())
+    comp = alg.components(rows)
+    parts = [np.flatnonzero(comp == c) for c in np.unique(comp)]
+    blocks, worst = [], 0.0
+    for group in _grouped(map(len, parts)).values():
+        index = np.stack([parts[c] for c in group])
+        r = rows[index]                                                  # (g, s, k)
+        prods = alg.multiply(r[:, :, None], r[:, None])                 # [b, i, j]: s_i s_j
+        coeffs = prods @ r.conj().swapaxes(1, 2)[:, None]               # [b, i, j, m]
+        worst = max(worst, float(np.linalg.norm(prods - coeffs @ r[:, None], axis=-1).max()))
+        star = alg.adjoint(r) @ r.conj().swapaxes(1, 2)                 # [b, i, m]
+        blocks.append(Blocks(index, coeffs.transpose(0, 2, 3, 1), star.swapaxes(1, 2),
+                             r @ alg.traces))
     l1 = np.abs(rows).sum(axis=1).max(initial=0.0)
-    residual = float(np.linalg.norm(v, axis=-1).max(initial=0.0)) + l1 ** 2 * alg._products[1]
-    return MatrixStarAlgebra.from_tables(alg.ambient_dim, coeffs.transpose(0, 2, 1),
-                                         (alg.adjoint(rows) @ rows.conj().T).T,
-                                         rows @ alg.traces, residual)
+    return MatrixStarAlgebra(alg.ambient_dim, tuple(blocks), worst + l1 ** 2 * alg.product_residual)
 
 
-def algebra_from_span(mats, ambient_dim: int | None = None,
-                      tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
-    """Wrap an already-*-closed span (orthonormalizes; validates closure)."""
-    mats = np.asarray(mats, dtype=complex)
-    if mats.ndim == 2:
-        mats = mats[None]
-    if mats.shape[0] == 0:
-        if ambient_dim is None:
-            raise AlgebraError("ambient dimension needed for the zero algebra")
-        return MatrixStarAlgebra(ambient_dim, np.zeros((0, ambient_dim, ambient_dim), dtype=complex))
-    n = mats.shape[1]
-    rows = orthonormal_rows(flatten(mats), tol)
-    alg = MatrixStarAlgebra(n, unflatten(rows, n))
-    alg.validate(max(tol, 1e-8))
-    return alg
-
-
-def generate(gens, ambient_dim: int | None = None,
-             tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
-    """Smallest *-closed span containing the generators.
-
-    Fixed-point iteration: span <- span + span*span + span* until the
-    dimension stabilizes.
+def _central(alg: MatrixStarAlgebra, tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per stack, (vecs, keep): rows vecs[b, t] of block b's coordinates
+    and the mask keep (g, s) of those that span its center, the kernel of
+    c -> <b_l, [sum_i c_i b_i, b_j]>.  A's commutator matrix is block
+    diagonal with these blocks, so one cut at its scale, tol max(s_0, 1)
+    over all blocks, keeps the kernel the dense rule keeps.
     """
-    gens = np.asarray(gens, dtype=complex)
-    if gens.ndim == 2:
-        gens = gens[None]
-    if gens.shape[0] == 0:
-        if ambient_dim is None:
-            raise AlgebraError("ambient dimension needed for the zero algebra")
-        return MatrixStarAlgebra(ambient_dim, np.zeros((0, ambient_dim, ambient_dim), dtype=complex))
-    n = gens.shape[1]
-    if gens.shape[1] != gens.shape[2]:
-        raise AlgebraError("generators must be square matrices")
-    rows = orthonormal_rows(flatten(gens), tol)
-    if rows.shape[0] == 0:
-        return MatrixStarAlgebra(n, np.zeros((0, n, n), dtype=complex))
-    while True:
-        mats = unflatten(rows, n)
-        stars = np.conj(np.transpose(mats, (0, 2, 1)))
-        prods = (mats[:, None] @ mats[None]).reshape(-1, n, n)
-        new_rows = orthonormal_rows(
-            np.vstack([rows, flatten(stars), flatten(prods)]), tol)
-        if new_rows.shape[0] == rows.shape[0]:
-            return MatrixStarAlgebra(n, unflatten(new_rows, n))
-        rows = new_rows
-
-
-def commutant(alg: MatrixStarAlgebra, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
-    """{t : tb = bt for every b in the algebra}, inside the full ambient M_N."""
-    n = alg.ambient_dim
-    rows = intertwiner_rows(alg.basis, alg.basis, tol)
-    return MatrixStarAlgebra(n, unflatten(rows, n))
-
-
-def full_matrix_algebra(n: int) -> MatrixStarAlgebra:
-    basis = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
-    return MatrixStarAlgebra(n, basis)
+    svds = [np.linalg.svd((st.table - st.table.transpose(0, 3, 2, 1)).reshape(
+        len(st.index), -1, st.index.shape[1]), full_matrices=False)[1:] for st in alg.blocks]
+    threshold = rank_threshold(np.concatenate([s.ravel() for s, _ in svds] + [[]]), tol)
+    return [(vh.conj(), s <= threshold) for s, vh in svds]
 
 
 def _center_rows(alg: MatrixStarAlgebra, tol: float) -> np.ndarray:
-    """Orthonormal rows of A's coordinates spanning A intersect A' (center)."""
-    table = alg.structure
-    return nullspace_rows((table - table.transpose(2, 1, 0)).reshape(alg.dim ** 2, -1), tol)
+    """Orthonormal rows of A's coordinates spanning its center, each in one
+    block (_central)."""
+    parts = [np.zeros((0, alg.dim), dtype=complex)]
+    for st, (vecs, keep) in zip(alg.blocks, _central(alg, tol)):
+        b, t = np.nonzero(keep)
+        rows = np.zeros((len(b), alg.dim), dtype=complex)
+        rows[np.arange(len(b))[:, None], st.index[b]] = vecs[b, t]
+        parts.append(rows)
+    return np.concatenate(parts)
 
 
 def center(alg: MatrixStarAlgebra, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
-    """A intersect A', solved for the k coefficients of a central element.
-
-    Row (j, l) is c -> <b_l, [sum_i c_i b_i, b_j]>.  A is closed and its
-    basis orthonormal, so these rows have the singular values of the
-    Kronecker commutant operator restricted to A.  An algebra without a
-    basis gets its center in coordinates against those rows
-    (restricted_algebra).
-    """
-    if alg.dim == 0:
-        return alg
-    rows = _center_rows(alg, tol)
-    if alg.basis is None:
-        return restricted_algebra(alg, rows)
-    return MatrixStarAlgebra(alg.ambient_dim, alg.element(rows))
+    """A intersect A', solved block by block (_center_rows), in coordinates
+    against its rows (restricted_algebra), so it keeps A's blocks."""
+    return restricted_algebra(alg, _center_rows(alg, tol))
 
 
 @dataclass(frozen=True)
@@ -404,6 +313,149 @@ class BlockStructure:
         return sorted(b.size for b in self.blocks)
 
 
+# Central splittings tried per stack by block_decompose, each with a doubled gap.
+_SPLIT_ATTEMPTS = 8
+
+
+def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
+                    tol: float = DEFAULT_TOL) -> BlockStructure:
+    """Minimal central projections and per-block (size, multiplicity).
+
+    Solved block by block in A's coordinates, each stack in one batch.  A
+    seeded random central element z of each block (_central) acts on it as
+    L_z, and L_z* = L_(z*) in orthonormal coordinates; the eigenvalue
+    clusters of its Hermitian part must number the dimension of the block's
+    center, and each spans a block ideal A p of dimension n^2, where p, the
+    projection of the unit conj(tr b_k) onto it, must be idempotent.  The
+    multiplicity is trace(p) / n.  A failed stack retries with doubled gap.
+    """
+    check_tol(tol)
+    rng = np.random.default_rng(seed)
+    cut = max(tol, 1e-7)
+    blocks = []
+    for st, (vecs, keep) in zip(alg.blocks, _central(alg, tol)):
+        g, s = st.index.shape
+        unit = st.traces.conj()[..., None]
+        gap = 1e-7
+        for _ in range(_SPLIT_ATTEMPTS):
+            draws = rng.standard_normal((2, g, 1, s))
+            lz = st.regular((((draws[0] + 1j * draws[1]) * keep[:, None]) @ vecs)[:, 0])
+            evals, evecs = np.linalg.eigh((lz + lz.conj().swapaxes(1, 2)) / 2.0)
+            member = cluster_values(evals, gap)[..., None] == np.arange(s)   # [b, t, cluster]
+            # [cluster, b, k]: the unit's projection onto each cluster's eigenvectors.
+            p = (evecs @ (member * (evecs.conj().swapaxes(1, 2) @ unit))).transpose(2, 0, 1)
+            n2 = member.sum(axis=1).T
+            n = np.rint(np.sqrt(n2)).astype(int)
+            square = (st.regular(p) @ p[..., None])[..., 0]
+            bad = (n * n != n2) | (np.linalg.norm(square - p, axis=-1)
+                                   > cut * np.maximum(1.0, np.linalg.norm(p, axis=-1)))
+            used = n2 > 0
+            if np.array_equal(used.sum(axis=0), keep.sum(axis=1)) and not (bad & used).any():
+                break
+            gap *= 2.0
+        else:
+            raise SplitError("central splitting failed; reseed or loosen tolerance")
+        mult = np.rint((p * st.traces).sum(axis=-1).real / np.maximum(n, 1)).astype(int)
+        for c, b in zip(*np.nonzero(used)):
+            proj = np.zeros(alg.dim, dtype=complex)
+            proj[st.index[b]] = p[c, b]
+            blocks.append(Block(size=int(n[c, b]), multiplicity=int(mult[c, b]), projection=proj))
+    blocks.sort(key=lambda b: (b.size, -b.multiplicity))
+    return BlockStructure(alg, tuple(blocks))
+
+
+# -- spans of matrices, separating subalgebras / Stone-Weierstrass -------------
+
+
+@dataclass(frozen=True)
+class MatrixSpan:
+    """A *-closed span of N x N matrices with no known structure: its
+    matrices, orthonormal under trace(a* b), and the algebra in coordinates
+    against them, one block whose tables are read off their products
+    (span_tables), built on first access."""
+
+    mats: np.ndarray   # (dim, N, N)
+
+    @property
+    def dim(self) -> int:
+        return self.mats.shape[0]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.mats.shape[1]
+
+    @cached_property
+    def algebra(self) -> MatrixStarAlgebra:
+        blocks, residual = span_tables(self.mats[None, :, None], np.arange(self.dim)[None])
+        return MatrixStarAlgebra(self.ambient_dim, (blocks,), residual)
+
+    def element(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_l coeffs[..., l] b_l, for one coefficient vector or a stack."""
+        return np.tensordot(np.asarray(coeffs, dtype=complex), self.mats, axes=1)
+
+    def contains(self, mats, tol: float = DEFAULT_TOL) -> bool:
+        return span_contains(flatten(self.mats), flatten(np.asarray(mats, dtype=complex)), tol)
+
+
+def _span_of(mats, ambient_dim: int | None, tol: float) -> MatrixSpan:
+    """The orthonormalized span of one square matrix or a stack."""
+    mats = np.asarray(mats, dtype=complex)
+    if mats.ndim == 2:
+        mats = mats[None]
+    if not mats.shape[0]:
+        if ambient_dim is None:
+            raise AlgebraError("ambient dimension needed for the zero algebra")
+        return MatrixSpan(np.zeros((0, ambient_dim, ambient_dim), dtype=complex))
+    if mats.shape[1] != mats.shape[2]:
+        raise AlgebraError("generators must be square matrices")
+    return MatrixSpan(unflatten(orthonormal_rows(flatten(mats), tol), mats.shape[1]))
+
+
+def algebra_from_span(mats, ambient_dim: int | None = None,
+                      tol: float = DEFAULT_TOL) -> MatrixSpan:
+    """Wrap an already-*-closed span (orthonormalizes; validates closure)."""
+    span = _span_of(mats, ambient_dim, tol)
+    span.algebra.validate(max(tol, 1e-8))
+    return span
+
+
+def generate(gens, ambient_dim: int | None = None,
+             tol: float = DEFAULT_TOL) -> MatrixSpan:
+    """Smallest *-closed span containing the generators.
+
+    Fixed-point iteration: span <- span + span*span + span* until the
+    dimension stabilizes.
+    """
+    span = _span_of(gens, ambient_dim, tol)
+    n = span.ambient_dim
+    while span.dim:
+        mats = span.mats
+        stars = np.conj(np.transpose(mats, (0, 2, 1)))
+        prods = (mats[:, None] @ mats[None]).reshape(-1, n, n)
+        grown = _span_of(np.concatenate([mats, stars, prods]), n, tol)
+        if grown.dim == span.dim:
+            return grown
+        span = grown
+    return span
+
+
+def commutant(span: MatrixSpan, tol: float = DEFAULT_TOL) -> MatrixSpan:
+    """{t : tb = bt for every b in the span}, inside the full ambient M_N."""
+    return MatrixSpan(unflatten(intertwiner_rows(span.mats, span.mats, tol), span.ambient_dim))
+
+
+def full_matrix_algebra(n: int) -> MatrixSpan:
+    return MatrixSpan(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
+
+
+@dataclass(frozen=True)
+class SeparationReport:
+    separating: bool
+    reducible_blocks: tuple[int, ...]          # blocks whose restriction is reducible
+    merged_pairs: tuple[tuple[int, int], ...]  # block pairs made equivalent
+    missing_unit: bool                         # B does not contain A's unit
+
+
 def _range(p: np.ndarray) -> np.ndarray:
     """Orthonormal basis, as columns, of the range of a projection p."""
     evals, evecs = np.linalg.eigh((p + p.conj().T) / 2.0)
@@ -415,103 +467,34 @@ def _compress(q: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return q.conj().T @ mats @ q
 
 
-# Central splittings tried by block_decompose, each with a doubled gap.
-_SPLIT_ATTEMPTS = 8
-
-
-def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
-                    tol: float = DEFAULT_TOL) -> BlockStructure:
-    """Minimal central projections and per-block (size, multiplicity).
-
-    Solved in A's coordinates but for the projections.  A seeded random
-    central element z, drawn on the center's rows as random_element draws,
-    acts on A by left multiplication as L_z (left_regular), and
-    L_z* = L_(z*) in an orthonormal basis, so the Hermitian part of L_z
-    is L_h for h the Hermitian part of z.  Its eigenvalue clusters must
-    number dim Z(A); each spans a block ideal A p of dimension n^2, and p,
-    the projection of the unit's coefficients conj(tr b_k) onto it, must be
-    idempotent.  The multiplicity is trace(p) / n.
-    """
-    check_tol(tol)
-    if alg.dim == 0:
-        return BlockStructure(alg, ())
-    rng = np.random.default_rng(seed)
-    rows = _center_rows(alg, tol)
-    unit = alg.traces.conj()
-    cut = max(tol, 1e-7)
-    gap = 1e-7
-    for _ in range(_SPLIT_ATTEMPTS):
-        z = (rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))) @ rows
-        lz = alg.left_regular(z)
-        evals, evecs = np.linalg.eigh((lz + lz.conj().T) / 2.0)
-        clusters = cluster_values(evals, gap)
-        if len(clusters) == len(rows):
-            blocks = []
-            for idx in clusters:
-                n = math.isqrt(idx.size)
-                q = evecs[:, idx]
-                p = q @ (q.conj().T @ unit)
-                square = alg.multiply(p, p)
-                if n * n != idx.size or \
-                        np.linalg.norm(square - p) > cut * max(1.0, np.linalg.norm(p)):
-                    break
-                m = int(round((alg.traces @ p).real / n))
-                blocks.append(Block(size=n, multiplicity=m, projection=p))
-            else:
-                blocks.sort(key=lambda b: (b.size, -b.multiplicity))
-                return BlockStructure(alg, tuple(blocks))
-        gap *= 2.0
-    raise SplitError("central splitting failed; reseed or loosen tolerance")
-
-
-# -- separating subalgebras / Stone-Weierstrass -----------------------------
-
-
-@dataclass(frozen=True)
-class SeparationReport:
-    separating: bool
-    reducible_blocks: tuple[int, ...]          # blocks whose restriction is reducible
-    merged_pairs: tuple[tuple[int, int], ...]  # block pairs made equivalent
-    missing_unit: bool                         # B does not contain A's unit
-
-
-def _block_restriction(structure: BlockStructure, sub: MatrixStarAlgebra,
-                       index: int, tol: float) -> np.ndarray:
+def _block_restriction(alg: MatrixSpan, block: Block, sub: MatrixSpan,
+                       tol: float) -> np.ndarray:
     """Restriction of the subalgebra to one irreducible block slice of A.
 
-    Compress to a single copy of the block: pick a minimal projection in the
-    block's commutant and cut with it.  We realize this by compressing to
-    range(p) and then slicing a single irreducible summand via the commutant
-    of the compressed subalgebra of A.
+    Compress to range(p), where A acts as M_n (x) 1_m and its commutant is
+    1_n (x) M_m; a minimal projection in that commutant, one eigenspace of
+    a seeded random Hermitian element, cuts a single irreducible copy.
     """
-    p = structure.algebra.element(structure.blocks[index].projection)
-    q = _range(p)
-    comp_a = _compress(q, structure.algebra.basis)
-    # Inside range(p), A acts as M_n (x) 1_m; its commutant is 1_n (x) M_m.
-    alg_p = algebra_from_span(comp_a, tol=tol)
-    comm_p = commutant(alg_p, tol)
-    # A minimal projection in the commutant cuts one irreducible copy.
+    q = _range(alg.element(block.projection))
+    comm_p = commutant(algebra_from_span(_compress(q, alg.mats), tol=tol), tol)
     rng = np.random.default_rng(7)
-    h = comm_p.random_element(rng, hermitian=True)
-    evals, evecs = np.linalg.eigh(h)
-    clusters = cluster_values(evals, 1e-7)
-    r = evecs[:, clusters[0]]  # one eigenspace = range of a minimal projection
-    return _compress(q @ r, sub.basis)
+    h = comm_p.element(rng.standard_normal(comm_p.dim) + 1j * rng.standard_normal(comm_p.dim))
+    evals, evecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return _compress(q @ evecs[:, cluster_values(evals, 1e-7) == 0], sub.mats)
 
 
-def is_separating(sub: MatrixStarAlgebra, alg: MatrixStarAlgebra,
+def is_separating(sub: MatrixSpan, alg: MatrixSpan,
                   seed: int = 0, tol: float = DEFAULT_TOL) -> SeparationReport:
     """Do all irreducible blocks of A stay irreducible and inequivalent on B?
 
     Uses the algebra's own unit: if B misses A's unit, the restriction of the
     identity representation is degenerate and B cannot separate.
     """
-    if not alg.contains(sub.basis, max(tol, 1e-8)):
+    if not alg.contains(sub.mats, max(tol, 1e-8)):
         raise AlgebraError("first argument is not a subalgebra of the second")
-    structure = block_decompose(alg, seed=seed, tol=tol)
-    missing_unit = not sub.contains(alg.element(alg.unit()), max(tol, 1e-7))
-    restrictions = [_block_restriction(structure, sub, i, tol)
-                    for i in range(len(structure.blocks))]
+    structure = block_decompose(alg.algebra, seed=seed, tol=tol)
+    missing_unit = not sub.contains(alg.element(alg.algebra.unit()), max(tol, 1e-7))
+    restrictions = [_block_restriction(alg, blk, sub, tol) for blk in structure.blocks]
     reducible = []
     for i, mats in enumerate(restrictions):
         span = generate(mats, ambient_dim=mats.shape[1], tol=tol)
@@ -520,15 +503,11 @@ def is_separating(sub: MatrixStarAlgebra, alg: MatrixStarAlgebra,
     merged = []
     for i in range(len(restrictions)):
         for j in range(i + 1, len(restrictions)):
-            if _nonzero_intertwiner(restrictions[i], restrictions[j], tol):
+            # A nonzero s with s m1 = m2 s for all basis pairs.
+            if intertwiner_rows(restrictions[j], restrictions[i], tol).shape[0]:
                 merged.append((i, j))
     separating = not reducible and not merged and not missing_unit
     return SeparationReport(separating, tuple(reducible), tuple(merged), missing_unit)
-
-
-def _nonzero_intertwiner(mats1: np.ndarray, mats2: np.ndarray, tol: float) -> bool:
-    """Is there a nonzero s with s m1 = m2 s for all basis pairs?"""
-    return intertwiner_rows(mats2, mats1, tol).shape[0] > 0
 
 
 @dataclass(frozen=True)
@@ -539,7 +518,7 @@ class SWVerdict:
     report: SeparationReport
 
 
-def check_stone_weierstrass(sub: MatrixStarAlgebra, alg: MatrixStarAlgebra,
+def check_stone_weierstrass(sub: MatrixSpan, alg: MatrixSpan,
                             seed: int = 0, tol: float = DEFAULT_TOL) -> SWVerdict:
     """Separating subalgebra implies equality (finite-dimensional check)."""
     report = is_separating(sub, alg, seed=seed, tol=tol)

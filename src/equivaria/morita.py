@@ -68,6 +68,7 @@ from .systems import (
     CrossedProduct,
     EquivariantSystem,
     crossed_product,
+    embed_function,
     _iterated_crossed_iso,
     _outer_crossed_product,
     _OuterCrossedProduct,
@@ -420,7 +421,7 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     if averaged is not None and spans_match:
         fpa = fixed_point_algebra(sys, tol)
         module = rebase_module(averaged, cid.rows)
-        witness = verify_morita(fpa, module, fpa.basis, tol,
+        witness = verify_morita(fpa, module, embed_function(sys, fpa.functions), tol,
                                 rng=np.random.default_rng(seed))
         fpa_blocks = len(block_decompose(fpa, seed=seed, tol=tol).blocks)
         c_blocks = len(block_decompose(module.algebra, seed=seed, tol=tol).blocks)
@@ -443,22 +444,14 @@ def _check_splitting(sys: EquivariantSystem, scalar: ScalarStructure,
                                 f" vs {np.flatnonzero(expected[x]).tolist()}")
 
 
-def quotient_equivariant_module(sys: EquivariantSystem, wprime, r,
-                                tol: float = DEFAULT_TOL):
+def quotient_equivariant_module(sys: EquivariantSystem, sys_p: EquivariantSystem,
+                                u_emb: np.ndarray, v_sub: Subgroup, tol: float = DEFAULT_TOL):
     """The W'-invariant vectors of C(X, C^d) as an R-equivariant module
-    over C(X/W').
+    over C(X/W'), for the restricted system sys_p = restrict_system(sys, W'),
+    whose group W' has the elements u_emb of W, and R = v_sub.
 
     Returns (equivariant module, invariant row basis).
     """
-    sys_p, u_sub = restrict_system(sys, wprime)
-    return _quotient_equivariant_module(sys, sys_p, np.array(u_sub.embedding),
-                                        sys.group.subgroup(r), tol)
-
-
-def _quotient_equivariant_module(sys: EquivariantSystem, sys_p: EquivariantSystem,
-                                 u_emb: np.ndarray, v_sub: Subgroup, tol: float):
-    """quotient_equivariant_module for the restricted system sys_p, whose
-    group W' has the elements u_emb of W, and R = v_sub."""
     eqm = equivariant_function_module(sys)
     m = eqm.base.carrier_dim
     # gamma is a homomorphism, so invariance under generators of W' suffices.
@@ -557,11 +550,11 @@ def _semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int,
 
     # Link 4: the direct equivalence fpa(sys) ~ C(X/W') >| R, where fpa acts
     # on the W'-invariant vectors by compression.
-    eq_q, u_rows = _quotient_equivariant_module(sys, sys_p, u_emb, v_sub, tol)
+    eq_q, u_rows = quotient_equivariant_module(sys, sys_p, u_emb, v_sub, tol)
     eq_q.validate(max(tol, 1e-8))
     gj_q, cp_q = green_julg_module(eq_q)
     fpa = thm.fpa
-    left = u_rows.conj() @ fpa.basis @ u_rows.T
+    left = u_rows.conj() @ embed_function(sys, fpa.functions) @ u_rows.T
     final_witness = verify_morita(fpa, gj_q, left, tol,
                                   rng=np.random.default_rng(seed))
     fpa_blocks = thm.fpa_blocks
@@ -630,7 +623,7 @@ def assemble_toy_dual(components, seed: int = 0, tol: float = 1e-8) -> ToyDualRe
                 a_sum, left_sum, fpa, left, module.carrier_dim, gj_q.carrier_dim)
             module = direct_sum_module(module, gj_q)
     if module is None:
-        zero = MatrixStarAlgebra(0, np.zeros((0, 0, 0), dtype=complex))
+        zero = MatrixStarAlgebra(0, ())
         module = FDHilbertModule(zero, np.zeros((0, 0, 0), dtype=complex),
                                  np.zeros((0, 0, 0), dtype=complex))
         a_sum = zero

@@ -148,7 +148,8 @@ def _split_rep(rep: UnitaryRep, rng: np.random.Generator, tol: float) -> list[Un
         t = commutant_project(rep, random_hermitian(rep.dim, rng))
         t = (t + t.conj().T) / 2.0
         evals, evecs = np.linalg.eigh(t)
-        clusters = cluster_values(evals, gap)
+        labels = cluster_values(evals, gap)
+        clusters = [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
         if len(clusters) <= 1:
             gap *= 2.0
             continue

@@ -171,7 +171,8 @@ def parse_document(text: str):
 
     Component lists describe inputs for the toy-dual assembly:
     {"kind": "components", "components": [{"system": ..., "wprime": [...],
-    "r": [...]}, ...]}.  Systems may also carry optional "wprime"/"r".
+    "r": [...]}, ...]}.  A system may also carry a splitting, "wprime" and
+    "r" together; one without the other raises ParseError.
     """
     try:
         data = json.loads(text)
@@ -187,6 +188,9 @@ def parse_document(text: str):
         sys = system_from_json(data)
         extras = {key: _elements(data, key, sys.group) for key in ("wprime", "r")
                   if key in data}
+        if len(extras) == 1:
+            raise ParseError(f"a splitting needs both 'wprime' and 'r'; "
+                             f"{({'wprime', 'r'} - extras.keys()).pop()!r} is missing")
         return (sys, extras) if extras else sys
     if kind == "components":
         with _malformed("components document"):

@@ -8,28 +8,21 @@ functions is alpha_w(k)(x) = I_{w, w^-1 x} k(w^-1 x) I_{w^-1, x}.
 The module also realizes crossed products B >| W and verifies the two
 structural isomorphisms C(X) >| W ~ C(X, K(l^2 W))^W and
 (B >| U) >| V ~ B >| W for W = U >| V.  A CrossedProduct works in crossed
-coefficients: its structure tensor carries products, adjoints and the
-ideal test, so building one costs O(|W| dim B^3).  The action preserves
-the trace, so the elements a_(w,i) = b_i w / sqrt|W| are orthonormal in the
-regular representation on l^2(W) (x) C^N, and crossed coefficients are
-taken against them: they are the coordinates of the crossed product's
-algebra, whose product table, star table and traces are read off the
-structure tensor, B's star table and B's traces.  No crossed-product
-element is ever embedded as a matrix, and a module over B >| W keeps its
-inner values as those rows.  The fixed-point algebra's table and closure
-residual come from the pointwise products of its invariant functions, not
-from its block-diagonal N x N matrices.  The invariant functions are
-solved one orbit at a time: a commutant of the stabilizer's cocycle at the
-orbit's least point, transported along the orbit, so each function
-vanishes off one orbit and the table is zero outside the orbit blocks; no
-kernel is solved over the whole |X| d^2 space of functions.  The orbits
-and stabilizers are derived once per system, by EquivariantSystem.orbits,
-which every orbit-wise solver reads.
+coefficients, against the a_(w,i) = b_i w / sqrt|W|, orthonormal in the
+regular representation since the action preserves the trace: its structure
+tensor carries products, adjoints and the ideal test, at O(|W| dim B^3),
+and its algebra, one block per W-orbit of B's blocks, reads its tables off
+it.  No crossed-product element is embedded as a matrix.  The fixed-point
+algebra keeps its invariant functions, one block per orbit, with tables
+from their pointwise products.  The functions are solved one orbit at a
+time, a commutant of the stabilizer's cocycle at the orbit's least point
+transported along the orbit, from the orbits and stabilizers that
+EquivariantSystem.orbits derives once per system.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -45,7 +38,7 @@ from .linalg import (
     span_contains,
     spans_equal,
 )
-from .matalg import MatrixStarAlgebra, product_table
+from .matalg import AlgebraError, Blocks, MatrixStarAlgebra, _grouped, span_tables
 from .reps import regular_rep
 
 
@@ -356,10 +349,13 @@ def embed_function(sys: EquivariantSystem, k: np.ndarray) -> np.ndarray:
 
 
 def function_algebra(sys: EquivariantSystem) -> MatrixStarAlgebra:
-    """All of C(X, M_d), embedded block-diagonally; dim |X| d^2."""
-    d = sys.fiber_dim
-    return MatrixStarAlgebra(sys.total_dim, embed_function(
-        sys, np.eye(sys.n_points * d * d).reshape(-1, sys.n_points, d, d)))
+    """All of C(X, M_d), embedded block-diagonally; dim |X| d^2, one block
+    M_d per point, in coordinates against the matrix units."""
+    x_n, d = sys.n_points, sys.fiber_dim
+    units = np.broadcast_to(np.eye(d * d, dtype=complex).reshape(d * d, 1, d, d),
+                            (x_n, d * d, 1, d, d))
+    blocks, residual = span_tables(units, np.arange(x_n * d * d).reshape(x_n, d * d))
+    return MatrixStarAlgebra(sys.total_dim, (blocks,), residual)
 
 
 def invariant_functions(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -410,19 +406,45 @@ def invariant_functions(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> np.
     return funcs
 
 
-def fixed_point_algebra(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
-    """C(X, M_d)^W as a matrix *-algebra in M_{|X| d}.
+@dataclass(frozen=True)
+class FixedPointAlgebra(MatrixStarAlgebra):
+    """C(X, M_d)^W in coordinates against its orthonormal invariant
+    functions, which it keeps read-only as `functions` (k, |X|, d, d)."""
 
-    The basis is the orthonormal invariant functions, embedded
-    block-diagonally.  That embedding is an isometry, so the product table
-    and the closure residual are those of the pointwise products of the
-    (k, |X|, d, d) functions, from matalg.product_table, and are checked
-    against the same threshold as a dense pass would be.  The functions are
-    orbit-adapted, so the table is exactly zero outside the orbit blocks.
+    functions: np.ndarray = field(kw_only=True, repr=False)
+
+
+def fixed_point_algebra(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> FixedPointAlgebra:
+    """C(X, M_d)^W, one block per orbit, in coordinates against the
+    invariant functions, embedded block-diagonally in M_{|X| d}.  That
+    embedding is an isometry, so the orthonormality check and each orbit's
+    tables and closure residual are those of the (k, |X| d^2) functions and
+    of their pointwise products on the orbit (matalg.span_tables), against
+    the embedded matrices' thresholds.  Orbits with as many functions and
+    points are one batched call.
     """
     check_tol(tol)
     funcs = invariant_functions(sys, tol)
-    alg = MatrixStarAlgebra(sys.total_dim, embed_function(sys, funcs), *product_table(funcs))
+    funcs.setflags(write=False)
+    k, x_n = len(funcs), sys.n_points
+    rows = funcs.reshape(k, -1)
+    if not np.allclose(rows.conj() @ rows.T, np.eye(k), atol=max(tol, 1e-8) * 10):
+        raise AlgebraError("basis is not orthonormal")
+    orbits = sys.orbits
+    # Each function's orbit, read at a point where it is nonzero; the
+    # functions come orbit by orbit.
+    at = np.abs(rows.reshape(k, x_n, -1)).max(axis=2).argmax(axis=1)
+    counts = np.bincount(np.searchsorted(orbits.representatives, orbits.least[at]),
+                         minlength=len(orbits.members))
+    starts = np.cumsum(counts) - counts
+    blocks, worst = [], 0.0
+    for (s, _), group in _grouped(zip(counts.tolist(), map(len, orbits.members))).items():
+        index = starts[group][:, None] + np.arange(s)
+        points = np.array([orbits.members[o] for o in group])
+        stack, residual = span_tables(funcs[index[:, :, None], points[:, None, :]], index)
+        blocks.append(stack)
+        worst = max(worst, residual)
+    alg = FixedPointAlgebra(sys.total_dim, tuple(blocks), worst, functions=funcs)
     alg.validate(max(tol, 1e-8))
     return alg
 
@@ -452,7 +474,7 @@ def quotient_algebra(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> Quotie
     if np.linalg.norm(sys.cocycle - 1.0) > 1e-9 * sys.cocycle.size:
         raise SystemError("quotient algebra requires the trivial cocycle")
     alg = fixed_point_algebra(sys, tol)
-    return QuotientAlgebra(alg, sys.orbits.members, alg.basis.diagonal(axis1=1, axis2=2))
+    return QuotientAlgebra(alg, sys.orbits.members, alg.functions[:, :, 0, 0])
 
 
 # -- actions on algebras and crossed products --------------------------------
@@ -472,9 +494,8 @@ class AlgebraAction:
     def validate(self, tol: float = 1e-8) -> None:
         """Check that the maps are a homomorphism into the *-automorphisms of B.
 
-        Multiplicativity and *-preservation are read in B's coordinates, as
-        contractions of the maps with B's structure constants <b_l, b_i b_j>
-        and star coefficients <b_l, b_i*>.  B is *-closed and its basis
+        Multiplicativity and *-preservation are read in B's coordinates,
+        through B's products and adjoints.  B is *-closed and its basis
         orthonormal, so each coefficient residual is the norm of the matrix
         difference it stands for.  The maps are a homomorphism (checked on
         all pairs), so both are checked at the group's generators only.
@@ -491,21 +512,17 @@ class AlgebraAction:
             raise SystemError("maps are not a group homomorphism")
         if k == 0:
             return
-        star = alg.star
-        maps = maps[list(self.group.generators())]
-        # Column i: beta_w(b_i*) - beta_w(b_i)*.
-        if np.linalg.norm(maps @ star - star @ maps.conj(), axis=1).max(initial=0.0) > tol:
+        # [w, i]: beta_w(b_i), one row per basis element.
+        images = maps[list(self.group.generators())].swapaxes(1, 2)
+        eye = np.eye(k)
+        # Row i: beta_w(b_i*) - beta_w(b_i)*.
+        if np.linalg.norm(alg.adjoint(eye) @ images - alg.adjoint(images),
+                          axis=-1).max(initial=0.0) > tol:
             raise SystemError("action does not preserve the involution")
-        prod = alg.structure   # [j, l, i]: <b_l, b_i b_j>
-        w_n = len(maps)
         # [w, i, j]: beta_w(b_i b_j) - beta_w(b_i) beta_w(b_j), in B's coordinates.
-        lhs = (prod.transpose(2, 0, 1).reshape(k * k, k) @ maps.swapaxes(1, 2)).reshape(
-            w_n, k, k, k)
-        # [w, j, m, p]: the b_m coordinate of b_p beta_w(b_j); then b_p -> beta_w(b_i).
-        right = (maps.swapaxes(1, 2) @ prod.reshape(k, k * k)).reshape(w_n, k, k, k)
-        rhs = (maps.swapaxes(1, 2) @ right.transpose(0, 3, 1, 2).reshape(w_n, k, k * k)).reshape(
-            w_n, k, k, k)
-        if np.linalg.norm(lhs - rhs, axis=-1).max(initial=0.0) > tol:
+        defect = alg.multiply(eye[:, None], eye) @ images[:, None] \
+            - alg.multiply(images[:, :, None], images[:, None])
+        if np.linalg.norm(defect, axis=-1).max(initial=0.0) > tol:
             raise SystemError("action is not multiplicative")
 
 
@@ -545,41 +562,42 @@ class CrossedProduct:
 
     @cached_property
     def algebra(self) -> MatrixStarAlgebra:
-        """B >| W as an algebra in its own coordinates, the crossed
-        coefficients, with no basis of matrices.
-
-        Its three tables are read off the coefficients: the product table
-        from `structure` (_table), the star table from the adjoints, with
-        a_(w,i)* in slot w^-1, and the traces tr a_(w,i) =
-        delta_(w,e) sqrt|W| tr b_i.  The last hold in the regular
+        """B >| W in its own coordinates, the crossed coefficients: one
+        block per W-orbit O of B's blocks, as a_(w,i) a_(v,j) =
+        b_i beta_w(b_j) wv / sqrt|W| vanishes unless b_i and beta_w(b_j)
+        share a block.  <a_(u,l), a_(w,i) a_(v,j)> is structure[w, i, j, l]
+        on O when u = wv and zero otherwise; a_(w,i)* lies in slot w^-1, and
+        tr a_(w,i) = delta_(w,e) sqrt|W| tr b_i.  These hold in the regular
         representation, in which a_(w,i) has the block
         beta_((wv)^-1)(b_i) / sqrt|W| at (wv, v): only w = e has diagonal
-        blocks, and each beta_v preserves the trace, since it fixes B's
-        unit and is unitary.  The regular representation is the integrated
-        form of a covariant pair (Williams, Crossed Products of
-        C*-Algebras, 2007, 2.3), so these are the tables of the embedded
-        span; its ambient size |W| N is kept as `ambient_dim`.
+        blocks, and each beta_v preserves the trace.  The regular
+        representation integrates a covariant pair (Williams, Crossed
+        Products of C*-Algebras, 2007, 2.3), so these are the tables of the
+        embedded span, whose ambient size |W| N is `ambient_dim`.
         """
         g, b_alg = self.group, self.action.algebra
         w_n, k = g.order, b_alg.dim
-        star = np.zeros((w_n, k, w_n, k), dtype=complex)
-        star[g.inv, :, np.arange(w_n)] = self._adjoints
-        traces = np.zeros((w_n, k), dtype=complex)
-        traces[g.identity] = math.sqrt(w_n) * b_alg.traces
-        return MatrixStarAlgebra.from_tables(w_n * b_alg.ambient_dim, self._table(),
-                                             star.reshape(self.dim, self.dim),
-                                             traces.reshape(-1))
-
-    def _table(self) -> np.ndarray:
-        """<a_(u, l), a_(w, i) a_(v, j)> indexed [(v, j), (u, l), (w, i)]:
-        zero unless u = wv, and there the same for every v."""
-        g = self.group
-        w_n, k = g.order, self.action.algebra.dim
-        prods = self.structure.transpose(0, 2, 3, 1)                   # [w, j, l, i]
-        table = np.zeros((w_n, k, w_n, k, w_n, k), dtype=complex)
+        # Row j links b_j's block with those beta_w(b_j) touches.
+        orbit = b_alg.components(((self.action.maps != 0).any(axis=0) | np.eye(k, dtype=bool)).T)
+        coords = [np.flatnonzero(orbit == o) for o in np.unique(orbit)]
         w, v = np.arange(w_n)[:, None], np.arange(w_n)
-        table[v, :, g.mul[w, v], :, w] = prods[:, None]
-        return table.reshape(w_n * k, w_n * k, w_n * k)
+        blocks = []
+        for group in _grouped(map(len, coords)).values():
+            idx = np.stack([coords[o] for o in group])                  # (n, p)
+            n, p = idx.shape
+            # [w, o, i, j, l] -> [o, w, j, l, i]
+            prods = self.structure[:, idx[:, :, None, None], idx[:, None, :, None],
+                                   idx[:, None, None, :]].transpose(1, 0, 3, 4, 2)
+            table = np.zeros((n, w_n, p, w_n, p, w_n, p), dtype=complex)
+            table[:, v, :, g.mul[w, v], :, w] = prods.swapaxes(0, 1)[:, None]
+            star = np.zeros((n, w_n, p, w_n, p), dtype=complex)
+            star[:, g.inv, :, np.arange(w_n)] = self._adjoints[:, idx[:, :, None], idx[:, None, :]]
+            traces = np.zeros((n, w_n, p), dtype=complex)
+            traces[:, g.identity] = math.sqrt(w_n) * b_alg.traces[idx]
+            blocks.append(Blocks((v[:, None] * k + idx[:, None, :]).reshape(n, -1),
+                                 table.reshape(n, w_n * p, w_n * p, w_n * p),
+                                 star.reshape(n, w_n * p, w_n * p), traces.reshape(n, -1)))
+        return MatrixStarAlgebra(w_n * b_alg.ambient_dim, tuple(blocks))
 
     def multiply(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """(a w)(b v) = a beta_w(b) (wv), for coefficient stacks that broadcast."""
@@ -596,7 +614,8 @@ class CrossedProduct:
     @cached_property
     def _adjoints(self) -> np.ndarray:
         """[w, l, i]: the b_l coefficient of beta_{w^-1}(b_i*)."""
-        return self.action.maps[self.group.inv] @ self.action.algebra.star
+        b_alg = self.action.algebra
+        return self.action.maps[self.group.inv] @ b_alg.adjoint(np.eye(b_alg.dim)).T
 
     def star(self, f: np.ndarray) -> np.ndarray:
         """(a w)* = beta_{w^-1}(a*) w^-1, for a coefficient stack."""
@@ -649,9 +668,9 @@ def crossed_product(action: AlgebraAction) -> CrossedProduct:
     the bound of the action's homomorphism check: only then are the
     a_(w,i) = b_i w / sqrt|W| orthonormal, as CrossedProduct assumes.  beta
     is a homomorphism, so unitarity is checked at the generators.
-    (b_i w)(b_j v) = b_i beta_w(b_j) (wv) expands through B's structure
-    constants, the table that validating the action has already read;
-    divided by sqrt|W|, it expands a_(w,i) a_(v,j) in the a_(wv,l).
+    (b_i w)(b_j v) = b_i beta_w(b_j) (wv) is read off B's products, block
+    by block; divided by sqrt|W|, it expands a_(w,i) a_(v,j) in the
+    a_(wv,l).
     """
     action.validate()
     k = action.algebra.dim
@@ -659,10 +678,9 @@ def crossed_product(action: AlgebraAction) -> CrossedProduct:
     defect = gens.conj().swapaxes(-2, -1) @ gens - np.eye(k)
     if np.linalg.norm(defect, axis=(-2, -1)).max(initial=0.0) > 1e-8 * max(k, 1):
         raise SystemError("action does not preserve the trace inner product")
-    # [m, l, i] of B's structure is <b_l, b_i b_m>.
-    structure = np.einsum("wmj,mli->wijl", action.maps / math.sqrt(action.group.order),
-                          action.algebra.structure, optimize=True)
-    return CrossedProduct(action, structure)
+    # [w, i, j]: b_i beta_w(b_j).
+    structure = action.algebra.multiply(np.eye(k)[:, None], action.maps.swapaxes(1, 2)[:, None])
+    return CrossedProduct(action, structure / math.sqrt(action.group.order))
 
 
 # -- structural isomorphisms -------------------------------------------------
@@ -712,7 +730,8 @@ def phi_iso(sys: EquivariantSystem, tol: float = DEFAULT_TOL,
 
     img_rows = orthonormal_rows(flatten(phi(np.eye(w_n * x_n).reshape(-1, w_n, x_n))), tol)
     bijective = (img_rows.shape[0] == w_n * x_n
-                 and spans_equal(img_rows, target.basis_rows(), max(tol, 1e-8)))
+                 and spans_equal(img_rows, flatten(embed_function(target_sys, target.functions)),
+                                 max(tol, 1e-8)))
     f, h = _iso_samples(rng, (w_n, x_n))
     pf = phi(f)
     witness = IsoWitness(w_n * x_n, target.dim, bijective,

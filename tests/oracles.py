@@ -1,18 +1,33 @@
 """Dense oracles that the package no longer carries.
 
-The crossed product B >| W lives in its own coordinates in `equivaria`;
-here it is embedded by the regular representation on l^2(W) (x) C^N, with
-the covariant-pair relations (1)-(4) that make that embedding's product
-table the one read off the structure tensor.  The pairwise ideal test of
-matrix spans and the operator norm of a matrix are kept here as well.
+Every algebra of `equivaria` is a direct sum of blocks, each read through
+its own tables, and no algebra keeps a basis of matrices.  Here an
+algebra given by orthonormal N x N matrices is read the dense way (Dense):
+every product of two basis matrices expanded against the basis, which is
+the oracle of the block tables, assembled into whole tables by table_of and
+star_of, and the intersection of two spans is the oracle of centers and
+of invariant compacts.  The crossed product B >| W lives in its own coordinates in
+`equivaria`; here it is embedded by the regular representation on
+l^2(W) (x) C^N, with the covariant-pair relations (1)-(4) that make that
+embedding's product table the one read off the structure tensor.  The
+pairwise ideal test of matrix spans and the operator norm of a matrix are
+kept here as well.
 """
 import math
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
-from equivaria.linalg import DEFAULT_TOL, flatten, homomorphism_defect, span_contains
-from equivaria.matalg import MatrixStarAlgebra
+from equivaria.linalg import (
+    DEFAULT_TOL,
+    flatten,
+    homomorphism_defect,
+    nullspace_rows,
+    span_contains,
+)
 from equivaria.reps import regular_rep
+from equivaria.systems import embed_function
 
 
 def operator_norm(a: np.ndarray) -> float:
@@ -23,9 +38,132 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def crossed_basis(action) -> np.ndarray:
+def span_intersection(a_rows: np.ndarray, b_rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the intersection of two row spans: the vectors
+    orthogonal to both orthocomplements."""
+    comp_a = nullspace_rows(a_rows.conj(), tol)
+    comp_b = nullspace_rows(b_rows.conj(), tol)
+    stacked = np.vstack([comp_a.conj(), comp_b.conj()])
+    if stacked.shape[0] == 0:
+        return np.eye(a_rows.shape[1], dtype=complex)
+    return nullspace_rows(stacked, tol)
+
+
+class Dense:
+    """The span of orthonormal N x N matrices, read the dense way: its
+    tables from every product and adjoint of two basis matrices, expanded
+    against the basis, and its closure residual from their distances to
+    the span."""
+
+    def __init__(self, basis):
+        self.basis = np.asarray(basis, dtype=complex)
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[1]
+
+    def basis_rows(self) -> np.ndarray:
+        return flatten(self.basis)
+
+    def coefficients(self, a) -> np.ndarray:
+        return flatten(np.asarray(a, dtype=complex)) @ self.basis_rows().conj().T
+
+    def element(self, coeffs) -> np.ndarray:
+        return np.tensordot(np.asarray(coeffs, dtype=complex), self.basis, axes=1)
+
+    def contains(self, mats, tol: float = DEFAULT_TOL) -> bool:
+        return span_contains(self.basis_rows(), flatten(np.asarray(mats, dtype=complex)), tol)
+
+    @cached_property
+    def structure(self) -> np.ndarray:
+        """<b_l, b_i b_j> indexed [j, l, i]."""
+        return self.coefficients(self.basis[None] @ self.basis[:, None]).transpose(0, 2, 1)
+
+    @cached_property
+    def star(self) -> np.ndarray:
+        """<b_l, b_i*> indexed [l, i]."""
+        return self.coefficients(self.basis.conj().swapaxes(1, 2)).T
+
+    @cached_property
+    def traces(self) -> np.ndarray:
+        return np.trace(self.basis, axis1=1, axis2=2)
+
+    def _distance(self, mats) -> float:
+        """The largest distance of the matrices from the span."""
+        rows, vecs = self.basis_rows(), flatten(mats).reshape(-1, self.basis_rows().shape[1])
+        return float(np.linalg.norm(vecs - (vecs @ rows.conj().T) @ rows, axis=1).max(initial=0.0))
+
+    def product_residual(self) -> float:
+        """The largest distance of a product of two basis matrices from the span."""
+        return self._distance(self.basis[:, None] @ self.basis[None])
+
+    def closure_residual(self) -> float:
+        """The largest distance of a product or an adjoint from the span."""
+        return max(self.product_residual(), self._distance(self.basis.conj().swapaxes(1, 2)))
+
+
+def table_of(alg) -> np.ndarray:
+    """alg's whole product table [j, l, i], assembled from its blocks: zero
+    unless i, j and l share a block."""
+    out = np.zeros((alg.dim,) * 3, dtype=complex)
+    for st in alg.blocks:
+        i = st.index
+        out[i[:, :, None, None], i[:, None, :, None], i[:, None, None, :]] = st.table
+    return out
+
+
+def star_of(alg) -> np.ndarray:
+    """alg's whole star table [l, i], assembled from its blocks."""
+    out = np.zeros((alg.dim,) * 2, dtype=complex)
+    for st in alg.blocks:
+        out[st.index[:, :, None], st.index[:, None, :]] = st.star
+    return out
+
+
+def embedded(funcs) -> np.ndarray:
+    """Functions (k, |X|, d, d) as block-diagonal matrices in M_{|X| d},
+    blocks by point index (systems.embed_function)."""
+    x_n, d = funcs.shape[1:3]
+    return embed_function(SimpleNamespace(n_points=x_n, fiber_dim=d, total_dim=x_n * d), funcs)
+
+
+def fpa_basis(fpa) -> np.ndarray:
+    """The fixed-point algebra's basis: its functions embedded."""
+    return embedded(fpa.functions)
+
+
+def scalar_basis(n_points: int) -> np.ndarray:
+    """C(X)'s basis, the point indicators on the diagonal of M_|X|."""
+    return embedded(np.eye(n_points).reshape(n_points, n_points, 1, 1))
+
+
+def base_basis(alg) -> np.ndarray:
+    """The basis of a C(X) or C(X, M_d) built by hilbmod.scalar_algebra or
+    systems.function_algebra, the matrix units of each point: blocks of size
+    d^2 at consecutive coordinates, one per point, on an ambient of size
+    |X| d."""
+    (st,) = alg.blocks
+    x_n, size = st.index.shape
+    d = math.isqrt(size)
+    assert d * d == size and alg.ambient_dim == x_n * d
+    assert np.array_equal(st.index.ravel(), np.arange(alg.dim))
+    return embedded(np.eye(x_n * size).reshape(x_n * size, x_n, d, d))
+
+
+def dense_of(alg) -> Dense:
+    """The dense twin of a fixed-point algebra (its functions embedded) or
+    of a C(X) or C(X, M_d) (base_basis)."""
+    return Dense(fpa_basis(alg) if hasattr(alg, "functions") else base_basis(alg))
+
+
+def crossed_basis(action, basis=None) -> np.ndarray:
     """Every a_(w,i) = b_i w / sqrt|W| embedded at once: a (|W| dim B, |W| N,
-    |W| N) array, row (w, i).
+    |W| N) array, row (w, i), for B's basis matrices `basis` (base_basis
+    when not given).
 
     The regular embedding is (b w)(delta_v (x) a) = delta_{wv} (x)
     beta_{(wv)^-1}(b) a, so row (w, i) has the block beta_{(wv)^-1}(b_i) /
@@ -33,26 +171,22 @@ def crossed_basis(action) -> np.ndarray:
     from the maps scaled by 1 / sqrt|W|.
     """
     g = action.group
-    alg = action.algebra
-    n, k, w_n = alg.ambient_dim, alg.dim, g.order
-    twisted = np.tensordot(action.maps[g.inv] / math.sqrt(w_n), alg.basis, axes=(1, 0))
+    basis = base_basis(action.algebra) if basis is None else basis
+    k, n, w_n = basis.shape[0], basis.shape[1], g.order
+    twisted = np.tensordot(action.maps[g.inv] / math.sqrt(w_n), basis, axes=(1, 0))
     out = np.zeros((w_n, k, w_n, n, w_n, n), dtype=complex)
     w, v = np.arange(w_n)[:, None], np.arange(w_n)
     out[w, :, g.mul[w, v], :, v, :] = twisted[g.mul[w, v]]
     return out.reshape(w_n * k, w_n * n, w_n * n)
 
 
-def embedded_algebra(cp) -> MatrixStarAlgebra:
-    """The span of the embedded a_(w,i), with the crossed product's product
-    table: the crossed coefficients are coordinates against this basis.
-    Its star table and traces are read off the basis; build
-    MatrixStarAlgebra(N, crossed_basis(cp.action)) for a product table read
-    off it too."""
-    emb = crossed_basis(cp.action)
-    return MatrixStarAlgebra(emb.shape[1], emb, cp.algebra.structure, 0.0)
+def embedded_algebra(cp, basis=None) -> Dense:
+    """The span of the embedded a_(w,i), read the dense way: the crossed
+    coefficients are coordinates against this basis."""
+    return Dense(crossed_basis(cp.action, basis))
 
 
-def relation_residual(cp) -> float:
+def relation_residual(cp, basis=None) -> float:
     """The largest norm by which the embedding breaks the relations of the
     covariant pair (pi, U) it integrates (Williams, Crossed Products of
     C*-Algebras, 2007, 2.3), with pi(b) acting on delta_v (x) C^N by
@@ -67,9 +201,10 @@ def relation_residual(cp) -> float:
     scaled back, and it is read in B's coordinates: pi(b_i) must be
     block-diagonal, and its blocks must multiply as B does.  (3) is read at
     W's generators, which with (4) and beta a homomorphism covers W."""
-    g, b_alg, maps = cp.group, cp.action.algebra, cp.action.maps
+    g, maps = cp.group, cp.action.maps
+    b_alg = Dense(base_basis(cp.action.algebra) if basis is None else basis)
     k, n, w_n = b_alg.dim, b_alg.ambient_dim, g.order
-    emb = crossed_basis(cp.action).reshape(w_n, k, w_n * n, w_n * n)
+    emb = crossed_basis(cp.action, b_alg.basis).reshape(w_n, k, w_n * n, w_n * n)
     pi = emb[g.identity]
     u = np.kron(regular_rep(g).matrices, np.eye(n))
     u_star = u.conj().transpose(0, 2, 1)
@@ -83,7 +218,7 @@ def relation_residual(cp) -> float:
     outside = blocks.copy()
     outside[:, v, :, v] -= b_alg.element(c)
     c = c * math.sqrt(w_n)
-    table = b_alg.structure.transpose(2, 0, 1)                     # [m, n, l]
+    table = table_of(cp.action.algebra).transpose(2, 0, 1)         # [m, n, l]
     # [v, i, j, l]: the b_l part of block v of pi(b_i) pi(b_j) - pi(b_i b_j).
     left = c[:, None] @ (c @ table.reshape(k, k * k)).reshape(w_n, k, k, k)
     right = (table.reshape(k * k, k) @ c).reshape(w_n, k, k, k)
@@ -95,9 +230,9 @@ def relation_residual(cp) -> float:
         np.linalg.norm(left - right, axis=(0, 3)).max()))
 
 
-def is_ideal(ideal: MatrixStarAlgebra, alg: MatrixStarAlgebra,
-             tol: float = DEFAULT_TOL) -> bool:
-    """Two-sided *-closed ideal test of matrix spans: i* and i a stay in the
+def is_ideal(ideal, alg, tol: float = DEFAULT_TOL) -> bool:
+    """Two-sided *-closed ideal test of matrix spans (Dense or
+    matalg.MatrixSpan, given by `basis` or `mats`): i* and i a stay in the
     span, the oracle of CrossedProduct.is_ideal.
 
     Each product m may leave the span by at most tol * max(1, |m|).  The
@@ -106,11 +241,15 @@ def is_ideal(ideal: MatrixStarAlgebra, alg: MatrixStarAlgebra,
     *-closed, so once I* = I holds, a i = (i* a*)* lies in I because i* a*
     does: the left products need no test of their own.
     """
-    if ideal.dim == 0:
+    ideal_mats = getattr(ideal, "basis", None)
+    ideal_mats = ideal.mats if ideal_mats is None else ideal_mats
+    alg_mats = getattr(alg, "basis", None)
+    alg_mats = alg.mats if alg_mats is None else alg_mats
+    if len(ideal_mats) == 0:
         return True
-    if not alg.contains(ideal.basis, max(tol, 1e-8)):
+    rows = flatten(ideal_mats)
+    if not span_contains(flatten(alg_mats), rows, max(tol, 1e-8)):
         return False
-    rows = ideal.basis_rows()
-    if not span_contains(rows, flatten(np.conj(np.transpose(ideal.basis, (0, 2, 1)))), tol):
+    if not span_contains(rows, flatten(np.conj(np.transpose(ideal_mats, (0, 2, 1)))), tol):
         return False
-    return all(span_contains(rows, flatten(ideal.basis @ a), tol) for a in alg.basis)
+    return all(span_contains(rows, flatten(ideal_mats @ a), tol) for a in alg_mats)

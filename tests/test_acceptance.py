@@ -32,7 +32,7 @@ from equivaria.hilbmod import (
     free_module,
     verify_green_julg,
 )
-from equivaria.matalg import MatrixStarAlgebra, check_stone_weierstrass, generate
+from equivaria.matalg import MatrixSpan, check_stone_weierstrass, generate
 from equivaria.morita import (
     assemble_toy_dual,
     semidirect_reduction,
@@ -222,7 +222,8 @@ def test_criterion_8_stone_weierstrass_sweep():
             1j * rng.standard_normal((n_gens, n, n))
         alg = generate(gens, ambient_dim=n)
         assert alg.dim <= 20
-        sub = generate([alg.random_element(rng)], ambient_dim=n)
+        h = alg.element(rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim))
+        sub = generate([h], ambient_dim=n)
         verdict = check_stone_weierstrass(sub, alg, seed=seed)
         assert verdict.holds, seed
     elapsed = time.perf_counter() - start
@@ -345,12 +346,13 @@ def test_criterion_11_every_dataset_through_every_command():
 
 def test_no_cli_run_multiplies_a_basis_pairwise(monkeypatch, capsys):
     """Every run of CLI_RUNS, in process, with the dense product pass of a
-    plain MatrixStarAlgebra made to fail: every algebra a command multiplies
-    in has its table from its builder, so each run ends as documented."""
-    def dense_pass(alg):
-        raise AssertionError(f"dense product pass on an algebra of dimension {alg.dim}")
+    span of matrices (MatrixSpan.algebra) made to fail: every algebra a
+    command multiplies in has its blocks from its builder, so each run ends
+    as documented."""
+    def dense_pass(span):
+        raise AssertionError(f"dense product pass on a span of dimension {span.dim}")
 
-    monkeypatch.setattr(MatrixStarAlgebra, "_product_pass", dense_pass)
+    monkeypatch.setattr(MatrixSpan, "algebra", property(dense_pass))
     for args, code in CLI_RUNS:
         assert cli_main([*args, "--format", "json"]) == code, args
     capsys.readouterr()

@@ -34,7 +34,7 @@ from equivaria.linalg import (
     unflatten,
 )
 from equivaria.matalg import (
-    MatrixStarAlgebra,
+    MatrixSpan,
     algebra_from_span,
     block_decompose,
     generate,
@@ -45,7 +45,7 @@ from equivaria.systems import (
     one_point_system,
     z2_line_system,
 )
-from oracles import operator_norm
+from oracles import fpa_basis, operator_norm
 
 
 def compacts_algebra(c, tol=DEFAULT_TOL):
@@ -63,18 +63,18 @@ def m2_algebra():
 
 def test_standard_module_axioms_and_norm():
     b = m2_algebra()
-    e = standard_module(b)
+    e = standard_module(b.algebra)
     e.validate()
     rng = np.random.default_rng(0)
     for _ in range(10):
-        a = b.random_element(rng)
+        c = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)
         # The module norm of an algebra element is its operator norm.
-        assert abs(e.norm(b.coefficients(a)) - operator_norm(a)) < 1e-9
+        assert abs(e.norm(c) - operator_norm(b.element(c))) < 1e-9
 
 
 def test_compacts_of_standard_module_recover_algebra():
     b = m2_algebra()
-    e = standard_module(b)
+    e = standard_module(b.algebra)
     c = compact_operators(e)
     assert compacts_algebra(c).dim == b.dim
     assert is_full(e)
@@ -130,14 +130,14 @@ def test_compacts_equal_adjointables(name):
 
 def test_cauchy_schwarz_holds():
     rng = np.random.default_rng(2)
-    for e in (standard_module(m2_algebra()), function_module(z2_line_system(1))):
+    for e in (standard_module(m2_algebra().algebra), function_module(z2_line_system(1))):
         for _ in range(25):
             xi, eta = e.random_vector(rng), e.random_vector(rng)
             assert e.cauchy_schwarz_residual(xi, eta) < 1e-10
 
 
 def test_degenerate_inner_product_rejected():
-    b = MatrixStarAlgebra(1, np.ones((1, 1, 1), dtype=complex))
+    b = scalar_algebra(1)
     action = np.eye(2, dtype=complex)[None]
     inner = np.zeros((2, 2, 1), dtype=complex)
     inner[0, 0, 0] = 1.0   # second basis vector has zero length
@@ -155,7 +155,7 @@ def test_fullness_ideal_picks_one_block():
             for j in range(2):
                 basis[k, blk + i, blk + j] = 1.0
                 k += 1
-    b = MatrixStarAlgebra(4, basis)
+    b = MatrixSpan(basis).algebra
     action = np.zeros((8, 2, 2), dtype=complex)
     inner = np.zeros((2, 2, 8), dtype=complex)
     for k in range(4):   # first-block basis elements act on C^2, rest act as 0
@@ -174,8 +174,8 @@ def test_verify_morita_success_and_failure():
     # (K(H), C, H): the basic equivalence.
     e = free_module(2)
     m2 = generate(np.array([[[0, 1], [0, 0]]], dtype=complex), ambient_dim=2)
-    left = m2.basis.copy()
-    w = verify_morita(m2, e, left)
+    left = m2.mats.copy()
+    w = verify_morita(m2.algebra, e, left)
     assert w.ok
     # A = M2 (+) M2 against B = C with E = C^2: dimensions cannot match.
     basis = np.zeros((8, 4, 4), dtype=complex)
@@ -185,8 +185,8 @@ def test_verify_morita_success_and_failure():
             for j in range(2):
                 basis[k, blk + i, blk + j] = 1.0
                 k += 1
-    a = MatrixStarAlgebra(4, basis)
-    left_bad = np.concatenate([m2.basis, m2.basis])
+    a = MatrixSpan(basis).algebra
+    left_bad = np.concatenate([m2.mats, m2.mats])
     w_bad = verify_morita(a, e, left_bad)
     assert not w_bad.ok
     assert not w_bad.injective
@@ -213,7 +213,7 @@ def test_green_julg_z2_line_matches_invariant_compacts():
     from equivaria.systems import fixed_point_algebra
     fpa = fixed_point_algebra(z2_line_system(2))
     rows = invariant_compacts_rows(eq)
-    assert spans_equal(rows, fpa.basis_rows())
+    assert spans_equal(rows, flatten(fpa_basis(fpa)))
 
 
 def test_green_julg_norm_bounds():
@@ -230,8 +230,8 @@ def test_direct_sum_morita():
     e1 = free_module(2)
     e2 = free_module(2)
     m2 = m2_algebra()
-    a_sum, left = direct_sum_left_action(m2, m2.basis.copy(),
-                                         m2, m2.basis.copy(), 2, 2)
+    a_sum, left = direct_sum_left_action(m2.algebra, m2.mats.copy(),
+                                         m2.algebra, m2.mats.copy(), 2, 2)
     total = direct_sum_module(e1, e2)
     total.validate()
     w = verify_morita(a_sum, total, left)
@@ -310,4 +310,4 @@ def test_green_julg_on_dihedral_plane():
     verdict = verify_green_julg(eq)
     assert verdict.ok and verdict.residual < 1e-8
     assert verdict.averaged_compacts_dim == verdict.invariant_compacts_dim == 9
-    assert spans_equal(invariant_compacts_rows(eq), fixed_point_algebra(sys).basis_rows())
+    assert spans_equal(invariant_compacts_rows(eq), flatten(fpa_basis(fixed_point_algebra(sys))))

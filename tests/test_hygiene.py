@@ -40,15 +40,14 @@ REACH_EXEMPT = {
     "groups.Subgroup.from_parent": "fixture of the per-point stabilizer loops in test_solvers",
     "hilbmod.rank_one": "oracle of the batched rank-one maps of compact_operators",
     "hilbmod.fullness_ideal": "oracle of is_full",
-    "linalg.span_intersection": "oracle of center and of the invariant compacts",
-    "matalg.MatrixStarAlgebra.is_unital": "fixture of the tests of a span's own unit",
     "matalg.full_matrix_algebra": "fixture of the algebra-action and separation tests",
-    "morita.quotient_equivariant_module": "fixture of the reduction-link and module oracles",
     "reps.UnitaryRep.direct_sum": "fixture of the reducible case of is_irreducible",
+    "reps.equivariant_maps": "solved by SpectrumEntry.basis for realize_irrep, ROADMAP item 2",
     "reps.trivial_rep": "fixture of the equivariant_maps oracle",
     "reps.commutant_dimension": "oracle of is_irreducible",
     "serialize.document_to_json": "writer that the parse_document round-trip tests use",
     "serialize.dumps_document": "writer that the parse_document round-trip tests use",
+    "spectrum.SpectrumEntry.basis": "read by realize_irrep, ROADMAP item 2",
     "spectrum.realize_irrep": "ROADMAP item 2",
     "spectrum.realized_commutant_dim": "check of realize_irrep's irreducibility, ROADMAP item 2",
     "systems.trivial_system": "fixture of the systems, spectrum and Morita tests",

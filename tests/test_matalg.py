@@ -7,6 +7,8 @@ from equivaria.groups import builtin_group
 from equivaria.hilbmod import standard_module
 from equivaria.matalg import (
     AlgebraError,
+    Blocks,
+    MatrixSpan,
     MatrixStarAlgebra,
     block_decompose,
     check_stone_weierstrass,
@@ -17,7 +19,7 @@ from equivaria.matalg import (
     is_separating,
 )
 from equivaria.reps import enumerate_irreps, regular_rep
-from oracles import is_ideal, operator_norm
+from oracles import Dense, is_ideal, operator_norm, star_of, table_of
 
 
 def block_diag(*mats):
@@ -34,13 +36,13 @@ def test_generate_full_matrix_algebra():
     nil = np.array([[[0, 1], [0, 0]]], dtype=complex)
     alg = generate(nil, ambient_dim=2)
     assert alg.dim == 4
-    assert alg.closure_residual() < 1e-10
-    assert alg.is_unital()
+    assert alg.algebra.closure_residual() < 1e-10
+    assert alg.contains(np.eye(2))
 
 
 def test_commutant_and_bicommutant():
     # Scalars in M3 have commutant M3; double commutant returns the algebra.
-    scalars = MatrixStarAlgebra(3, np.eye(3, dtype=complex)[None] / np.sqrt(3))
+    scalars = MatrixSpan(np.eye(3, dtype=complex)[None] / np.sqrt(3))
     assert commutant(scalars).dim == 9
     rng = np.random.default_rng(0)
     gens = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
@@ -56,8 +58,8 @@ def test_block_decomposition_m2_plus_m3():
     alg = generate([block_diag(a, np.zeros((3, 3))),
                     block_diag(np.zeros((2, 2)), b)], ambient_dim=5)
     assert alg.dim == 13
-    assert center(alg).dim == 2
-    structure = block_decompose(alg)
+    assert center(alg.algebra).dim == 2
+    structure = block_decompose(alg.algebra)
     assert sorted(structure.sizes()) == [2, 3]
     for blk in structure.blocks:
         p = alg.element(blk.projection)
@@ -68,7 +70,7 @@ def test_group_algebra_blocks_match_irreps():
     for name in ("Z2", "Z2xZ2", "S3", "D8"):
         g = builtin_group(name)
         alg = generate(regular_rep(g).matrices, ambient_dim=g.order)
-        sizes = sorted(block_decompose(alg).sizes())
+        sizes = sorted(block_decompose(alg.algebra).sizes())
         dims = sorted(r.dim for r in enumerate_irreps(g))
         assert sizes == dims
 
@@ -78,8 +80,8 @@ def test_cstar_identity_and_positivity():
     |a* a| = |a|^2 holds in coordinates."""
     rng = np.random.default_rng(2)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    alg = full_matrix_algebra(4)
-    c = alg.coefficients(a)
+    span = full_matrix_algebra(4)
+    alg, c = span.algebra, Dense(span.mats).coefficients(a)
     assert abs(alg.norm(c) - operator_norm(a)) < 1e-9
     assert abs(alg.norm(alg.multiply(alg.adjoint(c), c)) - alg.norm(c) ** 2) < 1e-9
 
@@ -88,28 +90,44 @@ def test_nonunital_subalgebra_unit():
     # The corner C e11 inside M2: its own unit is e11, not the ambient identity.
     e11 = np.zeros((2, 2), dtype=complex)
     e11[0, 0] = 1.0
-    alg = MatrixStarAlgebra(2, e11[None])
-    assert not alg.is_unital()
-    assert np.abs(alg.element(alg.unit()) - e11).max() < 1e-10
+    alg = MatrixSpan(e11[None])
+    assert not alg.contains(np.eye(2))
+    assert np.abs(alg.element(alg.algebra.unit()) - e11).max() < 1e-10
 
 
-def test_an_algebra_is_given_by_a_basis_or_by_its_tables():
-    """A basis fixes the star table and traces, so they are not also given;
-    an algebra without one is built from all three tables, and its span
-    methods raise."""
-    plain = generate([np.diag([1.0, 2.0]).astype(complex)], ambient_dim=2)
-    with pytest.raises(AlgebraError, match="reads its star table"):
-        MatrixStarAlgebra(2, plain.basis, plain.structure, 0.0, plain.star)
-    with pytest.raises(AlgebraError, match="reads its star table"):
-        MatrixStarAlgebra(2, plain.basis, trace_values=plain.traces)
-    with pytest.raises(AlgebraError, match="three tables"):
-        MatrixStarAlgebra(2, None, plain.structure)
-    tables = MatrixStarAlgebra.from_tables(2, plain.structure, plain.star, plain.traces)
-    assert tables.basis is None and tables.dim == plain.dim
-    assert np.abs(tables.unit() - plain.unit()).max() < 1e-12
-    tables.validate()
-    with pytest.raises(AlgebraError, match="no basis"):
-        tables.element(tables.unit())
+def test_an_algebra_is_its_blocks():
+    """The blocks' coordinates must partition the algebra's; stacks of one
+    size are merged and ordered by size, and every operation reads the
+    blocks: C (+) M_2 (+) C, with C's blocks at coordinates 0 and 5, against
+    the dense tables of its embedding in M_4."""
+    m2 = full_matrix_algebra(2).algebra
+    one = np.ones((1, 1, 1, 1), dtype=complex)
+    st = m2.blocks[0]
+    with pytest.raises(AlgebraError, match="partition"):
+        MatrixStarAlgebra(4, (Blocks(np.array([[0]]), one, one[..., 0], one[..., 0, 0]),
+                              Blocks(np.array([[0, 1, 2, 3]]), st.table, st.star, st.traces)))
+    alg = MatrixStarAlgebra(4, (Blocks(np.array([[0]]), one, one[..., 0], one[..., 0, 0]),
+                                Blocks(st.index + 1, st.table, st.star, st.traces),
+                                Blocks(np.array([[5]]), one, one[..., 0], one[..., 0, 0])))
+    assert [b.index.tolist() for b in alg.blocks] == [[[0], [5]], [[1, 2, 3, 4]]]
+    basis = np.zeros((6, 4, 4), dtype=complex)
+    basis[0, 0, 0] = basis[5, 3, 3] = 1.0
+    basis[1:5, 1:3, 1:3] = np.eye(4).reshape(4, 2, 2)
+    dense = Dense(basis)
+    assert np.abs(table_of(alg) - dense.structure).max() < 1e-12
+    assert np.abs(star_of(alg) - dense.star).max() < 1e-12
+    assert np.abs(alg.traces - dense.traces).max() < 1e-12
+    assert np.abs(dense.element(alg.unit()) - np.eye(4)).max() < 1e-12
+    rng = np.random.default_rng(3)
+    f, h = rng.standard_normal((2, 3, 6)) + 1j * rng.standard_normal((2, 3, 6))
+    ef, eh = dense.element(f), dense.element(h)
+    assert np.abs(dense.element(alg.multiply(f, h)) - ef @ eh).max() < 1e-12
+    assert np.abs(dense.element(alg.adjoint(f)) - ef.conj().swapaxes(1, 2)).max() < 1e-12
+    assert np.abs(alg.norm(f) - [operator_norm(a) for a in ef]).max() < 1e-12
+    assert sorted((b.size, b.multiplicity) for b in block_decompose(alg).blocks) == \
+        [(1, 1), (1, 1), (2, 1)]
+    with pytest.raises(AlgebraError, match="no unit"):
+        MatrixSpan(np.array([[[0, 1], [0, 0]]], dtype=complex)).algebra.unit()
 
 
 def test_ideals_in_block_algebra():
@@ -127,8 +145,8 @@ def test_separating_requires_whole_algebra():
     # Scalars inside C^2 (diagonal) merge the two characters: not separating.
     diag = np.zeros((2, 2, 2), dtype=complex)
     diag[0, 0, 0] = diag[1, 1, 1] = 1.0
-    alg = MatrixStarAlgebra(2, diag)
-    scalars = MatrixStarAlgebra(2, np.eye(2, dtype=complex)[None] / np.sqrt(2))
+    alg = MatrixSpan(diag)
+    scalars = MatrixSpan(np.eye(2, dtype=complex)[None] / np.sqrt(2))
     report = is_separating(scalars, alg)
     assert not report.separating
     assert report.merged_pairs
@@ -142,7 +160,7 @@ def test_separating_detects_reducible_restriction():
     # Diagonals inside M2 restrict reducibly on the single block.
     diag = np.zeros((2, 2, 2), dtype=complex)
     diag[0, 0, 0] = diag[1, 1, 1] = 1.0
-    sub = MatrixStarAlgebra(2, diag)
+    sub = MatrixSpan(diag)
     report = is_separating(sub, full_matrix_algebra(2))
     assert not report.separating
     assert report.reducible_blocks == (0,)
@@ -169,25 +187,26 @@ def planted_algebra(blocks, pad, seed):
     u, v = unitary(big), unitary(len(basis))
     planted = np.diag(np.arange(big) < offset).astype(complex)
     basis = np.tensordot(v, u @ np.array(basis) @ u.conj().T, axes=1)
-    return MatrixStarAlgebra(big, basis), u @ planted @ u.conj().T
+    return MatrixSpan(basis), u @ planted @ u.conj().T
 
 
 @settings(settings.get_profile("derandomized"))
 @given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)), min_size=1, max_size=3),
        st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
 def test_traces_star_unit_and_blocks_of_a_planted_algebra(blocks, pad, seed):
-    alg, unit = planted_algebra(blocks, pad, seed)
-    basis = alg.basis
-    assert alg.traces is alg.traces and alg.star is alg.star
+    span, unit = planted_algebra(blocks, pad, seed)
+    basis, alg = span.mats, span.algebra
+    assert alg.traces is alg.traces and span.algebra is alg
     assert np.abs(alg.traces - np.einsum("kii->k", basis)).max() < 1e-12
     # <b_l, b_i*> = sum_(a, b) conj(b_l[a, b]) conj(b_i[b, a]).
-    assert np.abs(alg.star - np.einsum("lab,iba->li", basis.conj(), basis.conj())).max() < 1e-12
-    assert np.abs(np.tensordot(alg.star.T, basis, axes=1)
+    star = star_of(alg)
+    assert np.abs(star - np.einsum("lab,iba->li", basis.conj(), basis.conj())).max() < 1e-12
+    assert np.abs(np.tensordot(star.T, basis, axes=1)
                   - basis.conj().swapaxes(1, 2)).max() < 1e-10
-    assert np.abs(alg.element(alg.unit()) - unit).max() < 1e-10
+    assert np.abs(span.element(alg.unit()) - unit).max() < 1e-10
     # The trace state on b_i* b_j is tr(b_i* b_j) / tr e = delta_ij / rank e.
     rank = sum(n * m for n, m in blocks)
     assert np.abs(standard_module(alg).gram() - np.eye(alg.dim) / rank).max() < 1e-12
     structure = block_decompose(alg)
     assert sorted((b.size, b.multiplicity) for b in structure.blocks) == sorted(blocks)
-    assert np.abs(alg.element(sum(b.projection for b in structure.blocks)) - unit).max() < 1e-8
+    assert np.abs(span.element(sum(b.projection for b in structure.blocks)) - unit).max() < 1e-8

@@ -31,7 +31,7 @@ from equivaria.serialize import (
     parse_document,
 )
 from equivaria.spectrum import classify_irreps, wedderburn_crosscheck
-from equivaria.systems import z2_line_system
+from equivaria.systems import z2_line_system, z2xz2_line_system
 
 
 def test_complex_codec_roundtrip():
@@ -101,6 +101,31 @@ def test_system_with_reduction_extras():
     parsed, extras = parse_document(canonical_dumps(doc))
     assert parsed.n_points == sys.n_points
     assert extras == {"wprime": [0], "r": [0, 1]}
+
+
+# z2xz2-line-2 with one half of its splitting W = W' >| R: a document the
+# CLI once ran in theorem mode, printing PASS.
+SPLITTING = {"wprime": [0, 2], "r": [0, 1]}
+
+
+def half_splitting_document(half: str) -> str:
+    return canonical_dumps({**document_to_json(z2xz2_line_system(2)), half: SPLITTING[half]})
+
+
+@pytest.mark.parametrize("half", sorted(SPLITTING))
+def test_parse_document_rejects_half_a_splitting(half):
+    missing = ({"wprime", "r"} - {half}).pop()
+    with pytest.raises(ParseError, match=f"'{missing}' is missing"):
+        parse_document(half_splitting_document(half))
+
+
+@pytest.mark.parametrize("half", sorted(SPLITTING))
+def test_cli_morita_rejects_half_a_splitting(half, tmp_path, capsys):
+    path = tmp_path / "half.json"
+    path.write_text(half_splitting_document(half))
+    assert main(["morita", "--input", str(path)]) == EXIT_INPUT
+    out = capsys.readouterr()
+    assert "PASS" not in out.out and out.err.startswith("error: ") and "is missing" in out.err
 
 
 def test_components_document():

@@ -1,16 +1,19 @@
 """The structured solvers against the dense constructions they replace.
 
-Each algebra's structure table and closure residual come from one slabbed
-pass over its basis products, which the standard module reads; `center`
-and `block_decompose` solve in the algebra's coefficient space (the N x N
-central split is the latter's oracle), `intertwiner_space` stacks only the
+Each algebra is a sum of blocks whose tables match, assembled
+(oracles.table_of), the dense pass over its basis matrices (oracles.Dense)
+and the per-pair loops, and no algebra of the Morita theorem holds a whole
+table or a dense basis; `center` and `block_decompose` solve block by block
+in the algebra's coordinates (the N x N central split is the latter's
+oracle), `intertwiner_space` stacks only the
 group's generators, `compact_operators` and `green_julg_module` build
 their tensors in a few contractions, the Green-Julg check finds both of its spans in coefficient space, every
 module keeps its inner values as coefficients in B's basis (checked against
 the dense values its builder used to form), `is_ideal` tests whole stacks
 of products and `is_irreducible` reads the character norm.  A
 CrossedProduct's coefficients are orthonormal coordinates of its algebra,
-which has no basis: its product table, star table, traces, unit and norms
+one block per W-orbit of B's blocks: its product table, star table, traces,
+unit and norms
 equal those read off the regular embedding of tests/oracles.py, which
 keeps the covariant-pair relations, on every bundled system, z2-line 1-5
 and z2xz2-line 1-3 with and without W'.  `span_contains` tests stacks a
@@ -21,9 +24,9 @@ maps as their oracle, and a size spy finds no m^4 array in the Morita
 theorem.
 Crossed products multiply, take adjoints and test ideals in coefficients,
 and the Morita theorem compares J with C there; the embedded matrices are
-their oracle.  The fixed-point algebra's table comes from the products of
-its fibers and the crossed product's from its structure tensor, with the
-dense pass as their oracle; mutants of the embedding and of its
+their oracle.  The fixed-point algebra's tables come from the products of
+each orbit's functions and the crossed product's from its structure
+tensor, with the dense pass as their oracle; mutants of the embedding and of its
 1 / sqrt|W| fail the oracle's relation and orthonormality checks.  The
 direct sums' tables are the dense block sum's, and a Block keeps its
 projection's coordinates.  Module axioms are checked on all samples at once,
@@ -34,14 +37,15 @@ as oracles, and
 stabilizer irreps, on planted cocycles too, down to the first failure its
 invariant checks name.  A proper C's algebra
 and the orbit algebra C(X/W') take tables that match the dense pass, and
-C(X/W') is the orbit-indicator algebra bit for bit.  EquivariantSystem.orbits
+C(X/W')'s functions are the orbit indicators bit for bit.  EquivariantSystem.orbits
 matches a point-by-point oracle, also after a random relabelling of X,
 which moves no dimension, block count, gap or verdict; J's point blocks
 read off the base module are the averaged module's, bit for bit.  The
 dense paths and per-pair loops survive here as oracles, and spies check
 that a run classifies the spectrum, builds each fixed-point algebra once
 and averages the inner products once, and that neither the structured
-algebras nor the reduction chain runs the dense pass.  The crossed-product
+algebras nor the reduction chain runs the dense pass of a span of
+matrices.  The crossed-product
 isomorphisms and the reduction's links are index maps and batched products,
 with their per-slot loops as oracles; a spy counts the crossed products,
 decompositions and restricted systems one reduction builds, and the
@@ -62,7 +66,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 import oracles
-from oracles import crossed_basis, embedded_algebra, is_ideal, operator_norm
+from oracles import (
+    Dense,
+    crossed_basis,
+    dense_of,
+    embedded_algebra,
+    fpa_basis,
+    is_ideal,
+    operator_norm,
+    scalar_basis,
+    span_intersection,
+    star_of,
+    table_of,
+)
 from test_hilbmod import compacts_algebra
 
 from equivaria import cli, groups, hilbmod, linalg, matalg, morita, spectrum, systems
@@ -90,12 +106,12 @@ from equivaria.linalg import (
     orthonormal_rows,
     row_residuals,
     span_contains,
-    span_intersection,
     spans_equal,
     unflatten,
 )
 from equivaria.matalg import (
     AlgebraError,
+    MatrixSpan,
     MatrixStarAlgebra,
     algebra_from_span,
     center,
@@ -133,28 +149,27 @@ from equivaria.systems import (
 )
 
 
-def center_dim_checked(alg) -> int:
-    """dim center(A), after checking it spans A intersect commutant(A)."""
-    rows = center(alg).basis_rows()
-    oracle = span_intersection(alg.basis_rows(), commutant(alg).basis_rows())
-    assert spans_equal(rows, oracle, 1e-8)
+def center_dim_checked(alg, dense) -> int:
+    """dim center(A), for A with the basis matrices of `dense`, after
+    checking that its rows embed to a span of A intersect commutant(A) and
+    that center(A) has the tables of that span."""
+    rows = matalg._center_rows(alg, 1e-9)
+    embedded = dense.element(rows)
+    oracle = span_intersection(dense.basis_rows(), flatten(commutant(MatrixSpan(dense.basis)).mats))
+    assert spans_equal(flatten(embedded), oracle, 1e-8)
+    assert_same_tables(center(alg), Dense(embedded))
     return rows.shape[0]
 
 
 @pytest.mark.parametrize("name", ["z2-line", "dihedral-plane"])
 def test_center_matches_oracle_on_fixed_point_algebras(name):
-    assert center_dim_checked(fixed_point_algebra(bundled(name))) > 0
+    fpa = fixed_point_algebra(bundled(name))
+    assert center_dim_checked(fpa, Dense(fpa_basis(fpa))) > 0
 
 
 def test_center_matches_oracle_on_crossed_product():
     cp = crossed_product(function_algebra_action(z2_line_system(1)))
-    dense = embedded_algebra(cp)
-    assert center_dim_checked(dense) > 0
-    # The center in coordinates is the embedded center's span.
-    cen, rows = center(cp.algebra), matalg._center_rows(cp.algebra, 1e-9)
-    assert cen.basis is None and cen.dim == center(dense).dim == rows.shape[0]
-    assert spans_equal(flatten(dense.element(rows)), center(dense).basis_rows(), 1e-8)
-    assert_same_tables(cen, MatrixStarAlgebra(dense.ambient_dim, dense.element(rows)))
+    assert center_dim_checked(cp.algebra, embedded_algebra(cp)) > 0
 
 
 BLOCK_SHAPES = [(1, 2), (2, 1), (2, 2)]
@@ -181,9 +196,9 @@ def conjugated_block_sum():
 
 
 def test_center_of_conjugated_block_sum_counts_summands():
-    alg = conjugated_block_sum()
-    assert alg.dim == sum(a * a for a, _ in BLOCK_SHAPES)
-    assert center_dim_checked(alg) == len(BLOCK_SHAPES)
+    span = conjugated_block_sum()
+    assert span.dim == sum(a * a for a, _ in BLOCK_SHAPES)
+    assert center_dim_checked(span.algebra, Dense(span.mats)) == len(BLOCK_SHAPES)
 
 
 def test_generators_generate_and_are_cached():
@@ -217,32 +232,18 @@ def test_compacts_match_stacked_rank_one_maps():
     assert np.abs(rank_one(e, eta, xi) - cols).max() < 1e-12
     s, s_inv = e.gram_sqrt()
     dressed = orthonormal_rows(flatten(s @ raws @ s_inv))
-    assert spans_equal(compacts_algebra(compacts).basis_rows(), dressed, 1e-8)
+    assert spans_equal(flatten(compacts_algebra(compacts).mats), dressed, 1e-8)
 
 
 def test_unit_is_computed_once():
     alg = fixed_point_algebra(bundled("z2-line"))
     assert alg.unit() is alg.unit()
-    assert alg.structure is alg.structure
+    assert alg.traces is alg.traces
     e = function_module(bundled("z2-line"))
     assert e.gram() is e.gram()
 
 
 # -- the product pass against the dense closure check and per-pair loops ------
-
-
-def closure_residual_dense(alg) -> float:
-    """All k^2 products and the k adjoints at once, against the span."""
-    if alg.dim == 0:
-        return 0.0
-    rows = alg.basis_rows()
-    prods = (alg.basis[:, None] @ alg.basis[None]).reshape(
-        -1, alg.ambient_dim, alg.ambient_dim)
-    stars = np.conj(np.transpose(alg.basis, (0, 2, 1)))
-    vecs = np.vstack([flatten(prods), flatten(stars)])
-    coeffs = vecs @ rows.conj().T
-    resid = vecs - coeffs @ rows
-    return float(np.sqrt(np.abs(resid * resid.conj()).sum(axis=1)).max())
 
 
 def product_tables_loop(alg):
@@ -258,11 +259,15 @@ def product_tables_loop(alg):
 
 
 def product_pass_algebra(label):
+    """(algebra, Dense of its basis matrices)."""
     if label in ("z2-line", "dihedral-plane"):
-        return fixed_point_algebra(bundled(label))
+        fpa = fixed_point_algebra(bundled(label))
+        return fpa, Dense(fpa_basis(fpa))
     if label == "crossed-product":
-        return embedded_algebra(crossed_product(function_algebra_action(z2_line_system(1))))
-    return conjugated_block_sum()
+        cp = crossed_product(function_algebra_action(z2_line_system(1)))
+        return cp.algebra, embedded_algebra(cp)
+    span = conjugated_block_sum()
+    return span.algebra, Dense(span.mats)
 
 
 PRODUCT_PASS = ["z2-line", "dihedral-plane", "crossed-product", "block-sum"]
@@ -270,11 +275,12 @@ PRODUCT_PASS = ["z2-line", "dihedral-plane", "crossed-product", "block-sum"]
 
 @pytest.mark.parametrize("label", PRODUCT_PASS)
 def test_product_pass_matches_dense_closure_and_pair_loop(label):
-    alg = product_pass_algebra(label)
-    left, right = product_tables_loop(alg)
-    assert close(alg.structure, left)
-    assert close(alg.structure.transpose(2, 1, 0), right)
-    assert abs(alg.closure_residual() - closure_residual_dense(alg)) < 1e-12
+    alg, dense = product_pass_algebra(label)
+    left, right = product_tables_loop(dense)
+    table = table_of(alg)
+    assert close(table, left)
+    assert close(table.transpose(2, 1, 0), right)
+    assert abs(alg.closure_residual() - dense.closure_residual()) < 1e-12
     assert alg.closure_residual() < 1e-9
 
 
@@ -292,10 +298,10 @@ def standard_module_loops(b_alg):
 
 @pytest.mark.parametrize("label", ["z2-line", "block-sum"])
 def test_standard_module_matches_pair_loops(label):
-    alg = product_pass_algebra(label)
+    alg, dense = product_pass_algebra(label)
     e = standard_module(alg)
-    action, inner = standard_module_loops(alg)
-    assert close(e.action, action) and close(dense_inner(e), inner)
+    action, inner = standard_module_loops(dense)
+    assert close(e.action, action) and close(dense_inner(e, dense), inner)
 
 
 def test_closure_check_catches_a_bad_product_or_adjoint():
@@ -304,7 +310,7 @@ def test_closure_check_catches_a_bad_product_or_adjoint():
     # span{E12} holds E12 E12 = 0, but not the adjoint E21.
     for basis in ((e12 + e12.T) / np.sqrt(2), e12):
         with pytest.raises(AlgebraError, match="span is not closed"):
-            MatrixStarAlgebra(2, basis[None]).validate()
+            MatrixSpan(basis[None]).algebra.validate()
         with pytest.raises(AlgebraError, match="span is not closed"):
             algebra_from_span(basis)
 
@@ -319,11 +325,11 @@ def test_product_pass_checks_every_slab(monkeypatch):
     basis[:4, :2, :2] = units
     basis[4, 2:, 2:] = y
     with pytest.raises(AlgebraError, match="span is not closed"):
-        MatrixStarAlgebra(4, basis).validate()
-    assert closure_residual_dense(MatrixStarAlgebra(4, basis)) > 0.5
-    closed = MatrixStarAlgebra(4, basis[:4])
-    closed.validate()
-    assert close(closed.structure, product_tables_loop(closed)[0])
+        MatrixSpan(basis).algebra.validate()
+    assert Dense(basis).closure_residual() > 0.5
+    closed = MatrixSpan(basis[:4])
+    closed.algebra.validate()
+    assert close(table_of(closed.algebra), product_tables_loop(Dense(closed.mats))[0])
 
 
 FIBERWISE = [f"z2-line-{n}" for n in range(1, 9)] + [
@@ -341,12 +347,40 @@ def fiberwise_system(label):
 @pytest.mark.parametrize("label", FIBERWISE)
 def test_fiberwise_table_matches_the_dense_pass(label):
     fpa = fixed_point_algebra(fiberwise_system(label))
-    # The same basis as a plain algebra runs the dense pass.
-    table, residual = MatrixStarAlgebra(fpa.ambient_dim, fpa.basis)._products
-    assert close(fpa.structure, table)
-    assert close(fpa.structure, product_tables_loop(fpa)[0])
-    assert abs(fpa._products[1] - residual) < 1e-12
-    assert abs(fpa.closure_residual() - closure_residual_dense(fpa)) < 1e-12
+    dense = Dense(fpa_basis(fpa))
+    table = table_of(fpa)
+    assert close(table, dense.structure) and close(table, product_tables_loop(dense)[0])
+    assert close(star_of(fpa), dense.star) and close(fpa.traces, dense.traces)
+    # The same basis as a span of matrices runs the dense pass.
+    assert abs(fpa.closure_residual() - MatrixSpan(dense.basis).algebra.closure_residual()) < 1e-12
+    assert abs(fpa.closure_residual() - dense.closure_residual()) < 1e-12
+
+
+def held_arrays(obj):
+    """Every array an algebra holds: its fields and cached values, through
+    tuples and the Blocks they hold."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from held_arrays(item)
+    elif hasattr(obj, "__dict__"):
+        for value in vars(obj).values():
+            yield from held_arrays(value)
+
+
+def test_no_algebra_holds_a_whole_table_or_a_dense_basis():
+    """On z2-line n = 8 (k = N = 34), no array held by the fixed-point
+    algebra, by cp.algebra or by C's algebra, with their units built, has
+    k^3 or k N^2 entries: each keeps its blocks' tables."""
+    verdict = verify_morita_theorem(z2_line_system(8))
+    algebras = [verdict.fpa, verdict.ideal.cp.algebra, verdict.ideal.algebra]
+    for alg in algebras:
+        alg.unit()
+        sizes = [a.size for a in held_arrays(alg)]
+        assert sizes and len(alg.blocks) > 1
+        assert max(sizes) < min(alg.dim ** 3, alg.dim * alg.ambient_dim ** 2), sizes
+    assert verdict.fpa.dim == 34 and verdict.fpa.ambient_dim == 34
 
 
 def test_fiberwise_pass_rejects_functions_that_do_not_close(monkeypatch):
@@ -413,11 +447,15 @@ def orbit_of_each(sys, funcs):
 
 
 def assert_orbit_blocked(sys, fpa, funcs):
-    """fpa's table [j, l, i] = <b_l, b_i b_j> is exactly zero unless the
-    three functions share an orbit."""
+    """fpa has one block per orbit, holding that orbit's functions, so its
+    whole table [j, l, i] = <b_l, b_i b_j> is zero unless the three
+    functions share an orbit."""
     orbit = orbit_of_each(sys, funcs)
+    blocks = [orbit[index] for st in fpa.blocks for index in st.index]
+    assert all(len(set(b.tolist())) == 1 for b in blocks)
+    assert sorted(b[0] for b in blocks) == list(sys.orbits.representatives)
     same = orbit[:, None] == orbit
-    assert not fpa.structure[~(same[:, :, None] & same[None])].any()
+    assert not table_of(fpa)[~(same[:, :, None] & same[None])].any()
 
 
 @pytest.mark.parametrize("label", FIBERWISE)
@@ -444,10 +482,17 @@ def test_irreducible_by_character_norm_matches_commutant():
 # -- the Morita pipeline against its per-pair loops ---------------------------
 
 
-def dense_inner(e, alg=None):
+def dense_inner(e, dense):
     """A module's inner values as matrices: coefficients times the basis of
-    `alg`, an algebra with B's coordinates and a basis, by default B."""
-    return np.tensordot(e.inner, (alg or e.algebra).basis, axes=1)
+    `dense`, the basis matrices of B's coordinates."""
+    return np.tensordot(e.inner, dense.basis, axes=1)
+
+
+def quotient_module(sys, wprime, r):
+    """quotient_equivariant_module for the splitting W = W' >| R."""
+    sys_p, u_sub = systems.restrict_system(sys, wprime)
+    return quotient_equivariant_module(sys, sys_p, np.array(u_sub.embedding),
+                                       sys.group.subgroup(r))
 
 
 def function_module_dense(sys):
@@ -461,35 +506,38 @@ def function_module_dense(sys):
 
 
 def dense_inner_case(kind):
-    """(module, its inner values as matrices from the dense construction)."""
+    """(module, its inner values as matrices from the dense construction,
+    Dense of its algebra's basis matrices)."""
     if kind == "standard":
-        alg = conjugated_block_sum()
-        return standard_module(alg), standard_module_loops(alg)[1]
+        span = conjugated_block_sum()
+        dense = Dense(span.mats)
+        return standard_module(span.algebra), standard_module_loops(dense)[1], dense
     if kind == "function":
         sys = z2_line_system(2)
-        return function_module(sys), function_module_dense(sys)
+        return function_module(sys), function_module_dense(sys), Dense(scalar_basis(sys.n_points))
     if kind == "free":
-        return free_module(3), np.eye(3, dtype=complex)[:, :, None, None]
+        return free_module(3), np.eye(3, dtype=complex)[:, :, None, None], Dense(np.ones((1, 1, 1)))
     if kind == "direct-sum":
-        sys = z2_line_system(1)
-        e1, e2 = function_module(sys), standard_module(conjugated_block_sum())
-        v1, v2 = function_module_dense(sys), standard_module_loops(e2.algebra)[1]
+        sys, span = z2_line_system(1), conjugated_block_sum()
+        e1, e2 = function_module(sys), standard_module(span.algebra)
+        d1, d2 = Dense(scalar_basis(sys.n_points)), Dense(span.mats)
+        v1, v2 = function_module_dense(sys), standard_module_loops(d2)[1]
         (m1, n1), (m2, n2) = v1.shape[1:3], v2.shape[1:3]
         inner = np.zeros((m1 + m2, m1 + m2, n1 + n2, n1 + n2), dtype=complex)
         inner[:m1, :m1, :n1, :n1] = v1
         inner[m1:, m1:, n1:, n1:] = v2
-        return direct_sum_module(e1, e2), inner, block_sum_dense(e1.algebra, e2.algebra)
+        return direct_sum_module(e1, e2), inner, block_sum_dense(d1, d2)
     # The W'-invariant vectors u_p of the function module: the values
     # <u_p|u_q> are functions on X, diagonal in C(X/W')'s ambient.
     sys, wprime, r = bundled("two-component")[1]
-    eq, u_rows = quotient_equivariant_module(sys, wprime, r)
+    eq, u_rows = quotient_module(sys, wprime, r)
     k, x_n = u_rows.shape[0], sys.n_points
     vecs = u_rows.reshape(k, x_n, sys.fiber_dim)
     ips = np.einsum("pxa,qxa->pqx", vecs.conj(), vecs)
     inner = np.zeros((k, k, x_n, x_n), dtype=complex)
     for x in range(x_n):
         inner[:, :, x, x] = ips[:, :, x]
-    return eq.base, inner
+    return eq.base, inner, Dense(fpa_basis(eq.base.algebra))
 
 
 def block_sum_dense(b1, b2):
@@ -499,20 +547,17 @@ def block_sum_dense(b1, b2):
     basis = np.zeros((b1.dim + b2.dim, n, n), dtype=complex)
     basis[:b1.dim, :n1, :n1] = b1.basis
     basis[b1.dim:, n1:, n1:] = b2.basis
-    return MatrixStarAlgebra(n, basis)
+    return Dense(basis)
 
 
 @pytest.mark.parametrize("kind", ["standard", "function", "free", "direct-sum", "quotient"])
 def test_inner_coefficients_match_the_dense_values(kind):
-    e, inner, *dense = dense_inner_case(kind)
+    e, inner, dense = dense_inner_case(kind)
     assert e.inner.shape == (e.carrier_dim, e.carrier_dim, e.algebra.dim)
-    assert e.carrier_dim > 0 and close(dense_inner(e, *dense), inner)
-    if dense:
-        # The direct sum's tables are the dense block sum's.
-        alg, (oracle,) = e.algebra, dense
-        assert alg.basis is None
-        assert close(alg.structure, oracle.structure) and close(alg.star, oracle.star)
-        assert close(alg.traces, oracle.traces)
+    assert e.carrier_dim > 0 and close(dense_inner(e, dense), inner)
+    # The module's algebra has the tables of its basis; the direct sum's are
+    # the dense block sum's.
+    assert_same_tables(e.algebra, dense)
 
 
 def axiom_residuals_loop(e, b_alg, rng, n_samples=20):
@@ -562,7 +607,7 @@ def axiom_case(label):
         rng = np.random.default_rng(12)
         e = hilbmod.FDHilbertModule(e.algebra, e.action + 0.3 * rng.standard_normal(
             e.action.shape), e.inner + 0.3j * rng.standard_normal(e.inner.shape))
-    return e, e.algebra
+    return e, Dense(scalar_basis(e.algebra.dim))
 
 
 @pytest.mark.parametrize("label", ["function", "averaged", "perturbed"])
@@ -579,7 +624,7 @@ def test_axiom_residuals_match_the_sample_loop(label):
 def crossed_embed(action, f):
     """Regular embedding: (b w)(delta_v (x) a) = delta_{wv} (x) beta_{(wv)^-1}(b) a."""
     g = action.group
-    alg = action.algebra
+    alg = Dense(oracles.base_basis(action.algebra))
     n = alg.ambient_dim
     w_n = g.order
     f = np.asarray(f, dtype=complex)
@@ -676,7 +721,7 @@ def pipeline_module(label):
     sys, wprime, r = bundled("two-component")[n - 1]
     assert sys.name == f"z2xz2-line-{n}"
     if label.endswith("quotient"):
-        return quotient_equivariant_module(sys, wprime, r)[0]
+        return quotient_module(sys, wprime, r)[0]
     return equivariant_function_module(sys)
 
 
@@ -685,7 +730,7 @@ def test_green_julg_module_matches_pair_loops(label):
     eq = pipeline_module(label)
     gj, cp = green_julg_module(eq)
     action, inner = green_julg_loops(eq, cp)
-    assert gj.algebra is cp.algebra and cp.algebra.basis is None
+    assert gj.algebra is cp.algebra
     assert np.abs(gj.action - action).max() < 1e-10
     assert np.abs(dense_inner(gj, embedded_algebra(cp)) - inner).max() < 1e-10
 
@@ -756,8 +801,8 @@ def restricted_rows_spy(monkeypatch, module) -> list:
 def assert_same_tables(alg, plain):
     """alg, in coordinates, has the product table, star table and traces
     that the dense pass reads off plain's basis."""
-    assert close(alg.structure, plain.structure)
-    assert close(alg.star, plain.star) and close(alg.traces, plain.traces)
+    assert close(table_of(alg), plain.structure)
+    assert close(star_of(alg), plain.star) and close(alg.traces, plain.traces)
 
 
 @pytest.mark.parametrize("label", PIPELINE)
@@ -767,21 +812,24 @@ def test_fullness_ideal_matches_raw_values(label, monkeypatch):
     eq = pipeline_module(label)
     averaged, cp = green_julg_module(eq)
     calls = restricted_rows_spy(monkeypatch, hilbmod)
-    for e, dense in ((eq.base, eq.base.algebra), (averaged, embedded_algebra(cp))):
+    base = Dense(fpa_basis(eq.base.algebra) if label.endswith("quotient")
+                 else scalar_basis(eq.base.algebra.dim))
+    for e, dense in ((eq.base, base), (averaged, embedded_algebra(cp))):
         m = e.carrier_dim
         raw = orthonormal_rows(flatten(dense_inner(e, dense)).reshape(m * m, -1))
         ideal = fullness_ideal(e)
         rows = calls.pop()
         assert not calls and ideal.dim == raw.shape[0]
         assert spans_equal(flatten(dense.element(rows)), raw, 1e-8)
-        assert_same_tables(ideal, MatrixStarAlgebra(dense.ambient_dim, dense.element(rows)))
+        assert_same_tables(ideal, Dense(dense.element(rows)))
         assert is_full(e) == (raw.shape[0] == e.algebra.dim)
 
 
 def test_checked_conversion_rejects_values_outside_the_algebra():
     e = function_module(bundled("z2-line"))
-    rows = e.algebra.basis_rows()
-    inner = dense_inner(e)
+    dense = Dense(scalar_basis(e.algebra.dim))
+    rows = dense.basis_rows()
+    inner = dense_inner(e, dense)
     assert close(hilbmod._checked_coefficients(rows, flatten(inner)), e.inner)
     inner[0, 1, 0, 1] = 0.5     # off the diagonal algebra C(X)
     with pytest.raises(ModuleError, match="leave the coefficient algebra"):
@@ -820,7 +868,7 @@ def is_ideal_loops(ideal, alg, tol=1e-9) -> bool:
 def embedded_ideal(cid):
     """(C's embedded span, the embedded crossed product)."""
     dense = embedded_algebra(cid.cp)
-    return MatrixStarAlgebra(dense.ambient_dim, dense.element(cid.rows)), dense
+    return Dense(dense.element(cid.rows)), dense
 
 
 def test_is_ideal_matches_product_loop():
@@ -839,12 +887,12 @@ def test_is_ideal_matches_product_loop():
     # not an ideal, since w . f leaves it.
     cp = crossed_product(scalar_translation_action(sys))
     k = sys.n_points
-    diag = algebra_from_span(embedded_algebra(cp).element(np.eye(cp.dim)[:k]))
+    diag = Dense(algebra_from_span(embedded_algebra(cp).element(np.eye(cp.dim)[:k])).mats)
     # On z2-line, C(X, W, I) is the whole crossed product; on z2xz2-line-1 it
     # is a proper ideal, which the coefficient test accepts by its products.
     proper = c_ideal(z2xz2_line_system(1))
     assert proper.dim < proper.cp.dim
-    cases = [(first, blocks, True), (*embedded_ideal(cid), True),
+    cases = [(Dense(first.mats), Dense(blocks.mats), True), (*embedded_ideal(cid), True),
              (*embedded_ideal(proper), True), (diag, embedded_algebra(cp), False)]
     for ideal, alg, expected in cases:
         assert is_ideal(ideal, alg) == is_ideal_loops(ideal, alg) == expected
@@ -873,7 +921,7 @@ def test_one_sided_ideals_are_not_ideals():
         dense = embedded_algebra(cp)
         n = dense.ambient_dim
         embedded = flatten(dense.element(prods.reshape(4, 4)))
-        ideal = MatrixStarAlgebra(n, unflatten(orthonormal_rows(embedded), n))
+        ideal = Dense(unflatten(orthonormal_rows(embedded), n))
         assert is_ideal(ideal, dense) == is_ideal_loops(ideal, dense) == expected
 
 
@@ -891,16 +939,16 @@ def test_crossed_coefficients_match_the_embedding(label, make_action):
 
 
 def test_crossed_coefficients_match_the_embedding_of_a_corner():
-    check_crossed_coefficients(crossed_product(corner_action()))
+    check_crossed_coefficients(crossed_product(corner_action()), CORNER_BASIS)
 
 
-def check_crossed_coefficients(cp):
-    """The embedded basis is orthonormal, the algebra keeps no basis, and
-    products, adjoints and coefficient rows match the embedded matrices."""
-    dense = embedded_algebra(cp)
+def check_crossed_coefficients(cp, basis=None):
+    """The embedded basis is orthonormal, and products, adjoints and
+    coefficient rows match the embedded matrices, for B's basis matrices
+    `basis` (oracles.base_basis when not given)."""
+    dense = embedded_algebra(cp, basis)
     emb = dense.basis_rows()
     assert close(emb @ emb.conj().T, np.eye(cp.dim), 1e-12)
-    assert cp.algebra.basis is None
     rng = np.random.default_rng(9)
     shape = (3,) + cp.structure.shape[:2]
     f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -922,12 +970,14 @@ def check_crossed_coefficients(cp):
     assert cp.algebra.closure_residual() < 1e-9
 
 
+# E11 and E22 in M_3, whose sum is not I_3.
+CORNER_BASIS = np.eye(3, dtype=complex)[:2, :, None] * np.eye(3)[:2, None, :]
+
+
 def corner_action():
     """Z/2 swapping E11 and E22 in M_3: B's unit E11 + E22 is not I_3."""
-    basis = np.zeros((2, 3, 3), dtype=complex)
-    basis[0, 0, 0] = basis[1, 1, 1] = 1.0
     maps = np.array([np.eye(2), [[0, 1], [1, 0]]], dtype=complex)
-    return AlgebraAction(cyclic(2), MatrixStarAlgebra(3, basis), maps)
+    return AlgebraAction(cyclic(2), MatrixSpan(CORNER_BASIS).algebra, maps)
 
 
 def crossed_case(label):
@@ -959,16 +1009,18 @@ def test_crossed_table_is_read_off_the_structure(label):
     relations (1)-(4) that make them so."""
     cp = crossed_product(crossed_case(label))
     alg = cp.algebra
-    assert alg.basis is None and alg.ambient_dim == cp.group.order * cp.action.algebra.ambient_dim
-    emb = crossed_basis(cp.action)
-    dense = MatrixStarAlgebra(alg.ambient_dim, emb)
+    assert alg.ambient_dim == cp.group.order * cp.action.algebra.ambient_dim
+    base = CORNER_BASIS if label == "corner" else None
+    emb = crossed_basis(cp.action, base)
+    dense = Dense(emb)
     assert close(flatten(emb) @ flatten(emb).conj().T, np.eye(alg.dim), 1e-12)
-    assert oracles.relation_residual(cp) <= 1e-12
+    assert oracles.relation_residual(cp, base) <= 1e-12
     assert np.abs(alg.traces - dense.traces).max() <= 1e-12
-    assert np.abs(alg.star - dense.star).max() <= 1e-12
+    assert np.abs(star_of(alg) - dense.star).max() <= 1e-12
     # The unit of B >| W is pi(e) = 1 (x) e for B's unit e, also when e is not I_N.
     b_alg = cp.action.algebra
-    unit = np.kron(np.eye(cp.group.order), b_alg.element(b_alg.unit()))
+    b_dense = Dense(oracles.base_basis(b_alg) if base is None else base)
+    unit = np.kron(np.eye(cp.group.order), b_dense.element(b_alg.unit()))
     assert np.abs(alg.unit() - dense.coefficients(unit)).max() <= 1e-12
     assert np.abs(dense.element(alg.unit()) - unit).max() <= 1e-12
     # Products and norms of random elements against the embedded matrices.
@@ -981,21 +1033,22 @@ def test_crossed_table_is_read_off_the_structure(label):
     basis = np.eye(alg.dim).reshape(alg.dim, *cp.structure.shape[:2])
     # [i, j, l]: a_i a_j against a_l, for the orthonormal basis a.
     products = cp.multiply(basis[:, None], basis[None]).reshape((alg.dim,) * 3)
-    assert close(alg.structure, products.transpose(1, 2, 0))
+    table = table_of(alg)
+    assert close(table, products.transpose(1, 2, 0))
     if alg.dim <= 64:
-        table, residual = dense._products
-        assert np.abs(alg.structure - table).max() <= 1e-12 and residual < 1e-12
-    assert alg._products[1] < 1e-12 and alg.closure_residual() < 1e-12
+        assert np.abs(table - dense.structure).max() <= 1e-12
+        assert dense.closure_residual() < 1e-12
+    assert alg.closure_residual() < 1e-12
 
 
 def crossed_basis_mutant(kind):
     """crossed_basis with the twist beta_(wv) in place of beta_((wv)^-1), or
     with block (v, wv) in place of (wv, v), scaled by 1 / sqrt|W| as it is."""
-    def mutant(action):
-        g, alg = action.group, action.algebra
-        n, k, w_n = alg.ambient_dim, alg.dim, g.order
+    def mutant(action, basis):
+        g = action.group
+        n, k, w_n = basis.shape[1], basis.shape[0], g.order
         maps = action.maps if kind == "twist" else action.maps[g.inv]
-        twisted = np.tensordot(maps, alg.basis, axes=(1, 0)) / np.sqrt(w_n)
+        twisted = np.tensordot(maps, basis, axes=(1, 0)) / np.sqrt(w_n)
         out = np.zeros((w_n, k, w_n, n, w_n, n), dtype=complex)
         for w in range(w_n):
             for v in range(w_n):
@@ -1019,9 +1072,10 @@ def test_relation_check_rejects_a_wrong_embedding(kind, monkeypatch):
 def test_whitened_basis_rejects_a_wrong_inverse_root(monkeypatch):
     """crossed_basis without its 1 / sqrt|W|: the basis b_i w is not orthonormal."""
     monkeypatch.setattr(oracles, "crossed_basis",
-                        lambda action: crossed_basis(action) * np.sqrt(action.group.order))
-    with pytest.raises(AlgebraError, match="not orthonormal"):
-        embedded_algebra(crossed_product(scalar_translation_action(z4_rotation_system()))).validate()
+                        lambda action, basis: crossed_basis(action, basis) * np.sqrt(action.group.order))
+    rows = oracles.embedded_algebra(crossed_product(
+        scalar_translation_action(z4_rotation_system()))).basis_rows()
+    assert not close(rows @ rows.conj().T, np.eye(len(rows)))
 
 
 @pytest.mark.parametrize("label", CROSSED)
@@ -1041,7 +1095,7 @@ def test_morita_spans_in_coefficients_match_the_embedded_ideals(label, monkeypat
         assert_same_tables(cid.algebra, c_alg)
     else:
         assert cid.algebra is cp.algebra
-        assert_same_tables(cid.algebra, MatrixStarAlgebra(dense.ambient_dim, dense.basis))
+        assert_same_tables(cid.algebra, dense)
     # J: the span of the averaged inner values is the fullness ideal.
     eq = equivariant_function_module(sys)
     m = eq.base.carrier_dim
@@ -1054,7 +1108,7 @@ def test_morita_spans_in_coefficients_match_the_embedded_ideals(label, monkeypat
     assert j_rows.shape[0] == j_alg.dim == verdict.j_dim == j_emb.shape[0]
     assert spans_equal(flatten(dense.element(j_rows)), j_emb, 1e-8)
     assert spans_equal(flatten(dense.element(ideal_rows)), j_emb, 1e-8)
-    assert_same_tables(j_alg, MatrixStarAlgebra(dense.ambient_dim, dense.element(ideal_rows)))
+    assert_same_tables(j_alg, Dense(dense.element(ideal_rows)))
     # The verdict's fields, recomputed on the embedded spans.
     assert verdict.spans_match == spans_equal(j_emb, c_rows, 1e-8)
     assert verdict.strict_inclusion == (
@@ -1121,15 +1175,19 @@ def block_decompose_dense(alg, seed=0, tol=1e-9):
     if alg.dim == 0:
         return matalg.BlockStructure(alg, ())
     rng = np.random.default_rng(seed)
-    cen = center(alg, tol)
-    e = alg.element(alg.unit())
+    # The center's coordinates: c -> <b_l, [sum_i c_i b_i, b_j]> vanishes.
+    table = alg.structure
+    cen = Dense(alg.element(linalg.nullspace_rows(
+        (table - table.transpose(2, 1, 0)).reshape(alg.dim ** 2, -1), tol)))
+    e = alg.element(alg.traces.conj())
     gap = 1e-7
     for _ in range(8):
-        z = cen.random_element(rng, hermitian=True)
-        evals, evecs = np.linalg.eigh(z)
+        z = cen.element(rng.standard_normal(cen.dim) + 1j * rng.standard_normal(cen.dim))
+        evals, evecs = np.linalg.eigh((z + z.conj().T) / 2.0)
         projections = []
         ok = True
-        for idx in linalg.cluster_values(evals, gap):
+        labels = linalg.cluster_values(evals, gap)
+        for idx in (np.flatnonzero(labels == c) for c in range(labels.max() + 1)):
             p = evecs[:, idx] @ evecs[:, idx].conj().T
             if np.linalg.norm(p @ e - p) > 1e-6:
                 # Outside the support: fine when wholly outside.
@@ -1160,7 +1218,7 @@ def corner_block_sum():
     """conjugated_block_sum in a corner of M_10: its unit has rank 8."""
     alg = conjugated_block_sum()
     mats = np.zeros((alg.dim, 10, 10), dtype=complex)
-    mats[:, :8, :8] = alg.basis
+    mats[:, :8, :8] = alg.mats
     rng = np.random.default_rng(6)
     u, _ = np.linalg.qr(rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10)))
     return algebra_from_span(u @ mats @ u.conj().T)
@@ -1191,11 +1249,15 @@ BLOCK_ALGEBRAS = {
 def test_block_decompose_matches_the_dense_split(label):
     """The crossed products split in their coordinates, their embedded
     spans densely; every Block keeps its projection's coordinates."""
-    alg = dense = BLOCK_ALGEBRAS[label]()
+    built = BLOCK_ALGEBRAS[label]()
     if label.startswith("cp-"):
-        alg, dense = alg.algebra, embedded_algebra(alg)
+        alg, dense = built.algebra, embedded_algebra(built)
+    elif label.startswith("fpa-"):
+        alg, dense = built, Dense(fpa_basis(built))
+    else:
+        alg, dense = built.algebra, Dense(built.mats)
     if label == "corner-block-sum":
-        assert not alg.is_unital()
+        assert not dense.contains(np.eye(10))
     for seed in range(3):
         got = [dataclasses.replace(b, projection=dense.element(b.projection))
                for b in matalg.block_decompose(alg, seed=seed).blocks]
@@ -1250,14 +1312,7 @@ def test_reduction_builds_each_fixed_point_algebra_once(monkeypatch):
 
 def test_morita_theorem_averages_once_and_runs_no_dense_pass(monkeypatch):
     averaged = counting_spy(monkeypatch, [hilbmod, morita], "averaged_inner_coefficients")
-    dense = []
-    dense_pass = MatrixStarAlgebra._product_pass
-
-    def spy(alg):
-        dense.append(alg)
-        return dense_pass(alg)
-
-    monkeypatch.setattr(MatrixStarAlgebra, "_product_pass", spy)
+    dense = dense_pass_spy(monkeypatch)
     verdict = verify_morita_theorem(bundled("z2-line"))
     assert verdict.ok and verdict.witness is not None
     assert len(averaged) == 1
@@ -1265,10 +1320,23 @@ def test_morita_theorem_averages_once_and_runs_no_dense_pass(monkeypatch):
     # cp.algebra, whose blocks the verdict counted.
     cp_algebra = verdict.ideal.cp.algebra
     assert verdict.module.algebra is cp_algebra and verdict.c_blocks is not None
-    assert not any(alg is verdict.fpa or alg is cp_algebra for alg in dense)
-    # The dense pass itself still runs on an algebra without structure.
-    plain = MatrixStarAlgebra(cp_algebra.ambient_dim, crossed_basis(verdict.ideal.cp.action))
-    assert close(plain.structure, cp_algebra.structure) and dense[-1] is plain
+    assert dense == []
+    # The dense pass itself still runs on a span of matrices.
+    plain = MatrixSpan(crossed_basis(verdict.ideal.cp.action))
+    assert close(table_of(plain.algebra), table_of(cp_algebra)) and dense[-1] is plain
+
+
+def dense_pass_spy(monkeypatch) -> list:
+    """The spans of matrices whose dense product pass (MatrixSpan.algebra)
+    runs, in order."""
+    spans, dense_pass = [], MatrixSpan.algebra.func
+
+    def spy(span):
+        spans.append(span)
+        return dense_pass(span)
+
+    monkeypatch.setattr(MatrixSpan, "algebra", property(spy))
+    return spans
 
 
 def validate_loop(rep, tol=1e-9):
@@ -1785,14 +1853,7 @@ def test_reduction_runs_no_dense_product_pass(monkeypatch):
     # Rebased onto a proper C, the witness modules are over cp.algebra's
     # table restricted to C's rows, and C(X/W') is diagonal: no algebra of
     # the chain multiplies its basis pairwise.
-    dense = []
-    dense_pass = MatrixStarAlgebra._product_pass
-
-    def spy(alg):
-        dense.append((alg.dim, alg.ambient_dim))
-        return dense_pass(alg)
-
-    monkeypatch.setattr(MatrixStarAlgebra, "_product_pass", spy)
+    dense = dense_pass_spy(monkeypatch)
     report = morita.semidirect_reduction(z2xz2_line_system(2), [0, 2], [0, 1])
     assert dense == []
     assert report.ok and report.splitting_ok and report.iso_bijective
@@ -1810,20 +1871,18 @@ def test_restricted_table_matches_the_dense_pass(label):
     cid = c_ideal(morita_system(label))
     assert cid.dim < cid.cp.dim
     alg = cid.algebra
-    assert alg.basis is None
     plain, dense = embedded_ideal(cid)
-    assert close(alg.structure, plain.structure)
-    assert close(alg.star, plain.star) and close(alg.traces, plain.traces)
-    assert alg.closure_residual() < 1e-13 and closure_residual_dense(plain) < 1e-13
-    plain.validate()
+    assert_same_tables(alg, plain)
+    assert alg.closure_residual() < 1e-13 and plain.closure_residual() < 1e-13
     alg.validate()
-    assert close(alg.unit(), plain.unit())
+    assert close(plain.element(alg.unit()), plain.element(MatrixSpan(plain.basis).algebra.unit()))
     # Rows that are not a subalgebra: the residual is the dense one.
     rows = orthonormal_rows(cid.rows[:1] + dense.coefficients(
         np.eye(dense.ambient_dim))[None] * 0.5)
     bad = matalg.restricted_algebra(cid.cp.algebra, rows)
-    table, residual = matalg.product_table(dense.element(rows))
-    assert close(bad.structure, table)
+    twin = Dense(dense.element(rows))
+    residual = twin.product_residual()
+    assert close(table_of(bad), twin.structure)
     assert abs(bad.product_residual - residual) < 1e-12 and residual > 1e-3
     with pytest.raises(AlgebraError, match="not closed"):
         bad.validate()
@@ -1837,16 +1896,17 @@ def points_system(sys):
 
 
 def quotient_indicators(sys):
-    """C(X/W) built from the orbit indicators, as quotient_algebra built it
-    before it read the fixed-point algebra: (algebra, orbits, indicators)."""
+    """C(X/W) from the orbit indicators: (table, orbits, indicators), the
+    table <b_l, b_i b_j> of the normalised indicators b_o = 1_O / sqrt|O|,
+    b_o b_o = b_o / sqrt|O|."""
     n = sys.n_points
     orbits = orbits_brute_force(sys)["members"]
     indicators = np.zeros((len(orbits), n), dtype=complex)
+    table = np.zeros((len(orbits),) * 3, dtype=complex)
     for i, orb in enumerate(orbits):
         indicators[i, list(orb)] = 1.0 / np.sqrt(len(orb))
-    basis = indicators[:, :, None] * np.eye(n)
-    return (MatrixStarAlgebra(n, basis, *matalg.product_table(indicators[:, :, None, None])),
-            orbits, indicators)
+        table[i, i, i] = 1.0 / np.sqrt(len(orb))
+    return table, orbits, indicators
 
 
 @pytest.mark.parametrize("label", ["z2xz2-line-1", "z2xz2-line-2", "z2xz2-line-3", "z2-line-4",
@@ -1862,11 +1922,11 @@ def test_quotient_algebra_is_the_indicator_algebra_bit_for_bit(label, restrict):
             sys.group.order])[0]
     pts = points_system(sys)
     q = systems.quotient_algebra(pts)
-    alg, orbits, indicators = quotient_indicators(pts)
+    table, orbits, indicators = quotient_indicators(pts)
     assert q.orbits == orbits and q.dim == len(orbits)
     assert np.array_equal(q.orbit_basis, indicators)
-    assert np.array_equal(q.algebra.basis, alg.basis)
-    assert np.array_equal(q.algebra.structure, alg.structure)
+    assert np.array_equal(q.algebra.functions[:, :, 0, 0], indicators)
+    assert close(table_of(q.algebra), table, 1e-15)
 
 
 def test_quotient_algebra_table_matches_the_dense_pass():
@@ -1874,9 +1934,7 @@ def test_quotient_algebra_table_matches_the_dense_pass():
         pts = EquivariantSystem(sys.group, sys.points, sys.action, 1,
                                 np.ones((sys.group.order, sys.n_points, 1, 1), dtype=complex))
         q = systems.quotient_algebra(pts).algebra
-        assert q.table is not None
-        plain = MatrixStarAlgebra(q.ambient_dim, q.basis)
-        assert close(q.structure, plain.structure)
+        assert_same_tables(q, dense_of(q))
         assert q.closure_residual() < 1e-15
 
 
@@ -1938,7 +1996,7 @@ def component_case(label):
         return action, coefficients, 2
     if kind == "standard":
         # M_2 over itself: one component, cut as one block.
-        e = standard_module(algebra_from_span(np.eye(4, dtype=complex).reshape(4, 2, 2)))
+        e = standard_module(algebra_from_span(np.eye(4, dtype=complex).reshape(4, 2, 2)).algebra)
         return e.action, e.inner, 1
     if kind == "orbit":
         # A Z/8 orbit of 8 points and a fixed point, fiber 2: blocks of 16
@@ -1984,7 +2042,7 @@ def test_component_cut_matches_the_whole_stack(label):
     parts = hilbmod.carrier_components(action, coefficients)
     assert len(parts) == n_parts
     assert sorted(np.concatenate(parts)) == list(range(m))
-    rows, margin = hilbmod._compact_rows(action, coefficients, 1e-8)
+    rows, margin = hilbmod._compact_rows(action, coefficients, 1e-8, parts)
     dense, dense_margin, values = compacts_dense(action, coefficients)
     assert rows.shape[0] == dense.shape[0] > 0
     assert spans_equal(rows, dense, 1e-8)
@@ -2275,7 +2333,7 @@ def test_reduction_links_match_the_loops(label):
     outer = outer_product_of(scalar_translation_action(sys), wprime, r)
     assert np.array_equal(morita._transported_rows(outer, rows),
                           transported_rows_loop(g, u_sub, v_sub, rows, sys.n_points))
-    eq, u_rows = quotient_equivariant_module(sys, wprime, r)
+    eq, u_rows = quotient_module(sys, wprime, r)
     action, gamma, maps = quotient_module_loops(sys, wprime, r, u_rows)
     assert np.array_equal(eq.base.action, action) and np.array_equal(eq.gamma, gamma)
     assert np.array_equal(eq.beta.maps, maps)
@@ -2312,7 +2370,7 @@ def equivariant_validate_loop(eq, tol=1e-8, rng=None):
     if np.linalg.norm(hom, axis=(-2, -1)).max() > tol * max(m, 1):
         raise ModuleError("gamma is not a group homomorphism")
     rng = rng or np.random.default_rng(1)
-    alg = eq.base.algebra
+    alg = dense_of(eq.base.algebra)
 
     def beta(w, b):
         return alg.element(eq.beta.maps[w] @ alg.coefficients(b))
@@ -2324,7 +2382,7 @@ def equivariant_validate_loop(eq, tol=1e-8, rng=None):
         for _ in range(4):
             xi = eq.base.random_vector(rng)
             eta = eq.base.random_vector(rng)
-            b = alg.random_element(rng)
+            b = alg.element(rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim))
             scale = max(1.0, np.linalg.norm(xi) * max(1.0, operator_norm(b)))
             lhs = eq.gamma[w] @ eq.base.act(xi, alg.coefficients(b))
             rhs = eq.base.act(eq.gamma[w] @ xi, alg.coefficients(beta(w, b)))
@@ -2354,7 +2412,7 @@ def equivariant_case(label):
         return equivariant_function_module(z4_rotation_system())
     if label.endswith("quotient"):
         sys, wprime, r = splitting_case(label.rpartition("-")[0])
-        return quotient_equivariant_module(sys, wprime, r)[0]
+        return quotient_module(sys, wprime, r)[0]
     eq = equivariant_function_module(z2xz2_line_system(1))
     kind, _, size = label.partition(":")
     size = float(size)
@@ -2424,18 +2482,18 @@ def witness_calls(monkeypatch, run) -> list:
 def witness_residuals_loop(a_alg, e, left_action, rng):
     """verify_morita's eight-sample loop: (multiplicative, star) residuals
     and the samples (c1, c2) it drew.  Products and adjoints are those of
-    A's matrices, or of its coordinates when A has no basis (the direct
-    sums, whose tables test_inner_coefficients_match_the_dense_values
+    A's matrices when A is a fixed-point algebra, or of its coordinates (the
+    direct sums, whose tables test_inner_coefficients_match_the_dense_values
     checks against the dense block sum)."""
     g = e.gram()
-    if a_alg.basis is None:
+    if not hasattr(a_alg, "functions"):
         def product_of(c1, c2):
             return a_alg.multiply(c1, c2)
 
         def adjoint_of(c):
             return a_alg.adjoint(c)
     else:
-        n, rows = a_alg.ambient_dim, a_alg.basis_rows()
+        n, rows = a_alg.ambient_dim, flatten(fpa_basis(a_alg))
 
         def product_of(c1, c2):
             return rows.conj() @ flatten((c1 @ rows).reshape(n, n) @ (c2 @ rows).reshape(n, n))
@@ -2526,24 +2584,21 @@ def unit_case(label):
     """(algebra, a twin with its coordinates, its table and a basis)."""
     if label == "fpa":
         alg = fixed_point_algebra(bundled("z2-line"))
-        return alg, alg
+        return alg, dense_of(alg)
     if label == "cp":
         cp = c_ideal(bundled("z2-line")).cp
         return cp.algebra, embedded_algebra(cp)
     if label == "restricted-c":
         cid = c_ideal(z2xz2_line_system(1))
         assert cid.dim < cid.cp.dim
-        plain = embedded_ideal(cid)[0]
-        return cid.algebra, MatrixStarAlgebra(plain.ambient_dim, plain.basis,
-                                              cid.algebra.structure, 0.0)
+        return cid.algebra, embedded_ideal(cid)[0]
     if label == "compacts":
-        alg = compacts_algebra(compact_operators(equivariant_function_module(bundled("z2-line")).base))
-        return alg, alg
+        span = compacts_algebra(compact_operators(equivariant_function_module(bundled("z2-line")).base))
+        return span.algebra, Dense(span.mats)
     # The corner C e11 inside M_2, whose unit is not the identity.
     e11 = np.zeros((1, 2, 2), dtype=complex)
     e11[0, 0, 0] = 1.0
-    alg = MatrixStarAlgebra(2, e11)
-    return alg, alg
+    return MatrixSpan(e11).algebra, Dense(e11)
 
 
 @pytest.mark.parametrize("label", ["fpa", "cp", "restricted-c", "compacts", "corner"])
@@ -2555,11 +2610,12 @@ def test_unit_is_the_least_squares_unit(label):
 def test_a_nilpotent_span_has_no_unit():
     e12 = np.zeros((1, 2, 2), dtype=complex)
     e12[0, 0, 1] = 1.0
-    alg = MatrixStarAlgebra(2, e12)
+    alg = MatrixSpan(e12).algebra
     # A failure is not kept on the instance: the second call raises too.
-    for unit in (MatrixStarAlgebra.unit, MatrixStarAlgebra.unit, unit_lstsq):
+    for unit, of in ((MatrixStarAlgebra.unit, alg), (MatrixStarAlgebra.unit, alg),
+                     (unit_lstsq, Dense(e12))):
         with pytest.raises(AlgebraError, match="no unit"):
-            unit(alg)
+            unit(of)
 
 
 def alpha_matrix_loop(sys, w):

@@ -53,7 +53,7 @@ def test_realized_irreps_are_irreducible():
         assert realized_commutant_dim(mats) == 1
         # *-homomorphism spot check against the algebra product.
         alg = generate(mats, ambient_dim=entry.dim)
-        assert alg.closure_residual() < 1e-8
+        assert alg.algebra.closure_residual() < 1e-8
 
 
 def test_classification_solves_no_intertwiner_space(monkeypatch):
