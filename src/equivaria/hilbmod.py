@@ -505,23 +505,25 @@ class EquivariantModule:
 
 def scalar_translation_action(sys: EquivariantSystem) -> AlgebraAction:
     """C(X) (diagonal in M_{|X|}) with the translation action of W:
-    beta_w(f)(x) = f(w^-1 x), the beta of equivariant_function_module."""
-    return equivariant_function_module(sys).beta
+    beta_w(f)(x) = f(w^-1 x), the permutations beta_w(delta_y) = delta_(wy)
+    built from the action table alone."""
+    g, x_n = sys.group, sys.n_points
+    maps = np.zeros((g.order, x_n, x_n), dtype=complex)
+    maps[np.arange(g.order)[:, None], np.arange(x_n), sys.action[g.inv]] = 1.0
+    return AlgebraAction(g, scalar_algebra(x_n), maps)
 
 
 def equivariant_function_module(sys: EquivariantSystem) -> EquivariantModule:
     """C(X, C^d) with gamma_w xi(x) = I_{w, w^-1 x} xi(w^-1 x), and beta
-    translating the base module's own C(X)."""
+    translating the base module's own C(X) (scalar_translation_action)."""
     base = function_module(sys)
     g = sys.group
     x_n, d = sys.n_points, sys.fiber_dim
     gamma = np.zeros((g.order, x_n, d, x_n, d), dtype=complex)
     w, pre = np.arange(g.order)[:, None], sys.action[g.inv]               # [w, x]: w^-1 x
     gamma[w, np.arange(x_n), :, pre, :] = sys.cocycle[w, pre]
-    maps = np.zeros((g.order, x_n, x_n), dtype=complex)
-    maps[w, np.arange(x_n), pre] = 1.0
-    return EquivariantModule(base, AlgebraAction(g, base.algebra, maps),
-                             gamma.reshape(g.order, x_n * d, x_n * d))
+    beta = AlgebraAction(g, base.algebra, scalar_translation_action(sys).maps)
+    return EquivariantModule(base, beta, gamma.reshape(g.order, x_n * d, x_n * d))
 
 
 def trivial_equivariant_module(e: FDHilbertModule,

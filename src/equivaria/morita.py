@@ -12,7 +12,9 @@ C(X, M_d)^W is Morita equivalent to the ideal
 with the equivalence implemented by the averaged function module.  The
 semidirect reduction then rewrites the ideal as C(X, W', I) >| R for a
 splitting W = W' >| R and lands on C(X/W') >| R — the finite shape of the
-reduced dual.
+reduced dual.  Its iterated crossed product (C(X) >| W') >| R is the
+crossed product of R's action on C(X) >| W', read against C(X) >| W in the
+coordinates of both algebras.
 
 The ideal test and the comparison of J with C run in the crossed product's
 coefficients, which are orthonormal coordinates, so rank cuts, norms and
@@ -70,8 +72,8 @@ from .systems import (
     crossed_product,
     embed_function,
     _iterated_crossed_iso,
-    _outer_crossed_product,
-    _OuterCrossedProduct,
+    _outer_action,
+    _slot_image,
     fixed_point_algebra,
     quotient_algebra,
     restrict_system,
@@ -133,6 +135,7 @@ def scalar_subgroups(sys: EquivariantSystem, tol: float = 1e-8) -> ScalarStructu
     |W_x| m_rho / d_rho, 0 or at least 1, so the eigenvalues above 1/2 are
     counted whatever tol is.
     """
+    check_tol(tol)
     g = sys.group
     d = sys.fiber_dim
     x_n = sys.n_points
@@ -243,6 +246,7 @@ def c_ideal(sys: EquivariantSystem, scalar: ScalarStructure | None = None,
     cp's orthonormal coefficients the result is verified to be a two-sided
     *-closed ideal of C(X) >| W (CrossedProduct.is_ideal).
     """
+    check_tol(tol)
     scalar = scalar or scalar_subgroups(sys, max(tol, 1e-8))
     cp = cp or crossed_product(scalar_translation_action(sys))
     g = sys.group
@@ -543,9 +547,10 @@ def _semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int,
     # Link 2: (C(X) >| W') >| R ~ C(X) >| W on the crossed products the two
     # theorems built; C(X, W', I), thm_p's ideal, transports onto thm's.
     u_emb, v_sub = np.array(u_sub.embedding), g.subgroup(r)
-    outer = _outer_crossed_product(thm.ideal.cp, thm_p.ideal.cp, u_emb, v_sub)
-    iso = _iterated_crossed_iso(thm.ideal.cp, outer, np.random.default_rng(0))
-    img_rows = orthonormal_rows(_transported_rows(outer, thm_p.ideal.rows), tol)
+    alpha, w_of = _outer_action(thm.ideal.cp.action, thm_p.ideal.cp, u_emb, v_sub)
+    iso = _iterated_crossed_iso(thm.ideal.cp, crossed_product(alpha), w_of,
+                                np.random.default_rng(0))
+    img_rows = orthonormal_rows(_transported_rows(w_of, thm_p.ideal.rows), tol)
     ideal_transport_ok = spans_equal(img_rows, thm.ideal.rows, tol)
 
     # Link 4: the direct equivalence fpa(sys) ~ C(X/W') >| R, where fpa acts
@@ -568,15 +573,15 @@ def _semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int,
     return report, gj_q, left
 
 
-def _transported_rows(outer: _OuterCrossedProduct, rows: np.ndarray) -> np.ndarray:
+def _transported_rows(w_of: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """phi(h v) for every coefficient row h of B >| U and every v, rows
-    (|V| len(rows), |W| dim B) in the order (v, h)."""
-    v_n, u_n = outer.w_of.shape
-    h = rows.reshape(len(rows), u_n, rows.shape[1] // u_n)
-    placed = np.zeros((v_n, len(rows), v_n) + h.shape[1:], dtype=complex)
+    (|V| len(rows), |W| dim B) in the order (v, h), for phi the slot map
+    w_of of _outer_action."""
+    v_n = len(w_of)
+    placed = np.zeros((v_n, len(rows), v_n, rows.shape[1]), dtype=complex)
     v = np.arange(v_n)
-    placed[v, :, v] = h
-    return outer.phi(placed).reshape(v_n * len(rows), -1)
+    placed[v, :, v] = rows
+    return _slot_image(w_of, placed.reshape(v_n * len(rows), -1))
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,18 @@ The module also realizes crossed products B >| W and verifies the two
 structural isomorphisms C(X) >| W ~ C(X, K(l^2 W))^W and
 (B >| U) >| V ~ B >| W for W = U >| V.  A CrossedProduct works in crossed
 coefficients, against the a_(w,i) = b_i w / sqrt|W|, orthonormal in the
-regular representation since the action preserves the trace: its structure
-tensor carries products, adjoints and the ideal test, at O(|W| dim B^3),
-and its algebra, one block per W-orbit of B's blocks, reads its tables off
-it.  No crossed-product element is embedded as a matrix.  The fixed-point
-algebra keeps its invariant functions, one block per orbit, with tables
-from their pointwise products.  The functions are solved one orbit at a
-time, a commutant of the stabilizer's cocycle at the orbit's least point
-transported along the orbit, from the orbits and stabilizers that
-EquivariantSystem.orbits derives once per system.
+regular representation since the action preserves the trace: they are the
+coordinates of its algebra, one block per W-orbit of B's blocks, whose
+tables are read off B's blocks in the orbit's coordinates, and products,
+adjoints and the ideal test run on that algebra alone.  The W-orbits of
+B's blocks are derived once per action, and the action's multiplicativity
+is checked one orbit at a time.  (B >| U) >| V is the crossed product of
+V's action on B >| U.  No crossed-product element is embedded as a matrix.
+The fixed-point algebra keeps its invariant functions, one block per orbit,
+with tables from their pointwise products.  The functions are solved one
+orbit at a time, a commutant of the stabilizer's cocycle at the orbit's
+least point transported along the orbit, from the orbits and stabilizers
+that EquivariantSystem.orbits derives once per system.
 """
 from __future__ import annotations
 
@@ -491,6 +494,19 @@ class AlgebraAction:
     algebra: MatrixStarAlgebra
     maps: np.ndarray  # (|W|, dim, dim)
 
+    @cached_property
+    def _orbits(self) -> tuple[np.ndarray, ...]:
+        """B's coordinates by W-orbit of B's blocks, read off the maps'
+        support on first access: the components of the graph in which
+        beta_w(b_j) links b_j's block with each block it touches.  Orbits
+        with as many coordinates are stacked, one (n, p) array per size, in
+        order of first appearance."""
+        k = self.algebra.dim
+        label = self.algebra.components(((self.maps != 0).any(axis=0) | np.eye(k, dtype=bool)).T)
+        coords = [np.flatnonzero(label == o) for o in np.unique(label)]
+        return tuple(np.stack([coords[o] for o in group])
+                     for group in _grouped(map(len, coords)).values())
+
     def validate(self, tol: float = 1e-8) -> None:
         """Check that the maps are a homomorphism into the *-automorphisms of B.
 
@@ -498,8 +514,12 @@ class AlgebraAction:
         through B's products and adjoints.  B is *-closed and its basis
         orthonormal, so each coefficient residual is the norm of the matrix
         difference it stands for.  The maps are a homomorphism (checked on
-        all pairs), so both are checked at the group's generators only.
+        all pairs), so both are checked at the group's generators only, and
+        multiplicativity one W-orbit of B's blocks at a time: for b_i and
+        b_j of two orbits both b_i b_j and beta_w(b_i) beta_w(b_j), products
+        of two blocks, are exactly zero.
         """
+        check_tol(tol)
         alg = self.algebra
         k = alg.dim
         maps = self.maps
@@ -512,18 +532,41 @@ class AlgebraAction:
             raise SystemError("maps are not a group homomorphism")
         if k == 0:
             return
+        gens = maps[list(self.group.generators())]
         # [w, i]: beta_w(b_i), one row per basis element.
-        images = maps[list(self.group.generators())].swapaxes(1, 2)
-        eye = np.eye(k)
+        images = gens.swapaxes(1, 2)
         # Row i: beta_w(b_i*) - beta_w(b_i)*.
-        if np.linalg.norm(alg.adjoint(eye) @ images - alg.adjoint(images),
+        if np.linalg.norm(alg.adjoint(np.eye(k)) @ images - alg.adjoint(images),
                           axis=-1).max(initial=0.0) > tol:
             raise SystemError("action does not preserve the involution")
-        # [w, i, j]: beta_w(b_i b_j) - beta_w(b_i) beta_w(b_j), in B's coordinates.
-        defect = alg.multiply(eye[:, None], eye) @ images[:, None] \
-            - alg.multiply(images[:, :, None], images[:, None])
-        if np.linalg.norm(defect, axis=-1).max(initial=0.0) > tol:
-            raise SystemError("action is not multiplicative")
+        for index in self._orbits:
+            n, p = index.shape
+            beta = gens[:, index[:, :, None], index[:, None, :]]          # [w, o, l, j]
+            # [0, i, o]: b_i, and [1 + w, i, o]: beta_w(b_i), in the orbit's coordinates.
+            elems = np.concatenate([np.broadcast_to(np.eye(p)[:, None], (1, p, n, p)),
+                                    beta.transpose(0, 3, 1, 2)])
+            prods = _products_on(alg, index, elems[:, :, None], elems[:, None])
+            # [w, i, j, o]: beta_w(b_i b_j) - beta_w(b_i) beta_w(b_j).
+            defect = (beta[:, None, None] @ prods[0, ..., None])[..., 0] - prods[1:]
+            if np.linalg.norm(defect, axis=-1).max(initial=0.0) > tol:
+                raise SystemError("action is not multiplicative")
+
+
+def _products_on(alg: MatrixStarAlgebra, index: np.ndarray, c1: np.ndarray,
+                 c2: np.ndarray) -> np.ndarray:
+    """The products of coordinate stacks c1, c2 (..., n, p) that broadcast,
+    in the coordinates index (n, p) of alg, each row a union of its blocks:
+    block by block, as alg.multiply, without alg's other coordinates."""
+    row, pos = np.full(alg.dim, -1), np.zeros(alg.dim, dtype=np.intp)
+    row[index] = np.arange(len(index))[:, None]
+    pos[index] = np.arange(index.shape[1])
+    out = np.zeros(np.broadcast_shapes(c1.shape, c2.shape), dtype=complex)
+    for st in alg.blocks:
+        sel = np.flatnonzero(row[st.index[:, 0]] >= 0)
+        at, ix = row[st.index[sel]], pos[st.index[sel]]                  # (g, s) each
+        part = Blocks(st.index[sel], st.table[sel], st.star[sel], st.traces[sel])
+        out[..., at, ix] = (part.regular(c1[..., at, ix]) @ c2[..., at, ix, None])[..., 0]
+    return out
 
 
 def function_algebra_action(sys: EquivariantSystem) -> AlgebraAction:
@@ -535,21 +578,16 @@ def function_algebra_action(sys: EquivariantSystem) -> AlgebraAction:
 
 @dataclass(frozen=True)
 class CrossedProduct:
-    """B >| W in crossed coefficients.
+    """B >| W in crossed coefficients, the coordinates of `algebra`.
 
-    Coefficient elements are (..., |W|, dim B) arrays f meaning
-    sum_(w,i) f[w, i] a_(w,i), for a_(w,i) = b_i w / sqrt|W|.  One small
-    array carries the algebra: `structure`, with
-    a_(w,i) a_(v,j) = sum_l structure[w, i, j, l] a_(wv,l).  Products,
-    adjoints and span tests run on it.  Every beta_w is unitary on B's
-    orthonormal basis (crossed_product checks it), so the a_(w,i) are
-    orthonormal in the regular representation on l^2(W) (x) C^N: the
-    coefficients are the coordinates of `algebra`, and their standard inner
-    products are the trace inner products there.
+    Coordinate (w, i), at w dim B + i, is that of a_(w,i) = b_i w / sqrt|W|.
+    Every beta_w is unitary on B's orthonormal basis (crossed_product
+    checks it), so the a_(w,i) are orthonormal in the regular
+    representation on l^2(W) (x) C^N: the standard inner products of
+    coordinates are the trace inner products there.
     """
 
     action: AlgebraAction
-    structure: np.ndarray       # (|W|, dim B, dim B, dim B)
 
     @property
     def group(self) -> FiniteGroup:
@@ -565,63 +603,42 @@ class CrossedProduct:
         """B >| W in its own coordinates, the crossed coefficients: one
         block per W-orbit O of B's blocks, as a_(w,i) a_(v,j) =
         b_i beta_w(b_j) wv / sqrt|W| vanishes unless b_i and beta_w(b_j)
-        share a block.  <a_(u,l), a_(w,i) a_(v,j)> is structure[w, i, j, l]
-        on O when u = wv and zero otherwise; a_(w,i)* lies in slot w^-1, and
-        tr a_(w,i) = delta_(w,e) sqrt|W| tr b_i.  These hold in the regular
-        representation, in which a_(w,i) has the block
+        share a block.  <a_(u,l), a_(w,i) a_(v,j)> is
+        <b_l, b_i beta_w(b_j)> / sqrt|W| on O when u = wv and zero
+        otherwise, read off B's blocks in O's coordinates, at O(|W| p^3)
+        for the p coordinates of O; a_(w,i)* = beta_(w^-1)(b_i*) w^-1 /
+        sqrt|W|, and tr a_(w,i) = delta_(w,e) sqrt|W| tr b_i.  These hold in
+        the regular representation, in which a_(w,i) has the block
         beta_((wv)^-1)(b_i) / sqrt|W| at (wv, v): only w = e has diagonal
         blocks, and each beta_v preserves the trace.  The regular
         representation integrates a covariant pair (Williams, Crossed
         Products of C*-Algebras, 2007, 2.3), so these are the tables of the
         embedded span, whose ambient size |W| N is `ambient_dim`.
         """
-        g, b_alg = self.group, self.action.algebra
+        g, action = self.group, self.action
+        b_alg, maps = action.algebra, action.maps
         w_n, k = g.order, b_alg.dim
-        # Row j links b_j's block with those beta_w(b_j) touches.
-        orbit = b_alg.components(((self.action.maps != 0).any(axis=0) | np.eye(k, dtype=bool)).T)
-        coords = [np.flatnonzero(orbit == o) for o in np.unique(orbit)]
         w, v = np.arange(w_n)[:, None], np.arange(w_n)
+        adjoints = b_alg.adjoint(np.eye(k))                               # [i, m]: b_i*
         blocks = []
-        for group in _grouped(map(len, coords)).values():
-            idx = np.stack([coords[o] for o in group])                  # (n, p)
-            n, p = idx.shape
-            # [w, o, i, j, l] -> [o, w, j, l, i]
-            prods = self.structure[:, idx[:, :, None, None], idx[:, None, :, None],
-                                   idx[:, None, None, :]].transpose(1, 0, 3, 4, 2)
+        for index in action._orbits:
+            n, p = index.shape
+            beta = maps[:, index[:, :, None], index[:, None, :]]           # [w, o, l, j]
+            units = np.broadcast_to(np.eye(p)[:, None], (p, n, p))       # [i, o]: b_i
+            # [i, w, j, o, l]: <b_l, b_i beta_w(b_j)> / sqrt|W|.
+            prods = _products_on(b_alg, index, units[:, None, None],
+                                 beta.transpose(0, 3, 1, 2)[None]) / math.sqrt(w_n)
             table = np.zeros((n, w_n, p, w_n, p, w_n, p), dtype=complex)
-            table[:, v, :, g.mul[w, v], :, w] = prods.swapaxes(0, 1)[:, None]
+            table[:, v, :, g.mul[w, v], :, w] = prods.transpose(1, 3, 2, 4, 0)[:, None]
             star = np.zeros((n, w_n, p, w_n, p), dtype=complex)
-            star[:, g.inv, :, np.arange(w_n)] = self._adjoints[:, idx[:, :, None], idx[:, None, :]]
+            # [w, o, l, i]: the b_l coefficient of beta_(w^-1)(b_i*).
+            star[:, g.inv, :, v] = beta[g.inv] @ adjoints[index[:, None, :], index[:, :, None]]
             traces = np.zeros((n, w_n, p), dtype=complex)
-            traces[:, g.identity] = math.sqrt(w_n) * b_alg.traces[idx]
-            blocks.append(Blocks((v[:, None] * k + idx[:, None, :]).reshape(n, -1),
+            traces[:, g.identity] = math.sqrt(w_n) * b_alg.traces[index]
+            blocks.append(Blocks((v[:, None] * k + index[:, None, :]).reshape(n, -1),
                                  table.reshape(n, w_n * p, w_n * p, w_n * p),
                                  star.reshape(n, w_n * p, w_n * p), traces.reshape(n, -1)))
         return MatrixStarAlgebra(w_n * b_alg.ambient_dim, tuple(blocks))
-
-    def multiply(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """(a w)(b v) = a beta_w(b) (wv), for coefficient stacks that broadcast."""
-        grp = self.group
-        f = np.asarray(f, dtype=complex)
-        g = np.asarray(g, dtype=complex)
-        # [..., w, v, l]: the a_(wv,l) part of slot w of f times slot v of g.
-        w_n, k = self.structure.shape[:2]
-        x = (f[..., None, :] @ self.structure.reshape(w_n, k, k * k)).reshape(
-            *f.shape[:-1], k, k)
-        prods = g[..., None, :, :] @ x
-        return _slot_sum(grp, prods)
-
-    @cached_property
-    def _adjoints(self) -> np.ndarray:
-        """[w, l, i]: the b_l coefficient of beta_{w^-1}(b_i*)."""
-        b_alg = self.action.algebra
-        return self.action.maps[self.group.inv] @ b_alg.adjoint(np.eye(b_alg.dim)).T
-
-    def star(self, f: np.ndarray) -> np.ndarray:
-        """(a w)* = beta_{w^-1}(a*) w^-1, for a coefficient stack."""
-        f = np.asarray(f, dtype=complex)
-        out = (self._adjoints @ f.conj()[..., None])[..., 0]
-        return out[..., self.group.inv, :]
 
     def is_ideal(self, rows: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         """Is the span of orthonormal coefficient rows (., |W| dim B) a
@@ -631,46 +648,41 @@ class CrossedProduct:
         a = a_(w,j), the orthonormal basis of B >| W.  A is *-closed, so
         a I needs no test once I* = I holds.  Every vector v may leave the
         span by tol * max(1, |v|), where norms and residuals are those of the
-        trace inner product, the coefficients being orthonormal.  Containment in A
-        holds for every coefficient array.  Right multiplication by w only
-        moves the group slot v to vw, so the products with one w are formed
-        once and tested against each w in turn.  As many rows as B >| W has
-        dimensions span the whole crossed product, an ideal without a test.
+        trace inner product, the coefficients being orthonormal.  Containment
+        in A holds for every coefficient array.  The products with the
+        a_(w,j) of one w are read off the algebra's blocks, each a_(w,j)
+        acting on the rows' part in its block by its slice of the block's
+        table, and tested against the rows together.  As many rows as
+        B >| W has dimensions span the whole crossed product, an ideal
+        without a test.
         """
+        check_tol(tol)
         if rows.shape[0] in (0, self.dim):
             return True
-        grp = self.group
-        ideal = rows.reshape(-1, grp.order, self.action.algebra.dim)
-        if not span_contains(rows, self.star(ideal).reshape(rows.shape), tol):
+        alg = self.algebra
+        if not span_contains(rows, alg.adjoint(rows), tol):
             return False
-        # [r, j, v, l]: i_r a_(e, j) in group slot v.
-        prods = np.einsum("rvi,vijl->rjvl", ideal, self.structure, optimize=True)
-        moved = np.empty_like(prods)
-        for w in range(grp.order):
-            moved[:, :, grp.mul[:, w]] = prods
-            if not span_contains(rows, moved.reshape(-1, rows.shape[1]), tol):
+        k, w_n = self.action.algebra.dim, self.group.order
+        for w in range(w_n):
+            prods = np.zeros((len(rows), k, self.dim), dtype=complex)   # [r, j]: i_r a_(w,j)
+            for st in alg.blocks:
+                # A block holds a_(v,j), for j its orbit's t-th coordinate, at v p + t.
+                p = st.index.shape[1] // w_n
+                slot = slice(w * p, (w + 1) * p)
+                prods[:, st.index[:, slot, None] % k, st.index[:, None]] = (
+                    st.table[:, slot] @ rows[:, st.index][:, :, None, :, None])[..., 0]
+            if not span_contains(rows, prods.reshape(-1, self.dim), tol):
                 return False
         return True
 
 
-def _slot_sum(grp: FiniteGroup, prods: np.ndarray) -> np.ndarray:
-    """[..., u, l]: the products [..., w, v, l] of group slots w and v
-    collected at u = wv, the pairs (w, w^-1 u) summed over w."""
-    w_idx = np.arange(grp.order)[:, None]
-    return prods[..., w_idx, grp.mul[grp.inv], :].sum(axis=-3)
-
-
 def crossed_product(action: AlgebraAction) -> CrossedProduct:
-    """B >| W from a validated action that preserves the trace: its
-    structure tensor.
+    """B >| W from a validated action that preserves the trace.
 
     SystemError unless every beta_w is unitary on B's orthonormal basis, to
     the bound of the action's homomorphism check: only then are the
     a_(w,i) = b_i w / sqrt|W| orthonormal, as CrossedProduct assumes.  beta
     is a homomorphism, so unitarity is checked at the generators.
-    (b_i w)(b_j v) = b_i beta_w(b_j) (wv) is read off B's products, block
-    by block; divided by sqrt|W|, it expands a_(w,i) a_(v,j) in the
-    a_(wv,l).
     """
     action.validate()
     k = action.algebra.dim
@@ -678,9 +690,7 @@ def crossed_product(action: AlgebraAction) -> CrossedProduct:
     defect = gens.conj().swapaxes(-2, -1) @ gens - np.eye(k)
     if np.linalg.norm(defect, axis=(-2, -1)).max(initial=0.0) > 1e-8 * max(k, 1):
         raise SystemError("action does not preserve the trace inner product")
-    # [w, i, j]: b_i beta_w(b_j).
-    structure = action.algebra.multiply(np.eye(k)[:, None], action.maps.swapaxes(1, 2)[:, None])
-    return CrossedProduct(action, structure / math.sqrt(action.group.order))
+    return CrossedProduct(action)
 
 
 # -- structural isomorphisms -------------------------------------------------
@@ -709,7 +719,7 @@ def phi_iso(sys: EquivariantSystem, tol: float = DEFAULT_TOL,
     phi(f w)(x): delta_v -> f(w v^-1 x) delta_{v w^-1}, a relabelling, as
     w -> v w^-1 is one-to-one for each v; on a_(w,x) = delta_x w / sqrt|W|
     it takes the 1 / sqrt|W| along.  Returns the witness together with the
-    image map on crossed-product coefficient stacks (..., |W|, |X|).
+    image map on crossed-product coordinate stacks (..., |W| |X|).
     """
     if sys.fiber_dim != 1:
         raise SystemError("phi_iso requires scalar fibers")
@@ -728,27 +738,28 @@ def phi_iso(sys: EquivariantSystem, tol: float = DEFAULT_TOL,
              sys.action[g.mul[w_idx, g.inv[v_idx]], np.arange(x_n)])
     phi = partial(_translation_image, target_sys, index)
 
-    img_rows = orthonormal_rows(flatten(phi(np.eye(w_n * x_n).reshape(-1, w_n, x_n))), tol)
+    img_rows = orthonormal_rows(flatten(phi(np.eye(w_n * x_n))), tol)
     bijective = (img_rows.shape[0] == w_n * x_n
                  and spans_equal(img_rows, flatten(embed_function(target_sys, target.functions)),
                                  max(tol, 1e-8)))
-    f, h = _iso_samples(rng, (w_n, x_n))
+    f, h = _iso_samples(rng, (w_n * x_n,))
     pf = phi(f)
+    alg = cp.algebra
     witness = IsoWitness(w_n * x_n, target.dim, bijective,
-                         _iso_residual(phi(cp.multiply(f, h)), pf @ phi(h)),
-                         _iso_residual(phi(cp.star(f)), pf.conj().swapaxes(-2, -1)))
+                         _iso_residual(phi(alg.multiply(f, h)), pf @ phi(h)),
+                         _iso_residual(phi(alg.adjoint(f)), pf.conj().swapaxes(-2, -1)))
     return witness, cp, target, phi
 
 
 def _translation_image(target_sys: EquivariantSystem, index, f: np.ndarray) -> np.ndarray:
     """phi_iso's map into target_sys: `index` = (rows, columns, w, sources)
     puts f_w(sources[w, v, x]) / sqrt|W| at entry (rows[w, v], columns[v])
-    of point x."""
+    of point x, for coordinates f (..., |W| |X|) read as (..., |W|, |X|)."""
     rows, cols, w_idx, src = index
-    w_n = target_sys.fiber_dim
-    f = np.asarray(f, dtype=complex) / math.sqrt(w_n)
-    func = np.zeros(f.shape[:-2] + (target_sys.n_points, w_n, w_n), dtype=complex)
-    func[..., np.arange(target_sys.n_points), rows, cols] = f[..., w_idx, src]
+    w_n, x_n = target_sys.fiber_dim, target_sys.n_points
+    f = np.asarray(f, dtype=complex).reshape(*np.shape(f)[:-1], w_n, x_n) / math.sqrt(w_n)
+    func = np.zeros(f.shape[:-2] + (x_n, w_n, w_n), dtype=complex)
+    func[..., np.arange(x_n), rows, cols] = f[..., w_idx, src]
     return embed_function(target_sys, func)
 
 
@@ -764,76 +775,55 @@ def iterated_crossed_iso(action: AlgebraAction, normal, complement,
     u_sub = g.subgroup(normal)
     u_emb = np.array(u_sub.embedding)
     inner = crossed_product(AlgebraAction(u_sub.group, action.algebra, action.maps[u_emb]))
-    whole = crossed_product(action)
-    outer = _outer_crossed_product(whole, inner, u_emb, g.subgroup(complement))
-    return _iterated_crossed_iso(whole, outer, rng or np.random.default_rng(0))
+    alpha, w_of = _outer_action(action, inner, u_emb, g.subgroup(complement))
+    return _iterated_crossed_iso(crossed_product(action), crossed_product(alpha), w_of,
+                                 rng or np.random.default_rng(0))
 
 
-@dataclass(frozen=True)
-class _OuterCrossedProduct:
-    """(B >| U) >| V for W = U >| V, on coefficient stacks (..., |V|, |U|,
-    dim B) against the orthonormal a_(u,i) v / sqrt|V| = b_i u v / sqrt|W|.
-    V acts on B >| U by alpha_v(a u) = beta_v(a) (v u v^-1), so
-    (a v1)(b v2) = a alpha_v1(b) (v1 v2), whose coefficients take a
-    1 / sqrt|V|, and (a v)* = alpha_v^-1(a*) v^-1."""
+def _outer_action(whole: AlgebraAction, inner: CrossedProduct, u_emb: np.ndarray,
+                  v_sub: Subgroup) -> tuple[AlgebraAction, np.ndarray]:
+    """(alpha, w_of) for W = U >| V, with U's elements u_emb in W and V's
+    in v_sub, and inner = B >| U.
 
-    inner: CrossedProduct   # B >| U
-    group: FiniteGroup      # V
-    maps: np.ndarray        # [v, j, i]: beta_v transposed
-    conj: np.ndarray        # [v, u]: the index of v u v^-1 in U
-    w_of: np.ndarray        # [v, u]: the index of u v in W
-
-    def alpha(self, f: np.ndarray) -> np.ndarray:
-        """alpha_v on row v of a stack."""
-        moved = f @ self.maps
-        out = np.empty_like(moved)
-        out[..., np.arange(self.group.order)[:, None], self.conj, :] = moved
-        return out
-
-    def multiply(self, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-        # [..., v1, v2, u, l]: a_v1 alpha_v1(b_v2), collected at v1 v2.
-        prods = self.inner.multiply(fa[..., :, None, :, :] / math.sqrt(self.group.order),
-                                    self.alpha(fb[..., :, None, :, :]).swapaxes(-3, -4))
-        return _slot_sum(self.group, prods.reshape(*prods.shape[:-2], -1)).reshape(
-            prods.shape[:-4] + prods.shape[-3:])
-
-    def star(self, fa: np.ndarray) -> np.ndarray:
-        return self.alpha(self.inner.star(fa)[..., self.group.inv, :, :])
-
-    def phi(self, f: np.ndarray) -> np.ndarray:
-        """phi((a u) v) = a (u v), so a_(u,i) v / sqrt|V| goes to a_(uv,i):
-        slot (v, u) to slot w_of[v, u] of a stack (..., |W|, dim B)."""
-        out = np.zeros(f.shape[:-3] + (self.w_of.size, f.shape[-1]), dtype=complex)
-        out[..., self.w_of, :] = f
-        return out
-
-
-def _outer_crossed_product(whole: CrossedProduct, inner: CrossedProduct, u_emb: np.ndarray,
-                           v_sub: Subgroup) -> _OuterCrossedProduct:
-    """(B >| U) >| V from `whole` = B >| W and `inner` = B >| U, with U's
-    elements u_emb in W and V's in v_sub."""
+    V acts on B >| U by alpha_v(a_(u,i)) = sum_j beta_v[j, i] a_(v u v^-1, j),
+    as v (b_i u) v^-1 = beta_v(b_i) (v u v^-1), so (B >| U) >| V is
+    crossed_product(alpha), whose coordinates (v, u, i) are those of
+    a_(u,i) v / sqrt|V| = b_i (uv) / sqrt|W|.  phi((a u) v) = a (uv) moves
+    coordinate (v, u, i) to (w_of[v, u], i) of B >| W (_slot_image).
+    """
     g = whole.group
     v_emb = np.array(v_sub.embedding)
     in_u = np.zeros(g.order, dtype=np.intp)
     in_u[u_emb] = np.arange(len(u_emb))
-    conj = in_u[g.mul[g.mul[v_emb[:, None], u_emb], g.inv[v_emb][:, None]]]
-    return _OuterCrossedProduct(inner, v_sub.group, whole.action.maps[v_emb].swapaxes(-2, -1),
-                                conj, g.mul[u_emb, v_emb[:, None]])
+    conj = in_u[g.mul[g.mul[v_emb[:, None], u_emb], g.inv[v_emb][:, None]]]   # [v, u]: v u v^-1
+    v_n, u_n, k = len(v_emb), len(u_emb), whole.algebra.dim
+    maps = np.zeros((v_n, u_n, k, u_n, k), dtype=complex)
+    maps[np.arange(v_n)[:, None], conj, :, np.arange(u_n)] = whole.maps[v_emb][:, None]
+    return (AlgebraAction(v_sub.group, inner.algebra, maps.reshape(v_n, u_n * k, u_n * k)),
+            g.mul[u_emb, v_emb[:, None]])
 
 
-def _iterated_crossed_iso(whole: CrossedProduct, outer: _OuterCrossedProduct,
+def _slot_image(w_of: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """phi((a u) v) = a (uv) on coordinate stacks f (..., |V| |U| dim B) of
+    (B >| U) >| V: coordinate (v, u, i) goes to (w_of[v, u], i) of B >| W."""
+    k = f.shape[-1] // w_of.size
+    out = np.zeros(f.shape, dtype=complex)
+    out[..., (w_of[..., None] * k + np.arange(k)).ravel()] = f
+    return out
+
+
+def _iterated_crossed_iso(whole: CrossedProduct, outer: CrossedProduct, w_of: np.ndarray,
                           rng: np.random.Generator) -> IsoWitness:
-    """The witness that outer.phi is a *-isomorphism onto `whole`, from
-    eight samples at once."""
-    v_n, u_n = outer.w_of.shape
-    k = whole.action.algebra.dim
-    fa, fb = _iso_samples(rng, (v_n, u_n, k))
-    pa = outer.phi(fa)
-    bijective = bool(np.array_equal(np.sort(outer.w_of, axis=None), np.arange(whole.group.order)))
-    return IsoWitness(v_n * u_n * k, whole.group.order * k, bijective,
-                      _iso_residual(outer.phi(outer.multiply(fa, fb)),
-                                    whole.multiply(pa, outer.phi(fb))),
-                      _iso_residual(outer.phi(outer.star(fa)), whole.star(pa)))
+    """The witness that _slot_image is a *-isomorphism from outer =
+    (B >| U) >| V onto whole = B >| W, from eight samples at once."""
+    fa, fb = _iso_samples(rng, (outer.dim,))
+    pa = _slot_image(w_of, fa)
+    bijective = bool(np.array_equal(np.sort(w_of, axis=None), np.arange(whole.group.order)))
+    return IsoWitness(outer.dim, whole.dim, bijective,
+                      _iso_residual(_slot_image(w_of, outer.algebra.multiply(fa, fb)),
+                                    whole.algebra.multiply(pa, _slot_image(w_of, fb))),
+                      _iso_residual(_slot_image(w_of, outer.algebra.adjoint(fa)),
+                                    whole.algebra.adjoint(pa)))
 
 
 def _iso_samples(rng: np.random.Generator, shape: tuple) -> tuple[np.ndarray, np.ndarray]:

@@ -17,9 +17,18 @@ import sys
 from pathlib import Path
 
 from equivaria.datasets import bundled
+from equivaria.groups import symmetric
 from equivaria.morita import assemble_toy_dual, semidirect_reduction, verify_morita_theorem
 from equivaria.spectrum import wedderburn_crosscheck
-from equivaria.systems import dihedral_plane_family, z2_line_system, z2xz2_line_system
+from equivaria.systems import (
+    dihedral_plane_family,
+    function_algebra_action,
+    iterated_crossed_iso,
+    phi_iso,
+    z2_line_system,
+    z2xz2_line_system,
+)
+from test_acceptance import _flip_z2, _grid_z2xz2, _s3_translation
 
 GOLDEN = Path(__file__).with_name("golden_verdicts.json")
 TOLERANCES = (1e-8, 1e-6)
@@ -78,6 +87,27 @@ def toy_dual_fields(rep) -> dict:
             "reductions": [reduction_fields(r) for r in rep.reductions]}
 
 
+def iso_fields(w) -> dict:
+    return {"ok": w.ok, "source_dim": w.source_dim, "target_dim": w.target_dim,
+            "bijective": w.bijective, "multiplicative_residual": w.multiplicative_residual,
+            "star_residual": w.star_residual}
+
+
+def crossed_isos():
+    """(key, thunk) for the crossed-product isomorphisms of criterion 5's
+    systems: phi_iso on each, and iterated_crossed_iso for its splitting."""
+    g3 = symmetric(3)
+    rotations = [w for w in g3.elements() if g3.product(w, w, w) == 0]
+    splittings = [(_flip_z2, [0, 1], [0]), (_grid_z2xz2, [0, 2], [0, 1]),
+                  (_s3_translation, rotations, [0, min(set(g3.elements()) - set(rotations))])]
+    for build, normal, complement in splittings:
+        name = build().name
+        yield f"phi-iso/{name}", lambda build=build: iso_fields(phi_iso(build())[0])
+        yield (f"iterated-crossed-iso/{name}",
+               lambda build=build, normal=normal, complement=complement: iso_fields(
+                   iterated_crossed_iso(function_algebra_action(build()), normal, complement)))
+
+
 def cases():
     """(key, thunk) for every verdict of the corpus."""
     systems = [(f"z2-line-{n}", lambda n=n: z2_line_system(n)) for n in range(1, 13)]
@@ -97,6 +127,7 @@ def cases():
         yield (f"toy-dual/two-component@{tol:g}",
                lambda tol=tol: toy_dual_fields(
                    assemble_toy_dual(bundled("two-component"), tol=tol)))
+    yield from crossed_isos()
 
 
 def capture() -> dict:

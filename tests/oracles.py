@@ -9,7 +9,7 @@ star_of, and the intersection of two spans is the oracle of centers and
 of invariant compacts.  The crossed product B >| W lives in its own coordinates in
 `equivaria`; here it is embedded by the regular representation on
 l^2(W) (x) C^N, with the covariant-pair relations (1)-(4) that make that
-embedding's product table the one read off the structure tensor.  The
+embedding's product table the one cp.algebra reads off B's blocks.  The
 pairwise ideal test of matrix spans and the operator norm of a matrix are
 kept here as well.
 """
@@ -195,8 +195,8 @@ def relation_residual(cp, basis=None) -> float:
       (2) pi(b_i) pi(b_j) = pi(b_i b_j),
       (3) U_w pi(b_i) U_w* = pi(beta_w(b_i)) and
       (4) U_w U_v = U_wv.
-    Then (pi(a) U_w)(pi(b) U_v) = pi(a beta_w(b)) U_wv, the product that the
-    structure tensor expands.  Both sides of (1) and (3) carry the
+    Then (pi(a) U_w)(pi(b) U_v) = pi(a beta_w(b)) U_wv, the product that
+    cp.algebra's tables expand.  Both sides of (1) and (3) carry the
     1 / sqrt|W| of the embedding; (2) is quadratic, so its coefficients are
     scaled back, and it is read in B's coordinates: pi(b_i) must be
     block-diagonal, and its blocks must multiply as B does.  (3) is read at

@@ -18,6 +18,7 @@ from equivaria.hilbmod import (
     compact_operators,
     equivariant_function_module,
     function_module,
+    scalar_translation_action,
     verify_green_julg,
 )
 from equivaria.reps import enumerate_irreps
@@ -326,6 +327,13 @@ TOLERANT = {
         lambda tol: compact_operators(function_module(z2_line_system(2)), tol),
     "block_decompose":
         lambda tol: matalg.block_decompose(systems.fixed_point_algebra(z2_line_system(2)), tol=tol),
+    "scalar_subgroups": lambda tol: morita.scalar_subgroups(z2_line_system(2), tol),
+    "c_ideal": lambda tol: morita.c_ideal(z2_line_system(2), tol=tol),
+    # The row of delta_0 e, which right products by w leave.
+    "CrossedProduct.is_ideal": lambda tol: systems.crossed_product(
+        scalar_translation_action(z2_line_system(2))).is_ideal(np.eye(10)[:1], tol),
+    "AlgebraAction.validate":
+        lambda tol: scalar_translation_action(z2_line_system(2)).validate(tol),
 }
 
 
@@ -336,7 +344,11 @@ def test_library_rejects_a_tolerance_outside_the_unit_interval(entry, tol):
     would be 0 (verify_morita_theorem read ok with J = 0 against C = 17 on
     z2-line n = 4 at tol 10; fixed_point_algebra(z2_line_system(2)) had
     dimension 20 where the default gives 10, and compact_operators kept
-    rank 0), and other checks would fail first with errors of their own."""
+    rank 0), and other checks would fail first with errors of their own.
+    Without the check, is_ideal accepted the row of delta_0 e at tol 10,
+    c_ideal(z2_line_system(2), tol=10) had dimension 9 where the default
+    gives 10, scalar_subgroups at tol 0 raised that W'_x is not normal, and
+    validate passed any maps at tol nan."""
     with pytest.raises(ValueError, match="^tolerance must lie strictly between 0 and 1$"):
         TOLERANT[entry](tol)
 

@@ -25,8 +25,8 @@ theorem.
 Crossed products multiply, take adjoints and test ideals in coefficients,
 and the Morita theorem compares J with C there; the embedded matrices are
 their oracle.  The fixed-point algebra's tables come from the products of
-each orbit's functions and the crossed product's from its structure
-tensor, with the dense pass as their oracle; mutants of the embedding and of its
+each orbit's functions and the crossed product's from B's blocks in each
+orbit's coordinates, with the dense pass as their oracle; mutants of the embedding and of its
 1 / sqrt|W| fail the oracle's relation and orthonormality checks.  The
 direct sums' tables are the dense block sum's, and a Block keeps its
 projection's coordinates.  Module axioms are checked on all samples at once,
@@ -369,10 +369,14 @@ def held_arrays(obj):
             yield from held_arrays(value)
 
 
-def test_no_algebra_holds_a_whole_table_or_a_dense_basis():
+def test_no_algebra_holds_a_whole_table_or_a_dense_basis(monkeypatch):
     """On z2-line n = 8 (k = N = 34), no array held by the fixed-point
     algebra, by cp.algebra or by C's algebra, with their units built, has
-    k^3 or k N^2 entries: each keeps its blocks' tables."""
+    k^3 or k N^2 entries: each keeps its blocks' tables.  No array held by
+    the theorem's crossed product B >| W, B = C(X), or by the
+    (C(X) >| W') >| R that a reduction of z2xz2-line 8 builds, B = C(X) >| W',
+    with their algebras and units built, has dim B^3 entries, let alone the
+    |W| dim B^3 of a structure tensor."""
     verdict = verify_morita_theorem(z2_line_system(8))
     algebras = [verdict.fpa, verdict.ideal.cp.algebra, verdict.ideal.algebra]
     for alg in algebras:
@@ -380,6 +384,26 @@ def test_no_algebra_holds_a_whole_table_or_a_dense_basis():
         sizes = [a.size for a in held_arrays(alg)]
         assert sizes and len(alg.blocks) > 1
         assert max(sizes) < min(alg.dim ** 3, alg.dim * alg.ambient_dim ** 2), sizes
+
+    def check(cp):
+        cp.algebra.unit()
+        sizes = [a.size for a in held_arrays(cp)]
+        assert sizes and len(cp.algebra.blocks) > 1
+        assert max(sizes) < cp.action.algebra.dim ** 3, sizes
+
+    check(verdict.ideal.cp)
+    built = []
+
+    def spy(action):
+        built.append(crossed_product(action))
+        return built[-1]
+
+    monkeypatch.setattr(morita, "crossed_product", spy)
+    assert morita.semidirect_reduction(z2xz2_line_system(8), [0, 2], [0, 1]).ok
+    # The theorems' C(X) >| W and C(X) >| W', then the outer product on the latter.
+    outer = built[2]
+    assert outer.action.algebra is built[1].algebra and outer.dim == built[0].dim == 68
+    check(outer)
     assert verdict.fpa.dim == 34 and verdict.fpa.ambient_dim == 34
 
 
@@ -909,18 +933,18 @@ def test_one_sided_ideals_are_not_ideals():
     swap = EquivariantSystem(cyclic(2), (0, 1), np.array([[0, 1], [1, 0]]), 1,
                              np.ones((2, 2, 1, 1), dtype=complex), name="swap")
     cp = crossed_product(scalar_translation_action(swap))
-    p = np.zeros((2, 2), dtype=complex)
-    p[0, 0] = 1.0                     # the indicator of point 0, at slot e
-    units = np.eye(4).reshape(4, 2, 2)
+    p = np.zeros(4, dtype=complex)
+    p[0] = 1.0                        # the indicator of point 0, at slot e
+    units = np.eye(4)
     # The last input, the whole crossed product, is an ideal.
-    for prods, expected in ((cp.multiply(p, units), False), (cp.multiply(units, p), False),
-                            (units, True)):
-        rows = orthonormal_rows(prods.reshape(4, 4))
+    for prods, expected in ((cp.algebra.multiply(p, units), False),
+                            (cp.algebra.multiply(units, p), False), (units, True)):
+        rows = orthonormal_rows(prods)
         assert rows.shape[0] == (4 if expected else 2)
         assert cp.is_ideal(rows) == expected
         dense = embedded_algebra(cp)
         n = dense.ambient_dim
-        embedded = flatten(dense.element(prods.reshape(4, 4)))
+        embedded = flatten(dense.element(prods))
         ideal = Dense(unflatten(orthonormal_rows(embedded), n))
         assert is_ideal(ideal, dense) == is_ideal_loops(ideal, dense) == expected
 
@@ -943,31 +967,26 @@ def test_crossed_coefficients_match_the_embedding_of_a_corner():
 
 
 def check_crossed_coefficients(cp, basis=None):
-    """The embedded basis is orthonormal, and products, adjoints and
-    coefficient rows match the embedded matrices, for B's basis matrices
-    `basis` (oracles.base_basis when not given)."""
+    """The embedded basis is orthonormal, and cp.algebra's products and
+    adjoints of coordinate stacks that broadcast, and its coordinate rows,
+    match the embedded matrices, for B's basis matrices `basis`
+    (oracles.base_basis when not given)."""
     dense = embedded_algebra(cp, basis)
     emb = dense.basis_rows()
     assert close(emb @ emb.conj().T, np.eye(cp.dim), 1e-12)
     rng = np.random.default_rng(9)
-    shape = (3,) + cp.structure.shape[:2]
-    f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    def embed(c):
-        return dense.element(c.reshape(*c.shape[:-2], cp.dim))
-
-    ef, eh = embed(f), embed(h)
-    assert close(embed(cp.multiply(f, h)), ef @ eh)
-    assert close(embed(cp.multiply(f[:, None], h[None])), ef[:, None] @ eh[None])
-    assert close(embed(cp.star(f)), np.conj(np.transpose(ef, (0, 2, 1))))
+    f, h = rng.standard_normal((2, 3, cp.dim)) + 1j * rng.standard_normal((2, 3, cp.dim))
+    alg = cp.algebra
+    ef, eh = dense.element(f), dense.element(h)
+    assert close(dense.element(alg.multiply(f, h)), ef @ eh)
+    assert close(dense.element(alg.multiply(f[:, None], h[None])), ef[:, None] @ eh[None])
+    assert close(dense.element(alg.adjoint(f)), np.conj(np.transpose(ef, (0, 2, 1))))
     # Coefficient rows carry the trace inner products of the embedded matrices.
-    y = f.reshape(3, cp.dim)
-    assert close(y @ y.conj().T, flatten(ef) @ flatten(ef).conj().T)
+    assert close(f @ f.conj().T, flatten(ef) @ flatten(ef).conj().T)
     # ... and are the coordinates against the algebra's basis.
-    assert close(y, np.stack([dense.coefficients(a) for a in ef]))
-    assert cp.algebra.dim == emb.shape[0]
-    assert cp.algebra.closure_residual() < 1e-9
+    assert close(f, np.stack([dense.coefficients(a) for a in ef]))
+    assert alg.dim == emb.shape[0]
+    assert alg.closure_residual() < 1e-9
 
 
 # E11 and E22 in M_3, whose sum is not I_3.
@@ -1003,7 +1022,7 @@ CROSSED_TABLES = sorted({f"{a}:{s}" for a in ("scalar", "function") for s in CRO
 
 
 @pytest.mark.parametrize("label", CROSSED_TABLES)
-def test_crossed_table_is_read_off_the_structure(label):
+def test_crossed_tables_match_the_embedded_span(label):
     """The coordinate algebra of B >| W has the tables of the embedded span,
     read off the embedding, and the embedding keeps the covariant-pair
     relations (1)-(4) that make them so."""
@@ -1030,13 +1049,8 @@ def test_crossed_table_is_read_off_the_structure(label):
     assert close(dense.element(alg.multiply(f, h)), ef @ eh, 1e-12)
     assert close(dense.element(alg.adjoint(f)), ef.conj().swapaxes(1, 2), 1e-12)
     assert close(alg.norm(f), np.array([operator_norm(a) for a in ef]), 1e-12)
-    basis = np.eye(alg.dim).reshape(alg.dim, *cp.structure.shape[:2])
-    # [i, j, l]: a_i a_j against a_l, for the orthonormal basis a.
-    products = cp.multiply(basis[:, None], basis[None]).reshape((alg.dim,) * 3)
-    table = table_of(alg)
-    assert close(table, products.transpose(1, 2, 0))
     if alg.dim <= 64:
-        assert np.abs(table - dense.structure).max() <= 1e-12
+        assert np.abs(table_of(alg) - dense.structure).max() <= 1e-12
         assert dense.closure_residual() < 1e-12
     assert alg.closure_residual() < 1e-12
 
@@ -2169,7 +2183,13 @@ def outer_loops(action, normal, complement):
     k = action.algebra.dim
     u_n, v_n = u_sub.group.order, v_sub.group.order
     inner_maps = np.stack([action.maps[u_sub.to_parent(u)] for u in range(u_n)])
-    inner = crossed_product(AlgebraAction(u_sub.group, action.algebra, inner_maps))
+    inner = crossed_product(AlgebraAction(u_sub.group, action.algebra, inner_maps)).algebra
+
+    def inner_mult(a, b):
+        return inner.multiply(a.reshape(-1), b.reshape(-1)).reshape(u_n, k)
+
+    def inner_star(a):
+        return inner.adjoint(a.reshape(-1)).reshape(u_n, k)
 
     def outer_apply(v, f):
         vp = v_sub.to_parent(v)
@@ -2183,7 +2203,7 @@ def outer_loops(action, normal, complement):
         out = np.zeros_like(fa)
         for v1 in range(v_n):
             for v2 in range(v_n):
-                prod = inner.multiply(fa[v1], outer_apply(v1, fb[v2]))
+                prod = inner_mult(fa[v1], outer_apply(v1, fb[v2]))
                 out[v_sub.group.mul[v1, v2]] += prod / np.sqrt(v_n)
         return out
 
@@ -2191,7 +2211,7 @@ def outer_loops(action, normal, complement):
         out = np.zeros_like(fa)
         for v in range(v_n):
             vi = v_sub.group.inv[v]
-            out[vi] += outer_apply(vi, inner.star(fa[v]))
+            out[vi] += outer_apply(vi, inner_star(fa[v]))
         return out
 
     def phi(fa):
@@ -2205,11 +2225,13 @@ def outer_loops(action, normal, complement):
 
 
 def outer_product_of(action, normal, complement):
+    """((B >| U) >| V, the slot map w_of) as the reduction builds them."""
     g = action.group
     u_sub, v_sub = g.subgroup(normal), g.subgroup(complement)
     u_emb = np.array(u_sub.embedding)
     inner = crossed_product(AlgebraAction(u_sub.group, action.algebra, action.maps[u_emb]))
-    return systems._outer_crossed_product(crossed_product(action), inner, u_emb, v_sub)
+    alpha, w_of = systems._outer_action(action, inner, u_emb, v_sub)
+    return crossed_product(alpha), w_of
 
 
 def iso_residuals_loop(rng, shape, mult_pair, star_pair):
@@ -2232,19 +2254,21 @@ def test_phi_iso_matches_the_point_loop(label):
     w_n, x_n = sys.group.order, sys.n_points
     rng = np.random.default_rng(3)
     f = rng.standard_normal((2, w_n, x_n)) + 1j * rng.standard_normal((2, w_n, x_n))
-    # One call maps a stack; each image is the loop's.
-    assert np.array_equal(phi(f), np.stack([phi_iso_loop(sys, fi) for fi in f]))
+    # One call maps a stack of coordinates; each image is the loop's.
+    assert np.array_equal(phi(f.reshape(2, -1)), np.stack([phi_iso_loop(sys, fi) for fi in f]))
     # The samples are drawn as the loop draws them: f, then h, real first.
     draws = systems._iso_samples(np.random.default_rng(0), (w_n, x_n))
     rng = np.random.default_rng(0)
     loop = [[rng.standard_normal((w_n, x_n)) + 1j * rng.standard_normal((w_n, x_n))
              for _ in range(2)] for _ in range(8)]
     assert np.array_equal(np.stack(draws, axis=1), np.array(loop))
+    alg, shape = cp.algebra, (w_n, x_n)
     mult, star = iso_residuals_loop(
-        np.random.default_rng(0), (w_n, x_n),
-        lambda a, b: (phi_iso_loop(sys, cp.multiply(a, b)),
+        np.random.default_rng(0), shape,
+        lambda a, b: (phi_iso_loop(sys, alg.multiply(a.ravel(), b.ravel()).reshape(shape)),
                       phi_iso_loop(sys, a) @ phi_iso_loop(sys, b)),
-        lambda a: (phi_iso_loop(sys, cp.star(a)), phi_iso_loop(sys, a).conj().T))
+        lambda a: (phi_iso_loop(sys, alg.adjoint(a.ravel()).reshape(shape)),
+                   phi_iso_loop(sys, a).conj().T))
     assert witness.ok and witness.source_dim == w_n * x_n == target.dim
     assert abs(witness.multiplicative_residual - mult) < 1e-14
     assert abs(witness.star_residual - star) < 1e-14
@@ -2256,21 +2280,27 @@ def test_outer_crossed_product_matches_the_slot_loops(label, which):
     sys, normal, complement = splitting_case(label)
     action = (function_algebra_action(sys) if which == "functions"
               else scalar_translation_action(sys))
-    outer = outer_product_of(action, normal, complement)
+    outer, w_of = outer_product_of(action, normal, complement)
     mult, star, phi = outer_loops(action, normal, complement)
-    shape = outer.w_of.shape + (action.algebra.dim,)
+    shape = w_of.shape + (action.algebra.dim,)
     rng = np.random.default_rng(7)
     fa, fb = (rng.standard_normal((3,) + shape) + 1j * rng.standard_normal((3,) + shape)
               for _ in range(2))
-    for new, old in ((outer.multiply(fa, fb), [mult(a, b) for a, b in zip(fa, fb)]),
-                     (outer.star(fa), [star(a) for a in fa]),
-                     (outer.phi(fa), [phi(a) for a in fa])):
-        assert np.abs(new - np.stack(old)).max() < 1e-13
-    whole = crossed_product(action)
+    flat_a, flat_b = fa.reshape(3, -1), fb.reshape(3, -1)
+    for new, old in ((outer.algebra.multiply(flat_a, flat_b), [mult(a, b) for a, b in zip(fa, fb)]),
+                     (outer.algebra.adjoint(flat_a), [star(a) for a in fa]),
+                     (systems._slot_image(w_of, flat_a), [phi(a) for a in fa])):
+        assert np.abs(new - np.stack(old).reshape(new.shape)).max() < 1e-13
+    whole = crossed_product(action).algebra
+
+    def whole_mult(a, b):
+        return whole.multiply(a.ravel(), b.ravel()).reshape(a.shape)
+
     witness = systems.iterated_crossed_iso(action, normal, complement)
     res = iso_residuals_loop(np.random.default_rng(0), shape,
-                             lambda a, b: (phi(mult(a, b)), whole.multiply(phi(a), phi(b))),
-                             lambda a: (phi(star(a)), whole.star(phi(a))))
+                             lambda a, b: (phi(mult(a, b)), whole_mult(phi(a), phi(b))),
+                             lambda a: (phi(star(a)), whole.adjoint(phi(a).ravel()).reshape(
+                                 phi(a).shape)))
     assert witness.ok and witness.bijective
     assert (witness.source_dim, witness.target_dim) == (np.prod(shape), whole.dim)
     assert np.abs(np.array([witness.multiplicative_residual, witness.star_residual])
@@ -2330,8 +2360,8 @@ def test_reduction_links_match_the_loops(label):
     sys_p, u_sub = systems.restrict_system(sys, wprime)
     v_sub = g.subgroup(r)
     rows = c_ideal(sys_p).rows
-    outer = outer_product_of(scalar_translation_action(sys), wprime, r)
-    assert np.array_equal(morita._transported_rows(outer, rows),
+    w_of = outer_product_of(scalar_translation_action(sys), wprime, r)[1]
+    assert np.array_equal(morita._transported_rows(w_of, rows),
                           transported_rows_loop(g, u_sub, v_sub, rows, sys.n_points))
     eq, u_rows = quotient_module(sys, wprime, r)
     action, gamma, maps = quotient_module_loops(sys, wprime, r, u_rows)
@@ -2343,14 +2373,16 @@ def test_reduction_links_match_the_loops(label):
 
 def test_reduction_builds_each_crossed_product_once(monkeypatch):
     # The theorem's C(X) >| W is the whole of link 2, the restricted
-    # theorem's C(X) >| W' its inner factor, and link 4 builds C(X/W') >| R.
+    # theorem's C(X) >| W' its inner factor, link 2 builds (C(X) >| W') >| R
+    # on it, and link 4 builds C(X/W') >| R.
     built = counting_spy(monkeypatch, [systems, morita, hilbmod], "crossed_product")
     split = counting_spy(monkeypatch, [groups, systems, morita], "semidirect_decomposition")
     restricted = counting_spy(monkeypatch, [systems, morita], "restrict_system")
     report = morita.semidirect_reduction(z2xz2_line_system(2), [0, 2], [0, 1])
     assert report.ok and report.iso_bijective and report.ideal_transport_ok
-    assert (len(built), len(split), len(restricted)) == (3, 1, 1)
-    assert [action.group.order for action in built] == [4, 2, 2]
+    assert (len(built), len(split), len(restricted)) == (4, 1, 1)
+    assert [action.group.order for action in built] == [4, 2, 2, 2]
+    assert built[2].algebra.dim == 2 * built[1].algebra.dim
 
 
 # -- EquivariantModule.validate on all samples at once, against its loop -------
