@@ -9,31 +9,23 @@ is tau(b_k) = tr b_k / sum_l |tr b_l|^2 on B's basis; conjugating by the
 square root of the Gram matrix turns the module adjoint into the ordinary
 conjugate transpose, so K_B(E) becomes an honest matrix *-algebra.
 
-Inner values live in one coordinate system, B's orthonormal basis: a module
-stores <e_p|e_q> as an (m, m, dim B) coefficient array, so its values lie
-in B by construction, and B is read through its tables only: the Gram
-matrix through its traces, norms through its left-regular matrices, and the
-axioms, Cauchy-Schwarz and the Morita witness's samples through its product
-and star tables.  `act` takes and `inner_product` returns B's elements as
-coordinate vectors, never as N x N matrices, and both raise ModuleError on
-arrays of the wrong size.  The rank-one maps (one or all m^2 of them), the
-Gram matrix, the fullness ideal and the averaged (Green-Julg) module over
-B >| W are built from the coefficients with a few matrix products, never
-with per-pair loops.  Over B >| W the coordinates are the crossed product's
-coefficients, the coordinates of its algebra, so no inner value is
-embedded.  Values that arrive as matrices (the quotient module's functions)
-pass through one checked conversion, which raises ModuleError when a value
-leaves the span.  The Green-Julg check needs no module over B >| W at all:
-a rank-one map is the same operator in any basis of B >| W, so the averaged
-compacts come from the crossed coefficients and the maps of the same basis,
-and K_B(E)^W is solved in the coordinates of K_B(E).  `compact_operators`
-cuts the rank of the m^2 rank-one maps one carrier component at a time
-(`carrier_components`; the points or orbits of the function modules): the
-stack of all the maps is block diagonal, one block per component, so its
-singular values are the blocks' together, and dense SVDs of the blocks cut
-at the whole stack's scale are the dense rule exactly; `is_full` and the
-Morita witness take their ranks on the same carrier pairs.  A module of one
-component is one block, the only case in which the cut forms the m^4 stack.
+A module is held by its carrier components, as an algebra by its blocks
+(Components, stacked by shape): component S spans s carrier vectors, is
+acted on by c coordinates of B and keeps that action (c, s, s) and its
+inner values (s, s, c) in B's orthonormal coordinates; every other entry
+is zero.  Builders state the components they know: the function module
+one per point, the averaged (Green-Julg) module over B >| W one per W-orbit,
+the standard module one per block of B, direct sums and rebased modules
+those of their inputs.  The rank-one maps vanish off the carrier pairs of
+one component, so the compacts and a Morita witness's left action live in
+the pair coordinates (+)_S S x S (FDHilbertModule.pairs), and their stack
+is block diagonal: dense SVDs of the blocks cut at the whole stack's scale
+are the dense rule exactly.  B is read through its tables only, and `act`
+and `inner_product` take and return B's elements as coordinate vectors,
+raising ModuleError on arrays of the wrong size.  The Green-Julg check
+builds no module over B >| W: a rank-one map is the same operator in any
+basis of B >| W, so the averaged compacts come from the averaged
+components, and K_B(E)^W is solved in the coordinates of K_B(E).
 """
 from __future__ import annotations
 
@@ -46,8 +38,6 @@ from .groups import FiniteGroup
 from .linalg import (
     DEFAULT_TOL,
     check_tol,
-    component_labels,
-    flatten,
     homomorphism_defect,
     nullspace_rows,
     orthonormal_rows,
@@ -55,9 +45,8 @@ from .linalg import (
     row_residuals,
     span_contains,
     spans_equal,
-    unflatten,
 )
-from .matalg import Blocks, MatrixStarAlgebra, restricted_algebra
+from .matalg import Blocks, MatrixStarAlgebra, _grouped
 from .systems import (
     AlgebraAction,
     CrossedProduct,
@@ -76,17 +65,6 @@ _AXIOM_SAMPLES = 20
 _DEGENERATE = 1e-10
 
 
-def _act(action: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """x . b for stacks of carrier vectors x (..., m) and B-coefficients c (..., k)."""
-    return (np.tensordot(c, action, axes=1) @ x[..., None])[..., 0]
-
-
-def _inner_values(inner: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """<x|y> in B's coordinates for stacks of carrier vectors (..., m)."""
-    m, _, k = inner.shape
-    return (y[..., None, :] @ (x.conj() @ inner.reshape(m, -1)).reshape(*x.shape, k))[..., 0, :]
-
-
 def _checked_coefficients(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Coefficients (..., k) of vectors values (..., D) against orthonormal
     rows (k, D), for values that must lie in their span: each may leave it
@@ -98,32 +76,69 @@ def _checked_coefficients(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FDHilbertModule:
-    """A Hilbert module over a matrix *-algebra, given by two tensors.
+class Components:
+    """g carrier components of one shape (s, c), stacked: component b spans
+    the carrier vectors carrier[b] and is acted on by B's coordinates
+    coords[b]; action[b, j] is the carrier map of b_(coords[b, j]) on it
+    (e_i b = sum_p action[b, j, p, i] e_p) and inner[b, p, q, j] the
+    b_(coords[b, j]) coefficient of <e_p|e_q>, for p, q its positions."""
 
-    `action[k]` is the carrier matrix of the right action of basis element k;
-    `inner[i, j]` is <e_i | e_j> expanded in B's orthonormal basis.
+    carrier: np.ndarray   # (g, s)
+    coords: np.ndarray    # (g, c)
+    action: np.ndarray    # (g, c, s, s)
+    inner: np.ndarray     # (g, s, s, c)
+
+
+def _flat_pairs(st: Components, m: int) -> np.ndarray:
+    """(g, s^2): p m + q for the carrier pairs (p, q) of each component."""
+    return (st.carrier[:, :, None] * m + st.carrier[:, None, :]).reshape(len(st.carrier), -1)
+
+
+def _pairs(parts, m: int) -> np.ndarray:
+    """The carrier pairs p m + q with p and q in one component, ascending."""
+    return np.sort(np.concatenate([_flat_pairs(st, m).ravel() for st in parts]
+                                  + [np.zeros(0, dtype=np.intp)]))
+
+
+@dataclass(frozen=True)
+class FDHilbertModule:
+    """A Hilbert module over a matrix *-algebra, held by its carrier
+    components.
+
+    The components partition the carrier and share no coordinate of B; a
+    coordinate acts as zero off its component, and no inner value joins
+    two components.  The constructor stacks the components of one shape,
+    in increasing order of shape, and checks both partitions.
     """
 
     algebra: MatrixStarAlgebra
-    action: np.ndarray  # (dim B, m, m)
-    inner: np.ndarray   # (m, m, dim B)
+    parts: tuple[Components, ...]
     name: str = ""
 
     def __post_init__(self):
-        action = np.asarray(self.action, dtype=complex)
-        inner = np.asarray(self.inner, dtype=complex)
-        m = action.shape[1] if action.ndim == 3 else inner.shape[0]
-        if action.shape != (self.algebra.dim, m, m):
-            raise ModuleError("action tensor has wrong shape")
-        if inner.shape != (m, m, self.algebra.dim):
-            raise ModuleError("inner tensor has wrong shape")
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "inner", inner)
+        given = [st for st in self.parts if st.carrier.size]
+        groups = _grouped((st.carrier.shape[1], st.coords.shape[1]) for st in given)
+        stacks = tuple(Components(*(np.concatenate([getattr(given[i], f) for i in groups[key]])
+                                    for f in ("carrier", "coords", "action", "inner")))
+                       for key in sorted(groups))
+        carrier, coords = (np.sort(np.concatenate([getattr(st, f).ravel() for st in stacks] + [[]]))
+                           for f in ("carrier", "coords"))
+        if not np.array_equal(carrier, np.arange(carrier.size)) or np.any(np.diff(coords) == 0) \
+                or not np.all((coords >= 0) & (coords < self.algebra.dim)):
+            raise ModuleError("the components must partition the carrier and share no coordinate")
+        object.__setattr__(self, "parts", stacks)
 
     @property
     def carrier_dim(self) -> int:
-        return self.action.shape[1]
+        return sum(st.carrier.size for st in self.parts)
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """The carrier pairs p m + q with p and q in one component,
+        ascending: the sum_S s^2 coordinates of the compacts and of a
+        witness's left action.  Every pair of a direct sum's first summand
+        comes before every pair of its second."""
+        return _pairs(self.parts, self.carrier_dim)
 
     def _carrier(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
@@ -139,12 +154,27 @@ class FDHilbertModule:
         if c.ndim == 0 or c.shape[-1] != self.algebra.dim or c.ndim > xi.ndim:
             raise ModuleError("algebra elements are coordinate vectors of size dim B, "
                               "stacked no deeper than the carrier vectors")
-        return _act(self.action, xi, c)
+        out = np.zeros(np.broadcast_shapes(xi.shape[:-1], c.shape[:-1]) + xi.shape[-1:],
+                       dtype=complex)
+        for st in self.parts:
+            g, s = st.carrier.shape
+            maps = (c[..., st.coords][..., None, :] @ st.action.reshape(g, -1, s * s))
+            out[..., st.carrier] = (maps.reshape(c.shape[:-1] + (g, s, s))
+                                    @ xi[..., st.carrier, None])[..., 0]
+        return out
 
     def inner_product(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
         """The coordinates (..., dim B) of <xi | eta> in B, conjugate-linear
         in xi; not an N x N matrix."""
-        return _inner_values(self.inner, self._carrier(xi), self._carrier(eta))
+        x, y = self._carrier(xi), self._carrier(eta)
+        out = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (self.algebra.dim,),
+                       dtype=complex)
+        for st in self.parts:
+            g, s = st.carrier.shape
+            left = (x[..., st.carrier][..., None, :].conj() @ st.inner.reshape(g, s, -1))
+            out[..., st.coords] = (y[..., st.carrier][..., None, :]
+                                   @ left.reshape(x.shape[:-1] + (g, s, -1)))[..., 0, :]
+        return out
 
     def norm(self, xi: np.ndarray) -> float:
         """|<xi|xi>|^(1/2), the operator norm read off B's table."""
@@ -153,7 +183,8 @@ class FDHilbertModule:
     # -- the scalar form and the Gram transform ------------------------------
 
     def gram(self) -> np.ndarray:
-        """G[i, j] = tau(<e_i | e_j>): the faithful scalar inner product.
+        """G[i, j] = tau(<e_i | e_j>): the faithful scalar inner product,
+        zero between two components.
 
         As e b_k = b_k for B's unit e, tau(b_k) = tr b_k / tr e, where
         tr e = sum_l |tr b_l|^2 is the squared norm of unit()'s coordinates;
@@ -163,13 +194,13 @@ class FDHilbertModule:
         return self._gram
 
     @cached_property
-    def components(self) -> list[np.ndarray]:
-        """The carrier components of the module's tensors (carrier_components)."""
-        return carrier_components(self.action, self.inner)
-
-    @cached_property
     def _gram(self) -> np.ndarray:
-        g = self.inner @ self.algebra.traces / np.linalg.norm(self.algebra.unit()) ** 2
+        m = self.carrier_dim
+        g = np.zeros((m, m), dtype=complex)
+        scale = np.linalg.norm(self.algebra.unit()) ** 2
+        for st in self.parts:
+            g[st.carrier[:, :, None], st.carrier[:, None, :]] = (
+                st.inner @ self.algebra.traces[st.coords][:, None, :, None])[..., 0] / scale
         return (g + g.conj().T) / 2.0
 
     def gram_sqrt(self) -> tuple[np.ndarray, np.ndarray]:
@@ -267,12 +298,14 @@ def _lowest(b_alg: MatrixStarAlgebra, h: np.ndarray) -> np.ndarray:
 
 
 def standard_module(b_alg: MatrixStarAlgebra) -> FDHilbertModule:
-    """B as a module over itself with <b1|b2> = b1* b2: action[j] is right
-    multiplication by b_j, and the inner values are the products b_i* b_j."""
-    eye = np.eye(b_alg.dim)
-    action = b_alg.multiply(eye[:, None], eye).transpose(1, 2, 0)
-    inner = b_alg.multiply(b_alg.adjoint(eye)[:, None], eye)
-    return FDHilbertModule(b_alg, action, inner, name="standard")
+    """B as a module over itself with <b1|b2> = b1* b2, one component per
+    block of B, on the block's coordinates: action[j] is right
+    multiplication by b_j, slice j of the block's table, and the inner
+    values are the products b_i* b_j, the table applied to the star table."""
+    return FDHilbertModule(b_alg, tuple(
+        Components(st.index, st.index, st.table,
+                   (st.table @ st.star[:, None]).transpose(0, 3, 1, 2)) for st in b_alg.blocks),
+        name="standard")
 
 
 def scalar_algebra(n_points: int) -> MatrixStarAlgebra:
@@ -284,167 +317,101 @@ def scalar_algebra(n_points: int) -> MatrixStarAlgebra:
 
 
 def function_module(sys: EquivariantSystem) -> FDHilbertModule:
-    """C(X, C^d) over C(X): pointwise action and inner product."""
+    """C(X, C^d) over C(X), pointwise, one component per point x: the fiber
+    vectors e_(x d + a), on which delta_x acts as the identity, with
+    <e_p|e_q> = delta_pq delta_x."""
     x_n, d = sys.n_points, sys.fiber_dim
-    b_alg = scalar_algebra(x_n)
-    m = x_n * d
-    action = np.zeros((x_n, m, m), dtype=complex)
-    inner = np.zeros((m, m, x_n), dtype=complex)
-    p = np.arange(m)
-    # e_p lives at point p // d: <e_p|e_p> is that point's basis element.
-    action[p // d, p, p] = 1.0
-    inner[p, p, p // d] = 1.0
-    return FDHilbertModule(b_alg, action, inner, name="function")
+    eye = np.broadcast_to(np.eye(d, dtype=complex), (x_n, 1, d, d))
+    return FDHilbertModule(scalar_algebra(x_n), (Components(
+        np.arange(x_n * d).reshape(x_n, d), np.arange(x_n)[:, None], eye,
+        eye.transpose(0, 2, 3, 1)),), name="function")
 
 
 def free_module(n: int) -> FDHilbertModule:
-    """C^n over C (the scalars realized as M_1)."""
-    b_alg = scalar_algebra(1)
-    action = np.eye(n, dtype=complex)[None]
-    return FDHilbertModule(b_alg, action, np.eye(n, dtype=complex)[..., None], name="free")
+    """C^n over C (the scalars realized as M_1), one component."""
+    eye = np.eye(n, dtype=complex)
+    return FDHilbertModule(scalar_algebra(1), (Components(
+        np.arange(n)[None], np.zeros((1, 1), dtype=np.intp), eye[None, None],
+        eye[None, :, :, None]),), name="free")
 
 
 # -- compact operators ---------------------------------------------------------
 
 
-def rank_one(e: FDHilbertModule, eta: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """|eta><xi| : zeta -> eta <xi|zeta>, as a raw carrier matrix.
-
-    Column l is eta . <xi|e_l>, with <xi|e_l> expanded in B's basis.
-    """
-    return (np.tensordot(np.conj(xi), e.inner, axes=1) @ (e.action @ eta)).T
-
-
 @dataclass(frozen=True)
 class CompactOperators:
-    """K_B(E) as raw carrier matrices, orthonormal rows spanning the rank-one
-    maps, with `rank_margin`, sigma_r / sigma_(r+1) of their rank cut over all
-    blocks, infinite when nothing is kept or nothing is dropped."""
+    """K_B(E): orthonormal rows spanning the rank-one maps at the module's
+    carrier pairs, off which every compact is zero, and `rank_margin`,
+    sigma_r / sigma_(r+1) of their cut, infinite if none is kept or dropped."""
 
     module: FDHilbertModule
-    raw_rows: np.ndarray        # orthonormal rows spanning raw compacts
+    raw_rows: np.ndarray        # (r, len(module.pairs)), orthonormal
     rank_margin: float
 
 
 def _rank_one_maps(action: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """All |e_i><e_j| as one (m, m, m, m) array indexed [i, j, row, col],
-    for each of any leading axes the two arrays share.
-
-    `action[k]` is the carrier map of the k-th algebra element and
-    `coefficients[j, l, k]` the k-th coefficient of <e_j|e_l> against the
-    same elements; they need not be a basis, since a rank-one map is the
-    same operator however its inner values are expanded.  Column l of
-    |e_i><e_j| is e_i . <e_j|e_l>, so |e_i><e_j| is the (m, k) x (k, m)
-    product of [p, k] = action[k, p, i] with [k, l] = coefficients[j, l, k].
-    One batched matmul over (i, j) writes every map in place, so no
-    transposed copy of the m^4 entries is made.
-    """
+    for each of any leading axes the two arrays share: `action[k]` is the
+    carrier map of the k-th algebra element and `coefficients[j, l, k]` the
+    k-th coefficient of <e_j|e_l>, in any basis.  Column l of |e_i><e_j| is
+    e_i . <e_j|e_l>, one batched matmul over (i, j) of [p, k] =
+    action[k, p, i] with [k, l] = coefficients[j, l, k]."""
     left = np.ascontiguousarray(np.swapaxes(action, -3, -1))          # [i, p, k]
     right = np.ascontiguousarray(np.swapaxes(coefficients, -2, -1))   # [j, k, l]
     return left[..., :, None, :, :] @ right[..., None, :, :, :]
 
 
-def carrier_components(action: np.ndarray, coefficients: np.ndarray) -> list[np.ndarray]:
-    """The connected components of the carrier indices, each as sorted
-    indices, in order of their least index.
-
-    For `action` and `coefficients` as _rank_one_maps takes them, i and p
-    are linked when some action[k, p, i] != 0, j and l when some
-    coefficients[j, l, k] != 0, and i and j when one k has a nonzero
-    action[k, :, i] and a nonzero coefficients[j, :, k].  Entry (p, l) of
-    |e_i><e_j| is sum_k action[k, p, i] coefficients[j, l, k], so it is
-    nonzero only when i, j, p and l lie in one component.  A roundoff-sized
-    entry only merges two components, which still split the maps.
-    """
-    nz_action = action != 0                                           # [k, p, i]
-    nz_coeff = coefficients != 0                                      # [j, l, k]
-    shared = nz_coeff.any(axis=1).astype(float) @ nz_action.any(axis=1).astype(float)
-    link = nz_action.any(axis=0) | nz_coeff.any(axis=2) | (shared > 0)
-    labels = component_labels(link)
-    return [np.flatnonzero(labels == c) for c in np.unique(labels)]
-
-
-def _compact_rows(action: np.ndarray, coefficients: np.ndarray, tol: float,
-                  parts: list[np.ndarray]) -> tuple[np.ndarray, float]:
-    """(rows, margin): orthonormal rows (r, m^2) spanning the rank-one
-    maps and the margin sigma_r / sigma_(r+1) of their rank cut over all
-    blocks (CompactOperators.rank_margin), as compact_operators describes,
-    for the carrier components `parts` of the two arrays.
-    """
-    m = action.shape[-1]
-    if m == 0:
-        return np.zeros((0, 0), dtype=complex), np.inf
-    blocks = []      # (values, right singular vectors, each block's coordinates)
-    for size in sorted({part.size for part in parts}):
-        idx = np.stack([part for part in parts if part.size == size])   # [g, a]
-        pairs = idx[:, :, None], idx[:, None, :]
-        maps = _rank_one_maps(action[:, pairs[0], pairs[1]].swapaxes(0, 1),
-                              coefficients[pairs])
-        _, s, vh = np.linalg.svd(maps.reshape(len(idx), size ** 2, size ** 2),
-                                 full_matrices=False)
-        flat = (pairs[0] * m + pairs[1]).reshape(len(idx), size ** 2)
-        blocks.append((s.ravel(), vh.reshape(-1, size ** 2), flat))
-    values = np.concatenate([s for s, _, _ in blocks])
+def _compact_rows(parts, m: int, tol: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """(rows, margin, pairs): orthonormal rows spanning the rank-one maps of
+    the components `parts` of an m-dimensional carrier at their carrier
+    pairs `pairs` (_pairs), and the margin of their cut, as
+    compact_operators describes."""
+    pairs = _pairs(parts, m)
+    blocks = []      # (values, right singular vectors, each block's pair positions)
+    for st in parts:
+        g, s = st.carrier.shape
+        _, sv, vh = np.linalg.svd(_rank_one_maps(st.action, st.inner).reshape(g, s * s, s * s),
+                                  full_matrices=False)
+        blocks.append((sv.ravel(), vh.reshape(-1, s * s),
+                       np.searchsorted(pairs, _flat_pairs(st, m))))
+    values = np.concatenate([sv for sv, _, _ in blocks] + [[]])
     threshold = rank_threshold(values, tol)
-    # Value i of one size's blocks comes from block i // size^2.
-    kept = [(vh[s > threshold], flat[np.flatnonzero(s > threshold) // flat.shape[1]])
-            for s, vh, flat in blocks]
-    rows = np.zeros((int(np.sum(values > threshold)), m * m), dtype=complex)
+    rows = np.zeros((int(np.sum(values > threshold)), pairs.size), dtype=complex)
     offset = 0
-    for vh, flat in kept:
-        rows[offset + np.arange(len(vh))[:, None], flat] = vh
-        offset += len(vh)
+    for sv, vh, at in blocks:
+        # Value i of one stack comes from component i // s^2.
+        kept = np.flatnonzero(sv > threshold)
+        rows[offset + np.arange(kept.size)[:, None], at[kept // at.shape[1]]] = vh[kept]
+        offset += kept.size
     dropped = values[values <= threshold].max(initial=0.0)
     margin = np.inf if rows.shape[0] == 0 or dropped == 0.0 \
         else float(values[values > threshold].min() / dropped)
-    return rows, margin
+    return rows, margin, pairs
 
 
 def compact_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> CompactOperators:
     """Span of the rank-one module maps, closed as a matrix *-algebra.
 
     |e_i><e_j| is nonzero only at (p, l) with i, j, p, l in one carrier
-    component S, so the m^2 maps form one (s^2, s^2) block per component,
-    and zero rows for pairs from two components.  Each block is cut by a
-    dense SVD (batched by size) at the whole stack's scale
-    tol max(max_S s_0(S), 1), which keeps exactly what the dense SVD of all
-    m^2 maps keeps.  The SVDs cost about sum_S s^6, so a module of one
-    component of s = m carriers pays m^6 for its one dense block.
-    ModuleError unless the module's scalar form is definite (gram_sqrt).
+    component S, so the maps are one (s^2, s^2) block per component and
+    zero for pairs from two.  Each block is cut by a dense SVD (batched by
+    shape) at the whole stack's scale tol max(max_S s_0(S), 1), which keeps
+    exactly what the dense SVD of all m^2 maps keeps, at about sum_S s^6.
+    ModuleError unless the scalar form is definite (gram_sqrt).
     """
     check_tol(tol)
     e.gram_sqrt()
-    raw_rows, margin = _compact_rows(e.action, e.inner, tol, e.components)
+    raw_rows, margin, _ = _compact_rows(e.parts, e.carrier_dim, tol)
     return CompactOperators(e, raw_rows, margin)
 
 
-def fullness_ideal(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> MatrixStarAlgebra:
-    """span{<xi|eta>} inside B, in coordinates against orthonormal rows of
-    B's (restricted_algebra); an ideal of B, all of B iff E is full.
-
-    The span is taken on the (m^2, dim B) inner coefficients, which have the
-    singular values of the values themselves, since B's basis is
-    orthonormal.
-    """
-    m = e.carrier_dim
-    return restricted_algebra(e.algebra,
-                              orthonormal_rows(e.inner.reshape(m * m, e.algebra.dim), tol))
-
-
-def _in_component(e: FDHilbertModule) -> np.ndarray:
-    """The flat indices p m + l of the carrier pairs (p, l) that lie in one
-    carrier component (carrier_components): off them every rank-one map
-    and every inner value <e_p|e_l> is zero."""
-    m = e.carrier_dim
-    return np.concatenate([(p[:, None] * m + p).ravel() for p in e.components] + [[]]).astype(int)
-
-
 def is_full(e: FDHilbertModule, tol: float = 1e-8) -> bool:
-    """Is fullness_ideal(e, tol) all of B?  Only the rank of the inner
-    coefficients <e_p|e_l> with p and l in one carrier component is taken,
-    at `tol`; the others are zero, and the ideal is not embedded."""
-    values = e.inner.reshape(e.carrier_dim ** 2, e.algebra.dim)[_in_component(e)]
-    return orthonormal_rows(values, tol).shape[0] == e.algebra.dim
+    """Is span{<xi|eta>} all of B, its rank cut at `tol`?  Two components'
+    values lie in disjoint pairs and coordinates, so the singular values of
+    the components' values together are those of the whole (m^2, dim B)."""
+    values = np.concatenate([np.linalg.svd(st.inner.reshape(len(st.carrier), -1, st.inner.shape[3]),
+                                           compute_uv=False).ravel() for st in e.parts] + [[]])
+    return int(np.sum(values > rank_threshold(values, tol))) == e.algebra.dim
 
 
 # -- equivariant modules -------------------------------------------------------
@@ -479,7 +446,7 @@ class EquivariantModule:
         if np.linalg.norm(hom, axis=(-2, -1)).max() > tol * max(m, 1):
             raise ModuleError("gamma is not a group homomorphism")
         rng = rng or np.random.default_rng(1)
-        b_alg, action, inner = self.base.algebra, self.base.action, self.base.inner
+        b_alg, act, inner = self.base.algebra, self.base.act, self.base.inner_product
         k = b_alg.dim
         # Each sample draws xi, eta, then b's coefficients, real parts first.
         parts = np.split(rng.standard_normal((g.order, 4, 4 * m + 2 * k)),
@@ -492,10 +459,9 @@ class EquivariantModule:
         # [w, sample, check]; inner values in B's coordinates, whose norm is
         # the trace norm.
         bad = np.stack([
-            np.linalg.norm(_act(action, xi, c) @ gamma - _act(action, gx, c @ beta), axis=-1)
+            np.linalg.norm(act(xi, c) @ gamma - act(gx, c @ beta), axis=-1)
             > tol * np.maximum(1.0, size * np.maximum(1.0, op)),
-            np.linalg.norm(_inner_values(inner, gx, eta @ gamma)
-                           - _inner_values(inner, xi, eta) @ beta, axis=-1)
+            np.linalg.norm(inner(gx, eta @ gamma) - inner(xi, eta) @ beta, axis=-1)
             > tol * np.maximum(1.0, size * np.linalg.norm(eta, axis=-1))], axis=-1)
         if bad.any():
             w, _, check = np.unravel_index(bad.argmax(), bad.shape)
@@ -503,26 +469,31 @@ class EquivariantModule:
                                f"inner product is not equivariant at w={w}")[check])
 
 
-def scalar_translation_action(sys: EquivariantSystem) -> AlgebraAction:
-    """C(X) (diagonal in M_{|X|}) with the translation action of W:
-    beta_w(f)(x) = f(w^-1 x), the permutations beta_w(delta_y) = delta_(wy)
-    built from the action table alone."""
+def _translation_maps(sys: EquivariantSystem) -> np.ndarray:
+    """(|W|, |X|, |X|): the permutations beta_w(delta_y) = delta_(wy) of the
+    point indicators, from the action table alone."""
     g, x_n = sys.group, sys.n_points
     maps = np.zeros((g.order, x_n, x_n), dtype=complex)
     maps[np.arange(g.order)[:, None], np.arange(x_n), sys.action[g.inv]] = 1.0
-    return AlgebraAction(g, scalar_algebra(x_n), maps)
+    return maps
+
+
+def scalar_translation_action(sys: EquivariantSystem) -> AlgebraAction:
+    """C(X) (diagonal in M_{|X|}) with the translation action of W:
+    beta_w(f)(x) = f(w^-1 x)."""
+    return AlgebraAction(sys.group, scalar_algebra(sys.n_points), _translation_maps(sys))
 
 
 def equivariant_function_module(sys: EquivariantSystem) -> EquivariantModule:
     """C(X, C^d) with gamma_w xi(x) = I_{w, w^-1 x} xi(w^-1 x), and beta
-    translating the base module's own C(X) (scalar_translation_action)."""
+    translating the base module's own C(X), built once."""
     base = function_module(sys)
     g = sys.group
     x_n, d = sys.n_points, sys.fiber_dim
     gamma = np.zeros((g.order, x_n, d, x_n, d), dtype=complex)
     w, pre = np.arange(g.order)[:, None], sys.action[g.inv]               # [w, x]: w^-1 x
     gamma[w, np.arange(x_n), :, pre, :] = sys.cocycle[w, pre]
-    beta = AlgebraAction(g, base.algebra, scalar_translation_action(sys).maps)
+    beta = AlgebraAction(g, base.algebra, _translation_maps(sys))
     return EquivariantModule(base, beta, gamma.reshape(g.order, x_n * d, x_n * d))
 
 
@@ -538,48 +509,69 @@ def trivial_equivariant_module(e: FDHilbertModule,
 
 def green_julg_module(eq: EquivariantModule,
                       cp: CrossedProduct | None = None) -> tuple[FDHilbertModule, CrossedProduct]:
-    """E as a module over B >| W: xi . bw = gamma_{w^-1}(xi b), averaged inner.
-
-    The inner product is <<xi|eta>> = sum_w <xi|gamma_w eta> w.  Both tensors
-    are built in crossed coefficients, (w, i) for a_(w,i) = b_i w / sqrt|W|,
-    the coordinates of cp.algebra, which is the module's algebra.
-    """
-    base = eq.base
+    """E as a module over B >| W: xi . bw = gamma_{w^-1}(xi b), with
+    <<xi|eta>> = sum_w <xi|gamma_w eta> w.  Its components (_averaged_parts)
+    are in the coordinates of cp.algebra, the crossed coefficients."""
     cp = cp or crossed_product(eq.beta)
-    m = base.carrier_dim
-    action = _averaged_maps(eq).reshape(cp.dim, m, m)
-    inner = averaged_inner_coefficients(eq).reshape(m, m, cp.dim)
-    return FDHilbertModule(cp.algebra, action, inner,
-                           name=(base.name or "module") + "-averaged"), cp
+    return FDHilbertModule(cp.algebra, _averaged_parts(eq),
+                           name=(eq.base.name or "module") + "-averaged"), cp
 
 
-def _averaged_maps(eq: EquivariantModule) -> np.ndarray:
-    """(|W|, dim B, m, m): the carrier map gamma_{w^-1} R_{b_i} / sqrt|W| by
-    which a_(w,i) = b_i w / sqrt|W| acts on the averaged module."""
-    gamma = eq.gamma[eq.group.inv] / np.sqrt(eq.group.order)
-    return gamma[:, None] @ eq.base.action[None]
+def _averaged_parts(eq: EquivariantModule) -> list[Components]:
+    """The averaged module's components, one per W-orbit of B's blocks
+    (AlgebraAction._orbits, the blocks of B >| W's algebra): the base
+    components whose coordinates lie in the orbit, joined.
 
-
-def averaged_inner_coefficients(eq: EquivariantModule) -> np.ndarray:
-    """<<e_p|e_q>> = sum_w <e_p|gamma_w e_q> w in crossed coefficients.
-
-    An (m, m, |W|, dim B) array: <e_p|gamma_w e_q> w has the coefficients
-    sqrt|W| sum_j gamma_w[j, q] <e_p|e_j> against the a_(w,i).  One product
-    per p, with gamma's columns scaled first, writes it in this layout, so
-    reshaping it copies nothing.
+    There a_(w,i) = b_i w / sqrt|W|, coordinate w dim B + i, acts by
+    gamma_{w^-1} R_{b_i} / sqrt|W|, and <<e_p|e_q>> has the coefficient
+    sqrt|W| sum_j gamma_w[j, q] <e_p|e_j>_i.  gamma_w carries a component
+    onto one of its orbit, as beta_w carries the coordinates acting on it,
+    so an orbit's components share one stack.  ModuleError when a
+    component's coordinates lie in two orbits.
     """
-    m, w_n = eq.base.carrier_dim, eq.group.order
-    by_column = eq.gamma.transpose(2, 0, 1).reshape(m * w_n, m) * np.sqrt(w_n)  # [(q, w), j]
-    return (by_column @ eq.base.inner).reshape(m, m, w_n, eq.base.algebra.dim)
+    g, k = eq.group, eq.base.algebra.dim
+    root = np.sqrt(g.order)
+    orbit = np.zeros(k, dtype=np.intp)
+    for index in eq.beta._orbits:
+        orbit[index] = index[:, :1]
+    parts = []
+    for st in eq.base.parts:
+        label = orbit[st.coords]
+        if np.any(label != label[:, :1]):
+            raise ModuleError("a carrier component is acted on by two W-orbits of B's blocks")
+        for idx in _grouped(label[:, 0].tolist()).values():          # one orbit's components
+            n, (c, s) = len(idx), st.action.shape[1:3]
+            one = np.arange(n)
+            action = np.zeros((n, c, n, s, n, s), dtype=complex)
+            action[one, :, one, :, one] = st.action[idx]
+            inner = np.zeros((n, s, n, s, n, c), dtype=complex)
+            inner[one, :, one, :, one] = st.inner[idx]
+            carrier, s, c = st.carrier[idx].ravel(), n * s, n * c
+            gamma = eq.gamma[:, carrier[:, None], carrier]                  # [w, j, q]
+            maps = (gamma[g.inv, None] / root) @ action.reshape(c, s, s)
+            values = inner.reshape(s, s, c).transpose(0, 2, 1) @ gamma[:, None]  # [w, p, i, q]
+            parts.append(Components(carrier[None], (np.arange(g.order)[:, None] * k
+                                                    + st.coords[idx].ravel()).reshape(1, -1),
+                                    maps.reshape(1, -1, s, s),
+                                    root * values.transpose(1, 3, 0, 2).reshape(1, s, s, -1)))
+    return parts
+
+
+def _placed(rows: np.ndarray, pairs: np.ndarray, onto: np.ndarray) -> np.ndarray:
+    """Rows at the carrier pairs `pairs`, written at their places among the
+    pairs `onto`, which hold them; both ascending, as FDHilbertModule.pairs."""
+    out = np.zeros((len(rows), onto.size), dtype=complex)
+    out[:, np.searchsorted(onto, pairs)] = rows
+    return out
 
 
 def invariant_compacts_rows(eq: EquivariantModule,
                             compacts: CompactOperators | None = None,
                             tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Raw-coordinate span of K_B(E)^W = {k : gamma_w k = k gamma_w}.
+    """K_B(E)^W = {k : gamma_w k = k gamma_w} at the base module's pairs.
 
-    Solved in the coordinates of K_B(E): with R the r orthonormal raw rows
-    of the compacts, read as matrices K_i, the invariant compacts are c R
+    Solved in the coordinates of K_B(E): with R the r orthonormal rows of
+    the compacts, read as matrices K_i, the invariant compacts are c R
     for the c in C^r with sum_i c_i (gamma_g K_i - K_i gamma_g) = 0 at every
     generator g, one kernel of a (|gens| m^2, r) matrix.  c and R have
     orthonormal rows, so c R does too.
@@ -587,7 +579,7 @@ def invariant_compacts_rows(eq: EquivariantModule,
     compacts = compacts or compact_operators(eq.base, tol)
     rows = compacts.raw_rows
     m, r = eq.base.carrier_dim, rows.shape[0]
-    mats = unflatten(rows, m)
+    mats = _placed(rows, eq.base.pairs, np.arange(m * m)).reshape(r, m, m)
     gamma = eq.gamma[list(eq.group.generators())][:, None]
     comm = gamma @ mats - mats @ gamma                      # [g, i, p, q]
     columns = comm.transpose(0, 2, 3, 1).reshape(gamma.shape[0] * m * m, r)
@@ -602,35 +594,26 @@ class GreenJulgVerdict:
     residual: float
 
 
-def _averaged_compacts_rows(eq: EquivariantModule, tol: float) -> np.ndarray:
-    """Raw-coordinate span of K_{B >| W}(E), from crossed coefficients.
-
-    |e_p><e_q| is the same operator whatever basis of B >| W its inner
-    values are expanded in, so the averaged module's rank-one maps are built
-    from the |W| dim B maps of the a_(w,i) and the inner values in crossed
-    coefficients, without the module's algebra.  Their rank is cut one
-    carrier component at a time, as in compact_operators; the components
-    are the orbits.
-    """
+def _averaged_compacts_rows(eq: EquivariantModule, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, pairs): K_{B >| W}(E) at the averaged module's carrier pairs,
+    cut one orbit at a time from its components (_averaged_parts), without
+    the crossed product's algebra: a rank-one map is the same operator in
+    any basis of B >| W."""
     eq.beta.validate()
-    maps = _averaged_maps(eq)
-    w_n, k, m = maps.shape[:3]
-    maps, values = maps.reshape(w_n * k, m, m), averaged_inner_coefficients(eq).reshape(m, m, -1)
-    return _compact_rows(maps, values, tol, carrier_components(maps, values))[0]
+    rows, _, pairs = _compact_rows(_averaged_parts(eq), eq.base.carrier_dim, tol)
+    return rows, pairs
 
 
 def verify_green_julg(eq: EquivariantModule, tol: float = 1e-8) -> GreenJulgVerdict:
-    """K_{B >| W}(E) = K_B(E)^W, compared as raw spans on the carrier.
-
-    Both sides are found in coefficient space at `tol`: the averaged
-    compacts from the rank-one maps in crossed coefficients, cut one
-    carrier component at a time, and the invariant compacts as a kernel in
-    the coordinates of K_B(E).  Neither the embedded crossed product, the
-    averaged module nor the Kronecker commutant of gamma is built.
+    """K_{B >| W}(E) = K_B(E)^W, compared as spans at the averaged module's
+    carrier pairs, which hold the base module's.  Both sides are found at
+    `tol`: the averaged compacts from the averaged components, and the
+    invariant compacts as a kernel in the coordinates of K_B(E); neither
+    the crossed product's algebra nor the Kronecker commutant is built.
     """
     check_tol(tol)
-    lhs = _averaged_compacts_rows(eq, tol)
-    inv_rows = invariant_compacts_rows(eq, tol=tol)
+    lhs, pairs = _averaged_compacts_rows(eq, tol)
+    inv_rows = _placed(invariant_compacts_rows(eq, tol=tol), eq.base.pairs, pairs)
     ok = spans_equal(lhs, inv_rows, tol)
     resid = float(max(row_residuals(inv_rows, lhs).max(initial=0.0),
                       row_residuals(lhs, inv_rows).max(initial=0.0)))
@@ -670,31 +653,30 @@ def verify_morita(a_alg: MatrixStarAlgebra, e: FDHilbertModule,
                   rng: np.random.Generator | None = None) -> MoritaWitness:
     """Witness that A ~ B via E: E full over B and A = K_B(E) through left_action.
 
-    `left_action[k]` is the raw carrier matrix by which A's basis element k
-    acts on E.  The map must be a *-isomorphism onto the compacts.  Ranks
-    and spans are taken on the carrier pairs of one component
-    (_in_component), off which the compacts vanish, as compact_operators
-    cuts them; there each row v of the left action must vanish too, to
-    tol * max(1, |v|), for its image to lie in K_B(E).
+    `left_action[k]` holds the entries, at the module's carrier pairs
+    (FDHilbertModule.pairs), of the raw carrier matrix by which A's basis
+    element k acts on E; its other entries are zero, as every compact's
+    are.  The map must be a *-isomorphism onto the compacts, whose rows
+    compact_operators cuts in the same coordinates.
     """
     rng = rng or np.random.default_rng(0)
     left_action = np.asarray(left_action, dtype=complex)
+    if left_action.shape != (a_alg.dim, e.pairs.size):
+        raise ModuleError("the left action holds one row over the module's carrier pairs "
+                          "per basis element of A")
     full = is_full(e, tol)
     compacts = compact_operators(e, tol)
-    pairs = _in_component(e)
-    image = flatten(left_action)
-    off = np.delete(np.arange(image.shape[1]), pairs)
-    img_rows = orthonormal_rows(image[:, pairs], tol)
+    img_rows = orthonormal_rows(left_action, tol)
     injective = img_rows.shape[0] == a_alg.dim
-    span_match = (img_rows.shape[0] == compacts.raw_rows.shape[0]
-                  and span_contains(np.zeros((0, len(off))), image[:, off], tol)
-                  and spans_equal(img_rows, compacts.raw_rows[:, pairs], tol))
+    span_match = spans_equal(img_rows, compacts.raw_rows, tol)
     # Eight samples, each drawing c1 then c2, real parts before imaginary;
-    # their products and adjoints are read off A's tables.
+    # their products and adjoints are read off A's tables, and each image
+    # is written out as an m x m carrier matrix.
     draws = rng.standard_normal((8, 4, a_alg.dim))
     c1, c2 = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
-    l1, l2, l12, lstar = (np.tensordot(c, left_action, axes=1) for c in (
-        c1, c2, a_alg.multiply(c1, c2), a_alg.adjoint(c1)))
+    m = e.carrier_dim
+    l1, l2, l12, lstar = (_placed(c @ left_action, e.pairs, np.arange(m * m)).reshape(8, m, m)
+                          for c in (c1, c2, a_alg.multiply(c1, c2), a_alg.adjoint(c1)))
     top = [np.abs(x).max(axis=(1, 2), initial=0.0)
            for x in (l1, l2, l1 @ l2 - l12, lstar - e.module_adjoint(l1))]
     scale = np.maximum(1.0, top[0] * top[1])
@@ -712,27 +694,19 @@ def _block_sum(b1: MatrixStarAlgebra, b2: MatrixStarAlgebra) -> MatrixStarAlgebr
 
 
 def direct_sum_module(e1: FDHilbertModule, e2: FDHilbertModule) -> FDHilbertModule:
-    """E1 (+) E2 over B1 (+) B2 (block-diagonal ambient)."""
-    b1, b2 = e1.algebra, e2.algebra
-    b_sum = _block_sum(b1, b2)
-    m1, m2 = e1.carrier_dim, e2.carrier_dim
-    m = m1 + m2
-    action = np.zeros((b_sum.dim, m, m), dtype=complex)
-    action[:b1.dim, :m1, :m1] = e1.action
-    action[b1.dim:, m1:, m1:] = e2.action
-    inner = np.zeros((m, m, b_sum.dim), dtype=complex)
-    inner[:m1, :m1, :b1.dim] = e1.inner
-    inner[m1:, m1:, b1.dim:] = e2.inner
-    return FDHilbertModule(b_sum, action, inner, name="direct-sum")
+    """E1 (+) E2 over B1 (+) B2 (block-diagonal ambient): the components of
+    both, E2's at the carrier vectors and coordinates after E1's."""
+    moved = (Components(st.carrier + e1.carrier_dim, st.coords + e1.algebra.dim, st.action,
+                        st.inner) for st in e2.parts)
+    return FDHilbertModule(_block_sum(e1.algebra, e2.algebra), e1.parts + tuple(moved),
+                           name="direct-sum")
 
 
-def direct_sum_left_action(a1: MatrixStarAlgebra, l1: np.ndarray,
-                           a2: MatrixStarAlgebra, l2: np.ndarray,
-                           m1: int, m2: int) -> tuple[MatrixStarAlgebra, np.ndarray]:
-    """Block-diagonal assembly of two algebras with left actions."""
-    a_sum = _block_sum(a1, a2)
-    m = m1 + m2
-    left = np.zeros((a_sum.dim, m, m), dtype=complex)
-    left[:a1.dim, :m1, :m1] = l1
-    left[a1.dim:, m1:, m1:] = l2
-    return a_sum, left
+def direct_sum_left_action(a1: MatrixStarAlgebra, l1: np.ndarray, a2: MatrixStarAlgebra,
+                           l2: np.ndarray) -> tuple[MatrixStarAlgebra, np.ndarray]:
+    """A1 (+) A2 with its left action on E1 (+) E2, for left actions at the
+    carrier pairs of E1 and E2: the sum's pairs are E1's, then E2's."""
+    left = np.zeros((a1.dim + a2.dim, l1.shape[1] + l2.shape[1]), dtype=complex)
+    left[:a1.dim, :l1.shape[1]] = l1
+    left[a1.dim:, l1.shape[1]:] = l2
+    return _block_sum(a1, a2), left

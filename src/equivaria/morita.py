@@ -19,19 +19,19 @@ coordinates of both algebras.
 The ideal test and the comparison of J with C run in the crossed product's
 coefficients, which are orthonormal coordinates, so rank cuts, norms and
 residuals are those of the trace inner product.  Both J and C split over
-the points of X: the point indicators delta_x cut every coefficient array
-into |X| column blocks of C^|W|, so C is spanned by coset indicators point
-by point and J's rank is one batched cut over the points
-(verify_morita_theorem gives the argument), which also names the points
-where J falls short of C.  J's blocks are read off the base module's
-inner values, which lie at their left vector's point, and the averaged
-tensor over all points is never formed.  C's algebra is the crossed
-product's coordinate algebra restricted to C's orthonormal rows, and the
-Green-Julg module is rebased onto C by projecting its inner coefficients
-onto those rows; no crossed-product element is embedded as a matrix.
-Stabilizers and orbits are the systems' (EquivariantSystem.orbits).  The
-Green-Julg module is built only when both cocycle conditions hold, and the
-fixed-point algebra only when J = C as well, for the Morita witness.
+the points of X, into |X| column blocks of C^|W|: C is spanned by coset
+indicators point by point, and J's rank is one batched cut over the
+points, read off the base module's point components (verify_morita_theorem
+gives the argument), which also names the points where J falls short of C.
+C's algebra is the crossed product's coordinate algebra restricted to C's
+rows, and the Green-Julg module, one carrier component per orbit, is
+rebased onto C component by component.  The Morita witnesses get their
+left actions at their modules' carrier pairs, read off the pointwise
+fixed-point functions, so no crossed-product element or function is
+embedded as a matrix.  Stabilizers and orbits are the systems'
+(EquivariantSystem.orbits).  The Green-Julg module is built only when both
+cocycle conditions hold, and the fixed-point algebra only when J = C as
+well, for the Morita witness.
 """
 from __future__ import annotations
 
@@ -42,10 +42,12 @@ import numpy as np
 
 from .groups import FiniteGroup, Subgroup, semidirect_decomposition
 from .hilbmod import (
+    Components,
     EquivariantModule,
     FDHilbertModule,
     MoritaWitness,
     _checked_coefficients,
+    _placed,
     compact_operators,
     direct_sum_left_action,
     direct_sum_module,
@@ -57,7 +59,6 @@ from .hilbmod import (
 from .linalg import (
     DEFAULT_TOL,
     check_tol,
-    nullspace_rows,
     orthonormal_rows,
     rank_threshold,
     row_residuals,
@@ -70,8 +71,8 @@ from .systems import (
     CrossedProduct,
     EquivariantSystem,
     crossed_product,
-    embed_function,
     _iterated_crossed_iso,
+    _least_point_kernels,
     _outer_action,
     _slot_image,
     fixed_point_algebra,
@@ -273,43 +274,45 @@ def rebase_module(e: FDHilbertModule, rows: np.ndarray) -> FDHilbertModule:
     coordinates, which must contain all its inner products.
 
     Basis element s of the subalgebra is sum_k rows[s, k] b_k, and its
-    product table is B's restricted to the rows (restricted_algebra).  Each
-    inner value is projected onto the rows; one that leaves them raises
-    ModuleError.  Rows spanning all of B leave the module as it is.
+    product table is B's restricted to the rows (restricted_algebra).  The
+    carrier components stay: each row must lie in the coordinates of one
+    or of none, and a component takes the maps sum_k r[k] action[k] of its
+    rows r and its inner values projected onto them; ModuleError when a row
+    or a value leaves them.  Rows spanning all of B leave the module as is.
     """
     b_alg = e.algebra
     if rows.shape[0] == b_alg.dim:
         return e
-    m = e.carrier_dim
-    action = (rows @ e.action.reshape(b_alg.dim, m * m)).reshape(-1, m, m)
-    return FDHilbertModule(restricted_algebra(b_alg, rows), action,
-                           _checked_coefficients(rows, e.inner),
+    owner = np.full(b_alg.dim, -1)                                  # each coordinate's component
+    for st in e.parts:
+        owner[st.coords] = st.coords[:, :1]
+    touch = rows != 0
+    first = np.where(touch, owner, b_alg.dim).min(axis=1)
+    if np.any(touch & (owner != first[:, None])):
+        raise ModuleError("a row of the subalgebra leaves the coordinates of its carrier component")
+    parts = []
+    for st in e.parts:
+        for b, crd in enumerate(st.coords):
+            sel = np.flatnonzero(first == crd[0])
+            r_b = rows[np.ix_(sel, crd)]
+            maps = (r_b @ st.action[b].reshape(len(crd), -1)).reshape(-1, *st.action.shape[2:])
+            parts.append(Components(st.carrier[b:b + 1], sel[None], maps[None],
+                                    _checked_coefficients(r_b, st.inner[b])[None]))
+    return FDHilbertModule(restricted_algebra(b_alg, rows), tuple(parts),
                            name=e.name + "-rebased")
 
 
-def _point_inner(inner: np.ndarray, d: int) -> np.ndarray:
-    """(m, m): row p holds the coefficients of <e_p|e_q> at the point x of
-    e_p (p = x d + a), from a module's inner values (m, m, |X|) over C(X).
-
-    Raises MoritaError unless every other entry is exactly zero: each inner
-    value must lie at its left vector's point, and then so does each
-    averaged value <<e_p|e_q>> = sum_w <e_p|gamma_w e_q> w."""
-    p = np.arange(inner.shape[0])
-    local = inner[p, :, p // d]
-    if np.count_nonzero(inner) != np.count_nonzero(local):
-        raise MoritaError("an inner value leaves the point of its left vector")
-    return local
-
-
-def _averaged_point_blocks(local: np.ndarray, gamma: np.ndarray, x_n: int) -> np.ndarray:
+def _averaged_point_blocks(eq: EquivariantModule) -> np.ndarray:
     """(|X|, d m, |W|): block x holds the crossed coefficients (., x) of the
-    averaged values <<e_p|e_q>> with e_p at x (p = x d + a), from `local` of
-    _point_inner and gamma (|W|, m, m): sqrt|W| sum_j gamma_w[j, q] <e_p|e_j>
-    at (w, x), one (|X| d, m) x (m, m |W|) product.  Every other coefficient
-    is zero, as _point_inner checks."""
-    w_n, m = gamma.shape[:2]
-    by_row = gamma.transpose(1, 2, 0).reshape(m, m * w_n) * np.sqrt(w_n)     # [j, (q, w)]
-    return (local @ by_row).reshape(x_n, -1, w_n)
+    averaged values <<e_p|e_q>> = sqrt|W| sum_j gamma_w[j, q] <e_p|e_j> with
+    e_p at x (p = x d + a), read off the function module eq.base, whose
+    components are the points in order: one (d, d) x (d, m |W|) product per
+    point.  Every other coefficient is zero."""
+    (st,) = eq.base.parts
+    w_n, m = eq.gamma.shape[:2]
+    x_n, d = st.carrier.shape
+    by_row = eq.gamma.transpose(1, 2, 0)[st.carrier] * np.sqrt(w_n)     # [x, j, q, w]
+    return (st.inner[..., 0] @ by_row.reshape(x_n, d, m * w_n)).reshape(x_n, -1, w_n)
 
 
 def _point_spans(blocks: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -384,9 +387,9 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
         block (., x) of its coefficients, so both J and C, left ideals, are
         the direct sums of their blocks J_x and C_x in C^|W|.
       - <<e_p|e_q>> = sum_w <e_p|gamma_w e_q> w has B-coefficients only at
-        the point x of e_p, so each generating row lies in one block
-        (checked on the base module: every value <e_p|e_j> is exactly zero
-        off that point).  The rows of different blocks are orthogonal, so
+        the point x of e_p, so each generating row lies in one block (the
+        base module's components are the points, and <e_p|e_j> is zero
+        off them).  The rows of different blocks are orthogonal, so
         the singular values of the whole (m^2, |W| |X|) matrix are the
         union of the blocks', and one batched SVD of the |X| blocks
         (d m, |W|) with the whole matrix's scale tol max(max_x s_0(x), 1)
@@ -396,10 +399,12 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
         are those of the whole spans.
     C_x is spanned by the normalised indicators of the right cosets
     W'_x w (c_ideal).  J's blocks come straight from the base module's
-    point-local values, one (|X| d, m) x (m, m |W|) product; under both
+    point components, one (d, d) x (d, m |W|) product per point; under both
     conditions the Green-Julg module is built for the witness, which
-    rebases it onto C's rows.  `module` and `witness_fpa` are None when no
-    witness is built; `fpa` is then built on first access.
+    rebases it onto C's rows, keeping its components, the orbits, at whose
+    carrier pairs the fixed-point functions act.  `module` and
+    `witness_fpa` are None when no witness is built; `fpa` is then built on
+    first access.
     """
     check_tol(tol)
     scalar = scalar or scalar_subgroups(sys, tol)
@@ -410,7 +415,7 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     x_n, d = sys.n_points, sys.fiber_dim
     # A witness needs the averaged module.
     averaged = green_julg_module(eq, cp)[0] if conditions else None
-    blocks = _averaged_point_blocks(_point_inner(eq.base.inner, d), eq.gamma, x_n)
+    blocks = _averaged_point_blocks(eq)
     j_rows, j_ranks = _point_spans(blocks, tol)
     c_rows = _by_point(cid.rows, cid.points, x_n)
     c_ranks = np.bincount(cid.points, minlength=x_n)
@@ -425,8 +430,10 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     if averaged is not None and spans_match:
         fpa = fixed_point_algebra(sys, tol)
         module = rebase_module(averaged, cid.rows)
-        witness = verify_morita(fpa, module, embed_function(sys, fpa.functions), tol,
-                                rng=np.random.default_rng(seed))
+        # f acts inside each point's fiber: f(x)[a, b] at the pair (x d + a, x d + b).
+        p, q = np.divmod(module.pairs, module.carrier_dim)
+        left = fpa.functions[:, p // d, p % d, q % d] * (p // d == q // d)
+        witness = verify_morita(fpa, module, left, tol, rng=np.random.default_rng(seed))
         fpa_blocks = len(block_decompose(fpa, seed=seed, tol=tol).blocks)
         c_blocks = len(block_decompose(module.algebra, seed=seed, tol=tol).blocks)
     return MoritaTheoremVerdict(scalar, conditions, j_dim, cid.dim,
@@ -454,34 +461,42 @@ def quotient_equivariant_module(sys: EquivariantSystem, sys_p: EquivariantSystem
     over C(X/W'), for the restricted system sys_p = restrict_system(sys, W'),
     whose group W' has the elements u_emb of W, and R = v_sub.
 
-    Returns (equivariant module, invariant row basis).
+    One component per W'-orbit O: an invariant u is u(x) at O's least
+    point x, a vector fixed by each I_{s,x}, s in W'_x, carried to wx by
+    I_{w,x}; the fixed vectors are a kernel batched by stabilizer, cut as
+    invariant_functions cuts.  Divided by sqrt|O| they are orthonormal,
+    delta_O / sqrt|O| acts on them as 1 / sqrt|O| and <u_p|u_q> is
+    delta_pq delta_O / |O|.  Returns (equivariant module, invariant rows),
+    orbit by orbit in order of least points.
     """
-    eqm = equivariant_function_module(sys)
-    m = eqm.base.carrier_dim
-    # gamma is a homomorphism, so invariance under generators of W' suffices.
-    gens = u_emb[np.array(sys_p.group.generators(), dtype=np.intp)]
-    u_rows = nullspace_rows((eqm.gamma[gens] - np.eye(m)).reshape(-1, m), tol)
+    d, x_n = sys.fiber_dim, sys.n_points
+    orbits = sys_p.orbits
+    least = orbits.least
+    vecs, home, k, y = _least_point_kernels(
+        orbits, lambda stab, xs: sys.cocycle[np.ix_(u_emb[list(stab)], xs)], d, tol)
+    size = np.bincount(least)[least]                                   # [x]: |O|
+    transport = sys.cocycle[u_emb[orbits.mover[y]], least[y]]          # I_{w,x}, w x = y
+    u_rows = np.zeros((len(home), x_n, d), dtype=complex)
+    u_rows[k, y] = (transport @ vecs[k, :, None])[..., 0] / np.sqrt(size[y])[:, None]
+    u_rows = u_rows.reshape(len(home), -1)
     # The orbit-function algebra C(X/W'), on the W'-orbits of the points.
     pts = EquivariantSystem(sys_p.group, sys_p.points, sys_p.action, 1,
                             np.ones((sys_p.group.order, sys_p.n_points, 1, 1), dtype=complex),
                             name=sys_p.name + "-pts")
-    quot = quotient_algebra(pts, tol)
-    q_alg = quot.algebra
-    # Pointwise multiplication by the normalized orbit indicators, [o, p].
-    diag = np.repeat(quot.orbit_basis.real, sys.fiber_dim, axis=1)
-    action = u_rows.conj() @ (diag[:, :, None] * u_rows.T)
-    vecs = u_rows.reshape(-1, sys.n_points, sys.fiber_dim)
-    # [p, q, x]: <u_p(x)|u_q(x)>.
-    ips = (vecs.conj().transpose(1, 0, 2) @ vecs.transpose(1, 2, 0)).transpose(1, 2, 0)
-    # The values are functions on X, diagonal like C(X/W')'s basis, whose
-    # diagonals are the orbit indicators: they must be constant on orbits.
-    base = FDHilbertModule(q_alg, action, _checked_coefficients(quot.orbit_basis, ips),
-                           name="quotient-invariant")
+    q_alg = quotient_algebra(pts, tol).algebra
+    orbit_of = np.searchsorted(orbits.representatives, least)        # [x]
+    counts = np.bincount(orbit_of[home], minlength=q_alg.dim)
+    starts = np.cumsum(counts) - counts
+    parts = []     # an orbit without invariant vectors has an empty component, dropped
+    for o, (n, x) in enumerate(zip(counts, orbits.representatives)):
+        unit = np.eye(n, dtype=complex)[None] / np.sqrt(size[x])      # delta_O / sqrt|O| on O
+        parts.append(Components(starts[o] + np.arange(n)[None], np.array([[o]]), unit[None],
+                                unit[..., None]))
+    base = FDHilbertModule(q_alg, tuple(parts), name="quotient-invariant")
+    eqm = equivariant_function_module(sys)
     # R acts by the restricted gamma; on C(X/W') it permutes orbits.
     v_emb = np.array(v_sub.embedding)
     gamma = u_rows.conj() @ eqm.gamma[v_emb] @ u_rows.T
-    orbits = pts.orbits
-    orbit_of = np.searchsorted(orbits.representatives, orbits.least)         # [x]
     # [v, o]: the orbit of v.x for the least point x of orbit o.
     image = orbit_of[sys.action[v_emb][:, list(orbits.representatives)]]
     maps = np.zeros((len(v_emb), q_alg.dim, q_alg.dim), dtype=complex)
@@ -553,13 +568,21 @@ def _semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int,
     img_rows = orthonormal_rows(_transported_rows(w_of, thm_p.ideal.rows), tol)
     ideal_transport_ok = spans_equal(img_rows, thm.ideal.rows, tol)
 
-    # Link 4: the direct equivalence fpa(sys) ~ C(X/W') >| R, where fpa acts
-    # on the W'-invariant vectors by compression.
+    # Link 4: fpa(sys) ~ C(X/W') >| R, fpa acting on the W'-invariant vectors
+    # by u_p* f u_q, zero unless both lie on one W'-orbit O (a component of
+    # eq_q's base); f and u are carried along O by I, so it is |O| times its
+    # term at O's least point x.
     eq_q, u_rows = quotient_equivariant_module(sys, sys_p, u_emb, v_sub, tol)
     eq_q.validate(max(tol, 1e-8))
     gj_q, cp_q = green_julg_module(eq_q)
     fpa = thm.fpa
-    left = u_rows.conj() @ embed_function(sys, fpa.functions) @ u_rows.T
+    vecs = u_rows.reshape(len(u_rows), sys.n_points, sys.fiber_dim)
+    least = sys_p.orbits.least
+    x = least[np.abs(vecs).max(axis=2).argmax(axis=1)]                 # each vector's least point
+    p, q = np.divmod(eq_q.base.pairs, len(u_rows))
+    local = np.einsum("na,knab,nb->kn", vecs[p, x[p]].conj(), fpa.functions[:, x[p]],
+                      vecs[q, x[p]], optimize=True) * np.bincount(least)[x[p]]
+    left = _placed(local, eq_q.base.pairs, gj_q.pairs)
     final_witness = verify_morita(fpa, gj_q, left, tol,
                                   rng=np.random.default_rng(seed))
     fpa_blocks = thm.fpa_blocks
@@ -613,26 +636,13 @@ def assemble_toy_dual(components, seed: int = 0, tol: float = 1e-8) -> ToyDualRe
     (+) fpa_i ~ (+) C(X_i/W'_i) >| R_i.
     """
     check_tol(tol)
-    reports = []
-    module = None
-    a_sum = None
-    left_sum = None
+    zero = MatrixStarAlgebra(0, ())
+    reports, module, a_sum, left_sum = [], FDHilbertModule(zero, ()), zero, np.zeros((0, 0))
     for sys, wprime, r in components:
         report, gj_q, left = _semidirect_reduction(sys, wprime, r, seed, tol)
         reports.append(report)
-        fpa = report.theorem.fpa
-        if module is None:
-            module, a_sum, left_sum = gj_q, fpa, left
-        else:
-            a_sum, left_sum = direct_sum_left_action(
-                a_sum, left_sum, fpa, left, module.carrier_dim, gj_q.carrier_dim)
-            module = direct_sum_module(module, gj_q)
-    if module is None:
-        zero = MatrixStarAlgebra(0, ())
-        module = FDHilbertModule(zero, np.zeros((0, 0, 0), dtype=complex),
-                                 np.zeros((0, 0, 0), dtype=complex))
-        a_sum = zero
-        left_sum = np.zeros((0, 0, 0), dtype=complex)
+        a_sum, left_sum = direct_sum_left_action(a_sum, left_sum, report.theorem.fpa, left)
+        module = direct_sum_module(module, gj_q)
     witness = verify_morita(a_sum, module, left_sum, tol, rng=np.random.default_rng(seed))
     return ToyDualReport(tuple(reports), witness,
                          tuple(r.theorem.fpa.dim for r in reports),

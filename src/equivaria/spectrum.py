@@ -94,7 +94,9 @@ def classify_irreps(sys: EquivariantSystem, seed: int = 0,
                     tol: float = DEFAULT_TOL) -> SpectrumDescription:
     """One entry per (orbit, stabilizer irrep occurring in the cocycle).
 
-    Orbits of one stabilizer (sys.orbits.by_stabilizer) share its irreps.  An
+    Orbits of one stabilizer (sys.orbits.by_stabilizer) share its irreps,
+    and stabilizers whose reindexed groups have one multiplication table
+    share one enumeration, each rho re-keyed onto its stabilizer's group.  An
     entry's dimension is the multiplicity of rho in I_x, the character
     inner product Re <chi_I, chi_rho> / |W_x| (Serre, Linear
     Representations of Finite Groups, 2.3), rounded; no intertwiner space
@@ -103,13 +105,15 @@ def classify_irreps(sys: EquivariantSystem, seed: int = 0,
     """
     check_tol(tol)
     orbits = sys.orbits
-    entries, worst = [], 0.0
+    entries, worst, by_table = [], 0.0, {}
     for stab, points in orbits.by_stabilizer:
         xs = points[orbits.least[points] == points]
         if not xs.size:
             continue
         sub = sys.group.subgroup(stab)
-        irreps = enumerate_irreps(sub.group, seed=seed, tol=tol)
+        key = sub.group.mul.tobytes()
+        by_table[key] = by_table.get(key) or enumerate_irreps(sub.group, seed=seed, tol=tol)
+        irreps = [UnitaryRep(sub.group, rho.matrices, rho.label) for rho in by_table[key]]
         chars = np.stack([rho.character() for rho in irreps])
         for x in xs.tolist():
             i_rep = stabilizer_rep(sys, x, sub)[1]

@@ -383,30 +383,42 @@ def invariant_functions(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> np.
     check_tol(tol)
     d, x_n = sys.fiber_dim, sys.n_points
     least = sys.orbits.least
-    transport = sys.cocycle[sys.orbits.mover, least]                  # [y]: I_{w,x}, w x = y
-    values, base = [np.zeros((0, d, d), dtype=complex)], [np.zeros(0, dtype=np.intp)]
-    for stab, points in sys.orbits.by_stabilizer:
+
+    def ad(stab, xs):
+        i = sys.cocycle[np.ix_(stab, xs)]                             # [s, x]: I_{s,x}
+        # Row-major vec(I f I*) = (I (x) conj I) vec(f).
+        return (i[..., :, None, :, None] * i.conj()[..., None, :, None, :]).reshape(
+            len(stab), len(xs), d * d, d * d)
+
+    values, base, k, y = _least_point_kernels(sys.orbits, ad, d * d, tol)
+    u = sys.cocycle[sys.orbits.mover[y], least[y]]                   # I_{w,x}, w x = y
+    funcs = np.zeros((len(base), x_n, d, d), dtype=complex)
+    funcs[k, y] = (u @ values[k].reshape(-1, d, d) @ u.conj().swapaxes(-2, -1)
+                   / np.sqrt(np.bincount(least)[base[k]])[:, None, None])
+    return funcs
+
+
+def _least_point_kernels(orbits: Orbits, unitaries, n: int, tol: float):
+    """(vectors, base, k, y): orthonormal kernels (r, n) of the stacks
+    (U_s - 1)_(s in W_x), unitaries(stab, xs) giving U (|stab|, len(xs), n, n),
+    at each orbit's least point, base[r] being vector r's, in order of least
+    points; vector k[t] has the orbit of point y[t].  One SVD is batched
+    over the least points of each stabilizer and cut at s <= tol max(s_0, 1),
+    s_0 the batch's largest value."""
+    least = orbits.least
+    vecs, base = [np.zeros((0, n), dtype=complex)], [np.zeros(0, dtype=np.intp)]
+    for stab, points in orbits.by_stabilizer:
         xs = points[least[points] == points]
         if not xs.size:
             continue
-        i = sys.cocycle[np.ix_(stab, xs)]                             # [s, x]: I_{s,x}
-        # Row-major vec(I f I*) = (I (x) conj I) vec(f).
-        ad = (i[..., :, None, :, None] * i.conj()[..., None, :, None, :]).reshape(
-            len(stab), len(xs), d * d, d * d)
-        op = (ad - np.eye(d * d)).transpose(1, 0, 2, 3).reshape(len(xs), -1, d * d)
+        op = (unitaries(stab, xs) - np.eye(n)).transpose(1, 0, 2, 3).reshape(len(xs), -1, n)
         _, s, vh = np.linalg.svd(op, full_matrices=False)
         at, j = np.nonzero(s <= rank_threshold(s, tol))
-        values.append(vh[at, j].conj().reshape(-1, d, d))
+        vecs.append(vh[at, j].conj())
         base.append(xs[at])
-    base = np.concatenate(base)
-    order = np.argsort(base, kind="stable")
-    values, base = np.concatenate(values)[order], base[order]
-    k, y = np.nonzero(base[:, None] == least)                         # each function's points
-    u = transport[y]
-    funcs = np.zeros((len(base), x_n, d, d), dtype=complex)
-    funcs[k, y] = (u @ values[k] @ u.conj().swapaxes(-2, -1)
-                   / np.sqrt(np.bincount(least)[base[k]])[:, None, None])
-    return funcs
+    order = np.argsort(np.concatenate(base), kind="stable")
+    base = np.concatenate(base)[order]
+    return (np.concatenate(vecs)[order], base) + np.nonzero(base[:, None] == least)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,14 @@ algebra given by orthonormal N x N matrices is read the dense way (Dense):
 every product of two basis matrices expanded against the basis, which is
 the oracle of the block tables, assembled into whole tables by table_of and
 star_of, and the intersection of two spans is the oracle of centers and
-of invariant compacts.  The crossed product B >| W lives in its own coordinates in
+of invariant compacts.  A Hilbert module is held by its carrier components
+in `equivaria`; here its dense tensors are assembled from them (tensors),
+a module is built from dense tensors with the components found in their
+zero pattern (carrier_components, the oracle of the components each
+builder states), and rows in a module's pair coordinates are written out
+on all m^2 carrier pairs (dense_rows, pair_rows); there the rank-one maps
+and the fullness ideal are the oracles of compact_operators and is_full.  The crossed product
+B >| W lives in its own coordinates in
 `equivaria`; here it is embedded by the regular representation on
 l^2(W) (x) C^N, with the covariant-pair relations (1)-(4) that make that
 embedding's product table the one cp.algebra reads off B's blocks.  The
@@ -19,13 +26,17 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from equivaria.hilbmod import Components, FDHilbertModule
 from equivaria.linalg import (
     DEFAULT_TOL,
+    component_labels,
     flatten,
     homomorphism_defect,
     nullspace_rows,
+    orthonormal_rows,
     span_contains,
 )
+from equivaria.matalg import restricted_algebra
 from equivaria.reps import regular_rep
 from equivaria.systems import embed_function
 
@@ -104,6 +115,99 @@ class Dense:
     def closure_residual(self) -> float:
         """The largest distance of a product or an adjoint from the span."""
         return max(self.product_residual(), self._distance(self.basis.conj().swapaxes(1, 2)))
+
+
+def carrier_components(action, coefficients) -> list[np.ndarray]:
+    """The connected components of the carrier indices of dense tensors,
+    each as sorted indices, in order of their least index.
+
+    For `action[k, p, i]` (e_i b_k = sum_p action[k, p, i] e_p) and
+    `coefficients[j, l, k]` (the k-th coefficient of <e_j|e_l>), i and p
+    are linked when some action[k, p, i] != 0, j and l when some
+    coefficients[j, l, k] != 0, and i and j when one k has a nonzero
+    action[k, :, i] and a nonzero coefficients[j, :, k].  Entry (p, l) of
+    |e_i><e_j| is sum_k action[k, p, i] coefficients[j, l, k], so it is
+    nonzero only when i, j, p and l lie in one component.
+    """
+    nz_action = action != 0                                           # [k, p, i]
+    nz_coeff = coefficients != 0                                      # [j, l, k]
+    shared = nz_coeff.any(axis=1).astype(float) @ nz_action.any(axis=1).astype(float)
+    link = nz_action.any(axis=0) | nz_coeff.any(axis=2) | (shared > 0)
+    labels = component_labels(link)
+    return [np.flatnonzero(labels == c) for c in np.unique(labels)]
+
+
+def components_of(action, coefficients) -> tuple:
+    """Components of dense tensors, one per carrier component, each with
+    the coordinates that act on it or hold its values."""
+    parts = []
+    for part in carrier_components(action, coefficients):
+        a, v = action[:, part[:, None], part], coefficients[part[:, None], part]
+        coords = np.flatnonzero((a != 0).any(axis=(1, 2)) | (v != 0).any(axis=(0, 1)))
+        parts.append(Components(part[None], coords[None], a[coords][None], v[..., coords][None]))
+    return tuple(parts)
+
+
+def dense_module(algebra, action, inner, name: str = "") -> FDHilbertModule:
+    """The module of dense tensors action (dim B, m, m) and inner (m, m, dim B)."""
+    return FDHilbertModule(algebra, components_of(np.asarray(action, dtype=complex),
+                                                  np.asarray(inner, dtype=complex)), name)
+
+
+def tensors(e) -> tuple[np.ndarray, np.ndarray]:
+    """A module's dense (dim B, m, m) action and (m, m, dim B) inner
+    values, assembled from its components."""
+    m, k = e.carrier_dim, e.algebra.dim
+    action = np.zeros((k, m, m), dtype=complex)
+    inner = np.zeros((m, m, k), dtype=complex)
+    for st in e.parts:
+        car, crd = st.carrier, st.coords
+        action[crd[:, :, None, None], car[:, None, :, None], car[:, None, None, :]] = st.action
+        inner[car[:, :, None, None], car[:, None, :, None], crd[:, None, None, :]] = st.inner
+    return action, inner
+
+
+def dense_rows(e, rows) -> np.ndarray:
+    """Rows at a module's carrier pairs (e.pairs) written out on all m^2."""
+    out = np.zeros(np.shape(rows)[:-1] + (e.carrier_dim ** 2,), dtype=complex)
+    out[..., e.pairs] = rows
+    return out
+
+
+def pair_rows(e, mats) -> np.ndarray:
+    """Carrier matrices (..., m, m) read at a module's carrier pairs; every
+    other entry must be zero."""
+    flat = flatten(mats)
+    off = np.ones(flat.shape[-1], dtype=bool)
+    off[e.pairs] = False
+    assert not flat[..., off].any()
+    return flat[..., e.pairs]
+
+
+def rank_one(e, eta, xi) -> np.ndarray:
+    """|eta><xi| : zeta -> eta <xi|zeta>, as a raw carrier matrix: column l
+    is eta . <xi|e_l>, the oracle of the batched rank-one maps."""
+    m = e.carrier_dim
+    return e.act(np.broadcast_to(eta, (m, m)), e.inner_product(xi, np.eye(m))).T
+
+
+def fullness_ideal(e, tol: float = DEFAULT_TOL):
+    """span{<xi|eta>} inside B, in coordinates against orthonormal rows of
+    B's (restricted_algebra), cut on all m^2 inner coefficients: all of B
+    iff E is full, the oracle of hilbmod.is_full."""
+    m = e.carrier_dim
+    return restricted_algebra(e.algebra, orthonormal_rows(tensors(e)[1].reshape(m * m, -1), tol))
+
+
+def averaged_tensors(eq) -> tuple[np.ndarray, np.ndarray]:
+    """The averaged module's dense (|W|, dim B, m, m) maps
+    gamma_{w^-1} R_{b_i} / sqrt|W| and (m, m, |W|, dim B) inner values
+    sqrt|W| sum_j gamma_w[j, q] <e_p|e_j>, the crossed coefficients."""
+    action, inner = tensors(eq.base)
+    w_n, m = eq.group.order, eq.base.carrier_dim
+    maps = (eq.gamma[eq.group.inv] / np.sqrt(w_n))[:, None] @ action[None]
+    by_column = eq.gamma.transpose(2, 0, 1).reshape(m * w_n, m) * np.sqrt(w_n)  # [(q, w), j]
+    return maps, (by_column @ inner).reshape(m, m, w_n, -1)
 
 
 def table_of(alg) -> np.ndarray:

@@ -6,14 +6,12 @@ from equivaria import hilbmod
 from equivaria.datasets import bundled
 from equivaria.groups import builtin_group
 from equivaria.hilbmod import (
-    FDHilbertModule,
     ModuleError,
     compact_operators,
     direct_sum_left_action,
     direct_sum_module,
     equivariant_function_module,
     free_module,
-    fullness_ideal,
     function_module,
     green_julg_module,
     green_julg_norms,
@@ -45,7 +43,15 @@ from equivaria.systems import (
     one_point_system,
     z2_line_system,
 )
-from oracles import fpa_basis, operator_norm
+from oracles import (
+    dense_module,
+    dense_rows,
+    fpa_basis,
+    fullness_ideal,
+    operator_norm,
+    pair_rows,
+    tensors,
+)
 
 
 def compacts_algebra(c, tol=DEFAULT_TOL):
@@ -54,7 +60,8 @@ def compacts_algebra(c, tol=DEFAULT_TOL):
     S is invertible, so dressing a basis of the raw span spans the image."""
     m = c.module.carrier_dim
     s, s_inv = c.module.gram_sqrt()
-    return algebra_from_span(s @ unflatten(c.raw_rows, m) @ s_inv, ambient_dim=m, tol=tol)
+    return algebra_from_span(s @ unflatten(dense_rows(c.module, c.raw_rows), m) @ s_inv,
+                             ambient_dim=m, tol=tol)
 
 
 def m2_algebra():
@@ -91,21 +98,22 @@ def test_function_module_compacts():
 
 def test_compacts_are_ideal_in_adjointables():
     e = function_module(z2_line_system(1))
-    c = compact_operators(e)
+    raw = dense_rows(e, compact_operators(e).raw_rows)
     # In finite dimension every module map is adjointable: the commutant of
     # the right action.
-    adj_rows = intertwiner_rows(e.action, e.action)
+    action = tensors(e)[0]
+    adj_rows = intertwiner_rows(action, action)
     # Compacts sit inside the adjointable (= module-map) operators ...
-    assert span_contains(adj_rows, c.raw_rows)
+    assert span_contains(adj_rows, raw)
     # ... and absorb them under multiplication on either side.
     m = e.carrier_dim
     rng = np.random.default_rng(1)
     for _ in range(5):
         t = (adj_rows.T @ (rng.standard_normal(adj_rows.shape[0])
                            + 1j * rng.standard_normal(adj_rows.shape[0]))).reshape(m, m)
-        k = (c.raw_rows.T @ (rng.standard_normal(c.raw_rows.shape[0])
-                             + 1j * rng.standard_normal(c.raw_rows.shape[0]))).reshape(m, m)
-        assert span_contains(c.raw_rows, flatten(np.array([
+        k = (raw.T @ (rng.standard_normal(raw.shape[0])
+                      + 1j * rng.standard_normal(raw.shape[0]))).reshape(m, m)
+        assert span_contains(raw, flatten(np.array([
             t @ k / max(1.0, np.abs(t @ k).max()),
             k @ t / max(1.0, np.abs(k @ t).max())])), 1e-8)
 
@@ -124,7 +132,8 @@ def test_compacts_equal_adjointables(name):
     eq = equivariant_function_module(COMPACTS_SYSTEMS[name]())
     for e in (eq.base, green_julg_module(eq)[0]):
         c = compact_operators(e)
-        assert spans_equal(c.raw_rows, intertwiner_rows(e.action, e.action))
+        action = tensors(e)[0]
+        assert spans_equal(dense_rows(e, c.raw_rows), intertwiner_rows(action, action))
         assert c.rank_margin > 1e6
 
 
@@ -141,7 +150,7 @@ def test_degenerate_inner_product_rejected():
     action = np.eye(2, dtype=complex)[None]
     inner = np.zeros((2, 2, 1), dtype=complex)
     inner[0, 0, 0] = 1.0   # second basis vector has zero length
-    e = FDHilbertModule(b, action, inner)
+    e = dense_module(b, action, inner)
     with pytest.raises(ModuleError):
         e.gram_sqrt()
 
@@ -163,7 +172,7 @@ def test_fullness_ideal_picks_one_block():
     for i in range(2):
         for j in range(2):
             inner[i, j, 2 * i + j] = 1.0   # <e_i|e_j> = E_ij, basis element 2i + j
-    e = FDHilbertModule(b, action, inner)
+    e = dense_module(b, action, inner)
     e.validate()
     ideal = fullness_ideal(e)
     assert ideal.dim == 4
@@ -174,7 +183,8 @@ def test_verify_morita_success_and_failure():
     # (K(H), C, H): the basic equivalence.
     e = free_module(2)
     m2 = generate(np.array([[[0, 1], [0, 0]]], dtype=complex), ambient_dim=2)
-    left = m2.mats.copy()
+    # C^2 is one component, so its pairs are all four carrier pairs.
+    left = flatten(m2.mats)
     w = verify_morita(m2.algebra, e, left)
     assert w.ok
     # A = M2 (+) M2 against B = C with E = C^2: dimensions cannot match.
@@ -186,7 +196,7 @@ def test_verify_morita_success_and_failure():
                 basis[k, blk + i, blk + j] = 1.0
                 k += 1
     a = MatrixSpan(basis).algebra
-    left_bad = np.concatenate([m2.mats, m2.mats])
+    left_bad = flatten(np.concatenate([m2.mats, m2.mats]))
     w_bad = verify_morita(a, e, left_bad)
     assert not w_bad.ok
     assert not w_bad.injective
@@ -212,7 +222,7 @@ def test_green_julg_z2_line_matches_invariant_compacts():
     # The invariant compacts are the fixed-point algebra on the carrier.
     from equivaria.systems import fixed_point_algebra
     fpa = fixed_point_algebra(z2_line_system(2))
-    rows = invariant_compacts_rows(eq)
+    rows = dense_rows(eq.base, invariant_compacts_rows(eq))
     assert spans_equal(rows, flatten(fpa_basis(fpa)))
 
 
@@ -230,8 +240,8 @@ def test_direct_sum_morita():
     e1 = free_module(2)
     e2 = free_module(2)
     m2 = m2_algebra()
-    a_sum, left = direct_sum_left_action(m2.algebra, m2.mats.copy(),
-                                         m2.algebra, m2.mats.copy(), 2, 2)
+    a_sum, left = direct_sum_left_action(m2.algebra, flatten(m2.mats),
+                                         m2.algebra, flatten(m2.mats))
     total = direct_sum_module(e1, e2)
     total.validate()
     w = verify_morita(a_sum, total, left)
@@ -257,7 +267,7 @@ def test_is_full_honours_its_tolerance():
     inner = np.zeros((2, 2, 2), dtype=complex)
     inner[0, 0] = [1.0, 0.0]
     inner[1, 1] = [0.0, 1e-7]
-    e = FDHilbertModule(b, action, inner)
+    e = dense_module(b, action, inner)
     assert is_full(e, 1e-12)
     assert not is_full(e, 1e-6)
 
@@ -269,7 +279,7 @@ def test_is_full_embeds_no_ideal(monkeypatch):
     inner = np.zeros((2, 2, 2), dtype=complex)
     inner[0, 0] = [1.0, 0.0]
     inner[1, 1] = [0.0, 1e-7]
-    small = FDHilbertModule(b, np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), inner)
+    small = dense_module(b, np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), inner)
     cases = [(small, 1e-12), (small, 1e-6),
              (direct_sum_module(free_module(2), free_module(0)), 1e-8),
              (function_module(z2_line_system(2)), 1e-8)]
@@ -279,7 +289,6 @@ def test_is_full_embeds_no_ideal(monkeypatch):
     def embedded(*args, **kwargs):
         raise AssertionError("an algebra was built")
 
-    monkeypatch.setattr(hilbmod, "fullness_ideal", embedded)
     monkeypatch.setattr(hilbmod, "MatrixStarAlgebra", embedded)
     assert [is_full(e, tol) for e, tol in cases] == expected
 
@@ -292,9 +301,10 @@ def test_witness_checks_honour_their_tolerance():
     inner = np.zeros((2, 2, 2), dtype=complex)
     inner[0, 0] = [1.0, 0.0]
     inner[1, 1] = [0.0, 1e-7]
-    e = FDHilbertModule(b, action, inner)
-    assert verify_morita(b, e, action, 1e-12).ok
-    assert not verify_morita(b, e, action, 1e-6).span_match
+    e = dense_module(b, action, inner)
+    left = pair_rows(e, action)
+    assert verify_morita(b, e, left, 1e-12).ok
+    assert not verify_morita(b, e, left, 1e-6).span_match
     eq = trivial_equivariant_module(e, builtin_group("trivial"))
     fine, coarse = verify_green_julg(eq, 1e-12), verify_green_julg(eq, 1e-6)
     assert fine.averaged_compacts_dim == fine.invariant_compacts_dim == 2
@@ -310,4 +320,5 @@ def test_green_julg_on_dihedral_plane():
     verdict = verify_green_julg(eq)
     assert verdict.ok and verdict.residual < 1e-8
     assert verdict.averaged_compacts_dim == verdict.invariant_compacts_dim == 9
-    assert spans_equal(invariant_compacts_rows(eq), flatten(fpa_basis(fixed_point_algebra(sys))))
+    assert spans_equal(dense_rows(eq.base, invariant_compacts_rows(eq)),
+                       flatten(fpa_basis(fixed_point_algebra(sys))))

@@ -38,8 +38,6 @@ IMPORT_EXEMPT = {("morita", "compact_operators")}
 # Definitions that no root reaches, kept for the tests that use them.
 REACH_EXEMPT = {
     "groups.Subgroup.from_parent": "fixture of the per-point stabilizer loops in test_solvers",
-    "hilbmod.rank_one": "oracle of the batched rank-one maps of compact_operators",
-    "hilbmod.fullness_ideal": "oracle of is_full",
     "matalg.full_matrix_algebra": "fixture of the algebra-action and separation tests",
     "reps.UnitaryRep.direct_sum": "fixture of the reducible case of is_irreducible",
     "reps.equivariant_maps": "solved by SpectrumEntry.basis for realize_irrep, ROADMAP item 2",

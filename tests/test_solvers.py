@@ -4,12 +4,14 @@ Each algebra is a sum of blocks whose tables match, assembled
 (oracles.table_of), the dense pass over its basis matrices (oracles.Dense)
 and the per-pair loops, and no algebra of the Morita theorem holds a whole
 table or a dense basis; `center` and `block_decompose` solve block by block
-in the algebra's coordinates (the N x N central split is the latter's
-oracle), `intertwiner_space` stacks only the
+in the algebra's coordinates (A intersect A' solved inside A's span and the
+N x N central split are their oracles), `intertwiner_space` stacks only the
 group's generators, `compact_operators` and `green_julg_module` build
-their tensors in a few contractions, the Green-Julg check finds both of its spans in coefficient space, every
-module keeps its inner values as coefficients in B's basis (checked against
-the dense values its builder used to form), `is_ideal` tests whole stacks
+their components in a few contractions, the Green-Julg check finds both of
+its spans in coefficient space, every module is held by the carrier components its builder states, which are the
+components oracles.carrier_components finds in its dense tensors, with its
+inner values as coefficients in B's basis (checked against the dense values
+its builder used to form), `is_ideal` tests whole stacks
 of products and `is_irreducible` reads the character norm.  A
 CrossedProduct's coefficients are orthonormal coordinates of its algebra,
 one block per W-orbit of B's blocks: its product table, star table, traces,
@@ -20,8 +22,9 @@ and z2xz2-line 1-3 with and without W'.  `span_contains` tests stacks a
 slab at a time.
 The compacts are cut one carrier component at a time, a module of one
 component as one block, with the dense SVD of the whole stack of rank-one
-maps as their oracle, and a size spy finds no m^4 array in the Morita
-theorem.
+maps as their oracle; size spies find no m^4 array in the Morita theorem,
+and no array of dim B m^2 entries in its modules, their compacts or the
+witness's left action, which live at the modules' carrier pairs.
 Crossed products multiply, take adjoints and test ideals in coefficients,
 and the Morita theorem compares J with C there; the embedded matrices are
 their oracle.  The fixed-point algebra's tables come from the products of
@@ -45,7 +48,8 @@ dense paths and per-pair loops survive here as oracles, and spies check
 that a run classifies the spectrum, builds each fixed-point algebra once
 and averages the inner products once, and that neither the structured
 algebras nor the reduction chain runs the dense pass of a span of
-matrices.  The crossed-product
+matrices; stabilizers with one multiplication table share one irrep
+enumeration.  The crossed-product
 isomorphisms and the reduction's links are index maps and batched products,
 with their per-slot loops as oracles; a spy counts the crossed products,
 decompositions and restricted systems one reduction builds, and the
@@ -68,16 +72,25 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import (
     Dense,
+    averaged_tensors,
+    carrier_components,
+    components_of,
     crossed_basis,
+    dense_module,
     dense_of,
+    dense_rows,
     embedded_algebra,
     fpa_basis,
+    fullness_ideal,
     is_ideal,
     operator_norm,
+    pair_rows,
+    rank_one,
     scalar_basis,
     span_intersection,
     star_of,
     table_of,
+    tensors,
 )
 from test_hilbmod import compacts_algebra
 
@@ -86,17 +99,14 @@ from equivaria.datasets import bundled
 from equivaria.groups import BUILTIN_GROUPS, builtin_group, cyclic, dihedral, symmetric
 from equivaria.hilbmod import (
     ModuleError,
-    averaged_inner_coefficients,
     compact_operators,
     direct_sum_module,
     equivariant_function_module,
     free_module,
-    fullness_ideal,
     function_module,
     green_julg_module,
     invariant_compacts_rows,
     is_full,
-    rank_one,
     standard_module,
     trivial_equivariant_module,
 )
@@ -115,7 +125,6 @@ from equivaria.matalg import (
     MatrixStarAlgebra,
     algebra_from_span,
     center,
-    commutant,
     generate,
 )
 from equivaria.morita import (
@@ -149,13 +158,22 @@ from equivaria.systems import (
 )
 
 
+def center_oracle(basis, tol=1e-9) -> np.ndarray:
+    """A intersect A' inside A's span, from its orthonormal basis matrices
+    B_j alone: the kernel of c -> (sum_j c_j [B_j, B_i])_i, k unknowns,
+    embedded as orthonormal rows."""
+    comm = basis[:, None] @ basis[None] - basis[None] @ basis[:, None]       # [j, i]
+    coeffs = linalg.nullspace_rows(comm.transpose(1, 2, 3, 0).reshape(-1, len(basis)), tol)
+    return flatten(np.tensordot(coeffs, basis, axes=1))
+
+
 def center_dim_checked(alg, dense) -> int:
     """dim center(A), for A with the basis matrices of `dense`, after
-    checking that its rows embed to a span of A intersect commutant(A) and
-    that center(A) has the tables of that span."""
+    checking that its rows embed to a span of A intersect A' and that
+    center(A) has the tables of that span."""
     rows = matalg._center_rows(alg, 1e-9)
     embedded = dense.element(rows)
-    oracle = span_intersection(dense.basis_rows(), flatten(commutant(MatrixSpan(dense.basis)).mats))
+    oracle = center_oracle(dense.basis)
     assert spans_equal(flatten(embedded), oracle, 1e-8)
     assert_same_tables(center(alg), Dense(embedded))
     return rows.shape[0]
@@ -225,7 +243,7 @@ def test_compacts_match_stacked_rank_one_maps():
     eye = np.eye(m)
     raws = np.stack([rank_one(e, eye[i], eye[j]) for i in range(m) for j in range(m)])
     compacts = compact_operators(e)
-    assert spans_equal(compacts.raw_rows, orthonormal_rows(flatten(raws)), 1e-8)
+    assert spans_equal(dense_rows(e, compacts.raw_rows), orthonormal_rows(flatten(raws)), 1e-8)
     rng = np.random.default_rng(2)
     eta, xi = e.random_vector(rng), e.random_vector(rng)
     cols = np.stack([e.act(eta, e.inner_product(xi, eye[l])) for l in range(m)], axis=1)
@@ -301,7 +319,7 @@ def test_standard_module_matches_pair_loops(label):
     alg, dense = product_pass_algebra(label)
     e = standard_module(alg)
     action, inner = standard_module_loops(dense)
-    assert close(e.action, action) and close(dense_inner(e, dense), inner)
+    assert close(tensors(e)[0], action) and close(dense_inner(e, dense), inner)
 
 
 def test_closure_check_catches_a_bad_product_or_adjoint():
@@ -407,6 +425,27 @@ def test_no_algebra_holds_a_whole_table_or_a_dense_basis(monkeypatch):
     assert verdict.fpa.dim == 34 and verdict.fpa.ambient_dim == 34
 
 
+def test_no_module_holds_an_array_of_dim_b_m2_entries(monkeypatch):
+    """On z2-line n = 8 (dim B = |X| = 17, m = 34), no array held by the
+    function module, the averaged module, the rebased witness module, their
+    compacts, or the left action the witness receives has dim B m^2 =
+    19652 entries: each module holds its carrier components, and the
+    compacts and the left action live at its carrier pairs."""
+    sys = z2_line_system(8)
+    verdicts = []
+    calls = witness_calls(monkeypatch, lambda: verdicts.append(verify_morita_theorem(sys)))
+    (verdict,), ((_, witness_module, left, _, _),) = verdicts, calls
+    eq = equivariant_function_module(sys)
+    averaged = green_julg_module(eq, verdict.ideal.cp)[0]
+    assert witness_module is verdict.module and verdict.witness.ok
+    modules = [eq.base, averaged, verdict.module]
+    for e in modules:
+        e.gram()
+    held = modules + [compact_operators(e) for e in modules] + [left]
+    sizes = [a.size for obj in held for a in held_arrays(obj)]
+    assert max(sizes) < sys.n_points * (sys.n_points * sys.fiber_dim) ** 2, max(sizes)
+
+
 def test_fiberwise_pass_rejects_functions_that_do_not_close(monkeypatch):
     """Orthonormal functions on z2-line-1 that span no algebra: Y Y, for the
     Hermitian Y at point 1, leaves the span, and sits in the last slab."""
@@ -509,7 +548,7 @@ def test_irreducible_by_character_norm_matches_commutant():
 def dense_inner(e, dense):
     """A module's inner values as matrices: coefficients times the basis of
     `dense`, the basis matrices of B's coordinates."""
-    return np.tensordot(e.inner, dense.basis, axes=1)
+    return np.tensordot(tensors(e)[1], dense.basis, axes=1)
 
 
 def quotient_module(sys, wprime, r):
@@ -577,7 +616,6 @@ def block_sum_dense(b1, b2):
 @pytest.mark.parametrize("kind", ["standard", "function", "free", "direct-sum", "quotient"])
 def test_inner_coefficients_match_the_dense_values(kind):
     e, inner, dense = dense_inner_case(kind)
-    assert e.inner.shape == (e.carrier_dim, e.carrier_dim, e.algebra.dim)
     assert e.carrier_dim > 0 and close(dense_inner(e, dense), inner)
     # The module's algebra has the tables of its basis; the direct sum's are
     # the dense block sum's.
@@ -629,8 +667,9 @@ def axiom_case(label):
         return averaged, embedded_algebra(cp)
     if label == "perturbed":
         rng = np.random.default_rng(12)
-        e = hilbmod.FDHilbertModule(e.algebra, e.action + 0.3 * rng.standard_normal(
-            e.action.shape), e.inner + 0.3j * rng.standard_normal(e.inner.shape))
+        action, inner = tensors(e)
+        e = dense_module(e.algebra, action + 0.3 * rng.standard_normal(action.shape),
+                         inner + 0.3j * rng.standard_normal(inner.shape))
     return e, Dense(scalar_basis(e.algebra.dim))
 
 
@@ -681,13 +720,14 @@ def green_julg_loops(eq, cp):
     b_alg = base.algebra
     m, k = base.carrier_dim, b_alg.dim
     coeff_map = crossed_coefficient_map(cp)
+    base_action = tensors(base)[0]
     dense = embedded_algebra(cp)
     action = np.zeros((cp.dim, m, m), dtype=complex)
     for idx in range(cp.dim):
         f = (coeff_map @ flatten(dense.basis[idx])).reshape(g.order, k)
         for w in range(g.order):
             for i in range(k):
-                action[idx] += f[w, i] * (eq.gamma[g.inv[w]] @ base.action[i])
+                action[idx] += f[w, i] * (eq.gamma[g.inv[w]] @ base_action[i])
     amb = dense.ambient_dim
     inner = np.zeros((m, m, amb, amb), dtype=complex)
     eye = np.eye(m)
@@ -706,7 +746,7 @@ def test_module_takes_algebra_elements_in_coordinates():
     n, m = e.algebra.dim, e.carrier_dim
     assert n == e.algebra.ambient_dim
     xi, c = np.ones(m), np.arange(n, dtype=complex)
-    assert close(e.act(xi, c), np.tensordot(c, e.action, axes=1) @ xi)
+    assert close(e.act(xi, c), np.tensordot(c, tensors(e)[0], axes=1) @ xi)
     for bad in (np.eye(n), np.ones(n + 1), np.float64(1.0)):
         with pytest.raises(ModuleError, match="coordinate vectors"):
             e.act(xi, bad)
@@ -755,7 +795,7 @@ def test_green_julg_module_matches_pair_loops(label):
     gj, cp = green_julg_module(eq)
     action, inner = green_julg_loops(eq, cp)
     assert gj.algebra is cp.algebra
-    assert np.abs(gj.action - action).max() < 1e-10
+    assert np.abs(tensors(gj)[0] - action).max() < 1e-10
     assert np.abs(dense_inner(gj, embedded_algebra(cp)) - inner).max() < 1e-10
 
 
@@ -835,7 +875,7 @@ def test_fullness_ideal_matches_raw_values(label, monkeypatch):
     those of that span."""
     eq = pipeline_module(label)
     averaged, cp = green_julg_module(eq)
-    calls = restricted_rows_spy(monkeypatch, hilbmod)
+    calls = restricted_rows_spy(monkeypatch, oracles)
     base = Dense(fpa_basis(eq.base.algebra) if label.endswith("quotient")
                  else scalar_basis(eq.base.algebra.dim))
     for e, dense in ((eq.base, base), (averaged, embedded_algebra(cp))):
@@ -854,7 +894,7 @@ def test_checked_conversion_rejects_values_outside_the_algebra():
     dense = Dense(scalar_basis(e.algebra.dim))
     rows = dense.basis_rows()
     inner = dense_inner(e, dense)
-    assert close(hilbmod._checked_coefficients(rows, flatten(inner)), e.inner)
+    assert close(hilbmod._checked_coefficients(rows, flatten(inner)), tensors(e)[1])
     inner[0, 1, 0, 1] = 0.5     # off the diagonal algebra C(X)
     with pytest.raises(ModuleError, match="leave the coefficient algebra"):
         hilbmod._checked_coefficients(rows, flatten(inner))
@@ -865,8 +905,9 @@ def test_rebase_module_rejects_a_subalgebra_that_misses_a_value():
     e = direct_sum_module(free_module(2), free_module(0))
     first = rebase_module(e, np.eye(2, dtype=complex)[:1])
     first.validate()
-    assert first.algebra.dim == 1 and close(first.inner, e.inner[:, :, :1])
-    assert not e.inner[:, :, 1:].any()
+    inner = tensors(e)[1]
+    assert first.algebra.dim == 1 and close(tensors(first)[1], inner[:, :, :1])
+    assert not inner[:, :, 1:].any()
     assert is_full(first) and not is_full(e)
     with pytest.raises(ModuleError, match="leave the coefficient algebra"):
         rebase_module(e, np.eye(2, dtype=complex)[1:])
@@ -1113,10 +1154,10 @@ def test_morita_spans_in_coefficients_match_the_embedded_ideals(label, monkeypat
     # J: the span of the averaged inner values is the fullness ideal.
     eq = equivariant_function_module(sys)
     m = eq.base.carrier_dim
-    j_rows = orthonormal_rows(averaged_inner_coefficients(eq).reshape(m * m, -1))
+    j_rows = orthonormal_rows(averaged_tensors(eq)[1].reshape(m * m, -1))
     averaged = green_julg_module(eq, cp)[0]
     j_emb = orthonormal_rows(flatten(dense_inner(averaged, dense)).reshape(m * m, -1))
-    calls = restricted_rows_spy(monkeypatch, hilbmod)
+    calls = restricted_rows_spy(monkeypatch, oracles)
     j_alg = fullness_ideal(averaged)
     ideal_rows = calls.pop()
     assert j_rows.shape[0] == j_alg.dim == verdict.j_dim == j_emb.shape[0]
@@ -1137,7 +1178,7 @@ def test_morita_spans_in_coefficients_match_the_embedded_ideals(label, monkeypat
 def invariant_compacts_kronecker(eq, tol=1e-8):
     """K_B(E) intersected with the Kronecker commutant of the generators."""
     gamma = eq.gamma[list(eq.group.generators())]
-    return span_intersection(compact_operators(eq.base, tol).raw_rows,
+    return span_intersection(dense_rows(eq.base, compact_operators(eq.base, tol).raw_rows),
                              intertwiner_rows(gamma, gamma, tol), tol)
 
 
@@ -1162,7 +1203,7 @@ def green_julg_case(label):
 @pytest.mark.parametrize("label", GREEN_JULG_CASES)
 def test_invariant_compacts_match_the_kronecker_commutant(label):
     eq = green_julg_case(label)
-    rows = invariant_compacts_rows(eq, tol=1e-8)
+    rows = dense_rows(eq.base, invariant_compacts_rows(eq, tol=1e-8))
     oracle = invariant_compacts_kronecker(eq)
     assert rows.shape[0] == oracle.shape[0] > 0
     assert spans_equal(rows, oracle, 1e-8)
@@ -1174,8 +1215,10 @@ def test_averaged_compacts_match_the_embedded_module(label):
     # The rank-one maps over the embedded B >| W, as the averaged module
     # expands them in its orthonormal basis.
     eq = green_julg_case(label)
-    oracle = compact_operators(green_julg_module(eq)[0], 1e-8).raw_rows
-    rows = hilbmod._averaged_compacts_rows(eq, 1e-8)
+    averaged = green_julg_module(eq)[0]
+    oracle = compact_operators(averaged, 1e-8).raw_rows
+    rows, pairs = hilbmod._averaged_compacts_rows(eq, 1e-8)
+    assert np.array_equal(pairs, averaged.pairs)
     assert rows.shape[0] == oracle.shape[0] > 0
     assert spans_equal(rows, oracle, 1e-8)
 
@@ -1314,6 +1357,13 @@ def test_spectrum_command_classifies_once(monkeypatch, capsys):
     assert cli.main(["spectrum", "--input", "z2-line", "--format", "json"]) == 0
     assert len(classified) == 1 and len(enumerated) == 2
     assert '"spectrum_dims"' in capsys.readouterr().out
+    # On dihedral-plane the stabilizers {0, 4} and {0, 5} are one Z/2 table:
+    # four stabilizers, three enumerations, each irrep on its own group.
+    plane = bundled("dihedral-plane")
+    desc = spectrum.classify_irreps(plane)
+    stabs = {plane.orbits.stabilizers[x] for x in plane.orbits.representatives}
+    assert len(enumerated) == 5 and len(stabs) == 4
+    assert all(e.rho.group is e.stabilizer.group for e in desc.entries)
 
 
 def test_reduction_builds_each_fixed_point_algebra_once(monkeypatch):
@@ -1325,7 +1375,7 @@ def test_reduction_builds_each_fixed_point_algebra_once(monkeypatch):
 
 
 def test_morita_theorem_averages_once_and_runs_no_dense_pass(monkeypatch):
-    averaged = counting_spy(monkeypatch, [hilbmod, morita], "averaged_inner_coefficients")
+    averaged = counting_spy(monkeypatch, [hilbmod], "_averaged_parts")
     dense = dense_pass_spy(monkeypatch)
     verdict = verify_morita_theorem(bundled("z2-line"))
     assert verdict.ok and verdict.witness is not None
@@ -1413,7 +1463,7 @@ def j_rows_dense(sys):
     """J's whole-ambient cut: the SVD of all m^2 inner values."""
     eq = equivariant_function_module(sys)
     m = eq.base.carrier_dim
-    return orthonormal_rows(averaged_inner_coefficients(eq).reshape(m * m, -1))
+    return orthonormal_rows(averaged_tensors(eq)[1].reshape(m * m, -1))
 
 
 def c_rows_dense(sys, scalar, tol=1e-9):
@@ -1448,7 +1498,7 @@ def point_blocks(inner, x_n, d):
 def j_rows_by_point(sys):
     """J's rows as the point-local cut finds them, in the whole ambient."""
     eq = equivariant_function_module(sys)
-    blocks = point_blocks(averaged_inner_coefficients(eq), sys.n_points, sys.fiber_dim)
+    blocks = point_blocks(averaged_tensors(eq)[1], sys.n_points, sys.fiber_dim)
     rows, ranks = morita._point_spans(blocks)
     x_n, w_n = rows.shape[0], rows.shape[2]
     out = np.zeros((int(ranks.sum()), w_n, x_n), dtype=complex)
@@ -1722,9 +1772,8 @@ def test_orbit_solvers_match_the_whole_ambient_oracles_on_planted_cocycles(
             assert equivariant_maps(rho, i_rep).shape[0] == dims.get(rho.label, 0)
     eq = equivariant_function_module(sys)
     x_n, d = sys.n_points, sys.fiber_dim
-    local = morita._point_inner(eq.base.inner, d)
-    assert np.array_equal(morita._averaged_point_blocks(local, eq.gamma, x_n),
-                          point_blocks(averaged_inner_coefficients(eq), x_n, d))
+    assert np.array_equal(morita._averaged_point_blocks(eq),
+                          point_blocks(averaged_tensors(eq)[1], x_n, d))
 
 
 @pytest.mark.parametrize("label", [f"z2-line-{n}" for n in range(1, 9)]
@@ -1736,9 +1785,8 @@ def test_j_blocks_from_the_base_module_are_the_averaged_modules(label):
     sys = morita_system(label)
     eq = equivariant_function_module(sys)
     averaged = green_julg_module(eq)[0]
-    blocks = morita._averaged_point_blocks(
-        morita._point_inner(eq.base.inner, sys.fiber_dim), eq.gamma, sys.n_points)
-    assert np.array_equal(blocks, point_blocks(averaged.inner, sys.n_points, sys.fiber_dim))
+    blocks = morita._averaged_point_blocks(eq)
+    assert np.array_equal(blocks, point_blocks(tensors(averaged)[1], sys.n_points, sys.fiber_dim))
 
 
 def relabelled(sys, perm):
@@ -1779,15 +1827,6 @@ def test_verdicts_do_not_depend_on_how_the_points_are_labelled(label, seed):
     assert (thm_moved.ok, thm_moved.j_dim, thm_moved.c_dim, thm_moved.fpa_blocks,
             thm_moved.c_blocks) == (thm.ok, thm.j_dim, thm.c_dim, thm.fpa_blocks, thm.c_blocks)
     assert thm_moved.gaps == tuple(sorted((int(perm[x]), j, c) for x, j, c in thm.gaps))
-
-
-def test_point_inner_rejects_a_value_off_its_point():
-    e = function_module(z2_line_system(1))
-    inner = e.inner.copy()
-    inner[0, 0, 2] = 1e-300     # e_0 lies at point 0
-    with pytest.raises(morita.MoritaError, match="leaves the point"):
-        morita._point_inner(inner, 2)
-    assert np.array_equal(morita._point_inner(e.inner, 2), np.eye(6))
 
 
 @pytest.mark.parametrize("label", ["dihedral-plane", "z4-rotation", "z2xz2-line-2", "Q8-all"])
@@ -1967,37 +2006,46 @@ def compacts_dense(action, coefficients, tol=1e-8):
 
 
 def averaged_pair(eq):
-    """The averaged module's (action, coefficients) against the b_i w: the
-    maps gamma_{w^-1} R_{b_i} and sum_j gamma_w[j, q] <e_p|e_j>, exact where
-    the data are.  The pair the Green-Julg check passes to the cut, against
-    b_i w / sqrt|W|, must give the same rank-one maps."""
+    """(averaged module, its action, its coefficients against the b_i w):
+    the maps gamma_{w^-1} R_{b_i} and sum_j gamma_w[j, q] <e_p|e_j>, exact
+    where the data are.  The averaged components the Green-Julg check
+    cuts, against b_i w / sqrt|W|, must give the same rank-one maps."""
     w_n, m = eq.group.order, eq.base.carrier_dim
     k = eq.base.algebra.dim
-    maps = (eq.gamma[eq.group.inv][:, None] @ eq.base.action[None]).reshape(w_n * k, m, m)
+    action, inner = tensors(eq.base)
+    maps = (eq.gamma[eq.group.inv][:, None] @ action[None]).reshape(w_n * k, m, m)
     by_column = eq.gamma.transpose(2, 0, 1).reshape(m * w_n, m)         # [(q, w), j]
-    coefficients = (by_column @ eq.base.inner).reshape(m, m, w_n * k)
-    scaled = (hilbmod._averaged_maps(eq).reshape(w_n * k, m, m),
-              averaged_inner_coefficients(eq).reshape(m, m, w_n * k))
+    coefficients = (by_column @ inner).reshape(m, m, w_n * k)
+    averaged = green_julg_module(eq)[0]
     exact = hilbmod._rank_one_maps(maps, coefficients)
-    assert close(hilbmod._rank_one_maps(*scaled), exact, 1e-15)
-    return maps, coefficients
+    assert close(hilbmod._rank_one_maps(*tensors(averaged)), exact, 1e-15)
+    return averaged, maps, coefficients
 
 
 def component_case(label):
-    """(action, coefficients, number of carrier components) of a module."""
+    """(action, coefficients, number of carrier components, the module
+    whose builder states them or None) of a module."""
     kind, _, name = label.partition(":")
     if kind == "function":
         sys = bundled(name) if name in ("z2-line", "dihedral-plane", "anticomplete-point") \
             else bundled("two-component")[int(name[-1]) - 1][0]
         e = function_module(sys)
-        return e.action, e.inner, sys.n_points
+        return (*tensors(e), sys.n_points, e)
     if kind == "averaged":
         sys = z2_line_system(int(name))
         # The orbits of Z/2 on {-n..n}: n pairs {x, -x} and the origin.
-        return (*averaged_pair(equivariant_function_module(sys)), int(name) + 1)
+        e, maps, coefficients = averaged_pair(equivariant_function_module(sys))
+        return maps, coefficients, int(name) + 1, e
     if kind == "witness":
         e = verify_morita_theorem(z2_line_system(int(name))).module
-        return e.action, e.inner, int(name) + 1
+        return (*tensors(e), int(name) + 1, e)
+    if kind == "quotient":
+        # One component per W'-orbit that holds an invariant vector.
+        sys, wprime, r = splitting_case(name)
+        eq, u_rows = quotient_module(sys, wprime, r)
+        least = systems.restrict_system(sys, wprime)[0].orbits.least
+        support = np.abs(u_rows.reshape(len(u_rows), sys.n_points, -1)).max(axis=2) > 0
+        return (*tensors(eq.base), len(set(least[support.argmax(axis=1)])), eq.base)
     if kind == "pattern":
         # Three maps, each with one nonzero entry that only one kind of link
         # puts in a component: |e_0><e_0| at (1, 0) by the action's 0-1,
@@ -2007,32 +2055,34 @@ def component_case(label):
         coefficients = np.zeros((5, 5, 2), dtype=complex)
         action[0, 1, 0] = action[1, 2, 2] = 1.0
         coefficients[0, 0, 0] = coefficients[2, 3, 1] = coefficients[4, 4, 1] = 1.0
-        return action, coefficients, 2
+        return action, coefficients, 2, None
     if kind == "standard":
         # M_2 over itself: one component, cut as one block.
         e = standard_module(algebra_from_span(np.eye(4, dtype=complex).reshape(4, 2, 2)).algebra)
-        return e.action, e.inner, 1
+        return (*tensors(e), 1, e)
     if kind == "orbit":
         # A Z/8 orbit of 8 points and a fixed point, fiber 2: blocks of 16
         # and 2 carriers.
-        return (*averaged_pair(equivariant_function_module(z8_orbit_system(2))), 2)
+        e, maps, coefficients = averaged_pair(equivariant_function_module(z8_orbit_system(2)))
+        return maps, coefficients, 2, e
 
     def scaled(e, c):
-        return hilbmod.FDHilbertModule(e.algebra, e.action, c * e.inner)
+        action, inner = tensors(e)
+        return dense_module(e.algebra, action, c * inner)
 
     if kind == "graded-sum":
         # Values 1e6, 1 and 1e-3: the cut keeps 1e6 and 1, so the margin is
         # the least kept value over the largest dropped one, 1 / 1e-3.
         e = direct_sum_module(direct_sum_module(scaled(free_module(1), 1e6), free_module(1)),
                               scaled(free_module(2), 1e-3))
-        return e.action, e.inner, 3
+        return (*tensors(e), 3, e)
     first, second = free_module(2), free_module(3)
     if kind == "scaled-sum":
         # Values of size 1e6 and 1e-3: the whole stack's scale, 1e-8 * 1e6,
         # drops every map of the second summand, which its own would keep.
         first, second = scaled(first, 1e6), scaled(second, 1e-3)
     e = direct_sum_module(first, second)
-    return e.action, e.inner, 2
+    return (*tensors(e), 2, e)
 
 
 def z8_orbit_system(d):
@@ -2045,21 +2095,28 @@ def z8_orbit_system(d):
 COMPONENT_CASES = ([f"function:{name}" for name in
                     ("z2-line", "dihedral-plane", "anticomplete-point", "two-1", "two-2")]
                    + [f"averaged:{n}" for n in range(1, 5)]
-                   + ["witness:3", "direct-sum", "scaled-sum", "graded-sum", "pattern", "standard",
-                      "orbit"])
+                   + ["witness:3", "quotient:z2xz2-line-2", "quotient:s3-translation",
+                      "direct-sum", "scaled-sum", "graded-sum", "pattern", "standard", "orbit"])
 
 
 @pytest.mark.parametrize("label", COMPONENT_CASES)
 def test_component_cut_matches_the_whole_stack(label):
-    action, coefficients, n_parts = component_case(label)
+    action, coefficients, n_parts, e = component_case(label)
     m = action.shape[-1]
-    parts = hilbmod.carrier_components(action, coefficients)
+    parts = carrier_components(action, coefficients)
     assert len(parts) == n_parts
     assert sorted(np.concatenate(parts)) == list(range(m))
-    rows, margin = hilbmod._compact_rows(action, coefficients, 1e-8, parts)
+    if e is not None:
+        # The components the builder states are the oracle's.
+        assert sorted(map(list, parts)) == sorted(c for st in e.parts for c in st.carrier.tolist())
+    rows, margin, pairs = hilbmod._compact_rows(components_of(action, coefficients), m, 1e-8)
+    if e is not None:
+        assert np.array_equal(pairs, e.pairs)
+    whole = np.zeros((rows.shape[0], m * m), dtype=complex)
+    whole[:, pairs] = rows
     dense, dense_margin, values = compacts_dense(action, coefficients)
     assert rows.shape[0] == dense.shape[0] > 0
-    assert spans_equal(rows, dense, 1e-8)
+    assert spans_equal(whole, dense, 1e-8)
     # The margins are compared only where the first dropped value stands
     # above rounding, which only the scaled sums' 1e-3 summands do; below it
     # both margins are sigma_r over noise, and must both be large.
@@ -2071,21 +2128,21 @@ def test_component_cut_matches_the_whole_stack(label):
         assert label not in ("scaled-sum", "graded-sum")
         assert margin > 1e12 and dense_margin > 1e12
     assert np.abs(rows @ rows.conj().T - np.eye(rows.shape[0])).max() < 1e-12
-    # Every compact vanishes off the blocks S x S.
+    # Every compact vanishes off the blocks S x S, which are the pairs.
     on = np.zeros((m, m), dtype=bool)
     for part in parts:
         on[np.ix_(part, part)] = True
-    assert np.abs(rows[:, ~on.ravel()]).max(initial=0.0) == 0.0
+    assert np.array_equal(np.flatnonzero(on), pairs)
 
 
 def test_pairs_from_two_components_give_zero_maps():
     e = direct_sum_module(free_module(2), free_module(3))
-    maps = hilbmod._rank_one_maps(e.action, e.inner)
+    maps = hilbmod._rank_one_maps(*tensors(e))
     # |e_i><e_j| with i in the first summand and j in the second is zero.
     assert not maps[:2, 2:].any() and not maps[2:, :2].any()
     assert maps[:2, :2].any() and maps[2:, 2:].any()
-    assert [list(p) for p in hilbmod.carrier_components(e.action, e.inner)] == \
-        [[0, 1], [2, 3, 4]]
+    assert [list(p) for p in carrier_components(*tensors(e))] == [[0, 1], [2, 3, 4]]
+    assert [st.carrier.tolist() for st in e.parts] == [[[0, 1]], [[2, 3, 4]]]
 
 
 def test_morita_theorem_forms_no_m4_array(monkeypatch):
@@ -2365,10 +2422,15 @@ def test_reduction_links_match_the_loops(label):
                           transported_rows_loop(g, u_sub, v_sub, rows, sys.n_points))
     eq, u_rows = quotient_module(sys, wprime, r)
     action, gamma, maps = quotient_module_loops(sys, wprime, r, u_rows)
-    assert np.array_equal(eq.base.action, action) and np.array_equal(eq.gamma, gamma)
+    assert close(tensors(eq.base)[0], action) and np.array_equal(eq.gamma, gamma)
     assert np.array_equal(eq.beta.maps, maps)
     eq.validate()
-    assert morita.semidirect_reduction(sys, wprime, r).ok
+    # Link 4's left action is the compression u* f u of the embedded
+    # fixed-point functions, read at the averaged module's carrier pairs.
+    report, gj_q, left = morita._semidirect_reduction(sys, wprime, r, 0, 1e-8)
+    assert report.ok
+    compressed = u_rows.conj() @ fpa_basis(report.theorem.fpa) @ u_rows.T
+    assert close(left, pair_rows(gj_q, np.where(np.abs(compressed) > 1e-13, compressed, 0.0)))
 
 
 def test_reduction_builds_each_crossed_product_once(monkeypatch):
@@ -2466,9 +2528,9 @@ def equivariant_case(label):
     else:
         # The inner product scaled at the point -1: beta no longer carries it,
         # while the action is unchanged.
-        inner = base.inner.copy()
+        action, inner = tensors(base)
         inner[:, :, 0] *= 1.0 + size
-        base = hilbmod.FDHilbertModule(base.algebra, base.action, inner)
+        base = dense_module(base.algebra, action, inner)
     return hilbmod.EquivariantModule(base, eq.beta, gamma)
 
 
@@ -2518,6 +2580,8 @@ def witness_residuals_loop(a_alg, e, left_action, rng):
     direct sums, whose tables test_inner_coefficients_match_the_dense_values
     checks against the dense block sum)."""
     g = e.gram()
+    m = e.carrier_dim
+    left_action = dense_rows(e, left_action).reshape(-1, m, m)
     if not hasattr(a_alg, "functions"):
         def product_of(c1, c2):
             return a_alg.multiply(c1, c2)
@@ -2587,7 +2651,8 @@ def test_witness_flags_a_mutant_left_action_as_the_loop_does(kind, monkeypatch):
         # Conjugated by a positive diagonal that is not unitary for the
         # scalar form: still multiplicative, no longer *-preserving.
         t = np.diag(1.0 + np.arange(m) / m)
-        left, expected = t @ left @ np.linalg.inv(t), (False, True)
+        dense = dense_rows(e, left).reshape(-1, m, m)
+        left, expected = pair_rows(e, t @ dense @ np.linalg.inv(t)), (False, True)
     mult, star, _ = witness_residuals_loop(a_alg, e, left, copy.deepcopy(rng))
     witness = hilbmod.verify_morita(a_alg, e, left, tol, rng=copy.deepcopy(rng))
     assert (mult > 1e-8, star > 1e-8) == expected
