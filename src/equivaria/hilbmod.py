@@ -4,28 +4,23 @@ A module is a carrier space C^m with a right action of a *-algebra B and a
 B-valued inner product, conjugate-linear in the first argument.  The
 compact operators K_B(E) are the span of the rank-one maps
 |eta><xi| : zeta -> eta <xi|zeta>.  Module adjoints are taken with respect
-to the faithful scalar form tau(<xi|eta>), tau the trace state of B, which
-is tau(b_k) = tr b_k / sum_l |tr b_l|^2 on B's basis; conjugating by the
-square root of the Gram matrix turns the module adjoint into the ordinary
-conjugate transpose, so K_B(E) becomes an honest matrix *-algebra.
+to the faithful scalar form tau(<xi|eta>), tau the trace state of B.
 
 A module is held by its carrier components, as an algebra by its blocks
 (Components, stacked by shape): component S spans s carrier vectors, is
-acted on by c coordinates of B and keeps that action (c, s, s) and its
-inner values (s, s, c) in B's orthonormal coordinates; every other entry
-is zero.  Builders state the components they know: the function module
-one per point, the averaged (Green-Julg) module over B >| W one per W-orbit,
+acted on by c coordinates of B and keeps that action (c, s, s), its inner
+values (s, s, c) and its block of the scalar form; every other entry is
+zero.  Builders state the components they know: the function module one
+per point, the averaged (Green-Julg) module over B >| W one per W-orbit,
 the standard module one per block of B, direct sums and rebased modules
-those of their inputs.  The rank-one maps vanish off the carrier pairs of
-one component, so the compacts and a Morita witness's left action live in
-the pair coordinates (+)_S S x S (FDHilbertModule.pairs), and their stack
-is block diagonal: dense SVDs of the blocks cut at the whole stack's scale
-are the dense rule exactly.  B is read through its tables only, and `act`
-and `inner_product` take and return B's elements as coordinate vectors,
-raising ModuleError on arrays of the wrong size.  The Green-Julg check
-builds no module over B >| W: a rank-one map is the same operator in any
-basis of B >| W, so the averaged compacts come from the averaged
-components, and K_B(E)^W is solved in the coordinates of K_B(E).
+those of their inputs.  An equivariant module's gamma_w carries each
+component onto one of its stack by an (s, s) block (Carried).  Rank-one
+maps, compacts and a Morita witness's left action live at the carrier
+pairs (+)_S S x S (FDHilbertModule.pairs), where products and adjoints are
+taken block by block and dense SVDs of the blocks, cut at the whole
+stack's scale, are the dense rule exactly.  The Green-Julg check builds no
+module over B >| W: the averaged compacts come from the averaged
+components, and K_B(E)^W is solved one W-orbit of components at a time.
 """
 from __future__ import annotations
 
@@ -39,7 +34,6 @@ from .linalg import (
     DEFAULT_TOL,
     check_tol,
     homomorphism_defect,
-    nullspace_rows,
     orthonormal_rows,
     rank_threshold,
     row_residuals,
@@ -89,14 +83,15 @@ class Components:
     inner: np.ndarray     # (g, s, s, c)
 
 
-def _flat_pairs(st: Components, m: int) -> np.ndarray:
-    """(g, s^2): p m + q for the carrier pairs (p, q) of each component."""
-    return (st.carrier[:, :, None] * m + st.carrier[:, None, :]).reshape(len(st.carrier), -1)
+def _flat_pairs(carrier: np.ndarray, m: int) -> np.ndarray:
+    """(g, s^2): p m + q for the carrier pairs (p, q) of each component of
+    a stack's carrier (g, s)."""
+    return (carrier[:, :, None] * m + carrier[:, None, :]).reshape(len(carrier), -1)
 
 
 def _pairs(parts, m: int) -> np.ndarray:
     """The carrier pairs p m + q with p and q in one component, ascending."""
-    return np.sort(np.concatenate([_flat_pairs(st, m).ravel() for st in parts]
+    return np.sort(np.concatenate([_flat_pairs(st.carrier, m).ravel() for st in parts]
                                   + [np.zeros(0, dtype=np.intp)]))
 
 
@@ -180,43 +175,43 @@ class FDHilbertModule:
         """|<xi|xi>|^(1/2), the operator norm read off B's table."""
         return float(np.sqrt(max(self.algebra.norm(self.inner_product(xi, xi)), 0.0)))
 
-    # -- the scalar form and the Gram transform ------------------------------
-
-    def gram(self) -> np.ndarray:
-        """G[i, j] = tau(<e_i | e_j>): the faithful scalar inner product,
-        zero between two components.
-
-        As e b_k = b_k for B's unit e, tau(b_k) = tr b_k / tr e, where
-        tr e = sum_l |tr b_l|^2 is the squared norm of unit()'s coordinates;
-        unit() raises AlgebraError for a span without a unit.  Built once and
-        kept on the instance.
-        """
-        return self._gram
+    # -- the scalar form, and operators held at the carrier pairs -------------
 
     @cached_property
-    def _gram(self) -> np.ndarray:
-        m = self.carrier_dim
-        g = np.zeros((m, m), dtype=complex)
+    def gram(self) -> tuple[np.ndarray, ...]:
+        """tau(<e_p|e_q>), the scalar form, as a (g, s, s) stack of component
+        blocks per stack of `parts` (zero between components): tau(b_k) =
+        tr b_k / tr e, tr e = |unit()|^2, as e b_k = b_k for B's unit e."""
         scale = np.linalg.norm(self.algebra.unit()) ** 2
-        for st in self.parts:
-            g[st.carrier[:, :, None], st.carrier[:, None, :]] = (
-                st.inner @ self.algebra.traces[st.coords][:, None, :, None])[..., 0] / scale
-        return (g + g.conj().T) / 2.0
+        gs = ((st.inner @ self.algebra.traces[st.coords][:, None, :, None])[..., 0] / scale
+              for st in self.parts)
+        return tuple((g + g.conj().swapaxes(-1, -2)) / 2.0 for g in gs)
 
-    def gram_sqrt(self) -> tuple[np.ndarray, np.ndarray]:
-        """(S, S^-1) with S = G^(1/2); requires a definite inner product."""
-        g = self.gram()
-        evals, evecs = np.linalg.eigh(g)
-        if self.carrier_dim and evals.min() < _DEGENERATE * max(evals.max(), 1.0):
-            raise ModuleError("inner product is degenerate on the carrier")
-        s = evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T
-        s_inv = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.conj().T
-        return s, s_inv
+    def _definiteness(self) -> float:
+        """max(0, -l) for G's least eigenvalue l, plus 1 when l lies below
+        _DEGENERATE max(G's largest, 1), from one batched eigvalsh per
+        stack: nonzero exactly when G is degenerate."""
+        values = np.concatenate([np.linalg.eigvalsh(g).ravel() for g in self.gram] + [[]])
+        low = values.min(initial=np.inf)
+        return max(0.0, -low) + float(low < _DEGENERATE * max(values.max(initial=0.0), 1.0))
 
-    def module_adjoint(self, t: np.ndarray) -> np.ndarray:
-        """The adjoint of a carrier operator (or a stack) w.r.t. the scalar form."""
-        g = self.gram()
-        return np.linalg.solve(g, t.conj().swapaxes(-1, -2) @ g)
+    def _blockwise(self, fn, *rows: np.ndarray) -> np.ndarray:
+        """fn(G's blocks, *their blocks) for carrier operators at the carrier
+        pairs (..., len(pairs)), block diagonal, one stack of (..., g, s, s)
+        blocks at a time, read back at the pairs."""
+        lead = np.broadcast_shapes(*(r.shape[:-1] for r in rows))
+        out = np.zeros(lead + self.pairs.shape, dtype=complex)
+        for st, gram in zip(self.parts, self.gram):
+            at = np.searchsorted(self.pairs, _flat_pairs(st.carrier, self.carrier_dim))
+            blocks = (r[..., at].reshape(r.shape[:-1] + gram.shape) for r in rows)
+            out[..., at] = fn(gram, *blocks).reshape(lead + at.shape)
+        return out
+
+    def module_adjoint(self, rows: np.ndarray) -> np.ndarray:
+        """The adjoint G^-1 t* G w.r.t. the scalar form of carrier operators
+        t at the carrier pairs (..., len(pairs)), at the pairs."""
+        return self._blockwise(lambda g, t: np.linalg.solve(g, t.conj().swapaxes(-1, -2) @ g),
+                               rows)
 
     def random_vector(self, rng: np.random.Generator) -> np.ndarray:
         m = self.carrier_dim
@@ -264,14 +259,11 @@ class FDHilbertModule:
         res = {key: float(np.max(value / scale, initial=0.0)) for key, value in (
             ("bimodule", bimodule), ("compatibility", compatibility),
             ("symmetry", symmetry), ("positivity", positivity))}
-        res["definiteness"] = 0.0
-        if m:
-            evals = np.linalg.eigvalsh(self.gram())
-            res["definiteness"] = max(0.0, -float(evals.min())) + \
-                (1.0 if evals.min() < _DEGENERATE * max(evals.max(), 1.0) else 0.0)
+        res["definiteness"] = self._definiteness() if m else 0.0
         return res
 
     def validate(self, tol: float = 1e-8, rng=None) -> None:
+        check_tol(tol)
         res = self.axiom_residuals(rng)
         bad = {k: v for k, v in res.items() if v > tol}
         if bad:
@@ -373,7 +365,7 @@ def _compact_rows(parts, m: int, tol: float) -> tuple[np.ndarray, float, np.ndar
         _, sv, vh = np.linalg.svd(_rank_one_maps(st.action, st.inner).reshape(g, s * s, s * s),
                                   full_matrices=False)
         blocks.append((sv.ravel(), vh.reshape(-1, s * s),
-                       np.searchsorted(pairs, _flat_pairs(st, m))))
+                       np.searchsorted(pairs, _flat_pairs(st.carrier, m))))
     values = np.concatenate([sv for sv, _, _ in blocks] + [[]])
     threshold = rank_threshold(values, tol)
     rows = np.zeros((int(np.sum(values > threshold)), pairs.size), dtype=complex)
@@ -397,10 +389,12 @@ def compact_operators(e: FDHilbertModule, tol: float = DEFAULT_TOL) -> CompactOp
     zero for pairs from two.  Each block is cut by a dense SVD (batched by
     shape) at the whole stack's scale tol max(max_S s_0(S), 1), which keeps
     exactly what the dense SVD of all m^2 maps keeps, at about sum_S s^6.
-    ModuleError unless the scalar form is definite (gram_sqrt).
+    ModuleError unless the scalar form is definite, read off the
+    eigenvalues of its component blocks.
     """
     check_tol(tol)
-    e.gram_sqrt()
+    if e._definiteness():
+        raise ModuleError("inner product is degenerate on the carrier")
     raw_rows, margin, _ = _compact_rows(e.parts, e.carrier_dim, tol)
     return CompactOperators(e, raw_rows, margin)
 
@@ -409,6 +403,7 @@ def is_full(e: FDHilbertModule, tol: float = 1e-8) -> bool:
     """Is span{<xi|eta>} all of B, its rank cut at `tol`?  Two components'
     values lie in disjoint pairs and coordinates, so the singular values of
     the components' values together are those of the whole (m^2, dim B)."""
+    check_tol(tol)
     values = np.concatenate([np.linalg.svd(st.inner.reshape(len(st.carrier), -1, st.inner.shape[3]),
                                            compute_uv=False).ravel() for st in e.parts] + [[]])
     return int(np.sum(values > rank_threshold(values, tol))) == e.algebra.dim
@@ -418,32 +413,70 @@ def is_full(e: FDHilbertModule, tol: float = 1e-8) -> bool:
 
 
 @dataclass(frozen=True)
+class Carried:
+    """gamma on a stack of components: gamma_w carries component b onto
+    component target[w, b], e_(carrier[b, i]) to sum_p blocks[w, b, p, i]
+    e_(carrier[target[w, b], p])."""
+
+    target: np.ndarray    # (|W|, g)
+    blocks: np.ndarray    # (|W|, g, s, s)
+
+
+@dataclass(frozen=True)
 class EquivariantModule:
-    """A Hilbert B-module with compatible group actions gamma (on E), beta (on B)."""
+    """A Hilbert B-module with compatible group actions gamma (on E), beta
+    (on B).  gamma is one Carried per stack of base.parts, each row of its
+    target a permutation, so no gamma_w mixes two components; else the
+    constructor raises ModuleError."""
 
     base: FDHilbertModule
     beta: AlgebraAction
-    gamma: np.ndarray  # (|W|, m, m)
+    gamma: tuple[Carried, ...]
+
+    def __post_init__(self):
+        n = self.group.order
+        if len(self.gamma) != len(self.base.parts) or any(
+                c.blocks.shape != (n,) + st.carrier.shape + st.carrier.shape[1:]
+                or c.target.shape != c.blocks.shape[:2]
+                for st, c in zip(self.base.parts, self.gamma)):
+            raise ModuleError("gamma has wrong shape")
+        if any(np.any(np.sort(c.target, axis=1) != np.arange(c.target.shape[1]))
+               for c in self.gamma):
+            raise ModuleError("gamma_w must carry a stack's components onto a permutation of them")
 
     @property
     def group(self) -> FiniteGroup:
         return self.beta.group
 
+    def carry(self, xi: np.ndarray) -> np.ndarray:
+        """gamma_w xi[w] for carrier vectors xi (|W|, ..., m), one W-orbit
+        of components at a time."""
+        xi = self.base._carrier(xi)
+        out = np.zeros_like(xi)
+        for st, idx, gamma in _orbits(self):
+            car = st.carrier[idx].ravel()
+            gamma = gamma.reshape(gamma.shape[:1] + (1,) * (xi.ndim - 2) + gamma.shape[1:])
+            out[..., car] = (gamma @ xi[..., car, None])[..., 0]
+        return out
+
     def validate(self, tol: float = 1e-8, rng=None) -> None:
         """Check the base module, beta and gamma, then gamma_w(xi b) =
         gamma_w(xi) beta_w(b) and <gamma_w xi|gamma_w eta> = beta_w(<xi|eta>)
         on four samples per w at once; the first failure in the order
-        (w, sample, check) raises."""
+        (w, sample, check) raises.  gamma_e - 1 and gamma_gh - gamma_g gamma_h
+        are bounded by tol max(m, 1) in the Frobenius norm, summed over the
+        W-orbits of components, on whose carriers gamma is block diagonal."""
         self.base.validate(tol, rng)
         self.beta.validate(tol)
         g = self.group
         m = self.base.carrier_dim
-        if self.gamma.shape != (g.order, m, m):
-            raise ModuleError("gamma has wrong shape")
-        if np.linalg.norm(self.gamma[0] - np.eye(m)) > tol * max(m, 1):
+        ident = hom = 0.0
+        for _, _, gamma in _orbits(self):
+            ident += np.linalg.norm(gamma[0] - np.eye(len(gamma[0]))) ** 2
+            hom = hom + np.linalg.norm(homomorphism_defect(gamma, g.mul), axis=(-2, -1)) ** 2
+        if np.sqrt(ident) > tol * max(m, 1):
             raise ModuleError("gamma at the identity is not the identity")
-        hom = homomorphism_defect(self.gamma, g.mul)
-        if np.linalg.norm(hom, axis=(-2, -1)).max() > tol * max(m, 1):
+        if np.sqrt(np.max(hom, initial=0.0)) > tol * max(m, 1):
             raise ModuleError("gamma is not a group homomorphism")
         rng = rng or np.random.default_rng(1)
         b_alg, act, inner = self.base.algebra, self.base.act, self.base.inner_product
@@ -452,16 +485,16 @@ class EquivariantModule:
         parts = np.split(rng.standard_normal((g.order, 4, 4 * m + 2 * k)),
                          np.cumsum([m, m, m, m, k]), axis=-1)
         xi, eta, c = (re + 1j * im for re, im in zip(parts[::2], parts[1::2]))
-        # Transposed, gamma_w and beta_w act on the rows of the samples.
-        gamma, beta = self.gamma.swapaxes(1, 2), self.beta.maps.swapaxes(1, 2)
-        gx, size = xi @ gamma, np.linalg.norm(xi, axis=-1)
+        # Transposed, beta_w acts on the rows of the samples.
+        beta = self.beta.maps.swapaxes(1, 2)
+        gx, size = self.carry(xi), np.linalg.norm(xi, axis=-1)
         op = b_alg.norm(c)                                                 # |b|_op
         # [w, sample, check]; inner values in B's coordinates, whose norm is
         # the trace norm.
         bad = np.stack([
-            np.linalg.norm(act(xi, c) @ gamma - act(gx, c @ beta), axis=-1)
+            np.linalg.norm(self.carry(act(xi, c)) - act(gx, c @ beta), axis=-1)
             > tol * np.maximum(1.0, size * np.maximum(1.0, op)),
-            np.linalg.norm(inner(gx, eta @ gamma) - inner(xi, eta) @ beta, axis=-1)
+            np.linalg.norm(inner(gx, self.carry(eta)) - inner(xi, eta) @ beta, axis=-1)
             > tol * np.maximum(1.0, size * np.linalg.norm(eta, axis=-1))], axis=-1)
         if bad.any():
             w, _, check = np.unravel_index(bad.argmax(), bad.shape)
@@ -485,22 +518,21 @@ def scalar_translation_action(sys: EquivariantSystem) -> AlgebraAction:
 
 
 def equivariant_function_module(sys: EquivariantSystem) -> EquivariantModule:
-    """C(X, C^d) with gamma_w xi(x) = I_{w, w^-1 x} xi(w^-1 x), and beta
-    translating the base module's own C(X), built once."""
+    """C(X, C^d) with gamma_w xi(x) = I_{w, w^-1 x} xi(w^-1 x): gamma_w
+    carries the fiber at x onto the fiber at w x by I_{w, x}.  beta
+    translates the base module's own C(X), built once."""
     base = function_module(sys)
-    g = sys.group
-    x_n, d = sys.n_points, sys.fiber_dim
-    gamma = np.zeros((g.order, x_n, d, x_n, d), dtype=complex)
-    w, pre = np.arange(g.order)[:, None], sys.action[g.inv]               # [w, x]: w^-1 x
-    gamma[w, np.arange(x_n), :, pre, :] = sys.cocycle[w, pre]
-    beta = AlgebraAction(g, base.algebra, _translation_maps(sys))
-    return EquivariantModule(base, beta, gamma.reshape(g.order, x_n * d, x_n * d))
+    beta = AlgebraAction(sys.group, base.algebra, _translation_maps(sys))
+    return EquivariantModule(base, beta, (Carried(sys.action, sys.cocycle),))
 
 
 def trivial_equivariant_module(e: FDHilbertModule,
                                group: FiniteGroup) -> EquivariantModule:
+    """e with W acting trivially: every gamma_w keeps each component."""
     maps = np.tile(np.eye(e.algebra.dim, dtype=complex), (group.order, 1, 1))
-    gamma = np.tile(np.eye(e.carrier_dim, dtype=complex), (group.order, 1, 1))
+    gamma = tuple(Carried(np.tile(np.arange(g), (group.order, 1)),
+                          np.broadcast_to(np.eye(s, dtype=complex), (group.order, g, s, s)))
+                  for g, s in (st.carrier.shape for st in e.parts))
     return EquivariantModule(e, AlgebraAction(group, e.algebra, maps), gamma)
 
 
@@ -517,43 +549,50 @@ def green_julg_module(eq: EquivariantModule,
                            name=(eq.base.name or "module") + "-averaged"), cp
 
 
+def _orbits(eq: EquivariantModule):
+    """(stack, its components idx, gamma on their carrier (|W|, n s, n s))
+    for each W-orbit of components, which gamma_w carries onto each other,
+    in order of stacks and of least components; ModuleError when gamma_w
+    carries a component off the orbit, as no group action does."""
+    for st, carried in zip(eq.base.parts, eq.gamma):
+        for idx in _grouped(carried.target.min(axis=0).tolist()).values():
+            where = np.full(len(st.carrier), -1)
+            where[idx] = np.arange(len(idx))
+            onto = where[carried.target[:, idx]]                               # [w, a]
+            if np.any(onto < 0):
+                raise ModuleError("gamma carries a component off its orbit")
+            (w_n, n), s = onto.shape, st.carrier.shape[1]
+            gamma = np.zeros((w_n, n, s, n, s), dtype=complex)
+            gamma[np.arange(w_n)[:, None], onto, :, np.arange(n), :] = carried.blocks[:, idx]
+            yield st, idx, gamma.reshape(w_n, n * s, n * s)
+
+
 def _averaged_parts(eq: EquivariantModule) -> list[Components]:
-    """The averaged module's components, one per W-orbit of B's blocks
-    (AlgebraAction._orbits, the blocks of B >| W's algebra): the base
-    components whose coordinates lie in the orbit, joined.
+    """The averaged module's components, one per W-orbit of components
+    (_orbits), joined.
 
     There a_(w,i) = b_i w / sqrt|W|, coordinate w dim B + i, acts by
     gamma_{w^-1} R_{b_i} / sqrt|W|, and <<e_p|e_q>> has the coefficient
-    sqrt|W| sum_j gamma_w[j, q] <e_p|e_j>_i.  gamma_w carries a component
-    onto one of its orbit, as beta_w carries the coordinates acting on it,
-    so an orbit's components share one stack.  ModuleError when a
-    component's coordinates lie in two orbits.
+    sqrt|W| sum_j gamma_w[j, q] <e_p|e_j>_i, zero unless p and q share an
+    orbit.
     """
     g, k = eq.group, eq.base.algebra.dim
     root = np.sqrt(g.order)
-    orbit = np.zeros(k, dtype=np.intp)
-    for index in eq.beta._orbits:
-        orbit[index] = index[:, :1]
     parts = []
-    for st in eq.base.parts:
-        label = orbit[st.coords]
-        if np.any(label != label[:, :1]):
-            raise ModuleError("a carrier component is acted on by two W-orbits of B's blocks")
-        for idx in _grouped(label[:, 0].tolist()).values():          # one orbit's components
-            n, (c, s) = len(idx), st.action.shape[1:3]
-            one = np.arange(n)
-            action = np.zeros((n, c, n, s, n, s), dtype=complex)
-            action[one, :, one, :, one] = st.action[idx]
-            inner = np.zeros((n, s, n, s, n, c), dtype=complex)
-            inner[one, :, one, :, one] = st.inner[idx]
-            carrier, s, c = st.carrier[idx].ravel(), n * s, n * c
-            gamma = eq.gamma[:, carrier[:, None], carrier]                  # [w, j, q]
-            maps = (gamma[g.inv, None] / root) @ action.reshape(c, s, s)
-            values = inner.reshape(s, s, c).transpose(0, 2, 1) @ gamma[:, None]  # [w, p, i, q]
-            parts.append(Components(carrier[None], (np.arange(g.order)[:, None] * k
-                                                    + st.coords[idx].ravel()).reshape(1, -1),
-                                    maps.reshape(1, -1, s, s),
-                                    root * values.transpose(1, 3, 0, 2).reshape(1, s, s, -1)))
+    for st, idx, gamma in _orbits(eq):                                      # gamma [w, j, q]
+        n, (c, s) = len(idx), st.action.shape[1:3]
+        one = np.arange(n)
+        action = np.zeros((n, c, n, s, n, s), dtype=complex)
+        action[one, :, one, :, one] = st.action[idx]
+        inner = np.zeros((n, s, n, s, n, c), dtype=complex)
+        inner[one, :, one, :, one] = st.inner[idx]
+        carrier, s, c = st.carrier[idx].ravel(), n * s, n * c
+        maps = (gamma[g.inv, None] / root) @ action.reshape(c, s, s)
+        values = inner.reshape(s, s, c).transpose(0, 2, 1) @ gamma[:, None]  # [w, p, i, q]
+        parts.append(Components(carrier[None], (np.arange(g.order)[:, None] * k
+                                                + st.coords[idx].ravel()).reshape(1, -1),
+                                maps.reshape(1, -1, s, s),
+                                root * values.transpose(1, 3, 0, 2).reshape(1, s, s, -1)))
     return parts
 
 
@@ -570,20 +609,37 @@ def invariant_compacts_rows(eq: EquivariantModule,
                             tol: float = DEFAULT_TOL) -> np.ndarray:
     """K_B(E)^W = {k : gamma_w k = k gamma_w} at the base module's pairs.
 
-    Solved in the coordinates of K_B(E): with R the r orthonormal rows of
-    the compacts, read as matrices K_i, the invariant compacts are c R
-    for the c in C^r with sum_i c_i (gamma_g K_i - K_i gamma_g) = 0 at every
-    generator g, one kernel of a (|gens| m^2, r) matrix.  c and R have
-    orthonormal rows, so c R does too.
+    With R the orthonormal rows of the compacts, read as matrices K_i, it
+    is c R for the c with sum_i c_i (gamma_g K_i - K_i gamma_g) = 0 at W's
+    generators g.  A K_i on component S commutes into the blocks (gS, S)
+    and (S, g^-1 S), so that matrix is block diagonal by W-orbit of
+    components: one kernel per orbit, all cut at the whole matrix's scale
+    tol max(s_0, 1), s_0 the largest singular value of all orbits.  Each
+    orbit's c are orthonormal, so the rows c R are.
     """
-    compacts = compacts or compact_operators(eq.base, tol)
-    rows = compacts.raw_rows
-    m, r = eq.base.carrier_dim, rows.shape[0]
-    mats = _placed(rows, eq.base.pairs, np.arange(m * m)).reshape(r, m, m)
-    gamma = eq.gamma[list(eq.group.generators())][:, None]
-    comm = gamma @ mats - mats @ gamma                      # [g, i, p, q]
-    columns = comm.transpose(0, 2, 3, 1).reshape(gamma.shape[0] * m * m, r)
-    return nullspace_rows(columns, tol) @ rows
+    check_tol(tol)
+    rows = (compacts or compact_operators(eq.base, tol)).raw_rows
+    gens = list(eq.group.generators())
+    if not gens:
+        return rows
+    solves = []       # (singular values, right singular vectors, the orbit's rows)
+    for st, idx, gamma in _orbits(eq):
+        car = st.carrier[idx]
+        local = rows[:, np.searchsorted(eq.base.pairs, _flat_pairs(car, eq.base.carrier_dim))]
+        sel = np.flatnonzero(np.abs(local).max(axis=(1, 2)) > 0)           # [i, a, pair]
+        if not sel.size:
+            continue
+        (n, s), one = car.shape, np.arange(len(idx))
+        mats = np.zeros((sel.size, n, s, n, s), dtype=complex)
+        mats[:, one, :, one, :] = local[sel].reshape(sel.size, n, s, s).swapaxes(0, 1)
+        mats = mats.reshape(sel.size, n * s, n * s)
+        gamma = gamma[gens][:, None]
+        comm = (gamma @ mats - mats @ gamma).transpose(0, 2, 3, 1)               # [g, p, q, i]
+        _, sv, vh = np.linalg.svd(comm.reshape(-1, sel.size), full_matrices=False)
+        solves.append((sv, vh, sel))
+    threshold = rank_threshold(np.concatenate([sv for sv, _, _ in solves] + [[]]), tol)
+    return np.concatenate([vh[np.sum(sv > threshold):].conj() @ rows[sel]
+                           for sv, vh, sel in solves] + [rows[:0]])
 
 
 @dataclass(frozen=True)
@@ -594,25 +650,18 @@ class GreenJulgVerdict:
     residual: float
 
 
-def _averaged_compacts_rows(eq: EquivariantModule, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, pairs): K_{B >| W}(E) at the averaged module's carrier pairs,
-    cut one orbit at a time from its components (_averaged_parts), without
-    the crossed product's algebra: a rank-one map is the same operator in
-    any basis of B >| W."""
-    eq.beta.validate()
-    rows, _, pairs = _compact_rows(_averaged_parts(eq), eq.base.carrier_dim, tol)
-    return rows, pairs
-
-
 def verify_green_julg(eq: EquivariantModule, tol: float = 1e-8) -> GreenJulgVerdict:
     """K_{B >| W}(E) = K_B(E)^W, compared as spans at the averaged module's
     carrier pairs, which hold the base module's.  Both sides are found at
-    `tol`: the averaged compacts from the averaged components, and the
-    invariant compacts as a kernel in the coordinates of K_B(E); neither
-    the crossed product's algebra nor the Kronecker commutant is built.
+    `tol`: the averaged compacts cut one orbit at a time from the averaged
+    components (a rank-one map is the same operator in any basis of
+    B >| W), and the invariant compacts as kernels in the coordinates of
+    K_B(E); neither the crossed product's algebra nor the Kronecker
+    commutant is built.
     """
     check_tol(tol)
-    lhs, pairs = _averaged_compacts_rows(eq, tol)
+    eq.beta.validate()
+    lhs, _, pairs = _compact_rows(_averaged_parts(eq), eq.base.carrier_dim, tol)
     inv_rows = _placed(invariant_compacts_rows(eq, tol=tol), eq.base.pairs, pairs)
     ok = spans_equal(lhs, inv_rows, tol)
     resid = float(max(row_residuals(inv_rows, lhs).max(initial=0.0),
@@ -670,15 +719,17 @@ def verify_morita(a_alg: MatrixStarAlgebra, e: FDHilbertModule,
     injective = img_rows.shape[0] == a_alg.dim
     span_match = spans_equal(img_rows, compacts.raw_rows, tol)
     # Eight samples, each drawing c1 then c2, real parts before imaginary;
-    # their products and adjoints are read off A's tables, and each image
-    # is written out as an m x m carrier matrix.
+    # their products and adjoints are read off A's tables.  Each image is
+    # held at the carrier pairs, where products and module adjoints are
+    # taken one component block at a time, and the entries off the pairs
+    # are zero on both sides.
     draws = rng.standard_normal((8, 4, a_alg.dim))
     c1, c2 = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
-    m = e.carrier_dim
-    l1, l2, l12, lstar = (_placed(c @ left_action, e.pairs, np.arange(m * m)).reshape(8, m, m)
+    l1, l2, l12, lstar = (c @ left_action
                           for c in (c1, c2, a_alg.multiply(c1, c2), a_alg.adjoint(c1)))
-    top = [np.abs(x).max(axis=(1, 2), initial=0.0)
-           for x in (l1, l2, l1 @ l2 - l12, lstar - e.module_adjoint(l1))]
+    top = [np.abs(x).max(axis=1, initial=0.0)
+           for x in (l1, l2, e._blockwise(lambda _, a, b: a @ b, l1, l2) - l12,
+                     lstar - e.module_adjoint(l1))]
     scale = np.maximum(1.0, top[0] * top[1])
     mult_res, star_res = (float(np.max(t / scale, initial=0.0)) for t in top[2:])
     return MoritaWitness(a_alg.dim, e.algebra.dim, full, span_match,

@@ -21,17 +21,18 @@ coefficients, which are orthonormal coordinates, so rank cuts, norms and
 residuals are those of the trace inner product.  Both J and C split over
 the points of X, into |X| column blocks of C^|W|: C is spanned by coset
 indicators point by point, and J's rank is one batched cut over the
-points, read off the base module's point components (verify_morita_theorem
-gives the argument), which also names the points where J falls short of C.
-C's algebra is the crossed product's coordinate algebra restricted to C's
-rows, and the Green-Julg module, one carrier component per orbit, is
-rebased onto C component by component.  The Morita witnesses get their
-left actions at their modules' carrier pairs, read off the pointwise
-fixed-point functions, so no crossed-product element or function is
-embedded as a matrix.  Stabilizers and orbits are the systems'
-(EquivariantSystem.orbits).  The Green-Julg module is built only when both
-cocycle conditions hold, and the fixed-point algebra only when J = C as
-well, for the Morita witness.
+points, read off the base module's point components and gamma's blocks
+(verify_morita_theorem gives the argument), which also names the points
+where J falls short of C.  C's algebra is the crossed product's
+coordinate algebra restricted to C's rows, and the Green-Julg module, one
+carrier component per orbit, is rebased onto C component by component.
+The Morita witnesses get their left actions at their modules' carrier
+pairs, read off the pointwise fixed-point functions, so no crossed-product
+element or function is embedded as a matrix; the reduction's quotient
+module reads its gamma off the cocycle at the orbits' least points.
+Stabilizers and orbits are the systems' (EquivariantSystem.orbits).  The
+Green-Julg module is built only when both cocycle conditions hold, and the
+fixed-point algebra only when J = C as well, for the Morita witness.
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ import numpy as np
 
 from .groups import FiniteGroup, Subgroup, semidirect_decomposition
 from .hilbmod import (
+    Carried,
     Components,
     EquivariantModule,
     FDHilbertModule,
@@ -303,16 +305,24 @@ def rebase_module(e: FDHilbertModule, rows: np.ndarray) -> FDHilbertModule:
 
 
 def _averaged_point_blocks(eq: EquivariantModule) -> np.ndarray:
-    """(|X|, d m, |W|): block x holds the crossed coefficients (., x) of the
-    averaged values <<e_p|e_q>> = sqrt|W| sum_j gamma_w[j, q] <e_p|e_j> with
-    e_p at x (p = x d + a), read off the function module eq.base, whose
-    components are the points in order: one (d, d) x (d, m |W|) product per
-    point.  Every other coefficient is zero."""
-    (st,) = eq.base.parts
-    w_n, m = eq.gamma.shape[:2]
-    x_n, d = st.carrier.shape
-    by_row = eq.gamma.transpose(1, 2, 0)[st.carrier] * np.sqrt(w_n)     # [x, j, q, w]
-    return (st.inner[..., 0] @ by_row.reshape(x_n, d, m * w_n)).reshape(x_n, -1, w_n)
+    """(|X|, |W| d^2, |W|): block x holds the crossed coefficients (., x) of
+    the averaged values <<e_p|e_q>> = sqrt|W| sum_j gamma_w[j, q] <e_p|e_j>
+    with e_p at x (p = x d + a), read off the function module eq.base, whose
+    components are the points in order, and gamma's blocks.  With j at x,
+    gamma_w[j, q] is zero unless gamma_w carries q's point onto x, so only
+    the e_q of x's orbit have values: row (v, a, b) holds e_q = e_(y d + b)
+    for the first v with v^-1 x = y, and the other rows are zero, so the
+    block has the singular values and right singular vectors of the rows of
+    all m vectors e_q.  Every other coefficient is zero."""
+    (st,), (carried,) = eq.base.parts, eq.gamma
+    w_n, x_n = carried.target.shape
+    d, w = st.carrier.shape[1], np.arange(w_n)
+    pre = np.argsort(carried.target, axis=1).T                        # [x, w]: w^-1 x
+    first = (pre[:, :, None] == pre[:, None, :]).argmax(axis=1)       # [x, w]: its row v
+    out = np.zeros((x_n, w_n, d, d, w_n), dtype=complex)
+    out[np.arange(x_n)[:, None], first, :, :, w] = np.sqrt(w_n) * (
+        st.inner[:, None, ..., 0] @ carried.blocks[w, pre])
+    return out.reshape(x_n, -1, w_n)
 
 
 def _point_spans(blocks: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -381,30 +391,27 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
 
     J and C are compared in the crossed product's coefficients, which are
     orthonormal, so their singular values, norms and residuals are those of
-    the embedded matrices and the rank and span rules are the embedded ones.
-    Both are cut point by point, and that is exact:
+    the embedded matrices.  Both are cut point by point, and that is exact:
       - delta_x in C(X) multiplies f = sum f_w(y) delta_y w to the column
         block (., x) of its coefficients, so both J and C, left ideals, are
         the direct sums of their blocks J_x and C_x in C^|W|.
       - <<e_p|e_q>> = sum_w <e_p|gamma_w e_q> w has B-coefficients only at
-        the point x of e_p, so each generating row lies in one block (the
-        base module's components are the points, and <e_p|e_j> is zero
-        off them).  The rows of different blocks are orthogonal, so
-        the singular values of the whole (m^2, |W| |X|) matrix are the
-        union of the blocks', and one batched SVD of the |X| blocks
-        (d m, |W|) with the whole matrix's scale tol max(max_x s_0(x), 1)
-        keeps the same values.
+        the point x of e_p, so each generating row lies in one block, and
+        the rows of different blocks are orthogonal: the singular values
+        of the whole (m^2, |W| |X|) matrix are the union of the blocks',
+        and one batched SVD of the |X| blocks (_averaged_point_blocks),
+        cut at the whole matrix's scale tol max(max_x s_0(x), 1), keeps the
+        same values.
       - A vector of block x is as far from J (or C) as from J_x (or C_x),
         so the residuals and containments, taken on the stacks of blocks,
         are those of the whole spans.
     C_x is spanned by the normalised indicators of the right cosets
     W'_x w (c_ideal).  J's blocks come straight from the base module's
-    point components, one (d, d) x (d, m |W|) product per point; under both
-    conditions the Green-Julg module is built for the witness, which
-    rebases it onto C's rows, keeping its components, the orbits, at whose
-    carrier pairs the fixed-point functions act.  `module` and
-    `witness_fpa` are None when no witness is built; `fpa` is then built on
-    first access.
+    point components and gamma's blocks, one batched product over the
+    points; under both conditions the Green-Julg module is built for the
+    witness, which rebases it onto C's rows, keeping its components, the
+    orbits, at whose carrier pairs the fixed-point functions act.  `module` and `witness_fpa` are None
+    when no witness is built; `fpa` is then built on first access.
     """
     check_tol(tol)
     scalar = scalar or scalar_subgroups(sys, tol)
@@ -415,8 +422,7 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     x_n, d = sys.n_points, sys.fiber_dim
     # A witness needs the averaged module.
     averaged = green_julg_module(eq, cp)[0] if conditions else None
-    blocks = _averaged_point_blocks(eq)
-    j_rows, j_ranks = _point_spans(blocks, tol)
+    j_rows, j_ranks = _point_spans(_averaged_point_blocks(eq), tol)
     c_rows = _by_point(cid.rows, cid.points, x_n)
     c_ranks = np.bincount(cid.points, minlength=x_n)
     j_dim = int(j_ranks.sum())
@@ -458,16 +464,17 @@ def _check_splitting(sys: EquivariantSystem, scalar: ScalarStructure,
 def quotient_equivariant_module(sys: EquivariantSystem, sys_p: EquivariantSystem,
                                 u_emb: np.ndarray, v_sub: Subgroup, tol: float = DEFAULT_TOL):
     """The W'-invariant vectors of C(X, C^d) as an R-equivariant module
-    over C(X/W'), for the restricted system sys_p = restrict_system(sys, W'),
-    whose group W' has the elements u_emb of W, and R = v_sub.
+    over C(X/W'), for sys_p = restrict_system(sys, W'), W' the elements
+    u_emb of W, and R = v_sub.
 
     One component per W'-orbit O: an invariant u is u(x) at O's least
-    point x, a vector fixed by each I_{s,x}, s in W'_x, carried to wx by
-    I_{w,x}; the fixed vectors are a kernel batched by stabilizer, cut as
-    invariant_functions cuts.  Divided by sqrt|O| they are orthonormal,
-    delta_O / sqrt|O| acts on them as 1 / sqrt|O| and <u_p|u_q> is
-    delta_pq delta_O / |O|.  Returns (equivariant module, invariant rows),
-    orbit by orbit in order of least points.
+    point x, a vector fixed by each I_{s,x}, s in W'_x (a kernel batched by
+    stabilizer, cut as invariant_functions cuts), carried to wx by I_{w,x}.
+    Divided by sqrt|O| they are orthonormal, delta_O / sqrt|O| acts on them
+    as 1 / sqrt|O| and <u_p|u_q> is delta_pq delta_O / |O|.  gamma_v carries
+    O's component onto v O's by u(x')* I_{v,z} I_{u,x} u(x), read at the
+    least points x of O and x' = v z of v O, u in W' the mover of z.
+    Returns (equivariant module, invariant rows), in order of least points.
     """
     d, x_n = sys.fiber_dim, sys.n_points
     orbits = sys_p.orbits
@@ -493,15 +500,24 @@ def quotient_equivariant_module(sys: EquivariantSystem, sys_p: EquivariantSystem
         parts.append(Components(starts[o] + np.arange(n)[None], np.array([[o]]), unit[None],
                                 unit[..., None]))
     base = FDHilbertModule(q_alg, tuple(parts), name="quotient-invariant")
-    eqm = equivariant_function_module(sys)
-    # R acts by the restricted gamma; on C(X/W') it permutes orbits.
-    v_emb = np.array(v_sub.embedding)
-    gamma = u_rows.conj() @ eqm.gamma[v_emb] @ u_rows.T
-    # [v, o]: the orbit of v.x for the least point x of orbit o.
-    image = orbit_of[sys.action[v_emb][:, list(orbits.representatives)]]
+    # R permutes the orbits: [v, o] the orbit of v x for the least point x
+    # of orbit o, its least point x', and z = v^-1 x' in o.
+    v_emb, reps = np.array(v_sub.embedding), np.array(orbits.representatives)
+    image = orbit_of[sys.action[v_emb][:, reps]]
+    z = sys.action[sys.group.inv[v_emb][:, None], reps[image]]
+    carry = sys.cocycle[v_emb[:, None], z] @ sys.cocycle[u_emb[orbits.mover[z]], reps]
+    gamma = []
+    for st in base.parts:      # a component's carrier is its vectors' indices
+        o = st.coords[:, 0]
+        where = np.zeros(q_alg.dim, dtype=np.intp)
+        where[o] = np.arange(len(o))
+        target = where[image[:, o]]
+        gamma.append(Carried(target, vecs[st.carrier[target]].conj() @ carry[:, o]
+                             @ vecs[st.carrier].swapaxes(-1, -2)))
     maps = np.zeros((len(v_emb), q_alg.dim, q_alg.dim), dtype=complex)
     maps[np.arange(len(v_emb))[:, None], image, np.arange(q_alg.dim)] = 1.0
-    return EquivariantModule(base, AlgebraAction(v_sub.group, q_alg, maps), gamma), u_rows
+    return EquivariantModule(base, AlgebraAction(v_sub.group, q_alg, maps),
+                             tuple(gamma)), u_rows
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from .groups import FiniteGroup, Subgroup, semidirect_decomposition
 from .linalg import (
     DEFAULT_TOL,
     check_tol,
-    flatten,
     homomorphism_defect,
     orthonormal_rows,
     rank_threshold,
@@ -337,18 +336,6 @@ def alpha_matrix(sys: EquivariantSystem, w: int) -> np.ndarray:
     out[np.arange(x_n), :, pre, :] = (left[:, :, None, :, None]
                                       * right[:, None, :, None, :]).reshape(x_n, d * d, d * d)
     return out.reshape(x_n * d * d, x_n * d * d)
-
-
-def embed_function(sys: EquivariantSystem, k: np.ndarray) -> np.ndarray:
-    """Block-diagonal matrices in M_{|X| d} of functions (..., |X|, d, d),
-    blocks by point index."""
-    k = np.asarray(k, dtype=complex)
-    x_n, d = sys.n_points, sys.fiber_dim
-    lead = k.shape[:-3]
-    out = np.zeros(lead + (x_n, d, x_n, d), dtype=complex)
-    x = np.arange(x_n)
-    out[..., x, :, x, :] = np.moveaxis(k, -3, 0)
-    return out.reshape(lead + (sys.total_dim, sys.total_dim))
 
 
 def function_algebra(sys: EquivariantSystem) -> MatrixStarAlgebra:
@@ -731,7 +718,9 @@ def phi_iso(sys: EquivariantSystem, tol: float = DEFAULT_TOL,
     phi(f w)(x): delta_v -> f(w v^-1 x) delta_{v w^-1}, a relabelling, as
     w -> v w^-1 is one-to-one for each v; on a_(w,x) = delta_x w / sqrt|W|
     it takes the 1 / sqrt|W| along.  Returns the witness together with the
-    image map on crossed-product coordinate stacks (..., |W| |X|).
+    image map from coordinate stacks (..., |W| |X|) to functions (..., |X|,
+    |W|, |W|), compared and multiplied point by point: the block-diagonal
+    embedding is an isometry, so the span test and residuals are its.
     """
     if sys.fiber_dim != 1:
         raise SystemError("phi_iso requires scalar fibers")
@@ -750,9 +739,9 @@ def phi_iso(sys: EquivariantSystem, tol: float = DEFAULT_TOL,
              sys.action[g.mul[w_idx, g.inv[v_idx]], np.arange(x_n)])
     phi = partial(_translation_image, target_sys, index)
 
-    img_rows = orthonormal_rows(flatten(phi(np.eye(w_n * x_n))), tol)
+    img_rows = orthonormal_rows(phi(np.eye(w_n * x_n)).reshape(w_n * x_n, -1), tol)
     bijective = (img_rows.shape[0] == w_n * x_n
-                 and spans_equal(img_rows, flatten(embed_function(target_sys, target.functions)),
+                 and spans_equal(img_rows, target.functions.reshape(target.dim, -1),
                                  max(tol, 1e-8)))
     f, h = _iso_samples(rng, (w_n * x_n,))
     pf = phi(f)
@@ -772,7 +761,7 @@ def _translation_image(target_sys: EquivariantSystem, index, f: np.ndarray) -> n
     f = np.asarray(f, dtype=complex).reshape(*np.shape(f)[:-1], w_n, x_n) / math.sqrt(w_n)
     func = np.zeros(f.shape[:-2] + (x_n, w_n, w_n), dtype=complex)
     func[..., np.arange(x_n), rows, cols] = f[..., w_idx, src]
-    return embed_function(target_sys, func)
+    return func
 
 
 def iterated_crossed_iso(action: AlgebraAction, normal, complement,

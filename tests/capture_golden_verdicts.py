@@ -16,15 +16,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from equivaria.datasets import bundled
 from equivaria.groups import symmetric
-from equivaria.morita import assemble_toy_dual, semidirect_reduction, verify_morita_theorem
+from equivaria.hilbmod import equivariant_function_module, verify_green_julg
+from equivaria.morita import (
+    assemble_toy_dual,
+    quotient_equivariant_module,
+    semidirect_reduction,
+    verify_morita_theorem,
+)
 from equivaria.spectrum import wedderburn_crosscheck
 from equivaria.systems import (
     dihedral_plane_family,
     function_algebra_action,
     iterated_crossed_iso,
     phi_iso,
+    restrict_system,
     z2_line_system,
     z2xz2_line_system,
 )
@@ -87,6 +96,19 @@ def toy_dual_fields(rep) -> dict:
             "reductions": [reduction_fields(r) for r in rep.reductions]}
 
 
+def green_julg_fields(v) -> dict:
+    return {"ok": v.ok, "averaged_compacts_dim": v.averaged_compacts_dim,
+            "invariant_compacts_dim": v.invariant_compacts_dim, "residual": v.residual}
+
+
+def quotient_module(sys, wprime, r):
+    """The R-equivariant quotient module of sys for the splitting W' >| R,
+    as the semidirect reduction builds it."""
+    sys_p, u_sub = restrict_system(sys, wprime)
+    return quotient_equivariant_module(sys, sys_p, np.array(u_sub.embedding),
+                                       sys.group.subgroup(r))[0]
+
+
 def iso_fields(w) -> dict:
     return {"ok": w.ok, "source_dim": w.source_dim, "target_dim": w.target_dim,
             "bijective": w.bijective, "multiplicative_residual": w.multiplicative_residual,
@@ -120,10 +142,16 @@ def cases():
             yield (f"morita/{name}@{tol:g}",
                    lambda build=build, tol=tol: theorem_fields(
                        verify_morita_theorem(build(), tol=tol)))
+            yield (f"green-julg/{name}@{tol:g}",
+                   lambda build=build, tol=tol: green_julg_fields(
+                       verify_green_julg(equivariant_function_module(build()), tol=tol)))
         for n in range(1, 4):
             yield (f"reduction/z2xz2-line-{n}@{tol:g}",
                    lambda n=n, tol=tol: reduction_fields(
                        semidirect_reduction(z2xz2_line_system(n), [0, 2], [0, 1], tol=tol)))
+            yield (f"green-julg/quotient-z2xz2-line-{n}@{tol:g}",
+                   lambda n=n, tol=tol: green_julg_fields(verify_green_julg(
+                       quotient_module(z2xz2_line_system(n), [0, 2], [0, 1]), tol=tol)))
         yield (f"toy-dual/two-component@{tol:g}",
                lambda tol=tol: toy_dual_fields(
                    assemble_toy_dual(bundled("two-component"), tol=tol)))

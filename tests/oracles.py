@@ -12,13 +12,17 @@ a module is built from dense tensors with the components found in their
 zero pattern (carrier_components, the oracle of the components each
 builder states), and rows in a module's pair coordinates are written out
 on all m^2 carrier pairs (dense_rows, pair_rows); there the rank-one maps
-and the fullness ideal are the oracles of compact_operators and is_full.  The crossed product
-B >| W lives in its own coordinates in
-`equivaria`; here it is embedded by the regular representation on
-l^2(W) (x) C^N, with the covariant-pair relations (1)-(4) that make that
-embedding's product table the one cp.algebra reads off B's blocks.  The
-pairwise ideal test of matrix spans and the operator norm of a matrix are
-kept here as well.
+and the fullness ideal are the oracles of compact_operators and is_full.
+An equivariant module's gamma and a module's scalar form are held
+component by component too; here they are assembled into (|W|, m, m) and
+(m, m) arrays (dense_gamma, dense_gram), and a dense gamma is read back
+onto a module's components (carried).  The crossed product B >| W lives
+in its own coordinates in `equivaria`; here it is embedded by the regular
+representation on l^2(W) (x) C^N, with the covariant-pair relations
+(1)-(4) that make that embedding's product table the one cp.algebra reads
+off B's blocks.  The pairwise ideal test of matrix spans, the operator norm
+of a matrix and the block-diagonal embedding of functions (embed_function)
+are kept here as well.
 """
 import math
 from functools import cached_property
@@ -26,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from equivaria.hilbmod import Components, FDHilbertModule
+from equivaria.hilbmod import Carried, Components, FDHilbertModule
 from equivaria.linalg import (
     DEFAULT_TOL,
     component_labels,
@@ -38,7 +42,6 @@ from equivaria.linalg import (
 )
 from equivaria.matalg import restricted_algebra
 from equivaria.reps import regular_rep
-from equivaria.systems import embed_function
 
 
 def operator_norm(a: np.ndarray) -> float:
@@ -199,14 +202,59 @@ def fullness_ideal(e, tol: float = DEFAULT_TOL):
     return restricted_algebra(e.algebra, orthonormal_rows(tensors(e)[1].reshape(m * m, -1), tol))
 
 
+def dense_gram(e) -> np.ndarray:
+    """A module's scalar form as one (m, m) matrix, assembled from its
+    component blocks."""
+    m = e.carrier_dim
+    out = np.zeros((m, m), dtype=complex)
+    for st, g in zip(e.parts, e.gram):
+        out[st.carrier[:, :, None], st.carrier[:, None, :]] = g
+    return out
+
+
+def gram_sqrt(e) -> tuple[np.ndarray, np.ndarray]:
+    """(S, S^-1) with S = G^(1/2), G the dense scalar form."""
+    evals, evecs = np.linalg.eigh(dense_gram(e))
+    return ((evecs * np.sqrt(evals)) @ evecs.conj().T,
+            (evecs / np.sqrt(evals)) @ evecs.conj().T)
+
+
+def dense_gamma(eq) -> np.ndarray:
+    """An equivariant module's gamma as one (|W|, m, m) array, assembled
+    from its blocks: gamma_w[carrier[target[w, b], p], carrier[b, i]] =
+    blocks[w, b, p, i]."""
+    w_n, m = eq.group.order, eq.base.carrier_dim
+    out = np.zeros((w_n, m, m), dtype=complex)
+    w = np.arange(w_n)[:, None, None, None]
+    for st, c in zip(eq.base.parts, eq.gamma):
+        out[w, st.carrier[c.target][..., None], st.carrier[None, :, None, :]] = c.blocks
+    return out
+
+
+def carried(base, gamma) -> tuple:
+    """The Carried stacks of a dense gamma (|W|, m, m) on base's components:
+    column block b of gamma_w goes to the least component of its stack it
+    reaches, with that block.  A gamma_w that mixes two components carries
+    both onto the least of them, which EquivariantModule rejects."""
+    out = []
+    for st in base.parts:
+        car = st.carrier
+        blocks = gamma[:, car[:, None, :, None], car[None, :, None, :]]    # [w, c, b, p, i]
+        target = (np.abs(blocks).max(axis=(3, 4)) > 0).argmax(axis=1)
+        out.append(Carried(target, np.take_along_axis(
+            blocks, target[:, None, :, None, None], axis=1)[:, 0]))
+    return tuple(out)
+
+
 def averaged_tensors(eq) -> tuple[np.ndarray, np.ndarray]:
     """The averaged module's dense (|W|, dim B, m, m) maps
     gamma_{w^-1} R_{b_i} / sqrt|W| and (m, m, |W|, dim B) inner values
     sqrt|W| sum_j gamma_w[j, q] <e_p|e_j>, the crossed coefficients."""
     action, inner = tensors(eq.base)
     w_n, m = eq.group.order, eq.base.carrier_dim
-    maps = (eq.gamma[eq.group.inv] / np.sqrt(w_n))[:, None] @ action[None]
-    by_column = eq.gamma.transpose(2, 0, 1).reshape(m * w_n, m) * np.sqrt(w_n)  # [(q, w), j]
+    gamma = dense_gamma(eq)
+    maps = (gamma[eq.group.inv] / np.sqrt(w_n))[:, None] @ action[None]
+    by_column = gamma.transpose(2, 0, 1).reshape(m * w_n, m) * np.sqrt(w_n)  # [(q, w), j]
     return maps, (by_column @ inner).reshape(m, m, w_n, -1)
 
 
@@ -228,11 +276,23 @@ def star_of(alg) -> np.ndarray:
     return out
 
 
+def embed_function(sys, k: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrices in M_{|X| d} of functions (..., |X|, d, d),
+    blocks by point index, for a system's |X| and d."""
+    k = np.asarray(k, dtype=complex)
+    x_n, d = sys.n_points, sys.fiber_dim
+    lead = k.shape[:-3]
+    out = np.zeros(lead + (x_n, d, x_n, d), dtype=complex)
+    x = np.arange(x_n)
+    out[..., x, :, x, :] = np.moveaxis(k, -3, 0)
+    return out.reshape(lead + (x_n * d, x_n * d))
+
+
 def embedded(funcs) -> np.ndarray:
     """Functions (k, |X|, d, d) as block-diagonal matrices in M_{|X| d},
-    blocks by point index (systems.embed_function)."""
+    blocks by point index (embed_function)."""
     x_n, d = funcs.shape[1:3]
-    return embed_function(SimpleNamespace(n_points=x_n, fiber_dim=d, total_dim=x_n * d), funcs)
+    return embed_function(SimpleNamespace(n_points=x_n, fiber_dim=d), funcs)
 
 
 def fpa_basis(fpa) -> np.ndarray:

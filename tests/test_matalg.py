@@ -19,7 +19,7 @@ from equivaria.matalg import (
     is_separating,
 )
 from equivaria.reps import enumerate_irreps, regular_rep
-from oracles import Dense, is_ideal, operator_norm, star_of, table_of
+from oracles import Dense, dense_gram, is_ideal, operator_norm, star_of, table_of
 
 
 def block_diag(*mats):
@@ -206,7 +206,7 @@ def test_traces_star_unit_and_blocks_of_a_planted_algebra(blocks, pad, seed):
     assert np.abs(span.element(alg.unit()) - unit).max() < 1e-10
     # The trace state on b_i* b_j is tr(b_i* b_j) / tr e = delta_ij / rank e.
     rank = sum(n * m for n, m in blocks)
-    assert np.abs(standard_module(alg).gram() - np.eye(alg.dim) / rank).max() < 1e-12
+    assert np.abs(dense_gram(standard_module(alg)) - np.eye(alg.dim) / rank).max() < 1e-12
     structure = block_decompose(alg)
     assert sorted((b.size, b.multiplicity) for b in structure.blocks) == sorted(blocks)
     assert np.abs(span.element(sum(b.projection for b in structure.blocks)) - unit).max() < 1e-8

@@ -1,5 +1,6 @@
 """Serialization round-trips, CLI behaviour (exit codes, formats) and the
 tolerance rule that the CLI and the library share."""
+import dataclasses
 import inspect
 import json
 import os
@@ -15,9 +16,12 @@ from equivaria.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFICATION,
 from equivaria.datasets import bundled, dataset_names
 from equivaria.groups import builtin_group
 from equivaria.hilbmod import (
+    FDHilbertModule,
     compact_operators,
     equivariant_function_module,
     function_module,
+    invariant_compacts_rows,
+    is_full,
     scalar_translation_action,
     verify_green_julg,
 )
@@ -334,7 +338,25 @@ TOLERANT = {
         scalar_translation_action(z2_line_system(2))).is_ideal(np.eye(10)[:1], tol),
     "AlgebraAction.validate":
         lambda tol: scalar_translation_action(z2_line_system(2)).validate(tol),
+    "FDHilbertModule.validate": lambda tol: negated_module().validate(tol),
+    "is_full": lambda tol: is_full(function_module(z2_line_system(2)), tol),
+    "invariant_compacts_rows": lambda tol: invariant_compacts_rows(
+        *with_compacts(equivariant_function_module(z2_line_system(2))), tol),
 }
+
+
+def negated_module():
+    """The function module of z2-line n = 1 with its inner values negated,
+    so <xi|xi> <= 0: validate raises at the default tolerance."""
+    e = function_module(z2_line_system(1))
+    return FDHilbertModule(e.algebra, tuple(dataclasses.replace(st, inner=-st.inner)
+                                            for st in e.parts))
+
+
+def with_compacts(eq):
+    """(eq, its base module's compacts), so the tolerance reaches the
+    invariant compacts' own cut."""
+    return eq, compact_operators(eq.base)
 
 
 @pytest.mark.parametrize("tol", [0.0, 1.0, 10.0, float("nan"), -1e-9])
@@ -348,7 +370,10 @@ def test_library_rejects_a_tolerance_outside_the_unit_interval(entry, tol):
     Without the check, is_ideal accepted the row of delta_0 e at tol 10,
     c_ideal(z2_line_system(2), tol=10) had dimension 9 where the default
     gives 10, scalar_subgroups at tol 0 raised that W'_x is not normal, and
-    validate passed any maps at tol nan."""
+    validate passed any maps at tol nan.  FDHilbertModule.validate passed a
+    module with negated inner values at tol 5, is_full read False on
+    function_module(z2_line_system(2)) at tol 5 where the default reads
+    True, and invariant_compacts_rows, given the compacts, cut unchecked."""
     with pytest.raises(ValueError, match="^tolerance must lie strictly between 0 and 1$"):
         TOLERANT[entry](tol)
 

@@ -42,8 +42,12 @@ invariant checks name.  A proper C's algebra
 and the orbit algebra C(X/W') take tables that match the dense pass, and
 C(X/W')'s functions are the orbit indicators bit for bit.  EquivariantSystem.orbits
 matches a point-by-point oracle, also after a random relabelling of X,
-which moves no dimension, block count, gap or verdict; J's point blocks
-read off the base module are the averaged module's, bit for bit.  The
+which moves no dimension, block count, gap or verdict; J's point blocks,
+read off the averaged module's components, have the Gram matrices of the
+dense cut.  gamma is carried component to component: applied to vectors
+it is the dense gamma, on planted cocycles, the ladders and the quotient
+modules, a gamma that mixes two components is rejected when built, and
+no equivariant module holds a (|W|, m, m) gamma.  The
 dense paths and per-pair loops survive here as oracles, and spies check
 that a run classifies the spectrum, builds each fixed-point algebra once
 and averages the inner products once, and that neither the structured
@@ -73,15 +77,19 @@ import oracles
 from oracles import (
     Dense,
     averaged_tensors,
+    carried,
     carrier_components,
     components_of,
     crossed_basis,
+    dense_gamma,
+    dense_gram,
     dense_module,
     dense_of,
     dense_rows,
     embedded_algebra,
     fpa_basis,
     fullness_ideal,
+    gram_sqrt,
     is_ideal,
     operator_norm,
     pair_rows,
@@ -248,7 +256,7 @@ def test_compacts_match_stacked_rank_one_maps():
     eta, xi = e.random_vector(rng), e.random_vector(rng)
     cols = np.stack([e.act(eta, e.inner_product(xi, eye[l])) for l in range(m)], axis=1)
     assert np.abs(rank_one(e, eta, xi) - cols).max() < 1e-12
-    s, s_inv = e.gram_sqrt()
+    s, s_inv = gram_sqrt(e)
     dressed = orthonormal_rows(flatten(s @ raws @ s_inv))
     assert spans_equal(flatten(compacts_algebra(compacts).mats), dressed, 1e-8)
 
@@ -258,7 +266,7 @@ def test_unit_is_computed_once():
     assert alg.unit() is alg.unit()
     assert alg.traces is alg.traces
     e = function_module(bundled("z2-line"))
-    assert e.gram() is e.gram()
+    assert e.gram is e.gram
 
 
 # -- the product pass against the dense closure check and per-pair loops ------
@@ -440,7 +448,7 @@ def test_no_module_holds_an_array_of_dim_b_m2_entries(monkeypatch):
     assert witness_module is verdict.module and verdict.witness.ok
     modules = [eq.base, averaged, verdict.module]
     for e in modules:
-        e.gram()
+        e.gram
     held = modules + [compact_operators(e) for e in modules] + [left]
     sizes = [a.size for obj in held for a in held_arrays(obj)]
     assert max(sizes) < sys.n_points * (sys.n_points * sys.fiber_dim) ** 2, max(sizes)
@@ -650,7 +658,7 @@ def axiom_residuals_loop(e, b_alg, rng, n_samples=20):
         neg = max(0.0, -np.linalg.eigvalsh((q + q.conj().T) / 2.0).min())
         res["positivity"] = max(res["positivity"], (herm + neg) / scale)
     if e.carrier_dim:
-        evals = np.linalg.eigvalsh(e.gram())
+        evals = np.linalg.eigvalsh(dense_gram(e))
         res["definiteness"] = max(0.0, -float(evals.min())) + \
             (1.0 if evals.min() < 1e-10 * max(evals.max(), 1.0) else 0.0)
     return res
@@ -722,18 +730,19 @@ def green_julg_loops(eq, cp):
     coeff_map = crossed_coefficient_map(cp)
     base_action = tensors(base)[0]
     dense = embedded_algebra(cp)
+    gamma = dense_gamma(eq)
     action = np.zeros((cp.dim, m, m), dtype=complex)
     for idx in range(cp.dim):
         f = (coeff_map @ flatten(dense.basis[idx])).reshape(g.order, k)
         for w in range(g.order):
             for i in range(k):
-                action[idx] += f[w, i] * (eq.gamma[g.inv[w]] @ base_action[i])
+                action[idx] += f[w, i] * (gamma[g.inv[w]] @ base_action[i])
     amb = dense.ambient_dim
     inner = np.zeros((m, m, amb, amb), dtype=complex)
     eye = np.eye(m)
     for p in range(m):
         for q in range(m):
-            f = np.stack([base.inner_product(eye[p], eq.gamma[w] @ eye[q])
+            f = np.stack([base.inner_product(eye[p], gamma[w] @ eye[q])
                           for w in range(g.order)])
             inner[p, q] = crossed_embed(cp.action, f)
     return action, inner
@@ -1177,7 +1186,7 @@ def test_morita_spans_in_coefficients_match_the_embedded_ideals(label, monkeypat
 
 def invariant_compacts_kronecker(eq, tol=1e-8):
     """K_B(E) intersected with the Kronecker commutant of the generators."""
-    gamma = eq.gamma[list(eq.group.generators())]
+    gamma = dense_gamma(eq)[list(eq.group.generators())]
     return span_intersection(dense_rows(eq.base, compact_operators(eq.base, tol).raw_rows),
                              intertwiner_rows(gamma, gamma, tol), tol)
 
@@ -1217,7 +1226,7 @@ def test_averaged_compacts_match_the_embedded_module(label):
     eq = green_julg_case(label)
     averaged = green_julg_module(eq)[0]
     oracle = compact_operators(averaged, 1e-8).raw_rows
-    rows, pairs = hilbmod._averaged_compacts_rows(eq, 1e-8)
+    rows, _, pairs = hilbmod._compact_rows(hilbmod._averaged_parts(eq), eq.base.carrier_dim, 1e-8)
     assert np.array_equal(pairs, averaged.pairs)
     assert rows.shape[0] == oracle.shape[0] > 0
     assert spans_equal(rows, oracle, 1e-8)
@@ -1754,8 +1763,8 @@ def test_orbit_solvers_match_the_whole_ambient_oracles_on_planted_cocycles(
     """The invariant functions span the whole-ambient kernel, orthonormally
     and one orbit at a time, so the table is zero outside orbit blocks; each
     spectrum entry's dimension, a character inner product, counts its
-    equivariant maps; and J's blocks from the base module are the cut of the
-    averaged tensor, exactly."""
+    equivariant maps; and J's point blocks have the Gram matrices of the
+    averaged tensor's cut."""
     sys, _ = planted_cocycle_system(group_name, mults, twist, second, seed)
     assert_orbits_match_the_brute_force(sys)
     funcs = systems.invariant_functions(sys)
@@ -1772,21 +1781,34 @@ def test_orbit_solvers_match_the_whole_ambient_oracles_on_planted_cocycles(
             assert equivariant_maps(rho, i_rep).shape[0] == dims.get(rho.label, 0)
     eq = equivariant_function_module(sys)
     x_n, d = sys.n_points, sys.fiber_dim
-    assert np.array_equal(morita._averaged_point_blocks(eq),
-                          point_blocks(averaged_tensors(eq)[1], x_n, d))
+    assert same_gram(morita._averaged_point_blocks(eq),
+                     point_blocks(averaged_tensors(eq)[1], x_n, d))
 
 
 @pytest.mark.parametrize("label", [f"z2-line-{n}" for n in range(1, 9)]
                          + ["dihedral-plane", "anticomplete-point"]
                          + [f"z2xz2-line-{n}" for n in (1, 2, 3)])
 def test_j_blocks_from_the_base_module_are_the_averaged_modules(label):
-    """The witness regime reads J's blocks off the base module too; they are
-    the averaged module's inner values cut by point, bit for bit."""
+    """The witness regime reads J's blocks off the base module too; they
+    have the Gram matrices of the averaged module's inner values cut by
+    point, and so their singular values and right singular vectors."""
     sys = morita_system(label)
     eq = equivariant_function_module(sys)
     averaged = green_julg_module(eq)[0]
     blocks = morita._averaged_point_blocks(eq)
-    assert np.array_equal(blocks, point_blocks(tensors(averaged)[1], sys.n_points, sys.fiber_dim))
+    assert blocks.shape == (sys.n_points, eq.group.order * sys.fiber_dim ** 2, eq.group.order)
+    assert same_gram(blocks, point_blocks(tensors(averaged)[1], sys.n_points, sys.fiber_dim))
+
+
+def same_gram(blocks, dense) -> bool:
+    """Do the stacks of blocks (..., r, c) and (..., r', c) have the same
+    Gram matrices B* B, to rounding?  The point blocks keep only the rows
+    of the e_q on the point's orbit, each once, and zero rows, where the
+    dense cut keeps all m."""
+    def gram(b):
+        return b.conj().swapaxes(-1, -2) @ b
+
+    return close(gram(blocks), gram(dense), 1e-12)
 
 
 def relabelled(sys, perm):
@@ -2012,9 +2034,9 @@ def averaged_pair(eq):
     cuts, against b_i w / sqrt|W|, must give the same rank-one maps."""
     w_n, m = eq.group.order, eq.base.carrier_dim
     k = eq.base.algebra.dim
-    action, inner = tensors(eq.base)
-    maps = (eq.gamma[eq.group.inv][:, None] @ action[None]).reshape(w_n * k, m, m)
-    by_column = eq.gamma.transpose(2, 0, 1).reshape(m * w_n, m)         # [(q, w), j]
+    action, inner, gamma = *tensors(eq.base), dense_gamma(eq)
+    maps = (gamma[eq.group.inv][:, None] @ action[None]).reshape(w_n * k, m, m)
+    by_column = gamma.transpose(2, 0, 1).reshape(m * w_n, m)            # [(q, w), j]
     coefficients = (by_column @ inner).reshape(m, m, w_n * k)
     averaged = green_julg_module(eq)[0]
     exact = hilbmod._rank_one_maps(maps, coefficients)
@@ -2227,7 +2249,7 @@ def phi_iso_loop(sys, f):
                 # f(w v^-1 x)
                 src = sys.action[g.mul[w, g.inv[v]], x]
                 func[x, vp, v] += f[w, src] / np.sqrt(w_n)
-    return systems.embed_function(systems.left_translation_system(sys), func)
+    return func
 
 
 def outer_loops(action, normal, complement):
@@ -2325,7 +2347,7 @@ def test_phi_iso_matches_the_point_loop(label):
         lambda a, b: (phi_iso_loop(sys, alg.multiply(a.ravel(), b.ravel()).reshape(shape)),
                       phi_iso_loop(sys, a) @ phi_iso_loop(sys, b)),
         lambda a: (phi_iso_loop(sys, alg.adjoint(a.ravel()).reshape(shape)),
-                   phi_iso_loop(sys, a).conj().T))
+                   phi_iso_loop(sys, a).conj().swapaxes(-1, -2)))
     assert witness.ok and witness.source_dim == w_n * x_n == target.dim
     assert abs(witness.multiplicative_residual - mult) < 1e-14
     assert abs(witness.star_residual - star) < 1e-14
@@ -2387,7 +2409,7 @@ def quotient_module_loops(sys, wprime, r, u_rows):
     quot = systems.quotient_algebra(EquivariantSystem(
         sys_p.group, sys_p.points, sys_p.action, 1,
         np.ones((sys_p.group.order, sys_p.n_points, 1, 1), dtype=complex)))
-    eqm = equivariant_function_module(sys)
+    gamma_w = dense_gamma(equivariant_function_module(sys))
     k, d, x_n = u_rows.shape[0], sys.fiber_dim, sys.n_points
     action = np.zeros((quot.dim, k, k), dtype=complex)
     for o, orb in enumerate(quot.orbits):
@@ -2404,7 +2426,7 @@ def quotient_module_loops(sys, wprime, r, u_rows):
             orbit_of[x] = o
     for v in range(v_n):
         vp = v_sub.to_parent(v)
-        gamma[v] = u_rows.conj() @ eqm.gamma[vp] @ u_rows.T
+        gamma[v] = u_rows.conj() @ gamma_w[vp] @ u_rows.T
         for o, orb in enumerate(quot.orbits):
             maps[v, orbit_of[int(sys.action[vp, orb[0]])], o] = 1.0
     return action, gamma, maps
@@ -2422,7 +2444,7 @@ def test_reduction_links_match_the_loops(label):
                           transported_rows_loop(g, u_sub, v_sub, rows, sys.n_points))
     eq, u_rows = quotient_module(sys, wprime, r)
     action, gamma, maps = quotient_module_loops(sys, wprime, r, u_rows)
-    assert close(tensors(eq.base)[0], action) and np.array_equal(eq.gamma, gamma)
+    assert close(tensors(eq.base)[0], action) and close(dense_gamma(eq), gamma)
     assert np.array_equal(eq.beta.maps, maps)
     eq.validate()
     # Link 4's left action is the compression u* f u of the embedded
@@ -2456,11 +2478,10 @@ def equivariant_validate_loop(eq, tol=1e-8, rng=None):
     eq.beta.validate(tol)
     g = eq.group
     m = eq.base.carrier_dim
-    if eq.gamma.shape != (g.order, m, m):
-        raise ModuleError("gamma has wrong shape")
-    if np.linalg.norm(eq.gamma[0] - np.eye(m)) > tol * max(m, 1):
+    gamma = dense_gamma(eq)
+    if np.linalg.norm(gamma[0] - np.eye(m)) > tol * max(m, 1):
         raise ModuleError("gamma at the identity is not the identity")
-    hom = linalg.homomorphism_defect(eq.gamma, g.mul)
+    hom = linalg.homomorphism_defect(gamma, g.mul)
     if np.linalg.norm(hom, axis=(-2, -1)).max() > tol * max(m, 1):
         raise ModuleError("gamma is not a group homomorphism")
     rng = rng or np.random.default_rng(1)
@@ -2478,11 +2499,11 @@ def equivariant_validate_loop(eq, tol=1e-8, rng=None):
             eta = eq.base.random_vector(rng)
             b = alg.element(rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim))
             scale = max(1.0, np.linalg.norm(xi) * max(1.0, operator_norm(b)))
-            lhs = eq.gamma[w] @ eq.base.act(xi, alg.coefficients(b))
-            rhs = eq.base.act(eq.gamma[w] @ xi, alg.coefficients(beta(w, b)))
+            lhs = gamma[w] @ eq.base.act(xi, alg.coefficients(b))
+            rhs = eq.base.act(gamma[w] @ xi, alg.coefficients(beta(w, b)))
             if np.linalg.norm(lhs - rhs) > tol * scale:
                 raise ModuleError(f"gamma_w(xi b) != gamma_w(xi) beta_w(b) at w={w}")
-            lhs2 = inner_product(eq.gamma[w] @ xi, eq.gamma[w] @ eta)
+            lhs2 = inner_product(gamma[w] @ xi, gamma[w] @ eta)
             rhs2 = beta(w, inner_product(xi, eta))
             scale2 = max(1.0, np.linalg.norm(xi) * np.linalg.norm(eta))
             if np.linalg.norm(lhs2 - rhs2) > tol * scale2:
@@ -2499,7 +2520,8 @@ def validate_message(check, eq):
 
 def equivariant_case(label):
     """A module of the reduction chain, or a mutant of the function module
-    of z2xz2-line-1 (points -1, 0, 1; w = 1 and w = 3 flip them)."""
+    of z2xz2-line-1 (points -1, 0, 1; w = 1 and w = 3 flip them), its
+    gamma changed densely and read back onto the components (carried)."""
     if label in ("z2-line", "dihedral-plane", "anticomplete-point"):
         return equivariant_function_module(bundled(label))
     if label == "z4-rotation":
@@ -2511,15 +2533,20 @@ def equivariant_case(label):
     kind, _, size = label.partition(":")
     size = float(size)
     m = eq.base.carrier_dim
-    base, gamma = eq.base, eq.gamma
-    if kind == "gamma-at-3":
-        # gamma_3 turned by a small rotation mixing the points -1 and 0:
-        # within the homomorphism test's tolerance, but not a module map.
+    base, gamma = eq.base, dense_gamma(eq)
+    if kind in ("gamma-at-3", "turned-at-3"):
+        # gamma_3 turned by a small rotation of the vectors 0 and `other`:
+        # mixing the points -1 and 0 (other = 2) or within the fiber at -1
+        # (other = 1).
+        other = 2 if kind == "gamma-at-3" else 1
         turn = np.eye(m, dtype=complex)
-        turn[np.ix_([0, 2], [0, 2])] = [[np.cos(size), -np.sin(size)],
-                                        [np.sin(size), np.cos(size)]]
-        gamma = gamma.copy()
+        turn[np.ix_([0, other], [0, other])] = [[np.cos(size), -np.sin(size)],
+                                                [np.sin(size), np.cos(size)]]
         gamma[3] = gamma[3] @ turn
+    elif kind == "trivial-gamma":
+        # Every gamma_w the identity: a homomorphism of isometries, but beta
+        # still moves the points.
+        gamma = np.broadcast_to(np.eye(m), gamma.shape)
     elif kind == "scaled-gamma":
         # gamma conjugated by a pointwise scalar, larger at -1: still a
         # homomorphism of module maps, but no longer isometric.
@@ -2531,12 +2558,13 @@ def equivariant_case(label):
         action, inner = tensors(base)
         inner[:, :, 0] *= 1.0 + size
         base = dense_module(base.algebra, action, inner)
-    return hilbmod.EquivariantModule(base, eq.beta, gamma)
+    return hilbmod.EquivariantModule(base, eq.beta, carried(base, gamma))
 
 
-EQUIVARIANT = (["z2-line", "dihedral-plane", "anticomplete-point", "z4-rotation"]
+EQUIVARIANT = (["z2-line", "dihedral-plane", "anticomplete-point", "z4-rotation",
+                "trivial-gamma:0"]
                + [f"{label}-quotient" for label in REDUCTIONS]
-               + [f"gamma-at-3:{eps}" for eps in (1e-8, 1.2e-8, 1.5e-8, 2e-8, 3e-8, 1e-7)]
+               + [f"turned-at-3:{eps}" for eps in (1e-8, 1.5e-8, 2e-8, 3e-8, 1e-7)]
                + [f"scaled-gamma:{eps}" for eps in (1e-8, 1.5e-8, 2e-8, 1e-6)]
                + [f"scaled-inner:{eps}" for eps in (2e-8, 1e-2)])
 
@@ -2546,12 +2574,113 @@ def test_equivariant_validate_names_the_first_failure_of_the_loop(label):
     eq = equivariant_case(label)
     loop = validate_message(equivariant_validate_loop, eq)
     assert validate_message(lambda e: e.validate(), eq) == loop
-    expected = {"gamma-at-3:3e-08": "gamma_w(xi b) != gamma_w(xi) beta_w(b) at w=3",
-                "gamma-at-3:1e-07": "gamma is not a group homomorphism",
+    expected = {"trivial-gamma:0": "gamma_w(xi b) != gamma_w(xi) beta_w(b) at w=1",
+                "turned-at-3:1e-07": "gamma is not a group homomorphism",
                 "scaled-gamma:1e-06": "inner product is not equivariant at w=1",
                 "scaled-inner:0.01": "inner product is not equivariant at w=1"}
-    if label in expected or not label.startswith(("gamma", "scaled")):
+    if label in expected or not label.startswith(("turned", "scaled")):
         assert loop == expected.get(label)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1.2e-8, 1.5e-8, 2e-8, 3e-8, 1e-7])
+def test_a_gamma_that_mixes_two_components_is_rejected_at_construction(eps):
+    # gamma_3 turned by a rotation of the points -1 and 0, however small,
+    # carries both onto one component; at the parent such a gamma reached
+    # validate, which at 3e-8 named the module map and at 1e-7 the
+    # homomorphism.
+    with pytest.raises(ModuleError, match="permutation"):
+        equivariant_case(f"gamma-at-3:{eps}")
+    eq = equivariant_function_module(z2xz2_line_system(1))
+    (c,) = eq.gamma
+    target = c.target.copy()
+    target[1, 0] = target[1, 1]
+    with pytest.raises(ModuleError, match="permutation"):
+        hilbmod.EquivariantModule(eq.base, eq.beta, (hilbmod.Carried(target, c.blocks),))
+    with pytest.raises(ModuleError, match="wrong shape"):
+        hilbmod.EquivariantModule(eq.base, eq.beta, (hilbmod.Carried(c.target[:, :2],
+                                                                      c.blocks[:, :2]),))
+
+
+# -- gamma carried component to component, against the dense gamma ------------
+
+
+def function_gamma_loop(sys):
+    """gamma_w of C(X, C^d) one (w, x) at a time: the block I_{w,x} from
+    the fiber at x to the fiber at w x."""
+    d = sys.fiber_dim
+    out = np.zeros((sys.group.order, sys.total_dim, sys.total_dim), dtype=complex)
+    for w in range(sys.group.order):
+        for x in range(sys.n_points):
+            y = sys.action[w, x]
+            out[w, y * d:(y + 1) * d, x * d:(x + 1) * d] = sys.cocycle[w, x]
+    return out
+
+
+def assert_carry_is_the_dense_gamma(eq, seed):
+    """gamma_w applied to random carrier vectors, a stack per w and a
+    single vector per w, is the dense gamma_w's product."""
+    rng = np.random.default_rng(seed)
+    w_n, m = eq.group.order, eq.base.carrier_dim
+    xi = rng.standard_normal((w_n, 3, m)) + 1j * rng.standard_normal((w_n, 3, m))
+    dense = dense_gamma(eq)
+    assert close(eq.carry(xi), (dense[:, None] @ xi[..., None])[..., 0], 1e-14)
+    assert close(eq.carry(xi[:, 0]), (dense @ xi[:, 0, :, None])[..., 0], 1e-14)
+
+
+@settings(settings.get_profile("derandomized"), max_examples=50)
+@given(st.sampled_from(sorted(BUILTIN_GROUPS)), st.lists(st.integers(0, 1), min_size=8, max_size=8),
+       st.integers(0, 3), st.sampled_from(["none", "fixed", "free"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_carried_gamma_is_the_dense_gamma_on_planted_cocycles(
+        group_name, mults, twist, second, seed):
+    sys, _ = planted_cocycle_system(group_name, mults, twist, second, seed)
+    eq = equivariant_function_module(sys)
+    assert np.array_equal(dense_gamma(eq), function_gamma_loop(sys))
+    assert_carry_is_the_dense_gamma(eq, seed)
+
+
+@pytest.mark.parametrize("label", [f"z2-line-{n}" for n in range(1, 9)]
+                         + [f"dihedral-grid-{r}" for r in (1, 2, 3)]
+                         + [f"{label}-quotient" for label in REDUCTIONS])
+def test_carried_gamma_is_the_dense_gamma_on_the_ladders(label):
+    """The function modules of the ladders, whose dense gamma is the loop's,
+    and the quotient modules, whose dense gamma is the compression of the
+    function module's (test_reduction_links_match_the_loops)."""
+    if label.endswith("quotient"):
+        eq = equivariant_case(label)
+    else:
+        sys = morita_system(label)
+        eq = equivariant_function_module(sys)
+        assert np.array_equal(dense_gamma(eq), function_gamma_loop(sys))
+    assert_carry_is_the_dense_gamma(eq, 0)
+
+
+def test_no_equivariant_module_holds_a_dense_gamma(monkeypatch):
+    """On z2-line n = 8 (|W| = 2, m = 34), no array held by an equivariant
+    module that the library builds, the function module, its trivial twin
+    and the quotient module of W = {e} >| Z/2, has |W| m^2 = 2312 entries,
+    and no matrix that invariant_compacts_rows factorises has that many:
+    gamma is held block by block and the kernels are solved one orbit at a
+    time, where the parent held the (|W|, m, m) gamma and factorised the
+    (m^2, r) commutator."""
+    sys = z2_line_system(8)
+    eq = equivariant_function_module(sys)
+    w_n, m = eq.group.order, eq.base.carrier_dim
+    modules = [eq, trivial_equivariant_module(eq.base, eq.group), quotient_module(sys, [0], [0, 1])[0]]
+    compacts = compact_operators(eq.base)
+    factored = []
+    for name in ("svd", "qr"):
+        def spy(a, *args, original=getattr(np.linalg, name), **kwargs):
+            factored.append(np.size(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    rows = invariant_compacts_rows(eq, compacts)
+    monkeypatch.undo()
+    assert rows.shape[0] == m and factored
+    assert all(e.base.carrier_dim == m for e in modules)
+    sizes = [a.size for e in modules for a in held_arrays(e)] + factored
+    assert max(sizes) < w_n * m * m, max(sizes)
 
 
 # -- the witness's samples, the unit, alpha_w and wide cuts against their loops --
@@ -2579,7 +2708,7 @@ def witness_residuals_loop(a_alg, e, left_action, rng):
     A's matrices when A is a fixed-point algebra, or of its coordinates (the
     direct sums, whose tables test_inner_coefficients_match_the_dense_values
     checks against the dense block sum)."""
-    g = e.gram()
+    g = dense_gram(e)
     m = e.carrier_dim
     left_action = dense_rows(e, left_action).reshape(-1, m, m)
     if not hasattr(a_alg, "functions"):

@@ -7,7 +7,7 @@ from equivaria.matalg import MatrixSpan, block_decompose, full_matrix_algebra
 from equivaria.linalg import flatten, spans_equal
 from equivaria.reps import enumerate_irreps, regular_rep
 import oracles
-from oracles import Dense, base_basis, embedded_algebra
+from oracles import Dense, base_basis, embed_function, embedded_algebra
 from equivaria.systems import (
     AlgebraAction,
     EquivariantSystem,
@@ -16,7 +16,6 @@ from equivaria.systems import (
     anticomplete_point_system,
     crossed_product,
     dihedral_plane_system,
-    embed_function,
     fixed_point_algebra,
     function_algebra,
     function_algebra_action,
