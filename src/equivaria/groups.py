@@ -41,12 +41,12 @@ class FiniteGroup:
         # Associativity on all triples, vectorized: (ab)c == a(bc).
         if not np.array_equal(mul[mul, :][:, :, :], mul[:, mul][:, :, :]):
             raise GroupError("multiplication table is not associative")
-        inv = np.full(n, -1, dtype=np.intp)
-        for a in range(n):
-            hits = np.where(mul[a] == 0)[0]
-            if hits.size != 1 or mul[hits[0], a] != 0:
-                raise GroupError(f"element {a} lacks a two-sided inverse")
-            inv[a] = hits[0]
+        # inv[a]: the one b with ab = e, which must also satisfy ba = e.
+        ident = mul == 0
+        inv = ident.argmax(axis=1)
+        bad = (ident.sum(axis=1) != 1) | (mul[inv, np.arange(n)] != 0)
+        if bad.any():
+            raise GroupError(f"element {bad.argmax()} lacks a two-sided inverse")
         mul.setflags(write=False)
         inv.setflags(write=False)
         object.__setattr__(self, "mul", mul)
@@ -93,8 +93,8 @@ class FiniteGroup:
         elems = sorted(set(int(e) for e in elems))
         if not self.is_subgroup(elems):
             raise GroupError(f"{elems} is not a subgroup")
-        pos = {e: i for i, e in enumerate(elems)}
-        table = np.array([[pos[int(self.mul[a, b])] for b in elems] for a in elems])
+        idx = np.array(elems)
+        table = np.searchsorted(idx, self.mul[idx[:, None], idx])
         sub = FiniteGroup(table, name=name or f"{self.name}-sub{len(elems)}")
         return Subgroup(group=sub, parent=self, embedding=tuple(elems))
 

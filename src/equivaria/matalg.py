@@ -122,13 +122,21 @@ class MatrixStarAlgebra:
     def components(self, rows: np.ndarray) -> np.ndarray:
         """The component of each of `rows` (r, dim) in the graph on the
         blocks in which a row links the blocks it has a nonzero coordinate
-        in, labeled by its least block (blocks numbered stack by stack)."""
+        in, labeled by its least block (blocks numbered stack by stack); a
+        zero row has block 0's label.  Consecutive nonzero entries of a row
+        link their blocks, which joins all the blocks the row touches, so
+        any of them gives the row's label."""
         ids, first = np.zeros(self.dim, dtype=int), 0
         for st in self.blocks:
             ids[st.index] = first + np.arange(len(st.index))[:, None]
             first += len(st.index)
-        touch = (rows != 0) @ (ids[:, None] == np.arange(first))
-        return component_labels(touch.T @ touch)[touch.argmax(axis=1)]
+        at, col = np.nonzero(rows)
+        link = np.zeros((first, first), dtype=bool)
+        chain = at[1:] == at[:-1]
+        link[ids[col[:-1][chain]], ids[col[1:][chain]]] = True
+        touched = np.zeros(len(rows), dtype=int)
+        touched[at] = ids[col]
+        return component_labels(link)[touched]
 
     def _whole(self, parts, lead: tuple) -> np.ndarray:
         """Coordinates (*lead, dim) from their parts (*lead, g, s) per stack."""

@@ -13,9 +13,13 @@ regular representation since the action preserves the trace: they are the
 coordinates of its algebra, one block per W-orbit of B's blocks, whose
 tables are read off B's blocks in the orbit's coordinates, and products,
 adjoints and the ideal test run on that algebra alone.  The W-orbits of
-B's blocks are derived once per action, and the action's multiplicativity
-is checked one orbit at a time.  (B >| U) >| V is the crossed product of
-V's action on B >| U.  No crossed-product element is embedded as a matrix.
+B's blocks are derived once per action.  An action that permutes B's
+coordinates and carries each block onto a block, as every action a
+verdict builds does, is validated and crossed by index, off B's block
+tables; every other action keeps the dense path through its maps, which
+checks multiplicativity one orbit at a time.  (B >| U) >| V is the
+crossed product of V's action on B >| U.  No crossed-product element is
+embedded as a matrix.
 The fixed-point algebra keeps its invariant functions, one block per orbit,
 with tables from their pointwise products.  The functions are solved one
 orbit at a time, a commutant of the stabilizer's cocycle at the orbit's
@@ -87,14 +91,17 @@ class EquivariantSystem:
         # [w1, w2, x]: (w1 w2).x against w1.(w2.x).
         if not np.array_equal(action[mul], action[np.arange(w_n)[:, None, None], action]):
             raise SystemError("action is not a group action")
+        # A bound is failed by NaN: each is written `not norm <= bound`.
         unitary = coc.conj().swapaxes(-2, -1) @ coc - np.eye(d)
-        bad = np.linalg.norm(unitary, axis=(-2, -1)) > 1e-9 * d
+        bad = ~(np.linalg.norm(unitary, axis=(-2, -1)) <= 1e-9 * d)
         if bad.any():
             w, x = np.unravel_index(bad.argmax(), bad.shape)
             raise SystemError(f"cocycle I_({w},{x}) is not unitary")
-        # [w1, w2, x]: I_{w1, w2 x} I_{w2, x} - I_{w1 w2, x}.
-        defect = coc[:, action] @ coc - coc[mul]
-        bad = np.linalg.norm(defect, axis=(-2, -1)) > 1e-9 * d
+        # [w1, w2, x]: I_{w1, w2 x} I_{w2, x} - I_{w1 w2, x}, one product per
+        # (w2, x) of the left factors stacked over w1, (|W| d, d).
+        left = coc[np.arange(w_n), action[..., None]].reshape(w_n, x_n, w_n * d, d)
+        defect = (left @ coc).reshape(w_n, x_n, w_n, d, d).transpose(2, 0, 1, 3, 4) - coc[mul]
+        bad = ~(np.linalg.norm(defect, axis=(-2, -1)) <= 1e-9 * d)
         if bad.any():
             w1, w2, x = np.unravel_index(bad.argmax(), bad.shape)
             raise SystemError(f"cocycle identity fails at (w1={w1}, w2={w2}, x={x})")
@@ -486,12 +493,19 @@ def quotient_algebra(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> Quotie
 class AlgebraAction:
     """An action of a finite group on a matrix *-algebra by *-automorphisms.
 
-    `maps[w]` acts on basis-coefficient vectors of the algebra.
+    `maps[w]` acts on basis-coefficient vectors of the algebra.  The action
+    keeps a read-only copy of `maps`, so neither an in-place write nor an
+    edit of the array passed in can leave `_orbits` or `_permutation` stale.
     """
 
     group: FiniteGroup
     algebra: MatrixStarAlgebra
     maps: np.ndarray  # (|W|, dim, dim)
+
+    def __post_init__(self):
+        maps = np.array(self.maps, dtype=complex)
+        maps.setflags(write=False)
+        object.__setattr__(self, "maps", maps)
 
     @cached_property
     def _orbits(self) -> tuple[np.ndarray, ...]:
@@ -506,6 +520,40 @@ class AlgebraAction:
         return tuple(np.stack([coords[o] for o in group])
                      for group in _grouped(map(len, coords)).values())
 
+    @cached_property
+    def _permutation(self) -> tuple | None:
+        """(perm, moves) when every beta_w is a 0/1 permutation of B's
+        coordinates that carries each block of B onto a block, read off the
+        maps on first access, and None otherwise: beta_w(b_j) =
+        b_(perm[w, j]), and per stack of B's blocks, moves holds (block,
+        place), by which beta_w carries block b of the stack onto its block
+        block[w, b], a block of the same size, and b's t-th coordinate onto
+        that block's place[w, b, t]-th."""
+        alg, maps = self.algebra, self.maps
+        k = alg.dim
+        if not k or maps.shape != (self.group.order, k, k):
+            return None
+        # Each column holds a 1 at perm and, with the |W| k entries counted
+        # nonzero in the real and imaginary parts, nothing else.
+        perm = maps.real.argmax(axis=1)
+        if (not (np.take_along_axis(maps, perm[:, None], 1) == 1).all()
+                or np.count_nonzero(maps.view(float)) != len(maps) * k
+                or (np.sort(perm, axis=1) != np.arange(k)).any()):
+            return None
+        block, place, stack = (np.zeros(k, dtype=np.intp) for _ in range(3))
+        for s, st in enumerate(alg.blocks):
+            block[st.index] = np.arange(len(st.index))[:, None]
+            place[st.index] = np.arange(st.index.shape[1])
+            stack[st.index] = s
+        moves = []
+        for s, st in enumerate(alg.blocks):
+            image = perm[:, st.index]                                      # [w, b, t]
+            target = block[image]
+            if (stack[image] != s).any() or (target != target[..., :1]).any():
+                return None
+            moves.append((target[..., 0], place[image]))
+        return perm, tuple(moves)
+
     def validate(self, tol: float = 1e-8) -> None:
         """Check that the maps are a homomorphism into the *-automorphisms of B.
 
@@ -517,6 +565,15 @@ class AlgebraAction:
         multiplicativity one W-orbit of B's blocks at a time: for b_i and
         b_j of two orbits both b_i b_j and beta_w(b_i) beta_w(b_j), products
         of two blocks, are exactly zero.
+
+        A permutation action (_permutation) is checked by index, with no
+        product of maps or of B's elements: two permutation matrices differ
+        by 1 in two entries of each column they move, and beta_w moves b_j
+        to b_(pi j), so beta_w(b_i b_j) - b_(pi i) b_(pi j) has the entries
+        T_b[j, l, i] - T_(pi b)[pi j, pi l, pi i] of B's block tables, and
+        the star defect those of the star tables: the entries the dense
+        products compute, compared with the same bounds in the same order.
+        Every bound is written so that NaN fails it.
         """
         check_tol(tol)
         alg = self.algebra
@@ -524,31 +581,80 @@ class AlgebraAction:
         maps = self.maps
         if maps.shape != (self.group.order, k, k):
             raise SystemError("action maps have wrong shape")
-        if np.linalg.norm(maps[0] - np.eye(k)) > tol * max(k, 1):
+        permuted = self._permutation
+        if permuted is None:
+            ident = np.linalg.norm(maps[0] - np.eye(k))
+            hom = np.linalg.norm(homomorphism_defect(maps, self.group.mul), axis=(-2, -1))
+        else:
+            perm = permuted[0]
+            ident = np.sqrt(2.0 * np.count_nonzero(perm[0] != np.arange(k)))
+            # [g, h]: the columns that pi_gh and pi_g pi_h move apart.
+            hom = np.sqrt(2.0 * np.count_nonzero(
+                perm[self.group.mul] != perm[np.arange(len(perm))[:, None, None], perm], axis=-1))
+        if not ident <= tol * max(k, 1):
             raise SystemError("identity does not act as identity")
-        hom = homomorphism_defect(maps, self.group.mul)
-        if np.linalg.norm(hom, axis=(-2, -1)).max() > tol * max(k, 1):
+        if not hom.max() <= tol * max(k, 1):
             raise SystemError("maps are not a group homomorphism")
         if k == 0:
             return
-        gens = maps[list(self.group.generators())]
-        # [w, i]: beta_w(b_i), one row per basis element.
-        images = gens.swapaxes(1, 2)
-        # Row i: beta_w(b_i*) - beta_w(b_i)*.
-        if np.linalg.norm(alg.adjoint(np.eye(k)) @ images - alg.adjoint(images),
-                          axis=-1).max(initial=0.0) > tol:
+        star, mult = self._defects(list(self.group.generators()))
+        if not _largest_norm(star) <= tol:
             raise SystemError("action does not preserve the involution")
+        if not _largest_norm(mult) <= tol:
+            raise SystemError("action is not multiplicative")
+
+    def _defects(self, gens: list[int]) -> tuple[list, list]:
+        """(star, mult) at the elements gens: arrays whose rows, along the
+        last axis, are the B-coordinates of beta_w(b_i*) - beta_w(b_i)* and
+        of beta_w(b_i b_j) - beta_w(b_i) beta_w(b_j).  A permutation action
+        gives them by index, one stack of B's blocks at a time; any other
+        through B's products and adjoints, the products one W-orbit of B's
+        blocks at a time."""
+        alg, permuted = self.algebra, self._permutation
+        star, mult = [], []
+        if permuted is not None:
+            for st, (block, place) in zip(alg.blocks, permuted[1]):
+                b, t = block[gens][..., None, None], place[gens]     # (G, g, 1, 1), [w, b, t]
+                # [w, b, t, l]: the b_l entry of beta_w(b_t*) - beta_w(b_t)*.
+                star.append(st.star.swapaxes(1, 2) - st.star[b, t[..., None, :], t[..., None]])
+                # [w, b, i, j, l]: the b_l entry of beta_w(b_i b_j) - beta_w(b_i) beta_w(b_j).
+                tj, tl, ti = t[:, :, None, :, None], t[:, :, None, None, :], t[..., None, None]
+                mult.append(st.table.transpose(0, 3, 1, 2) - st.table[b[..., None], tj, tl, ti])
+            return star, mult
+        maps = self.maps[gens]
+        # [w, i]: beta_w(b_i), one row per basis element.
+        images = maps.swapaxes(1, 2)
+        # Row i: beta_w(b_i*) - beta_w(b_i)*.
+        star.append(alg.adjoint(np.eye(alg.dim)) @ images - alg.adjoint(images))
         for index in self._orbits:
             n, p = index.shape
-            beta = gens[:, index[:, :, None], index[:, None, :]]          # [w, o, l, j]
+            beta = maps[:, index[:, :, None], index[:, None, :]]          # [w, o, l, j]
             # [0, i, o]: b_i, and [1 + w, i, o]: beta_w(b_i), in the orbit's coordinates.
             elems = np.concatenate([np.broadcast_to(np.eye(p)[:, None], (1, p, n, p)),
                                     beta.transpose(0, 3, 1, 2)])
             prods = _products_on(alg, index, elems[:, :, None], elems[:, None])
             # [w, i, j, o]: beta_w(b_i b_j) - beta_w(b_i) beta_w(b_j).
-            defect = (beta[:, None, None] @ prods[0, ..., None])[..., 0] - prods[1:]
-            if np.linalg.norm(defect, axis=-1).max(initial=0.0) > tol:
-                raise SystemError("action is not multiplicative")
+            mult.append((beta[:, None, None] @ prods[0, ..., None])[..., 0] - prods[1:])
+        return star, mult
+
+
+def _largest_norm(parts) -> float:
+    """The largest norm along the last axis over the arrays `parts`, 0 for
+    none; NaN when an entry is NaN."""
+    return np.max([0.0] + [np.linalg.norm(a, axis=-1).max(initial=0.0) for a in parts])
+
+
+def _blocks_on(alg: MatrixStarAlgebra, index: np.ndarray):
+    """(stack, sel, at, ix) for each stack of alg with blocks in the
+    coordinates index (n, p), each row a union of alg's blocks: the
+    stack's blocks sel there, and the row and the place in it of each of
+    their coordinates, (g, s) each."""
+    row, pos = np.full(alg.dim, -1), np.zeros(alg.dim, dtype=np.intp)
+    row[index] = np.arange(len(index))[:, None]
+    pos[index] = np.arange(index.shape[1])
+    for st in alg.blocks:
+        sel = np.flatnonzero(row[st.index[:, 0]] >= 0)
+        yield st, sel, row[st.index[sel]], pos[st.index[sel]]
 
 
 def _products_on(alg: MatrixStarAlgebra, index: np.ndarray, c1: np.ndarray,
@@ -556,15 +662,21 @@ def _products_on(alg: MatrixStarAlgebra, index: np.ndarray, c1: np.ndarray,
     """The products of coordinate stacks c1, c2 (..., n, p) that broadcast,
     in the coordinates index (n, p) of alg, each row a union of its blocks:
     block by block, as alg.multiply, without alg's other coordinates."""
-    row, pos = np.full(alg.dim, -1), np.zeros(alg.dim, dtype=np.intp)
-    row[index] = np.arange(len(index))[:, None]
-    pos[index] = np.arange(index.shape[1])
     out = np.zeros(np.broadcast_shapes(c1.shape, c2.shape), dtype=complex)
-    for st in alg.blocks:
-        sel = np.flatnonzero(row[st.index[:, 0]] >= 0)
-        at, ix = row[st.index[sel]], pos[st.index[sel]]                  # (g, s) each
+    for st, sel, at, ix in _blocks_on(alg, index):
         part = Blocks(st.index[sel], st.table[sel], st.star[sel], st.traces[sel])
         out[..., at, ix] = (part.regular(c1[..., at, ix]) @ c2[..., at, ix, None])[..., 0]
+    return out
+
+
+def _table_on(alg: MatrixStarAlgebra, index: np.ndarray) -> np.ndarray:
+    """[o, j, l, i]: <b_l, b_i b_j> for the coordinates index (n, p) of
+    alg, each row a union of its blocks, at their places in the row: alg's
+    block tables placed, zero across blocks."""
+    out = np.zeros(index.shape + index.shape[1:] * 2, dtype=complex)
+    for st, sel, at, ix in _blocks_on(alg, index):
+        out[at[:, :1, None, None], ix[:, :, None, None], ix[:, None, :, None],
+            ix[:, None, None, :]] = st.table[sel]
     return out
 
 
@@ -615,23 +727,34 @@ class CrossedProduct:
         embedded span, whose ambient size |W| N is `ambient_dim`.
         """
         g, action = self.group, self.action
-        b_alg, maps = action.algebra, action.maps
+        b_alg, maps, permuted = action.algebra, action.maps, action._permutation
         w_n, k = g.order, b_alg.dim
         w, v = np.arange(w_n)[:, None], np.arange(w_n)
         adjoints = b_alg.adjoint(np.eye(k))                               # [i, m]: b_i*
         blocks = []
         for index in action._orbits:
             n, p = index.shape
-            beta = maps[:, index[:, :, None], index[:, None, :]]           # [w, o, l, j]
-            units = np.broadcast_to(np.eye(p)[:, None], (p, n, p))       # [i, o]: b_i
-            # [i, w, j, o, l]: <b_l, b_i beta_w(b_j)> / sqrt|W|.
-            prods = _products_on(b_alg, index, units[:, None, None],
-                                 beta.transpose(0, 3, 1, 2)[None]) / math.sqrt(w_n)
+            adj = adjoints[index[:, None, :], index[:, :, None]]         # [o, m, i]: b_i*
+            if permuted is None:
+                beta = maps[:, index[:, :, None], index[:, None, :]]       # [w, o, l, j]
+                units = np.broadcast_to(np.eye(p)[:, None], (p, n, p))   # [i, o]: b_i
+                # [w, o, j, l, i]: <b_l, b_i beta_w(b_j)>.
+                prods = _products_on(b_alg, index, units[:, None, None],
+                                     beta.transpose(0, 3, 1, 2)[None]).transpose(1, 3, 2, 4, 0)
+                # [w, o, l, i]: the b_l coefficient of beta_(w^-1)(b_i*).
+                flipped = beta[g.inv] @ adj
+            else:
+                # beta_w(b_j) = b_(pi_w j) and beta_w(b_i*) = (b_i*)(pi_w^-1 .),
+                # read off B's tables at pi_w's places in the orbit.
+                place = np.zeros(k, dtype=np.intp)
+                place[index] = np.arange(p)
+                pi, o = place[permuted[0][:, index]], np.arange(n)[:, None]   # [w, o, j]: pi_w j
+                prods = _table_on(b_alg, index)[o, pi]
+                flipped = adj[o, np.argsort(pi, axis=-1)[g.inv]]
             table = np.zeros((n, w_n, p, w_n, p, w_n, p), dtype=complex)
-            table[:, v, :, g.mul[w, v], :, w] = prods.transpose(1, 3, 2, 4, 0)[:, None]
+            table[:, v, :, g.mul[w, v], :, w] = prods[:, None] / math.sqrt(w_n)
             star = np.zeros((n, w_n, p, w_n, p), dtype=complex)
-            # [w, o, l, i]: the b_l coefficient of beta_(w^-1)(b_i*).
-            star[:, g.inv, :, v] = beta[g.inv] @ adjoints[index[:, None, :], index[:, :, None]]
+            star[:, g.inv, :, v] = flipped
             traces = np.zeros((n, w_n, p), dtype=complex)
             traces[:, g.identity] = math.sqrt(w_n) * b_alg.traces[index]
             blocks.append(Blocks((v[:, None] * k + index[:, None, :]).reshape(n, -1),
@@ -681,14 +804,17 @@ def crossed_product(action: AlgebraAction) -> CrossedProduct:
     SystemError unless every beta_w is unitary on B's orthonormal basis, to
     the bound of the action's homomorphism check: only then are the
     a_(w,i) = b_i w / sqrt|W| orthonormal, as CrossedProduct assumes.  beta
-    is a homomorphism, so unitarity is checked at the generators.
+    is a homomorphism, so unitarity is checked at the generators; a
+    permutation action (AlgebraAction._permutation) is unitary, its defect
+    exactly zero, and needs no product.
     """
     action.validate()
-    k = action.algebra.dim
-    gens = action.maps[list(action.group.generators())]
-    defect = gens.conj().swapaxes(-2, -1) @ gens - np.eye(k)
-    if np.linalg.norm(defect, axis=(-2, -1)).max(initial=0.0) > 1e-8 * max(k, 1):
-        raise SystemError("action does not preserve the trace inner product")
+    if action._permutation is None:
+        k = action.algebra.dim
+        gens = action.maps[list(action.group.generators())]
+        defect = gens.conj().swapaxes(-2, -1) @ gens - np.eye(k)
+        if not np.linalg.norm(defect, axis=(-2, -1)).max(initial=0.0) <= 1e-8 * max(k, 1):
+            raise SystemError("action does not preserve the trace inner product")
     return CrossedProduct(action)
 
 

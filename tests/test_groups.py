@@ -38,12 +38,25 @@ def test_bad_table_rejected():
         FiniteGroup(np.array([[1, 0], [0, 1]]))
 
 
+def test_the_first_element_without_an_inverse_is_named():
+    # 1 * 1 = 1 in a table whose identity and associativity hold: element 1
+    # has no inverse, and neither has 2.
+    table = np.array([[0, 1, 2], [1, 1, 1], [2, 1, 2]])
+    with pytest.raises(GroupError, match="element 1 lacks a two-sided inverse"):
+        FiniteGroup(table)
+
+
 def test_subgroup_reindexing():
     g = symmetric(3)
     sub = g.subgroup([w for w in g.elements() if g.product(w, w, w) == 0])
     assert sub.group.order == 3
     for v in range(sub.group.order):
         assert sub.from_parent(sub.to_parent(v)) == v
+    # The reindexed table is the parent's, read at the embedding.
+    emb = list(sub.embedding)
+    for a in range(sub.group.order):
+        for b in range(sub.group.order):
+            assert emb[sub.group.mul[a, b]] == g.mul[emb[a], emb[b]]
 
 
 def test_direct_product_indexing():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equivaria.groups import builtin_group
-from equivaria.hilbmod import standard_module
+from equivaria.hilbmod import scalar_algebra, standard_module
+from equivaria.linalg import component_labels
 from equivaria.matalg import (
     AlgebraError,
     Blocks,
@@ -128,6 +129,43 @@ def test_an_algebra_is_its_blocks():
         [(1, 1), (1, 1), (2, 1)]
     with pytest.raises(AlgebraError, match="no unit"):
         MatrixSpan(np.array([[[0, 1], [0, 0]]], dtype=complex)).algebra.unit()
+
+
+def components_by_touch(alg, rows):
+    """MatrixStarAlgebra.components as it was written: the (rows, blocks)
+    incidence, its Gram matrix as the graph, each row labeled by its least
+    block's component."""
+    ids, first = np.zeros(alg.dim, dtype=int), 0
+    for stack in alg.blocks:
+        ids[stack.index] = first + np.arange(len(stack.index))[:, None]
+        first += len(stack.index)
+    touch = (rows != 0) @ (ids[:, None] == np.arange(first))
+    return component_labels(touch.T @ touch)[touch.argmax(axis=1)]
+
+
+def test_components_are_those_of_the_incidence_graph():
+    """Rows chain the blocks they touch; the labels are the incidence
+    graph's, zero rows included, on C(6), on C (+) M_2 (+) C and on a
+    direct sum of twelve blocks of three sizes."""
+    m2 = full_matrix_algebra(2).algebra.blocks[0]
+    one = np.ones((1, 1, 1, 1), dtype=complex)
+    c = Blocks(np.array([[0], [5]]), np.concatenate([one] * 2), np.ones((2, 1, 1)),
+               np.ones((2, 1)))
+    algs = [scalar_algebra(6),
+            MatrixStarAlgebra(4, (c, Blocks(m2.index + 1, m2.table, m2.star, m2.traces)))]
+    sizes = [1, 4, 1, 4, 9, 1, 1, 4, 9, 1, 4, 1]
+    ends = np.cumsum(sizes)
+    perm = np.random.default_rng(0).permutation(ends[-1])
+    algs.append(MatrixStarAlgebra(1, tuple(
+        Blocks(perm[None, e - s:e], np.zeros((1, s, s, s)), np.zeros((1, s, s)), np.zeros((1, s)))
+        for s, e in zip(sizes, ends))))
+    rng = np.random.default_rng(1)
+    for alg in algs:
+        for _ in range(50):
+            r = int(rng.integers(1, 12))
+            mask = rng.random((r, alg.dim)) < rng.random() * 0.3
+            rows = mask * rng.standard_normal((r, alg.dim))
+            assert np.array_equal(alg.components(rows), components_by_touch(alg, rows))
 
 
 def test_ideals_in_block_algebra():

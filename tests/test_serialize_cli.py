@@ -416,6 +416,19 @@ def test_cli_rejects_corrupted_cocycle(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "morita"])
+def test_cli_rejects_a_nan_cocycle_entry(tmp_path, capsys, command):
+    """A NaN entry passes every bound written `norm > bound`: spectrum
+    then exited 1 with "basis is not orthonormal" and morita with "SVD did
+    not converge"."""
+    doc = document_to_json(bundled("z2-line"))
+    doc["cocycle"][1][0][0][0] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--input", str(path)]) == EXIT_INPUT
+    assert "cocycle I_(1,0) is not unitary" in capsys.readouterr().err
+
+
 def test_cli_rejects_a_ragged_cocycle(tmp_path, capsys):
     doc = document_to_json(z2_line_system(1))
     doc["cocycle"][1][0][0].append([0.0, 0.0])   # a row of three entries

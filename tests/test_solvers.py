@@ -18,7 +18,9 @@ one block per W-orbit of B's blocks: its product table, star table, traces,
 unit and norms
 equal those read off the regular embedding of tests/oracles.py, which
 keeps the covariant-pair relations, on every bundled system, z2-line 1-5
-and z2xz2-line 1-3 with and without W'.  `span_contains` tests stacks a
+and z2xz2-line 1-3 with and without W'.  A permutation action is
+validated and crossed by index, with the dense maps' messages and, bit for
+bit, their crossed tables.  `span_contains` tests stacks a
 slab at a time.
 The compacts are cut one carrier component at a time, a module of one
 component as one block, with the dense SVD of the whole stack of rank-one
@@ -69,6 +71,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -2919,3 +2922,207 @@ def test_reduced_wide_cut_matches_the_direct_svd(label, monkeypatch):
     assert cut.shape[0] == direct.shape[0] == rank
     assert spans_equal(cut, direct, 1e-12)
     assert np.abs(cut @ cut.conj().T - np.eye(cut.shape[0])).max(initial=0.0) < 1e-12
+
+
+# -- permutation actions, checked and crossed by index ------------------------
+
+
+def dense_branch(action):
+    """The same action, validated and crossed through its dense maps, the
+    path of every action that is not a block-carrying permutation."""
+    dense = AlgebraAction(action.group, action.algebra, action.maps)
+    dense.__dict__["_permutation"] = None
+    return dense
+
+
+def action_outcome(action):
+    """(validate's message or None, crossed_product's message or None, the
+    crossed product's block tables or None)."""
+    try:
+        action.validate()
+        message = None
+    except systems.SystemError as exc:
+        message = str(exc)
+    try:
+        stacks = crossed_product(action).algebra.blocks
+    except systems.SystemError as exc:
+        return message, str(exc), None
+    return message, None, [(st.index, st.table, st.star, st.traces) for st in stacks]
+
+
+def points_action(group, maps):
+    """An action with the given maps on C(X), X the points of the maps."""
+    alg = systems.function_algebra(systems.trivial_system(np.shape(maps)[1]))
+    return AlgebraAction(group, alg, np.asarray(maps, dtype=complex))
+
+
+def z4_shifts(broken: bool):
+    """Z/4 by powers of the shift of four points; `broken` sends 2 to 1."""
+    maps = np.stack([np.linalg.matrix_power(np.roll(np.eye(4), 1, axis=0), j) for j in range(4)])
+    if broken:
+        maps[2] = np.eye(4)
+    return points_action(cyclic(4), maps)
+
+
+def unequal_tables_action():
+    """M_2 twice, once against the Hermitian units E11, E22, (E12 + E21) /
+    sqrt 2, i (E12 - E21) / sqrt 2 and once against the Pauli matrices /
+    sqrt 2, with Z/2 swapping the two bases coordinate by coordinate: a
+    block-to-block permutation that keeps the star tables (each basis
+    self-adjoint) but not the product tables."""
+    units = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]])
+    pauli = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    scale = np.array([1.0, 1.0, 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)])[:, None, None]
+    elems = np.stack([units * scale, pauli / np.sqrt(2.0)]).astype(complex)[:, :, None]
+    blocks, residual = matalg.span_tables(elems, np.arange(8).reshape(2, 4))
+    assert residual < 1e-14
+    swap = np.roll(np.eye(8), 4, axis=0)
+    return AlgebraAction(cyclic(2), MatrixStarAlgebra(4, (blocks,)), np.stack([np.eye(8), swap]))
+
+
+def block_splitting_action():
+    """C^3 held as the blocks span{delta_0, delta_1} and C delta_2, with
+    Z/2 swapping delta_0 and delta_2: a *-automorphism whose permutation
+    splits the first block."""
+    deltas = np.eye(2, dtype=complex).reshape(1, 2, 2, 1, 1)
+    pair, _ = matalg.span_tables(deltas, np.array([[0, 1]]))
+    one, _ = matalg.span_tables(np.ones((1, 1, 1, 1, 1), dtype=complex), np.array([[2]]))
+    swap = np.eye(3)[[2, 1, 0]]
+    return AlgebraAction(cyclic(2), MatrixStarAlgebra(3, (pair, one)), np.stack([np.eye(3), swap]))
+
+
+def outer_action_of(label):
+    """V's action on C(X) >| W' for the splitting W = W' >| V, as the
+    reduction builds it."""
+    sys, normal, complement = splitting_case(label)
+    action, g = scalar_translation_action(sys), sys.group
+    u_emb = np.array(g.subgroup(normal).embedding)
+    inner = crossed_product(AlgebraAction(g.subgroup(normal).group, action.algebra,
+                                          action.maps[u_emb]))
+    return systems._outer_action(action, inner, u_emb, g.subgroup(complement))[0]
+
+
+PERMUTATION_ACTIONS = {
+    **{f"translation:z2-line-{n}": lambda n=n: scalar_translation_action(z2_line_system(n))
+       for n in range(1, 6)},
+    **{f"translation:z2xz2-line-{n}": lambda n=n: scalar_translation_action(z2xz2_line_system(n))
+       for n in range(1, 4)},
+    **{f"translation:z2xz2-line-{n}|W'": lambda n=n: scalar_translation_action(
+        systems.restrict_system(z2xz2_line_system(n), [0, 2])[0]) for n in range(1, 4)},
+    "translation:dihedral-plane": lambda: scalar_translation_action(bundled("dihedral-plane")),
+    "translation:dihedral-grid-2": lambda: scalar_translation_action(dihedral_grid(2)),
+    **{f"outer:{label}": lambda label=label: outer_action_of(label) for label in REDUCTIONS},
+    **{f"quotient:{label}": lambda label=label: quotient_module(*splitting_case(label))[0].beta
+       for label in REDUCTIONS},
+    "trivial:z2-line-2": lambda: trivial_equivariant_module(
+        function_module(z2_line_system(2)), cyclic(3)).beta,
+    "mutant:identity": lambda: points_action(cyclic(2), [[[0, 1], [1, 0]], np.eye(2)]),
+    "mutant:homomorphism": lambda: points_action(cyclic(2), [np.eye(3), np.roll(np.eye(3), 1, 0)]),
+    "mutant:z4-not-hom": lambda: z4_shifts(broken=True),
+    "z4-shift": lambda: z4_shifts(broken=False),
+    "mutant:unequal-tables": unequal_tables_action,
+}
+
+
+@pytest.mark.parametrize("label", sorted(PERMUTATION_ACTIONS))
+def test_the_permutation_branch_is_the_dense_branch(label):
+    """validate and CrossedProduct.algebra read a block-carrying
+    permutation action off B's tables by index; the dense maps give the
+    same messages and, bit for bit, the same largest star and
+    multiplicativity defects and the same crossed tables."""
+    action = PERMUTATION_ACTIONS[label]()
+    assert action._permutation is not None
+    message, cp_message, stacks = action_outcome(action)
+    dense = dense_branch(action)
+    dense_message, dense_cp_message, dense_stacks = action_outcome(dense)
+    assert (message, cp_message) == (dense_message, dense_cp_message)
+    gens = list(action.group.generators())
+    assert ([systems._largest_norm(part) for part in action._defects(gens)]
+            == [systems._largest_norm(part) for part in dense._defects(gens)])
+    expected = {"mutant:identity": "identity", "mutant:homomorphism": "homomorphism",
+                "mutant:z4-not-hom": "homomorphism", "mutant:unequal-tables": "multiplicative"}
+    if label in expected:
+        assert expected[label] in message and stacks is None
+        return
+    assert message is None and stacks is not None and len(stacks) == len(dense_stacks)
+    for part, dense_part in zip(stacks, dense_stacks):
+        assert all(np.array_equal(a, b) for a, b in zip(part, dense_part))
+
+
+def test_a_permutation_that_splits_a_block_takes_the_dense_path():
+    action = block_splitting_action()
+    assert action._permutation is None
+    action.validate()
+    cp = crossed_product(action)
+    assert cp.algebra.dim == 6 and len(action._orbits) == 1
+
+
+@pytest.mark.parametrize("entry", [(1, 0, 1, -1.0), (1, 0, 1, 1j), (1, 1, 1, 1e-300),
+                                   (1, 0, 0, np.nan), (1, 1, 0, 0.0)])
+def test_only_a_0_1_permutation_is_read_by_index(entry):
+    """A sign, a phase, a stray entry, a NaN or an empty column sends the
+    swap of two points to the dense path."""
+    maps = np.stack([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]]).astype(complex)
+    maps[entry[:3]] = entry[3]
+    assert points_action(cyclic(2), maps)._permutation is None
+
+
+def test_an_action_holds_its_maps_read_only():
+    maps = np.stack([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]])
+    action = points_action(cyclic(2), maps)
+    assert action._permutation is not None
+    maps[1] = np.eye(2)
+    assert action.maps[1, 0, 1] == 1.0
+    with pytest.raises(ValueError):
+        action.maps[1] = np.eye(2)
+
+
+@pytest.mark.parametrize("table", ["star", "table"])
+def test_a_nan_in_b_fails_the_permutation_checks(table):
+    """B's tables with a NaN entry under the trivial action, a
+    permutation: each defect there is NaN, which a bound written as
+    `norm > bound` would pass."""
+    alg = systems.function_algebra(systems.trivial_system(2))
+    stack = alg.blocks[0]
+    parts = {"star": stack.star.copy(), "table": stack.table.copy()}
+    parts[table][0, 0, 0] = np.nan
+    alg = MatrixStarAlgebra(alg.ambient_dim, (matalg.Blocks(stack.index, parts["table"],
+                                                             parts["star"], stack.traces),))
+    action = AlgebraAction(cyclic(2), alg, np.stack([np.eye(2)] * 2))
+    assert action._permutation is not None
+    message = {"star": "involution", "table": "multiplicative"}[table]
+    for act in (action, dense_branch(action)):
+        with pytest.raises(systems.SystemError, match=message):
+            act.validate()
+
+
+def test_a_nan_map_fails_validate_and_crossed_product():
+    action = scalar_translation_action(z2_line_system(2))
+    for w, message in ((0, "identity"), (1, "homomorphism")):
+        maps = np.array(action.maps)
+        maps[w, 0, 0] = np.nan
+        broken = AlgebraAction(action.group, action.algebra, maps)
+        assert broken._permutation is None
+        with pytest.raises(systems.SystemError, match=message):
+            broken.validate()
+        with pytest.raises(systems.SystemError, match=message):
+            crossed_product(broken)
+
+
+def test_a_translation_is_validated_under_10_mb():
+    """C(X)'s translation on the dihedral grid r = 6 (|W| = 8, k = 169):
+    the all-pairs (|W|, |W|, k, k) homomorphism defect took validate to a
+    58.5 MB traced peak; checked by index it needs no (k, k) product."""
+    action = scalar_translation_action(dihedral_grid(6))
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        action.validate()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 10e6, peak / 1e6

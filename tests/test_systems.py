@@ -49,6 +49,16 @@ def test_cocycle_identity_enforced():
         EquivariantSystem(g, ("pt",), np.zeros((2, 1), dtype=np.intp), 1, bad)
 
 
+def test_a_nan_cocycle_entry_is_rejected():
+    """NaN passes every bound written `norm > bound`; each check of the
+    cocycle is failed by it."""
+    sys = z2_line_system(2)
+    coc = np.array(sys.cocycle)
+    coc[1, 0, 0, 0] = np.nan
+    with pytest.raises(SystemError, match=r"cocycle I_\(1,0\) is not unitary"):
+        EquivariantSystem(sys.group, sys.points, sys.action, 2, coc)
+
+
 def z3_points_system(action=None, cocycle=None):
     """Z/3 on three points, scalar fibers; by default trivial action and cocycle."""
     action = np.zeros((3, 3), dtype=np.intp) + np.arange(3) if action is None else action
