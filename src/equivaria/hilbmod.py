@@ -485,16 +485,17 @@ class EquivariantModule:
         parts = np.split(rng.standard_normal((g.order, 4, 4 * m + 2 * k)),
                          np.cumsum([m, m, m, m, k]), axis=-1)
         xi, eta, c = (re + 1j * im for re, im in zip(parts[::2], parts[1::2]))
-        # Transposed, beta_w acts on the rows of the samples.
-        beta = self.beta.maps.swapaxes(1, 2)
+        # beta_w(b) has b's coefficient j at perm[w, j]: a gather by pi_w^-1.
+        back = np.argsort(self.beta.perm, axis=1)[:, None]
+        beta_c, beta_inner = (np.take_along_axis(a, back, -1) for a in (c, inner(xi, eta)))
         gx, size = self.carry(xi), np.linalg.norm(xi, axis=-1)
         op = b_alg.norm(c)                                                 # |b|_op
         # [w, sample, check]; inner values in B's coordinates, whose norm is
         # the trace norm.
         bad = np.stack([
-            np.linalg.norm(self.carry(act(xi, c)) - act(gx, c @ beta), axis=-1)
+            np.linalg.norm(self.carry(act(xi, c)) - act(gx, beta_c), axis=-1)
             > tol * np.maximum(1.0, size * np.maximum(1.0, op)),
-            np.linalg.norm(inner(gx, self.carry(eta)) - inner(xi, eta) @ beta, axis=-1)
+            np.linalg.norm(inner(gx, self.carry(eta)) - beta_inner, axis=-1)
             > tol * np.maximum(1.0, size * np.linalg.norm(eta, axis=-1))], axis=-1)
         if bad.any():
             w, _, check = np.unravel_index(bad.argmax(), bad.shape)
@@ -502,19 +503,10 @@ class EquivariantModule:
                                f"inner product is not equivariant at w={w}")[check])
 
 
-def _translation_maps(sys: EquivariantSystem) -> np.ndarray:
-    """(|W|, |X|, |X|): the permutations beta_w(delta_y) = delta_(wy) of the
-    point indicators, from the action table alone."""
-    g, x_n = sys.group, sys.n_points
-    maps = np.zeros((g.order, x_n, x_n), dtype=complex)
-    maps[np.arange(g.order)[:, None], np.arange(x_n), sys.action[g.inv]] = 1.0
-    return maps
-
-
 def scalar_translation_action(sys: EquivariantSystem) -> AlgebraAction:
     """C(X) (diagonal in M_{|X|}) with the translation action of W:
     beta_w(f)(x) = f(w^-1 x)."""
-    return AlgebraAction(sys.group, scalar_algebra(sys.n_points), _translation_maps(sys))
+    return AlgebraAction(sys.group, scalar_algebra(sys.n_points), sys.action)
 
 
 def equivariant_function_module(sys: EquivariantSystem) -> EquivariantModule:
@@ -522,18 +514,18 @@ def equivariant_function_module(sys: EquivariantSystem) -> EquivariantModule:
     carries the fiber at x onto the fiber at w x by I_{w, x}.  beta
     translates the base module's own C(X), built once."""
     base = function_module(sys)
-    beta = AlgebraAction(sys.group, base.algebra, _translation_maps(sys))
+    beta = AlgebraAction(sys.group, base.algebra, sys.action)
     return EquivariantModule(base, beta, (Carried(sys.action, sys.cocycle),))
 
 
 def trivial_equivariant_module(e: FDHilbertModule,
                                group: FiniteGroup) -> EquivariantModule:
     """e with W acting trivially: every gamma_w keeps each component."""
-    maps = np.tile(np.eye(e.algebra.dim, dtype=complex), (group.order, 1, 1))
     gamma = tuple(Carried(np.tile(np.arange(g), (group.order, 1)),
                           np.broadcast_to(np.eye(s, dtype=complex), (group.order, g, s, s)))
                   for g, s in (st.carrier.shape for st in e.parts))
-    return EquivariantModule(e, AlgebraAction(group, e.algebra, maps), gamma)
+    perm = np.tile(np.arange(e.algebra.dim), (group.order, 1))
+    return EquivariantModule(e, AlgebraAction(group, e.algebra, perm), gamma)
 
 
 # -- crossed-product and averaged modules --------------------------------------
@@ -660,7 +652,7 @@ def verify_green_julg(eq: EquivariantModule, tol: float = 1e-8) -> GreenJulgVerd
     commutant is built.
     """
     check_tol(tol)
-    eq.beta.validate()
+    eq.beta.validate(tol)
     lhs, _, pairs = _compact_rows(_averaged_parts(eq), eq.base.carrier_dim, tol)
     inv_rows = _placed(invariant_compacts_rows(eq, tol=tol), eq.base.pairs, pairs)
     ok = spans_equal(lhs, inv_rows, tol)

@@ -251,7 +251,7 @@ def c_ideal(sys: EquivariantSystem, scalar: ScalarStructure | None = None,
     """
     check_tol(tol)
     scalar = scalar or scalar_subgroups(sys, max(tol, 1e-8))
-    cp = cp or crossed_product(scalar_translation_action(sys))
+    cp = cp or crossed_product(scalar_translation_action(sys), tol)
     g = sys.group
     w_n, x_n = g.order, sys.n_points
     wp = _wprime_mask(scalar.wprime, w_n)
@@ -416,7 +416,7 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     check_tol(tol)
     scalar = scalar or scalar_subgroups(sys, tol)
     eq = equivariant_function_module(sys)
-    cp = crossed_product(eq.beta)
+    cp = crossed_product(eq.beta, tol)
     cid = c_ideal(sys, scalar, cp, tol)
     conditions = scalar.normalisation_ok and scalar.completeness_ok
     x_n, d = sys.n_points, sys.fiber_dim
@@ -514,9 +514,7 @@ def quotient_equivariant_module(sys: EquivariantSystem, sys_p: EquivariantSystem
         target = where[image[:, o]]
         gamma.append(Carried(target, vecs[st.carrier[target]].conj() @ carry[:, o]
                              @ vecs[st.carrier].swapaxes(-1, -2)))
-    maps = np.zeros((len(v_emb), q_alg.dim, q_alg.dim), dtype=complex)
-    maps[np.arange(len(v_emb))[:, None], image, np.arange(q_alg.dim)] = 1.0
-    return EquivariantModule(base, AlgebraAction(v_sub.group, q_alg, maps),
+    return EquivariantModule(base, AlgebraAction(v_sub.group, q_alg, image),
                              tuple(gamma)), u_rows
 
 
@@ -579,7 +577,7 @@ def _semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int,
     # theorems built; C(X, W', I), thm_p's ideal, transports onto thm's.
     u_emb, v_sub = np.array(u_sub.embedding), g.subgroup(r)
     alpha, w_of = _outer_action(thm.ideal.cp.action, thm_p.ideal.cp, u_emb, v_sub)
-    iso = _iterated_crossed_iso(thm.ideal.cp, crossed_product(alpha), w_of,
+    iso = _iterated_crossed_iso(thm.ideal.cp, crossed_product(alpha, tol), w_of,
                                 np.random.default_rng(0))
     img_rows = orthonormal_rows(_transported_rows(w_of, thm_p.ideal.rows), tol)
     ideal_transport_ok = spans_equal(img_rows, thm.ideal.rows, tol)
@@ -590,7 +588,7 @@ def _semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int,
     # term at O's least point x.
     eq_q, u_rows = quotient_equivariant_module(sys, sys_p, u_emb, v_sub, tol)
     eq_q.validate(max(tol, 1e-8))
-    gj_q, cp_q = green_julg_module(eq_q)
+    gj_q, cp_q = green_julg_module(eq_q, crossed_product(eq_q.beta, tol))
     fpa = thm.fpa
     vecs = u_rows.reshape(len(u_rows), sys.n_points, sys.fiber_dim)
     least = sys_p.orbits.least

@@ -12,14 +12,12 @@ coefficients, against the a_(w,i) = b_i w / sqrt|W|, orthonormal in the
 regular representation since the action preserves the trace: they are the
 coordinates of its algebra, one block per W-orbit of B's blocks, whose
 tables are read off B's blocks in the orbit's coordinates, and products,
-adjoints and the ideal test run on that algebra alone.  The W-orbits of
-B's blocks are derived once per action.  An action that permutes B's
-coordinates and carries each block onto a block, as every action a
-verdict builds does, is validated and crossed by index, off B's block
-tables; every other action keeps the dense path through its maps, which
-checks multiplicativity one orbit at a time.  (B >| U) >| V is the
-crossed product of V's action on B >| U.  No crossed-product element is
-embedded as a matrix.
+adjoints and the ideal test run on that algebra alone.  An action is a
+permutation of B's coordinates that carries each block onto a block, as
+every action a verdict builds is; it is validated and crossed by index,
+off B's block tables, and the W-orbits of B's blocks are read once off
+the blocks it moves.  (B >| U) >| V is the crossed product of V's action
+on B >| U.  No crossed-product element is embedded as a matrix.
 The fixed-point algebra keeps its invariant functions, one block per orbit,
 with tables from their pointwise products.  The functions are solved one
 orbit at a time, a commutant of the stabilizer's cocycle at the orbit's
@@ -332,19 +330,6 @@ def left_translation_system(sys: EquivariantSystem) -> EquivariantSystem:
 # -- the induced action on functions ----------------------------------------
 
 
-def alpha_matrix(sys: EquivariantSystem, w: int) -> np.ndarray:
-    """alpha_w as a matrix on flattened function coordinates C^{|X| d^2}:
-    block (x, w^-1 x) is I_{w, w^-1 x} (x) I_{w^-1, x}^T, all formed at once."""
-    d, x_n = sys.fiber_dim, sys.n_points
-    w_inv = sys.group.inverse(w)
-    pre = sys.action[w_inv]
-    left, right = sys.cocycle[w, pre], sys.cocycle[w_inv].swapaxes(1, 2)
-    out = np.zeros((x_n, d * d, x_n, d * d), dtype=complex)
-    out[np.arange(x_n), :, pre, :] = (left[:, :, None, :, None]
-                                      * right[:, None, :, None, :]).reshape(x_n, d * d, d * d)
-    return out.reshape(x_n * d * d, x_n * d * d)
-
-
 def function_algebra(sys: EquivariantSystem) -> MatrixStarAlgebra:
     """All of C(X, M_d), embedded block-diagonally; dim |X| d^2, one block
     M_d per point, in coordinates against the matrix units."""
@@ -491,55 +476,33 @@ def quotient_algebra(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> Quotie
 
 @dataclass(frozen=True)
 class AlgebraAction:
-    """An action of a finite group on a matrix *-algebra by *-automorphisms.
+    """An action of a finite group on a *-algebra B by permutations of B's
+    orthonormal coordinates: beta_w(b_j) = b_(perm[w, j]).
 
-    `maps[w]` acts on basis-coefficient vectors of the algebra.  The action
-    keeps a read-only copy of `maps`, so neither an in-place write nor an
-    edit of the array passed in can leave `_orbits` or `_permutation` stale.
+    A *-automorphism of a finite-dimensional C*-algebra permutes its simple
+    summands and is inner on each (Skolem-Noether); every action a verdict
+    builds, C(X)'s translation and those derived from it, is such a
+    permutation with trivial inner parts.  The action keeps a read-only
+    copy of `perm`, and per stack of B's blocks `moves` holds (block,
+    place): beta_w carries block b of the stack onto its block block[w, b]
+    and b's t-th coordinate onto that block's place[w, b, t]-th.  The
+    constructor raises SystemError unless each row of perm permutes B's
+    coordinates and carries every block onto a block of the same stack.
     """
 
     group: FiniteGroup
     algebra: MatrixStarAlgebra
-    maps: np.ndarray  # (|W|, dim, dim)
+    perm: np.ndarray  # (|W|, dim B)
+    moves: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        maps = np.array(self.maps, dtype=complex)
-        maps.setflags(write=False)
-        object.__setattr__(self, "maps", maps)
-
-    @cached_property
-    def _orbits(self) -> tuple[np.ndarray, ...]:
-        """B's coordinates by W-orbit of B's blocks, read off the maps'
-        support on first access: the components of the graph in which
-        beta_w(b_j) links b_j's block with each block it touches.  Orbits
-        with as many coordinates are stacked, one (n, p) array per size, in
-        order of first appearance."""
-        k = self.algebra.dim
-        label = self.algebra.components(((self.maps != 0).any(axis=0) | np.eye(k, dtype=bool)).T)
-        coords = [np.flatnonzero(label == o) for o in np.unique(label)]
-        return tuple(np.stack([coords[o] for o in group])
-                     for group in _grouped(map(len, coords)).values())
-
-    @cached_property
-    def _permutation(self) -> tuple | None:
-        """(perm, moves) when every beta_w is a 0/1 permutation of B's
-        coordinates that carries each block of B onto a block, read off the
-        maps on first access, and None otherwise: beta_w(b_j) =
-        b_(perm[w, j]), and per stack of B's blocks, moves holds (block,
-        place), by which beta_w carries block b of the stack onto its block
-        block[w, b], a block of the same size, and b's t-th coordinate onto
-        that block's place[w, b, t]-th."""
-        alg, maps = self.algebra, self.maps
-        k = alg.dim
-        if not k or maps.shape != (self.group.order, k, k):
-            return None
-        # Each column holds a 1 at perm and, with the |W| k entries counted
-        # nonzero in the real and imaginary parts, nothing else.
-        perm = maps.real.argmax(axis=1)
-        if (not (np.take_along_axis(maps, perm[:, None], 1) == 1).all()
-                or np.count_nonzero(maps.view(float)) != len(maps) * k
-                or (np.sort(perm, axis=1) != np.arange(k)).any()):
-            return None
+        alg, k = self.algebra, self.algebra.dim
+        perm = np.asarray(self.perm)
+        if perm.shape != (self.group.order, k) or (perm.size and perm.dtype.kind not in "iu"):
+            raise SystemError("an action is a (|W|, dim B) table of coordinate indices")
+        perm = perm.astype(np.intp)                                       # a copy
+        if (np.sort(perm, axis=1) != np.arange(k)).any():
+            raise SystemError("beta_w does not permute B's coordinates")
         block, place, stack = (np.zeros(k, dtype=np.intp) for _ in range(3))
         for s, st in enumerate(alg.blocks):
             block[st.index] = np.arange(len(st.index))[:, None]
@@ -550,47 +513,45 @@ class AlgebraAction:
             image = perm[:, st.index]                                      # [w, b, t]
             target = block[image]
             if (stack[image] != s).any() or (target != target[..., :1]).any():
-                return None
+                raise SystemError("beta_w does not carry each block of B onto a block")
             moves.append((target[..., 0], place[image]))
-        return perm, tuple(moves)
+        perm.setflags(write=False)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "moves", tuple(moves))
+
+    @cached_property
+    def _orbits(self) -> tuple[np.ndarray, ...]:
+        """B's coordinates by W-orbit of B's blocks, read off `moves` on
+        first access, each ascending, the orbits in order of their least
+        block (numbered stack by stack); orbits with as many coordinates
+        are stacked, one (n, p) array per size, in order of first
+        appearance."""
+        coords = []
+        for st, (block, _) in zip(self.algebra.blocks, self.moves):
+            least = block.min(axis=0)
+            coords += [np.sort(st.index[least == b], axis=None) for b in np.unique(least)]
+        return tuple(np.stack([coords[o] for o in group])
+                     for group in _grouped(map(len, coords)).values())
 
     def validate(self, tol: float = 1e-8) -> None:
-        """Check that the maps are a homomorphism into the *-automorphisms of B.
+        """Check that beta is a homomorphism into the *-automorphisms of B,
+        by index, with no product of B's elements.
 
-        Multiplicativity and *-preservation are read in B's coordinates,
-        through B's products and adjoints.  B is *-closed and its basis
-        orthonormal, so each coefficient residual is the norm of the matrix
-        difference it stands for.  The maps are a homomorphism (checked on
-        all pairs), so both are checked at the group's generators only, and
-        multiplicativity one W-orbit of B's blocks at a time: for b_i and
-        b_j of two orbits both b_i b_j and beta_w(b_i) beta_w(b_j), products
-        of two blocks, are exactly zero.
-
-        A permutation action (_permutation) is checked by index, with no
-        product of maps or of B's elements: two permutation matrices differ
-        by 1 in two entries of each column they move, and beta_w moves b_j
-        to b_(pi j), so beta_w(b_i b_j) - b_(pi i) b_(pi j) has the entries
-        T_b[j, l, i] - T_(pi b)[pi j, pi l, pi i] of B's block tables, and
-        the star defect those of the star tables: the entries the dense
-        products compute, compared with the same bounds in the same order.
+        beta_w and beta_v as permutation matrices differ by 1 in two entries
+        of each column they move apart, so the identity and the all-pairs
+        homomorphism defects are counts of moved columns.  beta_w moves b_j
+        to b_(pi j), so beta_w(b_i b_j) - beta_w(b_i) beta_w(b_j) has the
+        entries T_b[j, l, i] - T_(pi b)[pi j, pi l, pi i] of B's block
+        tables, and the star defect those of the star tables.  beta is a
+        homomorphism, so both are checked at the group's generators only.
         Every bound is written so that NaN fails it.
         """
         check_tol(tol)
-        alg = self.algebra
-        k = alg.dim
-        maps = self.maps
-        if maps.shape != (self.group.order, k, k):
-            raise SystemError("action maps have wrong shape")
-        permuted = self._permutation
-        if permuted is None:
-            ident = np.linalg.norm(maps[0] - np.eye(k))
-            hom = np.linalg.norm(homomorphism_defect(maps, self.group.mul), axis=(-2, -1))
-        else:
-            perm = permuted[0]
-            ident = np.sqrt(2.0 * np.count_nonzero(perm[0] != np.arange(k)))
-            # [g, h]: the columns that pi_gh and pi_g pi_h move apart.
-            hom = np.sqrt(2.0 * np.count_nonzero(
-                perm[self.group.mul] != perm[np.arange(len(perm))[:, None, None], perm], axis=-1))
+        perm, k = self.perm, self.algebra.dim
+        ident = np.sqrt(2.0 * np.count_nonzero(perm[0] != np.arange(k)))
+        # [g, h]: the columns that pi_gh and pi_g pi_h move apart.
+        hom = np.sqrt(2.0 * np.count_nonzero(
+            perm[self.group.mul] != perm[np.arange(len(perm))[:, None, None], perm], axis=-1))
         if not ident <= tol * max(k, 1):
             raise SystemError("identity does not act as identity")
         if not hom.max() <= tol * max(k, 1):
@@ -604,37 +565,18 @@ class AlgebraAction:
             raise SystemError("action is not multiplicative")
 
     def _defects(self, gens: list[int]) -> tuple[list, list]:
-        """(star, mult) at the elements gens: arrays whose rows, along the
-        last axis, are the B-coordinates of beta_w(b_i*) - beta_w(b_i)* and
-        of beta_w(b_i b_j) - beta_w(b_i) beta_w(b_j).  A permutation action
-        gives them by index, one stack of B's blocks at a time; any other
-        through B's products and adjoints, the products one W-orbit of B's
-        blocks at a time."""
-        alg, permuted = self.algebra, self._permutation
+        """(star, mult) at the elements gens, one stack of B's blocks at a
+        time: arrays whose rows, along the last axis, are the B-coordinates
+        of beta_w(b_i*) - beta_w(b_i)* and of beta_w(b_i b_j) -
+        beta_w(b_i) beta_w(b_j), read off B's tables by index."""
         star, mult = [], []
-        if permuted is not None:
-            for st, (block, place) in zip(alg.blocks, permuted[1]):
-                b, t = block[gens][..., None, None], place[gens]     # (G, g, 1, 1), [w, b, t]
-                # [w, b, t, l]: the b_l entry of beta_w(b_t*) - beta_w(b_t)*.
-                star.append(st.star.swapaxes(1, 2) - st.star[b, t[..., None, :], t[..., None]])
-                # [w, b, i, j, l]: the b_l entry of beta_w(b_i b_j) - beta_w(b_i) beta_w(b_j).
-                tj, tl, ti = t[:, :, None, :, None], t[:, :, None, None, :], t[..., None, None]
-                mult.append(st.table.transpose(0, 3, 1, 2) - st.table[b[..., None], tj, tl, ti])
-            return star, mult
-        maps = self.maps[gens]
-        # [w, i]: beta_w(b_i), one row per basis element.
-        images = maps.swapaxes(1, 2)
-        # Row i: beta_w(b_i*) - beta_w(b_i)*.
-        star.append(alg.adjoint(np.eye(alg.dim)) @ images - alg.adjoint(images))
-        for index in self._orbits:
-            n, p = index.shape
-            beta = maps[:, index[:, :, None], index[:, None, :]]          # [w, o, l, j]
-            # [0, i, o]: b_i, and [1 + w, i, o]: beta_w(b_i), in the orbit's coordinates.
-            elems = np.concatenate([np.broadcast_to(np.eye(p)[:, None], (1, p, n, p)),
-                                    beta.transpose(0, 3, 1, 2)])
-            prods = _products_on(alg, index, elems[:, :, None], elems[:, None])
-            # [w, i, j, o]: beta_w(b_i b_j) - beta_w(b_i) beta_w(b_j).
-            mult.append((beta[:, None, None] @ prods[0, ..., None])[..., 0] - prods[1:])
+        for st, (block, place) in zip(self.algebra.blocks, self.moves):
+            b, t = block[gens][..., None, None], place[gens]         # (G, g, 1, 1), [w, b, t]
+            # [w, b, t, l]: the b_l entry of beta_w(b_t*) - beta_w(b_t)*.
+            star.append(st.star.swapaxes(1, 2) - st.star[b, t[..., None, :], t[..., None]])
+            # [w, b, i, j, l]: the b_l entry of beta_w(b_i b_j) - beta_w(b_i) beta_w(b_j).
+            tj, tl, ti = t[:, :, None, :, None], t[:, :, None, None, :], t[..., None, None]
+            mult.append(st.table.transpose(0, 3, 1, 2) - st.table[b[..., None], tj, tl, ti])
         return star, mult
 
 
@@ -644,47 +586,23 @@ def _largest_norm(parts) -> float:
     return np.max([0.0] + [np.linalg.norm(a, axis=-1).max(initial=0.0) for a in parts])
 
 
-def _blocks_on(alg: MatrixStarAlgebra, index: np.ndarray):
-    """(stack, sel, at, ix) for each stack of alg with blocks in the
-    coordinates index (n, p), each row a union of alg's blocks: the
-    stack's blocks sel there, and the row and the place in it of each of
-    their coordinates, (g, s) each."""
+def _tables_on(alg: MatrixStarAlgebra, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """([o, j, l, i]: <b_l, b_i b_j>, [o, l, i]: <b_l, b_i*>) for the
+    coordinates index (n, p) of alg, each row a union of its blocks, at
+    their places in the row: alg's block tables placed, zero across
+    blocks."""
+    table = np.zeros(index.shape + index.shape[1:] * 2, dtype=complex)
+    star = np.zeros(index.shape + index.shape[1:], dtype=complex)
     row, pos = np.full(alg.dim, -1), np.zeros(alg.dim, dtype=np.intp)
     row[index] = np.arange(len(index))[:, None]
     pos[index] = np.arange(index.shape[1])
     for st in alg.blocks:
         sel = np.flatnonzero(row[st.index[:, 0]] >= 0)
-        yield st, sel, row[st.index[sel]], pos[st.index[sel]]
-
-
-def _products_on(alg: MatrixStarAlgebra, index: np.ndarray, c1: np.ndarray,
-                 c2: np.ndarray) -> np.ndarray:
-    """The products of coordinate stacks c1, c2 (..., n, p) that broadcast,
-    in the coordinates index (n, p) of alg, each row a union of its blocks:
-    block by block, as alg.multiply, without alg's other coordinates."""
-    out = np.zeros(np.broadcast_shapes(c1.shape, c2.shape), dtype=complex)
-    for st, sel, at, ix in _blocks_on(alg, index):
-        part = Blocks(st.index[sel], st.table[sel], st.star[sel], st.traces[sel])
-        out[..., at, ix] = (part.regular(c1[..., at, ix]) @ c2[..., at, ix, None])[..., 0]
-    return out
-
-
-def _table_on(alg: MatrixStarAlgebra, index: np.ndarray) -> np.ndarray:
-    """[o, j, l, i]: <b_l, b_i b_j> for the coordinates index (n, p) of
-    alg, each row a union of its blocks, at their places in the row: alg's
-    block tables placed, zero across blocks."""
-    out = np.zeros(index.shape + index.shape[1:] * 2, dtype=complex)
-    for st, sel, at, ix in _blocks_on(alg, index):
-        out[at[:, :1, None, None], ix[:, :, None, None], ix[:, None, :, None],
-            ix[:, None, None, :]] = st.table[sel]
-    return out
-
-
-def function_algebra_action(sys: EquivariantSystem) -> AlgebraAction:
-    """alpha as an AlgebraAction on the full function algebra of the system."""
-    alg = function_algebra(sys)
-    maps = np.stack([alpha_matrix(sys, w) for w in sys.group.elements()])
-    return AlgebraAction(sys.group, alg, maps)
+        at, ix = row[st.index[sel, :1]], pos[st.index[sel]]
+        table[at[:, :, None, None], ix[:, :, None, None], ix[:, None, :, None],
+              ix[:, None, None, :]] = st.table[sel]
+        star[at[:, :, None], ix[:, :, None], ix[:, None, :]] = st.star[sel]
+    return table, star
 
 
 @dataclass(frozen=True)
@@ -692,10 +610,10 @@ class CrossedProduct:
     """B >| W in crossed coefficients, the coordinates of `algebra`.
 
     Coordinate (w, i), at w dim B + i, is that of a_(w,i) = b_i w / sqrt|W|.
-    Every beta_w is unitary on B's orthonormal basis (crossed_product
-    checks it), so the a_(w,i) are orthonormal in the regular
-    representation on l^2(W) (x) C^N: the standard inner products of
-    coordinates are the trace inner products there.
+    Every beta_w permutes B's orthonormal basis, so it is unitary and the
+    a_(w,i) are orthonormal in the regular representation on
+    l^2(W) (x) C^N: the standard inner products of coordinates are the
+    trace inner products there.
     """
 
     action: AlgebraAction
@@ -715,42 +633,31 @@ class CrossedProduct:
         block per W-orbit O of B's blocks, as a_(w,i) a_(v,j) =
         b_i beta_w(b_j) wv / sqrt|W| vanishes unless b_i and beta_w(b_j)
         share a block.  <a_(u,l), a_(w,i) a_(v,j)> is
-        <b_l, b_i beta_w(b_j)> / sqrt|W| on O when u = wv and zero
-        otherwise, read off B's blocks in O's coordinates, at O(|W| p^3)
-        for the p coordinates of O; a_(w,i)* = beta_(w^-1)(b_i*) w^-1 /
-        sqrt|W|, and tr a_(w,i) = delta_(w,e) sqrt|W| tr b_i.  These hold in
-        the regular representation, in which a_(w,i) has the block
-        beta_((wv)^-1)(b_i) / sqrt|W| at (wv, v): only w = e has diagonal
-        blocks, and each beta_v preserves the trace.  The regular
-        representation integrates a covariant pair (Williams, Crossed
-        Products of C*-Algebras, 2007, 2.3), so these are the tables of the
-        embedded span, whose ambient size |W| N is `ambient_dim`.
+        <b_l, b_i b_(pi_w j)> / sqrt|W| on O when u = wv and zero
+        otherwise, gathered from B's block tables in O's coordinates at
+        pi_w's places, at O(|W| p^3) for the p coordinates of O;
+        a_(w,i)* = beta_(w^-1)(b_i*) w^-1 / sqrt|W|, whose coefficients are
+        b_i*'s moved by pi_(w^-1), and tr a_(w,i) = delta_(w,e) sqrt|W|
+        tr b_i.  These hold in the regular representation, in which a_(w,i)
+        has the block beta_((wv)^-1)(b_i) / sqrt|W| at (wv, v): only w = e
+        has diagonal blocks, and each beta_v preserves the trace.  The
+        regular representation integrates a covariant pair (Williams,
+        Crossed Products of C*-Algebras, 2007, 2.3), so these are the tables
+        of the embedded span, whose ambient size |W| N is `ambient_dim`.
         """
         g, action = self.group, self.action
-        b_alg, maps, permuted = action.algebra, action.maps, action._permutation
+        b_alg = action.algebra
         w_n, k = g.order, b_alg.dim
         w, v = np.arange(w_n)[:, None], np.arange(w_n)
-        adjoints = b_alg.adjoint(np.eye(k))                               # [i, m]: b_i*
         blocks = []
         for index in action._orbits:
             n, p = index.shape
-            adj = adjoints[index[:, None, :], index[:, :, None]]         # [o, m, i]: b_i*
-            if permuted is None:
-                beta = maps[:, index[:, :, None], index[:, None, :]]       # [w, o, l, j]
-                units = np.broadcast_to(np.eye(p)[:, None], (p, n, p))   # [i, o]: b_i
-                # [w, o, j, l, i]: <b_l, b_i beta_w(b_j)>.
-                prods = _products_on(b_alg, index, units[:, None, None],
-                                     beta.transpose(0, 3, 1, 2)[None]).transpose(1, 3, 2, 4, 0)
-                # [w, o, l, i]: the b_l coefficient of beta_(w^-1)(b_i*).
-                flipped = beta[g.inv] @ adj
-            else:
-                # beta_w(b_j) = b_(pi_w j) and beta_w(b_i*) = (b_i*)(pi_w^-1 .),
-                # read off B's tables at pi_w's places in the orbit.
-                place = np.zeros(k, dtype=np.intp)
-                place[index] = np.arange(p)
-                pi, o = place[permuted[0][:, index]], np.arange(n)[:, None]   # [w, o, j]: pi_w j
-                prods = _table_on(b_alg, index)[o, pi]
-                flipped = adj[o, np.argsort(pi, axis=-1)[g.inv]]
+            place = np.zeros(k, dtype=np.intp)
+            place[index] = np.arange(p)
+            pi, o = place[action.perm[:, index]], np.arange(n)[:, None]   # [w, o, j]: pi_w j
+            table_on, adj = _tables_on(b_alg, index)                      # adj [o, m, i]: b_i*
+            prods = table_on[o, pi]                        # [w, o, j, l, i]: <b_l, b_i b_(pi_w j)>
+            flipped = adj[o, np.argsort(pi, axis=-1)[g.inv]]
             table = np.zeros((n, w_n, p, w_n, p, w_n, p), dtype=complex)
             table[:, v, :, g.mul[w, v], :, w] = prods[:, None] / math.sqrt(w_n)
             star = np.zeros((n, w_n, p, w_n, p), dtype=complex)
@@ -798,23 +705,13 @@ class CrossedProduct:
         return True
 
 
-def crossed_product(action: AlgebraAction) -> CrossedProduct:
-    """B >| W from a validated action that preserves the trace.
-
-    SystemError unless every beta_w is unitary on B's orthonormal basis, to
-    the bound of the action's homomorphism check: only then are the
-    a_(w,i) = b_i w / sqrt|W| orthonormal, as CrossedProduct assumes.  beta
-    is a homomorphism, so unitarity is checked at the generators; a
-    permutation action (AlgebraAction._permutation) is unitary, its defect
-    exactly zero, and needs no product.
+def crossed_product(action: AlgebraAction, tol: float = 1e-8) -> CrossedProduct:
+    """B >| W from an action validated at `tol` (AlgebraAction.validate):
+    SystemError unless beta is a homomorphism into the *-automorphisms of
+    B.  A permutation of B's orthonormal basis is unitary, so the a_(w,i)
+    are orthonormal, as CrossedProduct assumes, with no check of its own.
     """
-    action.validate()
-    if action._permutation is None:
-        k = action.algebra.dim
-        gens = action.maps[list(action.group.generators())]
-        defect = gens.conj().swapaxes(-2, -1) @ gens - np.eye(k)
-        if not np.linalg.norm(defect, axis=(-2, -1)).max(initial=0.0) <= 1e-8 * max(k, 1):
-            raise SystemError("action does not preserve the trace inner product")
+    action.validate(tol)
     return CrossedProduct(action)
 
 
@@ -855,7 +752,7 @@ def phi_iso(sys: EquivariantSystem, tol: float = DEFAULT_TOL,
     w_n = g.order
     rng = rng or np.random.default_rng(0)
 
-    cp = crossed_product(function_algebra_action(sys))   # C(X) >| W by translation
+    cp = crossed_product(AlgebraAction(g, function_algebra(sys), sys.action))   # C(X) >| W
     target_sys = left_translation_system(sys)
     target = fixed_point_algebra(target_sys, tol)
     # [w, v, x]: phi(f w)(x) has f(w v^-1 x) at row v w^-1, column v.
@@ -901,7 +798,7 @@ def iterated_crossed_iso(action: AlgebraAction, normal, complement,
     semidirect_decomposition(g, normal, complement)   # raises unless W = U >| V
     u_sub = g.subgroup(normal)
     u_emb = np.array(u_sub.embedding)
-    inner = crossed_product(AlgebraAction(u_sub.group, action.algebra, action.maps[u_emb]))
+    inner = crossed_product(AlgebraAction(u_sub.group, action.algebra, action.perm[u_emb]))
     alpha, w_of = _outer_action(action, inner, u_emb, g.subgroup(complement))
     return _iterated_crossed_iso(crossed_product(action), crossed_product(alpha), w_of,
                                  rng or np.random.default_rng(0))
@@ -912,8 +809,8 @@ def _outer_action(whole: AlgebraAction, inner: CrossedProduct, u_emb: np.ndarray
     """(alpha, w_of) for W = U >| V, with U's elements u_emb in W and V's
     in v_sub, and inner = B >| U.
 
-    V acts on B >| U by alpha_v(a_(u,i)) = sum_j beta_v[j, i] a_(v u v^-1, j),
-    as v (b_i u) v^-1 = beta_v(b_i) (v u v^-1), so (B >| U) >| V is
+    V acts on B >| U by alpha_v(a_(u,i)) = a_(v u v^-1, pi_v i), as
+    v (b_i u) v^-1 = beta_v(b_i) (v u v^-1), so (B >| U) >| V is
     crossed_product(alpha), whose coordinates (v, u, i) are those of
     a_(u,i) v / sqrt|V| = b_i (uv) / sqrt|W|.  phi((a u) v) = a (uv) moves
     coordinate (v, u, i) to (w_of[v, u], i) of B >| W (_slot_image).
@@ -923,10 +820,9 @@ def _outer_action(whole: AlgebraAction, inner: CrossedProduct, u_emb: np.ndarray
     in_u = np.zeros(g.order, dtype=np.intp)
     in_u[u_emb] = np.arange(len(u_emb))
     conj = in_u[g.mul[g.mul[v_emb[:, None], u_emb], g.inv[v_emb][:, None]]]   # [v, u]: v u v^-1
-    v_n, u_n, k = len(v_emb), len(u_emb), whole.algebra.dim
-    maps = np.zeros((v_n, u_n, k, u_n, k), dtype=complex)
-    maps[np.arange(v_n)[:, None], conj, :, np.arange(u_n)] = whole.maps[v_emb][:, None]
-    return (AlgebraAction(v_sub.group, inner.algebra, maps.reshape(v_n, u_n * k, u_n * k)),
+    k = whole.algebra.dim
+    perm = conj[:, :, None] * k + whole.perm[v_emb][:, None]
+    return (AlgebraAction(v_sub.group, inner.algebra, perm.reshape(len(v_emb), -1)),
             g.mul[u_emb, v_emb[:, None]])
 
 

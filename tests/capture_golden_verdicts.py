@@ -20,7 +20,11 @@ import numpy as np
 
 from equivaria.datasets import bundled
 from equivaria.groups import symmetric
-from equivaria.hilbmod import equivariant_function_module, verify_green_julg
+from equivaria.hilbmod import (
+    equivariant_function_module,
+    scalar_translation_action,
+    verify_green_julg,
+)
 from equivaria.morita import (
     assemble_toy_dual,
     quotient_equivariant_module,
@@ -30,7 +34,6 @@ from equivaria.morita import (
 from equivaria.spectrum import wedderburn_crosscheck
 from equivaria.systems import (
     dihedral_plane_family,
-    function_algebra_action,
     iterated_crossed_iso,
     phi_iso,
     restrict_system,
@@ -127,7 +130,7 @@ def crossed_isos():
         yield f"phi-iso/{name}", lambda build=build: iso_fields(phi_iso(build())[0])
         yield (f"iterated-crossed-iso/{name}",
                lambda build=build, normal=normal, complement=complement: iso_fields(
-                   iterated_crossed_iso(function_algebra_action(build()), normal, complement)))
+                   iterated_crossed_iso(scalar_translation_action(build()), normal, complement)))
 
 
 def cases():

@@ -20,11 +20,19 @@ onto a module's components (carried).  The crossed product B >| W lives
 in its own coordinates in `equivaria`; here it is embedded by the regular
 representation on l^2(W) (x) C^N, with the covariant-pair relations
 (1)-(4) that make that embedding's product table the one cp.algebra reads
-off B's blocks.  The pairwise ideal test of matrix spans, the operator norm
-of a matrix and the block-diagonal embedding of functions (embed_function)
-are kept here as well.
+off B's blocks.  An action of `equivaria` is a permutation of B's
+coordinates, validated and crossed by index; here an action is given by
+dense (|W|, k, k) maps (DenseAction, dense_maps builds them from a
+permutation) and validated through B's products and adjoints, its crossed
+tables multiplied out through the maps (DenseCrossedProduct,
+dense_crossed_product), the oracle of the index path.  C(X, M_d)'s action
+alpha for d >= 2 (alpha_matrix, function_algebra_action) is not a
+permutation, and lives here only.  The pairwise ideal test of matrix spans,
+the operator norm of a matrix and the block-diagonal embedding of functions
+(embed_function) are kept here as well.
 """
 import math
+from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -33,6 +41,7 @@ import numpy as np
 from equivaria.hilbmod import Carried, Components, FDHilbertModule
 from equivaria.linalg import (
     DEFAULT_TOL,
+    check_tol,
     component_labels,
     flatten,
     homomorphism_defect,
@@ -40,8 +49,9 @@ from equivaria.linalg import (
     orthonormal_rows,
     span_contains,
 )
-from equivaria.matalg import restricted_algebra
+from equivaria.matalg import Blocks, MatrixStarAlgebra, _grouped, restricted_algebra
 from equivaria.reps import regular_rep
+from equivaria.systems import CrossedProduct, SystemError, _largest_norm, function_algebra
 
 
 def operator_norm(a: np.ndarray) -> float:
@@ -337,7 +347,7 @@ def crossed_basis(action, basis=None) -> np.ndarray:
     g = action.group
     basis = base_basis(action.algebra) if basis is None else basis
     k, n, w_n = basis.shape[0], basis.shape[1], g.order
-    twisted = np.tensordot(action.maps[g.inv] / math.sqrt(w_n), basis, axes=(1, 0))
+    twisted = np.tensordot(dense_maps(action)[g.inv] / math.sqrt(w_n), basis, axes=(1, 0))
     out = np.zeros((w_n, k, w_n, n, w_n, n), dtype=complex)
     w, v = np.arange(w_n)[:, None], np.arange(w_n)
     out[w, :, g.mul[w, v], :, v, :] = twisted[g.mul[w, v]]
@@ -365,7 +375,7 @@ def relation_residual(cp, basis=None) -> float:
     scaled back, and it is read in B's coordinates: pi(b_i) must be
     block-diagonal, and its blocks must multiply as B does.  (3) is read at
     W's generators, which with (4) and beta a homomorphism covers W."""
-    g, maps = cp.group, cp.action.maps
+    g, maps = cp.group, dense_maps(cp.action)
     b_alg = Dense(base_basis(cp.action.algebra) if basis is None else basis)
     k, n, w_n = b_alg.dim, b_alg.ambient_dim, g.order
     emb = crossed_basis(cp.action, b_alg.basis).reshape(w_n, k, w_n * n, w_n * n)
@@ -417,3 +427,196 @@ def is_ideal(ideal, alg, tol: float = DEFAULT_TOL) -> bool:
     if not span_contains(rows, flatten(np.conj(np.transpose(ideal_mats, (0, 2, 1)))), tol):
         return False
     return all(span_contains(rows, flatten(ideal_mats @ a), tol) for a in alg_mats)
+
+
+# -- the dense action path -----------------------------------------------------
+
+
+def alpha_matrix(sys, w: int) -> np.ndarray:
+    """alpha_w as a matrix on flattened function coordinates C^{|X| d^2}:
+    block (x, w^-1 x) is I_{w, w^-1 x} (x) I_{w^-1, x}^T, all formed at once."""
+    d, x_n = sys.fiber_dim, sys.n_points
+    w_inv = sys.group.inverse(w)
+    pre = sys.action[w_inv]
+    left, right = sys.cocycle[w, pre], sys.cocycle[w_inv].swapaxes(1, 2)
+    out = np.zeros((x_n, d * d, x_n, d * d), dtype=complex)
+    out[np.arange(x_n), :, pre, :] = (left[:, :, None, :, None]
+                                      * right[:, None, :, None, :]).reshape(x_n, d * d, d * d)
+    return out.reshape(x_n * d * d, x_n * d * d)
+
+
+def dense_maps(action) -> np.ndarray:
+    """An action's (|W|, k, k) maps on B's coefficient vectors: a
+    DenseAction's own, or the 0/1 matrices of an AlgebraAction's
+    permutation, with beta_w(b_j) = b_(perm[w, j]) in column j."""
+    if isinstance(action, DenseAction):
+        return action.maps
+    w_n, k = action.perm.shape
+    maps = np.zeros((w_n, k, k), dtype=complex)
+    maps[np.arange(w_n)[:, None], action.perm, np.arange(k)] = 1.0
+    return maps
+
+
+@dataclass(frozen=True)
+class DenseAction:
+    """An action of a finite group on B by dense maps, maps[w] acting on
+    B's coefficient vectors, validated and crossed through products of the
+    maps and of B's elements: the oracle of AlgebraAction's index checks,
+    and the form of the actions that are not permutations, such as
+    C(X, M_d)'s for d >= 2 (function_algebra_action) and conjugations."""
+
+    group: object
+    algebra: MatrixStarAlgebra
+    maps: np.ndarray  # (|W|, dim, dim)
+
+    def __post_init__(self):
+        maps = np.array(self.maps, dtype=complex)
+        maps.setflags(write=False)
+        object.__setattr__(self, "maps", maps)
+
+    @classmethod
+    def of(cls, action) -> "DenseAction":
+        """The dense twin of an AlgebraAction."""
+        return cls(action.group, action.algebra, dense_maps(action))
+
+    @cached_property
+    def orbits(self) -> tuple[np.ndarray, ...]:
+        """B's coordinates by W-orbit of B's blocks, read off the maps'
+        support: the components of the graph in which beta_w(b_j) links
+        b_j's block with each block it touches, stacked as
+        AlgebraAction._orbits stacks them."""
+        k = self.algebra.dim
+        label = self.algebra.components(((self.maps != 0).any(axis=0) | np.eye(k, dtype=bool)).T)
+        coords = [np.flatnonzero(label == o) for o in np.unique(label)]
+        return tuple(np.stack([coords[o] for o in group])
+                     for group in _grouped(map(len, coords)).values())
+
+    def validate(self, tol: float = 1e-8) -> None:
+        """AlgebraAction.validate's checks, bounds and messages, through
+        the maps: the identity and all-pairs homomorphism defects are
+        Frobenius norms of matrix differences, and the star and
+        multiplicativity defects at the generators are read through B's
+        products and adjoints."""
+        check_tol(tol)
+        k, maps = self.algebra.dim, self.maps
+        if maps.shape != (self.group.order, k, k):
+            raise SystemError("action maps have wrong shape")
+        ident = np.linalg.norm(maps[0] - np.eye(k))
+        hom = np.linalg.norm(homomorphism_defect(maps, self.group.mul), axis=(-2, -1))
+        if not ident <= tol * max(k, 1):
+            raise SystemError("identity does not act as identity")
+        if not hom.max() <= tol * max(k, 1):
+            raise SystemError("maps are not a group homomorphism")
+        if k == 0:
+            return
+        star, mult = self.defects(list(self.group.generators()))
+        if not _largest_norm(star) <= tol:
+            raise SystemError("action does not preserve the involution")
+        if not _largest_norm(mult) <= tol:
+            raise SystemError("action is not multiplicative")
+
+    def defects(self, gens: list) -> tuple[list, list]:
+        """(star, mult) at the elements gens, as AlgebraAction._defects
+        gives them: rows of the B-coordinates of beta_w(b_i*) -
+        beta_w(b_i)* and of beta_w(b_i b_j) - beta_w(b_i) beta_w(b_j), the
+        products one W-orbit of B's blocks at a time (for b_i and b_j of
+        two orbits both sides are exactly zero)."""
+        alg, maps = self.algebra, self.maps[gens]
+        images = maps.swapaxes(1, 2)                      # [w, i]: beta_w(b_i)
+        star, mult = [alg.adjoint(np.eye(alg.dim)) @ images - alg.adjoint(images)], []
+        for index in self.orbits:
+            n, p = index.shape
+            beta = maps[:, index[:, :, None], index[:, None, :]]          # [w, o, l, j]
+            # [0, i, o]: b_i, and [1 + w, i, o]: beta_w(b_i), in the orbit's coordinates.
+            elems = np.concatenate([np.broadcast_to(np.eye(p)[:, None], (1, p, n, p)),
+                                    beta.transpose(0, 3, 1, 2)])
+            prods = products_on(alg, index, elems[:, :, None], elems[:, None])
+            # [w, i, j, o]: beta_w(b_i b_j) - beta_w(b_i) beta_w(b_j).
+            mult.append((beta[:, None, None] @ prods[0, ..., None])[..., 0] - prods[1:])
+        return star, mult
+
+
+def function_algebra_action(sys) -> DenseAction:
+    """alpha as a dense action on the full function algebra C(X, M_d)."""
+    maps = np.stack([alpha_matrix(sys, w) for w in sys.group.elements()])
+    return DenseAction(sys.group, function_algebra(sys), maps)
+
+
+def products_on(alg, index: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """The products of coordinate stacks c1, c2 (..., n, p) that broadcast,
+    in the coordinates index (n, p) of alg, each row a union of its blocks:
+    block by block, as alg.multiply, without alg's other coordinates."""
+    out = np.zeros(np.broadcast_shapes(c1.shape, c2.shape), dtype=complex)
+    row, pos = np.full(alg.dim, -1), np.zeros(alg.dim, dtype=np.intp)
+    row[index] = np.arange(len(index))[:, None]
+    pos[index] = np.arange(index.shape[1])
+    for st in alg.blocks:
+        sel = np.flatnonzero(row[st.index[:, 0]] >= 0)
+        at, ix = row[st.index[sel]], pos[st.index[sel]]
+        part = Blocks(st.index[sel], st.table[sel], st.star[sel], st.traces[sel])
+        out[..., at, ix] = (part.regular(c1[..., at, ix]) @ c2[..., at, ix, None])[..., 0]
+    return out
+
+
+class DenseCrossedProduct(CrossedProduct):
+    """B >| W of a DenseAction, its tables multiplied out through the maps:
+    <b_l, b_i beta_w(b_j)> from products of B's elements in each orbit's
+    coordinates and beta_(w^-1)(b_i*) from the maps and B's adjoints, the
+    oracle of the tables CrossedProduct.algebra gathers by index."""
+
+    @cached_property
+    def algebra(self) -> MatrixStarAlgebra:
+        g, action = self.group, self.action
+        b_alg, maps = action.algebra, action.maps
+        w_n, k = g.order, b_alg.dim
+        w, v = np.arange(w_n)[:, None], np.arange(w_n)
+        adjoints = b_alg.adjoint(np.eye(k))                               # [i, m]: b_i*
+        blocks = []
+        for index in action.orbits:
+            n, p = index.shape
+            adj = adjoints[index[:, None, :], index[:, :, None]]         # [o, m, i]: b_i*
+            beta = maps[:, index[:, :, None], index[:, None, :]]           # [w, o, l, j]
+            units = np.broadcast_to(np.eye(p)[:, None], (p, n, p))       # [i, o]: b_i
+            # [w, o, j, l, i]: <b_l, b_i beta_w(b_j)>.
+            prods = products_on(b_alg, index, units[:, None, None],
+                                beta.transpose(0, 3, 1, 2)[None]).transpose(1, 3, 2, 4, 0)
+            table = np.zeros((n, w_n, p, w_n, p, w_n, p), dtype=complex)
+            table[:, v, :, g.mul[w, v], :, w] = prods[:, None] / math.sqrt(w_n)
+            star = np.zeros((n, w_n, p, w_n, p), dtype=complex)
+            # [w, o, l, i]: the b_l coefficient of beta_(w^-1)(b_i*).
+            star[:, g.inv, :, v] = beta[g.inv] @ adj
+            traces = np.zeros((n, w_n, p), dtype=complex)
+            traces[:, g.identity] = math.sqrt(w_n) * b_alg.traces[index]
+            blocks.append(Blocks((v[:, None] * k + index[:, None, :]).reshape(n, -1),
+                                 table.reshape(n, w_n * p, w_n * p, w_n * p),
+                                 star.reshape(n, w_n * p, w_n * p), traces.reshape(n, -1)))
+        return MatrixStarAlgebra(w_n * b_alg.ambient_dim, tuple(blocks))
+
+
+def dense_crossed_product(action: DenseAction, tol: float = 1e-8) -> DenseCrossedProduct:
+    """B >| W of a dense action validated at tol: SystemError unless every
+    beta_w is also unitary on B's orthonormal basis, checked at the
+    generators, as only then are the a_(w,i) orthonormal."""
+    action.validate(tol)
+    k = action.algebra.dim
+    gens = action.maps[list(action.group.generators())]
+    defect = gens.conj().swapaxes(-2, -1) @ gens - np.eye(k)
+    if not np.linalg.norm(defect, axis=(-2, -1)).max(initial=0.0) <= tol * max(k, 1):
+        raise SystemError("action does not preserve the trace inner product")
+    return DenseCrossedProduct(action)
+
+
+def dense_outer_action(whole: DenseAction, inner, u_emb: np.ndarray, v_sub):
+    """systems._outer_action of a dense action: V acts on B >| U by
+    alpha_v(a_(u,i)) = sum_j beta_v[j, i] a_(v u v^-1, j).  Returns
+    (alpha, w_of)."""
+    g = whole.group
+    v_emb = np.array(v_sub.embedding)
+    in_u = np.zeros(g.order, dtype=np.intp)
+    in_u[u_emb] = np.arange(len(u_emb))
+    conj = in_u[g.mul[g.mul[v_emb[:, None], u_emb], g.inv[v_emb][:, None]]]   # [v, u]: v u v^-1
+    v_n, u_n, k = len(v_emb), len(u_emb), whole.algebra.dim
+    maps = np.zeros((v_n, u_n, k, u_n, k), dtype=complex)
+    maps[np.arange(v_n)[:, None], conj, :, np.arange(u_n)] = whole.maps[v_emb][:, None]
+    return (DenseAction(v_sub.group, inner.algebra, maps.reshape(v_n, u_n * k, u_n * k)),
+            g.mul[u_emb, v_emb[:, None]])

@@ -27,6 +27,7 @@ from equivaria.hilbmod import (
     function_module,
     green_julg_module,
     green_julg_norms,
+    scalar_translation_action,
     standard_module,
     trivial_equivariant_module,
     free_module,
@@ -54,7 +55,6 @@ from equivaria.systems import (
     EquivariantSystem,
     anticomplete_point_system,
     fixed_point_algebra,
-    function_algebra_action,
     iterated_crossed_iso,
     one_point_system,
     phi_iso,
@@ -169,7 +169,7 @@ def test_criterion_5_crossed_product_isomorphisms():
          [0, min(set(g3.elements()) - set(rotations))]),
     ]
     for sys, normal, complement in splittings:
-        witness = iterated_crossed_iso(function_algebra_action(sys),
+        witness = iterated_crossed_iso(scalar_translation_action(sys),
                                        normal, complement)
         assert witness.ok, sys.name
         assert witness.multiplicative_residual < 1e-9, sys.name

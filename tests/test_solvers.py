@@ -18,9 +18,12 @@ one block per W-orbit of B's blocks: its product table, star table, traces,
 unit and norms
 equal those read off the regular embedding of tests/oracles.py, which
 keeps the covariant-pair relations, on every bundled system, z2-line 1-5
-and z2xz2-line 1-3 with and without W'.  A permutation action is
-validated and crossed by index, with the dense maps' messages and, bit for
-bit, their crossed tables.  `span_contains` tests stacks a
+and z2xz2-line 1-3 with and without W'.  An action is a permutation,
+validated and crossed by index with the messages, the W-orbits and, bit
+for bit, the crossed tables of the dense oracle (oracles.DenseAction), on
+hypothesis-drawn translations too; non-permutation tables are refused when
+built, and validate's bounds follow the caller's tolerance and are pinned
+by planted defects.  `span_contains` tests stacks a
 slab at a time.
 The compacts are cut one carrier component at a time, a module of one
 component as one block, with the dense SVD of the whole stack of rank-one
@@ -79,19 +82,23 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import (
     Dense,
+    DenseAction,
     averaged_tensors,
     carried,
     carrier_components,
     components_of,
     crossed_basis,
     dense_gamma,
+    dense_crossed_product,
     dense_gram,
+    dense_maps,
     dense_module,
     dense_of,
     dense_rows,
     embedded_algebra,
     fpa_basis,
     fullness_ideal,
+    function_algebra_action,
     gram_sqrt,
     is_ideal,
     operator_norm,
@@ -162,7 +169,6 @@ from equivaria.systems import (
     anticomplete_point_system,
     crossed_product,
     fixed_point_algebra,
-    function_algebra_action,
     one_point_system,
     z2_line_system,
     z2xz2_line_system,
@@ -197,7 +203,7 @@ def test_center_matches_oracle_on_fixed_point_algebras(name):
 
 
 def test_center_matches_oracle_on_crossed_product():
-    cp = crossed_product(function_algebra_action(z2_line_system(1)))
+    cp = dense_crossed_product(function_algebra_action(z2_line_system(1)))
     assert center_dim_checked(cp.algebra, embedded_algebra(cp)) > 0
 
 
@@ -293,7 +299,7 @@ def product_pass_algebra(label):
         fpa = fixed_point_algebra(bundled(label))
         return fpa, Dense(fpa_basis(fpa))
     if label == "crossed-product":
-        cp = crossed_product(function_algebra_action(z2_line_system(1)))
+        cp = dense_crossed_product(function_algebra_action(z2_line_system(1)))
         return cp.algebra, embedded_algebra(cp)
     span = conjugated_block_sum()
     return span.algebra, Dense(span.mats)
@@ -423,8 +429,8 @@ def test_no_algebra_holds_a_whole_table_or_a_dense_basis(monkeypatch):
     check(verdict.ideal.cp)
     built = []
 
-    def spy(action):
-        built.append(crossed_product(action))
+    def spy(action, tol=1e-8):
+        built.append(crossed_product(action, tol))
         return built[-1]
 
     monkeypatch.setattr(morita, "crossed_product", spy)
@@ -475,7 +481,7 @@ def invariant_functions_dense(sys, tol=1e-9):
     """The whole-ambient oracle of invariant_functions: the kernel of
     alpha_g - 1 stacked over W's generators, on all of C(X, M_d)."""
     size = sys.n_points * sys.fiber_dim ** 2
-    stacked = [systems.alpha_matrix(sys, w) - np.eye(size) for w in sys.group.generators()]
+    stacked = [oracles.alpha_matrix(sys, w) - np.eye(size) for w in sys.group.generators()]
     return linalg.nullspace_rows(np.vstack(stacked) if stacked else np.zeros((0, size)), tol)
 
 
@@ -708,7 +714,7 @@ def crossed_embed(action, f):
             continue
         for v in range(w_n):
             vp = g.mul[w, v]
-            b = alg.element(action.maps[g.inv[vp]] @ f[w])
+            b = alg.element(dense_maps(action)[g.inv[vp]] @ f[w])
             out[vp * n:(vp + 1) * n, v * n:(v + 1) * n] += b
     return out
 
@@ -1012,7 +1018,7 @@ def close(a, b, tol=1e-10) -> bool:
 @pytest.mark.parametrize("label", CROSSED)
 @pytest.mark.parametrize("make_action", [scalar_translation_action, function_algebra_action])
 def test_crossed_coefficients_match_the_embedding(label, make_action):
-    check_crossed_coefficients(crossed_product(make_action(crossed_system(label))))
+    check_crossed_coefficients(cross(make_action(crossed_system(label))))
 
 
 def test_crossed_coefficients_match_the_embedding_of_a_corner():
@@ -1047,9 +1053,17 @@ CORNER_BASIS = np.eye(3, dtype=complex)[:2, :, None] * np.eye(3)[:2, None, :]
 
 
 def corner_action():
-    """Z/2 swapping E11 and E22 in M_3: B's unit E11 + E22 is not I_3."""
-    maps = np.array([np.eye(2), [[0, 1], [1, 0]]], dtype=complex)
-    return AlgebraAction(cyclic(2), MatrixSpan(CORNER_BASIS).algebra, maps)
+    """Z/2 swapping E11 and E22 in M_3, both in B's one block: B's unit
+    E11 + E22 is not I_3."""
+    return AlgebraAction(cyclic(2), MatrixSpan(CORNER_BASIS).algebra, [[0, 1], [1, 0]])
+
+
+def cross(action):
+    """B >| W: crossed_product of an AlgebraAction, and the dense oracle's
+    of a DenseAction such as C(X, M_d)'s alpha (function_algebra_action)."""
+    if isinstance(action, DenseAction):
+        return dense_crossed_product(action)
+    return crossed_product(action)
 
 
 def crossed_case(label):
@@ -1079,7 +1093,7 @@ def test_crossed_tables_match_the_embedded_span(label):
     """The coordinate algebra of B >| W has the tables of the embedded span,
     read off the embedding, and the embedding keeps the covariant-pair
     relations (1)-(4) that make them so."""
-    cp = crossed_product(crossed_case(label))
+    cp = cross(crossed_case(label))
     alg = cp.algebra
     assert alg.ambient_dim == cp.group.order * cp.action.algebra.ambient_dim
     base = CORNER_BASIS if label == "corner" else None
@@ -1114,7 +1128,7 @@ def crossed_basis_mutant(kind):
     def mutant(action, basis):
         g = action.group
         n, k, w_n = basis.shape[1], basis.shape[0], g.order
-        maps = action.maps if kind == "twist" else action.maps[g.inv]
+        maps = dense_maps(action) if kind == "twist" else dense_maps(action)[g.inv]
         twisted = np.tensordot(maps, basis, axes=(1, 0)) / np.sqrt(w_n)
         out = np.zeros((w_n, k, w_n, n, w_n, n), dtype=complex)
         for w in range(w_n):
@@ -1303,7 +1317,7 @@ BLOCK_ALGEBRAS = {
        for name in ("z2-line", "dihedral-plane", "anticomplete-point")},
     **{f"fpa-z2xz2-line-{n}": lambda n=n: fixed_point_algebra(z2xz2_line_system(n))
        for n in (1, 2)},
-    **{f"cp-z2-line-{n}": lambda n=n: crossed_product(
+    **{f"cp-z2-line-{n}": lambda n=n: dense_crossed_product(
         function_algebra_action(z2_line_system(n))) for n in (1, 2)},
     **{f"compacts-z2-line-{n}": lambda n=n: compacts_algebra(compact_operators(
         function_module(z2_line_system(n)))) for n in (1, 2, 3)},
@@ -2264,8 +2278,9 @@ def outer_loops(action, normal, complement):
     v_sub = g.subgroup(sorted(set(int(e) for e in complement)))
     k = action.algebra.dim
     u_n, v_n = u_sub.group.order, v_sub.group.order
-    inner_maps = np.stack([action.maps[u_sub.to_parent(u)] for u in range(u_n)])
-    inner = crossed_product(AlgebraAction(u_sub.group, action.algebra, inner_maps)).algebra
+    maps = dense_maps(action)
+    inner_maps = np.stack([maps[u_sub.to_parent(u)] for u in range(u_n)])
+    inner = dense_crossed_product(DenseAction(u_sub.group, action.algebra, inner_maps)).algebra
 
     def inner_mult(a, b):
         return inner.multiply(a.reshape(-1), b.reshape(-1)).reshape(u_n, k)
@@ -2278,7 +2293,7 @@ def outer_loops(action, normal, complement):
         out = np.zeros_like(f)
         for u in range(u_n):
             conj = u_sub.from_parent(g.conjugate(vp, u_sub.to_parent(u)))
-            out[conj] += action.maps[vp] @ f[u]
+            out[conj] += maps[vp] @ f[u]
         return out
 
     def outer_mult(fa, fb):
@@ -2307,11 +2322,17 @@ def outer_loops(action, normal, complement):
 
 
 def outer_product_of(action, normal, complement):
-    """((B >| U) >| V, the slot map w_of) as the reduction builds them."""
+    """((B >| U) >| V, the slot map w_of) as the reduction builds them, or
+    through the dense oracle for a DenseAction."""
     g = action.group
     u_sub, v_sub = g.subgroup(normal), g.subgroup(complement)
     u_emb = np.array(u_sub.embedding)
-    inner = crossed_product(AlgebraAction(u_sub.group, action.algebra, action.maps[u_emb]))
+    if isinstance(action, DenseAction):
+        inner = dense_crossed_product(DenseAction(u_sub.group, action.algebra,
+                                                  action.maps[u_emb]))
+        alpha, w_of = oracles.dense_outer_action(action, inner, u_emb, v_sub)
+        return dense_crossed_product(alpha), w_of
+    inner = crossed_product(AlgebraAction(u_sub.group, action.algebra, action.perm[u_emb]))
     alpha, w_of = systems._outer_action(action, inner, u_emb, v_sub)
     return crossed_product(alpha), w_of
 
@@ -2373,12 +2394,17 @@ def test_outer_crossed_product_matches_the_slot_loops(label, which):
                      (outer.algebra.adjoint(flat_a), [star(a) for a in fa]),
                      (systems._slot_image(w_of, flat_a), [phi(a) for a in fa])):
         assert np.abs(new - np.stack(old).reshape(new.shape)).max() < 1e-13
-    whole = crossed_product(action).algebra
+    whole_cp = cross(action)
+    whole = whole_cp.algebra
 
     def whole_mult(a, b):
         return whole.multiply(a.ravel(), b.ravel()).reshape(a.shape)
 
-    witness = systems.iterated_crossed_iso(action, normal, complement)
+    # A dense action's witness is the one iterated_crossed_iso draws, from
+    # the oracle's crossed products.
+    witness = (systems._iterated_crossed_iso(whole_cp, outer, w_of, np.random.default_rng(0))
+               if isinstance(action, DenseAction)
+               else systems.iterated_crossed_iso(action, normal, complement))
     res = iso_residuals_loop(np.random.default_rng(0), shape,
                              lambda a, b: (phi(mult(a, b)), whole_mult(phi(a), phi(b))),
                              lambda a: (phi(star(a)), whole.adjoint(phi(a).ravel()).reshape(
@@ -2448,7 +2474,7 @@ def test_reduction_links_match_the_loops(label):
     eq, u_rows = quotient_module(sys, wprime, r)
     action, gamma, maps = quotient_module_loops(sys, wprime, r, u_rows)
     assert close(tensors(eq.base)[0], action) and close(dense_gamma(eq), gamma)
-    assert np.array_equal(eq.beta.maps, maps)
+    assert np.array_equal(dense_maps(eq.beta), maps)
     eq.validate()
     # Link 4's left action is the compression u* f u of the embedded
     # fixed-point functions, read at the averaged module's carrier pairs.
@@ -2491,7 +2517,7 @@ def equivariant_validate_loop(eq, tol=1e-8, rng=None):
     alg = dense_of(eq.base.algebra)
 
     def beta(w, b):
-        return alg.element(eq.beta.maps[w] @ alg.coefficients(b))
+        return alg.element(dense_maps(eq.beta)[w] @ alg.coefficients(b))
 
     def inner_product(x, y):
         return alg.element(eq.base.inner_product(x, y))
@@ -2864,7 +2890,7 @@ def alpha_matrix_loop(sys, w):
 def test_alpha_matrix_matches_the_kronecker_loop(label):
     sys = bundled(label) if label == "z2-line" else morita_system(label)
     for w in range(sys.group.order):
-        assert np.array_equal(systems.alpha_matrix(sys, w), alpha_matrix_loop(sys, w))
+        assert np.array_equal(oracles.alpha_matrix(sys, w), alpha_matrix_loop(sys, w))
 
 
 def wide_matrix(rows, cols, values, seed=0):
@@ -2927,41 +2953,34 @@ def test_reduced_wide_cut_matches_the_direct_svd(label, monkeypatch):
 # -- permutation actions, checked and crossed by index ------------------------
 
 
-def dense_branch(action):
-    """The same action, validated and crossed through its dense maps, the
-    path of every action that is not a block-carrying permutation."""
-    dense = AlgebraAction(action.group, action.algebra, action.maps)
-    dense.__dict__["_permutation"] = None
-    return dense
-
-
-def action_outcome(action):
-    """(validate's message or None, crossed_product's message or None, the
-    crossed product's block tables or None)."""
+def action_outcome(action, cross_with):
+    """(validate's message or None, the crossed product's message or None,
+    its block tables or None), crossed by cross_with."""
     try:
         action.validate()
         message = None
     except systems.SystemError as exc:
         message = str(exc)
     try:
-        stacks = crossed_product(action).algebra.blocks
+        stacks = cross_with(action).algebra.blocks
     except systems.SystemError as exc:
         return message, str(exc), None
     return message, None, [(st.index, st.table, st.star, st.traces) for st in stacks]
 
 
-def points_action(group, maps):
-    """An action with the given maps on C(X), X the points of the maps."""
-    alg = systems.function_algebra(systems.trivial_system(np.shape(maps)[1]))
-    return AlgebraAction(group, alg, np.asarray(maps, dtype=complex))
+def points_action(group, perm):
+    """The action beta_w(delta_j) = delta_(perm[w, j]) on C(X), X the
+    points of the table."""
+    alg = systems.function_algebra(systems.trivial_system(np.shape(perm)[1]))
+    return AlgebraAction(group, alg, np.asarray(perm))
 
 
 def z4_shifts(broken: bool):
     """Z/4 by powers of the shift of four points; `broken` sends 2 to 1."""
-    maps = np.stack([np.linalg.matrix_power(np.roll(np.eye(4), 1, axis=0), j) for j in range(4)])
+    perm = (np.arange(4) + np.arange(4)[:, None]) % 4
     if broken:
-        maps[2] = np.eye(4)
-    return points_action(cyclic(4), maps)
+        perm[2] = np.arange(4)
+    return points_action(cyclic(4), perm)
 
 
 def unequal_tables_action():
@@ -2976,19 +2995,8 @@ def unequal_tables_action():
     elems = np.stack([units * scale, pauli / np.sqrt(2.0)]).astype(complex)[:, :, None]
     blocks, residual = matalg.span_tables(elems, np.arange(8).reshape(2, 4))
     assert residual < 1e-14
-    swap = np.roll(np.eye(8), 4, axis=0)
-    return AlgebraAction(cyclic(2), MatrixStarAlgebra(4, (blocks,)), np.stack([np.eye(8), swap]))
-
-
-def block_splitting_action():
-    """C^3 held as the blocks span{delta_0, delta_1} and C delta_2, with
-    Z/2 swapping delta_0 and delta_2: a *-automorphism whose permutation
-    splits the first block."""
-    deltas = np.eye(2, dtype=complex).reshape(1, 2, 2, 1, 1)
-    pair, _ = matalg.span_tables(deltas, np.array([[0, 1]]))
-    one, _ = matalg.span_tables(np.ones((1, 1, 1, 1, 1), dtype=complex), np.array([[2]]))
-    swap = np.eye(3)[[2, 1, 0]]
-    return AlgebraAction(cyclic(2), MatrixStarAlgebra(3, (pair, one)), np.stack([np.eye(3), swap]))
+    return AlgebraAction(cyclic(2), MatrixStarAlgebra(4, (blocks,)),
+                         [np.arange(8), np.roll(np.arange(8), 4)])
 
 
 def outer_action_of(label):
@@ -2998,7 +3006,7 @@ def outer_action_of(label):
     action, g = scalar_translation_action(sys), sys.group
     u_emb = np.array(g.subgroup(normal).embedding)
     inner = crossed_product(AlgebraAction(g.subgroup(normal).group, action.algebra,
-                                          action.maps[u_emb]))
+                                          action.perm[u_emb]))
     return systems._outer_action(action, inner, u_emb, g.subgroup(complement))[0]
 
 
@@ -3016,65 +3024,137 @@ PERMUTATION_ACTIONS = {
        for label in REDUCTIONS},
     "trivial:z2-line-2": lambda: trivial_equivariant_module(
         function_module(z2_line_system(2)), cyclic(3)).beta,
-    "mutant:identity": lambda: points_action(cyclic(2), [[[0, 1], [1, 0]], np.eye(2)]),
-    "mutant:homomorphism": lambda: points_action(cyclic(2), [np.eye(3), np.roll(np.eye(3), 1, 0)]),
+    "mutant:identity": lambda: points_action(cyclic(2), [[1, 0], [0, 1]]),
+    "mutant:homomorphism": lambda: points_action(cyclic(2), [[0, 1, 2], [1, 2, 0]]),
     "mutant:z4-not-hom": lambda: z4_shifts(broken=True),
     "z4-shift": lambda: z4_shifts(broken=False),
     "mutant:unequal-tables": unequal_tables_action,
 }
 
 
-@pytest.mark.parametrize("label", sorted(PERMUTATION_ACTIONS))
-def test_the_permutation_branch_is_the_dense_branch(label):
+def assert_index_path_is_the_dense_path(action, label=""):
     """validate and CrossedProduct.algebra read a block-carrying
-    permutation action off B's tables by index; the dense maps give the
-    same messages and, bit for bit, the same largest star and
-    multiplicativity defects and the same crossed tables."""
-    action = PERMUTATION_ACTIONS[label]()
-    assert action._permutation is not None
-    message, cp_message, stacks = action_outcome(action)
-    dense = dense_branch(action)
-    dense_message, dense_cp_message, dense_stacks = action_outcome(dense)
+    permutation action off B's tables by index; the dense oracle, through
+    the 0/1 maps of the permutation, gives the same messages and, bit for
+    bit, the same largest star and multiplicativity defects, the same
+    W-orbits of blocks and the same crossed tables."""
+    dense = DenseAction.of(action)
+    message, cp_message, stacks = action_outcome(action, crossed_product)
+    dense_message, dense_cp_message, dense_stacks = action_outcome(dense, dense_crossed_product)
     assert (message, cp_message) == (dense_message, dense_cp_message)
     gens = list(action.group.generators())
     assert ([systems._largest_norm(part) for part in action._defects(gens)]
-            == [systems._largest_norm(part) for part in dense._defects(gens)])
+            == [systems._largest_norm(part) for part in dense.defects(gens)])
     expected = {"mutant:identity": "identity", "mutant:homomorphism": "homomorphism",
                 "mutant:z4-not-hom": "homomorphism", "mutant:unequal-tables": "multiplicative"}
     if label in expected:
         assert expected[label] in message and stacks is None
         return
     assert message is None and stacks is not None and len(stacks) == len(dense_stacks)
+    assert len(action._orbits) == len(dense.orbits)
+    assert all(np.array_equal(a, b) for a, b in zip(action._orbits, dense.orbits))
     for part, dense_part in zip(stacks, dense_stacks):
         assert all(np.array_equal(a, b) for a, b in zip(part, dense_part))
 
 
-def test_a_permutation_that_splits_a_block_takes_the_dense_path():
-    action = block_splitting_action()
-    assert action._permutation is None
-    action.validate()
-    cp = crossed_product(action)
-    assert cp.algebra.dim == 6 and len(action._orbits) == 1
+@pytest.mark.parametrize("label", sorted(PERMUTATION_ACTIONS))
+def test_the_permutation_branch_is_the_dense_branch(label):
+    assert_index_path_is_the_dense_path(PERMUTATION_ACTIONS[label](), label)
 
 
-@pytest.mark.parametrize("entry", [(1, 0, 1, -1.0), (1, 0, 1, 1j), (1, 1, 1, 1e-300),
-                                   (1, 0, 0, np.nan), (1, 1, 0, 0.0)])
-def test_only_a_0_1_permutation_is_read_by_index(entry):
-    """A sign, a phase, a stray entry, a NaN or an empty column sends the
-    swap of two points to the dense path."""
+def coset_points(g, elems):
+    """(action, points) of g on the disjoint union of its cosets w H, one
+    orbit per generated subgroup H = <e> for e in elems, by left
+    multiplication."""
+    tables = []
+    for e in elems:
+        sub = np.array(g.generated_subgroup([e]))
+        label = g.mul[:, sub].min(axis=1)                        # [v]: the coset of v
+        reps = np.unique(label)
+        tables.append(np.searchsorted(reps, label[g.mul[:, reps]]))   # [w, c]
+    offsets = np.cumsum([0] + [t.shape[1] for t in tables])
+    return np.concatenate([t + o for t, o in zip(tables, offsets)], axis=1), offsets[-1]
+
+
+SMALL_GROUPS = sorted(name for name in BUILTIN_GROUPS if builtin_group(name).order <= 8)
+
+
+@settings(settings.get_profile("derandomized"), max_examples=25)
+@given(st.sampled_from(SMALL_GROUPS), st.lists(st.integers(0, 7), min_size=1, max_size=2),
+       st.sampled_from(["cosets", "planted"]), st.integers(0, 2 ** 32 - 1))
+def test_translations_by_index_match_the_dense_oracle(group_name, elems, kind, seed):
+    """C(X)'s translation, for a small group on a random union of coset
+    spaces or one of the planted cocycle systems: its index defects, orbits
+    and crossed tables are the dense oracle's, and its crossed product
+    multiplies as the embedded span."""
+    g = builtin_group(group_name)
+    if kind == "planted":
+        sys = planted_cocycle_system(group_name, [1] + [0] * 7, 0, ("fixed", "free")[seed % 2],
+                                     seed)[0]
+    else:
+        action, n = coset_points(g, [e % g.order for e in elems])
+        sys = EquivariantSystem(g, tuple(range(n)), action, 1,
+                                np.ones((g.order, n, 1, 1), dtype=complex))
+    action = scalar_translation_action(sys)
+    assert np.array_equal(action.perm, sys.action)
+    assert_index_path_is_the_dense_path(action)
+    check_crossed_coefficients(crossed_product(action))
+
+
+def test_a_permutation_that_splits_a_block_is_refused():
+    """C^3 held as the blocks span{delta_0, delta_1} and C delta_2, with
+    Z/2 swapping delta_0 and delta_2: a *-automorphism whose permutation
+    splits the first block, which AlgebraAction refuses; the dense oracle
+    validates and crosses it, with one W-orbit of blocks."""
+    deltas = np.eye(2, dtype=complex).reshape(1, 2, 2, 1, 1)
+    pair, _ = matalg.span_tables(deltas, np.array([[0, 1]]))
+    one, _ = matalg.span_tables(np.ones((1, 1, 1, 1, 1), dtype=complex), np.array([[2]]))
+    alg = MatrixStarAlgebra(3, (pair, one))
+    with pytest.raises(systems.SystemError, match="onto a block"):
+        AlgebraAction(cyclic(2), alg, [[0, 1, 2], [2, 1, 0]])
+    dense = DenseAction(cyclic(2), alg, np.stack([np.eye(3), np.eye(3)[[2, 1, 0]]]))
+    dense.validate()
+    cp = dense_crossed_product(dense)
+    assert cp.algebra.dim == 6 and len(dense.orbits) == 1
+
+
+def swap_maps(entry=None):
+    """The swap of two points as dense maps, with entry (w, row, column,
+    value) written into them."""
     maps = np.stack([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]]).astype(complex)
-    maps[entry[:3]] = entry[3]
-    assert points_action(cyclic(2), maps)._permutation is None
+    if entry is not None:
+        maps[entry[:3]] = entry[3]
+    return maps
 
 
-def test_an_action_holds_its_maps_read_only():
-    maps = np.stack([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]])
-    action = points_action(cyclic(2), maps)
-    assert action._permutation is not None
-    maps[1] = np.eye(2)
-    assert action.maps[1, 0, 1] == 1.0
+@pytest.mark.parametrize("table, message", [
+    *((swap_maps(entry), "table of coordinate indices")
+      for entry in [None, (1, 0, 1, -1.0), (1, 0, 1, 1j), (1, 1, 1, 1e-300), (1, 0, 0, np.nan),
+                    (1, 1, 0, 0.0)]),
+    ([[0.0, 1.0], [1.0, 0.0]], "table of coordinate indices"),
+    ([[0, 1], [np.nan, 0]], "table of coordinate indices"),
+    ([[0, 1]], "table of coordinate indices"),
+    ([[0, 1], [1, 1]], "does not permute"),
+    ([[0, 1], [1, 2]], "does not permute"),
+    ([[0, 1], [-1, 0]], "does not permute"),
+])
+def test_only_a_permutation_table_is_an_action(table, message):
+    """An action is its integer permutation table: dense maps, even the 0/1
+    swap and the swaps with a sign, a phase, a stray entry, a NaN or an
+    empty column that went to the dense path, a float table, a NaN, a wrong
+    shape and a row that is no permutation are refused when built."""
+    with pytest.raises(systems.SystemError, match=message):
+        points_action(cyclic(2), table)
+
+
+def test_an_action_holds_its_perm_read_only():
+    perm = np.array([[0, 1], [1, 0]])
+    action = points_action(cyclic(2), perm)
+    perm[1] = [0, 1]
+    assert action.perm[1, 0] == 1
     with pytest.raises(ValueError):
-        action.maps[1] = np.eye(2)
+        action.perm[1] = [0, 1]
+    action.validate()
 
 
 @pytest.mark.parametrize("table", ["star", "table"])
@@ -3088,39 +3168,91 @@ def test_a_nan_in_b_fails_the_permutation_checks(table):
     parts[table][0, 0, 0] = np.nan
     alg = MatrixStarAlgebra(alg.ambient_dim, (matalg.Blocks(stack.index, parts["table"],
                                                              parts["star"], stack.traces),))
-    action = AlgebraAction(cyclic(2), alg, np.stack([np.eye(2)] * 2))
-    assert action._permutation is not None
+    action = AlgebraAction(cyclic(2), alg, [[0, 1], [0, 1]])
     message = {"star": "involution", "table": "multiplicative"}[table]
-    for act in (action, dense_branch(action)):
+    for act in (action, DenseAction.of(action)):
         with pytest.raises(systems.SystemError, match=message):
             act.validate()
 
 
 def test_a_nan_map_fails_validate_and_crossed_product():
+    """A NaN in the maps fails the dense oracle's identity and homomorphism
+    bounds; a NaN in a permutation table is refused when built."""
     action = scalar_translation_action(z2_line_system(2))
     for w, message in ((0, "identity"), (1, "homomorphism")):
-        maps = np.array(action.maps)
+        maps = np.array(dense_maps(action))
         maps[w, 0, 0] = np.nan
-        broken = AlgebraAction(action.group, action.algebra, maps)
-        assert broken._permutation is None
+        broken = DenseAction(action.group, action.algebra, maps)
         with pytest.raises(systems.SystemError, match=message):
             broken.validate()
         with pytest.raises(systems.SystemError, match=message):
-            crossed_product(broken)
+            dense_crossed_product(broken)
+        perm = action.perm.astype(float)
+        perm[w, 0] = np.nan
+        with pytest.raises(systems.SystemError, match="table of coordinate indices"):
+            AlgebraAction(action.group, action.algebra, perm)
+
+
+def planted_swap(part: str, eps: float):
+    """Z/2 swapping the two blocks C b_0 and C b_1 of one stack, whose
+    tables differ by eps in `part`: the star table or the product table of
+    b_1.  beta then misses preserving the involution, or multiplicativity,
+    by exactly eps."""
+    ones = np.ones((2, 1, 1, 1), dtype=complex)
+    tables = {"star": ones[..., 0].copy(), "table": ones.copy()}
+    tables[part][1] += eps
+    alg = MatrixStarAlgebra(2, (matalg.Blocks(np.arange(2)[:, None], tables["table"],
+                                              tables["star"], ones[..., 0, 0]),))
+    return AlgebraAction(cyclic(2), alg, [[0, 1], [1, 0]])
+
+
+def test_crossed_product_honours_the_callers_tolerance():
+    """A star defect of 1e-10 passes at tol 1e-8 and fails at 1e-12: the
+    check runs at the caller's tolerance, not at a fixed 1e-8."""
+    action = planted_swap("star", 1e-10)
+    assert crossed_product(action, tol=1e-8).dim == 4
+    with pytest.raises(systems.SystemError, match="involution"):
+        crossed_product(action, tol=1e-12)
+
+
+@pytest.mark.parametrize("part, message", [("star", "involution"), ("table", "multiplicative")])
+def test_validate_pins_its_star_and_multiplicativity_bounds(part, message):
+    """A defect of 1e-5 lies between tol = 1e-8 and 1e-4, so a bound
+    loosened to 1e-2 lets it through at 1e-8."""
+    action = planted_swap(part, 1e-5)
+    with pytest.raises(systems.SystemError, match=message):
+        action.validate(1e-8)
+    action.validate(1e-4)
+
+
+def test_verdicts_validate_their_actions_at_their_tolerance(monkeypatch):
+    """Every action a verdict crosses or checks is validated at the
+    verdict's own tolerance."""
+    tols, validate = [], AlgebraAction.validate
+    monkeypatch.setattr(AlgebraAction, "validate",
+                        lambda self, tol=1e-8: tols.append(tol) or validate(self, tol))
+    sys = z2xz2_line_system(1)
+    assert verify_morita_theorem(sys, tol=1e-6).ok
+    assert c_ideal(sys, tol=1e-6).dim
+    assert hilbmod.verify_green_julg(equivariant_function_module(sys), 1e-6).ok
+    assert morita.semidirect_reduction(sys, [0, 2], [0, 1], tol=1e-6).ok
+    assert len(tols) >= 6 and set(tols) == {1e-6}
 
 
 def test_a_translation_is_validated_under_10_mb():
-    """C(X)'s translation on the dihedral grid r = 6 (|W| = 8, k = 169):
-    the all-pairs (|W|, |W|, k, k) homomorphism defect took validate to a
-    58.5 MB traced peak; checked by index it needs no (k, k) product."""
-    action = scalar_translation_action(dihedral_grid(6))
+    """C(X)'s translation on the dihedral grid r = 6 (|W| = 8, k = 169),
+    built and validated: the all-pairs (|W|, |W|, k, k) homomorphism defect
+    of the dense maps took validate to a 58.5 MB traced peak; the action
+    holds its (|W|, k) permutation and is checked by index with no (k, k)
+    array."""
+    sys = dihedral_grid(6)
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        action.validate()
+        scalar_translation_action(sys).validate()
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if started:

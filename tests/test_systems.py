@@ -3,22 +3,30 @@ import numpy as np
 import pytest
 
 from equivaria.groups import FiniteGroup, builtin_group, cyclic, symmetric
+from equivaria.hilbmod import scalar_translation_action
 from equivaria.matalg import MatrixSpan, block_decompose, full_matrix_algebra
 from equivaria.linalg import flatten, spans_equal
 from equivaria.reps import enumerate_irreps, regular_rep
 import oracles
-from oracles import Dense, base_basis, embed_function, embedded_algebra
+from oracles import (
+    Dense,
+    DenseAction,
+    alpha_matrix,
+    base_basis,
+    dense_crossed_product,
+    embed_function,
+    embedded_algebra,
+    function_algebra_action,
+)
 from equivaria.systems import (
     AlgebraAction,
     EquivariantSystem,
     SystemError,
-    alpha_matrix,
     anticomplete_point_system,
     crossed_product,
     dihedral_plane_system,
     fixed_point_algebra,
     function_algebra,
-    function_algebra_action,
     invariant_functions,
     iterated_crossed_iso,
     left_translation_system,
@@ -193,7 +201,7 @@ def test_group_algebra_crossed_product():
     for name in ("Z2", "S3"):
         g = builtin_group(name)
         sys = trivial_system(1, 1, g)
-        cp = crossed_product(function_algebra_action(sys))
+        cp = crossed_product(scalar_translation_action(sys))
         sizes = sorted(block_decompose(cp.algebra).sizes())
         assert sizes == sorted(r.dim for r in enumerate_irreps(g))
 
@@ -204,7 +212,7 @@ def test_free_orbit_crossed_product_is_full():
     action = np.array([[0, 1], [1, 0]])
     coc = np.ones((2, 2, 1, 1), dtype=complex)
     sys = EquivariantSystem(g, (0.0, 1.0), action, 1, coc, name="swap")
-    cp = crossed_product(function_algebra_action(sys))
+    cp = crossed_product(scalar_translation_action(sys))
     assert cp.algebra.dim == 4
     assert spans_equal(embedded_algebra(cp).basis_rows(),
                        flatten(full_matrix_algebra(4).mats)) is False
@@ -222,7 +230,7 @@ def test_iterated_crossed_iso_s3():
     rotations = [w for w in g.elements() if g.product(w, w, w) == 0]
     complement = [0, min(set(g.elements()) - set(rotations))]
     sys = trivial_system(2, 1, g)
-    action = function_algebra_action(sys)
+    action = scalar_translation_action(sys)
     witness = iterated_crossed_iso(action, rotations, complement)
     assert witness.ok
     assert witness.multiplicative_residual < 1e-9
@@ -269,10 +277,17 @@ def test_dihedral_plane_validates():
     assert len(sys.orbits.members) == 4
 
 
-def scalar_action(group, maps):
-    """An action with the given maps on C(X), X the points of the maps."""
-    alg = function_algebra(trivial_system(np.shape(maps)[1]))
-    return AlgebraAction(group, alg, np.asarray(maps, dtype=complex))
+def scalar_action(group, perm):
+    """The action beta_w(delta_j) = delta_(perm[w, j]) on C(X), X the
+    points of the table."""
+    alg = function_algebra(trivial_system(np.shape(perm)[1]))
+    return AlgebraAction(group, alg, np.asarray(perm))
+
+
+def dense_scalar_action(group, maps):
+    """The dense action with the given maps on C(X), X the points of the
+    maps (oracles.DenseAction)."""
+    return DenseAction(group, function_algebra(trivial_system(np.shape(maps)[1])), maps)
 
 
 def conjugation_maps(g):
@@ -281,20 +296,29 @@ def conjugation_maps(g):
     return np.stack([(g @ e @ np.linalg.inv(g)).reshape(-1) for e in units], axis=1)
 
 
+def shifts(n, step=1):
+    """Z/n by powers of the shift of n points, delta_j -> delta_(j + step)."""
+    return (np.arange(n) + step * np.arange(n)[:, None]) % n
+
+
 def test_action_validation_accepts_actions_by_automorphisms():
+    """C(X)'s translations and a swap of two points by index; C(X, M_2)'s
+    alpha and a conjugation of M_2, which are not permutations, through
+    the dense oracle."""
     for sys in (z2_line_system(1), dihedral_plane_system()):
+        scalar_translation_action(sys).validate()
         function_algebra_action(sys).validate()
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    scalar_action(cyclic(2), [np.eye(2), swap]).validate()
+    scalar_action(cyclic(2), [[0, 1], [1, 0]]).validate()
     # Conjugation by a unitary is a *-automorphism of M_2.
     flip = np.array([[0.0, 1j], [-1j, 0.0]])
-    AlgebraAction(cyclic(2), full_matrix_algebra(2).algebra,
-                  np.stack([np.eye(4), conjugation_maps(flip)])).validate()
+    DenseAction(cyclic(2), full_matrix_algebra(2).algebra,
+                np.stack([np.eye(4), conjugation_maps(flip)])).validate()
 
 
 def test_action_validation_rejects_each_broken_axiom():
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    cycle = np.roll(np.eye(3), 1, axis=0)
+    """Permutations that do not act as a group, by index; a reflection and
+    a skew conjugation, which no permutation table can state, through the
+    dense oracle with the same messages."""
     # A reflection of C^2: an involutive, *-preserving linear map of C(X)
     # that is not multiplicative.
     reflection = np.array([[0.6, 0.8], [0.8, -0.6]])
@@ -302,31 +326,43 @@ def test_action_validation_rejects_each_broken_axiom():
     # automorphism of M_2 that does not commute with the involution.
     skew = np.array([[1.0, 1.0], [0.0, -1.0]])
     mutants = [
-        (scalar_action(cyclic(2), [swap, np.eye(2)]), "identity"),
-        (scalar_action(cyclic(2), [np.eye(3), cycle]), "homomorphism"),
-        (scalar_action(cyclic(2), [np.eye(2), reflection]), "multiplicative"),
-        (AlgebraAction(cyclic(2), full_matrix_algebra(2).algebra,
-                       np.stack([np.eye(4), conjugation_maps(skew)])), "involution"),
+        (scalar_action(cyclic(2), [[1, 0], [0, 1]]), crossed_product, "identity"),
+        (scalar_action(cyclic(2), [[0, 1, 2], [1, 2, 0]]), crossed_product, "homomorphism"),
+        (dense_scalar_action(cyclic(2), [np.eye(2), reflection]), dense_crossed_product,
+         "multiplicative"),
+        (DenseAction(cyclic(2), full_matrix_algebra(2).algebra,
+                     np.stack([np.eye(4), conjugation_maps(skew)])), dense_crossed_product,
+         "involution"),
     ]
-    for action, message in mutants:
+    for action, cross, message in mutants:
         with pytest.raises(SystemError, match=message):
             action.validate()
         with pytest.raises(SystemError, match=message):
-            crossed_product(action)
+            cross(action)
+
+
+def summand_swap_basis():
+    """span{E11, (E22 + E33) / sqrt 2} in M_3, one block."""
+    basis = np.zeros((2, 3, 3), dtype=complex)
+    basis[0, 0, 0] = 1.0
+    basis[1, 1, 1] = basis[1, 2, 2] = 1.0 / np.sqrt(2.0)
+    return basis
 
 
 def test_crossed_product_rejects_an_action_that_does_not_preserve_the_trace():
     """A = span{E11, (E22 + E33) / sqrt 2} in M_3 with the two summands
     swapped: a *-automorphism, but the orthonormal basis goes to E22 + E33,
-    of norm sqrt 2, and E11 / sqrt 2, so the map is not unitary."""
-    basis = np.zeros((2, 3, 3), dtype=complex)
-    basis[0, 0, 0] = 1.0
-    basis[1, 1, 1] = basis[1, 2, 2] = 1.0 / np.sqrt(2.0)
+    of norm sqrt 2, and E11 / sqrt 2, so the map is not unitary, and the
+    dense oracle rejects it.  Swapping the two coordinates instead, as a
+    permutation, is unitary but not multiplicative."""
+    alg = MatrixSpan(summand_swap_basis()).algebra
     swap = np.array([[0.0, 1.0 / np.sqrt(2.0)], [np.sqrt(2.0), 0.0]])
-    action = AlgebraAction(cyclic(2), MatrixSpan(basis).algebra, np.stack([np.eye(2), swap]))
+    action = DenseAction(cyclic(2), alg, np.stack([np.eye(2), swap]))
     action.validate()
     with pytest.raises(SystemError, match="does not preserve the trace"):
-        crossed_product(action)
+        dense_crossed_product(action)
+    with pytest.raises(SystemError, match="multiplicative"):
+        crossed_product(AlgebraAction(cyclic(2), alg, [[0, 1], [1, 0]]))
 
 
 def powers(gen, order):
@@ -339,9 +375,9 @@ def test_generator_checks_reject_each_mutant_of_z4():
     """Z/4 = <1>: multiplicativity, the star and unitarity are read at 1
     only, after the homomorphism check on all pairs, so a generator map that
     breaks one of them is rejected, and so are maps that are automorphisms
-    at the generator but not a homomorphism."""
+    at the generator but not a homomorphism.  The permutations are checked
+    by index, the other maps by the dense oracle."""
     assert cyclic(4).generators() == (1,)
-    shift = np.roll(np.eye(4), 1, axis=0)
     # A quarter turn of span{delta_0, delta_1}: real, so *-preserving, and
     # orthogonal of order 4, but not multiplicative.
     quarter = np.eye(4)
@@ -350,38 +386,34 @@ def test_generator_checks_reject_each_mutant_of_z4():
     # that does not commute with the involution.
     skew = conjugation_maps(np.array([[1.0, 1.0], [0.0, -1.0]]))
     # Each map a permutation, but beta_2 = 1 != beta_1^2.
-    not_hom = powers(shift, 4)
-    not_hom[2] = np.eye(4)
+    not_hom = shifts(4)
+    not_hom[2] = np.arange(4)
     mutants = [
-        (scalar_action(cyclic(4), powers(quarter, 4)), "multiplicative"),
-        (AlgebraAction(cyclic(4), full_matrix_algebra(2).algebra, powers(skew, 4)), "involution"),
+        (dense_scalar_action(cyclic(4), powers(quarter, 4)), "multiplicative"),
+        (DenseAction(cyclic(4), full_matrix_algebra(2).algebra, powers(skew, 4)), "involution"),
         (scalar_action(cyclic(4), not_hom), "homomorphism"),
     ]
     for action, message in mutants:
         with pytest.raises(SystemError, match=message):
             action.validate()
-    scalar_action(cyclic(4), powers(shift, 4)).validate()
+    scalar_action(cyclic(4), shifts(4)).validate()
     # The summand swap of span{E11, (E22 + E33) / sqrt 2} at the generator:
     # a *-automorphism whose matrix is not unitary.
-    basis = np.zeros((2, 3, 3), dtype=complex)
-    basis[0, 0, 0] = 1.0
-    basis[1, 1, 1] = basis[1, 2, 2] = 1.0 / np.sqrt(2.0)
     swap = np.array([[0.0, 1.0 / np.sqrt(2.0)], [np.sqrt(2.0), 0.0]])
-    action = AlgebraAction(cyclic(4), MatrixSpan(basis).algebra, powers(swap, 4))
+    action = DenseAction(cyclic(4), MatrixSpan(summand_swap_basis()).algebra, powers(swap, 4))
     action.validate()
     with pytest.raises(SystemError, match="does not preserve the trace"):
-        crossed_product(action)
+        dense_crossed_product(action)
 
 
 def test_relation_check_rejects_an_embedding_that_breaks_covariance(monkeypatch):
     """C(4 points) >| Z/4 by the shift, embedded as if Z/4 shifted the other
     way: relations (1), (2) and (4) hold, and covariance (3), checked at the
     generator only, fails there."""
-    shift = np.roll(np.eye(4), 1, axis=0)
-    action = scalar_action(cyclic(4), powers(shift, 4))
+    action = scalar_action(cyclic(4), shifts(4))
     cp = crossed_product(action)
     assert oracles.relation_residual(cp) < 1e-12
-    other = scalar_action(cyclic(4), powers(shift.T, 4))
+    other = scalar_action(cyclic(4), shifts(4, -1))
     crossed_basis = oracles.crossed_basis
     monkeypatch.setattr(oracles, "crossed_basis", lambda _, basis: crossed_basis(other, basis))
     assert oracles.relation_residual(cp) > 1e-3
