@@ -3,8 +3,11 @@
 Irreducible decomposition works by sampling a random Hermitian element of
 the commutant of the regular representation (seeded), splitting its
 eigenspaces, and recursing until every piece has a one-dimensional
-commutant.  Everything downstream treats the resulting canonical irrep
-list (sorted by dimension, then by character vector) as fixed labels.
+commutant.  The character table alone is read off the center of C[G], with
+one eigenproblem of the size of the number of conjugacy classes and no
+representation split.  Both routes share one canonical order (by
+dimension, then by character vector) and its labels, which everything
+downstream treats as fixed.
 """
 from __future__ import annotations
 
@@ -113,11 +116,13 @@ def intertwiner_space(rho: UnitaryRep, pi: UnitaryRep, tol: float = DEFAULT_TOL)
     is with respect to the Hilbert-Schmidt inner product trace(r* s).  Both
     representations are homomorphisms, so w runs over generators only.
     """
+    check_tol(tol)
     gens = list(rho.group.generators())
     return intertwiner_rows(pi.matrices[gens], rho.matrices[gens], tol)
 
 
 def commutant_dimension(rep: UnitaryRep, tol: float = DEFAULT_TOL) -> int:
+    check_tol(tol)
     return intertwiner_space(rep, rep, tol).shape[0]
 
 
@@ -127,10 +132,12 @@ def is_irreducible(rep: UnitaryRep) -> bool:
     return round(character_inner(chi, chi).real) == 1
 
 
-def _character_key(char: np.ndarray, decimals: int = 8):
-    rounded = np.round(char, decimals)
-    rounded += 0.0  # normalize -0.0
-    return tuple((float(c.real), float(c.imag)) for c in rounded)
+def _character_keys(chars: np.ndarray, decimals: int = 8) -> list[tuple[float, ...]]:
+    """One key per character of the stack (r, |G|): its values rounded,
+    as (re, im) pairs laid end to end."""
+    rounded = np.round(np.asarray(chars, dtype=complex), decimals) + 0.0  # normalize -0.0
+    pairs = np.stack([rounded.real, rounded.imag], axis=-1)
+    return [tuple(row) for row in pairs.reshape(len(pairs), -1).tolist()]
 
 
 # Commutant splittings tried by _split_rep, each with a doubled gap.
@@ -169,31 +176,99 @@ def _split_rep(rep: UnitaryRep, rng: np.random.Generator, tol: float) -> list[Un
         "could not split representation; raise the tolerance or reseed")
 
 
+def _canonical_order(dims, chars) -> tuple[list[int], list[str]]:
+    """The canonical order of irreps with dimensions `dims` and characters
+    `chars`, and their labels: ascending by (dimension, character vector
+    rounded to 8 decimals), labeled "{dim}d{k}" with k counting within one
+    dimension.  enumerate_irreps and character_table both order by it."""
+    keys = list(zip(dims, _character_keys(chars)))
+    order = sorted(range(len(dims)), key=keys.__getitem__)
+    counts: dict[int, int] = {}
+    labels = []
+    for i in order:
+        k = counts.get(dims[i], 0)
+        counts[dims[i]] = k + 1
+        labels.append(f"{dims[i]}d{k}")
+    return order, labels
+
+
 def enumerate_irreps(group: FiniteGroup, seed: int = 0,
                      tol: float = DEFAULT_TOL) -> list[UnitaryRep]:
     """All irreducible unitary representations, pairwise inequivalent.
 
-    Deterministic for a fixed seed; sorted by (dimension, character vector).
+    Deterministic for a fixed seed; in the canonical order and labels.
     """
     check_tol(tol)
     rng = np.random.default_rng(seed)
     pieces = _split_rep(regular_rep(group), rng, tol)
     by_char: dict = {}
-    for p in pieces:
-        key = _character_key(p.character())
-        by_char.setdefault(key, p)
-    irreps = sorted(by_char.values(), key=lambda r: (r.dim, _character_key(r.character())))
+    for key, piece in zip(_character_keys([p.character() for p in pieces]), pieces):
+        by_char.setdefault(key, piece)
+    irreps = list(by_char.values())
     total = sum(r.dim ** 2 for r in irreps)
     if total != group.order:
         raise DegenerateSplitError(
             f"irrep dimensions square-sum to {total}, expected {group.order}")
-    counts: dict[int, int] = {}
-    labeled = []
-    for r in irreps:
-        k = counts.get(r.dim, 0)
-        counts[r.dim] = k + 1
-        labeled.append(UnitaryRep(group, r.matrices, label=f"{r.dim}d{k}"))
-    return labeled
+    order, labels = _canonical_order([r.dim for r in irreps],
+                                     [r.character() for r in irreps])
+    return [UnitaryRep(group, irreps[i].matrices, label=label)
+            for i, label in zip(order, labels)]
+
+
+def character_table(group: FiniteGroup, seed: int = 0,
+                    tol: float = DEFAULT_TOL) -> tuple[list[str], np.ndarray]:
+    """Labels and characters (r, |G|) of the irreducible representations,
+    in the canonical order and labels of enumerate_irreps, read off the
+    center of C[G] (Burnside-Dixon; Dixon, Numer. Math. 10, 1967).
+
+    The conjugacy classes C_k are named by their least elements, and the
+    class sums multiply as C_i C_j = sum_k c[i, j, k] C_k.  A seeded random
+    z = sum_i a_i C_i acts on the center; in its orthonormal basis
+    C_k / sqrt|C_k| the action is normal, with the central idempotents
+    e_chi as eigenvectors: unit vectors v_chi[k] = conj chi(C_k)
+    sqrt(|C_k| / |G|), up to a phase fixed by v_chi[e] > 0.  One eigh of
+    the Hermitian part finds them when its eigenvalues are apart; a draw
+    with two closer than the gap is redrawn, as in _split_rep.
+    DegenerateSplitError is raised when no draw separates them, or when
+    the characters fail integral degrees summing in squares to |G|, or
+    Schur orthogonality, within tol |G|.
+    """
+    check_tol(tol)
+    n, mul = group.order, group.mul
+    least = mul[mul, group.inv[:, None]].min(axis=0)      # [h, x] -> h x h^-1
+    named = np.zeros(n, dtype=np.intp)
+    named[least] = 1
+    cls = (np.cumsum(named) - 1)[least]
+    r = int(named.sum())
+    sizes = np.bincount(cls, minlength=r)
+    # pairs[i, j, k] = c[i, j, k] |C_k|: the (g, h) in C_i x C_j with gh in C_k.
+    pairs = np.bincount(((cls[:, None] * r + cls) * r + cls[mul]).ravel(), minlength=r ** 3)
+    root = np.sqrt(sizes)
+    # [i, k, j]: c[i, j, k] sqrt(|C_k| / |C_j|), the action of C_i on the center.
+    act = (pairs.reshape(r, r, r).transpose(0, 2, 1) / (root[:, None] * root)).reshape(r, -1)
+    rng = np.random.default_rng(seed)
+    gap = 1e-7
+    for _ in range(_SPLIT_ATTEMPTS):
+        a = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+        z = (a @ act).reshape(r, r)
+        evals, vecs = np.linalg.eigh((z + z.conj().T) / 2.0)
+        if np.all(np.diff(evals) > gap * max(1.0, np.abs(evals).max())):
+            break
+        gap *= 2.0
+    else:
+        raise DegenerateSplitError(
+            "could not separate the central characters; raise the tolerance or reseed")
+    vecs = vecs * (np.abs(vecs[0]) / vecs[0])
+    degrees = np.sqrt(n) * vecs[0].real
+    dims = np.rint(degrees).astype(int)
+    chars = (np.sqrt(n) * vecs.conj().T / root)[:, cls]
+    schur = np.abs(chars @ chars.conj().T / n - np.eye(r)).max()
+    if not (np.abs(degrees - dims).max() <= tol * n and np.sum(dims ** 2) == n
+            and schur <= tol * n):
+        raise DegenerateSplitError(
+            "the central characters are no character table; raise the tolerance or reseed")
+    order, labels = _canonical_order(dims.tolist(), chars)
+    return labels, chars[order]
 
 
 def character_inner(chi1: np.ndarray, chi2: np.ndarray) -> complex:
@@ -217,5 +292,6 @@ def isotypic_projection(pi: UnitaryRep, rho: UnitaryRep) -> np.ndarray:
 def equivariant_maps(rho: UnitaryRep, pi: UnitaryRep,
                      tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of HS(rho, pi)^W, as (count, dim pi, dim rho)."""
+    check_tol(tol)
     rows = intertwiner_space(rho, pi, tol)
     return rows.reshape(-1, pi.dim, rho.dim)

@@ -4,9 +4,11 @@ For a system (X, W, H, I) the irreducibles of C(X, M_d)^W are labeled by
 pairs (orbit Wx, irrep rho of the stabilizer W_x occurring in I_x); the
 representation space is HS(rho, I_x)^{W_x} and the action is
 pi_{x,rho}(k): s -> k(x) s.  The dimension of that space is the
-multiplicity of rho in I_x, read off the characters; the orbits that share
-a stabilizer (EquivariantSystem.orbits) share its irreps, and the
-equivariant maps themselves are solved only when an entry's basis is read.
+multiplicity of rho in I_x, read off the stabilizer's character table,
+which comes from the center of C[W_x] (reps.character_table); the orbits
+that share a stabilizer (EquivariantSystem.orbits) share its table.  No
+representation of W_x is split and no equivariant map is solved until an
+entry's basis is read.
 The module cross-checks the classification against the Wedderburn block
 structure and produces limit certificates for closed-form cocycle families
 (the finite stand-in for Fell-topology limit points, detected through
@@ -14,7 +16,7 @@ matrix-coefficient convergence).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -22,7 +24,13 @@ import numpy as np
 from .groups import Subgroup
 from .linalg import DEFAULT_TOL, check_tol
 from .matalg import block_decompose, commutant, generate
-from .reps import UnitaryRep, enumerate_irreps, equivariant_maps, isotypic_projection
+from .reps import (
+    UnitaryRep,
+    character_table,
+    enumerate_irreps,
+    equivariant_maps,
+    isotypic_projection,
+)
 from .systems import (
     ClosedFormFamily,
     EquivariantSystem,
@@ -39,22 +47,36 @@ class SpectrumError(ValueError):
 class SpectrumEntry:
     """One irreducible: orbit representative, stabilizer irrep, dimension.
 
-    `dim` is the multiplicity of rho in `cocycle`, the representation
-    w -> I_{w,x} of the stabilizer at `point`.  `basis` is solved at `tol`
-    on first access only.
+    `dim` is the multiplicity of the irrep labeled `rho_label` in
+    `cocycle`, the representation w -> I_{w,x} of the stabilizer at
+    `point`.  The entry holds neither: `rho`, `cocycle` and `basis` are
+    built, at `seed` and `tol`, on first access only.
     """
 
     orbit: tuple[int, ...]
     point: int                 # canonical representative: lowest index
     stabilizer: Subgroup
-    rho: UnitaryRep            # irrep of the (reindexed) stabilizer
+    rho_label: str             # label of rho among the stabilizer's irreps
     dim: int                   # dim HS(rho, I_x)^{W_x}
-    cocycle: UnitaryRep        # I_x on the stabilizer
+    system: EquivariantSystem = field(repr=False)
+    seed: int = 0
     tol: float = DEFAULT_TOL
 
     @property
     def label(self) -> str:
-        return f"x{self.point}:{self.rho.label}"
+        return f"x{self.point}:{self.rho_label}"
+
+    @cached_property
+    def rho(self) -> UnitaryRep:
+        """The irrep of the (reindexed) stabilizer labeled `rho_label`,
+        from enumerate_irreps at the entry's seed and tolerance."""
+        irreps = enumerate_irreps(self.stabilizer.group, seed=self.seed, tol=self.tol)
+        return next(rho for rho in irreps if rho.label == self.rho_label)
+
+    @cached_property
+    def cocycle(self) -> UnitaryRep:
+        """I_x on the stabilizer."""
+        return stabilizer_rep(self.system, self.point, self.stabilizer)[1]
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -94,35 +116,37 @@ def classify_irreps(sys: EquivariantSystem, seed: int = 0,
                     tol: float = DEFAULT_TOL) -> SpectrumDescription:
     """One entry per (orbit, stabilizer irrep occurring in the cocycle).
 
-    Orbits of one stabilizer (sys.orbits.by_stabilizer) share its irreps,
-    and stabilizers whose reindexed groups have one multiplication table
-    share one enumeration, each rho re-keyed onto its stabilizer's group.  An
-    entry's dimension is the multiplicity of rho in I_x, the character
-    inner product Re <chi_I, chi_rho> / |W_x| (Serre, Linear
-    Representations of Finite Groups, 2.3), rounded; no intertwiner space
-    is solved.  The largest distance of a multiplicity from its integer is
+    Orbits of one stabilizer (sys.orbits.by_stabilizer) share its
+    character table, and stabilizers whose reindexed groups have one
+    multiplication table share one reps.character_table.  An entry's
+    dimension is the multiplicity of rho in I_x, the character inner
+    product Re <chi_I, chi_rho> / |W_x| (Serre, Linear Representations of
+    Finite Groups, 2.3), rounded; the multiplicities at all least points of
+    one stabilizer are one product of its table with their traces
+    tr I_{s,x}.  No representation is split and no intertwiner space is
+    solved.  The largest distance of a multiplicity from its integer is
     kept, and SpectrumError is raised when it reaches 1/4.
     """
     check_tol(tol)
     orbits = sys.orbits
-    entries, worst, by_table = [], 0.0, {}
+    entries, worst, tables = [], 0.0, {}
     for stab, points in orbits.by_stabilizer:
         xs = points[orbits.least[points] == points]
         if not xs.size:
             continue
         sub = sys.group.subgroup(stab)
         key = sub.group.mul.tobytes()
-        by_table[key] = by_table.get(key) or enumerate_irreps(sub.group, seed=seed, tol=tol)
-        irreps = [UnitaryRep(sub.group, rho.matrices, rho.label) for rho in by_table[key]]
-        chars = np.stack([rho.character() for rho in irreps])
-        for x in xs.tolist():
-            i_rep = stabilizer_rep(sys, x, sub)[1]
-            mults = (chars.conj() @ i_rep.character()).real / len(stab)
-            counts = np.rint(mults)
-            worst = max(worst, float(np.abs(mults - counts).max()))
+        if key not in tables:
+            tables[key] = character_table(sub.group, seed=seed, tol=tol)
+        labels, chars = tables[key]
+        traces = np.trace(sys.cocycle[np.ix_(sub.embedding, xs)], axis1=-2, axis2=-1)
+        mults = (chars.conj() @ traces).real / len(stab)               # [rho, x]
+        counts = np.rint(mults)
+        worst = max(worst, float(np.abs(mults - counts).max()))
+        for x, column in zip(xs.tolist(), counts.T.astype(int).tolist()):
             orbit = orbits.members[orbits.representatives.index(x)]
-            entries += [SpectrumEntry(orbit, x, sub, rho, int(n), i_rep, tol)
-                        for rho, n in zip(irreps, counts) if n > 0]
+            entries += [SpectrumEntry(orbit, x, sub, label, n, sys, seed, tol)
+                        for label, n in zip(labels, column) if n > 0]
     if worst >= _INTEGRALITY_LIMIT:
         raise SpectrumError(f"a stabilizer multiplicity lies {worst:.3g} from an integer: "
                             "the cocycle is not a representation")
@@ -137,6 +161,7 @@ def realize_irrep(sys: EquivariantSystem, entry: SpectrumEntry,
     algebra (ordered as invariant_functions); verified *-homomorphism with
     scalar commutant by the caller or test suite.
     """
+    check_tol(tol)
     funcs = invariant_functions(sys, tol)
     x = entry.point
     s = entry.basis  # (m, d, r)
@@ -146,6 +171,7 @@ def realize_irrep(sys: EquivariantSystem, entry: SpectrumEntry,
 
 
 def realized_commutant_dim(mats: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    check_tol(tol)
     alg = generate(mats, ambient_dim=mats.shape[1], tol=tol)
     return commutant(alg, tol).dim
 
@@ -241,6 +267,7 @@ def fell_limit_certificate(family: ClosedFormFamily, sequence, point, rho_label:
     where xi0 spans the rho-isotypic line of I_{point}.  Accepts iff the
     last `tail_length` residuals fall below tol * scale.
     """
+    check_tol(tol)
     g = family.group
     canon = family._canon(point)
     stab = [w for w in g.elements()

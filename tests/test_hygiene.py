@@ -40,14 +40,14 @@ REACH_EXEMPT = {
     "groups.Subgroup.from_parent": "fixture of the per-point stabilizer loops in test_solvers",
     "matalg.full_matrix_algebra": "fixture of the algebra-action and separation tests",
     "reps.UnitaryRep.direct_sum": "fixture of the reducible case of is_irreducible",
-    "reps.equivariant_maps": "solved by SpectrumEntry.basis for realize_irrep, ROADMAP item 2",
+    "reps.equivariant_maps": "solved by SpectrumEntry.basis for realize_irrep, ROADMAP item 6",
     "reps.trivial_rep": "fixture of the equivariant_maps oracle",
     "reps.commutant_dimension": "oracle of is_irreducible",
     "serialize.document_to_json": "writer that the parse_document round-trip tests use",
     "serialize.dumps_document": "writer that the parse_document round-trip tests use",
-    "spectrum.SpectrumEntry.basis": "read by realize_irrep, ROADMAP item 2",
-    "spectrum.realize_irrep": "ROADMAP item 2",
-    "spectrum.realized_commutant_dim": "check of realize_irrep's irreducibility, ROADMAP item 2",
+    "spectrum.SpectrumEntry.basis": "read by realize_irrep, ROADMAP item 6",
+    "spectrum.realize_irrep": "ROADMAP item 6",
+    "spectrum.realized_commutant_dim": "check of realize_irrep's irreducibility, ROADMAP item 6",
     "systems.trivial_system": "fixture of the systems, spectrum and Morita tests",
 }
 

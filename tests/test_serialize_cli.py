@@ -14,7 +14,7 @@ import pytest
 from equivaria import cli, matalg, morita, systems
 from equivaria.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFICATION, main
 from equivaria.datasets import bundled, dataset_names
-from equivaria.groups import builtin_group
+from equivaria.groups import builtin_group, symmetric
 from equivaria.hilbmod import (
     FDHilbertModule,
     compact_operators,
@@ -25,7 +25,14 @@ from equivaria.hilbmod import (
     scalar_translation_action,
     verify_green_julg,
 )
-from equivaria.reps import enumerate_irreps
+from equivaria.reps import (
+    character_table,
+    commutant_dimension,
+    enumerate_irreps,
+    equivariant_maps,
+    intertwiner_space,
+    trivial_rep,
+)
 from equivaria.serialize import (
     ParseError,
     canonical_dumps,
@@ -35,8 +42,14 @@ from equivaria.serialize import (
     dumps_document,
     parse_document,
 )
-from equivaria.spectrum import classify_irreps, wedderburn_crosscheck
-from equivaria.systems import z2_line_system, z2xz2_line_system
+from equivaria.spectrum import (
+    classify_irreps,
+    fell_limit_certificate,
+    realize_irrep,
+    realized_commutant_dim,
+    wedderburn_crosscheck,
+)
+from equivaria.systems import z2_line_family, z2_line_system, z2xz2_line_system
 
 
 def test_complex_codec_roundtrip():
@@ -325,6 +338,16 @@ TOLERANT = {
     "wedderburn_crosscheck": lambda tol: wedderburn_crosscheck(z2_line_system(4), tol=tol),
     "classify_irreps": lambda tol: classify_irreps(z2_line_system(4), tol=tol),
     "enumerate_irreps": lambda tol: enumerate_irreps(builtin_group("S3"), tol=tol),
+    "character_table": lambda tol: character_table(symmetric(4), tol=tol),
+    "intertwiner_space": lambda tol: intertwiner_space(*[trivial_rep(builtin_group("Z2"))] * 2, tol),
+    "equivariant_maps": lambda tol: equivariant_maps(*[trivial_rep(builtin_group("Z2"))] * 2, tol),
+    "commutant_dimension": lambda tol: commutant_dimension(trivial_rep(builtin_group("Z2")), tol),
+    "realize_irrep": lambda tol: realize_irrep(
+        z2_line_system(2), classify_irreps(z2_line_system(2)).entries[0], tol),
+    "realized_commutant_dim": lambda tol: realized_commutant_dim(np.eye(2)[None], tol),
+    # x_n = 2 stays 2 from the origin; at tol 5 its residual 1.0 was accepted.
+    "fell_limit_certificate": lambda tol: fell_limit_certificate(
+        z2_line_family(), [2.0] * 20, 0.0, "1d0", tol=tol),
     "invariant_functions": lambda tol: systems.invariant_functions(z2_line_system(2), tol),
     "fixed_point_algebra": lambda tol: systems.fixed_point_algebra(z2_line_system(2), tol),
     "compact_operators":
@@ -373,7 +396,10 @@ def test_library_rejects_a_tolerance_outside_the_unit_interval(entry, tol):
     validate passed any maps at tol nan.  FDHilbertModule.validate passed a
     module with negated inner values at tol 5, is_full read False on
     function_module(z2_line_system(2)) at tol 5 where the default reads
-    True, and invariant_compacts_rows, given the compacts, cut unchecked."""
+    True, and invariant_compacts_rows, given the compacts, cut unchecked.
+    fell_limit_certificate accepted x_n = 2 as converging to the origin at
+    tol 5 and rejected the true limits at tol -1 or nan; the
+    representation-level entry points cut unchecked."""
     with pytest.raises(ValueError, match="^tolerance must lie strictly between 0 and 1$"):
         TOLERANT[entry](tol)
 

@@ -111,6 +111,7 @@ from oracles import (
     tensors,
 )
 from test_hilbmod import compacts_algebra
+from test_reps import assert_table_is_the_irreps
 
 from equivaria import cli, groups, hilbmod, linalg, matalg, morita, spectrum, systems
 from equivaria.datasets import bundled
@@ -155,6 +156,7 @@ from equivaria.morita import (
 from equivaria.reps import (
     RepError,
     UnitaryRep,
+    character_table,
     commutant_dimension,
     enumerate_irreps,
     equivariant_maps,
@@ -1379,17 +1381,23 @@ def test_spectrum_command_classifies_once(monkeypatch, capsys):
     # z2-line has five orbits and two distinct stabilizers: {e} and Z/2.
     # The spy is bound in cli too, so a direct call from there is counted.
     classified = counting_spy(monkeypatch, [spectrum, cli], "classify_irreps")
+    tabled = counting_spy(monkeypatch, [spectrum], "character_table")
     enumerated = counting_spy(monkeypatch, [spectrum], "enumerate_irreps")
     assert cli.main(["spectrum", "--input", "z2-line", "--format", "json"]) == 0
-    assert len(classified) == 1 and len(enumerated) == 2
+    assert len(classified) == 1 and len(tabled) == 2
     assert '"spectrum_dims"' in capsys.readouterr().out
     # On dihedral-plane the stabilizers {0, 4} and {0, 5} are one Z/2 table:
-    # four stabilizers, three enumerations, each irrep on its own group.
+    # four stabilizers, three character tables, and no irrep is split.
     plane = bundled("dihedral-plane")
     desc = spectrum.classify_irreps(plane)
     stabs = {plane.orbits.stabilizers[x] for x in plane.orbits.representatives}
-    assert len(enumerated) == 5 and len(stabs) == 4
-    assert all(e.rho.group is e.stabilizer.group for e in desc.entries)
+    assert len(tabled) == 5 and len(stabs) == 4 and enumerated == []
+    # The rho behind an entry's basis is the irrep of its stabilizer's
+    # table with the entry's label.
+    for e in desc.entries:
+        labels, chars = character_table(e.stabilizer.group)
+        assert e.rho.group is e.stabilizer.group and e.rho.label == e.rho_label
+        assert close(e.rho.character(), chars[labels.index(e.rho_label)])
 
 
 def test_reduction_builds_each_fixed_point_algebra_once(monkeypatch):
@@ -1793,13 +1801,34 @@ def test_orbit_solvers_match_the_whole_ambient_oracles_on_planted_cocycles(
     assert desc.integrality_distance < 1e-9
     for x in sys.orbits.representatives:
         sub, i_rep = spectrum.stabilizer_rep(sys, x)
-        dims = {e.rho.label: e.dim for e in desc.entries if e.point == x}
+        dims = {e.rho_label: e.dim for e in desc.entries if e.point == x}
         for rho in enumerate_irreps(sub.group):
             assert equivariant_maps(rho, i_rep).shape[0] == dims.get(rho.label, 0)
     eq = equivariant_function_module(sys)
     x_n, d = sys.n_points, sys.fiber_dim
     assert same_gram(morita._averaged_point_blocks(eq),
                      point_blocks(averaged_tensors(eq)[1], x_n, d))
+
+
+@settings(settings.get_profile("derandomized"))
+@given(st.sampled_from(sorted(BUILTIN_GROUPS)), st.lists(st.integers(0, 2), min_size=8, max_size=8),
+       st.integers(0, 3), st.sampled_from(["none", "fixed", "free"]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
+def test_character_tables_of_planted_stabilizers_are_the_irreps(
+        group_name, mults, twist, second, seed, table_seed):
+    """Every reindexed stabilizer table of a planted system, at any seed of
+    the central draw, has enumerate_irreps's labels and characters."""
+    sys, _ = planted_cocycle_system(group_name, mults, twist, second, seed)
+    for stab, _ in sys.orbits.by_stabilizer:
+        assert_table_is_the_irreps(sys.group.subgroup(stab).group, table_seed)
+
+
+@settings(settings.get_profile("derandomized"))
+@given(st.sampled_from(["D8", "S4"]), st.lists(st.integers(0, 23), max_size=3))
+def test_character_tables_of_subgroups_are_the_irreps(name, gens):
+    g = dihedral(8) if name == "D8" else symmetric(4)
+    assert_table_is_the_irreps(g.subgroup(g.generated_subgroup(
+        [w % g.order for w in gens])).group)
 
 
 @pytest.mark.parametrize("label", [f"z2-line-{n}" for n in range(1, 9)]

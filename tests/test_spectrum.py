@@ -157,6 +157,17 @@ def test_fell_certificate_rejects_wrong_limit():
     assert not cert.accepted
 
 
+def test_fell_certificate_rejects_a_parked_sequence():
+    """x_n = 2 stays at distance 2 from the origin.  Its residuals, 1.0,
+    lie below tol * scale at tol 5, which certified the sequence as
+    converging to the origin; a tolerance outside (0, 1) is refused."""
+    fam = z2_line_family()
+    assert not fell_limit_certificate(fam, [2.0] * 20, 0.0, "1d0").accepted
+    for tol in (5.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="^tolerance must lie strictly between 0 and 1$"):
+            fell_limit_certificate(fam, [2.0] * 20, 0.0, "1d0", tol=tol)
+
+
 def test_certificate_requires_multiplicity_one():
     fam = z2_line_family()
     with pytest.raises(SpectrumError):
