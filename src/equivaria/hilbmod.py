@@ -46,6 +46,7 @@ from .systems import (
     CrossedProduct,
     EquivariantSystem,
     crossed_product,
+    scalar_algebra,
 )
 
 
@@ -298,14 +299,6 @@ def standard_module(b_alg: MatrixStarAlgebra) -> FDHilbertModule:
         Components(st.index, st.index, st.table,
                    (st.table @ st.star[:, None]).transpose(0, 3, 1, 2)) for st in b_alg.blocks),
         name="standard")
-
-
-def scalar_algebra(n_points: int) -> MatrixStarAlgebra:
-    """C(X) for |X| = n_points, the diagonal algebra in M_{|X|}: one block
-    C per point, in coordinates against the point indicators."""
-    ones = np.ones((n_points, 1, 1, 1), dtype=complex)
-    return MatrixStarAlgebra(n_points, (Blocks(np.arange(n_points)[:, None], ones,
-                                               ones[..., 0], ones[..., 0, 0]),))
 
 
 def function_module(sys: EquivariantSystem) -> FDHilbertModule:

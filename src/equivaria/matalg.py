@@ -13,13 +13,15 @@ summands' and restricted_algebra those its rows lie in.
 
 A span of N x N matrices with no known structure (MatrixSpan) keeps its
 orthonormal matrices beside its one-block algebra, whose tables span_tables
-reads off their products: generation by closure, commutants by nullspace and
-the finite-dimensional separating-subalgebra checker work on those.
+reads off their products: generation by closure works on the matrices, and
+the finite-dimensional separating-subalgebra checker reads ranks off the
+algebra's blocks in its coordinates, with no commutant on M_N.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -29,7 +31,6 @@ from .linalg import (
     cluster_values,
     component_labels,
     flatten,
-    intertwiner_rows,
     orthonormal_rows,
     rank_threshold,
     span_contains,
@@ -419,14 +420,6 @@ def _span_of(mats, ambient_dim: int | None, tol: float) -> MatrixSpan:
     return MatrixSpan(unflatten(orthonormal_rows(flatten(mats), tol), mats.shape[1]))
 
 
-def algebra_from_span(mats, ambient_dim: int | None = None,
-                      tol: float = DEFAULT_TOL) -> MatrixSpan:
-    """Wrap an already-*-closed span (orthonormalizes; validates closure)."""
-    span = _span_of(mats, ambient_dim, tol)
-    span.algebra.validate(max(tol, 1e-8))
-    return span
-
-
 def generate(gens, ambient_dim: int | None = None,
              tol: float = DEFAULT_TOL) -> MatrixSpan:
     """Smallest *-closed span containing the generators.
@@ -447,11 +440,6 @@ def generate(gens, ambient_dim: int | None = None,
     return span
 
 
-def commutant(span: MatrixSpan, tol: float = DEFAULT_TOL) -> MatrixSpan:
-    """{t : tb = bt for every b in the span}, inside the full ambient M_N."""
-    return MatrixSpan(unflatten(intertwiner_rows(span.mats, span.mats, tol), span.ambient_dim))
-
-
 def full_matrix_algebra(n: int) -> MatrixSpan:
     return MatrixSpan(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
 
@@ -464,58 +452,42 @@ class SeparationReport:
     missing_unit: bool                         # B does not contain A's unit
 
 
-def _range(p: np.ndarray) -> np.ndarray:
-    """Orthonormal basis, as columns, of the range of a projection p."""
-    evals, evecs = np.linalg.eigh((p + p.conj().T) / 2.0)
-    return evecs[:, evals > 0.5]
-
-
-def _compress(q: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """The compressed matrices q* m q for orthonormal columns q."""
-    return q.conj().T @ mats @ q
-
-
-def _block_restriction(alg: MatrixSpan, block: Block, sub: MatrixSpan,
-                       tol: float) -> np.ndarray:
-    """Restriction of the subalgebra to one irreducible block slice of A.
-
-    Compress to range(p), where A acts as M_n (x) 1_m and its commutant is
-    1_n (x) M_m; a minimal projection in that commutant, one eigenspace of
-    a seeded random Hermitian element, cuts a single irreducible copy.
-    """
-    q = _range(alg.element(block.projection))
-    comm_p = commutant(algebra_from_span(_compress(q, alg.mats), tol=tol), tol)
-    rng = np.random.default_rng(7)
-    h = comm_p.element(rng.standard_normal(comm_p.dim) + 1j * rng.standard_normal(comm_p.dim))
-    evals, evecs = np.linalg.eigh((h + h.conj().T) / 2.0)
-    return _compress(q @ evecs[:, cluster_values(evals, 1e-7) == 0], sub.mats)
-
-
 def is_separating(sub: MatrixSpan, alg: MatrixSpan,
                   seed: int = 0, tol: float = DEFAULT_TOL) -> SeparationReport:
     """Do all irreducible blocks of A stay irreducible and inequivalent on B?
 
-    Uses the algebra's own unit: if B misses A's unit, the restriction of the
+    Read off A's blocks (block_decompose) in A's coordinates, where B's
+    orthonormal matrices are the rows c.  Block i, of size n_i and
+    multiplicity m_i, is A p_i = M_(n_i) (x) 1_(m_i), and b -> b p_i
+    restricts B to it.  A *-subalgebra of M_n acts irreducibly only if it
+    is M_n (Burnside), so block i stays irreducible iff r_i = rank(c p_i)
+    is n_i^2, or n_i = 1 (0 on C^1 counts as irreducible).  Blocks i and j
+    are made equivalent when their restrictions share an irreducible
+    summand, which makes rank(c (p_i + p_j)) < r_i + r_j, or when B has a
+    kernel on both, for a rank-one map between kernel vectors intertwines:
+    on one copy of block i that kernel has dimension z_i = n_i - tr(e_B
+    p_i) / m_i, e_B = B's unit, the trace-orthogonal projection of 1 onto
+    B (0 when B is).  If B misses A's unit, the restriction of the
     identity representation is degenerate and B cannot separate.
     """
     if not alg.contains(sub.mats, max(tol, 1e-8)):
         raise AlgebraError("first argument is not a subalgebra of the second")
-    structure = block_decompose(alg.algebra, seed=seed, tol=tol)
-    missing_unit = not sub.contains(alg.element(alg.algebra.unit()), max(tol, 1e-7))
-    restrictions = [_block_restriction(alg, blk, sub, tol) for blk in structure.blocks]
-    reducible = []
-    for i, mats in enumerate(restrictions):
-        span = generate(mats, ambient_dim=mats.shape[1], tol=tol)
-        if commutant(span, tol).dim != 1:
-            reducible.append(i)
-    merged = []
-    for i in range(len(restrictions)):
-        for j in range(i + 1, len(restrictions)):
-            # A nonzero s with s m1 = m2 s for all basis pairs.
-            if intertwiner_rows(restrictions[j], restrictions[i], tol).shape[0]:
-                merged.append((i, j))
+    a = alg.algebra
+    blocks = block_decompose(a, seed=seed, tol=tol).blocks
+    c = flatten(sub.mats) @ flatten(alg.mats).conj().T
+    missing_unit = not span_contains(c, a.unit(), max(tol, 1e-7))
+    proj = np.array([blk.projection for blk in blocks]).reshape(-1, a.dim)
+    cut = a.multiply(proj[:, None], c)                                   # [i, l]: p_i c_l
+    ranks = [orthonormal_rows(part, tol).shape[0] for part in cut]
+    unit_traces = (a.multiply(proj, (c @ a.traces).conj() @ c) @ a.traces).real
+    kernel = [blk.size - round(t / blk.multiplicity) for blk, t in zip(blocks, unit_traces)]
+    reducible = tuple(i for i, blk in enumerate(blocks)
+                      if blk.size > 1 and ranks[i] < blk.size ** 2)
+    merged = tuple((i, j) for i, j in combinations(range(len(blocks)), 2)
+                   if kernel[i] > 0 and kernel[j] > 0
+                   or orthonormal_rows(cut[i] + cut[j], tol).shape[0] < ranks[i] + ranks[j])
     separating = not reducible and not merged and not missing_unit
-    return SeparationReport(separating, tuple(reducible), tuple(merged), missing_unit)
+    return SeparationReport(separating, reducible, merged, missing_unit)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ from .hilbmod import (
     Components,
     EquivariantModule,
     FDHilbertModule,
+    ModuleError,
     MoritaWitness,
     _checked_coefficients,
     _placed,
@@ -587,8 +588,8 @@ def _semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int,
     # eq_q's base); f and u are carried along O by I, so it is |O| times its
     # term at O's least point x.
     eq_q, u_rows = quotient_equivariant_module(sys, sys_p, u_emb, v_sub, tol)
-    eq_q.validate(max(tol, 1e-8))
-    gj_q, cp_q = green_julg_module(eq_q, crossed_product(eq_q.beta, tol))
+    eq_q.validate(tol)                        # validates beta, so it is crossed unchecked
+    gj_q, cp_q = green_julg_module(eq_q, CrossedProduct(eq_q.beta))
     fpa = thm.fpa
     vecs = u_rows.reshape(len(u_rows), sys.n_points, sys.fiber_dim)
     least = sys_p.orbits.least

@@ -23,13 +23,12 @@ import numpy as np
 
 from .groups import Subgroup
 from .linalg import DEFAULT_TOL, check_tol
-from .matalg import block_decompose, commutant, generate
+from .matalg import block_decompose, generate
 from .reps import (
     UnitaryRep,
     character_table,
     enumerate_irreps,
     equivariant_maps,
-    isotypic_projection,
 )
 from .systems import (
     ClosedFormFamily,
@@ -171,9 +170,16 @@ def realize_irrep(sys: EquivariantSystem, entry: SpectrumEntry,
 
 
 def realized_commutant_dim(mats: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    """dim of the commutant in M_N of the algebra the N x N matrices
+    generate, read off its blocks (block_decompose): C^N is the sum of m_i
+    copies of each block's irreducible C^(n_i) and of the z-dimensional
+    common kernel, z = N - sum n_i m_i, so the commutant is the sum of the
+    M_(m_i) and M_z, of dimension sum m_i^2 + z^2 (1 iff irreducible)."""
     check_tol(tol)
-    alg = generate(mats, ambient_dim=mats.shape[1], tol=tol)
-    return commutant(alg, tol).dim
+    n = mats.shape[1]
+    blocks = block_decompose(generate(mats, ambient_dim=n, tol=tol).algebra, tol=tol).blocks
+    kernel = n - sum(b.size * b.multiplicity for b in blocks)
+    return sum(b.multiplicity ** 2 for b in blocks) + kernel ** 2
 
 
 @dataclass(frozen=True)
@@ -264,8 +270,10 @@ def fell_limit_certificate(family: ClosedFormFamily, sequence, point, rho_label:
     The candidate is the entry (point, rho) of the limit point's stabilizer.
     For symmetrized bump test elements k, the certificate checks that
     <xi0 | k(x_n) xi0> converges to the candidate representation's value,
-    where xi0 spans the rho-isotypic line of I_{point}.  Accepts iff the
-    last `tail_length` residuals fall below tol * scale.
+    where xi0 spans the rho-isotypic line of I_{point}, the range of the
+    projection read off rho's character (reps.character_table; no
+    representation is split).  Accepts iff the last `tail_length` residuals
+    fall below tol * scale.
     """
     check_tol(tol)
     g = family.group
@@ -275,17 +283,16 @@ def fell_limit_certificate(family: ClosedFormFamily, sequence, point, rho_label:
     sub = g.subgroup(stab)
     mats = np.stack([np.asarray(family.cocycle_at(sub.to_parent(v), canon), dtype=complex)
                      for v in range(sub.group.order)])
-    i_rep = UnitaryRep(sub.group, mats, label="I@limit")
-    rho = None
-    for cand in enumerate_irreps(sub.group, seed=seed):
-        if cand.label == rho_label:
-            rho = cand
-    if rho is None:
+    labels, chars = character_table(sub.group, seed=seed)
+    if rho_label not in labels:
         raise SpectrumError(f"no stabilizer irrep labeled {rho_label!r}")
-    if rho.dim != 1:
+    chi = chars[labels.index(rho_label)]
+    dim = int(np.rint(chi[sub.group.identity].real))
+    if dim != 1:
         raise SpectrumError(
             "limit certificates support one-dimensional stabilizer irreps only")
-    proj = isotypic_projection(i_rep, rho)
+    # I(e_rho) = (dim rho / |W_x|) sum_w conj(chi_rho(w)) I_w.
+    proj = np.tensordot(dim * chi.conj() / sub.group.order, mats, axes=1)
     rank = int(round(np.real(np.trace(proj))))
     if rank == 0:
         raise SpectrumError("candidate irrep does not occur in the limit cocycle")

@@ -330,14 +330,12 @@ def left_translation_system(sys: EquivariantSystem) -> EquivariantSystem:
 # -- the induced action on functions ----------------------------------------
 
 
-def function_algebra(sys: EquivariantSystem) -> MatrixStarAlgebra:
-    """All of C(X, M_d), embedded block-diagonally; dim |X| d^2, one block
-    M_d per point, in coordinates against the matrix units."""
-    x_n, d = sys.n_points, sys.fiber_dim
-    units = np.broadcast_to(np.eye(d * d, dtype=complex).reshape(d * d, 1, d, d),
-                            (x_n, d * d, 1, d, d))
-    blocks, residual = span_tables(units, np.arange(x_n * d * d).reshape(x_n, d * d))
-    return MatrixStarAlgebra(sys.total_dim, (blocks,), residual)
+def scalar_algebra(n_points: int) -> MatrixStarAlgebra:
+    """C(X) for |X| = n_points, the diagonal algebra in M_{|X|}: one block
+    C per point, in coordinates against the point indicators."""
+    ones = np.ones((n_points, 1, 1, 1), dtype=complex)
+    return MatrixStarAlgebra(n_points, (Blocks(np.arange(n_points)[:, None], ones,
+                                               ones[..., 0], ones[..., 0, 0]),))
 
 
 def invariant_functions(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -752,7 +750,7 @@ def phi_iso(sys: EquivariantSystem, tol: float = DEFAULT_TOL,
     w_n = g.order
     rng = rng or np.random.default_rng(0)
 
-    cp = crossed_product(AlgebraAction(g, function_algebra(sys), sys.action))   # C(X) >| W
+    cp = crossed_product(AlgebraAction(g, scalar_algebra(x_n), sys.action))   # C(X) >| W
     target_sys = left_translation_system(sys)
     target = fixed_point_algebra(target_sys, tol)
     # [w, v, x]: phi(f w)(x) has f(w v^-1 x) at row v w^-1, column v.

@@ -29,7 +29,13 @@ dense_crossed_product), the oracle of the index path.  C(X, M_d)'s action
 alpha for d >= 2 (alpha_matrix, function_algebra_action) is not a
 permutation, and lives here only.  The pairwise ideal test of matrix spans,
 the operator norm of a matrix and the block-diagonal embedding of functions
-(embed_function) are kept here as well.
+(embed_function) are kept here as well, with all of C(X, M_d)
+(function_algebra, whose d = 1 case is systems.scalar_algebra).  A span of
+matrices is checked for separation the dense way (dense_is_separating): B
+compressed to one copy of each of A's blocks (block_restriction), its
+commutant there by the Kronecker nullspace (commutant) for irreducibility
+and Kronecker intertwiners between two blocks for equivalence, the oracle
+of matalg.is_separating's ranks.
 """
 import math
 from dataclasses import dataclass
@@ -42,16 +48,31 @@ from equivaria.hilbmod import Carried, Components, FDHilbertModule
 from equivaria.linalg import (
     DEFAULT_TOL,
     check_tol,
+    cluster_values,
     component_labels,
     flatten,
     homomorphism_defect,
+    intertwiner_rows,
     nullspace_rows,
     orthonormal_rows,
     span_contains,
+    unflatten,
 )
-from equivaria.matalg import Blocks, MatrixStarAlgebra, _grouped, restricted_algebra
+from equivaria.matalg import (
+    AlgebraError,
+    Blocks,
+    MatrixSpan,
+    MatrixStarAlgebra,
+    SeparationReport,
+    _grouped,
+    _span_of,
+    block_decompose,
+    generate,
+    restricted_algebra,
+    span_tables,
+)
 from equivaria.reps import regular_rep
-from equivaria.systems import CrossedProduct, SystemError, _largest_norm, function_algebra
+from equivaria.systems import CrossedProduct, SystemError, _largest_norm
 
 
 def operator_norm(a: np.ndarray) -> float:
@@ -316,8 +337,8 @@ def scalar_basis(n_points: int) -> np.ndarray:
 
 
 def base_basis(alg) -> np.ndarray:
-    """The basis of a C(X) or C(X, M_d) built by hilbmod.scalar_algebra or
-    systems.function_algebra, the matrix units of each point: blocks of size
+    """The basis of a C(X) or C(X, M_d) built by systems.scalar_algebra or
+    function_algebra, the matrix units of each point: blocks of size
     d^2 at consecutive coordinates, one per point, on an ambient of size
     |X| d."""
     (st,) = alg.blocks
@@ -620,3 +641,83 @@ def dense_outer_action(whole: DenseAction, inner, u_emb: np.ndarray, v_sub):
     maps[np.arange(v_n)[:, None], conj, :, np.arange(u_n)] = whole.maps[v_emb][:, None]
     return (DenseAction(v_sub.group, inner.algebra, maps.reshape(v_n, u_n * k, u_n * k)),
             g.mul[u_emb, v_emb[:, None]])
+
+
+# -- C(X, M_d) and separation, the dense way -------------------------------------
+
+
+def function_algebra(sys) -> MatrixStarAlgebra:
+    """All of C(X, M_d), embedded block-diagonally; dim |X| d^2, one block
+    M_d per point, in coordinates against the matrix units.  For d = 1 it
+    is systems.scalar_algebra(|X|)."""
+    x_n, d = sys.n_points, sys.fiber_dim
+    units = np.broadcast_to(np.eye(d * d, dtype=complex).reshape(d * d, 1, d, d),
+                            (x_n, d * d, 1, d, d))
+    blocks, residual = span_tables(units, np.arange(x_n * d * d).reshape(x_n, d * d))
+    return MatrixStarAlgebra(sys.total_dim, (blocks,), residual)
+
+
+def algebra_from_span(mats, ambient_dim: int | None = None,
+                      tol: float = DEFAULT_TOL) -> MatrixSpan:
+    """Wrap an already-*-closed span (orthonormalizes; validates closure)."""
+    span = _span_of(mats, ambient_dim, tol)
+    span.algebra.validate(max(tol, 1e-8))
+    return span
+
+
+def commutant(span: MatrixSpan, tol: float = DEFAULT_TOL) -> MatrixSpan:
+    """{t : tb = bt for every b in the span}, inside the full ambient M_N:
+    the Kronecker nullspace, a (k N^2, N^2) matrix."""
+    return MatrixSpan(unflatten(intertwiner_rows(span.mats, span.mats, tol), span.ambient_dim))
+
+
+def projection_range(p: np.ndarray) -> np.ndarray:
+    """Orthonormal basis, as columns, of the range of a projection p."""
+    evals, evecs = np.linalg.eigh((p + p.conj().T) / 2.0)
+    return evecs[:, evals > 0.5]
+
+
+def compress(q: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """The compressed matrices q* m q for orthonormal columns q."""
+    return q.conj().T @ mats @ q
+
+
+def block_restriction(alg: MatrixSpan, block, sub: MatrixSpan, tol: float) -> np.ndarray:
+    """Restriction of the subalgebra to one irreducible block slice of A.
+
+    Compress to range(p), where A acts as M_n (x) 1_m and its commutant is
+    1_n (x) M_m; a minimal projection in that commutant, one eigenspace of
+    a seeded random Hermitian element, cuts a single irreducible copy.
+    """
+    q = projection_range(alg.element(block.projection))
+    comm_p = commutant(algebra_from_span(compress(q, alg.mats), tol=tol), tol)
+    rng = np.random.default_rng(7)
+    h = comm_p.element(rng.standard_normal(comm_p.dim) + 1j * rng.standard_normal(comm_p.dim))
+    evals, evecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return compress(q @ evecs[:, cluster_values(evals, 1e-7) == 0], sub.mats)
+
+
+def dense_is_separating(sub: MatrixSpan, alg: MatrixSpan,
+                        seed: int = 0, tol: float = DEFAULT_TOL) -> SeparationReport:
+    """matalg.is_separating on N x N matrices: B restricted to one copy of
+    each of A's blocks (block_restriction), its commutant there for
+    irreducibility and the Kronecker intertwiners between two blocks'
+    restrictions for equivalence."""
+    if not alg.contains(sub.mats, max(tol, 1e-8)):
+        raise AlgebraError("first argument is not a subalgebra of the second")
+    structure = block_decompose(alg.algebra, seed=seed, tol=tol)
+    missing_unit = not sub.contains(alg.element(alg.algebra.unit()), max(tol, 1e-7))
+    restrictions = [block_restriction(alg, blk, sub, tol) for blk in structure.blocks]
+    reducible = []
+    for i, mats in enumerate(restrictions):
+        span = generate(mats, ambient_dim=mats.shape[1], tol=tol)
+        if commutant(span, tol).dim != 1:
+            reducible.append(i)
+    merged = []
+    for i in range(len(restrictions)):
+        for j in range(i + 1, len(restrictions)):
+            # A nonzero s with s m1 = m2 s for all basis pairs.
+            if intertwiner_rows(restrictions[j], restrictions[i], tol).shape[0]:
+                merged.append((i, j))
+    separating = not reducible and not merged and not missing_unit
+    return SeparationReport(separating, tuple(reducible), tuple(merged), missing_unit)

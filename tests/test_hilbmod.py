@@ -33,7 +33,6 @@ from equivaria.linalg import (
 )
 from equivaria.matalg import (
     MatrixSpan,
-    algebra_from_span,
     block_decompose,
     generate,
 )
@@ -44,6 +43,7 @@ from equivaria.systems import (
     z2_line_system,
 )
 from oracles import (
+    algebra_from_span,
     dense_module,
     dense_rows,
     fpa_basis,

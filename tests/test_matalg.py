@@ -13,14 +13,23 @@ from equivaria.matalg import (
     MatrixStarAlgebra,
     block_decompose,
     check_stone_weierstrass,
-    commutant,
     center,
     full_matrix_algebra,
     generate,
     is_separating,
 )
 from equivaria.reps import enumerate_irreps, regular_rep
-from oracles import Dense, dense_gram, is_ideal, operator_norm, star_of, table_of
+from equivaria.spectrum import realized_commutant_dim
+from oracles import (
+    Dense,
+    commutant,
+    dense_gram,
+    dense_is_separating,
+    is_ideal,
+    operator_norm,
+    star_of,
+    table_of,
+)
 
 
 def block_diag(*mats):
@@ -204,18 +213,30 @@ def test_separating_detects_reducible_restriction():
     assert report.reducible_blocks == (0,)
 
 
-def planted_algebra(blocks, pad, seed):
-    """(algebra, unit): a seeded unitary conjugate of (+)_i M_(n_i) (x) 1_(m_i)
-    (+) 0_pad for blocks [(n_i, m_i)], in a seeded orthonormal basis of the span."""
+def planted_units(blocks, pad):
+    """The matrix units E_ab (x) 1_(m_i) of each block of (+)_i M_(n_i) (x)
+    1_(m_i) (+) 0_pad, blocks [(n_i, m_i)]: one (n_i, n_i, N, N) array per
+    block."""
     big = sum(n * m for n, m in blocks) + pad
-    basis, offset = [], 0
+    units, offset = [], 0
     for n, m in blocks:
-        span = slice(offset, offset + n * m)
-        for e_ab in np.eye(n * n).reshape(n * n, n, n):
-            mat = np.zeros((big, big), dtype=complex)
-            mat[span, span] = np.kron(e_ab, np.eye(m)) / np.sqrt(m)
-            basis.append(mat)
+        block = np.zeros((n, n, big, big), dtype=complex)
+        block[..., offset:offset + n * m, offset:offset + n * m] = np.kron(
+            np.eye(n * n).reshape(n, n, n, n), np.eye(m))
+        units.append(block)
         offset += n * m
+    return units
+
+
+def planted_algebra(blocks, pad, seed):
+    """(algebra, unit, conjugate): a seeded unitary conjugate u . u* of
+    (+)_i M_(n_i) (x) 1_(m_i) (+) 0_pad (planted_units, scaled to unit
+    norm), in a seeded orthonormal basis of the span, its unit and the
+    conjugation."""
+    units = planted_units(blocks, pad)
+    big = units[0].shape[-1]
+    basis = np.concatenate([block.reshape(-1, big, big) / np.sqrt(m)
+                            for block, (_, m) in zip(units, blocks)])
     rng = np.random.default_rng(seed)
 
     def unitary(size):
@@ -223,16 +244,16 @@ def planted_algebra(blocks, pad, seed):
                             + 1j * rng.standard_normal((size, size)))[0]
 
     u, v = unitary(big), unitary(len(basis))
-    planted = np.diag(np.arange(big) < offset).astype(complex)
-    basis = np.tensordot(v, u @ np.array(basis) @ u.conj().T, axes=1)
-    return MatrixSpan(basis), u @ planted @ u.conj().T
+    planted = np.diag(np.arange(big) < big - pad).astype(complex)
+    basis = np.tensordot(v, u @ basis @ u.conj().T, axes=1)
+    return MatrixSpan(basis), u @ planted @ u.conj().T, lambda mats: u @ mats @ u.conj().T
 
 
 @settings(settings.get_profile("derandomized"))
 @given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)), min_size=1, max_size=3),
        st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
 def test_traces_star_unit_and_blocks_of_a_planted_algebra(blocks, pad, seed):
-    span, unit = planted_algebra(blocks, pad, seed)
+    span, unit, _ = planted_algebra(blocks, pad, seed)
     basis, alg = span.mats, span.algebra
     assert alg.traces is alg.traces and span.algebra is alg
     assert np.abs(alg.traces - np.einsum("kii->k", basis)).max() < 1e-12
@@ -248,3 +269,114 @@ def test_traces_star_unit_and_blocks_of_a_planted_algebra(blocks, pad, seed):
     structure = block_decompose(alg)
     assert sorted((b.size, b.multiplicity) for b in structure.blocks) == sorted(blocks)
     assert np.abs(span.element(sum(b.projection for b in structure.blocks)) - unit).max() < 1e-8
+
+
+# -- separation and commutants against the dense oracle -------------------------
+
+SUBALGEBRAS = ("blocks", "diagonals", "copies", "one-diagonal", "corner", "zero")
+
+
+def planted_subalgebra(units, kind, pick):
+    """Generators of a subalgebra of the planted algebra with blocks
+    `units` (planted_units), before conjugation: the blocks in the bit mask
+    `pick` ("blocks"), every block's diagonal ("diagonals"), x (+) x on the
+    first two blocks, of one size, and the others whole ("copies"), one
+    block's diagonal and the others whole ("one-diagonal"), the first
+    diagonal unit of one block and nothing else ("corner"), or none."""
+    big = units[0].shape[-1]
+    whole = [block.reshape(-1, big, big) for block in units]
+    diagonal = [np.diagonal(block, axis1=0, axis2=1).transpose(2, 0, 1) for block in units]
+    i = pick % len(units)
+    if kind == "blocks":
+        gens = [w for j, w in enumerate(whole) if pick >> j & 1] or whole[:1]
+    elif kind == "diagonals":
+        gens = diagonal
+    elif kind == "copies":
+        gens = [whole[0] + whole[1]] + whole[2:]
+    elif kind == "one-diagonal":
+        gens = whole[:i] + [diagonal[i]] + whole[i + 1:]
+    elif kind == "corner":
+        gens = [diagonal[i][:1]]
+    else:
+        gens = [np.zeros((0, big, big))]
+    return np.concatenate(gens)
+
+
+def planted_pair(blocks, pad, seed, kind, pick):
+    """(B, A): A = planted_algebra(blocks, pad, seed) and B its subalgebra
+    generated by planted_subalgebra(kind, pick), in A's frame."""
+    alg, _, conjugate = planted_algebra(blocks, pad, seed)
+    gens = conjugate(planted_subalgebra(planted_units(blocks, pad), kind, pick))
+    return generate(gens, ambient_dim=alg.ambient_dim), alg
+
+
+@settings(settings.get_profile("derandomized"), max_examples=20)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)), min_size=1, max_size=3),
+       st.integers(0, 2), st.integers(0, 2 ** 32 - 1), st.sampled_from(SUBALGEBRAS),
+       st.integers(0, 7))
+def test_separation_and_commutants_match_the_dense_oracle(blocks, pad, seed, kind, pick):
+    if kind == "copies":
+        blocks = [(blocks[0][0], 1 + pick % 2)] + blocks
+    sub, alg = planted_pair(blocks, pad, seed, kind, pick)
+    assert is_separating(sub, alg, seed) == dense_is_separating(sub, alg, seed)
+    assert realized_commutant_dim(sub.mats) == commutant(sub).dim
+    # A's commutant on C^N is (+)_i M_(m_i) (+) M_pad.
+    assert realized_commutant_dim(alg.mats) == sum(m * m for _, m in blocks) + pad * pad
+
+
+def diagonal_span(*rows):
+    """The span of diagonal matrices with the given diagonals."""
+    return generate(np.array([np.diag(r) for r in rows], dtype=complex), ambient_dim=len(rows[0]))
+
+
+@pytest.mark.parametrize("sub, alg, reducible, merged, missing_unit", [
+    # B = 0 on C^3: every block is its kernel, so every pair is merged.
+    (MatrixSpan(np.zeros((0, 3, 3), dtype=complex)), np.eye(3), 0, 3, True),
+    # C e_0 in C^3: the blocks of e_1 and e_2 share B's kernel.
+    ([[1, 0, 0]], np.eye(3), 0, 1, True),
+    # C (e_0 + e_1) in C^3: the blocks of e_0 and e_1 share B's character.
+    ([[1, 1, 0]], np.eye(3), 0, 1, True),
+    # The diagonals and the scalars in M_2 restrict reducibly.
+    ([[1, 0], [0, 1]], None, 1, 0, False),
+    ([[1, 1]], None, 1, 0, False),
+])
+def test_pinned_separation_reports(sub, alg, reducible, merged, missing_unit):
+    sub = sub if isinstance(sub, MatrixSpan) else diagonal_span(*sub)
+    alg = full_matrix_algebra(2) if alg is None else diagonal_span(*alg)
+    report = is_separating(sub, alg)
+    assert report == dense_is_separating(sub, alg)
+    assert (len(report.reducible_blocks), len(report.merged_pairs), report.missing_unit) == \
+        (reducible, merged, missing_unit)
+    assert not report.separating
+
+
+@pytest.mark.parametrize("blocks, kind, pick, reducible, merged, missing_unit", [
+    # M_2 (+) 0 in M_2 (+) C: B's kernel is the block C alone.
+    ([(2, 1), (1, 1)], "blocks", 1, (), (), True),
+    # M_2 (x) 1_2 (+) 0 in M_2 (x) 1_2 (+) M_2: 0 on C^2 is reducible.
+    ([(2, 2), (2, 1)], "blocks", 1, (1,), (), True),
+    # The diagonals of M_2 (x) 1_2 (+) M_3: five characters, one block each.
+    ([(2, 2), (3, 1)], "diagonals", 0, (0, 1), (), False),
+    # C E_00 (x) 1_2 (+) 0 in M_2 (x) 1_2 (+) C: a kernel of dimension
+    # 2 - tr(E_00 (x) 1_2) / 2 = 1 on each copy of M_2's block, and C's.
+    ([(2, 2), (1, 1)], "corner", 0, (1,), ((0, 1),), True),
+])
+def test_pinned_planted_separation_reports(blocks, kind, pick, reducible, merged, missing_unit):
+    sub, alg = planted_pair(blocks, 0, 0, kind, pick)
+    report = is_separating(sub, alg)
+    assert report == dense_is_separating(sub, alg)
+    assert (report.reducible_blocks, report.merged_pairs, report.missing_unit) == \
+        (reducible, merged, missing_unit)
+
+
+def test_criterion_8_pairs_match_the_dense_oracle():
+    """The first 50 seeds of criterion 8's sweep (test_acceptance)."""
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        n_gens = int(rng.integers(1, 3))
+        gens = rng.standard_normal((n_gens, n, n)) + 1j * rng.standard_normal((n_gens, n, n))
+        alg = generate(gens, ambient_dim=n)
+        h = alg.element(rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim))
+        sub = generate([h], ambient_dim=n)
+        assert is_separating(sub, alg, seed=seed) == dense_is_separating(sub, alg, seed=seed), seed

@@ -16,6 +16,7 @@ from equivaria.morita import (
     verify_morita_theorem,
 )
 from equivaria.systems import (
+    AlgebraAction,
     EquivariantSystem,
     anticomplete_point_system,
     trivial_system,
@@ -122,6 +123,27 @@ def test_semidirect_reduction_z2xz2_line():
     assert report.fpa_block_count == report.final_block_count == 3  # n + 2
     assert report.ideal_transport_ok
     assert report.iso_mult_residual < 1e-9
+
+
+def test_the_reduction_validates_each_action_once(monkeypatch):
+    """The quotient module's check validates its beta, which is then
+    crossed unchecked: four action checks in all, not five."""
+    calls = []
+    validate = AlgebraAction.validate
+
+    def spy(self, *args, **kwargs):
+        calls.append(self)
+        return validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlgebraAction, "validate", spy)
+    assert semidirect_reduction(z2xz2_line_system(2), [0, 2], [0, 1]).ok
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-13])
+def test_the_reduction_honours_a_strict_tolerance(tol):
+    for n in (1, 6):
+        assert semidirect_reduction(z2xz2_line_system(n), [0, 2], [0, 1], tol=tol).ok, n
 
 
 def test_reduction_with_trivial_wprime_is_the_theorem():

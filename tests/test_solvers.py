@@ -83,6 +83,7 @@ import oracles
 from oracles import (
     Dense,
     DenseAction,
+    algebra_from_span,
     averaged_tensors,
     carried,
     carrier_components,
@@ -142,7 +143,6 @@ from equivaria.matalg import (
     AlgebraError,
     MatrixSpan,
     MatrixStarAlgebra,
-    algebra_from_span,
     center,
     generate,
 )
@@ -936,6 +936,11 @@ def test_rebase_module_rejects_a_subalgebra_that_misses_a_value():
     e = function_module(bundled("z2-line"))
     with pytest.raises(ModuleError, match="leave the coefficient algebra"):
         rebase_module(e, np.eye(e.algebra.dim, dtype=complex)[:-1])
+    # C (+) C over C (+) C: the row (1, 1) / sqrt 2 joins the two carrier
+    # components' coordinates.
+    e = direct_sum_module(free_module(1), free_module(1))
+    with pytest.raises(ModuleError, match="leaves the coordinates of its carrier component"):
+        rebase_module(e, np.array([[1, 1]], dtype=complex) / np.sqrt(2))
 
 
 def is_ideal_loops(ideal, alg, tol=1e-9) -> bool:
@@ -1286,7 +1291,7 @@ def block_decompose_dense(alg, seed=0, tol=1e-9):
         if ok and len(projections) == cen.dim:
             blocks = []
             for p in projections:
-                comp = matalg._compress(matalg._range(p), alg.basis)
+                comp = oracles.compress(oracles.projection_range(p), alg.basis)
                 rank = orthonormal_rows(flatten(comp), tol).shape[0]
                 n = int(round(np.sqrt(rank)))
                 if n * n != rank:
@@ -2516,13 +2521,16 @@ def test_reduction_links_match_the_loops(label):
 def test_reduction_builds_each_crossed_product_once(monkeypatch):
     # The theorem's C(X) >| W is the whole of link 2, the restricted
     # theorem's C(X) >| W' its inner factor, link 2 builds (C(X) >| W') >| R
-    # on it, and link 4 builds C(X/W') >| R.
+    # on it, and link 4 builds C(X/W') >| R, crossing unchecked the action
+    # that the quotient module's check validated.
     built = counting_spy(monkeypatch, [systems, morita, hilbmod], "crossed_product")
+    crossed = counting_spy(monkeypatch, [morita], "CrossedProduct")
     split = counting_spy(monkeypatch, [groups, systems, morita], "semidirect_decomposition")
     restricted = counting_spy(monkeypatch, [systems, morita], "restrict_system")
     report = morita.semidirect_reduction(z2xz2_line_system(2), [0, 2], [0, 1])
     assert report.ok and report.iso_bijective and report.ideal_transport_ok
-    assert (len(built), len(split), len(restricted)) == (4, 1, 1)
+    assert (len(built), len(crossed), len(split), len(restricted)) == (3, 1, 1, 1)
+    built += crossed
     assert [action.group.order for action in built] == [4, 2, 2, 2]
     assert built[2].algebra.dim == 2 * built[1].algebra.dim
 
@@ -3000,7 +3008,7 @@ def action_outcome(action, cross_with):
 def points_action(group, perm):
     """The action beta_w(delta_j) = delta_(perm[w, j]) on C(X), X the
     points of the table."""
-    alg = systems.function_algebra(systems.trivial_system(np.shape(perm)[1]))
+    alg = oracles.function_algebra(systems.trivial_system(np.shape(perm)[1]))
     return AlgebraAction(group, alg, np.asarray(perm))
 
 
@@ -3191,7 +3199,7 @@ def test_a_nan_in_b_fails_the_permutation_checks(table):
     """B's tables with a NaN entry under the trivial action, a
     permutation: each defect there is NaN, which a bound written as
     `norm > bound` would pass."""
-    alg = systems.function_algebra(systems.trivial_system(2))
+    alg = oracles.function_algebra(systems.trivial_system(2))
     stack = alg.blocks[0]
     parts = {"star": stack.star.copy(), "table": stack.table.copy()}
     parts[table][0, 0, 0] = np.nan

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from equivaria import reps
+from equivaria import reps, spectrum
 from equivaria.datasets import bundled, dataset_names
 from equivaria.groups import symmetric
 from equivaria.matalg import generate
@@ -128,6 +128,17 @@ def test_fell_certificate_accepts_both_origin_entries():
     for label in ("1d0", "1d1"):
         cert = fell_limit_certificate(fam, seq, 0.0, label, tail_length=4)
         assert cert.accepted, (label, cert.residuals[-4:])
+
+
+def test_fell_certificate_reads_its_irrep_off_the_character_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a representation was split")
+
+    monkeypatch.setattr(spectrum, "enumerate_irreps", refuse)
+    monkeypatch.setattr(reps, "enumerate_irreps", refuse)
+    cert = fell_limit_certificate(z2_line_family(), [1.0 / k for k in range(1, 17)], 0.0, "1d1",
+                                  tail_length=4)
+    assert cert.accepted
 
 
 def test_fell_certificate_unknown_label():

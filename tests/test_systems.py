@@ -16,6 +16,7 @@ from oracles import (
     dense_crossed_product,
     embed_function,
     embedded_algebra,
+    function_algebra,
     function_algebra_action,
 )
 from equivaria.systems import (
@@ -26,7 +27,6 @@ from equivaria.systems import (
     crossed_product,
     dihedral_plane_system,
     fixed_point_algebra,
-    function_algebra,
     invariant_functions,
     iterated_crossed_iso,
     left_translation_system,
