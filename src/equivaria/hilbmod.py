@@ -307,7 +307,7 @@ def function_module(sys: EquivariantSystem) -> FDHilbertModule:
     <e_p|e_q> = delta_pq delta_x."""
     x_n, d = sys.n_points, sys.fiber_dim
     eye = np.broadcast_to(np.eye(d, dtype=complex), (x_n, 1, d, d))
-    return FDHilbertModule(scalar_algebra(x_n), (Components(
+    return FDHilbertModule(scalar_algebra(np.ones(x_n)), (Components(
         np.arange(x_n * d).reshape(x_n, d), np.arange(x_n)[:, None], eye,
         eye.transpose(0, 2, 3, 1)),), name="function")
 
@@ -315,7 +315,7 @@ def function_module(sys: EquivariantSystem) -> FDHilbertModule:
 def free_module(n: int) -> FDHilbertModule:
     """C^n over C (the scalars realized as M_1), one component."""
     eye = np.eye(n, dtype=complex)
-    return FDHilbertModule(scalar_algebra(1), (Components(
+    return FDHilbertModule(scalar_algebra([1]), (Components(
         np.arange(n)[None], np.zeros((1, 1), dtype=np.intp), eye[None, None],
         eye[None, :, :, None]),), name="free")
 
@@ -499,7 +499,7 @@ class EquivariantModule:
 def scalar_translation_action(sys: EquivariantSystem) -> AlgebraAction:
     """C(X) (diagonal in M_{|X|}) with the translation action of W:
     beta_w(f)(x) = f(w^-1 x)."""
-    return AlgebraAction(sys.group, scalar_algebra(sys.n_points), sys.action)
+    return AlgebraAction(sys.group, scalar_algebra(np.ones(sys.n_points)), sys.action)
 
 
 def equivariant_function_module(sys: EquivariantSystem) -> EquivariantModule:

@@ -19,7 +19,7 @@ algebra's blocks in its coordinates, with no commutant on M_N.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -308,9 +308,21 @@ def center(alg: MatrixStarAlgebra, tol: float = DEFAULT_TOL) -> MatrixStarAlgebr
 
 @dataclass(frozen=True)
 class Block:
+    """A simple summand M_size (x) 1_multiplicity, whose minimal central
+    projection has the coordinates `part` on those, `index`, of the block
+    of A it lies in; `projection` places them among A's `dim` when read."""
+
     size: int
     multiplicity: int
-    projection: np.ndarray  # the minimal central projection's coordinates
+    index: np.ndarray = field(repr=False)
+    part: np.ndarray = field(repr=False)
+    dim: int = field(repr=False)
+
+    @property
+    def projection(self) -> np.ndarray:
+        proj = np.zeros(self.dim, dtype=complex)
+        proj[self.index] = self.part
+        return proj
 
 
 @dataclass(frozen=True)
@@ -365,10 +377,8 @@ def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
         else:
             raise SplitError("central splitting failed; reseed or loosen tolerance")
         mult = np.rint((p * st.traces).sum(axis=-1).real / np.maximum(n, 1)).astype(int)
-        for c, b in zip(*np.nonzero(used)):
-            proj = np.zeros(alg.dim, dtype=complex)
-            proj[st.index[b]] = p[c, b]
-            blocks.append(Block(size=int(n[c, b]), multiplicity=int(mult[c, b]), projection=proj))
+        blocks += [Block(int(n[c, b]), int(mult[c, b]), st.index[b], p[c, b], alg.dim)
+                   for c, b in zip(*np.nonzero(used))]
     blocks.sort(key=lambda b: (b.size, -b.multiplicity))
     return BlockStructure(alg, tuple(blocks))
 

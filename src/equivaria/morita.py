@@ -75,12 +75,13 @@ from .systems import (
     EquivariantSystem,
     crossed_product,
     _iterated_crossed_iso,
+    _along_orbits,
     _least_point_kernels,
     _outer_action,
     _slot_image,
     fixed_point_algebra,
-    quotient_algebra,
     restrict_system,
+    scalar_algebra,
 )
 
 
@@ -470,28 +471,26 @@ def quotient_equivariant_module(sys: EquivariantSystem, sys_p: EquivariantSystem
 
     One component per W'-orbit O: an invariant u is u(x) at O's least
     point x, a vector fixed by each I_{s,x}, s in W'_x (a kernel batched by
-    stabilizer, cut as invariant_functions cuts), carried to wx by I_{w,x}.
-    Divided by sqrt|O| they are orthonormal, delta_O / sqrt|O| acts on them
-    as 1 / sqrt|O| and <u_p|u_q> is delta_pq delta_O / |O|.  gamma_v carries
-    O's component onto v O's by u(x')* I_{v,z} I_{u,x} u(x), read at the
-    least points x of O and x' = v z of v O, u in W' the mover of z.
-    Returns (equivariant module, invariant rows), in order of least points.
+    stabilizer, cut as fixed_point_algebra cuts), carried to wx by I_{w,x}
+    as fixed_point_algebra carries its functions.  Divided by sqrt|O| they
+    are orthonormal; C(X/W') is written down (scalar_algebra of the
+    W'-orbits' sizes), delta_O / sqrt|O| acts on them as 1 / sqrt|O| and
+    <u_p|u_q> is delta_pq delta_O / |O|.  gamma_v carries O's component
+    onto v O's by u(x')* I_{v,z} I_{u,x} u(x), read at the least points x
+    of O and x' = v z of v O, u in W' the mover of z.  Returns
+    (equivariant module, invariant rows), in order of least points.
     """
     d, x_n = sys.fiber_dim, sys.n_points
     orbits = sys_p.orbits
     least = orbits.least
-    vecs, home, k, y = _least_point_kernels(
-        orbits, lambda stab, xs: sys.cocycle[np.ix_(u_emb[list(stab)], xs)], d, tol)
-    size = np.bincount(least)[least]                                   # [x]: |O|
-    transport = sys.cocycle[u_emb[orbits.mover[y]], least[y]]          # I_{w,x}, w x = y
+    vecs, home = _least_point_kernels(
+        orbits, lambda stab, xs: sys_p.cocycle[np.ix_(stab, xs)], d, tol)
+    k, y, transport, root = _along_orbits(sys_p, home)
     u_rows = np.zeros((len(home), x_n, d), dtype=complex)
-    u_rows[k, y] = (transport @ vecs[k, :, None])[..., 0] / np.sqrt(size[y])[:, None]
+    u_rows[k, y] = (transport @ vecs[k, :, None])[..., 0] / root[:, None]
     u_rows = u_rows.reshape(len(home), -1)
-    # The orbit-function algebra C(X/W'), on the W'-orbits of the points.
-    pts = EquivariantSystem(sys_p.group, sys_p.points, sys_p.action, 1,
-                            np.ones((sys_p.group.order, sys_p.n_points, 1, 1), dtype=complex),
-                            name=sys_p.name + "-pts")
-    q_alg = quotient_algebra(pts, tol).algebra
+    size = np.bincount(least)                                          # [x]: |O| at least x
+    q_alg = scalar_algebra(size[list(orbits.representatives)])        # C(X/W')
     orbit_of = np.searchsorted(orbits.representatives, least)        # [x]
     counts = np.bincount(orbit_of[home], minlength=q_alg.dim)
     starts = np.cumsum(counts) - counts
@@ -584,19 +583,21 @@ def _semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int,
     ideal_transport_ok = spans_equal(img_rows, thm.ideal.rows, tol)
 
     # Link 4: fpa(sys) ~ C(X/W') >| R, fpa acting on the W'-invariant vectors
-    # by u_p* f u_q, zero unless both lie on one W'-orbit O (a component of
-    # eq_q's base); f and u are carried along O by I, so it is |O| times its
-    # term at O's least point x.
+    # by u_p* f u_q, zero unless both lie on one W'-orbit O, a component of
+    # eq_q's base whose coordinate is O's index; f and u are carried along O
+    # by I, so it is |O| times its term at O's least point x.
     eq_q, u_rows = quotient_equivariant_module(sys, sys_p, u_emb, v_sub, tol)
     eq_q.validate(tol)                        # validates beta, so it is crossed unchecked
     gj_q, cp_q = green_julg_module(eq_q, CrossedProduct(eq_q.beta))
     fpa = thm.fpa
     vecs = u_rows.reshape(len(u_rows), sys.n_points, sys.fiber_dim)
-    least = sys_p.orbits.least
-    x = least[np.abs(vecs).max(axis=2).argmax(axis=1)]                 # each vector's least point
+    reps = np.array(sys_p.orbits.representatives)
+    x = np.zeros(len(u_rows), dtype=np.intp)          # each vector's W'-least point
+    for st in eq_q.base.parts:
+        x[st.carrier] = reps[st.coords]
     p, q = np.divmod(eq_q.base.pairs, len(u_rows))
     local = np.einsum("na,knab,nb->kn", vecs[p, x[p]].conj(), fpa.functions[:, x[p]],
-                      vecs[q, x[p]], optimize=True) * np.bincount(least)[x[p]]
+                      vecs[q, x[p]], optimize=True) * np.bincount(sys_p.orbits.least)[x[p]]
     left = _placed(local, eq_q.base.pairs, gj_q.pairs)
     final_witness = verify_morita(fpa, gj_q, left, tol,
                                   rng=np.random.default_rng(seed))

@@ -34,7 +34,6 @@ from .systems import (
     ClosedFormFamily,
     EquivariantSystem,
     fixed_point_algebra,
-    invariant_functions,
 )
 
 
@@ -157,11 +156,12 @@ def realize_irrep(sys: EquivariantSystem, entry: SpectrumEntry,
     """Matrices of pi_{x,rho}(k): s -> k(x) s on the entry's basis.
 
     Returns one dim x dim matrix per basis element of the fixed-point
-    algebra (ordered as invariant_functions); verified *-homomorphism with
-    scalar commutant by the caller or test suite.
+    algebra, in its order, read off its functions at the entry's point;
+    verified *-homomorphism with scalar commutant by the caller or test
+    suite.
     """
     check_tol(tol)
-    funcs = invariant_functions(sys, tol)
+    funcs = fixed_point_algebra(sys, tol).functions
     x = entry.point
     s = entry.basis  # (m, d, r)
     # [k, n, a, r]: k(x) s_n; then contracted with conj(s_m) over (a, r).

@@ -18,11 +18,12 @@ every action a verdict builds is; it is validated and crossed by index,
 off B's block tables, and the W-orbits of B's blocks are read once off
 the blocks it moves.  (B >| U) >| V is the crossed product of V's action
 on B >| U.  No crossed-product element is embedded as a matrix.
-The fixed-point algebra keeps its invariant functions, one block per orbit,
-with tables from their pointwise products.  The functions are solved one
-orbit at a time, a commutant of the stabilizer's cocycle at the orbit's
-least point transported along the orbit, from the orbits and stabilizers
-that EquivariantSystem.orbits derives once per system.
+The fixed-point algebra holds each invariant function by its value at its
+orbit's least point, a commutant of the stabilizer's cocycle there, and
+reads one block per orbit off those values; the functions are carried
+along their orbits only when read.  Orbits and stabilizers are those that
+EquivariantSystem.orbits derives once per system, and C(X/W) is written
+down from the orbits' sizes.
 """
 from __future__ import annotations
 
@@ -330,58 +331,23 @@ def left_translation_system(sys: EquivariantSystem) -> EquivariantSystem:
 # -- the induced action on functions ----------------------------------------
 
 
-def scalar_algebra(n_points: int) -> MatrixStarAlgebra:
-    """C(X) for |X| = n_points, the diagonal algebra in M_{|X|}: one block
-    C per point, in coordinates against the point indicators."""
-    ones = np.ones((n_points, 1, 1, 1), dtype=complex)
-    return MatrixStarAlgebra(n_points, (Blocks(np.arange(n_points)[:, None], ones,
-                                               ones[..., 0], ones[..., 0, 0]),))
-
-
-def invariant_functions(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of {k : alpha_w(k) = k for all w}, as (dim, |X|, d, d),
-    orbit by orbit in the order of their least points.
-
-    An invariant k is fixed by its value at its orbit's least point x:
-    k(wx) = I_{w,x} k(x) I_{w,x}*, the same for every w of the coset w W_x
-    because k(x) commutes with each I_{s,x}, s in W_x.  So an orthonormal
-    basis of that commutant, transported along the orbit O and divided by
-    sqrt|O|, is an orthonormal basis of the orbit's invariant functions;
-    they vanish exactly off O, so the functions of different orbits are
-    orthogonal and the fixed-point algebra's table has entries only inside
-    orbit blocks.  The commutant is the kernel of
-    T: f -> (I_{s,x} f I_{s,x}* - f)_{s in W_x}, one SVD batched over the
-    least points that share a stabilizer.  Each f -> I_s f I_s* is unitary,
-    and their average is the projection P onto the kernel, so
-    T*T = 2 |W_x| (1 - P): T's singular values are 0 and sqrt(2 |W_x|) up to
-    roundoff.  The cut keeps s <= tol max(s_0, 1) in the kernel, s_0 the
-    largest value of the batch, so every tol in (0, 1) separates the two.
-    """
-    check_tol(tol)
-    d, x_n = sys.fiber_dim, sys.n_points
-    least = sys.orbits.least
-
-    def ad(stab, xs):
-        i = sys.cocycle[np.ix_(stab, xs)]                             # [s, x]: I_{s,x}
-        # Row-major vec(I f I*) = (I (x) conj I) vec(f).
-        return (i[..., :, None, :, None] * i.conj()[..., None, :, None, :]).reshape(
-            len(stab), len(xs), d * d, d * d)
-
-    values, base, k, y = _least_point_kernels(sys.orbits, ad, d * d, tol)
-    u = sys.cocycle[sys.orbits.mover[y], least[y]]                   # I_{w,x}, w x = y
-    funcs = np.zeros((len(base), x_n, d, d), dtype=complex)
-    funcs[k, y] = (u @ values[k].reshape(-1, d, d) @ u.conj().swapaxes(-2, -1)
-                   / np.sqrt(np.bincount(least)[base[k]])[:, None, None])
-    return funcs
+def scalar_algebra(sizes) -> MatrixStarAlgebra:
+    """C(X/W) for W-orbits of the given sizes, in M_{|X|}: one block C per
+    orbit O, in coordinates against 1_O / sqrt|O|, whose square is
+    1_O / |O|, so its table is 1 / sqrt|O|, its star 1 and its trace
+    sqrt|O|.  C(X) is the case of orbits of one point each."""
+    root = np.sqrt(np.asarray(sizes, dtype=complex))[:, None]
+    n = len(root)
+    return MatrixStarAlgebra(int(np.sum(sizes)), (Blocks(
+        np.arange(n)[:, None], 1 / root[..., None, None], np.ones((n, 1, 1), dtype=complex), root),))
 
 
 def _least_point_kernels(orbits: Orbits, unitaries, n: int, tol: float):
-    """(vectors, base, k, y): orthonormal kernels (r, n) of the stacks
+    """(vectors, base): orthonormal kernels (r, n) of the stacks
     (U_s - 1)_(s in W_x), unitaries(stab, xs) giving U (|stab|, len(xs), n, n),
     at each orbit's least point, base[r] being vector r's, in order of least
-    points; vector k[t] has the orbit of point y[t].  One SVD is batched
-    over the least points of each stabilizer and cut at s <= tol max(s_0, 1),
-    s_0 the batch's largest value."""
+    points.  One SVD is batched over the least points of each stabilizer
+    and cut at s <= tol max(s_0, 1), s_0 the batch's largest value."""
     least = orbits.least
     vecs, base = [np.zeros((0, n), dtype=complex)], [np.zeros(0, dtype=np.intp)]
     for stab, points in orbits.by_stabilizer:
@@ -394,79 +360,101 @@ def _least_point_kernels(orbits: Orbits, unitaries, n: int, tol: float):
         vecs.append(vh[at, j].conj())
         base.append(xs[at])
     order = np.argsort(np.concatenate(base), kind="stable")
-    base = np.concatenate(base)[order]
-    return (np.concatenate(vecs)[order], base) + np.nonzero(base[:, None] == least)
+    return np.concatenate(vecs)[order], np.concatenate(base)[order]
+
+
+def _along_orbits(sys: EquivariantSystem, base: np.ndarray):
+    """(r, y, u, root) for vectors at the least points base (r,): every
+    point y of vector r's orbit O, each r's ascending, with I_{w,x} for
+    w x = y and sqrt|O|; vector r at y is its value moved by u, over root."""
+    least = sys.orbits.least
+    size = np.bincount(least)
+    n = size[base]
+    r = np.repeat(np.arange(len(base)), n)
+    # Orbit O's points start at the number of points of orbits below O.
+    start = np.repeat((np.cumsum(size) - size)[base] - np.cumsum(n) + n, n)
+    y = np.argsort(least, kind="stable")[start + np.arange(n.sum())]
+    return r, y, sys.cocycle[sys.orbits.mover[y], least[y]], np.sqrt(size[base[r]])
 
 
 @dataclass(frozen=True)
 class FixedPointAlgebra(MatrixStarAlgebra):
     """C(X, M_d)^W in coordinates against its orthonormal invariant
-    functions, which it keeps read-only as `functions` (k, |X|, d, d)."""
+    functions, each held read-only by its value values[r] (d, d) at its
+    orbit's least point least[r].  Function r is I_{w,x} values[r]
+    I_{w,x}* / sqrt|O| at w x; `functions` (k, |X|, d, d), read-only,
+    carries them along their orbits on first read."""
 
-    functions: np.ndarray = field(kw_only=True, repr=False)
+    system: EquivariantSystem = field(kw_only=True, repr=False)
+    values: np.ndarray = field(kw_only=True, repr=False)   # (k, d, d)
+    least: np.ndarray = field(kw_only=True, repr=False)    # (k,)
+
+    @cached_property
+    def functions(self) -> np.ndarray:
+        d, x_n = self.system.fiber_dim, self.system.n_points
+        r, y, u, root = _along_orbits(self.system, self.least)
+        funcs = np.zeros((self.dim, x_n, d, d), dtype=complex)
+        funcs[r, y] = u @ self.values[r] @ u.conj().swapaxes(-2, -1) / root[:, None, None]
+        funcs.setflags(write=False)
+        return funcs
 
 
 def fixed_point_algebra(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> FixedPointAlgebra:
-    """C(X, M_d)^W, one block per orbit, in coordinates against the
-    invariant functions, embedded block-diagonally in M_{|X| d}.  That
-    embedding is an isometry, so the orthonormality check and each orbit's
-    tables and closure residual are those of the (k, |X| d^2) functions and
-    of their pointwise products on the orbit (matalg.span_tables), against
-    the embedded matrices' thresholds.  Orbits with as many functions and
-    points are one batched call.
+    """C(X, M_d)^W, one block per orbit, in coordinates against its
+    orthonormal invariant functions, embedded block-diagonally in
+    M_{|X| d}, an isometry.
+
+    An invariant k is fixed by its value at its orbit's least point x:
+    k(wx) = I_{w,x} k(x) I_{w,x}*, the same for every w of the coset w W_x
+    as k(x) commutes with each I_{s,x}, s in W_x.  So an orthonormal basis
+    v_r of that commutant, carried along the orbit O and divided by
+    sqrt|O|, gives the orbit's invariant functions f_r, which vanish off
+    O: the table has entries only inside orbit blocks.  The commutant is
+    the kernel of T: f -> (I_{s,x} f I_{s,x}* - f)_{s in W_x}, one SVD
+    batched over the least points of one stabilizer.  The f -> I_s f I_s*
+    are unitary and average to the projection P onto the kernel, so
+    T*T = 2 |W_x| (1 - P): T's singular values are 0 and sqrt(2 |W_x|) up
+    to roundoff, and the cut s <= tol max(s_0, 1), s_0 the batch's
+    largest, separates them for every tol in (0, 1).
+
+    Carrying is unitary, so on O <f_l, f_i f_j> = tr(v_l* v_i v_j) /
+    sqrt|O|, <f_l, f_i*> = tr(v_l* v_i*) and tr f_i = sqrt|O| tr v_i: the
+    tables are read off the values (matalg.span_tables), batched over
+    orbits with as many functions and points, and no function is carried.
+    Products leave the span by the values' distance over sqrt|O| and
+    adjoints by the values', so the values' residual bounds the functions'.
+    The Gram matrix is block-diagonal by orbit, each block the values'
+    Gram, which must lie within 10 tol of the identity.
     """
     check_tol(tol)
-    funcs = invariant_functions(sys, tol)
-    funcs.setflags(write=False)
-    k, x_n = len(funcs), sys.n_points
-    rows = funcs.reshape(k, -1)
-    if not np.allclose(rows.conj() @ rows.T, np.eye(k), atol=max(tol, 1e-8) * 10):
-        raise AlgebraError("basis is not orthonormal")
-    orbits = sys.orbits
-    # Each function's orbit, read at a point where it is nonzero; the
-    # functions come orbit by orbit.
-    at = np.abs(rows.reshape(k, x_n, -1)).max(axis=2).argmax(axis=1)
-    counts = np.bincount(np.searchsorted(orbits.representatives, orbits.least[at]),
+    d, orbits = sys.fiber_dim, sys.orbits
+
+    def ad(stab, xs):
+        i = sys.cocycle[np.ix_(stab, xs)]                             # [s, x]: I_{s,x}
+        # Row-major vec(I f I*) = (I (x) conj I) vec(f).
+        return (i[..., :, None, :, None] * i.conj()[..., None, :, None, :]).reshape(
+            len(stab), len(xs), d * d, d * d)
+
+    vecs, least = _least_point_kernels(orbits, ad, d * d, tol)
+    values = vecs.reshape(-1, d, d)
+    values.setflags(write=False)
+    counts = np.bincount(np.searchsorted(orbits.representatives, least),
                          minlength=len(orbits.members))
     starts = np.cumsum(counts) - counts
     blocks, worst = [], 0.0
-    for (s, _), group in _grouped(zip(counts.tolist(), map(len, orbits.members))).items():
+    for (s, size), group in _grouped(zip(counts.tolist(), map(len, orbits.members))).items():
         index = starts[group][:, None] + np.arange(s)
-        points = np.array([orbits.members[o] for o in group])
-        stack, residual = span_tables(funcs[index[:, :, None], points[:, None, :]], index)
-        blocks.append(stack)
+        rows = vecs[index]
+        if not np.abs(rows @ rows.conj().swapaxes(1, 2) - np.eye(s)).max(initial=0.0) <= 10 * tol:
+            raise AlgebraError("basis is not orthonormal")
+        stack, residual = span_tables(values[index][:, :, None], index)
+        blocks.append(Blocks(index, stack.table / math.sqrt(size), stack.star,
+                             stack.traces * math.sqrt(size)))
         worst = max(worst, residual)
-    alg = FixedPointAlgebra(sys.total_dim, tuple(blocks), worst, functions=funcs)
-    alg.validate(max(tol, 1e-8))
+    alg = FixedPointAlgebra(sys.total_dim, tuple(blocks), worst, system=sys, values=values,
+                            least=least)
+    alg.validate(tol)
     return alg
-
-
-# -- the orbit algebra --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuotientAlgebra:
-    """C(X)^W presented as functions on the orbit set X/W."""
-
-    algebra: MatrixStarAlgebra          # inside M_{|X|}
-    orbits: tuple[tuple[int, ...], ...]
-    orbit_basis: np.ndarray             # (n_orbits, |X|): normalized indicators
-
-    @property
-    def dim(self) -> int:
-        return len(self.orbits)
-
-
-def quotient_algebra(sys: EquivariantSystem, tol: float = DEFAULT_TOL) -> QuotientAlgebra:
-    """For scalar fibers with trivial cocycle: C(X)^W ~ C(X/W), the
-    fixed-point algebra, whose invariant functions are then exactly the
-    orbit indicators divided by sqrt|O|, in the order of sys.orbits."""
-    if sys.fiber_dim != 1:
-        raise SystemError("quotient algebra requires scalar fibers")
-    if np.linalg.norm(sys.cocycle - 1.0) > 1e-9 * sys.cocycle.size:
-        raise SystemError("quotient algebra requires the trivial cocycle")
-    alg = fixed_point_algebra(sys, tol)
-    return QuotientAlgebra(alg, sys.orbits.members, alg.functions[:, :, 0, 0])
 
 
 # -- actions on algebras and crossed products --------------------------------
@@ -750,7 +738,7 @@ def phi_iso(sys: EquivariantSystem, tol: float = DEFAULT_TOL,
     w_n = g.order
     rng = rng or np.random.default_rng(0)
 
-    cp = crossed_product(AlgebraAction(g, scalar_algebra(x_n), sys.action))   # C(X) >| W
+    cp = crossed_product(AlgebraAction(g, scalar_algebra(np.ones(x_n)), sys.action))   # C(X) >| W
     target_sys = left_translation_system(sys)
     target = fixed_point_algebra(target_sys, tol)
     # [w, v, x]: phi(f w)(x) has f(w v^-1 x) at row v w^-1, column v.

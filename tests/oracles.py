@@ -30,7 +30,14 @@ alpha for d >= 2 (alpha_matrix, function_algebra_action) is not a
 permutation, and lives here only.  The pairwise ideal test of matrix spans,
 the operator norm of a matrix and the block-diagonal embedding of functions
 (embed_function) are kept here as well, with all of C(X, M_d)
-(function_algebra, whose d = 1 case is systems.scalar_algebra).  A span of
+(function_algebra, whose d = 1 case is systems.scalar_algebra).  The
+fixed-point algebra of `equivaria` holds each invariant function by its
+value at its orbit's least point and reads its tables there; here the
+functions are carried over their whole orbits (invariant_functions) and the
+tables read off the products at every point, with the whole Gram matrix
+checked (carried_fixed_point_algebra), and C(X/W) is solved as the
+fixed-point algebra of the trivial scalar cocycle (solved_orbit_algebra),
+the oracle of the written-down scalar_algebra of the orbit sizes.  A span of
 matrices is checked for separation the dense way (dense_is_separating): B
 compressed to one copy of each of A's blocks (block_restriction), its
 commutant there by the Kronecker nullspace (commutant) for irreducibility
@@ -38,7 +45,7 @@ and Kronecker intertwiners between two blocks for equivalence, the oracle
 of matalg.is_separating's ranks.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -72,7 +79,13 @@ from equivaria.matalg import (
     span_tables,
 )
 from equivaria.reps import regular_rep
-from equivaria.systems import CrossedProduct, SystemError, _largest_norm
+from equivaria.systems import (
+    CrossedProduct,
+    EquivariantSystem,
+    SystemError,
+    _largest_norm,
+    _least_point_kernels,
+)
 
 
 def operator_norm(a: np.ndarray) -> float:
@@ -337,21 +350,29 @@ def scalar_basis(n_points: int) -> np.ndarray:
 
 
 def base_basis(alg) -> np.ndarray:
-    """The basis of a C(X) or C(X, M_d) built by systems.scalar_algebra or
-    function_algebra, the matrix units of each point: blocks of size
-    d^2 at consecutive coordinates, one per point, on an ambient of size
-    |X| d."""
+    """The basis of a C(X/W) or C(X, M_d) built by systems.scalar_algebra
+    or function_algebra, one stack at consecutive coordinates.  For
+    C(X, M_d), blocks of size d^2, the matrix units of each point on an
+    ambient of size |X| d; for C(X/W), blocks of size 1 with traces
+    sqrt|O|, the indicators 1_O / sqrt|O| of consecutive runs of |O|
+    points, an isometric embedding of the orbits' functions (C(X) when
+    every |O| is 1)."""
     (st,) = alg.blocks
-    x_n, size = st.index.shape
+    n, size = st.index.shape
     d = math.isqrt(size)
-    assert d * d == size and alg.ambient_dim == x_n * d
-    assert np.array_equal(st.index.ravel(), np.arange(alg.dim))
-    return embedded(np.eye(x_n * size).reshape(x_n * size, x_n, d, d))
+    assert d * d == size and np.array_equal(st.index.ravel(), np.arange(alg.dim))
+    if d > 1:
+        assert alg.ambient_dim == n * d
+        return embedded(np.eye(n * size).reshape(n * size, n, d, d))
+    sizes = np.rint(np.abs(st.traces[:, 0]) ** 2).astype(int)
+    assert alg.ambient_dim == sizes.sum()
+    runs = np.repeat(np.eye(n) / np.sqrt(sizes)[:, None], sizes, axis=1)
+    return embedded(runs[:, :, None, None])
 
 
 def dense_of(alg) -> Dense:
     """The dense twin of a fixed-point algebra (its functions embedded) or
-    of a C(X) or C(X, M_d) (base_basis)."""
+    of a C(X/W) or C(X, M_d) (base_basis)."""
     return Dense(fpa_basis(alg) if hasattr(alg, "functions") else base_basis(alg))
 
 
@@ -643,13 +664,83 @@ def dense_outer_action(whole: DenseAction, inner, u_emb: np.ndarray, v_sub):
             g.mul[u_emb, v_emb[:, None]])
 
 
+# -- the fixed-point algebra over whole orbits -------------------------------------
+
+
+def invariant_functions(sys, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The orthonormal invariant functions (k, |X|, d, d), orbit by orbit
+    in the order of their least points: the commutant of each least
+    point's stabilizer cocycle (systems._least_point_kernels), carried to
+    every point of the orbit, found by comparing each point's least point
+    with the vector's, and divided by sqrt|O|."""
+    d, least = sys.fiber_dim, sys.orbits.least
+
+    def ad(stab, xs):
+        i = sys.cocycle[np.ix_(stab, xs)]
+        return (i[..., :, None, :, None] * i.conj()[..., None, :, None, :]).reshape(
+            len(stab), len(xs), d * d, d * d)
+
+    values, base = _least_point_kernels(sys.orbits, ad, d * d, tol)
+    k, y = np.nonzero(base[:, None] == least)
+    u = sys.cocycle[sys.orbits.mover[y], least[y]]                   # I_{w,x}, w x = y
+    funcs = np.zeros((len(base), sys.n_points, d, d), dtype=complex)
+    funcs[k, y] = (u @ values[k].reshape(-1, d, d) @ u.conj().swapaxes(-2, -1)
+                   / np.sqrt(np.bincount(least)[base[k]])[:, None, None])
+    return funcs
+
+
+@dataclass(frozen=True)
+class CarriedFixedPointAlgebra(MatrixStarAlgebra):
+    """A fixed-point algebra that holds its functions (k, |X|, d, d)."""
+
+    functions: np.ndarray = field(kw_only=True, repr=False)
+
+
+def carried_fixed_point_algebra(sys, tol: float = DEFAULT_TOL) -> CarriedFixedPointAlgebra:
+    """systems.fixed_point_algebra from the functions carried over whole
+    orbits: the whole k x k Gram matrix of the (k, |X| d^2) functions
+    checked against the identity, each function's orbit read at a point
+    where it is nonzero, and each orbit's tables read off the pointwise
+    products on all of its points (span_tables)."""
+    check_tol(tol)
+    funcs = invariant_functions(sys, tol)
+    k, x_n = len(funcs), sys.n_points
+    rows = funcs.reshape(k, -1)
+    if not np.abs(rows.conj() @ rows.T - np.eye(k)).max(initial=0.0) <= 10 * tol:
+        raise AlgebraError("basis is not orthonormal")
+    orbits = sys.orbits
+    at = np.abs(rows.reshape(k, x_n, -1)).max(axis=2).argmax(axis=1)
+    counts = np.bincount(np.searchsorted(orbits.representatives, orbits.least[at]),
+                         minlength=len(orbits.members))
+    starts = np.cumsum(counts) - counts
+    blocks, worst = [], 0.0
+    for (s, _), group in _grouped(zip(counts.tolist(), map(len, orbits.members))).items():
+        index = starts[group][:, None] + np.arange(s)
+        points = np.array([orbits.members[o] for o in group])
+        stack, residual = span_tables(funcs[index[:, :, None], points[:, None, :]], index)
+        blocks.append(stack)
+        worst = max(worst, residual)
+    alg = CarriedFixedPointAlgebra(sys.total_dim, tuple(blocks), worst, functions=funcs)
+    alg.validate(tol)
+    return alg
+
+
+def solved_orbit_algebra(sys, tol: float = DEFAULT_TOL) -> CarriedFixedPointAlgebra:
+    """C(X/W) solved as the fixed-point algebra of W's action on X with
+    scalar fibers and the trivial cocycle (carried_fixed_point_algebra):
+    its functions are the orbit indicators over sqrt|O|."""
+    ones = np.ones((sys.group.order, sys.n_points, 1, 1), dtype=complex)
+    return carried_fixed_point_algebra(EquivariantSystem(
+        sys.group, sys.points, sys.action, 1, ones, name=sys.name + "-pts"), tol)
+
+
 # -- C(X, M_d) and separation, the dense way -------------------------------------
 
 
 def function_algebra(sys) -> MatrixStarAlgebra:
     """All of C(X, M_d), embedded block-diagonally; dim |X| d^2, one block
     M_d per point, in coordinates against the matrix units.  For d = 1 it
-    is systems.scalar_algebra(|X|)."""
+    is systems.scalar_algebra of |X| ones."""
     x_n, d = sys.n_points, sys.fiber_dim
     units = np.broadcast_to(np.eye(d * d, dtype=complex).reshape(d * d, 1, d, d),
                             (x_n, d * d, 1, d, d))

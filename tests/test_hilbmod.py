@@ -147,7 +147,7 @@ def test_cauchy_schwarz_holds():
 
 
 def test_degenerate_inner_product_rejected():
-    b = scalar_algebra(1)
+    b = scalar_algebra([1])
     action = np.eye(2, dtype=complex)[None]
     inner = np.zeros((2, 2, 1), dtype=complex)
     inner[0, 0, 0] = 1.0   # second basis vector has zero length
@@ -263,7 +263,7 @@ def test_one_point_s3_green_julg():
 def test_is_full_honours_its_tolerance():
     # B = C (+) C with <e1|e1> = delta_1 and <e2|e2> = 1e-7 delta_2: full, but
     # the second value is below a 1e-6 rank cut.
-    b = scalar_algebra(2)
+    b = scalar_algebra([1, 1])
     action = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
     inner = np.zeros((2, 2, 2), dtype=complex)
     inner[0, 0] = [1.0, 0.0]
@@ -276,7 +276,7 @@ def test_is_full_honours_its_tolerance():
 def test_is_full_embeds_no_ideal(monkeypatch):
     # C^2 (+) 0 over C (+) C misses the second summand; the values of the
     # first module below lie under a 1e-6 cut on one summand.
-    b = scalar_algebra(2)
+    b = scalar_algebra([1, 1])
     inner = np.zeros((2, 2, 2), dtype=complex)
     inner[0, 0] = [1.0, 0.0]
     inner[1, 1] = [0.0, 1e-7]
@@ -297,7 +297,7 @@ def test_is_full_embeds_no_ideal(monkeypatch):
 def test_witness_checks_honour_their_tolerance():
     # The same module: <e2|e2> = 1e-7 delta_2 makes |e2><e2| a compact of
     # norm 1e-7, kept by a 1e-12 rank cut and dropped by a 1e-6 one.
-    b = scalar_algebra(2)
+    b = scalar_algebra([1, 1])
     action = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
     inner = np.zeros((2, 2, 2), dtype=complex)
     inner[0, 0] = [1.0, 0.0]

@@ -160,7 +160,7 @@ def test_components_are_those_of_the_incidence_graph():
     one = np.ones((1, 1, 1, 1), dtype=complex)
     c = Blocks(np.array([[0], [5]]), np.concatenate([one] * 2), np.ones((2, 1, 1)),
                np.ones((2, 1)))
-    algs = [scalar_algebra(6),
+    algs = [scalar_algebra(np.ones(6)),
             MatrixStarAlgebra(4, (c, Blocks(m2.index + 1, m2.table, m2.star, m2.traces)))]
     sizes = [1, 4, 1, 4, 9, 1, 1, 4, 9, 1, 4, 1]
     ends = np.cumsum(sizes)

@@ -348,7 +348,6 @@ TOLERANT = {
     # x_n = 2 stays 2 from the origin; at tol 5 its residual 1.0 was accepted.
     "fell_limit_certificate": lambda tol: fell_limit_certificate(
         z2_line_family(), [2.0] * 20, 0.0, "1d0", tol=tol),
-    "invariant_functions": lambda tol: systems.invariant_functions(z2_line_system(2), tol),
     "fixed_point_algebra": lambda tol: systems.fixed_point_algebra(z2_line_system(2), tol),
     "compact_operators":
         lambda tol: compact_operators(function_module(z2_line_system(2)), tol),

@@ -96,6 +96,7 @@ from oracles import (
     dense_module,
     dense_of,
     dense_rows,
+    embedded,
     embedded_algebra,
     fpa_basis,
     fullness_ideal,
@@ -466,17 +467,78 @@ def test_no_module_holds_an_array_of_dim_b_m2_entries(monkeypatch):
 
 
 def test_fiberwise_pass_rejects_functions_that_do_not_close(monkeypatch):
-    """Orthonormal functions on z2-line-1 that span no algebra: Y Y, for the
-    Hermitian Y at point 1, leaves the span, and sits in the last slab."""
+    """Orthonormal least-point values on z2-line-1 that span no algebra:
+    Y Y, for the Hermitian Y at point 1, leaves the span, and sits in the
+    last slab."""
     monkeypatch.setattr(matalg, "_PRODUCT_SLAB", 1)
-    funcs = np.zeros((3, 3, 2, 2), dtype=complex)
-    funcs[0, 0, 0, 0] = funcs[1, 0, 1, 1] = 1.0
-    funcs[2, 1] = np.array([[0, 1], [1, 0]]) / np.sqrt(2)
-    monkeypatch.setattr(systems, "invariant_functions", lambda sys, tol: funcs)
+    values = np.zeros((3, 2, 2), dtype=complex)
+    values[0, 0, 0] = values[1, 1, 1] = 1.0
+    values[2] = np.array([[0, 1], [1, 0]]) / np.sqrt(2)
+    least = np.array([0, 0, 1])
+    monkeypatch.setattr(systems, "_least_point_kernels",
+                        lambda *args: (values.reshape(len(values), -1), least))
     with pytest.raises(AlgebraError, match="span is not closed"):
         fixed_point_algebra(z2_line_system(1))
-    funcs = funcs[:2]
+    values, least = values[:2], least[:2]
     assert fixed_point_algebra(z2_line_system(1)).dim == 2
+
+
+def planted_overlap(monkeypatch, size):
+    """Patch z2-line n = 2's least-point values: `size` of the origin's
+    first value added to its second, which stays of unit norm."""
+    solve = systems._least_point_kernels
+
+    def overlapped(*args):
+        vecs, least = solve(*args)
+        first, second = np.flatnonzero(least == 2)
+        vecs = vecs.copy()
+        vecs[second] = vecs[second] + size * vecs[first]
+        vecs[second] /= np.linalg.norm(vecs[second])
+        return vecs, least
+
+    monkeypatch.setattr(systems, "_least_point_kernels", overlapped)
+
+
+def test_orthonormality_check_honours_its_tolerance(monkeypatch):
+    """The Gram check is |G - 1| <= 10 tol at every tol: before, a relative
+    tolerance of 1e-5 and a floor of 1e-8 accepted a 5e-8 overlap of the
+    two origin values of z2-line n = 2 at tol 1e-9 and 1e-12."""
+    sys = z2_line_system(2)
+    planted_overlap(monkeypatch, 5e-8)
+    with pytest.raises(AlgebraError, match="not orthonormal"):
+        fixed_point_algebra(sys, 1e-9)
+    monkeypatch.undo()
+    planted_overlap(monkeypatch, 5e-9)
+    assert fixed_point_algebra(sys, 1e-9).dim == 10
+    with pytest.raises(AlgebraError, match="not orthonormal"):
+        fixed_point_algebra(sys, 1e-12)
+
+
+def test_closure_check_honours_its_tolerance(monkeypatch):
+    """validate runs at tol itself: orthonormal values at z2-line n = 1's
+    origin, E_11 and cos t E_22 + sin t E_12 for t = 1e-10, leave their
+    span by about 1e-10, so they pass at tol 1e-9 and fail at 1e-12, where
+    validate(max(tol, 1e-8)) passed them."""
+    t = 1e-10
+    values = np.zeros((3, 2, 2), dtype=complex)
+    values[0] = np.eye(2) / np.sqrt(2)             # on the orbit {-1, 1}
+    values[1, 0, 0] = 1.0
+    values[2, 1, 1], values[2, 0, 1] = np.cos(t), np.sin(t)
+    least = np.array([0, 1, 1])
+    monkeypatch.setattr(systems, "_least_point_kernels",
+                        lambda *args: (values.reshape(len(values), -1), least))
+    assert 1e-11 < fixed_point_algebra(z2_line_system(1), 1e-9).closure_residual() < 1e-9
+    with pytest.raises(AlgebraError, match="span is not closed"):
+        fixed_point_algebra(z2_line_system(1), 1e-12)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-13, 1e-14])
+@pytest.mark.parametrize("label", ["z2-line-4", "dihedral-plane", "anticomplete-point",
+                                   "z2-line-12", "z2xz2-line-3"])
+def test_wedderburn_crosscheck_holds_at_fine_tolerances(label, tol):
+    """validate runs at tol itself, no longer at max(tol, 1e-8): the three
+    bundled systems (z2-line is n = 4) and two more hold at every tol."""
+    assert spectrum.wedderburn_crosscheck(fiberwise_system(label), tol=tol).ok
 
 
 def invariant_functions_dense(sys, tol=1e-9):
@@ -543,7 +605,7 @@ def assert_orbit_blocked(sys, fpa, funcs):
 @pytest.mark.parametrize("label", FIBERWISE)
 def test_invariant_functions_match_the_whole_ambient_kernel(label):
     sys = fiberwise_system(label)
-    funcs = systems.invariant_functions(sys)
+    funcs = fixed_point_algebra(sys).functions
     rows = funcs.reshape(len(funcs), -1)
     assert close(rows @ rows.conj().T, np.eye(len(rows)))
     assert spans_equal(rows, invariant_functions_dense(sys), 1e-10)
@@ -619,7 +681,8 @@ def dense_inner_case(kind):
     inner = np.zeros((k, k, x_n, x_n), dtype=complex)
     for x in range(x_n):
         inner[:, :, x, x] = ips[:, :, x]
-    return eq.base, inner, Dense(fpa_basis(eq.base.algebra))
+    indicators = quotient_indicators(systems.restrict_system(sys, wprime)[0])[2]
+    return eq.base, inner, Dense(embedded(indicators[:, :, None, None]))
 
 
 def block_sum_dense(b1, b2):
@@ -896,8 +959,7 @@ def test_fullness_ideal_matches_raw_values(label, monkeypatch):
     eq = pipeline_module(label)
     averaged, cp = green_julg_module(eq)
     calls = restricted_rows_spy(monkeypatch, oracles)
-    base = Dense(fpa_basis(eq.base.algebra) if label.endswith("quotient")
-                 else scalar_basis(eq.base.algebra.dim))
+    base = dense_of(eq.base.algebra)
     for e, dense in ((eq.base, base), (averaged, embedded_algebra(cp))):
         m = e.carrier_dim
         raw = orthonormal_rows(flatten(dense_inner(e, dense)).reshape(m * m, -1))
@@ -1259,6 +1321,15 @@ def test_averaged_compacts_match_the_embedded_module(label):
 # -- block structure in the algebra's coordinates against the dense split ------
 
 
+@dataclasses.dataclass(frozen=True)
+class DenseBlock:
+    """A block of the dense split: its projection is an N x N matrix."""
+
+    size: int
+    multiplicity: int
+    projection: np.ndarray
+
+
 def block_decompose_dense(alg, seed=0, tol=1e-9):
     """The N x N split: eigenspaces of a random central z, kept when inside
     the support and the algebra, block sizes from the compressed span."""
@@ -1296,7 +1367,7 @@ def block_decompose_dense(alg, seed=0, tol=1e-9):
                 n = int(round(np.sqrt(rank)))
                 if n * n != rank:
                     break
-                blocks.append(matalg.Block(n, int(round(np.trace(p).real / n)), p))
+                blocks.append(DenseBlock(n, int(round(np.trace(p).real / n)), p))
             else:
                 blocks.sort(key=lambda b: (b.size, -np.trace(b.projection).real))
                 return matalg.BlockStructure(alg, tuple(blocks))
@@ -1349,7 +1420,7 @@ def test_block_decompose_matches_the_dense_split(label):
     if label == "corner-block-sum":
         assert not dense.contains(np.eye(10))
     for seed in range(3):
-        got = [dataclasses.replace(b, projection=dense.element(b.projection))
+        got = [DenseBlock(b.size, b.multiplicity, dense.element(b.projection))
                for b in matalg.block_decompose(alg, seed=seed).blocks]
         want = block_decompose_dense(dense, seed=seed).blocks
         assert [(b.size, b.multiplicity) for b in got] == \
@@ -1797,7 +1868,7 @@ def test_orbit_solvers_match_the_whole_ambient_oracles_on_planted_cocycles(
     averaged tensor's cut."""
     sys, _ = planted_cocycle_system(group_name, mults, twist, second, seed)
     assert_orbits_match_the_brute_force(sys)
-    funcs = systems.invariant_functions(sys)
+    funcs = fixed_point_algebra(sys).functions
     rows = funcs.reshape(len(funcs), -1)
     assert close(rows @ rows.conj().T, np.eye(len(rows)))
     assert spans_equal(rows, invariant_functions_dense(sys), 1e-10)
@@ -1813,6 +1884,32 @@ def test_orbit_solvers_match_the_whole_ambient_oracles_on_planted_cocycles(
     x_n, d = sys.n_points, sys.fiber_dim
     assert same_gram(morita._averaged_point_blocks(eq),
                      point_blocks(averaged_tensors(eq)[1], x_n, d))
+
+
+def planted_system(*args):
+    return planted_cocycle_system(*args)[0]
+
+
+@settings(settings.get_profile("derandomized"), max_examples=60)
+@given(st.one_of(
+    st.sampled_from(FIBERWISE).map(fiberwise_system),
+    st.builds(planted_system, st.sampled_from(sorted(BUILTIN_GROUPS)),
+              st.lists(st.integers(0, 1), min_size=8, max_size=8), st.integers(0, 3),
+              st.sampled_from(["none", "fixed", "free"]), st.integers(0, 2 ** 32 - 1))))
+def test_least_point_algebra_is_the_carried_one(sys):
+    """The fixed-point algebra read at its orbits' least points has the
+    functions, bit for bit, and the block layout of the one carried over
+    whole orbits (oracles.carried_fixed_point_algebra), and its tables,
+    star tables and traces to 1e-14.  The oracle reads each least point's
+    values carried by I_{e,x}, which a planted cocycle U U* misses 1 by up
+    to 5e-15, so the bound grows by ten times that miss."""
+    fpa, oracle = fixed_point_algebra(sys), oracles.carried_fixed_point_algebra(sys)
+    assert np.array_equal(fpa.functions, oracle.functions)
+    assert [st.index.tolist() for st in fpa.blocks] == [st.index.tolist() for st in oracle.blocks]
+    bound = 1e-14 + 10 * np.abs(sys.cocycle[0] - np.eye(sys.fiber_dim)).max()
+    for mine, theirs in ((table_of(fpa), table_of(oracle)), (star_of(fpa), star_of(oracle)),
+                         (fpa.traces, oracle.traces)):
+        assert np.abs(mine - theirs).max(initial=0.0) <= bound
 
 
 @settings(settings.get_profile("derandomized"))
@@ -2014,13 +2111,6 @@ def test_restricted_table_matches_the_dense_pass(label):
         bad.validate()
 
 
-def points_system(sys):
-    """The same points and action, scalar fibers, trivial cocycle."""
-    return EquivariantSystem(sys.group, sys.points, sys.action, 1,
-                             np.ones((sys.group.order, sys.n_points, 1, 1), dtype=complex),
-                             name=sys.name + "-pts")
-
-
 def quotient_indicators(sys):
     """C(X/W) from the orbit indicators: (table, orbits, indicators), the
     table <b_l, b_i b_j> of the normalised indicators b_o = 1_O / sqrt|O|,
@@ -2035,33 +2125,41 @@ def quotient_indicators(sys):
     return table, orbits, indicators
 
 
+def orbit_algebra(sys):
+    """C(X/W) written down from the sizes of sys's orbits."""
+    return systems.scalar_algebra([len(o) for o in sys.orbits.members])
+
+
 @pytest.mark.parametrize("label", ["z2xz2-line-1", "z2xz2-line-2", "z2xz2-line-3", "z2-line-4",
                                    "dihedral-plane", "flip-5"])
 @pytest.mark.parametrize("restrict", [False, True])
-def test_quotient_algebra_is_the_indicator_algebra_bit_for_bit(label, restrict):
-    """On a trivial scalar cocycle the orbit-adapted invariant functions
-    are the normalised orbit indicators, so the fixed-point algebra is the
-    indicator algebra exactly, on the whole group and on a subgroup."""
+def test_written_orbit_algebra_is_the_solved_one(label, restrict):
+    """C(X/W) written down from the orbit sizes (scalar_algebra) has the
+    tables, to 1e-15, of the fixed-point algebra of the trivial scalar
+    cocycle solved over whole orbits (oracles.solved_orbit_algebra), on
+    the whole group and on a subgroup; the solved functions are the
+    normalised orbit indicators exactly."""
     sys = morita_system(label)
     if restrict:
         sys = systems.restrict_system(sys, {2: [0], 4: [0, 2], 8: [0, 1, 2, 3]}[
             sys.group.order])[0]
-    pts = points_system(sys)
-    q = systems.quotient_algebra(pts)
-    table, orbits, indicators = quotient_indicators(pts)
-    assert q.orbits == orbits and q.dim == len(orbits)
-    assert np.array_equal(q.orbit_basis, indicators)
-    assert np.array_equal(q.algebra.functions[:, :, 0, 0], indicators)
-    assert close(table_of(q.algebra), table, 1e-15)
+    solved, written = oracles.solved_orbit_algebra(sys), orbit_algebra(sys)
+    table, orbits, indicators = quotient_indicators(sys)
+    assert sys.orbits.members == orbits and written.dim == len(orbits)
+    assert np.array_equal(solved.functions[:, :, 0, 0], indicators)
+    assert written.ambient_dim == solved.ambient_dim == sys.n_points
+    assert close(table_of(written), table, 1e-15)
+    for mine, theirs in ((table_of(written), table_of(solved)),
+                         (star_of(written), star_of(solved)), (written.traces, solved.traces)):
+        assert np.abs(mine - theirs).max() <= 1e-15
 
 
-def test_quotient_algebra_table_matches_the_dense_pass():
+def test_written_orbit_algebra_matches_the_dense_pass():
     for sys in (flip_system(5), systems.restrict_system(z2xz2_line_system(2), [0, 2])[0]):
-        pts = EquivariantSystem(sys.group, sys.points, sys.action, 1,
-                                np.ones((sys.group.order, sys.n_points, 1, 1), dtype=complex))
-        q = systems.quotient_algebra(pts).algebra
-        assert_same_tables(q, dense_of(q))
-        assert q.closure_residual() < 1e-15
+        indicators = quotient_indicators(sys)[2]
+        q = orbit_algebra(sys)
+        assert_same_tables(q, Dense(embedded(indicators[:, :, None, None])))
+        assert q.closure_residual() == 0.0
 
 
 # -- the compacts cut one carrier component at a time against the whole stack --
@@ -2469,28 +2567,26 @@ def quotient_module_loops(sys, wprime, r, u_rows):
     g = sys.group
     sys_p, _ = systems.restrict_system(sys, wprime)
     v_sub = g.subgroup(sorted(set(int(e) for e in r)))
-    quot = systems.quotient_algebra(EquivariantSystem(
-        sys_p.group, sys_p.points, sys_p.action, 1,
-        np.ones((sys_p.group.order, sys_p.n_points, 1, 1), dtype=complex)))
+    orbits = orbits_brute_force(sys_p)["members"]
     gamma_w = dense_gamma(equivariant_function_module(sys))
     k, d, x_n = u_rows.shape[0], sys.fiber_dim, sys.n_points
-    action = np.zeros((quot.dim, k, k), dtype=complex)
-    for o, orb in enumerate(quot.orbits):
+    action = np.zeros((len(orbits), k, k), dtype=complex)
+    for o, orb in enumerate(orbits):
         diag = np.zeros(x_n * d)
         for x in orb:
             diag[x * d:(x + 1) * d] = 1.0 / np.sqrt(len(orb))
         action[o] = u_rows.conj() @ (diag[:, None] * u_rows.T)
     v_n = v_sub.group.order
     gamma = np.zeros((v_n, k, k), dtype=complex)
-    maps = np.zeros((v_n, quot.dim, quot.dim), dtype=complex)
+    maps = np.zeros((v_n, len(orbits), len(orbits)), dtype=complex)
     orbit_of = {}
-    for o, orb in enumerate(quot.orbits):
+    for o, orb in enumerate(orbits):
         for x in orb:
             orbit_of[x] = o
     for v in range(v_n):
         vp = v_sub.to_parent(v)
         gamma[v] = u_rows.conj() @ gamma_w[vp] @ u_rows.T
-        for o, orb in enumerate(quot.orbits):
+        for o, orb in enumerate(orbits):
             maps[v, orbit_of[int(sys.action[vp, orb[0]])], o] = 1.0
     return action, gamma, maps
 

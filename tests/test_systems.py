@@ -27,13 +27,12 @@ from equivaria.systems import (
     crossed_product,
     dihedral_plane_system,
     fixed_point_algebra,
-    invariant_functions,
     iterated_crossed_iso,
     left_translation_system,
     one_point_system,
     phi_iso,
-    quotient_algebra,
     restrict_system,
+    scalar_algebra,
     trivial_system,
     z2_line_system,
     z2xz2_line_system,
@@ -182,18 +181,23 @@ def test_invariant_functions_are_fixed(name, tol):
     functions on dihedral-plane at tol 0.5, some moved by 2.0."""
     sys = {"z2-line-2": z2_line_system(2), "dihedral-plane": dihedral_plane_system(),
            "z2xz2-line-2": z2xz2_line_system(2)}[name]
-    funcs = invariant_functions(sys, tol)
+    funcs = fixed_point_algebra(sys, tol).functions
     rows = funcs.reshape(len(funcs), -1)
-    assert len(funcs) == len(invariant_functions(sys))
+    assert len(funcs) == fixed_point_algebra(sys).dim
     assert np.abs(rows @ rows.conj().T - np.eye(len(rows))).max() < 1e-12
     for w in sys.group.elements():
         assert np.abs(alpha_matrix(sys, w) @ rows.T - rows.T).max() < 1e-9
 
 
-def test_quotient_algebra_orbit_count():
-    q = quotient_algebra(flip_system(5))
-    assert q.dim == 3
-    assert sorted(len(o) for o in q.orbits) == [1, 2, 2]
+def test_orbit_algebra_orbit_count():
+    """C(X/W) for the flip of five points: one coordinate per orbit, each
+    the normalised indicator 1_O / sqrt|O|, with trace sqrt|O|."""
+    sys = flip_system(5)
+    q = scalar_algebra([len(o) for o in sys.orbits.members])
+    assert q.dim == 3 and q.ambient_dim == 5
+    assert sorted(len(o) for o in sys.orbits.members) == [1, 2, 2]
+    assert np.allclose(q.traces ** 2, [2, 2, 1])
+    assert np.allclose(q.unit(), q.traces)
 
 
 def test_group_algebra_crossed_product():
