@@ -54,6 +54,7 @@ def _load_input(value: str):
 
 
 def _emit(report: dict, fmt: str, text_lines) -> None:
+    # text_lines is a generator, so its lines are formatted for text only.
     # A reader gone away (`| head`) is not an error; pointing stdout at the
     # null device keeps the flush at exit from failing again.
     try:
@@ -79,11 +80,14 @@ def cmd_irreps(args) -> int:
                      "character": [complex_to_json(c) for c in chi]})
     report = {"schema": SCHEMA, "command": "irreps", "group": obj.name,
               "order": obj.order, "irreps": rows}
-    lines = [f"group {obj.name} (order {obj.order}): {len(rows)} irreducibles"]
-    for row in rows:
-        chi = ", ".join(f"{c[0]:+.4f}{c[1]:+.4f}i" for c in row["character"])
-        lines.append(f"  {row['label']}  dim {row['dim']}  character [{chi}]")
-    _emit(report, args.format, lines)
+
+    def lines():
+        yield f"group {obj.name} (order {obj.order}): {len(rows)} irreducibles"
+        for row in rows:
+            chi = ", ".join(f"{c[0]:+.4f}{c[1]:+.4f}i" for c in row["character"])
+            yield f"  {row['label']}  dim {row['dim']}  character [{chi}]"
+
+    _emit(report, args.format, lines())
     return EXIT_OK
 
 
@@ -104,13 +108,15 @@ def cmd_spectrum(args) -> int:
                              "block_sizes": list(verdict.block_sizes),
                              "algebra_dim": verdict.algebra_dim,
                              "integrality_distance": verdict.integrality_distance}}
-    lines = [f"system {obj.name}: {len(entries)} irreducibles"]
-    for e in entries:
-        lines.append(f"  {e['label']}  dim {e['dim']}  orbit size {len(e['orbit'])}"
-                     f"  stabilizer order {e['stabilizer_order']}")
-    lines.append(f"wedderburn crosscheck: {'PASS' if verdict.ok else 'FAIL'} "
-                 f"({verdict.diff()})")
-    _emit(report, args.format, lines)
+
+    def lines():
+        yield f"system {obj.name}: {len(entries)} irreducibles"
+        for e in entries:
+            yield (f"  {e['label']}  dim {e['dim']}  orbit size {len(e['orbit'])}"
+                   f"  stabilizer order {e['stabilizer_order']}")
+        yield f"wedderburn crosscheck: {'PASS' if verdict.ok else 'FAIL'} ({verdict.diff()})"
+
+    _emit(report, args.format, lines())
     return EXIT_OK if verdict.ok else EXIT_VERIFICATION
 
 
@@ -143,12 +149,15 @@ def cmd_morita(args) -> int:
                                   "final_blocks": r.final_block_count}
                                  for r in toy.reductions],
                   "witness": _witness_json(toy.witness), "ok": toy.ok}
-        lines = [f"toy dual assembly over {len(toy.reductions)} components: "
-                 f"{'PASS' if toy.ok else 'FAIL'}"]
-        for r in toy.reductions:
-            lines.append(f"  {r.system_name}: reduction {'ok' if r.ok else 'FAILED'}, "
-                         f"blocks {r.fpa_block_count} = {r.final_block_count}")
-        _emit(report, args.format, lines)
+
+        def lines():
+            yield (f"toy dual assembly over {len(toy.reductions)} components: "
+                   f"{'PASS' if toy.ok else 'FAIL'}")
+            for r in toy.reductions:
+                yield (f"  {r.system_name}: reduction {'ok' if r.ok else 'FAILED'}, "
+                       f"blocks {r.fpa_block_count} = {r.final_block_count}")
+
+        _emit(report, args.format, lines())
         return EXIT_OK if toy.ok else EXIT_VERIFICATION
     extras = {}
     if isinstance(obj, tuple):
@@ -168,29 +177,33 @@ def cmd_morita(args) -> int:
                   "final_witness": _witness_json(rep.final_witness),
                   "fpa_blocks": rep.fpa_block_count,
                   "final_blocks": rep.final_block_count}
-        lines = [f"semidirect reduction on {obj.name}: {'PASS' if rep.ok else 'FAIL'}",
-                 f"  theorem link: {'ok' if rep.theorem.ok else 'FAILED'}",
-                 f"  crossed iso: bijective={rep.iso_bijective}, "
-                 f"mult residual {rep.iso_mult_residual:.2e}",
-                 f"  ideal transport: {rep.ideal_transport_ok}",
-                 f"  final witness: {'ok' if rep.final_witness.ok else 'FAILED'}",
-                 f"  block counts: {rep.fpa_block_count} vs {rep.final_block_count}"]
-        _emit(report, args.format, lines)
+
+        def lines():
+            yield f"semidirect reduction on {obj.name}: {'PASS' if rep.ok else 'FAIL'}"
+            yield f"  theorem link: {'ok' if rep.theorem.ok else 'FAILED'}"
+            yield (f"  crossed iso: bijective={rep.iso_bijective}, "
+                   f"mult residual {rep.iso_mult_residual:.2e}")
+            yield f"  ideal transport: {rep.ideal_transport_ok}"
+            yield f"  final witness: {'ok' if rep.final_witness.ok else 'FAILED'}"
+            yield f"  block counts: {rep.fpa_block_count} vs {rep.final_block_count}"
+
+        _emit(report, args.format, lines())
         return EXIT_OK if rep.ok else EXIT_VERIFICATION
     verdict = verify_morita_theorem(obj, seed=args.seed, tol=args.tolerance)
     report = {"schema": SCHEMA, "command": "morita", "mode": "theorem",
               "system": obj.name, **_theorem_json(verdict)}
-    if verdict.conditions_hold:
-        status = "J = C, witness ok" if verdict.ok else "FAILED"
-    else:
-        status = (f"conditions fail; J dim {verdict.j_dim} "
-                  f"{'<' if verdict.strict_inclusion else '='} C dim {verdict.c_dim}")
-    lines = [f"morita theorem on {obj.name}: {'PASS' if verdict.ok else 'FAIL'}",
-             f"  {status}"]
-    if not verdict.conditions_hold:
-        lines += [f"  dim J_x {j} < dim C_x {c} at point {x} = {obj.points[x]!r}"
-                  for x, j, c in verdict.gaps]
-    _emit(report, args.format, lines)
+
+    def lines():
+        yield f"morita theorem on {obj.name}: {'PASS' if verdict.ok else 'FAIL'}"
+        if verdict.conditions_hold:
+            yield f"  {'J = C, witness ok' if verdict.ok else 'FAILED'}"
+            return
+        yield (f"  conditions fail; J dim {verdict.j_dim} "
+               f"{'<' if verdict.strict_inclusion else '='} C dim {verdict.c_dim}")
+        for x, j, c in verdict.gaps:
+            yield f"  dim J_x {j} < dim C_x {c} at point {x} = {obj.points[x]!r}"
+
+    _emit(report, args.format, lines())
     return EXIT_OK if verdict.ok else EXIT_VERIFICATION
 
 
@@ -266,10 +279,12 @@ def cmd_verify(args) -> int:
     ok = all(flag for _, flag in results)
     report = {"schema": SCHEMA, "command": "verify", "suite": name,
               "checks": [{"name": n, "ok": f} for n, f in results], "ok": ok}
-    lines = [f"{n}: {'PASS' if f else 'FAIL'}" for n, f in results]
-    lines.append(f"verify {name}: {'PASS' if ok else 'FAIL'} "
-                 f"({len(results)} checks)")
-    _emit(report, args.format, lines)
+
+    def lines():
+        yield from (f"{n}: {'PASS' if f else 'FAIL'}" for n, f in results)
+        yield f"verify {name}: {'PASS' if ok else 'FAIL'} ({len(results)} checks)"
+
+    _emit(report, args.format, lines())
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -277,8 +292,7 @@ def cmd_examples(args) -> int:
     report = {"schema": SCHEMA, "command": "examples",
               "datasets": [{"name": n, "description": DATASET_DESCRIPTIONS[n]}
                            for n in dataset_names()]}
-    lines = [f"{n}: {DATASET_DESCRIPTIONS[n]}" for n in dataset_names()]
-    _emit(report, args.format, lines)
+    _emit(report, args.format, (f"{n}: {DATASET_DESCRIPTIONS[n]}" for n in dataset_names()))
     return EXIT_OK
 
 

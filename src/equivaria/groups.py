@@ -2,6 +2,8 @@
 
 Elements are integer indices 0..order-1 with 0 the identity.  All builders
 return validated groups; an invalid table raises GroupError at construction.
+The builtins are table formulas.  A set of elements is read as one boolean
+membership mask, range-checked (GroupError), and tested by lookups in `mul`.
 """
 from __future__ import annotations
 
@@ -72,60 +74,69 @@ class FiniteGroup:
     def inverse(self, a: int) -> int:
         return int(self.inv[a])
 
-    def conjugate(self, w: int, a: int) -> int:
-        """w a w^-1."""
-        return self.product(w, a, self.inverse(w))
+    def _members(self, elems) -> tuple[np.ndarray, np.ndarray]:
+        """(mask, sub): the (order,) membership mask of `elems` and its
+        elements ascending; GroupError unless each lies in 0..order-1:
+        bincount refuses a negative element and counts past the order for
+        one too large."""
+        idx = np.fromiter(elems, dtype=np.intp)
+        try:
+            mask = np.bincount(idx, minlength=self.order).astype(bool)
+            if mask.size == self.order:
+                return mask, mask.nonzero()[0]
+        except ValueError:
+            pass
+        raise GroupError(f"{idx.tolist()} are not all elements of {self.name} "
+                         f"(order {self.order})")
+
+    @staticmethod
+    def _holds(mask: np.ndarray, table: np.ndarray) -> bool:
+        """Whether the mask holds e and every entry of `table`.  Callers read
+        tables with take, on a few elements cheaper than fancy indexing."""
+        return bool(mask[0]) and np.count_nonzero(mask[table]) == table.size
 
     def is_subgroup(self, elems) -> bool:
-        s = set(int(e) for e in elems)
-        if 0 not in s:
-            return False
-        return all(int(self.mul[a, b]) in s for a in s for b in s)
+        mask, sub = self._members(elems)
+        return self._holds(mask, self.mul.take(sub, 0).take(sub, 1))
 
     def is_normal(self, elems) -> bool:
-        s = set(int(e) for e in elems)
-        return self.is_subgroup(s) and all(
-            self.conjugate(w, a) in s for w in self.elements() for a in s
-        )
+        """Whether `elems` is a subgroup fixed by every w . w^-1."""
+        mask, sub = self._members(elems)
+        conjugates = self.mul[self.mul.take(sub, 1), self.inv[:, None]]   # [w, a]
+        return (self._holds(mask, self.mul.take(sub, 0).take(sub, 1))
+                and self._holds(mask, conjugates))
 
     def subgroup(self, elems, name: str | None = None) -> "Subgroup":
         """The subgroup on the given elements, as a group in its own right."""
-        elems = sorted(set(int(e) for e in elems))
-        if not self.is_subgroup(elems):
-            raise GroupError(f"{elems} is not a subgroup")
-        idx = np.array(elems)
-        table = np.searchsorted(idx, self.mul[idx[:, None], idx])
-        sub = FiniteGroup(table, name=name or f"{self.name}-sub{len(elems)}")
-        return Subgroup(group=sub, parent=self, embedding=tuple(elems))
+        mask, sub = self._members(elems)
+        products = self.mul.take(sub, 0).take(sub, 1)
+        if not self._holds(mask, products):
+            raise GroupError(f"{sub.tolist()} is not a subgroup")
+        table = np.searchsorted(sub, products)                  # each product's index in sub
+        return Subgroup(FiniteGroup(table, name=name or f"{self.name}-sub{sub.size}"),
+                        parent=self, embedding=tuple(sub.tolist()))
 
     def generated_subgroup(self, gens) -> list[int]:
-        """Element list of the subgroup generated by `gens`."""
-        seen = {0}
-        frontier = [0]
-        gens = [int(g) for g in gens]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = int(self.mul[a, g])
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return sorted(seen)
+        """The subgroup `gens` generate, ascending, grown breadth first."""
+        gens = self._members(gens)[1]
+        seen = np.arange(self.order) == 0
+        frontier = seen.nonzero()[0]
+        while frontier.size:
+            new = np.zeros(self.order, dtype=bool)
+            new[self.mul.take(frontier, 0).take(gens, 1)] = True
+            frontier = (new & ~seen).nonzero()[0]
+            seen |= new
+        return seen.nonzero()[0].tolist()
 
     def generators(self) -> tuple[int, ...]:
-        """A generating set, built greedily in element order and cached.
-
-        A homomorphism invariant on these elements is invariant on all.
-        """
+        """A generating set, built greedily in element order and cached: a
+        homomorphism invariant on these elements is invariant on all."""
         if self._generators is None:
             gens: list[int] = []
-            span = {0}
-            for a in self.elements():
-                if a not in span:
-                    gens.append(a)
-                    span = set(self.generated_subgroup(gens))
+            span = np.arange(self.order) == 0
+            while not span.all():
+                gens.append(int(span.argmin()))   # the least element outside the span
+                span[self.generated_subgroup(gens)] = True
             object.__setattr__(self, "_generators", tuple(gens))
         return self._generators
 
@@ -145,20 +156,6 @@ class Subgroup:
         return self.embedding.index(int(a))
 
 
-def _table_from_elements(elements, compose, identity) -> np.ndarray:
-    elems = list(elements)
-    if elems[0] != identity:
-        elems.remove(identity)
-        elems.insert(0, identity)
-    pos = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    table = np.zeros((n, n), dtype=np.intp)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            table[i, j] = pos[compose(a, b)]
-    return table
-
-
 def cyclic(n: int) -> FiniteGroup:
     idx = np.arange(n)
     return FiniteGroup((idx[:, None] + idx[None, :]) % n, name=f"Z{n}")
@@ -166,87 +163,60 @@ def cyclic(n: int) -> FiniteGroup:
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, name: str | None = None) -> FiniteGroup:
     """Direct product with element index a*|H| + b."""
-    ng, nh = g.order, h.order
-    table = np.zeros((ng * nh, ng * nh), dtype=np.intp)
-    for a1, b1 in itertools.product(range(ng), range(nh)):
-        for a2, b2 in itertools.product(range(ng), range(nh)):
-            table[a1 * nh + b1, a2 * nh + b2] = g.mul[a1, a2] * nh + h.mul[b1, b2]
-    return FiniteGroup(table, name=name or f"{g.name}x{h.name}")
+    table = g.mul[:, None, :, None] * h.order + h.mul[None, :, None, :]   # [a1, b1, a2, b2]
+    return FiniteGroup(table.reshape(g.order * h.order, -1), name=name or f"{g.name}x{h.name}")
 
 
 def symmetric(n: int) -> FiniteGroup:
-    """Symmetric group on n letters via permutation tuples."""
-    perms = sorted(itertools.permutations(range(n)))
-    ident = tuple(range(n))
-
-    def compose(p, q):  # (p q)(i) = p(q(i))
-        return tuple(p[q[i]] for i in range(n))
-
-    return FiniteGroup(_table_from_elements(perms, compose, ident), name=f"S{n}")
+    """Symmetric group on n letters, its permutations p in lexicographic
+    order, with (p q)(i) = p(q(i))."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    composed = perms[np.arange(len(perms))[:, None, None], perms[None]]   # [p, q, i]
+    # Read as base-n numbers, lexicographic order is numeric order.
+    code = n ** np.arange(n - 1, -1, -1)
+    return FiniteGroup(np.searchsorted(perms @ code, composed @ code), name=f"S{n}")
 
 
 def dihedral(order: int) -> FiniteGroup:
-    """Dihedral group of the given (even) order: rotations r^k and flips r^k s."""
+    """Dihedral group of the given (even) order: element f n + k is r^k s^f,
+    n = order / 2, with s r s = r^-1."""
     if order % 2 != 0 or order < 2:
         raise GroupError("dihedral order must be even and >= 2")
     n = order // 2
-    # Element (k, f): r^k s^f with s r s = r^-1.
-    elems = [(k, f) for f in (0, 1) for k in range(n)]
-
-    def compose(a, b):
-        k1, f1 = a
-        k2, f2 = b
-        k = (k1 + (k2 if f1 == 0 else -k2)) % n
-        return (k, f1 ^ f2)
-
-    return FiniteGroup(_table_from_elements(elems, compose, (0, 0)), name=f"D{order}")
+    f, k = np.divmod(np.arange(order), n)
+    # r^k1 s^f1 r^k2 s^f2 = r^(k1 +- k2) s^(f1 + f2), the sign - iff f1 = 1.
+    turn = (k[:, None] + (1 - 2 * f[:, None]) * k[None, :]) % n
+    return FiniteGroup((f[:, None] ^ f[None, :]) * n + turn, name=f"D{order}")
 
 
 def quaternion() -> FiniteGroup:
-    """The quaternion group Q8 = {+-1, +-i, +-j, +-k}."""
-    # Elements as (sign, axis) with axis in {1, i, j, k}.
-    units = ["1", "i", "j", "k"]
-    prod = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-        ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
-        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
-    }
-    elems = [(s, u) for u in units for s in (1, -1)]
-    elems.remove((1, "1"))
-    elems.insert(0, (1, "1"))
-
-    def compose(a, b):
-        s, u = prod[(a[1], b[1])]
-        return (a[0] * b[0] * s, u)
-
-    return FiniteGroup(_table_from_elements(elems, compose, (1, "1")), name="Q8")
+    """The quaternion group Q8 = {+-1, +-i, +-j, +-k}: element 2 a + s is
+    (-1)^s times unit a of (1, i, j, k), and unit a times unit b is +-unit
+    a xor b (i j = k, j k = i, k i = j), negative where `negative` is 1."""
+    negative = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    a, s = np.divmod(np.arange(8), 2)
+    sign = s[:, None] ^ s[None, :] ^ negative[a[:, None], a[None, :]]
+    return FiniteGroup(2 * (a[:, None] ^ a[None, :]) + sign, name="Q8")
 
 
 def semidirect_decomposition(g: FiniteGroup, normal, complement):
     """Check W = U x| V and return the factor map w -> (u, v) with w = u v.
 
     `normal` and `complement` are element lists.  Raises GroupError when the
-    data is not a semidirect decomposition of g.
+    data is not a semidirect decomposition of g.  |U| |V| = |W| and U n V =
+    {e} make the u v distinct: u v = u' v' puts u'^-1 u = v' v^-1 in U n V.
     """
-    u_elems = sorted(set(int(e) for e in normal))
-    v_elems = sorted(set(int(e) for e in complement))
-    if not g.is_normal(u_elems):
+    if not g.is_normal(normal):
         raise GroupError("first factor is not a normal subgroup")
-    if not g.is_subgroup(v_elems):
+    if not g.is_subgroup(complement):
         raise GroupError("complement is not a subgroup")
-    if len(u_elems) * len(v_elems) != g.order:
+    (_, u), (in_v, v) = g._members(normal), g._members(complement)
+    if u.size * v.size != g.order:
         raise GroupError("factor orders do not multiply to the group order")
-    if set(u_elems) & set(v_elems) != {0}:
+    if np.count_nonzero(in_v[u]) != 1:
         raise GroupError("factors intersect nontrivially")
-    factor = {}
-    for u in u_elems:
-        for v in v_elems:
-            w = g.product(u, v)
-            if w in factor:
-                raise GroupError("factorization is not unique")
-            factor[w] = (u, v)
-    return factor
+    return dict(zip(g.mul.take(u, 0).take(v, 1).ravel().tolist(),
+                    itertools.product(u.tolist(), v.tolist())))
 
 
 BUILTIN_GROUPS = {

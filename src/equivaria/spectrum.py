@@ -127,6 +127,7 @@ def classify_irreps(sys: EquivariantSystem, seed: int = 0,
     """
     check_tol(tol)
     orbits = sys.orbits
+    representatives = np.array(orbits.representatives)
     entries, worst, tables = [], 0.0, {}
     for stab, points in orbits.by_stabilizer:
         xs = points[orbits.least[points] == points]
@@ -141,9 +142,9 @@ def classify_irreps(sys: EquivariantSystem, seed: int = 0,
         mults = (chars.conj() @ traces).real / len(stab)               # [rho, x]
         counts = np.rint(mults)
         worst = max(worst, float(np.abs(mults - counts).max()))
-        for x, column in zip(xs.tolist(), counts.T.astype(int).tolist()):
-            orbit = orbits.members[orbits.representatives.index(x)]
-            entries += [SpectrumEntry(orbit, x, sub, label, n, sys, seed, tol)
+        at = np.searchsorted(representatives, xs).tolist()             # x's orbit
+        for x, o, column in zip(xs.tolist(), at, counts.T.astype(int).tolist()):
+            entries += [SpectrumEntry(orbits.members[o], x, sub, label, n, sys, seed, tol)
                         for label, n in zip(labels, column) if n > 0]
     if worst >= _INTEGRALITY_LIMIT:
         raise SpectrumError(f"a stabilizer multiplicity lies {worst:.3g} from an integer: "
@@ -156,16 +157,20 @@ def realize_irrep(sys: EquivariantSystem, entry: SpectrumEntry,
     """Matrices of pi_{x,rho}(k): s -> k(x) s on the entry's basis.
 
     Returns one dim x dim matrix per basis element of the fixed-point
-    algebra, in its order, read off its functions at the entry's point;
-    verified *-homomorphism with scalar commutant by the caller or test
-    suite.
+    algebra, in its order, read off its value k(x) at the entry's point x:
+    zero off x's orbit O, and on it the value at x, O's least point,
+    carried by I_{e,x} and divided by sqrt|O|, as FixedPointAlgebra carries
+    it.  Verified *-homomorphism with scalar commutant by the caller or
+    test suite.
     """
     check_tol(tol)
-    funcs = fixed_point_algebra(sys, tol).functions
-    x = entry.point
+    fpa = fixed_point_algebra(sys, tol)
+    x, u = entry.point, sys.cocycle[0, entry.point]
+    at, on = np.zeros_like(fpa.values), fpa.least == x
+    at[on] = u @ fpa.values[on] @ u.conj().T / np.sqrt(len(entry.orbit))
     s = entry.basis  # (m, d, r)
     # [k, n, a, r]: k(x) s_n; then contracted with conj(s_m) over (a, r).
-    moved = funcs[:, x][:, None] @ s[None]
+    moved = at[:, None] @ s[None]
     return np.tensordot(moved, s.conj(), axes=([2, 3], [1, 2])).transpose(0, 2, 1)
 
 

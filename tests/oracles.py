@@ -42,8 +42,12 @@ matrices is checked for separation the dense way (dense_is_separating): B
 compressed to one copy of each of A's blocks (block_restriction), its
 commutant there by the Kronecker nullspace (commutant) for irreducibility
 and Kronecker intertwiners between two blocks for equivalence, the oracle
-of matalg.is_separating's ranks.
+of matalg.is_separating's ranks.  The builtin groups of `equivaria` are
+table formulas; here they are built from element tuples and compose rules
+(symmetric_from_permutations, dihedral_from_pairs, quaternion_from_units,
+direct_product_from_pairs), one product at a time (table_from_elements).
 """
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -51,6 +55,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from equivaria.groups import FiniteGroup
 from equivaria.hilbmod import Carried, Components, FDHilbertModule
 from equivaria.linalg import (
     DEFAULT_TOL,
@@ -812,3 +817,72 @@ def dense_is_separating(sub: MatrixSpan, alg: MatrixSpan,
                 merged.append((i, j))
     separating = not reducible and not merged and not missing_unit
     return SeparationReport(separating, tuple(reducible), tuple(merged), missing_unit)
+
+
+# -- groups from element tuples ---------------------------------------------------
+
+
+def table_from_elements(elements, compose, identity) -> np.ndarray:
+    """The multiplication table of `elements` under `compose`, the
+    identity moved to index 0."""
+    elems = list(elements)
+    if elems[0] != identity:
+        elems.remove(identity)
+        elems.insert(0, identity)
+    pos = {e: i for i, e in enumerate(elems)}
+    n = len(elems)
+    table = np.zeros((n, n), dtype=np.intp)
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            table[i, j] = pos[compose(a, b)]
+    return table
+
+
+def direct_product_from_pairs(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
+    """g x h with element index a*|H| + b, one pair product at a time."""
+    ng, nh = g.order, h.order
+    table = np.zeros((ng * nh, ng * nh), dtype=np.intp)
+    for a1, b1 in itertools.product(range(ng), range(nh)):
+        for a2, b2 in itertools.product(range(ng), range(nh)):
+            table[a1 * nh + b1, a2 * nh + b2] = g.mul[a1, a2] * nh + h.mul[b1, b2]
+    return FiniteGroup(table, name=f"{g.name}x{h.name}")
+
+
+def symmetric_from_permutations(n: int) -> FiniteGroup:
+    """S_n on its permutation tuples, sorted, with (p q)(i) = p(q(i))."""
+    perms = sorted(itertools.permutations(range(n)))
+
+    def compose(p, q):
+        return tuple(p[q[i]] for i in range(n))
+
+    return FiniteGroup(table_from_elements(perms, compose, tuple(range(n))), name=f"S{n}")
+
+
+def dihedral_from_pairs(order: int) -> FiniteGroup:
+    """D_order on pairs (k, f), r^k s^f with s r s = r^-1, flips last."""
+    n = order // 2
+    elems = [(k, f) for f in (0, 1) for k in range(n)]
+
+    def compose(a, b):
+        k1, f1 = a
+        k2, f2 = b
+        return ((k1 + (k2 if f1 == 0 else -k2)) % n, f1 ^ f2)
+
+    return FiniteGroup(table_from_elements(elems, compose, (0, 0)), name=f"D{order}")
+
+
+def quaternion_from_units() -> FiniteGroup:
+    """Q8 on pairs (sign, unit), the unit products written out."""
+    prod = {
+        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
+        ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
+        ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
+        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
+    }
+    elems = [(s, u) for u in ("1", "i", "j", "k") for s in (1, -1)]
+
+    def compose(a, b):
+        s, u = prod[(a[1], b[1])]
+        return (a[0] * b[0] * s, u)
+
+    return FiniteGroup(table_from_elements(elems, compose, (1, "1")), name="Q8")

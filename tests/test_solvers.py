@@ -1694,7 +1694,7 @@ def scalar_invariants_loop(sys, stabs, wprime):
             raise morita.MoritaError(f"W'_x is not normal in the stabilizer at x={x}")
         for w in g.elements():
             wx = int(sys.action[w, x])
-            conj = sorted(g.conjugate(w, u) for u in wprime[x])
+            conj = sorted(g.product(w, u, g.inverse(w)) for u in wprime[x])
             if conj != sorted(wprime[wx]):
                 raise morita.MoritaError(
                     f"w W'_x w^-1 != W'_(wx) at x={x}, w={w}")
@@ -2424,7 +2424,7 @@ def outer_loops(action, normal, complement):
         vp = v_sub.to_parent(v)
         out = np.zeros_like(f)
         for u in range(u_n):
-            conj = u_sub.from_parent(g.conjugate(vp, u_sub.to_parent(u)))
+            conj = u_sub.from_parent(g.product(vp, u_sub.to_parent(u), g.inverse(vp)))
             out[conj] += maps[vp] @ f[u]
         return out
 

@@ -18,11 +18,14 @@ from equivaria.spectrum import (
 )
 from equivaria.systems import (
     ClosedFormFamily,
+    FixedPointAlgebra,
     dihedral_plane_system,
+    fixed_point_algebra,
     one_point_system,
     trivial_system,
     z2_line_family,
     z2_line_system,
+    z2xz2_line_system,
 )
 
 
@@ -54,6 +57,32 @@ def test_realized_irreps_are_irreducible():
         # *-homomorphism spot check against the algebra product.
         alg = generate(mats, ambient_dim=entry.dim)
         assert alg.algebra.closure_residual() < 1e-8
+
+
+def realized_on_functions(sys, entry) -> np.ndarray:
+    """realize_irrep read off the functions carried over whole orbits."""
+    funcs = fixed_point_algebra(sys).functions
+    s = entry.basis
+    moved = funcs[:, entry.point][:, None] @ s[None]
+    return np.tensordot(moved, s.conj(), axes=([2, 3], [1, 2])).transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("name", ["z2-line", "dihedral-plane", "anticomplete-point",
+                                  "z2xz2-line-3"])
+def test_realize_irrep_reads_the_least_point_values(monkeypatch, name):
+    """Every entry's matrices, with FixedPointAlgebra.functions made to fail,
+    are bit for bit those read off the carried functions."""
+    sys = z2xz2_line_system(3) if name == "z2xz2-line-3" else bundled(name)
+    sys = sys[0] if isinstance(sys, tuple) else sys
+    entries = classify_irreps(sys).entries
+    expected = [realized_on_functions(sys, entry) for entry in entries]
+
+    def refuse(fpa):
+        raise AssertionError("realize_irrep carried the functions")
+
+    monkeypatch.setattr(FixedPointAlgebra, "functions", property(refuse))
+    for entry, mats in zip(entries, expected):
+        assert np.array_equal(realize_irrep(sys, entry), mats), entry.label
 
 
 def test_classification_solves_no_intertwiner_space(monkeypatch):
