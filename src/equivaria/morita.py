@@ -19,13 +19,14 @@ coordinates of both algebras.
 The ideal test and the comparison of J with C run in the crossed product's
 coefficients, which are orthonormal coordinates, so rank cuts, norms and
 residuals are those of the trace inner product.  Both J and C split over
-the points of X, into |X| column blocks of C^|W|: C is spanned by coset
-indicators point by point, and J's rank is one batched cut over the
-points, read off the base module's point components and gamma's blocks
-(verify_morita_theorem gives the argument), which also names the points
-where J falls short of C.  C's algebra is the crossed product's
-coordinate algebra restricted to C's rows, and the Green-Julg module, one
-carrier component per orbit, is rebased onto C component by component.
+the points of X, into |X| column blocks of C^|W|.  C is held by its points,
+the coset indicators of each C_x, and is built, tested as an ideal and
+transported along the reduction point by point; J's rank is one batched
+cut over the points, read off the base module's point components and
+gamma's blocks (verify_morita_theorem gives the argument), which also
+names the points where J falls short of C.  C's whole rows are written out
+only for its algebra, the crossed product's restricted to them, and to
+rebase the Green-Julg module onto a proper C component by component.
 The Morita witnesses get their left actions at their modules' carrier
 pairs, read off the pointwise fixed-point functions, so no crossed-product
 element or function is embedded as a matrix; the reduction's quotient
@@ -36,7 +37,7 @@ fixed-point algebra only when J = C as well, for the Morita witness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -62,11 +63,9 @@ from .hilbmod import (
 from .linalg import (
     DEFAULT_TOL,
     check_tol,
-    orthonormal_rows,
     rank_threshold,
     row_residuals,
     span_contains,
-    spans_equal,
 )
 from .matalg import MatrixStarAlgebra, block_decompose, restricted_algebra
 from .systems import (
@@ -78,7 +77,6 @@ from .systems import (
     _along_orbits,
     _least_point_kernels,
     _outer_action,
-    _slot_image,
     fixed_point_algebra,
     restrict_system,
     scalar_algebra,
@@ -106,9 +104,10 @@ class ScalarStructure:
 
     `scalar_elements[x]` lists stabilizer elements whose cocycle unitary is a
     scalar multiple of the identity; `wprime[x]` lists those whose scalar is
-    1 (the normalised part, used for the ideal constraints).  The
-    normalisation condition holds when the two agree everywhere; completeness
-    at x, when span{I_{w,x} : w in W_x} has dimension |W_x|/|W'_x|.
+    1 (the normalised part, used for the ideal constraints), as the
+    read-only mask `wprime_mask[x, w]` too.  The normalisation condition
+    holds when the two agree everywhere; completeness at x, when
+    span{I_{w,x} : w in W_x} has dimension |W_x|/|W'_x|.
     """
 
     system: EquivariantSystem
@@ -116,6 +115,7 @@ class ScalarStructure:
     scalar_elements: tuple[tuple[int, ...], ...]
     scalar_values: tuple[tuple[complex, ...], ...]
     wprime: tuple[tuple[int, ...], ...]
+    wprime_mask: np.ndarray = field(repr=False, compare=False)   # [x, w]
     normalisation_ok: bool
     completeness_ok: bool
     completeness_by_point: tuple[bool, ...]
@@ -157,6 +157,8 @@ def scalar_subgroups(sys: EquivariantSystem, tol: float = 1e-8) -> ScalarStructu
 
     scalars, wprime = per_point(scalar), per_point(wp)
     values = tuple(tuple(complex(lam[w, x]) for w in scalars[x]) for x in range(x_n))
+    mask = wp.T.copy()
+    mask.setflags(write=False)
     normalisation_ok = bool(np.array_equal(scalar, wp))
     by_point = np.ones(x_n, dtype=bool)
     for elems, xs in sys.orbits.by_stabilizer:
@@ -164,8 +166,8 @@ def scalar_subgroups(sys: EquivariantSystem, tol: float = 1e-8) -> ScalarStructu
         gram = traces[g.mul[g.inv[u][:, None], u]][..., xs].transpose(2, 0, 1)   # [x, u, v]
         rank = (np.linalg.eigvalsh(gram) > 0.5).sum(axis=1)
         by_point[xs] = rank * wp[:, xs].sum(axis=0) == len(elems)
-    return ScalarStructure(sys, sys.orbits.stabilizers, scalars, values, wprime, normalisation_ok,
-                           bool(by_point.all()), tuple(bool(b) for b in by_point))
+    return ScalarStructure(sys, sys.orbits.stabilizers, scalars, values, wprime, mask,
+                           normalisation_ok, bool(by_point.all()), tuple(bool(b) for b in by_point))
 
 
 def _check_scalar_invariants(g: FiniteGroup, action: np.ndarray, stab: np.ndarray,
@@ -197,39 +199,37 @@ def _check_scalar_invariants(g: FiniteGroup, action: np.ndarray, stab: np.ndarra
     raise MoritaError(f"w W'_x w^-1 != W'_(wx) at x={x}, w={int(np.argmax(bad[x]))}")
 
 
-def _wprime_mask(wprime, w_n: int) -> np.ndarray:
-    """[x, w]: w lies in W'_x, from ScalarStructure.wprime."""
-    sizes = [len(elems) for elems in wprime]
-    mask = np.zeros((len(sizes), w_n), dtype=bool)
-    mask[np.repeat(np.arange(len(sizes)), sizes),
-         np.fromiter((w for elems in wprime for w in elems), np.intp, sum(sizes))] = True
-    return mask
-
-
 # -- the ideal C(X, W, I) ------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CIdeal:
-    """C(X, W, I) inside C(X) >| W, in coefficients.
+    """C(X, W, I) inside C(X) >| W, point by point.
 
-    `rows` spans the ideal in cp's coefficients, which are orthonormal
-    coordinates of cp.algebra, so norms and inner products are those of the
-    trace.  Every row lies in one point's column block (., x),
-    x = `points[row]`, in increasing order of x.  `algebra`, the ideal in
-    coordinates against the rows with cp.algebra's tables restricted to
-    them (restricted_algebra), is built on first access; an ideal of full
-    dimension is the whole crossed product, and its algebra is cp.algebra.
+    `by_point[x]` holds C_x's orthonormal rows in the column block (., x) of
+    cp's coefficients, orthonormal coordinates of cp.algebra, in its first
+    `ranks[x]` slots by the least element of their coset, zeros after.
+    `rows`, the (dim, |W| |X|) rows point after point, and `algebra`, the
+    ideal against them (restricted_algebra, or cp.algebra at full
+    dimension), are built on first access.
     """
 
     system: EquivariantSystem
     cp: CrossedProduct
-    rows: np.ndarray           # (dim, |W| * |X|), orthonormal
-    points: np.ndarray         # (dim,): the point whose block holds each row
+    by_point: np.ndarray       # (|X|, |W|, |W|)
+    ranks: np.ndarray          # (|X|,): dim C_x
 
     @property
     def dim(self) -> int:
-        return self.rows.shape[0]
+        return int(self.ranks.sum())
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        x_n, w_n = self.ranks.size, self.by_point.shape[2]
+        rows = np.zeros((self.dim, w_n, x_n), dtype=complex)
+        rows[np.arange(self.dim), :, np.repeat(np.arange(x_n), self.ranks)] = \
+            self.by_point[np.arange(w_n) < self.ranks[:, None]]
+        return rows.reshape(self.dim, -1)
 
     @cached_property
     def algebra(self) -> MatrixStarAlgebra:
@@ -249,25 +249,24 @@ def c_ideal(sys: EquivariantSystem, scalar: ScalarStructure | None = None,
     cosets are an orthonormal basis of C_x; no kernel is solved.  W'_x is a
     subgroup, as scalar_subgroups checks, so the cosets partition W.  In
     cp's orthonormal coefficients the result is verified to be a two-sided
-    *-closed ideal of C(X) >| W (CrossedProduct.is_ideal).
+    *-closed ideal of C(X) >| W (CrossedProduct.is_ideal, by point).
     """
     check_tol(tol)
-    scalar = scalar or scalar_subgroups(sys, max(tol, 1e-8))
+    scalar = scalar or scalar_subgroups(sys, tol)
     cp = cp or crossed_product(scalar_translation_action(sys), tol)
     g = sys.group
     w_n, x_n = g.order, sys.n_points
-    wp = _wprime_mask(scalar.wprime, w_n)
     # [x, w]: the least element of the coset W'_x w, which names it.
-    least = np.where(wp[:, :, None], g.mul[None], w_n).min(axis=1)
-    points, first = np.divmod(np.unique(least + w_n * np.arange(x_n)[:, None]), w_n)
+    least = np.where(scalar.wprime_mask[:, :, None], g.mul[None], w_n).min(axis=1)
+    points, first = np.nonzero(least == np.arange(w_n))              # each coset once
+    ranks = np.bincount(points, minlength=x_n)
+    slot = np.arange(points.size) - np.repeat(np.cumsum(ranks) - ranks, ranks)
     members = least[points] == first[:, None]                        # [row, w]
-    dim = points.size
-    rows = np.zeros((dim, w_n, x_n), dtype=complex)
-    rows[np.arange(dim), :, points] = members / np.sqrt(members.sum(axis=1, keepdims=True))
-    rows = rows.reshape(dim, -1)
-    if not cp.is_ideal(rows, max(tol, 1e-8)):
+    by_point = np.zeros((x_n, w_n, w_n), dtype=complex)
+    by_point[points, slot] = members / np.sqrt(members.sum(axis=1, keepdims=True))
+    if not cp.is_ideal(by_point, tol):
         raise MoritaError("C(X, W, I) is not an ideal of the crossed product")
-    return CIdeal(sys, cp, rows, points)
+    return CIdeal(sys, cp, by_point, ranks)
 
 
 # -- the Morita theorem --------------------------------------------------------
@@ -282,11 +281,9 @@ def rebase_module(e: FDHilbertModule, rows: np.ndarray) -> FDHilbertModule:
     carrier components stay: each row must lie in the coordinates of one
     or of none, and a component takes the maps sum_k r[k] action[k] of its
     rows r and its inner values projected onto them; ModuleError when a row
-    or a value leaves them.  Rows spanning all of B leave the module as is.
+    or a value leaves them.
     """
     b_alg = e.algebra
-    if rows.shape[0] == b_alg.dim:
-        return e
     owner = np.full(b_alg.dim, -1)                                  # each coordinate's component
     for st in e.parts:
         owner[st.coords] = st.coords[:, :1]
@@ -335,17 +332,6 @@ def _point_spans(blocks: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarr
     _, s, vh = np.linalg.svd(blocks, full_matrices=False)
     keep = s > rank_threshold(s, tol)
     return vh * keep[..., None], keep.sum(axis=1)
-
-
-def _by_point(rows: np.ndarray, points: np.ndarray, x_n: int) -> np.ndarray:
-    """(|X|, |W|, |W|): each row's block (., points[row]) in the next free
-    slot of its point, for rows sorted by point; free slots are zero."""
-    dim = rows.shape[0]
-    w_n = rows.shape[1] // x_n
-    slot = np.arange(dim) - np.searchsorted(points, points)
-    out = np.zeros((x_n, w_n, w_n), dtype=complex)
-    out[points, slot] = rows.reshape(dim, w_n, x_n)[np.arange(dim), :, points]
-    return out
 
 
 @dataclass(frozen=True)
@@ -408,12 +394,13 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
         so the residuals and containments, taken on the stacks of blocks,
         are those of the whole spans.
     C_x is spanned by the normalised indicators of the right cosets
-    W'_x w (c_ideal).  J's blocks come straight from the base module's
-    point components and gamma's blocks, one batched product over the
-    points; under both conditions the Green-Julg module is built for the
-    witness, which rebases it onto C's rows, keeping its components, the
-    orbits, at whose carrier pairs the fixed-point functions act.  `module` and `witness_fpa` are None
-    when no witness is built; `fpa` is then built on first access.
+    W'_x w (CIdeal.by_point).  J's blocks come straight from the base
+    module's point components and gamma's blocks, one batched product over
+    the points; under both conditions the Green-Julg module is built for
+    the witness, which rebases it onto a proper C's rows, keeping its
+    components, the orbits, at whose carrier pairs the fixed-point
+    functions act.  `module` and `witness_fpa` are None when no witness is
+    built; `fpa` is then built on first access.
     """
     check_tol(tol)
     scalar = scalar or scalar_subgroups(sys, tol)
@@ -421,12 +408,11 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     cp = crossed_product(eq.beta, tol)
     cid = c_ideal(sys, scalar, cp, tol)
     conditions = scalar.normalisation_ok and scalar.completeness_ok
-    x_n, d = sys.n_points, sys.fiber_dim
+    d = sys.fiber_dim
     # A witness needs the averaged module.
     averaged = green_julg_module(eq, cp)[0] if conditions else None
     j_rows, j_ranks = _point_spans(_averaged_point_blocks(eq), tol)
-    c_rows = _by_point(cid.rows, cid.points, x_n)
-    c_ranks = np.bincount(cid.points, minlength=x_n)
+    c_rows, c_ranks = cid.by_point, cid.ranks
     j_dim = int(j_ranks.sum())
     j_in_c = float(row_residuals(c_rows, j_rows).max(initial=0.0))
     spans_match = j_dim == cid.dim and span_contains(c_rows, j_rows, tol) \
@@ -437,7 +423,7 @@ def verify_morita_theorem(sys: EquivariantSystem, seed: int = 0,
     witness = fpa = fpa_blocks = c_blocks = module = None
     if averaged is not None and spans_match:
         fpa = fixed_point_algebra(sys, tol)
-        module = rebase_module(averaged, cid.rows)
+        module = averaged if cid.dim == cp.dim else rebase_module(averaged, cid.rows)
         # f acts inside each point's fiber: f(x)[a, b] at the pair (x d + a, x d + b).
         p, q = np.divmod(module.pairs, module.carrier_dim)
         left = fpa.functions[:, p // d, p % d, q % d] * (p // d == q // d)
@@ -456,7 +442,7 @@ def _check_splitting(sys: EquivariantSystem, scalar: ScalarStructure,
                      wprime) -> None:
     """Raise SplittingError at the first point x with W'_x != W_x n W'."""
     expected = sys.orbits.fixes.T & np.isin(np.arange(sys.group.order), wprime)   # [x, w]
-    bad = (_wprime_mask(scalar.wprime, sys.group.order) != expected).any(axis=1)
+    bad = (scalar.wprime_mask != expected).any(axis=1)
     if bad.any():
         x = int(bad.argmax())
         raise SplittingError(x, f"W'_x != W_x n W' at point index {x}: {sorted(scalar.wprime[x])}"
@@ -579,8 +565,10 @@ def _semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int,
     alpha, w_of = _outer_action(thm.ideal.cp.action, thm_p.ideal.cp, u_emb, v_sub)
     iso = _iterated_crossed_iso(thm.ideal.cp, crossed_product(alpha, tol), w_of,
                                 np.random.default_rng(0))
-    img_rows = orthonormal_rows(_transported_rows(w_of, thm_p.ideal.rows), tol)
-    ideal_transport_ok = spans_equal(img_rows, thm.ideal.rows, tol)
+    img, img_ranks = _point_spans(_transported_points(w_of, thm_p.ideal.by_point), tol)
+    c_rows = thm.ideal.by_point
+    ideal_transport_ok = bool(img_ranks.sum() == thm.ideal.dim and span_contains(c_rows, img, tol)
+                              and span_contains(img, c_rows, tol))
 
     # Link 4: fpa(sys) ~ C(X/W') >| R, fpa acting on the W'-invariant vectors
     # by u_p* f u_q, zero unless both lie on one W'-orbit O, a component of
@@ -612,15 +600,13 @@ def _semidirect_reduction(sys: EquivariantSystem, wprime, r, seed: int,
     return report, gj_q, left
 
 
-def _transported_rows(w_of: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """phi(h v) for every coefficient row h of B >| U and every v, rows
-    (|V| len(rows), |W| dim B) in the order (v, h), for phi the slot map
-    w_of of _outer_action."""
-    v_n = len(w_of)
-    placed = np.zeros((v_n, len(rows), v_n, rows.shape[1]), dtype=complex)
-    v = np.arange(v_n)
-    placed[v, :, v] = rows
-    return _slot_image(w_of, placed.reshape(v_n * len(rows), -1))
+def _transported_points(w_of: np.ndarray, by_point: np.ndarray) -> np.ndarray:
+    """phi(h v) = h (uv), phi the slot map w_of of _outer_action, for each row
+    h (|X|, r, |U|) of C(X, U, I) and v: (|X|, |V| r, |W|) at h's point."""
+    x_n, r, _ = by_point.shape
+    out = np.zeros((x_n, len(w_of), r, w_of.size), dtype=complex)
+    out[:, np.arange(len(w_of))[:, None], :, w_of] = by_point.transpose(2, 0, 1)
+    return out.reshape(x_n, -1, w_of.size)
 
 
 @dataclass(frozen=True)

@@ -656,37 +656,31 @@ class CrossedProduct:
         return MatrixStarAlgebra(w_n * b_alg.ambient_dim, tuple(blocks))
 
     def is_ideal(self, rows: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        """Is the span of orthonormal coefficient rows (., |W| dim B) a
-        two-sided *-ideal?
-
-        The adjoint of each basis element i is tested, then i a for each
-        a = a_(w,j), the orthonormal basis of B >| W.  A is *-closed, so
-        a I needs no test once I* = I holds.  Every vector v may leave the
-        span by tol * max(1, |v|), where norms and residuals are those of the
-        trace inner product, the coefficients being orthonormal.  Containment
-        in A holds for every coefficient array.  The products with the
-        a_(w,j) of one w are read off the algebra's blocks, each a_(w,j)
-        acting on the rows' part in its block by its slice of the block's
-        table, and tested against the rows together.  As many rows as
-        B >| W has dimensions span the whole crossed product, an ideal
-        without a test.
+        """Is the span of rows (dim B, r, |W|), row (i, s) the coefficients
+        rows[i, s, w] at (w, i), orthonormal or zero for each i, a two-sided
+        *-ideal?  Each row f's adjoint and products f a with the orthonormal
+        basis a_(w,j) must stay in the span, each v within tol * max(1, |v|)
+        in the trace norm; A is *-closed, so a I follows.  A B-coordinate
+        lies in the block of its W-orbit, and an ideal of a direct sum is
+        the sum of its parts in the summands, so each stack of blocks is
+        tested in one batch: adjoints off the star tables, products with the
+        whole basis of each block off its table in one matmul.  A span of
+        full dimension needs no test.
         """
         check_tol(tol)
-        if rows.shape[0] in (0, self.dim):
+        if np.count_nonzero(rows.any(axis=-1)) in (0, self.dim):
             return True
-        alg = self.algebra
-        if not span_contains(rows, alg.adjoint(rows), tol):
-            return False
-        k, w_n = self.action.algebra.dim, self.group.order
-        for w in range(w_n):
-            prods = np.zeros((len(rows), k, self.dim), dtype=complex)   # [r, j]: i_r a_(w,j)
-            for st in alg.blocks:
-                # A block holds a_(v,j), for j its orbit's t-th coordinate, at v p + t.
-                p = st.index.shape[1] // w_n
-                slot = slice(w * p, (w + 1) * p)
-                prods[:, st.index[:, slot, None] % k, st.index[:, None]] = (
-                    st.table[:, slot] @ rows[:, st.index][:, :, None, :, None])[..., 0]
-            if not span_contains(rows, prods.reshape(-1, self.dim), tol):
+        w_n, r = self.group.order, rows.shape[1]
+        for st in self.algebra.blocks:
+            # A block holds a_(v,j), j the t-th of its orbit's p coordinates, at v p + t.
+            n, size = st.index.shape
+            t = np.arange(size // w_n)
+            held = np.zeros((n, t.size, r, w_n, t.size), dtype=complex)
+            held[:, t, :, :, t] = rows[st.index[:, :t.size]].swapaxes(0, 1)
+            held = held.reshape(n, -1, size)
+            prods = held[:, None] @ st.table.swapaxes(-1, -2)      # [o, j, s]: f_s b_j
+            if not (span_contains(held, held.conj() @ st.star.swapaxes(-1, -2), tol)
+                    and span_contains(held, prods.reshape(n, -1, size), tol)):
                 return False
         return True
 

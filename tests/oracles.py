@@ -27,7 +27,11 @@ permutation) and validated through B's products and adjoints, its crossed
 tables multiplied out through the maps (DenseCrossedProduct,
 dense_crossed_product), the oracle of the index path.  C(X, M_d)'s action
 alpha for d >= 2 (alpha_matrix, function_algebra_action) is not a
-permutation, and lives here only.  The pairwise ideal test of matrix spans,
+permutation, and lives here only.  CrossedProduct.is_ideal takes its rows
+grouped by B-coordinate and tests them block by block; here dense
+coefficient rows are tested one group element at a time against whole
+product stacks (crossed_is_ideal_loop), and grouped_rows groups dense rows
+that lie in single column blocks.  The pairwise ideal test of matrix spans,
 the operator norm of a matrix and the block-diagonal embedding of functions
 (embed_function) are kept here as well, with all of C(X, M_d)
 (function_algebra, whose d = 1 case is systems.scalar_algebra).  The
@@ -475,6 +479,47 @@ def is_ideal(ideal, alg, tol: float = DEFAULT_TOL) -> bool:
         return False
     return all(span_contains(rows, flatten(ideal_mats @ a), tol) for a in alg_mats)
 
+
+
+def crossed_is_ideal_loop(cp, rows: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """Is the span of orthonormal coefficient rows (., |W| dim B) a
+    two-sided *-ideal of cp?  The oracle of CrossedProduct.is_ideal on
+    dense rows: the adjoints of the rows, then their products with the
+    a_(w,j) of one w at a time, each a_(w,j) acting on the rows' part in
+    its block by its slice of the block's table, tested against all the
+    rows together."""
+    if rows.shape[0] in (0, cp.dim):
+        return True
+    alg = cp.algebra
+    if not span_contains(rows, alg.adjoint(rows), tol):
+        return False
+    k, w_n = cp.action.algebra.dim, cp.group.order
+    for w in range(w_n):
+        prods = np.zeros((len(rows), k, cp.dim), dtype=complex)   # [r, j]: i_r a_(w,j)
+        for st in alg.blocks:
+            # A block holds a_(v,j), for j its orbit's t-th coordinate, at v p + t.
+            p = st.index.shape[1] // w_n
+            slot = slice(w * p, (w + 1) * p)
+            prods[:, st.index[:, slot, None] % k, st.index[:, None]] = (
+                st.table[:, slot] @ rows[:, st.index][:, :, None, :, None])[..., 0]
+        if not span_contains(rows, prods.reshape(-1, cp.dim), tol):
+            return False
+    return True
+
+
+def grouped_rows(rows: np.ndarray, k: int) -> np.ndarray:
+    """Coefficient rows (., |W| k), each in one column block (., i), as
+    CrossedProduct.is_ideal takes them: (k, r, |W|), the rows of each i in
+    order in its first slots, zeros after."""
+    w_n = rows.shape[1] // k
+    blocks = rows.reshape(len(rows), w_n, k)
+    touched = np.abs(blocks).max(axis=1, initial=0.0) > 0                # [row, i]
+    assert (touched.sum(axis=1) == 1).all(), "a row spans two column blocks"
+    i = touched.argmax(axis=1)
+    slot = np.array([np.count_nonzero(i[:n] == i[n]) for n in range(len(i))], dtype=np.intp)
+    out = np.zeros((k, max(slot.max(initial=-1) + 1, 1), w_n), dtype=complex)
+    out[i, slot] = blocks[np.arange(len(rows)), :, i]
+    return out
 
 # -- the dense action path -----------------------------------------------------
 

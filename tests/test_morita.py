@@ -2,6 +2,7 @@
 import inspect
 
 import numpy as np
+import oracles
 import pytest
 
 from equivaria import morita
@@ -17,6 +18,7 @@ from equivaria.morita import (
 )
 from equivaria.systems import (
     AlgebraAction,
+    CrossedProduct,
     EquivariantSystem,
     anticomplete_point_system,
     trivial_system,
@@ -222,6 +224,39 @@ def test_morita_tolerance_reaches_the_cuts_of_j_and_c(monkeypatch):
         seen.clear()
         assert verify_morita_theorem(z2_line_system(2), tol=tol).ok
         assert sorted(seen) == [("_point_spans", tol), ("c_ideal", tol)]
+
+
+def test_c_ideal_takes_its_tolerance_as_it_is(monkeypatch):
+    """c_ideal passes `tol` to scalar_subgroups and to C's ideal check
+    unchanged; they were held at 1e-8 or above."""
+    seen = []
+    scalar, is_ideal = morita.scalar_subgroups, CrossedProduct.is_ideal
+    monkeypatch.setattr(morita, "scalar_subgroups",
+                        lambda sys, tol=1e-8: seen.append(("scalar", tol)) or scalar(sys, tol))
+    monkeypatch.setattr(CrossedProduct, "is_ideal",
+                        lambda self, rows, tol=1e-8: seen.append(("ideal", tol))
+                        or is_ideal(self, rows, tol))
+    cid = c_ideal(z2xz2_line_system(1), tol=1e-10)
+    assert 0 < cid.dim < cid.cp.dim
+    assert seen == [("scalar", 1e-10), ("ideal", 1e-10)]
+
+
+def test_is_ideal_rejects_a_row_tilted_out_of_c():
+    """One row of C_x tilted by 1e-6 toward a function that is not constant
+    on W'_x's cosets leaves an ideal: is_ideal rejects it at tol 1e-8 and
+    accepts it at 1e-4, as the dense per-element loop does."""
+    cid = c_ideal(z2xz2_line_system(1))
+    x = int(np.argmin(cid.ranks))
+    assert cid.ranks[x] < cid.by_point.shape[2]
+    rows = cid.by_point.copy()
+    a, b = np.flatnonzero(rows[x, 0])[:2]          # two elements of one coset
+    rows[x, 0, a] += 1e-6 / np.sqrt(2)
+    rows[x, 0, b] -= 1e-6 / np.sqrt(2)
+    rows[x, 0] /= np.linalg.norm(rows[x, 0])
+    dense = morita.CIdeal(cid.system, cid.cp, rows, cid.ranks).rows
+    for tol, expected in ((1e-8, False), (1e-4, True)):
+        assert cid.cp.is_ideal(rows, tol) == expected
+        assert oracles.crossed_is_ideal_loop(cid.cp, dense, tol) == expected
 
 
 def test_morita_tolerance_reaches_every_cut_of_the_cli(monkeypatch, capsys):

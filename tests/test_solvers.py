@@ -11,8 +11,10 @@ their components in a few contractions, the Green-Julg check finds both of
 its spans in coefficient space, every module is held by the carrier components its builder states, which are the
 components oracles.carrier_components finds in its dense tensors, with its
 inner values as coefficients in B's basis (checked against the dense values
-its builder used to form), `is_ideal` tests whole stacks
-of products and `is_irreducible` reads the character norm.  A
+its builder used to form), `is_ideal` tests rows grouped by point one
+block at a time, as the per-element loop over dense rows decides, and C
+held by its points reads back as its whole rows bit for bit, and
+`is_irreducible` reads the character norm.  A
 CrossedProduct's coefficients are orthonormal coordinates of its algebra,
 one block per W-orbit of B's blocks: its product table, star table, traces,
 unit and norms
@@ -1048,10 +1050,16 @@ def test_is_ideal_matches_product_loop():
              (*embedded_ideal(proper), True), (diag, embedded_algebra(cp), False)]
     for ideal, alg, expected in cases:
         assert is_ideal(ideal, alg) == is_ideal_loops(ideal, alg) == expected
-    # The crossed-product cases, in coefficients.
-    assert cid.dim == cid.cp.dim and cid.cp.is_ideal(cid.rows)
-    assert proper.cp.is_ideal(proper.rows)
-    assert not cp.is_ideal(orthonormal_rows(np.eye(cp.dim)[:k]))
+    # The crossed-product cases, in coefficients grouped by point, and their
+    # dense rows through the per-w product loop.
+    diag_rows = orthonormal_rows(np.eye(cp.dim)[:k])
+    for crossed, rows, grouped, expected in (
+            (cid.cp, cid.rows, cid.by_point, True), (proper.cp, proper.rows, proper.by_point, True),
+            (cp, diag_rows, oracles.grouped_rows(diag_rows, k), False)):
+        assert crossed.is_ideal(grouped) == oracles.crossed_is_ideal_loop(crossed, rows) == expected
+    assert cid.dim == cid.cp.dim
+    assert np.array_equal(oracles.grouped_rows(proper.rows, proper.system.n_points),
+                          proper.by_point[:, :proper.ranks.max()])
 
 
 def test_one_sided_ideals_are_not_ideals():
@@ -1069,7 +1077,8 @@ def test_one_sided_ideals_are_not_ideals():
                             (cp.algebra.multiply(units, p), False), (units, True)):
         rows = orthonormal_rows(prods)
         assert rows.shape[0] == (4 if expected else 2)
-        assert cp.is_ideal(rows) == expected
+        assert cp.is_ideal(oracles.grouped_rows(rows, 2)) == expected
+        assert oracles.crossed_is_ideal_loop(cp, rows) == expected
         dense = embedded_algebra(cp)
         n = dense.ambient_dim
         embedded = flatten(dense.element(prods))
@@ -1647,6 +1656,44 @@ def test_point_local_spans_match_the_whole_ambient_cut(label):
     assert verdict.gaps == tuple((x, j_x[x], c_x[x]) for x in range(x_n) if j_x[x] < c_x[x])
 
 
+def c_rows_whole(sys, scalar):
+    """C's coefficient rows as c_ideal built them whole, one (dim, |W| |X|)
+    array sorted by point and by the least element of each coset."""
+    g = sys.group
+    w_n, x_n = g.order, sys.n_points
+    least = np.where(scalar.wprime_mask[:, :, None], g.mul[None], w_n).min(axis=1)
+    points, first = np.divmod(np.unique(least + w_n * np.arange(x_n)[:, None]), w_n)
+    members = least[points] == first[:, None]
+    rows = np.zeros((points.size, w_n, x_n), dtype=complex)
+    rows[np.arange(points.size), :, points] = members / np.sqrt(members.sum(axis=1, keepdims=True))
+    return rows.reshape(points.size, -1)
+
+
+def right_cosets(sys):
+    """Per point, the right cosets W'_x w of every w, as element lists."""
+    g, wprime = sys.group, morita.scalar_subgroups(sys).wprime
+    return [[[int(g.mul[u, w]) for u in wprime[x]] for w in g.elements()]
+            for x in range(sys.n_points)]
+
+
+C_POINTS = ([f"z2-line-{n}" for n in range(1, 13)] + [f"dihedral-grid-{r}" for r in (1, 2, 3)]
+            + [f"z2xz2-line-{n}" for n in (1, 2, 3)] + ["anticomplete-point"])
+
+
+@pytest.mark.parametrize("label", C_POINTS)
+def test_c_by_point_is_the_whole_rows_bit_for_bit(label):
+    """C held point by point reads back, through CIdeal.rows, as the whole
+    coefficient rows bit for bit, and its rows are built only when read."""
+    sys = morita_system(label)
+    cid = c_ideal(sys)
+    assert "rows" not in cid.__dict__
+    assert cid.by_point.shape == (sys.n_points, sys.group.order, sys.group.order)
+    assert np.array_equal(cid.ranks, [len(set(map(frozenset, cosets)))
+                                      for cosets in right_cosets(sys)])
+    assert np.array_equal(cid.rows, c_rows_whole(sys, morita.scalar_subgroups(sys)))
+    assert cid.dim == cid.rows.shape[0]
+
+
 def prescribed_matrix(values, size, seed=0):
     """A size x size matrix diag(values) V* for a random unitary V, so row i
     is values[i] v_i*."""
@@ -1739,8 +1786,11 @@ def scalar_subgroups_loop(sys, tol=1e-8):
             if trivial_on_wp and multiplicity(i_rep, rho) == 0:
                 ok = False
         by_point.append(ok)
+    mask = np.zeros((sys.n_points, sys.group.order), dtype=bool)
+    for x, elems in enumerate(wprime):
+        mask[x, list(elems)] = True
     return morita.ScalarStructure(sys, tuple(stabs), tuple(scalars), tuple(values),
-                                  tuple(wprime), normalisation_ok, all(by_point),
+                                  tuple(wprime), mask, normalisation_ok, all(by_point),
                                   tuple(by_point))
 
 
@@ -1779,6 +1829,8 @@ def test_scalar_subgroups_match_the_point_loop(label):
         for name in ("stabilizers", "scalar_elements", "wprime", "normalisation_ok",
                      "completeness_ok", "completeness_by_point"):
             assert getattr(fast, name) == getattr(loop, name), name
+        assert np.array_equal(fast.wprime_mask, loop.wprime_mask)
+        assert fast.wprime_mask.dtype == bool and not fast.wprime_mask.flags.writeable
         assert all(len(a) == len(b) and close(np.array(a), np.array(b), 1e-14)
                    for a, b in zip(fast.scalar_values, loop.scalar_values))
 
@@ -1840,6 +1892,8 @@ def test_scalar_subgroups_match_the_irreps_oracle_on_planted_cocycles(
         for name in ("stabilizers", "scalar_elements", "wprime", "normalisation_ok",
                      "completeness_ok", "completeness_by_point"):
             assert getattr(fast, name) == getattr(loop, name), name
+        assert np.array_equal(fast.wprime_mask, loop.wprime_mask)
+        assert fast.wprime_mask.dtype == bool and not fast.wprime_mask.flags.writeable
         assert all(len(a) == len(b) and close(np.array(a), np.array(b), 1e-12)
                    for a, b in zip(fast.scalar_values, loop.scalar_values))
     for x, stab in enumerate(fast.stabilizers):
@@ -2057,9 +2111,8 @@ def test_splitting_check_names_the_first_failure_of_the_loop(label):
     for wprime in subgroups:
         for trial in range(6):
             # Toggle a few stabilizer elements in or out of some W'_x.
-            wp = morita._wprime_mask(scalar.wprime, g.order).T ^ (
-                (rng.random(stab.shape) < 0.1 * trial) & stab)
-            moved = dataclasses.replace(scalar, wprime=tuple(
+            wp = scalar.wprime_mask.T ^ ((rng.random(stab.shape) < 0.1 * trial) & stab)
+            moved = dataclasses.replace(scalar, wprime_mask=wp.T, wprime=tuple(
                 tuple(np.flatnonzero(wp[:, x]).tolist()) for x in range(sys.n_points)))
             failures = splitting_failures_loop(sys, moved, wprime)
             try:
@@ -2597,10 +2650,17 @@ def test_reduction_links_match_the_loops(label):
     g = sys.group
     sys_p, u_sub = systems.restrict_system(sys, wprime)
     v_sub = g.subgroup(r)
-    rows = c_ideal(sys_p).rows
+    cid = c_ideal(sys_p)
     w_of = outer_product_of(scalar_translation_action(sys), wprime, r)[1]
-    assert np.array_equal(morita._transported_rows(w_of, rows),
-                          transported_rows_loop(g, u_sub, v_sub, rows, sys.n_points))
+    # Each image keeps its row's point: grouped by point, the loop's images
+    # are the nonzero rows of the per-point transport, in order (v, h).
+    images = morita._transported_points(w_of, cid.by_point)
+    loop = oracles.grouped_rows(
+        transported_rows_loop(g, u_sub, v_sub, cid.rows, sys.n_points), sys.n_points)
+    for x in range(sys.n_points):
+        mine = images[x][images[x].any(axis=1)]
+        assert len(mine) == v_sub.group.order * cid.ranks[x]
+        assert np.array_equal(mine, loop[x, :len(mine)]) and not loop[x, len(mine):].any()
     eq, u_rows = quotient_module(sys, wprime, r)
     action, gamma, maps = quotient_module_loops(sys, wprime, r, u_rows)
     assert close(tensors(eq.base)[0], action) and close(dense_gamma(eq), gamma)
