@@ -16,14 +16,13 @@ import numpy as np
 
 from .datasets import DATASET_DESCRIPTIONS, bundled, dataset_names
 from .groups import BUILTIN_GROUPS, FiniteGroup, builtin_group
-from .linalg import check_tol
-from .matalg import SplitError
+from .linalg import SplitError, check_tol
 from .morita import (
     assemble_toy_dual,
     semidirect_reduction,
     verify_morita_theorem,
 )
-from .reps import DegenerateSplitError, enumerate_irreps
+from .reps import enumerate_irreps
 from .serialize import SCHEMA, ParseError, complex_to_json, parse_document
 from .spectrum import wedderburn_crosscheck
 from .systems import EquivariantSystem
@@ -348,7 +347,7 @@ def main(argv=None) -> int:
     except (InputError, ParseError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT
-    except (ValueError, SplitError, DegenerateSplitError) as exc:
+    except (ValueError, SplitError) as exc:
         print(f"verification error: {exc}", file=_sys.stderr)
         return EXIT_VERIFICATION
     except MemoryError:

@@ -32,10 +32,10 @@ import numpy as np
 from .groups import FiniteGroup
 from .linalg import (
     DEFAULT_TOL,
+    block_cut,
     check_tol,
     homomorphism_defect,
     orthonormal_rows,
-    rank_threshold,
     row_residuals,
     span_contains,
     spans_equal,
@@ -352,25 +352,22 @@ def _compact_rows(parts, m: int, tol: float) -> tuple[np.ndarray, float, np.ndar
     pairs `pairs` (_pairs), and the margin of their cut, as
     compact_operators describes."""
     pairs = _pairs(parts, m)
-    blocks = []      # (values, right singular vectors, each block's pair positions)
-    for st in parts:
-        g, s = st.carrier.shape
-        _, sv, vh = np.linalg.svd(_rank_one_maps(st.action, st.inner).reshape(g, s * s, s * s),
-                                  full_matrices=False)
-        blocks.append((sv.ravel(), vh.reshape(-1, s * s),
-                       np.searchsorted(pairs, _flat_pairs(st.carrier, m))))
-    values = np.concatenate([sv for sv, _, _ in blocks] + [[]])
-    threshold = rank_threshold(values, tol)
-    rows = np.zeros((int(np.sum(values > threshold)), pairs.size), dtype=complex)
+    cuts = block_cut([_rank_one_maps(st.action, st.inner).reshape(
+        len(st.carrier), st.carrier.shape[1] ** 2, -1) for st in parts], tol)
+    values = np.concatenate([sv.ravel() for sv, _, _ in cuts] + [[]])
+    mask = np.concatenate([keep.ravel() for _, _, keep in cuts] + [[]]).astype(bool)
+    rows = np.zeros((int(mask.sum()), pairs.size), dtype=complex)
     offset = 0
-    for sv, vh, at in blocks:
+    for st, (_, vh, keep) in zip(parts, cuts):
+        at = np.searchsorted(pairs, _flat_pairs(st.carrier, m))
         # Value i of one stack comes from component i // s^2.
-        kept = np.flatnonzero(sv > threshold)
-        rows[offset + np.arange(kept.size)[:, None], at[kept // at.shape[1]]] = vh[kept]
+        kept = np.flatnonzero(keep)
+        rows[offset + np.arange(kept.size)[:, None], at[kept // at.shape[1]]] = \
+            vh.reshape(-1, vh.shape[-1])[kept]
         offset += kept.size
-    dropped = values[values <= threshold].max(initial=0.0)
+    dropped = values[~mask].max(initial=0.0)
     margin = np.inf if rows.shape[0] == 0 or dropped == 0.0 \
-        else float(values[values > threshold].min() / dropped)
+        else float(values[mask].min() / dropped)
     return rows, margin, pairs
 
 
@@ -396,10 +393,9 @@ def is_full(e: FDHilbertModule, tol: float = 1e-8) -> bool:
     """Is span{<xi|eta>} all of B, its rank cut at `tol`?  Two components'
     values lie in disjoint pairs and coordinates, so the singular values of
     the components' values together are those of the whole (m^2, dim B)."""
-    check_tol(tol)
-    values = np.concatenate([np.linalg.svd(st.inner.reshape(len(st.carrier), -1, st.inner.shape[3]),
-                                           compute_uv=False).ravel() for st in e.parts] + [[]])
-    return int(np.sum(values > rank_threshold(values, tol))) == e.algebra.dim
+    cuts = block_cut([st.inner.reshape(len(st.carrier), -1, st.inner.shape[3])
+                      for st in e.parts], tol)
+    return sum(int(keep.sum()) for _, _, keep in cuts) == e.algebra.dim
 
 
 # -- equivariant modules -------------------------------------------------------
@@ -607,7 +603,7 @@ def invariant_compacts_rows(eq: EquivariantModule,
     gens = list(eq.group.generators())
     if not gens:
         return rows
-    solves = []       # (singular values, right singular vectors, the orbit's rows)
+    comms, sels = [], []      # each orbit's commutator matrix and rows
     for st, idx, gamma in _orbits(eq):
         car = st.carrier[idx]
         local = rows[:, np.searchsorted(eq.base.pairs, _flat_pairs(car, eq.base.carrier_dim))]
@@ -620,11 +616,11 @@ def invariant_compacts_rows(eq: EquivariantModule,
         mats = mats.reshape(sel.size, n * s, n * s)
         gamma = gamma[gens][:, None]
         comm = (gamma @ mats - mats @ gamma).transpose(0, 2, 3, 1)               # [g, p, q, i]
-        _, sv, vh = np.linalg.svd(comm.reshape(-1, sel.size), full_matrices=False)
-        solves.append((sv, vh, sel))
-    threshold = rank_threshold(np.concatenate([sv for sv, _, _ in solves] + [[]]), tol)
-    return np.concatenate([vh[np.sum(sv > threshold):].conj() @ rows[sel]
-                           for sv, vh, sel in solves] + [rows[:0]])
+        comms.append(comm.reshape(-1, sel.size))
+        sels.append(sel)
+    return np.concatenate([vh[keep.sum():].conj() @ rows[sel]
+                           for (_, vh, keep), sel in zip(block_cut(comms, tol), sels)]
+                          + [rows[:0]])
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,14 @@ DEFAULT_TOL = 1e-9
 _SPAN_SLAB = 1 << 20
 # Entries from which a wide matrix is reduced by QR before its SVD.
 _WIDE_REDUCTION = 1500
+# The eigenvalue gaps that a seeded random split tries in turn, each with a
+# fresh draw: 1e-7, doubled on each retry.
+SPLIT_GAPS = tuple(1e-7 * 2.0 ** i for i in range(8))
+
+
+class SplitError(RuntimeError):
+    """A seeded random split failed at every gap of SPLIT_GAPS, or what it
+    split off failed its checks."""
 
 
 def flatten(mats: np.ndarray) -> np.ndarray:
@@ -77,6 +85,19 @@ def rank_threshold(values: np.ndarray, tol: float) -> float:
     """tol max(s_0, 1) for the singular values `values` of one matrix, s_0
     the largest: the dense rule keeps the values above it."""
     return tol * max(float(np.max(values, initial=0.0)), 1.0)
+
+
+def block_cut(blocks, tol: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(s, vh, keep) for each stack (..., m, n) of the diagonal blocks of one
+    block-diagonal matrix: the stack's batched SVD, and the mask of the
+    singular values that the dense rule keeps on the whole matrix,
+    s > tol max(s_0, 1) with s_0 the largest over all stacks.  The kept rows
+    vh[keep] span the blocks' row spaces; where n <= m the dropped ones,
+    conjugated, span their kernels."""
+    check_tol(tol)
+    svds = [np.linalg.svd(b, full_matrices=False)[1:] for b in blocks]
+    threshold = rank_threshold(np.concatenate([s.ravel() for s, _ in svds] + [[]]), tol)
+    return [(s, vh, s > threshold) for s, vh in svds]
 
 
 def nullspace_rows(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -27,12 +27,14 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    SPLIT_GAPS,
+    SplitError,
+    block_cut,
     check_tol,
     cluster_values,
     component_labels,
     flatten,
     orthonormal_rows,
-    rank_threshold,
     span_contains,
     unflatten,
 )
@@ -40,10 +42,6 @@ from .linalg import (
 
 class AlgebraError(ValueError):
     pass
-
-
-class SplitError(RuntimeError):
-    """Randomized central splitting failed after bounded retries."""
 
 
 # Complex entries of products held at once by span_tables.
@@ -279,13 +277,12 @@ def _central(alg: MatrixStarAlgebra, tol: float) -> list[tuple[np.ndarray, np.nd
     """Per stack, (vecs, keep): rows vecs[b, t] of block b's coordinates
     and the mask keep (g, s) of those that span its center, the kernel of
     c -> <b_l, [sum_i c_i b_i, b_j]>.  A's commutator matrix is block
-    diagonal with these blocks, so one cut at its scale, tol max(s_0, 1)
-    over all blocks, keeps the kernel the dense rule keeps.
+    diagonal with these blocks, so one cut at its scale (block_cut) keeps
+    the kernel the dense rule keeps.
     """
-    svds = [np.linalg.svd((st.table - st.table.transpose(0, 3, 2, 1)).reshape(
-        len(st.index), -1, st.index.shape[1]), full_matrices=False)[1:] for st in alg.blocks]
-    threshold = rank_threshold(np.concatenate([s.ravel() for s, _ in svds] + [[]]), tol)
-    return [(vh.conj(), s <= threshold) for s, vh in svds]
+    return [(vh.conj(), ~keep) for _, vh, keep in block_cut(
+        [(st.table - st.table.transpose(0, 3, 2, 1)).reshape(len(st.index), -1, st.index.shape[1])
+         for st in alg.blocks], tol)]
 
 
 def _center_rows(alg: MatrixStarAlgebra, tol: float) -> np.ndarray:
@@ -334,10 +331,6 @@ class BlockStructure:
         return sorted(b.size for b in self.blocks)
 
 
-# Central splittings tried per stack by block_decompose, each with a doubled gap.
-_SPLIT_ATTEMPTS = 8
-
-
 def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
                     tol: float = DEFAULT_TOL) -> BlockStructure:
     """Minimal central projections and per-block (size, multiplicity).
@@ -348,7 +341,8 @@ def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
     clusters of its Hermitian part must number the dimension of the block's
     center, and each spans a block ideal A p of dimension n^2, where p, the
     projection of the unit conj(tr b_k) onto it, must be idempotent.  The
-    multiplicity is trace(p) / n.  A failed stack retries with doubled gap.
+    multiplicity is trace(p) / n.  A failed stack redraws at the next gap
+    of SPLIT_GAPS, and SplitError is raised when none is left.
     """
     check_tol(tol)
     rng = np.random.default_rng(seed)
@@ -357,8 +351,7 @@ def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
     for st, (vecs, keep) in zip(alg.blocks, _central(alg, tol)):
         g, s = st.index.shape
         unit = st.traces.conj()[..., None]
-        gap = 1e-7
-        for _ in range(_SPLIT_ATTEMPTS):
+        for gap in SPLIT_GAPS:
             draws = rng.standard_normal((2, g, 1, s))
             lz = st.regular((((draws[0] + 1j * draws[1]) * keep[:, None]) @ vecs)[:, 0])
             evals, evecs = np.linalg.eigh((lz + lz.conj().swapaxes(1, 2)) / 2.0)
@@ -373,7 +366,6 @@ def block_decompose(alg: MatrixStarAlgebra, seed: int = 0,
             used = n2 > 0
             if np.array_equal(used.sum(axis=0), keep.sum(axis=1)) and not (bad & used).any():
                 break
-            gap *= 2.0
         else:
             raise SplitError("central splitting failed; reseed or loosen tolerance")
         mult = np.rint((p * st.traces).sum(axis=-1).real / np.maximum(n, 1)).astype(int)

@@ -62,8 +62,8 @@ from .hilbmod import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    block_cut,
     check_tol,
-    rank_threshold,
     row_residuals,
     span_contains,
 )
@@ -326,11 +326,9 @@ def _averaged_point_blocks(eq: EquivariantModule) -> np.ndarray:
 
 def _point_spans(blocks: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """(rows, ranks): orthonormal rows (|X|, r, |W|) of each block's row
-    span, dropped rows set to zero, from one batched SVD.  The cut is the
-    dense rule's, s > tol max(s_0, 1), with s_0 the largest singular value
-    over all blocks: the whole matrix's."""
-    _, s, vh = np.linalg.svd(blocks, full_matrices=False)
-    keep = s > rank_threshold(s, tol)
+    span, dropped rows set to zero, from one batched SVD cut at the whole
+    matrix's scale (block_cut)."""
+    (_, vh, keep), = block_cut([blocks], tol)
     return vh * keep[..., None], keep.sum(axis=1)
 
 

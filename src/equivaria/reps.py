@@ -5,9 +5,10 @@ the commutant of the regular representation (seeded), splitting its
 eigenspaces, and recursing until every piece has a one-dimensional
 commutant.  The character table alone is read off the center of C[G], with
 one eigenproblem of the size of the number of conjugacy classes and no
-representation split.  Both routes share one canonical order (by
-dimension, then by character vector) and its labels, which everything
-downstream treats as fixed.
+representation split.  Both routes draw at each gap of linalg.SPLIT_GAPS
+in turn and raise linalg.SplitError when none separates.  They share one
+canonical order (by dimension, then by character vector) and its labels,
+which everything downstream treats as fixed.
 """
 from __future__ import annotations
 
@@ -18,6 +19,8 @@ import numpy as np
 from .groups import FiniteGroup
 from .linalg import (
     DEFAULT_TOL,
+    SPLIT_GAPS,
+    SplitError,
     check_tol,
     cluster_values,
     homomorphism_defect,
@@ -28,10 +31,6 @@ from .linalg import (
 
 class RepError(ValueError):
     pass
-
-
-class DegenerateSplitError(RuntimeError):
-    """Random commutant splitting failed after bounded retries."""
 
 
 @dataclass(frozen=True)
@@ -140,40 +139,29 @@ def _character_keys(chars: np.ndarray, decimals: int = 8) -> list[tuple[float, .
     return [tuple(row) for row in pairs.reshape(len(pairs), -1).tolist()]
 
 
-# Commutant splittings tried by _split_rep, each with a doubled gap.
-_SPLIT_ATTEMPTS = 8
-
-
 def _split_rep(rep: UnitaryRep, rng: np.random.Generator, tol: float) -> list[UnitaryRep]:
     """Split a unitary rep into irreducible pieces (with multiplicity)."""
     if rep.dim == 0:
         return []
     if is_irreducible(rep):
         return [rep]
-    gap = 1e-7
-    for attempt in range(_SPLIT_ATTEMPTS):
+    for gap in SPLIT_GAPS:
         t = commutant_project(rep, random_hermitian(rep.dim, rng))
         t = (t + t.conj().T) / 2.0
         evals, evecs = np.linalg.eigh(t)
         labels = cluster_values(evals, gap)
         clusters = [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
         if len(clusters) <= 1:
-            gap *= 2.0
             continue
         pieces = []
-        ok = True
         for idx in clusters:
-            q = evecs[:, idx]
-            sub = rep.restrict_to_subspace(q)
+            sub = rep.restrict_to_subspace(evecs[:, idx])
             if sub.homomorphism_residual() > tol * max(sub.dim, 1) * 10:
-                ok = False
                 break
             pieces.extend(_split_rep(sub, rng, tol))
-        if ok:
+        else:
             return pieces
-        gap *= 2.0
-    raise DegenerateSplitError(
-        "could not split representation; raise the tolerance or reseed")
+    raise SplitError("could not split representation; raise the tolerance or reseed")
 
 
 def _canonical_order(dims, chars) -> tuple[list[int], list[str]]:
@@ -207,7 +195,7 @@ def enumerate_irreps(group: FiniteGroup, seed: int = 0,
     irreps = list(by_char.values())
     total = sum(r.dim ** 2 for r in irreps)
     if total != group.order:
-        raise DegenerateSplitError(
+        raise SplitError(
             f"irrep dimensions square-sum to {total}, expected {group.order}")
     order, labels = _canonical_order([r.dim for r in irreps],
                                      [r.character() for r in irreps])
@@ -228,9 +216,9 @@ def character_table(group: FiniteGroup, seed: int = 0,
     e_chi as eigenvectors: unit vectors v_chi[k] = conj chi(C_k)
     sqrt(|C_k| / |G|), up to a phase fixed by v_chi[e] > 0.  One eigh of
     the Hermitian part finds them when its eigenvalues are apart; a draw
-    with two closer than the gap is redrawn, as in _split_rep.
-    DegenerateSplitError is raised when no draw separates them, or when
-    the characters fail integral degrees summing in squares to |G|, or
+    with two closer than the gap is redrawn at the next gap of SPLIT_GAPS,
+    as in _split_rep.  SplitError is raised when no draw separates them, or
+    when the characters fail integral degrees summing in squares to |G|, or
     Schur orthogonality, within tol |G|.
     """
     check_tol(tol)
@@ -247,16 +235,14 @@ def character_table(group: FiniteGroup, seed: int = 0,
     # [i, k, j]: c[i, j, k] sqrt(|C_k| / |C_j|), the action of C_i on the center.
     act = (pairs.reshape(r, r, r).transpose(0, 2, 1) / (root[:, None] * root)).reshape(r, -1)
     rng = np.random.default_rng(seed)
-    gap = 1e-7
-    for _ in range(_SPLIT_ATTEMPTS):
+    for gap in SPLIT_GAPS:
         a = rng.standard_normal(r) + 1j * rng.standard_normal(r)
         z = (a @ act).reshape(r, r)
         evals, vecs = np.linalg.eigh((z + z.conj().T) / 2.0)
         if np.all(np.diff(evals) > gap * max(1.0, np.abs(evals).max())):
             break
-        gap *= 2.0
     else:
-        raise DegenerateSplitError(
+        raise SplitError(
             "could not separate the central characters; raise the tolerance or reseed")
     vecs = vecs * (np.abs(vecs[0]) / vecs[0])
     degrees = np.sqrt(n) * vecs[0].real
@@ -265,7 +251,7 @@ def character_table(group: FiniteGroup, seed: int = 0,
     schur = np.abs(chars @ chars.conj().T / n - np.eye(r)).max()
     if not (np.abs(degrees - dims).max() <= tol * n and np.sum(dims ** 2) == n
             and schur <= tol * n):
-        raise DegenerateSplitError(
+        raise SplitError(
             "the central characters are no character table; raise the tolerance or reseed")
     order, labels = _canonical_order(dims.tolist(), chars)
     return labels, chars[order]

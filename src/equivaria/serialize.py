@@ -158,14 +158,6 @@ def system_from_json(data: dict) -> EquivariantSystem:
         raise ParseError(f"invalid system: {exc}") from exc
 
 
-def document_to_json(obj) -> dict:
-    if isinstance(obj, FiniteGroup):
-        return group_to_json(obj)
-    if isinstance(obj, EquivariantSystem):
-        return system_to_json(obj)
-    raise ParseError(f"cannot serialize object of type {type(obj).__name__}")
-
-
 def parse_document(text: str):
     """Parse a JSON document into a group, system, or component list.
 
@@ -208,7 +200,3 @@ def _elements(data: dict, key: str, group: FiniteGroup) -> list[int]:
     if any(not 0 <= e < group.order for e in elems):
         raise ParseError(f"{key!r} names an element outside a group of order {group.order}")
     return elems
-
-
-def dumps_document(obj) -> str:
-    return canonical_dumps(document_to_json(obj))

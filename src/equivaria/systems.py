@@ -36,10 +36,10 @@ import numpy as np
 from .groups import FiniteGroup, Subgroup, semidirect_decomposition
 from .linalg import (
     DEFAULT_TOL,
+    block_cut,
     check_tol,
     homomorphism_defect,
     orthonormal_rows,
-    rank_threshold,
     span_contains,
     spans_equal,
 )
@@ -347,7 +347,7 @@ def _least_point_kernels(orbits: Orbits, unitaries, n: int, tol: float):
     (U_s - 1)_(s in W_x), unitaries(stab, xs) giving U (|stab|, len(xs), n, n),
     at each orbit's least point, base[r] being vector r's, in order of least
     points.  One SVD is batched over the least points of each stabilizer
-    and cut at s <= tol max(s_0, 1), s_0 the batch's largest value."""
+    and cut on its own (block_cut): s_0 is the batch's largest value."""
     least = orbits.least
     vecs, base = [np.zeros((0, n), dtype=complex)], [np.zeros(0, dtype=np.intp)]
     for stab, points in orbits.by_stabilizer:
@@ -355,8 +355,8 @@ def _least_point_kernels(orbits: Orbits, unitaries, n: int, tol: float):
         if not xs.size:
             continue
         op = (unitaries(stab, xs) - np.eye(n)).transpose(1, 0, 2, 3).reshape(len(xs), -1, n)
-        _, s, vh = np.linalg.svd(op, full_matrices=False)
-        at, j = np.nonzero(s <= rank_threshold(s, tol))
+        (_, vh, keep), = block_cut([op], tol)
+        at, j = np.nonzero(~keep)
         vecs.append(vh[at, j].conj())
         base.append(xs[at])
     order = np.argsort(np.concatenate(base), kind="stable")

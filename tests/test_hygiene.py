@@ -21,6 +21,10 @@ optimized path where it has no BLAS form.  Finally, X's orbits and
 stabilizers are derived in one place, `EquivariantSystem.orbits`: no other
 code of `src/` takes a minimum of an action table or compares one with
 `==` or `!=`, the forms that read orbit minima and stabilizer masks off it.
+Likewise the numerical cuts live in `linalg`: no other module of `src/`
+references `rank_threshold` (block rank cuts go through `block_cut`),
+defines a count of split attempts or doubles a gap (random splits try the
+gaps of `SPLIT_GAPS`).
 """
 import ast
 from pathlib import Path
@@ -43,8 +47,6 @@ REACH_EXEMPT = {
     "reps.equivariant_maps": "solved by SpectrumEntry.basis for realize_irrep, ROADMAP item 6",
     "reps.trivial_rep": "fixture of the equivariant_maps oracle",
     "reps.commutant_dimension": "oracle of is_irreducible",
-    "serialize.document_to_json": "writer that the parse_document round-trip tests use",
-    "serialize.dumps_document": "writer that the parse_document round-trip tests use",
     "spectrum.SpectrumEntry.basis": "read by realize_irrep, ROADMAP item 6",
     "spectrum.realize_irrep": "ROADMAP item 6",
     "spectrum.realized_commutant_dim": "check of realize_irrep's irreducibility, ROADMAP item 6",
@@ -255,3 +257,52 @@ def test_only_the_system_derives_orbits_and_stabilizers():
     # once it is no longer exempt.
     assert any(name.startswith("orbits:") for name in
                orbit_reads(PACKAGE / "systems.py", exempt=False))
+
+
+def names(target) -> list[str]:
+    """The names an assignment target binds."""
+    return [node.id for node in ast.walk(target) if isinstance(node, ast.Name)]
+
+
+def doubles_a_gap(node) -> bool:
+    """`gap *= c`, `gap = gap * c` (or `c * gap`) for a name holding "gap",
+    or a power 2 ** k."""
+    if isinstance(node, ast.AugAssign):
+        return isinstance(node.op, ast.Mult) and any("gap" in n.lower() for n in names(node.target))
+    if isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp) \
+            and isinstance(node.value.op, ast.Mult):
+        bound = {n for target in node.targets for n in names(target) if "gap" in n.lower()}
+        return any(isinstance(side, ast.Name) and side.id in bound
+                   for side in (node.value.left, node.value.right))
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) \
+        and isinstance(node.left, ast.Constant) and node.left.value == 2
+
+
+def numerical_cuts(tree: ast.Module) -> list[str]:
+    """kind:line of each reference to rank_threshold, each assignment to a
+    name holding "attempt" and each doubled gap in the tree."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "rank_threshold" or \
+                isinstance(node, ast.Attribute) and node.attr == "rank_threshold":
+            found.add(f"rank_threshold:{node.lineno}")
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any("attempt" in n.lower() for target in targets for n in names(target)):
+                found.add(f"attempts:{node.lineno}")
+        if doubles_a_gap(node):
+            found.add(f"gap:{node.lineno}")
+    return sorted(found)
+
+
+def test_only_linalg_cuts_ranks_and_schedules_splits():
+    found = {path.name: cuts for path in sorted(PACKAGE.glob("*.py"))
+             if path.stem != "linalg" and (cuts := numerical_cuts(parse(path)))}
+    assert found == {}
+    # The guard sees the forms: linalg's own, and the hand-written schedule.
+    assert {cut.split(":")[0] for cut in numerical_cuts(parse(PACKAGE / "linalg.py"))} == \
+        {"rank_threshold", "gap"}
+    schedule = ast.parse("_SPLIT_ATTEMPTS = 8\ngap = 1e-7\n"
+                         "for attempt in range(_SPLIT_ATTEMPTS):\n    gap *= 2.0\n"
+                         "    gap = 2 * gap\n    cut = rank_threshold(s, tol)\n")
+    assert numerical_cuts(schedule) == ["attempts:1", "gap:4", "gap:5", "rank_threshold:6"]

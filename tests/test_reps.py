@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from equivaria import reps
 from equivaria.groups import (
     BUILTIN_GROUPS,
     builtin_group,
@@ -12,8 +11,8 @@ from equivaria.groups import (
     quaternion,
     symmetric,
 )
+from equivaria.linalg import SPLIT_GAPS, SplitError
 from equivaria.reps import (
-    DegenerateSplitError,
     character_inner,
     character_table,
     commutant_dimension,
@@ -144,12 +143,12 @@ def test_character_table_redraws_a_degenerate_draw(monkeypatch):
 
 
 def test_character_table_raises_when_no_draw_separates(monkeypatch):
-    draws = first_draws_zero(monkeypatch, 2 + 2 * reps._SPLIT_ATTEMPTS)
+    draws = first_draws_zero(monkeypatch, 2 + 2 * len(SPLIT_GAPS))
     # The trivial group has one class: z = 0 has nothing to separate.
     assert character_table(builtin_group("trivial"))[0] == ["1d0"]
-    with pytest.raises(DegenerateSplitError, match="could not separate"):
+    with pytest.raises(SplitError, match="could not separate"):
         character_table(builtin_group("S3"))
-    assert len(draws) == 2 + 2 * reps._SPLIT_ATTEMPTS
+    assert len(draws) == 2 + 2 * len(SPLIT_GAPS)
 
 
 def test_character_table_refuses_mixed_central_characters(monkeypatch):
@@ -167,5 +166,5 @@ def test_character_table_refuses_mixed_central_characters(monkeypatch):
         return evals, vecs
 
     monkeypatch.setattr(np.linalg, "eigh", mixed)
-    with pytest.raises(DegenerateSplitError, match="no character table"):
+    with pytest.raises(SplitError, match="no character table"):
         character_table(builtin_group("S3"))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equivaria import cli, matalg, morita, systems
+from equivaria import cli, linalg, matalg, morita, reps, systems
 from equivaria.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFICATION, main
 from equivaria.datasets import bundled, dataset_names
 from equivaria.groups import builtin_group, symmetric
@@ -38,9 +38,9 @@ from equivaria.serialize import (
     canonical_dumps,
     complex_array_from_json,
     complex_array_to_json,
-    document_to_json,
-    dumps_document,
+    group_to_json,
     parse_document,
+    system_to_json,
 )
 from equivaria.spectrum import (
     classify_irreps,
@@ -62,21 +62,21 @@ def test_complex_codec_roundtrip():
 def test_group_roundtrip_byte_identical():
     for name in ("Z2", "S3", "D8"):
         g = builtin_group(name)
-        text = dumps_document(g)
+        text = canonical_dumps(group_to_json(g))
         g2 = parse_document(text)
         assert g2.order == g.order
         assert np.array_equal(g2.mul, g.mul)
-        assert dumps_document(g2) == text
+        assert canonical_dumps(group_to_json(g2)) == text
 
 
 def test_system_roundtrip_byte_identical():
     for name in ("z2-line", "dihedral-plane", "anticomplete-point"):
         sys = bundled(name)
-        text = dumps_document(sys)
+        text = canonical_dumps(system_to_json(sys))
         sys2 = parse_document(text)
         assert sys2.n_points == sys.n_points
         assert np.abs(sys2.cocycle - sys.cocycle).max() < 1e-15
-        assert dumps_document(sys2) == text
+        assert canonical_dumps(system_to_json(sys2)) == text
 
 
 def test_complex_codec_rejects_malformed_arrays():
@@ -113,7 +113,7 @@ def test_parse_rejects_bad_documents():
 
 def test_system_with_reduction_extras():
     sys = z2_line_system(1)
-    doc = document_to_json(sys)
+    doc = system_to_json(sys)
     doc["wprime"] = [0]
     doc["r"] = [0, 1]
     parsed, extras = parse_document(canonical_dumps(doc))
@@ -127,7 +127,7 @@ SPLITTING = {"wprime": [0, 2], "r": [0, 1]}
 
 
 def half_splitting_document(half: str) -> str:
-    return canonical_dumps({**document_to_json(z2xz2_line_system(2)), half: SPLITTING[half]})
+    return canonical_dumps({**system_to_json(z2xz2_line_system(2)), half: SPLITTING[half]})
 
 
 @pytest.mark.parametrize("half", sorted(SPLITTING))
@@ -149,7 +149,7 @@ def test_cli_morita_rejects_half_a_splitting(half, tmp_path, capsys):
 def test_components_document():
     sys = z2_line_system(1)
     doc = {"schema": "equivaria/1", "kind": "components",
-           "components": [{"system": document_to_json(sys),
+           "components": [{"system": system_to_json(sys),
                            "wprime": [0], "r": [0, 1]}]}
     comps = parse_document(canonical_dumps(doc))
     assert len(comps) == 1
@@ -281,7 +281,7 @@ def test_cli_parser_is_built_once_and_keeps_its_defaults():
 def malformed_documents() -> list[dict]:
     """Documents that parse as JSON but not as an equivaria input."""
     def system(**fields):
-        return {**document_to_json(z2_line_system(1)), **fields}
+        return {**system_to_json(z2_line_system(1)), **fields}
 
     def components(*entries):
         return {"schema": "equivaria/1", "kind": "components", "components": list(entries)}
@@ -305,7 +305,7 @@ def malformed_documents() -> list[dict]:
         {"kind": "group", "mul": [[0, 1], [1, 1.7]]},
         system(wprime=[0.9], r=[0, 1]),
         components({**entry, "r": ["1", 0]}),
-        {**document_to_json(bundled("anticomplete-point")), "fiber_dim": True},   # d = 1
+        {**system_to_json(bundled("anticomplete-point")), "fiber_dim": True},   # d = 1
         {"kind": "group", "mul": [[0, 1], [1, 10 ** 30]]},          # no machine integer
     ]
 
@@ -364,6 +364,7 @@ TOLERANT = {
     "is_full": lambda tol: is_full(function_module(z2_line_system(2)), tol),
     "invariant_compacts_rows": lambda tol: invariant_compacts_rows(
         *with_compacts(equivariant_function_module(z2_line_system(2))), tol),
+    "block_cut": lambda tol: linalg.block_cut([np.eye(2)[None]], tol),
 }
 
 
@@ -424,16 +425,21 @@ def test_cli_unreadable_input_file_is_an_input_error(tmp_path, capsys):
 
 
 def test_cli_failed_splitting_is_a_one_line_verification_error(capsys, monkeypatch):
-    """When no split attempt succeeds, the central splitting gives up with
-    a message and exit 1, not a traceback."""
-    monkeypatch.setattr(matalg, "_SPLIT_ATTEMPTS", 0)
-    assert main(["spectrum", "--input", "z2-line"]) == EXIT_VERIFICATION
-    err = capsys.readouterr().err
-    assert err.startswith("verification error: ") and len(err.splitlines()) == 1
+    """When no split attempt succeeds, the central splitting and the
+    representation splitting give up with a message and exit 1, not a
+    traceback."""
+    for module, argv in ((matalg, ["spectrum", "--input", "z2-line"]),
+                         (reps, ["irreps", "--input", "S3"])):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "SPLIT_GAPS", ())
+            assert main(argv) == EXIT_VERIFICATION
+        err = capsys.readouterr().err
+        assert err.startswith("verification error: ") and len(err.splitlines()) == 1
+        assert "split" in err
 
 
 def test_cli_rejects_corrupted_cocycle(tmp_path, capsys):
-    doc = document_to_json(z2_line_system(1))
+    doc = system_to_json(z2_line_system(1))
     doc["cocycle"][1][0][0][0] = [3.0, 0.0]   # no longer unitary
     path = tmp_path / "corrupt.json"
     path.write_text(canonical_dumps(doc))
@@ -446,7 +452,7 @@ def test_cli_rejects_a_nan_cocycle_entry(tmp_path, capsys, command):
     """A NaN entry passes every bound written `norm > bound`: spectrum
     then exited 1 with "basis is not orthonormal" and morita with "SVD did
     not converge"."""
-    doc = document_to_json(bundled("z2-line"))
+    doc = system_to_json(bundled("z2-line"))
     doc["cocycle"][1][0][0][0] = [float("nan"), 0.0]
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(doc))
@@ -455,7 +461,7 @@ def test_cli_rejects_a_nan_cocycle_entry(tmp_path, capsys, command):
 
 
 def test_cli_rejects_a_ragged_cocycle(tmp_path, capsys):
-    doc = document_to_json(z2_line_system(1))
+    doc = system_to_json(z2_line_system(1))
     doc["cocycle"][1][0][0].append([0.0, 0.0])   # a row of three entries
     path = tmp_path / "ragged.json"
     path.write_text(canonical_dumps(doc))
@@ -482,7 +488,7 @@ def test_cli_morita_reports_the_gap_points(capsys):
 
 def test_cli_roundtrip_file_input(tmp_path, capsys):
     path = tmp_path / "line.json"
-    path.write_text(dumps_document(z2_line_system(1)))
+    path.write_text(canonical_dumps(system_to_json(z2_line_system(1))))
     assert main(["spectrum", "--input", str(path), "--format", "text"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS" in out

@@ -68,8 +68,10 @@ batched `EquivariantModule.validate` names the first failure its sample
 loop names, on mutants too.  The Morita witness draws its eight samples at
 once, as its loop drew them, and flags mutant left actions as the loop does;
 the unit, the projection of 1, is the least-squares unit of the table;
-alpha_w's one scatter is the per-point Kronecker loop exactly; and a wide
-cut reduced by QR keeps the rank and span of the direct SVD.
+alpha_w's one scatter is the per-point Kronecker loop exactly; a wide
+cut reduced by QR keeps the rank and span of the direct SVD; and
+`block_cut`, given the diagonal blocks of a block-diagonal matrix, keeps
+the rank, row span and kernel that the dense cut keeps on the whole.
 """
 import copy
 import dataclasses
@@ -80,7 +82,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import oracles
 from oracles import (
     Dense,
@@ -134,8 +136,10 @@ from equivaria.hilbmod import (
     trivial_equivariant_module,
 )
 from equivaria.linalg import (
+    block_cut,
     flatten,
     intertwiner_rows,
+    nullspace_rows,
     orthonormal_rows,
     row_residuals,
     span_contains,
@@ -1381,7 +1385,7 @@ def block_decompose_dense(alg, seed=0, tol=1e-9):
                 blocks.sort(key=lambda b: (b.size, -np.trace(b.projection).real))
                 return matalg.BlockStructure(alg, tuple(blocks))
         gap *= 2.0
-    raise matalg.SplitError("dense split failed")
+    raise linalg.SplitError("dense split failed")
 
 
 def corner_block_sum():
@@ -3141,6 +3145,72 @@ def test_reduced_wide_cut_matches_the_direct_svd(label, monkeypatch):
     assert cut.shape[0] == direct.shape[0] == rank
     assert spans_equal(cut, direct, 1e-12)
     assert np.abs(cut @ cut.conj().T - np.eye(cut.shape[0])).max(initial=0.0) < 1e-12
+
+
+# Singular values of the blocks given to block_cut: each at least 100x
+# from every threshold tol max(s_0, 1) at tol 1e-9 that they can set
+# (1e-9 or 1e-3), so a block SVD and the dense one agree on every cut.
+BLOCK_VALUES = (0.0, 1e-5, 1.0, 1e6)
+# At its own scale the 1e-5 block is kept; at the whole matrix's, 1e-3, not.
+FAR_BELOW = [(1, 3, 3, (1e6,)), (2, 4, 2, (1e-5,))]
+
+
+def block_stacks(specs, seed):
+    """Stacks (g, m, n) of blocks U diag(values) V*, U and V orthonormal,
+    for specs (g, m, n, magnitudes): each value drawn from the magnitudes."""
+    rng = np.random.default_rng(seed)
+    stacks = []
+    for g, m, n, magnitudes in specs:
+        blocks = []
+        for _ in range(g):
+            values = rng.choice(magnitudes, min(m, n))
+            blocks.append(wide_matrix(m, n, values, int(rng.integers(2 ** 32))) if m <= n
+                          else wide_matrix(n, m, values, int(rng.integers(2 ** 32))).conj().T)
+        stacks.append(np.array(blocks))
+    return stacks
+
+
+def placed_rows(stacks, rows_of):
+    """The rows rows_of(i, b) of block b of each stack i, placed at that
+    block's columns of the block-diagonal matrix of the stacks."""
+    width = sum(s.shape[0] * s.shape[2] for s in stacks)
+    out, col = [np.zeros((0, width), dtype=complex)], 0
+    for i, stack in enumerate(stacks):
+        for b in range(stack.shape[0]):
+            rows = rows_of(i, b)
+            placed = np.zeros((rows.shape[0], width), dtype=complex)
+            placed[:, col:col + stack.shape[2]] = rows
+            out.append(placed)
+            col += stack.shape[2]
+    return np.concatenate(out)
+
+
+@settings(settings.get_profile("derandomized"), max_examples=60)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+                          st.sampled_from([BLOCK_VALUES[:1], BLOCK_VALUES[1:2], BLOCK_VALUES[2:3],
+                                           BLOCK_VALUES[3:], BLOCK_VALUES])), max_size=3),
+       st.integers(0, 2 ** 32 - 1))
+@example([], 0)
+@example([(2, 3, 2, (0.0,))], 0)
+@example(FAR_BELOW, 1)
+def test_block_cut_keeps_what_the_dense_cut_keeps(specs, seed):
+    stacks, tol = block_stacks(specs, seed), 1e-9
+    cuts = block_cut(stacks, tol)
+    dense = np.zeros((sum(s.shape[0] * s.shape[1] for s in stacks),
+                      sum(s.shape[0] * s.shape[2] for s in stacks)), dtype=complex)
+    row = col = 0
+    for stack in stacks:
+        for block in stack:
+            dense[row:row + block.shape[0], col:col + block.shape[1]] = block
+            row, col = row + block.shape[0], col + block.shape[1]
+    kept = placed_rows(stacks, lambda i, b: cuts[i][1][b][cuts[i][2][b]])
+    span = orthonormal_rows(dense, tol)
+    assert kept.shape[0] == span.shape[0] and spans_equal(kept, span, 1e-8)
+    if all(s.shape[2] <= s.shape[1] for s in stacks):
+        kernel = placed_rows(stacks, lambda i, b: cuts[i][1][b][~cuts[i][2][b]].conj())
+        assert spans_equal(kernel, nullspace_rows(dense, tol), 1e-8)
+    if specs == FAR_BELOW:
+        assert not cuts[1][2].any() and cuts[0][2].all()
 
 
 # -- permutation actions, checked and crossed by index ------------------------
