@@ -273,11 +273,3 @@ def isotypic_projection(pi: UnitaryRep, rho: UnitaryRep) -> np.ndarray:
         raise RepError("representations belong to different groups")
     weights = rho.dim * rho.character().conj() / pi.group.order
     return np.tensordot(weights, pi.matrices, axes=1)
-
-
-def equivariant_maps(rho: UnitaryRep, pi: UnitaryRep,
-                     tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of HS(rho, pi)^W, as (count, dim pi, dim rho)."""
-    check_tol(tol)
-    rows = intertwiner_space(rho, pi, tol)
-    return rows.reshape(-1, pi.dim, rho.dim)

@@ -7,32 +7,27 @@ pi_{x,rho}(k): s -> k(x) s.  The dimension of that space is the
 multiplicity of rho in I_x, read off the stabilizer's character table,
 which comes from the center of C[W_x] (reps.character_table); the orbits
 that share a stabilizer (EquivariantSystem.orbits) share its table.  No
-representation of W_x is split and no equivariant map is solved until an
-entry's basis is read.
+representation of W_x is split and no equivariant map is solved: an entry
+keeps rho's character, and the traces of pi_{x,rho} are read off it.
 The module cross-checks the classification against the Wedderburn block
-structure and produces limit certificates for closed-form cocycle families
-(the finite stand-in for Fell-topology limit points, detected through
-matrix-coefficient convergence).
+structure, label by label, and produces limit certificates for
+closed-form cocycle families (the finite stand-in for Fell-topology limit
+points, detected through matrix-coefficient convergence).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .groups import Subgroup
 from .linalg import DEFAULT_TOL, check_tol
-from .matalg import block_decompose, generate
-from .reps import (
-    UnitaryRep,
-    character_table,
-    enumerate_irreps,
-    equivariant_maps,
-)
+from .matalg import BlockStructure, block_decompose
+from .reps import character_table
 from .systems import (
     ClosedFormFamily,
     EquivariantSystem,
+    FixedPointAlgebra,
     fixed_point_algebra,
 )
 
@@ -45,10 +40,9 @@ class SpectrumError(ValueError):
 class SpectrumEntry:
     """One irreducible: orbit representative, stabilizer irrep, dimension.
 
-    `dim` is the multiplicity of the irrep labeled `rho_label` in
-    `cocycle`, the representation w -> I_{w,x} of the stabilizer at
-    `point`.  The entry holds neither: `rho`, `cocycle` and `basis` are
-    built, at `seed` and `tol`, on first access only.
+    `dim` is the multiplicity, in the representation w -> I_{w,x} of the
+    stabilizer at `point`, of the irrep labeled `rho_label`, whose
+    character on the (reindexed) stabilizer is `character`, read-only.
     """
 
     orbit: tuple[int, ...]
@@ -56,35 +50,11 @@ class SpectrumEntry:
     stabilizer: Subgroup
     rho_label: str             # label of rho among the stabilizer's irreps
     dim: int                   # dim HS(rho, I_x)^{W_x}
-    system: EquivariantSystem = field(repr=False)
-    seed: int = 0
-    tol: float = DEFAULT_TOL
+    character: np.ndarray = field(repr=False, compare=False)
 
     @property
     def label(self) -> str:
         return f"x{self.point}:{self.rho_label}"
-
-    @cached_property
-    def rho(self) -> UnitaryRep:
-        """The irrep of the (reindexed) stabilizer labeled `rho_label`,
-        from enumerate_irreps at the entry's seed and tolerance."""
-        irreps = enumerate_irreps(self.stabilizer.group, seed=self.seed, tol=self.tol)
-        return next(rho for rho in irreps if rho.label == self.rho_label)
-
-    @cached_property
-    def cocycle(self) -> UnitaryRep:
-        """I_x on the stabilizer."""
-        return stabilizer_rep(self.system, self.point, self.stabilizer)[1]
-
-    @cached_property
-    def basis(self) -> np.ndarray:
-        """(dim, d, dim rho) orthonormal equivariant maps; SpectrumError
-        unless there are `dim` of them."""
-        maps = equivariant_maps(self.rho, self.cocycle, self.tol)
-        if maps.shape[0] != self.dim:
-            raise SpectrumError(f"{self.label}: {maps.shape[0]} equivariant maps "
-                                f"for multiplicity {self.dim}")
-        return maps
 
 
 @dataclass(frozen=True)
@@ -95,15 +65,6 @@ class SpectrumDescription:
 
     def dims(self) -> list[int]:
         return sorted(e.dim for e in self.entries)
-
-
-def stabilizer_rep(sys: EquivariantSystem, x: int,
-                   sub: Subgroup | None = None) -> tuple[Subgroup, UnitaryRep]:
-    """The representation w -> I_{w,x} of the stabilizer of point x;
-    `sub`, when given, must be that stabilizer."""
-    if sub is None:
-        sub = sys.group.subgroup(sys.orbits.stabilizers[x])
-    return sub, UnitaryRep(sub.group, sys.cocycle[list(sub.embedding), x], label=f"I@x{x}")
 
 
 # A multiplicity this far from an integer means I_x is no representation.
@@ -137,6 +98,7 @@ def classify_irreps(sys: EquivariantSystem, seed: int = 0,
         key = sub.group.mul.tobytes()
         if key not in tables:
             tables[key] = character_table(sub.group, seed=seed, tol=tol)
+            tables[key][1].setflags(write=False)
         labels, chars = tables[key]
         traces = np.trace(sys.cocycle[np.ix_(sub.embedding, xs)], axis1=-2, axis2=-1)
         mults = (chars.conj() @ traces).real / len(stab)               # [rho, x]
@@ -144,47 +106,12 @@ def classify_irreps(sys: EquivariantSystem, seed: int = 0,
         worst = max(worst, float(np.abs(mults - counts).max()))
         at = np.searchsorted(representatives, xs).tolist()             # x's orbit
         for x, o, column in zip(xs.tolist(), at, counts.T.astype(int).tolist()):
-            entries += [SpectrumEntry(orbits.members[o], x, sub, label, n, sys, seed, tol)
-                        for label, n in zip(labels, column) if n > 0]
+            entries += [SpectrumEntry(orbits.members[o], x, sub, label, n, chi)
+                        for label, chi, n in zip(labels, chars, column) if n > 0]
     if worst >= _INTEGRALITY_LIMIT:
         raise SpectrumError(f"a stabilizer multiplicity lies {worst:.3g} from an integer: "
                             "the cocycle is not a representation")
     return SpectrumDescription(sys, tuple(sorted(entries, key=lambda e: e.point)), worst)
-
-
-def realize_irrep(sys: EquivariantSystem, entry: SpectrumEntry,
-                  tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Matrices of pi_{x,rho}(k): s -> k(x) s on the entry's basis.
-
-    Returns one dim x dim matrix per basis element of the fixed-point
-    algebra, in its order, read off its value k(x) at the entry's point x:
-    zero off x's orbit O, and on it the value at x, O's least point,
-    carried by I_{e,x} and divided by sqrt|O|, as FixedPointAlgebra carries
-    it.  Verified *-homomorphism with scalar commutant by the caller or
-    test suite.
-    """
-    check_tol(tol)
-    fpa = fixed_point_algebra(sys, tol)
-    x, u = entry.point, sys.cocycle[0, entry.point]
-    at, on = np.zeros_like(fpa.values), fpa.least == x
-    at[on] = u @ fpa.values[on] @ u.conj().T / np.sqrt(len(entry.orbit))
-    s = entry.basis  # (m, d, r)
-    # [k, n, a, r]: k(x) s_n; then contracted with conj(s_m) over (a, r).
-    moved = at[:, None] @ s[None]
-    return np.tensordot(moved, s.conj(), axes=([2, 3], [1, 2])).transpose(0, 2, 1)
-
-
-def realized_commutant_dim(mats: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """dim of the commutant in M_N of the algebra the N x N matrices
-    generate, read off its blocks (block_decompose): C^N is the sum of m_i
-    copies of each block's irreducible C^(n_i) and of the z-dimensional
-    common kernel, z = N - sum n_i m_i, so the commutant is the sum of the
-    M_(m_i) and M_z, of dimension sum m_i^2 + z^2 (1 iff irreducible)."""
-    check_tol(tol)
-    n = mats.shape[1]
-    blocks = block_decompose(generate(mats, ambient_dim=n, tol=tol).algebra, tol=tol).blocks
-    kernel = n - sum(b.size * b.multiplicity for b in blocks)
-    return sum(b.multiplicity ** 2 for b in blocks) + kernel ** 2
 
 
 @dataclass(frozen=True)
@@ -195,21 +122,77 @@ class WedderburnVerdict:
     algebra_dim: int
     sum_of_squares: int
     spectrum: SpectrumDescription   # the classification the check compared
+    labels_paired: bool             # rounded P pairs entries and blocks of one size
+    label_distance: float           # largest distance of an entry of P from its integer
 
     @property
     def integrality_distance(self) -> float:
         return self.spectrum.integrality_distance
 
     def diff(self) -> str:
-        return (f"spectrum dims {list(self.spectrum_dims)} vs "
+        text = (f"spectrum dims {list(self.spectrum_dims)} vs "
                 f"block sizes {list(self.block_sizes)}; "
                 f"sum of squares {self.sum_of_squares} vs dim {self.algebra_dim}")
+        if not self.labels_paired or self.label_distance >= _INTEGRALITY_LIMIT:
+            text += f"; entries and blocks unpaired at distance {self.label_distance:.3g}"
+        return text
+
+
+def _label_pairing(desc: SpectrumDescription, fpa: FixedPointAlgebra,
+                   structure: BlockStructure) -> tuple[bool, float]:
+    """Pair the entries with the blocks p_i by their traces.
+
+    k(x) commutes with I_x(W_x), so tr pi_{x,rho}(k) = tr(k(x) I_x(e_rho)) /
+    dim rho with e_rho = (dim rho / |W_x|) sum_s conj chi_rho(s) s (Serre,
+    2.6), and P[(x, rho), i] = sum_s conj chi_rho(s) tr(p_i(x) I_{s,x}) /
+    (|W_x| dim(x, rho)) is 1 when p_i acts as the identity on pi_{x,rho}
+    and 0 when it acts as zero.  p_i lives on one orbit, so P is formed at
+    the pairs of one least point x only, with p_i(x) read off the algebra's
+    values there, part @ values[index] / sqrt|O|.  The weights
+    conj chi_rho(s) / |W_x| are set one stabilizer at a time and vanish off
+    W_x, so each p_i(x) is traced against every I_{w,x} in one batch.
+    Returns whether rounded P is a permutation that pairs each entry with a
+    block of its own size, and P's largest distance from its rounding.
+    """
+    sys, entries, blocks = desc.system, desc.entries, structure.blocks
+    index = np.concatenate([b.index for b in blocks])
+    starts = np.cumsum([0] + [len(b.index) for b in blocks[:-1]])
+    bp = fpa.least[index[starts]]                                     # p_i's point
+    proj = np.add.reduceat(np.concatenate([b.part for b in blocks])[:, None, None]
+                           * fpa.values[index], starts)
+    proj /= np.sqrt(np.bincount(sys.orbits.least)[bp])[:, None, None]   # p_i(x)
+    traces = (sys.cocycle[:, bp].swapaxes(-2, -1) * proj).sum(axis=(-2, -1)).T   # [i, w]
+    ep = np.array([e.point for e in entries], dtype=np.intp)
+    dims = np.array([e.dim for e in entries], dtype=np.intp)
+    batches: dict[tuple[int, ...], list[int]] = {}
+    for j, e in enumerate(entries):
+        batches.setdefault(e.stabilizer.embedding, []).append(j)
+    weights = np.zeros((len(entries), sys.group.order), dtype=complex)   # [e, w]
+    for stab, batch in batches.items():
+        chars = np.array([entries[j].character for j in batch])
+        weights[np.ix_(batch, stab)] = chars.conj() / len(stab)
+    # The pairs (entry, block) of one point: each entry against its point's run of blocks.
+    order = np.argsort(bp, kind="stable")
+    lo, hi = np.searchsorted(bp[order], ep), np.searchsorted(bp[order], ep, "right")
+    count = hi - lo
+    e_of = np.repeat(np.arange(len(entries)), count)
+    b_of = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
+    p = (weights[e_of] * traces[b_of]).sum(axis=-1) / dims[e_of]
+    rounded = np.rint(p.real)
+    one = rounded == 1
+    paired = bool((one | (rounded == 0)).all()
+                  and (np.bincount(e_of[one], minlength=len(entries)) == 1).all()
+                  and (np.bincount(b_of[one], minlength=len(blocks)) == 1).all()
+                  and (dims[e_of[one]] == np.array([b.size for b in blocks])[b_of[one]]).all())
+    return paired, float(np.abs(p - rounded).max(initial=0.0))
 
 
 def wedderburn_crosscheck(sys: EquivariantSystem, seed: int = 0,
                           tol: float = DEFAULT_TOL) -> WedderburnVerdict:
-    """The classification must reproduce the block structure exactly; the
-    verdict carries the classification it compared."""
+    """The classification must reproduce the block structure exactly: the
+    sorted dims must be the sorted block sizes, and the labels must pair
+    with the blocks (_label_pairing) within the multiplicities' limit of
+    1/4.  The verdict carries the classification it compared."""
     check_tol(tol)
     desc = classify_irreps(sys, seed=seed, tol=tol)
     fpa = fixed_point_algebra(sys, tol)
@@ -217,8 +200,9 @@ def wedderburn_crosscheck(sys: EquivariantSystem, seed: int = 0,
     dims = tuple(desc.dims())
     sizes = tuple(blocks.sizes())
     total = sum(d * d for d in dims)
-    ok = dims == sizes and total == fpa.dim
-    return WedderburnVerdict(ok, dims, sizes, fpa.dim, total, desc)
+    paired, distance = _label_pairing(desc, fpa, blocks)
+    ok = dims == sizes and total == fpa.dim and paired and distance < _INTEGRALITY_LIMIT
+    return WedderburnVerdict(ok, dims, sizes, fpa.dim, total, desc, paired, distance)
 
 
 # -- Fell-limit certificates -------------------------------------------------
@@ -256,15 +240,18 @@ def _default_profiles(center):
     ]
 
 
-def _family_invariant_value(family: ClosedFormFamily, h, point) -> np.ndarray:
-    """k(x) for k = (1/|W|) sum_w alpha_w(h), evaluated from closed forms."""
-    g = family.group
-    acc = np.zeros((family.fiber_dim, family.fiber_dim), dtype=complex)
+def _coefficients(family: ClosedFormFamily, profiles, xi0: np.ndarray, point) -> np.ndarray:
+    """<xi0 | k(x) xi0> at x = point for each test element k = (1/|W|)
+    sum_w alpha_w(prof E_ij), in the order (profile, i, j), evaluated from
+    closed forms: alpha_w(h)(x) = I_{w,w^-1 x} h(w^-1 x) I_{w^-1,x}."""
+    g, acc = family.group, 0.0
     for w in g.elements():
         w_inv = g.inverse(w)
         pre = family.point_map(w_inv, point)
-        acc += family.cocycle_at(w, pre) @ h(pre) @ family.cocycle_at(w_inv, point)
-    return acc / g.order
+        left = xi0.conj() @ family.cocycle_at(w, pre)
+        right = family.cocycle_at(w_inv, point) @ xi0
+        acc = acc + np.multiply.outer([prof(pre) for prof in profiles], np.outer(left, right))
+    return np.ravel(acc) / g.order
 
 
 def fell_limit_certificate(family: ClosedFormFamily, sequence, point, rho_label: str,
@@ -307,34 +294,14 @@ def fell_limit_certificate(family: ClosedFormFamily, sequence, point, rho_label:
     evals, evecs = np.linalg.eigh((proj + proj.conj().T) / 2.0)
     xi0 = evecs[:, -1]
 
-    d = family.fiber_dim
-    tests = []
-    for prof in _default_profiles(canon):
-        for i in range(d):
-            for j in range(d):
-                def h(p, prof=prof, i=i, j=j):
-                    out = np.zeros((d, d), dtype=complex)
-                    out[i, j] = prof(p)
-                    return out
-                tests.append(h)
-
+    profiles = _default_profiles(canon)
     seq = tuple(float(x) for x in np.asarray(sequence, dtype=float))
-    cand_values = []
-    for h in tests:
-        k0 = _family_invariant_value(family, h, canon)
-        cand_values.append(complex(np.vdot(xi0, k0 @ xi0)))
-    residuals = []
-    scale = 1.0
-    for x_n in seq:
-        worst = 0.0
-        for h, cand in zip(tests, cand_values):
-            kx = _family_invariant_value(family, h, family._canon(x_n))
-            val = complex(np.vdot(xi0, kx @ xi0))
-            scale = max(scale, abs(val), abs(cand))
-            worst = max(worst, abs(val - cand))
-        residuals.append(worst)
+    cand_values = _coefficients(family, profiles, xi0, canon)
+    values = [_coefficients(family, profiles, xi0, family._canon(x_n)) for x_n in seq]
+    residuals = [float(np.abs(v - cand_values).max()) for v in values]
+    scale = max(float(np.abs([cand_values, *values]).max()), 1.0)
     tail = residuals[-tail_length:]
     accepted = len(residuals) >= tail_length and all(r < tol * scale for r in tail)
     return LimitCertificate(family.name, seq, canon, rho_label,
-                            tuple(cand_values), tuple(residuals), accepted,
+                            tuple(cand_values.tolist()), tuple(residuals), accepted,
                             tail_length)

@@ -50,6 +50,8 @@ of matalg.is_separating's ranks.  The builtin groups of `equivaria` are
 table formulas; here they are built from element tuples and compose rules
 (symmetric_from_permutations, dihedral_from_pairs, quaternion_from_units,
 direct_product_from_pairs), one product at a time (table_from_elements).
+The representation w -> I_{w,x} of a point's stabilizer (stabilizer_rep),
+which the spectrum never builds, is built here for the irreps-based loops.
 """
 import itertools
 import math
@@ -59,7 +61,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from equivaria.groups import FiniteGroup
+from equivaria.groups import FiniteGroup, Subgroup
 from equivaria.hilbmod import Carried, Components, FDHilbertModule
 from equivaria.linalg import (
     DEFAULT_TOL,
@@ -87,7 +89,7 @@ from equivaria.matalg import (
     restricted_algebra,
     span_tables,
 )
-from equivaria.reps import regular_rep
+from equivaria.reps import UnitaryRep, regular_rep
 from equivaria.systems import (
     CrossedProduct,
     EquivariantSystem,
@@ -931,3 +933,9 @@ def quaternion_from_units() -> FiniteGroup:
         return (a[0] * b[0] * s, u)
 
     return FiniteGroup(table_from_elements(elems, compose, (1, "1")), name="Q8")
+
+
+def stabilizer_rep(sys: EquivariantSystem, x: int) -> tuple[Subgroup, UnitaryRep]:
+    """The stabilizer of point x and its representation w -> I_{w,x}."""
+    sub = sys.group.subgroup(sys.orbits.stabilizers[x])
+    return sub, UnitaryRep(sub.group, sys.cocycle[list(sub.embedding), x], label=f"I@x{x}")

@@ -19,7 +19,6 @@ from equivaria.matalg import (
     is_separating,
 )
 from equivaria.reps import enumerate_irreps, regular_rep
-from equivaria.spectrum import realized_commutant_dim
 from oracles import (
     Dense,
     commutant,
@@ -319,9 +318,20 @@ def test_separation_and_commutants_match_the_dense_oracle(blocks, pad, seed, kin
         blocks = [(blocks[0][0], 1 + pick % 2)] + blocks
     sub, alg = planted_pair(blocks, pad, seed, kind, pick)
     assert is_separating(sub, alg, seed) == dense_is_separating(sub, alg, seed)
-    assert realized_commutant_dim(sub.mats) == commutant(sub).dim
+    assert commutant_dim_of_blocks(sub) == commutant(sub).dim
     # A's commutant on C^N is (+)_i M_(m_i) (+) M_pad.
-    assert realized_commutant_dim(alg.mats) == sum(m * m for _, m in blocks) + pad * pad
+    assert commutant_dim_of_blocks(alg) == sum(m * m for _, m in blocks) + pad * pad
+
+
+def commutant_dim_of_blocks(span: MatrixSpan) -> int:
+    """dim of the commutant in M_N of a span's algebra, read off its blocks
+    (block_decompose): C^N is the sum of m_i copies of each block's
+    irreducible C^(n_i) and of the z-dimensional common kernel,
+    z = N - sum n_i m_i, so the commutant is the sum of the M_(m_i) and
+    M_z, of dimension sum m_i^2 + z^2."""
+    blocks = block_decompose(span.algebra).blocks
+    kernel = span.ambient_dim - sum(b.size * b.multiplicity for b in blocks)
+    return sum(b.multiplicity ** 2 for b in blocks) + kernel ** 2
 
 
 def diagonal_span(*rows):

@@ -17,13 +17,11 @@ from equivaria.reps import (
     character_table,
     commutant_dimension,
     enumerate_irreps,
-    equivariant_maps,
     intertwiner_space,
     is_irreducible,
     isotypic_projection,
     multiplicity,
     regular_rep,
-    trivial_rep,
 )
 
 # Irrep dimension multisets known from the classical character tables.
@@ -76,15 +74,6 @@ def test_regular_rep_multiplicities():
         assert np.abs(p @ p - p).max() < 1e-10
         total += p
     assert np.abs(total - np.eye(g.order)).max() < 1e-10
-
-
-def test_equivariant_maps_oracle():
-    g = builtin_group("Z2")
-    irreps = enumerate_irreps(g)
-    sign = next(r for r in irreps if abs(r.character()[1] + 1) < 1e-9)
-    triv = trivial_rep(g)
-    assert equivariant_maps(sign, triv).shape[0] == 0
-    assert equivariant_maps(triv, triv).shape[0] == 1
 
 
 # The builtins and the larger groups of the benchmark's irreps workload.

@@ -29,7 +29,6 @@ from equivaria.reps import (
     character_table,
     commutant_dimension,
     enumerate_irreps,
-    equivariant_maps,
     intertwiner_space,
     trivial_rep,
 )
@@ -45,8 +44,6 @@ from equivaria.serialize import (
 from equivaria.spectrum import (
     classify_irreps,
     fell_limit_certificate,
-    realize_irrep,
-    realized_commutant_dim,
     wedderburn_crosscheck,
 )
 from equivaria.systems import z2_line_family, z2_line_system, z2xz2_line_system
@@ -340,11 +337,7 @@ TOLERANT = {
     "enumerate_irreps": lambda tol: enumerate_irreps(builtin_group("S3"), tol=tol),
     "character_table": lambda tol: character_table(symmetric(4), tol=tol),
     "intertwiner_space": lambda tol: intertwiner_space(*[trivial_rep(builtin_group("Z2"))] * 2, tol),
-    "equivariant_maps": lambda tol: equivariant_maps(*[trivial_rep(builtin_group("Z2"))] * 2, tol),
     "commutant_dimension": lambda tol: commutant_dimension(trivial_rep(builtin_group("Z2")), tol),
-    "realize_irrep": lambda tol: realize_irrep(
-        z2_line_system(2), classify_irreps(z2_line_system(2)).entries[0], tol),
-    "realized_commutant_dim": lambda tol: realized_commutant_dim(np.eye(2)[None], tol),
     # x_n = 2 stays 2 from the origin; at tol 5 its residual 1.0 was accepted.
     "fell_limit_certificate": lambda tol: fell_limit_certificate(
         z2_line_family(), [2.0] * 20, 0.0, "1d0", tol=tol),
@@ -365,6 +358,11 @@ TOLERANT = {
     "invariant_compacts_rows": lambda tol: invariant_compacts_rows(
         *with_compacts(equivariant_function_module(z2_line_system(2))), tol),
     "block_cut": lambda tol: linalg.block_cut([np.eye(2)[None]], tol),
+    "center": lambda tol: matalg.center(systems.fixed_point_algebra(z2_line_system(2)), tol),
+    "crossed_product": lambda tol: systems.crossed_product(
+        scalar_translation_action(z2_line_system(2)), tol),
+    "EquivariantModule.validate":
+        lambda tol: equivariant_function_module(z2_line_system(1)).validate(tol),
 }
 
 

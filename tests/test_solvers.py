@@ -119,7 +119,7 @@ from oracles import (
 from test_hilbmod import compacts_algebra
 from test_reps import assert_table_is_the_irreps
 
-from equivaria import cli, groups, hilbmod, linalg, matalg, morita, spectrum, systems
+from equivaria import cli, groups, hilbmod, linalg, matalg, morita, reps, spectrum, systems
 from equivaria.datasets import bundled
 from equivaria.groups import BUILTIN_GROUPS, builtin_group, cyclic, dihedral, symmetric
 from equivaria.hilbmod import (
@@ -166,7 +166,6 @@ from equivaria.reps import (
     character_table,
     commutant_dimension,
     enumerate_irreps,
-    equivariant_maps,
     intertwiner_space,
     is_irreducible,
     multiplicity,
@@ -1471,7 +1470,7 @@ def test_spectrum_command_classifies_once(monkeypatch, capsys):
     # The spy is bound in cli too, so a direct call from there is counted.
     classified = counting_spy(monkeypatch, [spectrum, cli], "classify_irreps")
     tabled = counting_spy(monkeypatch, [spectrum], "character_table")
-    enumerated = counting_spy(monkeypatch, [spectrum], "enumerate_irreps")
+    enumerated = counting_spy(monkeypatch, [reps], "enumerate_irreps")
     assert cli.main(["spectrum", "--input", "z2-line", "--format", "json"]) == 0
     assert len(classified) == 1 and len(tabled) == 2
     assert '"spectrum_dims"' in capsys.readouterr().out
@@ -1481,12 +1480,12 @@ def test_spectrum_command_classifies_once(monkeypatch, capsys):
     desc = spectrum.classify_irreps(plane)
     stabs = {plane.orbits.stabilizers[x] for x in plane.orbits.representatives}
     assert len(tabled) == 5 and len(stabs) == 4 and enumerated == []
-    # The rho behind an entry's basis is the irrep of its stabilizer's
-    # table with the entry's label.
+    # An entry's character is the row of its stabilizer's table with the
+    # entry's label, read-only.
     for e in desc.entries:
         labels, chars = character_table(e.stabilizer.group)
-        assert e.rho.group is e.stabilizer.group and e.rho.label == e.rho_label
-        assert close(e.rho.character(), chars[labels.index(e.rho_label)])
+        assert np.array_equal(e.character, chars[labels.index(e.rho_label)])
+        assert not e.character.flags.writeable
 
 
 def test_reduction_builds_each_fixed_point_algebra_once(monkeypatch):
@@ -1778,7 +1777,7 @@ def scalar_subgroups_loop(sys, tol=1e-8):
     by_point = []
     irreps_of = {}
     for x in range(sys.n_points):
-        sub, i_rep = spectrum.stabilizer_rep(sys, x)
+        sub, i_rep = oracles.stabilizer_rep(sys, x)
         if stabs[x] not in irreps_of:
             irreps_of[stabs[x]] = enumerate_irreps(sub.group)
         wp_local = [sub.from_parent(w) for w in wprime[x]]
@@ -1934,14 +1933,42 @@ def test_orbit_solvers_match_the_whole_ambient_oracles_on_planted_cocycles(
     desc = spectrum.classify_irreps(sys)
     assert desc.integrality_distance < 1e-9
     for x in sys.orbits.representatives:
-        sub, i_rep = spectrum.stabilizer_rep(sys, x)
+        sub, i_rep = oracles.stabilizer_rep(sys, x)
         dims = {e.rho_label: e.dim for e in desc.entries if e.point == x}
         for rho in enumerate_irreps(sub.group):
-            assert equivariant_maps(rho, i_rep).shape[0] == dims.get(rho.label, 0)
+            assert intertwiner_space(rho, i_rep).shape[0] == dims.get(rho.label, 0)
     eq = equivariant_function_module(sys)
     x_n, d = sys.n_points, sys.fiber_dim
     assert same_gram(morita._averaged_point_blocks(eq),
                      point_blocks(averaged_tensors(eq)[1], x_n, d))
+
+
+# Multiplicities of at most one keep the fiber at d <= 6, where the
+# fixed-point algebra's kernels are cheap; a hundred examples take about a
+# second.
+@settings(settings.get_profile("derandomized"), max_examples=100)
+@given(st.sampled_from(sorted(BUILTIN_GROUPS)), st.lists(st.integers(0, 1), min_size=8, max_size=8),
+       st.integers(0, 3), st.sampled_from(["none", "fixed", "free"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_labels_pair_with_blocks_on_planted_cocycles(group_name, mults, twist, second, seed):
+    """Rounded P pairs each spectrum entry with one block of its own size,
+    within rounding, and the pairing is the one the projections' traces
+    give: entry (x, rho) takes the block p with tr(p(x) I_x(e_rho)) =
+    dim rho dim(x, rho), read off the carried functions."""
+    sys, _ = planted_cocycle_system(group_name, mults, twist, second, seed)
+    for tol in (1e-8, 1e-6):
+        verdict = spectrum.wedderburn_crosscheck(sys, tol=tol)
+        assert verdict.ok and verdict.labels_paired, verdict.diff()
+        assert verdict.label_distance < 1e-12
+    fpa = fixed_point_algebra(sys)
+    blocks = matalg.block_decompose(fpa).blocks
+    for e in verdict.spectrum.entries:
+        _, i_rep = oracles.stabilizer_rep(sys, e.point)
+        # I_x(e_rho) / dim rho.
+        weight = np.tensordot(e.character.conj(), i_rep.matrices, axes=1) / len(e.character)
+        at = np.tensordot([b.projection for b in blocks], fpa.functions[:, e.point], axes=1)
+        taken = np.abs(np.trace(at @ weight, axis1=1, axis2=2) - e.dim) < 1e-9
+        assert [b.size for b, t in zip(blocks, taken) if t] == [e.dim], e.label
 
 
 def planted_system(*args):

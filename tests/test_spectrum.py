@@ -1,26 +1,24 @@
 """Spectrum classification, Wedderburn cross-checks, and limit certificates."""
+import dataclasses
+
 import numpy as np
 import pytest
+from oracles import stabilizer_rep
 
 from equivaria import reps, spectrum
 from equivaria.datasets import bundled, dataset_names
 from equivaria.groups import symmetric
-from equivaria.matalg import generate
-from equivaria.reps import regular_rep
+from equivaria.reps import character_table, regular_rep
 from equivaria.spectrum import (
     SpectrumError,
     classify_irreps,
     fell_limit_certificate,
-    realize_irrep,
-    realized_commutant_dim,
-    stabilizer_rep,
     wedderburn_crosscheck,
 )
 from equivaria.systems import (
     ClosedFormFamily,
     FixedPointAlgebra,
     dihedral_plane_system,
-    fixed_point_algebra,
     one_point_system,
     trivial_system,
     z2_line_family,
@@ -46,60 +44,15 @@ def test_classification_z2_line():
     assert len(origin_labels) == 2
 
 
-def test_realized_irreps_are_irreducible():
-    sys = z2_line_system(2)
-    desc = classify_irreps(sys)
-    for entry in desc.entries:
-        mats = realize_irrep(sys, entry)
-        assert mats.shape[1] == entry.dim
-        # Scalar commutant = irreducibility of the realized representation.
-        assert realized_commutant_dim(mats) == 1
-        # *-homomorphism spot check against the algebra product.
-        alg = generate(mats, ambient_dim=entry.dim)
-        assert alg.algebra.closure_residual() < 1e-8
-
-
-def realized_on_functions(sys, entry) -> np.ndarray:
-    """realize_irrep read off the functions carried over whole orbits."""
-    funcs = fixed_point_algebra(sys).functions
-    s = entry.basis
-    moved = funcs[:, entry.point][:, None] @ s[None]
-    return np.tensordot(moved, s.conj(), axes=([2, 3], [1, 2])).transpose(0, 2, 1)
-
-
-@pytest.mark.parametrize("name", ["z2-line", "dihedral-plane", "anticomplete-point",
-                                  "z2xz2-line-3"])
-def test_realize_irrep_reads_the_least_point_values(monkeypatch, name):
-    """Every entry's matrices, with FixedPointAlgebra.functions made to fail,
-    are bit for bit those read off the carried functions."""
-    sys = z2xz2_line_system(3) if name == "z2xz2-line-3" else bundled(name)
-    sys = sys[0] if isinstance(sys, tuple) else sys
-    entries = classify_irreps(sys).entries
-    expected = [realized_on_functions(sys, entry) for entry in entries]
-
-    def refuse(fpa):
-        raise AssertionError("realize_irrep carried the functions")
-
-    monkeypatch.setattr(FixedPointAlgebra, "functions", property(refuse))
-    for entry, mats in zip(entries, expected):
-        assert np.array_equal(realize_irrep(sys, entry), mats), entry.label
-
-
 def test_classification_solves_no_intertwiner_space(monkeypatch):
-    """Dimensions come from characters; the equivariant maps are solved
-    when an entry's basis is first read."""
+    """Dimensions come from characters and the label check from traces:
+    no equivariant map is solved."""
     def refuse(*args, **kwargs):
         raise AssertionError("an intertwiner space was solved")
 
     monkeypatch.setattr(reps, "intertwiner_space", refuse)
-    sys = dihedral_plane_system()
-    desc = classify_irreps(sys)
-    monkeypatch.undo()
-    for entry in desc.entries:
-        basis = entry.basis
-        assert basis.shape == (entry.dim, sys.fiber_dim, entry.rho.dim)
-        flat = basis.reshape(entry.dim, -1)
-        assert np.abs(flat @ flat.conj().T - np.eye(entry.dim)).max() < 1e-12
+    verdict = wedderburn_crosscheck(dihedral_plane_system())
+    assert verdict.ok and verdict.labels_paired
 
 
 def bundled_systems() -> dict:
@@ -151,6 +104,115 @@ def test_crosscheck_dihedral_plane():
     assert verdict.ok, verdict.diff()
 
 
+@pytest.mark.parametrize("label", sorted(bundled_systems()))
+def test_entry_characters_are_irreducible(label):
+    """Each entry's character has norm 1 on its stabilizer, and the entries
+    of a point fill its fiber: the sum of dim(x, rho) rho(e) is d."""
+    sys = bundled_systems()[label]
+    filled = {}
+    for e in classify_irreps(sys).entries:
+        assert abs(np.vdot(e.character, e.character) / e.stabilizer.group.order - 1) < 1e-12
+        filled[e.point] = filled.get(e.point, 0) + e.dim * e.character[0].real
+    assert all(abs(total - sys.fiber_dim) < 1e-12 for total in filled.values()), filled
+
+
+@pytest.mark.parametrize("name", ["z2-line", "dihedral-plane", "anticomplete-point",
+                                  "z2xz2-line-3"])
+def test_label_check_reads_the_least_point_values(monkeypatch, name):
+    """With FixedPointAlgebra.functions made to fail, every entry still
+    pairs with a block of its own size: the traces are read off the
+    least-point values."""
+    sys = z2xz2_line_system(3) if name == "z2xz2-line-3" else bundled(name)
+
+    def refuse(fpa):
+        raise AssertionError("the label check carried the functions")
+
+    monkeypatch.setattr(FixedPointAlgebra, "functions", property(refuse))
+    verdict = wedderburn_crosscheck(sys)
+    assert verdict.ok and verdict.labels_paired, verdict.diff()
+    assert verdict.label_distance < 1e-12
+
+
+def s3_regular():
+    return one_point_system(symmetric(3), regular_rep(symmetric(3)).matrices)
+
+
+def z2_five_and_six():
+    """One point, Z/2 acting by 5 copies of its trivial irrep and 6 of its sign."""
+    return one_point_system(symmetric(2), np.stack([np.eye(11), np.diag([1.0] * 5 + [-1.0] * 6)]))
+
+
+def retraded(first, second):
+    """The entries labeled `first` and `second` trade dims: the sorted dims
+    stay."""
+    def mutate(entries):
+        by_label = {e.rho_label: e for e in entries}
+        one, two = by_label[first], by_label[second]
+        return [dataclasses.replace(one, dim=two.dim) if e is one else
+                dataclasses.replace(two, dim=one.dim) if e is two else e for e in entries]
+    return mutate
+
+
+def relabelled(entries):
+    """The first entry takes the label and character of an irrep of its
+    stabilizer that does not occur at its point."""
+    e = entries[0]
+    labels, chars = character_table(e.stabilizer.group)
+    occurring = {f.rho_label for f in entries if f.point == e.point}
+    i = next(i for i, label in enumerate(labels) if label not in occurring)
+    return [dataclasses.replace(e, rho_label=labels[i], character=chars[i]), *entries[1:]]
+
+
+def stray(entries):
+    """A copy of an entry of a free orbit, placed at a point of the orbit
+    other than its least one, where no block lives."""
+    e = next(e for e in entries if len(e.orbit) > 1)
+    return [*entries, dataclasses.replace(e, point=e.orbit[-1])]
+
+
+MUTANTS = {
+    "traded-dims": (s3_regular, retraded("1d0", "2d0")),
+    # P reads 5/6 and 6/5, within 1/4 of a permutation: only the sizes differ.
+    "traded-dims-5-6": (z2_five_and_six, retraded("1d0", "1d1")),
+    "duplicated": (s3_regular, lambda entries: [*entries, entries[-1]]),
+    "dropped": (dihedral_plane_system, lambda entries: entries[1:]),
+    # Z/2 fixes the one point with I = 1_2: its sign irrep does not occur.
+    "relabelled": (lambda: trivial_system(1, 2, symmetric(2)), relabelled),
+    "stray": (lambda: z2_line_system(2), stray),
+    # Every character at 0.7 of itself: P reads 0.7 where it read 1.
+    "shrunk-characters": (s3_regular, lambda entries: [
+        dataclasses.replace(e, character=0.7 * e.character) for e in entries]),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_crosscheck_refuses_a_mutated_classification(monkeypatch, name):
+    """The labels must pair with the blocks, not only the sorted dims with
+    the block sizes: the traded dims keep S3's sorted dims [1, 1, 2], and
+    they and the relabelled entry were accepted when only counts were
+    compared.  A pairing within 1/4 of a permutation is required too."""
+    build, mutate = MUTANTS[name]
+    sys = build()
+    assert wedderburn_crosscheck(sys).ok
+    classify = spectrum.classify_irreps
+
+    def mutated(*args, **kwargs):
+        desc = classify(*args, **kwargs)
+        return dataclasses.replace(desc, entries=tuple(mutate(list(desc.entries))))
+
+    monkeypatch.setattr(spectrum, "classify_irreps", mutated)
+    verdict = wedderburn_crosscheck(sys)
+    assert not verdict.ok and "unpaired" in verdict.diff()
+    if name == "traded-dims":
+        assert verdict.spectrum_dims == verdict.block_sizes == (1, 1, 2)
+    if name == "traded-dims-5-6":
+        assert verdict.spectrum_dims == verdict.block_sizes and verdict.label_distance < 0.25
+    if name == "shrunk-characters":
+        assert verdict.labels_paired and abs(verdict.label_distance - 0.3) < 1e-12
+    else:
+        assert not verdict.labels_paired
+
+
 def test_fell_certificate_accepts_both_origin_entries():
     fam = z2_line_family()
     seq = [1.0 / k for k in range(1, 17)]
@@ -163,7 +225,6 @@ def test_fell_certificate_reads_its_irrep_off_the_character_table(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a representation was split")
 
-    monkeypatch.setattr(spectrum, "enumerate_irreps", refuse)
     monkeypatch.setattr(reps, "enumerate_irreps", refuse)
     cert = fell_limit_certificate(z2_line_family(), [1.0 / k for k in range(1, 17)], 0.0, "1d1",
                                   tail_length=4)
